@@ -121,27 +121,29 @@ def main():
         for twist in (1, -1)
         for omega in (1, -1)
     ]
-    for coeff, twist, omega_sgn in combos:
-        lg_mod.CARTAN_COEFF = coeff
-        dirac_mod.DORFMAN_TWIST_SIGN = twist
-        # omega_sgn multiplies the frozen double form through the hook
-        hooks.CURRENT = hooks.Hooks(omega_sign=omega_sgn)
-        ctx = context("sl2")
-        salt = hash((coeff, twist, omega_sgn)) & 0xFFFF
-        ok_c = closure_holds(ctx, 3, rng.fork(salt))
-        ok_d = d_omega_matches(ctx, 2, rng.fork(salt + 1))
-        ok_f = f_dirac_holds(ctx, 2, rng.fork(salt + 2))
-        results[(str(coeff), twist, omega_sgn)] = (ok_c, ok_d, ok_f)
-        print(
-            f"eta={str(coeff):>6}*(x,[y,z])  twist {twist:+d}  omega {omega_sgn:+d}   "
-            f"closure={'PASS' if ok_c else 'fail'}  "
-            f"d(omega)={'PASS' if ok_d else 'fail'}  "
-            f"f-Dirac={'PASS' if ok_f else 'fail'}"
-        )
-    hooks.CURRENT = hooks.Hooks()
+    saved = (lg_mod.CARTAN_COEFF, dirac_mod.DORFMAN_TWIST_SIGN, hooks.CURRENT)
+    try:
+        for coeff, twist, omega_sgn in combos:
+            lg_mod.CARTAN_COEFF = coeff
+            dirac_mod.DORFMAN_TWIST_SIGN = twist
+            # omega_sgn multiplies the frozen double form through the hook
+            hooks.CURRENT = hooks.Hooks(omega_sign=omega_sgn)
+            ctx = context("sl2")
+            salt = hash((coeff, twist, omega_sgn)) & 0xFFFF
+            ok_c = closure_holds(ctx, 3, rng.fork(salt))
+            ok_d = d_omega_matches(ctx, 2, rng.fork(salt + 1))
+            ok_f = f_dirac_holds(ctx, 2, rng.fork(salt + 2))
+            results[(str(coeff), twist, omega_sgn)] = (ok_c, ok_d, ok_f)
+            print(
+                f"eta={str(coeff):>6}*(x,[y,z])  twist {twist:+d}  omega {omega_sgn:+d}   "
+                f"closure={'PASS' if ok_c else 'fail'}  "
+                f"d(omega)={'PASS' if ok_d else 'fail'}  "
+                f"f-Dirac={'PASS' if ok_f else 'fail'}"
+            )
+    finally:
+        lg_mod.CARTAN_COEFF, dirac_mod.DORFMAN_TWIST_SIGN, hooks.CURRENT = saved
     winners = [k for k, v in results.items() if all(v)]
     print("\nsurviving combination(s):", winners or "none")
-    frozen = (str(lg_mod.CARTAN_COEFF), dirac_mod.DORFMAN_TWIST_SIGN, 1)
     if len(winners) == 1:
         print("frozen in code:", ("-1/2", 1, 1))
     return 0 if winners == [("-1/2", 1, 1)] else 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -52,6 +53,10 @@ CLI_GROUPS = ("sl2", "sl3", "gl2", "gl3")
 
 # only the Weyl-fiber enumeration genuinely needs floats; diagram-gs hosts it
 FLOAT_SUITES = ("diagram-gs",)
+
+# fiber-enum rejects eigenvalues within this relative tolerance of each other
+# as colliding; from 1e-2 on that would turn away well-separated eigenvalues
+FIBER_TOL_LIMIT = 1e-2
 
 
 class UsageError(ValueError):
@@ -622,8 +627,11 @@ def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
 
         return {"member": steinberg_membership(g, t)}
     if kind == "fiber-enum":
+        if not (math.isfinite(tolerance) and 0 < tolerance < FIBER_TOL_LIMIT):
+            raise UsageError(f"fiber-enum tolerance must be in (0, "
+                             f"{FIBER_TOL_LIMIT:g}), got {tolerance!r}")
         g = GroupElement.from_json(payload, backend=FLOAT)
-        pts = weyl_fiber_enum(g, tol=tolerance if tolerance < 1e-2 else 1e-8)
+        pts = weyl_fiber_enum(g, tol=tolerance)
         return {
             "count": len(pts),
             "points": [p.to_json() for p in pts],

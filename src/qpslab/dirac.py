@@ -246,13 +246,13 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None,
     row2 = Mat.zeros(v, v, backend).hstack(ft).hstack(-bot if k else Mat.zeros(v, 0, backend))
     system = row1.vstack(row2)
     null = kernel(system, tol)
-    cols = []
-    for j in range(null.dim):
-        vec = null.basis.col(j)
-        x = vec[:v]
-        b = vec[v:v + w]
-        cols.append(mat_vec(fmat, x) + b)
-    basis = Mat.from_columns(cols, 2 * w, backend)
+    if null.dim:
+        # columns (F x, b) for the null vectors (x, b, c)
+        x = Mat(null.basis.data[:v], backend)
+        b = Mat(null.basis.data[v:v + w], backend)
+        basis = (fmat @ x).vstack(b)
+    else:
+        basis = Mat.zeros(2 * w, 0, backend)
     return DiracFiber(base if base is not None else fiber.base, w, basis)
 
 
@@ -273,14 +273,13 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None,
         -bot if k else Mat.zeros(w, 0, backend))
     system = row1.vstack(row2)
     null = kernel(system, tol)
-    ft = fmat.transpose()
-    cols = []
-    for j in range(null.dim):
-        vec = null.basis.col(j)
-        x = vec[:v]
-        b = vec[v:v + w]
-        cols.append(x + mat_vec(ft, b))
-    basis = Mat.from_columns(cols, 2 * v, backend)
+    if null.dim:
+        # columns (x, F^T b) for the null vectors (x, b, c)
+        x = Mat(null.basis.data[:v], backend)
+        b = Mat(null.basis.data[v:v + w], backend)
+        basis = x.vstack(fmat.transpose() @ b)
+    else:
+        basis = Mat.zeros(2 * v, 0, backend)
     return DiracFiber(base if base is not None else fiber.base, v, basis)
 
 

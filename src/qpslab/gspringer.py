@@ -768,18 +768,16 @@ def reconstruct_bivector(point: GSPoint):
     )
     rho_adj = Mat.identity(d) - admat           # v -> v - Ad_m v
     cmat = Mat.identity(h) - (rmat @ rho_adj @ dmu).scale(QQi(Fraction(1, 4)))
-    ct = cmat.transpose()
 
     # image condition mu_* X = -(sigma-adjoint dual of rho_M^* alpha); the
     # sign is the one consistent with the frozen action-generator flip, and
     # is validated through the moment and graph-consistency checks below
+    rsv = [mat_vec(rmat, sv[k]) for k in range(d)]
+    system = bot.vstack(dmu @ top)
     pi_cols = []
     for i in range(h):
-        alpha = [QQi(1) if k == i else QQi(0) for k in range(h)]
-        walpha = [-_dotl(alpha, mat_vec(rmat, sv[k])) for k in range(d)]
-        cov = mat_vec(ct, alpha)
-        system = bot.vstack(dmu @ top)
-        rhs = cov + walpha
+        # alpha = e_i: C^* alpha is row i of C, and <alpha, R sv_k> entry i
+        rhs = list(cmat.data[i]) + [-rsv[k][i] for k in range(d)]
         sol, unique, consistent = solve_unique(system, rhs)
         if not consistent or not unique:
             return None, {"solvable": False, "unique": unique, "passed": False}
@@ -792,18 +790,15 @@ def reconstruct_bivector(point: GSPoint):
     dmut = dmu.transpose()
     ok_moment = True
     for i in range(d):
-        beta = [QQi(1) if k == i else QQi(0) for k in range(d)]
-        lhs = mat_vec(pimat, mat_vec(dmut, beta))
-        rhs = mat_vec(rmat, sv[i])
-        if lhs != rhs:
+        # beta = e_i: d(mu)^T beta is row i of d(mu)
+        if mat_vec(pimat, list(dmu.data[i])) != rsv[i]:
             ok_moment = False
             break
     checks["moment_condition"] = ok_moment
 
     cols = []
     for i in range(h):
-        alpha = [QQi(1) if k == i else QQi(0) for k in range(h)]
-        cols.append(list(pimat.col(i)) + mat_vec(ct, alpha))
+        cols.append(list(pimat.col(i)) + list(cmat.data[i]))
     for k in range(d):
         xi = ctx.basis[k]
         vec = chart_action_field(chart, xi)

@@ -397,13 +397,6 @@ def sigma(g: GroupElement, xi: AlgebraElement) -> Covector:
     return Covector(g, AlgebraElement(g.ctx, coord, check=False))
 
 
-def sigma_mat(ctx: GroupContext, gmat, ximat):
-    """Matrix-level sigma coordinate; generic over dual-valued points."""
-    h = hooks.CURRENT
-    adpart = gmat.inverse() @ ximat @ gmat
-    return (ximat + _sgn(adpart, h.sigma_ad_sign)).scale(QQi(h.sigma_factor))
-
-
 def _sgn(m, s: int):
     return m if s == 1 else -m
 
@@ -426,10 +419,6 @@ def conj_field(g: GroupElement, xi: AlgebraElement) -> TangentVec:
     """
     coord = xi.m - g.inv @ xi.m @ g.m
     return TangentVec(g, AlgebraElement(g.ctx, coord, check=False))
-
-
-def conj_field_mat(gmat, ximat):
-    return ximat - gmat.inverse() @ ximat @ gmat
 
 
 def rho_adjoint(v: TangentVec) -> AlgebraElement:

@@ -1,10 +1,35 @@
 """Matrices and subspaces over the exact and float scalar backends.
 
 All geometric claims verified by this package reduce to rank, kernel and
-intersection computations performed here.  The exact backend uses
-fraction-free (Bareiss) elimination for ranks and exact Gauss-Jordan
-reduction for kernels and solves; the float backend delegates rank decisions
-to SVD with a relative singular-value cutoff.
+intersection computations performed here.
+
+Exact backend.  A :class:`Mat` holds :class:`QQi` entries, and every sampler
+and suite produces real ones, so the exact kernel runs on Python integers:
+:func:`_int_rows` clears each row to integer numerators over one positive row
+denominator, the lcm of its entry denominators.
+
+* ``@`` and :func:`mat_vec` take integer dot products and build one
+  ``Fraction`` per output entry.
+* :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
+  (Bareiss, Math. Comp. 22, 1968) on the integer rows.
+* :func:`rref` and :meth:`Mat.inverse` (n > 3) run its Gauss-Jordan form
+  (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997), whose divisions are
+  exact, and divide each pivot row by its pivot once, at the end.
+  :func:`kernel`, :func:`solve_unique`, :class:`Subspace` and
+  :func:`intersect` sit on :func:`rref`.
+
+The results are identical, entry for entry and so in every report, to those
+of elimination over :class:`QQi`: scaling a row does not change the reduced
+row echelon form, products, ranks, determinants, the RREF and the inverse
+are unique values, and ``Fraction`` always stores a value in lowest terms.
+
+A matrix with a non-real entry, or an entry that is not a :class:`QQi` (a
+``Dual`` can reach :func:`mat_vec`), takes the elimination over :class:`QQi`,
+kept as the ``_*_qqi`` functions.  Only JSON input can produce a non-real
+entry; the same functions are the oracle of the differential tests.
+
+Float backend: rank decisions are delegated to SVD with a relative
+singular-value cutoff.
 
 Conventions: a :class:`Subspace` stores a basis matrix whose *columns* are
 the basis vectors, canonicalized by reduced row echelon form of the
@@ -16,11 +41,13 @@ comparing bases entrywise.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scalars import QQi
+from .scalars import QQI_ZERO, QQi
 
 DEFAULT_TOL = 1e-9
 
@@ -111,11 +138,15 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
-            bt = tuple(zip(*other.data))
-            return Mat._raw(
-                tuple(tuple(_dot(r, c) for c in bt) for r in self.data),
-                self.backend,
-            )
+            if self.backend == EXACT == other.backend and self.cols:
+                a = _int_rows(self.data)
+                b = _int_rows(zip(*other.data)) if a is not None else None
+                if b is not None:
+                    return Mat._raw(tuple(
+                        tuple(_real(sum(map(mul, ra, cb)), da * db) for cb, db in b)
+                        for ra, da in a
+                    ), EXACT)
+            return _matmul_qqi(self, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -232,23 +263,11 @@ class Mat:
             raise LinAlgError("determinant of non-square matrix")
         if self.backend == FLOAT:
             return complex(np.linalg.det(self.to_numpy()))
-        rows = [list(r) for r in self.data]
-        n = self.rows
-        det = QQi(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if rows[i][c]), None)
-            if piv is None:
-                return QQi(0)
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = QQi(1) / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+        ints = _int_rows(self.data)
+        if ints is None:
+            return _det_qqi(self)
+        rk, det = _bareiss([r for r, _ in ints])
+        return _real(det if rk == self.rows else 0, prod(d for _, d in ints))
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -258,19 +277,18 @@ class Mat:
             return Mat.from_numpy(np.linalg.inv(self.to_numpy()))
         if n <= 3:
             return self._inverse_small()
-        aug = [list(r) + list(Mat.identity(n).data[i]) for i, r in enumerate(self.data)]
-        for c in range(n):
-            piv = next((i for i in range(c, n) if aug[i][c]), None)
-            if piv is None:
-                raise LinAlgError("singular matrix")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = QQi(1) / aug[c][c]
-            aug[c] = [a * inv for a in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-        return Mat([r[n:] for r in aug], EXACT)
+        ints = _int_rows(self.data)
+        if ints is None:
+            return _inverse_qqi(self)
+        # A = D^-1 N with D the row denominators, so rref [N | D] = [I | A^-1]
+        aug = [r + [d if j == i else 0 for j in range(n)]
+               for i, (r, d) in enumerate(ints)]
+        if _rref_int(aug) != list(range(n)):
+            raise LinAlgError("singular matrix")
+        return Mat._raw(
+            tuple(tuple(_real(a, r[i]) for a in r[n:]) for i, r in enumerate(aug)),
+            EXACT,
+        )
 
     def _inverse_small(self) -> "Mat":
         """Closed-form adjugate inverse for n <= 3 (hot path)."""
@@ -305,14 +323,18 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise LinAlgError("row mismatch in hstack")
-        return Mat(
-            [list(a) + list(b) for a, b in zip(self.data, other.data)], self.backend
+        if self.backend != other.backend:
+            return Mat([a + b for a, b in zip(self.data, other.data)], self.backend)
+        return Mat._raw(
+            tuple(a + b for a, b in zip(self.data, other.data)), self.backend
         )
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise LinAlgError("col mismatch in vstack")
-        return Mat(list(self.data) + list(other.data), self.backend)
+        if self.backend != other.backend:
+            return Mat(self.data + other.data, self.backend)
+        return Mat._raw(self.data + other.data, self.backend)
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(x) for x in r) for r in self.data)
@@ -331,7 +353,118 @@ def _dot(row, col):
 def mat_vec(m: Mat, v: Sequence) -> list:
     if m.cols != len(v):
         raise LinAlgError("matrix/vector size mismatch")
-    return [_dot(r, v) for r in m.data]
+    if m.backend == EXACT and m.cols:
+        vi = _int_rows((v,))
+        rows = _int_rows(m.data) if vi is not None else None
+        if rows is not None:
+            cv, dv = vi[0]
+            return [_real(sum(map(mul, r, cv)), d * dv) for r, d in rows]
+    return _mat_vec_qqi(m, v)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel
+
+
+def _int_rows(rows) -> list[tuple[list[int], int]] | None:
+    """Each row as (integer numerators, positive row denominator).
+
+    The row denominator is the lcm of the row's entry denominators, so each
+    entry is its numerator over it.  Returns None if an entry is not a real
+    :class:`QQi`; the caller then runs the ``_*_qqi`` path.
+    """
+    out = []
+    for row in rows:
+        den = 1
+        for x in row:
+            if not isinstance(x, QQi) or x.im:
+                return None
+            d = x.re.denominator
+            if d != 1 and den % d:
+                den = lcm(den, d)
+        if den == 1:
+            out.append(([x.re.numerator for x in row], 1))
+        else:
+            out.append(([x.re.numerator * (den // x.re.denominator) for x in row], den))
+    return out
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _real(num: int, den: int) -> QQi:
+    """The real :class:`QQi` ``num / den``, in lowest terms."""
+    if not num:
+        return QQI_ZERO
+    return QQi(Fraction(num, den), _FRACTION_ZERO)
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination over the integers, in place (exact divisions).
+
+    Returns ``(rank, det)``; ``det`` is the determinant when the matrix is
+    square and of full rank.
+    """
+    nr, nc = len(rows), len(rows[0])
+    prev = 1
+    sign = 1
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        pr = rows[r]
+        pc = pr[c]
+        for i in range(r + 1, nr):
+            ri = rows[i]
+            f = ri[c]
+            if f or any(ri[c:]):
+                rows[i] = [(pc * a - f * b) // prev for a, b in zip(ri, pr)]
+        prev = pc
+        r += 1
+    return r, sign * prev
+
+
+def _rref_int(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination, in place; returns the pivots.
+
+    Each step replaces every row but the pivot row by ``(pc * row - f *
+    pivot_row) / prev``, ``prev`` being the previous pivot; the division is
+    exact, as in Bareiss elimination.  Row ``i`` of the result, divided by its
+    entry in pivot column ``i``, is row ``i`` of the reduced row echelon
+    form; the rows after the last pivot are zero.
+    """
+    nr, nc = len(rows), len(rows[0])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        piv = next((i for i in range(r, nr) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr = rows[r]
+        pc = pr[c]
+        for i in range(nr):
+            if i == r:
+                continue
+            ri = rows[i]
+            f = ri[c]
+            if f:
+                rows[i] = [(pc * a - f * b) // prev for a, b in zip(ri, pr)]
+            elif pc != prev and any(ri):
+                rows[i] = [pc * a // prev for a in ri]
+        prev = pc
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +474,9 @@ def mat_vec(m: Mat, v: Sequence) -> list:
 def rank(m: Mat, tol: float | None = None) -> int:
     """Rank over the scalar field.
 
-    Exact backend: Bareiss fraction-free elimination on denominator-cleared
-    rows.  Float backend: number of singular values above ``tol`` times the
-    largest one (relative cutoff, default 1e-9).
+    Exact backend: Bareiss fraction-free elimination on the integer rows.
+    Float backend: number of singular values above ``tol`` times the largest
+    one (relative cutoff, default 1e-9).
     """
     if m.cols == 0 or m.rows == 0:
         return 0
@@ -353,9 +486,45 @@ def rank(m: Mat, tol: float | None = None) -> int:
         if s.size == 0 or s[0] == 0.0:
             return 0
         return int(np.sum(s > tol * s[0]))
+    ints = _int_rows(m.data)
+    if ints is None:
+        return _rank_qqi(m)
+    return _bareiss([r for r, _ in ints])[0]
+
+
+def rref(m: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form with pivot column list (exact backend only)."""
+    if m.backend != EXACT:
+        raise LinAlgError("rref is exact-only; use SVD helpers for floats")
+    ints = _int_rows(m.data)
+    if ints is None:
+        return _rref_qqi(m)
+    rows = [r for r, _ in ints]
+    pivots = _rref_int(rows)
+    zero = (QQI_ZERO,) * m.cols
+    return Mat._raw(tuple(
+        tuple(_real(a, rows[i][pivots[i]]) for a in rows[i]) if i < len(pivots)
+        else zero
+        for i in range(m.rows)
+    ), EXACT), pivots
+
+
+# ---------------------------------------------------------------------------
+# elimination over QQi: the path for non-real entries, and the test oracle
+
+
+def _matmul_qqi(a: Mat, b: Mat) -> Mat:
+    bt = tuple(zip(*b.data))
+    return Mat._raw(tuple(tuple(_dot(r, c) for c in bt) for r in a.data), a.backend)
+
+
+def _mat_vec_qqi(m: Mat, v: Sequence) -> list:
+    return [_dot(r, v) for r in m.data]
+
+
+def _rank_qqi(m: Mat) -> int:
+    """Bareiss elimination over Gaussian integers after clearing denominators."""
     rows = [_clear_denominators(r) for r in m.data]
-    if all(not x.im for row in rows for x in row):
-        return _bareiss_int([[x.re.numerator for x in row] for row in rows])
     nr, nc = m.rows, m.cols
     prev = QQi(1)
     r = 0
@@ -379,54 +548,17 @@ def rank(m: Mat, tol: float | None = None) -> int:
     return r
 
 
-def _bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free elimination over the integers (exact divisions)."""
-    nr, nc = len(rows), len(rows[0])
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        pc = pr[c]
-        for i in range(r + 1, nr):
-            ri = rows[i]
-            f = ri[c]
-            if f or any(ri[c:]):
-                rows[i] = [(pc * ri[j] - f * pr[j]) // prev for j in range(nc)]
-        prev = pc
-        r += 1
-    return r
-
-
 def _clear_denominators(row):
     """Scale a row of Gaussian rationals to Gaussian integers (rank-safe)."""
-    lcm = 1
+    den = 1
     for x in row:
-        for part in (x.re, x.im):
-            d = part.denominator
-            if d != 1:
-                g = _gcd(lcm, d)
-                lcm = lcm // g * d
-    if lcm == 1:
+        den = lcm(den, x.re.denominator, x.im.denominator)
+    if den == 1:
         return list(row)
-    return [x * lcm for x in row]
+    return [x * den for x in row]
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form with pivot column list (exact backend only)."""
-    if m.backend != EXACT:
-        raise LinAlgError("rref is exact-only; use SVD helpers for floats")
+def _rref_qqi(m: Mat) -> tuple[Mat, list[int]]:
     rows = [list(r) for r in m.data]
     nr, nc = m.rows, m.cols
     pivots = []
@@ -447,6 +579,44 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
         pivots.append(c)
         r += 1
     return Mat(rows, EXACT), pivots
+
+
+def _det_qqi(m: Mat) -> QQi:
+    rows = [list(r) for r in m.data]
+    n = m.rows
+    det = QQi(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return QQi(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = QQi(1) / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def _inverse_qqi(m: Mat) -> Mat:
+    n = m.rows
+    eye = Mat.identity(n).data
+    aug = [list(r) + list(eye[i]) for i, r in enumerate(m.data)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            raise LinAlgError("singular matrix")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = QQi(1) / aug[c][c]
+        aug[c] = [a * inv for a in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return Mat([r[n:] for r in aug], EXACT)
 
 
 def kernel(m: Mat, tol: float | None = None) -> "Subspace":
@@ -594,10 +764,9 @@ def _canonical_basis(mat: Mat) -> Mat:
         rk = int(np.sum(s > DEFAULT_TOL * s[0]))
         return Mat.from_numpy(u[:, :rk]) if rk else Mat.zeros(mat.rows, 0, FLOAT)
     red, pivots = rref(mat.transpose())
-    rows = [red.data[i] for i in range(len(pivots))]
-    if not rows:
+    if not pivots:
         return Mat.zeros(mat.rows, 0, EXACT)
-    return Mat(rows, EXACT).transpose()
+    return Mat._raw(red.data[:len(pivots)], EXACT).transpose()
 
 
 def intersect(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:

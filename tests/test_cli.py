@@ -151,3 +151,42 @@ def test_matio_accepts_plain_numbers_for_floats():
     assert round_trip == exact
     with pytest.raises(ValueError):
         mat_from_json({"rows": 2, "cols": 2, "entries": []})
+
+
+DIAG2 = {"group": "sl2", "rows": 2, "cols": 2,
+         "entries": [["2", "0"], ["0", "0"], ["0", "0"], ["1/2", "0"]]}
+
+
+@pytest.mark.parametrize("tol", ["1e-2", "0.5", "0", "-1e-9"])
+def test_cli_fiber_enum_rejects_tolerance_out_of_range(tmp_path, capsys, tol):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(DIAG2))
+    assert main(["eval", "fiber-enum", str(path), f"--tol={tol}"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_cli_fiber_enum_rejects_non_finite_tolerance(tmp_path, capsys, tol):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(DIAG2))
+    assert main(["eval", "fiber-enum", str(path), f"--tol={tol}"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-3, 9e-3])
+def test_cli_fiber_enum_honours_tolerance(tmp_path, capsys, monkeypatch, tol):
+    import qpslab.campaigns as campaigns
+
+    seen = []
+    real = campaigns.weyl_fiber_enum
+
+    def spy(g, tol):
+        seen.append(tol)
+        return real(g, tol=tol)
+
+    monkeypatch.setattr(campaigns, "weyl_fiber_enum", spy)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(DIAG2))
+    assert main(["eval", "fiber-enum", str(path), "--tol", repr(tol)]) == 0
+    assert seen == [tol]
+    assert json.loads(capsys.readouterr().out)["count"] == 2

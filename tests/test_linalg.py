@@ -178,3 +178,14 @@ def test_rref_pivots():
     red, piv = rref(M([[0, 1, 2], [0, 2, 4]]))
     assert piv == [1]
     assert red.data[0][1] == QQi(1)
+
+
+def test_stacking_keeps_the_left_backend():
+    exact = M([[1, 2]])
+    floats = Mat([[0.5 + 0j, 1.0 + 0j]], FLOAT)
+    stacked = floats.vstack(exact)
+    assert stacked.backend == FLOAT and stacked.entry(1, 1) == 2 + 0j
+    assert floats.hstack(M([[3]])).entry(0, 2) == 3 + 0j
+    with pytest.raises(TypeError):
+        exact.vstack(floats)
+    assert exact.hstack(M([[3]])).data == M([[1, 2, 3]]).data
