@@ -143,6 +143,24 @@ def test_large_numerators_at_full_size():
     assert full.inverse().data == linalg._inverse_qqi(full).data
 
 
+def test_product_with_many_distinct_denominators():
+    # entries are sums of rationals with unrelated 12-bit denominators, so
+    # the row denominators are long; the paths must still agree
+    rnd = random.Random(11)
+    left = [[rational(rnd, 12, 4096) for _ in range(6)] for _ in range(12)]
+    right = [[rational(rnd, 12, 4096) for _ in range(12)] for _ in range(6)]
+    m = Mat([[QQi(sum((a * b for a, b in zip(r, c)), Fraction(0)))
+              for c in zip(*right)] for r in left])
+    assert rank(m) == linalg._rank_qqi(m) == 6
+    red, pivots = rref(m)
+    red_o, pivots_o = linalg._rref_qqi(m)
+    assert pivots == pivots_o and red.data == red_o.data
+    assert m.det() == linalg._det_qqi(m) == QQi(0)
+    with qqi_oracle():
+        want = kernel(m).basis.data
+    assert kernel(m).basis.data == want
+
+
 def test_row_denominator_is_the_lcm():
     row = [QQi(Fraction(1, 4)), QQi(Fraction(-5, 6)), QQi(0), QQi(3)]
     assert linalg._int_rows([row]) == [([3, -10, 0, 36], 12)]
