@@ -321,15 +321,18 @@ def _a4_sample(ctx, dp, w, rng, count: int) -> bool:
         ad2 = Mat.from_columns(
             [ctx.coords(g2.m @ bk @ g2.inv) for bk in ctx.basis], ctx.dim_g, EXACT
         )
-        dd = ctx.dim_g
-        big = Mat([
-            [ad2.entry(i % dd, j % dd) if (i < dd) == (j < dd) else QQi(0)
-             for j in range(2 * dd)]
-            for i in range(2 * dd)
-        ])
-        if big.transpose() @ w2 @ big != w:
+        # Ad (+) Ad is block diagonal, so its pullback of w2 acts blockwise
+        adt = ad2.transpose()
+        if any(adt @ b2 @ ad2 != b for b2, b in zip(_blocks(w2, ctx.dim_g),
+                                                    _blocks(w, ctx.dim_g))):
             return False
     return True
+
+
+def _blocks(m: Mat, d: int) -> list[Mat]:
+    """The four d x d blocks of a 2d x 2d matrix, row by row."""
+    return [Mat([r[c:c + d] for r in m.data[r0:r0 + d]], m.backend)
+            for r0 in (0, d) for c in (0, d)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .linalg import Mat
+from .linalg import Mat, dot
 from .liegroup import GroupContext, bracket
 from .scalars import Dual, QQi
 
@@ -326,7 +326,7 @@ def lie_derivative_covector(x_field: Callable, beta: Callable, space: Space,
         dx_along_e = directional(space, point, e, lambda q: list(x_field(q)))
         br = space.bracket_coords(xp, e)
         comm = [c - d for c, d in zip(br, dx_along_e)]
-        out.append(dbeta[j] - _dot(bp, comm))
+        out.append(dbeta[j] - dot(bp, comm))
     return out
 
 
@@ -343,18 +343,10 @@ def one_form_d(alpha: Callable, y_field: Callable, space: Space,
     out = []
     for j, e in enumerate(space.basis_directions()):
         ealpha_y = directional(
-            space, point, e, lambda q: _dot(list(alpha(q)), list(y_field(q)))
+            space, point, e, lambda q: dot(list(alpha(q)), list(y_field(q)))
         )
         dy_along_e = directional(space, point, e, lambda q: list(y_field(q)))
         br = space.bracket_coords(yp, e)
         comm = [c - d for c, d in zip(br, dy_along_e)]
-        out.append(da_along_y[j] - ealpha_y - _dot(ap, comm))
+        out.append(da_along_y[j] - ealpha_y - dot(ap, comm))
     return out
-
-
-def _dot(a: Sequence, b: Sequence):
-    acc = None
-    for u, v in zip(a, b):
-        t = u * v
-        acc = t if acc is None else acc + t
-    return acc

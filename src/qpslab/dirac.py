@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import hooks
-from .diffcalc import PointedMap, Space
-from .liegroup import GroupElement, conj_field, sigma
-from .linalg import EXACT, Mat, Subspace, intersect, kernel, mat_vec
+from . import liegroup as lg
+from .diffcalc import PointedMap, Space, dot_part
+from .liegroup import AlgebraElement, GroupElement, conj_field, sigma
+from .liegroup import bracket as mbracket
+from .linalg import EXACT, Mat, Subspace, dot, intersect, kernel, mat_vec
 from .matio import mat_to_json
 from .scalars import QQi
 
@@ -105,7 +107,7 @@ class TwoFormFiber:
         return (self.matrix + self.matrix.transpose()).is_zero(tol)
 
     def value(self, u: Sequence, v: Sequence):
-        return _dot(list(u), mat_vec(self.matrix, list(v)))
+        return dot(list(u), mat_vec(self.matrix, list(v)))
 
     def flat(self, u: Sequence) -> list:
         """Dual coordinates of ``omega(u, .)``."""
@@ -157,15 +159,7 @@ def pairing(e1, e2, ctx=None):
     if hasattr(x, "m"):
         c = ctx or x.ctx
         return c.form(a.m, y.m) + c.form(b.m, x.m)
-    return _dot(list(a), list(y)) + _dot(list(b), list(x))
-
-
-def _dot(a, b):
-    acc = None
-    for u, v in zip(a, b):
-        t = u * v
-        acc = t if acc is None else acc + t
-    return acc
+    return dot(list(a), list(y)) + dot(list(b), list(x))
 
 
 def pairing_gram(fiber: DiracFiber) -> Mat:
@@ -315,8 +309,6 @@ def dorfman(s1: DiracSection, s2: DiracSection, eta3, space: Space, point):
     xp, ap = (list(v) for v in s1.fn(point))
     yp, bp = (list(v) for v in s2.fn(point))
 
-    from .diffcalc import dot_part
-
     qx = space.curve(point, xp)
     y_on_x, beta_on_x = s2.fn(qx)
     dx_y = [dot_part(v) for v in y_on_x]
@@ -345,12 +337,12 @@ def dorfman(s1: DiracSection, s2: DiracSection, eta3, space: Space, point):
 
         brx = space.bracket_coords(xp, e)
         commx = [c - d_ for c, d_ in zip(brx, de_x)]
-        lxb = dx_beta[j] - _dot(bp, commx)
+        lxb = dx_beta[j] - dot(bp, commx)
 
-        e_alpha_y = _dot(de_alpha, yp) + _dot(ap, de_y)
+        e_alpha_y = dot(de_alpha, yp) + dot(ap, de_y)
         bry = space.bracket_coords(yp, e)
         commy = [c - d_ for c, d_ in zip(bry, de_y)]
-        iyda = dy_alpha[j] - e_alpha_y - _dot(ap, commy)
+        iyda = dy_alpha[j] - e_alpha_y - dot(ap, commy)
 
         val = lxb - iyda
         if twist_scale:
@@ -368,12 +360,17 @@ def cartan_closure_check(ctx, gmat: Mat):
     dual-point section evaluations shared across all pairs.  ``dorfman``
     itself is the independent oracle for this batching in the tests.
 
+    Expanded, the covector of the pair (i, j) at basis direction m is
+
+        dxb[i][j][m] - dxb[j][i][m] + dex[m][i].als[j] + dea[m][i].xs[j]
+        - bre[i][m].als[j] + bre[j][m].als[i] + c * gb[j][m].xs[i]
+
+    (``dorfman``'s two ``als[i].dex[m][j]`` terms cancel), so every
+    contraction is an entry of a product of a stack of such vectors with
+    the matrix whose columns are ``als`` or ``xs``.
+
     Returns (ok, witness).
     """
-    from . import liegroup as lg
-    from .diffcalc import dot_part
-    from .liegroup import bracket as mbracket
-
     space = Space(ctx, ("g",))
     d = ctx.dim_g
     secs = [cartan_section(ctx, b) for b in ctx.basis]
@@ -408,33 +405,39 @@ def cartan_closure_check(ctx, gmat: Mat):
           for i in range(d)]
     bre = [[ctx.coords(mbracket(xmats[i], ctx.basis[m])) for m in range(d)]
            for i in range(d)]
-    gb = [[mat_vec(ctx.gram, bre[i][m]) for m in range(d)] for i in range(d)]
     struct = [[ctx.coords(mbracket(ctx.basis[i], ctx.basis[j]))
                for j in range(d)] for i in range(d)]
 
     twist = hooks.CURRENT.dorfman_twist_scale * DORFMAN_TWIST_SIGN
-    coeff = QQi(lg.CARTAN_COEFF * twist) if twist else None
+    xmat, amat = Mat(xs, EXACT), Mat(als, EXACT)
+    xt, at = xmat.transpose(), amat.transpose()
+    # gb[j][m] = gram bre[j][m], so c * gb[j][m].xs[i] = bre[j][m].(c gram^T xs[i])
+    gx = ctx.gram.transpose().scale(lg.CARTAN_COEFF * twist) @ xt
+    # row k d + l of _stack(u) is u[k][l], so
+    #   de[m d + i][j] = dex[m][i].als[j] + dea[m][i].xs[j]
+    #   ba[i d + m][j] = bre[i][m].als[j]
+    #   bag[j d + m][i] = bre[j][m].als[i] + c * gb[j][m].xs[i]
+    #   targets[i d + j] = sum_k struct[i][j][k] (xs[k] | als[k])
+    de = _stack(dex) @ at + _stack(dea) @ xt
+    bres = _stack(bre)
+    ba, bag = bres @ at, bres @ (at + gx)
+    targets = _stack(struct) @ xmat.hstack(amat)
 
     for i in range(d):
         for j in range(d):
             tangent = [a - b + c for a, b, c in zip(dxy[i][j], dxy[j][i], br[i][j])]
-            cov = []
-            for m in range(d):
-                commx = [c - dd for c, dd in zip(bre[i][m], dex[m][i])]
-                lxb = dxb[i][j][m] - _dot(als[j], commx)
-                e_alpha_y = _dot(dea[m][i], xs[j]) + _dot(als[i], dex[m][j])
-                commy = [c - dd for c, dd in zip(bre[j][m], dex[m][j])]
-                iyda = dxb[j][i][m] - e_alpha_y - _dot(als[i], commy)
-                val = lxb - iyda
-                if coeff is not None:
-                    val = val + _dot(xs[i], gb[j][m]) * coeff
-                cov.append(val)
-            c = struct[i][j]
-            target_t = [_dot(c, [xs[k][n] for k in range(d)]) for n in range(d)]
-            target_a = [_dot(c, [als[k][n] for k in range(d)]) for n in range(d)]
-            if tangent != target_t or cov != target_a:
+            cov = [dxb[i][j][m] - dxb[j][i][m] + de.data[m * d + i][j]
+                   - ba.data[i * d + m][j] + bag.data[j * d + m][i]
+                   for m in range(d)]
+            target = targets.data[i * d + j]
+            if tuple(tangent) != target[:d] or tuple(cov) != target[d:]:
                 return False, {"pair": [ctx.basis_labels[i], ctx.basis_labels[j]]}
     return True, None
+
+
+def _stack(blocks) -> Mat:
+    """The vectors ``blocks[k][l]`` as the rows ``k * len(blocks[k]) + l``."""
+    return Mat([v for row in blocks for v in row], EXACT)
 
 
 def cartan_eta3(space: Space):
@@ -459,7 +462,7 @@ def cartan_dirac(g: GroupElement) -> DiracFiber:
     ctx = g.ctx
     cols = []
     for b in ctx.basis:
-        xi = _alg(ctx, b)
+        xi = AlgebraElement(ctx, b, check=False)
         rho = conj_field(g, xi)
         sig = sigma(g, xi)
         cols.append(ctx.coords(rho.coord.m) + sig.dual_coords())
@@ -484,8 +487,3 @@ def cartan_section(ctx, ximat) -> DiracSection:
 
     return DiracSection("cd-section", fn)
 
-
-def _alg(ctx, m):
-    from .liegroup import AlgebraElement
-
-    return AlgebraElement(ctx, m, check=False)

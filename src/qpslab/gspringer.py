@@ -40,8 +40,8 @@ from .dirac import (DiracFiber, TwoFormFiber, BivectorFiber, cartan_dirac,
 from .liegroup import (AlgebraElement, GroupContext, GroupElement,
                        borel_decompose, chevalley, context, random_point,
                        sigma, _mul_frac)
-from .linalg import (EXACT, FLOAT, Mat, Subspace, intersect, kernel, mat_vec,
-                     rank, solve_unique)
+from .linalg import (EXACT, FLOAT, Mat, Subspace, dot, intersect, kernel,
+                     mat_vec, rank, solve_unique)
 from .matio import mat_from_json, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
@@ -652,7 +652,7 @@ def leaf_two_form(point: GSPoint):
             return None, leaf, {"graphical": False, "passed": False}
         alphas.append(mat_vec(bot, sol))
     wmat = [
-        [_dotl(alphas[i], leaf.basis.col(j)) for j in range(leaf.dim)]
+        [dot(alphas[i], leaf.basis.col(j)) for j in range(leaf.dim)]
         for i in range(leaf.dim)
     ]
     form = TwoFormFiber(point.to_json(), Mat(wmat, EXACT) if leaf.dim else Mat([[QQi(0)]]))
@@ -671,8 +671,8 @@ def leaf_two_form(point: GSPoint):
             break
         mudual = mat_vec(dmut, sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords())
         for j in range(leaf.dim):
-            lhs = _dotl([form.matrix.entry(i, j) for i in range(leaf.dim)], coeff)
-            rhs = _dotl(mudual, leaf.basis.col(j))
+            lhs = dot([form.matrix.entry(i, j) for i in range(leaf.dim)], coeff)
+            rhs = dot(mudual, leaf.basis.col(j))
             if lhs != rhs:
                 ok_moment = False
                 break
@@ -719,14 +719,6 @@ def _leaf_d_identity(point: GSPoint, triples: int = 2,
         if lhs != rhs:
             return False
     return True
-
-
-def _dotl(a, b):
-    acc = None
-    for x, y in zip(a, b):
-        t = x * y
-        acc = t if acc is None else acc + t
-    return acc
 
 
 def reconstruct_bivector(point: GSPoint):

@@ -22,7 +22,7 @@ from . import hooks
 from .linalg import EXACT, Mat, mat_vec
 from .matio import mat_from_json, mat_to_json
 from .prng import SplitMix64
-from .scalars import Dual, QQi
+from .scalars import QQI_ZERO, Dual, QQi
 
 # Coefficient of the invariant 3-form eta(x,y,z) = COEFF * (x, [y, z]).
 # Frozen by the convention-calibration suite (scripts/calibrate_conventions.py):
@@ -131,15 +131,25 @@ class GroupContext:
         return out
 
     def mat_from_coords(self, coords) -> Mat:
+        """The algebra matrix with these coordinates; the inverse of :meth:`coords`.
+
+        The root coordinates are entries; the torus coordinates are the
+        diagonal (GL) or its partial sums (SL), so the SL diagonal is ``h0,
+        h1 - h0, ..., -h_{n-2}``.
+        """
         if len(coords) != self.dim_g:
             raise ValueError("coordinate length mismatch")
-        acc = Mat.zeros(self.n, self.n)
-        for c, b in zip(coords, self.basis):
-            if isinstance(c, (int, Fraction)):
-                c = QQi(c)
-            if c:
-                acc = acc + b.scale(c)
-        return acc
+        c = [x if isinstance(x, QQi) else QQi(x) for x in coords]
+        du, db = self.dim_u, self.dim_b
+        rows = [[QQI_ZERO] * self.n for _ in range(self.n)]
+        for (i, j), x in zip(self._upper + self._lower, c[:du] + c[db:]):
+            rows[i][j] = x
+        h = c[du:db]
+        if self.family == "SL":
+            h = [h[0]] + [b - a for a, b in zip(h, h[1:])] + [-h[-1]]
+        for k, x in enumerate(h):
+            rows[k][k] = x
+        return Mat(rows, EXACT)
 
     def sub_indices(self, part: str) -> range:
         if part == "g":

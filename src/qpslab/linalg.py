@@ -23,10 +23,16 @@ of elimination over :class:`QQi`: scaling a row does not change the reduced
 row echelon form, products, ranks, determinants, the RREF and the inverse
 are unique values, and ``Fraction`` always stores a value in lowest terms.
 
-A matrix with a non-real entry, or an entry that is not a :class:`QQi` (a
-``Dual`` can reach :func:`mat_vec`), takes the elimination over :class:`QQi`,
-kept as the ``_*_qqi`` functions.  Only JSON input can produce a non-real
-entry; the same functions are the oracle of the differential tests.
+A vector of first-order ``Dual`` numbers (a section evaluated at a dual
+point) reaches :func:`mat_vec`; it is split into its value and derivative
+parts, each a real vector, and both run on the integer kernel, since
+``M (v + eps w) = M v + eps M w``.
+
+A matrix with a non-real entry, or an entry that is not a :class:`QQi`, and
+a vector that is neither real nor split that way (nested duals, non-real
+parts), takes the elimination over :class:`QQi`, kept as the ``_*_qqi``
+functions.  Only JSON input can produce a non-real entry; the same functions
+are the oracle of the differential tests.
 
 Float backend: rank decisions are delegated to SVD with a relative
 singular-value cutoff.
@@ -47,7 +53,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .scalars import QQI_ZERO, QQi
+from .scalars import QQI_ZERO, Dual, QQi
 
 DEFAULT_TOL = 1e-9
 
@@ -341,12 +347,19 @@ class Mat:
         return f"Mat[{self.rows}x{self.cols}]({body})"
 
 
+def dot(a: Sequence, b: Sequence):
+    """``sum(x * y)`` over paired entries of any scalar kind; None if empty."""
+    acc = None
+    for x, y in zip(a, b):
+        t = x * y
+        acc = t if acc is None else acc + t
+    return acc
+
+
 def _dot(row, col):
-    acc = row[0] * col[0] if row else None
+    acc = dot(row, col)
     if acc is None:
         raise LinAlgError("empty dot product")
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
     return acc
 
 
@@ -355,11 +368,24 @@ def mat_vec(m: Mat, v: Sequence) -> list:
         raise LinAlgError("matrix/vector size mismatch")
     if m.backend == EXACT and m.cols:
         vi = _int_rows((v,))
+        if vi is None:
+            vi = _dual_parts(v)
         rows = _int_rows(m.data) if vi is not None else None
         if rows is not None:
-            cv, dv = vi[0]
-            return [_real(sum(map(mul, r, cv)), d * dv) for r, d in rows]
+            out = [[_real(sum(map(mul, r, cv)), d * dv) for r, d in rows]
+                   for cv, dv in vi]
+            return out[0] if len(out) == 1 else [Dual(a, b) for a, b in zip(*out)]
     return _mat_vec_qqi(m, v)
+
+
+def _dual_parts(v: Sequence):
+    """:func:`_int_rows` of the value and derivative parts of a dual vector.
+
+    None unless every entry is a ``Dual`` whose parts are real :class:`QQi`.
+    """
+    if not all(isinstance(x, Dual) for x in v):
+        return None
+    return _int_rows(([x.val for x in v], [x.dot for x in v]))
 
 
 # ---------------------------------------------------------------------------

@@ -204,12 +204,34 @@ def test_dorfman_closure_and_batched_agree():
         assert fib.contains(t, c)
 
 
+def first_failing_pair(ctx, gmat):
+    """The first basis pair, in basis order, where per-pair ``dorfman``
+    differs from the section of the bracket; None if every pair closes."""
+    G = Space(ctx, ("g",))
+    eta3 = cartan_eta3(G)
+    for bi, li in zip(ctx.basis, ctx.basis_labels):
+        for bj, lj in zip(ctx.basis, ctx.basis_labels):
+            got = dorfman(cartan_section(ctx, bi), cartan_section(ctx, bj),
+                          eta3, G, (gmat,))
+            want = cartan_section(ctx, bi @ bj - bj @ bi).fn((gmat,))
+            if list(got[0]) != list(want[0]) or list(got[1]) != list(want[1]):
+                return [li, lj]
+    return None
+
+
 def test_batched_closure_matches_dorfman_under_corruption():
-    g = random_point(SL2, "G", SplitMix64(45))
-    for name in ("sigma-half", "dorfman-eta"):
-        with hooks.corruption(name):
-            ok, witness = cartan_closure_check(SL2, g.m)
-        assert not ok and "pair" in witness
+    rng = SplitMix64(45)
+    for ctx in (SL2, context("gl2")):
+        g = random_point(ctx, "G", rng)
+        for name in ("sigma-half", "dorfman-eta"):
+            with hooks.corruption(name):
+                ok, witness = cartan_closure_check(ctx, g.m)
+                first = first_failing_pair(ctx, g.m)
+            assert first is not None
+            assert not ok and witness == {"pair": first}
+    for name in ("sl3", "gl3"):
+        ctx = context(name)
+        assert cartan_closure_check(ctx, random_point(ctx, "G", rng).m) == (True, None)
 
 
 def test_fiber_json_dump():

@@ -188,8 +188,43 @@ def test_gaussian_entry_takes_the_qqi_path():
     assert sq.det() == QQi(6)
 
 
-def test_dual_vector_takes_the_qqi_path():
+def test_dual_vector_splits_into_value_and_derivative():
     m = Mat([[QQi(1), QQi(2)], [QQi(Fraction(1, 3)), QQi(0)]])
     v = [Dual(QQi(1), QQi(2)), Dual(QQi(3), QQi(0))]
-    out = mat_vec(m, v)
+    with mock.patch.object(linalg, "_mat_vec_qqi", wraps=linalg._mat_vec_qqi) as spy:
+        out = mat_vec(m, v)
+    assert not spy.called
     assert out == [Dual(QQi(7), QQi(2)), Dual(QQi(Fraction(1, 3)), QQi(Fraction(2, 3)))]
+
+
+def dual_entry(rnd, kind):
+    """One entry of a vector of the given kind (see test_dual_mat_vec_matches_qqi)."""
+    def q():
+        return QQi(rational(rnd, rnd.choice((3, 64)), rnd.choice((1, 16, 2**62))))
+
+    if kind == "mixed" and rnd.random() < 0.4:
+        return q()
+    if kind == "nested" and rnd.random() < 0.4:
+        return Dual(Dual(q(), q()), Dual(q(), q()))
+    if kind == "nonreal" and rnd.random() < 0.4:
+        return Dual(q() + QQi(0, rational(rnd, 3, 4)), q())
+    return Dual(q(), q())
+
+
+@SETTINGS
+@given(matrices(max_dim=12), st.sampled_from(("dual", "mixed", "nested", "nonreal")))
+def test_dual_mat_vec_matches_qqi(case, kind):
+    # a vector of first-order duals with real parts is split into two real
+    # vectors; mixed, nested and non-real vectors stay on the QQi path
+    m, seed = case
+    rnd = random.Random(seed + 3)
+    v = [dual_entry(rnd, kind) for _ in range(m.cols)]
+    with mock.patch.object(linalg, "_mat_vec_qqi", wraps=linalg._mat_vec_qqi) as spy:
+        got = mat_vec(m, v)
+    want = linalg._mat_vec_qqi(m, v)
+    assert got == want
+    assert [repr(x) for x in got] == [repr(x) for x in want]
+    real = all(isinstance(x, QQi) for x in v)
+    split = all(isinstance(x, Dual) and isinstance(x.val, QQi) and
+                x.val.is_real and x.dot.is_real for x in v)
+    assert spy.called != (real or split)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpslab import campaigns
 from qpslab.dirac import DiracFiber, is_lagrangian, pushforward_linear, cartan_dirac
 from qpslab.gspringer import (DoublePoint, GSPoint, NotRegularSemisimple,
                               QuotientChart, SteinbergFiber, chart_action_field,
@@ -91,6 +92,20 @@ def test_omega_double_wrapper_and_nondegeneracy():
         ko = kernel(fib.matrix.transpose())
         kphi = kernel(phi_differential(SL2, dp.a.m, dp.b.m))
         assert intersect(ko, kphi).dim == 0
+
+
+def test_a4_invariance_compares_every_block():
+    # the check pulls back omega blockwise along Ad (+) Ad; a defect in any of
+    # the four d x d blocks of the reference form must be seen
+    dp = sample_double(SL2, SplitMix64(65))
+    w = omega_matrix(SL2, dp.a.m, dp.b.m, double_space(SL2))
+    assert campaigns._a4_sample(SL2, dp, w, SplitMix64(66), count=2)
+    d = SL2.dim_g
+    for r0 in (0, d):
+        for c0 in (0, d):
+            bad = [list(r) for r in w.data]
+            bad[r0][c0 + 1] = bad[r0][c0 + 1] + QQi(1)
+            assert not campaigns._a4_sample(SL2, dp, Mat(bad), SplitMix64(66), count=1)
 
 
 def test_phi_differential_dual_route():

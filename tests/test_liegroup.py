@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qpslab import liegroup
 from qpslab.liegroup import (Ad, AlgebraElement, Covector, GroupContext,
                              GroupElement, TangentVec, WeylGroup, ad,
                              borel_decompose, chevalley, context, random_algebra,
@@ -261,3 +262,32 @@ def test_coords_roundtrip():
             sub = ctx.part_coords(part, y.m)
             full = ctx.embed_part_coords(part, sub)
             assert ctx.mat_from_coords(full) == y.m
+
+
+def sum_of_scaled_basis(ctx, coords):
+    """The defining formula sum c_k b_k, the oracle for mat_from_coords."""
+    acc = Mat.zeros(ctx.n, ctx.n)
+    for c, b in zip(coords, ctx.basis):
+        acc = acc + b.scale(c)
+    return acc
+
+
+def test_mat_from_coords_scatters_the_basis_sum():
+    rng = SplitMix64(23)
+    for name in liegroup.GROUPS:
+        ctx = context(name)
+        kinds = (
+            lambda: rng.below(21) - 10,
+            lambda: rng.rational(8),
+            lambda: QQi(rng.rational(8)),
+        )
+        for kind in kinds:
+            for _ in range(5):
+                c = [kind() for _ in range(ctx.dim_g)]
+                m = ctx.mat_from_coords(c)
+                assert m == sum_of_scaled_basis(ctx, c)
+                assert ctx.coords(m) == c
+        zero = [0] * ctx.dim_g
+        assert ctx.mat_from_coords(zero) == Mat.zeros(ctx.n, ctx.n)
+        with pytest.raises(ValueError):
+            ctx.mat_from_coords(zero[1:])
