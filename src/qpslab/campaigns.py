@@ -446,8 +446,8 @@ def _check_theorem1(cfg: CampaignConfig, payload: dict) -> list:
     fib1 = quotient_fiber(chart1)
     fib2 = quotient_fiber(chart2)
     tinv = trans.inverse()
-    moved_basis = trans @ Mat(fib1.basis.data[: chart1.hdim], EXACT)
-    moved_cov = tinv.transpose() @ Mat(fib1.basis.data[chart1.hdim:], EXACT)
+    moved_basis = trans @ fib1.basis.row_block(0, chart1.hdim)
+    moved_cov = tinv.transpose() @ fib1.basis.row_block(chart1.hdim, fib1.basis.rows)
     moved_fib = Subspace.from_spanning(moved_basis.vstack(moved_cov))
     recs.append(_record(
         "gs-theorem1/representative-independent",

@@ -58,7 +58,7 @@ class DiracFiber:
         return Subspace(2 * self.d, self.basis, canonical=True)
 
     def tangent_part(self) -> Subspace:
-        top = Mat([self.basis.data[i] for i in range(self.d)], self.basis.backend)
+        top = self.basis.row_block(0, self.d)
         return Subspace.from_spanning(top)
 
     def cotangent_intersection(self, tol=None) -> Subspace:
@@ -167,8 +167,8 @@ def pairing_gram(fiber: DiracFiber) -> Mat:
     d = fiber.d
     if b.cols == 0:
         return Mat.zeros(1, 1, b.backend)
-    top = Mat(b.data[:d], b.backend)
-    bot = Mat(b.data[d:], b.backend)
+    top = b.row_block(0, d)
+    bot = b.row_block(d, b.rows)
     return top.transpose() @ bot + bot.transpose() @ top
 
 
@@ -229,8 +229,8 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None,
     if fmat.cols != v:
         raise ValueError("tangent map has wrong domain dimension")
     k = fiber.dim
-    top = Mat(fiber.basis.data[:v], fiber.basis.backend)
-    bot = Mat(fiber.basis.data[v:], fiber.basis.backend)
+    top = fiber.basis.row_block(0, v)
+    bot = fiber.basis.row_block(v, fiber.basis.rows)
     backend = fiber.basis.backend
     # unknowns (x, b, c): x - top c = 0 ; F^T b - bot c = 0
     eye = Mat.identity(v, backend)
@@ -242,8 +242,8 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None,
     null = kernel(system, tol)
     if null.dim:
         # columns (F x, b) for the null vectors (x, b, c)
-        x = Mat(null.basis.data[:v], backend)
-        b = Mat(null.basis.data[v:v + w], backend)
+        x = null.basis.row_block(0, v)
+        b = null.basis.row_block(v, v + w)
         basis = (fmat @ x).vstack(b)
     else:
         basis = Mat.zeros(2 * w, 0, backend)
@@ -258,8 +258,8 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None,
     if fmat.rows != w:
         raise ValueError("tangent map has wrong codomain dimension")
     k = fiber.dim
-    top = Mat(fiber.basis.data[:w], fiber.basis.backend)
-    bot = Mat(fiber.basis.data[w:], fiber.basis.backend)
+    top = fiber.basis.row_block(0, w)
+    bot = fiber.basis.row_block(w, fiber.basis.rows)
     backend = fiber.basis.backend
     # unknowns (x, b, c): F x - top c = 0 ; b - bot c = 0
     row1 = fmat.hstack(Mat.zeros(w, w, backend)).hstack(-top if k else Mat.zeros(w, 0, backend))
@@ -269,8 +269,8 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None,
     null = kernel(system, tol)
     if null.dim:
         # columns (x, F^T b) for the null vectors (x, b, c)
-        x = Mat(null.basis.data[:v], backend)
-        b = Mat(null.basis.data[v:v + w], backend)
+        x = null.basis.row_block(0, v)
+        b = null.basis.row_block(v, v + w)
         basis = x.vstack(fmat.transpose() @ b)
     else:
         basis = Mat.zeros(2 * v, 0, backend)

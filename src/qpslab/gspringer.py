@@ -41,7 +41,7 @@ from .liegroup import (AlgebraElement, GroupContext, GroupElement,
                        borel_decompose, chevalley, context, random_point,
                        sigma, _mul_frac)
 from .linalg import (EXACT, FLOAT, Mat, Subspace, dot, intersect, kernel,
-                     mat_vec, rank, solve_unique)
+                     mat_vec, rref, solve_unique)
 from .matio import mat_from_json, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
@@ -350,18 +350,10 @@ class QuotientChart:
         if v.dim != ctx.dim_b:
             raise ValueError("vertical space has wrong dimension")
         self.vertical = v
-        indices = []
-        current = v.basis
-        r = v.dim
-        for j in range(self.ambient):
-            if len(indices) == self.hdim:
-                break
-            e = [QQi(1) if i == j else QQi(0) for i in range(self.ambient)]
-            cand = current.hstack(Mat.from_columns([e], self.ambient, EXACT))
-            if rank(cand) > r:
-                indices.append(j)
-                current = cand
-                r += 1
+        # the pivots of rref [V | I] after V's columns are the unit vectors
+        # that, taken in order, each leave the span of V and those before
+        _, pivots = rref(v.basis.hstack(Mat.identity(self.ambient)))
+        indices = [c - v.dim for c in pivots[v.dim:]]
         if len(indices) != self.hdim:
             raise ValueError("failed to complement the vertical space")
         self.indices = tuple(indices)
@@ -373,7 +365,7 @@ class QuotientChart:
         )
         full = self.inc.hstack(v.basis)
         inv = full.inverse()
-        self.proj = Mat(inv.data[: self.hdim], EXACT)
+        self.proj = inv.row_block(0, self.hdim)
 
     @property
     def ctx(self) -> GroupContext:
@@ -643,8 +635,8 @@ def leaf_two_form(point: GSPoint):
     fib = quotient_fiber(chart)
     leaf = fib.tangent_part()
     h = chart.hdim
-    top = Mat(fib.basis.data[:h], EXACT)
-    bot = Mat(fib.basis.data[h:], EXACT)
+    top = fib.basis.row_block(0, h)
+    bot = fib.basis.row_block(h, fib.basis.rows)
     alphas = []
     for j in range(leaf.dim):
         sol, _, consistent = solve_unique(top, leaf.basis.col(j))
@@ -736,8 +728,8 @@ def reconstruct_bivector(point: GSPoint):
     d = ctx.dim_g
     m = mu(point)
     dmu = dmu_chart(chart)
-    top = Mat(fib.basis.data[:h], EXACT)
-    bot = Mat(fib.basis.data[h:], EXACT)
+    top = fib.basis.row_block(0, h)
+    bot = fib.basis.row_block(h, fib.basis.rows)
 
     # chart-level action map R: algebra coords -> chart tangent coords
     r_cols = [chart_action_field(chart, ctx.basis[k]) for k in range(d)]

@@ -3,20 +3,36 @@
 All geometric claims verified by this package reduce to rank, kernel and
 intersection computations performed here.
 
-Exact backend.  A :class:`Mat` holds :class:`QQi` entries, and every sampler
-and suite produces real ones, so the exact kernel runs on Python integers:
-:func:`_int_rows` clears each row to integer numerators over one positive row
-denominator, the lcm of its entry denominators.
+Exact backend.  Every sampler and suite produces real entries, so a real
+exact :class:`Mat` is kept in integer form: for each row, a list of integer
+numerators and a positive row denominator with no factor common to all of
+them (``gcd(den, *nums) == 1``).  The row denominator is then the lcm of the
+row's reduced entry denominators, so the form is canonical and ``==``
+compares it.  Rows have their own denominators: one common denominator for
+the whole matrix would make every row as long as the lcm over all rows.
+The numerator lists are never mutated once stored; they are lists rather
+than tuples because CPython keeps up to 2000 freed tuples of each length
+below 20 for reuse, and tuple rows would fill those caches and raise the peak
+memory of a run.
 
-* ``@`` and :func:`mat_vec` take integer dot products and build one
-  ``Fraction`` per output entry.
+* The ``QQi`` entries, :attr:`Mat.data`, are built from the integer rows the
+  first time some code reads them, and kept.  A matrix built from entries
+  (``Mat(...)``, :meth:`Mat._raw`) clears its rows to integers
+  (:func:`_int_rows`) the first time a kernel operation needs them, and keeps
+  them, so each matrix is converted at most once.  The column form, derived
+  from the rows and kept, is the right operand of ``@`` and the row form of
+  the transpose.
+* ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.transpose`,
+  :meth:`Mat.hstack`, :meth:`Mat.vstack` and :meth:`Mat.row_block` return
+  integer form directly, without building a ``Fraction``; :func:`mat_vec`
+  takes integer dot products with the stored rows.
 * :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
   (Bareiss, Math. Comp. 22, 1968) on the integer rows.
 * :func:`rref` and :meth:`Mat.inverse` (n > 3) run its Gauss-Jordan form
   (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997), whose divisions are
-  exact, and divide each pivot row by its pivot once, at the end.
-  :func:`kernel`, :func:`solve_unique`, :class:`Subspace` and
-  :func:`intersect` sit on :func:`rref`.
+  exact; pivot row ``i`` of the result is that row over its pivot, reduced
+  by the row gcd.  :func:`kernel`, :func:`solve_unique`, :class:`Subspace`
+  and :func:`intersect` sit on :func:`rref` and read its integer rows.
 
 The results are identical, entry for entry and so in every report, to those
 of elimination over :class:`QQi`: scaling a row does not change the reduced
@@ -28,10 +44,10 @@ point) reaches :func:`mat_vec`; it is split into its value and derivative
 parts, each a real vector, and both run on the integer kernel, since
 ``M (v + eps w) = M v + eps M w``.
 
-A matrix with a non-real entry, or an entry that is not a :class:`QQi`, and
-a vector that is neither real nor split that way (nested duals, non-real
-parts), takes the elimination over :class:`QQi`, kept as the ``_*_qqi``
-functions.  Only JSON input can produce a non-real entry; the same functions
+A matrix with a non-real entry keeps its :class:`QQi` entries and takes the
+elimination over :class:`QQi`, kept as the ``_*_qqi`` functions; so does a
+vector that is neither real nor split that way (nested duals, non-real
+parts).  Only JSON input can produce a non-real entry; the same functions
 are the oracle of the differential tests.
 
 Float backend: rank decisions are delegated to SVD with a relative
@@ -47,8 +63,8 @@ comparing bases entrywise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,9 +98,13 @@ def _coerce_entry(x, backend):
 
 
 class Mat:
-    """Immutable dense matrix; row-major tuple of row tuples."""
+    """Immutable dense matrix; row-major tuple of row tuples (:attr:`data`).
 
-    __slots__ = ("rows", "cols", "data", "backend")
+    A real exact matrix also keeps its integer rows and columns (see the
+    module docstring); whichever form is missing is derived when first used.
+    """
+
+    __slots__ = ("rows", "cols", "backend", "_data", "_ints", "_icols")
 
     def __init__(self, data: Sequence[Sequence], backend: str | None = None):
         rows = tuple(tuple(r) for r in data)
@@ -98,33 +118,73 @@ class Mat:
                 raise LinAlgError("backend must be given for 0-column matrices")
             probe = rows[0][0]
             backend = EXACT if isinstance(probe, (QQi, int, Fraction)) else FLOAT
-        self.backend = backend
-        self.rows = len(rows)
-        self.cols = ncols
-        self.data = tuple(
+        self._init(backend, len(rows), ncols, tuple(
             tuple(_coerce_entry(x, backend) for x in r) for r in rows
-        )
+        ))
+
+    def _init(self, backend, rows, cols, data=None, ints=None, icols=None):
+        self.backend = backend
+        self.rows = rows
+        self.cols = cols
+        self._data = data
+        # None: not derived yet; _NOT_INT: float, or a non-real entry
+        self._ints = ints if ints is not None or backend == EXACT else _NOT_INT
+        self._icols = icols
 
     @classmethod
     def _raw(cls, data: tuple, backend: str) -> "Mat":
         """Internal constructor skipping coercion (entries already clean)."""
         m = object.__new__(cls)
-        m.backend = backend
-        m.rows = len(data)
-        m.cols = len(data[0]) if data else 0
-        m.data = data
+        m._init(backend, len(data), len(data[0]) if data else 0, data)
         return m
+
+    @classmethod
+    def _from_ints(cls, ints: list, cols: int, icols: list | None = None) -> "Mat":
+        """Internal constructor from canonical integer rows (and columns)."""
+        m = object.__new__(cls)
+        m._init(EXACT, len(ints), cols, None, ints, icols)
+        return m
+
+    @property
+    def data(self) -> tuple:
+        data = self._data
+        if data is None:
+            self._data = data = tuple(
+                tuple(_real(a, d) for a in r) for r, d in self._ints
+            )
+        return data
+
+    def _int_form(self):
+        """The integer rows, or None for a float or non-real matrix."""
+        ints = self._ints
+        if ints is None:
+            ints = _int_rows(self._data)
+            self._ints = ints = _NOT_INT if ints is None else ints
+        return None if ints is _NOT_INT else ints
+
+    def _int_columns(self) -> list:
+        """The integer form of the columns; only for a real exact matrix."""
+        icols = self._icols
+        if icols is None:
+            self._icols = icols = _transpose_ints(self._int_form(), self.cols)
+        return icols
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "Mat":
+        if n and backend == EXACT:
+            return cls._from_ints(
+                [([int(i == j) for j in range(n)], 1) for i in range(n)], n
+            )
         one = QQi(1) if backend == EXACT else 1.0 + 0j
         zero = QQi(0) if backend == EXACT else 0.0 + 0j
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)], backend)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, backend: str = EXACT) -> "Mat":
+        if rows and backend == EXACT:
+            return cls._from_ints([([0] * cols, 1)] * rows, cols)
         zero = QQi(0) if backend == EXACT else 0.0 + 0j
         return cls([[zero] * cols for _ in range(rows)], backend)
 
@@ -144,48 +204,59 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
-            if self.backend == EXACT == other.backend and self.cols:
-                a = _int_rows(self.data)
-                b = _int_rows(zip(*other.data)) if a is not None else None
-                if b is not None:
-                    return Mat._raw(tuple(
-                        tuple(_real(sum(map(mul, ra, cb)), da * db) for cb, db in b)
-                        for ra, da in a
-                    ), EXACT)
+            if self.cols:
+                a = self._int_form()
+                if a is not None and other._int_form() is not None:
+                    return Mat._from_ints(
+                        _matmul_ints(a, other._int_columns()), other.cols
+                    )
             return _matmul_qqi(self, other)
         return NotImplemented
 
+    def _combine(self, other, op):
+        self._same_shape(other)
+        a = self._int_form()
+        b = other._int_form() if a is not None else None
+        if b is not None:
+            return Mat._from_ints(_add_ints(a, b, op), self.cols)
+        return Mat._raw(
+            tuple(
+                tuple(map(op, ra, rb)) for ra, rb in zip(self.data, other.data)
+            ),
+            self.backend,
+        )
+
     def __add__(self, other):
         if isinstance(other, Mat):
-            self._same_shape(other)
-            return Mat._raw(
-                tuple(
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.data, other.data)
-                ),
-                self.backend,
-            )
+            return self._combine(other, add)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, Mat):
-            self._same_shape(other)
-            return Mat._raw(
-                tuple(
-                    tuple(a - b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.data, other.data)
-                ),
-                self.backend,
-            )
+            return self._combine(other, sub)
         return NotImplemented
 
     def __neg__(self):
+        ints = self._int_form()
+        if ints is not None:
+            return Mat._from_ints(
+                [([-a for a in r], d) for r, d in ints], self.cols
+            )
         return Mat._raw(tuple(tuple(-a for a in r) for r in self.data), self.backend)
 
     def scale(self, s) -> "Mat":
         if self.backend == EXACT:
             if not isinstance(s, QQi):
                 s = QQi(s)
+            ints = self._int_form() if not s.im else None
+            if ints is not None:
+                p, q = s.re.numerator, s.re.denominator
+                if not p:
+                    return Mat.zeros(self.rows, self.cols)
+                return Mat._from_ints(
+                    [_canon([a * p for a in r], d * q) for r, d in ints],
+                    self.cols,
+                )
         elif isinstance(s, (Fraction, int)):
             s = complex(s)
         elif isinstance(s, QQi):
@@ -195,14 +266,16 @@ class Mat:
         )
 
     def transpose(self) -> "Mat":
+        if self.cols and self._int_form() is not None:
+            return Mat._from_ints(self._int_columns(), self.rows, self._ints)
         return Mat._raw(tuple(zip(*self.data)), self.backend)
 
     def trace(self):
         if self.rows != self.cols:
             raise LinAlgError("trace of non-square matrix")
-        t = self.data[0][0]
+        t = self.entry(0, 0)
         for i in range(1, self.rows):
-            t = t + self.data[i][i]
+            t = t + self.entry(i, i)
         return t
 
     @property
@@ -210,25 +283,47 @@ class Mat:
         return (self.rows, self.cols)
 
     def entry(self, i: int, j: int):
-        return self.data[i][j]
+        """One entry; read from the integer rows if no entry was built yet."""
+        if self._data is None:
+            r, d = self._ints[i]
+            return _real(r[j], d)
+        return self._data[i][j]
 
     def col(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [self.entry(i, j) for i in range(self.rows)]
+
+    def row_block(self, start: int, stop: int) -> "Mat":
+        """Rows ``start:stop`` (slice bounds); an empty block is an error."""
+        n = len(range(self.rows)[start:stop])
+        if not n:
+            raise LinAlgError("matrix needs at least one row")
+        data, ints = self._data, self._ints
+        m = object.__new__(Mat)
+        m._init(self.backend, n, self.cols,
+                None if data is None else data[start:stop],
+                ints[start:stop] if ints else None)
+        return m
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.backend == other.backend
-            and self.shape == other.shape
-            and self.data == other.data
-        )
+        if self.backend != other.backend or self.shape != other.shape:
+            return False
+        a, b = self._int_form(), other._int_form()
+        if a is not None and b is not None:
+            return a == b
+        if self.backend == EXACT and (a is not None or b is not None):
+            return False  # a real matrix never equals a non-real one
+        return self.data == other.data
 
     def __hash__(self):
         return hash((self.backend, self.data))
 
     def is_zero(self, tol: float | None = None) -> bool:
         if self.backend == EXACT:
+            ints = self._int_form()
+            if ints is not None:
+                return not any(any(r) for r, _ in ints)
             return all(not x for r in self.data for x in r)
         tol = DEFAULT_TOL if tol is None else tol
         scale = max((abs(x) for r in self.data for x in r), default=0.0)
@@ -269,7 +364,7 @@ class Mat:
             raise LinAlgError("determinant of non-square matrix")
         if self.backend == FLOAT:
             return complex(np.linalg.det(self.to_numpy()))
-        ints = _int_rows(self.data)
+        ints = self._int_form()
         if ints is None:
             return _det_qqi(self)
         rk, det = _bareiss([r for r, _ in ints])
@@ -283,7 +378,7 @@ class Mat:
             return Mat.from_numpy(np.linalg.inv(self.to_numpy()))
         if n <= 3:
             return self._inverse_small()
-        ints = _int_rows(self.data)
+        ints = self._int_form()
         if ints is None:
             return _inverse_qqi(self)
         # A = D^-1 N with D the row denominators, so rref [N | D] = [I | A^-1]
@@ -291,9 +386,8 @@ class Mat:
                for i, (r, d) in enumerate(ints)]
         if _rref_int(aug) != list(range(n)):
             raise LinAlgError("singular matrix")
-        return Mat._raw(
-            tuple(tuple(_real(a, r[i]) for a in r[n:]) for i, r in enumerate(aug)),
-            EXACT,
+        return Mat._from_ints(
+            [_canon(r[n:], r[i]) for i, r in enumerate(aug)], n
         )
 
     def _inverse_small(self) -> "Mat":
@@ -331,6 +425,10 @@ class Mat:
             raise LinAlgError("row mismatch in hstack")
         if self.backend != other.backend:
             return Mat([a + b for a, b in zip(self.data, other.data)], self.backend)
+        a = self._int_form()
+        b = other._int_form() if a is not None else None
+        if b is not None:
+            return Mat._from_ints(_hstack_ints(a, b), self.cols + other.cols)
         return Mat._raw(
             tuple(a + b for a, b in zip(self.data, other.data)), self.backend
         )
@@ -340,6 +438,10 @@ class Mat:
             raise LinAlgError("col mismatch in vstack")
         if self.backend != other.backend:
             return Mat(self.data + other.data, self.backend)
+        a = self._int_form()
+        b = other._int_form() if a is not None else None
+        if b is not None:
+            return Mat._from_ints(a + b, self.cols)
         return Mat._raw(self.data + other.data, self.backend)
 
     def __repr__(self):
@@ -370,7 +472,7 @@ def mat_vec(m: Mat, v: Sequence) -> list:
         vi = _int_rows((v,))
         if vi is None:
             vi = _dual_parts(v)
-        rows = _int_rows(m.data) if vi is not None else None
+        rows = m._int_form() if vi is not None else None
         if rows is not None:
             out = [[_real(sum(map(mul, r, cv)), d * dv) for r, d in rows]
                    for cv, dv in vi]
@@ -391,12 +493,16 @@ def _dual_parts(v: Sequence):
 # ---------------------------------------------------------------------------
 # the integer kernel
 
+# Mat._ints of a float matrix or of one with a non-real entry
+_NOT_INT = False
+
 
 def _int_rows(rows) -> list[tuple[list[int], int]] | None:
     """Each row as (integer numerators, positive row denominator).
 
     The row denominator is the lcm of the row's entry denominators, so each
-    entry is its numerator over it.  Returns None if an entry is not a real
+    entry is its numerator over it, and no factor divides the denominator
+    and every numerator.  Returns None if an entry is not a real
     :class:`QQi`; the caller then runs the ``_*_qqi`` path.
     """
     out = []
@@ -415,14 +521,87 @@ def _int_rows(rows) -> list[tuple[list[int], int]] | None:
     return out
 
 
-_FRACTION_ZERO = Fraction(0)
+def _canon(nums: list[int], den: int) -> tuple[list[int], int]:
+    """The integer row ``nums / den`` with the common factor divided out and
+    a positive denominator."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    return [a // g for a in nums], den // g
+
+
+def _transpose_ints(rows: list, ncols: int) -> list:
+    """The integer columns of the matrix with integer rows ``rows``."""
+    dens = [d for _, d in rows]
+    cols = zip(*(r for r, _ in rows)) if rows else ((),) * ncols
+    if all(d == 1 for d in dens):
+        return [(list(c), 1) for c in cols]
+    out = []
+    for c in cols:
+        den = lcm(*(d for a, d in zip(c, dens) if a))
+        out.append((list(c), 1) if den == 1 else
+                   _canon([a * (den // d) for a, d in zip(c, dens)], den))
+    return out
+
+
+def _matmul_ints(a: list, bcols: list) -> list:
+    """Integer rows of the product of integer rows ``a`` and columns ``bcols``.
+
+    Entry ``(i, j)`` is ``a_i . b_j / (da_i db_j)``; row ``i`` goes over
+    ``da_i`` times the lcm of the ``db_j`` before :func:`_canon`.
+    """
+    cols = [c for c, _ in bcols]
+    dens = [d for _, d in bcols]
+    big = lcm(*dens)
+    if big == 1:
+        return [_canon([sum(map(mul, r, c)) for c in cols], d) for r, d in a]
+    factors = [big // d for d in dens]
+    return [
+        _canon([sum(map(mul, r, c)) * f for c, f in zip(cols, factors)], d * big)
+        for r, d in a
+    ]
+
+
+def _add_ints(a: list, b: list, op) -> list:
+    """Integer rows of the entrywise ``op`` (add or sub) of two matrices."""
+    out = []
+    for (ra, da), (rb, db) in zip(a, b):
+        if da == db:
+            out.append(_canon(list(map(op, ra, rb)), da))
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            out.append(_canon([op(x * fa, y * fb) for x, y in zip(ra, rb)], den))
+    return out
+
+
+def _hstack_ints(a: list, b: list) -> list:
+    """Integer rows of ``[A | B]``.
+
+    Over ``lcm(da, db)`` the joined row needs no gcd: if ``p**k`` is the
+    power of a prime ``p`` in the lcm, it divides ``da`` (say), so some entry
+    of the canonical row ``ra`` is prime to ``p``, and so is its cofactor
+    ``lcm(da, db) // da``.
+    """
+    out = []
+    for (ra, da), (rb, db) in zip(a, b):
+        if da == db:
+            out.append((ra + rb, da))
+            continue
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out.append(((ra if fa == 1 else [x * fa for x in ra])
+                    + (rb if fb == 1 else [x * fb for x in rb]), den))
+    return out
 
 
 def _real(num: int, den: int) -> QQi:
     """The real :class:`QQi` ``num / den``, in lowest terms."""
     if not num:
         return QQI_ZERO
-    return QQi(Fraction(num, den), _FRACTION_ZERO)
+    return QQi(Fraction(num, den))
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -512,7 +691,7 @@ def rank(m: Mat, tol: float | None = None) -> int:
         if s.size == 0 or s[0] == 0.0:
             return 0
         return int(np.sum(s > tol * s[0]))
-    ints = _int_rows(m.data)
+    ints = m._int_form()
     if ints is None:
         return _rank_qqi(m)
     return _bareiss([r for r, _ in ints])[0]
@@ -522,17 +701,16 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with pivot column list (exact backend only)."""
     if m.backend != EXACT:
         raise LinAlgError("rref is exact-only; use SVD helpers for floats")
-    ints = _int_rows(m.data)
+    ints = m._int_form()
     if ints is None:
         return _rref_qqi(m)
     rows = [r for r, _ in ints]
     pivots = _rref_int(rows)
-    zero = (QQI_ZERO,) * m.cols
-    return Mat._raw(tuple(
-        tuple(_real(a, rows[i][pivots[i]]) for a in rows[i]) if i < len(pivots)
-        else zero
+    zero = ([0] * m.cols, 1)
+    return Mat._from_ints([
+        _canon(rows[i], rows[i][pivots[i]]) if i < len(pivots) else zero
         for i in range(m.rows)
-    ), EXACT), pivots
+    ], m.cols), pivots
 
 
 # ---------------------------------------------------------------------------
@@ -663,16 +841,31 @@ def kernel(m: Mat, tol: float | None = None) -> "Subspace":
         return Subspace(m.cols, Mat.from_numpy(null), canonical=True)
     red, pivots = rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
-    cols = []
-    for fc in free:
-        v = [QQi(0)] * m.cols
-        v[fc] = QQi(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.data[i][fc]
-        cols.append(v)
-    if not cols:
+    if not free:
         return Subspace.zero(m.cols, EXACT)
-    return Subspace(m.cols, Mat.from_columns(cols, m.cols, EXACT))
+    if red._int_form() is None:
+        cols = []
+        for fc in free:
+            v = [QQi(0)] * m.cols
+            v[fc] = QQi(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -red.data[i][fc]
+            cols.append(v)
+        return Subspace(m.cols, Mat.from_columns(cols, m.cols, EXACT))
+    # the null vector of free column fc is 1 at fc and minus column fc of
+    # the pivot rows at the pivots; over the column's denominator den it is
+    # canonical, since den is prime to the column's numerators
+    cols = red._int_columns()
+    rows = []
+    for fc in free:
+        c, den = cols[fc]
+        v = [0] * m.cols
+        v[fc] = den
+        for i, pc in enumerate(pivots):
+            v[pc] = -c[i]
+        rows.append((v, den))
+    return Subspace(m.cols, _row_space_basis(Mat._from_ints(rows, m.cols)),
+                    canonical=True)
 
 
 def solve_unique(a: Mat, b: Sequence, tol: float | None = None):
@@ -695,7 +888,7 @@ def solve_unique(a: Mat, b: Sequence, tol: float | None = None):
         return None, False, False
     x = [QQi(0)] * a.cols
     for i, pc in enumerate(pivots):
-        x[pc] = red.data[i][a.cols]
+        x[pc] = red.entry(i, a.cols)
     unique = len(pivots) == a.cols
     return x, unique, True
 
@@ -789,10 +982,15 @@ def _canonical_basis(mat: Mat) -> Mat:
             return Mat.zeros(mat.rows, 0, FLOAT)
         rk = int(np.sum(s > DEFAULT_TOL * s[0]))
         return Mat.from_numpy(u[:, :rk]) if rk else Mat.zeros(mat.rows, 0, FLOAT)
-    red, pivots = rref(mat.transpose())
+    return _row_space_basis(mat.transpose())
+
+
+def _row_space_basis(rows: Mat) -> Mat:
+    """The canonical column basis of the span of the rows of an exact matrix."""
+    red, pivots = rref(rows)
     if not pivots:
-        return Mat.zeros(mat.rows, 0, EXACT)
-    return Mat._raw(red.data[:len(pivots)], EXACT).transpose()
+        return Mat.zeros(rows.cols, 0, EXACT)
+    return red.row_block(0, len(pivots)).transpose()
 
 
 def intersect(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
@@ -805,7 +1003,7 @@ def intersect(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
     null = kernel(stacked, tol)
     if null.dim == 0:
         return Subspace.zero(a.ambient_dim, a.backend)
-    coeffs = Mat(null.basis.data[: a.dim], a.backend)
+    coeffs = null.basis.row_block(0, a.dim)
     return Subspace(a.ambient_dim, a.basis @ coeffs)
 
 

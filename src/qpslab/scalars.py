@@ -17,13 +17,20 @@ Q = Fraction
 
 _EXACT_COERCIBLE = (int, Fraction)
 
+# the imaginary part of every real QQi built here; Fractions are immutable
+_ZERO = Fraction(0)
+
 
 class QQi:
-    """Gaussian rational ``re + im*i`` with exact rational components."""
+    """Gaussian rational ``re + im*i`` with exact rational components.
+
+    Campaigns are real, so ``+``, ``-``, ``*`` and ``/`` skip the imaginary
+    arithmetic when both imaginary parts are zero.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re=0, im=_ZERO):
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
@@ -33,6 +40,8 @@ class QQi:
         other = _as_qqi(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return QQi(self.re + other.re)
         return QQi(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -41,19 +50,23 @@ class QQi:
         other = _as_qqi(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return QQi(self.re - other.re)
         return QQi(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _as_qqi(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return QQi(other.re - self.re)
         return QQi(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = _as_qqi(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.im and not other.im:  # real fast path: campaigns are real
+        if not self.im and not other.im:
             return QQi(self.re * other.re)
         return QQi(
             self.re * other.re - self.im * other.im,
@@ -83,6 +96,8 @@ class QQi:
         return other / self
 
     def __neg__(self):
+        if not self.im:
+            return QQi(-self.re)
         return QQi(-self.re, -self.im)
 
     def __pos__(self):

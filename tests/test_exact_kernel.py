@@ -1,11 +1,13 @@
 """Differential tests: the integer exact kernel against elimination over QQi.
 
-Every real exact matrix runs on cleared-denominator integers; the QQi
-elimination (``linalg._*_qqi``) is the path for non-real entries and the
-oracle here.  The two must agree entry for entry on products, ranks, reduced
-row echelon forms with their pivots, kernels, solves, inverses and
-determinants, including rank-deficient matrices, zero rows and columns, and
-numerators above 2**60.
+Every real exact matrix is kept and operated on in integer form; the QQi
+arithmetic (``linalg._*_qqi``) is the path for non-real entries and the
+oracle here.  The two must agree entry for entry on products, sums, scalings,
+transposes, stacks and row blocks, ranks, reduced row echelon forms with
+their pivots, kernels, solves, inverses and determinants, including
+rank-deficient matrices, zero rows and columns, and numerators above 2**60.
+A matrix in integer form must also equal, and hash like, the same matrix
+built from its entries.
 """
 
 import random
@@ -228,3 +230,111 @@ def test_dual_mat_vec_matches_qqi(case, kind):
     split = all(isinstance(x, Dual) and isinstance(x.val, QQi) and
                 x.val.is_real and x.dot.is_real for x in v)
     assert spy.called != (real or split)
+
+
+def fresh(m: Mat) -> Mat:
+    """``m`` rebuilt in integer form, with no entry built yet."""
+    out = Mat._from_ints(linalg._int_rows(m.data), m.cols)
+    assert out._data is None
+    return out
+
+
+def assert_same(got: Mat, want_rows) -> None:
+    """``got`` has exactly the entries ``want_rows``, and equals their Mat."""
+    want = Mat(want_rows, linalg.EXACT)
+    assert got.shape == want.shape
+    assert got.data == want.data
+    assert [repr(x) for r in got.data for x in r] == \
+        [repr(x) for r in want.data for x in r]
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+
+
+def entrywise(op, *mats):
+    return [[op(*xs) for xs in zip(*rows)] for rows in zip(*(m.data for m in mats))]
+
+
+@SETTINGS
+@given(matrices(max_dim=12))
+def test_stored_form_matches_qqi_entries(case):
+    m, seed = case
+    rnd = random.Random(seed + 4)
+
+    def another(rows, cols):
+        return random_mat(rnd, rows, cols, rnd.choice((3, 64)),
+                          rnd.choice((1, 16, 2**62)), min(rows, cols), 0.1)
+
+    other = another(m.rows, m.cols)
+    wide = another(m.rows, rnd.randint(1, 6))
+    tall = another(rnd.randint(1, 6), m.cols)
+    right = another(m.cols, rnd.randint(1, 6))
+    s = QQi(rational(rnd, 64, 2**62)) if rnd.random() < 0.8 else QQi(0)
+    start = rnd.randrange(m.rows)
+    stop = rnd.randint(start + 1, m.rows)
+
+    assert_same(fresh(m) + fresh(other), entrywise(lambda x, y: x + y, m, other))
+    assert_same(fresh(m) - fresh(other), entrywise(lambda x, y: x - y, m, other))
+    assert_same(-fresh(m), entrywise(lambda x: -x, m))
+    assert_same(fresh(m).scale(s), entrywise(lambda x: x * s, m))
+    assert_same(fresh(m).transpose(), list(zip(*m.data)))
+    assert_same(fresh(m).transpose().transpose(), m.data)
+    assert_same(fresh(m).hstack(fresh(wide)),
+                [a + b for a, b in zip(m.data, wide.data)])
+    assert_same(fresh(m).vstack(fresh(tall)), m.data + tall.data)
+    assert_same(fresh(m).row_block(start, stop), m.data[start:stop])
+    assert_same(fresh(m) @ fresh(right), linalg._matmul_qqi(m, right).data)
+    assert_same(fresh(m).transpose() @ fresh(other),
+                linalg._matmul_qqi(Mat(list(zip(*m.data))), other).data)
+    red, pivots = rref(fresh(m))
+    red_o, pivots_o = linalg._rref_qqi(m)
+    assert pivots == pivots_o
+    assert_same(red, red_o.data)
+
+    assert fresh(m).is_zero() == all(not x for r in m.data for x in r)
+    assert (fresh(m) - fresh(m)).is_zero()
+    assert fresh(m) == m and m == fresh(m) and hash(fresh(m)) == hash(m)
+    assert (fresh(m) == fresh(other)) == (m.data == other.data)
+    with pytest.raises(LinAlgError):
+        fresh(m).row_block(stop, start)
+
+
+@SETTINGS
+@given(matrices(max_dim=12, square=True))
+def test_stored_inverse_matches_qqi(case):
+    m, _ = case
+    if not linalg._det_qqi(m):
+        with pytest.raises(LinAlgError):
+            fresh(m).inverse()
+        return
+    assert_same(fresh(m).inverse(), linalg._inverse_qqi(m).data)
+
+
+def test_non_real_matrix_keeps_qqi_entries():
+    rnd = random.Random(13)
+    i = QQi(0, 1)
+
+    def gaussian(rows, cols):
+        return Mat([[QQi(rational(rnd, 12, 16), rational(rnd, 3, 4))
+                     for _ in range(cols)] for _ in range(rows)])
+
+    g, h, flat = gaussian(5, 5), gaussian(5, 5), gaussian(3, 5)
+    real = random_mat(rnd, 5, 5, 12, 16, 5, 0.0)
+    results = {
+        "+": (g + real, entrywise(lambda x, y: x + y, g, real)),
+        "-": (real - g, entrywise(lambda x, y: x - y, real, g)),
+        "neg": (-g, entrywise(lambda x: -x, g)),
+        "scale": (real.scale(i), entrywise(lambda x: x * i, real)),
+        "transpose": (g.transpose(), list(zip(*g.data))),
+        "hstack": (real.hstack(g), [a + b for a, b in zip(real.data, g.data)]),
+        "vstack": (g.vstack(real), g.data + real.data),
+        "@": (g @ h, linalg._matmul_qqi(g, h).data),
+        "inverse": (g.inverse(), linalg._inverse_qqi(g).data),
+        "rref": (rref(flat)[0], linalg._rref_qqi(flat)[0].data),
+    }
+    for name, (got, want) in results.items():
+        assert got._int_form() is None, name
+        assert_same(got, want)
+    block = g.row_block(1, 3)
+    assert block.data == g.data[1:3] and block == Mat(g.data[1:3])
+    assert g != real and real != g
+    assert not g.is_zero() and (g - g).is_zero()

@@ -6,8 +6,9 @@ import pytest
 
 from qpslab import campaigns
 from qpslab.dirac import DiracFiber, is_lagrangian, pushforward_linear, cartan_dirac
-from qpslab.gspringer import (DoublePoint, GSPoint, NotRegularSemisimple,
-                              QuotientChart, SteinbergFiber, chart_action_field,
+from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
+                              NotRegularSemisimple, QuotientChart,
+                              SteinbergFiber, chart_action_field,
                               chart_transport, double_space, dlam_chart,
                               dmu_chart, gspoint_stream, gxb_space, lam,
                               leaf_expected, leaf_two_form, moment_condition_check,
@@ -18,9 +19,9 @@ from qpslab.gspringer import (DoublePoint, GSPoint, NotRegularSemisimple,
                               sample_gspoint, steinberg_membership,
                               theorem1_check, theorem2_check, vertical_space,
                               weyl_fiber_enum)
-from qpslab.liegroup import (AlgebraElement, GroupElement, context,
+from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, context,
                              random_algebra, random_point)
-from qpslab.linalg import EXACT, Mat, Subspace, intersect, kernel, mat_vec
+from qpslab.linalg import EXACT, Mat, Subspace, intersect, kernel, mat_vec, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -170,6 +171,31 @@ def test_quotient_fiber_basics():
     assert fib.dim == SL2.dim_g == 3
     ok, _ = is_lagrangian(fib)
     assert ok
+
+
+def _greedy_complement(v: Subspace, ambient: int, hdim: int) -> list[int]:
+    """Unit vectors that, in order, each raise the rank of the span of V."""
+    indices, current, r = [], v.basis, v.dim
+    for j in range(ambient):
+        if len(indices) == hdim:
+            break
+        e = [QQi(1) if i == j else QQi(0) for i in range(ambient)]
+        cand = current.hstack(Mat.from_columns([e], ambient, EXACT))
+        if rank(cand) > r:
+            indices.append(j)
+            current, r = cand, r + 1
+    return indices
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_chart_complement_matches_the_greedy_choice(group):
+    # the degenerate strata of gspoint_stream, then a generic point
+    ctx = context(group)
+    for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
+        chart = QuotientChart(pt)
+        want = _greedy_complement(chart.vertical, chart.ambient, chart.hdim)
+        assert list(chart.indices) == want
+        assert len(want) == chart.hdim
 
 
 def test_quotient_fiber_representative_independent():

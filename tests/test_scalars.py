@@ -23,6 +23,32 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
 
 
+reals = st.builds(QQi, rationals)
+scalars = st.one_of(reals, gaussians)
+
+
+def _general(re, im) -> QQi:
+    """The two-component result, built with both parts spelled out."""
+    return QQi(Fraction(re), Fraction(im))
+
+
+def _same(got: QQi, want: QQi) -> bool:
+    return (got.re, got.im, repr(got)) == (want.re, want.im, repr(want))
+
+
+@given(scalars, scalars, st.one_of(st.integers(-9, 9), rationals))
+def test_real_fast_paths_match_the_general_formula(a, b, c):
+    # real and non-real operands; c reaches __radd__/__rsub__ as int/Fraction
+    assert _same(a + b, _general(a.re + b.re, a.im + b.im))
+    assert _same(a - b, _general(a.re - b.re, a.im - b.im))
+    assert _same(-a, _general(-a.re, -a.im))
+    assert _same(a * b, _general(a.re * b.re - a.im * b.im,
+                                 a.re * b.im + a.im * b.re))
+    assert _same(c + a, _general(c + a.re, a.im))
+    assert _same(c - a, _general(c - a.re, -a.im))
+    assert _same(a - c, _general(a.re - c, a.im))
+
+
 @given(gaussians)
 def test_field_inverse_exact(a):
     if not a:
