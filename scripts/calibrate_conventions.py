@@ -12,28 +12,29 @@ points:
   (F) the moment map of the double is forward-Dirac onto the product of
       conjugation structures with tangent parts xi^L - xi^R.
 
-Exactly one combination survives; its constants are frozen in
-qpslab.liegroup.CARTAN_COEFF, qpslab.dirac.DORFMAN_TWIST_SIGN and the sign
-inside qpslab.gspringer.omega_value, and recorded in qpslab.conventions.
-Rerun after touching any convention.
+Each candidate is a ``qpslab.conventions.Conventions`` value, evaluated under
+``using()``; nothing module-level is assigned, so the frozen value is active
+again once the sweep ends.  Exactly one combination survives; it is the
+``eta_coeff``, ``twist`` and ``omega_sign`` of ``qpslab.conventions.FROZEN``,
+recorded in the ``CONVENTIONS`` text.  Rerun after touching any convention.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-import qpslab.dirac as dirac_mod
-import qpslab.liegroup as lg_mod
-from qpslab import hooks
-from qpslab.diffcalc import d_two_form
-from qpslab.dirac import (DiracFiber, cartan_section, dorfman, graph_two_form,
-                          pushforward_linear, TwoFormFiber)
-from qpslab.gspringer import (double_space, omega_fn, omega_matrix, phi,
+from qpslab.campaigns import _a2_sample
+from qpslab.conventions import FROZEN, using
+from qpslab.diffcalc import Space
+from qpslab.dirac import (DiracFiber, cartan_eta3, cartan_section, dorfman,
+                          graph_two_form, pushforward_linear, TwoFormFiber)
+from qpslab.gspringer import (double_space, omega_matrix, phi,
                               phi_differential, sample_double)
-from qpslab.linalg import EXACT, Mat, mat_vec
+from qpslab.linalg import EXACT, Mat
 from qpslab.liegroup import (AlgebraElement, context, random_algebra,
                              random_point, sigma)
 from qpslab.prng import SplitMix64
@@ -41,10 +42,8 @@ from qpslab.scalars import QQi
 
 
 def closure_holds(ctx, samples, rng) -> bool:
-    from qpslab.diffcalc import Space
-
     space = Space(ctx, ("g",))
-    eta3 = dirac_mod.cartan_eta3(space)
+    eta3 = cartan_eta3(space)
     for _ in range(samples):
         g = random_point(ctx, "G", rng)
         xi = random_algebra(ctx, rng)
@@ -60,27 +59,10 @@ def closure_holds(ctx, samples, rng) -> bool:
 
 
 def d_omega_matches(ctx, samples, rng) -> bool:
-    space = double_space(ctx)
-    d = ctx.dim_g
-    ev = omega_fn(ctx, space)
     for _ in range(samples):
         dp = sample_double(ctx, rng)
-        point = (dp.a.m, dp.b.m)
-        from qpslab.gspringer import phi_map
-
-        dphi = phi_differential(ctx, dp.a.m, dp.b.m)
-        dirs = [[QQi(rng.rational(3)) for _ in range(2 * d)] for _ in range(3)]
-        lhs = d_two_form(ev, space, point, *dirs)
-        pushed = [space.split(mat_vec(dphi, v)) for v in dirs]
-        mats = [
-            (space.part_matrix("g", p[0]), space.part_matrix("g", p[1]))
-            for p in pushed
-        ]
-        rhs = -(
-            ctx.eta(mats[0][0], mats[1][0], mats[2][0])
-            + ctx.eta(mats[0][1], mats[1][1], mats[2][1])
-        )
-        if lhs != rhs:
+        dphi = phi_differential(ctx, dp.a.m, dp.b.m, double_space(ctx))
+        if not _a2_sample(ctx, dp, dphi, rng, triples=1):
             return False
     return True
 
@@ -91,7 +73,7 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
         dp = sample_double(ctx, rng)
         w = omega_matrix(ctx, dp.a.m, dp.b.m, double_space(ctx))
         fiber = graph_two_form(TwoFormFiber(None, w))
-        dphi = phi_differential(ctx, dp.a.m, dp.b.m)
+        dphi = phi_differential(ctx, dp.a.m, dp.b.m, double_space(ctx))
         pushed = pushforward_linear(fiber, dphi)
         g1, g2 = phi(dp)
         cols = []
@@ -121,32 +103,27 @@ def main():
         for twist in (1, -1)
         for omega in (1, -1)
     ]
-    saved = (lg_mod.CARTAN_COEFF, dirac_mod.DORFMAN_TWIST_SIGN, hooks.CURRENT)
-    try:
-        for coeff, twist, omega_sgn in combos:
-            lg_mod.CARTAN_COEFF = coeff
-            dirac_mod.DORFMAN_TWIST_SIGN = twist
-            # omega_sgn multiplies the frozen double form through the hook
-            hooks.CURRENT = hooks.Hooks(omega_sign=omega_sgn)
-            ctx = context("sl2")
-            salt = hash((coeff, twist, omega_sgn)) & 0xFFFF
+    ctx = context("sl2")
+    for coeff, twist, omega in combos:
+        salt = hash((coeff, twist, omega)) & 0xFFFF
+        with using(replace(FROZEN, eta_coeff=coeff, twist=twist,
+                           omega_sign=omega)):
             ok_c = closure_holds(ctx, 3, rng.fork(salt))
             ok_d = d_omega_matches(ctx, 2, rng.fork(salt + 1))
             ok_f = f_dirac_holds(ctx, 2, rng.fork(salt + 2))
-            results[(str(coeff), twist, omega_sgn)] = (ok_c, ok_d, ok_f)
-            print(
-                f"eta={str(coeff):>6}*(x,[y,z])  twist {twist:+d}  omega {omega_sgn:+d}   "
-                f"closure={'PASS' if ok_c else 'fail'}  "
-                f"d(omega)={'PASS' if ok_d else 'fail'}  "
-                f"f-Dirac={'PASS' if ok_f else 'fail'}"
-            )
-    finally:
-        lg_mod.CARTAN_COEFF, dirac_mod.DORFMAN_TWIST_SIGN, hooks.CURRENT = saved
+        results[(str(coeff), twist, omega)] = (ok_c, ok_d, ok_f)
+        print(
+            f"eta={str(coeff):>6}*(x,[y,z])  twist {twist:+d}  omega {omega:+d}   "
+            f"closure={'PASS' if ok_c else 'fail'}  "
+            f"d(omega)={'PASS' if ok_d else 'fail'}  "
+            f"f-Dirac={'PASS' if ok_f else 'fail'}"
+        )
     winners = [k for k, v in results.items() if all(v)]
+    frozen = (str(FROZEN.eta_coeff), FROZEN.twist, FROZEN.omega_sign)
     print("\nsurviving combination(s):", winners or "none")
     if len(winners) == 1:
-        print("frozen in code:", ("-1/2", 1, 1))
-    return 0 if winners == [("-1/2", 1, 1)] else 1
+        print("frozen in code:", frozen)
+    return 0 if winners == [frozen] else 1
 
 
 if __name__ == "__main__":

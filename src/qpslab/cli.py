@@ -12,9 +12,9 @@ import json
 import os
 import sys
 
-from . import hooks
 from .campaigns import (CLI_GROUPS, CampaignConfig, SUITE_NAMES, UsageError,
                         eval_command, run_suite)
+from .conventions import CORRUPTIONS
 from .gspringer import NotRegularSemisimple
 from .linalg import EXACT, FLOAT, LinAlgError
 
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--report", type=str, default=None,
                    help="write the JSON report to this path")
-    v.add_argument("--corrupt", choices=sorted(hooks.CORRUPTIONS),
+    v.add_argument("--corrupt", choices=sorted(CORRUPTIONS),
                    default=None, help="negative-control hook (testing only)")
 
     e = sub.add_parser("eval", help="evaluate one quantity from JSON input")

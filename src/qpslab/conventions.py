@@ -1,14 +1,23 @@
-"""The frozen convention set, as a hashable document.
+"""The frozen convention set, as a hashable document and as one value.
 
 Reports embed the SHA-256 of this text so that runs are comparable across
 builds: two reports verify the same claims only if their convention hashes
 agree.  Changing anything here (or any constant it describes) is a breaking
 change to report comparability.
+
+The settable constants live in one frozen :class:`Conventions` value.  The
+builders read the active value from :data:`ACTIVE`; :func:`using` switches it
+for a block, which is how negative-control runs and the calibration sweep
+evaluate the same code under other choices.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 CONVENTIONS = """\
 qpslab frozen conventions, v1
@@ -82,3 +91,63 @@ required) and denominator in [1, h], h = 10; group samples are
 """
 
 CONVENTIONS_HASH = hashlib.sha256(CONVENTIONS.encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class Conventions:
+    """The sign and scale choices every suite verdict depends on.
+
+    ``eta_coeff``: the coefficient in eta(x, y, z) = eta_coeff * (x, [y, z]).
+    It is the unique scaling for which, simultaneously, d(omega) =
+    -Phi^*(eta (+) eta) holds on the fusion double, the conjugation-structure
+    sections close under the twisted Dorfman bracket, and the moment maps are
+    forward-Dirac onto the conjugation structure with tangent part
+    xi^L - xi^R.  It differs from the wedge-coefficient normalization 1/12 by
+    a factor 6 (evaluating the coefficient tensor as a form) and one global
+    sign tied to the action convention.
+
+    ``twist``: the multiple of i_{X^Y} eta in the Dorfman bracket.  Its sign
+    is pinned jointly with ``eta_coeff`` by requiring (a) d(omega) =
+    -Phi^*(eta (+) eta) on the double and (b) closure of the
+    conjugation-structure sections; with the frozen eta the twist enters with
+    the literal printed sign ([X,Y], L_X beta - i_Y d alpha + i_{XY} eta).
+
+    ``omega_sign``: the global sign of the double 2-form.
+
+    ``sigma_factor`` and ``sigma_ad_sign``: sigma(xi) at g has coordinate
+    sigma_factor * (xi + sigma_ad_sign * Ad_{g^-1} xi).
+
+    The first three are the combination scripts/calibrate_conventions.py
+    shows to be the only survivor of its sweep; the sigma pair is fixed by
+    the averaging in the conventions text.
+    """
+
+    eta_coeff: Fraction
+    twist: int
+    omega_sign: int
+    sigma_factor: Fraction
+    sigma_ad_sign: int
+
+
+FROZEN = Conventions(eta_coeff=Fraction(-1, 2), twist=1, omega_sign=1,
+                     sigma_factor=Fraction(1, 2), sigma_ad_sign=1)
+
+# one frozen choice broken at a time, for negative-control runs (--corrupt)
+CORRUPTIONS = {
+    "sigma-half": replace(FROZEN, sigma_factor=Fraction(1)),
+    "sigma-ad-flip": replace(FROZEN, sigma_ad_sign=-1),
+    "omega-sign": replace(FROZEN, omega_sign=-1),
+    "dorfman-eta": replace(FROZEN, twist=0),
+}
+
+ACTIVE: ContextVar[Conventions] = ContextVar("qpslab_conventions", default=FROZEN)
+
+
+@contextmanager
+def using(conv: Conventions):
+    """Make ``conv`` the active conventions for the block, then restore."""
+    token = ACTIVE.set(conv)
+    try:
+        yield conv
+    finally:
+        ACTIVE.reset(token)

@@ -18,22 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import hooks
-from . import liegroup as lg
+from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space, dot_part
-from .liegroup import AlgebraElement, GroupElement, conj_field, sigma
+from .liegroup import AlgebraElement, GroupElement, conj_field, sigma, sigma_average
 from .liegroup import bracket as mbracket
 from .linalg import EXACT, Mat, Subspace, dot, intersect, kernel, mat_vec
 from .matio import mat_to_json
 from .scalars import QQi
-
-# Sign of the twist term in the Dorfman bracket, relative to the frozen
-# 3-form normalization in qpslab.liegroup.CARTAN_COEFF.  The pair is pinned
-# jointly by requiring (a) d(omega) = -Phi^*(eta (+) eta) on the double and
-# (b) closure of the conjugation-structure sections; the calibration script
-# rejects every other combination.  With the frozen eta the twist enters
-# with the literal printed sign ([X,Y], L_X beta - i_Y d alpha + i_{XY} eta).
-DORFMAN_TWIST_SIGN = 1
 
 
 class DiracFiber:
@@ -295,10 +286,10 @@ def dorfman(s1: DiracSection, s2: DiracSection, eta3, space: Space, point):
     """Twisted Dorfman bracket of two sections at a point.
 
     Returns (tangent coords, covector dual coords) of
-    ([X, Y], L_X beta - i_Y d(alpha) + twist), where the twist is the frozen
-    multiple of eta3(X, Y, .).  ``eta3(point, x, y, z)`` evaluates the
-    3-form family on coordinate triples; pass ``None`` for the untwisted
-    bracket.
+    ([X, Y], L_X beta - i_Y d(alpha) + twist), where the twist is the active
+    ``Conventions.twist`` multiple of eta3(X, Y, .).  ``eta3(point, x, y,
+    z)`` evaluates the 3-form family on coordinate triples; pass ``None`` for
+    the untwisted bracket.
 
     The three derivative-based terms are fused so that each of the 2 + dim
     needed curve directions evaluates both sections exactly once; the
@@ -322,9 +313,7 @@ def dorfman(s1: DiracSection, s2: DiracSection, eta3, space: Space, point):
     corr = space.bracket_coords(xp, yp)
     tangent = [a - b + c for a, b, c in zip(dx_y, dy_x, corr)]
 
-    twist_scale = 0
-    if eta3 is not None:
-        twist_scale = hooks.CURRENT.dorfman_twist_scale * DORFMAN_TWIST_SIGN
+    twist_scale = 0 if eta3 is None else ACTIVE.get().twist
 
     cov = []
     for j, e in enumerate(space.basis_directions()):
@@ -408,11 +397,11 @@ def cartan_closure_check(ctx, gmat: Mat):
     struct = [[ctx.coords(mbracket(ctx.basis[i], ctx.basis[j]))
                for j in range(d)] for i in range(d)]
 
-    twist = hooks.CURRENT.dorfman_twist_scale * DORFMAN_TWIST_SIGN
+    conv = ACTIVE.get()
     xmat, amat = Mat(xs, EXACT), Mat(als, EXACT)
     xt, at = xmat.transpose(), amat.transpose()
     # gb[j][m] = gram bre[j][m], so c * gb[j][m].xs[i] = bre[j][m].(c gram^T xs[i])
-    gx = ctx.gram.transpose().scale(lg.CARTAN_COEFF * twist) @ xt
+    gx = ctx.gram.transpose().scale(conv.eta_coeff * conv.twist) @ xt
     # row k d + l of _stack(u) is u[k][l], so
     #   de[m d + i][j] = dex[m][i].als[j] + dea[m][i].xs[j]
     #   ba[i d + m][j] = bre[i][m].als[j]
@@ -480,10 +469,8 @@ def cartan_section(ctx, ximat) -> DiracSection:
     def fn(point):
         gmat = point[0]
         ad = gmat.inverse() @ ximat @ gmat
-        h = hooks.CURRENT
-        rho = ximat - ad
-        sig = (ximat + (ad if h.sigma_ad_sign == 1 else -ad)).scale(QQi(h.sigma_factor))
-        return ctx.coords(rho), mat_vec(ctx.gram, ctx.coords(sig))
+        return (ctx.coords(ximat - ad),
+                mat_vec(ctx.gram, ctx.coords(sigma_average(ximat, ad))))
 
     return DiracSection("cd-section", fn)
 

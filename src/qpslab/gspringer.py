@@ -33,13 +33,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import hooks
+from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space, d_two_form
 from .dirac import (DiracFiber, TwoFormFiber, BivectorFiber, cartan_dirac,
                     graph_two_form, is_lagrangian, pushforward_linear)
-from .liegroup import (AlgebraElement, GroupContext, GroupElement,
+from .liegroup import (AlgebraElement, Covector, GroupContext, GroupElement,
                        borel_decompose, chevalley, context, random_point,
-                       sigma, _mul_frac)
+                       sigma, sigma_adjoint, _mul_frac)
 from .linalg import (EXACT, FLOAT, Mat, Subspace, dot, intersect, kernel,
                      mat_vec, rref, solve_unique)
 from .matio import mat_from_json, mat_to_json
@@ -179,27 +179,27 @@ def phi_map(ctx: GroupContext) -> PointedMap:
     return PointedMap("phi", sp, sp, fn)
 
 
-def phi_differential(ctx: GroupContext, amat: Mat, bmat: Mat) -> Mat:
-    """Closed-form differential of the moment map, on double coordinates.
+def phi_differential(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> Mat:
+    """Closed-form differential of (a, b) -> (a b a^-1, b^-1) on the space.
 
     (x, y) -> (Ad_a(Ad_{b^-1} x + y - x), -Ad_b y); the dual-number route in
-    diffcalc is the independent oracle for this formula.
+    diffcalc is the independent oracle for this formula.  On the double it is
+    the differential of the moment map.  On G x B coordinates it is the
+    leading principal block of the double's matrix, since the Borel basis is
+    a prefix of the algebra basis; its first dim G rows are d(mu . q).
     """
+    if space.parts not in (("g", "g"), ("g", "b")):
+        raise ValueError("phi differential lives on G x G or G x B coordinates")
     d = ctx.dim_g
+    k = space.dim - d  # second-factor block size (d or dim_b)
     ainv, binv = amat.inverse(), bmat.inverse()
+    zero = [QQi(0)] * k
     cols = []
-    for k in range(2 * d):
-        basis_vec = ctx.basis[k % d]
-        if k < d:
-            w1 = amat @ (binv @ basis_vec @ bmat - basis_vec) @ ainv
-            w2 = None
-        else:
-            w1 = amat @ basis_vec @ ainv
-            w2 = -(bmat @ basis_vec @ binv)
-        c1 = ctx.coords(w1)
-        c2 = ctx.coords(w2) if w2 is not None else [QQi(0)] * d
-        cols.append(c1 + c2)
-    return Mat.from_columns(cols, 2 * d, amat.backend)
+    for x in ctx.basis:
+        cols.append(ctx.coords(amat @ (binv @ x @ bmat - x) @ ainv) + zero)
+    for y in ctx.basis[:k]:
+        cols.append(ctx.coords(amat @ y @ ainv) + ctx.coords(-(bmat @ y @ binv))[:k])
+    return Mat.from_columns(cols, space.dim, amat.backend)
 
 
 def rho_double(ctx: GroupContext, amat: Mat, bmat: Mat,
@@ -234,7 +234,7 @@ def omega_value(ctx: GroupContext, amat, bmat, u1, u2):
         + f(x2, adb(x1)) - f(x1, adb(x2))
         + f(x1, y2) - f(x2, y1)
     )
-    return _mul_frac(val, Fraction(-hooks.CURRENT.omega_sign, 2))
+    return _mul_frac(val, Fraction(-ACTIVE.get().omega_sign, 2))
 
 
 def omega_fn(ctx: GroupContext, space: Space):
@@ -272,7 +272,7 @@ def omega_matrix(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> Mat:
     w11 = tt - t
     w12 = t + gram
     w21 = -(tt + gram)
-    scale = Fraction(-hooks.CURRENT.omega_sign, 2)
+    scale = Fraction(-ACTIVE.get().omega_sign, 2)
     k = space.dim - d  # second-factor block size (d or dim_b)
     rows = []
     for i in range(d):
@@ -300,7 +300,7 @@ def moment_condition_check(p: DoublePoint, xi1: AlgebraElement,
     lhs = mat_vec(w.transpose(), u)
     g1, g2 = phi(p)
     dual = sigma(g1, xi1).dual_coords() + sigma(g2, xi2).dual_coords()
-    dphi = phi_differential(ctx, p.a.m, p.b.m)
+    dphi = phi_differential(ctx, p.a.m, p.b.m, double_space(ctx))
     rhs = mat_vec(dphi.transpose(), dual)
     return lhs == rhs
 
@@ -392,21 +392,6 @@ def lam(p: GSPoint) -> GroupElement:
     return t
 
 
-def mu_differential_upstairs(ctx: GroupContext, gmat: Mat, bmat: Mat) -> Mat:
-    """d(mu . q) on T(G x B): (x, y) -> Ad_g(Ad_{b^-1} x + y - x)."""
-    ginv, binv = gmat.inverse(), bmat.inverse()
-    cols = []
-    for k in range(ctx.dim_g + ctx.dim_b):
-        if k < ctx.dim_g:
-            x = ctx.basis[k]
-            w = gmat @ (binv @ x @ bmat - x) @ ginv
-        else:
-            y = ctx.basis[k - ctx.dim_g]
-            w = gmat @ y @ ginv
-        cols.append(ctx.coords(w))
-    return Mat.from_columns(cols, ctx.dim_g, gmat.backend)
-
-
 def lam_differential_upstairs(ctx: GroupContext, bmat: Mat) -> Mat:
     """d(lambda . q) on T(G x B), valued in torus coordinates."""
     n = ctx.n
@@ -425,8 +410,9 @@ def lam_differential_upstairs(ctx: GroupContext, bmat: Mat) -> Mat:
 
 
 def dmu_chart(chart: QuotientChart) -> Mat:
-    up = mu_differential_upstairs(chart.ctx, chart.point.g.m, chart.point.b.m)
-    return up @ chart.inc
+    ctx = chart.ctx
+    up = phi_differential(ctx, chart.point.g.m, chart.point.b.m, gxb_space(ctx))
+    return up.row_block(0, ctx.dim_g) @ chart.inc
 
 
 def dlam_chart(chart: QuotientChart) -> Mat:
@@ -540,7 +526,7 @@ def theorem1_check(point: GSPoint) -> dict:
     out["induced_action"] = ok_action
 
     up = restrict_to_GxB(point.g, point.b)
-    dphi_r = _phi_restricted_differential(ctx, point.g.m, point.b.m)
+    dphi_r = phi_differential(ctx, point.g.m, point.b.m, gxb_space(ctx))
     route_b = pushforward_linear(
         pushforward_linear(up, dphi_r), _first_projection_matrix(ctx)
     )
@@ -552,26 +538,6 @@ def theorem1_check(point: GSPoint) -> dict:
          "pushforward_commutes")
     )
     return out
-
-
-def _phi_restricted_differential(ctx: GroupContext, gmat: Mat, bmat: Mat) -> Mat:
-    """Differential of (g,b) -> (g b g^-1, b^-1) as a self-map of G x B."""
-    ginv, binv = gmat.inverse(), bmat.inverse()
-    dim = ctx.dim_g + ctx.dim_b
-    cols = []
-    for k in range(dim):
-        if k < ctx.dim_g:
-            x = ctx.basis[k]
-            w1 = gmat @ (binv @ x @ bmat - x) @ ginv
-            w2 = None
-        else:
-            y = ctx.basis[k - ctx.dim_g]
-            w1 = gmat @ y @ ginv
-            w2 = -(bmat @ y @ binv)
-        c1 = ctx.coords(w1)
-        c2 = ctx.part_coords("b", w2) if w2 is not None else [QQi(0)] * ctx.dim_b
-        cols.append(c1 + c2)
-    return Mat.from_columns(cols, dim, gmat.backend)
 
 
 def _first_projection_matrix(ctx: GroupContext) -> Mat:
@@ -620,7 +586,7 @@ def theorem2_check(point: GSPoint) -> dict:
     return out
 
 
-def leaf_two_form(point: GSPoint):
+def leaf_two_form(point: GSPoint, rng: SplitMix64):
     """The induced presymplectic form on the leaf directions at the point.
 
     Returns (form, leaf basis, checks).  The form is obtained by inverting
@@ -628,7 +594,8 @@ def leaf_two_form(point: GSPoint):
     matrix well-defined and skew.  Checks: the restricted moment identity
     and the exterior-derivative identity d(omega_leaf) = -mu^* eta, the
     latter evaluated upstairs on the G x tU slice where the leaf is a
-    coordinate subspace.
+    coordinate subspace, on random directions drawn from ``rng`` (a
+    campaign passes the point's salted stream).
     """
     ctx = point.ctx
     chart = QuotientChart(point)
@@ -672,19 +639,17 @@ def leaf_two_form(point: GSPoint):
             break
     checks["moment_identity"] = ok_moment
 
-    checks["d_identity"] = _leaf_d_identity(point)
+    checks["d_identity"] = _leaf_d_identity(point, rng)
     checks["passed"] = all(checks.values())
     return form, leaf, checks
 
 
-def _leaf_d_identity(point: GSPoint, triples: int = 2,
-                     rng: SplitMix64 | None = None) -> bool:
+def _leaf_d_identity(point: GSPoint, rng: SplitMix64, triples: int = 2) -> bool:
     """d of the leaf form against -eta pulled back, computed upstairs."""
     ctx = point.ctx
     tpart, upart = borel_decompose(point.b)
     tmat = tpart.m
     slice_space = Space(ctx, ("g", "u"))
-    rng = rng or SplitMix64(0x1EAF)
 
     def omega_slice(q, u, v):
         gq, uq = q
@@ -735,20 +700,14 @@ def reconstruct_bivector(point: GSPoint):
     r_cols = [chart_action_field(chart, ctx.basis[k]) for k in range(d)]
     rmat = Mat.from_columns(r_cols, h, EXACT)
 
-    # sigma-adjoint of the dual basis covectors at m
-    sv = []
-    minv = m.inv
-    s = hooks.CURRENT.sigma_factor
-    sgn = hooks.CURRENT.sigma_ad_sign
-    for i in range(d):
-        e = [QQi(1) if k == i else QQi(0) for k in range(d)]
-        a = ctx.mat_from_coords(mat_vec(ctx.gram_inv, e))
-        ad = m.m @ a @ minv
-        coord = (a + (ad if sgn == 1 else -ad)).scale(QQi(s))
-        sv.append(ctx.coords(coord))
+    # sigma-adjoint of the dual basis covectors at m; column i of gram^-1 is
+    # the algebra coordinate of the i-th one
+    duals = [AlgebraElement(ctx, ctx.mat_from_coords(ctx.gram_inv.col(i)), check=False)
+             for i in range(d)]
+    sv = [ctx.coords(sigma_adjoint(Covector(m, a)).m) for a in duals]
 
     admat = Mat.from_columns(
-        [ctx.coords(m.m @ ctx.basis[k] @ minv) for k in range(d)], d, EXACT
+        [ctx.coords(m.m @ ctx.basis[k] @ m.inv) for k in range(d)], d, EXACT
     )
     rho_adj = Mat.identity(d) - admat           # v -> v - Ad_m v
     cmat = Mat.identity(h) - (rmat @ rho_adj @ dmu).scale(QQi(Fraction(1, 4)))

@@ -18,23 +18,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import hooks
+from .conventions import ACTIVE
 from .linalg import EXACT, Mat, mat_vec
 from .matio import mat_from_json, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQI_ZERO, Dual, QQi
-
-# Coefficient of the invariant 3-form eta(x,y,z) = COEFF * (x, [y, z]).
-# Frozen by the convention-calibration suite (scripts/calibrate_conventions.py):
-# it is the unique scaling for which, simultaneously, d(omega) =
-# -Phi^*(eta (+) eta) holds on the fusion double, the conjugation-structure
-# sections close under the twisted Dorfman bracket, and the moment maps are
-# forward-Dirac onto the conjugation structure with tangent part
-# xi^L - xi^R.  See qpslab.conventions for how this relates to the
-# wedge-coefficient normalization 1/12 (a factor 6 from evaluating the
-# coefficient tensor as a form, and one global sign tied to the action
-# convention).
-CARTAN_COEFF = Fraction(-1, 2)
 
 GROUPS = {
     "sl2": ("SL", 2),
@@ -188,8 +176,11 @@ class GroupContext:
         return _mul_frac(t, self.form_scale)
 
     def eta(self, x: Mat, y: Mat, z: Mat):
-        """The invariant alternating 3-form; see CARTAN_COEFF note above."""
-        return _mul_frac(self.form(x, bracket(y, z)), CARTAN_COEFF)
+        """The invariant alternating 3-form ``eta_coeff * (x, [y, z])``.
+
+        The coefficient is the active ``Conventions.eta_coeff``.
+        """
+        return _mul_frac(self.form(x, bracket(y, z)), ACTIVE.get().eta_coeff)
 
     def chi(self, a: Mat, b: Mat, c: Mat):
         """The 3-tensor matching eta under the form's identification.
@@ -394,30 +385,34 @@ def Ad(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(g.ctx, g.m @ x.m @ g.inv, check=False)
 
 
+def sigma_average(a, ad_a):
+    """``factor * (a + sign * ad_a)``: the averaging in sigma and its adjoint.
+
+    ``ad_a`` is the adjoint image of ``a`` the caller already has (Ad_{g^-1} a
+    for sigma, Ad_g a for its adjoint); factor and sign are the active
+    ``sigma_factor`` and ``sigma_ad_sign``.  Works on matrices of dual
+    scalars too.
+    """
+    conv = ACTIVE.get()
+    both = a + ad_a if conv.sigma_ad_sign == 1 else a - ad_a
+    return both.scale(QQi(conv.sigma_factor))
+
+
 def sigma(g: GroupElement, xi: AlgebraElement) -> Covector:
     """The averaged covector attached to xi at g.
 
-    Left-trivialized coordinate: factor * (xi + Ad_{g^-1} xi) with the frozen
-    factor 1/2.  The corruption hooks can rescale the factor or flip the sign
-    of the Ad term for negative-control runs.
+    Left-trivialized coordinate: 1/2 (xi + Ad_{g^-1} xi) under the frozen
+    conventions; see :func:`sigma_average`.
     """
-    h = hooks.CURRENT
-    adpart = g.inv @ xi.m @ g.m
-    coord = (xi.m + _sgn(adpart, h.sigma_ad_sign)).scale(QQi(h.sigma_factor))
+    coord = sigma_average(xi.m, g.inv @ xi.m @ g.m)
     return Covector(g, AlgebraElement(g.ctx, coord, check=False))
 
 
-def _sgn(m, s: int):
-    return m if s == 1 else -m
-
-
 def sigma_adjoint(alpha: Covector) -> AlgebraElement:
-    """The adjoint of sigma applied to a covector: factor * (a + Ad_g a)."""
-    h = hooks.CURRENT
+    """The adjoint of sigma applied to a covector: 1/2 (a + Ad_g a)."""
     g = alpha.base
     a = alpha.coord.m
-    coord = (a + _sgn(g.m @ a @ g.inv, h.sigma_ad_sign)).scale(QQi(h.sigma_factor))
-    return AlgebraElement(g.ctx, coord, check=False)
+    return AlgebraElement(g.ctx, sigma_average(a, g.m @ a @ g.inv), check=False)
 
 
 def conj_field(g: GroupElement, xi: AlgebraElement) -> TangentVec:

@@ -9,8 +9,8 @@ same seeded stream.  Run with ``pytest -v`` for the per-criterion lines.
 
 import pytest
 
-from qpslab import hooks
 from qpslab.campaigns import CampaignConfig, run_suite
+from qpslab.conventions import ACTIVE, FROZEN
 from qpslab.dirac import cartan_dirac, is_lagrangian
 from qpslab.gspringer import mu_residual, weyl_fiber_enum
 from qpslab.liegroup import GroupElement, WeylGroup, context, random_point
@@ -179,5 +179,5 @@ def test_criterion_11_negative_controls():
         for suite in suites:
             rep = campaign(suite, "sl2", 2, corrupt=corrupt)
             assert rep.summary["failed"] > 0, (corrupt, suite)
-    assert hooks.CURRENT == hooks.Hooks()
+    assert ACTIVE.get() is FROZEN
     announce(11, "corrupted conventions make suites 2, 3 and 6 report failures")

@@ -12,9 +12,8 @@ DRIVER = """
 import runpy, sys
 main = runpy.run_path("scripts/calibrate_conventions.py")["main"]
 rc = main()
-from qpslab import dirac, hooks, liegroup
-print("after:", str(liegroup.CARTAN_COEFF), dirac.DORFMAN_TWIST_SIGN,
-      hooks.CURRENT == hooks.Hooks())
+from qpslab.conventions import ACTIVE, FROZEN
+print("after:", ACTIVE.get() is FROZEN)
 sys.exit(rc)
 """
 
@@ -26,5 +25,5 @@ def test_calibration_keeps_exactly_the_frozen_combination():
     lines = done.stdout.splitlines()
     survivors = next(l for l in lines if l.startswith("surviving combination(s):"))
     assert ast.literal_eval(survivors.split(":", 1)[1].strip()) == [("-1/2", 1, 1)]
-    # the sweep restores the frozen conventions it overwrote
-    assert lines[-1] == "after: -1/2 1 True"
+    # the sweep leaves the frozen conventions active
+    assert lines[-1] == "after: True"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpslab import hooks
+from qpslab.conventions import CORRUPTIONS, using
 from qpslab.diffcalc import Space, inversion_map, PointedMap
 from qpslab.dirac import (BivectorFiber, DiracFiber, TwoFormFiber,
                           cartan_closure_check, cartan_dirac, cartan_eta3,
@@ -224,7 +224,7 @@ def test_batched_closure_matches_dorfman_under_corruption():
     for ctx in (SL2, context("gl2")):
         g = random_point(ctx, "G", rng)
         for name in ("sigma-half", "dorfman-eta"):
-            with hooks.corruption(name):
+            with using(CORRUPTIONS[name]):
                 ok, witness = cartan_closure_check(ctx, g.m)
                 first = first_failing_pair(ctx, g.m)
             assert first is not None

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qpslab import campaigns
+from qpslab.diffcalc import PointedMap
 from qpslab.dirac import DiracFiber, is_lagrangian, pushforward_linear, cartan_dirac
 from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               NotRegularSemisimple, QuotientChart,
@@ -91,7 +92,7 @@ def test_omega_double_wrapper_and_nondegeneracy():
         fib = omega_double(dp)
         assert fib.is_skew()
         ko = kernel(fib.matrix.transpose())
-        kphi = kernel(phi_differential(SL2, dp.a.m, dp.b.m))
+        kphi = kernel(phi_differential(SL2, dp.a.m, dp.b.m, double_space(SL2)))
         assert intersect(ko, kphi).dim == 0
 
 
@@ -110,11 +111,22 @@ def test_a4_invariance_compares_every_block():
 
 
 def test_phi_differential_dual_route():
+    # the closed form against dual numbers, on the double and on G x B,
+    # where the same map (g, b) -> (g b g^-1, b^-1) runs on a Borel factor
     rng = SplitMix64(65)
-    dp = sample_double(SL2, rng)
-    closed = phi_differential(SL2, dp.a.m, dp.b.m)
-    dual = phi_map(SL2).differential_matrix((dp.a.m, dp.b.m))
-    assert closed == dual
+    for name in GROUPS:
+        ctx = context(name)
+        dp = sample_double(ctx, rng)
+        closed = phi_differential(ctx, dp.a.m, dp.b.m, double_space(ctx))
+        dual = phi_map(ctx).differential_matrix((dp.a.m, dp.b.m))
+        assert closed == dual, name
+        g = random_point(ctx, "G", rng)
+        b = random_point(ctx, "B", rng)
+        gxb = gxb_space(ctx)
+        restricted = PointedMap("phi-gxb", gxb, gxb,
+                                lambda q: (q[0] @ q[1] @ q[0].inverse(), q[1].inverse()))
+        closed = phi_differential(ctx, g.m, b.m, gxb)
+        assert closed == restricted.differential_matrix((g.m, b.m)), name
 
 
 def test_moment_condition_samples():
@@ -288,9 +300,34 @@ def test_leaf_two_form_checks():
     for ctx in (SL2, GL2):
         for stratum in ("random", "springer"):
             pt = sample_gspoint(ctx, rng, stratum)
-            form, leaf, checks = leaf_two_form(pt)
+            form, leaf, checks = leaf_two_form(pt, SplitMix64(0x1EAF))
             assert checks["passed"], (ctx.name, stratum, checks)
             assert leaf.dim == ctx.dim_g - ctx.rank
+
+
+def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
+    # the d-identity directions are 2 triples of height-3 vectors on the
+    # G x tU slice, drawn from the stream passed in
+    pt = sample_gspoint(SL2, SplitMix64(81))
+    rng, shadow = SplitMix64(1234), SplitMix64(1234)
+    _, _, checks = leaf_two_form(pt, rng)
+    assert checks["d_identity"]
+    for _ in range(2 * 3 * (SL2.dim_g + SL2.dim_u)):
+        shadow.rational(3)
+    assert rng.state == shadow.state
+    # and a campaign passes each point's salted stream, still unconsumed
+    seen = []
+
+    def spy(point, rng):
+        seen.append(rng.state)
+        return leaf_two_form(point, rng)
+
+    monkeypatch.setattr(campaigns, "leaf_two_form", spy)
+    cfg = campaigns.CampaignConfig(suite="gs-theorem2", group="sl2", samples=2)
+    payloads = campaigns._gen_gspoints(cfg)
+    for p in payloads:
+        campaigns._check_theorem2(cfg, p)
+    assert seen == [SplitMix64(p["salt"]).state for p in payloads]
 
 
 def test_bivector_reconstruction():

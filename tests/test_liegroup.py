@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qpslab import liegroup
+from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.liegroup import (Ad, AlgebraElement, Covector, GroupContext,
                              GroupElement, TangentVec, WeylGroup, ad,
                              borel_decompose, chevalley, context, random_algebra,
@@ -71,17 +72,20 @@ def test_sigma_adjoint_examples():
 
 def test_sigma_adjointness_two_routes():
     # (sigma-adjoint(alpha), xi) against alpha paired with sigma(xi), both
-    # evaluated independently through the form
+    # evaluated independently through the form, under the frozen and every
+    # corrupted sigma (the two share one averaging helper)
     rng = SplitMix64(12)
-    for ctx in GROUPS:
-        for _ in range(20):
-            g = random_point(ctx, "G", rng)
-            a = random_algebra(ctx, rng)
-            xi = random_algebra(ctx, rng)
-            alpha = Covector(g, a)
-            lhs = ctx.form(sigma_adjoint(alpha).m, xi.m)
-            rhs = ctx.form(a.m, sigma(g, xi).coord.m)
-            assert lhs == rhs
+    for conv in (FROZEN, *CORRUPTIONS.values()):
+        with using(conv):
+            for ctx in GROUPS:
+                for _ in range(20):
+                    g = random_point(ctx, "G", rng)
+                    a = random_algebra(ctx, rng)
+                    xi = random_algebra(ctx, rng)
+                    alpha = Covector(g, a)
+                    lhs = ctx.form(sigma_adjoint(alpha).m, xi.m)
+                    rhs = ctx.form(a.m, sigma(g, xi).coord.m)
+                    assert lhs == rhs, conv
 
 
 def test_conj_field_examples():
