@@ -23,7 +23,7 @@ from .dirac import (cartan_closure_check, cartan_dirac, cartan_eta3,
 from .gspringer import (DoublePoint, GSPoint, SteinbergFiber, double_space,
                         gspoint_stream, lam, leaf_two_form, mu, mu_residual,
                         omega_fn, omega_matrix, phi_differential,
-                        quotient_fiber, QuotientChart, chart_transport,
+                        QuotientChart, chart_transport,
                         reconstruct_bivector, regact_check, rho_double,
                         sample_double, theorem1_check, theorem2_check,
                         weyl_fiber_enum, NotRegularSemisimple)
@@ -427,23 +427,23 @@ def _check_theorem1(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
     point = _load_gspoint(cfg, payload)
     rng = SplitMix64(payload["salt"])
-    res = theorem1_check(point)
+    chart1 = QuotientChart(point)
+    res = theorem1_check(chart1)
     recs = [
         _record("gs-theorem1/lagrangian", res["lagrangian"],
                 res.get("witness_lagrangian")),
-        _record("gs-theorem1/f-dirac", res["f_dirac"]),
-        _record("gs-theorem1/moment-kernel-clean", res["kernel_clean"]),
+        _record("gs-theorem1/f-dirac", res["f_dirac"], res.get("witness_f_dirac")),
+        _record("gs-theorem1/moment-kernel-clean", res["kernel_clean"],
+                res.get("witness_kernel")),
         _record("gs-theorem1/induced-action", res["induced_action"],
                 res.get("witness_action")),
-        _record("gs-theorem1/pushforward-commutes", res["pushforward_commutes"]),
+        _record("gs-theorem1/pushforward-commutes", res["pushforward_commutes"],
+                res.get("witness_pushforward")),
     ]
     h = random_point(ctx, "B", rng)
-    chart1 = QuotientChart(point)
-    moved = point.translate(h)
-    chart2 = QuotientChart(moved)
+    chart2 = QuotientChart(point.translate(h))
     trans = chart_transport(chart1, chart2, h)
-    fib1 = quotient_fiber(chart1)
-    fib2 = quotient_fiber(chart2)
+    fib1, fib2 = chart1.fiber, chart2.fiber
     tinv = trans.inverse()
     moved_basis = trans @ fib1.basis.row_block(0, chart1.hdim)
     moved_cov = tinv.transpose() @ fib1.basis.row_block(chart1.hdim, fib1.basis.rows)
@@ -456,9 +456,9 @@ def _check_theorem1(cfg: CampaignConfig, payload: dict) -> list:
 
 
 def _check_theorem2(cfg: CampaignConfig, payload: dict) -> list:
-    point = _load_gspoint(cfg, payload)
+    chart = QuotientChart(_load_gspoint(cfg, payload))
     rng = SplitMix64(payload["salt"])
-    res = theorem2_check(point)
+    res = theorem2_check(chart)
     recs = [
         _record("gs-theorem2/leaf-projection", res["projection_matches"],
                 {"dim": res["leaf_dim"], "expected": res["expected_dim"]}),
@@ -466,7 +466,7 @@ def _check_theorem2(cfg: CampaignConfig, payload: dict) -> list:
                 res["leaf_dim"] == res["expected_dim"]),
         _record("gs-theorem2/lambda-constant", res["lambda_locally_constant"]),
     ]
-    form, leaf, checks = leaf_two_form(point, rng)
+    form, leaf, checks = leaf_two_form(chart, rng)
     recs.append(_record("gs-theorem2/leaf-form-graphical", checks.get("graphical", False)))
     if checks.get("graphical"):
         recs.append(_record("gs-theorem2/leaf-form-skew", checks["skew"]))
@@ -476,8 +476,7 @@ def _check_theorem2(cfg: CampaignConfig, payload: dict) -> list:
 
 
 def _check_bivector(cfg: CampaignConfig, payload: dict) -> list:
-    point = _load_gspoint(cfg, payload)
-    pi, checks = reconstruct_bivector(point)
+    pi, checks = reconstruct_bivector(QuotientChart(_load_gspoint(cfg, payload)))
     recs = [_record("bivector/solvable", checks.get("solvable", False),
                     None if checks.get("solvable") else checks)]
     if checks.get("solvable"):
@@ -638,10 +637,11 @@ def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
             "residuals": [mu_residual(p, g) for p in pts],
         }
     if kind == "leaf-form":
-        point = GSPoint.from_json(payload)
+        # exact input only: a float entry is an input error, not a traceback
+        chart = QuotientChart(GSPoint.from_json(payload, backend=EXACT))
         # an eval input carries no salt, so the d-identity directions come
         # from a fixed stream
-        form, leaf, checks = leaf_two_form(point, SplitMix64(0x1EAF))
+        form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
         out = {"checks": checks}
         if form is not None:
             out["leaf_basis"] = mat_to_json(leaf.basis)

@@ -266,7 +266,7 @@ def omega_matrix(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> Mat:
     admat = Mat.from_columns(
         [ctx.coords(bmat @ bk @ binv) for bk in ctx.basis], d, bmat.backend
     )
-    gram = ctx.gram if bmat.backend == EXACT else ctx.gram.to_float()
+    gram = ctx.gram
     t = gram @ admat
     tt = t.transpose()
     w11 = tt - t
@@ -278,8 +278,7 @@ def omega_matrix(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> Mat:
     for i in range(d):
         rows.append(tuple(w11.data[i]) + tuple(w12.data[i][:k]))
     for i in range(k):
-        rows.append(tuple(w21.data[i]) + (QQi(0),) * k if bmat.backend == EXACT
-                    else tuple(w21.data[i]) + (0j,) * k)
+        rows.append(tuple(w21.data[i]) + (QQi(0),) * k)
     return Mat(rows, bmat.backend).scale(scale)
 
 
@@ -318,17 +317,23 @@ def restrict_to_GxB(g: GroupElement, b: GroupElement) -> DiracFiber:
     return graph_two_form(TwoFormFiber((g.m, b.m), w))
 
 
+def b_action_directions(b: GroupElement, part: str) -> Subspace:
+    """Span of the B-action generators at (g, b) of the basis of ``part``.
+
+    The generator of xi is (-xi, Ad_{b^-1} xi - xi) in G x B coordinates; it
+    does not depend on g.  ``part`` is "b" (the vertical space) or "u".
+    """
+    ctx = b.ctx
+    cols = []
+    for k in ctx.sub_indices(part):
+        xi = ctx.basis[k]
+        cols.append(ctx.coords(-xi) + ctx.part_coords("b", b.inv @ xi @ b.m - xi))
+    return Subspace.from_vectors(cols, ctx.dim_g + ctx.dim_b, EXACT)
+
+
 def vertical_space(point: GSPoint) -> Subspace:
     """Tangent directions of the B-action through the representative."""
-    ctx = point.ctx
-    binv = point.b.inv
-    cols = []
-    for k in ctx.sub_indices("b"):
-        xi = ctx.basis[k]
-        second = binv @ xi @ point.b.m - xi
-        cols.append(ctx.coords(-xi) + ctx.part_coords("b", second))
-    ambient = ctx.dim_g + ctx.dim_b
-    return Subspace.from_vectors(cols, ambient, EXACT)
+    return b_action_directions(point.b, "b")
 
 
 class QuotientChart:
@@ -336,10 +341,13 @@ class QuotientChart:
 
     ``proj`` maps upstairs tangent coordinates to chart coordinates, ``inc``
     embeds the chart back; quotient covectors are the functionals that factor
-    through ``proj`` (the annihilator of the vertical space).
+    through ``proj`` (the annihilator of the vertical space).  ``graph`` is
+    the restricted graph upstairs and ``fiber`` its pushforward to the chart,
+    both under the conventions active when the chart was built.
     """
 
-    __slots__ = ("point", "vertical", "indices", "proj", "inc", "hdim", "ambient")
+    __slots__ = ("point", "vertical", "indices", "proj", "inc", "hdim", "ambient",
+                 "graph", "fiber")
 
     def __init__(self, point: GSPoint):
         ctx = point.ctx
@@ -366,20 +374,17 @@ class QuotientChart:
         full = self.inc.hstack(v.basis)
         inv = full.inverse()
         self.proj = inv.row_block(0, self.hdim)
+        self.graph = restrict_to_GxB(point.g, point.b)
+        self.fiber = quotient_fiber(self)
 
     @property
     def ctx(self) -> GroupContext:
         return self.point.ctx
 
-    def upstairs(self) -> tuple[Mat, Mat]:
-        return (self.point.g.m, self.point.b.m)
-
 
 def quotient_fiber(chart: QuotientChart) -> DiracFiber:
     """Pushforward of the restricted graph to the chart; Lagrangian of dim G."""
-    up = restrict_to_GxB(chart.point.g, chart.point.b)
-    fib = pushforward_linear(up, chart.proj, base=chart.point.to_json())
-    return fib
+    return pushforward_linear(chart.graph, chart.proj, base=chart.point.to_json())
 
 
 def mu(p: GSPoint) -> GroupElement:
@@ -431,6 +436,20 @@ def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     return mat_vec(chart.proj, up)
 
 
+def induced_action_pairs(chart: QuotientChart, dmu: Mat):
+    """Yield (q_* rho(e_k), d(mu)^T sigma(mu, e_k)) for each algebra basis e_k.
+
+    ``dmu`` is :func:`dmu_chart` of the chart.  The pairs come one at a time,
+    so a caller that stops at the first failing k builds no further pair.
+    """
+    ctx = chart.ctx
+    m = mu(chart.point)
+    dmut = dmu.transpose()
+    for xi in ctx.basis:
+        alpha = sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords()
+        yield chart_action_field(chart, xi), mat_vec(dmut, alpha)
+
+
 def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
                     h: GroupElement) -> Mat:
     """Identification of chart1 with chart2 when point2 = h . point1.
@@ -465,31 +484,24 @@ def regact_check(g: GroupElement, b: GroupElement) -> dict:
     ctx = g.ctx
     w = omega_matrix(ctx, g.m, b.m, gxb_space(ctx))
     flat_kernel = kernel(w.transpose())
-    point = GSPoint(g, GroupElement(ctx, b.m, check=False))
-    v = vertical_space(point)
-    inter = intersect(v, flat_kernel)
-    binv = b.m.inverse()
-    cols = []
-    for k in ctx.sub_indices("u"):
-        xi = ctx.basis[k]
-        second = binv @ xi @ b.m - xi
-        cols.append(ctx.coords(-xi) + ctx.part_coords("b", second))
-    expected = Subspace.from_vectors(cols, ctx.dim_g + ctx.dim_b, EXACT)
+    inter = intersect(vertical_space(GSPoint(g, b)), flat_kernel)
+    expected = b_action_directions(b, "u")
     ok = inter.dim == ctx.dim_u and inter.equals(expected)
     return {"dim": inter.dim, "expected_dim": ctx.dim_u, "passed": ok}
 
 
-def theorem1_check(point: GSPoint) -> dict:
-    """The moment-map realization checks at one quotient point.
+def theorem1_check(chart: QuotientChart) -> dict:
+    """The moment-map realization checks at the chart's quotient point.
 
     (i) the fiber pushes forward to the conjugation structure at mu(p);
     (ii) ker d(mu) meets the fiber trivially; (iii) the induced action pairs
     with the pulled-back sigma covectors inside the fiber; (iv) pushing
     forward through the quotient or through the double moment map agree.
+    A failing check carries a witness.
     """
-    ctx = point.ctx
-    chart = QuotientChart(point)
-    fib = quotient_fiber(chart)
+    ctx = chart.ctx
+    point = chart.point
+    fib = chart.fiber
     out = {}
 
     lag, wit = is_lagrangian(fib)
@@ -498,39 +510,41 @@ def theorem1_check(point: GSPoint) -> dict:
         out["witness_lagrangian"] = wit or {"dim": fib.dim}
 
     m = mu(point)
-    dmu = dmu_chart(chart)
+    # one G x B differential serves d(mu) (its first dim G rows, as in
+    # dmu_chart) and route (iv)
+    dphi = phi_differential(ctx, point.g.m, point.b.m, gxb_space(ctx))
+    dmu = dphi.row_block(0, ctx.dim_g) @ chart.inc
     pushed = pushforward_linear(fib, dmu, base=m.m)
     cd = cartan_dirac(m)
     out["f_dirac"] = pushed.equals(cd)
+    if not out["f_dirac"]:
+        out["witness_f_dirac"] = _column_outside(pushed, cd, ("pushed", "cartan"))
 
+    # ker d(mu) as tangent vectors with zero covector part
     kerdmu = kernel(dmu)
-    amb = 2 * chart.hdim
+    meet = 0
     if kerdmu.dim:
-        cols = [list(kerdmu.basis.col(j)) + [QQi(0)] * chart.hdim
-                for j in range(kerdmu.dim)]
-        ker_emb = Subspace.from_vectors(cols, amb, EXACT)
-        out["kernel_clean"] = intersect(ker_emb, fib.subspace()).dim == 0
-    else:
-        out["kernel_clean"] = True
+        h = chart.hdim
+        ker_emb = Subspace(2 * h, kerdmu.basis.vstack(Mat.zeros(h, kerdmu.dim)))
+        meet = intersect(ker_emb, fib.subspace()).dim
+    out["kernel_clean"] = meet == 0
+    if meet:
+        out["witness_kernel"] = {"dim": meet}
 
-    ok_action = True
-    dmut = dmu.transpose()
-    for k in range(ctx.dim_g):
-        xi = ctx.basis[k]
-        vec = chart_action_field(chart, xi)
-        alpha = mat_vec(dmut, sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords())
+    out["induced_action"] = True
+    for k, (vec, alpha) in enumerate(induced_action_pairs(chart, dmu)):
         if not fib.contains(vec, alpha):
-            ok_action = False
+            out["induced_action"] = False
             out["witness_action"] = {"basis_index": k}
             break
-    out["induced_action"] = ok_action
 
-    up = restrict_to_GxB(point.g, point.b)
-    dphi_r = phi_differential(ctx, point.g.m, point.b.m, gxb_space(ctx))
-    route_b = pushforward_linear(
-        pushforward_linear(up, dphi_r), _first_projection_matrix(ctx)
-    )
+    # route (iv): the double's moment map, then the projection to its first factor
+    first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, ctx.dim_b))
+    route_b = pushforward_linear(pushforward_linear(chart.graph, dphi), first)
     out["pushforward_commutes"] = pushed.equals(route_b)
+    if not out["pushforward_commutes"]:
+        out["witness_pushforward"] = _column_outside(pushed, route_b,
+                                                     ("quotient", "double"))
 
     out["passed"] = all(
         out[k] for k in
@@ -540,32 +554,27 @@ def theorem1_check(point: GSPoint) -> dict:
     return out
 
 
-def _first_projection_matrix(ctx: GroupContext) -> Mat:
-    d, db = ctx.dim_g, ctx.dim_b
-    return Mat.identity(d).hstack(Mat.zeros(d, db))
+def _column_outside(a: DiracFiber, b: DiracFiber, names: tuple[str, str]) -> dict:
+    """Witness that two fibers differ: the first basis column of one outside the other."""
+    for name, fib, other in ((names[0], a, b), (names[1], b, a)):
+        span = other.subspace()
+        for j in range(fib.dim):
+            if not span.contains_vector(fib.basis.col(j)):
+                return {"fiber": name, "column": j, "dims": [a.dim, b.dim]}
+    return {"dims": [a.dim, b.dim]}
 
 
 def leaf_expected(chart: QuotientChart) -> Subspace:
     """q_* of the coordinate subspace tangent to G x tU."""
     ctx = chart.ctx
-    cols = []
-    for k in range(ctx.dim_g):
-        up = [QQi(0)] * (ctx.dim_g + ctx.dim_b)
-        up[k] = QQi(1)
-        cols.append(mat_vec(chart.proj, up))
-    for k in ctx.sub_indices("u"):
-        up = [QQi(0)] * (ctx.dim_g + ctx.dim_b)
-        up[ctx.dim_g + k] = QQi(1)
-        cols.append(mat_vec(chart.proj, up))
-    return Subspace.from_vectors(cols, chart.hdim, EXACT)
+    upstairs = list(range(ctx.dim_g)) + [ctx.dim_g + k for k in ctx.sub_indices("u")]
+    return Subspace.from_vectors([chart.proj.col(k) for k in upstairs], chart.hdim, EXACT)
 
 
-def theorem2_check(point: GSPoint) -> dict:
-    """Leaf identification: the fiber's tangent image is q_* T(G x tU)."""
-    ctx = point.ctx
-    chart = QuotientChart(point)
-    fib = quotient_fiber(chart)
-    proj = fib.tangent_part()
+def theorem2_check(chart: QuotientChart) -> dict:
+    """Leaf identification: the chart fiber's tangent image is q_* T(G x tU)."""
+    ctx = chart.ctx
+    proj = chart.fiber.tangent_part()
     expected = leaf_expected(chart)
     out = {
         "leaf_dim": proj.dim,
@@ -586,8 +595,8 @@ def theorem2_check(point: GSPoint) -> dict:
     return out
 
 
-def leaf_two_form(point: GSPoint, rng: SplitMix64):
-    """The induced presymplectic form on the leaf directions at the point.
+def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
+    """The induced presymplectic form on the leaf directions at the chart's point.
 
     Returns (form, leaf basis, checks).  The form is obtained by inverting
     the graph over the leaf directions; isotropy of the fiber makes the
@@ -597,9 +606,8 @@ def leaf_two_form(point: GSPoint, rng: SplitMix64):
     coordinate subspace, on random directions drawn from ``rng`` (a
     campaign passes the point's salted stream).
     """
-    ctx = point.ctx
-    chart = QuotientChart(point)
-    fib = quotient_fiber(chart)
+    point = chart.point
+    fib = chart.fiber
     leaf = fib.tangent_part()
     h = chart.hdim
     top = fib.basis.row_block(0, h)
@@ -617,18 +625,12 @@ def leaf_two_form(point: GSPoint, rng: SplitMix64):
     form = TwoFormFiber(point.to_json(), Mat(wmat, EXACT) if leaf.dim else Mat([[QQi(0)]]))
     checks = {"graphical": True, "skew": form.is_skew()}
 
-    m = mu(point)
-    dmu = dmu_chart(chart)
-    dmut = dmu.transpose()
     ok_moment = True
-    for k in range(ctx.dim_g):
-        xi = ctx.basis[k]
-        v = chart_action_field(chart, xi)
+    for v, mudual in induced_action_pairs(chart, dmu_chart(chart)):
         coeff, _, consistent = solve_unique(leaf.basis, v)
         if not consistent:
             ok_moment = False
             break
-        mudual = mat_vec(dmut, sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords())
         for j in range(leaf.dim):
             lhs = dot([form.matrix.entry(i, j) for i in range(leaf.dim)], coeff)
             rhs = dot(mudual, leaf.basis.col(j))
@@ -678,17 +680,17 @@ def _leaf_d_identity(point: GSPoint, rng: SplitMix64, triples: int = 2) -> bool:
     return True
 
 
-def reconstruct_bivector(point: GSPoint):
-    """Rebuild the bivector of the quotient structure from its Dirac fiber.
+def reconstruct_bivector(chart: QuotientChart):
+    """Rebuild the bivector of the quotient structure from the chart's fiber.
 
     For each covector the defining pair of conditions (image under d(mu)
     prescribed through the adjoints, membership of (X, C^* alpha) in the
     fiber) has a unique solution; failures are reported.  Returns
     (bivector, checks).
     """
-    ctx = point.ctx
-    chart = QuotientChart(point)
-    fib = quotient_fiber(chart)
+    ctx = chart.ctx
+    point = chart.point
+    fib = chart.fiber
     h = chart.hdim
     d = ctx.dim_g
     m = mu(point)
@@ -696,9 +698,10 @@ def reconstruct_bivector(point: GSPoint):
     top = fib.basis.row_block(0, h)
     bot = fib.basis.row_block(h, fib.basis.rows)
 
-    # chart-level action map R: algebra coords -> chart tangent coords
-    r_cols = [chart_action_field(chart, ctx.basis[k]) for k in range(d)]
-    rmat = Mat.from_columns(r_cols, h, EXACT)
+    # chart-level action map R: algebra coords -> chart tangent coords, from
+    # the pairs that also span the action part of the graph below
+    pairs = list(induced_action_pairs(chart, dmu))
+    rmat = Mat.from_columns([vec for vec, _ in pairs], h, EXACT)
 
     # sigma-adjoint of the dual basis covectors at m; column i of gram^-1 is
     # the algebra coordinate of the i-th one
@@ -730,7 +733,6 @@ def reconstruct_bivector(point: GSPoint):
 
     checks = {"solvable": True, "skew": pi.is_skew()}
 
-    dmut = dmu.transpose()
     ok_moment = True
     for i in range(d):
         # beta = e_i: d(mu)^T beta is row i of d(mu)
@@ -739,14 +741,8 @@ def reconstruct_bivector(point: GSPoint):
             break
     checks["moment_condition"] = ok_moment
 
-    cols = []
-    for i in range(h):
-        cols.append(list(pimat.col(i)) + list(cmat.data[i]))
-    for k in range(d):
-        xi = ctx.basis[k]
-        vec = chart_action_field(chart, xi)
-        alpha = mat_vec(dmut, sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords())
-        cols.append(vec + alpha)
+    cols = [list(pimat.col(i)) + list(cmat.data[i]) for i in range(h)]
+    cols += [vec + alpha for vec, alpha in pairs]
     span = Subspace.from_vectors(cols, 2 * h, EXACT)
     checks["graph_consistency"] = span.equals(fib.subspace())
     checks["passed"] = all(checks.values())

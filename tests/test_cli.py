@@ -119,6 +119,22 @@ def test_eval_leaf_form():
     assert out["matrix"]["rows"] == 2
 
 
+def test_cli_eval_leaf_form_needs_exact_entries(tmp_path, capsys):
+    # integers are exact; a float entry is an input error, not a traceback
+    def point(b_entries):
+        return {"group": "sl2",
+                "g": {"rows": 2, "cols": 2, "entries": [1, 2, 0, 1]},
+                "b": {"rows": 2, "cols": 2, "entries": b_entries}}
+
+    ints, floats = tmp_path / "ints.json", tmp_path / "floats.json"
+    ints.write_text(json.dumps(point([1, 2, 0, 1])))
+    floats.write_text(json.dumps(point([2, 1, 0, 0.5])))
+    assert main(["eval", "leaf-form", str(ints)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "leaf-form", str(floats)]) == 2
+    assert "exact backend" in capsys.readouterr().err
+
+
 def test_eval_unknown_kind():
     with pytest.raises(UsageError):
         eval_command("nope", {})

@@ -1,18 +1,20 @@
 """The double, its Borel restriction, the quotient charts, and the theorems."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qpslab import campaigns
+from qpslab import campaigns, gspringer
+from qpslab.conventions import CORRUPTIONS, using
 from qpslab.diffcalc import PointedMap
 from qpslab.dirac import DiracFiber, is_lagrangian, pushforward_linear, cartan_dirac
 from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               NotRegularSemisimple, QuotientChart,
                               SteinbergFiber, chart_action_field,
                               chart_transport, double_space, dlam_chart,
-                              dmu_chart, gspoint_stream, gxb_space, lam,
-                              leaf_expected, leaf_two_form, moment_condition_check,
+                              dmu_chart, gspoint_stream, gxb_space,
+                              induced_action_pairs, lam, leaf_expected, leaf_two_form, moment_condition_check,
                               mu, mu_residual, omega_double, omega_matrix,
                               omega_value, phi, phi_differential, phi_map,
                               quotient_fiber, reconstruct_bivector, regact_check,
@@ -21,8 +23,9 @@ from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               theorem1_check, theorem2_check, vertical_space,
                               weyl_fiber_enum)
 from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, context,
-                             random_algebra, random_point)
-from qpslab.linalg import EXACT, Mat, Subspace, intersect, kernel, mat_vec, rank
+                             random_algebra, random_point, sigma)
+from qpslab.linalg import (EXACT, Mat, Subspace, dot, intersect, kernel, mat_vec,
+                           rank)
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -179,8 +182,9 @@ def test_quotient_fiber_basics():
     rng = SplitMix64(70)
     pt = sample_gspoint(SL2, rng)
     chart = QuotientChart(pt)
-    fib = quotient_fiber(chart)
+    fib = chart.fiber
     assert fib.dim == SL2.dim_g == 3
+    assert quotient_fiber(chart).equals(fib)
     ok, _ = is_lagrangian(fib)
     assert ok
 
@@ -218,7 +222,7 @@ def test_quotient_fiber_representative_independent():
     assert pt.same_class(moved)
     c1, c2 = QuotientChart(pt), QuotientChart(moved)
     trans = chart_transport(c1, c2, h)
-    f1, f2 = quotient_fiber(c1), quotient_fiber(c2)
+    f1, f2 = c1.fiber, c2.fiber
     top = trans @ Mat(f1.basis.data[: c1.hdim], EXACT)
     bot = trans.inverse().transpose() @ Mat(f1.basis.data[c1.hdim:], EXACT)
     assert Subspace.from_spanning(top.vstack(bot)).equals(f2.subspace())
@@ -263,7 +267,7 @@ def test_theorem1_all_strata():
     for ctx in (SL2, GL2):
         for stratum in ("random", "springer", "nonregular", "identity-b"):
             pt = sample_gspoint(ctx, rng, stratum)
-            res = theorem1_check(pt)
+            res = theorem1_check(QuotientChart(pt))
             assert res["passed"], (ctx.name, stratum, res)
 
 
@@ -273,18 +277,86 @@ def test_theorem1_identity_mu_target():
     pt = sample_gspoint(SL2, rng, "identity-b")
     assert mu(pt).m == Mat.identity(2)
     chart = QuotientChart(pt)
-    fib = quotient_fiber(chart)
-    pushed = pushforward_linear(fib, dmu_chart(chart))
+    pushed = pushforward_linear(chart.fiber, dmu_chart(chart))
     cotangent = DiracFiber(None, 3, Mat.zeros(3, 3).vstack(Mat.identity(3)))
     assert pushed.equals(cotangent)
     assert pushed.equals(cartan_dirac(mu(pt)))
+
+
+def test_theorem1_witness_names_a_column_outside_the_other_fiber():
+    # sigma-half moves the Cartan-Dirac fiber but not the quotient fiber
+    pt = sample_gspoint(SL2, SplitMix64(88))
+    assert not any(k.startswith("witness") for k in theorem1_check(QuotientChart(pt)))
+    with using(CORRUPTIONS["sigma-half"]):
+        chart = QuotientChart(pt)
+        res = theorem1_check(chart)
+        fibers = {"pushed": pushforward_linear(chart.fiber, dmu_chart(chart)),
+                  "cartan": cartan_dirac(mu(pt))}
+    assert not res["f_dirac"]
+    wit = res["witness_f_dirac"]
+    named = fibers.pop(wit["fiber"])
+    (other,) = fibers.values()
+    assert not other.subspace().contains_vector(named.basis.col(wit["column"]))
+    assert wit["dims"] == [SL2.dim_g, SL2.dim_g]
+    # the name goes with the fiber the column was read from
+    def span(*units):
+        cols = [[QQi(int(i == k)) for i in range(4)] for k in units]
+        return DiracFiber(None, 2, Mat.from_columns(cols, 4, EXACT))
+
+    assert gspringer._column_outside(span(0), span(0, 1), ("a", "b")) == {
+        "fiber": "b", "column": 1, "dims": [1, 2]}
+
+
+def test_quotient_checks_build_each_chart_once(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(QuotientChart, "__init__",
+                        counting("chart", QuotientChart.__init__))
+    for name in ("phi_differential", "restrict_to_GxB"):
+        monkeypatch.setattr(gspringer, name, counting(name, getattr(gspringer, name)))
+    # gs-theorem1 needs the base point's chart and the moved one's
+    for suite, charts in (("gs-theorem1", 2), ("gs-theorem2", 1), ("bivector", 1)):
+        cfg = campaigns.CampaignConfig(suite=suite, group="sl2", samples=4)
+        _, check = campaigns.SUITES[suite]
+        for payload in campaigns._gen_gspoints(cfg):
+            counts.clear()
+            check(cfg, payload)
+            assert counts["chart"] == charts, suite
+            assert counts["restrict_to_GxB"] == charts, suite
+    # theorem1_check reuses the chart's restricted graph and builds the G x B
+    # phi differential once, for both d(mu) and the route through the double
+    chart = QuotientChart(sample_gspoint(SL2, SplitMix64(89)))
+    counts.clear()
+    assert theorem1_check(chart)["passed"]
+    assert counts == Counter({"phi_differential": 1})
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_induced_action_pairs_match_the_per_basis_formula(group):
+    ctx = context(group)
+    for pt in gspoint_stream(ctx, SplitMix64(90), len(FORCED_STRATA)):
+        chart = QuotientChart(pt)
+        dmu = dmu_chart(chart)
+        pairs = list(induced_action_pairs(chart, dmu))
+        assert len(pairs) == ctx.dim_g
+        for xi, (vec, alpha) in zip(ctx.basis, pairs):
+            assert vec == chart_action_field(chart, xi)
+            dual = sigma(mu(pt), AlgebraElement(ctx, xi, check=False)).dual_coords()
+            assert alpha == [dot(dual, dmu.col(j)) for j in range(chart.hdim)]
+            assert chart.fiber.contains(vec, alpha)
 
 
 def test_theorem2_leaf_dimensions():
     rng = SplitMix64(77)
     for ctx, dim in ((SL2, 2), (SL3, 6), (GL2, 2)):
         pt = sample_gspoint(ctx, rng)
-        res = theorem2_check(pt)
+        res = theorem2_check(QuotientChart(pt))
         assert res["passed"] and res["leaf_dim"] == dim
 
 
@@ -292,7 +364,7 @@ def test_theorem2_on_strata():
     rng = SplitMix64(78)
     for stratum in ("springer", "nonregular", "identity-b"):
         pt = sample_gspoint(SL2, rng, stratum)
-        assert theorem2_check(pt)["passed"]
+        assert theorem2_check(QuotientChart(pt))["passed"]
 
 
 def test_leaf_two_form_checks():
@@ -300,7 +372,7 @@ def test_leaf_two_form_checks():
     for ctx in (SL2, GL2):
         for stratum in ("random", "springer"):
             pt = sample_gspoint(ctx, rng, stratum)
-            form, leaf, checks = leaf_two_form(pt, SplitMix64(0x1EAF))
+            form, leaf, checks = leaf_two_form(QuotientChart(pt), SplitMix64(0x1EAF))
             assert checks["passed"], (ctx.name, stratum, checks)
             assert leaf.dim == ctx.dim_g - ctx.rank
 
@@ -310,7 +382,7 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     # G x tU slice, drawn from the stream passed in
     pt = sample_gspoint(SL2, SplitMix64(81))
     rng, shadow = SplitMix64(1234), SplitMix64(1234)
-    _, _, checks = leaf_two_form(pt, rng)
+    _, _, checks = leaf_two_form(QuotientChart(pt), rng)
     assert checks["d_identity"]
     for _ in range(2 * 3 * (SL2.dim_g + SL2.dim_u)):
         shadow.rational(3)
@@ -318,9 +390,9 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     # and a campaign passes each point's salted stream, still unconsumed
     seen = []
 
-    def spy(point, rng):
+    def spy(chart, rng):
         seen.append(rng.state)
-        return leaf_two_form(point, rng)
+        return leaf_two_form(chart, rng)
 
     monkeypatch.setattr(campaigns, "leaf_two_form", spy)
     cfg = campaigns.CampaignConfig(suite="gs-theorem2", group="sl2", samples=2)
@@ -334,7 +406,7 @@ def test_bivector_reconstruction():
     rng = SplitMix64(80)
     for ctx in (SL2, GL2):
         pt = sample_gspoint(ctx, rng)
-        pi, checks = reconstruct_bivector(pt)
+        pi, checks = reconstruct_bivector(QuotientChart(pt))
         assert checks["passed"], checks
         assert pi.is_skew()
 
@@ -410,8 +482,9 @@ def test_gl3_smoke():
     ctx = context("gl3")
     rng = SplitMix64(86)
     pt = sample_gspoint(ctx, rng)
-    assert theorem1_check(pt)["passed"]
-    res = theorem2_check(pt)
+    chart = QuotientChart(pt)
+    assert theorem1_check(chart)["passed"]
+    res = theorem2_check(chart)
     assert res["passed"] and res["leaf_dim"] == ctx.dim_g - ctx.rank == 6
     assert regact_check(random_point(ctx, "G", rng),
                         random_point(ctx, "B", rng))["passed"]
