@@ -40,6 +40,11 @@ from qpslab.liegroup import (AlgebraElement, context, random_algebra,
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
+# the candidate normalizations the sweep tries, in sweep order
+ETA_COEFFS = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 12), Fraction(-1, 12))
+TWISTS = (1, -1)
+OMEGA_SIGNS = (1, -1)
+
 
 def closure_holds(ctx, samples, rng) -> bool:
     space = Space(ctx, ("g",))
@@ -98,10 +103,7 @@ def main():
     results = {}
     combos = [
         (coeff, twist, omega)
-        for coeff in (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 12),
-                      Fraction(-1, 12))
-        for twist in (1, -1)
-        for omega in (1, -1)
+        for coeff in ETA_COEFFS for twist in TWISTS for omega in OMEGA_SIGNS
     ]
     ctx = context("sl2")
     for coeff, twist, omega in combos:

@@ -198,10 +198,7 @@ def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
     recs.append(_record("cartan-dirac/lagrangian", ok and fib.dim == ctx.dim_g, wit))
 
     # tangent image dimension against the centralizer, computed independently
-    admat = Mat.from_columns(
-        [ctx.coords(g.m @ bk @ g.inv) for bk in ctx.basis], ctx.dim_g, EXACT
-    )
-    cent = kernel(admat - Mat.identity(ctx.dim_g))
+    cent = kernel(ctx.adjoint(g.m, g.inv) - Mat.identity(ctx.dim_g))
     proj = fib.tangent_part()
     recs.append(_record(
         "cartan-dirac/leaf-dimension",
@@ -317,9 +314,7 @@ def _a4_sample(ctx, dp, w, rng, count: int) -> bool:
         a2 = g1.m @ dp.a.m @ g2.inv
         b2 = g2.m @ dp.b.m @ g2.inv
         w2 = omega_matrix(ctx, a2, b2, double_space(ctx))
-        ad2 = Mat.from_columns(
-            [ctx.coords(g2.m @ bk @ g2.inv) for bk in ctx.basis], ctx.dim_g, EXACT
-        )
+        ad2 = ctx.adjoint(g2.m, g2.inv)
         # Ad (+) Ad is block diagonal, so its pullback of w2 acts blockwise
         adt = ad2.transpose()
         if any(adt @ b2 @ ad2 != b for b2, b in zip(_blocks(w2, ctx.dim_g),
@@ -330,7 +325,7 @@ def _a4_sample(ctx, dp, w, rng, count: int) -> bool:
 
 def _blocks(m: Mat, d: int) -> list[Mat]:
     """The four d x d blocks of a 2d x 2d matrix, row by row."""
-    return [Mat([r[c:c + d] for r in m.data[r0:r0 + d]], m.backend)
+    return [m.row_block(r0, r0 + d).col_block(c, c + d)
             for r0 in (0, d) for c in (0, d)]
 
 
@@ -621,7 +616,8 @@ def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
     if kind == "steinberg":
         ctx = context(payload["group"])
         g = GroupElement(ctx, mat_from_json(payload["g"]))
-        t = GroupElement(ctx, mat_from_json(payload["t"]))
+        # t takes g's backend: invariants of mixed backends never compare equal
+        t = GroupElement(ctx, mat_from_json(payload["t"], g.m.backend))
         from .gspringer import steinberg_membership
 
         return {"member": steinberg_membership(g, t)}

@@ -8,9 +8,14 @@ flip, and no metric is needed where the restricted trace form would be
 degenerate).  Covectors handed over as algebra elements are converted
 through the context's Gram matrix.
 
-The twisted Dorfman bracket is evaluated with the forward-mode engine of
-:mod:`qpslab.diffcalc`; the sign and scale conventions are frozen by the
-calibration suite and recorded in :mod:`qpslab.conventions`.
+The twisted Dorfman bracket, :func:`dorfman`, is evaluated with the
+forward-mode engine of :mod:`qpslab.diffcalc`; the sign and scale
+conventions are frozen by the calibration suite and recorded in
+:mod:`qpslab.conventions`.  The full-basis closure check,
+:func:`cartan_closure_check`, needs no dual numbers: along the first-order
+curve q = g (I + t v), q^-1 xi q = A + t [A, v] with A = Ad_{g^-1} xi, so
+every derivative of a conjugation section is a bracket, read from the
+structure constants.  :func:`dorfman` is its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from typing import Callable, Sequence
 from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space, dot_part
 from .liegroup import AlgebraElement, GroupElement, conj_field, sigma, sigma_average
-from .liegroup import bracket as mbracket
 from .linalg import EXACT, Mat, Subspace, dot, intersect, kernel, mat_vec
 from .matio import mat_to_json
 from .scalars import QQi
@@ -344,89 +348,88 @@ def cartan_closure_check(ctx, gmat: Mat):
     """Full-basis Dorfman closure of the conjugation sections at one point.
 
     Equivalent to running :func:`dorfman` on every pair of basis sections
-    and comparing against the section of the bracket (which is linear in
-    xi, so the targets come from structure constants), but with the
-    dual-point section evaluations shared across all pairs.  ``dorfman``
-    itself is the independent oracle for this batching in the tests.
+    and comparing against the section of the bracket (linear in xi, so the
+    targets come from structure constants), with every derivative in closed
+    form.  ``dorfman``, which differentiates the sections on dual points, is
+    the independent oracle for this in the tests.
+
+    The lemma: along the curve q = g (I + t v) of :meth:`Space.curve`,
+    q^-1 = g^-1 - t v g^-1 exactly, so q^-1 xi q = A + t [A, v] with
+    A = Ad_{g^-1} xi.  In coordinates, with M = Ad_{g^-1} and R(v) the
+    matrix of a -> coords([a, v]) (:meth:`GroupContext.bracket_matrices`),
+    M moves by R(v) M.  Section j has tangent part x_j, column j of
+    X = I - M, and covector part a_j, column j of gram sigma_average(I, M);
+    along v they move by -R(v) M and gram sigma_average(0, R(v) M).  Along
+    e_m, section i moves through R(e_m) M_i = -R(M_i) e_m.
 
     Expanded, the covector of the pair (i, j) at basis direction m is
 
-        dxb[i][j][m] - dxb[j][i][m] + dex[m][i].als[j] + dea[m][i].xs[j]
-        - bre[i][m].als[j] + bre[j][m].als[i] + c * gb[j][m].xs[i]
+        dxb[i][j][m] - dxb[j][i][m] + dex[m][i].a_j + dea[m][i].x_j
+        - [x_i, e_m].a_j + [x_j, e_m].(a_i + c gram x_i)
 
-    (``dorfman``'s two ``als[i].dex[m][j]`` terms cancel), so every
-    contraction is an entry of a product of a stack of such vectors with
-    the matrix whose columns are ``als`` or ``xs``.
+    where dxb[i][j] is how a_j moves along x_i, dex[m][i] and dea[m][i] how
+    x_i and a_i move along e_m, and c = eta_coeff * twist (``dorfman``'s two
+    a_i.dex[m][j] terms cancel).  The rows ``i d + j`` of all pairs are
+    stacked: block i is a product with R(x_i) or R(M_i), and the terms
+    read at the pair (j, i) are moved there by one row swap.  The stack is
+    compared with the targets in one integer ``==``; only on a mismatch are
+    the rows scanned, pair (i, j) in basis order, for the witness.
 
     Returns (ok, witness).
     """
-    space = Space(ctx, ("g",))
+    lhs, targets = _closure_sides(ctx, gmat)
+    if lhs == targets:
+        return True, None
     d = ctx.dim_g
-    secs = [cartan_section(ctx, b) for b in ctx.basis]
-    p = (gmat,)
-    xs, als = [], []
-    for s in secs:
-        x, a = s.fn(p)
-        xs.append(list(x))
-        als.append(list(a))
+    r = next(r for r in range(d * d)
+             if lhs.row_block(r, r + 1) != targets.row_block(r, r + 1))
+    i, j = divmod(r, d)
+    return False, {"pair": [ctx.basis_labels[i], ctx.basis_labels[j]]}
 
-    dxy = [[None] * d for _ in range(d)]
-    dxb = [[None] * d for _ in range(d)]
-    for i in range(d):
-        q = space.curve(p, xs[i])
-        for j in range(d):
-            y, b = secs[j].fn(q)
-            dxy[i][j] = [dot_part(v) for v in y]
-            dxb[i][j] = [dot_part(v) for v in b]
 
-    dirs = space.basis_directions()
-    dex = [[None] * d for _ in range(d)]
-    dea = [[None] * d for _ in range(d)]
-    for m in range(d):
-        q = space.curve(p, dirs[m])
-        for j in range(d):
-            y, b = secs[j].fn(q)
-            dex[m][j] = [dot_part(v) for v in y]
-            dea[m][j] = [dot_part(v) for v in b]
+def _closure_sides(ctx, gmat: Mat) -> tuple[Mat, Mat]:
+    """Both sides of closure at g for every pair of basis sections.
 
-    xmats = [ctx.mat_from_coords(x) for x in xs]
-    br = [[ctx.coords(mbracket(xmats[i], xmats[j])) for j in range(d)]
-          for i in range(d)]
-    bre = [[ctx.coords(mbracket(xmats[i], ctx.basis[m])) for m in range(d)]
-           for i in range(d)]
-    struct = [[ctx.coords(mbracket(ctx.basis[i], ctx.basis[j]))
-               for j in range(d)] for i in range(d)]
-
+    Row ``i d + j`` of the first matrix is (tangent | covector) of the
+    Dorfman bracket of sections i and j; of the second, that of the section
+    of [e_i, e_j].  See :func:`cartan_closure_check`.
+    """
+    d = ctx.dim_g
+    gram = ctx.gram
+    eye, zero = Mat.identity(d), Mat.zeros(d, d)
     conv = ACTIVE.get()
-    xmat, amat = Mat(xs, EXACT), Mat(als, EXACT)
-    xt, at = xmat.transpose(), amat.transpose()
-    # gb[j][m] = gram bre[j][m], so c * gb[j][m].xs[i] = bre[j][m].(c gram^T xs[i])
-    gx = ctx.gram.transpose().scale(conv.eta_coeff * conv.twist) @ xt
-    # row k d + l of _stack(u) is u[k][l], so
-    #   de[m d + i][j] = dex[m][i].als[j] + dea[m][i].xs[j]
-    #   ba[i d + m][j] = bre[i][m].als[j]
-    #   bag[j d + m][i] = bre[j][m].als[i] + c * gb[j][m].xs[i]
-    #   targets[i d + j] = sum_k struct[i][j][k] (xs[k] | als[k])
-    de = _stack(dex) @ at + _stack(dea) @ xt
-    bres = _stack(bre)
-    ba, bag = bres @ at, bres @ (at + gx)
-    targets = _stack(struct) @ xmat.hstack(amat)
+    m = ctx.adjoint(gmat.inverse(), gmat)
+    x = eye - m
+    a = gram @ sigma_average(eye, m)
+    mt, xt, at = m.transpose(), x.transpose(), a.transpose()
+    # [x_j, e_m] pairs with a_i + c gram x_i
+    act = (a + (gram @ x).scale(conv.eta_coeff * conv.twist)).transpose()
 
+    own = swapped = None
+    for rx, rm in zip(ctx.bracket_matrices(x), ctx.bracket_matrices(m)):
+        rxt = rx.transpose()
+        # row j: how M_j moves along x_i, (R(x_i) M_j)^T, and so section j
+        dmt = mt @ rxt
+        dt, da = -dmt, sigma_average(zero, dmt) @ gram
+        # column m: how M_i moves along e_m, R(e_m) M_i, and so section i
+        dme = -rm
+        dte, dae = -dme, gram @ sigma_average(zero, dme)
+        brx, bre = -(xt @ rxt), -rx  # row j: [x_i, x_j]; column m: [x_i, e_m]
+        blk = (dt + brx).hstack(da + at @ (dte - bre) + xt @ dae)
+        sw = (-dt).hstack(act @ bre - da)
+        own = blk if own is None else own.vstack(blk)
+        swapped = sw if swapped is None else swapped.vstack(sw)
+    return own + _swap_pairs(swapped, d), ctx.structure_constants @ xt.hstack(at)
+
+
+def _swap_pairs(rows: Mat, d: int) -> Mat:
+    """Row ``i d + j`` of the result is row ``j d + i`` of ``rows``."""
+    out = None
     for i in range(d):
         for j in range(d):
-            tangent = [a - b + c for a, b, c in zip(dxy[i][j], dxy[j][i], br[i][j])]
-            cov = [dxb[i][j][m] - dxb[j][i][m] + de.data[m * d + i][j]
-                   - ba.data[i * d + m][j] + bag.data[j * d + m][i]
-                   for m in range(d)]
-            target = targets.data[i * d + j]
-            if tuple(tangent) != target[:d] or tuple(cov) != target[d:]:
-                return False, {"pair": [ctx.basis_labels[i], ctx.basis_labels[j]]}
-    return True, None
-
-
-def _stack(blocks) -> Mat:
-    """The vectors ``blocks[k][l]`` as the rows ``k * len(blocks[k]) + l``."""
-    return Mat([v for row in blocks for v in row], EXACT)
+            row = rows.row_block(j * d + i, j * d + i + 1)
+            out = row if out is None else out.vstack(row)
+    return out
 
 
 def cartan_eta3(space: Space):

@@ -262,24 +262,14 @@ def omega_matrix(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> Mat:
     if space.parts not in (("g", "g"), ("g", "b")):
         raise ValueError("omega matrix lives on G x G or G x B coordinates")
     d = ctx.dim_g
-    binv = bmat.inverse()
-    admat = Mat.from_columns(
-        [ctx.coords(bmat @ bk @ binv) for bk in ctx.basis], d, bmat.backend
-    )
     gram = ctx.gram
-    t = gram @ admat
+    t = gram @ ctx.adjoint(bmat, bmat.inverse())
     tt = t.transpose()
-    w11 = tt - t
-    w12 = t + gram
-    w21 = -(tt + gram)
-    scale = Fraction(-ACTIVE.get().omega_sign, 2)
     k = space.dim - d  # second-factor block size (d or dim_b)
-    rows = []
-    for i in range(d):
-        rows.append(tuple(w11.data[i]) + tuple(w12.data[i][:k]))
-    for i in range(k):
-        rows.append(tuple(w21.data[i]) + (QQi(0),) * k)
-    return Mat(rows, bmat.backend).scale(scale)
+    w12 = (t + gram).col_block(0, k)
+    w21 = (-(tt + gram)).row_block(0, k)
+    w = (tt - t).hstack(w12).vstack(w21.hstack(Mat.zeros(k, k)))
+    return w.scale(Fraction(-ACTIVE.get().omega_sign, 2))
 
 
 def omega_double(p: DoublePoint) -> TwoFormFiber:
@@ -709,10 +699,7 @@ def reconstruct_bivector(chart: QuotientChart):
              for i in range(d)]
     sv = [ctx.coords(sigma_adjoint(Covector(m, a)).m) for a in duals]
 
-    admat = Mat.from_columns(
-        [ctx.coords(m.m @ ctx.basis[k] @ m.inv) for k in range(d)], d, EXACT
-    )
-    rho_adj = Mat.identity(d) - admat           # v -> v - Ad_m v
+    rho_adj = Mat.identity(d) - ctx.adjoint(m.m, m.inv)  # v -> v - Ad_m v
     cmat = Mat.identity(h) - (rmat @ rho_adj @ dmu).scale(QQi(Fraction(1, 4)))
 
     # image condition mu_* X = -(sigma-adjoint dual of rho_M^* alpha); the

@@ -87,6 +87,7 @@ class GroupContext:
         ]
         self.gram = Mat(gram)
         self.gram_inv = self.gram.inverse()
+        self._brackets = None  # see _bracket_tables
 
     # -- names ---------------------------------------------------------------
 
@@ -168,7 +169,57 @@ class GroupContext:
         full = self.coords(m)
         return [full[i] for i in self.sub_indices(part)]
 
+    def adjoint(self, m: Mat, minv: Mat) -> Mat:
+        """Ad_m in algebra coordinates: column j holds the coordinates of
+        ``m e_j m^-1``.  ``minv`` is the inverse of ``m``; pass them swapped
+        for Ad_{m^-1}."""
+        return Mat.from_columns(
+            [self.coords(m @ bk @ minv) for bk in self.basis], self.dim_g, m.backend
+        )
+
     # -- invariant form and brackets ------------------------------------------
+
+    def _bracket_tables(self) -> tuple[Mat, Mat]:
+        """The structure constants in the two layouts the closure check uses.
+
+        ``R_m`` is the matrix of a -> coords([a, e_m]); its column l is
+        coords([e_l, e_m]).  The first table has row m equal to ``R_m`` read
+        row by row; the second stacks coords([e_i, e_j]) as row ``i d + j``.
+        Built on first use, so only the closure check pays for them; they do
+        not depend on the conventions.
+        """
+        if self._brackets is None:
+            d = self.dim_g
+            struct = [[self.coords(bracket(x, y)) for y in self.basis]
+                      for x in self.basis]
+            flat = Mat([[struct[l][m][k] for k in range(d) for l in range(d)]
+                        for m in range(d)], EXACT)
+            stacked = Mat([v for row in struct for v in row], EXACT)
+            self._brackets = (flat, stacked)
+        return self._brackets
+
+    @property
+    def structure_constants(self) -> Mat:
+        """coords([e_i, e_j]) as row ``i * dim_g + j``."""
+        return self._bracket_tables()[1]
+
+    def bracket_matrices(self, vectors: Mat) -> list[Mat]:
+        """``R(v) = sum_m v_m R_m`` for each column v of ``vectors``.
+
+        R(v) is the matrix of a -> coords([a, v]).  One product with the
+        first table of :meth:`_bracket_tables` gives every R(v) read row by
+        row; each is then cut into its d rows.
+        """
+        d = self.dim_g
+        flat = vectors.transpose() @ self._bracket_tables()[0]
+        out = []
+        for i in range(vectors.cols):
+            row = flat.row_block(i, i + 1)
+            r = row.col_block(0, d)
+            for k in range(d, d * d, d):
+                r = r.vstack(row.col_block(k, k + d))
+            out.append(r)
+        return out
 
     def form(self, x: Mat, y: Mat):
         """The invariant bilinear form ``c * tr(x y)``."""

@@ -23,9 +23,10 @@ memory of a run.
   from the rows and kept, is the right operand of ``@`` and the row form of
   the transpose.
 * ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.transpose`,
-  :meth:`Mat.hstack`, :meth:`Mat.vstack` and :meth:`Mat.row_block` return
-  integer form directly, without building a ``Fraction``; :func:`mat_vec`
-  takes integer dot products with the stored rows.
+  :meth:`Mat.hstack`, :meth:`Mat.vstack`, :meth:`Mat.row_block` and
+  :meth:`Mat.col_block` return integer form directly, without building a
+  ``Fraction``; :func:`mat_vec` takes integer dot products with the stored
+  rows.
 * :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
   (Bareiss, Math. Comp. 22, 1968) on the integer rows.
 * :func:`rref` and :meth:`Mat.inverse` (n > 3) run its Gauss-Jordan form
@@ -303,6 +304,18 @@ class Mat:
                 None if data is None else data[start:stop],
                 ints[start:stop] if ints else None)
         return m
+
+    def col_block(self, start: int, stop: int) -> "Mat":
+        """Columns ``start:stop`` (slice bounds); an empty block is an error."""
+        n = len(range(self.cols)[start:stop])
+        if not n:
+            raise LinAlgError("matrix needs at least one column")
+        ints = self._int_form()
+        if ints is None:
+            return Mat._raw(tuple(r[start:stop] for r in self.data), self.backend)
+        icols = self._icols
+        return Mat._from_ints([_canon(r[start:stop], d) for r, d in ints], n,
+                              None if icols is None else icols[start:stop])
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

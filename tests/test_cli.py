@@ -100,6 +100,17 @@ def test_eval_steinberg():
     assert out == {"member": True}
 
 
+def test_eval_steinberg_loads_t_with_the_backend_of_g(tmp_path, capsys):
+    # an exact g with integer t entries: t is read exactly too
+    unip = {"rows": 2, "cols": 2,
+            "entries": [["1", "0"], ["1", "0"], ["0", "0"], ["1", "0"]]}
+    ident = {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}
+    path = tmp_path / "steinberg.json"
+    path.write_text(json.dumps({"group": "sl2", "g": unip, "t": ident}))
+    assert main(["eval", "steinberg", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"member": True}
+
+
 def test_eval_fiber_enum():
     diag = {"group": "sl2", "rows": 2, "cols": 2,
             "entries": [["2", "0"], ["0", "0"], ["0", "0"], ["1/2", "0"]]}

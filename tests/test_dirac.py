@@ -1,11 +1,16 @@
 """Fibers, the symmetric pairing, graphs, transport, and the bracket."""
 
+import runpy
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qpslab.conventions import CORRUPTIONS, using
-from qpslab.diffcalc import Space, inversion_map, PointedMap
+from qpslab import dirac
+from qpslab.conventions import CORRUPTIONS, FROZEN, using
+from qpslab.diffcalc import DualMat, Space, inversion_map, PointedMap
 from qpslab.dirac import (BivectorFiber, DiracFiber, TwoFormFiber,
                           cartan_closure_check, cartan_dirac, cartan_eta3,
                           cartan_section, dorfman, graph_bivector,
@@ -18,6 +23,7 @@ from qpslab.linalg import EXACT, Mat, Subspace, kernel, mat_vec, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
+ROOT = Path(__file__).resolve().parents[1]
 SL2 = context("sl2")
 RNG = SplitMix64(41)
 
@@ -219,19 +225,64 @@ def first_failing_pair(ctx, gmat):
     return None
 
 
+def calibration_grid():
+    """Every (eta_coeff, twist) candidate of the calibration sweep."""
+    sweep = runpy.run_path(str(ROOT / "scripts" / "calibrate_conventions.py"))
+    return [replace(FROZEN, eta_coeff=c, twist=t)
+            for c in sweep["ETA_COEFFS"] for t in sweep["TWISTS"]]
+
+
 def test_batched_closure_matches_dorfman_under_corruption():
     rng = SplitMix64(45)
     for ctx in (SL2, context("gl2")):
         g = random_point(ctx, "G", rng)
-        for name in ("sigma-half", "dorfman-eta"):
-            with using(CORRUPTIONS[name]):
-                ok, witness = cartan_closure_check(ctx, g.m)
+        G = Space(ctx, ("g",))
+        pairs = [(cartan_section(ctx, bi), cartan_section(ctx, bj))
+                 for bi in ctx.basis for bj in ctx.basis]
+        for conv in list(CORRUPTIONS.values()) + calibration_grid():
+            with using(conv):
+                got = cartan_closure_check(ctx, g.m)
                 first = first_failing_pair(ctx, g.m)
-            assert first is not None
-            assert not ok and witness == {"pair": first}
-    for name in ("sl3", "gl3"):
+                # every pair's bracket, not only the first wrong one
+                lhs, _ = dirac._closure_sides(ctx, g.m)
+                for r, (s1, s2) in enumerate(pairs):
+                    t, c = dorfman(s1, s2, cartan_eta3(G), G, (g.m,))
+                    assert lhs.row_block(r, r + 1) == Mat([list(t) + list(c)])
+            assert got == ((True, None) if first is None else (False, {"pair": first}))
+            # closure sees eta only through eta_coeff * twist, and never the
+            # double's 2-form, so omega-sign passes
+            closes = (conv.eta_coeff * conv.twist == FROZEN.eta_coeff * FROZEN.twist
+                      and (conv.sigma_factor, conv.sigma_ad_sign)
+                      == (FROZEN.sigma_factor, FROZEN.sigma_ad_sign))
+            assert (first is None) == closes
+    for name in ("sl3", "gl3", "sl4", "gl4"):
         ctx = context(name)
         assert cartan_closure_check(ctx, random_point(ctx, "G", rng).m) == (True, None)
+
+
+def test_closed_form_closure_evaluates_no_section(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dirac, "cartan_section",
+                        counting("cartan_section", dirac.cartan_section))
+    monkeypatch.setattr(Space, "curve", counting("curve", Space.curve))
+    monkeypatch.setattr(DualMat, "inverse", counting("inverse", DualMat.inverse))
+    for group in ("sl2", "gl3"):
+        ctx = context(group)
+        assert cartan_closure_check(ctx, random_point(ctx, "G", RNG).m)[0]
+    assert not calls
+    # the spies see the per-pair oracle
+    g = random_point(SL2, "G", RNG)
+    G = Space(SL2, ("g",))
+    s = dirac.cartan_section(SL2, SL2.basis[0])
+    dorfman(s, s, cartan_eta3(G), G, (g.m,))
+    assert calls["curve"] and calls["inverse"]
 
 
 def test_fiber_json_dump():

@@ -3,8 +3,8 @@
 Every real exact matrix is kept and operated on in integer form; the QQi
 arithmetic (``linalg._*_qqi``) is the path for non-real entries and the
 oracle here.  The two must agree entry for entry on products, sums, scalings,
-transposes, stacks and row blocks, ranks, reduced row echelon forms with
-their pivots, kernels, solves, inverses and determinants, including
+transposes, stacks, row and column blocks, ranks, reduced row echelon forms
+with their pivots, kernels, solves, inverses and determinants, including
 rank-deficient matrices, zero rows and columns, and numerators above 2**60.
 A matrix in integer form must also equal, and hash like, the same matrix
 built from its entries.
@@ -271,6 +271,8 @@ def test_stored_form_matches_qqi_entries(case):
     s = QQi(rational(rnd, 64, 2**62)) if rnd.random() < 0.8 else QQi(0)
     start = rnd.randrange(m.rows)
     stop = rnd.randint(start + 1, m.rows)
+    cstart = rnd.randrange(m.cols)
+    cstop = rnd.randint(cstart + 1, m.cols)
 
     assert_same(fresh(m) + fresh(other), entrywise(lambda x, y: x + y, m, other))
     assert_same(fresh(m) - fresh(other), entrywise(lambda x, y: x - y, m, other))
@@ -282,6 +284,11 @@ def test_stored_form_matches_qqi_entries(case):
                 [a + b for a, b in zip(m.data, wide.data)])
     assert_same(fresh(m).vstack(fresh(tall)), m.data + tall.data)
     assert_same(fresh(m).row_block(start, stop), m.data[start:stop])
+    cut = [r[cstart:cstop] for r in m.data]
+    assert_same(fresh(m).col_block(cstart, cstop), cut)
+    # with the column form already derived, the block keeps its slice
+    assert_same(fresh(m).transpose().transpose().col_block(cstart, cstop)
+                .transpose(), list(zip(*cut)))
     assert_same(fresh(m) @ fresh(right), linalg._matmul_qqi(m, right).data)
     assert_same(fresh(m).transpose() @ fresh(other),
                 linalg._matmul_qqi(Mat(list(zip(*m.data))), other).data)
@@ -296,6 +303,8 @@ def test_stored_form_matches_qqi_entries(case):
     assert (fresh(m) == fresh(other)) == (m.data == other.data)
     with pytest.raises(LinAlgError):
         fresh(m).row_block(stop, start)
+    with pytest.raises(LinAlgError):
+        fresh(m).col_block(cstop, cstart)
 
 
 @SETTINGS

@@ -76,16 +76,16 @@ def test_omega_identity_fiber_anchor():
 
 def test_omega_matrix_against_entrywise_oracle():
     rng = SplitMix64(63)
-    dp = sample_double(SL2, rng)
-    sp = double_space(SL2)
-    w = omega_matrix(SL2, dp.a.m, dp.b.m, sp)
-    assert (w + w.transpose()).is_zero()
-    dirs = sp.basis_directions()
-    mats = [sp.matrices(e) for e in dirs]
-    for i in range(len(dirs)):
-        for j in range(len(dirs)):
-            assert w.entry(i, j) == omega_value(
-                SL2, dp.a.m, dp.b.m, mats[i], mats[j])
+    for name in sorted(GROUPS):
+        ctx = context(name)
+        for space, kind in ((double_space(ctx), "G"), (gxb_space(ctx), "B")):
+            a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
+            w = omega_matrix(ctx, a.m, b.m, space)
+            assert w.shape == (space.dim, space.dim)
+            assert (w + w.transpose()).is_zero()
+            mats = [space.matrices(e) for e in space.basis_directions()]
+            assert [list(r) for r in w.data] == [
+                [omega_value(ctx, a.m, b.m, u, v) for v in mats] for u in mats]
 
 
 def test_omega_double_wrapper_and_nondegeneracy():
