@@ -280,7 +280,7 @@ def _a1_all(ctx, dp, w, dphi) -> bool:
         ximat = ctx.basis[k % ctx.dim_g]
         zero = Mat.zeros(ctx.n, ctx.n)
         xi1, xi2 = (ximat, zero) if k < ctx.dim_g else (zero, ximat)
-        u = rho_double(ctx, dp.a.m, dp.b.m, xi1, xi2)
+        u = rho_double(dp.a, dp.b, xi1, xi2)
         lhs = mat_vec(wt, u)
         dual = (sigma(g1, AlgebraElement(ctx, xi1, check=False)).dual_coords()
                 + sigma(g2, AlgebraElement(ctx, xi2, check=False)).dual_coords())
@@ -521,7 +521,8 @@ def _check_diagram_gs(cfg: CampaignConfig, payload: dict) -> list:
             pts = weyl_fiber_enum(rs)
             w = WeylGroup(ctx)
             count_ok = len(pts) == len(w)
-            res_ok = all(mu_residual(p, rs) < 1e-8 for p in pts)
+            residuals = [mu_residual(p, rs) for p in pts]
+            res_ok = all(r < 1e-8 for r in residuals)
             distinct = all(
                 not pts[i].same_class(pts[j], tol)
                 for i in range(len(pts))
@@ -530,7 +531,7 @@ def _check_diagram_gs(cfg: CampaignConfig, payload: dict) -> list:
             recs.append(_record(
                 "diagram-gs/weyl-fiber", count_ok and res_ok and distinct,
                 {"count": len(pts), "expected": len(w),
-                 "max_residual": max(mu_residual(p, rs) for p in pts)},
+                 "max_residual": max(residuals)},
             ))
         except NotRegularSemisimple as e:
             recs.append(_record("diagram-gs/weyl-fiber", False, {"error": str(e)}))

@@ -56,23 +56,17 @@ class DiracFiber:
         top = self.basis.row_block(0, self.d)
         return Subspace.from_spanning(top)
 
-    def cotangent_intersection(self, tol=None) -> Subspace:
+    def cotangent_intersection(self) -> Subspace:
         """Intersection with the cotangent coordinate subspace."""
-        one = QQi(1) if self.basis.backend == EXACT else 1.0 + 0j
-        zero = QQi(0) if self.basis.backend == EXACT else 0.0 + 0j
-        lower = Subspace.from_vectors(
-            [[one if i == self.d + k else zero for i in range(2 * self.d)]
-             for k in range(self.d)],
-            2 * self.d,
-            self.basis.backend,
-        )
-        return intersect(self.subspace(), lower, tol)
+        d = self.d
+        lower = Subspace.from_spanning(Mat.zeros(d, d).vstack(Mat.identity(d)))
+        return intersect(self.subspace(), lower)
 
-    def contains(self, xcoords: Sequence, acoords: Sequence, tol=None) -> bool:
-        return self.subspace().contains_vector(list(xcoords) + list(acoords), tol)
+    def contains(self, xcoords: Sequence, acoords: Sequence) -> bool:
+        return self.subspace().contains_vector(list(xcoords) + list(acoords))
 
-    def equals(self, other: "DiracFiber", tol=None) -> bool:
-        return self.d == other.d and self.subspace().equals(other.subspace(), tol)
+    def equals(self, other: "DiracFiber") -> bool:
+        return self.d == other.d and self.subspace().equals(other.subspace())
 
     def to_json(self) -> dict:
         base = self.base
@@ -98,15 +92,8 @@ class TwoFormFiber:
         if m.rows != m.cols:
             raise ValueError("2-form matrix must be square")
 
-    def is_skew(self, tol=None) -> bool:
-        return (self.matrix + self.matrix.transpose()).is_zero(tol)
-
-    def value(self, u: Sequence, v: Sequence):
-        return dot(list(u), mat_vec(self.matrix, list(v)))
-
-    def flat(self, u: Sequence) -> list:
-        """Dual coordinates of ``omega(u, .)``."""
-        return mat_vec(self.matrix.transpose(), list(u))
+    def is_skew(self) -> bool:
+        return (self.matrix + self.matrix.transpose()).is_zero()
 
 
 @dataclass(frozen=True)
@@ -116,11 +103,8 @@ class BivectorFiber:
     base: object
     matrix: Mat
 
-    def is_skew(self, tol=None) -> bool:
-        return (self.matrix + self.matrix.transpose()).is_zero(tol)
-
-    def sharp(self, acoords: Sequence) -> list:
-        return mat_vec(self.matrix, list(acoords))
+    def is_skew(self) -> bool:
+        return (self.matrix + self.matrix.transpose()).is_zero()
 
 
 @dataclass(frozen=True)
@@ -129,12 +113,6 @@ class DiracSection:
 
     name: str
     fn: Callable
-
-    def tangent(self, point):
-        return list(self.fn(tuple(point))[0])
-
-    def covector(self, point):
-        return list(self.fn(tuple(point))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +145,16 @@ def pairing_gram(fiber: DiracFiber) -> Mat:
     return top.transpose() @ bot + bot.transpose() @ top
 
 
-def is_lagrangian(fiber: DiracFiber, tol=None):
+def is_lagrangian(fiber: DiracFiber):
     """Isotropy plus half-dimensionality, with a witness on failure."""
     if fiber.dim != fiber.d:
         return False, {"reason": "dimension", "dim": fiber.dim, "expected": fiber.d}
     gram = pairing_gram(fiber)
-    if fiber.dim and not gram.is_zero(tol):
+    if fiber.dim and not gram.is_zero():
         for i in range(gram.rows):
             for j in range(gram.cols):
                 x = gram.entry(i, j)
-                bad = bool(x) if gram.backend == EXACT else abs(x) > (tol or 1e-9)
-                if bad:
+                if x:
                     return False, {
                         "reason": "pairing",
                         "pair": [i, j],
@@ -212,8 +189,7 @@ def graph_bivector(pi: BivectorFiber) -> DiracFiber:
 # transport along maps
 
 
-def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None,
-                       tol=None) -> DiracFiber:
+def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
     """Pushforward along a linear tangent map given by its matrix.
 
     f_* L = {(F X, b) | (X, F^T b) in L}; computed by solving the linear
@@ -234,7 +210,7 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None,
     ft = fmat.transpose()
     row2 = Mat.zeros(v, v, backend).hstack(ft).hstack(-bot if k else Mat.zeros(v, 0, backend))
     system = row1.vstack(row2)
-    null = kernel(system, tol)
+    null = kernel(system)
     if null.dim:
         # columns (F x, b) for the null vectors (x, b, c)
         x = null.basis.row_block(0, v)
@@ -245,8 +221,7 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None,
     return DiracFiber(base if base is not None else fiber.base, w, basis)
 
 
-def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None,
-                    tol=None) -> DiracFiber:
+def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
     """Pullback along a linear tangent map: {(X, F^T b) | (F X, b) in L}."""
     w = fiber.d
     v = fmat.cols
@@ -261,7 +236,7 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None,
     row2 = Mat.zeros(w, v, backend).hstack(Mat.identity(w, backend)).hstack(
         -bot if k else Mat.zeros(w, 0, backend))
     system = row1.vstack(row2)
-    null = kernel(system, tol)
+    null = kernel(system)
     if null.dim:
         # columns (x, F^T b) for the null vectors (x, b, c)
         x = null.basis.row_block(0, v)

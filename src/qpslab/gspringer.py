@@ -202,17 +202,16 @@ def phi_differential(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> M
     return Mat.from_columns(cols, space.dim, amat.backend)
 
 
-def rho_double(ctx: GroupContext, amat: Mat, bmat: Mat,
-               xi1: Mat, xi2: Mat) -> list:
-    """Action generator of (xi1, xi2) on the double, left-trivialized.
+def rho_double(a: GroupElement, b: GroupElement, xi1: Mat, xi2: Mat) -> list:
+    """Action generator of (xi1, xi2) on the double at (a, b), left-trivialized.
 
     Sign convention: the negative of the derivative of the printed action,
     matching the xi^L - xi^R convention of the conjugation structure (on the
     second factor this is literally xi2^L - xi2^R).
     """
-    u1 = xi2 - amat.inverse() @ xi1 @ amat
-    u2 = xi2 - bmat.inverse() @ xi2 @ bmat
-    return ctx.coords(u1) + ctx.coords(u2)
+    u1 = xi2 - a.inv @ xi1 @ a.m
+    u2 = xi2 - b.inv @ xi2 @ b.m
+    return a.ctx.coords(u1) + a.ctx.coords(u2)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def moment_condition_check(p: DoublePoint, xi1: AlgebraElement,
     """omega^flat of the action field equals the pulled-back sigma covector."""
     ctx = p.ctx
     w = omega_matrix(ctx, p.a.m, p.b.m, double_space(ctx))
-    u = rho_double(ctx, p.a.m, p.b.m, xi1.m, xi2.m)
+    u = rho_double(p.a, p.b, xi1.m, xi2.m)
     lhs = mat_vec(w.transpose(), u)
     g1, g2 = phi(p)
     dual = sigma(g1, xi1).dual_coords() + sigma(g2, xi2).dual_coords()

@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from .conventions import ACTIVE
-from .linalg import EXACT, Mat, mat_vec
+from .linalg import DEFAULT_TOL, EXACT, Mat, mat_vec
 from .matio import mat_from_json, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQI_ZERO, Dual, QQi
@@ -246,18 +246,15 @@ class GroupContext:
         """Functional coordinates of the covector with algebra coordinate a."""
         return mat_vec(self.gram, self.coords(a))
 
-    def covector_from_dual(self, dual) -> Mat:
-        return self.mat_from_coords(mat_vec(self.gram_inv, list(dual)))
-
     # -- membership helpers ----------------------------------------------------
 
-    def in_algebra(self, m: Mat, tol: float | None = None) -> bool:
+    def in_algebra(self, m: Mat) -> bool:
         if self.family == "GL":
             return True
         t = m.trace()
         if m.backend == EXACT:
             return not t
-        return abs(t) <= (tol or 1e-9) * max(1.0, m.max_abs())
+        return abs(t) <= DEFAULT_TOL * max(1.0, m.max_abs())
 
     def in_borel(self, m: Mat, tol: float | None = None) -> bool:
         for i, j in self._lower:

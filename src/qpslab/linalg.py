@@ -29,11 +29,12 @@ memory of a run.
   rows.
 * :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
   (Bareiss, Math. Comp. 22, 1968) on the integer rows.
-* :func:`rref` and :meth:`Mat.inverse` (n > 3) run its Gauss-Jordan form
-  (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997), whose divisions are
-  exact; pivot row ``i`` of the result is that row over its pivot, reduced
-  by the row gcd.  :func:`kernel`, :func:`solve_unique`, :class:`Subspace`
-  and :func:`intersect` sit on :func:`rref` and read its integer rows.
+* :func:`rref` and :meth:`Mat.inverse`, for every size, run its
+  Gauss-Jordan form (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997),
+  whose divisions are exact; pivot row ``i`` of the result is that row over
+  its pivot, reduced by the row gcd.  :func:`kernel`, :func:`solve_unique`,
+  :class:`Subspace` and :func:`intersect` sit on :func:`rref` and read its
+  integer rows.
 
 The results are identical, entry for entry and so in every report, to those
 of elimination over :class:`QQi`: scaling a row does not change the reduced
@@ -51,8 +52,13 @@ vector that is neither real nor split that way (nested duals, non-real
 parts).  Only JSON input can produce a non-real entry; the same functions
 are the oracle of the differential tests.
 
-Float backend: rank decisions are delegated to SVD with a relative
-singular-value cutoff.
+Float backend: only what the float Weyl-fiber enumeration needs.  A float
+matrix supports products and sums, :meth:`Mat.is_zero`, :meth:`Mat.approx_eq`,
+:meth:`Mat.det` and :meth:`Mat.inverse` (numpy), and :func:`rank` and
+:func:`kernel`, which count singular values above ``DEFAULT_TOL`` times the
+largest one.  Everything built on :func:`rref` (:func:`solve_unique`, a
+:class:`Subspace` that is not already canonical, :func:`intersect`) is
+exact-only and raises :class:`LinAlgError` on a float matrix.
 
 Conventions: a :class:`Subspace` stores a basis matrix whose *columns* are
 the basis vectors, canonicalized by reduced row echelon form of the
@@ -188,10 +194,6 @@ class Mat:
             return cls._from_ints([([0] * cols, 1)] * rows, cols)
         zero = QQi(0) if backend == EXACT else 0.0 + 0j
         return cls([[zero] * cols for _ in range(rows)], backend)
-
-    @classmethod
-    def column(cls, entries: Sequence, backend: str | None = None) -> "Mat":
-        return cls([[x] for x in entries], backend)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], ambient: int, backend: str) -> "Mat":
@@ -389,8 +391,6 @@ class Mat:
         n = self.rows
         if self.backend == FLOAT:
             return Mat.from_numpy(np.linalg.inv(self.to_numpy()))
-        if n <= 3:
-            return self._inverse_small()
         ints = self._int_form()
         if ints is None:
             return _inverse_qqi(self)
@@ -402,36 +402,6 @@ class Mat:
         return Mat._from_ints(
             [_canon(r[n:], r[i]) for i, r in enumerate(aug)], n
         )
-
-    def _inverse_small(self) -> "Mat":
-        """Closed-form adjugate inverse for n <= 3 (hot path)."""
-        d = self.data
-        n = self.rows
-        if n == 1:
-            a = d[0][0]
-            if not a:
-                raise LinAlgError("singular matrix")
-            return Mat._raw(((QQi(1) / a,),), EXACT)
-        if n == 2:
-            (a, b), (c, e) = d
-            det = a * e - b * c
-            if not det:
-                raise LinAlgError("singular matrix")
-            r = QQi(1) / det
-            return Mat._raw(((e * r, -b * r), (-c * r, a * r)), EXACT)
-        (a, b, c), (e, f, g), (h, i, j) = d
-        co00 = f * j - g * i
-        co01 = g * h - e * j
-        co02 = e * i - f * h
-        det = a * co00 + b * co01 + c * co02
-        if not det:
-            raise LinAlgError("singular matrix")
-        r = QQi(1) / det
-        return Mat._raw((
-            (co00 * r, (c * i - b * j) * r, (b * g - c * f) * r),
-            (co01 * r, (a * j - c * h) * r, (c * e - a * g) * r),
-            (co02 * r, (b * h - a * i) * r, (a * f - b * e) * r),
-        ), EXACT)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
@@ -689,25 +659,28 @@ def _rref_int(rows: list[list[int]]) -> list[int]:
 # rank / kernel / reduced echelon form
 
 
-def rank(m: Mat, tol: float | None = None) -> int:
+def rank(m: Mat) -> int:
     """Rank over the scalar field.
 
     Exact backend: Bareiss fraction-free elimination on the integer rows.
-    Float backend: number of singular values above ``tol`` times the largest
-    one (relative cutoff, default 1e-9).
+    Float backend: the number of singular values above ``DEFAULT_TOL`` times
+    the largest one.
     """
     if m.cols == 0 or m.rows == 0:
         return 0
     if m.backend == FLOAT:
-        tol = DEFAULT_TOL if tol is None else tol
-        s = np.linalg.svd(m.to_numpy(), compute_uv=False)
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.sum(s > tol * s[0]))
+        return _float_rank(np.linalg.svd(m.to_numpy(), compute_uv=False))
     ints = m._int_form()
     if ints is None:
         return _rank_qqi(m)
     return _bareiss([r for r, _ in ints])[0]
+
+
+def _float_rank(s: np.ndarray) -> int:
+    """The number of singular values ``s`` above the relative cutoff."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > DEFAULT_TOL * s[0]))
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
@@ -836,19 +809,13 @@ def _inverse_qqi(m: Mat) -> Mat:
     return Mat([r[n:] for r in aug], EXACT)
 
 
-def kernel(m: Mat, tol: float | None = None) -> "Subspace":
+def kernel(m: Mat) -> "Subspace":
     """Basis of the null space; ``dim = cols - rank``."""
     if m.cols == 0:
         return Subspace.zero(0, m.backend)
     if m.backend == FLOAT:
-        tol = DEFAULT_TOL if tol is None else tol
-        a = m.to_numpy()
-        u, s, vh = np.linalg.svd(a)
-        if s.size == 0 or s[0] == 0.0:
-            rk = 0
-        else:
-            rk = int(np.sum(s > tol * s[0]))
-        null = vh[rk:].conj().T
+        _, s, vh = np.linalg.svd(m.to_numpy())
+        null = vh[_float_rank(s):].conj().T
         if null.shape[1] == 0:
             return Subspace.zero(m.cols, FLOAT)
         return Subspace(m.cols, Mat.from_numpy(null), canonical=True)
@@ -881,21 +848,13 @@ def kernel(m: Mat, tol: float | None = None) -> "Subspace":
                     canonical=True)
 
 
-def solve_unique(a: Mat, b: Sequence, tol: float | None = None):
-    """Solve ``a @ x = b``.
+def solve_unique(a: Mat, b: Sequence):
+    """Solve ``a @ x = b`` (exact backend only).
 
     Returns ``(solution, unique, consistent)``; ``solution`` is None when the
     system is inconsistent, otherwise one particular solution.
     """
-    if a.backend == FLOAT:
-        tol = DEFAULT_TOL if tol is None else tol
-        an = a.to_numpy()
-        bn = np.array([complex(x) for x in b])
-        x, *_ = np.linalg.lstsq(an, bn, rcond=None)
-        consistent = bool(np.linalg.norm(an @ x - bn) <= tol * max(1.0, np.linalg.norm(bn)))
-        unique = rank(a, tol) == a.cols
-        return (list(x) if consistent else None), unique, consistent
-    aug = a.hstack(Mat.from_columns([list(b)], a.rows, EXACT))
+    aug = a.hstack(Mat.from_columns([list(b)], a.rows, a.backend))
     red, pivots = rref(aug)
     if a.cols in pivots:
         return None, False, False
@@ -949,25 +908,25 @@ class Subspace:
     def backend(self) -> str:
         return self.basis.backend
 
-    def contains_vector(self, v: Sequence, tol: float | None = None) -> bool:
+    def contains_vector(self, v: Sequence) -> bool:
         if all(not _truthy(x) for x in v):
             return True
         stacked = self.basis.hstack(Mat.from_columns([list(v)], self.ambient_dim, self.backend))
-        return rank(stacked, tol) == self.dim
+        return rank(stacked) == self.dim
 
-    def contains(self, other: "Subspace", tol: float | None = None) -> bool:
+    def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
         if other.dim == 0:
             return True
-        return rank(self.basis.hstack(other.basis), tol) == self.dim
+        return rank(self.basis.hstack(other.basis)) == self.dim
 
-    def equals(self, other: "Subspace", tol: float | None = None) -> bool:
+    def equals(self, other: "Subspace") -> bool:
         # mutual containment through rank tests, never basis comparison
         return (
             self.dim == other.dim
-            and self.contains(other, tol)
-            and other.contains(self, tol)
+            and self.contains(other)
+            and other.contains(self)
         )
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -988,13 +947,6 @@ def _truthy(x) -> bool:
 def _canonical_basis(mat: Mat) -> Mat:
     if mat.cols == 0:
         return mat
-    if mat.backend == FLOAT:
-        a = mat.to_numpy()
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        if s.size == 0 or s[0] == 0.0:
-            return Mat.zeros(mat.rows, 0, FLOAT)
-        rk = int(np.sum(s > DEFAULT_TOL * s[0]))
-        return Mat.from_numpy(u[:, :rk]) if rk else Mat.zeros(mat.rows, 0, FLOAT)
     return _row_space_basis(mat.transpose())
 
 
@@ -1006,21 +958,21 @@ def _row_space_basis(rows: Mat) -> Mat:
     return red.row_block(0, len(pivots)).transpose()
 
 
-def intersect(a: Subspace, b: Subspace, tol: float | None = None) -> Subspace:
+def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Basis of ``a ∩ b``; satisfies dim(a∩b) = dim a + dim b − dim(a+b)."""
     if a.ambient_dim != b.ambient_dim:
         raise LinAlgError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim, a.backend)
     stacked = a.basis.hstack(b.basis)
-    null = kernel(stacked, tol)
+    null = kernel(stacked)
     if null.dim == 0:
         return Subspace.zero(a.ambient_dim, a.backend)
     coeffs = null.basis.row_block(0, a.dim)
     return Subspace(a.ambient_dim, a.basis @ coeffs)
 
 
-def annihilator(s: Subspace, pairing: Mat, tol: float | None = None) -> Subspace:
+def annihilator(s: Subspace, pairing: Mat) -> Subspace:
     """``{v : pairing(v, w) = 0 for all w in s}`` for a nondegenerate pairing.
 
     ``pairing(v, w)`` means ``v^T P w``; dim of the result is
@@ -1028,9 +980,9 @@ def annihilator(s: Subspace, pairing: Mat, tol: float | None = None) -> Subspace
     """
     if pairing.rows != s.ambient_dim or pairing.cols != s.ambient_dim:
         raise LinAlgError("pairing matrix has wrong shape")
-    if rank(pairing, tol) != s.ambient_dim:
+    if rank(pairing) != s.ambient_dim:
         raise LinAlgError("degenerate pairing")
     if s.dim == 0:
         return Subspace.full(s.ambient_dim, s.backend)
     cond = s.basis.transpose() @ pairing.transpose()
-    return kernel(cond, tol)
+    return kernel(cond)

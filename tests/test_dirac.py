@@ -59,11 +59,13 @@ def test_is_lagrangian_graphs():
     w = skew(SL2, RNG)
     ok, _ = is_lagrangian(graph_two_form(TwoFormFiber(None, w)))
     assert ok
-    # a symmetric nonzero form is not isotropic; the witness names a pair
+    # a symmetric nonzero form is not isotropic; the witness names the
+    # first pair that pairs to a nonzero value
     sym = Mat.identity(d)
     bad = DiracFiber(None, d, Mat.identity(d).vstack(sym))
     ok, wit = is_lagrangian(bad)
-    assert not ok and wit["reason"] == "pairing"
+    assert not ok and wit == {"reason": "pairing", "pair": [0, 0],
+                              "value": repr(QQi(2))}
 
 
 def test_graph_two_form_examples():

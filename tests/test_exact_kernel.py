@@ -20,7 +20,9 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from qpslab import linalg
+from qpslab.liegroup import GROUPS, context, random_point
 from qpslab.linalg import LinAlgError, Mat, kernel, mat_vec, rank, rref, solve_unique
+from qpslab.prng import SplitMix64
 from qpslab.scalars import Dual, QQi
 
 
@@ -316,6 +318,27 @@ def test_stored_inverse_matches_qqi(case):
             fresh(m).inverse()
         return
     assert_same(fresh(m).inverse(), linalg._inverse_qqi(m).data)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_small_inverses_stay_in_integer_form(name):
+    """Every exact inverse, 1x1 to 3x3 included, runs the integer kernel."""
+    ctx = context(name)
+    rng = SplitMix64(41)
+    g, h, b, t = (random_point(ctx, kind, rng).m
+                  for kind in ("G", "G", "B", "T-regular"))
+    for m in (g, b, t, g @ h, g @ b, b @ t, t @ g @ b):
+        stored = fresh(m)
+        inv = stored.inverse()
+        assert stored._data is None
+        assert inv._int_form() is not None
+        assert_same(inv, linalg._inverse_qqi(m).data)
+        assert m @ inv == Mat.identity(ctx.n)
+    gaussian = Mat([[QQi(1, 1), QQi(2)], [QQi(0, -1), QQi(3, 2)]])
+    assert_same(gaussian.inverse(), linalg._inverse_qqi(gaussian).data)
+    for singular in ([[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [5, 7, 9]]):
+        with pytest.raises(LinAlgError):
+            fresh(Mat(singular)).inverse()
 
 
 def test_non_real_matrix_keeps_qqi_entries():

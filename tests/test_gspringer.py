@@ -173,7 +173,7 @@ def test_vertical_space_is_action_tangent():
     assert v.dim == SL2.dim_b
     # rho(0, xi) for xi in the Borel basis lies in the vertical space
     for k in SL2.sub_indices("b"):
-        vec = rho_double(SL2, pt.g.m, pt.b.m, Mat.zeros(2, 2), SL2.basis[k])
+        vec = rho_double(pt.g, pt.b, Mat.zeros(2, 2), SL2.basis[k])
         up = vec[: SL2.dim_g] + [vec[SL2.dim_g + i] for i in SL2.sub_indices("b")]
         assert v.contains_vector(up)
 

@@ -115,7 +115,21 @@ def test_rank_nullity(rows):
                 min_size=1, max_size=4))
 def test_backends_agree_on_rank(rows):
     m = M(rows)
-    assert rank(m) == rank(m.to_float(), tol=1e-9)
+    assert rank(m) == rank(m.to_float())
+
+
+def test_float_backend_is_confined():
+    """Floats reach rank, kernel, det and inverse; not the rref-based solvers."""
+    m = M([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).to_float()
+    with pytest.raises(LinAlgError):
+        solve_unique(m, [1.0, 0.0, 0.0])
+    with pytest.raises(LinAlgError):
+        Subspace.from_vectors([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 3, backend=FLOAT)
+    assert rank(m) == 3 and kernel(m).dim == 0
+    singular = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).to_float()
+    assert rank(singular) == 2 and kernel(singular).dim == 1
+    assert abs(m.det() - 18) < 1e-9
+    assert (m @ m.inverse()).approx_eq(Mat.identity(3, FLOAT))
 
 
 @settings(deadline=None, max_examples=40)
