@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -21,10 +20,10 @@ from .dirac import (cartan_closure_check, cartan_dirac, cartan_eta3,
                     cartan_section, dorfman, graph_bivector, graph_two_form,
                     is_lagrangian, pairing, BivectorFiber, TwoFormFiber)
 from .gspringer import (DoublePoint, GSPoint, SteinbergFiber, double_space,
-                        gspoint_stream, lam, leaf_two_form, mu, mu_residual,
-                        omega_fn, omega_matrix, phi_differential,
-                        QuotientChart, chart_transport,
-                        reconstruct_bivector, regact_check, rho_double,
+                        gspoint_stream, lam, leaf_two_form,
+                        moment_condition_check, mu, mu_residual, omega_fn,
+                        omega_matrix, phi_differential, QuotientChart,
+                        chart_transport, reconstruct_bivector, regact_check,
                         sample_double, theorem1_check, theorem2_check,
                         weyl_fiber_enum, NotRegularSemisimple)
 from .liegroup import (AlgebraElement, GroupElement, WeylGroup, chevalley,
@@ -54,12 +53,20 @@ CLI_GROUPS = ("sl2", "sl3", "gl2", "gl3")
 FLOAT_SUITES = ("diagram-gs",)
 
 # fiber-enum rejects eigenvalues within this relative tolerance of each other
-# as colliding; from 1e-2 on that would turn away well-separated eigenvalues
+# as colliding; from 1e-2 on that would turn away well-separated eigenvalues.
+# verify --tol, which compares float invariants and fiber points, shares it.
 FIBER_TOL_LIMIT = 1e-2
 
 
 class UsageError(ValueError):
     pass
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Reject a tolerance outside (0, FIBER_TOL_LIMIT); NaN and inf fail too."""
+    if not 0 < tolerance < FIBER_TOL_LIMIT:
+        raise UsageError(f"tolerance must be in (0, {FIBER_TOL_LIMIT:g}), "
+                         f"got {tolerance!r}")
 
 
 @dataclass
@@ -89,6 +96,7 @@ class CampaignConfig:
             raise UsageError("samples must be >= 1")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
+        _check_tolerance(self.tolerance)
         if self.corrupt is not None and self.corrupt not in CORRUPTIONS:
             raise UsageError(f"unknown corruption {self.corrupt!r}")
 
@@ -259,7 +267,10 @@ def _check_double(cfg: CampaignConfig, payload: dict) -> list:
 
     w = omega_matrix(ctx, a.m, b.m, sp)
     dphi = phi_differential(ctx, a.m, b.m, sp)
-    recs.append(_record("double/A1-moment-condition", _a1_all(ctx, dp, w, dphi)))
+    zero = Mat.zeros(ctx.n, ctx.n)
+    generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
+    recs.append(_record("double/A1-moment-condition",
+                        moment_condition_check(dp, w, dphi, generators)))
     recs.append(_record("double/A2-exterior-derivative",
                         _a2_sample(ctx, dp, dphi, rng, triples=2)))
     ko = kernel(w.transpose())
@@ -269,24 +280,6 @@ def _check_double(cfg: CampaignConfig, payload: dict) -> list:
                         {"ker_omega": ko.dim, "ker_dphi": kphi.dim}))
     recs.append(_record("double/A4-invariance", _a4_sample(ctx, dp, w, rng, count=10)))
     return recs
-
-
-def _a1_all(ctx, dp, w, dphi) -> bool:
-    wt = w.transpose()
-    dphit = dphi.transpose()
-    g1, g2 = (GroupElement(ctx, dp.a.m @ dp.b.m @ dp.a.inv, check=False),
-              dp.b.inverse())
-    for k in range(2 * ctx.dim_g):
-        ximat = ctx.basis[k % ctx.dim_g]
-        zero = Mat.zeros(ctx.n, ctx.n)
-        xi1, xi2 = (ximat, zero) if k < ctx.dim_g else (zero, ximat)
-        u = rho_double(dp.a, dp.b, xi1, xi2)
-        lhs = mat_vec(wt, u)
-        dual = (sigma(g1, AlgebraElement(ctx, xi1, check=False)).dual_coords()
-                + sigma(g2, AlgebraElement(ctx, xi2, check=False)).dual_coords())
-        if lhs != mat_vec(dphit, dual):
-            return False
-    return True
 
 
 def _a2_sample(ctx, dp, dphi, rng, triples: int) -> bool:
@@ -623,9 +616,7 @@ def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
 
         return {"member": steinberg_membership(g, t)}
     if kind == "fiber-enum":
-        if not (math.isfinite(tolerance) and 0 < tolerance < FIBER_TOL_LIMIT):
-            raise UsageError(f"fiber-enum tolerance must be in (0, "
-                             f"{FIBER_TOL_LIMIT:g}), got {tolerance!r}")
+        _check_tolerance(tolerance)
         g = GroupElement.from_json(payload, backend=FLOAT)
         pts = weyl_fiber_enum(g, tol=tolerance)
         return {

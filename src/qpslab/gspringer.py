@@ -27,7 +27,6 @@ itself one of the verified claims, never an assumption.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -279,18 +278,24 @@ def omega_double(p: DoublePoint) -> TwoFormFiber:
     )
 
 
-def moment_condition_check(p: DoublePoint, xi1: AlgebraElement,
-                           xi2: AlgebraElement) -> bool:
-    """omega^flat of the action field equals the pulled-back sigma covector."""
+def moment_condition_check(p: DoublePoint, w: Mat, dphi: Mat,
+                           generators) -> bool:
+    """omega^flat of each action field equals the pulled-back sigma covector.
+
+    ``w`` and ``dphi`` are :func:`omega_matrix` and :func:`phi_differential`
+    at ``p`` on the double; ``generators`` holds (xi1, xi2) pairs of algebra
+    matrices.  True when the condition holds for every pair.
+    """
     ctx = p.ctx
-    w = omega_matrix(ctx, p.a.m, p.b.m, double_space(ctx))
-    u = rho_double(p.a, p.b, xi1.m, xi2.m)
-    lhs = mat_vec(w.transpose(), u)
+    wt, dphit = w.transpose(), dphi.transpose()
     g1, g2 = phi(p)
-    dual = sigma(g1, xi1).dual_coords() + sigma(g2, xi2).dual_coords()
-    dphi = phi_differential(ctx, p.a.m, p.b.m, double_space(ctx))
-    rhs = mat_vec(dphi.transpose(), dual)
-    return lhs == rhs
+    for xi1, xi2 in generators:
+        lhs = mat_vec(wt, rho_double(p.a, p.b, xi1, xi2))
+        dual = (sigma(g1, AlgebraElement(ctx, xi1, check=False)).dual_coords()
+                + sigma(g2, AlgebraElement(ctx, xi2, check=False)).dual_coords())
+        if lhs != mat_vec(dphit, dual):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -739,81 +744,26 @@ def reconstruct_bivector(chart: QuotientChart):
 # Weyl fibers over regular semisimple elements (float backend)
 
 
-def _eigenvalues(mf: Mat, n: int) -> list[complex]:
-    """Closed-form eigenvalues for n <= 3, quartic via roots; Newton polish."""
-    a = mf.to_numpy()
-    coeffs = np.poly(a)  # leading 1
-    if n == 2:
-        tr = coeffs[1]
-        disc = (tr * tr - 4 * coeffs[2]) ** 0.5
-        roots = [(-tr + disc) / 2, (-tr - disc) / 2]
-    elif n == 3:
-        roots = _cardano(coeffs[1], coeffs[2], coeffs[3])
-    else:
-        roots = list(np.roots(coeffs))
-    poly = np.poly1d(coeffs)
-    dpoly = poly.deriv()
-    polished = []
-    for r in roots:
-        z = complex(r)
-        for _ in range(3):
-            dz = dpoly(z)
-            if abs(dz) < 1e-300:
-                break
-            z = z - poly(z) / dz
-        polished.append(z)
-    return polished
-
-
-def _cardano(a, b, c) -> list[complex]:
-    """Roots of z^3 + a z^2 + b z + c by the classical formula.
-
-    Complex arithmetic throughout: a negative real discriminant (three real
-    roots) must take a complex square root.
-    """
-    a, b, c = complex(a), complex(b), complex(c)
-    p = b - a * a / 3
-    q = 2 * a**3 / 27 - a * b / 3 + c
-    disc = (q / 2) ** 2 + (p / 3) ** 3
-    s = disc ** 0.5
-    u3 = -q / 2 + s
-    if abs(u3) < 1e-30:
-        u3 = -q / 2 - s
-    u = u3 ** (1 / 3)
-    w = complex(-0.5, math.sqrt(3) / 2)
-    roots = []
-    for k in range(3):
-        uk = u * w**k
-        y = uk - p / (3 * uk) if abs(uk) > 1e-30 else 0j
-        roots.append(y - a / 3)
-    return roots
-
-
 def weyl_fiber_enum(g: GroupElement, tol: float = 1e-8) -> list[GSPoint]:
     """All points of the mu-fiber over a regular semisimple element.
 
-    Built from eigenvector orderings on the float backend; exactly n!
-    pairwise-inequivalent points, each reproducing g to the residual
-    tolerance.  Raises :class:`NotRegularSemisimple` when eigenvalues
-    collide within tolerance.
+    One ``np.linalg.eig`` call (LAPACK ``geev``, backward stable) gives the
+    eigenvalues and unit eigenvectors on the float backend; each ordering of
+    the eigenvectors, as the columns of h (determinant 1 on SL), with the
+    matching diagonal b is one of exactly n! pairwise-inequivalent points,
+    each reproducing g to the residual tolerance.  Raises
+    :class:`NotRegularSemisimple` when eigenvalues collide within ``tol``
+    relative to the largest modulus (at least 1).
     """
     ctx = g.ctx
     n = ctx.n
-    mf = g.m.to_float()
-    lam_ = _eigenvalues(mf, n)
+    lam_, evecs = np.linalg.eig(g.m.to_numpy())
     scale = max(1.0, max(abs(l) for l in lam_))
     for i in range(n):
         for j in range(i + 1, n):
             if abs(lam_[i] - lam_[j]) <= tol * scale:
                 raise NotRegularSemisimple("not regular semisimple")
-    eye = Mat.identity(n, FLOAT)
-    vecs = []
-    for l in lam_:
-        shifted = mf - eye.scale(complex(l))
-        null = kernel(shifted)
-        if null.dim != 1:
-            raise NotRegularSemisimple("eigenvector extraction failed")
-        vecs.append(null.basis.col(0))
+    vecs = evecs.T.tolist()
     points = []
     for perm in itertools.permutations(range(n)):
         cols = [vecs[perm[j]] for j in range(n)]

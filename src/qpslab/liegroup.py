@@ -37,16 +37,13 @@ GROUPS = {
 class GroupContext:
     """SL_n or GL_n with its Borel subgroup and trace-form calculus."""
 
-    def __init__(self, family: str, n: int, form_scale: Fraction = Fraction(1)):
+    def __init__(self, family: str, n: int):
         if family not in ("SL", "GL"):
             raise ValueError("family must be 'SL' or 'GL'")
         if n < 2:
             raise ValueError("need n >= 2")
-        if form_scale <= 0:
-            raise ValueError("form scale must be positive")
         self.family = family
         self.n = n
-        self.form_scale = Fraction(form_scale)
 
         upper = [(i, j) for i in range(n) for j in range(n) if i < j]
         lower = [(i, j) for i in range(n) for j in range(n) if i > j]
@@ -96,7 +93,7 @@ class GroupContext:
         return f"{self.family.lower()}{self.n}"
 
     def __repr__(self):
-        return f"GroupContext({self.name}, c={self.form_scale})"
+        return f"GroupContext({self.name})"
 
     # -- coordinates ---------------------------------------------------------
 
@@ -222,9 +219,8 @@ class GroupContext:
         return out
 
     def form(self, x: Mat, y: Mat):
-        """The invariant bilinear form ``c * tr(x y)``."""
-        t = (x @ y).trace()
-        return _mul_frac(t, self.form_scale)
+        """The invariant bilinear form ``tr(x y)``."""
+        return (x @ y).trace()
 
     def eta(self, x: Mat, y: Mat, z: Mat):
         """The invariant alternating 3-form ``eta_coeff * (x, [y, z])``.
@@ -287,18 +283,16 @@ def bracket(x: Mat, y: Mat) -> Mat:
     return x @ y - y @ x
 
 
-_CONTEXTS: dict[tuple, GroupContext] = {}
+_CONTEXTS: dict[str, GroupContext] = {}
 
 
-def context(name: str, form_scale: Fraction = Fraction(1)) -> GroupContext:
+def context(name: str) -> GroupContext:
     """Get the shared context for a group tag such as ``'sl2'``."""
-    key = (name, form_scale)
-    if key not in _CONTEXTS:
+    if name not in _CONTEXTS:
         if name not in GROUPS:
             raise ValueError(f"unknown group {name!r}")
-        family, n = GROUPS[name]
-        _CONTEXTS[key] = GroupContext(family, n, form_scale)
-    return _CONTEXTS[key]
+        _CONTEXTS[name] = GroupContext(*GROUPS[name])
+    return _CONTEXTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +553,7 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
         return GroupElement(ctx, t @ u, check=False)
     if kind == "T":
         return GroupElement(ctx, _torus_mat(ctx, rng, height, regular=False), check=False)
-    if kind in ("T-regular", "regular-semisimple-T"):
+    if kind == "T-regular":
         return GroupElement(ctx, _torus_mat(ctx, rng, height, regular=True), check=False)
     if kind == "U":
         return GroupElement(ctx, _unitriangular(n, rng, height, lower=False), check=False)

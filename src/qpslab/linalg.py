@@ -52,13 +52,13 @@ vector that is neither real nor split that way (nested duals, non-real
 parts).  Only JSON input can produce a non-real entry; the same functions
 are the oracle of the differential tests.
 
-Float backend: only what the float Weyl-fiber enumeration needs.  A float
-matrix supports products and sums, :meth:`Mat.is_zero`, :meth:`Mat.approx_eq`,
-:meth:`Mat.det` and :meth:`Mat.inverse` (numpy), and :func:`rank` and
-:func:`kernel`, which count singular values above ``DEFAULT_TOL`` times the
-largest one.  Everything built on :func:`rref` (:func:`solve_unique`, a
-:class:`Subspace` that is not already canonical, :func:`intersect`) is
-exact-only and raises :class:`LinAlgError` on a float matrix.
+Float backend: only what the float Weyl-fiber enumeration needs, whose
+eigenvectors come from ``np.linalg.eig``.  A float matrix supports products
+and sums, :meth:`Mat.is_zero`, :meth:`Mat.approx_eq`, :meth:`Mat.det` and
+:meth:`Mat.inverse` (numpy).  :func:`rank` and everything built on
+:func:`rref` (:func:`kernel`, :func:`solve_unique`, :class:`Subspace`,
+:func:`intersect`) are exact-only and raise :class:`LinAlgError` on a float
+matrix.
 
 Conventions: a :class:`Subspace` stores a basis matrix whose *columns* are
 the basis vectors, canonicalized by reduced row echelon form of the
@@ -364,10 +364,6 @@ class Mat:
         m = self.to_float()
         return np.array(m.data, dtype=complex).reshape(m.rows, m.cols)
 
-    @classmethod
-    def from_numpy(cls, a: np.ndarray) -> "Mat":
-        return cls([[complex(x) for x in row] for row in np.atleast_2d(a)], FLOAT)
-
     def _same_shape(self, other):
         if self.shape != other.shape or self.backend != other.backend:
             raise LinAlgError(f"shape/backend mismatch {self.shape} vs {other.shape}")
@@ -390,7 +386,7 @@ class Mat:
             raise LinAlgError("inverse of non-square matrix")
         n = self.rows
         if self.backend == FLOAT:
-            return Mat.from_numpy(np.linalg.inv(self.to_numpy()))
+            return Mat(np.linalg.inv(self.to_numpy()).tolist(), FLOAT)
         ints = self._int_form()
         if ints is None:
             return _inverse_qqi(self)
@@ -660,33 +656,24 @@ def _rref_int(rows: list[list[int]]) -> list[int]:
 
 
 def rank(m: Mat) -> int:
-    """Rank over the scalar field.
+    """Rank by Bareiss fraction-free elimination on the integer rows.
 
-    Exact backend: Bareiss fraction-free elimination on the integer rows.
-    Float backend: the number of singular values above ``DEFAULT_TOL`` times
-    the largest one.
+    Exact backend only: a float matrix raises :class:`LinAlgError`.
     """
+    if m.backend != EXACT:
+        raise LinAlgError("rank is exact-only")
     if m.cols == 0 or m.rows == 0:
         return 0
-    if m.backend == FLOAT:
-        return _float_rank(np.linalg.svd(m.to_numpy(), compute_uv=False))
     ints = m._int_form()
     if ints is None:
         return _rank_qqi(m)
     return _bareiss([r for r, _ in ints])[0]
 
 
-def _float_rank(s: np.ndarray) -> int:
-    """The number of singular values ``s`` above the relative cutoff."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > DEFAULT_TOL * s[0]))
-
-
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with pivot column list (exact backend only)."""
     if m.backend != EXACT:
-        raise LinAlgError("rref is exact-only; use SVD helpers for floats")
+        raise LinAlgError("rref is exact-only")
     ints = m._int_form()
     if ints is None:
         return _rref_qqi(m)
@@ -813,12 +800,6 @@ def kernel(m: Mat) -> "Subspace":
     """Basis of the null space; ``dim = cols - rank``."""
     if m.cols == 0:
         return Subspace.zero(0, m.backend)
-    if m.backend == FLOAT:
-        _, s, vh = np.linalg.svd(m.to_numpy())
-        null = vh[_float_rank(s):].conj().T
-        if null.shape[1] == 0:
-            return Subspace.zero(m.cols, FLOAT)
-        return Subspace(m.cols, Mat.from_numpy(null), canonical=True)
     red, pivots = rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
     if not free:
@@ -909,7 +890,7 @@ class Subspace:
         return self.basis.backend
 
     def contains_vector(self, v: Sequence) -> bool:
-        if all(not _truthy(x) for x in v):
+        if not any(v):
             return True
         stacked = self.basis.hstack(Mat.from_columns([list(v)], self.ambient_dim, self.backend))
         return rank(stacked) == self.dim
@@ -936,12 +917,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def _truthy(x) -> bool:
-    if isinstance(x, QQi):
-        return bool(x)
-    return abs(x) > 0
 
 
 def _canonical_basis(mat: Mat) -> Mat:

@@ -119,6 +119,21 @@ def test_eval_fiber_enum():
     assert all(r < 1e-8 for r in out["residuals"])
 
 
+def test_eval_fiber_enum_sl4():
+    from qpslab.liegroup import context, random_point
+    from qpslab.matio import mat_to_json
+    from qpslab.prng import SplitMix64
+
+    ctx = context("sl4")
+    rng = SplitMix64(82)
+    t = random_point(ctx, "T-regular", rng)
+    g = random_point(ctx, "G", rng)
+    out = eval_command("fiber-enum",
+                       dict(mat_to_json(g.m @ t.m @ g.inv), group="sl4"))
+    assert out["count"] == 24
+    assert all(r < 1e-8 for r in out["residuals"])
+
+
 def test_eval_leaf_form():
     from qpslab.gspringer import sample_gspoint
     from qpslab.prng import SplitMix64
@@ -197,6 +212,13 @@ def test_cli_fiber_enum_rejects_non_finite_tolerance(tmp_path, capsys, tol):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(DIAG2))
     assert main(["eval", "fiber-enum", str(path), f"--tol={tol}"]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_cli_verify_rejects_tolerance_out_of_range(capsys, tol):
+    assert main(["verify", "diagram-gs", "--backend", "float", "--samples", "1",
+                 f"--tol={tol}"]) == 2
     assert "tolerance" in capsys.readouterr().err
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from qpslab import dirac
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
-from qpslab.diffcalc import DualMat, Space, inversion_map, PointedMap
+from qpslab.diffcalc import (DualMat, Space, inversion_map, lie_bracket,
+                             lie_derivative_covector, one_form_d, PointedMap)
 from qpslab.dirac import (BivectorFiber, DiracFiber, TwoFormFiber,
                           cartan_closure_check, cartan_dirac, cartan_eta3,
                           cartan_section, dorfman, graph_bivector,
@@ -210,6 +211,34 @@ def test_dorfman_closure_and_batched_agree():
         assert ok
         fib = cartan_dirac(g)
         assert fib.contains(t, c)
+
+
+@pytest.mark.parametrize("conv", [FROZEN, *CORRUPTIONS.values()],
+                         ids=["frozen", *CORRUPTIONS])
+@pytest.mark.parametrize("name", ["sl2", "gl2", "sl3"])
+def test_dorfman_matches_the_generic_formulas(name, conv):
+    """The fused bracket against its oracle in diffcalc: the tangent part is
+    ``lie_bracket``, the covector is L_X beta - i_Y d(alpha) + twist
+    eta3(X, Y, e_j)."""
+    ctx = context(name)
+    G = Space(ctx, ("g",))
+    eta3 = cartan_eta3(G)
+    rng = SplitMix64(46)
+    point = (random_point(ctx, "G", rng).m,)
+    s1, s2 = (cartan_section(ctx, random_algebra(ctx, rng).m) for _ in range(2))
+    x_field, alpha = (lambda q: s1.fn(q)[0]), (lambda q: s1.fn(q)[1])
+    y_field, beta = (lambda q: s2.fn(q)[0]), (lambda q: s2.fn(q)[1])
+    with using(conv):
+        tangent, cov = dorfman(s1, s2, eta3, G, point)
+        assert tangent == lie_bracket(x_field, y_field, G, point)
+        xp, yp = x_field(point), y_field(point)
+        want = [
+            lx - iy + eta3(point, xp, yp, e) * QQi(conv.twist)
+            for lx, iy, e in zip(lie_derivative_covector(x_field, beta, G, point),
+                                 one_form_d(alpha, y_field, G, point),
+                                 G.basis_directions())
+        ]
+        assert cov == want
 
 
 def first_failing_pair(ctx, gmat):

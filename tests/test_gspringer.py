@@ -22,8 +22,8 @@ from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               sample_gspoint, steinberg_membership,
                               theorem1_check, theorem2_check, vertical_space,
                               weyl_fiber_enum)
-from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, context,
-                             random_algebra, random_point, sigma)
+from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, WeylGroup,
+                             context, random_algebra, random_point, sigma)
 from qpslab.linalg import (EXACT, Mat, Subspace, dot, intersect, kernel, mat_vec,
                            rank)
 from qpslab.prng import SplitMix64
@@ -134,14 +134,20 @@ def test_phi_differential_dual_route():
 
 def test_moment_condition_samples():
     rng = SplitMix64(66)
-    zero = AlgebraElement(SL2, Mat.zeros(2, 2), check=False)
-    dp = sample_double(SL2, rng)
-    assert moment_condition_check(dp, zero, zero)
+
+    def check(dp, pairs):
+        sp = double_space(SL2)
+        w = omega_matrix(SL2, dp.a.m, dp.b.m, sp)
+        dphi = phi_differential(SL2, dp.a.m, dp.b.m, sp)
+        return moment_condition_check(dp, w, dphi, pairs)
+
+    zero = Mat.zeros(2, 2)
+    assert check(sample_double(SL2, rng), [(zero, zero)])
     for _ in range(5):
         dp = sample_double(SL2, rng)
         xi1 = random_algebra(SL2, rng)
         xi2 = random_algebra(SL2, rng)
-        assert moment_condition_check(dp, xi1, xi2)
+        assert check(dp, [(xi1.m, xi2.m)])
 
 
 def test_restriction_is_lagrangian_graph():
@@ -434,16 +440,18 @@ def test_weyl_fiber_enum_sl2():
     assert not pts[0].same_class(pts[1], tol=1e-6)
 
 
-def test_weyl_fiber_enum_sl3():
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_weyl_fiber_enum(name):
+    ctx = context(name)
     rng = SplitMix64(82)
-    t = random_point(SL3, "T-regular", rng)
-    g = random_point(SL3, "G", rng)
-    rs = GroupElement(SL3, (g.m @ t.m @ g.inv).to_float(), check=False)
+    t = random_point(ctx, "T-regular", rng)
+    g = random_point(ctx, "G", rng)
+    rs = GroupElement(ctx, (g.m @ t.m @ g.inv).to_float(), check=False)
     pts = weyl_fiber_enum(rs)
-    assert len(pts) == 6
+    assert len(pts) == len(WeylGroup(ctx))
     assert all(mu_residual(p, rs) < 1e-8 for p in pts)
-    for i in range(6):
-        for j in range(i + 1, 6):
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
             assert not pts[i].same_class(pts[j], tol=1e-6)
 
 

@@ -109,25 +109,17 @@ def test_rank_nullity(rows):
     assert rank(m) + kernel(m).dim == m.cols
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.lists(st.lists(st.integers(min_value=-100, max_value=100),
-                         min_size=4, max_size=4),
-                min_size=1, max_size=4))
-def test_backends_agree_on_rank(rows):
-    m = M(rows)
-    assert rank(m) == rank(m.to_float())
-
-
 def test_float_backend_is_confined():
-    """Floats reach rank, kernel, det and inverse; not the rref-based solvers."""
+    """Floats reach det and inverse; not rank, kernel or the rref solvers."""
     m = M([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).to_float()
     with pytest.raises(LinAlgError):
         solve_unique(m, [1.0, 0.0, 0.0])
     with pytest.raises(LinAlgError):
         Subspace.from_vectors([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 3, backend=FLOAT)
-    assert rank(m) == 3 and kernel(m).dim == 0
-    singular = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).to_float()
-    assert rank(singular) == 2 and kernel(singular).dim == 1
+    with pytest.raises(LinAlgError):
+        rank(m)
+    with pytest.raises(LinAlgError):
+        kernel(m)
     assert abs(m.det() - 18) < 1e-9
     assert (m @ m.inverse()).approx_eq(Mat.identity(3, FLOAT))
 
@@ -178,14 +170,6 @@ def test_subspace_equality_is_containment_based():
     a = Subspace.from_vectors([[1, 0], [0, 1]], 2)
     b = Subspace.from_vectors([[1, 1], [1, -1]], 2)
     assert a.equals(b)
-
-
-def test_float_kernel_and_canonical_basis():
-    m = Mat([[1.0 + 0j, 1.0 + 0j]], FLOAT)
-    k = kernel(m)
-    assert k.dim == 1
-    v = k.basis.col(0)
-    assert abs(v[0] + v[1]) < 1e-9
 
 
 def test_rref_pivots():
