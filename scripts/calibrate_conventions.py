@@ -34,7 +34,7 @@ from qpslab.dirac import (DiracFiber, cartan_eta3, cartan_section, dorfman,
                           graph_two_form, pushforward_linear, TwoFormFiber)
 from qpslab.gspringer import (double_space, omega_matrix, phi,
                               phi_differential, sample_double)
-from qpslab.linalg import EXACT, Mat
+from qpslab.linalg import Mat
 from qpslab.liegroup import (AlgebraElement, context, random_algebra,
                              random_point, sigma)
 from qpslab.prng import SplitMix64
@@ -92,7 +92,7 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
             else:
                 rho = ctx.coords(ximat - g2.inv @ ximat @ g2.m)
                 cols.append(zero + rho + zero + sigma(g2, xi).dual_coords())
-        target = DiracFiber(None, 2 * d, Mat.from_columns(cols, 4 * d, EXACT))
+        target = DiracFiber(None, 2 * d, Mat.from_columns(cols, 4 * d))
         if not pushed.equals(target):
             return False
     return True

@@ -20,17 +20,19 @@ from .dirac import (cartan_closure_check, cartan_dirac, cartan_eta3,
                     cartan_section, dorfman, graph_bivector, graph_two_form,
                     is_lagrangian, pairing, BivectorFiber, TwoFormFiber)
 from .gspringer import (DoublePoint, GSPoint, SteinbergFiber, double_space,
-                        gspoint_stream, lam, leaf_two_form,
-                        moment_condition_check, mu, mu_residual, omega_fn,
-                        omega_matrix, phi_differential, QuotientChart,
-                        chart_transport, reconstruct_bivector, regact_check,
-                        sample_double, theorem1_check, theorem2_check,
-                        weyl_fiber_enum, NotRegularSemisimple)
+                        float_array, float_element_from_json, float_mu,
+                        float_point_to_json, float_same_class, gspoint_stream,
+                        lam, leaf_two_form, moment_condition_check, mu,
+                        mu_residual, omega_fn, omega_matrix, phi_differential,
+                        QuotientChart, chart_transport, reconstruct_bivector,
+                        regact_check, sample_double, steinberg_membership,
+                        theorem1_check, theorem2_check, weyl_fiber_enum,
+                        NotRegularSemisimple)
 from .liegroup import (AlgebraElement, GroupElement, WeylGroup, chevalley,
-                       context, random_algebra, random_point, sigma)
-from .linalg import (EXACT, FLOAT, Mat, Subspace, intersect, kernel, mat_vec,
-                     rank)
-from .matio import mat_from_json, mat_to_json
+                       context, group_of_json, invariants, random_algebra,
+                       random_point, read_element, sigma)
+from .linalg import EXACT, FLOAT, Mat, Subspace, intersect, kernel, mat_vec, rank
+from .matio import mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
 
@@ -134,23 +136,52 @@ def _record(check_id: str, passed: bool, witness=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# point generators
+
+
+def _point_generator(sampler):
+    """The generator of a suite whose points are drawn one after another.
+
+    ``sampler(ctx, rng)`` gives a point's matrices by payload key; each
+    point's salt is drawn right after its matrices.
+    """
+    def gen(cfg: CampaignConfig) -> list:
+        ctx = context(cfg.group)
+        rng = SplitMix64(cfg.seed)
+        out = []
+        for _ in range(cfg.samples):
+            point = {k: mat_to_json(m) for k, m in sampler(ctx, rng).items()}
+            point["salt"] = rng.next_u64()
+            out.append(point)
+        return out
+
+    return gen
+
+
+def _sample_double(ctx, rng) -> dict:
+    dp = sample_double(ctx, rng)
+    return {"a": dp.a.m, "b": dp.b.m}
+
+
+_gen_group_points = _point_generator(
+    lambda ctx, rng: {"g": random_point(ctx, "G", rng).m})
+_gen_double_points = _point_generator(_sample_double)
+_gen_borel_points = _point_generator(
+    lambda ctx, rng: {"b": random_point(ctx, "B", rng).m})
+# a dict display evaluates in order: g is drawn before b
+_gen_gxb_points = _point_generator(
+    lambda ctx, rng: {"g": random_point(ctx, "G", rng).m,
+                      "b": random_point(ctx, "B", rng).m})
+
+
+# ---------------------------------------------------------------------------
 # suite: pairing
-
-
-def _gen_group_points(cfg: CampaignConfig) -> list:
-    ctx = context(cfg.group)
-    rng = SplitMix64(cfg.seed)
-    out = []
-    for _ in range(cfg.samples):
-        g = random_point(ctx, "G", rng)
-        out.append({"g": mat_to_json(g.m), "salt": rng.next_u64()})
-    return out
 
 
 def _check_pairing(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
     rng = SplitMix64(payload["salt"])
-    g = GroupElement(ctx, mat_from_json(payload["g"], EXACT))
+    g = read_element(ctx, payload["g"])
     d = ctx.dim_g
     recs = []
     x = random_algebra(ctx, rng)
@@ -199,7 +230,7 @@ def _check_pairing(cfg: CampaignConfig, payload: dict) -> list:
 def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
     rng = SplitMix64(payload["salt"])
-    g = GroupElement(ctx, mat_from_json(payload["g"], EXACT))
+    g = read_element(ctx, payload["g"])
     recs = []
     fib = cartan_dirac(g)
     ok, wit = is_lagrangian(fib)
@@ -235,7 +266,7 @@ def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
 
 def _check_dorfman(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
-    g = GroupElement(ctx, mat_from_json(payload["g"], EXACT))
+    g = read_element(ctx, payload["g"])
     ok, witness = cartan_closure_check(ctx, g.m)
     return [_record("dorfman-closure/basis-pairs", ok, witness)]
 
@@ -244,22 +275,11 @@ def _check_dorfman(cfg: CampaignConfig, payload: dict) -> list:
 # suite: double
 
 
-def _gen_double_points(cfg: CampaignConfig) -> list:
-    ctx = context(cfg.group)
-    rng = SplitMix64(cfg.seed)
-    out = []
-    for _ in range(cfg.samples):
-        dp = sample_double(ctx, rng)
-        out.append({"a": mat_to_json(dp.a.m), "b": mat_to_json(dp.b.m),
-                    "salt": rng.next_u64()})
-    return out
-
-
 def _check_double(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
     rng = SplitMix64(payload["salt"])
-    a = GroupElement(ctx, mat_from_json(payload["a"], EXACT))
-    b = GroupElement(ctx, mat_from_json(payload["b"], EXACT))
+    a = read_element(ctx, payload["a"])
+    b = read_element(ctx, payload["b"])
     dp = DoublePoint(a, b)
     d = ctx.dim_g
     sp = double_space(ctx)
@@ -326,20 +346,10 @@ def _blocks(m: Mat, d: int) -> list[Mat]:
 # suite: lemma-kernel
 
 
-def _gen_borel_points(cfg: CampaignConfig) -> list:
-    ctx = context(cfg.group)
-    rng = SplitMix64(cfg.seed)
-    out = []
-    for _ in range(cfg.samples):
-        b = random_point(ctx, "B", rng)
-        out.append({"b": mat_to_json(b.m), "salt": rng.next_u64()})
-    return out
-
-
 def _check_lemma_kernel(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
     rng = SplitMix64(payload["salt"])
-    b = GroupElement(ctx, mat_from_json(payload["b"], EXACT))
+    b = read_element(ctx, payload["b"])
     binv = b.inv
     xis = [(ctx.basis_labels[k], ctx.basis[k]) for k in ctx.sub_indices("b")]
     for _ in range(3):
@@ -368,22 +378,10 @@ def _check_lemma_kernel(cfg: CampaignConfig, payload: dict) -> list:
 # suite: regact
 
 
-def _gen_gxb_points(cfg: CampaignConfig) -> list:
-    ctx = context(cfg.group)
-    rng = SplitMix64(cfg.seed)
-    out = []
-    for _ in range(cfg.samples):
-        g = random_point(ctx, "G", rng)
-        b = random_point(ctx, "B", rng)
-        out.append({"g": mat_to_json(g.m), "b": mat_to_json(b.m),
-                    "salt": rng.next_u64()})
-    return out
-
-
 def _check_regact(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
-    g = GroupElement(ctx, mat_from_json(payload["g"], EXACT))
-    b = GroupElement(ctx, mat_from_json(payload["b"], EXACT))
+    g = read_element(ctx, payload["g"])
+    b = read_element(ctx, payload["b"])
     res = regact_check(g, b)
     return [_record("regact/constant-intersection", res["passed"],
                     {"dim": res["dim"], "expected": res["expected_dim"]})]
@@ -394,6 +392,8 @@ def _check_regact(cfg: CampaignConfig, payload: dict) -> list:
 
 
 def _gen_gspoints(cfg: CampaignConfig) -> list:
+    """All points first (the stream forces the degenerate strata), then
+    every salt."""
     ctx = context(cfg.group)
     rng = SplitMix64(cfg.seed)
     pts = gspoint_stream(ctx, rng, cfg.samples)
@@ -405,10 +405,8 @@ def _gen_gspoints(cfg: CampaignConfig) -> list:
 
 def _load_gspoint(cfg: CampaignConfig, payload: dict) -> GSPoint:
     ctx = context(cfg.group)
-    return GSPoint(
-        GroupElement(ctx, mat_from_json(payload["g"], EXACT)),
-        GroupElement(ctx, mat_from_json(payload["b"], EXACT), check=False),
-    )
+    return GSPoint(read_element(ctx, payload["g"]),
+                   read_element(ctx, payload["b"], check=False))
 
 
 def _check_theorem1(cfg: CampaignConfig, payload: dict) -> list:
@@ -479,25 +477,25 @@ def _check_bivector(cfg: CampaignConfig, payload: dict) -> list:
 
 
 def _check_diagram_gs(cfg: CampaignConfig, payload: dict) -> list:
-    backend = EXACT if cfg.backend == EXACT else FLOAT
     ctx = context(cfg.group)
     tol = cfg.tolerance
-    point = GSPoint(
-        GroupElement(ctx, mat_from_json(payload["g"], backend)),
-        GroupElement(ctx, mat_from_json(payload["b"], backend), check=False),
-    )
+    point = _load_gspoint(cfg, payload)
     rng = SplitMix64(payload["salt"])
     recs = []
-    kmu = chevalley(mu(point))
-    klam = chevalley(lam(point))
-    recs.append(_record("diagram-gs/kappa-commutes",
-                        _values_close(kmu, klam, backend, tol),
+    if cfg.backend == EXACT:
+        m, t = mu(point), lam(point)
+        kmu, klam = chevalley(m), chevalley(t)
+        close = kmu == klam
+    else:
+        fpoint = (float_array(point.g.m), float_array(point.b.m))
+        kmu = tuple(map(complex, invariants(ctx, float_mu(fpoint))))
+        klam = tuple(map(complex, invariants(ctx, float_array(lam(point).m))))
+        close = all(abs(x - y) <= tol * max(1.0, abs(x)) for x, y in zip(kmu, klam))
+    recs.append(_record("diagram-gs/kappa-commutes", close,
                         {"mu": [repr(v) for v in kmu], "lam": [repr(v) for v in klam]}))
-    if backend == EXACT:
-        recs.append(_record(
-            "diagram-gs/steinberg-membership",
-            SteinbergFiber(lam(point)).contains(mu(point)),
-        ))
+    if cfg.backend == EXACT:
+        recs.append(_record("diagram-gs/steinberg-membership",
+                            SteinbergFiber(t).contains(m)))
         u = random_point(ctx, "U", rng)
         g = random_point(ctx, "G", rng)
         conj = GroupElement(ctx, g.m @ u.m @ g.inv, check=False)
@@ -509,15 +507,15 @@ def _check_diagram_gs(cfg: CampaignConfig, payload: dict) -> list:
     else:
         t = random_point(ctx, "T-regular", rng)
         g = random_point(ctx, "G", rng)
-        rs = GroupElement(ctx, (g.m @ t.m @ g.inv).to_float(), check=False)
+        rs = float_array(g.m @ t.m @ g.inv)
         try:
-            pts = weyl_fiber_enum(rs)
+            pts = weyl_fiber_enum(ctx, rs)
             w = WeylGroup(ctx)
             count_ok = len(pts) == len(w)
             residuals = [mu_residual(p, rs) for p in pts]
             res_ok = all(r < 1e-8 for r in residuals)
             distinct = all(
-                not pts[i].same_class(pts[j], tol)
+                not float_same_class(pts[i], pts[j], tol)
                 for i in range(len(pts))
                 for j in range(i + 1, len(pts))
             )
@@ -529,13 +527,6 @@ def _check_diagram_gs(cfg: CampaignConfig, payload: dict) -> list:
         except NotRegularSemisimple as e:
             recs.append(_record("diagram-gs/weyl-fiber", False, {"error": str(e)}))
     return recs
-
-
-def _values_close(a, b, backend, tol) -> bool:
-    if backend == EXACT:
-        return tuple(a) == tuple(b)
-    return all(abs(complex(x) - complex(y)) <= tol * max(1.0, abs(complex(x)))
-               for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +565,10 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
     points = gen(config)
     cfg_dict = asdict(config)
     results = []
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as ex:
+    # a pool forks all its workers at the first submit: no more than points
+    workers = min(config.jobs, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             futs = [
                 ex.submit(_run_one, cfg_dict, i, p) for i, p in enumerate(points)
             ]
@@ -605,28 +598,24 @@ def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
     """One-shot evaluations over JSON inputs; see the CLI for file handling."""
     if kind == "kappa":
         g = GroupElement.from_json(payload)
-        return {"group": g.ctx.name,
-                "kappa": [_scalar_repr(v) for v in chevalley(g)]}
+        return {"group": g.ctx.name, "kappa": [repr(v) for v in chevalley(g)]}
     if kind == "steinberg":
-        ctx = context(payload["group"])
-        g = GroupElement(ctx, mat_from_json(payload["g"]))
-        # t takes g's backend: invariants of mixed backends never compare equal
-        t = GroupElement(ctx, mat_from_json(payload["t"], g.m.backend))
-        from .gspringer import steinberg_membership
-
+        ctx = group_of_json(payload)
+        g = read_element(ctx, payload["g"])
+        t = read_element(ctx, payload["t"])
         return {"member": steinberg_membership(g, t)}
     if kind == "fiber-enum":
+        # the one float input: entries may be plain numbers
         _check_tolerance(tolerance)
-        g = GroupElement.from_json(payload, backend=FLOAT)
-        pts = weyl_fiber_enum(g, tol=tolerance)
+        ctx, g = float_element_from_json(payload)
+        pts = weyl_fiber_enum(ctx, g, tol=tolerance)
         return {
             "count": len(pts),
-            "points": [p.to_json() for p in pts],
+            "points": [float_point_to_json(ctx, p) for p in pts],
             "residuals": [mu_residual(p, g) for p in pts],
         }
     if kind == "leaf-form":
-        # exact input only: a float entry is an input error, not a traceback
-        chart = QuotientChart(GSPoint.from_json(payload, backend=EXACT))
+        chart = QuotientChart(GSPoint.from_json(payload))
         # an eval input carries no salt, so the d-identity directions come
         # from a fixed stream
         form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
@@ -636,9 +625,3 @@ def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
             out["matrix"] = mat_to_json(form.matrix)
         return out
     raise UsageError(f"unknown eval kind {kind!r}")
-
-
-def _scalar_repr(v):
-    if isinstance(v, QQi):
-        return repr(v)
-    return [complex(v).real, complex(v).imag]

@@ -243,11 +243,7 @@ class PointedMap:
         cols = [
             self.differential(point, e) for e in self.domain.basis_directions()
         ]
-        return Mat.from_columns(cols, self.codomain.dim, _backend_of(point))
-
-
-def _backend_of(point) -> str:
-    return point[0].backend
+        return Mat.from_columns(cols, self.codomain.dim)
 
 
 def compose(name: str, f: PointedMap, g: PointedMap) -> PointedMap:

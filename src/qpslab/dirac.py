@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space, dot_part
 from .liegroup import AlgebraElement, GroupElement, conj_field, sigma, sigma_average
-from .linalg import EXACT, Mat, Subspace, dot, intersect, kernel, mat_vec
+from .linalg import Mat, Subspace, dot, intersect, kernel, mat_vec
 from .matio import mat_to_json
 from .scalars import QQi
 
@@ -139,7 +139,7 @@ def pairing_gram(fiber: DiracFiber) -> Mat:
     b = fiber.basis
     d = fiber.d
     if b.cols == 0:
-        return Mat.zeros(1, 1, b.backend)
+        return Mat.zeros(1, 1)
     top = b.row_block(0, d)
     bot = b.row_block(d, b.rows)
     return top.transpose() @ bot + bot.transpose() @ top
@@ -172,7 +172,7 @@ def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
     if not omega.is_skew():
         raise ValueError("2-form matrix must be skew")
     d = omega.matrix.rows
-    basis = Mat.identity(d, omega.matrix.backend).vstack(omega.matrix.transpose())
+    basis = Mat.identity(d).vstack(omega.matrix.transpose())
     return DiracFiber(omega.base, d, basis, canonical=False)
 
 
@@ -181,7 +181,7 @@ def graph_bivector(pi: BivectorFiber) -> DiracFiber:
     if not pi.is_skew():
         raise ValueError("bivector matrix must be skew")
     d = pi.matrix.rows
-    basis = pi.matrix.vstack(Mat.identity(d, pi.matrix.backend))
+    basis = pi.matrix.vstack(Mat.identity(d))
     return DiracFiber(pi.base, d, basis, canonical=False)
 
 
@@ -202,13 +202,10 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
     k = fiber.dim
     top = fiber.basis.row_block(0, v)
     bot = fiber.basis.row_block(v, fiber.basis.rows)
-    backend = fiber.basis.backend
     # unknowns (x, b, c): x - top c = 0 ; F^T b - bot c = 0
-    eye = Mat.identity(v, backend)
-    z_vw = Mat.zeros(v, w, backend)
-    row1 = eye.hstack(z_vw).hstack(-top if k else Mat.zeros(v, 0, backend))
+    row1 = Mat.identity(v).hstack(Mat.zeros(v, w)).hstack(-top if k else Mat.zeros(v, 0))
     ft = fmat.transpose()
-    row2 = Mat.zeros(v, v, backend).hstack(ft).hstack(-bot if k else Mat.zeros(v, 0, backend))
+    row2 = Mat.zeros(v, v).hstack(ft).hstack(-bot if k else Mat.zeros(v, 0))
     system = row1.vstack(row2)
     null = kernel(system)
     if null.dim:
@@ -217,7 +214,7 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
         b = null.basis.row_block(v, v + w)
         basis = (fmat @ x).vstack(b)
     else:
-        basis = Mat.zeros(2 * w, 0, backend)
+        basis = Mat.zeros(2 * w, 0)
     return DiracFiber(base if base is not None else fiber.base, w, basis)
 
 
@@ -230,11 +227,10 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
     k = fiber.dim
     top = fiber.basis.row_block(0, w)
     bot = fiber.basis.row_block(w, fiber.basis.rows)
-    backend = fiber.basis.backend
     # unknowns (x, b, c): F x - top c = 0 ; b - bot c = 0
-    row1 = fmat.hstack(Mat.zeros(w, w, backend)).hstack(-top if k else Mat.zeros(w, 0, backend))
-    row2 = Mat.zeros(w, v, backend).hstack(Mat.identity(w, backend)).hstack(
-        -bot if k else Mat.zeros(w, 0, backend))
+    row1 = fmat.hstack(Mat.zeros(w, w)).hstack(-top if k else Mat.zeros(w, 0))
+    row2 = Mat.zeros(w, v).hstack(Mat.identity(w)).hstack(
+        -bot if k else Mat.zeros(w, 0))
     system = row1.vstack(row2)
     null = kernel(system)
     if null.dim:
@@ -243,7 +239,7 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
         b = null.basis.row_block(v, v + w)
         basis = x.vstack(fmat.transpose() @ b)
     else:
-        basis = Mat.zeros(2 * v, 0, backend)
+        basis = Mat.zeros(2 * v, 0)
     return DiracFiber(base if base is not None else fiber.base, v, basis)
 
 
@@ -433,7 +429,7 @@ def cartan_dirac(g: GroupElement) -> DiracFiber:
         rho = conj_field(g, xi)
         sig = sigma(g, xi)
         cols.append(ctx.coords(rho.coord.m) + sig.dual_coords())
-    basis = Mat.from_columns(cols, 2 * ctx.dim_g, EXACT)
+    basis = Mat.from_columns(cols, 2 * ctx.dim_g)
     return DiracFiber((g.m,), ctx.dim_g, basis)
 
 

@@ -1,7 +1,8 @@
 """The fusion double, its restriction to G x B, and the quotient G x_B B.
 
-Everything here is pointwise and exact.  The double G x G carries the
-2-form
+Everything here is pointwise and exact, apart from the Weyl-fiber
+enumeration at the end, which runs on numpy arrays.  The double G x G
+carries the 2-form
 
     omega_(a,b)((x1,y1),(x2,y2)) = -1/2 [ (x1, Ad_b y2) - (x2, Ad_b y1)
                                         + (x2, Ad_b x1) - (x1, Ad_b x2)
@@ -37,11 +38,11 @@ from .diffcalc import PointedMap, Space, d_two_form
 from .dirac import (DiracFiber, TwoFormFiber, BivectorFiber, cartan_dirac,
                     graph_two_form, is_lagrangian, pushforward_linear)
 from .liegroup import (AlgebraElement, Covector, GroupContext, GroupElement,
-                       borel_decompose, chevalley, context, random_point,
-                       sigma, sigma_adjoint, _mul_frac)
-from .linalg import (EXACT, FLOAT, Mat, Subspace, dot, intersect, kernel,
-                     mat_vec, rref, solve_unique)
-from .matio import mat_from_json, mat_to_json
+                       borel_decompose, chevalley, group_of_json, random_point,
+                       read_element, sigma, sigma_adjoint, _mul_frac)
+from .linalg import (Mat, Subspace, dot, intersect, kernel, mat_vec, rref,
+                     solve_unique)
+from .matio import entry_pairs, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
 
@@ -72,12 +73,9 @@ class DoublePoint:
                 "group": self.ctx.name}
 
     @classmethod
-    def from_json(cls, obj: dict, backend=None) -> "DoublePoint":
-        ctx = context(obj["group"])
-        return cls(
-            GroupElement(ctx, mat_from_json(obj["a"], backend)),
-            GroupElement(ctx, mat_from_json(obj["b"], backend)),
-        )
+    def from_json(cls, obj: dict) -> "DoublePoint":
+        ctx = group_of_json(obj)
+        return cls(read_element(ctx, obj["a"]), read_element(ctx, obj["b"]))
 
 
 class GSPoint:
@@ -94,17 +92,14 @@ class GSPoint:
         self.b = b
         self.ctx = g.ctx
 
-    def same_class(self, other: "GSPoint", tol: float | None = None) -> bool:
+    def same_class(self, other: "GSPoint") -> bool:
         """Decidable equivalence: h = g2^-1 g1 in B and b2 = h b1 h^-1."""
         if self.ctx is not other.ctx:
             return False
         h = other.g.inv @ self.g.m
-        if not self.ctx.in_borel(h, tol):
+        if not self.ctx.in_borel(h):
             return False
-        target = h @ self.b.m @ h.inverse()
-        if h.backend == EXACT:
-            return target == other.b.m
-        return target.approx_eq(other.b.m, tol)
+        return h @ self.b.m @ h.inverse() == other.b.m
 
     def translate(self, h: GroupElement) -> "GSPoint":
         """The same class through the representative h.(g,b)."""
@@ -118,12 +113,9 @@ class GSPoint:
                 "group": self.ctx.name}
 
     @classmethod
-    def from_json(cls, obj: dict, backend=None) -> "GSPoint":
-        ctx = context(obj["group"])
-        return cls(
-            GroupElement(ctx, mat_from_json(obj["g"], backend)),
-            GroupElement(ctx, mat_from_json(obj["b"], backend)),
-        )
+    def from_json(cls, obj: dict) -> "GSPoint":
+        ctx = group_of_json(obj)
+        return cls(read_element(ctx, obj["g"]), read_element(ctx, obj["b"]))
 
     def __repr__(self):
         return f"GSPoint({self.ctx.name})"
@@ -198,7 +190,7 @@ def phi_differential(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> M
         cols.append(ctx.coords(amat @ (binv @ x @ bmat - x) @ ainv) + zero)
     for y in ctx.basis[:k]:
         cols.append(ctx.coords(amat @ y @ ainv) + ctx.coords(-(bmat @ y @ binv))[:k])
-    return Mat.from_columns(cols, space.dim, amat.backend)
+    return Mat.from_columns(cols, space.dim)
 
 
 def rho_double(a: GroupElement, b: GroupElement, xi1: Mat, xi2: Mat) -> list:
@@ -322,7 +314,7 @@ def b_action_directions(b: GroupElement, part: str) -> Subspace:
     for k in ctx.sub_indices(part):
         xi = ctx.basis[k]
         cols.append(ctx.coords(-xi) + ctx.part_coords("b", b.inv @ xi @ b.m - xi))
-    return Subspace.from_vectors(cols, ctx.dim_g + ctx.dim_b, EXACT)
+    return Subspace.from_vectors(cols, ctx.dim_g + ctx.dim_b)
 
 
 def vertical_space(point: GSPoint) -> Subspace:
@@ -363,7 +355,6 @@ class QuotientChart:
             [[QQi(1) if i == j else QQi(0) for i in range(self.ambient)]
              for j in indices],
             self.ambient,
-            EXACT,
         )
         full = self.inc.hstack(v.basis)
         inv = full.inverse()
@@ -404,8 +395,8 @@ def lam_differential_upstairs(ctx: GroupContext, bmat: Mat) -> Mat:
         by = bmat @ y
         diag = [[by.entry(i, i) / bmat.entry(i, i) if i == j else QQi(0)
                  for j in range(n)] for i in range(n)]
-        cols.append(ctx.part_coords("t", Mat(diag, bmat.backend)))
-    return Mat.from_columns(cols, ctx.dim_t, bmat.backend)
+        cols.append(ctx.part_coords("t", Mat(diag)))
+    return Mat.from_columns(cols, ctx.dim_t)
 
 
 def dmu_chart(chart: QuotientChart) -> Mat:
@@ -461,7 +452,7 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
         ady = h.m @ ymat @ h.inv
         moved = ctx.coords(adx) + ctx.part_coords("b", ady)
         cols.append(mat_vec(chart2.proj, moved))
-    return Mat.from_columns(cols, chart2.hdim, EXACT)
+    return Mat.from_columns(cols, chart2.hdim)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +553,7 @@ def leaf_expected(chart: QuotientChart) -> Subspace:
     """q_* of the coordinate subspace tangent to G x tU."""
     ctx = chart.ctx
     upstairs = list(range(ctx.dim_g)) + [ctx.dim_g + k for k in ctx.sub_indices("u")]
-    return Subspace.from_vectors([chart.proj.col(k) for k in upstairs], chart.hdim, EXACT)
+    return Subspace.from_vectors([chart.proj.col(k) for k in upstairs], chart.hdim)
 
 
 def theorem2_check(chart: QuotientChart) -> dict:
@@ -616,7 +607,7 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
         [dot(alphas[i], leaf.basis.col(j)) for j in range(leaf.dim)]
         for i in range(leaf.dim)
     ]
-    form = TwoFormFiber(point.to_json(), Mat(wmat, EXACT) if leaf.dim else Mat([[QQi(0)]]))
+    form = TwoFormFiber(point.to_json(), Mat(wmat) if leaf.dim else Mat([[QQi(0)]]))
     checks = {"graphical": True, "skew": form.is_skew()}
 
     ok_moment = True
@@ -695,7 +686,7 @@ def reconstruct_bivector(chart: QuotientChart):
     # chart-level action map R: algebra coords -> chart tangent coords, from
     # the pairs that also span the action part of the graph below
     pairs = list(induced_action_pairs(chart, dmu))
-    rmat = Mat.from_columns([vec for vec, _ in pairs], h, EXACT)
+    rmat = Mat.from_columns([vec for vec, _ in pairs], h)
 
     # sigma-adjoint of the dual basis covectors at m; column i of gram^-1 is
     # the algebra coordinate of the i-th one
@@ -719,7 +710,7 @@ def reconstruct_bivector(chart: QuotientChart):
         if not consistent or not unique:
             return None, {"solvable": False, "unique": unique, "passed": False}
         pi_cols.append(mat_vec(top, sol))
-    pimat = Mat.from_columns(pi_cols, h, EXACT)
+    pimat = Mat.from_columns(pi_cols, h)
     pi = BivectorFiber(point.to_json(), pimat)
 
     checks = {"solvable": True, "skew": pi.is_skew()}
@@ -734,61 +725,115 @@ def reconstruct_bivector(chart: QuotientChart):
 
     cols = [list(pimat.col(i)) + list(cmat.data[i]) for i in range(h)]
     cols += [vec + alpha for vec, alpha in pairs]
-    span = Subspace.from_vectors(cols, 2 * h, EXACT)
+    span = Subspace.from_vectors(cols, 2 * h)
     checks["graph_consistency"] = span.equals(fib.subspace())
     checks["passed"] = all(checks.values())
     return pi, checks
 
 
 # ---------------------------------------------------------------------------
-# Weyl fibers over regular semisimple elements (float backend)
+# Weyl fibers over regular semisimple elements, in floating point
+#
+# The one float check of the package, and the only numpy code: it runs on
+# complex128 arrays.  A float fiber point is a pair (h, b) of n x n arrays,
+# the representative h and the diagonal b, read as the class [h : b].
 
 
-def weyl_fiber_enum(g: GroupElement, tol: float = 1e-8) -> list[GSPoint]:
-    """All points of the mu-fiber over a regular semisimple element.
+def float_array(m: Mat) -> np.ndarray:
+    """The complex128 array of an exact matrix."""
+    return np.array([[x.to_complex() for x in r] for r in m.data], dtype=complex)
+
+
+def float_element_from_json(obj: dict) -> tuple[GroupContext, np.ndarray]:
+    """The group and the complex128 matrix of a group element object.
+
+    Entries are fraction strings or plain numbers.  The matrix must be n x n
+    for the group and not numerically singular, and on SL its determinant
+    must be 1 within 1e-6.
+    """
+    ctx = group_of_json(obj)
+    rows, cols, pairs = entry_pairs(obj)
+    if rows != ctx.n or cols != ctx.n:
+        raise ValueError(f"matrix size does not match group {ctx.name}")
+    g = np.array([complex(_float_part(re), _float_part(im)) for re, im in pairs],
+                 dtype=complex).reshape(rows, cols)
+    d = np.linalg.det(g)
+    if abs(d) < 1e-12:
+        raise ValueError("group element numerically singular")
+    if ctx.family == "SL" and abs(d - 1) > 1e-6:
+        raise ValueError("SL element must have determinant ~1")
+    return ctx, g
+
+
+def _float_part(v) -> float:
+    if isinstance(v, str):
+        return float(Fraction(v))
+    if isinstance(v, (int, float)):
+        return float(v)
+    raise ValueError(f"bad scalar entry {v!r}")
+
+
+def weyl_fiber_enum(ctx: GroupContext, g: np.ndarray,
+                    tol: float = 1e-8) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All points (h, b) of the mu-fiber over a regular semisimple element g.
 
     One ``np.linalg.eig`` call (LAPACK ``geev``, backward stable) gives the
-    eigenvalues and unit eigenvectors on the float backend; each ordering of
-    the eigenvectors, as the columns of h (determinant 1 on SL), with the
-    matching diagonal b is one of exactly n! pairwise-inequivalent points,
-    each reproducing g to the residual tolerance.  Raises
-    :class:`NotRegularSemisimple` when eigenvalues collide within ``tol``
-    relative to the largest modulus (at least 1).
+    eigenvalues and unit eigenvectors; each ordering of the eigenvectors, as
+    the columns of h (determinant 1 on SL), with the matching diagonal b is
+    one of exactly n! pairwise-inequivalent points, each reproducing g to
+    the residual tolerance.  Raises :class:`NotRegularSemisimple` when
+    eigenvalues collide within ``tol`` relative to the largest modulus (at
+    least 1).
     """
-    ctx = g.ctx
     n = ctx.n
-    lam_, evecs = np.linalg.eig(g.m.to_numpy())
-    scale = max(1.0, max(abs(l) for l in lam_))
+    lam_, evecs = np.linalg.eig(g)
+    scale = max(1.0, np.abs(lam_).max())
     for i in range(n):
         for j in range(i + 1, n):
             if abs(lam_[i] - lam_[j]) <= tol * scale:
                 raise NotRegularSemisimple("not regular semisimple")
-    vecs = evecs.T.tolist()
     points = []
     for perm in itertools.permutations(range(n)):
-        cols = [vecs[perm[j]] for j in range(n)]
-        hmat = Mat.from_columns(cols, n, FLOAT)
-        det = hmat.det()
+        h = evecs[:, list(perm)]
         if ctx.family == "SL":
-            cols = [[x / det for x in cols[0]]] + cols[1:]
-            hmat = Mat.from_columns(cols, n, FLOAT)
-        bmat = Mat(
-            [[complex(lam_[perm[i]]) if i == j else 0j for j in range(n)]
-             for i in range(n)],
-            FLOAT,
-        )
-        points.append(
-            GSPoint(
-                GroupElement(ctx, hmat, check=False),
-                GroupElement(ctx, bmat, check=False),
-            )
-        )
+            h[:, 0] /= np.linalg.det(h)
+        points.append((h, np.diag(lam_[list(perm)])))
     return points
 
 
-def mu_residual(point: GSPoint, g: GroupElement) -> float:
-    diff = mu(point).m.to_float() - g.m.to_float()
-    return diff.max_abs()
+def float_mu(point: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """mu of a float point (h, b): h b h^-1."""
+    h, b = point
+    return h @ b @ np.linalg.inv(h)
+
+
+def mu_residual(point: tuple[np.ndarray, np.ndarray], g: np.ndarray) -> float:
+    """The largest modulus of an entry of mu(point) - g."""
+    return float(np.abs(float_mu(point) - g).max())
+
+
+def float_same_class(p: tuple, q: tuple, tol: float) -> bool:
+    """:meth:`GSPoint.same_class` of two float points, to the tolerance ``tol``.
+
+    h = h_q^-1 h_p is upper triangular when no entry below the diagonal
+    exceeds ``tol * max(1, max|h|)``; then h b_p h^-1 - b_q is zero when its
+    largest modulus m satisfies ``m <= tol * max(1, m)``.
+    """
+    h = np.linalg.inv(q[0]) @ p[0]
+    if np.abs(np.tril(h, -1)).max() > tol * max(1.0, np.abs(h).max()):
+        return False
+    diff = float(np.abs(float_mu((h, p[1])) - q[1]).max())
+    return diff <= tol * max(1.0, diff)
+
+
+def float_point_to_json(ctx: GroupContext, point: tuple) -> dict:
+    """A float point in the layout of :meth:`GSPoint.to_json`; each entry is
+    a ``[real, imaginary]`` pair of numbers."""
+    def mat(a):
+        return {"rows": ctx.n, "cols": ctx.n,
+                "entries": [[x.real, x.imag] for x in a.ravel().tolist()]}
+
+    return {"g": mat(point[0]), "b": mat(point[1]), "group": ctx.name}
 
 
 # ---------------------------------------------------------------------------

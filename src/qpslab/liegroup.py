@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from .conventions import ACTIVE
-from .linalg import DEFAULT_TOL, EXACT, Mat, mat_vec
+from .linalg import Mat, mat_vec
 from .matio import mat_from_json, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQI_ZERO, Dual, QQi
@@ -135,7 +135,7 @@ class GroupContext:
             h = [h[0]] + [b - a for a, b in zip(h, h[1:])] + [-h[-1]]
         for k, x in enumerate(h):
             rows[k][k] = x
-        return Mat(rows, EXACT)
+        return Mat(rows)
 
     def sub_indices(self, part: str) -> range:
         if part == "g":
@@ -171,7 +171,7 @@ class GroupContext:
         ``m e_j m^-1``.  ``minv`` is the inverse of ``m``; pass them swapped
         for Ad_{m^-1}."""
         return Mat.from_columns(
-            [self.coords(m @ bk @ minv) for bk in self.basis], self.dim_g, m.backend
+            [self.coords(m @ bk @ minv) for bk in self.basis], self.dim_g
         )
 
     # -- invariant form and brackets ------------------------------------------
@@ -190,8 +190,8 @@ class GroupContext:
             struct = [[self.coords(bracket(x, y)) for y in self.basis]
                       for x in self.basis]
             flat = Mat([[struct[l][m][k] for k in range(d) for l in range(d)]
-                        for m in range(d)], EXACT)
-            stacked = Mat([v for row in struct for v in row], EXACT)
+                        for m in range(d)])
+            stacked = Mat([v for row in struct for v in row])
             self._brackets = (flat, stacked)
         return self._brackets
 
@@ -245,22 +245,10 @@ class GroupContext:
     # -- membership helpers ----------------------------------------------------
 
     def in_algebra(self, m: Mat) -> bool:
-        if self.family == "GL":
-            return True
-        t = m.trace()
-        if m.backend == EXACT:
-            return not t
-        return abs(t) <= DEFAULT_TOL * max(1.0, m.max_abs())
+        return self.family == "GL" or not m.trace()
 
-    def in_borel(self, m: Mat, tol: float | None = None) -> bool:
-        for i, j in self._lower:
-            x = m.entry(i, j)
-            if m.backend == EXACT:
-                if x:
-                    return False
-            elif abs(x) > (tol or 1e-9) * max(1.0, m.max_abs()):
-                return False
-        return True
+    def in_borel(self, m: Mat) -> bool:
+        return not any(m.entry(i, j) for i, j in self._lower)
 
 
 def _unit(n: int, i: int, j: int) -> Mat:
@@ -272,11 +260,9 @@ def _unit(n: int, i: int, j: int) -> Mat:
 def _mul_frac(t, frac: Fraction):
     if frac == 1:
         return t
-    if isinstance(t, QQi):
-        return t * frac
     if isinstance(t, Dual):
         return Dual(_mul_frac(t.val, frac), _mul_frac(t.dot, frac))
-    return t * float(frac)
+    return t * frac
 
 
 def bracket(x: Mat, y: Mat) -> Mat:
@@ -310,16 +296,10 @@ class GroupElement:
         self._inv = None
         if check:
             d = m.det()
-            if m.backend == EXACT:
-                if not d:
-                    raise ValueError("group element must be invertible")
-                if ctx.family == "SL" and d != QQi(1):
-                    raise ValueError("SL element must have determinant 1")
-            else:
-                if abs(d) < 1e-12:
-                    raise ValueError("group element numerically singular")
-                if ctx.family == "SL" and abs(d - 1) > 1e-6:
-                    raise ValueError("SL element must have determinant ~1")
+            if not d:
+                raise ValueError("group element must be invertible")
+            if ctx.family == "SL" and d != QQi(1):
+                raise ValueError("SL element must have determinant 1")
 
     @property
     def inv(self) -> Mat:
@@ -349,19 +329,32 @@ class GroupElement:
         return d
 
     @classmethod
-    def from_json(cls, obj: dict, backend: str | None = None) -> "GroupElement":
-        try:
-            name = obj["group"]
-        except (KeyError, TypeError):
-            raise ValueError("group element JSON needs a 'group' tag") from None
-        ctx = context(name)
-        m = mat_from_json(obj, backend)
-        if m.rows != ctx.n or m.cols != ctx.n:
-            raise ValueError(f"matrix size does not match group {name}")
-        return cls(ctx, m)
+    def from_json(cls, obj: dict) -> "GroupElement":
+        """The element of a matrix object with a ``"group"`` tag."""
+        return read_element(group_of_json(obj), obj)
 
     def __repr__(self):
         return f"GroupElement({self.ctx.name}, {self.m!r})"
+
+
+def group_of_json(obj: dict) -> GroupContext:
+    """The context named by the ``"group"`` tag of a JSON object."""
+    try:
+        name = obj["group"]
+    except (KeyError, TypeError):
+        raise ValueError("group element JSON needs a 'group' tag") from None
+    return context(name)
+
+
+def read_element(ctx: GroupContext, obj: dict, check: bool = True) -> GroupElement:
+    """The group element of a matrix object; the size must match the group.
+
+    Every group matrix of a JSON point or eval input is read here.
+    """
+    m = mat_from_json(obj)
+    if m.rows != ctx.n or m.cols != ctx.n:
+        raise ValueError(f"matrix size does not match group {ctx.name}")
+    return GroupElement(ctx, m, check)
 
 
 class AlgebraElement:
@@ -490,9 +483,8 @@ def borel_decompose(b: GroupElement) -> tuple[GroupElement, GroupElement]:
     if not ctx.in_borel(b.m):
         raise ValueError("element is not upper triangular")
     n = ctx.n
-    zero = QQi(0) if b.m.backend == EXACT else 0j
-    tdata = [[b.m.entry(i, i) if i == j else zero for j in range(n)] for i in range(n)]
-    t = Mat(tdata, b.m.backend)
+    t = Mat([[b.m.entry(i, i) if i == j else QQI_ZERO for j in range(n)]
+             for i in range(n)])
     u = t.inverse() @ b.m
     te = GroupElement(ctx, t, check=False)
     ue = GroupElement(ctx, u, check=False)
@@ -500,37 +492,31 @@ def borel_decompose(b: GroupElement) -> tuple[GroupElement, GroupElement]:
 
 
 def chevalley(g: GroupElement) -> tuple:
-    """Characteristic-polynomial invariants (the adjoint-quotient value).
+    """Characteristic-polynomial invariants (the adjoint-quotient value), exactly."""
+    return invariants(g.ctx, g.m)
 
-    Returns the elementary symmetric functions of the eigenvalues: n-1 of
-    them for SL_n (the determinant is pinned to 1), all n for GL_n.
-    Computed from power sums via Newton's identities, exactly.
+
+def invariants(ctx: GroupContext, m) -> tuple:
+    """The elementary symmetric functions of the eigenvalues of ``m``.
+
+    n-1 of them for SL_n (the determinant is pinned to 1), all n for GL_n,
+    from the power sums by Newton's identities.  Only ``@`` and ``.trace()``
+    are used, so ``m`` is an exact :class:`Mat` or a numpy array.
     """
-    ctx = g.ctx
     n = ctx.n
     powers = []
-    acc = g.m
+    acc = m
     for _ in range(n):
         powers.append(acc.trace())
-        acc = acc @ g.m
-    one = QQi(1) if g.m.backend == EXACT else 1.0 + 0j
-    es = [one]  # e_0 = 1; Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
+        acc = acc @ m
+    es = [1]  # e_0 = 1; Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
     for k in range(1, n + 1):
-        s = es[k - 1] * powers[0] * 0
-        for i in range(1, k + 1):
+        s = es[k - 1] * powers[0]
+        for i in range(2, k + 1):
             term = es[k - i] * powers[i - 1]
             s = s + term if i % 2 == 1 else s - term
-        es.append(_div_int(s, k))
-    es = es[1:]
-    if ctx.family == "SL":
-        return tuple(es[: n - 1])
-    return tuple(es)
-
-
-def _div_int(x, k: int):
-    if isinstance(x, QQi):
-        return x / QQi(k)
-    return x / k
+        es.append(s / k)
+    return tuple(es[1:n] if ctx.family == "SL" else es[1:])
 
 
 def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,

@@ -1,12 +1,14 @@
-"""Matrices and subspaces over the exact and float scalar backends.
+"""Exact matrices and subspaces over the Gaussian rationals.
 
 All geometric claims verified by this package reduce to rank, kernel and
-intersection computations performed here.
+intersection computations performed here.  A :class:`Mat` holds exact
+entries only; a float entry raises ``TypeError``.  The one float check, the
+Weyl-fiber enumeration, runs on numpy arrays in :mod:`qpslab.gspringer`.
 
-Exact backend.  Every sampler and suite produces real entries, so a real
-exact :class:`Mat` is kept in integer form: for each row, a list of integer
-numerators and a positive row denominator with no factor common to all of
-them (``gcd(den, *nums) == 1``).  The row denominator is then the lcm of the
+Every sampler and suite produces real entries, so a real :class:`Mat` is
+kept in integer form: for each row, a list of integer numerators and a
+positive row denominator with no factor common to all of them
+(``gcd(den, *nums) == 1``).  The row denominator is then the lcm of the
 row's reduced entry denominators, so the form is canonical and ``==``
 compares it.  Rows have their own denominators: one common denominator for
 the whole matrix would make every row as long as the lcm over all rows.
@@ -52,14 +54,6 @@ vector that is neither real nor split that way (nested duals, non-real
 parts).  Only JSON input can produce a non-real entry; the same functions
 are the oracle of the differential tests.
 
-Float backend: only what the float Weyl-fiber enumeration needs, whose
-eigenvectors come from ``np.linalg.eig``.  A float matrix supports products
-and sums, :meth:`Mat.is_zero`, :meth:`Mat.approx_eq`, :meth:`Mat.det` and
-:meth:`Mat.inverse` (numpy).  :func:`rank` and everything built on
-:func:`rref` (:func:`kernel`, :func:`solve_unique`, :class:`Subspace`,
-:func:`intersect`) are exact-only and raise :class:`LinAlgError` on a float
-matrix.
-
 Conventions: a :class:`Subspace` stores a basis matrix whose *columns* are
 the basis vectors, canonicalized by reduced row echelon form of the
 transpose, so equal subspaces print identically.  Subspace equality is
@@ -74,12 +68,9 @@ from math import gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .scalars import QQI_ZERO, Dual, QQi
 
-DEFAULT_TOL = 1e-9
-
+# the values of a campaign's backend setting; only diagram-gs takes FLOAT
 EXACT = "exact"
 FLOAT = "float"
 
@@ -88,68 +79,53 @@ class LinAlgError(ValueError):
     pass
 
 
-def _coerce_entry(x, backend):
-    if backend == EXACT:
-        if isinstance(x, QQi):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QQi(x)
-        raise TypeError(f"exact matrix entry must be rational, got {type(x).__name__}")
-    if isinstance(x, complex):
-        return x
-    if isinstance(x, (int, float, Fraction)):
-        return complex(x)
+def _coerce_entry(x):
     if isinstance(x, QQi):
-        return x.to_complex()
-    raise TypeError(f"float matrix entry must be numeric, got {type(x).__name__}")
+        return x
+    if isinstance(x, (int, Fraction)):
+        return QQi(x)
+    raise TypeError(f"exact matrix entry must be rational, got {type(x).__name__}")
 
 
 class Mat:
-    """Immutable dense matrix; row-major tuple of row tuples (:attr:`data`).
+    """Immutable dense matrix of :class:`QQi` entries; row-major tuple of
+    row tuples (:attr:`data`).
 
-    A real exact matrix also keeps its integer rows and columns (see the
-    module docstring); whichever form is missing is derived when first used.
+    A real matrix also keeps its integer rows and columns (see the module
+    docstring); whichever form is missing is derived when first used.
     """
 
-    __slots__ = ("rows", "cols", "backend", "_data", "_ints", "_icols")
+    __slots__ = ("rows", "cols", "_data", "_ints", "_icols")
 
-    def __init__(self, data: Sequence[Sequence], backend: str | None = None):
-        rows = tuple(tuple(r) for r in data)
+    def __init__(self, data: Sequence[Sequence]):
+        rows = tuple(tuple(_coerce_entry(x) for x in r) for r in data)
         if not rows:
             raise LinAlgError("matrix needs at least one row")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise LinAlgError("ragged rows")
-        if backend is None:
-            if ncols == 0:
-                raise LinAlgError("backend must be given for 0-column matrices")
-            probe = rows[0][0]
-            backend = EXACT if isinstance(probe, (QQi, int, Fraction)) else FLOAT
-        self._init(backend, len(rows), ncols, tuple(
-            tuple(_coerce_entry(x, backend) for x in r) for r in rows
-        ))
+        self._init(len(rows), ncols, rows)
 
-    def _init(self, backend, rows, cols, data=None, ints=None, icols=None):
-        self.backend = backend
+    def _init(self, rows, cols, data=None, ints=None, icols=None):
         self.rows = rows
         self.cols = cols
         self._data = data
-        # None: not derived yet; _NOT_INT: float, or a non-real entry
-        self._ints = ints if ints is not None or backend == EXACT else _NOT_INT
+        # None: not derived yet; _NOT_INT: a non-real entry
+        self._ints = ints
         self._icols = icols
 
     @classmethod
-    def _raw(cls, data: tuple, backend: str) -> "Mat":
+    def _raw(cls, data: tuple) -> "Mat":
         """Internal constructor skipping coercion (entries already clean)."""
         m = object.__new__(cls)
-        m._init(backend, len(data), len(data[0]) if data else 0, data)
+        m._init(len(data), len(data[0]) if data else 0, data)
         return m
 
     @classmethod
     def _from_ints(cls, ints: list, cols: int, icols: list | None = None) -> "Mat":
         """Internal constructor from canonical integer rows (and columns)."""
         m = object.__new__(cls)
-        m._init(EXACT, len(ints), cols, None, ints, icols)
+        m._init(len(ints), cols, None, ints, icols)
         return m
 
     @property
@@ -162,7 +138,7 @@ class Mat:
         return data
 
     def _int_form(self):
-        """The integer rows, or None for a float or non-real matrix."""
+        """The integer rows, or None for a non-real matrix."""
         ints = self._ints
         if ints is None:
             ints = _int_rows(self._data)
@@ -170,7 +146,7 @@ class Mat:
         return None if ints is _NOT_INT else ints
 
     def _int_columns(self) -> list:
-        """The integer form of the columns; only for a real exact matrix."""
+        """The integer form of the columns; only for a real matrix."""
         icols = self._icols
         if icols is None:
             self._icols = icols = _transpose_ints(self._int_form(), self.cols)
@@ -179,27 +155,24 @@ class Mat:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, backend: str = EXACT) -> "Mat":
-        if n and backend == EXACT:
-            return cls._from_ints(
-                [([int(i == j) for j in range(n)], 1) for i in range(n)], n
-            )
-        one = QQi(1) if backend == EXACT else 1.0 + 0j
-        zero = QQi(0) if backend == EXACT else 0.0 + 0j
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], backend)
+    def identity(cls, n: int) -> "Mat":
+        if not n:
+            raise LinAlgError("matrix needs at least one row")
+        return cls._from_ints(
+            [([int(i == j) for j in range(n)], 1) for i in range(n)], n
+        )
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, backend: str = EXACT) -> "Mat":
-        if rows and backend == EXACT:
-            return cls._from_ints([([0] * cols, 1)] * rows, cols)
-        zero = QQi(0) if backend == EXACT else 0.0 + 0j
-        return cls([[zero] * cols for _ in range(rows)], backend)
+    def zeros(cls, rows: int, cols: int) -> "Mat":
+        if not rows:
+            raise LinAlgError("matrix needs at least one row")
+        return cls._from_ints([([0] * cols, 1)] * rows, cols)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], ambient: int, backend: str) -> "Mat":
+    def from_columns(cls, columns: Sequence[Sequence], ambient: int) -> "Mat":
         if not columns:
-            return cls.zeros(ambient, 0, backend) if ambient else cls([[]], backend)
-        return cls([[col[i] for col in columns] for i in range(ambient)], backend)
+            return cls.zeros(ambient, 0) if ambient else cls([[]])
+        return cls([[col[i] for col in columns] for i in range(ambient)])
 
     # -- basic algebra -------------------------------------------------------
 
@@ -225,9 +198,7 @@ class Mat:
         return Mat._raw(
             tuple(
                 tuple(map(op, ra, rb)) for ra, rb in zip(self.data, other.data)
-            ),
-            self.backend,
-        )
+        ))
 
     def __add__(self, other):
         if isinstance(other, Mat):
@@ -245,33 +216,25 @@ class Mat:
             return Mat._from_ints(
                 [([-a for a in r], d) for r, d in ints], self.cols
             )
-        return Mat._raw(tuple(tuple(-a for a in r) for r in self.data), self.backend)
+        return Mat._raw(tuple(tuple(-a for a in r) for r in self.data))
 
     def scale(self, s) -> "Mat":
-        if self.backend == EXACT:
-            if not isinstance(s, QQi):
-                s = QQi(s)
-            ints = self._int_form() if not s.im else None
-            if ints is not None:
-                p, q = s.re.numerator, s.re.denominator
-                if not p:
-                    return Mat.zeros(self.rows, self.cols)
-                return Mat._from_ints(
-                    [_canon([a * p for a in r], d * q) for r, d in ints],
-                    self.cols,
-                )
-        elif isinstance(s, (Fraction, int)):
-            s = complex(s)
-        elif isinstance(s, QQi):
-            s = s.to_complex()
-        return Mat._raw(
-            tuple(tuple(a * s for a in r) for r in self.data), self.backend
-        )
+        if not isinstance(s, QQi):
+            s = QQi(s)
+        ints = self._int_form() if not s.im else None
+        if ints is not None:
+            p, q = s.re.numerator, s.re.denominator
+            if not p:
+                return Mat.zeros(self.rows, self.cols)
+            return Mat._from_ints(
+                [_canon([a * p for a in r], d * q) for r, d in ints], self.cols
+            )
+        return Mat._raw(tuple(tuple(a * s for a in r) for r in self.data))
 
     def transpose(self) -> "Mat":
         if self.cols and self._int_form() is not None:
             return Mat._from_ints(self._int_columns(), self.rows, self._ints)
-        return Mat._raw(tuple(zip(*self.data)), self.backend)
+        return Mat._raw(tuple(zip(*self.data)))
 
     def trace(self):
         if self.rows != self.cols:
@@ -302,7 +265,7 @@ class Mat:
             raise LinAlgError("matrix needs at least one row")
         data, ints = self._data, self._ints
         m = object.__new__(Mat)
-        m._init(self.backend, n, self.cols,
+        m._init(n, self.cols,
                 None if data is None else data[start:stop],
                 ints[start:stop] if ints else None)
         return m
@@ -314,7 +277,7 @@ class Mat:
             raise LinAlgError("matrix needs at least one column")
         ints = self._int_form()
         if ints is None:
-            return Mat._raw(tuple(r[start:stop] for r in self.data), self.backend)
+            return Mat._raw(tuple(r[start:stop] for r in self.data))
         icols = self._icols
         return Mat._from_ints([_canon(r[start:stop], d) for r, d in ints], n,
                               None if icols is None else icols[start:stop])
@@ -322,59 +285,33 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.backend != other.backend or self.shape != other.shape:
+        if self.shape != other.shape:
             return False
         a, b = self._int_form(), other._int_form()
         if a is not None and b is not None:
             return a == b
-        if self.backend == EXACT and (a is not None or b is not None):
+        if a is not None or b is not None:
             return False  # a real matrix never equals a non-real one
         return self.data == other.data
 
     def __hash__(self):
-        return hash((self.backend, self.data))
+        return hash(self.data)
 
-    def is_zero(self, tol: float | None = None) -> bool:
-        if self.backend == EXACT:
-            ints = self._int_form()
-            if ints is not None:
-                return not any(any(r) for r, _ in ints)
-            return all(not x for r in self.data for x in r)
-        tol = DEFAULT_TOL if tol is None else tol
-        scale = max((abs(x) for r in self.data for x in r), default=0.0)
-        return scale <= tol or all(
-            abs(x) <= tol * max(1.0, scale) for r in self.data for x in r
-        )
-
-    def approx_eq(self, other: "Mat", tol: float | None = None) -> bool:
-        if self.backend == EXACT and other.backend == EXACT:
-            return self == other
-        return (self.to_float() - other.to_float()).is_zero(tol)
-
-    def max_abs(self) -> float:
-        return max((abs(complex(x.to_complex() if isinstance(x, QQi) else x))
-                    for r in self.data for x in r), default=0.0)
-
-    def to_float(self) -> "Mat":
-        if self.backend == FLOAT:
-            return self
-        return Mat([[x.to_complex() for x in r] for r in self.data], FLOAT)
-
-    def to_numpy(self) -> np.ndarray:
-        m = self.to_float()
-        return np.array(m.data, dtype=complex).reshape(m.rows, m.cols)
+    def is_zero(self) -> bool:
+        ints = self._int_form()
+        if ints is not None:
+            return not any(any(r) for r, _ in ints)
+        return all(not x for r in self.data for x in r)
 
     def _same_shape(self, other):
-        if self.shape != other.shape or self.backend != other.backend:
-            raise LinAlgError(f"shape/backend mismatch {self.shape} vs {other.shape}")
+        if self.shape != other.shape:
+            raise LinAlgError(f"shape mismatch {self.shape} vs {other.shape}")
 
     # -- elimination-based operations ----------------------------------------
 
     def det(self):
         if self.rows != self.cols:
             raise LinAlgError("determinant of non-square matrix")
-        if self.backend == FLOAT:
-            return complex(np.linalg.det(self.to_numpy()))
         ints = self._int_form()
         if ints is None:
             return _det_qqi(self)
@@ -385,8 +322,6 @@ class Mat:
         if self.rows != self.cols:
             raise LinAlgError("inverse of non-square matrix")
         n = self.rows
-        if self.backend == FLOAT:
-            return Mat(np.linalg.inv(self.to_numpy()).tolist(), FLOAT)
         ints = self._int_form()
         if ints is None:
             return _inverse_qqi(self)
@@ -402,26 +337,20 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise LinAlgError("row mismatch in hstack")
-        if self.backend != other.backend:
-            return Mat([a + b for a, b in zip(self.data, other.data)], self.backend)
         a = self._int_form()
         b = other._int_form() if a is not None else None
         if b is not None:
             return Mat._from_ints(_hstack_ints(a, b), self.cols + other.cols)
-        return Mat._raw(
-            tuple(a + b for a, b in zip(self.data, other.data)), self.backend
-        )
+        return Mat._raw(tuple(a + b for a, b in zip(self.data, other.data)))
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise LinAlgError("col mismatch in vstack")
-        if self.backend != other.backend:
-            return Mat(self.data + other.data, self.backend)
         a = self._int_form()
         b = other._int_form() if a is not None else None
         if b is not None:
             return Mat._from_ints(a + b, self.cols)
-        return Mat._raw(self.data + other.data, self.backend)
+        return Mat._raw(self.data + other.data)
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(x) for x in r) for r in self.data)
@@ -447,7 +376,7 @@ def _dot(row, col):
 def mat_vec(m: Mat, v: Sequence) -> list:
     if m.cols != len(v):
         raise LinAlgError("matrix/vector size mismatch")
-    if m.backend == EXACT and m.cols:
+    if m.cols:
         vi = _int_rows((v,))
         if vi is None:
             vi = _dual_parts(v)
@@ -472,7 +401,7 @@ def _dual_parts(v: Sequence):
 # ---------------------------------------------------------------------------
 # the integer kernel
 
-# Mat._ints of a float matrix or of one with a non-real entry
+# Mat._ints of a matrix with a non-real entry
 _NOT_INT = False
 
 
@@ -656,12 +585,7 @@ def _rref_int(rows: list[list[int]]) -> list[int]:
 
 
 def rank(m: Mat) -> int:
-    """Rank by Bareiss fraction-free elimination on the integer rows.
-
-    Exact backend only: a float matrix raises :class:`LinAlgError`.
-    """
-    if m.backend != EXACT:
-        raise LinAlgError("rank is exact-only")
+    """Rank by Bareiss fraction-free elimination on the integer rows."""
     if m.cols == 0 or m.rows == 0:
         return 0
     ints = m._int_form()
@@ -671,9 +595,7 @@ def rank(m: Mat) -> int:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form with pivot column list (exact backend only)."""
-    if m.backend != EXACT:
-        raise LinAlgError("rref is exact-only")
+    """Reduced row echelon form with pivot column list."""
     ints = m._int_form()
     if ints is None:
         return _rref_qqi(m)
@@ -692,7 +614,7 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 def _matmul_qqi(a: Mat, b: Mat) -> Mat:
     bt = tuple(zip(*b.data))
-    return Mat._raw(tuple(tuple(_dot(r, c) for c in bt) for r in a.data), a.backend)
+    return Mat._raw(tuple(tuple(_dot(r, c) for c in bt) for r in a.data))
 
 
 def _mat_vec_qqi(m: Mat, v: Sequence) -> list:
@@ -755,7 +677,7 @@ def _rref_qqi(m: Mat) -> tuple[Mat, list[int]]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return Mat(rows, EXACT), pivots
+    return Mat(rows), pivots
 
 
 def _det_qqi(m: Mat) -> QQi:
@@ -793,17 +715,17 @@ def _inverse_qqi(m: Mat) -> Mat:
             if i != c and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return Mat([r[n:] for r in aug], EXACT)
+    return Mat([r[n:] for r in aug])
 
 
 def kernel(m: Mat) -> "Subspace":
     """Basis of the null space; ``dim = cols - rank``."""
     if m.cols == 0:
-        return Subspace.zero(0, m.backend)
+        return Subspace.zero(0)
     red, pivots = rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
     if not free:
-        return Subspace.zero(m.cols, EXACT)
+        return Subspace.zero(m.cols)
     if red._int_form() is None:
         cols = []
         for fc in free:
@@ -812,7 +734,7 @@ def kernel(m: Mat) -> "Subspace":
             for i, pc in enumerate(pivots):
                 v[pc] = -red.data[i][fc]
             cols.append(v)
-        return Subspace(m.cols, Mat.from_columns(cols, m.cols, EXACT))
+        return Subspace(m.cols, Mat.from_columns(cols, m.cols))
     # the null vector of free column fc is 1 at fc and minus column fc of
     # the pivot rows at the pivots; over the column's denominator den it is
     # canonical, since den is prime to the column's numerators
@@ -830,12 +752,12 @@ def kernel(m: Mat) -> "Subspace":
 
 
 def solve_unique(a: Mat, b: Sequence):
-    """Solve ``a @ x = b`` (exact backend only).
+    """Solve ``a @ x = b``.
 
     Returns ``(solution, unique, consistent)``; ``solution`` is None when the
     system is inconsistent, otherwise one particular solution.
     """
-    aug = a.hstack(Mat.from_columns([list(b)], a.rows, a.backend))
+    aug = a.hstack(Mat.from_columns([list(b)], a.rows))
     red, pivots = rref(aug)
     if a.cols in pivots:
         return None, False, False
@@ -864,35 +786,30 @@ class Subspace:
         self.basis = basis
 
     @classmethod
-    def zero(cls, ambient_dim: int, backend: str = EXACT) -> "Subspace":
-        return cls(ambient_dim, Mat.zeros(max(ambient_dim, 1), 0, backend), canonical=True)
+    def zero(cls, ambient_dim: int) -> "Subspace":
+        return cls(ambient_dim, Mat.zeros(max(ambient_dim, 1), 0), canonical=True)
 
     @classmethod
-    def full(cls, ambient_dim: int, backend: str = EXACT) -> "Subspace":
-        return cls(ambient_dim, Mat.identity(ambient_dim, backend), canonical=True)
+    def full(cls, ambient_dim: int) -> "Subspace":
+        return cls(ambient_dim, Mat.identity(ambient_dim), canonical=True)
 
     @classmethod
     def from_spanning(cls, mat: Mat) -> "Subspace":
         return cls(mat.rows, mat)
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence], ambient_dim: int,
-                     backend: str = EXACT) -> "Subspace":
+    def from_vectors(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         cols = [list(v) for v in vectors]
-        return cls(ambient_dim, Mat.from_columns(cols, ambient_dim, backend))
+        return cls(ambient_dim, Mat.from_columns(cols, ambient_dim))
 
     @property
     def dim(self) -> int:
         return self.basis.cols
 
-    @property
-    def backend(self) -> str:
-        return self.basis.backend
-
     def contains_vector(self, v: Sequence) -> bool:
         if not any(v):
             return True
-        stacked = self.basis.hstack(Mat.from_columns([list(v)], self.ambient_dim, self.backend))
+        stacked = self.basis.hstack(Mat.from_columns([list(v)], self.ambient_dim))
         return rank(stacked) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
@@ -926,10 +843,10 @@ def _canonical_basis(mat: Mat) -> Mat:
 
 
 def _row_space_basis(rows: Mat) -> Mat:
-    """The canonical column basis of the span of the rows of an exact matrix."""
+    """The canonical column basis of the span of the rows of a matrix."""
     red, pivots = rref(rows)
     if not pivots:
-        return Mat.zeros(rows.cols, 0, EXACT)
+        return Mat.zeros(rows.cols, 0)
     return red.row_block(0, len(pivots)).transpose()
 
 
@@ -938,11 +855,11 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise LinAlgError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim, a.backend)
+        return Subspace.zero(a.ambient_dim)
     stacked = a.basis.hstack(b.basis)
     null = kernel(stacked)
     if null.dim == 0:
-        return Subspace.zero(a.ambient_dim, a.backend)
+        return Subspace.zero(a.ambient_dim)
     coeffs = null.basis.row_block(0, a.dim)
     return Subspace(a.ambient_dim, a.basis @ coeffs)
 
@@ -958,6 +875,6 @@ def annihilator(s: Subspace, pairing: Mat) -> Subspace:
     if rank(pairing) != s.ambient_dim:
         raise LinAlgError("degenerate pairing")
     if s.dim == 0:
-        return Subspace.full(s.ambient_dim, s.backend)
+        return Subspace.full(s.ambient_dim)
     cond = s.basis.transpose() @ pairing.transpose()
     return kernel(cond)

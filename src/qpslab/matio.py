@@ -4,48 +4,50 @@ Matrix format::
 
     {"rows": n, "cols": m, "entries": [["p/q", "r/s"], ...]}
 
-Entries are row-major ``[real, imaginary]`` pairs of exact fraction strings;
-the float backend additionally accepts plain numbers (a bare number means a
-real entry).  Group elements add a ``"group"`` tag such as ``"sl2"``.
+Entries are row-major ``[real, imaginary]`` pairs of exact fraction strings
+or integers; a bare integer means a real entry.  Any other number
+is an input error: every matrix read here is exact.  The float reader of
+the Weyl-fiber enumeration, which also takes plain numbers, shares
+:func:`entry_pairs` (see :mod:`qpslab.gspringer`).  Group elements add a
+``"group"`` tag such as ``"sl2"``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import EXACT, FLOAT, Mat
+from .linalg import Mat
 from .scalars import QQi
 
 
-def scalar_to_json(x):
-    if isinstance(x, QQi):
-        return [str(x.re), str(x.im)]
-    c = complex(x)
-    return [c.real, c.imag]
+def scalar_to_json(x: QQi) -> list:
+    return [str(x.re), str(x.im)]
 
 
-def _part_from_json(v, backend):
-    if isinstance(v, str):
-        f = Fraction(v)
-        return f if backend == EXACT else float(f)
-    if backend == EXACT:
-        if isinstance(v, int):
-            return Fraction(v)
-        raise ValueError(f"exact backend needs fraction strings, got {v!r}")
-    return float(v)
+def _exact_part(v) -> Fraction:
+    if isinstance(v, (str, int)):
+        return Fraction(v)
+    raise ValueError(f"exact backend needs fraction strings, got {v!r}")
 
 
-def scalar_from_json(v, backend: str):
+def _pair(v) -> tuple:
     if isinstance(v, (int, float)):
-        pair = (v, 0)
-    elif isinstance(v, (list, tuple)) and len(v) == 2:
-        pair = tuple(v)
-    else:
-        raise ValueError(f"bad scalar entry {v!r}")
-    re, im = (_part_from_json(p, backend) for p in pair)
-    if backend == EXACT:
-        return QQi(re, im)
-    return complex(re, im)
+        return (v, 0)
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return tuple(v)
+    raise ValueError(f"bad scalar entry {v!r}")
+
+
+def entry_pairs(obj: dict) -> tuple[int, int, list]:
+    """``(rows, cols, entries)`` of a matrix object, each entry a
+    ``(real, imaginary)`` pair of unparsed parts."""
+    try:
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed matrix JSON: {e}") from None
+    if len(entries) != rows * cols:
+        raise ValueError("entry count must be rows*cols")
+    return rows, cols, [_pair(v) for v in entries]
 
 
 def mat_to_json(m: Mat) -> dict:
@@ -56,22 +58,7 @@ def mat_to_json(m: Mat) -> dict:
     }
 
 
-def mat_from_json(obj: dict, backend: str | None = None) -> Mat:
-    try:
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed matrix JSON: {e}") from None
-    if len(entries) != rows * cols:
-        raise ValueError("entry count must be rows*cols")
-    if backend is None:
-        backend = EXACT
-        for v in entries:
-            parts = v if isinstance(v, (list, tuple)) else [v]
-            if any(not isinstance(p, str) for p in parts):
-                backend = FLOAT
-                break
-    data = [
-        [scalar_from_json(entries[i * cols + j], backend) for j in range(cols)]
-        for i in range(rows)
-    ]
-    return Mat(data, backend)
+def mat_from_json(obj: dict) -> Mat:
+    rows, cols, pairs = entry_pairs(obj)
+    entries = [QQi(_exact_part(re), _exact_part(im)) for re, im in pairs]
+    return Mat([entries[i * cols:(i + 1) * cols] for i in range(rows)])

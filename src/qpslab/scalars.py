@@ -1,12 +1,12 @@
-"""Scalar backends: exact Gaussian rationals, complex floats, first-order duals.
+"""Exact scalars: Gaussian rationals and first-order duals over them.
 
 Every geometric predicate in this package eventually reduces to arithmetic
-here.  The exact backend (:class:`QQi`) stores a pair of ``Fraction``s and is
-error-free, so rank and equality decisions made over it are unconditional.
-The float backend is plain ``complex``; it is only ever consulted through a
-tolerance (see :mod:`qpslab.linalg`).  :class:`Dual` numbers carry a
-first-order infinitesimal part over either backend and drive the forward-mode
+here.  :class:`QQi` stores a pair of ``Fraction``s and is error-free, so rank
+and equality decisions made over it are unconditional.  :class:`Dual`
+numbers carry a first-order infinitesimal part and drive the forward-mode
 differentiation in :mod:`qpslab.diffcalc`; their product rule is exact.
+The one float check, the Weyl-fiber enumeration, uses numpy's complex128
+arrays instead (see :mod:`qpslab.gspringer`).
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ QQI_ONE = QQi(1)
 class Dual:
     """First-order dual number ``val + dot*eps`` with ``eps**2 = 0``.
 
-    ``val`` and ``dot`` live in the same scalar backend (:class:`QQi` or
-    ``complex``).  Arithmetic implements the exact product and quotient
+    ``val`` and ``dot`` are :class:`QQi` (or duals themselves).  Arithmetic
+    implements the exact product and quotient
     rules, which is all that first derivatives of rational matrix maps need.
     """
 
@@ -164,7 +164,7 @@ class Dual:
     def _lift(self, x):
         if isinstance(x, Dual):
             return x
-        if isinstance(x, (QQi, complex, float, *_EXACT_COERCIBLE)):
+        if isinstance(x, (QQi, *_EXACT_COERCIBLE)):
             return Dual(x, self.val * 0)
         return NotImplemented
 
@@ -229,7 +229,7 @@ class Dual:
 
 
 def exact(x) -> QQi:
-    """Coerce an int/Fraction/QQi into the exact backend."""
+    """Coerce an int/Fraction/QQi to a :class:`QQi`."""
     v = _as_qqi(x)
     if v is NotImplemented:
         raise TypeError(f"cannot coerce {x!r} to an exact scalar")

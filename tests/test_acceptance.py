@@ -12,8 +12,9 @@ import pytest
 from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.conventions import ACTIVE, FROZEN
 from qpslab.dirac import cartan_dirac, is_lagrangian
-from qpslab.gspringer import mu_residual, weyl_fiber_enum
-from qpslab.liegroup import GroupElement, WeylGroup, context, random_point
+from qpslab.gspringer import (float_array, float_same_class, mu_residual,
+                              weyl_fiber_enum)
+from qpslab.liegroup import WeylGroup, context, random_point
 from qpslab.prng import SplitMix64
 
 GROUPS = ("sl2", "sl3", "gl2")
@@ -143,13 +144,13 @@ def test_criterion_09_steinberg_geometry():
         for _ in range(20):
             t = random_point(ctx, "T-regular", rng)
             h = random_point(ctx, "G", rng)
-            rs = GroupElement(ctx, (h.m @ t.m @ h.inv).to_float(), check=False)
-            pts = weyl_fiber_enum(rs)
+            rs = float_array(h.m @ t.m @ h.inv)
+            pts = weyl_fiber_enum(ctx, rs)
             assert len(pts) == wsize
             assert all(mu_residual(p, rs) < 1e-8 for p in pts)
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
-                    assert not pts[i].same_class(pts[j], tol=1e-6)
+                    assert not float_same_class(pts[i], pts[j], tol=1e-6)
     announce(9, "Steinberg geometry and Weyl fibers (|W| points, residual < 1e-8)")
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,6 +67,36 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_forks_no_more_workers_than_points(monkeypatch):
+    import qpslab.campaigns as campaigns
+
+    seen = []
+
+    class InlinePool:
+        """Records the pool size and runs each call in this process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            result = fn(*args)
+            return SimpleNamespace(result=lambda: result)
+
+    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", InlinePool)
+    cfg = dict(suite="regact", group="sl2", seed=1, jobs=64)
+    assert run_suite(CampaignConfig(samples=3, **cfg)).all_passed
+    assert seen == [3]
+    # one point needs no pool at all
+    assert run_suite(CampaignConfig(samples=1, **cfg)).all_passed
+    assert seen == [3]
+
+
 def test_cli_env_default_group(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QPSLAB_DEFAULT_GROUP", "gl2")
     rpt = tmp_path / "r.json"
@@ -109,6 +140,39 @@ def test_eval_steinberg_loads_t_with_the_backend_of_g(tmp_path, capsys):
     path.write_text(json.dumps({"group": "sl2", "g": unip, "t": ident}))
     assert main(["eval", "steinberg", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"member": True}
+
+
+def test_cli_eval_kappa_and_steinberg_need_exact_entries(tmp_path, capsys):
+    floats = {"rows": 2, "cols": 2, "entries": [2.0, 0, 0, 0.5]}
+    ident = {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}
+    inputs = {
+        "kappa": [dict(floats, group="sl2")],
+        "steinberg": [{"group": "sl2", "g": floats, "t": ident},
+                      {"group": "sl2", "g": ident, "t": floats}],
+    }
+    path = tmp_path / "in.json"
+    for kind, payloads in inputs.items():
+        for payload in payloads:
+            path.write_text(json.dumps(payload))
+            assert main(["eval", kind, str(path)]) == 2
+            assert "exact backend needs fraction strings" in capsys.readouterr().err
+
+
+ONE2 = {"rows": 2, "cols": 2, "entries": [1, 0, 0, 1]}
+ONE3 = {"rows": 3, "cols": 3, "entries": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("steinberg", {"group": "sl2", "g": ONE3, "t": ONE3}),
+    ("steinberg", {"group": "sl2", "g": ONE3, "t": ONE2}),
+    ("steinberg", {"group": "sl2", "g": ONE2, "t": ONE3}),
+    ("leaf-form", {"group": "sl2", "g": ONE2, "b": ONE3}),
+], ids=["steinberg-g-and-t", "steinberg-g", "steinberg-t", "leaf-form-b"])
+def test_cli_eval_rejects_a_matrix_of_the_wrong_size(tmp_path, capsys, kind, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main(["eval", kind, str(path)]) == 2
+    assert "matrix size does not match group sl2" in capsys.readouterr().err
 
 
 def test_eval_fiber_enum():
@@ -182,12 +246,21 @@ def test_cli_eval_file_errors(tmp_path, capsys):
 
 
 def test_matio_accepts_plain_numbers_for_floats():
+    from qpslab.gspringer import float_element_from_json
     from qpslab.matio import mat_from_json, mat_to_json
-    from qpslab.linalg import FLOAT
 
-    m = mat_from_json({"rows": 1, "cols": 2, "entries": [0.5, [1, -2]]})
-    assert m.backend == FLOAT
-    assert m.entry(0, 0) == 0.5 and m.entry(0, 1) == 1 - 2j
+    # only the float reader of fiber-enum takes plain numbers
+    obj = {"group": "gl2", "rows": 2, "cols": 2,
+           "entries": [0.5, [1, -2], 0, ["4", "0"]]}
+    ctx, g = float_element_from_json(obj)
+    assert ctx.name == "gl2" and g.dtype == complex
+    assert g[0, 0] == 0.5 and g[0, 1] == 1 - 2j and g[1, 1] == 4
+    with pytest.raises(ValueError, match="numerically singular"):
+        float_element_from_json(dict(obj, entries=[1.0, 2.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="determinant ~1"):
+        float_element_from_json(dict(obj, group="sl2"))
+    with pytest.raises(ValueError, match="exact backend"):
+        mat_from_json(obj)
     exact = mat_from_json({"rows": 1, "cols": 1, "entries": [["3/4", "0"]]})
     round_trip = mat_from_json(mat_to_json(exact))
     assert round_trip == exact
@@ -229,9 +302,9 @@ def test_cli_fiber_enum_honours_tolerance(tmp_path, capsys, monkeypatch, tol):
     seen = []
     real = campaigns.weyl_fiber_enum
 
-    def spy(g, tol):
+    def spy(ctx, g, tol):
         seen.append(tol)
-        return real(g, tol=tol)
+        return real(ctx, g, tol=tol)
 
     monkeypatch.setattr(campaigns, "weyl_fiber_enum", spy)
     path = tmp_path / "g.json"

@@ -20,7 +20,7 @@ from qpslab.dirac import (BivectorFiber, DiracFiber, TwoFormFiber,
                           pushforward_linear)
 from qpslab.liegroup import (AlgebraElement, GroupElement, context,
                              random_algebra, random_point)
-from qpslab.linalg import EXACT, Mat, Subspace, kernel, mat_vec, rank
+from qpslab.linalg import Mat, Subspace, kernel, mat_vec, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -168,7 +168,7 @@ def test_cartan_dirac_lagrangian_and_leaf_dims():
             assert ok and fib.dim == ctx.dim_g
             admat = Mat.from_columns(
                 [ctx.coords(g.m @ bk @ g.inv) for bk in ctx.basis],
-                ctx.dim_g, EXACT)
+                ctx.dim_g)
             cent = kernel(admat - Mat.identity(ctx.dim_g))
             assert fib.tangent_part().dim == ctx.dim_g - cent.dim
     # regular semisimple: centralizer is the torus, leaf has codim = rank

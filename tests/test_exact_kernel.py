@@ -243,7 +243,7 @@ def fresh(m: Mat) -> Mat:
 
 def assert_same(got: Mat, want_rows) -> None:
     """``got`` has exactly the entries ``want_rows``, and equals their Mat."""
-    want = Mat(want_rows, linalg.EXACT)
+    want = Mat(want_rows)
     assert got.shape == want.shape
     assert got.data == want.data
     assert [repr(x) for r in got.data for x in r] == \

@@ -13,7 +13,8 @@ from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               NotRegularSemisimple, QuotientChart,
                               SteinbergFiber, chart_action_field,
                               chart_transport, double_space, dlam_chart,
-                              dmu_chart, gspoint_stream, gxb_space,
+                              dmu_chart, float_array, float_same_class,
+                              gspoint_stream, gxb_space,
                               induced_action_pairs, lam, leaf_expected, leaf_two_form, moment_condition_check,
                               mu, mu_residual, omega_double, omega_matrix,
                               omega_value, phi, phi_differential, phi_map,
@@ -24,7 +25,7 @@ from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               weyl_fiber_enum)
 from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, WeylGroup,
                              context, random_algebra, random_point, sigma)
-from qpslab.linalg import (EXACT, Mat, Subspace, dot, intersect, kernel, mat_vec,
+from qpslab.linalg import (Mat, Subspace, dot, intersect, kernel, mat_vec,
                            rank)
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -202,7 +203,7 @@ def _greedy_complement(v: Subspace, ambient: int, hdim: int) -> list[int]:
         if len(indices) == hdim:
             break
         e = [QQi(1) if i == j else QQi(0) for i in range(ambient)]
-        cand = current.hstack(Mat.from_columns([e], ambient, EXACT))
+        cand = current.hstack(Mat.from_columns([e], ambient))
         if rank(cand) > r:
             indices.append(j)
             current, r = cand, r + 1
@@ -229,8 +230,8 @@ def test_quotient_fiber_representative_independent():
     c1, c2 = QuotientChart(pt), QuotientChart(moved)
     trans = chart_transport(c1, c2, h)
     f1, f2 = c1.fiber, c2.fiber
-    top = trans @ Mat(f1.basis.data[: c1.hdim], EXACT)
-    bot = trans.inverse().transpose() @ Mat(f1.basis.data[c1.hdim:], EXACT)
+    top = trans @ Mat(f1.basis.data[: c1.hdim])
+    bot = trans.inverse().transpose() @ Mat(f1.basis.data[c1.hdim:])
     assert Subspace.from_spanning(top.vstack(bot)).equals(f2.subspace())
 
 
@@ -307,7 +308,7 @@ def test_theorem1_witness_names_a_column_outside_the_other_fiber():
     # the name goes with the fiber the column was read from
     def span(*units):
         cols = [[QQi(int(i == k)) for i in range(4)] for k in units]
-        return DiracFiber(None, 2, Mat.from_columns(cols, 4, EXACT))
+        return DiracFiber(None, 2, Mat.from_columns(cols, 4))
 
     assert gspringer._column_outside(span(0), span(0, 1), ("a", "b")) == {
         "fiber": "b", "column": 1, "dims": [1, 2]}
@@ -433,11 +434,11 @@ def test_steinberg_examples():
 
 
 def test_weyl_fiber_enum_sl2():
-    d2 = grp(SL2, [[2, 0], [0, Fraction(1, 2)]])
-    pts = weyl_fiber_enum(d2)
+    d2 = float_array(grp(SL2, [[2, 0], [0, Fraction(1, 2)]]).m)
+    pts = weyl_fiber_enum(SL2, d2)
     assert len(pts) == 2
     assert all(mu_residual(p, d2) < 1e-8 for p in pts)
-    assert not pts[0].same_class(pts[1], tol=1e-6)
+    assert not float_same_class(pts[0], pts[1], tol=1e-6)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -446,19 +447,19 @@ def test_weyl_fiber_enum(name):
     rng = SplitMix64(82)
     t = random_point(ctx, "T-regular", rng)
     g = random_point(ctx, "G", rng)
-    rs = GroupElement(ctx, (g.m @ t.m @ g.inv).to_float(), check=False)
-    pts = weyl_fiber_enum(rs)
+    rs = float_array(g.m @ t.m @ g.inv)
+    pts = weyl_fiber_enum(ctx, rs)
     assert len(pts) == len(WeylGroup(ctx))
     assert all(mu_residual(p, rs) < 1e-8 for p in pts)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            assert not pts[i].same_class(pts[j], tol=1e-6)
+            assert not float_same_class(pts[i], pts[j], tol=1e-6)
 
 
 def test_weyl_fiber_enum_rejects_non_semisimple():
-    unip = grp(SL2, [[1, 1], [0, 1]])
+    unip = float_array(grp(SL2, [[1, 1], [0, 1]]).m)
     with pytest.raises(NotRegularSemisimple):
-        weyl_fiber_enum(unip)
+        weyl_fiber_enum(SL2, unip)
 
 
 def test_forced_strata_in_stream():

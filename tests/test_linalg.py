@@ -1,14 +1,16 @@
 """Rank/kernel/intersection oracles and the subspace dimension laws."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qpslab.linalg import (EXACT, FLOAT, LinAlgError, Mat, Subspace,
-                           annihilator, intersect, kernel, rank, rref,
-                           solve_unique)
+import qpslab
+from qpslab.linalg import (LinAlgError, Mat, Subspace, annihilator,
+                           intersect, kernel, rank, rref, solve_unique)
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -110,18 +112,29 @@ def test_rank_nullity(rows):
 
 
 def test_float_backend_is_confined():
-    """Floats reach det and inverse; not rank, kernel or the rref solvers."""
-    m = M([[2, 1, 0], [1, 3, 1], [0, 1, 4]]).to_float()
-    with pytest.raises(LinAlgError):
-        solve_unique(m, [1.0, 0.0, 0.0])
-    with pytest.raises(LinAlgError):
-        Subspace.from_vectors([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 3, backend=FLOAT)
-    with pytest.raises(LinAlgError):
-        rank(m)
-    with pytest.raises(LinAlgError):
-        kernel(m)
-    assert abs(m.det() - 18) < 1e-9
-    assert (m @ m.inverse()).approx_eq(Mat.identity(3, FLOAT))
+    """A matrix holds exact entries only: a float entry is a TypeError."""
+    with pytest.raises(TypeError):
+        Mat([[0.5]])
+    with pytest.raises(TypeError):
+        Subspace.from_vectors([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 3)
+    with pytest.raises(TypeError):
+        solve_unique(M([[2, 1, 0], [1, 3, 1], [0, 1, 4]]), [1.0, 0.0, 0.0])
+
+
+def test_only_gspringer_imports_numpy():
+    """The float Weyl-fiber check is the only numpy code in the package."""
+    importers = set()
+    for path in Path(qpslab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                importers.add(path.stem)
+    assert importers == {"gspringer"}
 
 
 @settings(deadline=None, max_examples=40)
@@ -180,10 +193,4 @@ def test_rref_pivots():
 
 def test_stacking_keeps_the_left_backend():
     exact = M([[1, 2]])
-    floats = Mat([[0.5 + 0j, 1.0 + 0j]], FLOAT)
-    stacked = floats.vstack(exact)
-    assert stacked.backend == FLOAT and stacked.entry(1, 1) == 2 + 0j
-    assert floats.hstack(M([[3]])).entry(0, 2) == 3 + 0j
-    with pytest.raises(TypeError):
-        exact.vstack(floats)
     assert exact.hstack(M([[3]])).data == M([[1, 2, 3]]).data
