@@ -32,7 +32,7 @@ from qpslab.conventions import FROZEN, using
 from qpslab.diffcalc import Space
 from qpslab.dirac import (DiracFiber, cartan_eta3, cartan_section, dorfman,
                           graph_two_form, pushforward_linear, TwoFormFiber)
-from qpslab.gspringer import (double_space, omega_matrix, phi,
+from qpslab.gspringer import (double_space, gram_ad, omega_matrix, phi,
                               phi_differential, sample_double)
 from qpslab.linalg import Mat
 from qpslab.liegroup import (AlgebraElement, context, random_algebra,
@@ -67,7 +67,9 @@ def d_omega_matches(ctx, samples, rng) -> bool:
     for _ in range(samples):
         dp = sample_double(ctx, rng)
         dphi = phi_differential(ctx, dp.a.m, dp.b.m, double_space(ctx))
-        if not _a2_sample(ctx, dp, dphi, rng, triples=1):
+        t = gram_ad(ctx, dp.b.m, dp.b.inv)
+        w = omega_matrix(ctx, dp.a.m, dp.b.m, double_space(ctx), t=t)
+        if not _a2_sample(ctx, dp, dphi, t, w, rng, triples=1):
             return False
     return True
 

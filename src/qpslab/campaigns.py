@@ -15,19 +15,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .conventions import CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
-from .diffcalc import Space, d_two_form
+from .diffcalc import Space
 from .dirac import (cartan_closure_check, cartan_dirac, cartan_eta3,
                     cartan_section, dorfman, graph_bivector, graph_two_form,
                     is_lagrangian, pairing, BivectorFiber, TwoFormFiber)
-from .gspringer import (DoublePoint, GSPoint, SteinbergFiber, double_space,
-                        float_array, float_element_from_json, float_mu,
-                        float_point_to_json, float_same_class, gspoint_stream,
-                        lam, leaf_two_form, moment_condition_check, mu,
-                        mu_residual, omega_fn, omega_matrix, phi_differential,
-                        QuotientChart, chart_transport, reconstruct_bivector,
-                        regact_check, sample_double, steinberg_membership,
-                        theorem1_check, theorem2_check, weyl_fiber_enum,
-                        NotRegularSemisimple)
+from .gspringer import (DoublePoint, GSPoint, SteinbergFiber, d_omega,
+                        double_space, float_array, float_element_from_json,
+                        float_mu, float_point_to_json, float_same_class,
+                        gram_ad, gspoint_stream, lam, leaf_two_form,
+                        moment_condition_check, mu, mu_residual, omega_matrix,
+                        phi_differential, QuotientChart, chart_transport,
+                        reconstruct_bivector, regact_check, sample_double,
+                        steinberg_membership, theorem1_check, theorem2_check,
+                        weyl_fiber_enum, NotRegularSemisimple)
 from .liegroup import (AlgebraElement, GroupElement, WeylGroup, chevalley,
                        context, group_of_json, invariants, random_algebra,
                        random_point, read_element, sigma)
@@ -285,14 +285,15 @@ def _check_double(cfg: CampaignConfig, payload: dict) -> list:
     sp = double_space(ctx)
     recs = []
 
-    w = omega_matrix(ctx, a.m, b.m, sp)
+    t = gram_ad(ctx, b.m, b.inv)
+    w = omega_matrix(ctx, a.m, b.m, sp, t=t)
     dphi = phi_differential(ctx, a.m, b.m, sp)
     zero = Mat.zeros(ctx.n, ctx.n)
     generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
     recs.append(_record("double/A1-moment-condition",
                         moment_condition_check(dp, w, dphi, generators)))
     recs.append(_record("double/A2-exterior-derivative",
-                        _a2_sample(ctx, dp, dphi, rng, triples=2)))
+                        _a2_sample(ctx, dp, dphi, t, w, rng, triples=2)))
     ko = kernel(w.transpose())
     kphi = kernel(dphi)
     recs.append(_record("double/A3-nondegenerate",
@@ -302,14 +303,19 @@ def _check_double(cfg: CampaignConfig, payload: dict) -> list:
     return recs
 
 
-def _a2_sample(ctx, dp, dphi, rng, triples: int) -> bool:
+def _a2_sample(ctx, dp, dphi, t, w, rng, triples: int) -> bool:
+    """d(omega) = -phi^*(eta (+) eta) on random height-3 triples from ``rng``.
+
+    ``dphi``, ``t`` and ``w`` are :func:`phi_differential`,
+    :func:`~qpslab.gspringer.gram_ad` and :func:`omega_matrix` at ``dp``;
+    d(omega) comes from :func:`~qpslab.gspringer.d_omega`.  The first
+    failing triple ends the check.
+    """
     sp = double_space(ctx)
-    ev = omega_fn(ctx, sp)
-    point = (dp.a.m, dp.b.m)
     d = ctx.dim_g
     for _ in range(triples):
         dirs = [[QQi(rng.rational(3)) for _ in range(2 * d)] for _ in range(3)]
-        lhs = d_two_form(ev, sp, point, *dirs)
+        lhs = d_omega(ctx, sp, t, w, *dirs)
         pushed = [sp.split(mat_vec(dphi, v)) for v in dirs]
         mats = [(sp.part_matrix("g", p[0]), sp.part_matrix("g", p[1]))
                 for p in pushed]

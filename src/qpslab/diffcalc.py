@@ -13,6 +13,12 @@ Vector fields and 1-/2-form families are plain functions of the point that
 must be generic over dual-valued points; all bracket/derivative formulas
 below use constant-coordinate (left-invariant) extensions, with the
 correction terms that this induces built in.
+
+Among the suites only cartan-dirac's closure sample runs this engine, through
+:func:`qpslab.dirac.dorfman`.  The exterior derivative of the double's
+2-form and of the leaf form comes from the closed block form
+:func:`qpslab.gspringer.d_omega`; :func:`d_two_form` of the entrywise
+:func:`qpslab.gspringer.omega_value` is its oracle in the tests.
 """
 
 from __future__ import annotations

@@ -19,6 +19,15 @@ derivative of the printed action; the identity-fiber value
 The axiom suite (moment condition, d(omega), nondegeneracy, invariance)
 plus the forward-Dirac checks are the contract for this formula.
 
+omega depends on the point only through T = G Ad_b, so its matrix
+(:func:`omega_matrix`) and its exterior derivative (:func:`d_omega`) are
+closed block forms on the integer kernel; the derivative of T along a
+direction is a bracket, read from the structure constants.  The suites take
+d(omega) on the double and on the leaf slice G x tU from :func:`d_omega`.
+The entrywise :func:`omega_value` (with :func:`omega_fn`) and the
+dual-number :func:`~qpslab.diffcalc.d_two_form` are kept as the independent
+oracles of both closed forms in the tests.
+
 Quotient computations work in per-point charts: the vertical space of the
 B-action h.(g,b) = (g h^-1, h b h^-1) is complemented by a deterministic
 greedy choice of coordinate directions, and representative independence is
@@ -34,14 +43,14 @@ from fractions import Fraction
 import numpy as np
 
 from .conventions import ACTIVE
-from .diffcalc import PointedMap, Space, d_two_form
+from .diffcalc import PointedMap, Space
 from .dirac import (DiracFiber, TwoFormFiber, BivectorFiber, cartan_dirac,
                     graph_two_form, is_lagrangian, pushforward_linear)
-from .liegroup import (AlgebraElement, Covector, GroupContext, GroupElement,
-                       borel_decompose, chevalley, group_of_json, random_point,
-                       read_element, sigma, sigma_adjoint, _mul_frac)
-from .linalg import (Mat, Subspace, dot, intersect, kernel, mat_vec, rref,
-                     solve_unique)
+from .liegroup import (AlgebraElement, GroupContext, GroupElement, chevalley,
+                       group_of_json, random_point, read_element, sigma,
+                       sigma_average, torus_part, _mul_frac)
+from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, rank, rref,
+                     solve_columns)
 from .matio import entry_pairs, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
@@ -228,7 +237,11 @@ def omega_value(ctx: GroupContext, amat, bmat, u1, u2):
 
 
 def omega_fn(ctx: GroupContext, space: Space):
-    """omega as a coordinate-bilinear family usable by d_two_form."""
+    """omega as a coordinate-bilinear family usable by d_two_form.
+
+    With :func:`~qpslab.diffcalc.d_two_form` it is the oracle of
+    :func:`d_omega` in the tests; no suite evaluates it.
+    """
 
     def ev(point, u, v):
         a, b = point
@@ -239,27 +252,88 @@ def omega_fn(ctx: GroupContext, space: Space):
     return ev
 
 
-def omega_matrix(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> Mat:
+def gram_ad(ctx: GroupContext, bmat: Mat, binv: Mat) -> Mat:
+    """T = G Ad_b, through which omega depends on the point; ``binv`` is b^-1."""
+    return ctx.gram @ ctx.adjoint(bmat, binv)
+
+
+def omega_matrix(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space,
+                 t: Mat | None = None) -> Mat:
     """Matrix of omega on the space's tangent basis.
 
     Uses the closed block form W = -s/2 [[T' - T, T + G], [-(T' + G), 0]]
-    with T = G Ad_b on algebra coordinates and G the form's Gram matrix; the
+    with T = G Ad_b on algebra coordinates (:func:`gram_ad`; pass it as
+    ``t`` when the caller already has it) and G the form's Gram matrix; the
     entrywise evaluator :func:`omega_value` is the independent oracle for
-    this in the tests.  Valid for the double space and its G x B coordinate
-    restriction (a leading principal submatrix, since the Borel basis is a
-    prefix of the algebra basis).
+    this in the tests.  Valid for the double space and its G x B and G x U
+    coordinate restrictions (leading principal submatrices, since the Borel
+    and unipotent bases are prefixes of the algebra basis).
     """
-    if space.parts not in (("g", "g"), ("g", "b")):
-        raise ValueError("omega matrix lives on G x G or G x B coordinates")
+    if space.parts not in (("g", "g"), ("g", "b"), ("g", "u")):
+        raise ValueError("omega matrix lives on G x G, G x B or G x U coordinates")
     d = ctx.dim_g
     gram = ctx.gram
-    t = gram @ ctx.adjoint(bmat, bmat.inverse())
+    if t is None:
+        t = gram_ad(ctx, bmat, bmat.inverse())
     tt = t.transpose()
-    k = space.dim - d  # second-factor block size (d or dim_b)
+    k = space.dim - d  # second-factor block size (d, dim_b or dim_u)
     w12 = (t + gram).col_block(0, k)
     w21 = (-(tt + gram)).row_block(0, k)
     w = (tt - t).hstack(w12).vstack(w21.hstack(Mat.zeros(k, k)))
     return w.scale(Fraction(-ACTIVE.get().omega_sign, 2))
+
+
+def _t_derivative(t: Mat, r: Mat) -> Mat:
+    """The derivative -T R(y) of T = G Ad_b along b (I + s y), ``r`` being R(y).
+
+    Ad_{b (I + s y)} = Ad_b (I + s ad_y) and ad_y = -R(y).  The product is
+    associative, so ``t`` may be any P T and ``r`` any R(y) E.
+    """
+    return -(t @ r)
+
+
+def d_omega(ctx: GroupContext, space: Space, t: Mat, w: Mat, x, y, z):
+    """d(omega)(x, y, z) from the block form of :func:`omega_matrix`.
+
+    ``t`` is :func:`gram_ad` at the point and ``w`` the omega matrix there,
+    on the double or one of its G x B and G x U slices; ``x``, ``y``, ``z``
+    are tangent coordinates.  With constant-coordinate fields,
+
+        d(omega)(X, Y, Z) = sum_cyc [ Y' (d_X W) Z - [X, Y]' W Z ].
+
+    W depends on the point only through T, and along (x, y) the matrix T
+    moves by -T R(y) (:func:`_t_derivative`), so d_X W is the block form with
+    T replaced by D = -T R(y_X) and the constant G blocks dropped.  On the
+    directions u_j, that form is -s/2 (K[j, l] - K[l, j]) with K = P' D (Q - P),
+    the columns of P and Q being the first- and second-factor parts of the
+    directions (the second zero-padded to dim G).  Brackets come from the
+    structure constants: coords([a, b]) = R(b) a, blockwise.
+    :func:`~qpslab.diffcalc.d_two_form` of :func:`omega_fn` is the oracle
+    for this in the tests.
+    """
+    d = ctx.dim_g
+    k = space.dim - d
+    v = Mat.from_columns([x, y, z], space.dim)
+    first = v.row_block(0, d)
+    second = v.row_block(d, space.dim)
+    if k < d:
+        second = second.vstack(Mat.zeros(d - k, 3))
+    rs = ctx.bracket_matrices(first.hstack(second))
+    cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    brackets = Mat.from_columns(
+        [mat_vec(rs[j], first.col(i)) + mat_vec(rs[3 + j], second.col(i))[:k]
+         for i, j, _ in cyc],
+        space.dim)
+    # entry (c, l): omega of the c-th bracket and the l-th direction
+    alg = brackets.transpose() @ w @ v
+    # K = P' D (Q - P), associated as (P' T) (R (Q - P)) to keep it 3 wide
+    pt, diff = first.transpose() @ t, second - first
+    half = Fraction(-ACTIVE.get().omega_sign, 2)
+    total = QQi(0)
+    for c, (i, j, l) in enumerate(cyc):
+        kmat = _t_derivative(pt, rs[3 + i] @ diff)
+        total = total + (kmat.entry(j, l) - kmat.entry(l, j)) * half - alg.entry(c, l)
+    return total
 
 
 def omega_double(p: DoublePoint) -> TwoFormFiber:
@@ -378,8 +452,7 @@ def mu(p: GSPoint) -> GroupElement:
 
 def lam(p: GSPoint) -> GroupElement:
     """The torus component of the fiber coordinate (constant on classes)."""
-    t, _ = borel_decompose(p.b)
-    return t
+    return torus_part(p.b)
 
 
 def lam_differential_upstairs(ctx: GroupContext, bmat: Mat) -> Mat:
@@ -421,18 +494,23 @@ def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     return mat_vec(chart.proj, up)
 
 
-def induced_action_pairs(chart: QuotientChart, dmu: Mat):
-    """Yield (q_* rho(e_k), d(mu)^T sigma(mu, e_k)) for each algebra basis e_k.
+def induced_action(chart: QuotientChart, dmu: Mat) -> tuple[Mat, Mat]:
+    """The h x dim G matrices of q_* rho(e_k) and d(mu)^T sigma(mu, e_k).
 
-    ``dmu`` is :func:`dmu_chart` of the chart.  The pairs come one at a time,
-    so a caller that stops at the first failing k builds no further pair.
+    Column k of the first is :func:`chart_action_field` of the algebra basis
+    element e_k, and of the second the pulled-back sigma covector; ``dmu`` is
+    :func:`dmu_chart` of the chart.  Both are linear in e_k, so each is one
+    product: rho(e_k) upstairs is (-Ad_{g^-1} e_k, 0), and the algebra
+    coordinates of every sigma(mu, e_k) are the columns of
+    :func:`~qpslab.liegroup.sigma_average` of the identity and Ad_{mu^-1}.
     """
     ctx = chart.ctx
+    g = chart.point.g
+    d = ctx.dim_g
+    fields = -(chart.proj.col_block(0, d) @ ctx.adjoint(g.inv, g.m))
     m = mu(chart.point)
-    dmut = dmu.transpose()
-    for xi in ctx.basis:
-        alpha = sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords()
-        yield chart_action_field(chart, xi), mat_vec(dmut, alpha)
+    sig = sigma_average(Mat.identity(d), ctx.adjoint(m.inv, m.m))
+    return fields, dmu.transpose() @ ctx.gram @ sig
 
 
 def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
@@ -516,12 +594,14 @@ def theorem1_check(chart: QuotientChart) -> dict:
     if meet:
         out["witness_kernel"] = {"dim": meet}
 
-    out["induced_action"] = True
-    for k, (vec, alpha) in enumerate(induced_action_pairs(chart, dmu)):
-        if not fib.contains(vec, alpha):
-            out["induced_action"] = False
-            out["witness_action"] = {"basis_index": k}
-            break
+    # one rank test for all dim G pairs; only a failure walks them for the
+    # first basis index outside the fiber
+    fields, duals = induced_action(chart, dmu)
+    out["induced_action"] = rank(fib.basis.hstack(fields.vstack(duals))) == fib.dim
+    if not out["induced_action"]:
+        out["witness_action"] = {"basis_index": next(
+            k for k in range(ctx.dim_g)
+            if not fib.contains(fields.col(k), duals.col(k)))}
 
     # route (iv): the double's moment map, then the projection to its first factor
     first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, ctx.dim_b))
@@ -584,81 +664,72 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     """The induced presymplectic form on the leaf directions at the chart's point.
 
     Returns (form, leaf basis, checks).  The form is obtained by inverting
-    the graph over the leaf directions; isotropy of the fiber makes the
-    matrix well-defined and skew.  Checks: the restricted moment identity
-    and the exterior-derivative identity d(omega_leaf) = -mu^* eta, the
-    latter evaluated upstairs on the G x tU slice where the leaf is a
-    coordinate subspace, on random directions drawn from ``rng`` (a
-    campaign passes the point's salted stream).
+    the graph over the leaf directions: with the fiber's basis cut into its
+    tangent rows ``top`` and covector rows ``bot``, one rref of ``[top | L]``
+    gives the coefficients S of every leaf basis vector (the columns of L),
+    and the form is (bot S)' L; isotropy of the fiber makes the matrix
+    well-defined and skew.  Checks:
+
+    * the restricted moment identity: the action fields V lie in the span of
+      L, with coefficients C from one rref of ``[L | V]``, and F' C = L' M
+      for the form F and the pulled-back sigma covectors M;
+    * the exterior-derivative identity d(omega_leaf) = -mu^* eta, evaluated
+      upstairs on the G x tU slice where the leaf is a coordinate subspace
+      (:func:`_leaf_d_identity`), on random directions drawn from ``rng`` (a
+      campaign passes the point's salted stream).
     """
+    ctx = chart.ctx
     point = chart.point
     fib = chart.fiber
     leaf = fib.tangent_part()
     h = chart.hdim
     top = fib.basis.row_block(0, h)
     bot = fib.basis.row_block(h, fib.basis.rows)
-    alphas = []
-    for j in range(leaf.dim):
-        sol, _, consistent = solve_unique(top, leaf.basis.col(j))
-        if not consistent:
-            return None, leaf, {"graphical": False, "passed": False}
-        alphas.append(mat_vec(bot, sol))
-    wmat = [
-        [dot(alphas[i], leaf.basis.col(j)) for j in range(leaf.dim)]
-        for i in range(leaf.dim)
-    ]
-    form = TwoFormFiber(point.to_json(), Mat(wmat) if leaf.dim else Mat([[QQi(0)]]))
+    # the leaf has dimension dim G - rank > 0 (theorem2_check)
+    sols, _, consistent = solve_columns(top, leaf.basis)
+    if not consistent:
+        return None, leaf, {"graphical": False, "passed": False}
+    form = TwoFormFiber(point.to_json(), (bot @ sols).transpose() @ leaf.basis)
     checks = {"graphical": True, "skew": form.is_skew()}
 
-    ok_moment = True
-    for v, mudual in induced_action_pairs(chart, dmu_chart(chart)):
-        coeff, _, consistent = solve_unique(leaf.basis, v)
-        if not consistent:
-            ok_moment = False
-            break
-        for j in range(leaf.dim):
-            lhs = dot([form.matrix.entry(i, j) for i in range(leaf.dim)], coeff)
-            rhs = dot(mudual, leaf.basis.col(j))
-            if lhs != rhs:
-                ok_moment = False
-                break
-        if not ok_moment:
-            break
-    checks["moment_identity"] = ok_moment
+    # one G x B differential serves d(mu) on the chart and on the slice
+    d = ctx.dim_g
+    dphi = phi_differential(ctx, point.g.m, point.b.m, gxb_space(ctx)).row_block(0, d)
+    fields, duals = induced_action(chart, dphi @ chart.inc)
+    coeffs, _, consistent = solve_columns(leaf.basis, fields)
+    checks["moment_identity"] = consistent and (
+        form.matrix.transpose() @ coeffs == leaf.basis.transpose() @ duals)
 
-    checks["d_identity"] = _leaf_d_identity(point, rng)
+    checks["d_identity"] = _leaf_d_identity(point, dphi.col_block(0, d + ctx.dim_u),
+                                            rng)
     checks["passed"] = all(checks.values())
     return form, leaf, checks
 
 
-def _leaf_d_identity(point: GSPoint, rng: SplitMix64, triples: int = 2) -> bool:
-    """d of the leaf form against -eta pulled back, computed upstairs."""
+def _leaf_d_identity(point: GSPoint, dmu: Mat, rng: SplitMix64,
+                     triples: int = 2) -> bool:
+    """d of the leaf form against -eta pulled back, computed upstairs.
+
+    On the G x tU slice through (g, u), with b = t u, the leaf form is the
+    pullback of omega, whose matrix is the G x U block of
+    :func:`omega_matrix` at (g, b): the slice curve u (I + s y) is the curve
+    b (I + s y).  So d(omega) comes from :func:`d_omega`, and the
+    dual-number route (:func:`~qpslab.diffcalc.d_two_form` of
+    :func:`omega_value`) is its oracle in the tests.  ``dmu`` is d(mu) on
+    the slice, (g, u) -> g t u g^-1: the first dim G rows and dim G + dim U
+    columns of the G x B :func:`phi_differential`.  Each triple is three
+    height-3 direction vectors drawn from ``rng``; the first failing triple
+    ends the check.
+    """
     ctx = point.ctx
-    tpart, upart = borel_decompose(point.b)
-    tmat = tpart.m
-    slice_space = Space(ctx, ("g", "u"))
-
-    def omega_slice(q, u, v):
-        gq, uq = q
-        um = slice_space.matrices(u)
-        vm = slice_space.matrices(v)
-        b = tmat @ uq
-        return omega_value(ctx, gq, b, (um[0], um[1]), (vm[0], vm[1]))
-
-    def conj_map(q):
-        gq, uq = q
-        b = tmat @ uq
-        return (gq @ b @ gq.inverse(),)
-
-    target = Space(ctx, ("g",))
-    cmap = PointedMap("mu-on-slice", slice_space, target, conj_map)
-    pt = (point.g.m, upart.m)
-    dm = cmap.differential_matrix(pt)
-    dim = slice_space.dim
+    space = Space(ctx, ("g", "u"))
+    t = gram_ad(ctx, point.b.m, point.b.inv)
+    w = omega_matrix(ctx, point.g.m, point.b.m, space, t=t)
+    dim = space.dim
     for _ in range(triples):
         dirs = [[QQi(rng.rational(3)) for _ in range(dim)] for _ in range(3)]
-        lhs = d_two_form(omega_slice, slice_space, pt, *dirs)
-        mats = [ctx.mat_from_coords(mat_vec(dm, v)) for v in dirs]
+        lhs = d_omega(ctx, space, t, w, *dirs)
+        mats = [ctx.mat_from_coords(mat_vec(dmu, v)) for v in dirs]
         rhs = -ctx.eta(mats[0], mats[1], mats[2])
         if lhs != rhs:
             return False
@@ -670,7 +741,8 @@ def reconstruct_bivector(chart: QuotientChart):
 
     For each covector the defining pair of conditions (image under d(mu)
     prescribed through the adjoints, membership of (X, C^* alpha) in the
-    fiber) has a unique solution; failures are reported.  Returns
+    fiber) has a unique solution; the h covectors e_i are solved together,
+    by one rref with h right-hand sides, and failures are reported.  Returns
     (bivector, checks).
     """
     ctx = chart.ctx
@@ -685,47 +757,35 @@ def reconstruct_bivector(chart: QuotientChart):
 
     # chart-level action map R: algebra coords -> chart tangent coords, from
     # the pairs that also span the action part of the graph below
-    pairs = list(induced_action_pairs(chart, dmu))
-    rmat = Mat.from_columns([vec for vec, _ in pairs], h)
+    rmat, duals = induced_action(chart, dmu)
 
     # sigma-adjoint of the dual basis covectors at m; column i of gram^-1 is
-    # the algebra coordinate of the i-th one
-    duals = [AlgebraElement(ctx, ctx.mat_from_coords(ctx.gram_inv.col(i)), check=False)
-             for i in range(d)]
-    sv = [ctx.coords(sigma_adjoint(Covector(m, a)).m) for a in duals]
+    # the algebra coordinate of the i-th one, so column i of sv is the
+    # algebra coordinate of its sigma-adjoint
+    adm = ctx.adjoint(m.m, m.inv)
+    sv = sigma_average(ctx.gram_inv, adm @ ctx.gram_inv)
 
-    rho_adj = Mat.identity(d) - ctx.adjoint(m.m, m.inv)  # v -> v - Ad_m v
+    rho_adj = Mat.identity(d) - adm  # v -> v - Ad_m v
     cmat = Mat.identity(h) - (rmat @ rho_adj @ dmu).scale(QQi(Fraction(1, 4)))
 
     # image condition mu_* X = -(sigma-adjoint dual of rho_M^* alpha); the
     # sign is the one consistent with the frozen action-generator flip, and
-    # is validated through the moment and graph-consistency checks below
-    rsv = [mat_vec(rmat, sv[k]) for k in range(d)]
-    system = bot.vstack(dmu @ top)
-    pi_cols = []
-    for i in range(h):
-        # alpha = e_i: C^* alpha is row i of C, and <alpha, R sv_k> entry i
-        rhs = list(cmat.data[i]) + [-rsv[k][i] for k in range(d)]
-        sol, unique, consistent = solve_unique(system, rhs)
-        if not consistent or not unique:
-            return None, {"solvable": False, "unique": unique, "passed": False}
-        pi_cols.append(mat_vec(top, sol))
-    pimat = Mat.from_columns(pi_cols, h)
+    # is validated through the moment and graph-consistency checks below.
+    # For alpha = e_i: C^* alpha is row i of C, and <alpha, R sv_k> is entry
+    # i of column k of R sv.
+    rsv = rmat @ sv
+    rhs = cmat.transpose().vstack(-rsv.transpose())
+    sols, unique, consistent = solve_columns(bot.vstack(dmu @ top), rhs)
+    if not consistent or not unique:
+        return None, {"solvable": False, "unique": unique, "passed": False}
+    pimat = top @ sols
     pi = BivectorFiber(point.to_json(), pimat)
 
     checks = {"solvable": True, "skew": pi.is_skew()}
-
-    ok_moment = True
-    for i in range(d):
-        # beta = e_i: d(mu)^T beta is row i of d(mu)
-        if mat_vec(pimat, list(dmu.data[i])) != rsv[i]:
-            ok_moment = False
-            break
-    checks["moment_condition"] = ok_moment
-
-    cols = [list(pimat.col(i)) + list(cmat.data[i]) for i in range(h)]
-    cols += [vec + alpha for vec, alpha in pairs]
-    span = Subspace.from_vectors(cols, 2 * h)
+    # beta = e_i: d(mu)^T beta is row i of d(mu)
+    checks["moment_condition"] = pimat @ dmu.transpose() == rsv
+    span = Subspace.from_spanning(
+        pimat.vstack(cmat.transpose()).hstack(rmat.vstack(duals)))
     checks["graph_consistency"] = span.equals(fib.subspace())
     checks["passed"] = all(checks.values())
     return pi, checks

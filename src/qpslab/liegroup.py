@@ -205,18 +205,11 @@ class GroupContext:
 
         R(v) is the matrix of a -> coords([a, v]).  One product with the
         first table of :meth:`_bracket_tables` gives every R(v) read row by
-        row; each is then cut into its d rows.
+        row; each is then folded into its d rows.
         """
-        d = self.dim_g
         flat = vectors.transpose() @ self._bracket_tables()[0]
-        out = []
-        for i in range(vectors.cols):
-            row = flat.row_block(i, i + 1)
-            r = row.col_block(0, d)
-            for k in range(d, d * d, d):
-                r = r.vstack(row.col_block(k, k + d))
-            out.append(r)
-        return out
+        return [flat.row_block(i, i + 1).fold_rows(self.dim_g)
+                for i in range(vectors.cols)]
 
     def form(self, x: Mat, y: Mat):
         """The invariant bilinear form ``tr(x y)``."""
@@ -477,18 +470,21 @@ def rho_adjoint(v: TangentVec) -> AlgebraElement:
     return AlgebraElement(ctx, ctx.mat_from_coords(zeta_coords), check=False)
 
 
+def torus_part(b: GroupElement) -> GroupElement:
+    """The torus factor t of an upper-triangular b = t u: the diagonal of b."""
+    n = b.ctx.n
+    t = Mat([[b.m.entry(i, i) if i == j else QQI_ZERO for j in range(n)]
+             for i in range(n)])
+    return GroupElement(b.ctx, t, check=False)
+
+
 def borel_decompose(b: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Split an upper-triangular element as (torus part, unipotent part)."""
     ctx = b.ctx
     if not ctx.in_borel(b.m):
         raise ValueError("element is not upper triangular")
-    n = ctx.n
-    t = Mat([[b.m.entry(i, i) if i == j else QQI_ZERO for j in range(n)]
-             for i in range(n)])
-    u = t.inverse() @ b.m
-    te = GroupElement(ctx, t, check=False)
-    ue = GroupElement(ctx, u, check=False)
-    return te, ue
+    t = torus_part(b)
+    return t, GroupElement(ctx, t.inv @ b.m, check=False)
 
 
 def chevalley(g: GroupElement) -> tuple:

@@ -282,6 +282,19 @@ class Mat:
         return Mat._from_ints([_canon(r[start:stop], d) for r, d in ints], n,
                               None if icols is None else icols[start:stop])
 
+    def fold_rows(self, width: int) -> "Mat":
+        """Each row cut into consecutive pieces of ``width`` entries, the
+        pieces stacked in order: a 1 x (r w) row becomes an r x w matrix."""
+        if not width or self.cols % width:
+            raise LinAlgError("row length must be a multiple of the width")
+        cuts = range(0, self.cols, width)
+        ints = self._int_form()
+        if ints is None:
+            return Mat._raw(tuple(r[k:k + width] for r in self.data for k in cuts))
+        return Mat._from_ints(
+            [_canon(r[k:k + width], d) for r, d in ints for k in cuts], width
+        )
+
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -757,15 +770,37 @@ def solve_unique(a: Mat, b: Sequence):
     Returns ``(solution, unique, consistent)``; ``solution`` is None when the
     system is inconsistent, otherwise one particular solution.
     """
-    aug = a.hstack(Mat.from_columns([list(b)], a.rows))
-    red, pivots = rref(aug)
-    if a.cols in pivots:
+    x, unique, consistent = solve_columns(a, Mat.from_columns([list(b)], a.rows))
+    return (x.col(0) if consistent else None), unique, consistent
+
+
+def solve_columns(a: Mat, b: Mat):
+    """Solve ``a @ X = b`` for every column of ``b`` with one rref of ``[a | b]``.
+
+    Returns ``(X, unique, consistent)`` like :func:`solve_unique`: ``X`` is
+    None and both flags are False when some column is inconsistent;
+    otherwise column j of ``X`` is the particular solution with every free
+    variable zero, the one :func:`solve_unique` gives for column j.  When
+    every column is consistent, the columns of rref ``[a | b]`` that belong
+    to ``[a | b_j]`` are rref ``[a | b_j]``.
+    """
+    n, m = a.cols, b.cols
+    red, pivots = rref(a.hstack(b))
+    if pivots and pivots[-1] >= n:
         return None, False, False
-    x = [QQi(0)] * a.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red.entry(i, a.cols)
-    unique = len(pivots) == a.cols
-    return x, unique, True
+    values = red.col_block(n, n + m)
+    ints = values._int_form()
+    if ints is None:
+        rows = [(QQI_ZERO,) * m] * n
+        for i, pc in enumerate(pivots):
+            rows[pc] = values.data[i]
+        x = Mat._raw(tuple(rows))
+    else:
+        rows = [([0] * m, 1)] * n
+        for i, pc in enumerate(pivots):
+            rows[pc] = ints[i]
+        x = Mat._from_ints(rows, m)
+    return x, len(pivots) == n, True
 
 
 # ---------------------------------------------------------------------------

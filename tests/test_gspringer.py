@@ -15,7 +15,7 @@ from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               chart_transport, double_space, dlam_chart,
                               dmu_chart, float_array, float_same_class,
                               gspoint_stream, gxb_space,
-                              induced_action_pairs, lam, leaf_expected, leaf_two_form, moment_condition_check,
+                              induced_action, lam, leaf_expected, leaf_two_form, moment_condition_check,
                               mu, mu_residual, omega_double, omega_matrix,
                               omega_value, phi, phi_differential, phi_map,
                               quotient_fiber, reconstruct_bivector, regact_check,
@@ -24,7 +24,8 @@ from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               theorem1_check, theorem2_check, vertical_space,
                               weyl_fiber_enum)
 from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, WeylGroup,
-                             context, random_algebra, random_point, sigma)
+                             borel_decompose, context, random_algebra,
+                             random_point, sigma)
 from qpslab.linalg import (Mat, Subspace, dot, intersect, kernel, mat_vec,
                            rank)
 from qpslab.prng import SplitMix64
@@ -253,6 +254,7 @@ def test_mu_lambda_well_defined():
         moved = pt.translate(h)
         assert mu(pt).m == mu(moved).m
         assert lam(pt).m == lam(moved).m
+        assert lam(pt).m == borel_decompose(pt.b)[0].m
     b = grp(SL2, [[2, 3], [0, Fraction(1, 2)]])
     pt = GSPoint(random_point(SL2, "G", rng), b)
     assert lam(pt).m == grp(SL2, [[2, 0], [0, Fraction(1, 2)]]).m
@@ -350,8 +352,9 @@ def test_induced_action_pairs_match_the_per_basis_formula(group):
     for pt in gspoint_stream(ctx, SplitMix64(90), len(FORCED_STRATA)):
         chart = QuotientChart(pt)
         dmu = dmu_chart(chart)
-        pairs = list(induced_action_pairs(chart, dmu))
-        assert len(pairs) == ctx.dim_g
+        fields, duals = induced_action(chart, dmu)
+        assert fields.cols == duals.cols == ctx.dim_g
+        pairs = [(fields.col(k), duals.col(k)) for k in range(ctx.dim_g)]
         for xi, (vec, alpha) in zip(ctx.basis, pairs):
             assert vec == chart_action_field(chart, xi)
             dual = sigma(mu(pt), AlgebraElement(ctx, xi, check=False)).dual_coords()

@@ -10,7 +10,8 @@ import hypothesis.strategies as st
 
 import qpslab
 from qpslab.linalg import (LinAlgError, Mat, Subspace, annihilator,
-                           intersect, kernel, rank, rref, solve_unique)
+                           intersect, kernel, mat_vec, rank, rref,
+                           solve_columns, solve_unique)
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -177,6 +178,40 @@ def test_solve_unique():
     # underdetermined
     sol, unique, consistent = solve_unique(M([[1, 1]]), [QQi(3)])
     assert consistent and not unique
+
+
+def test_solve_columns_is_solve_unique_per_column():
+    rng = SplitMix64(23)
+    gauss = QQi(Fraction(1, 2), 1)
+    for a in (M([[1, 2, 0], [2, 4, 1], [0, 0, 3]]),      # square, rank 2
+              M([[1, 2, 3], [2, 4, 6]]),                  # wide, rank 1
+              M([[1, 0], [0, 1], [1, 1], [2, 3]]),        # tall, full column rank
+              Mat([[gauss, QQi(1)], [QQi(2), gauss]])):   # Gaussian entries
+        xs = [[QQi(rng.rational(5)) for _ in range(a.cols)] for _ in range(3)]
+        b = Mat.from_columns([mat_vec(a, x) for x in xs], a.rows)
+        sols, unique, consistent = solve_columns(a, b)
+        assert consistent and unique == (rank(a) == a.cols)
+        for j in range(b.cols):
+            sol, uniq, ok = solve_unique(a, b.col(j))
+            assert ok and uniq == unique and sols.col(j) == sol
+        # one inconsistent column makes the whole system inconsistent
+        if rank(a) < a.rows:
+            bad = [QQi(rng.rational(5)) for _ in range(a.rows)]
+            while solve_unique(a, bad)[2]:
+                bad = [QQi(rng.rational(5)) for _ in range(a.rows)]
+            assert solve_columns(a, b.hstack(Mat.from_columns([bad], a.rows))) == \
+                (None, False, False)
+
+
+def test_fold_rows():
+    assert M([[1, 2, 3, 4], [5, 6, 7, 8]]).fold_rows(2) == \
+        M([[1, 2], [3, 4], [5, 6], [7, 8]])
+    assert M([[Fraction(1, 2), 3, Fraction(1, 3), 1]]).fold_rows(2) == \
+        M([[Fraction(1, 2), 3], [Fraction(1, 3), 1]])
+    gauss = Mat([[QQi(1, 1), QQi(2), QQi(3), QQi(0, 1)]]).fold_rows(2)
+    assert gauss.data == ((QQi(1, 1), QQi(2)), (QQi(3), QQi(0, 1)))
+    with pytest.raises(LinAlgError):
+        M([[1, 2, 3]]).fold_rows(2)
 
 
 def test_subspace_equality_is_containment_based():
