@@ -173,6 +173,7 @@ def test_criterion_11_negative_controls():
     # the matching suites, guarding against vacuous passes
     matrix = {
         "sigma-half": ("dorfman-closure", "double", "gs-theorem1"),
+        "sigma-ad-flip": ("double", "gs-theorem1", "lemma-kernel"),
         "omega-sign": ("double", "gs-theorem1"),
         "dorfman-eta": ("dorfman-closure",),
     }
@@ -180,5 +181,11 @@ def test_criterion_11_negative_controls():
         for suite in suites:
             rep = campaign(suite, "sl2", 2, corrupt=corrupt)
             assert rep.summary["failed"] > 0, (corrupt, suite)
+    # the moment condition itself must fail, not merely some other record
+    for corrupt in ("sigma-half", "sigma-ad-flip", "omega-sign"):
+        rep = campaign("double", "sl2", 2, corrupt=corrupt)
+        a1 = [r for r in rep.checks
+              if r["check_id"] == "double/A1-moment-condition"]
+        assert a1 and not any(r["passed"] for r in a1), corrupt
     assert ACTIVE.get() is FROZEN
-    announce(11, "corrupted conventions make suites 2, 3 and 6 report failures")
+    announce(11, "corrupted conventions make suites 2, 3, 4 and 6 report failures")

@@ -2,9 +2,10 @@
 
 Each digest is the SHA-256 of a campaign report's JSON with ``generated_at``
 blanked, for every suite x {sl2, sl3, gl2, gl3} on the exact backend at 3
-samples and the acceptance seed, plus one corrupted run on sl2 per
-``--corrupt`` switch.  Reports are deterministic in their inputs, so a digest
-change is a behaviour change: argue it in CHANGES.md, never simply re-record.
+samples and the acceptance seed, plus corrupted runs on sl2 (``CORRUPTED``),
+each ``--corrupt`` switch at least once.  Reports are deterministic in their
+inputs, so a digest change is a behaviour change: argue it in CHANGES.md,
+never simply re-record.
 
 Re-record (only after such an argument) with::
 
@@ -25,14 +26,22 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 20260809
 SAMPLES = 3
 
-# each corruption on an sl2 suite it is known to break, so the digest also
-# covers the failure witnesses
-CORRUPTED = {
-    "sigma-half": "dorfman-closure",
-    "sigma-ad-flip": "lemma-kernel",
-    "omega-sign": "double",
-    "dorfman-eta": "dorfman-closure",
-}
+# (corruption, sl2 suite) pairs the corruption is known to break, so the
+# digest also covers the failure witnesses: each corruption once, plus every
+# sigma and omega corruption on the suites whose moment conditions are built
+# from the adjoint matrix
+CORRUPTED = (
+    ("sigma-half", "dorfman-closure"),
+    ("sigma-ad-flip", "lemma-kernel"),
+    ("omega-sign", "double"),
+    ("dorfman-eta", "dorfman-closure"),
+    ("sigma-half", "double"),
+    ("sigma-ad-flip", "double"),
+    ("sigma-half", "gs-theorem1"),
+    ("sigma-ad-flip", "gs-theorem1"),
+    ("omega-sign", "gs-theorem1"),
+    ("sigma-ad-flip", "cartan-dirac"),
+)
 
 
 def _configs() -> dict[str, CampaignConfig]:
@@ -41,7 +50,7 @@ def _configs() -> dict[str, CampaignConfig]:
         for group in CLI_GROUPS:
             out[f"{suite}/{group}"] = CampaignConfig(
                 suite=suite, group=group, samples=SAMPLES, seed=SEED)
-    for corrupt, suite in CORRUPTED.items():
+    for corrupt, suite in CORRUPTED:
         out[f"{suite}/sl2/corrupt={corrupt}"] = CampaignConfig(
             suite=suite, group="sl2", samples=SAMPLES, seed=SEED, corrupt=corrupt)
     return out
