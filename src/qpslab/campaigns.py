@@ -23,14 +23,14 @@ from .gspringer import (DoublePoint, GSPoint, SteinbergFiber, d_omega,
                         double_space, float_array, float_element_from_json,
                         float_mu, float_point_to_json, float_same_class,
                         gram_ad, gspoint_stream, lam, leaf_two_form,
-                        moment_condition_check, mu, mu_residual, omega_matrix,
+                        moment_condition_holds, mu, mu_residual, omega_matrix,
                         phi_differential, QuotientChart, chart_transport,
                         reconstruct_bivector, regact_check, sample_double,
                         steinberg_membership, theorem1_check, theorem2_check,
                         weyl_fiber_enum, NotRegularSemisimple)
 from .liegroup import (AlgebraElement, GroupElement, WeylGroup, chevalley,
-                       context, group_of_json, invariants, random_algebra,
-                       random_point, read_element, sigma)
+                       conjugation_sections, context, group_of_json, invariants,
+                       random_algebra, random_point, read_element)
 from .linalg import EXACT, FLOAT, Mat, Subspace, intersect, kernel, mat_vec, rank
 from .matio import mat_to_json
 from .prng import SplitMix64
@@ -288,10 +288,8 @@ def _check_double(cfg: CampaignConfig, payload: dict) -> list:
     t = gram_ad(ctx, b.m, b.inv)
     w = omega_matrix(ctx, a.m, b.m, sp, t=t)
     dphi = phi_differential(ctx, a.m, b.m, sp)
-    zero = Mat.zeros(ctx.n, ctx.n)
-    generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
     recs.append(_record("double/A1-moment-condition",
-                        moment_condition_check(dp, w, dphi, generators)))
+                        moment_condition_holds(dp, w, dphi)))
     recs.append(_record("double/A2-exterior-derivative",
                         _a2_sample(ctx, dp, dphi, t, w, rng, triples=2)))
     ko = kernel(w.transpose())
@@ -332,7 +330,9 @@ def _a4_sample(ctx, dp, w, rng, count: int) -> bool:
         g2 = random_point(ctx, "G", rng)
         a2 = g1.m @ dp.a.m @ g2.inv
         b2 = g2.m @ dp.b.m @ g2.inv
-        w2 = omega_matrix(ctx, a2, b2, double_space(ctx))
+        # b2^-1 = g2 b^-1 g2^-1, a product rather than a fresh inverse
+        t2 = gram_ad(ctx, b2, g2.m @ dp.b.inv @ g2.inv)
+        w2 = omega_matrix(ctx, a2, b2, double_space(ctx), t=t2)
         ad2 = ctx.adjoint(g2.m, g2.inv)
         # Ad (+) Ad is block diagonal, so its pullback of w2 acts blockwise
         adt = ad2.transpose()
@@ -356,20 +356,17 @@ def _check_lemma_kernel(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
     rng = SplitMix64(payload["salt"])
     b = read_element(ctx, payload["b"])
-    binv = b.inv
     xis = [(ctx.basis_labels[k], ctx.basis[k]) for k in ctx.sub_indices("b")]
     for _ in range(3):
         mixed = random_algebra(ctx, rng, part="b")
         xis.append(("mixed", mixed.m))
-    for label, ximat in xis:
-        xi = AlgebraElement(ctx, ximat, check=False)
-        sig = sigma(b, xi)
-        annihilates = True
-        for k in ctx.sub_indices("b"):
-            xr = binv @ ctx.basis[k] @ b.m  # x^R at b, left-trivialized
-            if ctx.form(sig.coord.m, xr):
-                annihilates = False
-                break
+    # entry (i, k) pairs sigma(xi_i) at b with x^R = Ad_{b^-1} e_k, the
+    # left-trivialized right-invariant field of e_k in b
+    m, _, a = conjugation_sections(ctx, b.m, b.inv)
+    sig = a @ Mat.from_columns([ctx.coords(ximat) for _, ximat in xis], ctx.dim_g)
+    pairing = sig.transpose() @ m.col_block(0, ctx.dim_b)
+    for i, (label, ximat) in enumerate(xis):
+        annihilates = pairing.row_block(i, i + 1).is_zero()
         t_component = ctx.part_coords("t", ximat)
         expected = all(not c for c in t_component)
         if annihilates != expected:

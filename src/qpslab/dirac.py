@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space, dot_part
-from .liegroup import AlgebraElement, GroupElement, conj_field, sigma, sigma_average
+from .liegroup import GroupElement, conjugation_sections, sigma_average
 from .linalg import Mat, Subspace, dot, intersect, kernel, mat_vec
 from .matio import mat_to_json
 from .scalars import QQi
@@ -367,11 +367,9 @@ def _closure_sides(ctx, gmat: Mat) -> tuple[Mat, Mat]:
     """
     d = ctx.dim_g
     gram = ctx.gram
-    eye, zero = Mat.identity(d), Mat.zeros(d, d)
+    zero = Mat.zeros(d, d)
     conv = ACTIVE.get()
-    m = ctx.adjoint(gmat.inverse(), gmat)
-    x = eye - m
-    a = gram @ sigma_average(eye, m)
+    m, x, a = conjugation_sections(ctx, gmat, gmat.inverse())
     mt, xt, at = m.transpose(), x.transpose(), a.transpose()
     # [x_j, e_m] pairs with a_i + c gram x_i
     act = (a + (gram @ x).scale(conv.eta_coeff * conv.twist)).transpose()
@@ -421,16 +419,18 @@ def cartan_eta3(space: Space):
 
 
 def cartan_dirac(g: GroupElement) -> DiracFiber:
-    """Fiber spanned by (conjugation field, sigma) over an algebra basis."""
+    """Fiber spanned by (conjugation field, sigma) over an algebra basis.
+
+    Both are linear in xi, so the fiber is the column span of
+    [I - M; gram sigma_average(I, M)] with M = Ad_{g^-1}
+    (:func:`~qpslab.liegroup.conjugation_sections`, as in
+    :func:`cartan_closure_check`).  The per-basis
+    (:func:`~qpslab.liegroup.conj_field`, :func:`~qpslab.liegroup.sigma`)
+    columns are its oracle in the tests.
+    """
     ctx = g.ctx
-    cols = []
-    for b in ctx.basis:
-        xi = AlgebraElement(ctx, b, check=False)
-        rho = conj_field(g, xi)
-        sig = sigma(g, xi)
-        cols.append(ctx.coords(rho.coord.m) + sig.dual_coords())
-    basis = Mat.from_columns(cols, 2 * ctx.dim_g)
-    return DiracFiber((g.m,), ctx.dim_g, basis)
+    _, x, a = conjugation_sections(ctx, g.m, g.inv)
+    return DiracFiber((g.m,), ctx.dim_g, x.vstack(a))
 
 
 def cartan_section(ctx, ximat) -> DiracSection:

@@ -47,8 +47,8 @@ from .diffcalc import PointedMap, Space
 from .dirac import (DiracFiber, TwoFormFiber, BivectorFiber, cartan_dirac,
                     graph_two_form, is_lagrangian, pushforward_linear)
 from .liegroup import (AlgebraElement, GroupContext, GroupElement, chevalley,
-                       group_of_json, random_point, read_element, sigma,
-                       sigma_average, torus_part, _mul_frac)
+                       conjugation_sections, group_of_json, random_point,
+                       read_element, sigma, sigma_average, torus_part, _mul_frac)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, rank, rref,
                      solve_columns)
 from .matio import entry_pairs, mat_to_json
@@ -182,24 +182,28 @@ def phi_map(ctx: GroupContext) -> PointedMap:
 def phi_differential(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> Mat:
     """Closed-form differential of (a, b) -> (a b a^-1, b^-1) on the space.
 
-    (x, y) -> (Ad_a(Ad_{b^-1} x + y - x), -Ad_b y); the dual-number route in
-    diffcalc is the independent oracle for this formula.  On the double it is
-    the differential of the moment map.  On G x B coordinates it is the
-    leading principal block of the double's matrix, since the Borel basis is
-    a prefix of the algebra basis; its first dim G rows are d(mu . q).
+    (x, y) -> (Ad_a (Ad_{b^-1} x + y - x), -Ad_b y), so with k the size of
+    the second factor the matrix is
+
+        [[Ad_a (Ad_{b^-1} - I), Ad_a|k], [0, -Ad_b|k x k]],
+
+    where Ad_a Ad_{b^-1} = Ad_{a b^-1} and |k keeps the first k columns (and
+    rows).  The per-basis columns coords(a (b^-1 x b - x) a^-1) and
+    (coords(a y a^-1), -coords(b y b^-1)) are its oracle in the tests, as is
+    the dual-number route in diffcalc.  On the double it is the differential
+    of the moment map.  On G x B coordinates it is the leading principal
+    block of the double's matrix, since the Borel basis is a prefix of the
+    algebra basis; its first dim G rows are d(mu . q).
     """
     if space.parts not in (("g", "g"), ("g", "b")):
         raise ValueError("phi differential lives on G x G or G x B coordinates")
     d = ctx.dim_g
     k = space.dim - d  # second-factor block size (d or dim_b)
     ainv, binv = amat.inverse(), bmat.inverse()
-    zero = [QQi(0)] * k
-    cols = []
-    for x in ctx.basis:
-        cols.append(ctx.coords(amat @ (binv @ x @ bmat - x) @ ainv) + zero)
-    for y in ctx.basis[:k]:
-        cols.append(ctx.coords(amat @ y @ ainv) + ctx.coords(-(bmat @ y @ binv))[:k])
-    return Mat.from_columns(cols, space.dim)
+    ad_a = ctx.adjoint(amat, ainv)
+    top = (ctx.adjoint(amat @ binv, bmat @ ainv) - ad_a).hstack(ad_a.col_block(0, k))
+    ad_b = ctx.adjoint(bmat, binv).row_block(0, k).col_block(0, k)
+    return top.vstack(Mat.zeros(k, d).hstack(-ad_b))
 
 
 def rho_double(a: GroupElement, b: GroupElement, xi1: Mat, xi2: Mat) -> list:
@@ -344,13 +348,49 @@ def omega_double(p: DoublePoint) -> TwoFormFiber:
     )
 
 
+def moment_condition_holds(p: DoublePoint, w: Mat, dphi: Mat) -> bool:
+    """omega^flat of every basis action field equals its pulled-back sigma
+    covector (axiom A1), as one matrix equation.
+
+    ``w`` and ``dphi`` are :func:`omega_matrix` and :func:`phi_differential`
+    at ``p`` on the double.  The action generator of (xi1, xi2) is
+    R (xi1, xi2) with
+
+        R = [[-Ad_{a^-1}, I], [0, I - Ad_{b^-1}]]
+
+    (:func:`rho_double`), and its sigma covector at phi(p) = (g1, b^-1) has
+    functional coordinates diag(G sigma(I, Ad_{g1^-1}), G sigma(I, Ad_b)),
+    the A blocks of :func:`~qpslab.liegroup.conjugation_sections` at g1 and
+    at b^-1.  So A1 on the basis of g (+) g is
+
+        W' R == dphi' diag(G sigma(I, Ad_{g1^-1}), G sigma(I, Ad_b)).
+
+    The per-generator :func:`moment_condition_check` is the oracle for this
+    in the tests.
+    """
+    ctx = p.ctx
+    a, b = p.a, p.b
+    d = ctx.dim_g
+    eye, zero = Mat.identity(d), Mat.zeros(d, d)
+    r = (-ctx.adjoint(a.inv, a.m)).hstack(eye).vstack(
+        zero.hstack(eye - ctx.adjoint(b.inv, b.m)))
+    # g1 = a b a^-1, so g1^-1 = a b^-1 a^-1
+    s1 = conjugation_sections(ctx, a.m @ b.m @ a.inv, a.m @ b.inv @ a.inv)[2]
+    s2 = conjugation_sections(ctx, b.inv, b.m)[2]
+    sig = s1.hstack(zero).vstack(zero.hstack(s2))
+    return w.transpose() @ r == dphi.transpose() @ sig
+
+
 def moment_condition_check(p: DoublePoint, w: Mat, dphi: Mat,
                            generators) -> bool:
     """omega^flat of each action field equals the pulled-back sigma covector.
 
     ``w`` and ``dphi`` are :func:`omega_matrix` and :func:`phi_differential`
     at ``p`` on the double; ``generators`` holds (xi1, xi2) pairs of algebra
-    matrices.  True when the condition holds for every pair.
+    matrices.  True when the condition holds for every pair.  On the basis
+    of g (+) g this is the matrix equation of :func:`moment_condition_holds`,
+    which the double suite runs; this per-generator route is its oracle in
+    the tests.
     """
     ctx = p.ctx
     wt, dphit = w.transpose(), dphi.transpose()
@@ -381,14 +421,17 @@ def b_action_directions(b: GroupElement, part: str) -> Subspace:
     """Span of the B-action generators at (g, b) of the basis of ``part``.
 
     The generator of xi is (-xi, Ad_{b^-1} xi - xi) in G x B coordinates; it
-    does not depend on g.  ``part`` is "b" (the vertical space) or "u".
+    does not depend on g.  So the span is that of the columns of ``part`` in
+    [-I; (Ad_{b^-1} - I)|b], |b keeping the Borel rows.  ``part`` is "b"
+    (the vertical space) or "u".  The per-basis generators are the oracle for
+    this in the tests.
     """
     ctx = b.ctx
-    cols = []
-    for k in ctx.sub_indices(part):
-        xi = ctx.basis[k]
-        cols.append(ctx.coords(-xi) + ctx.part_coords("b", b.inv @ xi @ b.m - xi))
-    return Subspace.from_vectors(cols, ctx.dim_g + ctx.dim_b)
+    idx = ctx.sub_indices(part)
+    eye = Mat.identity(ctx.dim_g)
+    moved = (ctx.adjoint(b.inv, b.m) - eye).row_block(0, ctx.dim_b)
+    gens = (-eye).vstack(moved).col_block(idx.start, idx.stop)
+    return Subspace.from_spanning(gens)
 
 
 def vertical_space(point: GSPoint) -> Subspace:
@@ -500,17 +543,16 @@ def induced_action(chart: QuotientChart, dmu: Mat) -> tuple[Mat, Mat]:
     Column k of the first is :func:`chart_action_field` of the algebra basis
     element e_k, and of the second the pulled-back sigma covector; ``dmu`` is
     :func:`dmu_chart` of the chart.  Both are linear in e_k, so each is one
-    product: rho(e_k) upstairs is (-Ad_{g^-1} e_k, 0), and the algebra
-    coordinates of every sigma(mu, e_k) are the columns of
-    :func:`~qpslab.liegroup.sigma_average` of the identity and Ad_{mu^-1}.
+    product: rho(e_k) upstairs is (-Ad_{g^-1} e_k, 0), and the functional
+    coordinates of every sigma(mu, e_k) are the columns of the A block of
+    :func:`~qpslab.liegroup.conjugation_sections` at mu.
     """
     ctx = chart.ctx
     g = chart.point.g
     d = ctx.dim_g
     fields = -(chart.proj.col_block(0, d) @ ctx.adjoint(g.inv, g.m))
     m = mu(chart.point)
-    sig = sigma_average(Mat.identity(d), ctx.adjoint(m.inv, m.m))
-    return fields, dmu.transpose() @ ctx.gram @ sig
+    return fields, dmu.transpose() @ conjugation_sections(ctx, m.m, m.inv)[2]
 
 
 def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
@@ -518,19 +560,16 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
     """Identification of chart1 with chart2 when point2 = h . point1.
 
     The action diffeomorphism has differential Ad_h (+) Ad_h upstairs and
-    descends to the identity on the quotient tangent space.
+    descends to the identity on the quotient tangent space, so the matrix is
+    proj2 diag(Ad_h, Ad_h|b x b) inc1: h is in B, so Ad_h keeps the Borel
+    coordinates among themselves.
     """
     ctx = chart1.ctx
-    cols = []
-    for j in range(chart1.hdim):
-        upvec = chart1.inc.col(j)
-        xmat = ctx.mat_from_coords(upvec[: ctx.dim_g])
-        ymat = ctx.mat_from_coords(ctx.embed_part_coords("b", upvec[ctx.dim_g:]))
-        adx = h.m @ xmat @ h.inv
-        ady = h.m @ ymat @ h.inv
-        moved = ctx.coords(adx) + ctx.part_coords("b", ady)
-        cols.append(mat_vec(chart2.proj, moved))
-    return Mat.from_columns(cols, chart2.hdim)
+    d, db = ctx.dim_g, ctx.dim_b
+    ad = ctx.adjoint(h.m, h.inv)
+    move = ad.hstack(Mat.zeros(d, db)).vstack(
+        Mat.zeros(db, d).hstack(ad.row_block(0, db).col_block(0, db)))
+    return chart2.proj @ move @ chart1.inc
 
 
 # ---------------------------------------------------------------------------

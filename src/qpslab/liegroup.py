@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import sub
 
 from .conventions import ACTIVE
 from .linalg import Mat, mat_vec
@@ -169,10 +170,43 @@ class GroupContext:
     def adjoint(self, m: Mat, minv: Mat) -> Mat:
         """Ad_m in algebra coordinates: column j holds the coordinates of
         ``m e_j m^-1``.  ``minv`` is the inverse of ``m``; pass them swapped
-        for Ad_{m^-1}."""
-        return Mat.from_columns(
-            [self.coords(m @ bk @ minv) for bk in self.basis], self.dim_g
-        )
+        for Ad_{m^-1}.
+
+        Closed form: entry (a, b) of ``m E_ij m^-1`` is
+        ``m[a][i] m^-1[j][b]``, so the column of E_ij is read off the outer
+        product of column i of m and row j of m^-1.  The SL torus rows are
+        partial sums of its diagonal, as in :meth:`coords`, and the column of
+        H_k is the difference of those of E_kk and E_(k+1)(k+1).  A real pair
+        runs on integers, m and m^-1 each over one common denominator; a
+        non-real pair runs the same formula on its :class:`QQi` entries.  The
+        per-basis ``coords(m e_j m^-1)`` is the oracle for this in the tests.
+        """
+        mi, ci = m.int_entries(), minv.int_entries()
+        if mi is None or ci is None:
+            return Mat.from_columns(self._adjoint_columns(m.data, minv.data),
+                                    self.dim_g)
+        return Mat.from_int_columns(self._adjoint_columns(mi[0], ci[0]),
+                                    mi[1] * ci[1])
+
+    def _adjoint_columns(self, m, minv) -> list:
+        """The columns of :meth:`adjoint` from the entry rows of m and m^-1,
+        over any ring of scalars."""
+        n = self.n
+        mcols = list(zip(*m))
+
+        def unit(i, j):  # coords of m E_ij m^-1
+            u, v = mcols[i], minv[j]
+            diag = [u[k] * v[k] for k in range(n)]
+            return ([u[a] * v[b] for a, b in self._upper]
+                    + (list(itertools.accumulate(diag[:-1]))
+                       if self.family == "SL" else diag)
+                    + [u[a] * v[b] for a, b in self._lower])
+
+        torus = [unit(k, k) for k in range(n)]
+        if self.family == "SL":
+            torus = [list(map(sub, p, q)) for p, q in zip(torus, torus[1:])]
+        return ([unit(i, j) for i, j in self._upper] + torus
+                + [unit(i, j) for i, j in self._lower])
 
     # -- invariant form and brackets ------------------------------------------
 
@@ -441,6 +475,21 @@ def sigma_adjoint(alpha: Covector) -> AlgebraElement:
     g = alpha.base
     a = alpha.coord.m
     return AlgebraElement(g.ctx, sigma_average(a, g.m @ a @ g.inv), check=False)
+
+
+def conjugation_sections(ctx: GroupContext, gmat: Mat,
+                         ginv: Mat) -> tuple[Mat, Mat, Mat]:
+    """M = Ad_{g^-1}, X = I - M and A = gram sigma_average(I, M) at g.
+
+    Both parts of the conjugation structure are linear in xi, so column j of
+    X is :func:`conj_field` of the basis element e_j and column j of A the
+    functional coordinates of :func:`sigma` of e_j: [X; A] holds every basis
+    section at g.  ``ginv`` is g^-1.  The per-element :func:`conj_field` and
+    :func:`sigma` are its oracles in the tests.
+    """
+    eye = Mat.identity(ctx.dim_g)
+    m = ctx.adjoint(ginv, gmat)
+    return m, eye - m, ctx.gram @ sigma_average(eye, m)
 
 
 def conj_field(g: GroupElement, xi: AlgebraElement) -> TangentVec:

@@ -174,6 +174,22 @@ class Mat:
             return cls.zeros(ambient, 0) if ambient else cls([[]])
         return cls([[col[i] for col in columns] for i in range(ambient)])
 
+    @classmethod
+    def from_int_columns(cls, columns: Sequence[Sequence[int]], den: int) -> "Mat":
+        """The matrix with integer columns ``columns`` over the positive
+        common denominator ``den``, kept in both integer forms."""
+        return cls._from_ints([_canon(list(r), den) for r in zip(*columns)],
+                              len(columns), [_canon(list(c), den) for c in columns])
+
+    def int_entries(self) -> tuple[list[list[int]], int] | None:
+        """``(N, den)`` with the matrix equal to ``N / den``: integer rows over
+        the lcm of the row denominators.  None for a non-real matrix."""
+        ints = self._int_form()
+        if ints is None:
+            return None
+        den = lcm(*(d for _, d in ints))
+        return [r if d == den else [a * (den // d) for a in r] for r, d in ints], den
+
     # -- basic algebra -------------------------------------------------------
 
     def __matmul__(self, other):
