@@ -35,10 +35,9 @@ from qpslab.dirac import (DiracFiber, cartan_eta3, cartan_section, dorfman,
 from qpslab.gspringer import (double_space, gram_ad, omega_matrix, phi,
                               phi_differential, sample_double)
 from qpslab.linalg import Mat
-from qpslab.liegroup import (AlgebraElement, context, random_algebra,
-                             random_point, sigma)
+from qpslab.liegroup import (conjugation_sections, context, random_algebra,
+                             random_point)
 from qpslab.prng import SplitMix64
-from qpslab.scalars import QQi
 
 # the candidate normalizations the sweep tries, in sweep order
 ETA_COEFFS = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 12), Fraction(-1, 12))
@@ -82,19 +81,14 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
         fiber = graph_two_form(TwoFormFiber(None, w))
         dphi = phi_differential(ctx, dp.a.m, dp.b.m, double_space(ctx))
         pushed = pushforward_linear(fiber, dphi)
-        g1, g2 = phi(dp)
-        cols = []
-        for k in range(2 * d):
-            ximat = ctx.basis[k % d]
-            xi = AlgebraElement(ctx, ximat, check=False)
-            zero = [QQi(0)] * d
-            if k < d:
-                rho = ctx.coords(ximat - g1.inv @ ximat @ g1.m)
-                cols.append(rho + zero + sigma(g1, xi).dual_coords() + zero)
-            else:
-                rho = ctx.coords(ximat - g2.inv @ ximat @ g2.m)
-                cols.append(zero + rho + zero + sigma(g2, xi).dual_coords())
-        target = DiracFiber(None, 2 * d, Mat.from_columns(cols, 4 * d))
+        # the product of the conjugation structures at phi(dp): the basis
+        # sections of each factor, block diagonal in tangent and covector
+        (_, x1, a1), (_, x2, a2) = (conjugation_sections(ctx, g.m, g.inv)
+                                    for g in phi(dp))
+        zero = Mat.zeros(d, d)
+        tangent = x1.hstack(zero).vstack(zero.hstack(x2))
+        cotangent = a1.hstack(zero).vstack(zero.hstack(a2))
+        target = DiracFiber(None, 2 * d, tangent.vstack(cotangent))
         if not pushed.equals(target):
             return False
     return True
