@@ -30,7 +30,8 @@ from qpslab.linalg import Mat, Subspace, mat_vec
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
-CONVENTIONS = {"frozen": FROZEN, **CORRUPTIONS}
+# the frozen conventions and each corruption, by their --corrupt names
+BY_NAME = {"frozen": FROZEN, **CORRUPTIONS}
 KINDS = ("G", "B", "T", "U")
 
 
@@ -103,12 +104,12 @@ def _a1_both_routes(ctx, dp, w=None):
             moment_condition_check(dp, w, dphi, generators))
 
 
-@pytest.mark.parametrize("conv", sorted(CONVENTIONS))
+@pytest.mark.parametrize("conv", sorted(BY_NAME))
 @pytest.mark.parametrize("group", ["sl2", "gl2", "sl3"])
 def test_batched_a1_gives_the_per_generator_verdict(group, conv):
     ctx = context(group)
     rng = SplitMix64(203)
-    with using(CONVENTIONS[conv]):
+    with using(BY_NAME[conv]):
         verdicts = []
         for _ in range(3):
             batched, per_generator = _a1_both_routes(ctx, sample_double(ctx, rng))
@@ -147,7 +148,7 @@ def per_basis_cartan_dirac(g):
 def test_cartan_dirac_spans_the_per_basis_fiber(group, conv):
     ctx = context(group)
     rng = SplitMix64(205)
-    with using(CONVENTIONS[conv]):
+    with using(BY_NAME[conv]):
         for kind in KINDS:
             g = random_point(ctx, kind, rng)
             got, want = cartan_dirac(g), per_basis_cartan_dirac(g)
@@ -228,7 +229,7 @@ def test_lemma_kernel_matches_the_per_basis_pairing(group, conv):
                                    seed=208)
     gen, check = campaigns.SUITES["lemma-kernel"]
     verdicts = []
-    with using(CONVENTIONS[conv]):
+    with using(BY_NAME[conv]):
         for payload in gen(cfg):
             (rec,) = check(cfg, payload)
             want = per_basis_lemma_kernel(cfg, payload)
