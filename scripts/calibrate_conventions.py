@@ -65,9 +65,9 @@ def closure_holds(ctx, samples, rng) -> bool:
 def d_omega_matches(ctx, samples, rng) -> bool:
     for _ in range(samples):
         dp = sample_double(ctx, rng)
-        dphi = phi_differential(ctx, dp.a.m, dp.b.m, double_space(ctx))
+        dphi = phi_differential(dp.a, dp.b, double_space(ctx))
         t = gram_ad(ctx, dp.b.m, dp.b.inv)
-        w = omega_matrix(ctx, dp.a.m, dp.b.m, double_space(ctx), t=t)
+        w = omega_matrix(ctx, dp.b.m, double_space(ctx), t=t)
         if not _a2_sample(ctx, dp, dphi, t, w, rng, triples=1):
             return False
     return True
@@ -77,9 +77,9 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
     d = ctx.dim_g
     for _ in range(samples):
         dp = sample_double(ctx, rng)
-        w = omega_matrix(ctx, dp.a.m, dp.b.m, double_space(ctx))
+        w = omega_matrix(ctx, dp.b.m, double_space(ctx))
         fiber = graph_two_form(TwoFormFiber(None, w))
-        dphi = phi_differential(ctx, dp.a.m, dp.b.m, double_space(ctx))
+        dphi = phi_differential(dp.a, dp.b, double_space(ctx))
         pushed = pushforward_linear(fiber, dphi)
         # the product of the conjugation structures at phi(dp): the basis
         # sections of each factor, block diagonal in tangent and covector

@@ -8,6 +8,7 @@ variable; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -68,14 +69,21 @@ def main(argv=None) -> int:
         )
         try:
             cfg.validate()
-            report = run_suite(cfg)
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        text = report.to_json()
-        if args.report:
-            with open(args.report, "w") as fh:
-                fh.write(text + "\n")
+        # open the report before the campaign, so that a path that cannot be
+        # written is a usage error and not a failed run
+        try:
+            sink = open(args.report, "w") if args.report else None
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
+        with sink or contextlib.nullcontext():
+            report = run_suite(cfg)
+            text = report.to_json()
+            if sink:
+                sink.write(text + "\n")
         s = report.summary
         print(f"{args.suite} [{group}/{cfg.backend}] seed={cfg.seed} "
               f"samples={cfg.samples}: {s['passed']}/{s['total']} checks passed")

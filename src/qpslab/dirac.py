@@ -8,6 +8,13 @@ flip, and no metric is needed where the restricted trace form would be
 degenerate).  Covectors handed over as algebra elements are converted
 through the context's Gram matrix.
 
+A fiber stores the canonical basis of its span, so equal fibers print
+identically.  The transports :func:`pushforward_linear` and
+:func:`pullback_linear` each solve one reduced incidence system with
+:func:`~qpslab.linalg.null_vectors` and canonicalize only the result: two
+rrefs per call.  Their full systems in the unknowns (x, b, c) are the
+oracle in the tests.
+
 The twisted Dorfman bracket, :func:`dorfman`, is evaluated with the
 forward-mode engine of :mod:`qpslab.diffcalc`; the sign and scale
 conventions are frozen by the calibration suite and recorded in
@@ -26,7 +33,7 @@ from typing import Callable, Sequence
 from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space, dot_part
 from .liegroup import GroupElement, conjugation_sections, sigma_average
-from .linalg import Mat, Subspace, dot, intersect, kernel, mat_vec
+from .linalg import Mat, Subspace, dot, intersect, kernel, mat_vec, null_vectors
 from .matio import mat_to_json
 from .scalars import QQi
 
@@ -173,7 +180,8 @@ def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
         raise ValueError("2-form matrix must be skew")
     d = omega.matrix.rows
     basis = Mat.identity(d).vstack(omega.matrix.transpose())
-    return DiracFiber(omega.base, d, basis, canonical=False)
+    # the transpose [I | omega] is already in reduced row echelon form
+    return DiracFiber(omega.base, d, basis, canonical=True)
 
 
 def graph_bivector(pi: BivectorFiber) -> DiracFiber:
@@ -192,55 +200,58 @@ def graph_bivector(pi: BivectorFiber) -> DiracFiber:
 def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
     """Pushforward along a linear tangent map given by its matrix.
 
-    f_* L = {(F X, b) | (X, F^T b) in L}; computed by solving the linear
-    incidence system exactly.
+    f_* L = {(F X, b) | (X, F^T b) in L} (Bursztyn and Crainic, 2005).
+    With L spanned by the columns of [top; bot], (X, F^T b) lies in L
+    exactly when X = top c and F^T b = bot c for some c, so the result is
+    spanned by (F top c, b) over the null vectors (b; c) of [F^T | -bot]:
+    one v x (w + k) system, solved by :func:`~qpslab.linalg.null_vectors`,
+    whose raw vectors suffice because the fiber canonicalizes its basis.
     """
     v = fiber.d
     w = fmat.rows
     if fmat.cols != v:
         raise ValueError("tangent map has wrong domain dimension")
+    if base is None:
+        base = fiber.base
     k = fiber.dim
+    if not k:
+        # f_* 0 = 0 (+) ker F^T, and [0; K] is canonical when K is
+        null = kernel(fmat.transpose())
+        return DiracFiber(base, w, Mat.zeros(w, null.dim).vstack(null.basis),
+                          canonical=True)
     top = fiber.basis.row_block(0, v)
-    bot = fiber.basis.row_block(v, fiber.basis.rows)
-    # unknowns (x, b, c): x - top c = 0 ; F^T b - bot c = 0
-    row1 = Mat.identity(v).hstack(Mat.zeros(v, w)).hstack(-top if k else Mat.zeros(v, 0))
-    ft = fmat.transpose()
-    row2 = Mat.zeros(v, v).hstack(ft).hstack(-bot if k else Mat.zeros(v, 0))
-    system = row1.vstack(row2)
-    null = kernel(system)
-    if null.dim:
-        # columns (F x, b) for the null vectors (x, b, c)
-        x = null.basis.row_block(0, v)
-        b = null.basis.row_block(v, v + w)
-        basis = (fmat @ x).vstack(b)
-    else:
-        basis = Mat.zeros(2 * w, 0)
-    return DiracFiber(base if base is not None else fiber.base, w, basis)
+    bot = fiber.basis.row_block(v, 2 * v)
+    null = null_vectors(fmat.transpose().hstack(-bot))
+    ftop = fmat @ top
+    basis = (ftop @ null.row_block(w, w + k)).vstack(null.row_block(0, w))
+    return DiracFiber(base, w, basis)
 
 
 def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
-    """Pullback along a linear tangent map: {(X, F^T b) | (F X, b) in L}."""
+    """Pullback along a linear tangent map: {(X, F^T b) | (F X, b) in L}.
+
+    As in :func:`pushforward_linear`, with L spanned by [top; bot], the
+    result is spanned by (x, F^T bot c) over the null vectors (x; c) of
+    [F | -top], one w x (v + k) system.
+    """
     w = fiber.d
     v = fmat.cols
     if fmat.rows != w:
         raise ValueError("tangent map has wrong codomain dimension")
+    if base is None:
+        base = fiber.base
     k = fiber.dim
+    if not k:
+        # f^* 0 = ker F (+) 0, and [K; 0] is canonical when K is
+        null = kernel(fmat)
+        return DiracFiber(base, v, null.basis.vstack(Mat.zeros(v, null.dim)),
+                          canonical=True)
     top = fiber.basis.row_block(0, w)
-    bot = fiber.basis.row_block(w, fiber.basis.rows)
-    # unknowns (x, b, c): F x - top c = 0 ; b - bot c = 0
-    row1 = fmat.hstack(Mat.zeros(w, w)).hstack(-top if k else Mat.zeros(w, 0))
-    row2 = Mat.zeros(w, v).hstack(Mat.identity(w)).hstack(
-        -bot if k else Mat.zeros(w, 0))
-    system = row1.vstack(row2)
-    null = kernel(system)
-    if null.dim:
-        # columns (x, F^T b) for the null vectors (x, b, c)
-        x = null.basis.row_block(0, v)
-        b = null.basis.row_block(v, v + w)
-        basis = x.vstack(fmat.transpose() @ b)
-    else:
-        basis = Mat.zeros(2 * v, 0)
-    return DiracFiber(base if base is not None else fiber.base, v, basis)
+    bot = fiber.basis.row_block(w, 2 * w)
+    null = null_vectors(fmat.hstack(-top))
+    ftbot = fmat.transpose() @ bot
+    basis = null.row_block(0, v).vstack(ftbot @ null.row_block(v, v + k))
+    return DiracFiber(base, v, basis)
 
 
 def pushforward(fiber: DiracFiber, f: PointedMap, point) -> DiracFiber:

@@ -179,7 +179,7 @@ def phi_map(ctx: GroupContext) -> PointedMap:
     return PointedMap("phi", sp, sp, fn)
 
 
-def phi_differential(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> Mat:
+def phi_differential(a: GroupElement, b: GroupElement, space: Space) -> Mat:
     """Closed-form differential of (a, b) -> (a b a^-1, b^-1) on the space.
 
     (x, y) -> (Ad_a (Ad_{b^-1} x + y - x), -Ad_b y), so with k the size of
@@ -193,16 +193,17 @@ def phi_differential(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space) -> M
     the dual-number route in diffcalc.  On the double it is the differential
     of the moment map.  On G x B coordinates it is the leading principal
     block of the double's matrix, since the Borel basis is a prefix of the
-    algebra basis; its first dim G rows are d(mu . q).
+    algebra basis; its first dim G rows are d(mu . q).  The inverses are the
+    elements' cached ones.
     """
     if space.parts not in (("g", "g"), ("g", "b")):
         raise ValueError("phi differential lives on G x G or G x B coordinates")
+    ctx = a.ctx
     d = ctx.dim_g
     k = space.dim - d  # second-factor block size (d or dim_b)
-    ainv, binv = amat.inverse(), bmat.inverse()
-    ad_a = ctx.adjoint(amat, ainv)
-    top = (ctx.adjoint(amat @ binv, bmat @ ainv) - ad_a).hstack(ad_a.col_block(0, k))
-    ad_b = ctx.adjoint(bmat, binv).row_block(0, k).col_block(0, k)
+    ad_a = ctx.adjoint(a.m, a.inv)
+    top = (ctx.adjoint(a.m @ b.inv, b.m @ a.inv) - ad_a).hstack(ad_a.col_block(0, k))
+    ad_b = ctx.adjoint(b.m, b.inv).row_block(0, k).col_block(0, k)
     return top.vstack(Mat.zeros(k, d).hstack(-ad_b))
 
 
@@ -261,13 +262,14 @@ def gram_ad(ctx: GroupContext, bmat: Mat, binv: Mat) -> Mat:
     return ctx.gram @ ctx.adjoint(bmat, binv)
 
 
-def omega_matrix(ctx: GroupContext, amat: Mat, bmat: Mat, space: Space,
+def omega_matrix(ctx: GroupContext, bmat: Mat, space: Space,
                  t: Mat | None = None) -> Mat:
     """Matrix of omega on the space's tangent basis.
 
     Uses the closed block form W = -s/2 [[T' - T, T + G], [-(T' + G), 0]]
     with T = G Ad_b on algebra coordinates (:func:`gram_ad`; pass it as
-    ``t`` when the caller already has it) and G the form's Gram matrix; the
+    ``t`` when the caller already has it) and G the form's Gram matrix.
+    omega depends on the point (a, b) only through b, so a is not taken; the
     entrywise evaluator :func:`omega_value` is the independent oracle for
     this in the tests.  Valid for the double space and its G x B and G x U
     coordinate restrictions (leading principal submatrices, since the Borel
@@ -344,7 +346,7 @@ def omega_double(p: DoublePoint) -> TwoFormFiber:
     ctx = p.ctx
     return TwoFormFiber(
         (p.a.m, p.b.m),
-        omega_matrix(ctx, p.a.m, p.b.m, double_space(ctx)),
+        omega_matrix(ctx, p.b.m, double_space(ctx)),
     )
 
 
@@ -413,7 +415,7 @@ def restrict_to_GxB(g: GroupElement, b: GroupElement) -> DiracFiber:
     ctx = g.ctx
     if not ctx.in_borel(b.m):
         raise ValueError("second component must lie in the Borel subgroup")
-    w = omega_matrix(ctx, g.m, b.m, gxb_space(ctx))
+    w = omega_matrix(ctx, b.m, gxb_space(ctx))
     return graph_two_form(TwoFormFiber((g.m, b.m), w))
 
 
@@ -517,7 +519,7 @@ def lam_differential_upstairs(ctx: GroupContext, bmat: Mat) -> Mat:
 
 def dmu_chart(chart: QuotientChart) -> Mat:
     ctx = chart.ctx
-    up = phi_differential(ctx, chart.point.g.m, chart.point.b.m, gxb_space(ctx))
+    up = phi_differential(chart.point.g, chart.point.b, gxb_space(ctx))
     return up.row_block(0, ctx.dim_g) @ chart.inc
 
 
@@ -584,7 +586,7 @@ def regact_check(g: GroupElement, b: GroupElement) -> dict:
     bundle).
     """
     ctx = g.ctx
-    w = omega_matrix(ctx, g.m, b.m, gxb_space(ctx))
+    w = omega_matrix(ctx, b.m, gxb_space(ctx))
     flat_kernel = kernel(w.transpose())
     inter = intersect(vertical_space(GSPoint(g, b)), flat_kernel)
     expected = b_action_directions(b, "u")
@@ -614,7 +616,7 @@ def theorem1_check(chart: QuotientChart) -> dict:
     m = mu(point)
     # one G x B differential serves d(mu) (its first dim G rows, as in
     # dmu_chart) and route (iv)
-    dphi = phi_differential(ctx, point.g.m, point.b.m, gxb_space(ctx))
+    dphi = phi_differential(point.g, point.b, gxb_space(ctx))
     dmu = dphi.row_block(0, ctx.dim_g) @ chart.inc
     pushed = pushforward_linear(fib, dmu, base=m.m)
     cd = cartan_dirac(m)
@@ -733,7 +735,7 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
 
     # one G x B differential serves d(mu) on the chart and on the slice
     d = ctx.dim_g
-    dphi = phi_differential(ctx, point.g.m, point.b.m, gxb_space(ctx)).row_block(0, d)
+    dphi = phi_differential(point.g, point.b, gxb_space(ctx)).row_block(0, d)
     fields, duals = induced_action(chart, dphi @ chart.inc)
     coeffs, _, consistent = solve_columns(leaf.basis, fields)
     checks["moment_identity"] = consistent and (
@@ -763,7 +765,7 @@ def _leaf_d_identity(point: GSPoint, dmu: Mat, rng: SplitMix64,
     ctx = point.ctx
     space = Space(ctx, ("g", "u"))
     t = gram_ad(ctx, point.b.m, point.b.inv)
-    w = omega_matrix(ctx, point.g.m, point.b.m, space, t=t)
+    w = omega_matrix(ctx, point.b.m, space, t=t)
     dim = space.dim
     for _ in range(triples):
         dirs = [[QQi(rng.rational(3)) for _ in range(dim)] for _ in range(3)]

@@ -22,8 +22,12 @@ memory of a run.
   (``Mat(...)``, :meth:`Mat._raw`) clears its rows to integers
   (:func:`_int_rows`) the first time a kernel operation needs them, and keeps
   them, so each matrix is converted at most once.  The column form, derived
-  from the rows and kept, is the right operand of ``@`` and the row form of
-  the transpose.
+  from the rows and kept, is the row form of the transpose (and so of every
+  basis :class:`Subspace` canonicalizes) and is sliced by
+  :meth:`Mat.col_block` when present.  The right operand of ``@`` needs no
+  column form: it is read from its integer rows over the lcm of the row
+  denominators (:meth:`Mat.int_entries`), since each output row is reduced
+  anyway.
 * ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.transpose`,
   :meth:`Mat.hstack`, :meth:`Mat.vstack`, :meth:`Mat.row_block` and
   :meth:`Mat.col_block` return integer form directly, without building a
@@ -34,9 +38,14 @@ memory of a run.
 * :func:`rref` and :meth:`Mat.inverse`, for every size, run its
   Gauss-Jordan form (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997),
   whose divisions are exact; pivot row ``i`` of the result is that row over
-  its pivot, reduced by the row gcd.  :func:`kernel`, :func:`solve_unique`,
-  :class:`Subspace` and :func:`intersect` sit on :func:`rref` and read its
-  integer rows.
+  its pivot, reduced by the row gcd.  :func:`solve_unique`,
+  :class:`Subspace` and :func:`null_vectors` sit on :func:`rref` and read
+  its integer rows.
+* :func:`null_vectors` reads a basis of the null space off one rref,
+  without canonicalizing it.  :func:`kernel` is the canonical
+  :class:`Subspace` of those vectors (a second rref).  Callers whose result
+  is canonicalized anyway, :func:`intersect` and the Dirac transports of
+  :mod:`qpslab.dirac`, take the raw vectors and skip that rref.
 
 The results are identical, entry for entry and so in every report, to those
 of elimination over :class:`QQi`: scaling a row does not change the reduced
@@ -198,10 +207,9 @@ class Mat:
                 raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
             if self.cols:
                 a = self._int_form()
-                if a is not None and other._int_form() is not None:
-                    return Mat._from_ints(
-                        _matmul_ints(a, other._int_columns()), other.cols
-                    )
+                b = other.int_entries() if a is not None else None
+                if b is not None:
+                    return Mat._from_ints(_matmul_ints(a, *b), other.cols)
             return _matmul_qqi(self, other)
         return NotImplemented
 
@@ -483,22 +491,15 @@ def _transpose_ints(rows: list, ncols: int) -> list:
     return out
 
 
-def _matmul_ints(a: list, bcols: list) -> list:
-    """Integer rows of the product of integer rows ``a`` and columns ``bcols``.
+def _matmul_ints(a: list, b: list[list[int]], den: int) -> list:
+    """Integer rows of the product of integer rows ``a`` and ``b / den``.
 
-    Entry ``(i, j)`` is ``a_i . b_j / (da_i db_j)``; row ``i`` goes over
-    ``da_i`` times the lcm of the ``db_j`` before :func:`_canon`.
+    ``b / den`` is the right operand as :meth:`Mat.int_entries` gives it: its
+    rows over the lcm of its row denominators.  Entry ``(i, j)`` is
+    ``a_i . b^j / (da_i den)``; :func:`_canon` reduces each output row.
     """
-    cols = [c for c, _ in bcols]
-    dens = [d for _, d in bcols]
-    big = lcm(*dens)
-    if big == 1:
-        return [_canon([sum(map(mul, r, c)) for c in cols], d) for r, d in a]
-    factors = [big // d for d in dens]
-    return [
-        _canon([sum(map(mul, r, c)) * f for c, f in zip(cols, factors)], d * big)
-        for r, d in a
-    ]
+    cols = list(zip(*b))
+    return [_canon([sum(map(mul, r, c)) for c in cols], d * den) for r, d in a]
 
 
 def _add_ints(a: list, b: list, op) -> list:
@@ -747,37 +748,37 @@ def _inverse_qqi(m: Mat) -> Mat:
     return Mat([r[n:] for r in aug])
 
 
+def null_vectors(m: Mat) -> Mat:
+    """A basis of the null space of ``m``, read off its rref; not canonical.
+
+    Column j of the ``m.cols x nullity`` result is the null vector of the
+    j-th free column fc: 1 at fc and minus column fc of the pivot rows at the
+    pivots.  Its rows come straight from the rref rows.  :func:`kernel` is
+    the canonical :class:`Subspace` of these columns; a caller whose result
+    is canonicalized anyway takes them raw and saves that rref.
+    """
+    red, pivots = rref(m)
+    at = {c: i for i, c in enumerate(pivots)}  # pivot column -> its row
+    free = [c for c in range(m.cols) if c not in at]
+    ints = red._int_form()
+    if ints is None:
+        one, data = QQi(1), red.data
+        return Mat._raw(tuple(
+            tuple(-data[at[c]][fc] for fc in free) if c in at else
+            tuple(one if fc == c else QQI_ZERO for fc in free)
+            for c in range(m.cols)))
+    return Mat._from_ints([
+        _canon([-ints[at[c]][0][fc] for fc in free], ints[at[c]][1]) if c in at
+        else ([int(fc == c) for fc in free], 1)
+        for c in range(m.cols)
+    ], len(free))
+
+
 def kernel(m: Mat) -> "Subspace":
-    """Basis of the null space; ``dim = cols - rank``."""
+    """Canonical basis of the null space; ``dim = cols - rank``."""
     if m.cols == 0:
         return Subspace.zero(0)
-    red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    if not free:
-        return Subspace.zero(m.cols)
-    if red._int_form() is None:
-        cols = []
-        for fc in free:
-            v = [QQi(0)] * m.cols
-            v[fc] = QQi(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -red.data[i][fc]
-            cols.append(v)
-        return Subspace(m.cols, Mat.from_columns(cols, m.cols))
-    # the null vector of free column fc is 1 at fc and minus column fc of
-    # the pivot rows at the pivots; over the column's denominator den it is
-    # canonical, since den is prime to the column's numerators
-    cols = red._int_columns()
-    rows = []
-    for fc in free:
-        c, den = cols[fc]
-        v = [0] * m.cols
-        v[fc] = den
-        for i, pc in enumerate(pivots):
-            v[pc] = -c[i]
-        rows.append((v, den))
-    return Subspace(m.cols, _row_space_basis(Mat._from_ints(rows, m.cols)),
-                    canonical=True)
+    return Subspace(m.cols, null_vectors(m))
 
 
 def solve_unique(a: Mat, b: Sequence):
@@ -907,12 +908,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise LinAlgError("ambient dimension mismatch")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    stacked = a.basis.hstack(b.basis)
-    null = kernel(stacked)
-    if null.dim == 0:
+    # the null vectors (p; q) of [A | B] map one to one onto A p, since
+    # both bases are independent
+    null = null_vectors(a.basis.hstack(b.basis))
+    if null.cols == 0:
         return Subspace.zero(a.ambient_dim)
-    coeffs = null.basis.row_block(0, a.dim)
-    return Subspace(a.ambient_dim, a.basis @ coeffs)
+    return Subspace(a.ambient_dim, a.basis @ null.row_block(0, a.dim))
 
 
 def annihilator(s: Subspace, pairing: Mat) -> Subspace:

@@ -67,6 +67,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_rejects_an_unwritable_report_before_the_run(tmp_path, capsys,
+                                                               monkeypatch):
+    import qpslab.cli as cli
+
+    runs = []
+    real = cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: runs.append(cfg) or real(cfg))
+    rpt = tmp_path / "no-such-dir" / "r.json"
+    assert main(["verify", "regact", "--samples", "1", "--report", str(rpt)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report:")
+    assert runs == [] and not rpt.exists()
+
+
 def test_verify_forks_no_more_workers_than_points(monkeypatch):
     import qpslab.campaigns as campaigns
 

@@ -82,7 +82,7 @@ def test_omega_matrix_against_entrywise_oracle():
         ctx = context(name)
         for space, kind in ((double_space(ctx), "G"), (gxb_space(ctx), "B")):
             a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
-            w = omega_matrix(ctx, a.m, b.m, space)
+            w = omega_matrix(ctx, b.m, space)
             assert w.shape == (space.dim, space.dim)
             assert (w + w.transpose()).is_zero()
             mats = [space.matrices(e) for e in space.basis_directions()]
@@ -97,7 +97,7 @@ def test_omega_double_wrapper_and_nondegeneracy():
         fib = omega_double(dp)
         assert fib.is_skew()
         ko = kernel(fib.matrix.transpose())
-        kphi = kernel(phi_differential(SL2, dp.a.m, dp.b.m, double_space(SL2)))
+        kphi = kernel(phi_differential(dp.a, dp.b, double_space(SL2)))
         assert intersect(ko, kphi).dim == 0
 
 
@@ -105,7 +105,7 @@ def test_a4_invariance_compares_every_block():
     # the check pulls back omega blockwise along Ad (+) Ad; a defect in any of
     # the four d x d blocks of the reference form must be seen
     dp = sample_double(SL2, SplitMix64(65))
-    w = omega_matrix(SL2, dp.a.m, dp.b.m, double_space(SL2))
+    w = omega_matrix(SL2, dp.b.m, double_space(SL2))
     assert campaigns._a4_sample(SL2, dp, w, SplitMix64(66), count=2)
     d = SL2.dim_g
     for r0 in (0, d):
@@ -122,7 +122,7 @@ def test_phi_differential_dual_route():
     for name in GROUPS:
         ctx = context(name)
         dp = sample_double(ctx, rng)
-        closed = phi_differential(ctx, dp.a.m, dp.b.m, double_space(ctx))
+        closed = phi_differential(dp.a, dp.b, double_space(ctx))
         dual = phi_map(ctx).differential_matrix((dp.a.m, dp.b.m))
         assert closed == dual, name
         g = random_point(ctx, "G", rng)
@@ -130,7 +130,7 @@ def test_phi_differential_dual_route():
         gxb = gxb_space(ctx)
         restricted = PointedMap("phi-gxb", gxb, gxb,
                                 lambda q: (q[0] @ q[1] @ q[0].inverse(), q[1].inverse()))
-        closed = phi_differential(ctx, g.m, b.m, gxb)
+        closed = phi_differential(g, b, gxb)
         assert closed == restricted.differential_matrix((g.m, b.m)), name
 
 
@@ -139,8 +139,8 @@ def test_moment_condition_samples():
 
     def check(dp, pairs):
         sp = double_space(SL2)
-        w = omega_matrix(SL2, dp.a.m, dp.b.m, sp)
-        dphi = phi_differential(SL2, dp.a.m, dp.b.m, sp)
+        w = omega_matrix(SL2, dp.b.m, sp)
+        dphi = phi_differential(dp.a, dp.b, sp)
         return moment_condition_check(dp, w, dphi, pairs)
 
     zero = Mat.zeros(2, 2)

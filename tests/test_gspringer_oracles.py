@@ -46,7 +46,7 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
         for space, kind in _spaces(ctx):
             a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
             t = gram_ad(ctx, b.m, b.inv)
-            w = omega_matrix(ctx, a.m, b.m, space, t=t)
+            w = omega_matrix(ctx, b.m, space, t=t)
             for _ in range(2):
                 dirs = [[QQi(rng.rational(3)) for _ in range(space.dim)]
                         for _ in range(3)]
@@ -60,11 +60,11 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     rng = SplitMix64(102)
     g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
     k = ctx.dim_g + ctx.dim_u
-    gxu = omega_matrix(ctx, g.m, b.m, Space(ctx, ("g", "u")))
-    gxb = omega_matrix(ctx, g.m, b.m, gxb_space(ctx))
+    gxu = omega_matrix(ctx, b.m, Space(ctx, ("g", "u")))
+    gxb = omega_matrix(ctx, b.m, gxb_space(ctx))
     assert gxu == gxb.row_block(0, k).col_block(0, k)
     # a T the caller already has gives the same matrix
-    assert gxu == omega_matrix(ctx, g.m, b.m, Space(ctx, ("g", "u")),
+    assert gxu == omega_matrix(ctx, b.m, Space(ctx, ("g", "u")),
                                t=gram_ad(ctx, b.m, b.inv))
 
 
@@ -83,7 +83,7 @@ def test_slice_block_of_phi_differential_is_d_mu_on_the_slice(group):
 
     slice_space = Space(ctx, ("g", "u"))
     dual = PointedMap("mu-on-slice", slice_space, Space(ctx, ("g",)), conj_map)
-    block = phi_differential(ctx, g.m, b.m, gxb_space(ctx)).row_block(0, ctx.dim_g)
+    block = phi_differential(g, b, gxb_space(ctx)).row_block(0, ctx.dim_g)
     assert block.col_block(0, slice_space.dim) == dual.differential_matrix(
         (g.m, upart.m))
 
