@@ -27,9 +27,10 @@ SEED = 20260809
 SAMPLES = 3
 
 # (corruption, sl2 suite) pairs the corruption is known to break, so the
-# digest also covers the failure witnesses: each corruption once, plus every
+# digest also covers the failure witnesses: each corruption once, every
 # sigma and omega corruption on the suites whose moment conditions are built
-# from the adjoint matrix
+# from the adjoint matrix, and every corruption cartan-dirac's closure sample
+# detects
 CORRUPTED = (
     ("sigma-half", "dorfman-closure"),
     ("sigma-ad-flip", "lemma-kernel"),
@@ -41,6 +42,8 @@ CORRUPTED = (
     ("sigma-ad-flip", "gs-theorem1"),
     ("omega-sign", "gs-theorem1"),
     ("sigma-ad-flip", "cartan-dirac"),
+    ("sigma-half", "cartan-dirac"),
+    ("dorfman-eta", "cartan-dirac"),
 )
 
 
