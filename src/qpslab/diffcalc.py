@@ -14,11 +14,15 @@ must be generic over dual-valued points; all bracket/derivative formulas
 below use constant-coordinate (left-invariant) extensions, with the
 correction terms that this induces built in.
 
-Among the suites only cartan-dirac's closure sample runs this engine, through
-:func:`qpslab.dirac.dorfman`.  The exterior derivative of the double's
-2-form and of the leaf form comes from the closed block form
-:func:`qpslab.gspringer.d_omega`; :func:`d_two_form` of the entrywise
-:func:`qpslab.gspringer.omega_value` is its oracle in the tests.
+No suite runs this engine.  It is the second route of the tests: the
+Dorfman closure of the conjugation sections, which the suites decide in
+closed form (:func:`qpslab.dirac.cartan_closure_check` and
+:func:`qpslab.dirac.closure_sample`), is checked against
+:func:`qpslab.dirac.dorfman`, and the exterior derivative of the double's
+2-form and of the leaf form, which the suites take from the closed block
+form :func:`qpslab.gspringer.d_omega`, against :func:`d_two_form` of the
+entrywise :func:`qpslab.gspringer.omega_value`.
+``scripts/calibrate_conventions.py`` also runs ``dorfman``.
 """
 
 from __future__ import annotations

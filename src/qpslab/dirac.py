@@ -18,11 +18,14 @@ oracle in the tests.
 The twisted Dorfman bracket, :func:`dorfman`, is evaluated with the
 forward-mode engine of :mod:`qpslab.diffcalc`; the sign and scale
 conventions are frozen by the calibration suite and recorded in
-:mod:`qpslab.conventions`.  The full-basis closure check,
-:func:`cartan_closure_check`, needs no dual numbers: along the first-order
-curve q = g (I + t v), q^-1 xi q = A + t [A, v] with A = Ad_{g^-1} xi, so
-every derivative of a conjugation section is a bracket, read from the
-structure constants.  :func:`dorfman` is its oracle in the tests.
+:mod:`qpslab.conventions`.  The suites decide closure of the conjugation
+sections without dual numbers, for every basis pair
+(:func:`cartan_closure_check`) and for one pair (:func:`closure_sample`):
+along the first-order curve q = g (I + t v), q^-1 xi q = A + t [A, v] with
+A = Ad_{g^-1} xi, so every derivative of a conjugation section is a
+bracket, read from the structure constants.  Both take their terms from
+:func:`_closure_terms`, and :func:`dorfman` is the oracle of both in the
+tests.
 """
 
 from __future__ import annotations
@@ -281,6 +284,11 @@ def dorfman(s1: DiracSection, s2: DiracSection, eta3, space: Space, point):
     needed curve directions evaluates both sections exactly once; the
     generic formulas in :mod:`qpslab.diffcalc` are the independent oracle
     for this fusion in the tests.
+
+    No suite calls it: on the conjugation sections (:func:`cartan_section`
+    with :func:`cartan_eta3`) it is the oracle in the tests of both closed
+    forms, :func:`cartan_closure_check` and :func:`closure_sample`, and
+    ``scripts/calibrate_conventions.py`` sweeps the conventions with it.
     """
     point = tuple(point)
     xp, ap = (list(v) for v in s1.fn(point))
@@ -333,7 +341,8 @@ def cartan_closure_check(ctx, gmat: Mat):
     and comparing against the section of the bracket (linear in xi, so the
     targets come from structure constants), with every derivative in closed
     form.  ``dorfman``, which differentiates the sections on dual points, is
-    the independent oracle for this in the tests.
+    the independent oracle for this in the tests, as it is for the one-pair
+    :func:`closure_sample`, which reads the same terms.
 
     The lemma: along the curve q = g (I + t v) of :meth:`Space.curve`,
     q^-1 = g^-1 - t v g^-1 exactly, so q^-1 xi q = A + t [A, v] with
@@ -352,8 +361,9 @@ def cartan_closure_check(ctx, gmat: Mat):
     where dxb[i][j] is how a_j moves along x_i, dex[m][i] and dea[m][i] how
     x_i and a_i move along e_m, and c = eta_coeff * twist (``dorfman``'s two
     a_i.dex[m][j] terms cancel).  The rows ``i d + j`` of all pairs are
-    stacked: block i is a product with R(x_i) or R(M_i), and the terms
-    read at the pair (j, i) are moved there by one row swap.  The stack is
+    stacked: block i is a product with R(x_i) or R(M_i)
+    (:func:`_closure_terms`), and the terms read at the pair (j, i) are
+    moved there by one row swap.  The stack is
     compared with the targets in one integer ``==``; only on a mismatch are
     the rows scanned, pair (i, j) in basis order, for the witness.
 
@@ -377,29 +387,87 @@ def _closure_sides(ctx, gmat: Mat) -> tuple[Mat, Mat]:
     of [e_i, e_j].  See :func:`cartan_closure_check`.
     """
     d = ctx.dim_g
-    gram = ctx.gram
-    zero = Mat.zeros(d, d)
-    conv = ACTIVE.get()
     m, x, a = conjugation_sections(ctx, gmat, gmat.inverse())
-    mt, xt, at = m.transpose(), x.transpose(), a.transpose()
-    # [x_j, e_m] pairs with a_i + c gram x_i
-    act = (a + (gram @ x).scale(conv.eta_coeff * conv.twist)).transpose()
-
+    rows = _section_rows(ctx, m, x, a)
     own = swapped = None
     for rx, rm in zip(ctx.bracket_matrices(x), ctx.bracket_matrices(m)):
-        rxt = rx.transpose()
-        # row j: how M_j moves along x_i, (R(x_i) M_j)^T, and so section j
-        dmt = mt @ rxt
-        dt, da = -dmt, sigma_average(zero, dmt) @ gram
-        # column m: how M_i moves along e_m, R(e_m) M_i, and so section i
-        dme = -rm
-        dte, dae = -dme, gram @ sigma_average(zero, dme)
-        brx, bre = -(xt @ rxt), -rx  # row j: [x_i, x_j]; column m: [x_i, e_m]
-        blk = (dt + brx).hstack(da + at @ (dte - bre) + xt @ dae)
-        sw = (-dt).hstack(act @ bre - da)
+        blk, sw = _closure_terms(ctx, rx, rm, rows)
         own = blk if own is None else own.vstack(blk)
         swapped = sw if swapped is None else swapped.vstack(sw)
-    return own + _swap_pairs(swapped, d), ctx.structure_constants @ xt.hstack(at)
+    targets = ctx.structure_constants @ rows[1].hstack(rows[2])  # [X^T | A^T]
+    return own + _swap_pairs(swapped, d), targets
+
+
+def _section_rows(ctx, m: Mat, x: Mat, a: Mat,
+                  coef: Mat | None = None) -> tuple[Mat, ...]:
+    """M^T, X^T, A^T, (A + c gram X)^T and (gram X)^T, c = eta_coeff * twist.
+
+    These are the section data :func:`_closure_terms` reads row by row, row
+    j belonging to section j.  With ``coef``, a d x k matrix of algebra
+    coordinates, each is contracted with it first: row l of (M coef)^T
+    and so on belongs to the section of column l.
+    """
+    conv = ACTIVE.get()
+    gx = ctx.gram @ x
+    # in the pair (i, j), [x_j, e_m] pairs with a_i + c gram x_i
+    mats = (m, x, a, a + gx.scale(conv.eta_coeff * conv.twist), gx)
+    if coef is not None:
+        mats = (p @ coef for p in mats)
+    return tuple(p.transpose() for p in mats)
+
+
+def _closure_terms(ctx, rx: Mat, rm: Mat, rows: tuple[Mat, ...]) -> tuple[Mat, Mat]:
+    """The closure terms that the derivatives of section i contribute.
+
+    ``rx`` and ``rm`` are R(x_i) and R(M_i); ``rows`` is
+    :func:`_section_rows`.  Row j of the first result holds the terms of the
+    pair (i, j), row j of the second those of the pair (j, i) (see
+    :func:`cartan_closure_check`).  Both are linear in (rx, rm) and in the
+    rows, so for the sections of xi and zeta they are read at R(X xi),
+    R(M xi) and the rows contracted with zeta.
+    """
+    d, gram = ctx.dim_g, ctx.gram
+    mt, xt, at, act, gxt = rows
+    rxt = rx.transpose()
+    # row j: how M_j moves along x_i, (R(x_i) M_j)^T, and so section j
+    dmt = mt @ rxt
+    dt, da = -dmt, sigma_average(Mat.zeros(dmt.rows, d), dmt) @ gram
+    # column m: how M_i moves along e_m, R(e_m) M_i = -R(M_i) e_m, and so
+    # section i's tangent and its sigma; gram X^T pairs with the latter
+    dte, dse = rm, sigma_average(Mat.zeros(d, d), -rm)
+    brx, bre = -(xt @ rxt), -rx  # row j: [x_i, x_j]; column m: [x_i, e_m]
+    blk = (dt + brx).hstack(da + at @ (dte - bre) + gxt @ dse)
+    sw = (-dt).hstack(act @ bre - da)
+    return blk, sw
+
+
+def closure_sample(ctx, g: GroupElement, ximat: Mat, zemat: Mat) -> bool:
+    """Dorfman closure of the conjugation sections of xi and zeta at g.
+
+    The bracket of two sections is bilinear in (xi, zeta), so its row is
+    zeta^T blk(xi) + xi^T sw(zeta) with the terms of :func:`_closure_terms`
+    read at R(X xi), R(M xi) and R(X zeta), R(M zeta), the section rows
+    contracted with zeta and xi respectively: the formula of
+    :func:`cartan_closure_check` on one pair.  It is compared with the
+    section of [xi, zeta], (X c; A c) with c = coords([xi, zeta]).
+    :func:`dorfman` is its oracle in the tests.
+    """
+    row, target = _pair_sides(ctx, g, ximat, zemat)
+    return row == target
+
+
+def _pair_sides(ctx, g: GroupElement, ximat: Mat, zemat: Mat) -> tuple[Mat, Mat]:
+    """(tangent | covector) of the bracket of the sections of xi and zeta at
+    g, and of the section of [xi, zeta], as 1 x 2d rows."""
+    d = ctx.dim_g
+    m, x, a = conjugation_sections(ctx, g.m, g.inv)
+    coef = Mat.from_columns([ctx.coords(ximat), ctx.coords(zemat)], d)
+    rows = _section_rows(ctx, m, x, a, coef)
+    rx_xi, rx_ze, rm_xi, rm_ze = ctx.bracket_matrices((x @ coef).hstack(m @ coef))
+    blk, _ = _closure_terms(ctx, rx_xi, rm_xi, [r.row_block(1, 2) for r in rows])
+    _, sw = _closure_terms(ctx, rx_ze, rm_ze, [r.row_block(0, 1) for r in rows])
+    c = Mat.from_columns([ctx.coords(ximat @ zemat - zemat @ ximat)], d)
+    return blk + sw, (x @ c).transpose().hstack((a @ c).transpose())
 
 
 def _swap_pairs(rows: Mat, d: int) -> Mat:

@@ -415,7 +415,7 @@ def restrict_to_GxB(g: GroupElement, b: GroupElement) -> DiracFiber:
     ctx = g.ctx
     if not ctx.in_borel(b.m):
         raise ValueError("second component must lie in the Borel subgroup")
-    w = omega_matrix(ctx, b.m, gxb_space(ctx))
+    w = omega_matrix(ctx, b.m, gxb_space(ctx), t=gram_ad(ctx, b.m, b.inv))
     return graph_two_form(TwoFormFiber((g.m, b.m), w))
 
 
@@ -586,7 +586,7 @@ def regact_check(g: GroupElement, b: GroupElement) -> dict:
     bundle).
     """
     ctx = g.ctx
-    w = omega_matrix(ctx, b.m, gxb_space(ctx))
+    w = omega_matrix(ctx, b.m, gxb_space(ctx), t=gram_ad(ctx, b.m, b.inv))
     flat_kernel = kernel(w.transpose())
     inter = intersect(vertical_space(GSPoint(g, b)), flat_kernel)
     expected = b_action_directions(b, "u")

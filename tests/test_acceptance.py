@@ -187,5 +187,12 @@ def test_criterion_11_negative_controls():
         a1 = [r for r in rep.checks
               if r["check_id"] == "double/A1-moment-condition"]
         assert a1 and not any(r["passed"] for r in a1), corrupt
+    # cartan-dirac's closure sample sees sigma and the twist, never omega
+    for corrupt, fails in (("sigma-half", True), ("sigma-ad-flip", True),
+                           ("dorfman-eta", True), ("omega-sign", False)):
+        rep = campaign("cartan-dirac", "sl2", 2, corrupt=corrupt)
+        cs = [r for r in rep.checks
+              if r["check_id"] == "cartan-dirac/closure-sample"]
+        assert cs and all(r["passed"] != fails for r in cs), corrupt
     assert ACTIVE.get() is FROZEN
     announce(11, "corrupted conventions make suites 2, 3, 4 and 6 report failures")

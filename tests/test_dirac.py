@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qpslab import dirac
+from qpslab import dirac, liegroup
+from qpslab.campaigns import CLI_GROUPS
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import (DualMat, Space, inversion_map, lie_bracket,
                              lie_derivative_covector, one_form_d, PointedMap)
@@ -289,6 +290,31 @@ def test_batched_closure_matches_dorfman_under_corruption():
     for name in ("sl3", "gl3", "sl4", "gl4"):
         ctx = context(name)
         assert cartan_closure_check(ctx, random_point(ctx, "G", rng).m) == (True, None)
+
+
+@pytest.mark.parametrize("name", sorted(liegroup.GROUPS))
+def test_pair_row_matches_dorfman(name):
+    """closure_sample's closed-form row is dorfman's bracket of the two
+    sections, entry for entry, and (on the CLI groups) the xi (x) zeta
+    combination of the full-basis rows; its target is the section of
+    [xi, zeta]."""
+    ctx = context(name)
+    rng = SplitMix64(47)
+    G = Space(ctx, ("g",))
+    g = random_point(ctx, "G", rng)
+    xi, ze = random_algebra(ctx, rng).m, random_algebra(ctx, rng).m
+    s1, s2 = cartan_section(ctx, xi), cartan_section(ctx, ze)
+    coef = Mat([[a * b for a in ctx.coords(xi) for b in ctx.coords(ze)]])
+    for conv in [FROZEN] + list(CORRUPTIONS.values()) + calibration_grid():
+        with using(conv):
+            row, target = dirac._pair_sides(ctx, g, xi, ze)
+            tangent, cov = dorfman(s1, s2, cartan_eta3(G), G, (g.m,))
+            assert row == Mat([list(tangent) + list(cov)]), conv
+            want = cartan_section(ctx, xi @ ze - ze @ xi).fn((g.m,))
+            assert target == Mat([list(want[0]) + list(want[1])]), conv
+            assert dirac.closure_sample(ctx, g, xi, ze) == (row == target)
+            if name in CLI_GROUPS:
+                assert row == coef @ dirac._closure_sides(ctx, g.m)[0], conv
 
 
 def test_closed_form_closure_evaluates_no_section(monkeypatch):

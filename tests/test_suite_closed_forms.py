@@ -1,0 +1,103 @@
+"""The suites' closed forms against the routes they replaced.
+
+The double's A3 is one rank of [w^T; dphi], with its kernel witness built
+only on failure; cartan-dirac's leaf dimension compares two ranks; and no
+suite runs the dual-number engine or the per-element sections, which stay
+in ``src`` as the oracles of the closed forms.
+"""
+
+from collections import Counter
+
+import pytest
+
+from qpslab import campaigns, dirac, gspringer
+from qpslab.campaigns import (SUITE_NAMES, CampaignConfig, _a3_nondegenerate,
+                              _check_cartan_dirac, run_suite)
+from qpslab.conventions import CORRUPTIONS, FROZEN, using
+from qpslab.diffcalc import DualMat, Space
+from qpslab.dirac import cartan_dirac, cartan_eta3, cartan_section, dorfman
+from qpslab.gspringer import (double_space, gram_ad, omega_matrix,
+                              phi_differential, sample_double)
+from qpslab.liegroup import GROUPS, GroupElement, context, random_point
+from qpslab.linalg import Mat, intersect, kernel
+from qpslab.matio import mat_to_json
+from qpslab.prng import SplitMix64
+
+
+def kernel_route(w, dphi):
+    """A3 as it was decided before: the kernels of w^T and dphi, intersected."""
+    ko, kphi = kernel(w.transpose()), kernel(dphi)
+    if intersect(ko, kphi).dim == 0:
+        return True, None
+    return False, {"ker_omega": ko.dim, "ker_dphi": kphi.dim}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_a3_rank_matches_the_kernel_route_on_real_points(name):
+    ctx = context(name)
+    rng = SplitMix64(53)
+    sp = double_space(ctx)
+    eye = GroupElement(ctx, Mat.identity(ctx.n))
+    points = [(eye, eye)] + [(p.a, p.b) for p in
+                             (sample_double(ctx, rng) for _ in range(2))]
+    for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
+        with using(conv):
+            for a, b in points:
+                w = omega_matrix(ctx, b.m, sp, t=gram_ad(ctx, b.m, b.inv))
+                dphi = phi_differential(a, b, sp)
+                assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi)
+
+
+def test_a3_rank_matches_the_kernel_route_on_hand_built_pairs():
+    # w is not skew, so w and w^T have different kernels: ker w^T is e_0
+    w = Mat([[0, 0, 0, 0], [1, 2, 0, 1], [3, 0, 1, 1], [0, 1, 1, 2]])
+    meets = Mat([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 1, 1]])
+    misses = Mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 1]])
+    assert _a3_nondegenerate(w, meets) == kernel_route(w, meets) == (
+        False, {"ker_omega": 1, "ker_dphi": 1})
+    assert _a3_nondegenerate(w, misses) == kernel_route(w, misses) == (True, None)
+
+
+@pytest.mark.parametrize("name", ("sl2", "gl2", "sl3", "gl3"))
+def test_leaf_dimension_ranks_match_the_subspace_route(name):
+    ctx = context(name)
+    rng = SplitMix64(59)
+    d = ctx.dim_g
+    points = [GroupElement(ctx, Mat.identity(ctx.n))] + [
+        random_point(ctx, kind, rng) for kind in ("T", "U", "G")]
+    cfg = CampaignConfig(suite="cartan-dirac", group=name)
+    for g in points:
+        recs = _check_cartan_dirac(cfg, {"g": mat_to_json(g.m), "salt": 7})
+        leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
+        proj = cartan_dirac(g).tangent_part().dim
+        cent = kernel(ctx.adjoint(g.m, g.inv) - Mat.identity(d)).dim
+        assert leaf == {"check_id": "cartan-dirac/leaf-dimension",
+                        "passed": proj == d - cent}
+        assert leaf["passed"]
+
+
+def test_no_suite_runs_the_dual_number_oracles(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Space, "curve", counting("curve", Space.curve))
+    monkeypatch.setattr(DualMat, "__init__", counting("DualMat", DualMat.__init__))
+    for name, fn in (("dorfman", dorfman), ("cartan_section", cartan_section)):
+        for mod in (dirac, campaigns, gspringer):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    for suite in SUITE_NAMES:
+        rep = run_suite(CampaignConfig(suite=suite, group="sl2", samples=3, seed=61))
+        assert rep.checks and rep.all_passed, suite
+    assert not calls
+    # the spies see the oracle route
+    ctx = context("sl2")
+    G = Space(ctx, ("g",))
+    s = dirac.cartan_section(ctx, ctx.basis[0])
+    dirac.dorfman(s, s, cartan_eta3(G), G, (random_point(ctx, "G", SplitMix64(1)).m,))
+    assert set(calls) == {"curve", "DualMat", "dorfman", "cartan_section"}
