@@ -29,8 +29,8 @@ SAMPLES = 3
 # (corruption, sl2 suite) pairs the corruption is known to break, so the
 # digest also covers the failure witnesses: each corruption once, every
 # sigma and omega corruption on the suites whose moment conditions are built
-# from the adjoint matrix, and every corruption cartan-dirac's closure sample
-# detects
+# from the adjoint matrix, every corruption cartan-dirac's closure sample
+# detects, and the failure outputs of the leaf form and the bivector
 CORRUPTED = (
     ("sigma-half", "dorfman-closure"),
     ("sigma-ad-flip", "lemma-kernel"),
@@ -44,6 +44,8 @@ CORRUPTED = (
     ("sigma-ad-flip", "cartan-dirac"),
     ("sigma-half", "cartan-dirac"),
     ("dorfman-eta", "cartan-dirac"),
+    ("sigma-half", "gs-theorem2"),
+    ("omega-sign", "bivector"),
 )
 
 
