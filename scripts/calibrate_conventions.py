@@ -31,7 +31,7 @@ from qpslab.campaigns import _a2_sample
 from qpslab.conventions import FROZEN, using
 from qpslab.diffcalc import Space
 from qpslab.dirac import (DiracFiber, cartan_eta3, cartan_section, dorfman,
-                          graph_two_form, pushforward_linear, TwoFormFiber)
+                          graph_two_form, pushforward_linear)
 from qpslab.gspringer import (double_space, gram_ad, omega_matrix, phi,
                               phi_differential, sample_double)
 from qpslab.linalg import Mat
@@ -56,7 +56,7 @@ def closure_holds(ctx, samples, rng) -> bool:
         s2 = cartan_section(ctx, ze.m)
         tangent, cov = dorfman(s1, s2, eta3, space, (g.m,))
         br = xi.m @ ze.m - ze.m @ xi.m
-        target = cartan_section(ctx, br).fn((g.m,))
+        target = cartan_section(ctx, br)((g.m,))
         if tangent != target[0] or cov != target[1]:
             return False
     return True
@@ -68,7 +68,7 @@ def d_omega_matches(ctx, samples, rng) -> bool:
         dphi = phi_differential(dp.a, dp.b, double_space(ctx))
         t = gram_ad(ctx, dp.b.m, dp.b.inv)
         w = omega_matrix(ctx, dp.b.m, double_space(ctx), t=t)
-        if not _a2_sample(ctx, dp, dphi, t, w, rng, triples=1):
+        if not _a2_sample(ctx, dphi, t, w, rng, triples=1):
             return False
     return True
 
@@ -78,7 +78,7 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
     for _ in range(samples):
         dp = sample_double(ctx, rng)
         w = omega_matrix(ctx, dp.b.m, double_space(ctx))
-        fiber = graph_two_form(TwoFormFiber(None, w))
+        fiber = graph_two_form(w)
         dphi = phi_differential(dp.a, dp.b, double_space(ctx))
         pushed = pushforward_linear(fiber, dphi)
         # the product of the conjugation structures at phi(dp): the basis
@@ -88,7 +88,7 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
         zero = Mat.zeros(d, d)
         tangent = x1.hstack(zero).vstack(zero.hstack(x2))
         cotangent = a1.hstack(zero).vstack(zero.hstack(a2))
-        target = DiracFiber(None, 2 * d, tangent.vstack(cotangent))
+        target = DiracFiber(4 * d, tangent.vstack(cotangent))
         if not pushed.equals(target):
             return False
     return True

@@ -1,19 +1,21 @@
 """Pointwise Dirac linear algebra on tangent (+) cotangent fibers.
 
-A fiber at a point of a d-dimensional model space is a subspace of the
-2d-dimensional sum of the tangent space and its dual.  Tangent vectors are
+A fiber at a point of a d-dimensional model space is a
+:class:`~qpslab.linalg.Subspace` of the 2d-dimensional sum of the tangent
+space and its dual (:class:`DiracFiber`); it carries no base point, since
+every caller knows where it is.  A 2-form or a bivector is its skew d x d
+matrix, and a section is a function of the point.  Tangent vectors are
 left-trivialized coordinate columns; covectors are *functional* coordinates
 on the same basis (so the canonical symmetric pairing is a plain dot-product
 flip, and no metric is needed where the restricted trace form would be
 degenerate).  Covectors handed over as algebra elements are converted
 through the context's Gram matrix.
 
-A fiber stores the canonical basis of its span, so equal fibers print
-identically.  The transports :func:`pushforward_linear` and
-:func:`pullback_linear` each solve one reduced incidence system with
-:func:`~qpslab.linalg.null_vectors` and canonicalize only the result: two
-rrefs per call.  Their full systems in the unknowns (x, b, c) are the
-oracle in the tests.
+A fiber stores the canonical basis of its span.  The transports
+:func:`pushforward_linear` and :func:`pullback_linear` each solve one
+reduced incidence system with :func:`~qpslab.linalg.null_vectors` and
+canonicalize only the result: two rrefs per call.  Their full systems in
+the unknowns (x, b, c) are the oracle in the tests.
 
 The twisted Dorfman bracket, :func:`dorfman`, is evaluated with the
 forward-mode engine of :mod:`qpslab.diffcalc`; the sign and scale
@@ -30,37 +32,25 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
 from .conventions import ACTIVE
-from .diffcalc import PointedMap, Space, dot_part
+from .diffcalc import Space, dot_part
 from .liegroup import GroupElement, conjugation_sections, sigma_average
 from .linalg import Mat, Subspace, dot, intersect, kernel, mat_vec, null_vectors
-from .matio import mat_to_json
 from .scalars import QQi
 
 
-class DiracFiber:
-    """Subspace of tangent (+) cotangent at one point, stored as a basis."""
+class DiracFiber(Subspace):
+    """Subspace of tangent (+) cotangent at a point of a d-dimensional space.
 
-    __slots__ = ("base", "d", "basis")
+    Built as ``DiracFiber(2 * d, basis)``: the first d rows of the basis are
+    tangent coordinates, the last d covector coordinates.
+    """
 
-    def __init__(self, base, d: int, basis: Mat, canonical: bool = False):
-        if basis.rows != 2 * d:
-            raise ValueError("fiber basis must have 2d rows")
-        if not canonical:
-            basis = Subspace(2 * d, basis).basis
-        self.base = base
-        self.d = d
-        self.basis = basis
+    __slots__ = ()
 
     @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-    def subspace(self) -> Subspace:
-        return Subspace(2 * self.d, self.basis, canonical=True)
+    def d(self) -> int:
+        return self.ambient_dim // 2
 
     def tangent_part(self) -> Subspace:
         top = self.basis.row_block(0, self.d)
@@ -70,59 +60,10 @@ class DiracFiber:
         """Intersection with the cotangent coordinate subspace."""
         d = self.d
         lower = Subspace.from_spanning(Mat.zeros(d, d).vstack(Mat.identity(d)))
-        return intersect(self.subspace(), lower)
-
-    def contains(self, xcoords: Sequence, acoords: Sequence) -> bool:
-        return self.subspace().contains_vector(list(xcoords) + list(acoords))
-
-    def equals(self, other: "DiracFiber") -> bool:
-        return self.d == other.d and self.subspace().equals(other.subspace())
-
-    def to_json(self) -> dict:
-        base = self.base
-        if isinstance(base, (list, tuple)):
-            base = [mat_to_json(m) for m in base]
-        elif isinstance(base, Mat):
-            base = mat_to_json(base)
-        return {"base": base, "tangent_dim": self.d, "basis": mat_to_json(self.basis)}
+        return intersect(self, lower)
 
     def __repr__(self):
         return f"DiracFiber(d={self.d}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class TwoFormFiber:
-    """Skew bilinear form on trivialized tangent coordinates at one point."""
-
-    base: object
-    matrix: Mat
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.rows != m.cols:
-            raise ValueError("2-form matrix must be square")
-
-    def is_skew(self) -> bool:
-        return (self.matrix + self.matrix.transpose()).is_zero()
-
-
-@dataclass(frozen=True)
-class BivectorFiber:
-    """The sharp map of a bivector: dual coordinates to tangent coordinates."""
-
-    base: object
-    matrix: Mat
-
-    def is_skew(self) -> bool:
-        return (self.matrix + self.matrix.transpose()).is_zero()
-
-
-@dataclass(frozen=True)
-class DiracSection:
-    """Family p -> (tangent coords, covector dual coords), rational in p."""
-
-    name: str
-    fn: Callable
 
 
 # ---------------------------------------------------------------------------
@@ -177,30 +118,32 @@ def is_lagrangian(fiber: DiracFiber):
 # graphs of forms and bivectors
 
 
-def graph_two_form(omega: TwoFormFiber) -> DiracFiber:
-    """The fiber {(X, omega^flat X)}; Lagrangian whenever omega is skew."""
-    if not omega.is_skew():
-        raise ValueError("2-form matrix must be skew")
-    d = omega.matrix.rows
-    basis = Mat.identity(d).vstack(omega.matrix.transpose())
-    # the transpose [I | omega] is already in reduced row echelon form
-    return DiracFiber(omega.base, d, basis, canonical=True)
+def is_skew(m: Mat) -> bool:
+    """Whether ``m`` is the matrix of a 2-form or a bivector: square, m' = -m."""
+    return m.rows == m.cols and (m + m.transpose()).is_zero()
 
 
-def graph_bivector(pi: BivectorFiber) -> DiracFiber:
-    """The fiber {(pi^sharp a, a)}; Lagrangian whenever pi is skew."""
-    if not pi.is_skew():
-        raise ValueError("bivector matrix must be skew")
-    d = pi.matrix.rows
-    basis = pi.matrix.vstack(Mat.identity(d))
-    return DiracFiber(pi.base, d, basis, canonical=False)
+def graph_two_form(w: Mat) -> DiracFiber:
+    """The fiber {(X, w^flat X)} of a 2-form matrix; Lagrangian as w is skew."""
+    if not is_skew(w):
+        raise ValueError("2-form matrix must be square and skew")
+    d = w.rows
+    # the transpose [I | w] is already in reduced row echelon form
+    return DiracFiber(2 * d, Mat.identity(d).vstack(w.transpose()), canonical=True)
+
+
+def graph_bivector(p: Mat) -> DiracFiber:
+    """The fiber {(p^sharp a, a)} of a bivector matrix; Lagrangian as p is skew."""
+    if not is_skew(p):
+        raise ValueError("bivector matrix must be square and skew")
+    return DiracFiber(2 * p.rows, p.vstack(Mat.identity(p.rows)))
 
 
 # ---------------------------------------------------------------------------
 # transport along maps
 
 
-def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
+def pushforward_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
     """Pushforward along a linear tangent map given by its matrix.
 
     f_* L = {(F X, b) | (X, F^T b) in L} (Bursztyn and Crainic, 2005).
@@ -214,23 +157,21 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
     w = fmat.rows
     if fmat.cols != v:
         raise ValueError("tangent map has wrong domain dimension")
-    if base is None:
-        base = fiber.base
     k = fiber.dim
     if not k:
         # f_* 0 = 0 (+) ker F^T, and [0; K] is canonical when K is
         null = kernel(fmat.transpose())
-        return DiracFiber(base, w, Mat.zeros(w, null.dim).vstack(null.basis),
+        return DiracFiber(2 * w, Mat.zeros(w, null.dim).vstack(null.basis),
                           canonical=True)
     top = fiber.basis.row_block(0, v)
     bot = fiber.basis.row_block(v, 2 * v)
     null = null_vectors(fmat.transpose().hstack(-bot))
     ftop = fmat @ top
     basis = (ftop @ null.row_block(w, w + k)).vstack(null.row_block(0, w))
-    return DiracFiber(base, w, basis)
+    return DiracFiber(2 * w, basis)
 
 
-def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
+def pullback_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
     """Pullback along a linear tangent map: {(X, F^T b) | (F X, b) in L}.
 
     As in :func:`pushforward_linear`, with L spanned by [top; bot], the
@@ -241,39 +182,29 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat, base=None) -> DiracFiber:
     v = fmat.cols
     if fmat.rows != w:
         raise ValueError("tangent map has wrong codomain dimension")
-    if base is None:
-        base = fiber.base
     k = fiber.dim
     if not k:
         # f^* 0 = ker F (+) 0, and [K; 0] is canonical when K is
         null = kernel(fmat)
-        return DiracFiber(base, v, null.basis.vstack(Mat.zeros(v, null.dim)),
+        return DiracFiber(2 * v, null.basis.vstack(Mat.zeros(v, null.dim)),
                           canonical=True)
     top = fiber.basis.row_block(0, w)
     bot = fiber.basis.row_block(w, 2 * w)
     null = null_vectors(fmat.hstack(-top))
     ftbot = fmat.transpose() @ bot
     basis = null.row_block(0, v).vstack(ftbot @ null.row_block(v, v + k))
-    return DiracFiber(base, v, basis)
-
-
-def pushforward(fiber: DiracFiber, f: PointedMap, point) -> DiracFiber:
-    fmat = f.differential_matrix(point)
-    return pushforward_linear(fiber, fmat, base=tuple(f.value(point)))
-
-
-def pullback(fiber: DiracFiber, f: PointedMap, point) -> DiracFiber:
-    fmat = f.differential_matrix(point)
-    return pullback_linear(fiber, fmat, base=tuple(point))
+    return DiracFiber(2 * v, basis)
 
 
 # ---------------------------------------------------------------------------
 # the twisted Dorfman bracket
 
 
-def dorfman(s1: DiracSection, s2: DiracSection, eta3, space: Space, point):
+def dorfman(s1, s2, eta3, space: Space, point):
     """Twisted Dorfman bracket of two sections at a point.
 
+    A section is a function point -> (tangent coords, covector dual coords),
+    rational in the point, so that it also evaluates on dual points.
     Returns (tangent coords, covector dual coords) of
     ([X, Y], L_X beta - i_Y d(alpha) + twist), where the twist is the active
     ``Conventions.twist`` multiple of eta3(X, Y, .).  ``eta3(point, x, y,
@@ -291,16 +222,16 @@ def dorfman(s1: DiracSection, s2: DiracSection, eta3, space: Space, point):
     ``scripts/calibrate_conventions.py`` sweeps the conventions with it.
     """
     point = tuple(point)
-    xp, ap = (list(v) for v in s1.fn(point))
-    yp, bp = (list(v) for v in s2.fn(point))
+    xp, ap = (list(v) for v in s1(point))
+    yp, bp = (list(v) for v in s2(point))
 
     qx = space.curve(point, xp)
-    y_on_x, beta_on_x = s2.fn(qx)
+    y_on_x, beta_on_x = s2(qx)
     dx_y = [dot_part(v) for v in y_on_x]
     dx_beta = [dot_part(v) for v in beta_on_x]
 
     qy = space.curve(point, yp)
-    x_on_y, alpha_on_y = s1.fn(qy)
+    x_on_y, alpha_on_y = s1(qy)
     dy_x = [dot_part(v) for v in x_on_y]
     dy_alpha = [dot_part(v) for v in alpha_on_y]
 
@@ -312,8 +243,8 @@ def dorfman(s1: DiracSection, s2: DiracSection, eta3, space: Space, point):
     cov = []
     for j, e in enumerate(space.basis_directions()):
         qe = space.curve(point, e)
-        x_on_e, alpha_on_e = s1.fn(qe)
-        y_on_e, beta_on_e = s2.fn(qe)
+        x_on_e, alpha_on_e = s1(qe)
+        y_on_e, beta_on_e = s2(qe)
         de_x = [dot_part(v) for v in x_on_e]
         de_y = [dot_part(v) for v in y_on_e]
         de_alpha = [dot_part(v) for v in alpha_on_e]
@@ -509,14 +440,14 @@ def cartan_dirac(g: GroupElement) -> DiracFiber:
     """
     ctx = g.ctx
     _, x, a = conjugation_sections(ctx, g.m, g.inv)
-    return DiracFiber((g.m,), ctx.dim_g, x.vstack(a))
+    return DiracFiber(2 * ctx.dim_g, x.vstack(a))
 
 
-def cartan_section(ctx, ximat) -> DiracSection:
-    """The section g -> (rho(xi), sigma(xi)) as dual-point-generic functions.
+def cartan_section(ctx, ximat):
+    """The section g -> (rho(xi), sigma(xi)) as a dual-point-generic function.
 
     Shares the single Ad computation between the tangent and covector parts
-    (this function sits in the innermost loop of the closure suites).
+    (:func:`dorfman` evaluates it at every curve point).
     """
 
     def fn(point):
@@ -525,5 +456,5 @@ def cartan_section(ctx, ximat) -> DiracSection:
         return (ctx.coords(ximat - ad),
                 mat_vec(ctx.gram, ctx.coords(sigma_average(ximat, ad))))
 
-    return DiracSection("cd-section", fn)
+    return fn
 

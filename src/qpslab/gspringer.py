@@ -44,8 +44,8 @@ import numpy as np
 
 from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space
-from .dirac import (DiracFiber, TwoFormFiber, BivectorFiber, cartan_dirac,
-                    graph_two_form, is_lagrangian, pushforward_linear)
+from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
+                    is_skew, pushforward_linear)
 from .liegroup import (AlgebraElement, GroupContext, GroupElement, chevalley,
                        conjugation_sections, group_of_json, random_point,
                        read_element, sigma, sigma_average, torus_part, _mul_frac)
@@ -130,24 +130,12 @@ class GSPoint:
         return f"GSPoint({self.ctx.name})"
 
 
-@dataclass(frozen=True)
-class SteinbergFiber:
-    """The locus of group elements sharing the invariants of a torus point."""
-
-    t: GroupElement
-
-    @property
-    def value(self):
-        return chevalley(self.t)
-
-    def contains(self, g: GroupElement) -> bool:
-        return chevalley(g) == self.value
-
-
 def steinberg_membership(g: GroupElement, t: GroupElement) -> bool:
+    """Whether g lies in the Steinberg fiber of the diagonal t: the same
+    Chevalley invariants."""
     if not g.ctx.in_borel(t.m) or not g.ctx.in_borel(t.m.transpose()):
         raise ValueError("reference point must be diagonal")
-    return SteinbergFiber(t).contains(g)
+    return chevalley(g) == chevalley(t)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +330,6 @@ def d_omega(ctx: GroupContext, space: Space, t: Mat, w: Mat, x, y, z):
     return total
 
 
-def omega_double(p: DoublePoint) -> TwoFormFiber:
-    ctx = p.ctx
-    return TwoFormFiber(
-        (p.a.m, p.b.m),
-        omega_matrix(ctx, p.b.m, double_space(ctx)),
-    )
-
-
 def moment_condition_holds(p: DoublePoint, w: Mat, dphi: Mat) -> bool:
     """omega^flat of every basis action field equals its pulled-back sigma
     covector (axiom A1), as one matrix equation.
@@ -416,7 +396,7 @@ def restrict_to_GxB(g: GroupElement, b: GroupElement) -> DiracFiber:
     if not ctx.in_borel(b.m):
         raise ValueError("second component must lie in the Borel subgroup")
     w = omega_matrix(ctx, b.m, gxb_space(ctx), t=gram_ad(ctx, b.m, b.inv))
-    return graph_two_form(TwoFormFiber((g.m, b.m), w))
+    return graph_two_form(w)
 
 
 def b_action_directions(b: GroupElement, part: str) -> Subspace:
@@ -488,7 +468,7 @@ class QuotientChart:
 
 def quotient_fiber(chart: QuotientChart) -> DiracFiber:
     """Pushforward of the restricted graph to the chart; Lagrangian of dim G."""
-    return pushforward_linear(chart.graph, chart.proj, base=chart.point.to_json())
+    return pushforward_linear(chart.graph, chart.proj)
 
 
 def mu(p: GSPoint) -> GroupElement:
@@ -618,7 +598,7 @@ def theorem1_check(chart: QuotientChart) -> dict:
     # dmu_chart) and route (iv)
     dphi = phi_differential(point.g, point.b, gxb_space(ctx))
     dmu = dphi.row_block(0, ctx.dim_g) @ chart.inc
-    pushed = pushforward_linear(fib, dmu, base=m.m)
+    pushed = pushforward_linear(fib, dmu)
     cd = cartan_dirac(m)
     out["f_dirac"] = pushed.equals(cd)
     if not out["f_dirac"]:
@@ -630,7 +610,7 @@ def theorem1_check(chart: QuotientChart) -> dict:
     if kerdmu.dim:
         h = chart.hdim
         ker_emb = Subspace(2 * h, kerdmu.basis.vstack(Mat.zeros(h, kerdmu.dim)))
-        meet = intersect(ker_emb, fib.subspace()).dim
+        meet = intersect(ker_emb, fib).dim
     out["kernel_clean"] = meet == 0
     if meet:
         out["witness_kernel"] = {"dim": meet}
@@ -642,7 +622,7 @@ def theorem1_check(chart: QuotientChart) -> dict:
     if not out["induced_action"]:
         out["witness_action"] = {"basis_index": next(
             k for k in range(ctx.dim_g)
-            if not fib.contains(fields.col(k), duals.col(k)))}
+            if not fib.contains_vector(fields.col(k) + duals.col(k)))}
 
     # route (iv): the double's moment map, then the projection to its first factor
     first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, ctx.dim_b))
@@ -663,9 +643,8 @@ def theorem1_check(chart: QuotientChart) -> dict:
 def _column_outside(a: DiracFiber, b: DiracFiber, names: tuple[str, str]) -> dict:
     """Witness that two fibers differ: the first basis column of one outside the other."""
     for name, fib, other in ((names[0], a, b), (names[1], b, a)):
-        span = other.subspace()
         for j in range(fib.dim):
-            if not span.contains_vector(fib.basis.col(j)):
+            if not other.contains_vector(fib.basis.col(j)):
                 return {"fiber": name, "column": j, "dims": [a.dim, b.dim]}
     return {"dims": [a.dim, b.dim]}
 
@@ -704,7 +683,7 @@ def theorem2_check(chart: QuotientChart) -> dict:
 def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     """The induced presymplectic form on the leaf directions at the chart's point.
 
-    Returns (form, leaf basis, checks).  The form is obtained by inverting
+    Returns (form matrix, leaf, checks).  The form is obtained by inverting
     the graph over the leaf directions: with the fiber's basis cut into its
     tangent rows ``top`` and covector rows ``bot``, one rref of ``[top | L]``
     gives the coefficients S of every leaf basis vector (the columns of L),
@@ -730,8 +709,8 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     sols, _, consistent = solve_columns(top, leaf.basis)
     if not consistent:
         return None, leaf, {"graphical": False, "passed": False}
-    form = TwoFormFiber(point.to_json(), (bot @ sols).transpose() @ leaf.basis)
-    checks = {"graphical": True, "skew": form.is_skew()}
+    form = (bot @ sols).transpose() @ leaf.basis
+    checks = {"graphical": True, "skew": is_skew(form)}
 
     # one G x B differential serves d(mu) on the chart and on the slice
     d = ctx.dim_g
@@ -739,7 +718,7 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     fields, duals = induced_action(chart, dphi @ chart.inc)
     coeffs, _, consistent = solve_columns(leaf.basis, fields)
     checks["moment_identity"] = consistent and (
-        form.matrix.transpose() @ coeffs == leaf.basis.transpose() @ duals)
+        form.transpose() @ coeffs == leaf.basis.transpose() @ duals)
 
     checks["d_identity"] = _leaf_d_identity(point, dphi.col_block(0, d + ctx.dim_u),
                                             rng)
@@ -784,7 +763,7 @@ def reconstruct_bivector(chart: QuotientChart):
     prescribed through the adjoints, membership of (X, C^* alpha) in the
     fiber) has a unique solution; the h covectors e_i are solved together,
     by one rref with h right-hand sides, and failures are reported.  Returns
-    (bivector, checks).
+    (bivector matrix, checks).
     """
     ctx = chart.ctx
     point = chart.point
@@ -820,16 +799,15 @@ def reconstruct_bivector(chart: QuotientChart):
     if not consistent or not unique:
         return None, {"solvable": False, "unique": unique, "passed": False}
     pimat = top @ sols
-    pi = BivectorFiber(point.to_json(), pimat)
 
-    checks = {"solvable": True, "skew": pi.is_skew()}
+    checks = {"solvable": True, "skew": is_skew(pimat)}
     # beta = e_i: d(mu)^T beta is row i of d(mu)
     checks["moment_condition"] = pimat @ dmu.transpose() == rsv
     span = Subspace.from_spanning(
         pimat.vstack(cmat.transpose()).hstack(rmat.vstack(duals)))
-    checks["graph_consistency"] = span.equals(fib.subspace())
+    checks["graph_consistency"] = span.equals(fib)
     checks["passed"] = all(checks.values())
-    return pi, checks
+    return pimat, checks
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,11 @@ from qpslab import dirac, liegroup
 from qpslab.campaigns import CLI_GROUPS
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import (DualMat, Space, inversion_map, lie_bracket,
-                             lie_derivative_covector, one_form_d, PointedMap)
-from qpslab.dirac import (BivectorFiber, DiracFiber, TwoFormFiber,
-                          cartan_closure_check, cartan_dirac, cartan_eta3,
-                          cartan_section, dorfman, graph_bivector,
+                             lie_derivative_covector, one_form_d)
+from qpslab.dirac import (DiracFiber, cartan_closure_check, cartan_dirac,
+                          cartan_eta3, cartan_section, dorfman, graph_bivector,
                           graph_two_form, is_lagrangian, pairing,
-                          pullback, pushforward, pullback_linear,
-                          pushforward_linear)
+                          pullback_linear, pushforward_linear)
 from qpslab.liegroup import (AlgebraElement, GroupElement, context,
                              random_algebra, random_point)
 from qpslab.linalg import Mat, Subspace, kernel, mat_vec, rank
@@ -55,16 +53,16 @@ def skew(ctx, rng, d=None):
 
 def test_is_lagrangian_graphs():
     d = 3
-    tangent = DiracFiber(None, d, Mat.identity(d).vstack(Mat.zeros(d, d)))
+    tangent = DiracFiber(2 * d, Mat.identity(d).vstack(Mat.zeros(d, d)))
     ok, _ = is_lagrangian(tangent)
     assert ok
     w = skew(SL2, RNG)
-    ok, _ = is_lagrangian(graph_two_form(TwoFormFiber(None, w)))
+    ok, _ = is_lagrangian(graph_two_form(w))
     assert ok
     # a symmetric nonzero form is not isotropic; the witness names the
     # first pair that pairs to a nonzero value
     sym = Mat.identity(d)
-    bad = DiracFiber(None, d, Mat.identity(d).vstack(sym))
+    bad = DiracFiber(2 * d, Mat.identity(d).vstack(sym))
     ok, wit = is_lagrangian(bad)
     assert not ok and wit == {"reason": "pairing", "pair": [0, 0],
                               "value": repr(QQi(2))}
@@ -73,26 +71,30 @@ def test_is_lagrangian_graphs():
 def test_graph_two_form_examples():
     d = SL2.dim_g
     zero_w = Mat.zeros(d, d)
-    fib = graph_two_form(TwoFormFiber(None, zero_w))
-    tangent = DiracFiber(None, d, Mat.identity(d).vstack(Mat.zeros(d, d)))
+    fib = graph_two_form(zero_w)
+    tangent = DiracFiber(2 * d, Mat.identity(d).vstack(Mat.zeros(d, d)))
     assert fib.equals(tangent)
     w = Mat([[QQi(0), QQi(1), QQi(0)],
              [QQi(-1), QQi(0), QQi(0)],
              [QQi(0), QQi(0), QQi(0)]])
-    fib = graph_two_form(TwoFormFiber(None, w))
+    fib = graph_two_form(w)
     assert fib.dim == 3
-    assert fib.contains([QQi(0), QQi(0), QQi(1)], [QQi(0)] * 3)
+    assert fib.contains_vector([QQi(0), QQi(0), QQi(1)] + [QQi(0)] * 3)
     assert is_lagrangian(fib)[0]
-    with pytest.raises(ValueError):
-        graph_two_form(TwoFormFiber(None, Mat.identity(3)))
+    for bad in (Mat.identity(3), Mat.zeros(2, 3)):
+        with pytest.raises(ValueError):
+            graph_two_form(bad)
 
 
 def test_graph_bivector_examples():
     d = SL2.dim_g
-    fib = graph_bivector(BivectorFiber(None, Mat.zeros(d, d)))
-    cotangent = DiracFiber(None, d, Mat.zeros(d, d).vstack(Mat.identity(d)))
+    fib = graph_bivector(Mat.zeros(d, d))
+    cotangent = DiracFiber(2 * d, Mat.zeros(d, d).vstack(Mat.identity(d)))
     assert fib.equals(cotangent)
     assert fib.cotangent_intersection().dim == d
+    for bad in (Mat.identity(3), Mat.zeros(3, 2)):
+        with pytest.raises(ValueError):
+            graph_bivector(bad)
 
 
 def test_graph_inverse_consistency():
@@ -101,9 +103,8 @@ def test_graph_inverse_consistency():
         w = skew(SL2, rng, d=4)
         if rank(w) == 4:
             break
-    pi = BivectorFiber(None, w.transpose().inverse())
-    fib_w = graph_two_form(TwoFormFiber(None, w))
-    fib_pi = graph_bivector(pi)
+    fib_w = graph_two_form(w)
+    fib_pi = graph_bivector(w.transpose().inverse())
     assert fib_w.equals(fib_pi)
     assert fib_w.cotangent_intersection().dim == 0
 
@@ -111,7 +112,7 @@ def test_graph_inverse_consistency():
 def test_transport_identity_and_roundtrip():
     d = SL2.dim_g
     w = skew(SL2, RNG)
-    fib = graph_two_form(TwoFormFiber(None, w))
+    fib = graph_two_form(w)
     eye = Mat.identity(d)
     assert pushforward_linear(fib, eye).equals(fib)
     assert pullback_linear(fib, eye).equals(fib)
@@ -132,29 +133,27 @@ def test_pullback_of_graph_is_graph_of_pullback():
     G = Space(SL2, ("g",))
     inv = inversion_map(G)
     w = skew(SL2, RNG)
-    target_fiber = graph_two_form(TwoFormFiber(None, w))
+    target_fiber = graph_two_form(w)
     fmat = inv.differential_matrix((g.m,))
     route1 = pullback_linear(target_fiber, fmat)
     pulled = fmat.transpose() @ w @ fmat
-    route2 = graph_two_form(TwoFormFiber(None, pulled))
+    route2 = graph_two_form(pulled)
     assert route1.equals(route2)
 
 
-def test_pointed_map_transport_wrappers():
+def test_pointed_map_transport_roundtrip():
     g = random_point(SL2, "G", RNG)
     G = Space(SL2, ("g",))
-    inv = inversion_map(G)
+    fmat = inversion_map(G).differential_matrix((g.m,))
     fib = cartan_dirac(g)
-    moved = pushforward(fib, inv, (g.m,))
-    back = pullback(moved, inv, (g.m,))
+    back = pullback_linear(pushforward_linear(fib, fmat), fmat)
     assert back.equals(fib)
 
 
 def test_cartan_dirac_identity_fiber():
     e = GroupElement(SL2, Mat.identity(2))
     fib = cartan_dirac(e)
-    cotangent = DiracFiber(None, SL2.dim_g,
-                           Mat.zeros(3, 3).vstack(Mat.identity(3)))
+    cotangent = DiracFiber(2 * SL2.dim_g, Mat.zeros(3, 3).vstack(Mat.identity(3)))
     assert fib.equals(cotangent)
 
 
@@ -181,16 +180,22 @@ def test_cartan_dirac_lagrangian_and_leaf_dims():
 def test_dorfman_zero_and_left_invariant():
     g = random_point(SL2, "G", RNG)
     G = Space(SL2, ("g",))
-    from qpslab.dirac import DiracSection
 
-    zero = DiracSection("zero", lambda q: ([QQi(0)] * 3, [QQi(0)] * 3))
+    def zero(q):
+        return [QQi(0)] * 3, [QQi(0)] * 3
+
     t, c = dorfman(zero, zero, None, G, (g.m,))
     assert all(not v for v in t) and all(not v for v in c)
 
     xi = random_algebra(SL2, RNG)
     ze = random_algebra(SL2, RNG)
-    s1 = DiracSection("xiL", lambda q: (SL2.coords(xi.m), [QQi(0)] * 3))
-    s2 = DiracSection("zeL", lambda q: (SL2.coords(ze.m), [QQi(0)] * 3))
+
+    def s1(q):
+        return SL2.coords(xi.m), [QQi(0)] * 3
+
+    def s2(q):
+        return SL2.coords(ze.m), [QQi(0)] * 3
+
     t, c = dorfman(s1, s2, None, G, (g.m,))
     assert t == SL2.coords(xi.m @ ze.m - ze.m @ xi.m)
     assert all(not v for v in c)
@@ -206,12 +211,12 @@ def test_dorfman_closure_and_batched_agree():
         ze = random_algebra(SL2, rng)
         t, c = dorfman(cartan_section(SL2, xi.m), cartan_section(SL2, ze.m),
                        eta3, G, (g.m,))
-        target = cartan_section(SL2, xi.m @ ze.m - ze.m @ xi.m).fn((g.m,))
+        target = cartan_section(SL2, xi.m @ ze.m - ze.m @ xi.m)((g.m,))
         assert t == target[0] and c == target[1]
         ok, _ = cartan_closure_check(SL2, g.m)
         assert ok
         fib = cartan_dirac(g)
-        assert fib.contains(t, c)
+        assert fib.contains_vector(t + c)
 
 
 @pytest.mark.parametrize("conv", [FROZEN, *CORRUPTIONS.values()],
@@ -227,8 +232,8 @@ def test_dorfman_matches_the_generic_formulas(name, conv):
     rng = SplitMix64(46)
     point = (random_point(ctx, "G", rng).m,)
     s1, s2 = (cartan_section(ctx, random_algebra(ctx, rng).m) for _ in range(2))
-    x_field, alpha = (lambda q: s1.fn(q)[0]), (lambda q: s1.fn(q)[1])
-    y_field, beta = (lambda q: s2.fn(q)[0]), (lambda q: s2.fn(q)[1])
+    x_field, alpha = (lambda q: s1(q)[0]), (lambda q: s1(q)[1])
+    y_field, beta = (lambda q: s2(q)[0]), (lambda q: s2(q)[1])
     with using(conv):
         tangent, cov = dorfman(s1, s2, eta3, G, point)
         assert tangent == lie_bracket(x_field, y_field, G, point)
@@ -251,7 +256,7 @@ def first_failing_pair(ctx, gmat):
         for bj, lj in zip(ctx.basis, ctx.basis_labels):
             got = dorfman(cartan_section(ctx, bi), cartan_section(ctx, bj),
                           eta3, G, (gmat,))
-            want = cartan_section(ctx, bi @ bj - bj @ bi).fn((gmat,))
+            want = cartan_section(ctx, bi @ bj - bj @ bi)((gmat,))
             if list(got[0]) != list(want[0]) or list(got[1]) != list(want[1]):
                 return [li, lj]
     return None
@@ -310,7 +315,7 @@ def test_pair_row_matches_dorfman(name):
             row, target = dirac._pair_sides(ctx, g, xi, ze)
             tangent, cov = dorfman(s1, s2, cartan_eta3(G), G, (g.m,))
             assert row == Mat([list(tangent) + list(cov)]), conv
-            want = cartan_section(ctx, xi @ ze - ze @ xi).fn((g.m,))
+            want = cartan_section(ctx, xi @ ze - ze @ xi)((g.m,))
             assert target == Mat([list(want[0]) + list(want[1])]), conv
             assert dirac.closure_sample(ctx, g, xi, ze) == (row == target)
             if name in CLI_GROUPS:
@@ -341,10 +346,3 @@ def test_closed_form_closure_evaluates_no_section(monkeypatch):
     dorfman(s, s, cartan_eta3(G), G, (g.m,))
     assert calls["curve"] and calls["inverse"]
 
-
-def test_fiber_json_dump():
-    g = random_point(SL2, "G", RNG)
-    fib = cartan_dirac(g)
-    d = fib.to_json()
-    assert d["tangent_dim"] == 3
-    assert d["basis"]["rows"] == 6

@@ -15,7 +15,7 @@ import pytest
 from qpslab import linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import Space
-from qpslab.dirac import (DiracFiber, TwoFormFiber, cartan_dirac, graph_two_form,
+from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form,
                           pullback_linear, pushforward_linear)
 from qpslab.gspringer import (QuotientChart, double_space, dmu_chart, gspoint_stream,
                               gxb_space, mu, omega_matrix, phi_differential)
@@ -34,10 +34,10 @@ def full_pushforward(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
     row2 = Mat.zeros(v, v).hstack(fmat.transpose()).hstack(-bot if k else Mat.zeros(v, 0))
     null = kernel(row1.vstack(row2))
     if not null.dim:
-        return DiracFiber(None, w, Mat.zeros(2 * w, 0))
+        return DiracFiber(2 * w, Mat.zeros(2 * w, 0))
     x = null.basis.row_block(0, v)
     b = null.basis.row_block(v, v + w)
-    return DiracFiber(None, w, (fmat @ x).vstack(b))
+    return DiracFiber(2 * w, (fmat @ x).vstack(b))
 
 
 def full_pullback(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
@@ -49,10 +49,10 @@ def full_pullback(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
     row2 = Mat.zeros(w, v).hstack(Mat.identity(w)).hstack(-bot if k else Mat.zeros(w, 0))
     null = kernel(row1.vstack(row2))
     if not null.dim:
-        return DiracFiber(None, v, Mat.zeros(2 * v, 0))
+        return DiracFiber(2 * v, Mat.zeros(2 * v, 0))
     x = null.basis.row_block(0, v)
     b = null.basis.row_block(v, v + w)
-    return DiracFiber(None, v, x.vstack(fmat.transpose() @ b))
+    return DiracFiber(2 * v, x.vstack(fmat.transpose() @ b))
 
 
 def deficient(fmat: Mat) -> Mat:
@@ -66,7 +66,7 @@ def deficient(fmat: Mat) -> Mat:
 
 
 def zero_fiber(d: int) -> DiracFiber:
-    return DiracFiber(None, d, Mat.zeros(2 * d, 0), canonical=True)
+    return DiracFiber(2 * d, Mat.zeros(2 * d, 0), canonical=True)
 
 
 def assert_same(got: DiracFiber, want: DiracFiber):
@@ -121,7 +121,7 @@ def test_the_zero_fiber_transports_to_the_kernels():
 def test_transports_with_no_null_vectors():
     # a line whose covector is not in the image of F^T pushes forward to 0,
     # and a line meeting the image of F only at 0 pulls back to 0
-    line = DiracFiber(None, 3, Mat.from_columns([[1, 0, 0, 0, 1, 0]], 6))
+    line = DiracFiber(6, Mat.from_columns([[1, 0, 0, 0, 1, 0]], 6))
     cases = [(pushforward_linear, full_pushforward, Mat([[1, 0, 0]])),
              (pullback_linear, full_pullback, Mat([[0], [0], [1]]))]
     for transport, oracle, fmat in cases:
@@ -228,6 +228,6 @@ def test_graph_two_form_stores_the_canonical_basis(group, conv):
         for parts in SPACES:
             space = double_space(ctx) if parts == ("g", "g") else Space(ctx, parts)
             b = random_point(ctx, "G" if parts == ("g", "g") else "B", rng)
-            fib = graph_two_form(TwoFormFiber(None, omega_matrix(ctx, b.m, space)))
+            fib = graph_two_form(omega_matrix(ctx, b.m, space))
             assert fib.basis == Subspace(2 * space.dim, fib.basis).basis, parts
 
