@@ -223,6 +223,34 @@ def test_chart_complement_matches_the_greedy_choice(group):
         assert len(want) == chart.hdim
 
 
+# a point with non-real entries, which only JSON input produces: its chart
+# runs on the QQi path of the matrix kernel
+NONREAL_POINT = {"group": "sl2",
+                 "g": {"rows": 2, "cols": 2, "entries": [1, 0, 2, 1]},
+                 "b": {"rows": 2, "cols": 2,
+                       "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}
+NONREAL_LEAF_FORM = {
+    "checks": {"d_identity": True, "graphical": True, "moment_identity": True,
+               "passed": True, "skew": True},
+    "leaf_basis": {"rows": 3, "cols": 2,
+                   "entries": [["1", "0"], ["0", "0"], ["0", "0"],
+                               ["1", "0"], ["0", "0"], ["0", "0"]]},
+    "matrix": {"rows": 2, "cols": 2,
+               "entries": [["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"]]},
+}
+
+
+def test_nonreal_chart_and_leaf_form_pinned():
+    assert campaigns.eval_command("leaf-form", NONREAL_POINT) == NONREAL_LEAF_FORM
+    chart = QuotientChart(GSPoint.from_json(NONREAL_POINT))
+    assert any(x.im for r in chart.proj.data for x in r)
+    assert list(chart.indices) == _greedy_complement(chart.vertical, chart.ambient,
+                                                     chart.hdim)
+    # proj is the first h rows of [inc | V]^-1
+    inv = chart.inc.hstack(chart.vertical.basis).inverse()
+    assert chart.proj == inv.row_block(0, chart.hdim)
+
+
 def test_quotient_fiber_representative_independent():
     rng = SplitMix64(71)
     pt = sample_gspoint(SL2, rng)
