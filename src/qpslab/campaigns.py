@@ -229,16 +229,20 @@ def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
     rng = SplitMix64(payload["salt"])
     g = read_element(ctx, payload["g"])
     recs = []
-    fib = cartan_dirac(g)
+    # one set of sections serves the fiber and the closure sample
+    sections = conjugation_sections(ctx, g.m, g.inv)
+    fib = cartan_dirac(g, sections)
     ok, wit = is_lagrangian(fib)
     recs.append(_record("cartan-dirac/lagrangian", ok and fib.dim == ctx.dim_g, wit))
 
-    # rank of the tangent part I - Ad_{g^-1} against d minus the centralizer
-    # dimension, d - rank(Ad_g - I): the two ranks agree for every g, since
-    # I - Ad_{g^-1} = Ad_{g^-1} (Ad_g - I), so this record cannot fail
-    d = ctx.dim_g
+    # the rank of the tangent part I - Ad_{g^-1} against d minus the
+    # dimension of the centralizer, computed in the group as the null space
+    # of x -> g x - x g on the algebra basis, so not through Ad
+    d, n = ctx.dim_g, ctx.n
     proj = rank(fib.basis.row_block(0, d))
-    cent = d - rank(ctx.adjoint(g.m, g.inv) - Mat.identity(d))
+    comm = [g.m @ e - e @ g.m for e in ctx.basis]
+    cent = d - rank(Mat([[c.entry(i, j) for c in comm]
+                         for i in range(n) for j in range(n)]))
     recs.append(_record(
         "cartan-dirac/leaf-dimension",
         proj == d - cent,
@@ -248,7 +252,7 @@ def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
     xi = random_algebra(ctx, rng)
     ze = random_algebra(ctx, rng)
     recs.append(_record("cartan-dirac/closure-sample",
-                        closure_sample(ctx, g, xi.m, ze.m)))
+                        closure_sample(ctx, sections, xi.m, ze.m)))
     return recs
 
 

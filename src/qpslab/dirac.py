@@ -372,7 +372,7 @@ def _closure_terms(ctx, rx: Mat, rm: Mat, rows: tuple[Mat, ...]) -> tuple[Mat, M
     return blk, sw
 
 
-def closure_sample(ctx, g: GroupElement, ximat: Mat, zemat: Mat) -> bool:
+def closure_sample(ctx, sections: tuple, ximat: Mat, zemat: Mat) -> bool:
     """Dorfman closure of the conjugation sections of xi and zeta at g.
 
     The bracket of two sections is bilinear in (xi, zeta), so its row is
@@ -381,17 +381,19 @@ def closure_sample(ctx, g: GroupElement, ximat: Mat, zemat: Mat) -> bool:
     contracted with zeta and xi respectively: the formula of
     :func:`cartan_closure_check` on one pair.  It is compared with the
     section of [xi, zeta], (X c; A c) with c = coords([xi, zeta]).
+    ``sections`` is :func:`~qpslab.liegroup.conjugation_sections` at g.
     :func:`dorfman` is its oracle in the tests.
     """
-    row, target = _pair_sides(ctx, g, ximat, zemat)
+    row, target = _pair_sides(ctx, sections, ximat, zemat)
     return row == target
 
 
-def _pair_sides(ctx, g: GroupElement, ximat: Mat, zemat: Mat) -> tuple[Mat, Mat]:
+def _pair_sides(ctx, sections: tuple, ximat: Mat, zemat: Mat) -> tuple[Mat, Mat]:
     """(tangent | covector) of the bracket of the sections of xi and zeta at
-    g, and of the section of [xi, zeta], as 1 x 2d rows."""
+    g, and of the section of [xi, zeta], as 1 x 2d rows; ``sections`` is
+    :func:`~qpslab.liegroup.conjugation_sections` at g."""
     d = ctx.dim_g
-    m, x, a = conjugation_sections(ctx, g.m, g.inv)
+    m, x, a = sections
     coef = Mat.from_columns([ctx.coords(ximat), ctx.coords(zemat)], d)
     rows = _section_rows(ctx, m, x, a, coef)
     rx_xi, rx_ze, rm_xi, rm_ze = ctx.bracket_matrices((x @ coef).hstack(m @ coef))
@@ -428,18 +430,19 @@ def cartan_eta3(space: Space):
 # the conjugation (Cartan-Dirac) structure
 
 
-def cartan_dirac(g: GroupElement) -> DiracFiber:
+def cartan_dirac(g: GroupElement, sections: tuple | None = None) -> DiracFiber:
     """Fiber spanned by (conjugation field, sigma) over an algebra basis.
 
     Both are linear in xi, so the fiber is the column span of
     [I - M; gram sigma_average(I, M)] with M = Ad_{g^-1}
     (:func:`~qpslab.liegroup.conjugation_sections`, as in
-    :func:`cartan_closure_check`).  The per-basis
+    :func:`cartan_closure_check`; pass them as ``sections`` when the caller
+    already has them at g).  The per-basis
     (:func:`~qpslab.liegroup.conj_field`, :func:`~qpslab.liegroup.sigma`)
     columns are its oracle in the tests.
     """
     ctx = g.ctx
-    _, x, a = conjugation_sections(ctx, g.m, g.inv)
+    _, x, a = sections or conjugation_sections(ctx, g.m, g.inv)
     return DiracFiber(2 * ctx.dim_g, x.vstack(a))
 
 

@@ -31,7 +31,12 @@ oracles of both closed forms in the tests.
 Quotient computations work in per-point charts: the vertical space of the
 B-action h.(g,b) = (g h^-1, h b h^-1) is complemented by a deterministic
 greedy choice of coordinate directions, and representative independence is
-itself one of the verified claims, never an assumption.
+itself one of the verified claims, never an assumption.  The vertical space
+has a canonical basis in closed form (:func:`b_action_directions`), and by
+matroid duality its greedy complement is the complement of its
+lexicographically last row basis (Oxley, *Matroid Theory*, the greedy
+algorithm and duality), so one small elimination builds a chart
+(:class:`QuotientChart`).
 """
 
 from __future__ import annotations
@@ -404,16 +409,20 @@ def b_action_directions(b: GroupElement, part: str) -> Subspace:
 
     The generator of xi is (-xi, Ad_{b^-1} xi - xi) in G x B coordinates; it
     does not depend on g.  So the span is that of the columns of ``part`` in
-    [-I; (Ad_{b^-1} - I)|b], |b keeping the Borel rows.  ``part`` is "b"
-    (the vertical space) or "u".  The per-basis generators are the oracle for
-    this in the tests.
+    [-I; (Ad_{b^-1} - I)|b], |b keeping the Borel rows.  Negated, those
+    columns are [E; (I - Ad_{b^-1})|b] with E the unit columns of ``part``,
+    and their transpose is already in reduced row echelon form: in its
+    algebra factor, row r is zero but for a 1 at the r-th index of
+    ``part``, a range.  So that is the canonical basis, with no elimination.
+    ``part`` is "b" (the vertical space) or "u".
+    The per-basis generators are the oracle for this in the tests.
     """
     ctx = b.ctx
     idx = ctx.sub_indices(part)
     eye = Mat.identity(ctx.dim_g)
-    moved = (ctx.adjoint(b.inv, b.m) - eye).row_block(0, ctx.dim_b)
-    gens = (-eye).vstack(moved).col_block(idx.start, idx.stop)
-    return Subspace.from_spanning(gens)
+    moved = (eye - ctx.adjoint(b.inv, b.m)).row_block(0, ctx.dim_b)
+    basis = eye.vstack(moved).col_block(idx.start, idx.stop)
+    return Subspace(ctx.dim_g + ctx.dim_b, basis, canonical=True)
 
 
 def vertical_space(point: GSPoint) -> Subspace:
@@ -423,6 +432,16 @@ def vertical_space(point: GSPoint) -> Subspace:
 
 class QuotientChart:
     """Pointwise chart on G x_B B: a complement to the vertical space.
+
+    ``indices`` are the coordinate directions S that complement the
+    vertical space V greedily: taken in order, each unit vector leaves the
+    span of V and those before it.  By matroid duality this greedy basis of
+    the quotient by V is the complement of V's lexicographically last row
+    basis T (Oxley, *Matroid Theory*, the greedy algorithm and duality), and
+    T is the pivot set of one rref R of V^T with its columns in reverse
+    order.  R spans V as well, with R[:, T] = I, so ``proj``, the first h
+    rows of [inc | V]^-1, is read off it: proj[:, S] = I_h and proj[:, t_r]
+    = -R[r, S]^T for the pivot t_r of row r.
 
     ``proj`` maps upstairs tangent coordinates to chart coordinates, ``inc``
     embeds the chart back; quotient covectors are the functionals that factor
@@ -437,27 +456,21 @@ class QuotientChart:
     def __init__(self, point: GSPoint):
         ctx = point.ctx
         self.point = point
-        self.ambient = ctx.dim_g + ctx.dim_b
-        self.hdim = ctx.dim_g
-        v = vertical_space(point)
-        if v.dim != ctx.dim_b:
-            raise ValueError("vertical space has wrong dimension")
-        self.vertical = v
-        # the pivots of rref [V | I] after V's columns are the unit vectors
-        # that, taken in order, each leave the span of V and those before
-        _, pivots = rref(v.basis.hstack(Mat.identity(self.ambient)))
-        indices = [c - v.dim for c in pivots[v.dim:]]
-        if len(indices) != self.hdim:
-            raise ValueError("failed to complement the vertical space")
+        amb = self.ambient = ctx.dim_g + ctx.dim_b
+        h = self.hdim = ctx.dim_g
+        v = self.vertical = vertical_space(point)
+        # pivot p of the reversed rref is the coordinate amb - 1 - p
+        red, pivots = rref(v.basis.transpose().select_cols(range(amb - 1, -1, -1)))
+        last = [amb - 1 - p for p in pivots]
+        indices = [j for j in range(amb) if j not in last]
         self.indices = tuple(indices)
-        self.inc = Mat.from_columns(
-            [[QQi(1) if i == j else QQi(0) for i in range(self.ambient)]
-             for j in indices],
-            self.ambient,
-        )
-        full = self.inc.hstack(v.basis)
-        inv = full.inverse()
-        self.proj = inv.row_block(0, self.hdim)
+        self.inc = Mat.identity(amb).select_cols(indices)
+        # [I_h | -R[:, S]^T] holds the columns of S, then those of T; put
+        # each coordinate's column at its place
+        rs = red.select_cols([amb - 1 - j for j in indices])
+        order = indices + last
+        self.proj = Mat.identity(h).hstack(-rs.transpose()).select_cols(
+            sorted(range(amb), key=order.__getitem__))
         self.graph = restrict_to_GxB(point.g, point.b)
         self.fiber = quotient_fiber(self)
 
@@ -480,21 +493,18 @@ def lam(p: GSPoint) -> GroupElement:
     return torus_part(p.b)
 
 
-def lam_differential_upstairs(ctx: GroupContext, bmat: Mat) -> Mat:
-    """d(lambda . q) on T(G x B), valued in torus coordinates."""
-    n = ctx.n
-    cols = []
-    zero_t = [QQi(0)] * ctx.dim_t
-    for k in range(ctx.dim_g + ctx.dim_b):
-        if k < ctx.dim_g:
-            cols.append(list(zero_t))
-            continue
-        y = ctx.basis[k - ctx.dim_g]
-        by = bmat @ y
-        diag = [[by.entry(i, i) / bmat.entry(i, i) if i == j else QQi(0)
-                 for j in range(n)] for i in range(n)]
-        cols.append(ctx.part_coords("t", Mat(diag)))
-    return Mat.from_columns(cols, ctx.dim_t)
+def lam_differential_upstairs(ctx: GroupContext) -> Mat:
+    """d(lambda . q) on T(G x B), valued in torus coordinates.
+
+    lambda . q takes (g, b) to the diagonal of b.  Along b (I + s y), with y
+    in the Borel algebra, diag(b y) = diag(b) diag(y) since b and y are
+    upper triangular, so the left-trivialized derivative is diag(y): the
+    torus coordinates of y, whatever b is.  The matrix is the constant
+    selection [0 | 0_u | I_t] of the second factor's torus coordinates; the
+    per-basis route is its oracle in the tests.
+    """
+    t = ctx.dim_t
+    return Mat.zeros(t, ctx.dim_g + ctx.dim_u).hstack(Mat.identity(t))
 
 
 def dmu_chart(chart: QuotientChart) -> Mat:
@@ -504,7 +514,7 @@ def dmu_chart(chart: QuotientChart) -> Mat:
 
 
 def dlam_chart(chart: QuotientChart) -> Mat:
-    up = lam_differential_upstairs(chart.ctx, chart.point.b.m)
+    up = lam_differential_upstairs(chart.ctx)
     return up @ chart.inc
 
 

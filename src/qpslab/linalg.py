@@ -29,10 +29,10 @@ memory of a run.
   denominators (:meth:`Mat.int_entries`), since each output row is reduced
   anyway.
 * ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.transpose`,
-  :meth:`Mat.hstack`, :meth:`Mat.vstack`, :meth:`Mat.row_block` and
-  :meth:`Mat.col_block` return integer form directly, without building a
-  ``Fraction``; :func:`mat_vec` takes integer dot products with the stored
-  rows.
+  :meth:`Mat.hstack`, :meth:`Mat.vstack`, :meth:`Mat.row_block`,
+  :meth:`Mat.col_block` and :meth:`Mat.select_cols` return integer form
+  directly, without building a ``Fraction``; :func:`mat_vec` takes integer
+  dot products with the stored rows.
 * :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
   (Bareiss, Math. Comp. 22, 1968) on the integer rows.
 * :func:`rref` and :meth:`Mat.inverse`, for every size, run its
@@ -305,6 +305,16 @@ class Mat:
         icols = self._icols
         return Mat._from_ints([_canon(r[start:stop], d) for r, d in ints], n,
                               None if icols is None else icols[start:stop])
+
+    def select_cols(self, order: Sequence[int]) -> "Mat":
+        """The columns ``order``, in that order; an empty order is an error."""
+        if not order:
+            raise LinAlgError("matrix needs at least one column")
+        ints = self._int_form()
+        if ints is None:
+            return Mat._raw(tuple(tuple(r[c] for c in order) for r in self.data))
+        return Mat._from_ints([_canon([r[c] for c in order], d) for r, d in ints],
+                              len(order))
 
     def fold_rows(self, width: int) -> "Mat":
         """Each row cut into consecutive pieces of ``width`` entries, the

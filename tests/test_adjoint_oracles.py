@@ -18,11 +18,11 @@ import pytest
 from qpslab import campaigns
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.dirac import DiracFiber, cartan_dirac
-from qpslab.gspringer import (QuotientChart, b_action_directions, chart_transport,
-                              double_space, gram_ad, gxb_space,
-                              moment_condition_check, moment_condition_holds,
-                              omega_matrix, phi_differential, sample_double,
-                              sample_gspoint)
+from qpslab.gspringer import (FORCED_STRATA, QuotientChart, b_action_directions,
+                              chart_transport, double_space, gram_ad,
+                              gspoint_stream, gxb_space, moment_condition_check,
+                              moment_condition_holds, omega_matrix,
+                              phi_differential, sample_double, sample_gspoint)
 from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, conj_field,
                              context, random_algebra, random_point, read_element,
                              sigma)
@@ -167,10 +167,15 @@ def per_basis_b_action_directions(b, part):
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_b_action_directions_span_the_per_basis_generators(group):
+    # the closed-form basis is canonical as built: it equals the rref'd span
+    # of the generators entry for entry, at random B, T and U points and at
+    # the degenerate strata of the quotient stream and a generic point
     ctx = context(group)
     rng = SplitMix64(206)
-    for kind in ("B", "T", "U"):
-        b = random_point(ctx, kind, rng)
+    stream = gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1)
+    points = [(kind, random_point(ctx, kind, rng)) for kind in ("B", "T", "U")]
+    points += [(f"stream {i}", pt.b) for i, pt in enumerate(stream)]
+    for kind, b in points:
         for part in ("b", "u"):
             got = b_action_directions(b, part)
             want = per_basis_b_action_directions(b, part)

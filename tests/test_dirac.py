@@ -17,8 +17,8 @@ from qpslab.dirac import (DiracFiber, cartan_closure_check, cartan_dirac,
                           cartan_eta3, cartan_section, dorfman, graph_bivector,
                           graph_two_form, is_lagrangian, pairing,
                           pullback_linear, pushforward_linear)
-from qpslab.liegroup import (AlgebraElement, GroupElement, context,
-                             random_algebra, random_point)
+from qpslab.liegroup import (AlgebraElement, GroupElement, conjugation_sections,
+                             context, random_algebra, random_point)
 from qpslab.linalg import Mat, Subspace, kernel, mat_vec, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -312,12 +312,13 @@ def test_pair_row_matches_dorfman(name):
     coef = Mat([[a * b for a in ctx.coords(xi) for b in ctx.coords(ze)]])
     for conv in [FROZEN] + list(CORRUPTIONS.values()) + calibration_grid():
         with using(conv):
-            row, target = dirac._pair_sides(ctx, g, xi, ze)
+            sections = conjugation_sections(ctx, g.m, g.inv)
+            row, target = dirac._pair_sides(ctx, sections, xi, ze)
             tangent, cov = dorfman(s1, s2, cartan_eta3(G), G, (g.m,))
             assert row == Mat([list(tangent) + list(cov)]), conv
             want = cartan_section(ctx, xi @ ze - ze @ xi)((g.m,))
             assert target == Mat([list(want[0]) + list(want[1])]), conv
-            assert dirac.closure_sample(ctx, g, xi, ze) == (row == target)
+            assert dirac.closure_sample(ctx, sections, xi, ze) == (row == target)
             if name in CLI_GROUPS:
                 assert row == coef @ dirac._closure_sides(ctx, g.m)[0], conv
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpslab import campaigns, gspringer
+from qpslab import campaigns, gspringer, linalg
 from qpslab.conventions import CORRUPTIONS, using
 from qpslab.diffcalc import PointedMap
 from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
@@ -221,6 +221,66 @@ def test_chart_complement_matches_the_greedy_choice(group):
         want = _greedy_complement(chart.vertical, chart.ambient, chart.hdim)
         assert list(chart.indices) == want
         assert len(want) == chart.hdim
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_chart_proj_is_the_inverse_route(group):
+    # proj is read off one rref of V^T; the route it replaced inverts [inc | V]
+    ctx = context(group)
+    for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
+        chart = QuotientChart(pt)
+        inv = chart.inc.hstack(chart.vertical.basis).inverse()
+        assert chart.proj == inv.row_block(0, chart.hdim)
+        assert chart.inc == Mat.from_columns(
+            [[QQi(int(i == j)) for i in range(chart.ambient)] for j in chart.indices],
+            chart.ambient)
+
+
+@pytest.mark.parametrize("group", ["sl3", "gl3"])
+def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
+    # the complement and proj of one chart come from one rref; the graph and
+    # the fiber, whose pushforward has eliminations of its own, are stubbed
+    pt = gspoint_stream(context(group), SplitMix64(74), len(FORCED_STRATA) + 1)[-1]
+    pt.g.inv, pt.b.inv  # the elements' cached inverses are not the chart's
+    calls = Counter()
+    real_rref, real_inverse = linalg.rref, Mat.inverse
+
+    def rref_spy(m):
+        calls["rref"] += 1
+        return real_rref(m)
+
+    def inverse_spy(m):
+        calls["inverse"] += 1
+        return real_inverse(m)
+
+    for mod in (linalg, gspringer):
+        monkeypatch.setattr(mod, "rref", rref_spy)
+    monkeypatch.setattr(Mat, "inverse", inverse_spy)
+    monkeypatch.setattr(gspringer, "restrict_to_GxB", lambda g, b: None)
+    monkeypatch.setattr(gspringer, "quotient_fiber", lambda chart: None)
+    QuotientChart(pt)
+    assert calls == {"rref": 1}
+
+
+def per_basis_lam_differential(ctx, bmat):
+    """d(lambda . q) column by column: the torus coordinates of
+    diag(b y) / diag(b) for each Borel basis element y."""
+    n = ctx.n
+    cols = [[QQi(0)] * ctx.dim_t for _ in range(ctx.dim_g)]
+    for y in ctx.basis[:ctx.dim_b]:
+        by = bmat @ y
+        diag = [[by.entry(i, i) / bmat.entry(i, i) if i == j else QQi(0)
+                 for j in range(n)] for i in range(n)]
+        cols.append(ctx.part_coords("t", Mat(diag)))
+    return Mat.from_columns(cols, ctx.dim_t)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_lam_differential_matches_the_per_basis_route(group):
+    ctx = context(group)
+    got = gspringer.lam_differential_upstairs(ctx)
+    for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
+        assert got == per_basis_lam_differential(ctx, pt.b.m)
 
 
 # a point with non-real entries, which only JSON input produces: its chart

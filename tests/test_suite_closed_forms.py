@@ -1,7 +1,8 @@
 """The suites' closed forms against the routes they replaced.
 
 The double's A3 is one rank of [w^T; dphi], with its kernel witness built
-only on failure; cartan-dirac's leaf dimension compares two ranks; and no
+only on failure; cartan-dirac's leaf dimension compares two ranks, one of
+them from the group, so a wrong adjoint fails it; and no
 suite runs the dual-number engine or the per-element sections, which stay
 in ``src`` as the oracles of the closed forms.
 """
@@ -74,6 +75,20 @@ def test_leaf_dimension_ranks_match_the_subspace_route(name):
         assert leaf == {"check_id": "cartan-dirac/leaf-dimension",
                         "passed": proj == d - cent}
         assert leaf["passed"]
+
+
+@pytest.mark.parametrize("name", ("sl2", "gl2", "sl3", "gl3"))
+def test_leaf_dimension_fails_under_a_wrong_adjoint(name, monkeypatch):
+    # with Ad the identity the tangent part vanishes, while the centralizer,
+    # computed in the group, is that of a generic point
+    ctx = context(name)
+    g = random_point(ctx, "G", SplitMix64(59))
+    monkeypatch.setattr(ctx, "adjoint", lambda m, minv: Mat.identity(ctx.dim_g))
+    cfg = CampaignConfig(suite="cartan-dirac", group=name)
+    recs = _check_cartan_dirac(cfg, {"g": mat_to_json(g.m), "salt": 7})
+    leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
+    assert leaf == {"check_id": "cartan-dirac/leaf-dimension", "passed": False,
+                    "witness": {"proj": 0, "centralizer": ctx.rank}}
 
 
 def test_no_suite_runs_the_dual_number_oracles(monkeypatch):
