@@ -414,8 +414,8 @@ def b_action_directions(b: GroupElement, part: str) -> Subspace:
     and their transpose is already in reduced row echelon form: in its
     algebra factor, row r is zero but for a 1 at the r-th index of
     ``part``, a range.  So that is the canonical basis, with no elimination.
-    ``part`` is "b" (the vertical space) or "u".
-    The per-basis generators are the oracle for this in the tests.
+    ``part`` is "b" (the vertical space) or "u".  The per-basis generators
+    are the oracle for this in the tests.
     """
     ctx = b.ctx
     idx = ctx.sub_indices(part)
@@ -439,9 +439,9 @@ class QuotientChart:
     the quotient by V is the complement of V's lexicographically last row
     basis T (Oxley, *Matroid Theory*, the greedy algorithm and duality), and
     T is the pivot set of one rref R of V^T with its columns in reverse
-    order.  R spans V as well, with R[:, T] = I, so ``proj``, the first h
-    rows of [inc | V]^-1, is read off it: proj[:, S] = I_h and proj[:, t_r]
-    = -R[r, S]^T for the pivot t_r of row r.
+    order.  The rows of R span V as well, with R[:, T] = I, so ``proj``, the
+    first h rows of [inc | V]^-1, is read off it: proj[:, S] = I_h and
+    proj[:, t_r] = -R[r, S]^T for the pivot t_r of row r.
 
     ``proj`` maps upstairs tangent coordinates to chart coordinates, ``inc``
     embeds the chart back; quotient covectors are the functionals that factor
