@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .conventions import CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
@@ -238,11 +237,9 @@ def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
     # the rank of the tangent part I - Ad_{g^-1} against d minus the
     # dimension of the centralizer, computed in the group as the null space
     # of x -> g x - x g on the algebra basis, so not through Ad
-    d, n = ctx.dim_g, ctx.n
+    d = ctx.dim_g
     proj = rank(fib.basis.row_block(0, d))
-    comm = [g.m @ e - e @ g.m for e in ctx.basis]
-    cent = d - rank(Mat([[c.entry(i, j) for c in comm]
-                         for i in range(n) for j in range(n)]))
+    cent = d - rank(ctx.commutator_matrix(g.m))
     recs.append(_record(
         "cartan-dirac/leaf-dimension",
         proj == d - cent,
@@ -263,7 +260,7 @@ def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
 def _check_dorfman(cfg: CampaignConfig, payload: dict) -> list:
     ctx = context(cfg.group)
     g = read_element(ctx, payload["g"])
-    ok, witness = cartan_closure_check(ctx, g.m)
+    ok, witness = cartan_closure_check(ctx, g.m, g.inv)
     return [_record("dorfman-closure/basis-pairs", ok, witness)]
 
 
@@ -579,6 +576,9 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
     # a pool forks all its workers at the first submit: no more than points
     workers = min(config.jobs, len(points))
     if workers > 1:
+        # imported here, so a one-worker run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             futs = [
                 ex.submit(_run_one, cfg_dict, i, p) for i, p in enumerate(points)

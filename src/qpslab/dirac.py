@@ -152,6 +152,9 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
     spanned by (F top c, b) over the null vectors (b; c) of [F^T | -bot]:
     one v x (w + k) system, solved by :func:`~qpslab.linalg.null_vectors`,
     whose raw vectors suffice because the fiber canonicalizes its basis.
+    When top is the identity, as on the graph of a 2-form
+    (:func:`graph_two_form`, basis [I; w^T]; every quotient chart's graph
+    is one), F top is F and the product is not taken.
     """
     v = fiber.d
     w = fmat.rows
@@ -166,7 +169,7 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
     top = fiber.basis.row_block(0, v)
     bot = fiber.basis.row_block(v, 2 * v)
     null = null_vectors(fmat.transpose().hstack(-bot))
-    ftop = fmat @ top
+    ftop = fmat if k == v and top == Mat.identity(v) else fmat @ top
     basis = (ftop @ null.row_block(w, w + k)).vstack(null.row_block(0, w))
     return DiracFiber(2 * w, basis)
 
@@ -265,7 +268,7 @@ def dorfman(s1, s2, eta3, space: Space, point):
     return tangent, cov
 
 
-def cartan_closure_check(ctx, gmat: Mat):
+def cartan_closure_check(ctx, gmat: Mat, ginv: Mat):
     """Full-basis Dorfman closure of the conjugation sections at one point.
 
     Equivalent to running :func:`dorfman` on every pair of basis sections
@@ -298,9 +301,10 @@ def cartan_closure_check(ctx, gmat: Mat):
     compared with the targets in one integer ``==``; only on a mismatch are
     the rows scanned, pair (i, j) in basis order, for the witness.
 
+    ``ginv`` is g^-1, as for :func:`~qpslab.liegroup.conjugation_sections`.
     Returns (ok, witness).
     """
-    lhs, targets = _closure_sides(ctx, gmat)
+    lhs, targets = _closure_sides(ctx, gmat, ginv)
     if lhs == targets:
         return True, None
     d = ctx.dim_g
@@ -310,7 +314,7 @@ def cartan_closure_check(ctx, gmat: Mat):
     return False, {"pair": [ctx.basis_labels[i], ctx.basis_labels[j]]}
 
 
-def _closure_sides(ctx, gmat: Mat) -> tuple[Mat, Mat]:
+def _closure_sides(ctx, gmat: Mat, ginv: Mat) -> tuple[Mat, Mat]:
     """Both sides of closure at g for every pair of basis sections.
 
     Row ``i d + j`` of the first matrix is (tangent | covector) of the
@@ -318,7 +322,7 @@ def _closure_sides(ctx, gmat: Mat) -> tuple[Mat, Mat]:
     of [e_i, e_j].  See :func:`cartan_closure_check`.
     """
     d = ctx.dim_g
-    m, x, a = conjugation_sections(ctx, gmat, gmat.inverse())
+    m, x, a = conjugation_sections(ctx, gmat, ginv)
     rows = _section_rows(ctx, m, x, a)
     own = swapped = None
     for rx, rm in zip(ctx.bracket_matrices(x), ctx.bracket_matrices(m)):

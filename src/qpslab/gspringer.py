@@ -1,8 +1,9 @@
 """The fusion double, its restriction to G x B, and the quotient G x_B B.
 
 Everything here is pointwise and exact, apart from the Weyl-fiber
-enumeration at the end, which runs on numpy arrays.  The double G x G
-carries the 2-form
+enumeration at the end, which runs on numpy arrays.  Only that float code
+uses numpy, and each of its functions imports it when called, so an exact
+run never loads numpy.  The double G x G carries the 2-form
 
     omega_(a,b)((x1,y1),(x2,y2)) = -1/2 [ (x1, Ad_b y2) - (x2, Ad_b y1)
                                         + (x2, Ad_b x1) - (x1, Ad_b x2)
@@ -44,8 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space
@@ -59,6 +59,9 @@ from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, rank, rref,
 from .matio import entry_pairs, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotRegularSemisimple(ValueError):
@@ -826,10 +829,16 @@ def reconstruct_bivector(chart: QuotientChart):
 # The one float check of the package, and the only numpy code: it runs on
 # complex128 arrays.  A float fiber point is a pair (h, b) of n x n arrays,
 # the representative h and the diagonal b, read as the class [h : b].
+#
+# Each function here that calls numpy imports it in its body, so numpy is
+# loaded on the first float call (``verify diagram-gs --backend float`` or
+# ``eval fiber-enum``) and an exact run never loads it.
 
 
 def float_array(m: Mat) -> np.ndarray:
     """The complex128 array of an exact matrix."""
+    import numpy as np
+
     return np.array([[x.to_complex() for x in r] for r in m.data], dtype=complex)
 
 
@@ -840,6 +849,8 @@ def float_element_from_json(obj: dict) -> tuple[GroupContext, np.ndarray]:
     for the group and not numerically singular, and on SL its determinant
     must be 1 within 1e-6.
     """
+    import numpy as np
+
     ctx = group_of_json(obj)
     rows, cols, pairs = entry_pairs(obj)
     if rows != ctx.n or cols != ctx.n:
@@ -874,6 +885,8 @@ def weyl_fiber_enum(ctx: GroupContext, g: np.ndarray,
     eigenvalues collide within ``tol`` relative to the largest modulus (at
     least 1).
     """
+    import numpy as np
+
     n = ctx.n
     lam_, evecs = np.linalg.eig(g)
     scale = max(1.0, np.abs(lam_).max())
@@ -892,12 +905,16 @@ def weyl_fiber_enum(ctx: GroupContext, g: np.ndarray,
 
 def float_mu(point: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """mu of a float point (h, b): h b h^-1."""
+    import numpy as np
+
     h, b = point
     return h @ b @ np.linalg.inv(h)
 
 
 def mu_residual(point: tuple[np.ndarray, np.ndarray], g: np.ndarray) -> float:
     """The largest modulus of an entry of mu(point) - g."""
+    import numpy as np
+
     return float(np.abs(float_mu(point) - g).max())
 
 
@@ -908,6 +925,8 @@ def float_same_class(p: tuple, q: tuple, tol: float) -> bool:
     exceeds ``tol * max(1, max|h|)``; then h b_p h^-1 - b_q is zero when its
     largest modulus m satisfies ``m <= tol * max(1, m)``.
     """
+    import numpy as np
+
     h = np.linalg.inv(q[0]) @ p[0]
     if np.abs(np.tril(h, -1)).max() > tol * max(1.0, np.abs(h).max()):
         return False

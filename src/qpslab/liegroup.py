@@ -202,11 +202,50 @@ class GroupContext:
                        if self.family == "SL" else diag)
                     + [u[a] * v[b] for a, b in self._lower])
 
-        torus = [unit(k, k) for k in range(n)]
+        return self._basis_columns(unit)
+
+    def _basis_columns(self, unit) -> list:
+        """The columns of a linear map on the algebra basis, in basis order,
+        from ``unit(i, j)``, the column of E_ij; the SL torus column of H_k
+        is the difference of those of E_kk and E_(k+1)(k+1)."""
+        torus = [unit(k, k) for k in range(self.n)]
         if self.family == "SL":
             torus = [list(map(sub, p, q)) for p, q in zip(torus, torus[1:])]
         return ([unit(i, j) for i, j in self._upper] + torus
                 + [unit(i, j) for i, j in self._lower])
+
+    def commutator_matrix(self, m: Mat) -> Mat:
+        """The n^2 x d matrix of x -> m x - x m on the algebra basis: column k
+        is vec(m e_k - e_k m), entry (a, b) in row ``a n + b``.
+
+        Closed form, not through :meth:`adjoint`: m E_ij - E_ij m =
+        m[:, i] e_j^T - e_i m[j, :], so the column of E_ij holds column i of m
+        at the entries (a, j) less row j of m at the entries (i, b), and the
+        SL torus columns are differences (:meth:`_basis_columns`).  A real m
+        runs on its integer rows over one denominator, a non-real m on its
+        :class:`QQi` entries.  The per-basis products are its oracle in the
+        tests.
+        """
+        ints = m.int_entries()
+        if ints is None:
+            return Mat.from_columns(self._commutator_columns(m.data, QQI_ZERO),
+                                    self.n * self.n)
+        return Mat.from_int_columns(self._commutator_columns(ints[0], 0), ints[1])
+
+    def _commutator_columns(self, m, zero) -> list:
+        """The columns of :meth:`commutator_matrix` from the entry rows of m,
+        over any ring of scalars with the given zero."""
+        n = self.n
+
+        def unit(i, j):  # vec(m E_ij - E_ij m)
+            col = [zero] * (n * n)
+            for a in range(n):
+                col[a * n + j] = m[a][i]
+            for b in range(n):
+                col[i * n + b] -= m[j][b]
+            return col
+
+        return self._basis_columns(unit)
 
     # -- invariant form and brackets ------------------------------------------
 

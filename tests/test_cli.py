@@ -81,7 +81,8 @@ def test_cli_verify_rejects_an_unwritable_report_before_the_run(tmp_path, capsys
 
 
 def test_verify_forks_no_more_workers_than_points(monkeypatch):
-    import qpslab.campaigns as campaigns
+    # run_suite imports the pool from concurrent.futures only when it forks
+    import concurrent.futures
 
     seen = []
 
@@ -101,7 +102,7 @@ def test_verify_forks_no_more_workers_than_points(monkeypatch):
             result = fn(*args)
             return SimpleNamespace(result=lambda: result)
 
-    monkeypatch.setattr(campaigns, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = dict(suite="regact", group="sl2", seed=1, jobs=64)
     assert run_suite(CampaignConfig(samples=3, **cfg)).all_passed
     assert seen == [3]

@@ -213,7 +213,7 @@ def test_dorfman_closure_and_batched_agree():
                        eta3, G, (g.m,))
         target = cartan_section(SL2, xi.m @ ze.m - ze.m @ xi.m)((g.m,))
         assert t == target[0] and c == target[1]
-        ok, _ = cartan_closure_check(SL2, g.m)
+        ok, _ = cartan_closure_check(SL2, g.m, g.inv)
         assert ok
         fib = cartan_dirac(g)
         assert fib.contains_vector(t + c)
@@ -278,10 +278,10 @@ def test_batched_closure_matches_dorfman_under_corruption():
                  for bi in ctx.basis for bj in ctx.basis]
         for conv in list(CORRUPTIONS.values()) + calibration_grid():
             with using(conv):
-                got = cartan_closure_check(ctx, g.m)
+                got = cartan_closure_check(ctx, g.m, g.inv)
                 first = first_failing_pair(ctx, g.m)
                 # every pair's bracket, not only the first wrong one
-                lhs, _ = dirac._closure_sides(ctx, g.m)
+                lhs, _ = dirac._closure_sides(ctx, g.m, g.inv)
                 for r, (s1, s2) in enumerate(pairs):
                     t, c = dorfman(s1, s2, cartan_eta3(G), G, (g.m,))
                     assert lhs.row_block(r, r + 1) == Mat([list(t) + list(c)])
@@ -294,7 +294,8 @@ def test_batched_closure_matches_dorfman_under_corruption():
             assert (first is None) == closes
     for name in ("sl3", "gl3", "sl4", "gl4"):
         ctx = context(name)
-        assert cartan_closure_check(ctx, random_point(ctx, "G", rng).m) == (True, None)
+        g = random_point(ctx, "G", rng)
+        assert cartan_closure_check(ctx, g.m, g.inv) == (True, None)
 
 
 @pytest.mark.parametrize("name", sorted(liegroup.GROUPS))
@@ -320,7 +321,24 @@ def test_pair_row_matches_dorfman(name):
             assert target == Mat([list(want[0]) + list(want[1])]), conv
             assert dirac.closure_sample(ctx, sections, xi, ze) == (row == target)
             if name in CLI_GROUPS:
-                assert row == coef @ dirac._closure_sides(ctx, g.m)[0], conv
+                assert row == coef @ dirac._closure_sides(ctx, g.m, g.inv)[0], conv
+
+
+def test_closure_check_inverts_nothing(monkeypatch):
+    # g^-1 comes from the caller, who holds it cached on the group element
+    ctx = context("sl3")
+    g = random_point(ctx, "G", SplitMix64(48))
+    ginv = g.inv
+    calls = []
+    real = Mat.inverse
+
+    def spy(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(Mat, "inverse", spy)
+    assert cartan_closure_check(ctx, g.m, ginv) == (True, None)
+    assert not calls
 
 
 def test_closed_form_closure_evaluates_no_section(monkeypatch):
@@ -338,7 +356,8 @@ def test_closed_form_closure_evaluates_no_section(monkeypatch):
     monkeypatch.setattr(DualMat, "inverse", counting("inverse", DualMat.inverse))
     for group in ("sl2", "gl3"):
         ctx = context(group)
-        assert cartan_closure_check(ctx, random_point(ctx, "G", RNG).m)[0]
+        g = random_point(ctx, "G", RNG)
+        assert cartan_closure_check(ctx, g.m, g.inv)[0]
     assert not calls
     # the spies see the per-pair oracle
     g = random_point(SL2, "G", RNG)

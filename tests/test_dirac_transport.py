@@ -154,6 +154,43 @@ def test_a_pushforward_runs_two_rrefs(monkeypatch):
     assert calls[0] == (w, v + w) and len(calls) == 2 and calls[1][1] == 2 * v
 
 
+def product_route_pushforward(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
+    """The reduced pushforward with the product F top always taken."""
+    v, w, k = fiber.d, fmat.rows, fiber.dim
+    top = fiber.basis.row_block(0, v)
+    null = null_vectors(fmat.transpose().hstack(-fiber.basis.row_block(v, 2 * v)))
+    return DiracFiber(2 * w, (fmat @ top @ null.row_block(w, w + k))
+                      .vstack(null.row_block(0, w)))
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_a_graph_pushes_forward_without_the_top_product(group, monkeypatch):
+    # a chart's graph has basis [I; w^T], so F top is F and the one product
+    # is F (null rows); a fiber whose top is not the identity takes two
+    ctx = context(group)
+    graphs, others = [], []
+    for point in gspoint_stream(ctx, SplitMix64(305), 4):
+        chart = QuotientChart(point)
+        dphi = phi_differential(point.g, point.b, gxb_space(ctx))
+        graphs += [(chart.graph, chart.proj), (chart.graph, dphi)]
+        others.append((chart.fiber, dmu_chart(chart)))
+    cases = [(fiber, fmat, product_route_pushforward(fiber, fmat), products)
+             for group_cases, products in ((graphs, 1), (others, 2))
+             for fiber, fmat in group_cases]
+    taken = []
+    real = Mat.__matmul__
+
+    def spy(a, b):
+        taken.append(b.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", spy)
+    for fiber, fmat, expected, products in cases:
+        taken.clear()
+        assert_same(pushforward_linear(fiber, fmat), expected)
+        assert len(taken) == products
+
+
 def kernel_route_intersect(a: Subspace, b: Subspace) -> Subspace:
     """a ∩ b from the canonical kernel of [A | B]."""
     null = kernel(a.basis.hstack(b.basis))

@@ -2,9 +2,9 @@
 
 The double's A3 is one rank of [w^T; dphi], with its kernel witness built
 only on failure; cartan-dirac's leaf dimension compares two ranks, one of
-them from the group, so a wrong adjoint fails it; and no
-suite runs the dual-number engine or the per-element sections, which stay
-in ``src`` as the oracles of the closed forms.
+them from the group's closed-form commutator matrix, so a wrong adjoint
+fails it; and no suite runs the dual-number engine or the per-element
+sections, which stay in ``src`` as the oracles of the closed forms.
 """
 
 from collections import Counter
@@ -23,6 +23,7 @@ from qpslab.liegroup import GROUPS, GroupElement, context, random_point
 from qpslab.linalg import Mat, intersect, kernel
 from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
+from qpslab.scalars import QQi
 
 
 def kernel_route(w, dphi):
@@ -75,6 +76,27 @@ def test_leaf_dimension_ranks_match_the_subspace_route(name):
         assert leaf == {"check_id": "cartan-dirac/leaf-dimension",
                         "passed": proj == d - cent}
         assert leaf["passed"]
+
+
+def commutator_product_route(ctx, m):
+    """The n^2 x d matrix with column k = vec(m e_k - e_k m), from the 2d
+    products, as cartan-dirac built it before the closed form."""
+    comm = [m @ e - e @ m for e in ctx.basis]
+    return Mat([[c.entry(i, j) for c in comm]
+                for i in range(ctx.n) for j in range(ctx.n)])
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_commutator_matrix_matches_the_product_route(name):
+    ctx = context(name)
+    rng = SplitMix64(60)
+    n = ctx.n
+    # a non-real matrix takes the QQi branch
+    nonreal = Mat([[QQi(i - j, i * j + 1) for j in range(n)] for i in range(n)])
+    mats = [Mat.identity(n), nonreal] + [
+        random_point(ctx, kind, rng).m for kind in ("T", "U", "B", "G", "G")]
+    for m in mats:
+        assert ctx.commutator_matrix(m) == commutator_product_route(ctx, m)
 
 
 @pytest.mark.parametrize("name", ("sl2", "gl2", "sl3", "gl3"))
