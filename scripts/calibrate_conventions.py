@@ -27,13 +27,12 @@ from fractions import Fraction
 
 sys.path.insert(0, "src")
 
-from qpslab.campaigns import _a2_sample
 from qpslab.conventions import FROZEN, using
 from qpslab.diffcalc import Space
 from qpslab.dirac import (DiracFiber, cartan_eta3, cartan_section, dorfman,
                           graph_two_form, pushforward_linear)
-from qpslab.gspringer import (double_space, gram_ad, omega_matrix, phi,
-                              phi_differential, sample_double)
+from qpslab.gspringer import (gram_ad, omega_matrix, phi, phi_differential,
+                              sample_double, sampled_d_identity)
 from qpslab.linalg import Mat
 from qpslab.liegroup import (conjugation_sections, context, random_algebra,
                              random_point)
@@ -65,10 +64,10 @@ def closure_holds(ctx, samples, rng) -> bool:
 def d_omega_matches(ctx, samples, rng) -> bool:
     for _ in range(samples):
         dp = sample_double(ctx, rng)
-        dphi = phi_differential(dp.a, dp.b, double_space(ctx))
+        dphi = phi_differential(dp.a, dp.b, "g")
         t = gram_ad(ctx, dp.b.m, dp.b.inv)
-        w = omega_matrix(ctx, dp.b.m, double_space(ctx), t=t)
-        if not _a2_sample(ctx, dphi, t, w, rng, triples=1):
+        w = omega_matrix(ctx, t, "g")
+        if not sampled_d_identity(ctx, t, w, dphi, rng, 1):
             return False
     return True
 
@@ -77,9 +76,9 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
     d = ctx.dim_g
     for _ in range(samples):
         dp = sample_double(ctx, rng)
-        w = omega_matrix(ctx, dp.b.m, double_space(ctx))
+        w = omega_matrix(ctx, gram_ad(ctx, dp.b.m, dp.b.inv), "g")
         fiber = graph_two_form(w)
-        dphi = phi_differential(dp.a, dp.b, double_space(ctx))
+        dphi = phi_differential(dp.a, dp.b, "g")
         pushed = pushforward_linear(fiber, dphi)
         # the product of the conjugation structures at phi(dp): the basis
         # sections of each factor, block diagonal in tangent and covector

@@ -24,7 +24,8 @@ omega depends on the point only through T = G Ad_b, so its matrix
 (:func:`omega_matrix`) and its exterior derivative (:func:`d_omega`) are
 closed block forms on the integer kernel; the derivative of T along a
 direction is a bracket, read from the structure constants.  The suites take
-d(omega) on the double and on the leaf slice G x tU from :func:`d_omega`.
+d(omega) on the double and on the leaf slice G x tU from :func:`d_omega`,
+on random triples drawn by one sampler (:func:`sampled_d_identity`).
 The entrywise :func:`omega_value` (with :func:`omega_fn`) and the
 dual-number :func:`~qpslab.diffcalc.d_two_form` are kept as the independent
 oracles of both closed forms in the tests.
@@ -38,6 +39,17 @@ matroid duality its greedy complement is the complement of its
 lexicographically last row basis (Oxley, *Matroid Theory*, the greedy
 algorithm and duality), so one small elimination builds a chart
 (:class:`QuotientChart`).
+
+The chart is also the one place where a quotient point's closed-form data
+is derived.  It keeps T and the G x B matrix W that its graph is built from,
+and it derives mu, the G x B differential of phi and d(mu) on first use,
+each at most once: the representative-independence chart of gs-theorem1
+derives none of them.  The checks read all five from the chart; the leaf
+d-identity takes its G x U form and its slice d(mu) as leading blocks of
+the chart's W and phi differential.  The conjugation sections at mu are
+not kept on the chart, because they read the active conventions at the
+moment they are built; each check builds them once and passes the same set
+to :func:`~qpslab.dirac.cartan_dirac` and to :func:`induced_action`.
 """
 
 from __future__ import annotations
@@ -45,6 +57,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .conventions import ACTIVE
@@ -84,15 +97,6 @@ class DoublePoint:
     @property
     def ctx(self) -> GroupContext:
         return self.a.ctx
-
-    def to_json(self) -> dict:
-        return {"a": mat_to_json(self.a.m), "b": mat_to_json(self.b.m),
-                "group": self.ctx.name}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DoublePoint":
-        ctx = group_of_json(obj)
-        return cls(read_element(ctx, obj["a"]), read_element(ctx, obj["b"]))
 
 
 class GSPoint:
@@ -147,15 +151,7 @@ def steinberg_membership(g: GroupElement, t: GroupElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# spaces and the maps of the big diagram
-
-
-def double_space(ctx: GroupContext) -> Space:
-    return Space(ctx, ("g", "g"))
-
-
-def gxb_space(ctx: GroupContext) -> Space:
-    return Space(ctx, ("g", "b"))
+# the maps of the big diagram
 
 
 def phi(p: DoublePoint) -> tuple[GroupElement, GroupElement]:
@@ -166,7 +162,7 @@ def phi(p: DoublePoint) -> tuple[GroupElement, GroupElement]:
 
 
 def phi_map(ctx: GroupContext) -> PointedMap:
-    sp = double_space(ctx)
+    sp = Space(ctx, ("g", "g"))
 
     def fn(q):
         a, b = q
@@ -175,9 +171,10 @@ def phi_map(ctx: GroupContext) -> PointedMap:
     return PointedMap("phi", sp, sp, fn)
 
 
-def phi_differential(a: GroupElement, b: GroupElement, space: Space) -> Mat:
-    """Closed-form differential of (a, b) -> (a b a^-1, b^-1) on the space.
+def phi_differential(a: GroupElement, b: GroupElement, part: str) -> Mat:
+    """Closed-form differential of (a, b) -> (a b a^-1, b^-1).
 
+    ``part`` is the second factor's tag: "g" on the double, "b" on G x B.
     (x, y) -> (Ad_a (Ad_{b^-1} x + y - x), -Ad_b y), so with k the size of
     the second factor the matrix is
 
@@ -192,11 +189,11 @@ def phi_differential(a: GroupElement, b: GroupElement, space: Space) -> Mat:
     algebra basis; its first dim G rows are d(mu . q).  The inverses are the
     elements' cached ones.
     """
-    if space.parts not in (("g", "g"), ("g", "b")):
+    if part not in ("g", "b"):
         raise ValueError("phi differential lives on G x G or G x B coordinates")
     ctx = a.ctx
     d = ctx.dim_g
-    k = space.dim - d  # second-factor block size (d or dim_b)
+    k = ctx.part_dim(part)
     ad_a = ctx.adjoint(a.m, a.inv)
     top = (ctx.adjoint(a.m @ b.inv, b.m @ a.inv) - ad_a).hstack(ad_a.col_block(0, k))
     ad_b = ctx.adjoint(b.m, b.inv).row_block(0, k).col_block(0, k)
@@ -258,27 +255,23 @@ def gram_ad(ctx: GroupContext, bmat: Mat, binv: Mat) -> Mat:
     return ctx.gram @ ctx.adjoint(bmat, binv)
 
 
-def omega_matrix(ctx: GroupContext, bmat: Mat, space: Space,
-                 t: Mat | None = None) -> Mat:
-    """Matrix of omega on the space's tangent basis.
+def omega_matrix(ctx: GroupContext, t: Mat, part: str) -> Mat:
+    """Matrix of omega on the tangent basis of G x ``part``.
 
     Uses the closed block form W = -s/2 [[T' - T, T + G], [-(T' + G), 0]]
-    with T = G Ad_b on algebra coordinates (:func:`gram_ad`; pass it as
-    ``t`` when the caller already has it) and G the form's Gram matrix.
-    omega depends on the point (a, b) only through b, so a is not taken; the
-    entrywise evaluator :func:`omega_value` is the independent oracle for
-    this in the tests.  Valid for the double space and its G x B and G x U
-    coordinate restrictions (leading principal submatrices, since the Borel
-    and unipotent bases are prefixes of the algebra basis).
+    with T = G Ad_b on algebra coordinates (:func:`gram_ad`) and G the
+    form's Gram matrix: omega depends on the point (a, b) only through T.
+    The entrywise evaluator :func:`omega_value` is the independent oracle
+    for this in the tests.  ``part`` is the second factor's tag: "g" for
+    the double, "b" and "u" for its G x B and G x U coordinate restrictions
+    (leading principal submatrices, since the Borel and unipotent bases are
+    prefixes of the algebra basis).
     """
-    if space.parts not in (("g", "g"), ("g", "b"), ("g", "u")):
+    if part not in ("g", "b", "u"):
         raise ValueError("omega matrix lives on G x G, G x B or G x U coordinates")
-    d = ctx.dim_g
     gram = ctx.gram
-    if t is None:
-        t = gram_ad(ctx, bmat, bmat.inverse())
     tt = t.transpose()
-    k = space.dim - d  # second-factor block size (d, dim_b or dim_u)
+    k = ctx.part_dim(part)
     w12 = (t + gram).col_block(0, k)
     w21 = (-(tt + gram)).row_block(0, k)
     w = (tt - t).hstack(w12).vstack(w21.hstack(Mat.zeros(k, k)))
@@ -294,12 +287,13 @@ def _t_derivative(t: Mat, r: Mat) -> Mat:
     return -(t @ r)
 
 
-def d_omega(ctx: GroupContext, space: Space, t: Mat, w: Mat, x, y, z):
+def d_omega(ctx: GroupContext, t: Mat, w: Mat, x, y, z):
     """d(omega)(x, y, z) from the block form of :func:`omega_matrix`.
 
     ``t`` is :func:`gram_ad` at the point and ``w`` the omega matrix there,
-    on the double or one of its G x B and G x U slices; ``x``, ``y``, ``z``
-    are tangent coordinates.  With constant-coordinate fields,
+    on the double or one of its G x B and G x U slices, whose size gives
+    the second factor's; ``x``, ``y``, ``z`` are tangent coordinates.  With
+    constant-coordinate fields,
 
         d(omega)(X, Y, Z) = sum_cyc [ Y' (d_X W) Z - [X, Y]' W Z ].
 
@@ -314,10 +308,11 @@ def d_omega(ctx: GroupContext, space: Space, t: Mat, w: Mat, x, y, z):
     for this in the tests.
     """
     d = ctx.dim_g
-    k = space.dim - d
-    v = Mat.from_columns([x, y, z], space.dim)
+    dim = w.rows
+    k = dim - d
+    v = Mat.from_columns([x, y, z], dim)
     first = v.row_block(0, d)
-    second = v.row_block(d, space.dim)
+    second = v.row_block(d, dim)
     if k < d:
         second = second.vstack(Mat.zeros(d - k, 3))
     rs = ctx.bracket_matrices(first.hstack(second))
@@ -325,7 +320,7 @@ def d_omega(ctx: GroupContext, space: Space, t: Mat, w: Mat, x, y, z):
     brackets = Mat.from_columns(
         [mat_vec(rs[j], first.col(i)) + mat_vec(rs[3 + j], second.col(i))[:k]
          for i, j, _ in cyc],
-        space.dim)
+        dim)
     # entry (c, l): omega of the c-th bracket and the l-th direction
     alg = brackets.transpose() @ w @ v
     # K = P' D (Q - P), associated as (P' T) (R (Q - P)) to keep it 3 wide
@@ -336,6 +331,32 @@ def d_omega(ctx: GroupContext, space: Space, t: Mat, w: Mat, x, y, z):
         kmat = _t_derivative(pt, rs[3 + i] @ diff)
         total = total + (kmat.entry(j, l) - kmat.entry(l, j)) * half - alg.entry(c, l)
     return total
+
+
+def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, dphi: Mat,
+                       rng: SplitMix64, triples: int) -> bool:
+    """d(omega) = -(sum of eta) pulled back by ``dphi``, on random triples.
+
+    ``t`` and ``w`` are :func:`gram_ad` and an :func:`omega_matrix` at a
+    point, and ``dphi`` the differential, on the same tangent coordinates,
+    of the map that pulls eta back: its rows are stacked dim G blocks, one
+    per factor of the target, and each block carries eta.  The double's A2
+    passes its :func:`phi_differential` (eta (+) eta); the leaf d-identity
+    of :func:`leaf_two_form` passes d(mu) on the slice G x tU.  Each triple
+    is three height-3 direction vectors of ``w``'s size, drawn from ``rng``;
+    d(omega) comes from :func:`d_omega`, and the first failing triple ends
+    the check.
+    """
+    d = ctx.dim_g
+    for _ in range(triples):
+        dirs = [[QQi(rng.rational(3)) for _ in range(w.rows)] for _ in range(3)]
+        pushed = [mat_vec(dphi, v) for v in dirs]
+        rhs = QQi(0)
+        for r in range(0, dphi.rows, d):
+            rhs = rhs - ctx.eta(*(ctx.mat_from_coords(p[r:r + d]) for p in pushed))
+        if d_omega(ctx, t, w, *dirs) != rhs:
+            return False
+    return True
 
 
 def moment_condition_holds(p: DoublePoint, w: Mat, dphi: Mat) -> bool:
@@ -395,16 +416,7 @@ def moment_condition_check(p: DoublePoint, w: Mat, dphi: Mat,
 
 
 # ---------------------------------------------------------------------------
-# restriction to G x B and the quotient chart
-
-
-def restrict_to_GxB(g: GroupElement, b: GroupElement) -> DiracFiber:
-    """Graph of the double form restricted to the coordinate subspace T(GxB)."""
-    ctx = g.ctx
-    if not ctx.in_borel(b.m):
-        raise ValueError("second component must lie in the Borel subgroup")
-    w = omega_matrix(ctx, b.m, gxb_space(ctx), t=gram_ad(ctx, b.m, b.inv))
-    return graph_two_form(w)
+# the quotient chart
 
 
 def b_action_directions(b: GroupElement, part: str) -> Subspace:
@@ -428,11 +440,6 @@ def b_action_directions(b: GroupElement, part: str) -> Subspace:
     return Subspace(ctx.dim_g + ctx.dim_b, basis, canonical=True)
 
 
-def vertical_space(point: GSPoint) -> Subspace:
-    """Tangent directions of the B-action through the representative."""
-    return b_action_directions(point.b, "b")
-
-
 class QuotientChart:
     """Pointwise chart on G x_B B: a complement to the vertical space.
 
@@ -448,20 +455,23 @@ class QuotientChart:
 
     ``proj`` maps upstairs tangent coordinates to chart coordinates, ``inc``
     embeds the chart back; quotient covectors are the functionals that factor
-    through ``proj`` (the annihilator of the vertical space).  ``graph`` is
-    the restricted graph upstairs and ``fiber`` its pushforward to the chart,
-    both under the conventions active when the chart was built.
-    """
+    through ``proj`` (the annihilator of the vertical space).  ``vertical``
+    is the vertical space, the B-action directions of "b".
 
-    __slots__ = ("point", "vertical", "indices", "proj", "inc", "hdim", "ambient",
-                 "graph", "fiber")
+    ``t`` is T = G Ad_b (:func:`gram_ad`) and ``w`` omega's G x B matrix
+    (:func:`omega_matrix`) at the representative; ``graph`` is the graph of
+    ``w`` upstairs and ``fiber`` its pushforward to the chart, all under the
+    conventions active when the chart was built.  ``mu``, ``dphi`` and
+    ``dmu`` read no convention; each is derived when first read, and then
+    kept for the chart's lifetime.
+    """
 
     def __init__(self, point: GSPoint):
         ctx = point.ctx
         self.point = point
         amb = self.ambient = ctx.dim_g + ctx.dim_b
         h = self.hdim = ctx.dim_g
-        v = self.vertical = vertical_space(point)
+        v = self.vertical = b_action_directions(point.b, "b")
         # pivot p of the reversed rref is the coordinate amb - 1 - p
         red, pivots = rref(v.basis.transpose().select_cols(range(amb - 1, -1, -1)))
         last = [amb - 1 - p for p in pivots]
@@ -474,12 +484,29 @@ class QuotientChart:
         order = indices + last
         self.proj = Mat.identity(h).hstack(-rs.transpose()).select_cols(
             sorted(range(amb), key=order.__getitem__))
-        self.graph = restrict_to_GxB(point.g, point.b)
+        self.t = gram_ad(ctx, point.b.m, point.b.inv)
+        self.w = omega_matrix(ctx, self.t, "b")
+        self.graph = graph_two_form(self.w)
         self.fiber = quotient_fiber(self)
 
     @property
     def ctx(self) -> GroupContext:
         return self.point.ctx
+
+    @cached_property
+    def mu(self) -> GroupElement:
+        """mu at the chart's point (the module-level :func:`mu`)."""
+        return mu(self.point)
+
+    @cached_property
+    def dphi(self) -> Mat:
+        """The G x B :func:`phi_differential` at the representative."""
+        return phi_differential(self.point.g, self.point.b, "b")
+
+    @cached_property
+    def dmu(self) -> Mat:
+        """d(mu) on the chart: the first dim G rows of ``dphi``, times ``inc``."""
+        return self.dphi.row_block(0, self.ctx.dim_g) @ self.inc
 
 
 def quotient_fiber(chart: QuotientChart) -> DiracFiber:
@@ -510,17 +537,6 @@ def lam_differential_upstairs(ctx: GroupContext) -> Mat:
     return Mat.zeros(t, ctx.dim_g + ctx.dim_u).hstack(Mat.identity(t))
 
 
-def dmu_chart(chart: QuotientChart) -> Mat:
-    ctx = chart.ctx
-    up = phi_differential(chart.point.g, chart.point.b, gxb_space(ctx))
-    return up.row_block(0, ctx.dim_g) @ chart.inc
-
-
-def dlam_chart(chart: QuotientChart) -> Mat:
-    up = lam_differential_upstairs(chart.ctx)
-    return up @ chart.inc
-
-
 def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     """The induced action field of xi at the chart point: q_* rho(xi, 0).
 
@@ -532,22 +548,20 @@ def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     return mat_vec(chart.proj, up)
 
 
-def induced_action(chart: QuotientChart, dmu: Mat) -> tuple[Mat, Mat]:
+def induced_action(chart: QuotientChart, sections: tuple) -> tuple[Mat, Mat]:
     """The h x dim G matrices of q_* rho(e_k) and d(mu)^T sigma(mu, e_k).
 
     Column k of the first is :func:`chart_action_field` of the algebra basis
-    element e_k, and of the second the pulled-back sigma covector; ``dmu`` is
-    :func:`dmu_chart` of the chart.  Both are linear in e_k, so each is one
-    product: rho(e_k) upstairs is (-Ad_{g^-1} e_k, 0), and the functional
-    coordinates of every sigma(mu, e_k) are the columns of the A block of
+    element e_k, and of the second the pulled-back sigma covector.  Both are
+    linear in e_k, so each is one product: rho(e_k) upstairs is
+    (-Ad_{g^-1} e_k, 0), and the functional coordinates of every
+    sigma(mu, e_k) are the columns of the A block of ``sections``, the
     :func:`~qpslab.liegroup.conjugation_sections` at mu.
     """
     ctx = chart.ctx
     g = chart.point.g
-    d = ctx.dim_g
-    fields = -(chart.proj.col_block(0, d) @ ctx.adjoint(g.inv, g.m))
-    m = mu(chart.point)
-    return fields, dmu.transpose() @ conjugation_sections(ctx, m.m, m.inv)[2]
+    fields = -(chart.proj.col_block(0, ctx.dim_g) @ ctx.adjoint(g.inv, g.m))
+    return fields, chart.dmu.transpose() @ sections[2]
 
 
 def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
@@ -576,12 +590,12 @@ def regact_check(g: GroupElement, b: GroupElement) -> dict:
 
     Passes when the intersection is exactly the unipotent directions, so its
     dimension is dim U at every point (the regularity making the quotient a
-    bundle).
+    bundle).  Neither side depends on g.
     """
     ctx = g.ctx
-    w = omega_matrix(ctx, b.m, gxb_space(ctx), t=gram_ad(ctx, b.m, b.inv))
+    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "b")
     flat_kernel = kernel(w.transpose())
-    inter = intersect(vertical_space(GSPoint(g, b)), flat_kernel)
+    inter = intersect(b_action_directions(b, "b"), flat_kernel)
     expected = b_action_directions(b, "u")
     ok = inter.dim == ctx.dim_u and inter.equals(expected)
     return {"dim": inter.dim, "expected_dim": ctx.dim_u, "passed": ok}
@@ -597,7 +611,6 @@ def theorem1_check(chart: QuotientChart) -> dict:
     A failing check carries a witness.
     """
     ctx = chart.ctx
-    point = chart.point
     fib = chart.fiber
     out = {}
 
@@ -606,13 +619,12 @@ def theorem1_check(chart: QuotientChart) -> dict:
     if not out["lagrangian"]:
         out["witness_lagrangian"] = wit or {"dim": fib.dim}
 
-    m = mu(point)
-    # one G x B differential serves d(mu) (its first dim G rows, as in
-    # dmu_chart) and route (iv)
-    dphi = phi_differential(point.g, point.b, gxb_space(ctx))
-    dmu = dphi.row_block(0, ctx.dim_g) @ chart.inc
+    m = chart.mu
+    dmu = chart.dmu
     pushed = pushforward_linear(fib, dmu)
-    cd = cartan_dirac(m)
+    # one set of sections at mu serves the target and the induced action
+    sections = conjugation_sections(ctx, m.m, m.inv)
+    cd = cartan_dirac(m, sections)
     out["f_dirac"] = pushed.equals(cd)
     if not out["f_dirac"]:
         out["witness_f_dirac"] = _column_outside(pushed, cd, ("pushed", "cartan"))
@@ -630,7 +642,7 @@ def theorem1_check(chart: QuotientChart) -> dict:
 
     # one rank test for all dim G pairs; only a failure walks them for the
     # first basis index outside the fiber
-    fields, duals = induced_action(chart, dmu)
+    fields, duals = induced_action(chart, sections)
     out["induced_action"] = rank(fib.basis.hstack(fields.vstack(duals))) == fib.dim
     if not out["induced_action"]:
         out["witness_action"] = {"basis_index": next(
@@ -639,7 +651,7 @@ def theorem1_check(chart: QuotientChart) -> dict:
 
     # route (iv): the double's moment map, then the projection to its first factor
     first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, ctx.dim_b))
-    route_b = pushforward_linear(pushforward_linear(chart.graph, dphi), first)
+    route_b = pushforward_linear(pushforward_linear(chart.graph, chart.dphi), first)
     out["pushforward_commutes"] = pushed.equals(route_b)
     if not out["pushforward_commutes"]:
         out["witness_pushforward"] = _column_outside(pushed, route_b,
@@ -679,7 +691,7 @@ def theorem2_check(chart: QuotientChart) -> dict:
         "expected_dim": ctx.dim_g - ctx.rank,
         "projection_matches": proj.equals(expected),
     }
-    dlam = dlam_chart(chart)
+    dlam = lam_differential_upstairs(ctx) @ chart.inc
     killed = all(
         all(not c for c in mat_vec(dlam, proj.basis.col(j)))
         for j in range(proj.dim)
@@ -707,12 +719,15 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
       L, with coefficients C from one rref of ``[L | V]``, and F' C = L' M
       for the form F and the pulled-back sigma covectors M;
     * the exterior-derivative identity d(omega_leaf) = -mu^* eta, evaluated
-      upstairs on the G x tU slice where the leaf is a coordinate subspace
-      (:func:`_leaf_d_identity`), on random directions drawn from ``rng`` (a
-      campaign passes the point's salted stream).
+      upstairs on the G x tU slice through (g, u), b = t u, where the leaf is
+      a coordinate subspace, by :func:`sampled_d_identity` on two triples
+      drawn from ``rng`` (a campaign passes the point's salted stream).
+      There the leaf form is the pullback of omega, whose matrix is the
+      G x U block of the chart's ``w``: the slice curve u (I + s y) is the
+      curve b (I + s y).  d(mu) on the slice, (g, u) -> g t u g^-1, is the
+      first dim G rows and dim G + dim U columns of the chart's ``dphi``.
     """
     ctx = chart.ctx
-    point = chart.point
     fib = chart.fiber
     leaf = fib.tangent_part()
     h = chart.hdim
@@ -725,48 +740,18 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     form = (bot @ sols).transpose() @ leaf.basis
     checks = {"graphical": True, "skew": is_skew(form)}
 
-    # one G x B differential serves d(mu) on the chart and on the slice
-    d = ctx.dim_g
-    dphi = phi_differential(point.g, point.b, gxb_space(ctx)).row_block(0, d)
-    fields, duals = induced_action(chart, dphi @ chart.inc)
+    m = chart.mu
+    fields, duals = induced_action(chart, conjugation_sections(ctx, m.m, m.inv))
     coeffs, _, consistent = solve_columns(leaf.basis, fields)
     checks["moment_identity"] = consistent and (
         form.transpose() @ coeffs == leaf.basis.transpose() @ duals)
 
-    checks["d_identity"] = _leaf_d_identity(point, dphi.col_block(0, d + ctx.dim_u),
-                                            rng)
+    d, k = ctx.dim_g, ctx.dim_g + ctx.dim_u
+    checks["d_identity"] = sampled_d_identity(
+        ctx, chart.t, chart.w.row_block(0, k).col_block(0, k),
+        chart.dphi.row_block(0, d).col_block(0, k), rng, 2)
     checks["passed"] = all(checks.values())
     return form, leaf, checks
-
-
-def _leaf_d_identity(point: GSPoint, dmu: Mat, rng: SplitMix64,
-                     triples: int = 2) -> bool:
-    """d of the leaf form against -eta pulled back, computed upstairs.
-
-    On the G x tU slice through (g, u), with b = t u, the leaf form is the
-    pullback of omega, whose matrix is the G x U block of
-    :func:`omega_matrix` at (g, b): the slice curve u (I + s y) is the curve
-    b (I + s y).  So d(omega) comes from :func:`d_omega`, and the
-    dual-number route (:func:`~qpslab.diffcalc.d_two_form` of
-    :func:`omega_value`) is its oracle in the tests.  ``dmu`` is d(mu) on
-    the slice, (g, u) -> g t u g^-1: the first dim G rows and dim G + dim U
-    columns of the G x B :func:`phi_differential`.  Each triple is three
-    height-3 direction vectors drawn from ``rng``; the first failing triple
-    ends the check.
-    """
-    ctx = point.ctx
-    space = Space(ctx, ("g", "u"))
-    t = gram_ad(ctx, point.b.m, point.b.inv)
-    w = omega_matrix(ctx, point.b.m, space, t=t)
-    dim = space.dim
-    for _ in range(triples):
-        dirs = [[QQi(rng.rational(3)) for _ in range(dim)] for _ in range(3)]
-        lhs = d_omega(ctx, space, t, w, *dirs)
-        mats = [ctx.mat_from_coords(mat_vec(dmu, v)) for v in dirs]
-        rhs = -ctx.eta(mats[0], mats[1], mats[2])
-        if lhs != rhs:
-            return False
-    return True
 
 
 def reconstruct_bivector(chart: QuotientChart):
@@ -779,18 +764,17 @@ def reconstruct_bivector(chart: QuotientChart):
     (bivector matrix, checks).
     """
     ctx = chart.ctx
-    point = chart.point
     fib = chart.fiber
     h = chart.hdim
     d = ctx.dim_g
-    m = mu(point)
-    dmu = dmu_chart(chart)
+    m = chart.mu
+    dmu = chart.dmu
     top = fib.basis.row_block(0, h)
     bot = fib.basis.row_block(h, fib.basis.rows)
 
     # chart-level action map R: algebra coords -> chart tangent coords, from
     # the pairs that also span the action part of the graph below
-    rmat, duals = induced_action(chart, dmu)
+    rmat, duals = induced_action(chart, conjugation_sections(ctx, m.m, m.inv))
 
     # sigma-adjoint of the dual basis covectors at m; column i of gram^-1 is
     # the algebra coordinate of the i-th one, so column i of sv is the

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Q = Fraction
-
 _EXACT_COERCIBLE = (int, Fraction)
 
 # the imaginary part of every real QQi built here; Fractions are immutable
@@ -119,13 +117,6 @@ class QQi:
 
     # -- misc ----------------------------------------------------------------
 
-    def conjugate(self):
-        return QQi(self.re, -self.im)
-
-    @property
-    def is_real(self):
-        return not self.im
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
@@ -144,7 +135,6 @@ def _as_qqi(x):
 
 
 QQI_ZERO = QQi(0)
-QQI_ONE = QQi(1)
 
 
 class Dual:
@@ -226,11 +216,3 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.dot!r})"
-
-
-def exact(x) -> QQi:
-    """Coerce an int/Fraction/QQi to a :class:`QQi`."""
-    v = _as_qqi(x)
-    if v is NotImplemented:
-        raise TypeError(f"cannot coerce {x!r} to an exact scalar")
-    return v

@@ -19,8 +19,8 @@ from qpslab import campaigns
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.dirac import DiracFiber, cartan_dirac
 from qpslab.gspringer import (FORCED_STRATA, QuotientChart, b_action_directions,
-                              chart_transport, double_space, gram_ad,
-                              gspoint_stream, gxb_space, moment_condition_check,
+                              chart_transport, gram_ad,
+                              gspoint_stream, moment_condition_check,
                               moment_condition_holds, omega_matrix,
                               phi_differential, sample_double, sample_gspoint)
 from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, conj_field,
@@ -71,33 +71,31 @@ def test_adjoint_on_non_real_sl2_elements():
     assert non_real  # the QQi path produced non-real entries
 
 
-def per_basis_phi_differential(ctx, amat, bmat, space):
+def per_basis_phi_differential(ctx, amat, bmat, part):
     d = ctx.dim_g
-    k = space.dim - d
+    k = ctx.part_dim(part)
     ainv, binv = amat.inverse(), bmat.inverse()
     cols = [ctx.coords(amat @ (binv @ x @ bmat - x) @ ainv) + [QQi(0)] * k
             for x in ctx.basis]
     cols += [ctx.coords(amat @ y @ ainv) + ctx.coords(-(bmat @ y @ binv))[:k]
              for y in ctx.basis[:k]]
-    return Mat.from_columns(cols, space.dim)
+    return Mat.from_columns(cols, d + k)
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_phi_differential_matches_the_per_basis_columns(group):
     ctx = context(group)
     rng = SplitMix64(202)
-    for space, kind in ((double_space(ctx), "G"), (gxb_space(ctx), "B")):
+    for part, kind in (("g", "G"), ("b", "B")):
         a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
-        want = per_basis_phi_differential(ctx, a.m, b.m, space)
-        assert phi_differential(a, b, space) == want, space.parts
+        want = per_basis_phi_differential(ctx, a.m, b.m, part)
+        assert phi_differential(a, b, part) == want, part
 
 
 def _a1_both_routes(ctx, dp, w=None):
-    sp = double_space(ctx)
-    t = gram_ad(ctx, dp.b.m, dp.b.inv)
     if w is None:
-        w = omega_matrix(ctx, dp.b.m, sp, t=t)
-    dphi = phi_differential(dp.a, dp.b, sp)
+        w = omega_matrix(ctx, gram_ad(ctx, dp.b.m, dp.b.inv), "g")
+    dphi = phi_differential(dp.a, dp.b, "g")
     zero = Mat.zeros(ctx.n, ctx.n)
     generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
     return (moment_condition_holds(dp, w, dphi),
@@ -123,7 +121,7 @@ def test_batched_a1_gives_the_per_generator_verdict(group, conv):
 def test_batched_a1_sees_a_defect_in_every_block_of_omega(group):
     ctx = context(group)
     dp = sample_double(ctx, SplitMix64(204))
-    w = omega_matrix(ctx, dp.b.m, double_space(ctx))
+    w = omega_matrix(ctx, gram_ad(ctx, dp.b.m, dp.b.inv), "g")
     assert _a1_both_routes(ctx, dp, w) == (True, True)
     d = ctx.dim_g
     for r0 in (0, d):

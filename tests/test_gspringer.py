@@ -1,5 +1,6 @@
 """The double, its Borel restriction, the quotient charts, and the theorems."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -7,26 +8,26 @@ import pytest
 
 from qpslab import campaigns, gspringer, linalg
 from qpslab.conventions import CORRUPTIONS, using
-from qpslab.diffcalc import PointedMap
+from qpslab.diffcalc import PointedMap, Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
                           pushforward_linear)
 from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
                               NotRegularSemisimple, QuotientChart,
-                              chart_action_field,
-                              chart_transport, double_space, dlam_chart,
-                              dmu_chart, float_array, float_same_class,
-                              gspoint_stream, gxb_space,
-                              induced_action, lam, leaf_expected, leaf_two_form, moment_condition_check,
+                              b_action_directions, chart_action_field,
+                              chart_transport, float_array, float_same_class,
+                              gram_ad, gspoint_stream, induced_action, lam,
+                              lam_differential_upstairs, leaf_expected,
+                              leaf_two_form, moment_condition_check,
                               mu, mu_residual, omega_matrix,
                               omega_value, phi, phi_differential, phi_map,
                               quotient_fiber, reconstruct_bivector, regact_check,
-                              restrict_to_GxB, rho_double, sample_double,
+                              rho_double, sample_double,
                               sample_gspoint, steinberg_membership,
-                              theorem1_check, theorem2_check, vertical_space,
+                              theorem1_check, theorem2_check,
                               weyl_fiber_enum)
 from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, WeylGroup,
-                             borel_decompose, chevalley, context, random_algebra,
-                             random_point, sigma)
+                             borel_decompose, chevalley, conjugation_sections,
+                             context, random_algebra, random_point, sigma)
 from qpslab.linalg import (Mat, Subspace, dot, intersect, kernel, mat_vec,
                            rank)
 from qpslab.prng import SplitMix64
@@ -77,13 +78,19 @@ def test_omega_identity_fiber_anchor():
     assert got == SL2.form(x2, y1) - SL2.form(x1, y2)
 
 
+def omega_at(ctx, b, part):
+    """omega's matrix at b on G x ``part``."""
+    return omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), part)
+
+
 def test_omega_matrix_against_entrywise_oracle():
     rng = SplitMix64(63)
     for name in sorted(GROUPS):
         ctx = context(name)
-        for space, kind in ((double_space(ctx), "G"), (gxb_space(ctx), "B")):
+        for part, kind in (("g", "G"), ("b", "B")):
+            space = Space(ctx, ("g", part))
             a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
-            w = omega_matrix(ctx, b.m, space)
+            w = omega_at(ctx, b, part)
             assert w.shape == (space.dim, space.dim)
             assert (w + w.transpose()).is_zero()
             mats = [space.matrices(e) for e in space.basis_directions()]
@@ -95,10 +102,10 @@ def test_omega_double_skew_and_nondegenerate():
     rng = SplitMix64(64)
     for _ in range(5):
         dp = sample_double(SL2, rng)
-        w = omega_matrix(SL2, dp.b.m, double_space(SL2))
+        w = omega_at(SL2, dp.b, "g")
         assert is_skew(w)
         ko = kernel(w.transpose())
-        kphi = kernel(phi_differential(dp.a, dp.b, double_space(SL2)))
+        kphi = kernel(phi_differential(dp.a, dp.b, "g"))
         assert intersect(ko, kphi).dim == 0
 
 
@@ -106,7 +113,7 @@ def test_a4_invariance_compares_every_block():
     # the check pulls back omega blockwise along Ad (+) Ad; a defect in any of
     # the four d x d blocks of the reference form must be seen
     dp = sample_double(SL2, SplitMix64(65))
-    w = omega_matrix(SL2, dp.b.m, double_space(SL2))
+    w = omega_at(SL2, dp.b, "g")
     assert campaigns._a4_sample(SL2, dp, w, SplitMix64(66), count=2)
     d = SL2.dim_g
     for r0 in (0, d):
@@ -123,15 +130,15 @@ def test_phi_differential_dual_route():
     for name in GROUPS:
         ctx = context(name)
         dp = sample_double(ctx, rng)
-        closed = phi_differential(dp.a, dp.b, double_space(ctx))
+        closed = phi_differential(dp.a, dp.b, "g")
         dual = phi_map(ctx).differential_matrix((dp.a.m, dp.b.m))
         assert closed == dual, name
         g = random_point(ctx, "G", rng)
         b = random_point(ctx, "B", rng)
-        gxb = gxb_space(ctx)
+        gxb = Space(ctx, ("g", "b"))
         restricted = PointedMap("phi-gxb", gxb, gxb,
                                 lambda q: (q[0] @ q[1] @ q[0].inverse(), q[1].inverse()))
-        closed = phi_differential(g, b, gxb)
+        closed = phi_differential(g, b, "b")
         assert closed == restricted.differential_matrix((g.m, b.m)), name
 
 
@@ -139,9 +146,8 @@ def test_moment_condition_samples():
     rng = SplitMix64(66)
 
     def check(dp, pairs):
-        sp = double_space(SL2)
-        w = omega_matrix(SL2, dp.b.m, sp)
-        dphi = phi_differential(dp.a, dp.b, sp)
+        w = omega_at(SL2, dp.b, "g")
+        dphi = phi_differential(dp.a, dp.b, "g")
         return moment_condition_check(dp, w, dphi, pairs)
 
     zero = Mat.zeros(2, 2)
@@ -154,16 +160,18 @@ def test_moment_condition_samples():
 
 
 def test_restriction_is_lagrangian_graph():
+    # a chart's graph is omega restricted to G x B at the representative
     rng = SplitMix64(67)
     g = random_point(SL2, "G", rng)
     b = random_point(SL2, "B", rng)
-    fib = restrict_to_GxB(g, b)
+    fib = QuotientChart(GSPoint(g, b)).graph
     ok, _ = is_lagrangian(fib)
     assert ok
     assert fib.dim == SL2.dim_g + SL2.dim_b  # 5 for sl2
     assert fib.cotangent_intersection().dim == 0
+    # a second factor outside B has no chart: the point itself is refused
     with pytest.raises(ValueError):
-        restrict_to_GxB(g, grp(SL2, [[1, 0], [1, 1]]))
+        QuotientChart(GSPoint(g, grp(SL2, [[1, 0], [1, 1]])))
 
 
 def test_regact_dimensions():
@@ -178,7 +186,7 @@ def test_regact_dimensions():
 def test_vertical_space_is_action_tangent():
     rng = SplitMix64(69)
     pt = sample_gspoint(SL2, rng)
-    v = vertical_space(pt)
+    v = b_action_directions(pt.b, "b")
     assert v.dim == SL2.dim_b
     # rho(0, xi) for xi in the Borel basis lies in the vertical space
     for k in SL2.sub_indices("b"):
@@ -256,7 +264,7 @@ def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
     for mod in (linalg, gspringer):
         monkeypatch.setattr(mod, "rref", rref_spy)
     monkeypatch.setattr(Mat, "inverse", inverse_spy)
-    monkeypatch.setattr(gspringer, "restrict_to_GxB", lambda g, b: None)
+    monkeypatch.setattr(gspringer, "graph_two_form", lambda w: None)
     monkeypatch.setattr(gspringer, "quotient_fiber", lambda chart: None)
     QuotientChart(pt)
     assert calls == {"rref": 1}
@@ -278,7 +286,7 @@ def per_basis_lam_differential(ctx, bmat):
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_lam_differential_matches_the_per_basis_route(group):
     ctx = context(group)
-    got = gspringer.lam_differential_upstairs(ctx)
+    got = lam_differential_upstairs(ctx)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
         assert got == per_basis_lam_differential(ctx, pt.b.m)
 
@@ -373,7 +381,7 @@ def test_theorem1_identity_mu_target():
     pt = sample_gspoint(SL2, rng, "identity-b")
     assert mu(pt).m == Mat.identity(2)
     chart = QuotientChart(pt)
-    pushed = pushforward_linear(chart.fiber, dmu_chart(chart))
+    pushed = pushforward_linear(chart.fiber, chart.dmu)
     cotangent = DiracFiber(6, Mat.zeros(3, 3).vstack(Mat.identity(3)))
     assert pushed.equals(cotangent)
     assert pushed.equals(cartan_dirac(mu(pt)))
@@ -386,7 +394,7 @@ def test_theorem1_witness_names_a_column_outside_the_other_fiber():
     with using(CORRUPTIONS["sigma-half"]):
         chart = QuotientChart(pt)
         res = theorem1_check(chart)
-        fibers = {"pushed": pushforward_linear(chart.fiber, dmu_chart(chart)),
+        fibers = {"pushed": pushforward_linear(chart.fiber, chart.dmu),
                   "cartan": cartan_dirac(mu(pt))}
     assert not res["f_dirac"]
     wit = res["witness_f_dirac"]
@@ -403,6 +411,10 @@ def test_theorem1_witness_names_a_column_outside_the_other_fiber():
         "fiber": "b", "column": 1, "dims": [1, 2]}
 
 
+DERIVED = ("gram_ad", "omega_matrix", "phi_differential", "mu",
+           "conjugation_sections")
+
+
 def test_quotient_checks_build_each_chart_once(monkeypatch):
     counts = Counter()
 
@@ -414,23 +426,28 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
 
     monkeypatch.setattr(QuotientChart, "__init__",
                         counting("chart", QuotientChart.__init__))
-    for name in ("phi_differential", "restrict_to_GxB"):
-        monkeypatch.setattr(gspringer, name, counting(name, getattr(gspringer, name)))
-    # gs-theorem1 needs the base point's chart and the moved one's
-    for suite, charts in (("gs-theorem1", 2), ("gs-theorem2", 1), ("bivector", 1)):
-        cfg = campaigns.CampaignConfig(suite=suite, group="sl2", samples=4)
-        _, check = campaigns.SUITES[suite]
-        for payload in campaigns._gen_gspoints(cfg):
-            counts.clear()
-            check(cfg, payload)
-            assert counts["chart"] == charts, suite
-            assert counts["restrict_to_GxB"] == charts, suite
-    # theorem1_check reuses the chart's restricted graph and builds the G x B
-    # phi differential once, for both d(mu) and the route through the double
-    chart = QuotientChart(sample_gspoint(SL2, SplitMix64(89)))
-    counts.clear()
-    assert theorem1_check(chart)["passed"]
-    assert counts == Counter({"phi_differential": 1})
+    # every module that binds a derivation, so that no route around the
+    # chart goes uncounted
+    for name in DERIVED:
+        fn = getattr(gspringer, name)
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("qpslab") and \
+                    vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    # gs-theorem1 needs the base point's chart and the moved one's; the moved
+    # chart derives T and W for its graph, and nothing else
+    suites = (("gs-theorem1", 2), ("gs-theorem2", 1), ("bivector", 1))
+    for group in ("sl2", "sl3"):
+        for suite, charts in suites:
+            cfg = campaigns.CampaignConfig(suite=suite, group=group, samples=4, seed=5)
+            _, check = campaigns.SUITES[suite]
+            for payload in campaigns._gen_gspoints(cfg):
+                counts.clear()
+                check(cfg, payload)
+                want = Counter({name: 1 for name in DERIVED})
+                want.update({"chart": charts, "gram_ad": charts - 1,
+                             "omega_matrix": charts - 1})
+                assert counts == want, (group, suite)
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -438,8 +455,9 @@ def test_induced_action_pairs_match_the_per_basis_formula(group):
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(90), len(FORCED_STRATA)):
         chart = QuotientChart(pt)
-        dmu = dmu_chart(chart)
-        fields, duals = induced_action(chart, dmu)
+        dmu = chart.dmu
+        m = mu(pt)
+        fields, duals = induced_action(chart, conjugation_sections(ctx, m.m, m.inv))
         assert fields.cols == duals.cols == ctx.dim_g
         pairs = [(fields.col(k), duals.col(k)) for k in range(ctx.dim_g)]
         for xi, (vec, alpha) in zip(ctx.basis, pairs):
@@ -499,6 +517,28 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     assert seen == [SplitMix64(p["salt"]).state for p in payloads]
 
 
+def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
+    # the double's d-identity takes 2 triples of height-3 vectors on G x G
+    # from the point's salted stream, and A4 draws its elements after them
+    seen = []
+    a4 = campaigns._a4_sample
+
+    def spy(ctx, dp, w, rng, count):
+        seen.append(rng.state)
+        return a4(ctx, dp, w, rng, count)
+
+    monkeypatch.setattr(campaigns, "_a4_sample", spy)
+    cfg = campaigns.CampaignConfig(suite="double", group="sl2", samples=2)
+    want = []
+    for p in campaigns._gen_double_points(cfg):
+        assert all(r["passed"] for r in campaigns._check_double(cfg, p))
+        shadow = SplitMix64(p["salt"])
+        for _ in range(2 * 3 * 2 * SL2.dim_g):
+            shadow.rational(3)
+        want.append(shadow.state)
+    assert seen == want
+
+
 def test_bivector_reconstruction():
     rng = SplitMix64(80)
     for ctx in (SL2, GL2):
@@ -517,10 +557,15 @@ def test_steinberg_examples():
     assert not steinberg_membership(d2, d3)
     with pytest.raises(ValueError):
         steinberg_membership(d2, unip)
+    # mu of a quotient point lies in the Steinberg fiber of its lambda, at the
+    # forced strata and at random points; mu of one point against lambda of
+    # another, with other invariants, is refused
     rng = SplitMix64(81)
-    for _ in range(5):
-        pt = sample_gspoint(SL2, rng)
-        assert chevalley(mu(pt)) == chevalley(lam(pt))
+    for ctx in (SL2, SL3, GL2):
+        pts = gspoint_stream(ctx, rng, len(FORCED_STRATA) + 2)
+        for pt in pts:
+            assert steinberg_membership(mu(pt), lam(pt)), ctx.name
+        assert not steinberg_membership(mu(pts[-2]), lam(pts[-1])), ctx.name
 
 
 def test_weyl_fiber_enum_sl2():
@@ -571,7 +616,7 @@ def test_lambda_kills_leaf_directions():
     pt = sample_gspoint(SL3, rng)
     chart = QuotientChart(pt)
     leaf = leaf_expected(chart)
-    dl = dlam_chart(chart)
+    dl = lam_differential_upstairs(SL3) @ chart.inc
     for j in range(leaf.dim):
         assert all(not c for c in mat_vec(dl, leaf.basis.col(j)))
 
@@ -589,11 +634,7 @@ def test_gl3_smoke():
                         random_point(ctx, "B", rng))["passed"]
 
 
-def test_double_point_json_roundtrip():
-    rng = SplitMix64(85)
-    dp = sample_double(SL2, rng)
-    again = DoublePoint.from_json(dp.to_json())
-    assert again.a.m == dp.a.m and again.b.m == dp.b.m
-    pt = sample_gspoint(SL2, rng)
+def test_gspoint_json_roundtrip():
+    pt = sample_gspoint(SL2, SplitMix64(85))
     again = GSPoint.from_json(pt.to_json())
     assert again.same_class(pt)

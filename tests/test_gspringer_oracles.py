@@ -17,10 +17,9 @@ import pytest
 from qpslab import campaigns, gspringer
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space, d_two_form
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart, chart_action_field,
-                              d_omega, dmu_chart, double_space, gram_ad,
-                              gspoint_stream, gxb_space, leaf_two_form, mu,
-                              omega_fn, omega_matrix, phi_differential,
+from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
+                              chart_action_field, d_omega, gram_ad, gspoint_stream, leaf_two_form,
+                              mu, omega_fn, omega_matrix, phi_differential,
                               reconstruct_bivector, theorem1_check)
 from qpslab.liegroup import (GROUPS, AlgebraElement, Covector, borel_decompose,
                              context, random_point, sigma, sigma_adjoint)
@@ -33,7 +32,7 @@ STRATA = len(FORCED_STRATA) + 1  # the three forced strata, then a random point
 
 def _spaces(ctx):
     """The three spaces omega lives on, with the subgroup b is drawn from."""
-    return ((double_space(ctx), "G"), (gxb_space(ctx), "B"),
+    return ((Space(ctx, ("g", "g")), "G"), (Space(ctx, ("g", "b")), "B"),
             (Space(ctx, ("g", "u")), "B"))
 
 
@@ -46,12 +45,12 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
         for space, kind in _spaces(ctx):
             a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
             t = gram_ad(ctx, b.m, b.inv)
-            w = omega_matrix(ctx, b.m, space, t=t)
+            w = omega_matrix(ctx, t, space.parts[1])
             for _ in range(2):
                 dirs = [[QQi(rng.rational(3)) for _ in range(space.dim)]
                         for _ in range(3)]
                 want = d_two_form(omega_fn(ctx, space), space, (a.m, b.m), *dirs)
-                assert d_omega(ctx, space, t, w, *dirs) == want, space.parts
+                assert d_omega(ctx, t, w, *dirs) == want, space.parts
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -60,12 +59,14 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     rng = SplitMix64(102)
     g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
     k = ctx.dim_g + ctx.dim_u
-    gxu = omega_matrix(ctx, b.m, Space(ctx, ("g", "u")))
-    gxb = omega_matrix(ctx, b.m, gxb_space(ctx))
+    t = gram_ad(ctx, b.m, b.inv)
+    gxu = omega_matrix(ctx, t, "u")
+    gxb = omega_matrix(ctx, t, "b")
     assert gxu == gxb.row_block(0, k).col_block(0, k)
-    # a T the caller already has gives the same matrix
-    assert gxu == omega_matrix(ctx, b.m, Space(ctx, ("g", "u")),
-                               t=gram_ad(ctx, b.m, b.inv))
+    # and the leaf d-identity's block of a chart's w is this G x U matrix
+    chart = QuotientChart(GSPoint(g, b))
+    assert chart.w == gxb
+    assert chart.w.row_block(0, k).col_block(0, k) == gxu
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -83,7 +84,7 @@ def test_slice_block_of_phi_differential_is_d_mu_on_the_slice(group):
 
     slice_space = Space(ctx, ("g", "u"))
     dual = PointedMap("mu-on-slice", slice_space, Space(ctx, ("g",)), conj_map)
-    block = phi_differential(g, b, gxb_space(ctx)).row_block(0, ctx.dim_g)
+    block = phi_differential(g, b, "b").row_block(0, ctx.dim_g)
     assert block.col_block(0, slice_space.dim) == dual.differential_matrix(
         (g.m, upart.m))
 
@@ -96,7 +97,7 @@ def _action_pairs(chart):
     """(q_* rho(e_k), d(mu)^T sigma(mu, e_k)) basis element by basis element."""
     ctx = chart.ctx
     m = mu(chart.point)
-    dmut = dmu_chart(chart).transpose()
+    dmut = chart.dmu.transpose()
     for xi in ctx.basis:
         alpha = sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords()
         yield chart_action_field(chart, xi), mat_vec(dmut, alpha)
@@ -132,7 +133,7 @@ def _bivector_reference(chart):
     fib = chart.fiber
     h, d = chart.hdim, ctx.dim_g
     m = mu(chart.point)
-    dmu = dmu_chart(chart)
+    dmu = chart.dmu
     top = fib.basis.row_block(0, h)
     bot = fib.basis.row_block(h, fib.basis.rows)
     rmat = Mat.from_columns([vec for vec, _ in _action_pairs(chart)], h)

@@ -17,8 +17,8 @@ from qpslab.campaigns import (SUITE_NAMES, CampaignConfig, _a3_nondegenerate,
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import DualMat, Space
 from qpslab.dirac import cartan_dirac, cartan_eta3, cartan_section, dorfman
-from qpslab.gspringer import (double_space, gram_ad, omega_matrix,
-                              phi_differential, sample_double)
+from qpslab.gspringer import (gram_ad, omega_matrix, phi_differential,
+                              sample_double)
 from qpslab.liegroup import GROUPS, GroupElement, context, random_point
 from qpslab.linalg import Mat, intersect, kernel
 from qpslab.matio import mat_to_json
@@ -38,15 +38,14 @@ def kernel_route(w, dphi):
 def test_a3_rank_matches_the_kernel_route_on_real_points(name):
     ctx = context(name)
     rng = SplitMix64(53)
-    sp = double_space(ctx)
     eye = GroupElement(ctx, Mat.identity(ctx.n))
     points = [(eye, eye)] + [(p.a, p.b) for p in
                              (sample_double(ctx, rng) for _ in range(2))]
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             for a, b in points:
-                w = omega_matrix(ctx, b.m, sp, t=gram_ad(ctx, b.m, b.inv))
-                dphi = phi_differential(a, b, sp)
+                w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "g")
+                dphi = phi_differential(a, b, "g")
                 assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi)
 
 
