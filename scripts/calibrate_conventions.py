@@ -63,9 +63,9 @@ def closure_holds(ctx, samples, rng) -> bool:
 
 def d_omega_matches(ctx, samples, rng) -> bool:
     for _ in range(samples):
-        dp = sample_double(ctx, rng)
-        dphi = phi_differential(dp.a, dp.b, "g")
-        t = gram_ad(ctx, dp.b.m, dp.b.inv)
+        a, b = sample_double(ctx, rng)
+        dphi = phi_differential(a, b, "g")
+        t = gram_ad(ctx, b.m, b.inv)
         w = omega_matrix(ctx, t, "g")
         if not sampled_d_identity(ctx, t, w, dphi, rng, 1):
             return False
@@ -75,15 +75,15 @@ def d_omega_matches(ctx, samples, rng) -> bool:
 def f_dirac_holds(ctx, samples, rng) -> bool:
     d = ctx.dim_g
     for _ in range(samples):
-        dp = sample_double(ctx, rng)
-        w = omega_matrix(ctx, gram_ad(ctx, dp.b.m, dp.b.inv), "g")
+        a, b = sample_double(ctx, rng)
+        w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "g")
         fiber = graph_two_form(w)
-        dphi = phi_differential(dp.a, dp.b, "g")
+        dphi = phi_differential(a, b, "g")
         pushed = pushforward_linear(fiber, dphi)
-        # the product of the conjugation structures at phi(dp): the basis
+        # the product of the conjugation structures at phi(a, b): the basis
         # sections of each factor, block diagonal in tangent and covector
         (_, x1, a1), (_, x2, a2) = (conjugation_sections(ctx, g.m, g.inv)
-                                    for g in phi(dp))
+                                    for g in phi(a, b))
         zero = Mat.zeros(d, d)
         tangent = x1.hstack(zero).vstack(zero.hstack(x2))
         cotangent = a1.hstack(zero).vstack(zero.hstack(a2))

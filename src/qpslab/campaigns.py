@@ -5,46 +5,39 @@ stream is pre-generated from a SplitMix64 stream, each point carries its own
 derived salt for any in-check randomness, and the report is canonical
 (records sorted by point index, JSON with sorted keys) regardless of how
 many workers ran the points.
+
+Each point is decoded once, by :func:`decode_point`, into the group's
+context, every payload matrix as a group element by its payload key, and
+the point's salted stream.  A suite's check takes ``(cfg, ctx, pt, rng)``
+and draws whatever randomness it needs from ``rng`` alone; the geometry it
+reports on is computed in :mod:`qpslab.gspringer` and :mod:`qpslab.dirac`.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import json
+import os
 from dataclasses import asdict, dataclass
 
 from .conventions import CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
 from .dirac import (cartan_closure_check, cartan_dirac, closure_sample,
                     graph_bivector, graph_two_form, is_lagrangian, pairing)
-from .gspringer import (DoublePoint, GSPoint, float_array,
-                        float_element_from_json, float_mu, float_point_to_json,
-                        float_same_class, gram_ad, gspoint_stream, lam,
-                        leaf_two_form, moment_condition_holds, mu, mu_residual,
-                        omega_matrix, phi_differential, QuotientChart,
-                        chart_transport, reconstruct_bivector, regact_check,
-                        sample_double, sampled_d_identity, steinberg_membership,
-                        theorem1_check, theorem2_check, weyl_fiber_enum,
-                        NotRegularSemisimple)
-from .liegroup import (AlgebraElement, GroupElement, WeylGroup, chevalley,
-                       conjugation_sections, context, group_of_json, invariants,
-                       random_algebra, random_point, read_element)
-from .linalg import EXACT, FLOAT, Mat, Subspace, kernel, rank
+from .gspringer import (GSPoint, float_array, float_element_from_json,
+                        float_mu, float_point_to_json, float_same_class, gram_ad,
+                        gspoint_stream, lam, leaf_two_form,
+                        moment_condition_holds, mu, mu_residual, omega_matrix,
+                        phi_differential, QuotientChart, reconstruct_bivector,
+                        regact_check, representative_independent, sample_double,
+                        sampled_d_identity, steinberg_membership, theorem1_check,
+                        theorem2_check, weyl_fiber_enum, NotRegularSemisimple)
+from .liegroup import (AlgebraElement, GroupContext, GroupElement, WeylGroup,
+                       chevalley, conjugation_sections, context, group_of_json,
+                       invariants, random_algebra, random_point, read_element)
+from .linalg import EXACT, FLOAT, Mat, kernel, rank
 from .matio import mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
-
-SUITE_NAMES = (
-    "pairing",
-    "cartan-dirac",
-    "dorfman-closure",
-    "double",
-    "lemma-kernel",
-    "regact",
-    "gs-theorem1",
-    "gs-theorem2",
-    "bivector",
-    "diagram-gs",
-)
 
 CLI_GROUPS = ("sl2", "sl3", "gl2", "gl3")
 
@@ -156,8 +149,8 @@ def _point_generator(sampler):
 
 
 def _sample_double(ctx, rng) -> dict:
-    dp = sample_double(ctx, rng)
-    return {"a": dp.a.m, "b": dp.b.m}
+    a, b = sample_double(ctx, rng)
+    return {"a": a.m, "b": b.m}
 
 
 _gen_group_points = _point_generator(
@@ -175,10 +168,7 @@ _gen_gxb_points = _point_generator(
 # suite: pairing
 
 
-def _check_pairing(cfg: CampaignConfig, payload: dict) -> list:
-    ctx = context(cfg.group)
-    rng = SplitMix64(payload["salt"])
-    g = read_element(ctx, payload["g"])
+def _check_pairing(cfg, ctx, pt, rng) -> list:
     d = ctx.dim_g
     recs = []
     x = random_algebra(ctx, rng)
@@ -223,10 +213,8 @@ def _check_pairing(cfg: CampaignConfig, payload: dict) -> list:
 # suite: cartan-dirac
 
 
-def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
-    ctx = context(cfg.group)
-    rng = SplitMix64(payload["salt"])
-    g = read_element(ctx, payload["g"])
+def _check_cartan_dirac(cfg, ctx, pt, rng) -> list:
+    g = pt["g"]
     recs = []
     # one set of sections serves the fiber and the closure sample
     sections = conjugation_sections(ctx, g.m, g.inv)
@@ -257,9 +245,8 @@ def _check_cartan_dirac(cfg: CampaignConfig, payload: dict) -> list:
 # suite: dorfman-closure
 
 
-def _check_dorfman(cfg: CampaignConfig, payload: dict) -> list:
-    ctx = context(cfg.group)
-    g = read_element(ctx, payload["g"])
+def _check_dorfman(cfg, ctx, pt, rng) -> list:
+    g = pt["g"]
     ok, witness = cartan_closure_check(ctx, g.m, g.inv)
     return [_record("dorfman-closure/basis-pairs", ok, witness)]
 
@@ -268,24 +255,20 @@ def _check_dorfman(cfg: CampaignConfig, payload: dict) -> list:
 # suite: double
 
 
-def _check_double(cfg: CampaignConfig, payload: dict) -> list:
-    ctx = context(cfg.group)
-    rng = SplitMix64(payload["salt"])
-    a = read_element(ctx, payload["a"])
-    b = read_element(ctx, payload["b"])
-    dp = DoublePoint(a, b)
+def _check_double(cfg, ctx, pt, rng) -> list:
+    a, b = pt["a"], pt["b"]
     recs = []
 
     t = gram_ad(ctx, b.m, b.inv)
     w = omega_matrix(ctx, t, "g")
     dphi = phi_differential(a, b, "g")
     recs.append(_record("double/A1-moment-condition",
-                        moment_condition_holds(dp, w, dphi)))
+                        moment_condition_holds(a, b, w, dphi)))
     # A2: d(omega) = -phi^*(eta (+) eta), the salted stream's first draws
     recs.append(_record("double/A2-exterior-derivative",
                         sampled_d_identity(ctx, t, w, dphi, rng, 2)))
     recs.append(_record("double/A3-nondegenerate", *_a3_nondegenerate(w, dphi)))
-    recs.append(_record("double/A4-invariance", _a4_sample(ctx, dp, w, rng, count=10)))
+    recs.append(_record("double/A4-invariance", _a4_sample(ctx, b, w, rng, count=10)))
     return recs
 
 
@@ -297,11 +280,11 @@ def _a3_nondegenerate(w: Mat, dphi: Mat) -> tuple[bool, dict | None]:
     return False, {"ker_omega": kernel(w.transpose()).dim, "ker_dphi": kernel(dphi).dim}
 
 
-def _a4_sample(ctx, dp, w, rng, count: int) -> bool:
+def _a4_sample(ctx, b, w, rng, count: int) -> bool:
     """Invariance of omega under (g1, g2) . (a, b) = (g1 a g2^-1, g2 b g2^-1).
 
-    ``w`` is :func:`omega_matrix` at ``dp``.  omega depends on the point only
-    through b, and in left-trivialized coordinates the action's differential
+    ``w`` is :func:`omega_matrix` at (a, b).  omega depends on the point only
+    through ``b``, and in left-trivialized coordinates the action's differential
     is Ad_{g2} on both factors, so each of the ``count`` samples draws g2
     and compares (Ad (+) Ad)^T w2 (Ad (+) Ad) with ``w`` for w2 at
     (., g2 b g2^-1).  Whatever g1 is, it does not enter, so none is drawn:
@@ -311,13 +294,13 @@ def _a4_sample(ctx, dp, w, rng, count: int) -> bool:
     blocks = _blocks(w, d)
     for _ in range(count):
         g2 = random_point(ctx, "G", rng)
-        b2 = g2.m @ dp.b.m @ g2.inv
+        b2 = g2.m @ b.m @ g2.inv
         # b2^-1 = g2 b^-1 g2^-1, a product rather than a fresh inverse
-        w2 = omega_matrix(ctx, gram_ad(ctx, b2, g2.m @ dp.b.inv @ g2.inv), "g")
+        w2 = omega_matrix(ctx, gram_ad(ctx, b2, g2.m @ b.inv @ g2.inv), "g")
         ad2 = ctx.adjoint(g2.m, g2.inv)
         # Ad (+) Ad is block diagonal, so its pullback of w2 acts blockwise
         adt = ad2.transpose()
-        if any(adt @ b2 @ ad2 != b for b2, b in zip(_blocks(w2, d), blocks)):
+        if any(adt @ m2 @ ad2 != m for m2, m in zip(_blocks(w2, d), blocks)):
             return False
     return True
 
@@ -332,10 +315,8 @@ def _blocks(m: Mat, d: int) -> list[Mat]:
 # suite: lemma-kernel
 
 
-def _check_lemma_kernel(cfg: CampaignConfig, payload: dict) -> list:
-    ctx = context(cfg.group)
-    rng = SplitMix64(payload["salt"])
-    b = read_element(ctx, payload["b"])
+def _check_lemma_kernel(cfg, ctx, pt, rng) -> list:
+    b = pt["b"]
     xis = [(ctx.basis_labels[k], ctx.basis[k]) for k in ctx.sub_indices("b")]
     for _ in range(3):
         mixed = random_algebra(ctx, rng, part="b")
@@ -361,11 +342,9 @@ def _check_lemma_kernel(cfg: CampaignConfig, payload: dict) -> list:
 # suite: regact
 
 
-def _check_regact(cfg: CampaignConfig, payload: dict) -> list:
-    ctx = context(cfg.group)
-    g = read_element(ctx, payload["g"])
-    b = read_element(ctx, payload["b"])
-    res = regact_check(g, b)
+def _check_regact(cfg, ctx, pt, rng) -> list:
+    # the form and the directions depend on b alone; g stays in the report
+    res = regact_check(pt["b"])
     return [_record("regact/constant-intersection", res["passed"],
                     {"dim": res["dim"], "expected": res["expected_dim"]})]
 
@@ -386,18 +365,9 @@ def _gen_gspoints(cfg: CampaignConfig) -> list:
     ]
 
 
-def _load_gspoint(cfg: CampaignConfig, payload: dict) -> GSPoint:
-    ctx = context(cfg.group)
-    return GSPoint(read_element(ctx, payload["g"]),
-                   read_element(ctx, payload["b"], check=False))
-
-
-def _check_theorem1(cfg: CampaignConfig, payload: dict) -> list:
-    ctx = context(cfg.group)
-    point = _load_gspoint(cfg, payload)
-    rng = SplitMix64(payload["salt"])
-    chart1 = QuotientChart(point)
-    res = theorem1_check(chart1)
+def _check_theorem1(cfg, ctx, pt, rng) -> list:
+    chart = QuotientChart(GSPoint(pt["g"], pt["b"]))
+    res = theorem1_check(chart)
     recs = [
         _record("gs-theorem1/lagrangian", res["lagrangian"],
                 res.get("witness_lagrangian")),
@@ -410,23 +380,13 @@ def _check_theorem1(cfg: CampaignConfig, payload: dict) -> list:
                 res.get("witness_pushforward")),
     ]
     h = random_point(ctx, "B", rng)
-    chart2 = QuotientChart(point.translate(h))
-    trans = chart_transport(chart1, chart2, h)
-    fib1, fib2 = chart1.fiber, chart2.fiber
-    tinv = trans.inverse()
-    moved_basis = trans @ fib1.basis.row_block(0, chart1.hdim)
-    moved_cov = tinv.transpose() @ fib1.basis.row_block(chart1.hdim, fib1.basis.rows)
-    moved_fib = Subspace.from_spanning(moved_basis.vstack(moved_cov))
-    recs.append(_record(
-        "gs-theorem1/representative-independent",
-        moved_fib.equals(fib2),
-    ))
+    recs.append(_record("gs-theorem1/representative-independent",
+                        representative_independent(chart, h)))
     return recs
 
 
-def _check_theorem2(cfg: CampaignConfig, payload: dict) -> list:
-    chart = QuotientChart(_load_gspoint(cfg, payload))
-    rng = SplitMix64(payload["salt"])
+def _check_theorem2(cfg, ctx, pt, rng) -> list:
+    chart = QuotientChart(GSPoint(pt["g"], pt["b"]))
     res = theorem2_check(chart)
     recs = [
         _record("gs-theorem2/leaf-projection", res["projection_matches"],
@@ -444,8 +404,8 @@ def _check_theorem2(cfg: CampaignConfig, payload: dict) -> list:
     return recs
 
 
-def _check_bivector(cfg: CampaignConfig, payload: dict) -> list:
-    pi, checks = reconstruct_bivector(QuotientChart(_load_gspoint(cfg, payload)))
+def _check_bivector(cfg, ctx, pt, rng) -> list:
+    pi, checks = reconstruct_bivector(QuotientChart(GSPoint(pt["g"], pt["b"])))
     recs = [_record("bivector/solvable", checks.get("solvable", False),
                     None if checks.get("solvable") else checks)]
     if checks.get("solvable"):
@@ -459,11 +419,9 @@ def _check_bivector(cfg: CampaignConfig, payload: dict) -> list:
 # suite: diagram-gs
 
 
-def _check_diagram_gs(cfg: CampaignConfig, payload: dict) -> list:
-    ctx = context(cfg.group)
+def _check_diagram_gs(cfg, ctx, pt, rng) -> list:
     tol = cfg.tolerance
-    point = _load_gspoint(cfg, payload)
-    rng = SplitMix64(payload["salt"])
+    point = GSPoint(pt["g"], pt["b"])
     recs = []
     if cfg.backend == EXACT:
         m, t = mu(point), lam(point)
@@ -530,12 +488,24 @@ SUITES = {
     "diagram-gs": (_gen_gspoints, _check_diagram_gs),
 }
 
+SUITE_NAMES = tuple(SUITES)
+
+
+def decode_point(cfg: CampaignConfig,
+                 payload: dict) -> tuple[GroupContext, dict, SplitMix64]:
+    """A point's context, its group elements by payload key (each read with
+    its determinant check) and its salted stream: the arguments after
+    ``cfg`` of every suite's check."""
+    ctx = context(cfg.group)
+    pt = {k: read_element(ctx, v) for k, v in payload.items() if k != "salt"}
+    return ctx, pt, SplitMix64(payload["salt"])
+
 
 def _run_one(cfg_dict: dict, index: int, payload: dict) -> tuple[int, list]:
     cfg = CampaignConfig(**cfg_dict)
     _, check = SUITES[cfg.suite]
     with using(FROZEN if cfg.corrupt is None else CORRUPTIONS[cfg.corrupt]):
-        recs = check(cfg, payload)
+        recs = check(cfg, *decode_point(cfg, payload))
     for r in recs:
         r["point"] = {k: v for k, v in payload.items() if k != "salt"}
         r["point_index"] = index
@@ -549,8 +519,9 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
     points = gen(config)
     cfg_dict = asdict(config)
     results = []
-    # a pool forks all its workers at the first submit: no more than points
-    workers = min(config.jobs, len(points))
+    # a pool forks all its workers at the first submit: no more than points,
+    # and no more than the machine has cores
+    workers = min(config.jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
         # imported here, so a one-worker run never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
@@ -567,14 +538,13 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
     results.sort(key=lambda t: t[0])
     checks = [r for _, recs in results for r in recs]
     passed = sum(1 for r in checks if r["passed"])
-    report = VerificationReport(
+    return VerificationReport(
         config=cfg_dict,
         checks=checks,
         summary={"total": len(checks), "passed": passed,
                  "failed": len(checks) - passed},
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Command-line interface: seeded verification campaigns and evaluations.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or input
-error.  The default group honors the QPSLAB_DEFAULT_GROUP environment
-variable; explicit flags win.
+error.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from .campaigns import (CLI_GROUPS, CampaignConfig, SUITE_NAMES, UsageError,
@@ -32,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a seeded verification suite")
     v.add_argument("suite", choices=SUITE_NAMES)
-    v.add_argument("--group", choices=CLI_GROUPS, default=None)
+    v.add_argument("--group", choices=CLI_GROUPS, default="sl2")
     v.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT)
     v.add_argument("--samples", type=int, default=20)
     v.add_argument("--seed", type=int, default=1)
@@ -56,10 +54,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        group = args.group or os.environ.get("QPSLAB_DEFAULT_GROUP", "sl2")
         cfg = CampaignConfig(
             suite=args.suite,
-            group=group,
+            group=args.group,
             backend=args.backend,
             samples=args.samples,
             seed=args.seed,
@@ -85,7 +82,7 @@ def main(argv=None) -> int:
             if sink:
                 sink.write(text + "\n")
         s = report.summary
-        print(f"{args.suite} [{group}/{cfg.backend}] seed={cfg.seed} "
+        print(f"{args.suite} [{cfg.group}/{cfg.backend}] seed={cfg.seed} "
               f"samples={cfg.samples}: {s['passed']}/{s['total']} checks passed")
         if not args.report:
             print(text)

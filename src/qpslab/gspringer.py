@@ -33,18 +33,21 @@ oracles of both closed forms in the tests.
 Quotient computations work in per-point charts: the vertical space of the
 B-action h.(g,b) = (g h^-1, h b h^-1) is complemented by a deterministic
 greedy choice of coordinate directions, and representative independence is
-itself one of the verified claims, never an assumption.  The vertical space
-has a canonical basis in closed form (:func:`b_action_directions`), and by
-matroid duality its greedy complement is the complement of its
-lexicographically last row basis (Oxley, *Matroid Theory*, the greedy
-algorithm and duality), so one small elimination builds a chart
-(:class:`QuotientChart`).
+itself one of the verified claims, never an assumption: a chart's fiber,
+moved by :func:`chart_transport` to the chart of another representative,
+must be the fiber built there (:func:`representative_independent`).  The
+vertical space has a canonical basis in closed form
+(:func:`b_action_directions`), and by matroid duality its greedy complement
+is the complement of its lexicographically last row basis (Oxley, *Matroid
+Theory*, the greedy algorithm and duality), so one small elimination builds
+a chart (:class:`QuotientChart`).
 
 The chart is also the one place where a quotient point's closed-form data
 is derived.  It keeps T and the G x B matrix W that its graph is built from,
-and it derives mu, the G x B differential of phi and d(mu) on first use,
-each at most once: the representative-independence chart of gs-theorem1
-derives none of them.  The checks read all five from the chart; the leaf
+and it derives mu, the G x B differential of phi, d(mu) and the leaf
+directions (the fiber's tangent part) on first use, each at most once: the
+moved chart of :func:`representative_independent` derives none of them.
+The checks read all six from the chart; the leaf
 d-identity takes its G x U form and its slice d(mu) as leading blocks of
 the chart's W and phi differential.  The conjugation sections at mu are
 not kept on the chart, because they read the active conventions at the
@@ -55,7 +58,6 @@ to :func:`~qpslab.dirac.cartan_dirac` and to :func:`induced_action`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -83,20 +85,6 @@ class NotRegularSemisimple(ValueError):
 
 # ---------------------------------------------------------------------------
 # points
-
-
-@dataclass(frozen=True)
-class DoublePoint:
-    a: GroupElement
-    b: GroupElement
-
-    def __post_init__(self):
-        if self.a.ctx is not self.b.ctx:
-            raise ValueError("double point needs one shared context")
-
-    @property
-    def ctx(self) -> GroupContext:
-        return self.a.ctx
 
 
 class GSPoint:
@@ -154,11 +142,9 @@ def steinberg_membership(g: GroupElement, t: GroupElement) -> bool:
 # the maps of the big diagram
 
 
-def phi(p: DoublePoint) -> tuple[GroupElement, GroupElement]:
+def phi(a: GroupElement, b: GroupElement) -> tuple[GroupElement, GroupElement]:
     """The moment map of the double: (a, b) -> (a b a^-1, b^-1)."""
-    ctx = p.ctx
-    m1 = p.a.m @ p.b.m @ p.a.inv
-    return (GroupElement(ctx, m1, check=False), p.b.inverse())
+    return (GroupElement(a.ctx, a.m @ b.m @ a.inv, check=False), b.inverse())
 
 
 def phi_map(ctx: GroupContext) -> PointedMap:
@@ -359,17 +345,17 @@ def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, dphi: Mat,
     return True
 
 
-def moment_condition_holds(p: DoublePoint, w: Mat, dphi: Mat) -> bool:
+def moment_condition_holds(a: GroupElement, b: GroupElement, w: Mat, dphi: Mat) -> bool:
     """omega^flat of every basis action field equals its pulled-back sigma
     covector (axiom A1), as one matrix equation.
 
     ``w`` and ``dphi`` are :func:`omega_matrix` and :func:`phi_differential`
-    at ``p`` on the double.  The action generator of (xi1, xi2) is
+    at (a, b) on the double.  The action generator of (xi1, xi2) is
     R (xi1, xi2) with
 
         R = [[-Ad_{a^-1}, I], [0, I - Ad_{b^-1}]]
 
-    (:func:`rho_double`), and its sigma covector at phi(p) = (g1, b^-1) has
+    (:func:`rho_double`), and its sigma covector at phi(a, b) = (g1, b^-1) has
     functional coordinates diag(G sigma(I, Ad_{g1^-1}), G sigma(I, Ad_b)),
     the A blocks of :func:`~qpslab.liegroup.conjugation_sections` at g1 and
     at b^-1.  So A1 on the basis of g (+) g is
@@ -379,8 +365,7 @@ def moment_condition_holds(p: DoublePoint, w: Mat, dphi: Mat) -> bool:
     The per-generator :func:`moment_condition_check` is the oracle for this
     in the tests.
     """
-    ctx = p.ctx
-    a, b = p.a, p.b
+    ctx = a.ctx
     d = ctx.dim_g
     eye, zero = Mat.identity(d), Mat.zeros(d, d)
     r = (-ctx.adjoint(a.inv, a.m)).hstack(eye).vstack(
@@ -392,22 +377,22 @@ def moment_condition_holds(p: DoublePoint, w: Mat, dphi: Mat) -> bool:
     return w.transpose() @ r == dphi.transpose() @ sig
 
 
-def moment_condition_check(p: DoublePoint, w: Mat, dphi: Mat,
-                           generators) -> bool:
+def moment_condition_check(a: GroupElement, b: GroupElement, w: Mat,
+                           dphi: Mat, generators) -> bool:
     """omega^flat of each action field equals the pulled-back sigma covector.
 
     ``w`` and ``dphi`` are :func:`omega_matrix` and :func:`phi_differential`
-    at ``p`` on the double; ``generators`` holds (xi1, xi2) pairs of algebra
+    at (a, b) on the double; ``generators`` holds (xi1, xi2) pairs of algebra
     matrices.  True when the condition holds for every pair.  On the basis
     of g (+) g this is the matrix equation of :func:`moment_condition_holds`,
     which the double suite runs; this per-generator route is its oracle in
     the tests.
     """
-    ctx = p.ctx
+    ctx = a.ctx
     wt, dphit = w.transpose(), dphi.transpose()
-    g1, g2 = phi(p)
+    g1, g2 = phi(a, b)
     for xi1, xi2 in generators:
-        lhs = mat_vec(wt, rho_double(p.a, p.b, xi1, xi2))
+        lhs = mat_vec(wt, rho_double(a, b, xi1, xi2))
         dual = (sigma(g1, AlgebraElement(ctx, xi1, check=False)).dual_coords()
                 + sigma(g2, AlgebraElement(ctx, xi2, check=False)).dual_coords())
         if lhs != mat_vec(dphit, dual):
@@ -461,9 +446,9 @@ class QuotientChart:
     ``t`` is T = G Ad_b (:func:`gram_ad`) and ``w`` omega's G x B matrix
     (:func:`omega_matrix`) at the representative; ``graph`` is the graph of
     ``w`` upstairs and ``fiber`` its pushforward to the chart, all under the
-    conventions active when the chart was built.  ``mu``, ``dphi`` and
-    ``dmu`` read no convention; each is derived when first read, and then
-    kept for the chart's lifetime.
+    conventions active when the chart was built.  ``mu``, ``dphi``, ``dmu``
+    and ``leaf`` read no convention; each is derived when first read, and
+    then kept for the chart's lifetime.
     """
 
     def __init__(self, point: GSPoint):
@@ -507,6 +492,11 @@ class QuotientChart:
     def dmu(self) -> Mat:
         """d(mu) on the chart: the first dim G rows of ``dphi``, times ``inc``."""
         return self.dphi.row_block(0, self.ctx.dim_g) @ self.inc
+
+    @cached_property
+    def leaf(self) -> Subspace:
+        """The leaf directions: the tangent part of ``fiber`` (one rref)."""
+        return self.fiber.tangent_part()
 
 
 def quotient_fiber(chart: QuotientChart) -> DiracFiber:
@@ -581,18 +571,31 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
     return chart2.proj @ move @ chart1.inc
 
 
+def representative_independent(chart: QuotientChart, h: GroupElement) -> bool:
+    """Whether the chart's fiber, moved to the chart of h.(g, b) for h in B,
+    is the fiber built there: :func:`chart_transport` moves its tangent rows
+    and the transport's inverse transpose its covector rows.
+    """
+    moved_chart = QuotientChart(chart.point.translate(h))
+    trans = chart_transport(chart, moved_chart, h)
+    basis, hdim = chart.fiber.basis, chart.hdim
+    moved = (trans @ basis.row_block(0, hdim)).vstack(
+        trans.inverse().transpose() @ basis.row_block(hdim, basis.rows))
+    return Subspace.from_spanning(moved).equals(moved_chart.fiber)
+
+
 # ---------------------------------------------------------------------------
 # the verification computations
 
 
-def regact_check(g: GroupElement, b: GroupElement) -> dict:
+def regact_check(b: GroupElement) -> dict:
     """Intersection of the B-action directions with the restricted graph.
 
     Passes when the intersection is exactly the unipotent directions, so its
     dimension is dim U at every point (the regularity making the quotient a
-    bundle).  Neither side depends on g.
+    bundle).  Neither side depends on g, so only b is taken.
     """
-    ctx = g.ctx
+    ctx = b.ctx
     w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "b")
     flat_kernel = kernel(w.transpose())
     inter = intersect(b_action_directions(b, "b"), flat_kernel)
@@ -684,7 +687,7 @@ def leaf_expected(chart: QuotientChart) -> Subspace:
 def theorem2_check(chart: QuotientChart) -> dict:
     """Leaf identification: the chart fiber's tangent image is q_* T(G x tU)."""
     ctx = chart.ctx
-    proj = chart.fiber.tangent_part()
+    proj = chart.leaf
     expected = leaf_expected(chart)
     out = {
         "leaf_dim": proj.dim,
@@ -729,7 +732,7 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     """
     ctx = chart.ctx
     fib = chart.fiber
-    leaf = fib.tangent_part()
+    leaf = chart.leaf
     h = chart.hdim
     top = fib.basis.row_block(0, h)
     bot = fib.basis.row_block(h, fib.basis.rows)
@@ -932,8 +935,10 @@ def float_point_to_json(ctx: GroupContext, point: tuple) -> dict:
 # seeded sampling
 
 
-def sample_double(ctx: GroupContext, rng: SplitMix64) -> DoublePoint:
-    return DoublePoint(random_point(ctx, "G", rng), random_point(ctx, "G", rng))
+def sample_double(ctx: GroupContext, rng: SplitMix64) -> tuple:
+    """A point (a, b) of the double G x G, as two group elements; a is drawn
+    first."""
+    return random_point(ctx, "G", rng), random_point(ctx, "G", rng)
 
 
 def sample_gspoint(ctx: GroupContext, rng: SplitMix64,

@@ -48,9 +48,6 @@ class SplitMix64:
         den = 1 + self.below(height)
         return Fraction(num, den)
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def fork(self, salt: int) -> "SplitMix64":
         """Derive an independent stream; used to key per-point work."""
         child = SplitMix64(self.state ^ ((salt * _GAMMA) & _MASK))

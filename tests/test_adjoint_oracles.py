@@ -92,14 +92,14 @@ def test_phi_differential_matches_the_per_basis_columns(group):
         assert phi_differential(a, b, part) == want, part
 
 
-def _a1_both_routes(ctx, dp, w=None):
+def _a1_both_routes(ctx, a, b, w=None):
     if w is None:
-        w = omega_matrix(ctx, gram_ad(ctx, dp.b.m, dp.b.inv), "g")
-    dphi = phi_differential(dp.a, dp.b, "g")
+        w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "g")
+    dphi = phi_differential(a, b, "g")
     zero = Mat.zeros(ctx.n, ctx.n)
     generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
-    return (moment_condition_holds(dp, w, dphi),
-            moment_condition_check(dp, w, dphi, generators))
+    return (moment_condition_holds(a, b, w, dphi),
+            moment_condition_check(a, b, w, dphi, generators))
 
 
 @pytest.mark.parametrize("conv", sorted(BY_NAME))
@@ -110,7 +110,7 @@ def test_batched_a1_gives_the_per_generator_verdict(group, conv):
     with using(BY_NAME[conv]):
         verdicts = []
         for _ in range(3):
-            batched, per_generator = _a1_both_routes(ctx, sample_double(ctx, rng))
+            batched, per_generator = _a1_both_routes(ctx, *sample_double(ctx, rng))
             assert batched == per_generator
             verdicts.append(batched)
     # A1 depends on sigma and on the sign of omega, not on the Dorfman twist
@@ -120,15 +120,15 @@ def test_batched_a1_gives_the_per_generator_verdict(group, conv):
 @pytest.mark.parametrize("group", ["sl2", "gl2", "sl3"])
 def test_batched_a1_sees_a_defect_in_every_block_of_omega(group):
     ctx = context(group)
-    dp = sample_double(ctx, SplitMix64(204))
-    w = omega_matrix(ctx, gram_ad(ctx, dp.b.m, dp.b.inv), "g")
-    assert _a1_both_routes(ctx, dp, w) == (True, True)
+    a, b = sample_double(ctx, SplitMix64(204))
+    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "g")
+    assert _a1_both_routes(ctx, a, b, w) == (True, True)
     d = ctx.dim_g
     for r0 in (0, d):
         for c0 in (0, d):
             bad = [list(r) for r in w.data]
             bad[r0 + 1][c0] = bad[r0 + 1][c0] + QQi(1)
-            assert _a1_both_routes(ctx, dp, Mat(bad)) == (False, False), (r0, c0)
+            assert _a1_both_routes(ctx, a, b, Mat(bad)) == (False, False), (r0, c0)
 
 
 def per_basis_cartan_dirac(g):
@@ -234,7 +234,7 @@ def test_lemma_kernel_matches_the_per_basis_pairing(group, conv):
     verdicts = []
     with using(BY_NAME[conv]):
         for payload in gen(cfg):
-            (rec,) = check(cfg, payload)
+            (rec,) = check(cfg, *campaigns.decode_point(cfg, payload))
             want = per_basis_lemma_kernel(cfg, payload)
             assert (rec["passed"], rec.get("witness")) == want
             verdicts.append(rec["passed"])

@@ -1,6 +1,7 @@
 """Campaign determinism, exit codes, report format, and the eval commands."""
 
 import json
+import os
 import re
 from types import SimpleNamespace
 
@@ -103,25 +104,27 @@ def test_verify_forks_no_more_workers_than_points(monkeypatch):
             return SimpleNamespace(result=lambda: result)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cfg = dict(suite="regact", group="sl2", seed=1, jobs=64)
     assert run_suite(CampaignConfig(samples=3, **cfg)).all_passed
     assert seen == [3]
     # one point needs no pool at all
     assert run_suite(CampaignConfig(samples=1, **cfg)).all_passed
     assert seen == [3]
+    # nor more workers than the machine has cores; the report keeps jobs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen.clear()
+    report = run_suite(CampaignConfig(samples=3, **cfg))
+    assert report.all_passed and report.config["jobs"] == 64
+    assert seen == [2]
 
 
-def test_cli_env_default_group(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QPSLAB_DEFAULT_GROUP", "gl2")
+def test_cli_group_defaults_to_sl2(tmp_path, capsys):
     rpt = tmp_path / "r.json"
-    assert main(["verify", "regact", "--samples", "1", "--report", str(rpt)]) == 0
-    data = json.loads(rpt.read_text())
-    assert data["config"]["group"] == "gl2"
-    # explicit flag wins
-    assert main(["verify", "regact", "--samples", "1", "--group", "sl2",
-                 "--report", str(rpt)]) == 0
-    data = json.loads(rpt.read_text())
-    assert data["config"]["group"] == "sl2"
+    for flags, group in (([], "sl2"), (["--group", "gl2"], "gl2")):
+        assert main(["verify", "regact", "--samples", "1", "--report", str(rpt),
+                     *flags]) == 0
+        assert json.loads(rpt.read_text())["config"]["group"] == group
     capsys.readouterr()
 
 

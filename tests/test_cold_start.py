@@ -6,7 +6,6 @@ has long since imported both.
 """
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -38,9 +37,8 @@ def strip_timestamp(text: str) -> str:
 
 
 def fresh_run(argvs: list[list[str]]) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "QPSLAB_DEFAULT_GROUP"}
     code = DRIVER.format(src=str(ROOT / "src"), argvs=argvs, heavy=HEAVY)
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -52,18 +50,17 @@ def in_process(argv: list[str], capsys) -> list:
     return [code, capsys.readouterr().out]
 
 
-def test_an_exact_run_loads_no_numpy_and_no_pool(monkeypatch, capsys):
+def test_an_exact_run_loads_no_numpy_and_no_pool(capsys):
     argv = ["verify", "regact", "--samples", "1"]
     got = fresh_run([argv])
     assert got["loaded"] == []
-    monkeypatch.delenv("QPSLAB_DEFAULT_GROUP", raising=False)
     (code, out), = got["runs"]
     want_code, want_out = in_process(argv, capsys)
     assert code == want_code == 0
     assert strip_timestamp(out) == strip_timestamp(want_out)
 
 
-def test_the_float_runs_load_numpy_on_first_use(tmp_path, monkeypatch, capsys):
+def test_the_float_runs_load_numpy_on_first_use(tmp_path, capsys):
     diag = tmp_path / "diag.json"
     diag.write_text(json.dumps({
         "group": "sl2", "rows": 2, "cols": 2,
@@ -72,7 +69,6 @@ def test_the_float_runs_load_numpy_on_first_use(tmp_path, monkeypatch, capsys):
              ["eval", "fiber-enum", str(diag)]]
     got = fresh_run(argvs)
     assert "numpy" in got["loaded"]
-    monkeypatch.delenv("QPSLAB_DEFAULT_GROUP", raising=False)
     for (code, out), argv in zip(got["runs"], argvs):
         want_code, want_out = in_process(argv, capsys)
         assert code == want_code

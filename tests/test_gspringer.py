@@ -11,7 +11,7 @@ from qpslab.conventions import CORRUPTIONS, using
 from qpslab.diffcalc import PointedMap, Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
                           pushforward_linear)
-from qpslab.gspringer import (FORCED_STRATA, DoublePoint, GSPoint,
+from qpslab.gspringer import (FORCED_STRATA, GSPoint,
                               NotRegularSemisimple, QuotientChart,
                               b_action_directions, chart_action_field,
                               chart_transport, float_array, float_same_class,
@@ -46,24 +46,21 @@ def grp(ctx, rows):
 def test_phi_examples():
     e = GroupElement(SL2, Mat.identity(2))
     b = random_point(SL2, "G", RNG)
-    m1, m2 = phi(DoublePoint(e, b))
+    m1, m2 = phi(e, b)
     assert m1.m == b.m and m2.m == b.inv
-    m1, m2 = phi(DoublePoint(b, e))
+    m1, m2 = phi(b, e)
     assert m1.m == Mat.identity(2) and m2.m == Mat.identity(2)
 
 
 def test_phi_equivariance():
     rng = SplitMix64(62)
     for _ in range(5):
-        dp = sample_double(SL2, rng)
+        a, b = sample_double(SL2, rng)
         g1 = random_point(SL2, "G", rng)
         g2 = random_point(SL2, "G", rng)
-        moved = DoublePoint(
-            GroupElement(SL2, g1.m @ dp.a.m @ g2.inv, check=False),
-            GroupElement(SL2, g2.m @ dp.b.m @ g2.inv, check=False),
-        )
-        f1, f2 = phi(dp)
-        m1, m2 = phi(moved)
+        f1, f2 = phi(a, b)
+        m1, m2 = phi(GroupElement(SL2, g1.m @ a.m @ g2.inv, check=False),
+                     GroupElement(SL2, g2.m @ b.m @ g2.inv, check=False))
         assert m1.m == g1.m @ f1.m @ g1.inv
         assert m2.m == g2.m @ f2.m @ g2.inv
 
@@ -101,26 +98,26 @@ def test_omega_matrix_against_entrywise_oracle():
 def test_omega_double_skew_and_nondegenerate():
     rng = SplitMix64(64)
     for _ in range(5):
-        dp = sample_double(SL2, rng)
-        w = omega_at(SL2, dp.b, "g")
+        a, b = sample_double(SL2, rng)
+        w = omega_at(SL2, b, "g")
         assert is_skew(w)
         ko = kernel(w.transpose())
-        kphi = kernel(phi_differential(dp.a, dp.b, "g"))
+        kphi = kernel(phi_differential(a, b, "g"))
         assert intersect(ko, kphi).dim == 0
 
 
 def test_a4_invariance_compares_every_block():
     # the check pulls back omega blockwise along Ad (+) Ad; a defect in any of
     # the four d x d blocks of the reference form must be seen
-    dp = sample_double(SL2, SplitMix64(65))
-    w = omega_at(SL2, dp.b, "g")
-    assert campaigns._a4_sample(SL2, dp, w, SplitMix64(66), count=2)
+    _, b = sample_double(SL2, SplitMix64(65))
+    w = omega_at(SL2, b, "g")
+    assert campaigns._a4_sample(SL2, b, w, SplitMix64(66), count=2)
     d = SL2.dim_g
     for r0 in (0, d):
         for c0 in (0, d):
             bad = [list(r) for r in w.data]
             bad[r0][c0 + 1] = bad[r0][c0 + 1] + QQi(1)
-            assert not campaigns._a4_sample(SL2, dp, Mat(bad), SplitMix64(66), count=1)
+            assert not campaigns._a4_sample(SL2, b, Mat(bad), SplitMix64(66), count=1)
 
 
 def test_phi_differential_dual_route():
@@ -129,9 +126,9 @@ def test_phi_differential_dual_route():
     rng = SplitMix64(65)
     for name in GROUPS:
         ctx = context(name)
-        dp = sample_double(ctx, rng)
-        closed = phi_differential(dp.a, dp.b, "g")
-        dual = phi_map(ctx).differential_matrix((dp.a.m, dp.b.m))
+        a, b = sample_double(ctx, rng)
+        closed = phi_differential(a, b, "g")
+        dual = phi_map(ctx).differential_matrix((a.m, b.m))
         assert closed == dual, name
         g = random_point(ctx, "G", rng)
         b = random_point(ctx, "B", rng)
@@ -145,18 +142,18 @@ def test_phi_differential_dual_route():
 def test_moment_condition_samples():
     rng = SplitMix64(66)
 
-    def check(dp, pairs):
-        w = omega_at(SL2, dp.b, "g")
-        dphi = phi_differential(dp.a, dp.b, "g")
-        return moment_condition_check(dp, w, dphi, pairs)
+    def check(a, b, pairs):
+        w = omega_at(SL2, b, "g")
+        dphi = phi_differential(a, b, "g")
+        return moment_condition_check(a, b, w, dphi, pairs)
 
     zero = Mat.zeros(2, 2)
-    assert check(sample_double(SL2, rng), [(zero, zero)])
+    assert check(*sample_double(SL2, rng), [(zero, zero)])
     for _ in range(5):
-        dp = sample_double(SL2, rng)
+        a, b = sample_double(SL2, rng)
         xi1 = random_algebra(SL2, rng)
         xi2 = random_algebra(SL2, rng)
-        assert check(dp, [(xi1.m, xi2.m)])
+        assert check(a, b, [(xi1.m, xi2.m)])
 
 
 def test_restriction_is_lagrangian_graph():
@@ -177,9 +174,9 @@ def test_restriction_is_lagrangian_graph():
 def test_regact_dimensions():
     rng = SplitMix64(68)
     for ctx, expected in ((SL2, 1), (SL3, 3), (GL2, 1)):
-        g = random_point(ctx, "G", rng)
+        random_point(ctx, "G", rng)  # no argument; drawn to keep each b
         b = random_point(ctx, "B", rng)
-        res = regact_check(g, b)
+        res = regact_check(b)
         assert res["passed"] and res["dim"] == expected
 
 
@@ -333,6 +330,24 @@ def test_quotient_fiber_representative_independent():
     assert Subspace.from_spanning(top.vstack(bot)).equals(f2)
 
 
+def test_representative_independence_fails_under_a_wrong_transport(monkeypatch):
+    # moving the fiber by Ad_{h^-1} in place of Ad_h must be seen, so the
+    # record is not one that passes whatever the transport does
+    def verdicts(group):
+        cfg = campaigns.CampaignConfig(suite="gs-theorem1", group=group,
+                                       samples=5, seed=11)
+        return [r["passed"] for r in campaigns.run_suite(cfg).checks
+                if r["check_id"] == "gs-theorem1/representative-independent"]
+
+    assert all(all(verdicts(group)) for group in ("sl2", "gl2", "sl3", "gl3"))
+    transport = gspringer.chart_transport
+    monkeypatch.setattr(gspringer, "chart_transport",
+                        lambda c1, c2, h: transport(c1, c2, h.inverse()))
+    for group in ("sl3", "gl3"):
+        got = verdicts(group)
+        assert len(got) == 5 and not all(got), group
+
+
 def test_gspoint_equivalence():
     rng = SplitMix64(72)
     pt = sample_gspoint(SL2, rng)
@@ -426,6 +441,8 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
 
     monkeypatch.setattr(QuotientChart, "__init__",
                         counting("chart", QuotientChart.__init__))
+    monkeypatch.setattr(DiracFiber, "tangent_part",
+                        counting("tangent_part", DiracFiber.tangent_part))
     # every module that binds a derivation, so that no route around the
     # chart goes uncounted
     for name in DERIVED:
@@ -435,18 +452,19 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
                     vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, counting(name, fn))
     # gs-theorem1 needs the base point's chart and the moved one's; the moved
-    # chart derives T and W for its graph, and nothing else
-    suites = (("gs-theorem1", 2), ("gs-theorem2", 1), ("bivector", 1))
+    # chart derives T and W for its graph, and nothing else.  Only gs-theorem2
+    # reads the leaf, once for the leaf check and the leaf form together
+    suites = (("gs-theorem1", 2, 0), ("gs-theorem2", 1, 1), ("bivector", 1, 0))
     for group in ("sl2", "sl3"):
-        for suite, charts in suites:
+        for suite, charts, leaves in suites:
             cfg = campaigns.CampaignConfig(suite=suite, group=group, samples=4, seed=5)
             _, check = campaigns.SUITES[suite]
             for payload in campaigns._gen_gspoints(cfg):
                 counts.clear()
-                check(cfg, payload)
+                check(cfg, *campaigns.decode_point(cfg, payload))
                 want = Counter({name: 1 for name in DERIVED})
                 want.update({"chart": charts, "gram_ad": charts - 1,
-                             "omega_matrix": charts - 1})
+                             "omega_matrix": charts - 1, "tangent_part": leaves})
                 assert counts == want, (group, suite)
 
 
@@ -513,7 +531,7 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     cfg = campaigns.CampaignConfig(suite="gs-theorem2", group="sl2", samples=2)
     payloads = campaigns._gen_gspoints(cfg)
     for p in payloads:
-        campaigns._check_theorem2(cfg, p)
+        campaigns._check_theorem2(cfg, *campaigns.decode_point(cfg, p))
     assert seen == [SplitMix64(p["salt"]).state for p in payloads]
 
 
@@ -523,15 +541,16 @@ def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
     seen = []
     a4 = campaigns._a4_sample
 
-    def spy(ctx, dp, w, rng, count):
+    def spy(ctx, b, w, rng, count):
         seen.append(rng.state)
-        return a4(ctx, dp, w, rng, count)
+        return a4(ctx, b, w, rng, count)
 
     monkeypatch.setattr(campaigns, "_a4_sample", spy)
     cfg = campaigns.CampaignConfig(suite="double", group="sl2", samples=2)
     want = []
     for p in campaigns._gen_double_points(cfg):
-        assert all(r["passed"] for r in campaigns._check_double(cfg, p))
+        recs = campaigns._check_double(cfg, *campaigns.decode_point(cfg, p))
+        assert all(r["passed"] for r in recs)
         shadow = SplitMix64(p["salt"])
         for _ in range(2 * 3 * 2 * SL2.dim_g):
             shadow.rational(3)
@@ -630,8 +649,8 @@ def test_gl3_smoke():
     assert theorem1_check(chart)["passed"]
     res = theorem2_check(chart)
     assert res["passed"] and res["leaf_dim"] == ctx.dim_g - ctx.rank == 6
-    assert regact_check(random_point(ctx, "G", rng),
-                        random_point(ctx, "B", rng))["passed"]
+    random_point(ctx, "G", rng)  # no argument; drawn to keep b
+    assert regact_check(random_point(ctx, "B", rng))["passed"]
 
 
 def test_gspoint_json_roundtrip():

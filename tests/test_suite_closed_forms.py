@@ -13,7 +13,7 @@ import pytest
 
 from qpslab import campaigns, dirac, gspringer
 from qpslab.campaigns import (SUITE_NAMES, CampaignConfig, _a3_nondegenerate,
-                              _check_cartan_dirac, run_suite)
+                              _check_cartan_dirac, decode_point, run_suite)
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import DualMat, Space
 from qpslab.dirac import cartan_dirac, cartan_eta3, cartan_section, dorfman
@@ -39,8 +39,7 @@ def test_a3_rank_matches_the_kernel_route_on_real_points(name):
     ctx = context(name)
     rng = SplitMix64(53)
     eye = GroupElement(ctx, Mat.identity(ctx.n))
-    points = [(eye, eye)] + [(p.a, p.b) for p in
-                             (sample_double(ctx, rng) for _ in range(2))]
+    points = [(eye, eye)] + [sample_double(ctx, rng) for _ in range(2)]
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             for a, b in points:
@@ -68,7 +67,8 @@ def test_leaf_dimension_ranks_match_the_subspace_route(name):
         random_point(ctx, kind, rng) for kind in ("T", "U", "G")]
     cfg = CampaignConfig(suite="cartan-dirac", group=name)
     for g in points:
-        recs = _check_cartan_dirac(cfg, {"g": mat_to_json(g.m), "salt": 7})
+        payload = {"g": mat_to_json(g.m), "salt": 7}
+        recs = _check_cartan_dirac(cfg, *decode_point(cfg, payload))
         leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
         proj = cartan_dirac(g).tangent_part().dim
         cent = kernel(ctx.adjoint(g.m, g.inv) - Mat.identity(d)).dim
@@ -106,7 +106,8 @@ def test_leaf_dimension_fails_under_a_wrong_adjoint(name, monkeypatch):
     g = random_point(ctx, "G", SplitMix64(59))
     monkeypatch.setattr(ctx, "adjoint", lambda m, minv: Mat.identity(ctx.dim_g))
     cfg = CampaignConfig(suite="cartan-dirac", group=name)
-    recs = _check_cartan_dirac(cfg, {"g": mat_to_json(g.m), "salt": 7})
+    payload = {"g": mat_to_json(g.m), "salt": 7}
+    recs = _check_cartan_dirac(cfg, *decode_point(cfg, payload))
     leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
     assert leaf == {"check_id": "cartan-dirac/leaf-dimension", "passed": False,
                     "witness": {"proj": 0, "centralizer": ctx.rank}}
