@@ -64,9 +64,9 @@ def closure_holds(ctx, samples, rng) -> bool:
 def d_omega_matches(ctx, samples, rng) -> bool:
     for _ in range(samples):
         a, b = sample_double(ctx, rng)
-        dphi = phi_differential(a, b, "g")
+        dphi = phi_differential(a, b)
         t = gram_ad(ctx, b.m, b.inv)
-        w = omega_matrix(ctx, t, "g")
+        w = omega_matrix(ctx, t)
         if not sampled_d_identity(ctx, t, w, dphi, rng, 1):
             return False
     return True
@@ -76,9 +76,9 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
     d = ctx.dim_g
     for _ in range(samples):
         a, b = sample_double(ctx, rng)
-        w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "g")
+        w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
         fiber = graph_two_form(w)
-        dphi = phi_differential(a, b, "g")
+        dphi = phi_differential(a, b)
         pushed = pushforward_linear(fiber, dphi)
         # the product of the conjugation structures at phi(a, b): the basis
         # sections of each factor, block diagonal in tangent and covector

@@ -88,6 +88,9 @@ class CampaignConfig:
             raise UsageError("samples must be >= 1")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
+        # SplitMix64 keeps a seed's low 64 bits: outside them two seeds alias
+        if not 0 <= self.seed < 2 ** 64:
+            raise UsageError(f"seed must be in [0, 2^64), got {self.seed}")
         _check_tolerance(self.tolerance)
         if self.corrupt is not None and self.corrupt not in CORRUPTIONS:
             raise UsageError(f"unknown corruption {self.corrupt!r}")
@@ -260,8 +263,8 @@ def _check_double(cfg, ctx, pt, rng) -> list:
     recs = []
 
     t = gram_ad(ctx, b.m, b.inv)
-    w = omega_matrix(ctx, t, "g")
-    dphi = phi_differential(a, b, "g")
+    w = omega_matrix(ctx, t)
+    dphi = phi_differential(a, b)
     recs.append(_record("double/A1-moment-condition",
                         moment_condition_holds(a, b, w, dphi)))
     # A2: d(omega) = -phi^*(eta (+) eta), the salted stream's first draws
@@ -296,7 +299,7 @@ def _a4_sample(ctx, b, w, rng, count: int) -> bool:
         g2 = random_point(ctx, "G", rng)
         b2 = g2.m @ b.m @ g2.inv
         # b2^-1 = g2 b^-1 g2^-1, a product rather than a fresh inverse
-        w2 = omega_matrix(ctx, gram_ad(ctx, b2, g2.m @ b.inv @ g2.inv), "g")
+        w2 = omega_matrix(ctx, gram_ad(ctx, b2, g2.m @ b.inv @ g2.inv))
         ad2 = ctx.adjoint(g2.m, g2.inv)
         # Ad (+) Ad is block diagonal, so its pullback of w2 acts blockwise
         adt = ad2.transpose()

@@ -20,15 +20,24 @@ derivative of the printed action; the identity-fiber value
 The axiom suite (moment condition, d(omega), nondegeneracy, invariance)
 plus the forward-Dirac checks are the contract for this formula.
 
-omega depends on the point only through T = G Ad_b, so its matrix
-(:func:`omega_matrix`) and its exterior derivative (:func:`d_omega`) are
-closed block forms on the integer kernel; the derivative of T along a
-direction is a bracket, read from the structure constants.  The suites take
-d(omega) on the double and on the leaf slice G x tU from :func:`d_omega`,
-on random triples drawn by one sampler (:func:`sampled_d_identity`).
-The entrywise :func:`omega_value` (with :func:`omega_fn`) and the
-dual-number :func:`~qpslab.diffcalc.d_two_form` are kept as the independent
-oracles of both closed forms in the tests.
+The quotient's data is the double's data restricted to G x B.  Three
+matrices are built, each in one place and on the double only: the form
+(:func:`omega_matrix`), the differential of the moment map
+(:func:`phi_differential`) and the second factor's action generators
+(:func:`action_generators`).  The Borel and unipotent bases are prefixes of
+the algebra basis, so G x B and G x U are the leading coordinates of
+G x G, and every G x B or G x U quantity is a leading block of one of the
+three (:func:`leading`); no function here takes a subgroup tag.
+
+omega depends on the point only through T = G Ad_b, so its matrix and its
+exterior derivative (:func:`d_omega`) are closed block forms on the integer
+kernel; the derivative of T along a direction is a bracket, read from the
+structure constants.  The suites take d(omega) on the double and on the
+leaf slice G x tU from :func:`d_omega`, on random triples drawn by one
+sampler (:func:`sampled_d_identity`).  The entrywise :func:`omega_value`
+(with :func:`omega_fn`) and the dual-number
+:func:`~qpslab.diffcalc.d_two_form` are kept as the independent oracles of
+both closed forms in the tests.
 
 Quotient computations work in per-point charts: the vertical space of the
 B-action h.(g,b) = (g h^-1, h b h^-1) is complemented by a deterministic
@@ -36,23 +45,22 @@ greedy choice of coordinate directions, and representative independence is
 itself one of the verified claims, never an assumption: a chart's fiber,
 moved by :func:`chart_transport` to the chart of another representative,
 must be the fiber built there (:func:`representative_independent`).  The
-vertical space has a canonical basis in closed form
-(:func:`b_action_directions`), and by matroid duality its greedy complement
-is the complement of its lexicographically last row basis (Oxley, *Matroid
+vertical space is a leading block of the action generators, already its
+canonical basis, and by matroid duality its greedy complement is the
+complement of its lexicographically last row basis (Oxley, *Matroid
 Theory*, the greedy algorithm and duality), so one small elimination builds
 a chart (:class:`QuotientChart`).
 
 The chart is also the one place where a quotient point's closed-form data
-is derived.  It keeps T and the G x B matrix W that its graph is built from,
-and it derives mu, the G x B differential of phi, d(mu) and the leaf
-directions (the fiber's tangent part) on first use, each at most once: the
-moved chart of :func:`representative_independent` derives none of them.
-The checks read all six from the chart; the leaf
-d-identity takes its G x U form and its slice d(mu) as leading blocks of
-the chart's W and phi differential.  The conjugation sections at mu are
-not kept on the chart, because they read the active conventions at the
-moment they are built; each check builds them once and passes the same set
-to :func:`~qpslab.dirac.cartan_dirac` and to :func:`induced_action`.
+is derived.  It keeps T and the G x B block W of the form that its graph is
+built from, and it derives mu, the G x B block of the phi differential,
+d(mu) and the leaf directions (the fiber's tangent part) on first use, each
+at most once: the moved chart of :func:`representative_independent` derives
+none of them.  The checks read all six from the chart.  The conjugation
+sections at mu are not kept on the chart, because they read the active
+conventions at the moment they are built; each check builds them once and
+passes the same set to :func:`~qpslab.dirac.cartan_dirac` and to
+:func:`induced_action`.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from .liegroup import (AlgebraElement, GroupContext, GroupElement, chevalley,
                        read_element, sigma, sigma_average, torus_part, _mul_frac)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, rank, rref,
                      solve_columns)
-from .matio import entry_pairs, mat_to_json
+from .matio import _exact_part, entry_pairs, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
 
@@ -157,33 +165,48 @@ def phi_map(ctx: GroupContext) -> PointedMap:
     return PointedMap("phi", sp, sp, fn)
 
 
-def phi_differential(a: GroupElement, b: GroupElement, part: str) -> Mat:
-    """Closed-form differential of (a, b) -> (a b a^-1, b^-1).
+def phi_differential(a: GroupElement, b: GroupElement) -> Mat:
+    """Closed-form differential of the moment map (a, b) -> (a b a^-1, b^-1).
 
-    ``part`` is the second factor's tag: "g" on the double, "b" on G x B.
-    (x, y) -> (Ad_a (Ad_{b^-1} x + y - x), -Ad_b y), so with k the size of
-    the second factor the matrix is
-
-        [[Ad_a (Ad_{b^-1} - I), Ad_a|k], [0, -Ad_b|k x k]],
-
-    where Ad_a Ad_{b^-1} = Ad_{a b^-1} and |k keeps the first k columns (and
-    rows).  The per-basis columns coords(a (b^-1 x b - x) a^-1) and
-    (coords(a y a^-1), -coords(b y b^-1)) are its oracle in the tests, as is
-    the dual-number route in diffcalc.  On the double it is the differential
-    of the moment map.  On G x B coordinates it is the leading principal
-    block of the double's matrix, since the Borel basis is a prefix of the
-    algebra basis; its first dim G rows are d(mu . q).  The inverses are the
+    Double only, blocks by :func:`leading`.  (x, y) -> (Ad_a (Ad_{b^-1} x +
+    y - x), -Ad_b y), so the matrix is [[Ad_a (Ad_{b^-1} - I), Ad_a],
+    [0, -Ad_b]], where Ad_a Ad_{b^-1} = Ad_{a b^-1}.  With b in B the same
+    map on G x B is its leading block at dim G + dim B, whose first dim G
+    rows are d(mu . q).  The per-basis columns coords(a (b^-1 x b - x) a^-1)
+    and (coords(a y a^-1), -coords(b y b^-1)) are its oracle in the tests,
+    as is the dual-number route in diffcalc.  The inverses are the
     elements' cached ones.
     """
-    if part not in ("g", "b"):
-        raise ValueError("phi differential lives on G x G or G x B coordinates")
     ctx = a.ctx
-    d = ctx.dim_g
-    k = ctx.part_dim(part)
     ad_a = ctx.adjoint(a.m, a.inv)
-    top = (ctx.adjoint(a.m @ b.inv, b.m @ a.inv) - ad_a).hstack(ad_a.col_block(0, k))
-    ad_b = ctx.adjoint(b.m, b.inv).row_block(0, k).col_block(0, k)
-    return top.vstack(Mat.zeros(k, d).hstack(-ad_b))
+    top = (ctx.adjoint(a.m @ b.inv, b.m @ a.inv) - ad_a).hstack(ad_a)
+    return top.vstack(Mat.zeros(ctx.dim_g, ctx.dim_g).hstack(-ctx.adjoint(b.m, b.inv)))
+
+
+def action_generators(b: GroupElement) -> Mat:
+    """The second factor's action generators at (a, b): [I; I - Ad_{b^-1}].
+
+    Column k is :func:`rho_double` of (0, e_k), the negated derivative of
+    the action of e_k; it does not depend on a.  The B-action on G x B
+    generates its leading dim G + dim B rows and first dim B columns, the
+    U-action the first dim U of those.  Transposed, each such block is
+    already in reduced row echelon form (row r is zero in the first factor
+    but for a 1 at r), so it is the canonical basis of its span, with no
+    elimination.
+    """
+    ctx = b.ctx
+    eye = Mat.identity(ctx.dim_g)
+    return eye.vstack(eye - ctx.adjoint(b.inv, b.m))
+
+
+def leading(m: Mat, k: int, cols: int | None = None) -> Mat:
+    """The leading k x k block of ``m``, or k x ``cols``.
+
+    The Borel and unipotent bases are prefixes of the algebra basis, so a
+    leading block of a matrix on the double is its restriction to G x B or
+    G x U.
+    """
+    return m.row_block(0, k).col_block(0, k if cols is None else cols)
 
 
 def rho_double(a: GroupElement, b: GroupElement, xi1: Mat, xi2: Mat) -> list:
@@ -241,26 +264,20 @@ def gram_ad(ctx: GroupContext, bmat: Mat, binv: Mat) -> Mat:
     return ctx.gram @ ctx.adjoint(bmat, binv)
 
 
-def omega_matrix(ctx: GroupContext, t: Mat, part: str) -> Mat:
-    """Matrix of omega on the tangent basis of G x ``part``.
+def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
+    """Matrix of omega on the tangent basis of the double.
 
-    Uses the closed block form W = -s/2 [[T' - T, T + G], [-(T' + G), 0]]
-    with T = G Ad_b on algebra coordinates (:func:`gram_ad`) and G the
-    form's Gram matrix: omega depends on the point (a, b) only through T.
-    The entrywise evaluator :func:`omega_value` is the independent oracle
-    for this in the tests.  ``part`` is the second factor's tag: "g" for
-    the double, "b" and "u" for its G x B and G x U coordinate restrictions
-    (leading principal submatrices, since the Borel and unipotent bases are
-    prefixes of the algebra basis).
+    Double only, blocks by :func:`leading`: its G x B and G x U matrices
+    are leading blocks.  Uses the closed block form
+    W = -s/2 [[T' - T, T + G], [-(T' + G), 0]] with T = G Ad_b on algebra
+    coordinates (:func:`gram_ad`) and G the form's Gram matrix: omega
+    depends on the point (a, b) only through T.  The entrywise evaluator
+    :func:`omega_value` is the independent oracle for this in the tests.
     """
-    if part not in ("g", "b", "u"):
-        raise ValueError("omega matrix lives on G x G, G x B or G x U coordinates")
     gram = ctx.gram
     tt = t.transpose()
-    k = ctx.part_dim(part)
-    w12 = (t + gram).col_block(0, k)
-    w21 = (-(tt + gram)).row_block(0, k)
-    w = (tt - t).hstack(w12).vstack(w21.hstack(Mat.zeros(k, k)))
+    w = (tt - t).hstack(t + gram).vstack(
+        (-(tt + gram)).hstack(Mat.zeros(ctx.dim_g, ctx.dim_g)))
     return w.scale(Fraction(-ACTIVE.get().omega_sign, 2))
 
 
@@ -355,7 +372,8 @@ def moment_condition_holds(a: GroupElement, b: GroupElement, w: Mat, dphi: Mat) 
 
         R = [[-Ad_{a^-1}, I], [0, I - Ad_{b^-1}]]
 
-    (:func:`rho_double`), and its sigma covector at phi(a, b) = (g1, b^-1) has
+    (:func:`rho_double`; its second block column is
+    :func:`action_generators`), and its sigma covector at phi(a, b) = (g1, b^-1) has
     functional coordinates diag(G sigma(I, Ad_{g1^-1}), G sigma(I, Ad_b)),
     the A blocks of :func:`~qpslab.liegroup.conjugation_sections` at g1 and
     at b^-1.  So A1 on the basis of g (+) g is
@@ -366,10 +384,8 @@ def moment_condition_holds(a: GroupElement, b: GroupElement, w: Mat, dphi: Mat) 
     in the tests.
     """
     ctx = a.ctx
-    d = ctx.dim_g
-    eye, zero = Mat.identity(d), Mat.zeros(d, d)
-    r = (-ctx.adjoint(a.inv, a.m)).hstack(eye).vstack(
-        zero.hstack(eye - ctx.adjoint(b.inv, b.m)))
+    zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
+    r = (-ctx.adjoint(a.inv, a.m)).vstack(zero).hstack(action_generators(b))
     # g1 = a b a^-1, so g1^-1 = a b^-1 a^-1
     s1 = conjugation_sections(ctx, a.m @ b.m @ a.inv, a.m @ b.inv @ a.inv)[2]
     s2 = conjugation_sections(ctx, b.inv, b.m)[2]
@@ -404,27 +420,6 @@ def moment_condition_check(a: GroupElement, b: GroupElement, w: Mat,
 # the quotient chart
 
 
-def b_action_directions(b: GroupElement, part: str) -> Subspace:
-    """Span of the B-action generators at (g, b) of the basis of ``part``.
-
-    The generator of xi is (-xi, Ad_{b^-1} xi - xi) in G x B coordinates; it
-    does not depend on g.  So the span is that of the columns of ``part`` in
-    [-I; (Ad_{b^-1} - I)|b], |b keeping the Borel rows.  Negated, those
-    columns are [E; (I - Ad_{b^-1})|b] with E the unit columns of ``part``,
-    and their transpose is already in reduced row echelon form: in its
-    algebra factor, row r is zero but for a 1 at the r-th index of
-    ``part``, a range.  So that is the canonical basis, with no elimination.
-    ``part`` is "b" (the vertical space) or "u".  The per-basis generators
-    are the oracle for this in the tests.
-    """
-    ctx = b.ctx
-    idx = ctx.sub_indices(part)
-    eye = Mat.identity(ctx.dim_g)
-    moved = (eye - ctx.adjoint(b.inv, b.m)).row_block(0, ctx.dim_b)
-    basis = eye.vstack(moved).col_block(idx.start, idx.stop)
-    return Subspace(ctx.dim_g + ctx.dim_b, basis, canonical=True)
-
-
 class QuotientChart:
     """Pointwise chart on G x_B B: a complement to the vertical space.
 
@@ -441,10 +436,11 @@ class QuotientChart:
     ``proj`` maps upstairs tangent coordinates to chart coordinates, ``inc``
     embeds the chart back; quotient covectors are the functionals that factor
     through ``proj`` (the annihilator of the vertical space).  ``vertical``
-    is the vertical space, the B-action directions of "b".
+    is the vertical space, spanned by the B-action generators (a leading
+    block of :func:`action_generators`).
 
-    ``t`` is T = G Ad_b (:func:`gram_ad`) and ``w`` omega's G x B matrix
-    (:func:`omega_matrix`) at the representative; ``graph`` is the graph of
+    ``t`` is T = G Ad_b (:func:`gram_ad`) and ``w`` the G x B block of
+    :func:`omega_matrix` at the representative; ``graph`` is the graph of
     ``w`` upstairs and ``fiber`` its pushforward to the chart, all under the
     conventions active when the chart was built.  ``mu``, ``dphi``, ``dmu``
     and ``leaf`` read no convention; each is derived when first read, and
@@ -456,7 +452,8 @@ class QuotientChart:
         self.point = point
         amb = self.ambient = ctx.dim_g + ctx.dim_b
         h = self.hdim = ctx.dim_g
-        v = self.vertical = b_action_directions(point.b, "b")
+        v = self.vertical = Subspace(
+            amb, leading(action_generators(point.b), amb, ctx.dim_b), canonical=True)
         # pivot p of the reversed rref is the coordinate amb - 1 - p
         red, pivots = rref(v.basis.transpose().select_cols(range(amb - 1, -1, -1)))
         last = [amb - 1 - p for p in pivots]
@@ -470,7 +467,7 @@ class QuotientChart:
         self.proj = Mat.identity(h).hstack(-rs.transpose()).select_cols(
             sorted(range(amb), key=order.__getitem__))
         self.t = gram_ad(ctx, point.b.m, point.b.inv)
-        self.w = omega_matrix(ctx, self.t, "b")
+        self.w = leading(omega_matrix(ctx, self.t), amb)
         self.graph = graph_two_form(self.w)
         self.fiber = quotient_fiber(self)
 
@@ -485,8 +482,8 @@ class QuotientChart:
 
     @cached_property
     def dphi(self) -> Mat:
-        """The G x B :func:`phi_differential` at the representative."""
-        return phi_differential(self.point.g, self.point.b, "b")
+        """The G x B block of :func:`phi_differential` at the representative."""
+        return leading(phi_differential(self.point.g, self.point.b), self.ambient)
 
     @cached_property
     def dmu(self) -> Mat:
@@ -511,20 +508,6 @@ def mu(p: GSPoint) -> GroupElement:
 def lam(p: GSPoint) -> GroupElement:
     """The torus component of the fiber coordinate (constant on classes)."""
     return torus_part(p.b)
-
-
-def lam_differential_upstairs(ctx: GroupContext) -> Mat:
-    """d(lambda . q) on T(G x B), valued in torus coordinates.
-
-    lambda . q takes (g, b) to the diagonal of b.  Along b (I + s y), with y
-    in the Borel algebra, diag(b y) = diag(b) diag(y) since b and y are
-    upper triangular, so the left-trivialized derivative is diag(y): the
-    torus coordinates of y, whatever b is.  The matrix is the constant
-    selection [0 | 0_u | I_t] of the second factor's torus coordinates; the
-    per-basis route is its oracle in the tests.
-    """
-    t = ctx.dim_t
-    return Mat.zeros(t, ctx.dim_g + ctx.dim_u).hstack(Mat.identity(t))
 
 
 def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
@@ -561,13 +544,12 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
     The action diffeomorphism has differential Ad_h (+) Ad_h upstairs and
     descends to the identity on the quotient tangent space, so the matrix is
     proj2 diag(Ad_h, Ad_h|b x b) inc1: h is in B, so Ad_h keeps the Borel
-    coordinates among themselves.
+    coordinates among themselves, and Ad_h|b x b is its leading block.
     """
     ctx = chart1.ctx
     d, db = ctx.dim_g, ctx.dim_b
     ad = ctx.adjoint(h.m, h.inv)
-    move = ad.hstack(Mat.zeros(d, db)).vstack(
-        Mat.zeros(db, d).hstack(ad.row_block(0, db).col_block(0, db)))
+    move = ad.hstack(Mat.zeros(d, db)).vstack(Mat.zeros(db, d).hstack(leading(ad, db)))
     return chart2.proj @ move @ chart1.inc
 
 
@@ -593,13 +575,15 @@ def regact_check(b: GroupElement) -> dict:
 
     Passes when the intersection is exactly the unipotent directions, so its
     dimension is dim U at every point (the regularity making the quotient a
-    bundle).  Neither side depends on g, so only b is taken.
+    bundle).  Neither side depends on g, so only b is taken.  Both are read
+    as the chart reads them, and the U directions are the first dim U.
     """
     ctx = b.ctx
-    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "b")
-    flat_kernel = kernel(w.transpose())
-    inter = intersect(b_action_directions(b, "b"), flat_kernel)
-    expected = b_action_directions(b, "u")
+    k = ctx.dim_g + ctx.dim_b
+    w = leading(omega_matrix(ctx, gram_ad(ctx, b.m, b.inv)), k)
+    gens = leading(action_generators(b), k, ctx.dim_b)
+    inter = intersect(Subspace(k, gens, canonical=True), kernel(w.transpose()))
+    expected = Subspace(k, gens.col_block(0, ctx.dim_u), canonical=True)
     ok = inter.dim == ctx.dim_u and inter.equals(expected)
     return {"dim": inter.dim, "expected_dim": ctx.dim_u, "passed": ok}
 
@@ -678,10 +662,9 @@ def _column_outside(a: DiracFiber, b: DiracFiber, names: tuple[str, str]) -> dic
 
 
 def leaf_expected(chart: QuotientChart) -> Subspace:
-    """q_* of the coordinate subspace tangent to G x tU."""
+    """q_* of the tangent space of G x tU, the first dim G + dim U coordinates."""
     ctx = chart.ctx
-    upstairs = list(range(ctx.dim_g)) + [ctx.dim_g + k for k in ctx.sub_indices("u")]
-    return Subspace.from_vectors([chart.proj.col(k) for k in upstairs], chart.hdim)
+    return Subspace.from_spanning(chart.proj.col_block(0, ctx.dim_g + ctx.dim_u))
 
 
 def theorem2_check(chart: QuotientChart) -> dict:
@@ -694,7 +677,10 @@ def theorem2_check(chart: QuotientChart) -> dict:
         "expected_dim": ctx.dim_g - ctx.rank,
         "projection_matches": proj.equals(expected),
     }
-    dlam = lam_differential_upstairs(ctx) @ chart.inc
+    # lambda . q takes (g, b) to diag(b), and diag(b y) = diag(b) diag(y) for
+    # b, y upper triangular: d(lambda . q) selects the second factor's torus
+    # coordinates, so on the chart it is the torus rows of inc
+    dlam = chart.inc.row_block(ctx.dim_g + ctx.dim_u, chart.ambient)
     killed = all(
         all(not c for c in mat_vec(dlam, proj.basis.col(j)))
         for j in range(proj.dim)
@@ -728,7 +714,7 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
       There the leaf form is the pullback of omega, whose matrix is the
       G x U block of the chart's ``w``: the slice curve u (I + s y) is the
       curve b (I + s y).  d(mu) on the slice, (g, u) -> g t u g^-1, is the
-      first dim G rows and dim G + dim U columns of the chart's ``dphi``.
+      leading dim G x (dim G + dim U) block of the chart's ``dphi``.
     """
     ctx = chart.ctx
     fib = chart.fiber
@@ -749,10 +735,9 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     checks["moment_identity"] = consistent and (
         form.transpose() @ coeffs == leaf.basis.transpose() @ duals)
 
-    d, k = ctx.dim_g, ctx.dim_g + ctx.dim_u
+    k = ctx.dim_g + ctx.dim_u
     checks["d_identity"] = sampled_d_identity(
-        ctx, chart.t, chart.w.row_block(0, k).col_block(0, k),
-        chart.dphi.row_block(0, d).col_block(0, k), rng, 2)
+        ctx, chart.t, leading(chart.w, k), leading(chart.dphi, ctx.dim_g, k), rng, 2)
     checks["passed"] = all(checks.values())
     return form, leaf, checks
 
@@ -833,8 +818,8 @@ def float_element_from_json(obj: dict) -> tuple[GroupContext, np.ndarray]:
     """The group and the complex128 matrix of a group element object.
 
     Entries are fraction strings or plain numbers.  The matrix must be n x n
-    for the group and not numerically singular, and on SL its determinant
-    must be 1 within 1e-6.
+    for the group, finite and not numerically singular, and on SL its
+    determinant must be 1 within 1e-6.
     """
     import numpy as np
 
@@ -844,6 +829,8 @@ def float_element_from_json(obj: dict) -> tuple[GroupContext, np.ndarray]:
         raise ValueError(f"matrix size does not match group {ctx.name}")
     g = np.array([complex(_float_part(re), _float_part(im)) for re, im in pairs],
                  dtype=complex).reshape(rows, cols)
+    if not np.isfinite(g).all():
+        raise ValueError("group element entries must be finite")
     d = np.linalg.det(g)
     if abs(d) < 1e-12:
         raise ValueError("group element numerically singular")
@@ -853,11 +840,8 @@ def float_element_from_json(obj: dict) -> tuple[GroupContext, np.ndarray]:
 
 
 def _float_part(v) -> float:
-    if isinstance(v, str):
-        return float(Fraction(v))
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise ValueError(f"bad scalar entry {v!r}")
+    """A part of an :func:`~qpslab.matio.entry_pairs` entry, as a float."""
+    return float(_exact_part(v)) if isinstance(v, str) else float(v)
 
 
 def weyl_fiber_enum(ctx: GroupContext, g: np.ndarray,

@@ -409,6 +409,8 @@ def group_of_json(obj: dict) -> GroupContext:
         name = obj["group"]
     except (KeyError, TypeError):
         raise ValueError("group element JSON needs a 'group' tag") from None
+    if not isinstance(name, str):
+        raise ValueError(f"group tag must be a string, got {name!r}")
     return context(name)
 
 

@@ -5,10 +5,11 @@ Matrix format::
     {"rows": n, "cols": m, "entries": [["p/q", "r/s"], ...]}
 
 Entries are row-major ``[real, imaginary]`` pairs of exact fraction strings
-or integers; a bare integer means a real entry.  Any other number
-is an input error: every matrix read here is exact.  The float reader of
-the Weyl-fiber enumeration, which also takes plain numbers, shares
-:func:`entry_pairs` (see :mod:`qpslab.gspringer`).  Group elements add a
+or integers; a bare integer means a real entry.  Any other number, a
+boolean, a zero denominator or a bad size is an input error (ValueError):
+every matrix read here is exact.  The float reader of the Weyl-fiber
+enumeration, which also takes plain numbers, shares :func:`entry_pairs` and
+the fraction parser (see :mod:`qpslab.gspringer`).  Group elements add a
 ``"group"`` tag such as ``"sl2"``.
 """
 
@@ -25,16 +26,20 @@ def scalar_to_json(x: QQi) -> list:
 
 
 def _exact_part(v) -> Fraction:
-    if isinstance(v, (str, int)):
+    if not isinstance(v, (str, int)):
+        raise ValueError(f"exact backend needs fraction strings, got {v!r}")
+    try:
         return Fraction(v)
-    raise ValueError(f"exact backend needs fraction strings, got {v!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in entry {v!r}") from None
 
 
 def _pair(v) -> tuple:
-    if isinstance(v, (int, float)):
-        return (v, 0)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return tuple(v)
+    # exact types: JSON's true and false would pass isinstance(v, int)
+    pair = (v, 0) if type(v) in (int, float) else v
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+            type(x) in (str, int, float) for x in pair):
+        return tuple(pair)
     raise ValueError(f"bad scalar entry {v!r}")
 
 
@@ -45,8 +50,10 @@ def entry_pairs(obj: dict) -> tuple[int, int, list]:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed matrix JSON: {e}") from None
-    if len(entries) != rows * cols:
-        raise ValueError("entry count must be rows*cols")
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise ValueError(f"bad matrix size {rows!r} x {cols!r}")
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        raise ValueError("entries must be a list of rows*cols entries")
     return rows, cols, [_pair(v) for v in entries]
 
 

@@ -4,8 +4,9 @@ per-basis route it replaced.
 * :meth:`GroupContext.adjoint` against ``coords(m e_k m^-1)`` for every basis
   element, on every group, for Ad_m and Ad_{m^-1}, and on non-real sl2
   elements (the :class:`QQi` path).
-* ``phi_differential``, ``cartan_dirac``, ``b_action_directions`` and
-  ``chart_transport`` against their per-basis columns, written out here.
+* ``phi_differential``, ``cartan_dirac``, ``action_generators`` and
+  ``chart_transport`` against their per-basis columns, written out here;
+  on G x B and G x U, the leading blocks of the double's matrices.
 * The batched A1 check, ``moment_condition_holds``, against the per-generator
   ``moment_condition_check``, under the frozen conventions and each
   corruption, and on a perturbed omega matrix.
@@ -18,9 +19,9 @@ import pytest
 from qpslab import campaigns
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.dirac import DiracFiber, cartan_dirac
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart, b_action_directions,
+from qpslab.gspringer import (FORCED_STRATA, QuotientChart, action_generators,
                               chart_transport, gram_ad,
-                              gspoint_stream, moment_condition_check,
+                              gspoint_stream, leading, moment_condition_check,
                               moment_condition_holds, omega_matrix,
                               phi_differential, sample_double, sample_gspoint)
 from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, conj_field,
@@ -89,13 +90,14 @@ def test_phi_differential_matches_the_per_basis_columns(group):
     for part, kind in (("g", "G"), ("b", "B")):
         a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
         want = per_basis_phi_differential(ctx, a.m, b.m, part)
-        assert phi_differential(a, b, part) == want, part
+        got = leading(phi_differential(a, b), ctx.dim_g + ctx.part_dim(part))
+        assert got == want, part
 
 
 def _a1_both_routes(ctx, a, b, w=None):
     if w is None:
-        w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "g")
-    dphi = phi_differential(a, b, "g")
+        w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+    dphi = phi_differential(a, b)
     zero = Mat.zeros(ctx.n, ctx.n)
     generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
     return (moment_condition_holds(a, b, w, dphi),
@@ -121,7 +123,7 @@ def test_batched_a1_gives_the_per_generator_verdict(group, conv):
 def test_batched_a1_sees_a_defect_in_every_block_of_omega(group):
     ctx = context(group)
     a, b = sample_double(ctx, SplitMix64(204))
-    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "g")
+    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
     assert _a1_both_routes(ctx, a, b, w) == (True, True)
     d = ctx.dim_g
     for r0 in (0, d):
@@ -173,9 +175,11 @@ def test_b_action_directions_span_the_per_basis_generators(group):
     stream = gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1)
     points = [(kind, random_point(ctx, kind, rng)) for kind in ("B", "T", "U")]
     points += [(f"stream {i}", pt.b) for i, pt in enumerate(stream)]
+    amb = ctx.dim_g + ctx.dim_b
     for kind, b in points:
         for part in ("b", "u"):
-            got = b_action_directions(b, part)
+            block = leading(action_generators(b), amb, ctx.part_dim(part))
+            got = Subspace(amb, block, canonical=True)
             want = per_basis_b_action_directions(b, part)
             assert got.dim == ctx.part_dim(part)
             assert got.equals(want), (kind, part)

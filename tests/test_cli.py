@@ -68,6 +68,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+def test_cli_verify_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # SplitMix64 keeps a seed's low 64 bits, so -1 would verify the points of
+    # 2^64 - 1 under a different report config
+    assert main(["verify", "pairing", "--samples", "1", "--seed", str(seed)]) == 2
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+    rpt = tmp_path / "r.json"
+    assert main(["verify", "pairing", "--samples", "1", "--seed", str(2 ** 64 - 1),
+                 "--report", str(rpt)]) == 0
+
+
 def test_cli_verify_rejects_an_unwritable_report_before_the_run(tmp_path, capsys,
                                                                monkeypatch):
     import qpslab.cli as cli
@@ -190,6 +201,39 @@ def test_cli_eval_rejects_a_matrix_of_the_wrong_size(tmp_path, capsys, kind, pay
     path.write_text(json.dumps(payload))
     assert main(["eval", kind, str(path)]) == 2
     assert "matrix size does not match group sl2" in capsys.readouterr().err
+
+
+ONE2_DIV0 = {"rows": 2, "cols": 2, "entries": [["1/0", "0"], 0, 0, 1]}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("kappa", dict(ONE2_DIV0, group="sl2")),
+    ("kappa", dict(ONE2, group="sl2", entries=[[True, "0"], 0, 0, 1])),
+    ("kappa", dict(ONE2, group="gl2", entries=[True, 0, 0, 1])),
+    ("kappa", dict(ONE2, group="sl2", rows=2.0)),
+    ("kappa", dict(ONE2, group="sl2", entries=5)),
+    ("kappa", dict(ONE2, group=["sl2"])),
+    ("steinberg", {"group": "sl2", "g": ONE2_DIV0, "t": ONE2}),
+    ("leaf-form", {"group": "sl2", "g": ONE2_DIV0, "b": ONE2}),
+    ("fiber-enum", dict(ONE2_DIV0, group="sl2")),
+    ("fiber-enum", dict(ONE2, group="gl2", entries=[[True, 0], 0, 0, 2])),
+    ("fiber-enum", dict(ONE2, group="gl2", entries=[float("nan"), 0, 0, 2])),
+    ("fiber-enum", dict(ONE2, group="gl2", entries=[[0, float("inf")], 0, 0, 2])),
+], ids=["kappa-zero-denominator", "kappa-boolean-part", "kappa-bare-boolean",
+        "kappa-float-rows", "kappa-entries-not-a-list", "kappa-group-not-a-string",
+        "steinberg-zero-denominator", "leaf-form-zero-denominator",
+        "fiber-enum-zero-denominator", "fiber-enum-boolean-part",
+        "fiber-enum-nan", "fiber-enum-infinite-part"])
+@pytest.mark.filterwarnings("error")
+def test_cli_eval_rejects_malformed_json_with_one_line(tmp_path, capsys, kind, payload):
+    # exit 2 with a one-line message: no traceback, no warning printed before
+    # it, and no boolean read as 1
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main(["eval", kind, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 def test_eval_fiber_enum():

@@ -13,10 +13,10 @@ from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
                           pushforward_linear)
 from qpslab.gspringer import (FORCED_STRATA, GSPoint,
                               NotRegularSemisimple, QuotientChart,
-                              b_action_directions, chart_action_field,
+                              chart_action_field,
                               chart_transport, float_array, float_same_class,
                               gram_ad, gspoint_stream, induced_action, lam,
-                              lam_differential_upstairs, leaf_expected,
+                              leading, leaf_expected,
                               leaf_two_form, moment_condition_check,
                               mu, mu_residual, omega_matrix,
                               omega_value, phi, phi_differential, phi_map,
@@ -76,8 +76,9 @@ def test_omega_identity_fiber_anchor():
 
 
 def omega_at(ctx, b, part):
-    """omega's matrix at b on G x ``part``."""
-    return omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), part)
+    """omega's matrix at b on G x ``part``: a leading block of the double's."""
+    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+    return leading(w, ctx.dim_g + ctx.part_dim(part))
 
 
 def test_omega_matrix_against_entrywise_oracle():
@@ -102,7 +103,7 @@ def test_omega_double_skew_and_nondegenerate():
         w = omega_at(SL2, b, "g")
         assert is_skew(w)
         ko = kernel(w.transpose())
-        kphi = kernel(phi_differential(a, b, "g"))
+        kphi = kernel(phi_differential(a, b))
         assert intersect(ko, kphi).dim == 0
 
 
@@ -127,7 +128,7 @@ def test_phi_differential_dual_route():
     for name in GROUPS:
         ctx = context(name)
         a, b = sample_double(ctx, rng)
-        closed = phi_differential(a, b, "g")
+        closed = phi_differential(a, b)
         dual = phi_map(ctx).differential_matrix((a.m, b.m))
         assert closed == dual, name
         g = random_point(ctx, "G", rng)
@@ -135,7 +136,7 @@ def test_phi_differential_dual_route():
         gxb = Space(ctx, ("g", "b"))
         restricted = PointedMap("phi-gxb", gxb, gxb,
                                 lambda q: (q[0] @ q[1] @ q[0].inverse(), q[1].inverse()))
-        closed = phi_differential(g, b, "b")
+        closed = leading(phi_differential(g, b), gxb.dim)
         assert closed == restricted.differential_matrix((g.m, b.m)), name
 
 
@@ -144,7 +145,7 @@ def test_moment_condition_samples():
 
     def check(a, b, pairs):
         w = omega_at(SL2, b, "g")
-        dphi = phi_differential(a, b, "g")
+        dphi = phi_differential(a, b)
         return moment_condition_check(a, b, w, dphi, pairs)
 
     zero = Mat.zeros(2, 2)
@@ -183,7 +184,7 @@ def test_regact_dimensions():
 def test_vertical_space_is_action_tangent():
     rng = SplitMix64(69)
     pt = sample_gspoint(SL2, rng)
-    v = b_action_directions(pt.b, "b")
+    v = QuotientChart(pt).vertical
     assert v.dim == SL2.dim_b
     # rho(0, xi) for xi in the Borel basis lies in the vertical space
     for k in SL2.sub_indices("b"):
@@ -282,10 +283,12 @@ def per_basis_lam_differential(ctx, bmat):
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_lam_differential_matches_the_per_basis_route(group):
+    # on the chart, d(lambda . q) is the torus rows of inc
     ctx = context(group)
-    got = lam_differential_upstairs(ctx)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
-        assert got == per_basis_lam_differential(ctx, pt.b.m)
+        chart = QuotientChart(pt)
+        got = chart.inc.row_block(ctx.dim_g + ctx.dim_u, chart.ambient)
+        assert got == per_basis_lam_differential(ctx, pt.b.m) @ chart.inc
 
 
 # a point with non-real entries, which only JSON input produces: its chart
@@ -346,6 +349,12 @@ def test_representative_independence_fails_under_a_wrong_transport(monkeypatch):
     for group in ("sl3", "gl3"):
         got = verdicts(group)
         assert len(got) == 5 and not all(got), group
+    # on the rank-1 groups only the forced springer and nonregular points see
+    # the wrong transport, so the record there must fail at both
+    forced = [FORCED_STRATA.index(s) for s in ("springer", "nonregular")]
+    for group in ("sl2", "gl2"):
+        got = verdicts(group)
+        assert len(got) == 5 and not any(got[i] for i in forced), group
 
 
 def test_gspoint_equivalence():
@@ -635,7 +644,7 @@ def test_lambda_kills_leaf_directions():
     pt = sample_gspoint(SL3, rng)
     chart = QuotientChart(pt)
     leaf = leaf_expected(chart)
-    dl = lam_differential_upstairs(SL3) @ chart.inc
+    dl = chart.inc.row_block(SL3.dim_g + SL3.dim_u, chart.ambient)
     for j in range(leaf.dim):
         assert all(not c for c in mat_vec(dl, leaf.basis.col(j)))
 

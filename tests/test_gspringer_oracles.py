@@ -18,9 +18,9 @@ from qpslab import campaigns, gspringer
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space, d_two_form
 from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
-                              chart_action_field, d_omega, gram_ad, gspoint_stream, leaf_two_form,
-                              mu, omega_fn, omega_matrix, phi_differential,
-                              reconstruct_bivector, theorem1_check)
+                              chart_action_field, d_omega, gram_ad, gspoint_stream,
+                              leading, leaf_two_form, mu, omega_fn, omega_matrix,
+                              phi_differential, reconstruct_bivector, theorem1_check)
 from qpslab.liegroup import (GROUPS, AlgebraElement, Covector, borel_decompose,
                              context, random_point, sigma, sigma_adjoint)
 from qpslab.linalg import Mat, dot, mat_vec, solve_unique
@@ -45,7 +45,7 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
         for space, kind in _spaces(ctx):
             a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
             t = gram_ad(ctx, b.m, b.inv)
-            w = omega_matrix(ctx, t, space.parts[1])
+            w = leading(omega_matrix(ctx, t), space.dim)
             for _ in range(2):
                 dirs = [[QQi(rng.rational(3)) for _ in range(space.dim)]
                         for _ in range(3)]
@@ -60,8 +60,9 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
     k = ctx.dim_g + ctx.dim_u
     t = gram_ad(ctx, b.m, b.inv)
-    gxu = omega_matrix(ctx, t, "u")
-    gxb = omega_matrix(ctx, t, "b")
+    w = omega_matrix(ctx, t)
+    gxu = leading(w, k)
+    gxb = leading(w, ctx.dim_g + ctx.dim_b)
     assert gxu == gxb.row_block(0, k).col_block(0, k)
     # and the leaf d-identity's block of a chart's w is this G x U matrix
     chart = QuotientChart(GSPoint(g, b))
@@ -84,7 +85,7 @@ def test_slice_block_of_phi_differential_is_d_mu_on_the_slice(group):
 
     slice_space = Space(ctx, ("g", "u"))
     dual = PointedMap("mu-on-slice", slice_space, Space(ctx, ("g",)), conj_map)
-    block = phi_differential(g, b, "b").row_block(0, ctx.dim_g)
+    block = leading(phi_differential(g, b), ctx.dim_g + ctx.dim_b).row_block(0, ctx.dim_g)
     assert block.col_block(0, slice_space.dim) == dual.differential_matrix(
         (g.m, upart.m))
 

@@ -43,8 +43,8 @@ def test_a3_rank_matches_the_kernel_route_on_real_points(name):
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             for a, b in points:
-                w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv), "g")
-                dphi = phi_differential(a, b, "g")
+                w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+                dphi = phi_differential(a, b)
                 assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi)
 
 

@@ -7,6 +7,10 @@ read when it appears as a loaded name, as an attribute or in an import
 anywhere in ``src``, ``scripts``, ``tests`` or ``bench``, outside its own
 definition.  Docstring and string mentions do not count.  ``__version__``
 is exempt: it is read by packaging, not by code.
+
+The same holds one level down: a method or property of a top-level class
+counts as read when its name is read anywhere outside its own definition.
+Dunder methods are exempt: the language calls them, not code by name.
 """
 
 import ast
@@ -58,6 +62,38 @@ def unread_names(defining: dict[str, ast.Module],
                   if name not in seen and name not in EXEMPT)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def members(node: ast.stmt) -> list[str]:
+    """The methods and properties a top-level class defines, dunders aside."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [n.name for n in node.body if isinstance(n, FUNCTIONS)
+            and not (n.name.startswith("__") and n.name.endswith("__"))]
+
+
+def member_reads(tree: ast.Module) -> set[str]:
+    """Every name read in ``tree``, a method's reads of its own name aside."""
+    out = set()
+    for node in tree.body:
+        parts = ([*node.bases, *node.decorator_list, *node.body]
+                 if isinstance(node, ast.ClassDef) else [node])
+        for part in parts:
+            out |= reads(part) - ({part.name} if isinstance(part, FUNCTIONS) else set())
+    return out
+
+
+def unread_members(defining: dict[str, ast.Module],
+                   readers: dict[str, ast.Module]) -> list[str]:
+    """``module.Class.name`` for each method or property of a class in
+    ``defining`` whose name no module in ``readers`` reads outside it."""
+    seen = set().union(*(member_reads(tree) for tree in readers.values()))
+    return sorted(f"{mod}.{node.name}.{name}" for mod, tree in defining.items()
+                  for node in tree.body for name in members(node)
+                  if name not in seen)
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -81,3 +117,20 @@ def test_every_package_name_is_read():
     readers = {str(p.relative_to(ROOT)): parse(p) for p in READERS}
     defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in PACKAGE}
     assert unread_names(defining, readers) == []
+
+
+def test_the_scan_flags_an_unread_method_and_not_a_read_one():
+    lib = ast.parse("class C:\n"
+                    "    def __init__(self):\n        self.b()\n\n"
+                    "    def a(self):\n        return self.a()\n\n"
+                    "    def b(self):\n        pass\n\n"
+                    "    @property\n    def p(self):\n        return 1\n")
+    user = ast.parse("from lib import C\nC().p\n")
+    # a reads only itself; b is read in __init__, p by the user
+    assert unread_members({"lib": lib}, {"lib": lib, "user": user}) == ["lib.C.a"]
+
+
+def test_every_package_method_is_read():
+    readers = {str(p.relative_to(ROOT)): parse(p) for p in READERS}
+    defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in PACKAGE}
+    assert unread_members(defining, readers) == []
