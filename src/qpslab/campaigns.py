@@ -19,8 +19,9 @@ import datetime as _dt
 import json
 import os
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
-from .conventions import CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
+from .conventions import ACTIVE, CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
 from .dirac import (cartan_closure_check, cartan_dirac, closure_sample,
                     graph_bivector, graph_two_form, is_lagrangian, pairing)
 from .gspringer import (GSPoint, float_array, float_element_from_json,
@@ -289,29 +290,34 @@ def _a4_sample(ctx, b, w, rng, count: int) -> bool:
     ``w`` is :func:`omega_matrix` at (a, b).  omega depends on the point only
     through ``b``, and in left-trivialized coordinates the action's differential
     is Ad_{g2} on both factors, so each of the ``count`` samples draws g2
-    and compares (Ad (+) Ad)^T w2 (Ad (+) Ad) with ``w`` for w2 at
-    (., g2 b g2^-1).  Whatever g1 is, it does not enter, so none is drawn:
-    the first factor's half of the invariance is not tested here.
+    and compares the pullback (Ad (+) Ad)^T w2 (Ad (+) Ad) with ``w`` for w2
+    at (., b2), b2 = g2 b g2^-1.  Whatever g1 is, it does not enter, so none
+    is drawn: the first factor's half of the invariance is not tested here.
+
+    One d x d block decides each comparison.  Write A = Ad_{g2}, T2 =
+    :func:`gram_ad` at b2, G the Gram matrix and c = -omega_sign/2, so that
+    w2 = c [[T2' - T2, T2 + G], [-(T2' + G), 0]].  A (+) A is block diagonal,
+    so the pullback is c [[A'(T2' - T2)A, A'(T2 + G)A], [-A'(T2' + G)A, 0]].
+    Put P = A'(T2 + G)A.  As G' = G, P' = A'(T2' + G)A and A'(T2' - T2)A =
+    P' - P, so the pullback is omega_matrix(P - G).  omega_matrix(X) has
+    (1,2) block c (X + G), which fixes X.  So with ref the (1,2) block of
+    ``w`` over c, the pullback equals ``w`` exactly when
+    w = omega_matrix(ref - G), checked once, and P = ref, checked per sample.
     """
     d = ctx.dim_g
-    blocks = _blocks(w, d)
+    ref = w.row_block(0, d).col_block(d, 2 * d).scale(
+        1 / Fraction(-ACTIVE.get().omega_sign, 2))
+    if omega_matrix(ctx, ref - ctx.gram) != w:
+        return False
     for _ in range(count):
         g2 = random_point(ctx, "G", rng)
         b2 = g2.m @ b.m @ g2.inv
         # b2^-1 = g2 b^-1 g2^-1, a product rather than a fresh inverse
-        w2 = omega_matrix(ctx, gram_ad(ctx, b2, g2.m @ b.inv @ g2.inv))
+        t2 = gram_ad(ctx, b2, g2.m @ b.inv @ g2.inv)
         ad2 = ctx.adjoint(g2.m, g2.inv)
-        # Ad (+) Ad is block diagonal, so its pullback of w2 acts blockwise
-        adt = ad2.transpose()
-        if any(adt @ m2 @ ad2 != m for m2, m in zip(_blocks(w2, d), blocks)):
+        if ad2.transpose() @ (t2 + ctx.gram) @ ad2 != ref:
             return False
     return True
-
-
-def _blocks(m: Mat, d: int) -> list[Mat]:
-    """The four d x d blocks of a 2d x 2d matrix, row by row."""
-    return [m.row_block(r0, r0 + d).col_block(c, c + d)
-            for r0 in (0, d) for c in (0, d)]
 
 
 # ---------------------------------------------------------------------------

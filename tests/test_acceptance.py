@@ -69,7 +69,8 @@ def test_criterion_02_dorfman_closure():
 def test_criterion_03_double_axioms():
     # 100 double points per group: moment condition on a basis, exterior
     # derivative against the invariant 3-form, kernel nondegeneracy, and
-    # invariance under 10 sampled group pairs -- all exact
+    # invariance under 10 sampled elements g2 of the second factor (g1 does
+    # not enter the form, so none is drawn) -- all exact
     for group in GROUPS:
         rep = campaign("double", group, 100)
         assert_all(rep)

@@ -546,17 +546,20 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
 
 def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
     # the double's d-identity takes 2 triples of height-3 vectors on G x G
-    # from the point's salted stream, and A4 draws its elements after them
-    seen = []
+    # from the point's salted stream, and A4 draws its 10 elements g2 after
+    # them, which no report shows, as A4 is the stream's last reader
+    seen, after = [], []
     a4 = campaigns._a4_sample
 
     def spy(ctx, b, w, rng, count):
         seen.append(rng.state)
-        return a4(ctx, b, w, rng, count)
+        ok = a4(ctx, b, w, rng, count)
+        after.append(rng.state)
+        return ok
 
     monkeypatch.setattr(campaigns, "_a4_sample", spy)
     cfg = campaigns.CampaignConfig(suite="double", group="sl2", samples=2)
-    want = []
+    want, want_after = [], []
     for p in campaigns._gen_double_points(cfg):
         recs = campaigns._check_double(cfg, *campaigns.decode_point(cfg, p))
         assert all(r["passed"] for r in recs)
@@ -564,7 +567,11 @@ def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
         for _ in range(2 * 3 * 2 * SL2.dim_g):
             shadow.rational(3)
         want.append(shadow.state)
+        for _ in range(10):
+            random_point(SL2, "G", shadow)
+        want_after.append(shadow.state)
     assert seen == want
+    assert after == want_after
 
 
 def test_bivector_reconstruction():

@@ -20,7 +20,8 @@ from qpslab.diffcalc import PointedMap, Space, d_two_form
 from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
                               chart_action_field, d_omega, gram_ad, gspoint_stream,
                               leading, leaf_two_form, mu, omega_fn, omega_matrix,
-                              phi_differential, reconstruct_bivector, theorem1_check)
+                              omega_value, phi_differential, reconstruct_bivector,
+                              theorem1_check)
 from qpslab.liegroup import (GROUPS, AlgebraElement, Covector, borel_decompose,
                              context, random_point, sigma, sigma_adjoint)
 from qpslab.linalg import Mat, dot, mat_vec, solve_unique
@@ -63,7 +64,11 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     w = omega_matrix(ctx, t)
     gxu = leading(w, k)
     gxb = leading(w, ctx.dim_g + ctx.dim_b)
-    assert gxu == gxb.row_block(0, k).col_block(0, k)
+    # entry by entry, omega at (g, b) on the G x U basis directions
+    space = Space(ctx, ("g", "u"))
+    mats = [space.matrices(e) for e in space.basis_directions()]
+    assert [list(r) for r in gxu.data] == [
+        [omega_value(ctx, g.m, b.m, u, v) for v in mats] for u in mats]
     # and the leaf d-identity's block of a chart's w is this G x U matrix
     chart = QuotientChart(GSPoint(g, b))
     assert chart.w == gxb

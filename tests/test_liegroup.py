@@ -255,6 +255,14 @@ def test_gram_nondegenerate():
         assert rank(ctx.gram) == ctx.dim_g
 
 
+def test_gram_symmetric():
+    # the double's A4 compares one block of the pulled-back form per draw;
+    # the other three follow from it because the Gram matrix is symmetric
+    for name in liegroup.GROUPS:
+        ctx = context(name)
+        assert ctx.gram == ctx.gram.transpose()
+
+
 def test_coords_roundtrip():
     rng = SplitMix64(19)
     for ctx in GROUPS:

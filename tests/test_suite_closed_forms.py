@@ -1,7 +1,9 @@
 """The suites' closed forms against the routes they replaced.
 
 The double's A3 is one rank of [w^T; dphi], with its kernel witness built
-only on failure; cartan-dirac's leaf dimension compares two ranks, one of
+only on failure; its A4 compares one block of the pulled-back form per draw,
+with the draws and verdicts of the four-block pullback, and a wrong adjoint
+fails both; cartan-dirac's leaf dimension compares two ranks, one of
 them from the group's closed-form commutator matrix, so a wrong adjoint
 fails it; and no suite runs the dual-number engine or the per-element
 sections, which stay in ``src`` as the oracles of the closed forms.
@@ -56,6 +58,68 @@ def test_a3_rank_matches_the_kernel_route_on_hand_built_pairs():
     assert _a3_nondegenerate(w, meets) == kernel_route(w, meets) == (
         False, {"ker_omega": 1, "ker_dphi": 1})
     assert _a3_nondegenerate(w, misses) == kernel_route(w, misses) == (True, None)
+
+
+def four_block_route(ctx, b, w, rng, count):
+    """A4 as it was decided before: per draw, the whole form at g2 b g2^-1,
+    all four d x d blocks pulled back along Ad (+) Ad and compared with w's."""
+    d = ctx.dim_g
+
+    def blocks(m):
+        return [m.row_block(r, r + d).col_block(c, c + d)
+                for r in (0, d) for c in (0, d)]
+
+    want = blocks(w)
+    for _ in range(count):
+        g2 = random_point(ctx, "G", rng)
+        w2 = omega_matrix(ctx, gram_ad(ctx, g2.m @ b.m @ g2.inv,
+                                       g2.m @ b.inv @ g2.inv))
+        ad2 = ctx.adjoint(g2.m, g2.inv)
+        adt = ad2.transpose()
+        if any(adt @ m2 @ ad2 != m for m2, m in zip(blocks(w2), want)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ("sl2", "gl2", "sl3", "gl3"))
+def test_a4_one_block_matches_the_four_block_route(name):
+    ctx = context(name)
+    rng = SplitMix64(61)
+    d = ctx.dim_g
+    for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
+        with using(conv):
+            for k in range(5):
+                _, b = sample_double(ctx, rng)
+                t = gram_ad(ctx, b.m, b.inv)
+                w = omega_matrix(ctx, t)
+                # of the block shape, but with a (1,2) block that is not
+                # invariant: both routes fail at the first draw
+                moved = omega_matrix(ctx, t + Mat.identity(d))
+                for form, verdict in ((w, True), (moved, False)):
+                    new, old = SplitMix64(k), SplitMix64(k)
+                    assert campaigns._a4_sample(ctx, b, form, new, 10) is verdict
+                    assert four_block_route(ctx, b, form, old, 10) is verdict
+                    assert new.state == old.state
+                # not of the block shape: the one-block route fails before it
+                # draws, so only the verdicts agree
+                bad = [list(r) for r in w.data]
+                bad[d][d + 1] = bad[d][d + 1] + QQi(1)
+                assert not campaigns._a4_sample(ctx, b, Mat(bad), SplitMix64(k), 10)
+                assert not four_block_route(ctx, b, Mat(bad), SplitMix64(k), 10)
+
+
+@pytest.mark.parametrize("name", ("sl2", "gl2", "sl3", "gl3"))
+def test_a4_fails_under_a_transposed_adjoint(name, monkeypatch):
+    # with Ad_g replaced by its transpose the form built from it is not
+    # invariant under the action, and the sampled draws see that
+    ctx = context(name)
+    _, b = sample_double(ctx, SplitMix64(62))
+    adjoint = ctx.adjoint
+    monkeypatch.setattr(ctx, "adjoint",
+                        lambda m, minv: adjoint(m, minv).transpose())
+    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+    assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63), 10)
+    assert not four_block_route(ctx, b, w, SplitMix64(63), 10)
 
 
 @pytest.mark.parametrize("name", ("sl2", "gl2", "sl3", "gl3"))
