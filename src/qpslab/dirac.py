@@ -59,7 +59,8 @@ class DiracFiber(Subspace):
     def cotangent_intersection(self) -> Subspace:
         """Intersection with the cotangent coordinate subspace."""
         d = self.d
-        lower = Subspace.from_spanning(Mat.zeros(d, d).vstack(Mat.identity(d)))
+        # canonical as it stands: its transpose [0 | I] is in rref
+        lower = Subspace(2 * d, Mat.zeros(d, d).vstack(Mat.identity(d)), canonical=True)
         return intersect(self, lower)
 
     def __repr__(self):

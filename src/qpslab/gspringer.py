@@ -77,8 +77,8 @@ from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
 from .liegroup import (AlgebraElement, GroupContext, GroupElement, chevalley,
                        conjugation_sections, group_of_json, random_point,
                        read_element, sigma, sigma_average, torus_part, _mul_frac)
-from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, rank, rref,
-                     solve_columns)
+from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
+                     rref, solve_columns)
 from .matio import _exact_part, entry_pairs, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
@@ -497,8 +497,26 @@ class QuotientChart:
 
 
 def quotient_fiber(chart: QuotientChart) -> DiracFiber:
-    """Pushforward of the restricted graph to the chart; Lagrangian of dim G."""
-    return pushforward_linear(chart.graph, chart.proj)
+    """Pushforward of the restricted graph to the chart; Lagrangian of dim G.
+
+    It is reduced to one small null space.  With P = ``proj``, S the chart's
+    coordinates (``inc``) and V the vertical basis, the pushforward of the
+    graph {(X, w^T X)} is {(P X, b) : P^T b = w^T X}.  P has full rank and
+    kernel V, so P^T maps the chart covectors one to one onto the covectors
+    that vanish on V.  Hence b exists exactly when V^T w^T X = 0, and it is
+    then unique, b = inc^T P^T b = (w^T X)_S, since P inc = I.  So
+
+        f_* L = {(P X, (w^T X)_S) : V^T w^T X = 0},
+
+    spanned over the null vectors X of the dim B x ambient matrix V^T w^T.
+    :func:`~qpslab.dirac.pushforward_linear` along ``proj`` solves an
+    ambient x (dim G + ambient) system for the same subspace, and is the
+    oracle of this reduction in the tests.
+    """
+    wt = chart.w.transpose()
+    null = null_vectors(chart.vertical.basis.transpose() @ wt)
+    return DiracFiber(2 * chart.hdim, (chart.proj @ null).vstack(
+        wt.select_rows(chart.indices) @ null))
 
 
 def mu(p: GSPoint) -> GroupElement:
@@ -595,6 +613,10 @@ def theorem1_check(chart: QuotientChart) -> dict:
     (ii) ker d(mu) meets the fiber trivially; (iii) the induced action pairs
     with the pulled-back sigma covectors inside the fiber; (iv) pushing
     forward through the quotient or through the double moment map agree.
+    The second route of (iv) pushes the restricted graph along d(phi) and
+    then along the projection [I | 0] onto the first factor.  Linear Dirac
+    pushforward is functorial, (f g)_* = f_* g_* for every subspace, so it
+    is one pushforward along the composite, the first dim G rows of d(phi).
     A failing check carries a witness.
     """
     ctx = chart.ctx
@@ -627,18 +649,17 @@ def theorem1_check(chart: QuotientChart) -> dict:
     if meet:
         out["witness_kernel"] = {"dim": meet}
 
-    # one rank test for all dim G pairs; only a failure walks them for the
-    # first basis index outside the fiber
+    # one containment product for all dim G pairs; only a failure walks them
+    # for the first basis index outside the fiber
     fields, duals = induced_action(chart, sections)
-    out["induced_action"] = rank(fib.basis.hstack(fields.vstack(duals))) == fib.dim
+    out["induced_action"] = fib.contains_columns(fields.vstack(duals))
     if not out["induced_action"]:
         out["witness_action"] = {"basis_index": next(
             k for k in range(ctx.dim_g)
             if not fib.contains_vector(fields.col(k) + duals.col(k)))}
 
-    # route (iv): the double's moment map, then the projection to its first factor
-    first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, ctx.dim_b))
-    route_b = pushforward_linear(pushforward_linear(chart.graph, chart.dphi), first)
+    # route (iv): along the double's moment map, then onto its first factor
+    route_b = pushforward_linear(chart.graph, chart.dphi.row_block(0, ctx.dim_g))
     out["pushforward_commutes"] = pushed.equals(route_b)
     if not out["pushforward_commutes"]:
         out["witness_pushforward"] = _column_outside(pushed, route_b,

@@ -30,7 +30,8 @@ memory of a run.
   anyway.
 * ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.transpose`,
   :meth:`Mat.hstack`, :meth:`Mat.vstack`, :meth:`Mat.row_block`,
-  :meth:`Mat.col_block` and :meth:`Mat.select_cols` return integer form
+  :meth:`Mat.col_block`, :meth:`Mat.select_rows` and :meth:`Mat.select_cols`
+  return integer form
   directly, without building a ``Fraction``; :func:`mat_vec` takes integer
   dot products with the stored rows.
 * :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
@@ -65,9 +66,16 @@ are the oracle of the differential tests.
 
 Conventions: a :class:`Subspace` stores a basis matrix whose *columns* are
 the basis vectors, canonicalized by reduced row echelon form of the
-transpose, so equal subspaces print identically.  Subspace equality is
-nevertheless always decided by mutual-containment rank tests, never by
-comparing bases entrywise.
+transpose, so equal subspaces print identically.  Containment and equality
+are decided by one product against the basis's pivot rows, with no
+elimination.  Let A be a canonical basis and p the pivot columns of its
+transpose, so that A[p, :] = I.  The span of B lies in the span of A
+exactly when ``A @ B[p, :] == B``:
+
+* if B = A C for some C, then B[p, :] = A[p, :] C = C, so A B[p, :] = B;
+* if A B[p, :] = B, every column of B is a combination of those of A.
+
+Equality is equal dimensions plus one containment, the other being implied.
 """
 
 from __future__ import annotations
@@ -305,6 +313,16 @@ class Mat:
         icols = self._icols
         return Mat._from_ints([_canon(r[start:stop], d) for r, d in ints], n,
                               None if icols is None else icols[start:stop])
+
+    def select_rows(self, order: Sequence[int]) -> "Mat":
+        """The rows ``order``, in that order; an empty order is an error."""
+        if not order:
+            raise LinAlgError("matrix needs at least one row")
+        ints = self._int_form()
+        if ints is None:
+            data = self.data
+            return Mat._raw(tuple(data[i] for i in order))
+        return Mat._from_ints([ints[i] for i in order], self.cols)
 
     def select_cols(self, order: Sequence[int]) -> "Mat":
         """The columns ``order``, in that order; an empty order is an error."""
@@ -835,17 +853,30 @@ def solve_columns(a: Mat, b: Mat):
 
 
 class Subspace:
-    """Span of linearly independent column vectors inside an ambient space."""
+    """Span of linearly independent column vectors inside an ambient space.
 
-    __slots__ = ("ambient_dim", "basis")
+    The stored basis is canonical: its transpose is in reduced row echelon
+    form, so at its pivot rows p (the pivot columns of the transpose) it
+    reads ``basis[p, :] == I``, which every containment test relies on (see
+    the module docstring).  A spanning set is canonicalized by one rref,
+    whose pivots are kept.  ``canonical=True`` is the caller's promise that
+    ``basis`` already is that canonical basis, the one the rref would
+    return; it is then stored as given, and its pivot rows are read off it
+    (each column's first non-zero entry) the first time a test needs them.
+    A non-canonical basis passed so gives wrong containment verdicts.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: Mat, canonical: bool = False):
         if ambient_dim and basis.rows != ambient_dim:
             raise LinAlgError("basis rows must match ambient dimension")
+        pivots = None
         if not canonical:
-            basis = _canonical_basis(basis)
+            basis, pivots = _canonical_basis(basis)
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._pivots = pivots
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -868,26 +899,41 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
+    def _pivot_rows(self) -> list[int]:
+        """The rows p with ``basis[p, :] == I``."""
+        if self._pivots is None:
+            self._pivots = _leading_rows(self.basis)
+        return self._pivots
+
+    def contains_columns(self, mat: Mat) -> bool:
+        """Whether every column of ``mat`` lies in the span: one product,
+        ``basis @ mat[p, :] == mat`` at the pivot rows p."""
+        if mat.rows != self.ambient_dim:
+            raise LinAlgError("ambient dimension mismatch")
+        if not mat.cols:
+            return True
+        if not self.dim:
+            return mat.is_zero()
+        return self.basis @ mat.select_rows(self._pivot_rows()) == mat
+
     def contains_vector(self, v: Sequence) -> bool:
+        if len(v) != self.ambient_dim:
+            raise LinAlgError("ambient dimension mismatch")
         if not any(v):
             return True
-        stacked = self.basis.hstack(Mat.from_columns([list(v)], self.ambient_dim))
-        return rank(stacked) == self.dim
+        return self.contains_columns(Mat.from_columns([list(v)], self.ambient_dim))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
         if other.dim == 0:
             return True
-        return rank(self.basis.hstack(other.basis)) == self.dim
+        return self.contains_columns(other.basis)
 
     def equals(self, other: "Subspace") -> bool:
-        # mutual containment through rank tests, never basis comparison
-        return (
-            self.dim == other.dim
-            and self.contains(other)
-            and other.contains(self)
-        )
+        # of equal dimension, either contains the other exactly when they
+        # are equal; decided by a product, never by comparing bases
+        return self.dim == other.dim and self.contains(other)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -898,18 +944,32 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _canonical_basis(mat: Mat) -> Mat:
+def _canonical_basis(mat: Mat) -> tuple[Mat, list[int]]:
+    """The canonical basis of the column span of ``mat``, with its pivot rows."""
     if mat.cols == 0:
-        return mat
+        return mat, []
     return _row_space_basis(mat.transpose())
 
 
-def _row_space_basis(rows: Mat) -> Mat:
-    """The canonical column basis of the span of the rows of a matrix."""
+def _row_space_basis(rows: Mat) -> tuple[Mat, list[int]]:
+    """The canonical column basis of the span of the rows of a matrix, and
+    the rref's pivots, which are the basis's pivot rows."""
     red, pivots = rref(rows)
     if not pivots:
-        return Mat.zeros(rows.cols, 0)
-    return red.row_block(0, len(pivots)).transpose()
+        return Mat.zeros(rows.cols, 0), pivots
+    return red.row_block(0, len(pivots)).transpose(), pivots
+
+
+def _leading_rows(basis: Mat) -> list[int]:
+    """The row of each column's first non-zero entry: the pivot rows of a
+    canonical basis, read without elimination."""
+    if not basis.cols:
+        return []
+    if basis._int_form() is not None:
+        cols = [c for c, _ in basis._int_columns()]
+    else:
+        cols = list(zip(*basis.data))
+    return [next(i for i, x in enumerate(c) if x) for c in cols]
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

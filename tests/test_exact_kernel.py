@@ -8,6 +8,10 @@ with their pivots, kernels, solves, inverses and determinants, including
 rank-deficient matrices, zero rows and columns, and numerators above 2**60.
 A matrix in integer form must also equal, and hash like, the same matrix
 built from its entries.
+
+Subspace containment is one product against the pivot rows of a canonical
+basis; the rank test on the stacked bases that it replaced is its oracle
+here, on real and non-real spans.
 """
 
 import random
@@ -21,7 +25,8 @@ import hypothesis.strategies as st
 
 from qpslab import linalg
 from qpslab.liegroup import GROUPS, context, random_point
-from qpslab.linalg import LinAlgError, Mat, kernel, mat_vec, rank, rref, solve_unique
+from qpslab.linalg import (LinAlgError, Mat, Subspace, kernel, mat_vec, rank, rref,
+                           solve_unique)
 from qpslab.prng import SplitMix64
 from qpslab.scalars import Dual, QQi
 
@@ -286,6 +291,8 @@ def test_stored_form_matches_qqi_entries(case):
                 [a + b for a, b in zip(m.data, wide.data)])
     assert_same(fresh(m).vstack(fresh(tall)), m.data + tall.data)
     assert_same(fresh(m).row_block(start, stop), m.data[start:stop])
+    order = [rnd.randrange(m.rows) for _ in range(rnd.randint(1, 6))]
+    assert_same(fresh(m).select_rows(order), [m.data[i] for i in order])
     cut = [r[cstart:cstop] for r in m.data]
     assert_same(fresh(m).col_block(cstart, cstop), cut)
     # with the column form already derived, the block keeps its slice
@@ -307,6 +314,8 @@ def test_stored_form_matches_qqi_entries(case):
         fresh(m).row_block(stop, start)
     with pytest.raises(LinAlgError):
         fresh(m).col_block(cstop, cstart)
+    with pytest.raises(LinAlgError):
+        fresh(m).select_rows([])
 
 
 @SETTINGS
@@ -368,5 +377,107 @@ def test_non_real_matrix_keeps_qqi_entries():
         assert_same(got, want)
     block = g.row_block(1, 3)
     assert block.data == g.data[1:3] and block == Mat(g.data[1:3])
+    rows = g.select_rows([4, 0, 4])
+    assert rows._int_form() is None
+    assert_same(rows, [g.data[4], g.data[0], g.data[4]])
     assert g != real and real != g
     assert not g.is_zero() and (g - g).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# subspace containment: the pivot-row product against the rank route
+
+
+def rank_contains(a: Subspace, mat: Mat) -> bool:
+    """The route the product replaced: the columns of ``mat`` lie in the span
+    of ``a`` when stacking them onto its basis keeps the rank."""
+    return rank(a.basis.hstack(mat)) == a.dim
+
+
+def rank_equals(a: Subspace, b: Subspace) -> bool:
+    return a.dim == b.dim and rank_contains(a, b.basis) and rank_contains(b, a.basis)
+
+
+def gaussian_mat(rnd, rows, cols) -> Mat:
+    """A rows x cols matrix with non-real entries, of rank at most 2."""
+    left = [[QQi(rational(rnd, 3, 4), rational(rnd, 3, 4)) for _ in range(2)]
+            for _ in range(rows)]
+    right = [[QQi(rational(rnd, 3, 4)) for _ in range(cols)] for _ in range(2)]
+    return Mat(left) @ Mat(right)
+
+
+def spanning_sets(rnd, span: Mat, nonreal: bool) -> list[Mat]:
+    """Spanning sets to test against the span of ``span``'s columns:
+    dependent, non-canonical combinations of its columns (some of them
+    zero), those with one more vector that may leave the span, unrelated
+    matrices, and the zero vector."""
+    amb, cols = span.rows, span.cols
+
+    def other(k):
+        return gaussian_mat(rnd, amb, k) if nonreal and rnd.random() < 0.5 else \
+            random_mat(rnd, amb, k, 12, 16, min(amb, k), 0.1)
+
+    out = []
+    for k in (rnd.randint(1, 3), cols + 2):
+        coeffs = Mat([[QQi(rnd.randint(-3, 3)) for _ in range(k)] for _ in range(cols)])
+        inside = span @ coeffs
+        out += [inside, inside.hstack(other(1)), other(k)]
+    out.append(Mat.zeros(amb, 1))
+    return out
+
+
+@settings(SETTINGS, max_examples=60)
+@given(matrices(max_dim=6), st.booleans())
+def test_containment_product_matches_the_rank_route(case, nonreal):
+    m, seed = case
+    rnd = random.Random(seed + 5)
+    span = m + gaussian_mat(rnd, m.rows, m.cols).scale(QQi(0, 1)) if nonreal else m
+    a = Subspace.from_spanning(span)
+    # the pivot rows read off a basis passed as canonical are the rref's
+    lazy = Subspace(a.ambient_dim, a.basis, canonical=True)
+    assert lazy._pivot_rows() == a._pivot_rows()
+    amb = a.ambient_dim
+    zero = Subspace.zero(amb)
+    for s in (a, zero):
+        for mat in spanning_sets(rnd, span, nonreal):
+            b = Subspace.from_spanning(mat)
+            assert lazy.contains(b) == a.contains(b)
+            assert s.contains_columns(mat) == rank_contains(s, mat)
+            assert s.contains(b) == rank_contains(s, b.basis)
+            assert b.contains(s) == rank_contains(b, s.basis)
+            assert s.equals(b) == b.equals(s) == rank_equals(s, b)
+            for j in range(mat.cols):
+                col = mat.col(j)
+                assert s.contains_vector(col) == rank_contains(
+                    s, Mat.from_columns([col], amb))
+        assert s.contains(zero) and s.equals(s)
+        assert s.contains(a) == (s is not zero or a.dim == 0)
+    # a containment across ambient dimensions is an error, not a verdict
+    wider = Subspace.full(amb + 1)
+    for test in (lambda: a.contains(wider), lambda: wider.contains(a),
+                 lambda: a.contains_vector([QQi(0)] * (amb + 1)),
+                 lambda: a.contains_columns(Mat.zeros(amb + 1, 1)),
+                 lambda: Subspace.zero(amb + 1).equals(zero)):
+        with pytest.raises(LinAlgError):
+            test()
+
+
+def test_containment_runs_no_elimination(monkeypatch):
+    rnd = random.Random(17)
+    span = random_mat(rnd, 8, 5, 12, 16, 4, 0.1)
+    nonreal = span + gaussian_mat(rnd, 8, 5).scale(QQi(0, 1))
+    subs = [Subspace.from_spanning(span), Subspace.from_spanning(nonreal),
+            Subspace.zero(8), Subspace.full(8)]
+    subs.append(Subspace(8, subs[0].basis, canonical=True))  # pivots read lazily
+
+    def refuse(*args):
+        raise AssertionError("containment ran an elimination")
+
+    for name in ("rank", "rref", "_rank_qqi", "_rref_qqi", "_bareiss", "_rref_int"):
+        monkeypatch.setattr(linalg, name, refuse)
+    verdicts = []
+    for a in subs:
+        for b in subs:
+            verdicts += [a.contains(b), a.equals(b)]
+        verdicts += [a.contains_vector(span.col(0)), a.contains_vector(nonreal.col(1))]
+    assert any(verdicts) and not all(verdicts)

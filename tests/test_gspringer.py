@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qpslab import campaigns, gspringer, linalg
-from qpslab.conventions import CORRUPTIONS, using
+from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
                           pushforward_linear)
@@ -244,28 +244,37 @@ def test_chart_proj_is_the_inverse_route(group):
 
 @pytest.mark.parametrize("group", ["sl3", "gl3"])
 def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
-    # the complement and proj of one chart come from one rref; the graph and
-    # the fiber, whose pushforward has eliminations of its own, are stubbed
-    pt = gspoint_stream(context(group), SplitMix64(74), len(FORCED_STRATA) + 1)[-1]
+    # the complement and proj of one chart come from one rref of V^T; the
+    # fiber adds one null space of the dim B x ambient V^T w^T and the rref
+    # that canonicalizes it, and no rank, inverse or pushforward
+    ctx = context(group)
+    pt = gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1)[-1]
     pt.g.inv, pt.b.inv  # the elements' cached inverses are not the chart's
-    calls = Counter()
+    calls = []
     real_rref, real_inverse = linalg.rref, Mat.inverse
 
-    def rref_spy(m):
-        calls["rref"] += 1
-        return real_rref(m)
-
-    def inverse_spy(m):
-        calls["inverse"] += 1
-        return real_inverse(m)
+    def spy(name, fn):
+        def wrapper(m, *args):
+            calls.append((name, m.shape))
+            return fn(m, *args)
+        return wrapper
 
     for mod in (linalg, gspringer):
-        monkeypatch.setattr(mod, "rref", rref_spy)
-    monkeypatch.setattr(Mat, "inverse", inverse_spy)
-    monkeypatch.setattr(gspringer, "graph_two_form", lambda w: None)
+        monkeypatch.setattr(mod, "rref", spy("rref", real_rref))
+    monkeypatch.setattr(Mat, "inverse", spy("inverse", real_inverse))
+    monkeypatch.setattr(linalg, "rank", spy("rank", linalg.rank))
+    monkeypatch.setattr(gspringer, "pushforward_linear",
+                        spy("pushforward", gspringer.pushforward_linear))
+    fiber = gspringer.quotient_fiber
     monkeypatch.setattr(gspringer, "quotient_fiber", lambda chart: None)
-    QuotientChart(pt)
-    assert calls == {"rref": 1}
+    chart = QuotientChart(pt)
+    amb, vertical = ctx.dim_g + ctx.dim_b, (ctx.dim_b, ctx.dim_g + ctx.dim_b)
+    assert calls == [("rref", vertical)]
+    calls.clear()
+    fib = fiber(chart)
+    (null, v), (canon, (k, cols)) = calls
+    assert (null, v, canon, cols) == ("rref", vertical, "rref", 2 * ctx.dim_g)
+    assert fib.dim == ctx.dim_g <= k <= amb
 
 
 def per_basis_lam_differential(ctx, bmat):
@@ -317,6 +326,46 @@ def test_nonreal_chart_and_leaf_form_pinned():
     # proj is the first h rows of [inc | V]^-1
     inv = chart.inc.hstack(chart.vertical.basis).inverse()
     assert chart.proj == inv.row_block(0, chart.hdim)
+
+
+def two_step_route_iv(chart: QuotientChart) -> DiracFiber:
+    """Route (iv) as two pushforwards: along d(phi) to the double's target,
+    then along the projection [I | 0] onto its first factor."""
+    ctx = chart.ctx
+    first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, ctx.dim_b))
+    return pushforward_linear(pushforward_linear(chart.graph, chart.dphi), first)
+
+
+def assert_reductions_match_their_routes(chart: QuotientChart) -> None:
+    # the fiber by reduction is the pushforward of the graph along proj, and
+    # route (iv) along the composite is the two-step route, entry for entry
+    ctx = chart.ctx
+    fiber = quotient_fiber(chart)
+    assert fiber.basis == chart.fiber.basis
+    assert fiber.basis == pushforward_linear(chart.graph, chart.proj).basis
+    one_step = pushforward_linear(chart.graph, chart.dphi.row_block(0, ctx.dim_g))
+    two_step = two_step_route_iv(chart)
+    assert one_step.basis == two_step.basis
+
+
+@pytest.mark.parametrize("conv", ["frozen"] + sorted(CORRUPTIONS))
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_quotient_fiber_and_route_iv_match_the_pushforward_routes(group, conv):
+    # the forced strata of gspoint_stream, then a random point
+    ctx = context(group)
+    with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
+        for pt in gspoint_stream(ctx, SplitMix64(87), len(FORCED_STRATA) + 1):
+            assert_reductions_match_their_routes(QuotientChart(pt))
+
+
+def test_quotient_fiber_and_route_iv_at_the_nonreal_point():
+    chart = QuotientChart(GSPoint.from_json(NONREAL_POINT))
+    assert any(x.im for r in chart.proj.data for x in r)
+    assert_reductions_match_their_routes(chart)
+    # and theorem1_check's verdict on route (iv) is the two-step route's
+    pushed = pushforward_linear(chart.fiber, chart.dmu)
+    assert theorem1_check(chart)["pushforward_commutes"] == \
+        pushed.equals(two_step_route_iv(chart))
 
 
 def test_quotient_fiber_representative_independent():
