@@ -25,9 +25,11 @@ sections without dual numbers, for every basis pair
 (:func:`cartan_closure_check`) and for one pair (:func:`closure_sample`):
 along the first-order curve q = g (I + t v), q^-1 xi q = A + t [A, v] with
 A = Ad_{g^-1} xi, so every derivative of a conjugation section is a
-bracket, read from the structure constants.  Both take their terms from
-:func:`_closure_terms`, and :func:`dorfman` is the oracle of both in the
-tests.
+bracket.  Expanded with these derivatives and collected by bilinearity and
+the invariance of the trace form, the bracket of two sections is four Lie
+brackets of n x n matrices, all read off one stacked product
+(:meth:`~qpslab.liegroup.GroupContext.brackets`); :func:`dorfman` is the
+oracle of both in the tests.
 """
 
 from __future__ import annotations
@@ -274,33 +276,46 @@ def cartan_closure_check(ctx, gmat: Mat, ginv: Mat):
 
     Equivalent to running :func:`dorfman` on every pair of basis sections
     and comparing against the section of the bracket (linear in xi, so the
-    targets come from structure constants), with every derivative in closed
-    form.  ``dorfman``, which differentiates the sections on dual points, is
-    the independent oracle for this in the tests, as it is for the one-pair
-    :func:`closure_sample`, which reads the same terms.
+    target of the pair (i, j) is the section of c = coords([e_i, e_j])),
+    with every derivative in closed form.  ``dorfman`` is the oracle for
+    this and for the one-pair :func:`closure_sample` in the tests.
 
     The lemma: along the curve q = g (I + t v) of :meth:`Space.curve`,
     q^-1 = g^-1 - t v g^-1 exactly, so q^-1 xi q = A + t [A, v] with
-    A = Ad_{g^-1} xi.  In coordinates, with M = Ad_{g^-1} and R(v) the
-    matrix of a -> coords([a, v]) (:meth:`GroupContext.bracket_matrices`),
-    M moves by R(v) M.  Section j has tangent part x_j, column j of
-    X = I - M, and covector part a_j, column j of gram sigma_average(I, M);
-    along v they move by -R(v) M and gram sigma_average(0, R(v) M).  Along
-    e_m, section i moves through R(e_m) M_i = -R(M_i) e_m.
+    A = Ad_{g^-1} xi.  Let M_j be the algebra element whose coordinates are
+    column j of M = Ad_{g^-1} (the closed form of
+    :func:`~qpslab.liegroup.conjugation_sections`), f = sigma_factor,
+    c1 = f sigma_ad_sign and c = eta_coeff twist.  Section j is
+    (x_j, alpha_j) = (e_j - M_j, f e_j + c1 M_j), its covector paired
+    through the trace form B.  Along v, M_j moves by [M_j, v], so x_j moves
+    by -[M_j, v] and alpha_j by c1 [M_j, v].
 
-    Expanded, the covector of the pair (i, j) at basis direction m is
+    The tangent part of the bracket of sections i and j is
+    d_{x_i} x_j - d_{x_j} x_i + [x_i, x_j] = [e_i, e_j] - [M_i, M_j].  Its
+    covector at the basis direction e_m, as ``dorfman`` expands it (its two
+    alpha_i(d_m x_j) terms cancel), is
 
-        dxb[i][j][m] - dxb[j][i][m] + dex[m][i].a_j + dea[m][i].x_j
-        - [x_i, e_m].a_j + [x_j, e_m].(a_i + c gram x_i)
+        c1 B(e_m, [M_j, x_i] - [M_i, x_j]) - B([M_i, e_m], alpha_j)
+        + c1 B([M_i, e_m], x_j) - B([x_i, e_m], alpha_j)
+        + B([x_j, e_m], alpha_i + c x_i).
 
-    where dxb[i][j] is how a_j moves along x_i, dex[m][i] and dea[m][i] how
-    x_i and a_i move along e_m, and c = eta_coeff * twist (``dorfman``'s two
-    a_i.dex[m][j] terms cancel).  The rows ``i d + j`` of all pairs are
-    stacked: block i is a product with R(x_i) or R(M_i)
-    (:func:`_closure_terms`), and the terms read at the pair (j, i) are
-    moved there by one row swap.  The stack is
-    compared with the targets in one integer ``==``; only on a mismatch are
-    the rows scanned, pair (i, j) in basis order, for the witness.
+    By invariance, B([a, e_m], z) = -B(e_m, [a, z]), so it is B(e_m, Z) with
+
+        Z = c1 [M_j, x_i] - 2 c1 [M_i, x_j] + [M_i, alpha_j]
+            + [x_i, alpha_j] - [x_j, alpha_i] + c [x_i, x_j],
+
+    and with x and alpha substituted and collected by bilinearity,
+
+        Z = (2f + c) [e_i, e_j] - (f + c) [e_i, M_j]
+            + (c1 + c) [e_j, M_i] + (2 c1 + c) [M_i, M_j].
+
+    The covector is then gram coords(Z).  Nothing here uses a property of
+    M beyond how it moves.  All four brackets of every pair, and the
+    targets' c, are read off one stacked product of the 2d matrices e_1,
+    ..., e_d, M_1, ..., M_d (:meth:`~qpslab.liegroup.GroupContext.brackets`).
+    The rows ``i d + j`` of all pairs are compared with the targets in one
+    integer ``==``; only on a mismatch are the rows scanned, pair (i, j) in
+    basis order, for the witness.
 
     ``ginv`` is g^-1, as for :func:`~qpslab.liegroup.conjugation_sections`.
     Returns (ok, witness).
@@ -323,71 +338,20 @@ def _closure_sides(ctx, gmat: Mat, ginv: Mat) -> tuple[Mat, Mat]:
     of [e_i, e_j].  See :func:`cartan_closure_check`.
     """
     d = ctx.dim_g
-    m, x, a = conjugation_sections(ctx, gmat, ginv)
-    rows = _section_rows(ctx, m, x, a)
-    own = swapped = None
-    for rx, rm in zip(ctx.bracket_matrices(x), ctx.bracket_matrices(m)):
-        blk, sw = _closure_terms(ctx, rx, rm, rows)
-        own = blk if own is None else own.vstack(blk)
-        swapped = sw if swapped is None else swapped.vstack(sw)
-    targets = ctx.structure_constants @ rows[1].hstack(rows[2])  # [X^T | A^T]
-    return own + _swap_pairs(swapped, d), targets
-
-
-def _section_rows(ctx, m: Mat, x: Mat, a: Mat,
-                  coef: Mat | None = None) -> tuple[Mat, ...]:
-    """M^T, X^T, A^T, (A + c gram X)^T and (gram X)^T, c = eta_coeff * twist.
-
-    These are the section data :func:`_closure_terms` reads row by row, row
-    j belonging to section j.  With ``coef``, a d x k matrix of algebra
-    coordinates, each is contracted with it first: row l of (M coef)^T
-    and so on belongs to the section of column l.
-    """
-    conv = ACTIVE.get()
-    gx = ctx.gram @ x
-    # in the pair (i, j), [x_j, e_m] pairs with a_i + c gram x_i
-    mats = (m, x, a, a + gx.scale(conv.eta_coeff * conv.twist), gx)
-    if coef is not None:
-        mats = (p @ coef for p in mats)
-    return tuple(p.transpose() for p in mats)
-
-
-def _closure_terms(ctx, rx: Mat, rm: Mat, rows: tuple[Mat, ...]) -> tuple[Mat, Mat]:
-    """The closure terms that the derivatives of section i contribute.
-
-    ``rx`` and ``rm`` are R(x_i) and R(M_i); ``rows`` is
-    :func:`_section_rows`.  Row j of the first result holds the terms of the
-    pair (i, j), row j of the second those of the pair (j, i) (see
-    :func:`cartan_closure_check`).  Both are linear in (rx, rm) and in the
-    rows, so for the sections of xi and zeta they are read at R(X xi),
-    R(M xi) and the rows contracted with zeta.
-    """
-    d, gram = ctx.dim_g, ctx.gram
-    mt, xt, at, act, gxt = rows
-    rxt = rx.transpose()
-    # row j: how M_j moves along x_i, (R(x_i) M_j)^T, and so section j
-    dmt = mt @ rxt
-    dt, da = -dmt, sigma_average(Mat.zeros(dmt.rows, d), dmt) @ gram
-    # column m: how M_i moves along e_m, R(e_m) M_i = -R(M_i) e_m, and so
-    # section i's tangent and its sigma; gram X^T pairs with the latter
-    dte, dse = rm, sigma_average(Mat.zeros(d, d), -rm)
-    brx, bre = -(xt @ rxt), -rx  # row j: [x_i, x_j]; column m: [x_i, e_m]
-    blk = (dt + brx).hstack(da + at @ (dte - bre) + gxt @ dse)
-    sw = (-dt).hstack(act @ bre - da)
-    return blk, sw
+    sections = conjugation_sections(ctx, gmat, ginv)
+    return _bracket_sides(ctx, Mat.identity(d).hstack(sections[0]), sections,
+                          [(i, j) for i in range(d) for j in range(d)])
 
 
 def closure_sample(ctx, sections: tuple, ximat: Mat, zemat: Mat) -> bool:
     """Dorfman closure of the conjugation sections of xi and zeta at g.
 
-    The bracket of two sections is bilinear in (xi, zeta), so its row is
-    zeta^T blk(xi) + xi^T sw(zeta) with the terms of :func:`_closure_terms`
-    read at R(X xi), R(M xi) and R(X zeta), R(M zeta), the section rows
-    contracted with zeta and xi respectively: the formula of
-    :func:`cartan_closure_check` on one pair.  It is compared with the
-    section of [xi, zeta], (X c; A c) with c = coords([xi, zeta]).
-    ``sections`` is :func:`~qpslab.liegroup.conjugation_sections` at g.
-    :func:`dorfman` is its oracle in the tests.
+    The row of :func:`cartan_closure_check` with (xi, zeta, Ad_{g^-1} xi,
+    Ad_{g^-1} zeta) in place of (e_i, e_j, M_i, M_j), the adjoint images
+    read through M, compared with the section of [xi, zeta], (X c; A c)
+    with c = coords([xi, zeta]).  ``sections`` is
+    :func:`~qpslab.liegroup.conjugation_sections` at g.  :func:`dorfman` is
+    its oracle in the tests.
     """
     row, target = _pair_sides(ctx, sections, ximat, zemat)
     return row == target
@@ -397,25 +361,31 @@ def _pair_sides(ctx, sections: tuple, ximat: Mat, zemat: Mat) -> tuple[Mat, Mat]
     """(tangent | covector) of the bracket of the sections of xi and zeta at
     g, and of the section of [xi, zeta], as 1 x 2d rows; ``sections`` is
     :func:`~qpslab.liegroup.conjugation_sections` at g."""
-    d = ctx.dim_g
-    m, x, a = sections
-    coef = Mat.from_columns([ctx.coords(ximat), ctx.coords(zemat)], d)
-    rows = _section_rows(ctx, m, x, a, coef)
-    rx_xi, rx_ze, rm_xi, rm_ze = ctx.bracket_matrices((x @ coef).hstack(m @ coef))
-    blk, _ = _closure_terms(ctx, rx_xi, rm_xi, [r.row_block(1, 2) for r in rows])
-    _, sw = _closure_terms(ctx, rx_ze, rm_ze, [r.row_block(0, 1) for r in rows])
-    c = Mat.from_columns([ctx.coords(ximat @ zemat - zemat @ ximat)], d)
-    return blk + sw, (x @ c).transpose().hstack((a @ c).transpose())
+    coef = Mat.from_columns([ctx.coords(ximat), ctx.coords(zemat)], ctx.dim_g)
+    return _bracket_sides(ctx, coef.hstack(sections[0] @ coef), sections, [(0, 1)])
 
 
-def _swap_pairs(rows: Mat, d: int) -> Mat:
-    """Row ``i d + j`` of the result is row ``j d + i`` of ``rows``."""
-    out = None
-    for i in range(d):
-        for j in range(d):
-            row = rows.row_block(j * d + i, j * d + i + 1)
-            out = row if out is None else out.vstack(row)
-    return out
+def _bracket_sides(ctx, family: Mat, sections: tuple, pairs: list) -> tuple[Mat, Mat]:
+    """The rows of :func:`cartan_closure_check` with u_i, u_j in place of
+    e_i, e_j, (i, j) in ``pairs``; ``family`` is [U | M U], the u_i being
+    the columns of U and M the first of ``sections``."""
+    _, x, a = sections
+    coords, dual = ctx.brackets(family)
+    k, r = family.cols, family.cols // 2  # row p k + q; M u_i is Y_(r + i)
+    uu = [i * k + j for i, j in pairs]
+    um = [i * k + r + j for i, j in pairs]
+    mu = [j * k + r + i for i, j in pairs]  # [u_j, M u_i]
+    mm = [(r + i) * k + r + j for i, j in pairs]
+    conv = ACTIVE.get()
+    f, c = conv.sigma_factor, conv.eta_coeff * conv.twist
+    c1 = f * conv.sigma_ad_sign
+    terms = [dual.select_rows(rows).scale(s)
+             for s, rows in ((2 * f + c, uu), (-(f + c), um),
+                             (c1 + c, mu), (2 * c1 + c, mm)) if s]
+    cov = sum(terms[1:], terms[0]) if terms else Mat.zeros(len(pairs), ctx.dim_g)
+    brackets = coords.select_rows(uu)
+    tangent = brackets - coords.select_rows(mm)
+    return tangent.hstack(cov), brackets @ x.transpose().hstack(a.transpose())
 
 
 def cartan_eta3(space: Space):

@@ -285,7 +285,7 @@ def _t_derivative(t: Mat, r: Mat) -> Mat:
     """The derivative -T R(y) of T = G Ad_b along b (I + s y), ``r`` being R(y).
 
     Ad_{b (I + s y)} = Ad_b (I + s ad_y) and ad_y = -R(y).  The product is
-    associative, so ``t`` may be any P T and ``r`` any R(y) E.
+    associative, so ``t`` may be any P T and ``r`` any [R(y) E | ...].
     """
     return -(t @ r)
 
@@ -305,8 +305,9 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, x, y, z):
     T replaced by D = -T R(y_X) and the constant G blocks dropped.  On the
     directions u_j, that form is -s/2 (K[j, l] - K[l, j]) with K = P' D (Q - P),
     the columns of P and Q being the first- and second-factor parts of the
-    directions (the second zero-padded to dim G).  Brackets come from the
-    structure constants: coords([a, b]) = R(b) a, blockwise.
+    directions (the second zero-padded to dim G).  The brackets, blockwise,
+    and the columns of R(y_i) (Q - P), R(y) a being coords([a, y]), are all
+    read off one n x n product (:meth:`GroupContext.brackets`).
     :func:`~qpslab.diffcalc.d_two_form` of :func:`omega_fn` is the oracle
     for this in the tests.
     """
@@ -318,21 +319,26 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, x, y, z):
     second = v.row_block(d, dim)
     if k < d:
         second = second.vstack(Mat.zeros(d - k, 3))
-    rs = ctx.bracket_matrices(first.hstack(second))
+    # coords([Y_p, Y_q]) in row 6 p + q, Y_p the columns of P and then Q
+    brackets = ctx.brackets(first.hstack(second))[0]
+
+    def rows(pairs):
+        return brackets.select_rows([6 * p + q for p, q in pairs])
+
     cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    brackets = Mat.from_columns(
-        [mat_vec(rs[j], first.col(i)) + mat_vec(rs[3 + j], second.col(i))[:k]
-         for i, j, _ in cyc],
-        dim)
-    # entry (c, l): omega of the c-th bracket and the l-th direction
-    alg = brackets.transpose() @ w @ v
-    # K = P' D (Q - P), associated as (P' T) (R (Q - P)) to keep it 3 wide
-    pt, diff = first.transpose() @ t, second - first
+    # entry (c, l): omega of the c-th bracket, blockwise, and direction l
+    alg = rows([(i, j) for i, j, _ in cyc]).hstack(
+        rows([(3 + i, 3 + j) for i, j, _ in cyc]).col_block(0, k)) @ w @ v
+    # K = P' D (Q - P) as (P' T) R, R's column 3 i + l being R(q_i) (q_l - p_l)
+    order = [(i, l) for i in range(3) for l in range(3)]
+    rmat = (rows([(3 + l, 3 + i) for i, l in order])
+            - rows([(l, 3 + i) for i, l in order]))
+    kmat = _t_derivative(first.transpose() @ t, rmat.transpose())
     half = Fraction(-ACTIVE.get().omega_sign, 2)
     total = QQi(0)
     for c, (i, j, l) in enumerate(cyc):
-        kmat = _t_derivative(pt, rs[3 + i] @ diff)
-        total = total + (kmat.entry(j, l) - kmat.entry(l, j)) * half - alg.entry(c, l)
+        kij = kmat.entry(j, 3 * i + l) - kmat.entry(l, 3 * i + j)
+        total = total + kij * half - alg.entry(c, l)
     return total
 
 

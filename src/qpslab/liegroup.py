@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 
 from .conventions import ACTIVE
 from .linalg import Mat, mat_vec
@@ -85,7 +85,6 @@ class GroupContext:
         ]
         self.gram = Mat(gram)
         self.gram_inv = self.gram.inverse()
-        self._brackets = None  # see _bracket_tables
 
     # -- names ---------------------------------------------------------------
 
@@ -127,8 +126,13 @@ class GroupContext:
         if len(coords) != self.dim_g:
             raise ValueError("coordinate length mismatch")
         c = [x if isinstance(x, QQi) else QQi(x) for x in coords]
+        return Mat(self._entry_rows(c, QQI_ZERO))
+
+    def _entry_rows(self, c, zero) -> list:
+        """The entry rows of the algebra matrix with coordinates ``c``, over
+        any ring of scalars with the given zero (:meth:`mat_from_coords`)."""
         du, db = self.dim_u, self.dim_b
-        rows = [[QQI_ZERO] * self.n for _ in range(self.n)]
+        rows = [[zero] * self.n for _ in range(self.n)]
         for (i, j), x in zip(self._upper + self._lower, c[:du] + c[db:]):
             rows[i][j] = x
         h = c[du:db]
@@ -136,7 +140,7 @@ class GroupContext:
             h = [h[0]] + [b - a for a, b in zip(h, h[1:])] + [-h[-1]]
         for k, x in enumerate(h):
             rows[k][k] = x
-        return Mat(rows)
+        return rows
 
     def sub_indices(self, part: str) -> range:
         if part == "g":
@@ -249,40 +253,49 @@ class GroupContext:
 
     # -- invariant form and brackets ------------------------------------------
 
-    def _bracket_tables(self) -> tuple[Mat, Mat]:
-        """The structure constants in the two layouts the closure check uses.
+    def brackets(self, v: Mat) -> tuple[Mat, Mat]:
+        """coords([Y_p, Y_q]) as row ``p k + q``, and in a second matrix
+        the functional coordinates gram coords([Y_p, Y_q]) = (tr(e_c [Y_p,
+        Y_q]))_c, for the algebra elements Y_p with coordinates column p of
+        ``v``.
 
-        ``R_m`` is the matrix of a -> coords([a, e_m]); its column l is
-        coords([e_l, e_m]).  The first table has row m equal to ``R_m`` read
-        row by row; the second stacks coords([e_i, e_j]) as row ``i d + j``.
-        Built on first use, so only the closure check pays for them; they do
-        not depend on the conventions.
+        One product [Y_1; ...; Y_k] [Y_1 | ... | Y_k] holds Y_p Y_q as its
+        n x n block (p, q), so [Y_p, Y_q] is block (p, q) less block (q, p);
+        E_ij has coordinate (i, j) and functional coordinate (j, i), the
+        torus as in :meth:`coords` and :meth:`_basis_columns`.  A non-real
+        ``v`` runs on its :class:`QQi` entries.  Per-pair ``coords(bracket(
+        ...))`` is the oracle in the tests.
         """
-        if self._brackets is None:
-            d = self.dim_g
-            struct = [[self.coords(bracket(x, y)) for y in self.basis]
-                      for x in self.basis]
-            flat = Mat([[struct[l][m][k] for k in range(d) for l in range(d)]
-                        for m in range(d)])
-            stacked = Mat([v for row in struct for v in row])
-            self._brackets = (flat, stacked)
-        return self._brackets
+        n, k = self.n, v.cols
 
-    @property
-    def structure_constants(self) -> Mat:
-        """coords([e_i, e_j]) as row ``i * dim_g + j``."""
-        return self._bracket_tables()[1]
+        def mat(columns, den, ambient):  # den None: QQi entries
+            return (Mat.from_columns(columns, ambient) if den is None
+                    else Mat.from_int_columns(columns, den))
 
-    def bracket_matrices(self, vectors: Mat) -> list[Mat]:
-        """``R(v) = sum_m v_m R_m`` for each column v of ``vectors``.
+        vt = v.transpose()
+        coords, den = vt.int_entries() or (vt.data, None)
+        ys = [self._entry_rows(c, 0) for c in coords]
+        # the columns of [Y_1; ...; Y_k] and of [Y_1 | ... | Y_k]
+        stack = mat([[y[a][b] for y in ys for a in range(n)] for b in range(n)],
+                    den, k * n)
+        side = mat([[y[a][b] for a in range(n)] for y in ys for b in range(n)],
+                   den, n)
+        prod = stack @ side
+        prod, den = prod.int_entries() or (prod.data, None)
 
-        R(v) is the matrix of a -> coords([a, v]).  One product with the
-        first table of :meth:`_bracket_tables` gives every R(v) read row by
-        row; each is then folded into its d rows.
-        """
-        flat = vectors.transpose() @ self._bracket_tables()[0]
-        return [flat.row_block(i, i + 1).fold_rows(self.dim_g)
-                for i in range(vectors.cols)]
+        def entry(a, b):  # entry (a, b) of [Y_p, Y_q] in row p k + q
+            left = [r[b::n] for r in prod[a::n]]  # left[p][q] = (Y_p Y_q)[a][b]
+            return [x - y for lp, rp in zip(left, zip(*left))
+                    for x, y in zip(lp, rp)]
+
+        cols = [[entry(a, b) for b in range(n)] for a in range(n)]
+        torus = [cols[j][j] for j in range(n)]
+        if self.family == "SL":
+            torus = list(itertools.accumulate(torus[:-1],
+                                              lambda x, y: list(map(add, x, y))))
+        return (mat([cols[i][j] for i, j in self._upper] + torus
+                    + [cols[i][j] for i, j in self._lower], den, k * k),
+                mat(self._basis_columns(lambda i, j: cols[j][i]), den, k * k))
 
     def form(self, x: Mat, y: Mat):
         """The invariant bilinear form ``tr(x y)``."""

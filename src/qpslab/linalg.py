@@ -34,6 +34,10 @@ memory of a run.
   return integer form
   directly, without building a ``Fraction``; :func:`mat_vec` takes integer
   dot products with the stored rows.
+* In ``@``, a left row that is at least half zeros (identity blocks, basis
+  matrices and basis brackets) is not dotted with every column: its output
+  row is the same combination of the right operand's rows at its non-zero
+  entries (:func:`_row_combination`).  The other rows keep the dot products.
 * :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
   (Bareiss, Math. Comp. 22, 1968) on the integer rows.
 * :func:`rref` and :meth:`Mat.inverse`, for every size, run its
@@ -187,6 +191,8 @@ class Mat:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], ambient: int) -> "Mat":
+        if any(len(c) != ambient for c in columns):
+            raise LinAlgError(f"column length differs from ambient {ambient}")
         if not columns:
             return cls.zeros(ambient, 0) if ambient else cls([[]])
         return cls([[col[i] for col in columns] for i in range(ambient)])
@@ -333,19 +339,6 @@ class Mat:
             return Mat._raw(tuple(tuple(r[c] for c in order) for r in self.data))
         return Mat._from_ints([_canon([r[c] for c in order], d) for r, d in ints],
                               len(order))
-
-    def fold_rows(self, width: int) -> "Mat":
-        """Each row cut into consecutive pieces of ``width`` entries, the
-        pieces stacked in order: a 1 x (r w) row becomes an r x w matrix."""
-        if not width or self.cols % width:
-            raise LinAlgError("row length must be a multiple of the width")
-        cuts = range(0, self.cols, width)
-        ints = self._int_form()
-        if ints is None:
-            return Mat._raw(tuple(r[k:k + width] for r in self.data for k in cuts))
-        return Mat._from_ints(
-            [_canon(r[k:k + width], d) for r, d in ints for k in cuts], width
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -524,10 +517,28 @@ def _matmul_ints(a: list, b: list[list[int]], den: int) -> list:
 
     ``b / den`` is the right operand as :meth:`Mat.int_entries` gives it: its
     rows over the lcm of its row denominators.  Entry ``(i, j)`` is
-    ``a_i . b^j / (da_i den)``; :func:`_canon` reduces each output row.
+    ``a_i . b^j / (da_i den)``; :func:`_canon` reduces each output row.  A
+    row of ``a`` that is at least half zeros takes the same integers from
+    :func:`_row_combination`, without the products by zero.
     """
     cols = list(zip(*b))
-    return [_canon([sum(map(mul, r, c)) for c in cols], d * den) for r, d in a]
+    return [_canon(_row_combination(r, b) if 2 * r.count(0) >= len(r)
+                   else [sum(map(mul, r, c)) for c in cols], d * den)
+            for r, d in a]
+
+
+def _row_combination(r: list[int], b: list[list[int]]) -> list[int]:
+    """``sum_k r[k] b[k]`` over the non-zero ``r[k]``; a unit coefficient
+    adds or subtracts its row without a product."""
+    acc = [0] * len(b[0])
+    for x, row in zip(r, b):
+        if x == 1:
+            acc = list(map(add, acc, row))
+        elif x == -1:
+            acc = list(map(sub, acc, row))
+        elif x:
+            acc = [s + x * y for s, y in zip(acc, row)]
+    return acc
 
 
 def _add_ints(a: list, b: list, op) -> list:

@@ -366,3 +366,23 @@ def test_closed_form_closure_evaluates_no_section(monkeypatch):
     dorfman(s, s, cartan_eta3(G), G, (g.m,))
     assert calls["curve"] and calls["inverse"]
 
+
+
+def test_closure_product_count_does_not_grow_with_the_group(monkeypatch):
+    # every bracket of every basis pair comes from one stacked product, so
+    # the number of products is the same at d = 3, 8 and 15
+    calls = Counter()
+    real = Mat.__matmul__
+
+    def spy(a, b):
+        calls[name] += 1
+        return real(a, b)
+
+    for name in ("sl2", "sl3", "sl4"):
+        ctx = context(name)
+        g = random_point(ctx, "G", SplitMix64(49))
+        ginv = g.inv
+        with monkeypatch.context() as patch:
+            patch.setattr(Mat, "__matmul__", spy)
+            assert cartan_closure_check(ctx, g.m, ginv) == (True, None)
+    assert calls["sl2"] == calls["sl3"] == calls["sl4"] > 0

@@ -152,6 +152,48 @@ def test_large_numerators_at_full_size():
     assert full.inverse().data == linalg._inverse_qqi(full).data
 
 
+def dot_product_rows(a, b, den):
+    """Integer rows of a @ (b / den) with every entry a dot product: the
+    route of every row before the sparse rows took row combinations."""
+    cols = list(zip(*b))
+    return [linalg._canon([sum(x * y for x, y in zip(r, c)) for c in cols], d * den)
+            for r, d in a]
+
+
+@st.composite
+def sparse_products(draw):
+    """Left integer rows from all zeros to no zeros, with unit, negative
+    and large entries and their own denominators; a right operand over one
+    denominator, as :meth:`Mat.int_entries` gives it."""
+    inner, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entry = st.one_of(st.sampled_from((1, -1, 2, -3)),
+                      st.integers(-2**70, 2**70).filter(bool))
+    a = []
+    for _ in range(draw(st.integers(1, 8))):
+        zeros = draw(st.integers(0, inner))
+        row = [0] * zeros + [draw(entry) for _ in range(inner - zeros)]
+        den = draw(st.sampled_from((1, 2, 6, 35, 2**61 - 1)))
+        a.append(linalg._canon(draw(st.permutations(row)), den))
+    b = [[draw(st.integers(-2**64, 2**64)) for _ in range(width)]
+         for _ in range(inner)]
+    return a, b, draw(st.sampled_from((1, 4, 9, 2**40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_products())
+def test_sparse_rows_match_the_dot_products(case):
+    a, b, den = case
+    with mock.patch.object(linalg, "_row_combination",
+                           wraps=linalg._row_combination) as spy:
+        got = linalg._matmul_ints(a, b, den)
+    assert got == dot_product_rows(a, b, den)
+    # the rows at least half zeros, and only those, take the combination
+    assert spy.call_count == sum(2 * r.count(0) >= len(r) for r, _ in a)
+    left = Mat._from_ints(a, len(b))
+    right = Mat([[QQi(Fraction(x, den)) for x in r] for r in b])
+    assert (left @ right).data == linalg._matmul_qqi(left, right).data
+
+
 def test_product_with_many_distinct_denominators():
     # entries are sums of rationals with unrelated 12-bit denominators, so
     # the row denominators are long; the paths must still agree

@@ -303,3 +303,27 @@ def test_mat_from_coords_scatters_the_basis_sum():
         assert ctx.mat_from_coords(zero) == Mat.zeros(ctx.n, ctx.n)
         with pytest.raises(ValueError):
             ctx.mat_from_coords(zero[1:])
+
+
+def per_pair_brackets(ctx, v):
+    """coords([Y_p, Y_q]) and gram coords([Y_p, Y_q]) in row p k + q, one
+    matrix bracket at a time: the oracle for GroupContext.brackets."""
+    ys = [ctx.mat_from_coords(v.col(p)) for p in range(v.cols)]
+    rows = [ctx.coords(liegroup.bracket(x, y)) for x in ys for y in ys]
+    return Mat(rows), Mat([ctx.dual_coords(liegroup.bracket(x, y))
+                           for x in ys for y in ys])
+
+
+def test_brackets_match_the_per_pair_oracle():
+    rng = SplitMix64(29)
+    i = QQi(0, 1)
+    for name in liegroup.GROUPS:
+        ctx = context(name)
+        d = ctx.dim_g
+        fams = [Mat.identity(d),
+                Mat([[QQi(rng.rational(8)) for _ in range(3)] for _ in range(d)]),
+                # a non-real family takes the QQi entries
+                Mat([[QQi(rng.rational(4), rng.below(3)) for _ in range(2)]
+                     for _ in range(d)]).hstack(Mat.from_columns([[i] * d], d))]
+        for v in fams:
+            assert ctx.brackets(v) == per_pair_brackets(ctx, v), (name, v.cols)

@@ -203,15 +203,11 @@ def test_solve_columns_is_solve_unique_per_column():
                 (None, False, False)
 
 
-def test_fold_rows():
-    assert M([[1, 2, 3, 4], [5, 6, 7, 8]]).fold_rows(2) == \
-        M([[1, 2], [3, 4], [5, 6], [7, 8]])
-    assert M([[Fraction(1, 2), 3, Fraction(1, 3), 1]]).fold_rows(2) == \
-        M([[Fraction(1, 2), 3], [Fraction(1, 3), 1]])
-    gauss = Mat([[QQi(1, 1), QQi(2), QQi(3), QQi(0, 1)]]).fold_rows(2)
-    assert gauss.data == ((QQi(1, 1), QQi(2)), (QQi(3), QQi(0, 1)))
-    with pytest.raises(LinAlgError):
-        M([[1, 2, 3]]).fold_rows(2)
+def test_from_columns_rejects_a_column_of_another_length():
+    assert Mat.from_columns([[1, 2], [3, 4]], 2) == M([[1, 3], [2, 4]])
+    for cols in ([[1, 2, 3], [4, 5]], [[1, 2], [3, 4, 5]], [[1], [2, 3]]):
+        with pytest.raises(LinAlgError):
+            Mat.from_columns(cols, 2)  # one column longer or shorter
 
 
 def test_subspace_equality_is_containment_based():

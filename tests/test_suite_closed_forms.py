@@ -5,28 +5,38 @@ only on failure; its A4 compares one block of the pulled-back form per draw,
 with the draws and verdicts of the four-block pullback, and a wrong adjoint
 fails both; cartan-dirac's leaf dimension compares two ranks, one of
 them from the group's closed-form commutator matrix, so a wrong adjoint
-fails it; and no suite runs the dual-number engine or the per-element
-sections, which stay in ``src`` as the oracles of the closed forms.
+fails it; the Dorfman closure rows, read off n x n brackets, equal those
+of the d x d matrices R(v) of the structure constants that they replaced,
+and a transposed adjoint fails them on SL; and no suite runs the
+dual-number engine or the per-element sections, which stay in ``src`` as
+the oracles of the closed forms.
 """
 
 from collections import Counter
+
+import runpy
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from qpslab import campaigns, dirac, gspringer
 from qpslab.campaigns import (SUITE_NAMES, CampaignConfig, _a3_nondegenerate,
                               _check_cartan_dirac, decode_point, run_suite)
-from qpslab.conventions import CORRUPTIONS, FROZEN, using
+from qpslab.conventions import ACTIVE, CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import DualMat, Space
 from qpslab.dirac import cartan_dirac, cartan_eta3, cartan_section, dorfman
 from qpslab.gspringer import (gram_ad, omega_matrix, phi_differential,
                               sample_double)
-from qpslab.liegroup import GROUPS, GroupElement, context, random_point
-from qpslab.linalg import Mat, intersect, kernel
+from qpslab.liegroup import (GROUPS, GroupElement, bracket, conjugation_sections,
+                             context, random_algebra, random_point,
+                             sigma_average)
+from qpslab.linalg import Mat, intersect, kernel, mat_vec
 from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def kernel_route(w, dphi):
     """A3 as it was decided before: the kernels of w^T and dphi, intersected."""
@@ -139,6 +149,139 @@ def test_leaf_dimension_ranks_match_the_subspace_route(name):
         assert leaf == {"check_id": "cartan-dirac/leaf-dimension",
                         "passed": proj == d - cent}
         assert leaf["passed"]
+
+
+def structure_constants(ctx):
+    """coords([e_l, e_m]) as row ``l d + m``."""
+    return Mat([ctx.coords(bracket(x, y)) for x in ctx.basis for y in ctx.basis])
+
+
+def r_matrices(ctx, vectors):
+    """R(v), the matrix of a -> coords([a, v]), for each column v of
+    ``vectors``: column l is sum_m v_m coords([e_l, e_m])."""
+    d = ctx.dim_g
+    sc = structure_constants(ctx)
+    blocks = [sc.row_block(l * d, l * d + d).transpose() for l in range(d)]
+    return [Mat.from_columns([mat_vec(b, vectors.col(i)) for b in blocks], d)
+            for i in range(vectors.cols)]
+
+
+def section_rows(ctx, m, x, a, coef=None):
+    """M^T, X^T, A^T, (A + c gram X)^T and (gram X)^T, c = eta_coeff * twist,
+    each contracted with ``coef`` first when it is given."""
+    conv = ACTIVE.get()
+    gx = ctx.gram @ x
+    mats = (m, x, a, a + gx.scale(conv.eta_coeff * conv.twist), gx)
+    if coef is not None:
+        mats = (p @ coef for p in mats)
+    return tuple(p.transpose() for p in mats)
+
+
+def closure_terms(ctx, rx, rm, rows):
+    """Row j of the first result: the terms of the pair (i, j) that the
+    derivatives of section i contribute, rx and rm being R(x_i) and R(M_i);
+    row j of the second: those of the pair (j, i)."""
+    d, gram = ctx.dim_g, ctx.gram
+    mt, xt, at, act, gxt = rows
+    rxt = rx.transpose()
+    dmt = mt @ rxt  # row j: how M_j moves along x_i
+    dt, da = -dmt, sigma_average(Mat.zeros(dmt.rows, d), dmt) @ gram
+    # column m: how M_i moves along e_m, R(e_m) M_i = -R(M_i) e_m
+    dte, dse = rm, sigma_average(Mat.zeros(d, d), -rm)
+    brx, bre = -(xt @ rxt), -rx  # row j: [x_i, x_j]; column m: [x_i, e_m]
+    blk = (dt + brx).hstack(da + at @ (dte - bre) + gxt @ dse)
+    sw = (-dt).hstack(act @ bre - da)
+    return blk, sw
+
+
+def r_matrix_route(ctx, gmat, ginv):
+    """Both sides of the full-basis closure as the d x d matrices R(v) of
+    the structure constants built them before the n x n brackets: block i
+    of the rows is a product with R(x_i) or R(M_i), and the terms read at
+    the pair (j, i) are moved to row i d + j."""
+    d = ctx.dim_g
+    m, x, a = conjugation_sections(ctx, gmat, ginv)
+    rows = section_rows(ctx, m, x, a)
+    own, swapped = [], []
+    for rx, rm in zip(r_matrices(ctx, x), r_matrices(ctx, m)):
+        blk, sw = closure_terms(ctx, rx, rm, rows)
+        own.append(blk)
+        swapped.append(sw)
+    lhs = Mat([r for blk in own for r in blk.data])
+    moved = Mat([swapped[j].data[i] for i in range(d) for j in range(d)])
+    return lhs + moved, structure_constants(ctx) @ rows[1].hstack(rows[2])
+
+
+def r_matrix_pair_route(ctx, sections, xi, ze):
+    """The one-pair closure rows of the R(v) route: zeta^T blk(xi) +
+    xi^T sw(zeta), and the section of [xi, zeta]."""
+    d = ctx.dim_g
+    m, x, a = sections
+    coef = Mat.from_columns([ctx.coords(xi), ctx.coords(ze)], d)
+    rows = section_rows(ctx, m, x, a, coef)
+    rx_xi, rx_ze, rm_xi, rm_ze = r_matrices(ctx, (x @ coef).hstack(m @ coef))
+    blk, _ = closure_terms(ctx, rx_xi, rm_xi, [r.row_block(1, 2) for r in rows])
+    _, sw = closure_terms(ctx, rx_ze, rm_ze, [r.row_block(0, 1) for r in rows])
+    c = Mat.from_columns([ctx.coords(bracket(xi, ze))], d)
+    return blk + sw, (x @ c).transpose().hstack((a @ c).transpose())
+
+
+def calibration_grid():
+    """Every (eta_coeff, twist) candidate of the calibration sweep."""
+    sweep = runpy.run_path(str(ROOT / "scripts" / "calibrate_conventions.py"))
+    return [replace(FROZEN, eta_coeff=c, twist=t)
+            for c in sweep["ETA_COEFFS"] for t in sweep["TWISTS"]]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_closure_rows_match_the_r_matrix_route(name, monkeypatch):
+    ctx = context(name)
+    rng = SplitMix64(64)
+    g = random_point(ctx, "G", rng)
+    xi, ze = random_algebra(ctx, rng).m, random_algebra(ctx, rng).m
+    for conv in [FROZEN, *CORRUPTIONS.values(), *calibration_grid()]:
+        with using(conv):
+            sections = conjugation_sections(ctx, g.m, g.inv)
+            assert dirac._closure_sides(ctx, g.m, g.inv) == \
+                r_matrix_route(ctx, g.m, g.inv), conv
+            assert dirac._pair_sides(ctx, sections, xi, ze) == \
+                r_matrix_pair_route(ctx, sections, xi, ze), conv
+    # the routes agree on a wrong adjoint too, so they fail alike
+    adjoint = ctx.adjoint
+    monkeypatch.setattr(ctx, "adjoint",
+                        lambda m, minv: adjoint(m, minv).transpose())
+    sections = conjugation_sections(ctx, g.m, g.inv)
+    assert dirac._closure_sides(ctx, g.m, g.inv) == r_matrix_route(ctx, g.m, g.inv)
+    assert dirac._pair_sides(ctx, sections, xi, ze) == \
+        r_matrix_pair_route(ctx, sections, xi, ze)
+
+
+def test_closure_rows_match_the_r_matrix_route_off_the_reals():
+    ctx = context("sl2")
+    i = QQi(0, 1)
+    g = GroupElement(ctx, Mat([[1 + i, i], [1, 1]]))
+    xi, ze = ctx.basis[0], Mat([[i, 1], [2, -i]])
+    sections = conjugation_sections(ctx, g.m, g.inv)
+    assert any(x.im for r in sections[0].data for x in r)
+    assert dirac._closure_sides(ctx, g.m, g.inv) == r_matrix_route(ctx, g.m, g.inv)
+    assert dirac._pair_sides(ctx, sections, xi, ze) == \
+        r_matrix_pair_route(ctx, sections, xi, ze)
+    assert dirac.cartan_closure_check(ctx, g.m, g.inv) == (True, None)
+    assert dirac.closure_sample(ctx, sections, xi, ze)
+
+
+@pytest.mark.parametrize("name", ("sl2", "sl3"))
+def test_closure_fails_under_a_transposed_adjoint(name, monkeypatch):
+    # on SL the transpose of Ad_{g^-1} in the basis (E_ij, H_k) is no
+    # automorphism of the algebra, and every point sees that
+    adjoint = context(name).adjoint
+    monkeypatch.setattr(context(name), "adjoint",
+                        lambda m, minv: adjoint(m, minv).transpose())
+    for suite, check in (("dorfman-closure", "dorfman-closure/basis-pairs"),
+                         ("cartan-dirac", "cartan-dirac/closure-sample")):
+        rep = run_suite(CampaignConfig(suite=suite, group=name, samples=4, seed=11))
+        verdicts = [r["passed"] for r in rep.checks if r["check_id"] == check]
+        assert verdicts == [False] * 4, suite
 
 
 def commutator_product_route(ctx, m):
