@@ -278,8 +278,14 @@ def _check_double(cfg, ctx, pt, rng) -> list:
 
 def _a3_nondegenerate(w: Mat, dphi: Mat) -> tuple[bool, dict | None]:
     """ker omega-flat meets ker dphi only in 0: [w^T; dphi] has full column
-    rank.  Only on failure are the two kernels built, for the witness."""
-    if rank(w.transpose().vstack(dphi)) == dphi.cols:
+    rank.  Only on failure are the two kernels built, for the witness.
+
+    A3 is vacuous wherever w is nondegenerate: then ker w^T is 0 and the
+    stack has full column rank whatever dphi is.  So w's rank is taken
+    first, and the stack is ranked only when w is degenerate, which no
+    sampled double point is.
+    """
+    if rank(w) == w.rows or rank(w.transpose().vstack(dphi)) == dphi.cols:
         return True, None
     return False, {"ker_omega": kernel(w.transpose()).dim, "ker_dphi": kernel(dphi).dim}
 

@@ -75,8 +75,9 @@ from .diffcalc import PointedMap, Space
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                     is_skew, pushforward_linear)
 from .liegroup import (AlgebraElement, GroupContext, GroupElement, chevalley,
-                       conjugation_sections, group_of_json, random_point,
-                       read_element, sigma, sigma_average, torus_part, _mul_frac)
+                       conjugation_sections, diagonal, group_of_json,
+                       random_point, read_element, sigma, sigma_average,
+                       torus_part, _mul_frac)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
                      rref, solve_columns)
 from .matio import _exact_part, entry_pairs, mat_to_json
@@ -260,8 +261,16 @@ def omega_fn(ctx: GroupContext, space: Space):
 
 
 def gram_ad(ctx: GroupContext, bmat: Mat, binv: Mat) -> Mat:
-    """T = G Ad_b, through which omega depends on the point; ``binv`` is b^-1."""
-    return ctx.gram @ ctx.adjoint(bmat, binv)
+    """T = G Ad_b, through which omega depends on the point; ``binv`` is b^-1.
+
+    Column j of T is G coords(b e_j b^-1), the functional coordinates
+    (tr(e_c b e_j b^-1))_c, read off the outer products of the columns of b
+    and the rows of b^-1 in closed form
+    (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`), with no d x d
+    product.  The product ``ctx.gram @ ctx.adjoint(bmat, binv)`` is its
+    oracle in the tests.
+    """
+    return ctx.gram_adjoint(bmat, binv)
 
 
 def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
@@ -993,6 +1002,4 @@ def _nonregular_torus(ctx: GroupContext, rng: SplitMix64) -> Mat:
         entries[-1] = 1 / prod
         if n == 2:
             entries = [Fraction(-1), Fraction(-1)]
-    return Mat(
-        [[QQi(entries[i]) if i == j else QQi(0) for j in range(n)] for i in range(n)]
-    )
+    return diagonal(entries)

@@ -192,18 +192,46 @@ class GroupContext:
         return Mat.from_int_columns(self._adjoint_columns(mi[0], ci[0]),
                                     mi[1] * ci[1])
 
-    def _adjoint_columns(self, m, minv) -> list:
-        """The columns of :meth:`adjoint` from the entry rows of m and m^-1,
-        over any ring of scalars."""
+    def gram_adjoint(self, m: Mat, minv: Mat) -> Mat:
+        """T = G Ad_m, G the Gram matrix: column j holds the functional
+        coordinates ``(tr(e_c m e_j m^-1))_c`` of ``m e_j m^-1``.  ``minv`` is
+        the inverse of ``m``.
+
+        Closed form, without the d x d product: the functional coordinate of
+        X at E_ab is tr(E_ab X) = X[b][a], and at the SL torus element H_k it
+        is X[k][k] - X[k+1][k+1].  With u column i of m and v row j of m^-1,
+        ``m E_ij m^-1`` is the outer product u v, so the column of E_ij holds
+        u_b v_a at E_ab and the differences of the diagonal u_k v_k at H_k;
+        the column of H_k is the difference of those of E_kk and
+        E_(k+1)(k+1), as in :meth:`adjoint`.  A real pair runs on integers, a
+        non-real pair on its :class:`QQi` entries.  The product route
+        ``gram @ adjoint(m, minv)`` is the oracle for this in the tests.
+        """
+        mi, ci = m.int_entries(), minv.int_entries()
+        if mi is None or ci is None:
+            return Mat.from_columns(
+                self._adjoint_columns(m.data, minv.data, functional=True),
+                self.dim_g)
+        return Mat.from_int_columns(
+            self._adjoint_columns(mi[0], ci[0], functional=True), mi[1] * ci[1])
+
+    def _adjoint_columns(self, m, minv, functional: bool = False) -> list:
+        """The columns of :meth:`adjoint`, or with ``functional`` those of
+        :meth:`gram_adjoint`, from the entry rows of m and m^-1, over any ring
+        of scalars."""
         n = self.n
         mcols = list(zip(*m))
 
-        def unit(i, j):  # coords of m E_ij m^-1
+        def unit(i, j):  # (functional) coords of m E_ij m^-1
             u, v = mcols[i], minv[j]
-            diag = [u[k] * v[k] for k in range(n)]
-            return ([u[a] * v[b] for a, b in self._upper]
-                    + (list(itertools.accumulate(diag[:-1]))
-                       if self.family == "SL" else diag)
+            torus = diag = [u[k] * v[k] for k in range(n)]
+            if functional:  # entry (b, a) at E_ab, differences at H_k
+                u, v = v, u
+                if self.family == "SL":
+                    torus = list(map(sub, diag, diag[1:]))
+            elif self.family == "SL":  # partial sums at H_k
+                torus = list(itertools.accumulate(diag[:-1]))
+            return ([u[a] * v[b] for a, b in self._upper] + torus
                     + [u[a] * v[b] for a, b in self._lower])
 
         return self._basis_columns(unit)
@@ -262,24 +290,24 @@ class GroupContext:
         One product [Y_1; ...; Y_k] [Y_1 | ... | Y_k] holds Y_p Y_q as its
         n x n block (p, q), so [Y_p, Y_q] is block (p, q) less block (q, p);
         E_ij has coordinate (i, j) and functional coordinate (j, i), the
-        torus as in :meth:`coords` and :meth:`_basis_columns`.  A non-real
-        ``v`` runs on its :class:`QQi` entries.  Per-pair ``coords(bracket(
-        ...))`` is the oracle in the tests.
+        torus as in :meth:`coords` and :meth:`_basis_columns`.  Every matrix
+        here is built in row form only: the callers read the two outputs
+        through ``select_rows``, ``-``, ``scale`` and products, none of which
+        needs a column form.  A non-real ``v`` runs on its :class:`QQi`
+        entries.  Per-pair ``coords(bracket(...))`` is the oracle in the
+        tests.
         """
         n, k = self.n, v.cols
 
-        def mat(columns, den, ambient):  # den None: QQi entries
-            return (Mat.from_columns(columns, ambient) if den is None
-                    else Mat.from_int_columns(columns, den))
+        def mat(rows, den):  # den None: QQi entries
+            return Mat(rows) if den is None else Mat.from_int_rows(rows, den)
 
         vt = v.transpose()
         coords, den = vt.int_entries() or (vt.data, None)
         ys = [self._entry_rows(c, 0) for c in coords]
-        # the columns of [Y_1; ...; Y_k] and of [Y_1 | ... | Y_k]
-        stack = mat([[y[a][b] for y in ys for a in range(n)] for b in range(n)],
-                    den, k * n)
-        side = mat([[y[a][b] for a in range(n)] for y in ys for b in range(n)],
-                   den, n)
+        # [Y_1; ...; Y_k] and [Y_1 | ... | Y_k], row by row
+        stack = mat([r for y in ys for r in y], den)
+        side = mat([[x for y in ys for x in y[a]] for a in range(n)], den)
         prod = stack @ side
         prod, den = prod.int_entries() or (prod.data, None)
 
@@ -293,9 +321,10 @@ class GroupContext:
         if self.family == "SL":
             torus = list(itertools.accumulate(torus[:-1],
                                               lambda x, y: list(map(add, x, y))))
-        return (mat([cols[i][j] for i, j in self._upper] + torus
-                    + [cols[i][j] for i, j in self._lower], den, k * k),
-                mat(self._basis_columns(lambda i, j: cols[j][i]), den, k * k))
+        # the outputs' columns, transposed to rows
+        return (mat(list(zip(*[cols[i][j] for i, j in self._upper], *torus,
+                              *[cols[i][j] for i, j in self._lower])), den),
+                mat(list(zip(*self._basis_columns(lambda i, j: cols[j][i]))), den))
 
     def form(self, x: Mat, y: Mat):
         """The invariant bilinear form ``tr(x y)``."""
@@ -624,7 +653,11 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
 
     ``G`` samples are built as (unit lower) * (diagonal) * (unit upper) with
     bounded-height rational entries and determinant fixed by the family;
-    ``T-regular`` forces pairwise distinct diagonal entries.
+    ``T-regular`` forces pairwise distinct diagonal entries.  The factors are
+    built straight into integer form from the drawn ``Fraction`` values
+    (:meth:`~qpslab.linalg.Mat.from_rationals`), with no :class:`QQi` entry;
+    the draws, their order and so the matrices are those of building the
+    factors entry by entry over :class:`QQi`, the oracle in the tests.
     """
     n = ctx.n
     if kind == "G":
@@ -647,18 +680,25 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
 
 def random_algebra(ctx: GroupContext, rng: SplitMix64, height: int = 10,
                    part: str = "g") -> AlgebraElement:
-    coords = [QQi(rng.rational(height)) for _ in ctx.sub_indices(part)]
-    full = ctx.embed_part_coords(part, coords)
-    return AlgebraElement(ctx, ctx.mat_from_coords(full), check=False)
+    coords = [0] * ctx.dim_g
+    for i in ctx.sub_indices(part):
+        coords[i] = rng.rational(height)
+    return AlgebraElement(ctx, Mat.from_rationals(ctx._entry_rows(coords, 0)),
+                          check=False)
 
 
 def _unitriangular(n: int, rng: SplitMix64, height: int, lower: bool) -> Mat:
-    m = [[QQi(1) if i == j else QQi(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if (i > j) if lower else (i < j):
-                m[i][j] = QQi(rng.rational(height))
-    return Mat(m)
+    """A unit lower or upper triangular matrix, its entries drawn row by row."""
+    return Mat.from_rationals(
+        [[1 if i == j else rng.rational(height) if (i > j if lower else i < j)
+          else 0 for j in range(n)] for i in range(n)])
+
+
+def diagonal(entries) -> Mat:
+    """The diagonal matrix of ``int`` and ``Fraction`` entries."""
+    n = len(entries)
+    return Mat.from_rationals([[e if i == j else 0 for j in range(n)]
+                               for i, e in enumerate(entries)])
 
 
 def _torus_mat(ctx: GroupContext, rng: SplitMix64, height: int, regular: bool) -> Mat:
@@ -674,8 +714,7 @@ def _torus_mat(ctx: GroupContext, rng: SplitMix64, height: int, regular: bool) -
             entries = [rng.rational(height, nonzero=True) for _ in range(n)]
         if not regular or len(set(entries)) == n:
             break
-    m = [[QQi(entries[i]) if i == j else QQi(0) for j in range(n)] for i in range(n)]
-    return Mat(m)
+    return diagonal(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ than tuples because CPython keeps up to 2000 freed tuples of each length
 below 20 for reuse, and tuple rows would fill those caches and raise the peak
 memory of a run.
 
+* Integer rows are built without a ``QQi`` entry wherever the values are
+  at hand as integers or fractions: by :meth:`Mat.from_rationals` from rows
+  of ``int`` and ``Fraction`` (the seeded samplers of
+  :mod:`qpslab.liegroup`), by :meth:`Mat.from_int_rows` and
+  :meth:`Mat.from_int_columns` from integers over a common denominator (the
+  closed-form adjoint, T = G Ad_b, the commutator matrix and the Lie
+  brackets), and by every kernel operation below.
 * The ``QQi`` entries, :attr:`Mat.data`, are built from the integer rows the
   first time some code reads them, and kept.  A matrix built from entries
   (``Mat(...)``, :meth:`Mat._raw`) clears its rows to integers
@@ -203,6 +210,20 @@ class Mat:
         common denominator ``den``, kept in both integer forms."""
         return cls._from_ints([_canon(list(r), den) for r in zip(*columns)],
                               len(columns), [_canon(list(c), den) for c in columns])
+
+    @classmethod
+    def from_int_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "Mat":
+        """The matrix with integer rows ``rows`` over the positive common
+        denominator ``den``, kept in row form only."""
+        ints = [_canon(list(r), den) for r in rows]
+        return cls._from_ints(ints, len(ints[0][0]))
+
+    @classmethod
+    def from_rationals(cls, rows: Sequence[Sequence]) -> "Mat":
+        """The matrix with rows of ``int`` and ``Fraction`` entries, built
+        straight into integer form (:func:`_rational_row`), with no
+        :class:`QQi` entry."""
+        return cls._from_ints([_rational_row(r) for r in rows], len(rows[0]))
 
     def int_entries(self) -> tuple[list[list[int]], int] | None:
         """``(N, den)`` with the matrix equal to ``N / den``: integer rows over
@@ -464,27 +485,39 @@ _NOT_INT = False
 
 
 def _int_rows(rows) -> list[tuple[list[int], int]] | None:
-    """Each row as (integer numerators, positive row denominator).
+    """Each row of :class:`QQi` entries as (integer numerators, positive row
+    denominator), by :func:`_rational_row` of its real parts.
 
-    The row denominator is the lcm of the row's entry denominators, so each
-    entry is its numerator over it, and no factor divides the denominator
-    and every numerator.  Returns None if an entry is not a real
-    :class:`QQi`; the caller then runs the ``_*_qqi`` path.
+    Returns None if an entry is not a real :class:`QQi`; the caller then
+    runs the ``_*_qqi`` path.
     """
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            if not isinstance(x, QQi) or x.im:
-                return None
-            d = x.re.denominator
-            if d != 1 and den % d:
-                den = lcm(den, d)
-        if den == 1:
-            out.append(([x.re.numerator for x in row], 1))
-        else:
-            out.append(([x.re.numerator * (den // x.re.denominator) for x in row], den))
+        re = [x.re for x in row if isinstance(x, QQi) and not x.im]
+        if len(re) != len(row):
+            return None
+        out.append(_rational_row(re))
     return out
+
+
+def _rational_row(row) -> tuple[list[int], int]:
+    """A row of ``int`` and ``Fraction`` entries as (integer numerators,
+    positive row denominator).
+
+    The row denominator is the lcm of the row's entry denominators, so each
+    entry is its numerator over it, and no factor divides the denominator
+    and every numerator: a prime power that divides the lcm exactly divides
+    some entry's denominator, and neither that entry's numerator nor its
+    cofactor holds the prime.  So the row is canonical without a gcd.
+    """
+    den = 1
+    for x in row:
+        d = x.denominator
+        if d != 1 and den % d:
+            den = lcm(den, d)
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def _canon(nums: list[int], den: int) -> tuple[list[int], int]:

@@ -3,7 +3,8 @@ per-basis route it replaced.
 
 * :meth:`GroupContext.adjoint` against ``coords(m e_k m^-1)`` for every basis
   element, on every group, for Ad_m and Ad_{m^-1}, and on non-real sl2
-  elements (the :class:`QQi` path).
+  elements (the :class:`QQi` path); :meth:`GroupContext.gram_adjoint`
+  against the product ``gram @ adjoint``, the same way.
 * ``phi_differential``, ``cartan_dirac``, ``action_generators`` and
   ``chart_transport`` against their per-basis columns, written out here;
   on G x B and G x U, the leading blocks of the double's matrices.
@@ -70,6 +71,32 @@ def test_adjoint_on_non_real_sl2_elements():
             assert got == per_basis_adjoint(ctx, m, minv), rows
             non_real |= any(x.im for r in got.data for x in r)
     assert non_real  # the QQi path produced non-real entries
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_gram_adjoint_matches_the_product_route(group):
+    ctx = context(group)
+    rng = SplitMix64(202)
+    for kind in KINDS:
+        g = random_point(ctx, kind, rng)
+        for m, minv in ((g.m, g.inv), (g.inv, g.m)):
+            assert ctx.gram_adjoint(m, minv) == ctx.gram @ ctx.adjoint(m, minv), kind
+    eye = Mat.identity(ctx.n)
+    assert ctx.gram_adjoint(eye, eye) == ctx.gram
+
+
+def test_gram_adjoint_on_non_real_sl2_elements():
+    ctx = context("sl2")
+    i = QQi(0, 1)
+    non_real = False
+    # diag(i, -i) has a real adjoint, taken on the QQi path all the same
+    for rows in ([[i, 0], [0, -i]], [[1 + i, i], [1, 1]]):
+        g = GroupElement(ctx, Mat(rows))
+        for m, minv in ((g.m, g.inv), (g.inv, g.m)):
+            got = ctx.gram_adjoint(m, minv)
+            assert got == ctx.gram @ ctx.adjoint(m, minv), rows
+            non_real |= any(x.im for r in got.data for x in r)
+    assert non_real
 
 
 def per_basis_phi_differential(ctx, amat, bmat, part):

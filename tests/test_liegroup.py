@@ -6,6 +6,7 @@ import pytest
 
 from qpslab import liegroup
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
+from qpslab.gspringer import _nonregular_torus
 from qpslab.liegroup import (Ad, AlgebraElement, Covector, GroupContext,
                              GroupElement, TangentVec, WeylGroup, ad,
                              borel_decompose, chevalley, context, random_algebra,
@@ -326,4 +327,104 @@ def test_brackets_match_the_per_pair_oracle():
                 Mat([[QQi(rng.rational(4), rng.below(3)) for _ in range(2)]
                      for _ in range(d)]).hstack(Mat.from_columns([[i] * d], d))]
         for v in fams:
-            assert ctx.brackets(v) == per_pair_brackets(ctx, v), (name, v.cols)
+            got, want = ctx.brackets(v), per_pair_brackets(ctx, v)
+            assert got == want, (name, v.cols)
+            # built in row form only; a column form derived later, as a
+            # transpose needs it, is the oracle's
+            for g, w in zip(got, want):
+                assert g._icols is None
+                assert g.transpose() == w.transpose()
+
+
+# the samplers as they were built before, entry by entry over QQi: the
+# oracles of the integer-form samplers
+
+
+def qqi_unitriangular(n, rng, height, lower):
+    m = [[QQi(1) if i == j else QQi(0) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if (i > j) if lower else (i < j):
+                m[i][j] = QQi(rng.rational(height))
+    return Mat(m)
+
+
+def qqi_diagonal(entries):
+    n = len(entries)
+    return Mat([[QQi(entries[i]) if i == j else QQi(0) for j in range(n)]
+                for i in range(n)])
+
+
+def qqi_torus_mat(ctx, rng, height, regular):
+    n = ctx.n
+    while True:
+        if ctx.family == "SL":
+            entries = [rng.rational(height, nonzero=True) for _ in range(n - 1)]
+            prod = Fraction(1)
+            for e in entries:
+                prod *= e
+            entries.append(1 / prod)
+        else:
+            entries = [rng.rational(height, nonzero=True) for _ in range(n)]
+        if not regular or len(set(entries)) == n:
+            break
+    return qqi_diagonal(entries)
+
+
+def qqi_random_point(ctx, kind, rng, height=10):
+    n = ctx.n
+    if kind == "G":
+        low = qqi_unitriangular(n, rng, height, lower=True)
+        up = qqi_unitriangular(n, rng, height, lower=False)
+        return low @ qqi_torus_mat(ctx, rng, height, regular=False) @ up
+    if kind == "B":
+        t = qqi_torus_mat(ctx, rng, height, regular=False)
+        return t @ qqi_unitriangular(n, rng, height, lower=False)
+    if kind in ("T", "T-regular"):
+        return qqi_torus_mat(ctx, rng, height, regular=kind == "T-regular")
+    return qqi_unitriangular(n, rng, height, lower=False)
+
+
+def qqi_random_algebra(ctx, rng, height, part):
+    coords = [QQi(rng.rational(height)) for _ in ctx.sub_indices(part)]
+    return ctx.mat_from_coords(ctx.embed_part_coords(part, coords))
+
+
+def qqi_nonregular_torus(ctx, rng):
+    n = ctx.n
+    r = rng.rational(6, nonzero=True)
+    entries = [r, r]
+    while len(entries) < n:
+        entries.append(rng.rational(6, nonzero=True))
+    if ctx.family == "SL":
+        prod = Fraction(1)
+        for e in entries[:-1]:
+            prod *= e
+        entries[-1] = 1 / prod
+        if n == 2:
+            entries = [Fraction(-1), Fraction(-1)]
+    return qqi_diagonal(entries)
+
+
+SAMPLE_KINDS = ("G", "B", "T", "T-regular", "U")
+
+
+@pytest.mark.parametrize("name", sorted(liegroup.GROUPS))
+def test_samplers_match_the_qqi_entry_oracles(name):
+    # the same matrices, in entries and integer form, from the same draws:
+    # each pair of streams ends in the same state
+    ctx = context(name)
+    for seed in (1, 2, 3, 20260809):
+        new, old = SplitMix64(seed), SplitMix64(seed)
+        for kind in SAMPLE_KINDS:
+            got, want = random_point(ctx, kind, new).m, qqi_random_point(ctx, kind, old)
+            assert got == want and got.data == want.data, (seed, kind)
+            assert new.state == old.state, (seed, kind)
+        for part in ("g", "b", "u", "t"):
+            got = random_algebra(ctx, new, 10, part).m
+            want = qqi_random_algebra(ctx, old, 10, part)
+            assert got == want and got.data == want.data, (seed, part)
+            assert new.state == old.state, (seed, part)
+        got, want = _nonregular_torus(ctx, new), qqi_nonregular_torus(ctx, old)
+        assert got == want and got.data == want.data, seed
+        assert new.state == old.state, seed

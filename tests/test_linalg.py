@@ -225,3 +225,22 @@ def test_rref_pivots():
 def test_stacking_keeps_the_left_backend():
     exact = M([[1, 2]])
     assert exact.hstack(M([[3]])).data == M([[1, 2, 3]]).data
+
+
+def test_rational_and_integer_row_constructors_match_the_entry_route():
+    # built straight into integer form, they give the canonical rows the
+    # QQi entries clear to, and the same entries
+    rng = SplitMix64(7)
+    for rows, cols in ((3, 3), (2, 5), (1, 1)):
+        fr = [[rng.rational(12) if rng.below(3) else rng.below(5) - 2
+               for _ in range(cols)] for _ in range(rows)]
+        want = Mat([[QQi(x) for x in r] for r in fr])
+        got = Mat.from_rationals(fr)
+        assert got == want and got.data == want.data
+        assert got._ints == want._int_form()
+        den = 1 + rng.below(12)
+        nums = [[rng.below(41) - 20 for _ in range(cols)] for _ in range(rows)]
+        got = Mat.from_int_rows(nums, den)
+        want = Mat([[QQi(Fraction(a, den)) for a in r] for r in nums])
+        assert got == want and got.data == want.data
+        assert got._ints == want._int_form() and got._icols is None

@@ -1,7 +1,7 @@
 """The suites' closed forms against the routes they replaced.
 
-The double's A3 is one rank of [w^T; dphi], with its kernel witness built
-only on failure; its A4 compares one block of the pulled-back form per draw,
+The double's A3 is the rank of w, and only where w is degenerate one rank
+of [w^T; dphi], with its kernel witness built only on failure; its A4 compares one block of the pulled-back form per draw,
 with the draws and verdicts of the four-block pullback, and a wrong adjoint
 fails both; cartan-dirac's leaf dimension compares two ranks, one of
 them from the group's closed-form commutator matrix, so a wrong adjoint
@@ -29,9 +29,9 @@ from qpslab.dirac import cartan_dirac, cartan_eta3, cartan_section, dorfman
 from qpslab.gspringer import (gram_ad, omega_matrix, phi_differential,
                               sample_double)
 from qpslab.liegroup import (GROUPS, GroupElement, bracket, conjugation_sections,
-                             context, random_algebra, random_point,
+                             context, diagonal, random_algebra, random_point,
                              sigma_average)
-from qpslab.linalg import Mat, intersect, kernel, mat_vec
+from qpslab.linalg import Mat, intersect, kernel, mat_vec, rank
 from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -68,6 +68,30 @@ def test_a3_rank_matches_the_kernel_route_on_hand_built_pairs():
     assert _a3_nondegenerate(w, meets) == kernel_route(w, meets) == (
         False, {"ker_omega": 1, "ker_dphi": 1})
     assert _a3_nondegenerate(w, misses) == kernel_route(w, misses) == (True, None)
+
+
+# b = t u with t of a repeated (gl2, sl3) or sign-split (gl3) diagonal:
+# there w is degenerate, of the rank given, so A3 ranks the stack
+DEGENERATE_T = {"gl2": ((1, -1), 4), "gl3": ((1, -1, 5), 14),
+                "sl3": ((1, -1, -1), 12)}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_T))
+def test_a3_ranks_the_stack_where_omega_is_degenerate(name):
+    ctx = context(name)
+    diag, rank_w = DEGENERATE_T[name]
+    rng = SplitMix64(54)
+    a = random_point(ctx, "G", rng)
+    b = GroupElement(ctx, diagonal(diag) @ random_point(ctx, "U", rng).m)
+    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+    assert rank(w) == rank_w < w.rows
+    dphi = phi_differential(a, b)
+    assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi) == (True, None)
+    # with dphi zero the kernels meet in ker w^T, and the witness is the
+    # kernel route's
+    zero = Mat.zeros(dphi.rows, dphi.cols)
+    assert _a3_nondegenerate(w, zero) == kernel_route(w, zero) == (
+        False, {"ker_omega": w.rows - rank_w, "ker_dphi": dphi.cols})
 
 
 def four_block_route(ctx, b, w, rng, count):
@@ -127,6 +151,9 @@ def test_a4_fails_under_a_transposed_adjoint(name, monkeypatch):
     adjoint = ctx.adjoint
     monkeypatch.setattr(ctx, "adjoint",
                         lambda m, minv: adjoint(m, minv).transpose())
+    # T = G Ad_b has its own closed form; route it through the wrong adjoint
+    monkeypatch.setattr(ctx, "gram_adjoint",
+                        lambda m, minv: ctx.gram @ ctx.adjoint(m, minv))
     w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
     assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63), 10)
     assert not four_block_route(ctx, b, w, SplitMix64(63), 10)
