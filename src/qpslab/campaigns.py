@@ -38,7 +38,6 @@ from .liegroup import (AlgebraElement, GroupContext, GroupElement, WeylGroup,
 from .linalg import EXACT, FLOAT, Mat, kernel, rank
 from .matio import mat_to_json
 from .prng import SplitMix64
-from .scalars import QQi
 
 CLI_GROUPS = ("sl2", "sl3", "gl2", "gl3")
 
@@ -189,10 +188,10 @@ def _check_pairing(cfg, ctx, pt, rng) -> list:
     two_route = pairing((x, a), (y, b)) == ctx.form(a.m, y.m) + ctx.form(b.m, x.m)
     recs.append(_record("pairing/metric-identification", two_route))
 
-    wdata = [[QQi(0)] * d for _ in range(d)]
+    wdata = [[0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            v = QQi(rng.rational(5))
+            v = rng.rational(5)
             wdata[i][j] = v
             wdata[j][i] = -v
     w = Mat(wdata)
@@ -201,7 +200,7 @@ def _check_pairing(cfg, ctx, pt, rng) -> list:
     recs.append(_record("pairing/graph-two-form-lagrangian", ok, wit))
     recs.append(_record("pairing/graph-meets-cotangent-trivially",
                         gw.cotangent_intersection().dim == 0))
-    pmat = Mat(wdata).scale(QQi(2))
+    pmat = w.scale(2)
     gp = graph_bivector(pmat)
     ok, wit = is_lagrangian(gp)
     recs.append(_record("pairing/graph-bivector-lagrangian", ok, wit))

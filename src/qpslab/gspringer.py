@@ -299,13 +299,13 @@ def _t_derivative(t: Mat, r: Mat) -> Mat:
     return -(t @ r)
 
 
-def d_omega(ctx: GroupContext, t: Mat, w: Mat, x, y, z):
+def d_omega(ctx: GroupContext, t: Mat, w: Mat, v: Mat):
     """d(omega)(x, y, z) from the block form of :func:`omega_matrix`.
 
     ``t`` is :func:`gram_ad` at the point and ``w`` the omega matrix there,
     on the double or one of its G x B and G x U slices, whose size gives
-    the second factor's; ``x``, ``y``, ``z`` are tangent coordinates.  With
-    constant-coordinate fields,
+    the second factor's; the tangent coordinates x, y, z are the three
+    columns of ``v``.  With constant-coordinate fields,
 
         d(omega)(X, Y, Z) = sum_cyc [ Y' (d_X W) Z - [X, Y]' W Z ].
 
@@ -323,7 +323,6 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, x, y, z):
     d = ctx.dim_g
     dim = w.rows
     k = dim - d
-    v = Mat.from_columns([x, y, z], dim)
     first = v.row_block(0, d)
     second = v.row_block(d, dim)
     if k < d:
@@ -361,18 +360,25 @@ def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, dphi: Mat,
     per factor of the target, and each block carries eta.  The double's A2
     passes its :func:`phi_differential` (eta (+) eta); the leaf d-identity
     of :func:`leaf_two_form` passes d(mu) on the slice G x tU.  Each triple
-    is three height-3 direction vectors of ``w``'s size, drawn from ``rng``;
-    d(omega) comes from :func:`d_omega`, and the first failing triple ends
+    is three height-3 direction vectors of ``w``'s size, drawn from ``rng``
+    one after another as the columns of one matrix V, so a real point runs
+    on the integer kernel throughout: one product ``dphi @ V`` pushes all
+    three, each dim G block of it gives eta's three algebra matrices as
+    integer rows (:meth:`~qpslab.liegroup.GroupContext.algebra_matrices`),
+    and d(omega) comes from :func:`d_omega` on V.  A non-real point takes
+    the same steps on :class:`QQi` entries.  The first failing triple ends
     the check.
     """
     d = ctx.dim_g
+    dim = w.rows
     for _ in range(triples):
-        dirs = [[QQi(rng.rational(3)) for _ in range(w.rows)] for _ in range(3)]
-        pushed = [mat_vec(dphi, v) for v in dirs]
+        v = Mat.from_columns(
+            [[rng.rational(3) for _ in range(dim)] for _ in range(3)], dim)
+        pushed = dphi @ v
         rhs = QQi(0)
         for r in range(0, dphi.rows, d):
-            rhs = rhs - ctx.eta(*(ctx.mat_from_coords(p[r:r + d]) for p in pushed))
-        if d_omega(ctx, t, w, *dirs) != rhs:
+            rhs = rhs - ctx.eta(*ctx.algebra_matrices(pushed.row_block(r, r + d)))
+        if d_omega(ctx, t, w, v) != rhs:
             return False
     return True
 
@@ -844,10 +850,24 @@ def reconstruct_bivector(chart: QuotientChart):
 
 
 def float_array(m: Mat) -> np.ndarray:
-    """The complex128 array of an exact matrix."""
+    """The complex128 array of an exact matrix.
+
+    A real matrix is read from its integer rows over one denominator
+    (:meth:`~qpslab.linalg.Mat.int_entries`), with no :class:`QQi` entry:
+    ``a / den`` is the correctly rounded value of the exact rational, as
+    ``float(Fraction)`` is, so the array is bit for bit that of the
+    entries' ``to_complex``, the route a non-real matrix takes.  (That
+    route adds the zero real part of ``1j * 0``, which turns a negative
+    value that underflows to -0.0 into 0.0; the ``+ 0.0`` here does the
+    same.)
+    """
     import numpy as np
 
-    return np.array([[x.to_complex() for x in r] for r in m.data], dtype=complex)
+    ints = m.int_entries()
+    if ints is None:
+        return np.array([[x.to_complex() for x in r] for r in m.data], dtype=complex)
+    nums, den = ints
+    return np.array([[a / den + 0.0 for a in r] for r in nums], dtype=complex)
 
 
 def float_element_from_json(obj: dict) -> tuple[GroupContext, np.ndarray]:

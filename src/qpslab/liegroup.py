@@ -58,9 +58,9 @@ class GroupContext:
             labels.append(f"E{i + 1}{j + 1}")
         if family == "SL":
             for k in range(n - 1):
-                m = [[QQi(0)] * n for _ in range(n)]
-                m[k][k] = QQi(1)
-                m[k + 1][k + 1] = QQi(-1)
+                m = [[0] * n for _ in range(n)]
+                m[k][k] = 1
+                m[k + 1][k + 1] = -1
                 basis.append(Mat(m))
                 labels.append(f"H{k + 1}")
         else:
@@ -127,6 +127,25 @@ class GroupContext:
             raise ValueError("coordinate length mismatch")
         c = [x if isinstance(x, QQi) else QQi(x) for x in coords]
         return Mat(self._entry_rows(c, QQI_ZERO))
+
+    def algebra_matrices(self, v: Mat) -> list[Mat]:
+        """The algebra matrices whose coordinates are the columns of ``v``.
+
+        A real ``v`` gives integer rows over the common denominator of its
+        columns, with no :class:`QQi` entry; a non-real one gives
+        :class:`QQi` entries.  Per-column :meth:`mat_from_coords` is the
+        oracle in the tests.
+        """
+        ys, den = self._column_entry_rows(v)
+        return [_rows_mat(y, den) for y in ys]
+
+    def _column_entry_rows(self, v: Mat) -> tuple[list, int | None]:
+        """The entry rows of the algebra matrices with coordinates the columns
+        of ``v``: integers over the returned denominator for a real ``v``,
+        :class:`QQi` entries and None otherwise."""
+        vt = v.transpose()
+        coords, den = vt.int_entries() or (vt.data, None)
+        return [self._entry_rows(c, 0) for c in coords], den
 
     def _entry_rows(self, c, zero) -> list:
         """The entry rows of the algebra matrix with coordinates ``c``, over
@@ -298,16 +317,10 @@ class GroupContext:
         tests.
         """
         n, k = self.n, v.cols
-
-        def mat(rows, den):  # den None: QQi entries
-            return Mat(rows) if den is None else Mat.from_int_rows(rows, den)
-
-        vt = v.transpose()
-        coords, den = vt.int_entries() or (vt.data, None)
-        ys = [self._entry_rows(c, 0) for c in coords]
+        ys, den = self._column_entry_rows(v)
         # [Y_1; ...; Y_k] and [Y_1 | ... | Y_k], row by row
-        stack = mat([r for y in ys for r in y], den)
-        side = mat([[x for y in ys for x in y[a]] for a in range(n)], den)
+        stack = _rows_mat([r for y in ys for r in y], den)
+        side = _rows_mat([[x for y in ys for x in y[a]] for a in range(n)], den)
         prod = stack @ side
         prod, den = prod.int_entries() or (prod.data, None)
 
@@ -322,9 +335,10 @@ class GroupContext:
             torus = list(itertools.accumulate(torus[:-1],
                                               lambda x, y: list(map(add, x, y))))
         # the outputs' columns, transposed to rows
-        return (mat(list(zip(*[cols[i][j] for i, j in self._upper], *torus,
-                              *[cols[i][j] for i, j in self._lower])), den),
-                mat(list(zip(*self._basis_columns(lambda i, j: cols[j][i]))), den))
+        return (_rows_mat(list(zip(*[cols[i][j] for i, j in self._upper], *torus,
+                                    *[cols[i][j] for i, j in self._lower])), den),
+                _rows_mat(list(zip(*self._basis_columns(lambda i, j: cols[j][i]))),
+                          den))
 
     def form(self, x: Mat, y: Mat):
         """The invariant bilinear form ``tr(x y)``."""
@@ -359,9 +373,15 @@ class GroupContext:
         return not any(m.entry(i, j) for i, j in self._lower)
 
 
+def _rows_mat(rows, den: int | None) -> Mat:
+    """The matrix of integer rows over ``den``, or of entry rows if ``den``
+    is None."""
+    return Mat(rows) if den is None else Mat.from_int_rows(rows, den)
+
+
 def _unit(n: int, i: int, j: int) -> Mat:
-    m = [[QQi(0)] * n for _ in range(n)]
-    m[i][j] = QQi(1)
+    m = [[0] * n for _ in range(n)]
+    m[i][j] = 1
     return Mat(m)
 
 
@@ -655,7 +675,7 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
     bounded-height rational entries and determinant fixed by the family;
     ``T-regular`` forces pairwise distinct diagonal entries.  The factors are
     built straight into integer form from the drawn ``Fraction`` values
-    (:meth:`~qpslab.linalg.Mat.from_rationals`), with no :class:`QQi` entry;
+    (``Mat`` of ``int`` and ``Fraction`` rows), with no :class:`QQi` entry;
     the draws, their order and so the matrices are those of building the
     factors entry by entry over :class:`QQi`, the oracle in the tests.
     """
@@ -683,22 +703,20 @@ def random_algebra(ctx: GroupContext, rng: SplitMix64, height: int = 10,
     coords = [0] * ctx.dim_g
     for i in ctx.sub_indices(part):
         coords[i] = rng.rational(height)
-    return AlgebraElement(ctx, Mat.from_rationals(ctx._entry_rows(coords, 0)),
-                          check=False)
+    return AlgebraElement(ctx, Mat(ctx._entry_rows(coords, 0)), check=False)
 
 
 def _unitriangular(n: int, rng: SplitMix64, height: int, lower: bool) -> Mat:
     """A unit lower or upper triangular matrix, its entries drawn row by row."""
-    return Mat.from_rationals(
-        [[1 if i == j else rng.rational(height) if (i > j if lower else i < j)
-          else 0 for j in range(n)] for i in range(n)])
+    return Mat([[1 if i == j else rng.rational(height) if (i > j if lower else i < j)
+                 else 0 for j in range(n)] for i in range(n)])
 
 
 def diagonal(entries) -> Mat:
     """The diagonal matrix of ``int`` and ``Fraction`` entries."""
     n = len(entries)
-    return Mat.from_rationals([[e if i == j else 0 for j in range(n)]
-                               for i, e in enumerate(entries)])
+    return Mat([[e if i == j else 0 for j in range(n)]
+                for i, e in enumerate(entries)])
 
 
 def _torus_mat(ctx: GroupContext, rng: SplitMix64, height: int, regular: bool) -> Mat:
@@ -736,11 +754,11 @@ class WeylGroup:
 
     def _rep(self, perm) -> GroupElement:
         n = self.ctx.n
-        m = [[QQi(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         for j in range(n):
-            m[perm[j]][j] = QQi(1)
+            m[perm[j]][j] = 1
         if self.ctx.family == "SL" and _parity(perm) == -1:
-            m[perm[0]][0] = QQi(-1)
+            m[perm[0]][0] = -1
         return GroupElement(self.ctx, Mat(m), check=False)
 
     def __len__(self):

@@ -18,23 +18,31 @@ below 20 for reuse, and tuple rows would fill those caches and raise the peak
 memory of a run.
 
 * Integer rows are built without a ``QQi`` entry wherever the values are
-  at hand as integers or fractions: by :meth:`Mat.from_rationals` from rows
-  of ``int`` and ``Fraction`` (the seeded samplers of
-  :mod:`qpslab.liegroup`), by :meth:`Mat.from_int_rows` and
-  :meth:`Mat.from_int_columns` from integers over a common denominator (the
-  closed-form adjoint, T = G Ad_b, the commutator matrix and the Lie
-  brackets), and by every kernel operation below.
+  at hand as integers or fractions.  ``Mat(rows)`` of ``int`` and
+  ``Fraction`` entries builds them at once (:func:`_rational_row`): the
+  seeded samplers of :mod:`qpslab.liegroup`, the algebra basis, the Weyl
+  representatives, the pairing suite's random form, the directions of the
+  sampled d-identity and every real JSON matrix
+  (:func:`qpslab.matio.mat_from_json`) arrive that way.
+  :meth:`Mat.from_int_rows` and :meth:`Mat.from_int_columns` build them from
+  integers over a common denominator (the closed-form adjoint, T = G Ad_b,
+  the commutator matrix, the Lie brackets and the algebra matrices of
+  coordinate columns), and so does every kernel operation below.  Going the
+  other way, the JSON writer and the float conversion read the integer
+  rows, not the entries.
 * The ``QQi`` entries, :attr:`Mat.data`, are built from the integer rows the
-  first time some code reads them, and kept.  A matrix built from entries
-  (``Mat(...)``, :meth:`Mat._raw`) clears its rows to integers
-  (:func:`_int_rows`) the first time a kernel operation needs them, and keeps
-  them, so each matrix is converted at most once.  The column form, derived
-  from the rows and kept, is the row form of the transpose (and so of every
-  basis :class:`Subspace` canonicalizes) and is sliced by
+  first time some code reads them, and kept.  A matrix built from
+  :class:`QQi` entries (``Mat(...)``, :meth:`Mat._raw`) clears its rows to
+  integers (:func:`_int_rows`) the first time a kernel operation needs them,
+  and keeps them, so each matrix is converted at most once.  The column
+  form, derived from the rows and kept, is the row form of the transpose
+  (and so of every basis :class:`Subspace` canonicalizes) and is sliced by
   :meth:`Mat.col_block` when present.  The right operand of ``@`` needs no
   column form: it is read from its integer rows over the lcm of the row
   denominators (:meth:`Mat.int_entries`), since each output row is reduced
-  anyway.
+  anyway; those rescaled rows are kept too, so a matrix that is a right
+  operand (or an input of the closed-form adjoints) several times is
+  rescaled once.
 * ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.transpose`,
   :meth:`Mat.hstack`, :meth:`Mat.vstack`, :meth:`Mat.row_block`,
   :meth:`Mat.col_block`, :meth:`Mat.select_rows` and :meth:`Mat.select_cols`
@@ -107,10 +115,14 @@ class LinAlgError(ValueError):
     pass
 
 
+# the entry types Mat(...) builds integer rows from at once
+_RATIONAL = (int, Fraction)
+
+
 def _coerce_entry(x):
     if isinstance(x, QQi):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _RATIONAL):
         return QQi(x)
     raise TypeError(f"exact matrix entry must be rational, got {type(x).__name__}")
 
@@ -123,16 +135,23 @@ class Mat:
     docstring); whichever form is missing is derived when first used.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints", "_icols")
+    __slots__ = ("rows", "cols", "_data", "_ints", "_icols", "_iright")
 
     def __init__(self, data: Sequence[Sequence]):
-        rows = tuple(tuple(_coerce_entry(x) for x in r) for r in data)
-        if not rows:
+        """The matrix with these rows of entries.  Rows of ``int`` and
+        ``Fraction`` entries go straight to integer form
+        (:func:`_rational_row`), with no :class:`QQi` entry; any other row
+        set is coerced to :class:`QQi` entries."""
+        if not data:
             raise LinAlgError("matrix needs at least one row")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+        ncols = len(data[0])
+        if any(len(r) != ncols for r in data):
             raise LinAlgError("ragged rows")
-        self._init(len(rows), ncols, rows)
+        if all(type(x) in _RATIONAL for r in data for x in r):
+            self._init(len(data), ncols, None, [_rational_row(r) for r in data])
+        else:
+            self._init(len(data), ncols,
+                       tuple(tuple(_coerce_entry(x) for x in r) for r in data))
 
     def _init(self, rows, cols, data=None, ints=None, icols=None):
         self.rows = rows
@@ -141,6 +160,7 @@ class Mat:
         # None: not derived yet; _NOT_INT: a non-real entry
         self._ints = ints
         self._icols = icols
+        self._iright = None  # int_entries, once derived
 
     @classmethod
     def _raw(cls, data: tuple) -> "Mat":
@@ -218,21 +238,23 @@ class Mat:
         ints = [_canon(list(r), den) for r in rows]
         return cls._from_ints(ints, len(ints[0][0]))
 
-    @classmethod
-    def from_rationals(cls, rows: Sequence[Sequence]) -> "Mat":
-        """The matrix with rows of ``int`` and ``Fraction`` entries, built
-        straight into integer form (:func:`_rational_row`), with no
-        :class:`QQi` entry."""
-        return cls._from_ints([_rational_row(r) for r in rows], len(rows[0]))
-
     def int_entries(self) -> tuple[list[list[int]], int] | None:
         """``(N, den)`` with the matrix equal to ``N / den``: integer rows over
-        the lcm of the row denominators.  None for a non-real matrix."""
-        ints = self._int_form()
-        if ints is None:
-            return None
-        den = lcm(*(d for _, d in ints))
-        return [r if d == den else [a * (den // d) for a in r] for r, d in ints], den
+        the lcm of the row denominators.  None for a non-real matrix.
+
+        Derived once and kept, as the column form is, so a matrix that is
+        the right operand of several products is rescaled once; like the
+        integer rows, the kept lists are never mutated.
+        """
+        right = self._iright
+        if right is None:
+            ints = self._int_form()
+            if ints is None:
+                return None
+            den = lcm(*(d for _, d in ints))
+            self._iright = right = (
+                [r if d == den else [a * (den // d) for a in r] for r, d in ints], den)
+        return right
 
     # -- basic algebra -------------------------------------------------------
 

@@ -11,11 +11,23 @@ every matrix read here is exact.  The float reader of the Weyl-fiber
 enumeration, which also takes plain numbers, shares :func:`entry_pairs` and
 the fraction parser (see :mod:`qpslab.gspringer`).  Group elements add a
 ``"group"`` tag such as ``"sl2"``.
+
+Every matrix a campaign writes is real and its parts are ``-?digits`` or
+``-?digits/digits`` in ASCII, so the reader takes such a part by ``int``
+(:func:`_rational`) and builds a real matrix straight into integer rows,
+with no :class:`~qpslab.scalars.QQi` entry.  Any other part, and a zero
+denominator, goes through :func:`_exact_part`, which accepts and rejects
+exactly as ``Fraction`` does, so the fast path changes no value and no
+error.  A matrix with a non-real entry is built from :class:`QQi` entries.
+The writer prints a real matrix from its integer rows
+(:meth:`~qpslab.linalg.Mat.int_entries`) and a non-real one from its
+entries; both give the strings of ``str(Fraction)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .linalg import Mat
 from .scalars import QQi
@@ -32,6 +44,24 @@ def _exact_part(v) -> Fraction:
         return Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in entry {v!r}") from None
+
+
+def _rational(v) -> int | Fraction:
+    """A part of an exact entry as an ``int`` or a ``Fraction``: the ASCII
+    forms ``-?digits`` and ``-?digits/digits`` with a non-zero denominator
+    by ``int``, any other part by :func:`_exact_part`."""
+    if type(v) is int:
+        return v
+    if type(v) is str and v.isascii():
+        num, slash, den = v.partition("/")
+        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            try:  # int refuses a digit string beyond its length limit
+                p, q = int(num), int(den or 1)
+            except ValueError:
+                q = 0
+            if q:
+                return p if q == 1 else Fraction(p, q)
+    return _exact_part(v)
 
 
 def _pair(v) -> tuple:
@@ -58,14 +88,26 @@ def entry_pairs(obj: dict) -> tuple[int, int, list]:
 
 
 def mat_to_json(m: Mat) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [scalar_to_json(x) for row in m.data for x in row],
-    }
+    ints = m.int_entries()
+    if ints is None:
+        entries = [scalar_to_json(x) for row in m.data for x in row]
+    else:
+        nums, den = ints
+        entries = [[_fraction_str(a, den), "0"] for r in nums for a in r]
+    return {"rows": m.rows, "cols": m.cols, "entries": entries}
+
+
+def _fraction_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def mat_from_json(obj: dict) -> Mat:
     rows, cols, pairs = entry_pairs(obj)
-    entries = [QQi(_exact_part(re), _exact_part(im)) for re, im in pairs]
+    parts = [(_rational(re), _rational(im)) for re, im in pairs]
+    if any(im for _, im in parts):
+        entries = [QQi(re, im) for re, im in parts]
+    else:
+        entries = [re for re, _ in parts]
     return Mat([entries[i * cols:(i + 1) * cols] for i in range(rows)])

@@ -14,9 +14,11 @@ basis; the rank test on the stacked bases that it replaced is its oracle
 here, on real and non-real spans.
 """
 
+import copy
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -210,6 +212,31 @@ def test_product_with_many_distinct_denominators():
     with qqi_oracle():
         want = kernel(m).basis.data
     assert kernel(m).basis.data == want
+
+
+def test_int_entries_are_kept_and_never_mutated():
+    # the right operand's rows over one denominator are derived once, equal
+    # a fresh rescaling of the integer rows, and survive every consumer
+    rng = SplitMix64(111)
+    for group in sorted(GROUPS):
+        ctx = context(group)
+        g = random_point(ctx, "G", rng)
+        v = Mat([[rng.rational(7) for _ in range(3)] for _ in range(ctx.dim_g)])
+        for m in (g.m, g.inv, v):
+            kept = m.int_entries()
+            den = lcm(*(d for _, d in m._ints))
+            assert kept == ([[a * (den // d) for a in r] for r, d in m._ints], den)
+            snapshot = copy.deepcopy(kept)
+            # a right operand twice, the closed forms, and the entries built
+            mt, twin = m.transpose(), Mat(m.data)
+            assert mt @ m @ mt @ m == twin.transpose() @ twin @ twin.transpose() @ twin
+            if m is v:
+                ctx.brackets(v)
+            else:
+                ctx.adjoint(g.m, g.inv), ctx.gram_adjoint(g.inv, g.m)
+                ctx.commutator_matrix(m)
+            assert m.int_entries() is kept and kept == snapshot
+    assert Mat([[QQi(0, 1)]]).int_entries() is None
 
 
 def test_row_denominator_is_the_lcm():

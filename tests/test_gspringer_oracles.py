@@ -6,24 +6,31 @@
 * The batched solves of ``leaf_two_form``, ``reconstruct_bivector`` and the
   induced-action test of ``theorem1_check`` against per-column references
   written out here.
+* :func:`gspringer.sampled_d_identity` against the route it replaced,
+  directions drawn as :class:`QQi` lists and pushed one by one, on the
+  double and the leaf slice G x U, real and non-real; and
+  :func:`gspringer.float_array` against the entries' ``to_complex``.
 * Can-fail: with the sign of the derivative of T dropped, the suites that
   take d(omega) from the closed form report failures.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qpslab import campaigns, gspringer
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space, d_two_form
 from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
-                              chart_action_field, d_omega, gram_ad, gspoint_stream,
-                              leading, leaf_two_form, mu, omega_fn, omega_matrix,
-                              omega_value, phi_differential, reconstruct_bivector,
-                              theorem1_check)
-from qpslab.liegroup import (GROUPS, AlgebraElement, Covector, borel_decompose,
-                             context, random_point, sigma, sigma_adjoint)
+                              chart_action_field, d_omega, float_array, gram_ad,
+                              gspoint_stream, leading, leaf_two_form, mu, omega_fn,
+                              omega_matrix, omega_value, phi_differential,
+                              reconstruct_bivector, sample_double,
+                              sampled_d_identity, theorem1_check)
+from qpslab.liegroup import (GROUPS, AlgebraElement, Covector, GroupElement,
+                             borel_decompose, context, random_point, sigma,
+                             sigma_adjoint)
 from qpslab.linalg import Mat, dot, mat_vec, solve_unique
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -51,7 +58,8 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
                 dirs = [[QQi(rng.rational(3)) for _ in range(space.dim)]
                         for _ in range(3)]
                 want = d_two_form(omega_fn(ctx, space), space, (a.m, b.m), *dirs)
-                assert d_omega(ctx, t, w, *dirs) == want, space.parts
+                v = Mat.from_columns(dirs, space.dim)
+                assert d_omega(ctx, t, w, v) == want, space.parts
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -211,6 +219,100 @@ def test_theorem1_induced_action_witness_is_the_first_failing_index(conv):
                     assert res["witness_action"] == {"basis_index": bad[0]}
                 else:
                     assert "witness_action" not in res
+
+
+# ---------------------------------------------------------------------------
+# the sampled d-identity and the float conversion against the QQi routes
+
+
+def qqi_d_identity(ctx, t, w, dphi, rng, triples):
+    """:func:`sampled_d_identity` as it was: each direction drawn as a list
+    of :class:`QQi`, pushed by its own ``mat_vec``, and eta's matrices built
+    by ``mat_from_coords``."""
+    d = ctx.dim_g
+    for _ in range(triples):
+        dirs = [[QQi(rng.rational(3)) for _ in range(w.rows)] for _ in range(3)]
+        pushed = [mat_vec(dphi, v) for v in dirs]
+        rhs = QQi(0)
+        for r in range(0, dphi.rows, d):
+            rhs = rhs - ctx.eta(*(ctx.mat_from_coords(p[r:r + d]) for p in pushed))
+        if d_omega(ctx, t, w, Mat.from_columns(dirs, w.rows)) != rhs:
+            return False
+    return True
+
+
+def _d_identity_inputs(ctx, rng):
+    """(t, w, dphi) of A2 on G x G at two double points, then of the leaf
+    d-identity on G x U at two quotient points."""
+    for _ in range(2):
+        a, b = sample_double(ctx, rng)
+        t = gram_ad(ctx, b.m, b.inv)
+        yield t, omega_matrix(ctx, t), phi_differential(a, b)
+    k = ctx.dim_g + ctx.dim_u
+    for pt in gspoint_stream(ctx, rng, 2):
+        chart = QuotientChart(pt)
+        yield chart.t, leading(chart.w, k), leading(chart.dphi, ctx.dim_g, k)
+
+
+def _same_d_identity(ctx, t, w, dphi, seed):
+    """Both routes on one input: the same verdict, and the same stream
+    state afterwards; returns the verdict."""
+    new, old = SplitMix64(seed), SplitMix64(seed)
+    verdict = sampled_d_identity(ctx, t, w, dphi, new, 2)
+    assert verdict == qqi_d_identity(ctx, t, w, dphi, old, 2)
+    assert new.state == old.state
+    return verdict
+
+
+@pytest.mark.parametrize("conv", ["frozen", *sorted(CORRUPTIONS)])
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_sampled_d_identity_matches_the_qqi_route(group, conv):
+    ctx = context(group)
+    with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
+        verdicts = [_same_d_identity(ctx, *inputs, seed)
+                    for seed, inputs in enumerate(
+                        _d_identity_inputs(ctx, SplitMix64(108)))]
+    # omega-sign breaks A2 on the double, the other switches leave it
+    assert verdicts[:2] == [conv != "omega-sign"] * 2
+
+
+def test_sampled_d_identity_on_non_real_points():
+    ctx = context("sl2")
+    i = QQi(0, 1)
+    a = GroupElement(ctx, Mat([[i, 0], [0, -i]]))
+    b = GroupElement(ctx, Mat([[1 + i, i], [1, 1]]))
+    t = gram_ad(ctx, b.m, b.inv)
+    assert any(x.im for r in t.data for x in r)
+    for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
+        with using(conv):
+            assert _same_d_identity(ctx, t, omega_matrix(ctx, t),
+                                    phi_differential(a, b), 7) == (conv is FROZEN)
+    # the pinned eval leaf-form point of test_gspringer, b = [[i, 3/2], [0, -i]]
+    chart = QuotientChart(GSPoint.from_json({
+        "group": "sl2", "g": {"rows": 2, "cols": 2, "entries": [1, 0, 2, 1]},
+        "b": {"rows": 2, "cols": 2, "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}))
+    k = ctx.dim_g + ctx.dim_u
+    assert _same_d_identity(ctx, chart.t, leading(chart.w, k),
+                            leading(chart.dphi, ctx.dim_g, k), 0x1EAF)
+
+
+def test_float_array_is_bitwise_the_to_complex_route():
+    rng = SplitMix64(109)
+    i = QQi(0, 1)
+    big = 2 ** 200 + 12345
+    mats = [random_point(context(g), "G", rng).m for g in sorted(GROUPS)]
+    mats += [
+        # rows with distinct denominators, entries no float holds exactly,
+        # and a negative entry that underflows to -0.0
+        Mat([[Fraction(1, 3), Fraction(-2, 7), 0], [Fraction(big, 3), 5, Fraction(-1, big)]]),
+        Mat([[Fraction(10 ** 30 + 1, 10 ** 29 + 7)], [Fraction(-1, 10 ** 400)]]),
+        Mat([[i, 0], [0, -i]]),
+        Mat([[1 + i, Fraction(1, 3)], [QQi(Fraction(-2, 9), 5), 1]]),
+    ]
+    for m in mats:
+        want = np.array([[x.to_complex() for x in r] for r in m.data], dtype=complex)
+        got = float_array(m)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), m
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,11 @@ def test_brackets_match_the_per_pair_oracle():
             for g, w in zip(got, want):
                 assert g._icols is None
                 assert g.transpose() == w.transpose()
+            # the algebra matrices of the columns, integer rows when real
+            mats = ctx.algebra_matrices(v)
+            assert mats == [ctx.mat_from_coords(v.col(p)) for p in range(v.cols)]
+            real = v.int_entries() is not None
+            assert all((m._data is None) == real for m in mats), (name, v.cols)
 
 
 # the samplers as they were built before, entry by entry over QQi: the

@@ -228,14 +228,15 @@ def test_stacking_keeps_the_left_backend():
 
 
 def test_rational_and_integer_row_constructors_match_the_entry_route():
-    # built straight into integer form, they give the canonical rows the
-    # QQi entries clear to, and the same entries
+    # built straight into integer form (Mat of int and Fraction rows), they
+    # give the canonical rows the QQi entries clear to, and the same entries
     rng = SplitMix64(7)
     for rows, cols in ((3, 3), (2, 5), (1, 1)):
         fr = [[rng.rational(12) if rng.below(3) else rng.below(5) - 2
                for _ in range(cols)] for _ in range(rows)]
         want = Mat([[QQi(x) for x in r] for r in fr])
-        got = Mat.from_rationals(fr)
+        got = Mat(fr)
+        assert got._data is None
         assert got == want and got.data == want.data
         assert got._ints == want._int_form()
         den = 1 + rng.below(12)

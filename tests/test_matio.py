@@ -1,0 +1,132 @@
+"""The JSON matrix codec against the QQi routes it replaced.
+
+The reader takes ``-?digits[/digits]`` parts by ``int`` and builds a real
+matrix straight into integer rows; the writer prints a real matrix from its
+integer rows.  The routes they replaced, every part through ``Fraction`` into
+a :class:`QQi` entry and every entry printed from :attr:`Mat.data`, are the
+oracles here: the same matrices, the same bytes, and the same value or the
+same ``ValueError`` for every part.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from qpslab.liegroup import GROUPS, context, random_point, read_element
+from qpslab.linalg import Mat
+from qpslab.matio import (_exact_part, _rational, entry_pairs, mat_from_json,
+                          mat_to_json, scalar_to_json)
+from qpslab.prng import SplitMix64
+from qpslab.scalars import QQi
+
+
+def qqi_from_json(obj: dict) -> Mat:
+    """The reader as it was: a ``Fraction`` and a :class:`QQi` per entry."""
+    rows, cols, pairs = entry_pairs(obj)
+    entries = [QQi(_exact_part(re), _exact_part(im)) for re, im in pairs]
+    return Mat([entries[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+def qqi_to_json(m: Mat) -> dict:
+    """The writer as it was: every entry printed from ``.data``."""
+    return {"rows": m.rows, "cols": m.cols,
+            "entries": [scalar_to_json(x) for row in m.data for x in row]}
+
+
+def _outcome(f, v):
+    """The value of ``f(v)``, or the type and text of its ValueError."""
+    try:
+        return "value", f(v)
+    except ValueError as e:
+        return "error", type(e), str(e)
+
+
+BIG = 2 ** 200 + 987654321
+CORPUS = [
+    "+5", " 3", "3 ", "1_0", "٣", "²", "1.5", "1e3", "3/0", "0/0",
+    "/3", "3/", "-", "-0", "007", "-007/010", "3/-4", "--3", "-3/4", "1/ 2",
+    "", "0", "12/4", "-12/4", str(BIG), str(-BIG), f"{BIG}/{BIG + 2}",
+    f"-{BIG}/3", f"3/{BIG}", "9" * 5000, "1/" + "7" * 5000,
+    5, -7, 0, BIG, 1.5, None, True, [1],
+]
+
+
+@pytest.mark.parametrize("part", CORPUS, ids=repr)
+def test_fast_path_parts_match_fraction(part):
+    # same value as Fraction(s), or the same ValueError as the old parser
+    assert _outcome(_rational, part) == _outcome(_exact_part, part)
+
+
+def test_reader_errors_are_those_of_the_qqi_route():
+    # the first bad part, in entry order and real part first, sets the error
+    bad = [[["1", "0"], ["3/0", "x"], ["0", "1.5x"], [1, 0]],
+           [["1", "0"], ["2", "1_"], ["3/0", "0"], [1, 0]],
+           [[1, 0], [0, 0], [0, 0], [1.5, 0]],
+           [[1, 0], [0, 0], [0, 0], [True, 0]],
+           [[1, 0], [0, 0], [0, 0]]]
+    for entries in bad:
+        obj = {"rows": 2, "cols": 2, "entries": entries}
+        assert _outcome(mat_from_json, obj)[0] == "error"
+        assert _outcome(mat_from_json, obj) == _outcome(qqi_from_json, obj)
+    for obj in ({"rows": 0, "cols": 0, "entries": []},
+                {"rows": 2, "cols": 0, "entries": []}):
+        assert _outcome(lambda o: mat_from_json(o).shape, obj) == \
+            _outcome(lambda o: qqi_from_json(o).shape, obj)
+
+
+def test_decoding_a_real_point_builds_no_qqi():
+    rng = SplitMix64(110)
+    for group in sorted(GROUPS):
+        ctx = context(group)
+        m = random_point(ctx, "G", rng).m
+        g = read_element(ctx, mat_to_json(m))
+        assert g.m._data is None and m._data is None
+        assert g.m == m and g.m._ints == m._ints
+    # a non-real entry anywhere keeps QQi entries
+    m = mat_from_json({"rows": 1, "cols": 2, "entries": [["1/2", "0"], ["0", "1"]]})
+    assert m._data == ((QQi(Fraction(1, 2)), QQi(0, 1)),)
+
+
+_parts = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(max_denominator=30).filter(lambda f: abs(f) < 100),
+    st.integers(-BIG, BIG),
+)
+
+
+@st.composite
+def _matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    real = [[draw(_parts) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        return Mat(real)
+    imag = [[draw(_parts) if draw(st.booleans()) else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    imag[0][0] = draw(_parts) or 1  # at least one non-real entry
+    return Mat([[QQi(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(real, imag)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_codec_round_trip_and_bytes_match_the_qqi_route(m):
+    obj = mat_to_json(m)
+    assert json.dumps(obj) == json.dumps(qqi_to_json(m))
+    back = mat_from_json(json.loads(json.dumps(obj)))
+    assert (back._data is None) == all(not x.im for r in m.data for x in r)
+    assert back == m and back == qqi_from_json(obj)
+    assert back.data == m.data
+
+
+def test_writer_on_rows_with_distinct_denominators():
+    m = Mat([[Fraction(1, 6), Fraction(-2, 3), 0],
+             [Fraction(5, 4), 7, Fraction(-BIG, 35)],
+             [0, 0, 0]])
+    assert m._data is None
+    obj = mat_to_json(m)
+    assert m._data is None  # printed from the integer rows
+    assert [e[0] for e in obj["entries"]] == [
+        "1/6", "-2/3", "0", "5/4", "7", str(Fraction(-BIG, 35)), "0", "0", "0"]
+    assert obj == qqi_to_json(Mat(m.data))
