@@ -188,13 +188,13 @@ def _check_pairing(cfg, ctx, pt, rng) -> list:
     two_route = pairing((x, a), (y, b)) == ctx.form(a.m, y.m) + ctx.form(b.m, x.m)
     recs.append(_record("pairing/metric-identification", two_route))
 
-    wdata = [[0] * d for _ in range(d)]
+    wdata = [[(0, 1)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            v = rng.rational(5)
-            wdata[i][j] = v
-            wdata[j][i] = -v
-    w = Mat(wdata)
+            p, q = rng.rational_pair(5)
+            wdata[i][j] = p, q
+            wdata[j][i] = -p, q
+    w = Mat.from_pairs(wdata)
     gw = graph_two_form(w)
     ok, wit = is_lagrangian(gw)
     recs.append(_record("pairing/graph-two-form-lagrangian", ok, wit))

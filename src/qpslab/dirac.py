@@ -28,8 +28,8 @@ A = Ad_{g^-1} xi, so every derivative of a conjugation section is a
 bracket.  Expanded with these derivatives and collected by bilinearity and
 the invariance of the trace form, the bracket of two sections is four Lie
 brackets of n x n matrices, all read off one stacked product
-(:meth:`~qpslab.liegroup.GroupContext.brackets`); :func:`dorfman` is the
-oracle of both in the tests.
+(:meth:`~qpslab.liegroup.GroupContext.brackets_and_functionals`);
+:func:`dorfman` is the oracle of both in the tests.
 """
 
 from __future__ import annotations
@@ -312,7 +312,8 @@ def cartan_closure_check(ctx, gmat: Mat, ginv: Mat):
     The covector is then gram coords(Z).  Nothing here uses a property of
     M beyond how it moves.  All four brackets of every pair, and the
     targets' c, are read off one stacked product of the 2d matrices e_1,
-    ..., e_d, M_1, ..., M_d (:meth:`~qpslab.liegroup.GroupContext.brackets`).
+    ..., e_d, M_1, ..., M_d
+    (:meth:`~qpslab.liegroup.GroupContext.brackets_and_functionals`).
     The rows ``i d + j`` of all pairs are compared with the targets in one
     integer ``==``; only on a mismatch are the rows scanned, pair (i, j) in
     basis order, for the witness.
@@ -370,7 +371,7 @@ def _bracket_sides(ctx, family: Mat, sections: tuple, pairs: list) -> tuple[Mat,
     e_i, e_j, (i, j) in ``pairs``; ``family`` is [U | M U], the u_i being
     the columns of U and M the first of ``sections``."""
     _, x, a = sections
-    coords, dual = ctx.brackets(family)
+    coords, dual = ctx.brackets_and_functionals(family)
     k, r = family.cols, family.cols // 2  # row p k + q; M u_i is Y_(r + i)
     uu = [i * k + j for i, j in pairs]
     um = [i * k + r + j for i, j in pairs]

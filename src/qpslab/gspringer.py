@@ -75,8 +75,8 @@ from .diffcalc import PointedMap, Space
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                     is_skew, pushforward_linear)
 from .liegroup import (AlgebraElement, GroupContext, GroupElement, chevalley,
-                       conjugation_sections, diagonal, group_of_json,
-                       random_point, read_element, sigma, sigma_average,
+                       conjugation_sections, group_of_json, random_point,
+                       read_element, reciprocal_product, sigma, sigma_average,
                        torus_part, _mul_frac)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
                      rref, solve_columns)
@@ -328,7 +328,7 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, v: Mat):
     if k < d:
         second = second.vstack(Mat.zeros(d - k, 3))
     # coords([Y_p, Y_q]) in row 6 p + q, Y_p the columns of P and then Q
-    brackets = ctx.brackets(first.hstack(second))[0]
+    brackets = ctx.brackets(first.hstack(second))
 
     def rows(pairs):
         return brackets.select_rows([6 * p + q for p, q in pairs])
@@ -361,19 +361,20 @@ def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, dphi: Mat,
     passes its :func:`phi_differential` (eta (+) eta); the leaf d-identity
     of :func:`leaf_two_form` passes d(mu) on the slice G x tU.  Each triple
     is three height-3 direction vectors of ``w``'s size, drawn from ``rng``
-    one after another as the columns of one matrix V, so a real point runs
-    on the integer kernel throughout: one product ``dphi @ V`` pushes all
-    three, each dim G block of it gives eta's three algebra matrices as
-    integer rows (:meth:`~qpslab.liegroup.GroupContext.algebra_matrices`),
-    and d(omega) comes from :func:`d_omega` on V.  A non-real point takes
-    the same steps on :class:`QQi` entries.  The first failing triple ends
-    the check.
+    one after another as the columns of one matrix V, built straight into
+    integer rows from the drawn pairs (:meth:`Mat.from_pairs`), so a real
+    point runs on the integer kernel throughout: one product ``dphi @ V``
+    pushes all three, each dim G block of it gives eta's three algebra
+    matrices as integer rows
+    (:meth:`~qpslab.liegroup.GroupContext.algebra_matrices`), and d(omega)
+    comes from :func:`d_omega` on V.  A non-real point takes the same steps
+    on :class:`QQi` entries.  The first failing triple ends the check.
     """
     d = ctx.dim_g
     dim = w.rows
     for _ in range(triples):
-        v = Mat.from_columns(
-            [[rng.rational(3) for _ in range(dim)] for _ in range(3)], dim)
+        cols = [[rng.rational_pair(3) for _ in range(dim)] for _ in range(3)]
+        v = Mat.from_pairs(list(zip(*cols)))
         pushed = dphi @ v
         rhs = QQi(0)
         for r in range(0, dphi.rows, d):
@@ -1011,15 +1012,12 @@ def gspoint_stream(ctx: GroupContext, rng: SplitMix64, samples: int) -> list[GSP
 
 def _nonregular_torus(ctx: GroupContext, rng: SplitMix64) -> Mat:
     n = ctx.n
-    r = rng.rational(6, nonzero=True)
+    r = rng.rational_pair(6, nonzero=True)
     entries = [r, r]
     while len(entries) < n:
-        entries.append(rng.rational(6, nonzero=True))
+        entries.append(rng.rational_pair(6, nonzero=True))
     if ctx.family == "SL":
-        prod = Fraction(1)
-        for e in entries[:-1]:
-            prod *= e
-        entries[-1] = 1 / prod
+        entries[-1] = reciprocal_product(entries[:-1])
         if n == 2:
-            entries = [Fraction(-1), Fraction(-1)]
-    return diagonal(entries)
+            entries = [(-1, 1), (-1, 1)]
+    return Mat.identity(n).scale_rows(entries)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, sub
 
 from .conventions import ACTIVE
@@ -300,23 +301,39 @@ class GroupContext:
 
     # -- invariant form and brackets ------------------------------------------
 
-    def brackets(self, v: Mat) -> tuple[Mat, Mat]:
-        """coords([Y_p, Y_q]) as row ``p k + q``, and in a second matrix
-        the functional coordinates gram coords([Y_p, Y_q]) = (tr(e_c [Y_p,
-        Y_q]))_c, for the algebra elements Y_p with coordinates column p of
-        ``v``.
+    def brackets(self, v: Mat) -> Mat:
+        """coords([Y_p, Y_q]) as row ``p k + q``, for the algebra elements
+        Y_p with coordinates column p of ``v``.
 
         One product [Y_1; ...; Y_k] [Y_1 | ... | Y_k] holds Y_p Y_q as its
-        n x n block (p, q), so [Y_p, Y_q] is block (p, q) less block (q, p);
-        E_ij has coordinate (i, j) and functional coordinate (j, i), the
-        torus as in :meth:`coords` and :meth:`_basis_columns`.  Every matrix
-        here is built in row form only: the callers read the two outputs
-        through ``select_rows``, ``-``, ``scale`` and products, none of which
-        needs a column form.  A non-real ``v`` runs on its :class:`QQi`
-        entries.  Per-pair ``coords(bracket(...))`` is the oracle in the
-        tests.
+        n x n block (p, q), so [Y_p, Y_q] is block (p, q) less block (q, p)
+        (:meth:`_bracket_entries`); E_ij has coordinate (i, j), the torus as
+        in :meth:`coords`.  The matrix is built in row form only: the callers
+        read it through ``select_rows``, ``-``, ``scale`` and products, none
+        of which needs a column form.  A non-real ``v`` runs on its
+        :class:`QQi` entries.  Per-pair ``coords(bracket(...))`` is the
+        oracle in the tests.
         """
-        n, k = self.n, v.cols
+        cols, den = self._bracket_entries(v)
+        return self._bracket_coords(cols, den)
+
+    def brackets_and_functionals(self, v: Mat) -> tuple[Mat, Mat]:
+        """:meth:`brackets` and, in a second matrix, the functional
+        coordinates gram coords([Y_p, Y_q]) = (tr(e_c [Y_p, Y_q]))_c, both
+        read off the same product: E_ij has functional coordinate (j, i), the
+        torus as in :meth:`_basis_columns`.  Per-pair
+        ``dual_coords(bracket(...))`` is the oracle in the tests.
+        """
+        cols, den = self._bracket_entries(v)
+        return (self._bracket_coords(cols, den),
+                _rows_mat(list(zip(*self._basis_columns(lambda i, j: cols[j][i]))),
+                          den))
+
+    def _bracket_entries(self, v: Mat) -> tuple[list, int | None]:
+        """``cols[a][b]``, the entries (a, b) of every [Y_p, Y_q] in order
+        ``p k + q``, over the returned denominator (integers) or None
+        (:class:`QQi` entries), from one stacked product."""
+        n = self.n
         ys, den = self._column_entry_rows(v)
         # [Y_1; ...; Y_k] and [Y_1 | ... | Y_k], row by row
         stack = _rows_mat([r for y in ys for r in y], den)
@@ -329,16 +346,18 @@ class GroupContext:
             return [x - y for lp, rp in zip(left, zip(*left))
                     for x, y in zip(lp, rp)]
 
-        cols = [[entry(a, b) for b in range(n)] for a in range(n)]
-        torus = [cols[j][j] for j in range(n)]
+        return [[entry(a, b) for b in range(n)] for a in range(n)], den
+
+    def _bracket_coords(self, cols: list, den: int | None) -> Mat:
+        """The coordinate rows of :meth:`brackets` from
+        :meth:`_bracket_entries`."""
+        torus = [cols[j][j] for j in range(self.n)]
         if self.family == "SL":
             torus = list(itertools.accumulate(torus[:-1],
                                               lambda x, y: list(map(add, x, y))))
-        # the outputs' columns, transposed to rows
-        return (_rows_mat(list(zip(*[cols[i][j] for i, j in self._upper], *torus,
-                                    *[cols[i][j] for i, j in self._lower])), den),
-                _rows_mat(list(zip(*self._basis_columns(lambda i, j: cols[j][i]))),
-                          den))
+        # the columns, transposed to rows
+        return _rows_mat(list(zip(*[cols[i][j] for i, j in self._upper], *torus,
+                                  *[cols[i][j] for i, j in self._lower])), den)
 
     def form(self, x: Mat, y: Mat):
         """The invariant bilinear form ``tr(x y)``."""
@@ -667,32 +686,38 @@ def invariants(ctx: GroupContext, m) -> tuple:
     return tuple(es[1:n] if ctx.family == "SL" else es[1:])
 
 
+# the reduced pairs of zero and one
+_ZERO, _ONE = (0, 1), (1, 1)
+
+
 def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
                  height: int = 10) -> GroupElement:
     """Exact-rational sample from the requested subgroup.
 
     ``G`` samples are built as (unit lower) * (diagonal) * (unit upper) with
     bounded-height rational entries and determinant fixed by the family;
-    ``T-regular`` forces pairwise distinct diagonal entries.  The factors are
-    built straight into integer form from the drawn ``Fraction`` values
-    (``Mat`` of ``int`` and ``Fraction`` rows), with no :class:`QQi` entry;
-    the draws, their order and so the matrices are those of building the
-    factors entry by entry over :class:`QQi`, the oracle in the tests.
+    ``T-regular`` forces pairwise distinct diagonal entries.  Each entry is
+    drawn as its reduced integer pair (:meth:`SplitMix64.rational_pair`)
+    and the factors go straight into integer rows (:meth:`Mat.from_pairs`),
+    with no ``Fraction`` and no :class:`QQi` entry.  The diagonal factor is
+    a row scaling (:meth:`Mat.scale_rows`): B = T U takes no product, and
+    G = L (D U) one.  The draws, their order and so the matrices are those
+    of building the factors entry by entry over :class:`QQi`, the oracle in
+    the tests.
     """
     n = ctx.n
     if kind == "G":
         low = _unitriangular(n, rng, height, lower=True)
         up = _unitriangular(n, rng, height, lower=False)
-        diag = _torus_mat(ctx, rng, height, regular=False)
-        return GroupElement(ctx, low @ diag @ up, check=False)
+        return GroupElement(ctx, low @ up.scale_rows(_torus_entries(ctx, rng, height)),
+                            check=False)
     if kind == "B":
-        t = _torus_mat(ctx, rng, height, regular=False)
-        u = _unitriangular(n, rng, height, lower=False)
-        return GroupElement(ctx, t @ u, check=False)
-    if kind == "T":
-        return GroupElement(ctx, _torus_mat(ctx, rng, height, regular=False), check=False)
-    if kind == "T-regular":
-        return GroupElement(ctx, _torus_mat(ctx, rng, height, regular=True), check=False)
+        t = _torus_entries(ctx, rng, height)
+        return GroupElement(ctx, _unitriangular(n, rng, height, lower=False).scale_rows(t),
+                            check=False)
+    if kind in ("T", "T-regular"):
+        t = _torus_entries(ctx, rng, height, regular=kind == "T-regular")
+        return GroupElement(ctx, Mat.identity(n).scale_rows(t), check=False)
     if kind == "U":
         return GroupElement(ctx, _unitriangular(n, rng, height, lower=False), check=False)
     raise ValueError(f"unknown sample kind {kind!r}")
@@ -700,39 +725,50 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
 
 def random_algebra(ctx: GroupContext, rng: SplitMix64, height: int = 10,
                    part: str = "g") -> AlgebraElement:
-    coords = [0] * ctx.dim_g
+    """An algebra element with drawn coordinates on ``part`` and zero
+    elsewhere, built as integer rows over the coordinates' common
+    denominator."""
+    pairs = [_ZERO] * ctx.dim_g
     for i in ctx.sub_indices(part):
-        coords[i] = rng.rational(height)
-    return AlgebraElement(ctx, Mat(ctx._entry_rows(coords, 0)), check=False)
+        pairs[i] = rng.rational_pair(height)
+    den = lcm(*(q for _, q in pairs))
+    nums = [p * (den // q) for p, q in pairs]
+    return AlgebraElement(ctx, Mat.from_int_rows(ctx._entry_rows(nums, 0), den),
+                          check=False)
 
 
 def _unitriangular(n: int, rng: SplitMix64, height: int, lower: bool) -> Mat:
     """A unit lower or upper triangular matrix, its entries drawn row by row."""
-    return Mat([[1 if i == j else rng.rational(height) if (i > j if lower else i < j)
-                 else 0 for j in range(n)] for i in range(n)])
+    return Mat.from_pairs([[_ONE if i == j else rng.rational_pair(height)
+                            if (i > j if lower else i < j) else _ZERO
+                            for j in range(n)] for i in range(n)])
 
 
-def diagonal(entries) -> Mat:
-    """The diagonal matrix of ``int`` and ``Fraction`` entries."""
-    n = len(entries)
-    return Mat([[e if i == j else 0 for j in range(n)]
-                for i, e in enumerate(entries)])
-
-
-def _torus_mat(ctx: GroupContext, rng: SplitMix64, height: int, regular: bool) -> Mat:
+def _torus_entries(ctx: GroupContext, rng: SplitMix64, height: int,
+                   regular: bool = False) -> list[tuple[int, int]]:
+    """The diagonal of a torus sample as reduced pairs: nonzero draws, the
+    SL one's last entry fixing the determinant at one; ``regular`` redraws
+    the whole diagonal until its entries are pairwise distinct."""
     n = ctx.n
+    sl = ctx.family == "SL"
     while True:
-        if ctx.family == "SL":
-            entries = [rng.rational(height, nonzero=True) for _ in range(n - 1)]
-            prod = Fraction(1)
-            for e in entries:
-                prod *= e
-            entries.append(1 / prod)
-        else:
-            entries = [rng.rational(height, nonzero=True) for _ in range(n)]
+        entries = [rng.rational_pair(height, nonzero=True) for _ in range(n - sl)]
+        if sl:
+            entries.append(reciprocal_product(entries))
         if not regular or len(set(entries)) == n:
-            break
-    return diagonal(entries)
+            return entries
+
+
+def reciprocal_product(pairs) -> tuple[int, int]:
+    """1 / (the product of the nonzero reduced pairs), as a reduced pair."""
+    num = den = 1
+    for p, q in pairs:
+        num *= p
+        den *= q
+    g = gcd(num, den)
+    if num < 0:
+        g = -g
+    return den // g, num // g
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,22 @@ below 20 for reuse, and tuple rows would fill those caches and raise the peak
 memory of a run.
 
 * Integer rows are built without a ``QQi`` entry wherever the values are
-  at hand as integers or fractions.  ``Mat(rows)`` of ``int`` and
-  ``Fraction`` entries builds them at once (:func:`_rational_row`): the
-  seeded samplers of :mod:`qpslab.liegroup`, the algebra basis, the Weyl
-  representatives, the pairing suite's random form, the directions of the
-  sampled d-identity and every real JSON matrix
+  at hand as integers or fractions.  :meth:`Mat.from_pairs` builds them
+  from reduced ``(numerator, denominator)`` pairs (:func:`_pair_row`): the
+  seeded draws (:meth:`qpslab.prng.SplitMix64.rational_pair`) of the
+  samplers of :mod:`qpslab.liegroup`, of the directions of the sampled
+  d-identity and of the pairing suite's random form arrive that way, and
+  :meth:`Mat.scale_rows` multiplies by a diagonal of such pairs as a row
+  scaling.  ``Mat(rows)`` of ``int`` and ``Fraction`` entries builds them
+  at once the same way (:func:`_rational_row`): the algebra basis, the Weyl
+  representatives and every real JSON matrix
   (:func:`qpslab.matio.mat_from_json`) arrive that way.
   :meth:`Mat.from_int_rows` and :meth:`Mat.from_int_columns` build them from
   integers over a common denominator (the closed-form adjoint, T = G Ad_b,
-  the commutator matrix, the Lie brackets and the algebra matrices of
-  coordinate columns), and so does every kernel operation below.  Going the
-  other way, the JSON writer and the float conversion read the integer
-  rows, not the entries.
+  the commutator matrix, the Lie brackets, the algebra matrices of
+  coordinate columns and the sampled algebra elements), and so does every
+  kernel operation below.  Going the other way, the JSON writer and the
+  float conversion read the integer rows, not the entries.
 * The ``QQi`` entries, :attr:`Mat.data`, are built from the integer rows the
   first time some code reads them, and kept.  A matrix built from
   :class:`QQi` entries (``Mat(...)``, :meth:`Mat._raw`) clears its rows to
@@ -43,12 +47,12 @@ memory of a run.
   anyway; those rescaled rows are kept too, so a matrix that is a right
   operand (or an input of the closed-form adjoints) several times is
   rescaled once.
-* ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.transpose`,
-  :meth:`Mat.hstack`, :meth:`Mat.vstack`, :meth:`Mat.row_block`,
-  :meth:`Mat.col_block`, :meth:`Mat.select_rows` and :meth:`Mat.select_cols`
-  return integer form
-  directly, without building a ``Fraction``; :func:`mat_vec` takes integer
-  dot products with the stored rows.
+* ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.scale_rows`,
+  :meth:`Mat.transpose`, :meth:`Mat.hstack`, :meth:`Mat.vstack`,
+  :meth:`Mat.row_block`, :meth:`Mat.col_block`, :meth:`Mat.select_rows` and
+  :meth:`Mat.select_cols` return integer form directly, without building a
+  ``Fraction``; :func:`mat_vec` takes integer dot products with the stored
+  rows.
 * In ``@``, a left row that is at least half zeros (identity blocks, basis
   matrices and basis brackets) is not dotted with every column: its output
   row is the same combination of the right operand's rows at its non-zero
@@ -232,6 +236,13 @@ class Mat:
                               len(columns), [_canon(list(c), den) for c in columns])
 
     @classmethod
+    def from_pairs(cls, rows: Sequence[Sequence[tuple[int, int]]]) -> "Mat":
+        """The matrix whose entries are the reduced pairs ``(numerator,
+        positive denominator)`` in ``rows``, built straight into integer
+        rows (:func:`_pair_row`)."""
+        return cls._from_ints([_pair_row(r) for r in rows], len(rows[0]))
+
+    @classmethod
     def from_int_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "Mat":
         """The matrix with integer rows ``rows`` over the positive common
         denominator ``den``, kept in row form only."""
@@ -311,6 +322,14 @@ class Mat:
                 [_canon([a * p for a in r], d * q) for r, d in ints], self.cols
             )
         return Mat._raw(tuple(tuple(a * s for a in r) for r in self.data))
+
+    def scale_rows(self, pairs: Sequence[tuple[int, int]]) -> "Mat":
+        """``D @ self`` for a real matrix, D the diagonal matrix of the
+        reduced pairs ``(numerator, positive denominator)``: row i times
+        pair i, with no product."""
+        return Mat._from_ints([_canon([a * p for a in r], d * q)
+                               for (r, d), (p, q) in zip(self._int_form(), pairs)],
+                              self.cols)
 
     def transpose(self) -> "Mat":
         if self.cols and self._int_form() is not None:
@@ -524,7 +543,13 @@ def _int_rows(rows) -> list[tuple[list[int], int]] | None:
 
 def _rational_row(row) -> tuple[list[int], int]:
     """A row of ``int`` and ``Fraction`` entries as (integer numerators,
-    positive row denominator).
+    positive row denominator), by :func:`_pair_row`."""
+    return _pair_row([(x.numerator, x.denominator) for x in row])
+
+
+def _pair_row(row) -> tuple[list[int], int]:
+    """A row of reduced pairs ``(numerator, positive denominator)`` as
+    (integer numerators, positive row denominator).
 
     The row denominator is the lcm of the row's entry denominators, so each
     entry is its numerator over it, and no factor divides the denominator
@@ -533,13 +558,12 @@ def _rational_row(row) -> tuple[list[int], int]:
     cofactor holds the prime.  So the row is canonical without a gcd.
     """
     den = 1
-    for x in row:
-        d = x.denominator
+    for _, d in row:
         if d != 1 and den % d:
             den = lcm(den, d)
     if den == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (den // x.denominator) for x in row], den
+        return [a for a, _ in row], 1
+    return [a * (den // d) for a, d in row], den
 
 
 def _canon(nums: list[int], den: int) -> tuple[list[int], int]:

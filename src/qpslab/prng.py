@@ -6,7 +6,14 @@ recipe.  Derived quantities document their derivation precisely:
 
 * ``below(n)``: next 64-bit output modulo ``n``;
 * ``rational(h)``: numerator ``below(2h+1) - h``, denominator ``1 + below(h)``
-  (redrawing the numerator while a nonzero value is required).
+  (redrawing the numerator while a nonzero value is required);
+* ``rational_pair(h)``: the same derivation, from the same draws in the same
+  order, returned as the reduced integer pair ``(numerator, denominator)``
+  (denominator positive, zero as ``(0, 1)``) of the value ``rational(h)``
+  gives, with no ``Fraction`` built.  Every seeded matrix of the package
+  (the samplers of :mod:`qpslab.liegroup`, the directions of the sampled
+  d-identity and the pairing suite's random form) is built into integer
+  rows from these pairs.
 
 Sampling heights default to 10 to keep exact arithmetic fast.
 """
@@ -14,6 +21,7 @@ Sampling heights default to 10 to keep exact arithmetic fast.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -47,6 +55,19 @@ class SplitMix64:
             num = self.below(2 * height + 1) - height
         den = 1 + self.below(height)
         return Fraction(num, den)
+
+    def rational_pair(self, height: int = 10, nonzero: bool = False) -> tuple[int, int]:
+        """``rational(height, nonzero)`` as its reduced integer pair; the
+        draws of ``below`` are taken inline."""
+        if height < 1:
+            raise ValueError("rational draws need a positive height")
+        span = 2 * height + 1
+        num = self.next_u64() % span - height
+        while nonzero and num == 0:
+            num = self.next_u64() % span - height
+        den = 1 + self.next_u64() % height
+        g = gcd(num, den)
+        return num // g, den // g
 
     def fork(self, salt: int) -> "SplitMix64":
         """Derive an independent stream; used to key per-point work."""

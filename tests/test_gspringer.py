@@ -593,6 +593,34 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     assert seen == [SplitMix64(p["salt"]).state for p in payloads]
 
 
+def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
+    # each triple's direction matrix is Mat.from_columns of three columns of
+    # rng.rational(3) draws, one column after another, and the stream is
+    # where those draws leave it
+    seen = []
+    d_omega = gspringer.d_omega
+
+    def spy(ctx, t, w, v):
+        seen.append((v, rng.state))
+        return d_omega(ctx, t, w, v)
+
+    monkeypatch.setattr(gspringer, "d_omega", spy)
+    for name in ("sl2", "gl3"):
+        ctx = context(name)
+        a, b = sample_double(ctx, SplitMix64(5))
+        t = gram_ad(ctx, b.m, b.inv)
+        w = omega_matrix(ctx, t)
+        rng, shadow = SplitMix64(77), SplitMix64(77)
+        seen.clear()
+        assert gspringer.sampled_d_identity(ctx, t, w, phi_differential(a, b), rng, 3)
+        assert len(seen) == 3
+        for v, state in seen:
+            want = Mat.from_columns(
+                [[shadow.rational(3) for _ in range(w.rows)] for _ in range(3)], w.rows)
+            assert v == want and v.data == want.data, name
+            assert state == shadow.state, name
+
+
 def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
     # the double's d-identity takes 2 triples of height-3 vectors on G x G
     # from the point's salted stream, and A4 draws its 10 elements g2 after

@@ -1,7 +1,10 @@
 """Group contexts, Borel data, the invariant form, and the sigma/rho maps."""
 
+import copy
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 import pytest
 
 from qpslab import liegroup
@@ -327,8 +330,9 @@ def test_brackets_match_the_per_pair_oracle():
                 Mat([[QQi(rng.rational(4), rng.below(3)) for _ in range(2)]
                      for _ in range(d)]).hstack(Mat.from_columns([[i] * d], d))]
         for v in fams:
-            got, want = ctx.brackets(v), per_pair_brackets(ctx, v)
+            got, want = ctx.brackets_and_functionals(v), per_pair_brackets(ctx, v)
             assert got == want, (name, v.cols)
+            assert ctx.brackets(v) == want[0], (name, v.cols)
             # built in row form only; a column form derived later, as a
             # transpose needs it, is the oracle's
             for g, w in zip(got, want):
@@ -414,22 +418,69 @@ def qqi_nonregular_torus(ctx, rng):
 SAMPLE_KINDS = ("G", "B", "T", "T-regular", "U")
 
 
+def samplers_match_the_oracles(ctx, seed, height):
+    """Draw every sampler at ``height`` from two streams of ``seed``, one
+    for the integer-form samplers and one for their QQi entry oracles, and
+    assert the same matrices, in entries and integer form, from the same
+    draws: after each sample the two streams are in the same state.
+
+    Returns the draws' events: "negative" for an SL torus whose drawn
+    entries have a negative product (so its last entry 1/prod is negative),
+    "redraw" for a T-regular sample that redrew its diagonal.
+    """
+    events = set()
+    new, old = SplitMix64(seed), SplitMix64(seed)
+    for kind in SAMPLE_KINDS:
+        # at height 1 every entry is 1 or -1, so only a GL2 torus can be
+        # regular: the draw would never end on the other groups
+        if kind == "T-regular" and height == 1:
+            continue
+        probe = copy.copy(new)
+        got, want = (random_point(ctx, kind, new, height).m,
+                     qqi_random_point(ctx, kind, old, height))
+        assert got == want and got.data == want.data, (seed, kind)
+        assert new.state == old.state, (seed, kind)
+        if kind == "T" and ctx.family == "SL" and got.data[-1][-1].re < 0:
+            events.add("negative")
+        if kind == "T-regular":
+            # one diagonal draw moves the probe as far as a sample without
+            # a redraw moves the stream
+            random_point(ctx, "T", probe, height)
+            if probe.state != new.state:
+                events.add("redraw")
+    for part in ("g", "b", "u", "t"):
+        got = random_algebra(ctx, new, height, part).m
+        want = qqi_random_algebra(ctx, old, height, part)
+        assert got == want and got.data == want.data, (seed, part)
+        assert new.state == old.state, (seed, part)
+    got, want = _nonregular_torus(ctx, new), qqi_nonregular_torus(ctx, old)
+    assert got == want and got.data == want.data, seed
+    assert new.state == old.state, seed
+    return events
+
+
 @pytest.mark.parametrize("name", sorted(liegroup.GROUPS))
 def test_samplers_match_the_qqi_entry_oracles(name):
-    # the same matrices, in entries and integer form, from the same draws:
-    # each pair of streams ends in the same state
     ctx = context(name)
     for seed in (1, 2, 3, 20260809):
-        new, old = SplitMix64(seed), SplitMix64(seed)
-        for kind in SAMPLE_KINDS:
-            got, want = random_point(ctx, kind, new).m, qqi_random_point(ctx, kind, old)
-            assert got == want and got.data == want.data, (seed, kind)
-            assert new.state == old.state, (seed, kind)
-        for part in ("g", "b", "u", "t"):
-            got = random_algebra(ctx, new, 10, part).m
-            want = qqi_random_algebra(ctx, old, 10, part)
-            assert got == want and got.data == want.data, (seed, part)
-            assert new.state == old.state, (seed, part)
-        got, want = _nonregular_torus(ctx, new), qqi_nonregular_torus(ctx, old)
-        assert got == want and got.data == want.data, seed
-        assert new.state == old.state, seed
+        samplers_match_the_oracles(ctx, seed, 10)
+
+
+# a seed and height whose draws hold an SL torus with a negative product
+# and a T-regular redraw: an explicit example of the property below
+PINNED_DRAWS = (1, 2)
+
+
+def test_the_pinned_draws_hold_a_negative_torus_and_a_redraw():
+    events = set()
+    for name in sorted(liegroup.GROUPS):
+        events |= samplers_match_the_oracles(context(name), *PINNED_DRAWS)
+    assert events == {"negative", "redraw"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), height=st.integers(1, 10))
+@example(*PINNED_DRAWS)
+def test_samplers_match_the_oracles_at_any_seed_and_height(seed, height):
+    for name in sorted(liegroup.GROUPS):
+        samplers_match_the_oracles(context(name), seed, height)

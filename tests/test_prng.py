@@ -1,6 +1,6 @@
 """Portability and determinism of the campaign PRNG."""
 
-from fractions import Fraction
+import pytest
 
 from qpslab.prng import SplitMix64
 
@@ -32,6 +32,29 @@ def test_rational_bounds():
         assert 1 <= q.denominator <= 10
     for _ in range(100):
         assert r.rational(10, nonzero=True) != 0
+
+
+def test_rational_pair_is_rational_as_a_reduced_pair():
+    # the same value from the same draws, the nonzero redraw included, as
+    # (numerator, positive denominator) in lowest terms
+    zeros = redraws = 0
+    for height in range(1, 11):
+        pairs, fractions = SplitMix64(height), SplitMix64(height)
+        for i in range(300):
+            nonzero = i % 2 == 1
+            probe = SplitMix64(0)
+            probe.state = pairs.state
+            num, den = pairs.rational_pair(height, nonzero)
+            want = fractions.rational(height, nonzero)
+            assert (num, den) == (want.numerator, want.denominator)
+            assert pairs.state == fractions.state
+            zeros += num == 0
+            probe.next_u64(), probe.next_u64()
+            redraws += probe.state != pairs.state
+    assert zeros and redraws
+    for draw in (SplitMix64(1).rational, SplitMix64(1).rational_pair):
+        with pytest.raises(ValueError):
+            draw(0)
 
 
 def test_fork_streams_differ():
