@@ -31,10 +31,11 @@ three (:func:`leading`); no function here takes a subgroup tag.
 
 omega depends on the point only through T = G Ad_b, so its matrix and its
 exterior derivative (:func:`d_omega`) are closed block forms on the integer
-kernel; the derivative of T along a direction is a bracket, read from the
-structure constants.  The suites take d(omega) on the double and on the
-leaf slice G x tU from :func:`d_omega`, on random triples drawn by one
-sampler (:func:`sampled_d_identity`).  The entrywise :func:`omega_value`
+kernel; the derivative of T along a direction is a bracket, read off the
+n x n products of :meth:`~qpslab.liegroup.GroupContext.brackets`.  The
+suites take d(omega) on the double and on the leaf slice G x tU from
+:func:`d_omega`, on random triples drawn by one sampler
+(:func:`sampled_d_identity`).  The entrywise :func:`omega_value`
 (with :func:`omega_fn`) and the dual-number
 :func:`~qpslab.diffcalc.d_two_form` are kept as the independent oracles of
 both closed forms in the tests.

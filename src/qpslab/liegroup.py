@@ -10,7 +10,11 @@ a covector is the algebra element pairing against it through the form.
 Basis order matters and is relied on throughout: first the strictly upper
 entries (the nilpotent radical), then the torus directions, then the
 strictly lower entries, so that the Borel subalgebra occupies a coordinate
-prefix of the algebra coordinates.
+prefix of the algebra coordinates.  The basis is stated once, as the tables
+of ``GroupContext.__init__``: its terms as sums of matrix units, its
+coordinate readers and its functional readers, each a signed sum of entries
+of vec(X).  Every coordinate read and write, the closed forms of Ad,
+G Ad, the commutator and the brackets among them, goes through those tables.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .conventions import ACTIVE
 from .linalg import Mat, mat_vec
@@ -37,7 +41,12 @@ GROUPS = {
 
 
 class GroupContext:
-    """SL_n or GL_n with its Borel subgroup and trace-form calculus."""
+    """SL_n or GL_n with its Borel subgroup and trace-form calculus.
+
+    The algebra basis is stated once, in :meth:`__init__`, as tables of
+    signed sums over vec(X), whose entry (a, b) sits at ``a n + b``; every
+    coordinate read and write below goes through them (:func:`_read`).
+    """
 
     def __init__(self, family: str, n: int):
         if family not in ("SL", "GL"):
@@ -49,36 +58,43 @@ class GroupContext:
 
         upper = [(i, j) for i in range(n) for j in range(n) if i < j]
         lower = [(i, j) for i in range(n) for j in range(n) if i > j]
-        self._upper = upper
         self._lower = lower
-
-        basis: list[Mat] = []
-        labels: list[str] = []
-        for i, j in upper:
-            basis.append(_unit(n, i, j))
-            labels.append(f"E{i + 1}{j + 1}")
+        diag = [k * (n + 1) for k in range(n)]  # the diagonal's places in vec(X)
         if family == "SL":
-            for k in range(n - 1):
-                m = [[0] * n for _ in range(n)]
-                m[k][k] = 1
-                m[k + 1][k + 1] = -1
-                basis.append(Mat(m))
-                labels.append(f"H{k + 1}")
+            # H_k = E_kk - E_(k+1)(k+1), read back as a partial sum of the diagonal
+            torus = [[(diag[k], 1), (diag[k + 1], -1)] for k in range(n - 1)]
+            torus_readers = [[(e, 1) for e in diag[:k + 1]] for k in range(n - 1)]
+            torus_labels = [f"H{k + 1}" for k in range(n - 1)]
         else:
-            for k in range(n):
-                basis.append(_unit(n, k, k))
-                labels.append(f"E{k + 1}{k + 1}")
-        for i, j in lower:
-            basis.append(_unit(n, i, j))
-            labels.append(f"E{i + 1}{j + 1}")
-        self.basis = tuple(basis)
-        self.basis_labels = tuple(labels)
+            torus = torus_readers = [[(e, 1)] for e in diag]
+            torus_labels = [f"E{k + 1}{k + 1}" for k in range(n)]
+        ups = [[(i * n + j, 1)] for i, j in upper]
+        lows = [[(i * n + j, 1)] for i, j in lower]
+        # each table row is a sum of (place, sign) terms:
+        # the basis terms, e_c = sum s E_ab
+        terms = ups + torus + lows
+        # the coordinate readers, the inverse of the terms on the algebra
+        readers = ups + torus_readers + lows
+        # the functional readers tr(e_c X): tr(E_ab X) = X[b][a]
+        functionals = [[(e % n * n + e // n, s) for e, s in t] for t in terms]
+        # entry (a, b) of sum x_c e_c
+        entries = [[(c, s) for c, t in enumerate(terms) for f, s in t if f == e]
+                   for e in range(n * n)]
+        self._terms = _table(terms, n * n)
+        self._readers = _table(readers, n * n)
+        self._functionals = _table(functionals, n * n)
+        self._entries = _table(entries, len(terms))
 
         self.dim_u = len(upper)
-        self.dim_t = n - 1 if family == "SL" else n
+        self.dim_t = len(torus)
         self.dim_b = self.dim_u + self.dim_t
-        self.dim_g = len(basis)
+        self.dim_g = len(terms)
         self.rank = self.dim_t
+        self.basis = tuple(Mat(self._entry_rows([int(k == c) for k in range(self.dim_g)]))
+                           for c in range(self.dim_g))
+        self.basis_labels = tuple(
+            [f"E{i + 1}{j + 1}" for i, j in upper] + torus_labels
+            + [f"E{i + 1}{j + 1}" for i, j in lower])
 
         self.identity = Mat.identity(n)
         gram = [
@@ -99,35 +115,22 @@ class GroupContext:
     # -- coordinates ---------------------------------------------------------
 
     def coords(self, m) -> list:
-        """Coordinates of an algebra matrix in the fixed basis.
+        """Coordinates of an algebra matrix in the fixed basis, by the
+        coordinate readers.
 
-        Works entrywise, so it also accepts matrices of dual scalars.  For
-        SL the torus coordinates are the partial sums of the diagonal; the
-        representation is faithful exactly on trace-free matrices.
+        Works entrywise, so it also accepts matrices of dual scalars.  On SL
+        the representation is faithful exactly on trace-free matrices.
         """
-        out = [m.entry(i, j) for i, j in self._upper]
-        if self.family == "SL":
-            acc = None
-            for k in range(self.n - 1):
-                d = m.entry(k, k)
-                acc = d if acc is None else acc + d
-                out.append(acc)
-        else:
-            out.extend(m.entry(k, k) for k in range(self.n))
-        out.extend(m.entry(i, j) for i, j in self._lower)
-        return out
+        n = self.n
+        return list(_read(self._readers,
+                          [m.entry(a, b) for a in range(n) for b in range(n)]))
 
     def mat_from_coords(self, coords) -> Mat:
-        """The algebra matrix with these coordinates; the inverse of :meth:`coords`.
-
-        The root coordinates are entries; the torus coordinates are the
-        diagonal (GL) or its partial sums (SL), so the SL diagonal is ``h0,
-        h1 - h0, ..., -h_{n-2}``.
-        """
+        """The algebra matrix with these coordinates; the inverse of :meth:`coords`."""
         if len(coords) != self.dim_g:
             raise ValueError("coordinate length mismatch")
-        c = [x if isinstance(x, QQi) else QQi(x) for x in coords]
-        return Mat(self._entry_rows(c, QQI_ZERO))
+        return Mat(self._entry_rows([x if isinstance(x, QQi) else QQi(x)
+                                     for x in coords]))
 
     def algebra_matrices(self, v: Mat) -> list[Mat]:
         """The algebra matrices whose coordinates are the columns of ``v``.
@@ -142,25 +145,16 @@ class GroupContext:
 
     def _column_entry_rows(self, v: Mat) -> tuple[list, int | None]:
         """The entry rows of the algebra matrices with coordinates the columns
-        of ``v``: integers over the returned denominator for a real ``v``,
-        :class:`QQi` entries and None otherwise."""
-        vt = v.transpose()
-        coords, den = vt.int_entries() or (vt.data, None)
-        return [self._entry_rows(c, 0) for c in coords], den
+        of ``v``, over the denominator of :func:`_entry_form`."""
+        coords, den = _entry_form(v.transpose())
+        return [self._entry_rows(c) for c in coords], den
 
-    def _entry_rows(self, c, zero) -> list:
-        """The entry rows of the algebra matrix with coordinates ``c``, over
-        any ring of scalars with the given zero (:meth:`mat_from_coords`)."""
-        du, db = self.dim_u, self.dim_b
-        rows = [[zero] * self.n for _ in range(self.n)]
-        for (i, j), x in zip(self._upper + self._lower, c[:du] + c[db:]):
-            rows[i][j] = x
-        h = c[du:db]
-        if self.family == "SL":
-            h = [h[0]] + [b - a for a, b in zip(h, h[1:])] + [-h[-1]]
-        for k, x in enumerate(h):
-            rows[k][k] = x
-        return rows
+    def _entry_rows(self, c) -> list:
+        """The entry rows of the algebra matrix sum c_k e_k, over any ring of
+        scalars."""
+        n = self.n
+        x = _read(self._entries, c)
+        return [x[a * n:a * n + n] for a in range(n)]
 
     def sub_indices(self, part: str) -> range:
         if part == "g":
@@ -194,77 +188,36 @@ class GroupContext:
     def adjoint(self, m: Mat, minv: Mat) -> Mat:
         """Ad_m in algebra coordinates: column j holds the coordinates of
         ``m e_j m^-1``.  ``minv`` is the inverse of ``m``; pass them swapped
-        for Ad_{m^-1}.
-
-        Closed form: entry (a, b) of ``m E_ij m^-1`` is
-        ``m[a][i] m^-1[j][b]``, so the column of E_ij is read off the outer
-        product of column i of m and row j of m^-1.  The SL torus rows are
-        partial sums of its diagonal, as in :meth:`coords`, and the column of
-        H_k is the difference of those of E_kk and E_(k+1)(k+1).  A real pair
-        runs on integers, m and m^-1 each over one common denominator; a
-        non-real pair runs the same formula on its :class:`QQi` entries.  The
-        per-basis ``coords(m e_j m^-1)`` is the oracle for this in the tests.
+        for Ad_{m^-1}.  :meth:`_conjugation_columns` with the coordinate
+        readers; the per-basis ``coords(m e_j m^-1)`` is the oracle for this
+        in the tests.
         """
-        mi, ci = m.int_entries(), minv.int_entries()
-        if mi is None or ci is None:
-            return Mat.from_columns(self._adjoint_columns(m.data, minv.data),
-                                    self.dim_g)
-        return Mat.from_int_columns(self._adjoint_columns(mi[0], ci[0]),
-                                    mi[1] * ci[1])
+        return self._conjugation_columns(m, minv, self._readers)
 
     def gram_adjoint(self, m: Mat, minv: Mat) -> Mat:
         """T = G Ad_m, G the Gram matrix: column j holds the functional
         coordinates ``(tr(e_c m e_j m^-1))_c`` of ``m e_j m^-1``.  ``minv`` is
-        the inverse of ``m``.
-
-        Closed form, without the d x d product: the functional coordinate of
-        X at E_ab is tr(E_ab X) = X[b][a], and at the SL torus element H_k it
-        is X[k][k] - X[k+1][k+1].  With u column i of m and v row j of m^-1,
-        ``m E_ij m^-1`` is the outer product u v, so the column of E_ij holds
-        u_b v_a at E_ab and the differences of the diagonal u_k v_k at H_k;
-        the column of H_k is the difference of those of E_kk and
-        E_(k+1)(k+1), as in :meth:`adjoint`.  A real pair runs on integers, a
-        non-real pair on its :class:`QQi` entries.  The product route
-        ``gram @ adjoint(m, minv)`` is the oracle for this in the tests.
+        the inverse of ``m``.  :meth:`_conjugation_columns` with the
+        functional readers, without the d x d product ``gram @ adjoint(m,
+        minv)``, which is the oracle for this in the tests.
         """
-        mi, ci = m.int_entries(), minv.int_entries()
-        if mi is None or ci is None:
-            return Mat.from_columns(
-                self._adjoint_columns(m.data, minv.data, functional=True),
-                self.dim_g)
-        return Mat.from_int_columns(
-            self._adjoint_columns(mi[0], ci[0], functional=True), mi[1] * ci[1])
+        return self._conjugation_columns(m, minv, self._functionals)
 
-    def _adjoint_columns(self, m, minv, functional: bool = False) -> list:
-        """The columns of :meth:`adjoint`, or with ``functional`` those of
-        :meth:`gram_adjoint`, from the entry rows of m and m^-1, over any ring
-        of scalars."""
-        n = self.n
-        mcols = list(zip(*m))
+    def _conjugation_columns(self, m: Mat, minv: Mat, readers) -> Mat:
+        """The matrix whose column j holds ``readers`` of ``m e_j m^-1``.
 
-        def unit(i, j):  # (functional) coords of m E_ij m^-1
-            u, v = mcols[i], minv[j]
-            torus = diag = [u[k] * v[k] for k in range(n)]
-            if functional:  # entry (b, a) at E_ab, differences at H_k
-                u, v = v, u
-                if self.family == "SL":
-                    torus = list(map(sub, diag, diag[1:]))
-            elif self.family == "SL":  # partial sums at H_k
-                torus = list(itertools.accumulate(diag[:-1]))
-            return ([u[a] * v[b] for a, b in self._upper] + torus
-                    + [u[a] * v[b] for a, b in self._lower])
-
-        return self._basis_columns(unit)
-
-    def _basis_columns(self, unit) -> list:
-        """The columns of a linear map on the algebra basis, in basis order,
-        from ``unit(i, j)``, the column of E_ij; the SL torus column of H_k
-        is the difference of those of E_kk and E_(k+1)(k+1)."""
-        torus = [unit(k, k) for k in range(self.n)]
-        if self.family == "SL":
-            torus = [list(map(sub, p, q)) for p, q in zip(torus, torus[1:])]
-        return ([unit(i, j) for i, j in self._upper] + torus
-                + [unit(i, j) for i, j in self._lower])
+        Entry (a, b) of ``m E_ij m^-1`` is ``m[a][i] m^-1[j][b]``, so vec of
+        it is the outer product of column i of m and row j of m^-1, and the
+        column of e_j combines those of its terms E_ij.  ``minv``, the
+        inverse, is real when ``m`` is: a real pair runs on integers, each
+        over one common denominator, a non-real pair on its :class:`QQi`
+        entries.
+        """
+        (rows, p), (inv, q) = _entry_form(m), _entry_form(minv)
+        units = [_read(readers, [x * y for x in u for y in v])
+                 for u in zip(*rows) for v in inv]
+        return _columns_mat(_read(self._terms, units, _column_sum),
+                            None if p is None else p * q)
 
     def commutator_matrix(self, m: Mat) -> Mat:
         """The n^2 x d matrix of x -> m x - x m on the algebra basis: column k
@@ -273,31 +226,23 @@ class GroupContext:
         Closed form, not through :meth:`adjoint`: m E_ij - E_ij m =
         m[:, i] e_j^T - e_i m[j, :], so the column of E_ij holds column i of m
         at the entries (a, j) less row j of m at the entries (i, b), and the
-        SL torus columns are differences (:meth:`_basis_columns`).  A real m
-        runs on its integer rows over one denominator, a non-real m on its
-        :class:`QQi` entries.  The per-basis products are its oracle in the
-        tests.
+        column of e_k combines those of its terms.  A real m runs on its
+        integer rows over one denominator, a non-real m on its :class:`QQi`
+        entries.  The per-basis products are its oracle in the tests.
         """
-        ints = m.int_entries()
-        if ints is None:
-            return Mat.from_columns(self._commutator_columns(m.data, QQI_ZERO),
-                                    self.n * self.n)
-        return Mat.from_int_columns(self._commutator_columns(ints[0], 0), ints[1])
-
-    def _commutator_columns(self, m, zero) -> list:
-        """The columns of :meth:`commutator_matrix` from the entry rows of m,
-        over any ring of scalars with the given zero."""
         n = self.n
+        rows, den = _entry_form(m)
 
         def unit(i, j):  # vec(m E_ij - E_ij m)
-            col = [zero] * (n * n)
+            col = [0] * (n * n)
             for a in range(n):
-                col[a * n + j] = m[a][i]
+                col[a * n + j] = rows[a][i]
             for b in range(n):
-                col[i * n + b] -= m[j][b]
+                col[i * n + b] -= rows[j][b]
             return col
 
-        return self._basis_columns(unit)
+        units = [unit(i, j) for i in range(n) for j in range(n)]
+        return _columns_mat(_read(self._terms, units, _column_sum), den)
 
     # -- invariant form and brackets ------------------------------------------
 
@@ -307,57 +252,41 @@ class GroupContext:
 
         One product [Y_1; ...; Y_k] [Y_1 | ... | Y_k] holds Y_p Y_q as its
         n x n block (p, q), so [Y_p, Y_q] is block (p, q) less block (q, p)
-        (:meth:`_bracket_entries`); E_ij has coordinate (i, j), the torus as
-        in :meth:`coords`.  The matrix is built in row form only: the callers
-        read it through ``select_rows``, ``-``, ``scale`` and products, none
-        of which needs a column form.  A non-real ``v`` runs on its
-        :class:`QQi` entries.  Per-pair ``coords(bracket(...))`` is the
-        oracle in the tests.
+        (:meth:`_bracket_rows`).  The matrix is built in row form only: the
+        callers read it through ``select_rows``, ``-``, ``scale`` and
+        products, none of which needs a column form.  A non-real ``v`` runs
+        on its :class:`QQi` entries.  Per-pair ``coords(bracket(...))`` is
+        the oracle in the tests.
         """
-        cols, den = self._bracket_entries(v)
-        return self._bracket_coords(cols, den)
+        return self._bracket_rows(v, self._readers)[0]
 
     def brackets_and_functionals(self, v: Mat) -> tuple[Mat, Mat]:
         """:meth:`brackets` and, in a second matrix, the functional
         coordinates gram coords([Y_p, Y_q]) = (tr(e_c [Y_p, Y_q]))_c, both
-        read off the same product: E_ij has functional coordinate (j, i), the
-        torus as in :meth:`_basis_columns`.  Per-pair
-        ``dual_coords(bracket(...))`` is the oracle in the tests.
+        read off the same product.  Per-pair ``dual_coords(bracket(...))`` is
+        the oracle in the tests.
         """
-        cols, den = self._bracket_entries(v)
-        return (self._bracket_coords(cols, den),
-                _rows_mat(list(zip(*self._basis_columns(lambda i, j: cols[j][i]))),
-                          den))
+        return self._bracket_rows(v, self._readers, self._functionals)
 
-    def _bracket_entries(self, v: Mat) -> tuple[list, int | None]:
-        """``cols[a][b]``, the entries (a, b) of every [Y_p, Y_q] in order
-        ``p k + q``, over the returned denominator (integers) or None
-        (:class:`QQi` entries), from one stacked product."""
+    def _bracket_rows(self, v: Mat, *tables) -> tuple[Mat, ...]:
+        """For each table, the matrix of its readers of every [Y_p, Y_q], in
+        row ``p k + q``, from one stacked product."""
         n = self.n
         ys, den = self._column_entry_rows(v)
         # [Y_1; ...; Y_k] and [Y_1 | ... | Y_k], row by row
         stack = _rows_mat([r for y in ys for r in y], den)
         side = _rows_mat([[x for y in ys for x in y[a]] for a in range(n)], den)
-        prod = stack @ side
-        prod, den = prod.int_entries() or (prod.data, None)
+        prod, den = _entry_form(stack @ side)
 
         def entry(a, b):  # entry (a, b) of [Y_p, Y_q] in row p k + q
             left = [r[b::n] for r in prod[a::n]]  # left[p][q] = (Y_p Y_q)[a][b]
             return [x - y for lp, rp in zip(left, zip(*left))
                     for x, y in zip(lp, rp)]
 
-        return [[entry(a, b) for b in range(n)] for a in range(n)], den
-
-    def _bracket_coords(self, cols: list, den: int | None) -> Mat:
-        """The coordinate rows of :meth:`brackets` from
-        :meth:`_bracket_entries`."""
-        torus = [cols[j][j] for j in range(self.n)]
-        if self.family == "SL":
-            torus = list(itertools.accumulate(torus[:-1],
-                                              lambda x, y: list(map(add, x, y))))
-        # the columns, transposed to rows
-        return _rows_mat(list(zip(*[cols[i][j] for i, j in self._upper], *torus,
-                                  *[cols[i][j] for i, j in self._lower])), den)
+        cols = [entry(a, b) for a in range(n) for b in range(n)]
+        # each table's columns, transposed to rows
+        return tuple(_rows_mat(list(zip(*_read(t, cols, _column_sum))), den)
+                     for t in tables)
 
     def form(self, x: Mat, y: Mat):
         """The invariant bilinear form ``tr(x y)``."""
@@ -398,10 +327,61 @@ def _rows_mat(rows, den: int | None) -> Mat:
     return Mat(rows) if den is None else Mat.from_int_rows(rows, den)
 
 
-def _unit(n: int, i: int, j: int) -> Mat:
-    m = [[0] * n for _ in range(n)]
-    m[i][j] = 1
-    return Mat(m)
+def _entry_form(m: Mat) -> tuple[list, int | None]:
+    """The entry rows of ``m``: integer rows over one common denominator for
+    a real matrix, its :class:`QQi` entries and None otherwise."""
+    return m.int_entries() or (m.data, None)
+
+
+def _columns_mat(cols, den: int | None) -> Mat:
+    """The matrix of integer columns over ``den``, or of entry columns if
+    ``den`` is None."""
+    if den is None:
+        return Mat.from_columns(cols, len(cols[0]))
+    return Mat.from_int_columns(cols, den)
+
+
+def _sum(terms, x):
+    """sum s x[i] over the (i, s) terms of one table row."""
+    (i, s), *rest = terms
+    acc = x[i] if s == 1 else -x[i]
+    for i, s in rest:
+        acc = acc + x[i] if s == 1 else acc - x[i]
+    return acc
+
+
+def _column_sum(terms, cols) -> list:
+    """:func:`_sum` of columns, entrywise."""
+    (i, s), *rest = terms
+    acc = cols[i] if s == 1 else [-y for y in cols[i]]
+    for i, s in rest:
+        acc = list(map(add if s == 1 else sub, acc, cols[i]))
+    return acc
+
+
+def _table(rows, width: int) -> tuple:
+    """A table of sums over vectors of ``width`` entries, set up for
+    :func:`_read`: a row that is one positive term reads its place in the
+    vector, any other row a place past its end, where :func:`_read` appends
+    the row's sum.  Most rows are one positive term, and a plain index keeps
+    them as cheap as a hand-written read."""
+    places, sums = [], []
+    for terms in rows:
+        if len(terms) == 1 and terms[0][1] == 1:
+            places.append(terms[0][0])
+        else:
+            places.append(width + len(sums))
+            sums.append(terms)
+    return itemgetter(*places), sums
+
+
+def _read(table, x, total=_sum) -> tuple:
+    """Every row of ``table`` (:func:`_table`) summed over the vector ``x``:
+    a vector of scalars, or with :func:`_column_sum` of columns."""
+    get, sums = table
+    if sums:
+        x = [*x, *[total(terms, x) for terms in sums]]
+    return get(x)
 
 
 def _mul_frac(t, frac: Fraction):
@@ -696,7 +676,8 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
 
     ``G`` samples are built as (unit lower) * (diagonal) * (unit upper) with
     bounded-height rational entries and determinant fixed by the family;
-    ``T-regular`` forces pairwise distinct diagonal entries.  Each entry is
+    ``T-regular`` forces pairwise distinct diagonal entries, and raises
+    ValueError at height 1 on every group but GL_2, where none exist.  Each entry is
     drawn as its reduced integer pair (:meth:`SplitMix64.rational_pair`)
     and the factors go straight into integer rows (:meth:`Mat.from_pairs`),
     with no ``Fraction`` and no :class:`QQi` entry.  The diagonal factor is
@@ -733,7 +714,7 @@ def random_algebra(ctx: GroupContext, rng: SplitMix64, height: int = 10,
         pairs[i] = rng.rational_pair(height)
     den = lcm(*(q for _, q in pairs))
     nums = [p * (den // q) for p, q in pairs]
-    return AlgebraElement(ctx, Mat.from_int_rows(ctx._entry_rows(nums, 0), den),
+    return AlgebraElement(ctx, Mat.from_int_rows(ctx._entry_rows(nums), den),
                           check=False)
 
 
@@ -748,9 +729,16 @@ def _torus_entries(ctx: GroupContext, rng: SplitMix64, height: int,
                    regular: bool = False) -> list[tuple[int, int]]:
     """The diagonal of a torus sample as reduced pairs: nonzero draws, the
     SL one's last entry fixing the determinant at one; ``regular`` redraws
-    the whole diagonal until its entries are pairwise distinct."""
+    the whole diagonal until its entries are pairwise distinct.
+
+    At height 1 every entry, the SL last one too, is 1 or -1, so only a GL_2
+    diagonal can be regular: elsewhere ``regular`` raises ValueError there,
+    before any draw.
+    """
     n = ctx.n
     sl = ctx.family == "SL"
+    if regular and height == 1 and (sl or n > 2):
+        raise ValueError(f"no regular torus element of height 1 in {ctx.name}")
     while True:
         entries = [rng.rational_pair(height, nonzero=True) for _ in range(n - sl)]
         if sl:

@@ -2,9 +2,10 @@
 per-basis route it replaced.
 
 * :meth:`GroupContext.adjoint` against ``coords(m e_k m^-1)`` for every basis
-  element, on every group, for Ad_m and Ad_{m^-1}, and on non-real sl2
-  elements (the :class:`QQi` path); :meth:`GroupContext.gram_adjoint`
-  against the product ``gram @ adjoint``, the same way.
+  element, on every group, for Ad_m and Ad_{m^-1}, and on non-real sl2,
+  sl3 and gl3 elements (the :class:`QQi` path);
+  :meth:`GroupContext.gram_adjoint` against the product ``gram @ adjoint``,
+  the same way.
 * ``phi_differential``, ``cartan_dirac``, ``action_generators`` and
   ``chart_transport`` against their per-basis columns, written out here;
   on G x B and G x U, the leading blocks of the double's matrices.
@@ -55,16 +56,28 @@ def test_adjoint_matches_the_per_basis_oracle(group):
     assert ctx.adjoint(eye, eye) == Mat.identity(ctx.dim_g)
 
 
+I = QQi(0, 1)
+# non-real elements: on sl2 every coordinate reader is one entry; on sl3 the
+# torus coordinate readers are partial sums and the functional ones
+# differences; gl3 has the GL torus
+NON_REAL = (
+    ("sl2", [[I, 0], [0, -I]]),                       # a torus element of order four
+    ("sl2", [[1, I], [0, 1]]),                        # a non-real unipotent element
+    ("sl2", [[1 + I, I], [1, 1]]),                    # a generic one
+    ("sl3", [[I, 0, 0], [0, -I, 0], [0, 0, 1]]),
+    ("sl3", [[1, I, 0], [0, 1, I], [0, 0, 1]]),
+    ("sl3", [[1 + I, I, 0], [1, 1, 0], [I, 2, 1]]),
+    ("gl3", [[I, 0, 0], [0, -I, 0], [0, 0, 1]]),
+    ("gl3", [[1, I, 0], [0, 1, I], [0, 0, 1]]),
+    ("gl3", [[1 + I, I, 3], [1, 1, 0], [I, 2, 2]]),
+)
+
+
 def test_adjoint_on_non_real_sl2_elements():
-    ctx = context("sl2")
-    i = QQi(0, 1)
-    mats = (
-        [[i, 0], [0, -i]],          # a torus element of order four
-        [[1, i], [0, 1]],           # a non-real unipotent element
-        [[1 + i, i], [1, 1]],       # a generic one
-    )
+    """The QQi path on the non-real sl2, sl3 and gl3 elements."""
     non_real = False
-    for rows in mats:
+    for group, rows in NON_REAL:
+        ctx = context(group)
         g = GroupElement(ctx, Mat(rows))
         for m, minv in ((g.m, g.inv), (g.inv, g.m)):
             got = ctx.adjoint(m, minv)
@@ -86,11 +99,11 @@ def test_gram_adjoint_matches_the_product_route(group):
 
 
 def test_gram_adjoint_on_non_real_sl2_elements():
-    ctx = context("sl2")
-    i = QQi(0, 1)
+    """The QQi path on the non-real sl2, sl3 and gl3 elements."""
     non_real = False
     # diag(i, -i) has a real adjoint, taken on the QQi path all the same
-    for rows in ([[i, 0], [0, -i]], [[1 + i, i], [1, 1]]):
+    for group, rows in NON_REAL:
+        ctx = context(group)
         g = GroupElement(ctx, Mat(rows))
         for m, minv in ((g.m, g.inv), (g.inv, g.m)):
             got = ctx.gram_adjoint(m, minv)

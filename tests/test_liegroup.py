@@ -267,6 +267,58 @@ def test_gram_symmetric():
         assert ctx.gram == ctx.gram.transpose()
 
 
+# the ordered bases written out: each label with the nonzero entries of its
+# matrix, as (row, column, entry) with 1-based indices
+LITERAL_BASES = {
+    "sl3": (
+        ("E12", ((1, 2, 1),)), ("E13", ((1, 3, 1),)), ("E23", ((2, 3, 1),)),
+        ("H1", ((1, 1, 1), (2, 2, -1))), ("H2", ((2, 2, 1), (3, 3, -1))),
+        ("E21", ((2, 1, 1),)), ("E31", ((3, 1, 1),)), ("E32", ((3, 2, 1),)),
+    ),
+    "gl3": (
+        ("E12", ((1, 2, 1),)), ("E13", ((1, 3, 1),)), ("E23", ((2, 3, 1),)),
+        ("E11", ((1, 1, 1),)), ("E22", ((2, 2, 1),)), ("E33", ((3, 3, 1),)),
+        ("E21", ((2, 1, 1),)), ("E31", ((3, 1, 1),)), ("E32", ((3, 2, 1),)),
+    ),
+    "sl4": (
+        ("E12", ((1, 2, 1),)), ("E13", ((1, 3, 1),)), ("E14", ((1, 4, 1),)),
+        ("E23", ((2, 3, 1),)), ("E24", ((2, 4, 1),)), ("E34", ((3, 4, 1),)),
+        ("H1", ((1, 1, 1), (2, 2, -1))), ("H2", ((2, 2, 1), (3, 3, -1))),
+        ("H3", ((3, 3, 1), (4, 4, -1))),
+        ("E21", ((2, 1, 1),)), ("E31", ((3, 1, 1),)), ("E32", ((3, 2, 1),)),
+        ("E41", ((4, 1, 1),)), ("E42", ((4, 2, 1),)), ("E43", ((4, 3, 1),)),
+    ),
+}
+
+# one matrix of the algebra on each group and its coordinates: the root
+# coordinates are entries, the SL torus ones partial sums of the diagonal
+LITERAL_COORDS = {
+    "sl3": ([[1, 2, 3], [4, 5, 6], [7, 8, -6]],
+            [2, 3, 6, 1, 1 + 5, 4, 7, 8]),
+    "gl3": ([[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            [2, 3, 6, 1, 5, 9, 4, 7, 8]),
+    "sl4": ([[1, 5, 6, 7], [8, 2, 9, 10], [11, 12, 3, 13], [14, 15, 16, -6]],
+            [5, 6, 7, 9, 10, 13, 1, 1 + 2, 1 + 2 + 3, 8, 11, 12, 14, 15, 16]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_BASES))
+def test_the_basis_and_its_coordinates_written_out(name):
+    ctx = context(name)
+    n = ctx.n
+    want = []
+    for _, entries in LITERAL_BASES[name]:
+        m = [[0] * n for _ in range(n)]
+        for i, j, x in entries:
+            m[i - 1][j - 1] = x
+        want.append(Mat(m))
+    assert ctx.basis_labels == tuple(label for label, _ in LITERAL_BASES[name])
+    assert ctx.basis == tuple(want)
+    rows, coords = LITERAL_COORDS[name]
+    assert ctx.coords(Mat(rows)) == [QQi(c) for c in coords]
+    assert ctx.mat_from_coords(coords) == Mat(rows)
+
+
 def test_coords_roundtrip():
     rng = SplitMix64(19)
     for ctx in GROUPS:
@@ -432,8 +484,12 @@ def samplers_match_the_oracles(ctx, seed, height):
     new, old = SplitMix64(seed), SplitMix64(seed)
     for kind in SAMPLE_KINDS:
         # at height 1 every entry is 1 or -1, so only a GL2 torus can be
-        # regular: the draw would never end on the other groups
-        if kind == "T-regular" and height == 1:
+        # regular: the other groups raise before any draw
+        if kind == "T-regular" and height == 1 and ctx.name != "gl2":
+            state = new.state
+            with pytest.raises(ValueError):
+                random_point(ctx, kind, new, height)
+            assert new.state == state, (seed, kind)
             continue
         probe = copy.copy(new)
         got, want = (random_point(ctx, kind, new, height).m,
@@ -481,6 +537,7 @@ def test_the_pinned_draws_hold_a_negative_torus_and_a_redraw():
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), height=st.integers(1, 10))
 @example(*PINNED_DRAWS)
+@example(5, 1)  # no regular torus of height 1 but on gl2
 def test_samplers_match_the_oracles_at_any_seed_and_height(seed, height):
     for name in sorted(liegroup.GROUPS):
         samplers_match_the_oracles(context(name), seed, height)
