@@ -363,13 +363,13 @@ def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, dphi: Mat,
     of :func:`leaf_two_form` passes d(mu) on the slice G x tU.  Each triple
     is three height-3 direction vectors of ``w``'s size, drawn from ``rng``
     one after another as the columns of one matrix V, built straight into
-    integer rows from the drawn pairs (:meth:`Mat.from_pairs`), so a real
-    point runs on the integer kernel throughout: one product ``dphi @ V``
+    integer rows from the drawn pairs (:meth:`Mat.from_pairs`), so the
+    check runs on the integer kernel throughout: one product ``dphi @ V``
     pushes all three, each dim G block of it gives eta's three algebra
     matrices as integer rows
     (:meth:`~qpslab.liegroup.GroupContext.algebra_matrices`), and d(omega)
-    comes from :func:`d_omega` on V.  A non-real point takes the same steps
-    on :class:`QQi` entries.  The first failing triple ends the check.
+    comes from :func:`d_omega` on V.  The first failing triple ends the
+    check.
     """
     d = ctx.dim_g
     dim = w.rows
@@ -854,22 +854,21 @@ def reconstruct_bivector(chart: QuotientChart):
 def float_array(m: Mat) -> np.ndarray:
     """The complex128 array of an exact matrix.
 
-    A real matrix is read from its integer rows over one denominator
+    It is read from the integer rows over one denominator
     (:meth:`~qpslab.linalg.Mat.int_entries`), with no :class:`QQi` entry:
     ``a / den`` is the correctly rounded value of the exact rational, as
     ``float(Fraction)`` is, so the array is bit for bit that of the
-    entries' ``to_complex``, the route a non-real matrix takes.  (That
-    route adds the zero real part of ``1j * 0``, which turns a negative
-    value that underflows to -0.0 into 0.0; the ``+ 0.0`` here does the
-    same.)
+    entries' ``to_complex``.  A Gaussian numerator takes the formula of
+    ``to_complex`` on its two parts.  (That formula adds the zero real part
+    of ``1j * 0``, which turns a real negative value that underflows to
+    -0.0 into 0.0; the ``+ 0.0`` of a real numerator does the same.)
     """
     import numpy as np
 
-    ints = m.int_entries()
-    if ints is None:
-        return np.array([[x.to_complex() for x in r] for r in m.data], dtype=complex)
-    nums, den = ints
-    return np.array([[a / den + 0.0 for a in r] for r in nums], dtype=complex)
+    nums, den = m.int_entries()
+    return np.array([[a / den + 0.0 if type(a) is int else
+                      complex(a.re / den) + 1j * complex(a.im / den) for a in r]
+                     for r in nums], dtype=complex)
 
 
 def float_element_from_json(obj: dict) -> tuple[GroupContext, np.ndarray]:

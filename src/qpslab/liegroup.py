@@ -135,18 +135,17 @@ class GroupContext:
     def algebra_matrices(self, v: Mat) -> list[Mat]:
         """The algebra matrices whose coordinates are the columns of ``v``.
 
-        A real ``v`` gives integer rows over the common denominator of its
-        columns, with no :class:`QQi` entry; a non-real one gives
-        :class:`QQi` entries.  Per-column :meth:`mat_from_coords` is the
-        oracle in the tests.
+        They are integer rows over the common denominator of the columns,
+        with no :class:`QQi` entry.  Per-column :meth:`mat_from_coords` is
+        the oracle in the tests.
         """
         ys, den = self._column_entry_rows(v)
-        return [_rows_mat(y, den) for y in ys]
+        return [Mat.from_int_rows(y, den) for y in ys]
 
-    def _column_entry_rows(self, v: Mat) -> tuple[list, int | None]:
-        """The entry rows of the algebra matrices with coordinates the columns
-        of ``v``, over the denominator of :func:`_entry_form`."""
-        coords, den = _entry_form(v.transpose())
+    def _column_entry_rows(self, v: Mat) -> tuple[list, int]:
+        """The integer entry rows of the algebra matrices with coordinates
+        the columns of ``v``, over one common denominator."""
+        coords, den = v.transpose().int_entries()
         return [self._entry_rows(c) for c in coords], den
 
     def _entry_rows(self, c) -> list:
@@ -208,16 +207,13 @@ class GroupContext:
 
         Entry (a, b) of ``m E_ij m^-1`` is ``m[a][i] m^-1[j][b]``, so vec of
         it is the outer product of column i of m and row j of m^-1, and the
-        column of e_j combines those of its terms E_ij.  ``minv``, the
-        inverse, is real when ``m`` is: a real pair runs on integers, each
-        over one common denominator, a non-real pair on its :class:`QQi`
-        entries.
+        column of e_j combines those of its terms E_ij.  Both run on their
+        integer rows, each over one common denominator.
         """
-        (rows, p), (inv, q) = _entry_form(m), _entry_form(minv)
+        (rows, p), (inv, q) = m.int_entries(), minv.int_entries()
         units = [_read(readers, [x * y for x in u for y in v])
                  for u in zip(*rows) for v in inv]
-        return _columns_mat(_read(self._terms, units, _column_sum),
-                            None if p is None else p * q)
+        return Mat.from_int_columns(_read(self._terms, units, _column_sum), p * q)
 
     def commutator_matrix(self, m: Mat) -> Mat:
         """The n^2 x d matrix of x -> m x - x m on the algebra basis: column k
@@ -226,12 +222,12 @@ class GroupContext:
         Closed form, not through :meth:`adjoint`: m E_ij - E_ij m =
         m[:, i] e_j^T - e_i m[j, :], so the column of E_ij holds column i of m
         at the entries (a, j) less row j of m at the entries (i, b), and the
-        column of e_k combines those of its terms.  A real m runs on its
-        integer rows over one denominator, a non-real m on its :class:`QQi`
-        entries.  The per-basis products are its oracle in the tests.
+        column of e_k combines those of its terms.  It runs on the integer
+        rows of m over one denominator.  The per-basis products are its
+        oracle in the tests.
         """
         n = self.n
-        rows, den = _entry_form(m)
+        rows, den = m.int_entries()
 
         def unit(i, j):  # vec(m E_ij - E_ij m)
             col = [0] * (n * n)
@@ -242,7 +238,7 @@ class GroupContext:
             return col
 
         units = [unit(i, j) for i in range(n) for j in range(n)]
-        return _columns_mat(_read(self._terms, units, _column_sum), den)
+        return Mat.from_int_columns(_read(self._terms, units, _column_sum), den)
 
     # -- invariant form and brackets ------------------------------------------
 
@@ -254,9 +250,8 @@ class GroupContext:
         n x n block (p, q), so [Y_p, Y_q] is block (p, q) less block (q, p)
         (:meth:`_bracket_rows`).  The matrix is built in row form only: the
         callers read it through ``select_rows``, ``-``, ``scale`` and
-        products, none of which needs a column form.  A non-real ``v`` runs
-        on its :class:`QQi` entries.  Per-pair ``coords(bracket(...))`` is
-        the oracle in the tests.
+        products, none of which needs a column form.  Per-pair
+        ``coords(bracket(...))`` is the oracle in the tests.
         """
         return self._bracket_rows(v, self._readers)[0]
 
@@ -274,9 +269,9 @@ class GroupContext:
         n = self.n
         ys, den = self._column_entry_rows(v)
         # [Y_1; ...; Y_k] and [Y_1 | ... | Y_k], row by row
-        stack = _rows_mat([r for y in ys for r in y], den)
-        side = _rows_mat([[x for y in ys for x in y[a]] for a in range(n)], den)
-        prod, den = _entry_form(stack @ side)
+        stack = Mat.from_int_rows([r for y in ys for r in y], den)
+        side = Mat.from_int_rows([[x for y in ys for x in y[a]] for a in range(n)], den)
+        prod, den = (stack @ side).int_entries()
 
         def entry(a, b):  # entry (a, b) of [Y_p, Y_q] in row p k + q
             left = [r[b::n] for r in prod[a::n]]  # left[p][q] = (Y_p Y_q)[a][b]
@@ -285,7 +280,7 @@ class GroupContext:
 
         cols = [entry(a, b) for a in range(n) for b in range(n)]
         # each table's columns, transposed to rows
-        return tuple(_rows_mat(list(zip(*_read(t, cols, _column_sum))), den)
+        return tuple(Mat.from_int_rows(list(zip(*_read(t, cols, _column_sum))), den)
                      for t in tables)
 
     def form(self, x: Mat, y: Mat):
@@ -319,26 +314,6 @@ class GroupContext:
 
     def in_borel(self, m: Mat) -> bool:
         return not any(m.entry(i, j) for i, j in self._lower)
-
-
-def _rows_mat(rows, den: int | None) -> Mat:
-    """The matrix of integer rows over ``den``, or of entry rows if ``den``
-    is None."""
-    return Mat(rows) if den is None else Mat.from_int_rows(rows, den)
-
-
-def _entry_form(m: Mat) -> tuple[list, int | None]:
-    """The entry rows of ``m``: integer rows over one common denominator for
-    a real matrix, its :class:`QQi` entries and None otherwise."""
-    return m.int_entries() or (m.data, None)
-
-
-def _columns_mat(cols, den: int | None) -> Mat:
-    """The matrix of integer columns over ``den``, or of entry columns if
-    ``den`` is None."""
-    if den is None:
-        return Mat.from_columns(cols, len(cols[0]))
-    return Mat.from_int_columns(cols, den)
 
 
 def _sum(terms, x):

@@ -2,19 +2,24 @@
 
 All geometric claims verified by this package reduce to rank, kernel and
 intersection computations performed here.  A :class:`Mat` holds exact
-entries only; a float entry raises ``TypeError``.  The one float check, the
-Weyl-fiber enumeration, runs on numpy arrays in :mod:`qpslab.gspringer`.
+entries only; a float entry, or a float passed to :meth:`Mat.scale`, raises
+``TypeError``.  The one float check, the Weyl-fiber enumeration, runs on
+numpy arrays in :mod:`qpslab.gspringer`.
 
-Every sampler and suite produces real entries, so a real :class:`Mat` is
-kept in integer form: for each row, a list of integer numerators and a
-positive row denominator with no factor common to all of them
-(``gcd(den, *nums) == 1``).  The row denominator is then the lcm of the
-row's reduced entry denominators, so the form is canonical and ``==``
-compares it.  Rows have their own denominators: one common denominator for
-the whole matrix would make every row as long as the lcm over all rows.
-The numerator lists are never mutated once stored; they are lists rather
-than tuples because CPython keeps up to 2000 freed tuples of each length
-below 20 for reuse, and tuple rows would fill those caches and raise the peak
+Every :class:`Mat` is kept in one form, integer rows: for each row, a list
+of numerators over a positive integer row denominator.  A real numerator is
+a plain ``int``; a non-real one is a Gaussian integer
+(:class:`~qpslab.scalars.ZZi`), whose operations return an ``int`` whenever
+the result is real, so a real matrix holds ``int``s alone and its
+arithmetic is integer arithmetic.  The form is canonical: no factor divides
+the denominator and every real and imaginary part of the numerators
+(``gcd(den, *parts) == 1``), so the row denominator is the lcm of the
+denominators of the parts of the row's entries, and ``==`` compares rows.
+Rows have their own denominators: one common denominator for the whole
+matrix would make every row as long as the lcm over all rows.  The
+numerator lists are never mutated once stored; they are lists rather than
+tuples because CPython keeps up to 2000 freed tuples of each length below
+20 for reuse, and tuple rows would fill those caches and raise the peak
 memory of a run.
 
 * Integer rows are built without a ``QQi`` entry wherever the values are
@@ -32,15 +37,14 @@ memory of a run.
   integers over a common denominator (the closed-form adjoint, T = G Ad_b,
   the commutator matrix, the Lie brackets, the algebra matrices of
   coordinate columns and the sampled algebra elements), and so does every
-  kernel operation below.  Going the other way, the JSON writer and the
+  kernel operation below.  Rows of :class:`QQi` entries are built by
+  :func:`_pair_row` of their real and imaginary parts (:func:`_gaussian_row`),
+  and keep those entries.  Going the other way, the JSON writer and the
   float conversion read the integer rows, not the entries.
 * The ``QQi`` entries, :attr:`Mat.data`, are built from the integer rows the
-  first time some code reads them, and kept.  A matrix built from
-  :class:`QQi` entries (``Mat(...)``, :meth:`Mat._raw`) clears its rows to
-  integers (:func:`_int_rows`) the first time a kernel operation needs them,
-  and keeps them, so each matrix is converted at most once.  The column
-  form, derived from the rows and kept, is the row form of the transpose
-  (and so of every basis :class:`Subspace` canonicalizes) and is sliced by
+  first time some code reads them, and kept.  The column form, derived from
+  the rows and kept, is the row form of the transpose (and so of every
+  basis :class:`Subspace` canonicalizes) and is sliced by
   :meth:`Mat.col_block` when present.  The right operand of ``@`` needs no
   column form: it is read from its integer rows over the lcm of the row
   denominators (:meth:`Mat.int_entries`), since each output row is reduced
@@ -58,7 +62,8 @@ memory of a run.
   row is the same combination of the right operand's rows at its non-zero
   entries (:func:`_row_combination`).  The other rows keep the dot products.
 * :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
-  (Bareiss, Math. Comp. 22, 1968) on the integer rows.
+  (Bareiss, Math. Comp. 22, 1968) on the integer rows; its divisions are
+  exact in any integral domain, the Gaussian integers included.
 * :func:`rref` and :meth:`Mat.inverse`, for every size, run its
   Gauss-Jordan form (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997),
   whose divisions are exact; pivot row ``i`` of the result is that row over
@@ -71,21 +76,28 @@ memory of a run.
   is canonicalized anyway, :func:`intersect` and the Dirac transports of
   :mod:`qpslab.dirac`, take the raw vectors and skip that rref.
 
+Every row an operation makes is reduced by :func:`_canon`, whose first
+statement is ``gcd(den, *nums)``.  ``math.gcd`` takes integers only, so a
+Gaussian numerator, or a Gaussian pivot as the denominator, makes it raise
+``TypeError``; the row then takes a small Gaussian branch
+(:func:`_gaussian_gcd`), which makes a Gaussian denominator real by
+multiplying the row by its conjugate and takes the gcd of every real and
+imaginary part.  A real row pays only the ``try``.
+
 The results are identical, entry for entry and so in every report, to those
 of elimination over :class:`QQi`: scaling a row does not change the reduced
 row echelon form, products, ranks, determinants, the RREF and the inverse
 are unique values, and ``Fraction`` always stores a value in lowest terms.
+That elimination over :class:`QQi`, which non-real matrices once took, is
+kept in the tests (``tests/qqi_oracle.py``) as the oracle of the
+differential tests.
 
-A vector of first-order ``Dual`` numbers (a section evaluated at a dual
-point) reaches :func:`mat_vec`; it is split into its value and derivative
-parts, each a real vector, and both run on the integer kernel, since
-``M (v + eps w) = M v + eps M w``.
-
-A matrix with a non-real entry keeps its :class:`QQi` entries and takes the
-elimination over :class:`QQi`, kept as the ``_*_qqi`` functions; so does a
-vector that is neither real nor split that way (nested duals, non-real
-parts).  Only JSON input can produce a non-real entry; the same functions
-are the oracle of the differential tests.
+A vector of first-order ``Dual`` numbers over :class:`QQi` (a section
+evaluated at a dual point) reaches :func:`mat_vec`; it is split into its
+value and derivative parts, and both run on the integer kernel, since
+``M (v + eps w) = M v + eps M w``.  Nested or mixed dual vectors, which
+only the oracles of :mod:`qpslab.diffcalc` build, take dot products of the
+entries (:func:`dot`).
 
 Conventions: a :class:`Subspace` stores a basis matrix whose *columns* are
 the basis vectors, canonicalized by reduced row echelon form of the
@@ -108,7 +120,7 @@ from math import gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .scalars import QQI_ZERO, Dual, QQi
+from .scalars import QQI_ZERO, Dual, QQi, ZZi, zzi
 
 # the values of a campaign's backend setting; only diagram-gs takes FLOAT
 EXACT = "exact"
@@ -132,11 +144,10 @@ def _coerce_entry(x):
 
 
 class Mat:
-    """Immutable dense matrix of :class:`QQi` entries; row-major tuple of
-    row tuples (:attr:`data`).
-
-    A real matrix also keeps its integer rows and columns (see the module
-    docstring); whichever form is missing is derived when first used.
+    """Immutable dense matrix over the Gaussian rationals, kept as integer
+    rows (see the module docstring); its :class:`QQi` entries, row-major
+    tuples (:attr:`data`), and its integer columns are derived when first
+    used.
     """
 
     __slots__ = ("rows", "cols", "_data", "_ints", "_icols", "_iright")
@@ -145,39 +156,32 @@ class Mat:
         """The matrix with these rows of entries.  Rows of ``int`` and
         ``Fraction`` entries go straight to integer form
         (:func:`_rational_row`), with no :class:`QQi` entry; any other row
-        set is coerced to :class:`QQi` entries."""
+        set is coerced to :class:`QQi` entries, which are kept, and built
+        into integer rows from them (:func:`_gaussian_row`)."""
         if not data:
             raise LinAlgError("matrix needs at least one row")
         ncols = len(data[0])
         if any(len(r) != ncols for r in data):
             raise LinAlgError("ragged rows")
         if all(type(x) in _RATIONAL for r in data for x in r):
-            self._init(len(data), ncols, None, [_rational_row(r) for r in data])
+            self._init(len(data), ncols, [_rational_row(r) for r in data])
         else:
-            self._init(len(data), ncols,
-                       tuple(tuple(_coerce_entry(x) for x in r) for r in data))
+            entries = tuple(tuple(_coerce_entry(x) for x in r) for r in data)
+            self._init(len(data), ncols, [_gaussian_row(r) for r in entries], data=entries)
 
-    def _init(self, rows, cols, data=None, ints=None, icols=None):
+    def _init(self, rows, cols, ints, icols=None, data=None):
         self.rows = rows
         self.cols = cols
-        self._data = data
-        # None: not derived yet; _NOT_INT: a non-real entry
         self._ints = ints
         self._icols = icols
+        self._data = data
         self._iright = None  # int_entries, once derived
-
-    @classmethod
-    def _raw(cls, data: tuple) -> "Mat":
-        """Internal constructor skipping coercion (entries already clean)."""
-        m = object.__new__(cls)
-        m._init(len(data), len(data[0]) if data else 0, data)
-        return m
 
     @classmethod
     def _from_ints(cls, ints: list, cols: int, icols: list | None = None) -> "Mat":
         """Internal constructor from canonical integer rows (and columns)."""
         m = object.__new__(cls)
-        m._init(len(ints), cols, None, ints, icols)
+        m._init(len(ints), cols, ints, icols)
         return m
 
     @property
@@ -185,23 +189,15 @@ class Mat:
         data = self._data
         if data is None:
             self._data = data = tuple(
-                tuple(_real(a, d) for a in r) for r, d in self._ints
+                tuple(_entry(a, d) for a in r) for r, d in self._ints
             )
         return data
 
-    def _int_form(self):
-        """The integer rows, or None for a non-real matrix."""
-        ints = self._ints
-        if ints is None:
-            ints = _int_rows(self._data)
-            self._ints = ints = _NOT_INT if ints is None else ints
-        return None if ints is _NOT_INT else ints
-
     def _int_columns(self) -> list:
-        """The integer form of the columns; only for a real matrix."""
+        """The integer form of the columns."""
         icols = self._icols
         if icols is None:
-            self._icols = icols = _transpose_ints(self._int_form(), self.cols)
+            self._icols = icols = _transpose_ints(self._ints, self.cols)
         return icols
 
     # -- constructors --------------------------------------------------------
@@ -249,9 +245,9 @@ class Mat:
         ints = [_canon(list(r), den) for r in rows]
         return cls._from_ints(ints, len(ints[0][0]))
 
-    def int_entries(self) -> tuple[list[list[int]], int] | None:
+    def int_entries(self) -> tuple[list[list[int]], int]:
         """``(N, den)`` with the matrix equal to ``N / den``: integer rows over
-        the lcm of the row denominators.  None for a non-real matrix.
+        the lcm of the row denominators.
 
         Derived once and kept, as the column form is, so a matrix that is
         the right operand of several products is rescaled once; like the
@@ -259,9 +255,7 @@ class Mat:
         """
         right = self._iright
         if right is None:
-            ints = self._int_form()
-            if ints is None:
-                return None
+            ints = self._ints
             den = lcm(*(d for _, d in ints))
             self._iright = right = (
                 [r if d == den else [a * (den // d) for a in r] for r, d in ints], den)
@@ -273,24 +267,15 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise LinAlgError(f"shape mismatch {self.shape} @ {other.shape}")
-            if self.cols:
-                a = self._int_form()
-                b = other.int_entries() if a is not None else None
-                if b is not None:
-                    return Mat._from_ints(_matmul_ints(a, *b), other.cols)
-            return _matmul_qqi(self, other)
+            if not self.cols:
+                return Mat.zeros(self.rows, other.cols)
+            return Mat._from_ints(_matmul_ints(self._ints, *other.int_entries()),
+                                  other.cols)
         return NotImplemented
 
     def _combine(self, other, op):
         self._same_shape(other)
-        a = self._int_form()
-        b = other._int_form() if a is not None else None
-        if b is not None:
-            return Mat._from_ints(_add_ints(a, b, op), self.cols)
-        return Mat._raw(
-            tuple(
-                tuple(map(op, ra, rb)) for ra, rb in zip(self.data, other.data)
-        ))
+        return Mat._from_ints(_add_ints(self._ints, other._ints, op), self.cols)
 
     def __add__(self, other):
         if isinstance(other, Mat):
@@ -303,38 +288,27 @@ class Mat:
         return NotImplemented
 
     def __neg__(self):
-        ints = self._int_form()
-        if ints is not None:
-            return Mat._from_ints(
-                [([-a for a in r], d) for r, d in ints], self.cols
-            )
-        return Mat._raw(tuple(tuple(-a for a in r) for r in self.data))
+        return Mat._from_ints([([-a for a in r], d) for r, d in self._ints], self.cols)
 
     def scale(self, s) -> "Mat":
-        if not isinstance(s, QQi):
-            s = QQi(s)
-        ints = self._int_form() if not s.im else None
-        if ints is not None:
-            p, q = s.re.numerator, s.re.denominator
-            if not p:
-                return Mat.zeros(self.rows, self.cols)
-            return Mat._from_ints(
-                [_canon([a * p for a in r], d * q) for r, d in ints], self.cols
-            )
-        return Mat._raw(tuple(tuple(a * s for a in r) for r in self.data))
+        """The matrix times an exact scalar; a float raises ``TypeError``."""
+        (p,), q = _gaussian_row((_coerce_entry(s),))
+        if not p:
+            return Mat.zeros(self.rows, self.cols)
+        return Mat._from_ints(
+            [_canon([a * p for a in r], d * q) for r, d in self._ints], self.cols
+        )
 
     def scale_rows(self, pairs: Sequence[tuple[int, int]]) -> "Mat":
-        """``D @ self`` for a real matrix, D the diagonal matrix of the
-        reduced pairs ``(numerator, positive denominator)``: row i times
-        pair i, with no product."""
+        """``D @ self``, D the diagonal matrix of the reduced pairs
+        ``(numerator, positive denominator)``: row i times pair i, with no
+        product."""
         return Mat._from_ints([_canon([a * p for a in r], d * q)
-                               for (r, d), (p, q) in zip(self._int_form(), pairs)],
+                               for (r, d), (p, q) in zip(self._ints, pairs)],
                               self.cols)
 
     def transpose(self) -> "Mat":
-        if self.cols and self._int_form() is not None:
-            return Mat._from_ints(self._int_columns(), self.rows, self._ints)
-        return Mat._raw(tuple(zip(*self.data)))
+        return Mat._from_ints(self._int_columns(), self.rows, self._ints)
 
     def trace(self):
         if self.rows != self.cols:
@@ -352,7 +326,7 @@ class Mat:
         """One entry; read from the integer rows if no entry was built yet."""
         if self._data is None:
             r, d = self._ints[i]
-            return _real(r[j], d)
+            return _entry(r[j], d)
         return self._data[i][j]
 
     def col(self, j: int) -> list:
@@ -363,11 +337,10 @@ class Mat:
         n = len(range(self.rows)[start:stop])
         if not n:
             raise LinAlgError("matrix needs at least one row")
-        data, ints = self._data, self._ints
+        data = self._data
         m = object.__new__(Mat)
-        m._init(n, self.cols,
-                None if data is None else data[start:stop],
-                ints[start:stop] if ints else None)
+        m._init(n, self.cols, self._ints[start:stop],
+                data=None if data is None else data[start:stop])
         return m
 
     def col_block(self, start: int, stop: int) -> "Mat":
@@ -375,53 +348,33 @@ class Mat:
         n = len(range(self.cols)[start:stop])
         if not n:
             raise LinAlgError("matrix needs at least one column")
-        ints = self._int_form()
-        if ints is None:
-            return Mat._raw(tuple(r[start:stop] for r in self.data))
         icols = self._icols
-        return Mat._from_ints([_canon(r[start:stop], d) for r, d in ints], n,
+        return Mat._from_ints([_canon(r[start:stop], d) for r, d in self._ints], n,
                               None if icols is None else icols[start:stop])
 
     def select_rows(self, order: Sequence[int]) -> "Mat":
         """The rows ``order``, in that order; an empty order is an error."""
         if not order:
             raise LinAlgError("matrix needs at least one row")
-        ints = self._int_form()
-        if ints is None:
-            data = self.data
-            return Mat._raw(tuple(data[i] for i in order))
-        return Mat._from_ints([ints[i] for i in order], self.cols)
+        return Mat._from_ints([self._ints[i] for i in order], self.cols)
 
     def select_cols(self, order: Sequence[int]) -> "Mat":
         """The columns ``order``, in that order; an empty order is an error."""
         if not order:
             raise LinAlgError("matrix needs at least one column")
-        ints = self._int_form()
-        if ints is None:
-            return Mat._raw(tuple(tuple(r[c] for c in order) for r in self.data))
-        return Mat._from_ints([_canon([r[c] for c in order], d) for r, d in ints],
+        return Mat._from_ints([_canon([r[c] for c in order], d) for r, d in self._ints],
                               len(order))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        a, b = self._int_form(), other._int_form()
-        if a is not None and b is not None:
-            return a == b
-        if a is not None or b is not None:
-            return False  # a real matrix never equals a non-real one
-        return self.data == other.data
+        return self.shape == other.shape and self._ints == other._ints
 
     def __hash__(self):
         return hash(self.data)
 
     def is_zero(self) -> bool:
-        ints = self._int_form()
-        if ints is not None:
-            return not any(any(r) for r, _ in ints)
-        return all(not x for r in self.data for x in r)
+        return not any(any(r) for r, _ in self._ints)
 
     def _same_shape(self, other):
         if self.shape != other.shape:
@@ -432,22 +385,17 @@ class Mat:
     def det(self):
         if self.rows != self.cols:
             raise LinAlgError("determinant of non-square matrix")
-        ints = self._int_form()
-        if ints is None:
-            return _det_qqi(self)
+        ints = self._ints
         rk, det = _bareiss([r for r, _ in ints])
-        return _real(det if rk == self.rows else 0, prod(d for _, d in ints))
+        return _entry(det if rk == self.rows else 0, prod(d for _, d in ints))
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise LinAlgError("inverse of non-square matrix")
         n = self.rows
-        ints = self._int_form()
-        if ints is None:
-            return _inverse_qqi(self)
         # A = D^-1 N with D the row denominators, so rref [N | D] = [I | A^-1]
         aug = [r + [d if j == i else 0 for j in range(n)]
-               for i, (r, d) in enumerate(ints)]
+               for i, (r, d) in enumerate(self._ints)]
         if _rref_int(aug) != list(range(n)):
             raise LinAlgError("singular matrix")
         return Mat._from_ints(
@@ -457,20 +405,13 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise LinAlgError("row mismatch in hstack")
-        a = self._int_form()
-        b = other._int_form() if a is not None else None
-        if b is not None:
-            return Mat._from_ints(_hstack_ints(a, b), self.cols + other.cols)
-        return Mat._raw(tuple(a + b for a, b in zip(self.data, other.data)))
+        return Mat._from_ints(_hstack_ints(self._ints, other._ints),
+                              self.cols + other.cols)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise LinAlgError("col mismatch in vstack")
-        a = self._int_form()
-        b = other._int_form() if a is not None else None
-        if b is not None:
-            return Mat._from_ints(a + b, self.cols)
-        return Mat._raw(self.data + other.data)
+        return Mat._from_ints(self._ints + other._ints, self.cols)
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(x) for x in r) for r in self.data)
@@ -486,59 +427,39 @@ def dot(a: Sequence, b: Sequence):
     return acc
 
 
-def _dot(row, col):
-    acc = dot(row, col)
-    if acc is None:
-        raise LinAlgError("empty dot product")
-    return acc
-
-
 def mat_vec(m: Mat, v: Sequence) -> list:
+    """``m v``: integer dot products with the rows of ``v``, or of the value
+    and derivative parts of a vector of first-order duals."""
     if m.cols != len(v):
         raise LinAlgError("matrix/vector size mismatch")
-    if m.cols:
-        vi = _int_rows((v,))
-        if vi is None:
-            vi = _dual_parts(v)
-        rows = m._int_form() if vi is not None else None
-        if rows is not None:
-            out = [[_real(sum(map(mul, r, cv)), d * dv) for r, d in rows]
-                   for cv, dv in vi]
-            return out[0] if len(out) == 1 else [Dual(a, b) for a, b in zip(*out)]
-    return _mat_vec_qqi(m, v)
-
-
-def _dual_parts(v: Sequence):
-    """:func:`_int_rows` of the value and derivative parts of a dual vector.
-
-    None unless every entry is a ``Dual`` whose parts are real :class:`QQi`.
-    """
-    if not all(isinstance(x, Dual) for x in v):
-        return None
-    return _int_rows(([x.val for x in v], [x.dot for x in v]))
+    if all(isinstance(x, QQi) for x in v):
+        parts = [v]
+    elif all(isinstance(x, Dual) and isinstance(x.val, QQi) and isinstance(x.dot, QQi)
+             for x in v):
+        parts = [[x.val for x in v], [x.dot for x in v]]
+    else:  # nested or mixed duals
+        return [dot(r, v) for r in m.data]
+    out = [[_entry(sum(map(mul, r, cv)), d * dv) for r, d in m._ints]
+           for cv, dv in map(_gaussian_row, parts)]
+    return out[0] if len(out) == 1 else [Dual(a, b) for a, b in zip(*out)]
 
 
 # ---------------------------------------------------------------------------
 # the integer kernel
 
-# Mat._ints of a matrix with a non-real entry
-_NOT_INT = False
 
-
-def _int_rows(rows) -> list[tuple[list[int], int]] | None:
-    """Each row of :class:`QQi` entries as (integer numerators, positive row
-    denominator), by :func:`_rational_row` of its real parts.
-
-    Returns None if an entry is not a real :class:`QQi`; the caller then
-    runs the ``_*_qqi`` path.
-    """
-    out = []
-    for row in rows:
-        re = [x.re for x in row if isinstance(x, QQi) and not x.im]
-        if len(re) != len(row):
-            return None
-        out.append(_rational_row(re))
-    return out
+def _gaussian_row(row) -> tuple[list, int]:
+    """A row of :class:`QQi` entries as (numerators, positive row
+    denominator): a real row by :func:`_rational_row` of its real parts, any
+    other by :func:`_pair_row` of every real and imaginary part, which is
+    then canonical by the same argument, each entry's two parts joined into
+    one Gaussian numerator."""
+    re = [x.re for x in row if not x.im]
+    if len(re) == len(row):
+        return _rational_row(re)
+    parts, den = _pair_row([(f.numerator, f.denominator)
+                            for x in row for f in (x.re, x.im)])
+    return [zzi(a, b) for a, b in zip(parts[::2], parts[1::2])], den
 
 
 def _rational_row(row) -> tuple[list[int], int]:
@@ -566,15 +487,31 @@ def _pair_row(row) -> tuple[list[int], int]:
     return [a * (den // d) for a, d in row], den
 
 
-def _canon(nums: list[int], den: int) -> tuple[list[int], int]:
-    """The integer row ``nums / den`` with the common factor divided out and
-    a positive denominator."""
-    g = gcd(den, *nums)
+def _canon(nums: list, den) -> tuple[list, int]:
+    """The row ``nums / den`` with the common factor divided out and a
+    positive integer denominator; ``gcd`` refuses a Gaussian numerator or
+    denominator, which :func:`_gaussian_gcd` then takes."""
+    try:
+        g = gcd(den, *nums)
+    except TypeError:
+        nums, den, g = _gaussian_gcd(nums, den)
     if den < 0:
         g = -g
     if g == 1:
         return nums, den
     return [a // g for a in nums], den // g
+
+
+def _gaussian_gcd(nums: list, den) -> tuple[list, int, int]:
+    """``(nums, den, g)`` for a row with a Gaussian numerator or
+    denominator: a Gaussian denominator (an elimination's pivot) is made
+    real by multiplying the row by its conjugate, and ``g`` is the gcd of
+    the denominator and every real and imaginary part."""
+    if type(den) is ZZi:
+        c = den.conjugate()
+        nums, den = [a * c for a in nums], den.norm()
+    parts = [p for a in nums for p in ((a,) if type(a) is int else (a.re, a.im))]
+    return nums, den, gcd(den, *parts)
 
 
 def _transpose_ints(rows: list, ncols: int) -> list:
@@ -653,15 +590,16 @@ def _hstack_ints(a: list, b: list) -> list:
     return out
 
 
-def _real(num: int, den: int) -> QQi:
-    """The real :class:`QQi` ``num / den``, in lowest terms."""
-    if not num:
-        return QQI_ZERO
-    return QQi(Fraction(num, den))
+def _entry(num, den: int) -> QQi:
+    """The :class:`QQi` ``num / den``, in lowest terms."""
+    if type(num) is int:
+        return QQi(Fraction(num, den)) if num else QQI_ZERO
+    return QQi(Fraction(num.re, den), Fraction(num.im, den))
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free elimination over the integers, in place (exact divisions).
+def _bareiss(rows: list[list]) -> tuple:
+    """Fraction-free elimination over the (Gaussian) integers, in place
+    (exact divisions).
 
     Returns ``(rank, det)``; ``det`` is the determinant when the matrix is
     square and of full rank.
@@ -691,7 +629,7 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return r, sign * prev
 
 
-def _rref_int(rows: list[list[int]]) -> list[int]:
+def _rref_int(rows: list[list]) -> list[int]:
     """Fraction-free Gauss-Jordan elimination, in place; returns the pivots.
 
     Each step replaces every row but the pivot row by ``(pc * row - f *
@@ -700,7 +638,7 @@ def _rref_int(rows: list[list[int]]) -> list[int]:
     entry in pivot column ``i``, is row ``i`` of the reduced row echelon
     form; the rows after the last pivot are zero.
     """
-    nr, nc = len(rows), len(rows[0])
+    nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots = []
     prev = 1
     r = 0
@@ -736,134 +674,18 @@ def rank(m: Mat) -> int:
     """Rank by Bareiss fraction-free elimination on the integer rows."""
     if m.cols == 0 or m.rows == 0:
         return 0
-    ints = m._int_form()
-    if ints is None:
-        return _rank_qqi(m)
-    return _bareiss([r for r, _ in ints])[0]
+    return _bareiss([r for r, _ in m._ints])[0]
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with pivot column list."""
-    ints = m._int_form()
-    if ints is None:
-        return _rref_qqi(m)
-    rows = [r for r, _ in ints]
+    rows = [r for r, _ in m._ints]
     pivots = _rref_int(rows)
     zero = ([0] * m.cols, 1)
     return Mat._from_ints([
         _canon(rows[i], rows[i][pivots[i]]) if i < len(pivots) else zero
         for i in range(m.rows)
     ], m.cols), pivots
-
-
-# ---------------------------------------------------------------------------
-# elimination over QQi: the path for non-real entries, and the test oracle
-
-
-def _matmul_qqi(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b.data))
-    return Mat._raw(tuple(tuple(_dot(r, c) for c in bt) for r in a.data))
-
-
-def _mat_vec_qqi(m: Mat, v: Sequence) -> list:
-    return [_dot(r, v) for r in m.data]
-
-
-def _rank_qqi(m: Mat) -> int:
-    """Bareiss elimination over Gaussian integers after clearing denominators."""
-    rows = [_clear_denominators(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    prev = QQi(1)
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        for i in range(r + 1, nr):
-            ri = rows[i]
-            if any(ri[c:]):
-                f = ri[c]
-                rows[i] = [
-                    (pr[c] * ri[j] - f * pr[j]) / prev for j in range(nc)
-                ]
-        prev = pr[c]
-        r += 1
-    return r
-
-
-def _clear_denominators(row):
-    """Scale a row of Gaussian rationals to Gaussian integers (rank-safe)."""
-    den = 1
-    for x in row:
-        den = lcm(den, x.re.denominator, x.im.denominator)
-    if den == 1:
-        return list(row)
-    return [x * den for x in row]
-
-
-def _rref_qqi(m: Mat) -> tuple[Mat, list[int]]:
-    rows = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = QQi(1) / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Mat(rows), pivots
-
-
-def _det_qqi(m: Mat) -> QQi:
-    rows = [list(r) for r in m.data]
-    n = m.rows
-    det = QQi(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return QQi(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = QQi(1) / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
-def _inverse_qqi(m: Mat) -> Mat:
-    n = m.rows
-    eye = Mat.identity(n).data
-    aug = [list(r) + list(eye[i]) for i, r in enumerate(m.data)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise LinAlgError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = QQi(1) / aug[c][c]
-        aug[c] = [a * inv for a in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return Mat([r[n:] for r in aug])
 
 
 def null_vectors(m: Mat) -> Mat:
@@ -878,13 +700,7 @@ def null_vectors(m: Mat) -> Mat:
     red, pivots = rref(m)
     at = {c: i for i, c in enumerate(pivots)}  # pivot column -> its row
     free = [c for c in range(m.cols) if c not in at]
-    ints = red._int_form()
-    if ints is None:
-        one, data = QQi(1), red.data
-        return Mat._raw(tuple(
-            tuple(-data[at[c]][fc] for fc in free) if c in at else
-            tuple(one if fc == c else QQI_ZERO for fc in free)
-            for c in range(m.cols)))
+    ints = red._ints
     return Mat._from_ints([
         _canon([-ints[at[c]][0][fc] for fc in free], ints[at[c]][1]) if c in at
         else ([int(fc == c) for fc in free], 1)
@@ -923,19 +739,11 @@ def solve_columns(a: Mat, b: Mat):
     red, pivots = rref(a.hstack(b))
     if pivots and pivots[-1] >= n:
         return None, False, False
-    values = red.col_block(n, n + m)
-    ints = values._int_form()
-    if ints is None:
-        rows = [(QQI_ZERO,) * m] * n
-        for i, pc in enumerate(pivots):
-            rows[pc] = values.data[i]
-        x = Mat._raw(tuple(rows))
-    else:
-        rows = [([0] * m, 1)] * n
-        for i, pc in enumerate(pivots):
-            rows[pc] = ints[i]
-        x = Mat._from_ints(rows, m)
-    return x, len(pivots) == n, True
+    ints = red.col_block(n, n + m)._ints
+    rows = [([0] * m, 1)] * n
+    for i, pc in enumerate(pivots):
+        rows[pc] = ints[i]
+    return Mat._from_ints(rows, m), len(pivots) == n, True
 
 
 # ---------------------------------------------------------------------------
@@ -1055,11 +863,7 @@ def _leading_rows(basis: Mat) -> list[int]:
     canonical basis, read without elimination."""
     if not basis.cols:
         return []
-    if basis._int_form() is not None:
-        cols = [c for c, _ in basis._int_columns()]
-    else:
-        cols = list(zip(*basis.data))
-    return [next(i for i, x in enumerate(c) if x) for c in cols]
+    return [next(i for i, x in enumerate(c) if x) for c, _ in basis._int_columns()]
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

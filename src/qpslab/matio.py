@@ -18,10 +18,11 @@ Every matrix a campaign writes is real and its parts are ``-?digits`` or
 with no :class:`~qpslab.scalars.QQi` entry.  Any other part, and a zero
 denominator, goes through :func:`_exact_part`, which accepts and rejects
 exactly as ``Fraction`` does, so the fast path changes no value and no
-error.  A matrix with a non-real entry is built from :class:`QQi` entries.
-The writer prints a real matrix from its integer rows
-(:meth:`~qpslab.linalg.Mat.int_entries`) and a non-real one from its
-entries; both give the strings of ``str(Fraction)``.
+error.  A matrix with a non-real entry is built from :class:`QQi` entries,
+into the same integer rows, with Gaussian-integer numerators.  The writer
+prints every matrix from its integer rows
+(:meth:`~qpslab.linalg.Mat.int_entries`), a Gaussian numerator by its two
+parts, and gives the strings of ``str(Fraction)``.
 """
 
 from __future__ import annotations
@@ -88,12 +89,10 @@ def entry_pairs(obj: dict) -> tuple[int, int, list]:
 
 
 def mat_to_json(m: Mat) -> dict:
-    ints = m.int_entries()
-    if ints is None:
-        entries = [scalar_to_json(x) for row in m.data for x in row]
-    else:
-        nums, den = ints
-        entries = [[_fraction_str(a, den), "0"] for r in nums for a in r]
+    nums, den = m.int_entries()
+    entries = [[_fraction_str(a, den), "0"] if type(a) is int else
+               [_fraction_str(a.re, den), _fraction_str(a.im, den)]
+               for r in nums for a in r]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 

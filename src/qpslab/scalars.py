@@ -2,7 +2,9 @@
 
 Every geometric predicate in this package eventually reduces to arithmetic
 here.  :class:`QQi` stores a pair of ``Fraction``s and is error-free, so rank
-and equality decisions made over it are unconditional.  :class:`Dual`
+and equality decisions made over it are unconditional.  :class:`ZZi`, a
+non-real Gaussian integer, is the numerator of a non-real entry in the
+integer rows of :mod:`qpslab.linalg`.  :class:`Dual`
 numbers carry a first-order infinitesimal part and drive the forward-mode
 differentiation in :mod:`qpslab.diffcalc`; their product rule is exact.
 The one float check, the Weyl-fiber enumeration, uses numpy's complex128
@@ -135,6 +137,90 @@ def _as_qqi(x):
 
 
 QQI_ZERO = QQi(0)
+
+
+class ZZi:
+    """Non-real Gaussian integer ``re + im*i``, ``im`` never zero.
+
+    Every operation returns a plain ``int`` when its result is real
+    (:func:`zzi`), so a real row of :mod:`qpslab.linalg` never holds one
+    and real arithmetic stays on ``int``.  Operands are ``int`` or
+    :class:`ZZi`.  ``//`` is exact division, the one fraction-free
+    elimination needs: it raises ``ArithmeticError`` when the quotient is
+    not a Gaussian integer.  A :class:`ZZi` is always true, never equals an
+    ``int``, and is refused by ``math.gcd``.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        c, d = _parts(other)
+        return zzi(self.re + c, self.im + d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        c, d = _parts(other)
+        return zzi(self.re - c, self.im - d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        c, d = _parts(other)
+        return zzi(self.re * c - self.im * d, self.re * d + self.im * c)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        if type(other) is int:
+            return _exact(self.re, self.im, other)
+        return _exact(*_parts(self * other.conjugate()), other.norm())
+
+    def __rfloordiv__(self, other):
+        return _exact(*_parts(other * self.conjugate()), self.norm())
+
+    def __neg__(self):
+        return ZZi(-self.re, -self.im)
+
+    def conjugate(self) -> "ZZi":
+        return ZZi(self.re, -self.im)
+
+    def norm(self) -> int:
+        """``self * self.conjugate()``, a positive ``int``."""
+        return self.re * self.re + self.im * self.im
+
+    def __eq__(self, other):
+        return type(other) is ZZi and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"ZZi({self.re}, {self.im})"
+
+
+def zzi(re: int, im: int):
+    """The Gaussian integer ``re + im*i``: a plain ``int`` when ``im`` is 0."""
+    return ZZi(re, im) if im else re
+
+
+def _parts(x) -> tuple:
+    """The real and imaginary parts of an ``int`` or :class:`ZZi`."""
+    return (x, 0) if type(x) is int else (x.re, x.im)
+
+
+def _exact(re: int, im: int, n: int):
+    """``(re + im*i) / n``, raising ``ArithmeticError`` unless it is a
+    Gaussian integer."""
+    (a, r), (b, s) = divmod(re, n), divmod(im, n)
+    if r or s:
+        raise ArithmeticError(f"({re} + {im}i) / {n} is not a Gaussian integer")
+    return zzi(a, b)
 
 
 class Dual:

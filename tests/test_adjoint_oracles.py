@@ -3,7 +3,7 @@ per-basis route it replaced.
 
 * :meth:`GroupContext.adjoint` against ``coords(m e_k m^-1)`` for every basis
   element, on every group, for Ad_m and Ad_{m^-1}, and on non-real sl2,
-  sl3 and gl3 elements (the :class:`QQi` path);
+  sl3 and gl3 elements (Gaussian-integer rows);
   :meth:`GroupContext.gram_adjoint` against the product ``gram @ adjoint``,
   the same way.
 * ``phi_differential``, ``cartan_dirac``, ``action_generators`` and
@@ -74,7 +74,7 @@ NON_REAL = (
 
 
 def test_adjoint_on_non_real_sl2_elements():
-    """The QQi path on the non-real sl2, sl3 and gl3 elements."""
+    """The closed form on the non-real sl2, sl3 and gl3 elements."""
     non_real = False
     for group, rows in NON_REAL:
         ctx = context(group)
@@ -83,7 +83,7 @@ def test_adjoint_on_non_real_sl2_elements():
             got = ctx.adjoint(m, minv)
             assert got == per_basis_adjoint(ctx, m, minv), rows
             non_real |= any(x.im for r in got.data for x in r)
-    assert non_real  # the QQi path produced non-real entries
+    assert non_real  # the Gaussian-integer rows gave non-real entries
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -99,9 +99,9 @@ def test_gram_adjoint_matches_the_product_route(group):
 
 
 def test_gram_adjoint_on_non_real_sl2_elements():
-    """The QQi path on the non-real sl2, sl3 and gl3 elements."""
+    """The closed form on the non-real sl2, sl3 and gl3 elements."""
     non_real = False
-    # diag(i, -i) has a real adjoint, taken on the QQi path all the same
+    # diag(i, -i) has a real adjoint, taken from Gaussian-integer rows all the same
     for group, rows in NON_REAL:
         ctx = context(group)
         g = GroupElement(ctx, Mat(rows))

@@ -301,7 +301,7 @@ def test_lam_differential_matches_the_per_basis_route(group):
 
 
 # a point with non-real entries, which only JSON input produces: its chart
-# runs on the QQi path of the matrix kernel
+# runs on Gaussian-integer rows of the matrix kernel
 NONREAL_POINT = {"group": "sl2",
                  "g": {"rows": 2, "cols": 2, "entries": [1, 0, 2, 1]},
                  "b": {"rows": 2, "cols": 2,

@@ -308,6 +308,8 @@ def test_float_array_is_bitwise_the_to_complex_route():
         Mat([[Fraction(10 ** 30 + 1, 10 ** 29 + 7)], [Fraction(-1, 10 ** 400)]]),
         Mat([[i, 0], [0, -i]]),
         Mat([[1 + i, Fraction(1, 3)], [QQi(Fraction(-2, 9), 5), 1]]),
+        # Gaussian numerators whose real or imaginary part underflows
+        Mat([[QQi(Fraction(-1, 10 ** 400), 1), QQi(2, Fraction(-1, 10 ** 400))]]),
     ]
     for m in mats:
         want = np.array([[x.to_complex() for x in r] for r in m.data], dtype=complex)

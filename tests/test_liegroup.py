@@ -378,7 +378,7 @@ def test_brackets_match_the_per_pair_oracle():
         d = ctx.dim_g
         fams = [Mat.identity(d),
                 Mat([[QQi(rng.rational(8)) for _ in range(3)] for _ in range(d)]),
-                # a non-real family takes the QQi entries
+                # a non-real family, with Gaussian numerators
                 Mat([[QQi(rng.rational(4), rng.below(3)) for _ in range(2)]
                      for _ in range(d)]).hstack(Mat.from_columns([[i] * d], d))]
         for v in fams:
@@ -390,11 +390,10 @@ def test_brackets_match_the_per_pair_oracle():
             for g, w in zip(got, want):
                 assert g._icols is None
                 assert g.transpose() == w.transpose()
-            # the algebra matrices of the columns, integer rows when real
+            # the algebra matrices of the columns, built as integer rows
             mats = ctx.algebra_matrices(v)
             assert mats == [ctx.mat_from_coords(v.col(p)) for p in range(v.cols)]
-            real = v.int_entries() is not None
-            assert all((m._data is None) == real for m in mats), (name, v.cols)
+            assert all(m._data is None for m in mats), (name, v.cols)
 
 
 # the samplers as they were built before, entry by entry over QQi: the

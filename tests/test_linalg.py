@@ -122,6 +122,29 @@ def test_float_backend_is_confined():
         solve_unique(M([[2, 1, 0], [1, 3, 1], [0, 1, 4]]), [1.0, 0.0, 0.0])
 
 
+def test_scale_takes_exact_scalars_only():
+    # a float scalar is refused as a float entry is, not read as the binary
+    # fraction it stores
+    with pytest.raises(TypeError):
+        Mat([[1, 2]]).scale(0.1)
+    assert Mat([[1, 2]]).scale(Fraction(1, 10)) == Mat([[Fraction(1, 10), Fraction(1, 5)]])
+    assert Mat([[1, 2]]).scale(3) == Mat([[3, 6]])
+    assert Mat([[1, 2]]).scale(QQi(0, 1)) == Mat([[QQi(0, 1), QQi(0, 2)]])
+
+
+def test_zero_column_shapes():
+    empty = Mat.zeros(3, 0)
+    assert empty.transpose().shape == (0, 3)
+    assert empty.transpose().transpose().shape == (3, 0)
+    # an empty inner dimension gives the zero matrix of the outer shape
+    assert empty @ empty.transpose() == Mat.zeros(3, 3)
+    assert (empty @ Mat.zeros(3, 0).transpose()).shape == (3, 3)
+    # no equation: the kernel of the 0 x 3 matrix is the whole space
+    red, pivots = rref(empty.transpose())
+    assert red.shape == (0, 3) and pivots == []
+    assert kernel(empty.transpose()).equals(Subspace.full(3))
+
+
 def test_only_gspringer_imports_numpy():
     """The float Weyl-fiber check is the only numpy code in the package."""
     importers = set()
@@ -238,10 +261,10 @@ def test_rational_and_integer_row_constructors_match_the_entry_route():
         got = Mat(fr)
         assert got._data is None
         assert got == want and got.data == want.data
-        assert got._ints == want._int_form()
+        assert got._ints == want._ints
         den = 1 + rng.below(12)
         nums = [[rng.below(41) - 20 for _ in range(cols)] for _ in range(rows)]
         got = Mat.from_int_rows(nums, den)
         want = Mat([[QQi(Fraction(a, den)) for a in r] for r in nums])
         assert got == want and got.data == want.data
-        assert got._ints == want._int_form() and got._icols is None
+        assert got._ints == want._ints and got._icols is None

@@ -1,7 +1,7 @@
 """The JSON matrix codec against the QQi routes it replaced.
 
 The reader takes ``-?digits[/digits]`` parts by ``int`` and builds a real
-matrix straight into integer rows; the writer prints a real matrix from its
+matrix straight into integer rows; the writer prints every matrix from its
 integer rows.  The routes they replaced, every part through ``Fraction`` into
 a :class:`QQi` entry and every entry printed from :attr:`Mat.data`, are the
 oracles here: the same matrices, the same bytes, and the same value or the
@@ -20,7 +20,7 @@ from qpslab.linalg import Mat
 from qpslab.matio import (_exact_part, _rational, entry_pairs, mat_from_json,
                           mat_to_json, scalar_to_json)
 from qpslab.prng import SplitMix64
-from qpslab.scalars import QQi
+from qpslab.scalars import QQi, ZZi
 
 
 def qqi_from_json(obj: dict) -> Mat:
@@ -85,9 +85,11 @@ def test_decoding_a_real_point_builds_no_qqi():
         g = read_element(ctx, mat_to_json(m))
         assert g.m._data is None and m._data is None
         assert g.m == m and g.m._ints == m._ints
-    # a non-real entry anywhere keeps QQi entries
+    # a non-real entry anywhere is built from QQi entries, which are kept,
+    # into integer rows with a Gaussian numerator
     m = mat_from_json({"rows": 1, "cols": 2, "entries": [["1/2", "0"], ["0", "1"]]})
     assert m._data == ((QQi(Fraction(1, 2)), QQi(0, 1)),)
+    assert m._ints == [([1, ZZi(0, 2)], 2)]
 
 
 _parts = st.one_of(

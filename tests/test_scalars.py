@@ -1,4 +1,5 @@
-"""Exactness of the scalar backends and the dual-number product rule."""
+"""Exactness of the scalar backends, the Gaussian integers of the kernel's
+integer rows, and the dual-number product rule."""
 
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qpslab.scalars import Dual, QQi
+from qpslab.linalg import Mat
+from qpslab.scalars import Dual, QQi, ZZi, zzi
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -82,6 +84,65 @@ def test_complex_multiplication():
 
 def test_to_complex():
     assert QQi(Fraction(1, 2), Fraction(-3, 4)).to_complex() == 0.5 - 0.75j
+
+
+# Gaussian integers, as the integer rows of linalg hold them
+small = st.integers(-2**70, 2**70)
+gaussian_ints = st.builds(zzi, small, small)
+
+
+def _parts(x) -> tuple:
+    return (x, 0) if type(x) is int else (x.re, x.im)
+
+
+def _value(x) -> QQi:
+    return QQi(*_parts(x))
+
+
+@given(gaussian_ints, gaussian_ints)
+def test_gaussian_integer_arithmetic_matches_qqi(a, b):
+    for got, want in ((a + b, _value(a) + _value(b)), (a - b, _value(a) - _value(b)),
+                      (a * b, _value(a) * _value(b)), (-a, -_value(a))):
+        # a real result is a plain int, never a Gaussian integer with zero im
+        assert type(got) is int if not want.im else type(got) is ZZi and got.im
+        assert _value(got) == want
+    if b:
+        # exact division: the product divides back, on either side
+        assert (a * b) // b == a
+        assert type((a * b) // b) is type(a)
+
+
+def test_gaussian_integer_results_are_ints_when_real():
+    i = ZZi(0, 1)
+    assert i * i == -1 and type(i * i) is int
+    assert ZZi(3, 4) * ZZi(3, -4) == 25 and type(ZZi(3, 4) * ZZi(3, -4)) is int
+    assert ZZi(2, 5) - ZZi(1, 5) == 1 and type(ZZi(2, 5) - ZZi(1, 5)) is int
+    assert ZZi(2, 5) + ZZi(1, -5) == 3 and type(ZZi(2, 5) + ZZi(1, -5)) is int
+    assert ZZi(2, 5) * 0 == 0 and type(0 * ZZi(2, 5)) is int
+    assert 25 // ZZi(3, 4) == ZZi(3, -4)
+    assert ZZi(6, 8) // 2 == ZZi(3, 4)
+    # a Gaussian integer never equals an int, and is always true
+    assert ZZi(1, 1) != 1 and 1 != ZZi(1, 1) and ZZi(0, 1)
+    assert zzi(4, 0) == 4 and type(zzi(4, 0)) is int
+
+
+@pytest.mark.parametrize("a, b", [(ZZi(3, 4), 2), (ZZi(1, 1), ZZi(1, 2)), (5, ZZi(1, 1)),
+                                  (ZZi(7, 1), ZZi(0, 3))])
+def test_inexact_gaussian_division_raises(a, b):
+    with pytest.raises(ArithmeticError):
+        a // b
+
+
+def test_a_gaussian_row_from_entries_equals_the_one_from_arithmetic():
+    # the same row built from QQi entries and produced by arithmetic on the
+    # integer rows compares equal and hashes equal
+    i = QQi(0, 1)
+    built = Mat([[QQi(Fraction(1, 2), 1), i, QQi(3)]])
+    made = Mat([[1, 0, 6]]).scale(Fraction(1, 2)) + Mat([[1, 1, 0]]).scale(i)
+    assert made._data is None and built._data is not None
+    assert made._ints == built._ints == [([ZZi(1, 2), ZZi(0, 2), 6], 2)]
+    assert made == built and hash(made) == hash(built)
+    assert hash(ZZi(1, 2)) == hash(zzi(1, 2)) and ZZi(1, 2) == zzi(1, 2)
 
 
 duals = st.builds(Dual, gaussians, gaussians)

@@ -325,7 +325,7 @@ def test_commutator_matrix_matches_the_product_route(name):
     ctx = context(name)
     rng = SplitMix64(60)
     n = ctx.n
-    # a non-real matrix takes the QQi branch
+    # a non-real matrix, with Gaussian-integer numerators
     nonreal = Mat([[QQi(i - j, i * j + 1) for j in range(n)] for i in range(n)])
     mats = [Mat.identity(n), nonreal] + [
         random_point(ctx, kind, rng).m for kind in ("T", "U", "B", "G", "G")]

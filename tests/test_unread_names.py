@@ -2,8 +2,8 @@
 
 A helper whose last caller went stays behind unnoticed; no linter runs on
 this repository, so this test reads the sources with :mod:`ast`.  A
-top-level function, class or assigned name of ``src/qpslab/*.py`` counts as
-read when it appears as a loaded name, as an attribute or in an import
+top-level function, class or assigned name of ``src/qpslab/*.py``, or of the
+QQi oracle of the tests (``tests/qqi_oracle.py``), counts as read when it appears as a loaded name, as an attribute or in an import
 anywhere in ``src``, ``scripts``, ``tests`` or ``bench``, outside its own
 definition.  Docstring and string mentions do not count.  ``__version__``
 is exempt: it is read by packaging, not by code.
@@ -20,6 +20,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qpslab").glob("*.py"))
+# the package, and the oracle the differential tests keep beside it
+DEFINING = [*PACKAGE, ROOT / "tests" / "qqi_oracle.py"]
 READERS = sorted(p for d in ("src", "scripts", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 EXEMPT = {"__version__"}
@@ -100,6 +102,7 @@ def parse(path: Path) -> ast.Module:
 
 def test_the_scan_sees_the_package_and_its_readers():
     assert {"gspringer.py", "scalars.py", "__init__.py"} <= {p.name for p in PACKAGE}
+    assert {"gspringer.py", "qqi_oracle.py"} <= {p.name for p in DEFINING}
     dirs = {p.relative_to(ROOT).parts[0] for p in READERS}
     assert dirs == {"src", "scripts", "tests", "bench"}
 
@@ -115,7 +118,7 @@ def test_the_scan_flags_an_unread_name_and_not_a_read_one():
 
 def test_every_package_name_is_read():
     readers = {str(p.relative_to(ROOT)): parse(p) for p in READERS}
-    defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in PACKAGE}
+    defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in DEFINING}
     assert unread_names(defining, readers) == []
 
 
@@ -132,5 +135,5 @@ def test_the_scan_flags_an_unread_method_and_not_a_read_one():
 
 def test_every_package_method_is_read():
     readers = {str(p.relative_to(ROOT)): parse(p) for p in READERS}
-    defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in PACKAGE}
+    defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in DEFINING}
     assert unread_members(defining, readers) == []
