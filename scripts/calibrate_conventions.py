@@ -31,7 +31,7 @@ from qpslab.conventions import FROZEN, using
 from qpslab.diffcalc import Space
 from qpslab.dirac import (DiracFiber, cartan_eta3, cartan_section, dorfman,
                           graph_two_form, pushforward_linear)
-from qpslab.gspringer import (gram_ad, omega_matrix, phi, phi_differential,
+from qpslab.gspringer import (omega_matrix, phi, phi_differential,
                               sample_double, sampled_d_identity)
 from qpslab.linalg import Mat
 from qpslab.liegroup import (conjugation_sections, context, random_algebra,
@@ -65,7 +65,7 @@ def d_omega_matches(ctx, samples, rng) -> bool:
     for _ in range(samples):
         a, b = sample_double(ctx, rng)
         dphi = phi_differential(a, b)
-        t = gram_ad(ctx, b.m, b.inv)
+        t = ctx.gram_adjoint(b.m, b.inv)
         w = omega_matrix(ctx, t)
         if not sampled_d_identity(ctx, t, w, dphi, rng, 1):
             return False
@@ -76,7 +76,7 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
     d = ctx.dim_g
     for _ in range(samples):
         a, b = sample_double(ctx, rng)
-        w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+        w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
         fiber = graph_two_form(w)
         dphi = phi_differential(a, b)
         pushed = pushforward_linear(fiber, dphi)

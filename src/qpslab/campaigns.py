@@ -24,9 +24,9 @@ from fractions import Fraction
 from .conventions import ACTIVE, CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
 from .dirac import (cartan_closure_check, cartan_dirac, closure_sample,
                     graph_bivector, graph_two_form, is_lagrangian, pairing)
-from .gspringer import (GSPoint, float_array, float_element_from_json,
-                        float_mu, float_point_to_json, float_same_class, gram_ad,
-                        gspoint_stream, lam, leaf_two_form,
+from .gspringer import (GSPoint, borel_reduction, float_array,
+                        float_element_from_json, float_mu, float_point_to_json,
+                        float_same_class, gspoint_stream, lam, leaf_two_form,
                         moment_condition_holds, mu, mu_residual, omega_matrix,
                         phi_differential, QuotientChart, reconstruct_bivector,
                         regact_check, representative_independent, sample_double,
@@ -262,7 +262,7 @@ def _check_double(cfg, ctx, pt, rng) -> list:
     a, b = pt["a"], pt["b"]
     recs = []
 
-    t = gram_ad(ctx, b.m, b.inv)
+    t = ctx.gram_adjoint(b.m, b.inv)
     w = omega_matrix(ctx, t)
     dphi = phi_differential(a, b)
     recs.append(_record("double/A1-moment-condition",
@@ -300,7 +300,7 @@ def _a4_sample(ctx, b, w, rng, count: int) -> bool:
     is drawn: the first factor's half of the invariance is not tested here.
 
     One d x d block decides each comparison.  Write A = Ad_{g2}, T2 =
-    :func:`gram_ad` at b2, G the Gram matrix and c = -omega_sign/2, so that
+    G Ad_{b2}, G the Gram matrix and c = -omega_sign/2, so that
     w2 = c [[T2' - T2, T2 + G], [-(T2' + G), 0]].  A (+) A is block diagonal,
     so the pullback is c [[A'(T2' - T2)A, A'(T2 + G)A], [-A'(T2' + G)A, 0]].
     Put P = A'(T2 + G)A.  As G' = G, P' = A'(T2' + G)A and A'(T2' - T2)A =
@@ -318,7 +318,7 @@ def _a4_sample(ctx, b, w, rng, count: int) -> bool:
         g2 = random_point(ctx, "G", rng)
         b2 = g2.m @ b.m @ g2.inv
         # b2^-1 = g2 b^-1 g2^-1, a product rather than a fresh inverse
-        t2 = gram_ad(ctx, b2, g2.m @ b.inv @ g2.inv)
+        t2 = ctx.gram_adjoint(b2, g2.m @ b.inv @ g2.inv)
         ad2 = ctx.adjoint(g2.m, g2.inv)
         if ad2.transpose() @ (t2 + ctx.gram) @ ad2 != ref:
             return False
@@ -357,8 +357,8 @@ def _check_lemma_kernel(cfg, ctx, pt, rng) -> list:
 
 
 def _check_regact(cfg, ctx, pt, rng) -> list:
-    # the form and the directions depend on b alone; g stays in the report
-    res = regact_check(pt["b"])
+    # the reduction's form and directions depend on b alone; g stays in the report
+    res = regact_check(borel_reduction(GSPoint(pt["g"], pt["b"])))
     return [_record("regact/constant-intersection", res["passed"],
                     {"dim": res["dim"], "expected": res["expected_dim"]})]
 
@@ -380,7 +380,7 @@ def _gen_gspoints(cfg: CampaignConfig) -> list:
 
 
 def _check_theorem1(cfg, ctx, pt, rng) -> list:
-    chart = QuotientChart(GSPoint(pt["g"], pt["b"]))
+    chart = QuotientChart(borel_reduction(GSPoint(pt["g"], pt["b"])))
     res = theorem1_check(chart)
     recs = [
         _record("gs-theorem1/lagrangian", res["lagrangian"],
@@ -400,7 +400,7 @@ def _check_theorem1(cfg, ctx, pt, rng) -> list:
 
 
 def _check_theorem2(cfg, ctx, pt, rng) -> list:
-    chart = QuotientChart(GSPoint(pt["g"], pt["b"]))
+    chart = QuotientChart(borel_reduction(GSPoint(pt["g"], pt["b"])))
     res = theorem2_check(chart)
     recs = [
         _record("gs-theorem2/leaf-projection", res["projection_matches"],
@@ -419,7 +419,8 @@ def _check_theorem2(cfg, ctx, pt, rng) -> list:
 
 
 def _check_bivector(cfg, ctx, pt, rng) -> list:
-    pi, checks = reconstruct_bivector(QuotientChart(GSPoint(pt["g"], pt["b"])))
+    chart = QuotientChart(borel_reduction(GSPoint(pt["g"], pt["b"])))
+    pi, checks = reconstruct_bivector(chart)
     recs = [_record("bivector/solvable", checks.get("solvable", False),
                     None if checks.get("solvable") else checks)]
     if checks.get("solvable"):
@@ -586,7 +587,7 @@ def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
             "residuals": [mu_residual(p, g) for p in pts],
         }
     if kind == "leaf-form":
-        chart = QuotientChart(GSPoint.from_json(payload))
+        chart = QuotientChart(borel_reduction(GSPoint.from_json(payload)))
         # an eval input carries no salt, so the d-identity directions come
         # from a fixed stream
         form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))

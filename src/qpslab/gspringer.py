@@ -20,14 +20,17 @@ derivative of the printed action; the identity-fiber value
 The axiom suite (moment condition, d(omega), nondegeneracy, invariance)
 plus the forward-Dirac checks are the contract for this formula.
 
-The quotient's data is the double's data restricted to G x B.  Three
+The quotient's data is the double's data restricted to G x P.  Three
 matrices are built, each in one place and on the double only: the form
 (:func:`omega_matrix`), the differential of the moment map
 (:func:`phi_differential`) and the second factor's action generators
-(:func:`action_generators`).  The Borel and unipotent bases are prefixes of
-the algebra basis, so G x B and G x U are the leading coordinates of
-G x G, and every G x B or G x U quantity is a leading block of one of the
-three (:func:`leading`); no function here takes a subgroup tag.
+(:func:`action_generators`).  A :class:`Reduction` states P once, as the
+index lists of its coordinates and of its nilradical N's in the algebra
+basis, and every G x P or G x N quantity is the block of one of the three
+that those lists select.  P = B with N = U is the one constructor
+(:func:`borel_reduction`), and the only code here that reads where the
+Borel and unipotent coordinates sit in the basis; no other function takes
+a subgroup tag or does dimension arithmetic on P.
 
 omega depends on the point only through T = G Ad_b, so its matrix and its
 exterior derivative (:func:`d_omega`) are closed block forms on the integer
@@ -41,23 +44,25 @@ suites take d(omega) on the double and on the leaf slice G x tU from
 both closed forms in the tests.
 
 Quotient computations work in per-point charts: the vertical space of the
-B-action h.(g,b) = (g h^-1, h b h^-1) is complemented by a deterministic
+P-action h.(g,p) = (g h^-1, h p h^-1) is complemented by a deterministic
 greedy choice of coordinate directions, and representative independence is
 itself one of the verified claims, never an assumption: a chart's fiber,
 moved by :func:`chart_transport` to the chart of another representative,
 must be the fiber built there (:func:`representative_independent`).  The
-vertical space is a leading block of the action generators, already its
-canonical basis, and by matroid duality its greedy complement is the
+vertical space is the reduction's block of the action generators, already
+its canonical basis, and by matroid duality its greedy complement is the
 complement of its lexicographically last row basis (Oxley, *Matroid
 Theory*, the greedy algorithm and duality), so one small elimination builds
 a chart (:class:`QuotientChart`).
 
-The chart is also the one place where a quotient point's closed-form data
-is derived.  It keeps T and the G x B block W of the form that its graph is
-built from, and it derives mu, the G x B block of the phi differential,
-d(mu) and the leaf directions (the fiber's tangent part) on first use, each
-at most once: the moved chart of :func:`representative_independent` derives
-none of them.  The checks read all six from the chart.  The conjugation
+The reduction and its chart are the one place where a quotient point's
+closed-form data is derived.  The reduction keeps T and the G x P block W
+of the form, which the chart's graph is built from, and derives the G x P
+block of the phi differential on first use; the chart derives mu, d(mu)
+and the leaf directions (the fiber's tangent part) on first use.  Each is
+derived at most once: the moved chart of
+:func:`representative_independent` derives none of them.  The checks read
+all six from the chart and its reduction.  The conjugation
 sections at mu are not kept on the chart, because they read the active
 conventions at the moment they are built; each check builds them once and
 passes the same set to :func:`~qpslab.dirac.cartan_dirac` and to
@@ -120,13 +125,6 @@ class GSPoint:
             return False
         return h @ self.b.m @ h.inverse() == other.b.m
 
-    def translate(self, h: GroupElement) -> "GSPoint":
-        """The same class through the representative h.(g,b)."""
-        return GSPoint(
-            GroupElement(self.ctx, self.g.m @ h.inv, check=False),
-            GroupElement(self.ctx, h.m @ self.b.m @ h.inv, check=False),
-        )
-
     def to_json(self) -> dict:
         return {"g": mat_to_json(self.g.m), "b": mat_to_json(self.b.m),
                 "group": self.ctx.name}
@@ -170,13 +168,14 @@ def phi_map(ctx: GroupContext) -> PointedMap:
 def phi_differential(a: GroupElement, b: GroupElement) -> Mat:
     """Closed-form differential of the moment map (a, b) -> (a b a^-1, b^-1).
 
-    Double only, blocks by :func:`leading`.  (x, y) -> (Ad_a (Ad_{b^-1} x +
-    y - x), -Ad_b y), so the matrix is [[Ad_a (Ad_{b^-1} - I), Ad_a],
-    [0, -Ad_b]], where Ad_a Ad_{b^-1} = Ad_{a b^-1}.  With b in B the same
-    map on G x B is its leading block at dim G + dim B, whose first dim G
-    rows are d(mu . q).  The per-basis columns coords(a (b^-1 x b - x) a^-1)
-    and (coords(a y a^-1), -coords(b y b^-1)) are its oracle in the tests,
-    as is the dual-number route in diffcalc.  The inverses are the
+    Built on the double only.  (x, y) -> (Ad_a (Ad_{b^-1} x + y - x),
+    -Ad_b y), so the matrix is [[Ad_a (Ad_{b^-1} - I), Ad_a], [0, -Ad_b]],
+    where Ad_a Ad_{b^-1} = Ad_{a b^-1}.  With b in a subgroup P the same
+    map on G x P is its block on a :class:`Reduction`'s upstairs
+    coordinates, whose first dim G rows are d(mu . q).  The per-basis
+    columns coords(a (b^-1 x b - x) a^-1) and (coords(a y a^-1),
+    -coords(b y b^-1)) are its oracle in the tests, as is the dual-number
+    route in diffcalc.  The inverses are the
     elements' cached ones.
     """
     ctx = a.ctx
@@ -189,11 +188,12 @@ def action_generators(b: GroupElement) -> Mat:
     """The second factor's action generators at (a, b): [I; I - Ad_{b^-1}].
 
     Column k is :func:`rho_double` of (0, e_k), the negated derivative of
-    the action of e_k; it does not depend on a.  The B-action on G x B
-    generates its leading dim G + dim B rows and first dim B columns, the
-    U-action the first dim U of those.  Transposed, each such block is
-    already in reduced row echelon form (row r is zero in the first factor
-    but for a 1 at r), so it is the canonical basis of its span, with no
+    the action of e_k; it does not depend on a.  The P-action on G x P
+    generates its block at a :class:`Reduction`'s upstairs rows and P's
+    columns, the N-action the columns of N among those.  Transposed, each
+    such block is already in reduced row echelon form (row r is zero in the
+    first factor but for a 1 at the r-th listed coordinate, and the lists
+    increase), so it is the canonical basis of its span, with no
     elimination.
     """
     ctx = b.ctx
@@ -201,14 +201,10 @@ def action_generators(b: GroupElement) -> Mat:
     return eye.vstack(eye - ctx.adjoint(b.inv, b.m))
 
 
-def leading(m: Mat, k: int, cols: int | None = None) -> Mat:
-    """The leading k x k block of ``m``, or k x ``cols``.
-
-    The Borel and unipotent bases are prefixes of the algebra basis, so a
-    leading block of a matrix on the double is its restriction to G x B or
-    G x U.
-    """
-    return m.row_block(0, k).col_block(0, k if cols is None else cols)
+def _restrict(m: Mat, rows, cols=None) -> Mat:
+    """The block of ``m`` at the index lists ``rows`` and ``cols`` (default
+    ``rows``)."""
+    return m.select_rows(rows).select_cols(rows if cols is None else cols)
 
 
 def rho_double(a: GroupElement, b: GroupElement, xi1: Mat, xi2: Mat) -> list:
@@ -261,28 +257,17 @@ def omega_fn(ctx: GroupContext, space: Space):
     return ev
 
 
-def gram_ad(ctx: GroupContext, bmat: Mat, binv: Mat) -> Mat:
-    """T = G Ad_b, through which omega depends on the point; ``binv`` is b^-1.
-
-    Column j of T is G coords(b e_j b^-1), the functional coordinates
-    (tr(e_c b e_j b^-1))_c, read off the outer products of the columns of b
-    and the rows of b^-1 in closed form
-    (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`), with no d x d
-    product.  The product ``ctx.gram @ ctx.adjoint(bmat, binv)`` is its
-    oracle in the tests.
-    """
-    return ctx.gram_adjoint(bmat, binv)
-
-
 def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
     """Matrix of omega on the tangent basis of the double.
 
-    Double only, blocks by :func:`leading`: its G x B and G x U matrices
-    are leading blocks.  Uses the closed block form
+    Built on the double only: its G x P and G x N matrices are the blocks
+    a :class:`Reduction`'s index lists select.  Uses the closed block form
     W = -s/2 [[T' - T, T + G], [-(T' + G), 0]] with T = G Ad_b on algebra
-    coordinates (:func:`gram_ad`) and G the form's Gram matrix: omega
-    depends on the point (a, b) only through T.  The entrywise evaluator
-    :func:`omega_value` is the independent oracle for this in the tests.
+    coordinates (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`, read
+    off b and b^-1 with no d x d product) and G the form's Gram matrix:
+    omega depends on the point (a, b) only through T.  The entrywise
+    evaluator :func:`omega_value` is the independent oracle for this in the
+    tests.
     """
     gram = ctx.gram
     tt = t.transpose()
@@ -303,10 +288,11 @@ def _t_derivative(t: Mat, r: Mat) -> Mat:
 def d_omega(ctx: GroupContext, t: Mat, w: Mat, v: Mat):
     """d(omega)(x, y, z) from the block form of :func:`omega_matrix`.
 
-    ``t`` is :func:`gram_ad` at the point and ``w`` the omega matrix there,
-    on the double or one of its G x B and G x U slices, whose size gives
-    the second factor's; the tangent coordinates x, y, z are the three
-    columns of ``v``.  With constant-coordinate fields,
+    ``t`` is T = G Ad_b at the point and ``w`` the omega matrix there, on
+    the double or one of its G x B and G x U slices, whose size gives the
+    second factor's; that factor's coordinates are taken to be the first of
+    the algebra basis, as B's and U's are.  The tangent coordinates x, y, z
+    are the three columns of ``v``.  With constant-coordinate fields,
 
         d(omega)(X, Y, Z) = sum_cyc [ Y' (d_X W) Z - [X, Y]' W Z ].
 
@@ -355,9 +341,9 @@ def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, dphi: Mat,
                        rng: SplitMix64, triples: int) -> bool:
     """d(omega) = -(sum of eta) pulled back by ``dphi``, on random triples.
 
-    ``t`` and ``w`` are :func:`gram_ad` and an :func:`omega_matrix` at a
-    point, and ``dphi`` the differential, on the same tangent coordinates,
-    of the map that pulls eta back: its rows are stacked dim G blocks, one
+    ``t`` and ``w`` are T = G Ad_b and an :func:`omega_matrix` at a point,
+    and ``dphi`` the differential, on the same tangent coordinates, of the
+    map that pulls eta back: its rows are stacked dim G blocks, one
     per factor of the target, and each block carries eta.  The double's A2
     passes its :func:`phi_differential` (eta (+) eta); the leaf d-identity
     of :func:`leaf_two_form` passes d(mu) on the slice G x tU.  Each triple
@@ -440,11 +426,79 @@ def moment_condition_check(a: GroupElement, b: GroupElement, w: Mat,
 
 
 # ---------------------------------------------------------------------------
-# the quotient chart
+# the reduction and its chart
+
+
+class Reduction:
+    """The double at (g, p) restricted to G x P: what G x_P P is reduced from.
+
+    The subgroup P is given as index lists of the algebra basis, both in
+    increasing order: ``sub`` holds P's coordinates and ``nil`` those of its
+    nilradical N.  They are P's data, not options; :func:`borel_reduction`
+    gives them for P = B.  ``up`` lists the upstairs coordinates, those of
+    G x P among the double's: all of the first factor, then P's of the
+    second.  On them the reduction keeps
+
+    * ``t``, T = G Ad_p (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`),
+      through which omega depends on the point, and ``w``, the G x P block of
+      :func:`omega_matrix`, both under the conventions active when the
+      reduction was built;
+    * ``vertical``, the span of the P-action generators, whose block of
+      :func:`action_generators` is already its canonical basis;
+    * ``dphi``, the G x P block of :func:`phi_differential`, derived when
+      first read and then kept;
+    * two lists of upstairs positions: ``leaf_slice``, the coordinates of
+      the leaf slice G x N, and ``levi``, the rows of P's coordinates
+      outside N (for P = B, the torus rows).
+
+    Every G x P or G x N quantity of the quotient is one of these blocks,
+    so the functions below state nothing about where P sits in the basis.
+    """
+
+    def __init__(self, g: GroupElement, p: GroupElement, sub, nil):
+        ctx = self.ctx = g.ctx
+        d = ctx.dim_g
+        self.g, self.p = g, p
+        self.sub, self.nil = tuple(sub), tuple(nil)
+        self.up = [*range(d), *(d + k for k in self.sub)]
+        # the upstairs position of each of P's coordinates
+        at = {k: d + i for i, k in enumerate(self.sub)}
+        self.leaf_slice = [*range(d), *(at[k] for k in self.nil)]
+        self.levi = [at[k] for k in self.sub if k not in self.nil]
+        self.t = ctx.gram_adjoint(p.m, p.inv)
+        self.w = _restrict(omega_matrix(ctx, self.t), self.up)
+        self.vertical = Subspace(
+            len(self.up), _restrict(action_generators(p), self.up, self.sub),
+            canonical=True)
+
+    @cached_property
+    def dphi(self) -> Mat:
+        """The G x P block of :func:`phi_differential` at (g, p)."""
+        return _restrict(phi_differential(self.g, self.p), self.up)
+
+    def translate(self, h: GroupElement) -> "Reduction":
+        """The reduction at the representative h.(g, p) = (g h^-1, h p h^-1)
+        of the same class, h in P."""
+        ctx = self.ctx
+        return Reduction(GroupElement(ctx, self.g.m @ h.inv, check=False),
+                         GroupElement(ctx, h.m @ self.p.m @ h.inv, check=False),
+                         self.sub, self.nil)
+
+
+def borel_reduction(point: GSPoint) -> Reduction:
+    """The reduction along G x B at the representative (g, b) of a point.
+
+    The algebra basis lists the upper triangle first and the torus next, so
+    B's coordinates are the first dim B and U's the first dim U.  This is
+    the one place that says so.
+    """
+    ctx = point.ctx
+    return Reduction(point.g, point.b, range(ctx.dim_b), range(ctx.dim_u))
 
 
 class QuotientChart:
-    """Pointwise chart on G x_B B: a complement to the vertical space.
+    """Pointwise chart on G x_P P at a :class:`Reduction`: a complement to
+    the vertical space.
 
     ``indices`` are the coordinate directions S that complement the
     vertical space V greedily: taken in order, each unit vector leaves the
@@ -458,60 +512,49 @@ class QuotientChart:
 
     ``proj`` maps upstairs tangent coordinates to chart coordinates, ``inc``
     embeds the chart back; quotient covectors are the functionals that factor
-    through ``proj`` (the annihilator of the vertical space).  ``vertical``
-    is the vertical space, spanned by the B-action generators (a leading
-    block of :func:`action_generators`).
+    through ``proj`` (the annihilator of the vertical space).  V, T = G Ad_p
+    and the G x P block W of omega are the ``reduction``'s.
 
-    ``t`` is T = G Ad_b (:func:`gram_ad`) and ``w`` the G x B block of
-    :func:`omega_matrix` at the representative; ``graph`` is the graph of
-    ``w`` upstairs and ``fiber`` its pushforward to the chart, all under the
-    conventions active when the chart was built.  ``mu``, ``dphi``, ``dmu``
-    and ``leaf`` read no convention; each is derived when first read, and
-    then kept for the chart's lifetime.
+    ``graph`` is the graph of W upstairs and ``fiber`` its pushforward to
+    the chart, both under the conventions active when the reduction was
+    built.  ``mu``, ``dmu`` and ``leaf`` read no convention; each is derived
+    when first read, and then kept for the chart's lifetime.
     """
 
-    def __init__(self, point: GSPoint):
-        ctx = point.ctx
-        self.point = point
-        amb = self.ambient = ctx.dim_g + ctx.dim_b
-        h = self.hdim = ctx.dim_g
-        v = self.vertical = Subspace(
-            amb, leading(action_generators(point.b), amb, ctx.dim_b), canonical=True)
+    def __init__(self, reduction: Reduction):
+        self.reduction = reduction
+        amb = self.ambient = len(reduction.up)
+        h = self.hdim = reduction.ctx.dim_g
         # pivot p of the reversed rref is the coordinate amb - 1 - p
-        red, pivots = rref(v.basis.transpose().select_cols(range(amb - 1, -1, -1)))
+        echelon, pivots = rref(
+            reduction.vertical.basis.transpose().select_cols(range(amb - 1, -1, -1)))
         last = [amb - 1 - p for p in pivots]
         indices = [j for j in range(amb) if j not in last]
         self.indices = tuple(indices)
         self.inc = Mat.identity(amb).select_cols(indices)
         # [I_h | -R[:, S]^T] holds the columns of S, then those of T; put
         # each coordinate's column at its place
-        rs = red.select_cols([amb - 1 - j for j in indices])
+        rs = echelon.select_cols([amb - 1 - j for j in indices])
         order = indices + last
         self.proj = Mat.identity(h).hstack(-rs.transpose()).select_cols(
             sorted(range(amb), key=order.__getitem__))
-        self.t = gram_ad(ctx, point.b.m, point.b.inv)
-        self.w = leading(omega_matrix(ctx, self.t), amb)
-        self.graph = graph_two_form(self.w)
+        self.graph = graph_two_form(reduction.w)
         self.fiber = quotient_fiber(self)
 
     @property
     def ctx(self) -> GroupContext:
-        return self.point.ctx
+        return self.reduction.ctx
 
     @cached_property
     def mu(self) -> GroupElement:
-        """mu at the chart's point (the module-level :func:`mu`)."""
-        return mu(self.point)
-
-    @cached_property
-    def dphi(self) -> Mat:
-        """The G x B block of :func:`phi_differential` at the representative."""
-        return leading(phi_differential(self.point.g, self.point.b), self.ambient)
+        """mu at the chart's point, g p g^-1: the first factor of :func:`phi`."""
+        return phi(self.reduction.g, self.reduction.p)[0]
 
     @cached_property
     def dmu(self) -> Mat:
-        """d(mu) on the chart: the first dim G rows of ``dphi``, times ``inc``."""
-        return self.dphi.row_block(0, self.ctx.dim_g) @ self.inc
+        """d(mu) on the chart: the first dim G rows of the reduction's
+        ``dphi``, times ``inc``."""
+        return self.reduction.dphi.row_block(0, self.hdim) @ self.inc
 
     @cached_property
     def leaf(self) -> Subspace:
@@ -523,21 +566,23 @@ def quotient_fiber(chart: QuotientChart) -> DiracFiber:
     """Pushforward of the restricted graph to the chart; Lagrangian of dim G.
 
     It is reduced to one small null space.  With P = ``proj``, S the chart's
-    coordinates (``inc``) and V the vertical basis, the pushforward of the
-    graph {(X, w^T X)} is {(P X, b) : P^T b = w^T X}.  P has full rank and
-    kernel V, so P^T maps the chart covectors one to one onto the covectors
-    that vanish on V.  Hence b exists exactly when V^T w^T X = 0, and it is
-    then unique, b = inc^T P^T b = (w^T X)_S, since P inc = I.  So
+    coordinates (``inc``), w the reduction's form and V its vertical basis,
+    the pushforward of the graph {(X, w^T X)} is {(P X, b) : P^T b = w^T X}.
+    P has full rank and kernel V, so P^T maps the chart covectors one to one
+    onto the covectors that vanish on V.  Hence b exists exactly when
+    V^T w^T X = 0, and it is then unique, b = inc^T P^T b = (w^T X)_S, since
+    P inc = I.  So
 
         f_* L = {(P X, (w^T X)_S) : V^T w^T X = 0},
 
-    spanned over the null vectors X of the dim B x ambient matrix V^T w^T.
+    spanned over the null vectors X of the dim V x ambient matrix V^T w^T.
     :func:`~qpslab.dirac.pushforward_linear` along ``proj`` solves an
     ambient x (dim G + ambient) system for the same subspace, and is the
     oracle of this reduction in the tests.
     """
-    wt = chart.w.transpose()
-    null = null_vectors(chart.vertical.basis.transpose() @ wt)
+    red = chart.reduction
+    wt = red.w.transpose()
+    null = null_vectors(red.vertical.basis.transpose() @ wt)
     return DiracFiber(2 * chart.hdim, (chart.proj @ null).vstack(
         wt.select_rows(chart.indices) @ null))
 
@@ -557,8 +602,8 @@ def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     Upstairs rho(xi, 0) = (-Ad_{g^-1} xi, 0) in the frozen generator
     convention.
     """
-    ctx = chart.ctx
-    up = ctx.coords(-(chart.point.g.inv @ ximat @ chart.point.g.m)) + [QQi(0)] * ctx.dim_b
+    red = chart.reduction
+    up = red.ctx.coords(-(red.g.inv @ ximat @ red.g.m)) + [QQi(0)] * len(red.sub)
     return mat_vec(chart.proj, up)
 
 
@@ -573,7 +618,7 @@ def induced_action(chart: QuotientChart, sections: tuple) -> tuple[Mat, Mat]:
     :func:`~qpslab.liegroup.conjugation_sections` at mu.
     """
     ctx = chart.ctx
-    g = chart.point.g
+    g = chart.reduction.g
     fields = -(chart.proj.col_block(0, ctx.dim_g) @ ctx.adjoint(g.inv, g.m))
     return fields, chart.dmu.transpose() @ sections[2]
 
@@ -584,22 +629,22 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
 
     The action diffeomorphism has differential Ad_h (+) Ad_h upstairs and
     descends to the identity on the quotient tangent space, so the matrix is
-    proj2 diag(Ad_h, Ad_h|b x b) inc1: h is in B, so Ad_h keeps the Borel
-    coordinates among themselves, and Ad_h|b x b is its leading block.
+    proj2 M inc1, M the G x P block of diag(Ad_h, Ad_h): h is in P, so Ad_h
+    keeps P's coordinates among themselves, and M is the whole map on G x P.
     """
     ctx = chart1.ctx
-    d, db = ctx.dim_g, ctx.dim_b
     ad = ctx.adjoint(h.m, h.inv)
-    move = ad.hstack(Mat.zeros(d, db)).vstack(Mat.zeros(db, d).hstack(leading(ad, db)))
+    zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
+    move = _restrict(ad.hstack(zero).vstack(zero.hstack(ad)), chart1.reduction.up)
     return chart2.proj @ move @ chart1.inc
 
 
 def representative_independent(chart: QuotientChart, h: GroupElement) -> bool:
-    """Whether the chart's fiber, moved to the chart of h.(g, b) for h in B,
+    """Whether the chart's fiber, moved to the chart of h.(g, p) for h in P,
     is the fiber built there: :func:`chart_transport` moves its tangent rows
     and the transport's inverse transpose its covector rows.
     """
-    moved_chart = QuotientChart(chart.point.translate(h))
+    moved_chart = QuotientChart(chart.reduction.translate(h))
     trans = chart_transport(chart, moved_chart, h)
     basis, hdim = chart.fiber.basis, chart.hdim
     moved = (trans @ basis.row_block(0, hdim)).vstack(
@@ -611,22 +656,21 @@ def representative_independent(chart: QuotientChart, h: GroupElement) -> bool:
 # the verification computations
 
 
-def regact_check(b: GroupElement) -> dict:
-    """Intersection of the B-action directions with the restricted graph.
+def regact_check(reduction: Reduction) -> dict:
+    """Intersection of the P-action directions with the restricted graph.
 
-    Passes when the intersection is exactly the unipotent directions, so its
-    dimension is dim U at every point (the regularity making the quotient a
-    bundle).  Neither side depends on g, so only b is taken.  Both are read
-    as the chart reads them, and the U directions are the first dim U.
+    Passes when the intersection is exactly the N directions, so its
+    dimension is dim N at every point (the regularity making the quotient a
+    bundle).  Both sides are the reduction's, which the chart reads too, and
+    neither depends on g; the N directions are the columns of N's
+    coordinates among P's in the vertical basis.
     """
-    ctx = b.ctx
-    k = ctx.dim_g + ctx.dim_b
-    w = leading(omega_matrix(ctx, gram_ad(ctx, b.m, b.inv)), k)
-    gens = leading(action_generators(b), k, ctx.dim_b)
-    inter = intersect(Subspace(k, gens, canonical=True), kernel(w.transpose()))
-    expected = Subspace(k, gens.col_block(0, ctx.dim_u), canonical=True)
-    ok = inter.dim == ctx.dim_u and inter.equals(expected)
-    return {"dim": inter.dim, "expected_dim": ctx.dim_u, "passed": ok}
+    gens = reduction.vertical
+    inter = intersect(gens, kernel(reduction.w.transpose()))
+    nil = [i for i, k in enumerate(reduction.sub) if k in reduction.nil]
+    expected = Subspace(gens.ambient_dim, gens.basis.select_cols(nil), canonical=True)
+    ok = inter.dim == len(nil) and inter.equals(expected)
+    return {"dim": inter.dim, "expected_dim": len(nil), "passed": ok}
 
 
 def theorem1_check(chart: QuotientChart) -> dict:
@@ -682,7 +726,8 @@ def theorem1_check(chart: QuotientChart) -> dict:
             if not fib.contains_vector(fields.col(k) + duals.col(k)))}
 
     # route (iv): along the double's moment map, then onto its first factor
-    route_b = pushforward_linear(chart.graph, chart.dphi.row_block(0, ctx.dim_g))
+    route_b = pushforward_linear(chart.graph,
+                                 chart.reduction.dphi.row_block(0, ctx.dim_g))
     out["pushforward_commutes"] = pushed.equals(route_b)
     if not out["pushforward_commutes"]:
         out["witness_pushforward"] = _column_outside(pushed, route_b,
@@ -705,34 +750,26 @@ def _column_outside(a: DiracFiber, b: DiracFiber, names: tuple[str, str]) -> dic
     return {"dims": [a.dim, b.dim]}
 
 
-def leaf_expected(chart: QuotientChart) -> Subspace:
-    """q_* of the tangent space of G x tU, the first dim G + dim U coordinates."""
-    ctx = chart.ctx
-    return Subspace.from_spanning(chart.proj.col_block(0, ctx.dim_g + ctx.dim_u))
-
-
 def theorem2_check(chart: QuotientChart) -> dict:
-    """Leaf identification: the chart fiber's tangent image is q_* T(G x tU)."""
+    """Leaf identification: the chart fiber's tangent image is q_* of the
+    tangent space of the leaf slice G x tN (G x tU for P = B)."""
     ctx = chart.ctx
-    proj = chart.leaf
-    expected = leaf_expected(chart)
+    red = chart.reduction
+    leaf = chart.leaf
+    expected = Subspace.from_spanning(chart.proj.select_cols(red.leaf_slice))
     out = {
-        "leaf_dim": proj.dim,
+        "leaf_dim": leaf.dim,
         "expected_dim": ctx.dim_g - ctx.rank,
-        "projection_matches": proj.equals(expected),
+        "projection_matches": leaf.equals(expected),
     }
     # lambda . q takes (g, b) to diag(b), and diag(b y) = diag(b) diag(y) for
     # b, y upper triangular: d(lambda . q) selects the second factor's torus
-    # coordinates, so on the chart it is the torus rows of inc
-    dlam = chart.inc.row_block(ctx.dim_g + ctx.dim_u, chart.ambient)
-    killed = all(
-        all(not c for c in mat_vec(dlam, proj.basis.col(j)))
-        for j in range(proj.dim)
-    )
+    # coordinates, so on the chart it is the Levi rows of inc
+    killed = (chart.inc.select_rows(red.levi) @ leaf.basis).is_zero()
     out["lambda_locally_constant"] = killed
     out["passed"] = (
         out["projection_matches"]
-        and proj.dim == out["expected_dim"]
+        and leaf.dim == out["expected_dim"]
         and killed
     )
     return out
@@ -756,9 +793,10 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
       a coordinate subspace, by :func:`sampled_d_identity` on two triples
       drawn from ``rng`` (a campaign passes the point's salted stream).
       There the leaf form is the pullback of omega, whose matrix is the
-      G x U block of the chart's ``w``: the slice curve u (I + s y) is the
-      curve b (I + s y).  d(mu) on the slice, (g, u) -> g t u g^-1, is the
-      leading dim G x (dim G + dim U) block of the chart's ``dphi``.
+      block of the reduction's ``w`` at its ``leaf_slice``: the slice curve
+      u (I + s y) is the curve b (I + s y).  d(mu) on the slice,
+      (g, u) -> g t u g^-1, is the block of the first dim G rows of the
+      reduction's ``dphi`` at the ``leaf_slice`` columns.
     """
     ctx = chart.ctx
     fib = chart.fiber
@@ -779,9 +817,10 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     checks["moment_identity"] = consistent and (
         form.transpose() @ coeffs == leaf.basis.transpose() @ duals)
 
-    k = ctx.dim_g + ctx.dim_u
+    red = chart.reduction
     checks["d_identity"] = sampled_d_identity(
-        ctx, chart.t, leading(chart.w, k), leading(chart.dphi, ctx.dim_g, k), rng, 2)
+        ctx, red.t, _restrict(red.w, red.leaf_slice),
+        _restrict(red.dphi, range(h), red.leaf_slice), rng, 2)
     checks["passed"] = all(checks.values())
     return form, leaf, checks
 

@@ -1,0 +1,44 @@
+"""The Borel chart built from leading blocks: the oracle of
+:func:`qpslab.gspringer.borel_reduction` and the charts built on it.
+
+The Borel and unipotent bases are prefixes of the algebra basis, so the
+restriction of a matrix on the double to G x B or G x U is one of its
+leading blocks.  The quotient pipeline once read every G x B and G x U
+quantity that way, with the chart building its own T, W and vertical space.
+That construction is written out here, unchanged, so the tests can compare
+the reduction's index lists and the chart built on them with it entry for
+entry, the chart's complement included.
+"""
+
+from qpslab.dirac import DiracFiber
+from qpslab.gspringer import action_generators, omega_matrix, phi_differential
+from qpslab.linalg import Mat, null_vectors, rref
+
+
+def leading(m: Mat, k: int, cols: int | None = None) -> Mat:
+    """The leading k x k block of ``m``, or k x ``cols``."""
+    return m.row_block(0, k).col_block(0, k if cols is None else cols)
+
+
+def prefix_chart(point) -> dict:
+    """The chart of a point of G x_B B from leading blocks: ``w``, ``dphi``
+    and the ``vertical`` basis on G x B, then the greedy complement
+    ``indices``, ``proj``, ``inc`` and the ``fiber``."""
+    ctx, g, b = point.ctx, point.g, point.b
+    amb, h = ctx.dim_g + ctx.dim_b, ctx.dim_g
+    w = leading(omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv)), amb)
+    vertical = leading(action_generators(b), amb, ctx.dim_b)
+    # pivot p of the reversed rref is the coordinate amb - 1 - p
+    red, pivots = rref(vertical.transpose().select_cols(range(amb - 1, -1, -1)))
+    last = [amb - 1 - p for p in pivots]
+    indices = [j for j in range(amb) if j not in last]
+    rs = red.select_cols([amb - 1 - j for j in indices])
+    order = indices + last
+    proj = Mat.identity(h).hstack(-rs.transpose()).select_cols(
+        sorted(range(amb), key=order.__getitem__))
+    wt = w.transpose()
+    null = null_vectors(vertical.transpose() @ wt)
+    fiber = DiracFiber(2 * h, (proj @ null).vstack(wt.select_rows(indices) @ null))
+    return {"w": w, "dphi": leading(phi_differential(g, b), amb),
+            "vertical": vertical, "indices": tuple(indices), "proj": proj,
+            "inc": Mat.identity(amb).select_cols(indices), "fiber": fiber}

@@ -8,7 +8,8 @@ per-basis route it replaced.
   the same way.
 * ``phi_differential``, ``cartan_dirac``, ``action_generators`` and
   ``chart_transport`` against their per-basis columns, written out here;
-  on G x B and G x U, the leading blocks of the double's matrices.
+  on G x B and G x U, the leading blocks of the double's matrices
+  (``borel_oracle.leading``).
 * The batched A1 check, ``moment_condition_holds``, against the per-generator
   ``moment_condition_check``, under the frozen conventions and each
   corruption, and on a perturbed omega matrix.
@@ -22,8 +23,8 @@ from qpslab import campaigns
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.dirac import DiracFiber, cartan_dirac
 from qpslab.gspringer import (FORCED_STRATA, QuotientChart, action_generators,
-                              chart_transport, gram_ad,
-                              gspoint_stream, leading, moment_condition_check,
+                              borel_reduction, chart_transport,
+                              gspoint_stream, moment_condition_check,
                               moment_condition_holds, omega_matrix,
                               phi_differential, sample_double, sample_gspoint)
 from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, conj_field,
@@ -32,6 +33,8 @@ from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, conj_field,
 from qpslab.linalg import Mat, Subspace, mat_vec
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
+
+from borel_oracle import leading
 
 # the frozen conventions and each corruption, by their --corrupt names
 BY_NAME = {"frozen": FROZEN, **CORRUPTIONS}
@@ -136,7 +139,7 @@ def test_phi_differential_matches_the_per_basis_columns(group):
 
 def _a1_both_routes(ctx, a, b, w=None):
     if w is None:
-        w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+        w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
     dphi = phi_differential(a, b)
     zero = Mat.zeros(ctx.n, ctx.n)
     generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
@@ -163,7 +166,7 @@ def test_batched_a1_gives_the_per_generator_verdict(group, conv):
 def test_batched_a1_sees_a_defect_in_every_block_of_omega(group):
     ctx = context(group)
     a, b = sample_double(ctx, SplitMix64(204))
-    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
     assert _a1_both_routes(ctx, a, b, w) == (True, True)
     d = ctx.dim_g
     for r0 in (0, d):
@@ -246,7 +249,8 @@ def test_chart_transport_matches_the_per_basis_columns(group):
     for stratum in ("random", "springer", "identity-b"):
         pt = sample_gspoint(ctx, rng, stratum)
         h = random_point(ctx, "B", rng)
-        c1, c2 = QuotientChart(pt), QuotientChart(pt.translate(h))
+        red = borel_reduction(pt)
+        c1, c2 = QuotientChart(red), QuotientChart(red.translate(h))
         assert chart_transport(c1, c2, h) == per_basis_chart_transport(c1, c2, h)
 
 

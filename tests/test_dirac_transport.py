@@ -20,12 +20,14 @@ from qpslab import campaigns, linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form,
                           pullback_linear, pushforward_linear)
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart, gram_ad,
-                              gspoint_stream, leading, mu, omega_matrix)
+from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_reduction,
+                              gspoint_stream, omega_matrix)
 from qpslab.liegroup import GROUPS, context, random_point
 from qpslab.linalg import Mat, Subspace, intersect, kernel, null_vectors, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi, ZZi
+
+from borel_oracle import leading
 
 
 def full_pushforward(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
@@ -84,9 +86,9 @@ def transport_cases(ctx):
     d = ctx.dim_g
     first = Mat.identity(d).hstack(Mat.zeros(d, ctx.dim_b))
     for point in gspoint_stream(ctx, SplitMix64(301), 4):
-        chart = QuotientChart(point)
-        dmu, dphi = chart.dmu, chart.dphi
-        cd = cartan_dirac(mu(point))
+        chart = QuotientChart(borel_reduction(point))
+        dmu, dphi = chart.dmu, chart.reduction.dphi
+        cd = cartan_dirac(chart.mu)
         push += [(chart.graph, chart.proj), (chart.fiber, dmu),
                  (chart.graph, dphi), (pushforward_linear(chart.graph, dphi), first),
                  (chart.fiber, deficient(dmu)), (chart.graph, deficient(chart.proj)),
@@ -108,7 +110,7 @@ def test_reduced_transports_match_the_full_incidence_systems(group):
 
 def test_the_zero_fiber_transports_to_the_kernels():
     ctx = context("sl3")
-    chart = QuotientChart(gspoint_stream(ctx, SplitMix64(302), 2)[1])
+    chart = QuotientChart(borel_reduction(gspoint_stream(ctx, SplitMix64(302), 2)[1]))
     dmu = chart.dmu
     h, d = chart.hdim, ctx.dim_g
     pushed = pushforward_linear(zero_fiber(h), dmu)
@@ -135,7 +137,7 @@ def test_transports_with_no_null_vectors():
 def test_a_pushforward_runs_two_rrefs(monkeypatch):
     # one on the reduced system, one canonicalizing the result
     ctx = context("sl3")
-    chart = QuotientChart(gspoint_stream(ctx, SplitMix64(303), 4)[3])
+    chart = QuotientChart(borel_reduction(gspoint_stream(ctx, SplitMix64(303), 4)[3]))
     dmu = chart.dmu
     calls = []
     real = linalg.rref
@@ -172,8 +174,8 @@ def test_a_graph_pushes_forward_without_the_top_product(group, monkeypatch):
     ctx = context(group)
     graphs, others = [], []
     for point in gspoint_stream(ctx, SplitMix64(305), 4):
-        chart = QuotientChart(point)
-        graphs += [(chart.graph, chart.proj), (chart.graph, chart.dphi)]
+        chart = QuotientChart(borel_reduction(point))
+        graphs += [(chart.graph, chart.proj), (chart.graph, chart.reduction.dphi)]
         others.append((chart.fiber, chart.dmu))
     cases = [(fiber, fmat, product_route_pushforward(fiber, fmat), products)
              for group_cases, products in ((graphs, 1), (others, 2))
@@ -228,11 +230,11 @@ def test_intersect_at_the_chart_matches_the_kernel_route():
     for group in sorted(GROUPS):
         ctx = context(group)
         for point in gspoint_stream(ctx, SplitMix64(305), 4):
-            chart = QuotientChart(point)
-            flat = kernel(chart.w.transpose())
-            got = intersect(chart.vertical, flat)
+            red = borel_reduction(point)
+            flat = kernel(red.w.transpose())
+            got = intersect(red.vertical, flat)
             assert got.dim == ctx.dim_u
-            assert got.basis == kernel_route_intersect(chart.vertical, flat).basis
+            assert got.basis == kernel_route_intersect(red.vertical, flat).basis
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -266,7 +268,7 @@ def test_graph_two_form_stores_the_canonical_basis(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for part in PARTS:
             b = random_point(ctx, "G" if part == "g" else "B", rng)
-            w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+            w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
             fib = graph_two_form(leading(w, ctx.dim_g + ctx.part_dim(part)))
             assert fib.basis == Subspace(fib.basis.rows, fib.basis).basis, part
 
@@ -274,7 +276,7 @@ def test_graph_two_form_stores_the_canonical_basis(group, conv):
 
 # where a basis is handed over with canonical=True, by the code's name
 CANONICAL_SITES = {"graph_two_form", "pushforward_linear", "pullback_linear",
-                   "QuotientChart.__init__", "regact_check", "Subspace.zero",
+                   "Reduction.__init__", "regact_check", "Subspace.zero",
                    "Subspace.full", "DiracFiber.cotangent_intersection"}
 
 
@@ -300,7 +302,8 @@ def test_every_basis_passed_as_canonical_is_canonical(monkeypatch):
             cfg = campaigns.CampaignConfig(suite=suite, group=group,
                                            samples=len(FORCED_STRATA) + 1, seed=11)
             assert campaigns.run_suite(cfg).all_passed, (suite, group)
-        chart = QuotientChart(gspoint_stream(context(group), SplitMix64(308), 2)[1])
+        point = gspoint_stream(context(group), SplitMix64(308), 2)[1]
+        chart = QuotientChart(borel_reduction(point))
         h, d = chart.hdim, chart.ctx.dim_g
         pushforward_linear(DiracFiber.zero(2 * h), chart.dmu)
         pullback_linear(DiracFiber.zero(2 * d), chart.dmu)

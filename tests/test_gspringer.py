@@ -12,11 +12,10 @@ from qpslab.diffcalc import PointedMap, Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
                           pushforward_linear)
 from qpslab.gspringer import (FORCED_STRATA, GSPoint,
-                              NotRegularSemisimple, QuotientChart,
-                              chart_action_field,
+                              NotRegularSemisimple, QuotientChart, Reduction,
+                              borel_reduction, chart_action_field,
                               chart_transport, float_array, float_same_class,
-                              gram_ad, gspoint_stream, induced_action, lam,
-                              leading, leaf_expected,
+                              gspoint_stream, induced_action, lam,
                               leaf_two_form, moment_condition_check,
                               mu, mu_residual, omega_matrix,
                               omega_value, phi, phi_differential, phi_map,
@@ -25,13 +24,16 @@ from qpslab.gspringer import (FORCED_STRATA, GSPoint,
                               sample_gspoint, steinberg_membership,
                               theorem1_check, theorem2_check,
                               weyl_fiber_enum)
-from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, WeylGroup,
-                             borel_decompose, chevalley, conjugation_sections,
-                             context, random_algebra, random_point, sigma)
+from qpslab.liegroup import (GROUPS, AlgebraElement, GroupContext, GroupElement,
+                             WeylGroup, borel_decompose, chevalley,
+                             conjugation_sections, context, random_algebra,
+                             random_point, sigma)
 from qpslab.linalg import (Mat, Subspace, dot, intersect, kernel, mat_vec,
                            rank)
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
+
+from borel_oracle import leading
 
 SL2 = context("sl2")
 SL3 = context("sl3")
@@ -77,7 +79,7 @@ def test_omega_identity_fiber_anchor():
 
 def omega_at(ctx, b, part):
     """omega's matrix at b on G x ``part``: a leading block of the double's."""
-    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
     return leading(w, ctx.dim_g + ctx.part_dim(part))
 
 
@@ -162,29 +164,29 @@ def test_restriction_is_lagrangian_graph():
     rng = SplitMix64(67)
     g = random_point(SL2, "G", rng)
     b = random_point(SL2, "B", rng)
-    fib = QuotientChart(GSPoint(g, b)).graph
+    fib = QuotientChart(borel_reduction(GSPoint(g, b))).graph
     ok, _ = is_lagrangian(fib)
     assert ok
     assert fib.dim == SL2.dim_g + SL2.dim_b  # 5 for sl2
     assert fib.cotangent_intersection().dim == 0
     # a second factor outside B has no chart: the point itself is refused
     with pytest.raises(ValueError):
-        QuotientChart(GSPoint(g, grp(SL2, [[1, 0], [1, 1]])))
+        QuotientChart(borel_reduction(GSPoint(g, grp(SL2, [[1, 0], [1, 1]]))))
 
 
 def test_regact_dimensions():
     rng = SplitMix64(68)
     for ctx, expected in ((SL2, 1), (SL3, 3), (GL2, 1)):
-        random_point(ctx, "G", rng)  # no argument; drawn to keep each b
+        g = random_point(ctx, "G", rng)
         b = random_point(ctx, "B", rng)
-        res = regact_check(b)
+        res = regact_check(borel_reduction(GSPoint(g, b)))
         assert res["passed"] and res["dim"] == expected
 
 
 def test_vertical_space_is_action_tangent():
     rng = SplitMix64(69)
     pt = sample_gspoint(SL2, rng)
-    v = QuotientChart(pt).vertical
+    v = borel_reduction(pt).vertical
     assert v.dim == SL2.dim_b
     # rho(0, xi) for xi in the Borel basis lies in the vertical space
     for k in SL2.sub_indices("b"):
@@ -196,7 +198,7 @@ def test_vertical_space_is_action_tangent():
 def test_quotient_fiber_basics():
     rng = SplitMix64(70)
     pt = sample_gspoint(SL2, rng)
-    chart = QuotientChart(pt)
+    chart = QuotientChart(borel_reduction(pt))
     fib = chart.fiber
     assert fib.dim == SL2.dim_g == 3
     assert quotient_fiber(chart).equals(fib)
@@ -223,8 +225,8 @@ def test_chart_complement_matches_the_greedy_choice(group):
     # the degenerate strata of gspoint_stream, then a generic point
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
-        chart = QuotientChart(pt)
-        want = _greedy_complement(chart.vertical, chart.ambient, chart.hdim)
+        chart = QuotientChart(borel_reduction(pt))
+        want = _greedy_complement(chart.reduction.vertical, chart.ambient, chart.hdim)
         assert list(chart.indices) == want
         assert len(want) == chart.hdim
 
@@ -234,8 +236,8 @@ def test_chart_proj_is_the_inverse_route(group):
     # proj is read off one rref of V^T; the route it replaced inverts [inc | V]
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
-        chart = QuotientChart(pt)
-        inv = chart.inc.hstack(chart.vertical.basis).inverse()
+        chart = QuotientChart(borel_reduction(pt))
+        inv = chart.inc.hstack(chart.reduction.vertical.basis).inverse()
         assert chart.proj == inv.row_block(0, chart.hdim)
         assert chart.inc == Mat.from_columns(
             [[QQi(int(i == j)) for i in range(chart.ambient)] for j in chart.indices],
@@ -267,7 +269,7 @@ def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
                         spy("pushforward", gspringer.pushforward_linear))
     fiber = gspringer.quotient_fiber
     monkeypatch.setattr(gspringer, "quotient_fiber", lambda chart: None)
-    chart = QuotientChart(pt)
+    chart = QuotientChart(borel_reduction(pt))
     amb, vertical = ctx.dim_g + ctx.dim_b, (ctx.dim_b, ctx.dim_g + ctx.dim_b)
     assert calls == [("rref", vertical)]
     calls.clear()
@@ -295,8 +297,8 @@ def test_lam_differential_matches_the_per_basis_route(group):
     # on the chart, d(lambda . q) is the torus rows of inc
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
-        chart = QuotientChart(pt)
-        got = chart.inc.row_block(ctx.dim_g + ctx.dim_u, chart.ambient)
+        chart = QuotientChart(borel_reduction(pt))
+        got = chart.inc.select_rows(chart.reduction.levi)
         assert got == per_basis_lam_differential(ctx, pt.b.m) @ chart.inc
 
 
@@ -319,12 +321,12 @@ NONREAL_LEAF_FORM = {
 
 def test_nonreal_chart_and_leaf_form_pinned():
     assert campaigns.eval_command("leaf-form", NONREAL_POINT) == NONREAL_LEAF_FORM
-    chart = QuotientChart(GSPoint.from_json(NONREAL_POINT))
+    chart = QuotientChart(borel_reduction(GSPoint.from_json(NONREAL_POINT)))
     assert any(x.im for r in chart.proj.data for x in r)
-    assert list(chart.indices) == _greedy_complement(chart.vertical, chart.ambient,
-                                                     chart.hdim)
+    assert list(chart.indices) == _greedy_complement(chart.reduction.vertical,
+                                                     chart.ambient, chart.hdim)
     # proj is the first h rows of [inc | V]^-1
-    inv = chart.inc.hstack(chart.vertical.basis).inverse()
+    inv = chart.inc.hstack(chart.reduction.vertical.basis).inverse()
     assert chart.proj == inv.row_block(0, chart.hdim)
 
 
@@ -333,7 +335,8 @@ def two_step_route_iv(chart: QuotientChart) -> DiracFiber:
     then along the projection [I | 0] onto its first factor."""
     ctx = chart.ctx
     first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, ctx.dim_b))
-    return pushforward_linear(pushforward_linear(chart.graph, chart.dphi), first)
+    pushed = pushforward_linear(chart.graph, chart.reduction.dphi)
+    return pushforward_linear(pushed, first)
 
 
 def assert_reductions_match_their_routes(chart: QuotientChart) -> None:
@@ -343,7 +346,8 @@ def assert_reductions_match_their_routes(chart: QuotientChart) -> None:
     fiber = quotient_fiber(chart)
     assert fiber.basis == chart.fiber.basis
     assert fiber.basis == pushforward_linear(chart.graph, chart.proj).basis
-    one_step = pushforward_linear(chart.graph, chart.dphi.row_block(0, ctx.dim_g))
+    one_step = pushforward_linear(chart.graph,
+                                  chart.reduction.dphi.row_block(0, ctx.dim_g))
     two_step = two_step_route_iv(chart)
     assert one_step.basis == two_step.basis
 
@@ -355,11 +359,11 @@ def test_quotient_fiber_and_route_iv_match_the_pushforward_routes(group, conv):
     ctx = context(group)
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for pt in gspoint_stream(ctx, SplitMix64(87), len(FORCED_STRATA) + 1):
-            assert_reductions_match_their_routes(QuotientChart(pt))
+            assert_reductions_match_their_routes(QuotientChart(borel_reduction(pt)))
 
 
 def test_quotient_fiber_and_route_iv_at_the_nonreal_point():
-    chart = QuotientChart(GSPoint.from_json(NONREAL_POINT))
+    chart = QuotientChart(borel_reduction(GSPoint.from_json(NONREAL_POINT)))
     assert any(x.im for r in chart.proj.data for x in r)
     assert_reductions_match_their_routes(chart)
     # and theorem1_check's verdict on route (iv) is the two-step route's
@@ -372,9 +376,10 @@ def test_quotient_fiber_representative_independent():
     rng = SplitMix64(71)
     pt = sample_gspoint(SL2, rng)
     h = random_point(SL2, "B", rng)
-    moved = pt.translate(h)
-    assert pt.same_class(moved)
-    c1, c2 = QuotientChart(pt), QuotientChart(moved)
+    red = borel_reduction(pt)
+    moved = red.translate(h)
+    assert pt.same_class(GSPoint(moved.g, moved.p))
+    c1, c2 = QuotientChart(red), QuotientChart(moved)
     trans = chart_transport(c1, c2, h)
     f1, f2 = c1.fiber, c2.fiber
     top = trans @ Mat(f1.basis.data[: c1.hdim])
@@ -421,7 +426,8 @@ def test_mu_lambda_well_defined():
     for _ in range(5):
         pt = sample_gspoint(SL2, rng)
         h = random_point(SL2, "B", rng)
-        moved = pt.translate(h)
+        moved = borel_reduction(pt).translate(h)
+        moved = GSPoint(moved.g, moved.p)
         assert mu(pt).m == mu(moved).m
         assert lam(pt).m == lam(moved).m
         assert lam(pt).m == borel_decompose(pt.b)[0].m
@@ -444,7 +450,7 @@ def test_theorem1_all_strata():
     for ctx in (SL2, GL2):
         for stratum in ("random", "springer", "nonregular", "identity-b"):
             pt = sample_gspoint(ctx, rng, stratum)
-            res = theorem1_check(QuotientChart(pt))
+            res = theorem1_check(QuotientChart(borel_reduction(pt)))
             assert res["passed"], (ctx.name, stratum, res)
 
 
@@ -453,7 +459,7 @@ def test_theorem1_identity_mu_target():
     rng = SplitMix64(76)
     pt = sample_gspoint(SL2, rng, "identity-b")
     assert mu(pt).m == Mat.identity(2)
-    chart = QuotientChart(pt)
+    chart = QuotientChart(borel_reduction(pt))
     pushed = pushforward_linear(chart.fiber, chart.dmu)
     cotangent = DiracFiber(6, Mat.zeros(3, 3).vstack(Mat.identity(3)))
     assert pushed.equals(cotangent)
@@ -463,9 +469,10 @@ def test_theorem1_identity_mu_target():
 def test_theorem1_witness_names_a_column_outside_the_other_fiber():
     # sigma-half moves the Cartan-Dirac fiber but not the quotient fiber
     pt = sample_gspoint(SL2, SplitMix64(88))
-    assert not any(k.startswith("witness") for k in theorem1_check(QuotientChart(pt)))
+    res = theorem1_check(QuotientChart(borel_reduction(pt)))
+    assert not any(k.startswith("witness") for k in res)
     with using(CORRUPTIONS["sigma-half"]):
-        chart = QuotientChart(pt)
+        chart = QuotientChart(borel_reduction(pt))
         res = theorem1_check(chart)
         fibers = {"pushed": pushforward_linear(chart.fiber, chart.dmu),
                   "cartan": cartan_dirac(mu(pt))}
@@ -484,8 +491,7 @@ def test_theorem1_witness_names_a_column_outside_the_other_fiber():
         "fiber": "b", "column": 1, "dims": [1, 2]}
 
 
-DERIVED = ("gram_ad", "omega_matrix", "phi_differential", "mu",
-           "conjugation_sections")
+DERIVED = ("omega_matrix", "phi_differential", "phi", "conjugation_sections")
 
 
 def test_quotient_checks_build_each_chart_once(monkeypatch):
@@ -499,6 +505,10 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
 
     monkeypatch.setattr(QuotientChart, "__init__",
                         counting("chart", QuotientChart.__init__))
+    monkeypatch.setattr(Reduction, "__init__",
+                        counting("reduction", Reduction.__init__))
+    monkeypatch.setattr(GroupContext, "gram_adjoint",
+                        counting("gram_adjoint", GroupContext.gram_adjoint))
     monkeypatch.setattr(DiracFiber, "tangent_part",
                         counting("tangent_part", DiracFiber.tangent_part))
     # every module that binds a derivation, so that no route around the
@@ -509,8 +519,9 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
             if mod is not None and mod.__name__.startswith("qpslab") and \
                     vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, counting(name, fn))
-    # gs-theorem1 needs the base point's chart and the moved one's; the moved
-    # chart derives T and W for its graph, and nothing else.  Only gs-theorem2
+    # gs-theorem1 needs the base point's chart and the moved one's, each on
+    # its own reduction; the moved reduction derives T and W for the moved
+    # chart's graph, and nothing else is derived twice.  Only gs-theorem2
     # reads the leaf, once for the leaf check and the leaf form together
     suites = (("gs-theorem1", 2, 0), ("gs-theorem2", 1, 1), ("bivector", 1, 0))
     for group in ("sl2", "sl3"):
@@ -521,8 +532,9 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
                 counts.clear()
                 check(cfg, *campaigns.decode_point(cfg, payload))
                 want = Counter({name: 1 for name in DERIVED})
-                want.update({"chart": charts, "gram_ad": charts - 1,
-                             "omega_matrix": charts - 1, "tangent_part": leaves})
+                want.update({"chart": charts, "reduction": charts,
+                             "gram_adjoint": charts, "omega_matrix": charts - 1,
+                             "tangent_part": leaves})
                 assert counts == want, (group, suite)
 
 
@@ -530,7 +542,7 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
 def test_induced_action_pairs_match_the_per_basis_formula(group):
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(90), len(FORCED_STRATA)):
-        chart = QuotientChart(pt)
+        chart = QuotientChart(borel_reduction(pt))
         dmu = chart.dmu
         m = mu(pt)
         fields, duals = induced_action(chart, conjugation_sections(ctx, m.m, m.inv))
@@ -547,7 +559,7 @@ def test_theorem2_leaf_dimensions():
     rng = SplitMix64(77)
     for ctx, dim in ((SL2, 2), (SL3, 6), (GL2, 2)):
         pt = sample_gspoint(ctx, rng)
-        res = theorem2_check(QuotientChart(pt))
+        res = theorem2_check(QuotientChart(borel_reduction(pt)))
         assert res["passed"] and res["leaf_dim"] == dim
 
 
@@ -555,7 +567,7 @@ def test_theorem2_on_strata():
     rng = SplitMix64(78)
     for stratum in ("springer", "nonregular", "identity-b"):
         pt = sample_gspoint(SL2, rng, stratum)
-        assert theorem2_check(QuotientChart(pt))["passed"]
+        assert theorem2_check(QuotientChart(borel_reduction(pt)))["passed"]
 
 
 def test_leaf_two_form_checks():
@@ -563,7 +575,8 @@ def test_leaf_two_form_checks():
     for ctx in (SL2, GL2):
         for stratum in ("random", "springer"):
             pt = sample_gspoint(ctx, rng, stratum)
-            form, leaf, checks = leaf_two_form(QuotientChart(pt), SplitMix64(0x1EAF))
+            chart = QuotientChart(borel_reduction(pt))
+            form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
             assert checks["passed"], (ctx.name, stratum, checks)
             assert leaf.dim == ctx.dim_g - ctx.rank
 
@@ -573,7 +586,7 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     # G x tU slice, drawn from the stream passed in
     pt = sample_gspoint(SL2, SplitMix64(81))
     rng, shadow = SplitMix64(1234), SplitMix64(1234)
-    _, _, checks = leaf_two_form(QuotientChart(pt), rng)
+    _, _, checks = leaf_two_form(QuotientChart(borel_reduction(pt)), rng)
     assert checks["d_identity"]
     for _ in range(2 * 3 * (SL2.dim_g + SL2.dim_u)):
         shadow.rational(3)
@@ -608,7 +621,7 @@ def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
     for name in ("sl2", "gl3"):
         ctx = context(name)
         a, b = sample_double(ctx, SplitMix64(5))
-        t = gram_ad(ctx, b.m, b.inv)
+        t = ctx.gram_adjoint(b.m, b.inv)
         w = omega_matrix(ctx, t)
         rng, shadow = SplitMix64(77), SplitMix64(77)
         seen.clear()
@@ -655,7 +668,7 @@ def test_bivector_reconstruction():
     rng = SplitMix64(80)
     for ctx in (SL2, GL2):
         pt = sample_gspoint(ctx, rng)
-        pi, checks = reconstruct_bivector(QuotientChart(pt))
+        pi, checks = reconstruct_bivector(QuotientChart(borel_reduction(pt)))
         assert checks["passed"], checks
         assert is_skew(pi)
 
@@ -726,9 +739,11 @@ def test_forced_strata_in_stream():
 def test_lambda_kills_leaf_directions():
     rng = SplitMix64(84)
     pt = sample_gspoint(SL3, rng)
-    chart = QuotientChart(pt)
-    leaf = leaf_expected(chart)
-    dl = chart.inc.row_block(SL3.dim_g + SL3.dim_u, chart.ambient)
+    red = borel_reduction(pt)
+    chart = QuotientChart(red)
+    # q_* of the tangent space of G x tU, and d(lambda . q) on the chart
+    leaf = Subspace.from_spanning(chart.proj.select_cols(red.leaf_slice))
+    dl = chart.inc.select_rows(red.levi)
     for j in range(leaf.dim):
         assert all(not c for c in mat_vec(dl, leaf.basis.col(j)))
 
@@ -738,12 +753,13 @@ def test_gl3_smoke():
     ctx = context("gl3")
     rng = SplitMix64(86)
     pt = sample_gspoint(ctx, rng)
-    chart = QuotientChart(pt)
+    chart = QuotientChart(borel_reduction(pt))
     assert theorem1_check(chart)["passed"]
     res = theorem2_check(chart)
     assert res["passed"] and res["leaf_dim"] == ctx.dim_g - ctx.rank == 6
-    random_point(ctx, "G", rng)  # no argument; drawn to keep b
-    assert regact_check(random_point(ctx, "B", rng))["passed"]
+    g = random_point(ctx, "G", rng)
+    b = random_point(ctx, "B", rng)
+    assert regact_check(borel_reduction(GSPoint(g, b)))["passed"]
 
 
 def test_gspoint_json_roundtrip():

@@ -23,8 +23,8 @@ from qpslab import campaigns, gspringer
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space, d_two_form
 from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
-                              chart_action_field, d_omega, float_array, gram_ad,
-                              gspoint_stream, leading, leaf_two_form, mu, omega_fn,
+                              borel_reduction, chart_action_field, d_omega,
+                              float_array, gspoint_stream, leaf_two_form, omega_fn,
                               omega_matrix, omega_value, phi_differential,
                               reconstruct_bivector, sample_double,
                               sampled_d_identity, theorem1_check)
@@ -34,6 +34,8 @@ from qpslab.liegroup import (GROUPS, AlgebraElement, Covector, GroupElement,
 from qpslab.linalg import Mat, dot, mat_vec, solve_unique
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
+
+from borel_oracle import leading
 
 STRATA = len(FORCED_STRATA) + 1  # the three forced strata, then a random point
 
@@ -52,7 +54,7 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for space, kind in _spaces(ctx):
             a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
-            t = gram_ad(ctx, b.m, b.inv)
+            t = ctx.gram_adjoint(b.m, b.inv)
             w = leading(omega_matrix(ctx, t), space.dim)
             for _ in range(2):
                 dirs = [[QQi(rng.rational(3)) for _ in range(space.dim)]
@@ -68,7 +70,7 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     rng = SplitMix64(102)
     g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
     k = ctx.dim_g + ctx.dim_u
-    t = gram_ad(ctx, b.m, b.inv)
+    t = ctx.gram_adjoint(b.m, b.inv)
     w = omega_matrix(ctx, t)
     gxu = leading(w, k)
     gxb = leading(w, ctx.dim_g + ctx.dim_b)
@@ -77,10 +79,10 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     mats = [space.matrices(e) for e in space.basis_directions()]
     assert [list(r) for r in gxu.data] == [
         [omega_value(ctx, g.m, b.m, u, v) for v in mats] for u in mats]
-    # and the leaf d-identity's block of a chart's w is this G x U matrix
-    chart = QuotientChart(GSPoint(g, b))
-    assert chart.w == gxb
-    assert chart.w.row_block(0, k).col_block(0, k) == gxu
+    # and the leaf d-identity's block of a reduction's w is this G x U matrix
+    red = borel_reduction(GSPoint(g, b))
+    assert red.w == gxb
+    assert red.w.select_rows(red.leaf_slice).select_cols(red.leaf_slice) == gxu
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -110,7 +112,7 @@ def test_slice_block_of_phi_differential_is_d_mu_on_the_slice(group):
 def _action_pairs(chart):
     """(q_* rho(e_k), d(mu)^T sigma(mu, e_k)) basis element by basis element."""
     ctx = chart.ctx
-    m = mu(chart.point)
+    m = chart.mu
     dmut = chart.dmu.transpose()
     for xi in ctx.basis:
         alpha = sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords()
@@ -146,7 +148,7 @@ def _bivector_reference(chart):
     ctx = chart.ctx
     fib = chart.fiber
     h, d = chart.hdim, ctx.dim_g
-    m = mu(chart.point)
+    m = chart.mu
     dmu = chart.dmu
     top = fib.basis.row_block(0, h)
     bot = fib.basis.row_block(h, fib.basis.rows)
@@ -175,7 +177,7 @@ def test_leaf_two_form_matches_the_per_column_reference(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         verdicts = []
         for pt in gspoint_stream(ctx, SplitMix64(105), STRATA):
-            chart = QuotientChart(pt)
+            chart = QuotientChart(borel_reduction(pt))
             form, _, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
             want_form, want_moment = _leaf_reference(chart)
             assert form == want_form
@@ -191,7 +193,7 @@ def test_reconstruct_bivector_matches_the_per_column_reference(group, conv):
     ctx = context(group)
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for pt in gspoint_stream(ctx, SplitMix64(106), STRATA):
-            chart = QuotientChart(pt)
+            chart = QuotientChart(borel_reduction(pt))
             pi, checks = reconstruct_bivector(chart)
             want = _bivector_reference(chart)
             # the corruption leaves no point solvable
@@ -210,7 +212,7 @@ def test_theorem1_induced_action_witness_is_the_first_failing_index(conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for group in ("sl2", "gl2"):
             for pt in gspoint_stream(context(group), SplitMix64(107), STRATA):
-                chart = QuotientChart(pt)
+                chart = QuotientChart(borel_reduction(pt))
                 res = theorem1_check(chart)
                 bad = [k for k, (vec, alpha) in enumerate(_action_pairs(chart))
                        if not chart.fiber.contains_vector(vec + alpha)]
@@ -246,12 +248,12 @@ def _d_identity_inputs(ctx, rng):
     d-identity on G x U at two quotient points."""
     for _ in range(2):
         a, b = sample_double(ctx, rng)
-        t = gram_ad(ctx, b.m, b.inv)
+        t = ctx.gram_adjoint(b.m, b.inv)
         yield t, omega_matrix(ctx, t), phi_differential(a, b)
     k = ctx.dim_g + ctx.dim_u
     for pt in gspoint_stream(ctx, rng, 2):
-        chart = QuotientChart(pt)
-        yield chart.t, leading(chart.w, k), leading(chart.dphi, ctx.dim_g, k)
+        red = borel_reduction(pt)
+        yield red.t, leading(red.w, k), leading(red.dphi, ctx.dim_g, k)
 
 
 def _same_d_identity(ctx, t, w, dphi, seed):
@@ -281,19 +283,19 @@ def test_sampled_d_identity_on_non_real_points():
     i = QQi(0, 1)
     a = GroupElement(ctx, Mat([[i, 0], [0, -i]]))
     b = GroupElement(ctx, Mat([[1 + i, i], [1, 1]]))
-    t = gram_ad(ctx, b.m, b.inv)
+    t = ctx.gram_adjoint(b.m, b.inv)
     assert any(x.im for r in t.data for x in r)
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             assert _same_d_identity(ctx, t, omega_matrix(ctx, t),
                                     phi_differential(a, b), 7) == (conv is FROZEN)
     # the pinned eval leaf-form point of test_gspringer, b = [[i, 3/2], [0, -i]]
-    chart = QuotientChart(GSPoint.from_json({
+    red = borel_reduction(GSPoint.from_json({
         "group": "sl2", "g": {"rows": 2, "cols": 2, "entries": [1, 0, 2, 1]},
         "b": {"rows": 2, "cols": 2, "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}))
     k = ctx.dim_g + ctx.dim_u
-    assert _same_d_identity(ctx, chart.t, leading(chart.w, k),
-                            leading(chart.dphi, ctx.dim_g, k), 0x1EAF)
+    assert _same_d_identity(ctx, red.t, leading(red.w, k),
+                            leading(red.dphi, ctx.dim_g, k), 0x1EAF)
 
 
 def test_float_array_is_bitwise_the_to_complex_route():

@@ -13,8 +13,9 @@ import hashlib
 import json
 
 from qpslab.dirac import cartan_closure_check, cartan_dirac
-from qpslab.gspringer import (GSPoint, QuotientChart, leaf_two_form, reconstruct_bivector,
-                              regact_check, theorem1_check, theorem2_check)
+from qpslab.gspringer import (GSPoint, QuotientChart, borel_reduction, leaf_two_form,
+                              reconstruct_bivector, regact_check, theorem1_check,
+                              theorem2_check)
 from qpslab.linalg import Mat, Subspace
 from qpslab.liegroup import GroupElement, chevalley, context
 from qpslab.matio import mat_to_json, scalar_to_json
@@ -74,14 +75,15 @@ def plain(x):
 def results(group, g_rows, b_rows) -> dict:
     ctx = context(group)
     g, b = GroupElement(ctx, mat(g_rows)), GroupElement(ctx, mat(b_rows))
-    chart = QuotientChart(GSPoint(g, b))
+    red = borel_reduction(GSPoint(g, b))
+    chart = QuotientChart(red)
     return {
         "group": group,
         "theorem1": theorem1_check(chart),
         "theorem2": theorem2_check(chart),
         "leaf_form": leaf_two_form(chart, SplitMix64(5)),
         "bivector": reconstruct_bivector(chart),
-        "regact": regact_check(b),
+        "regact": regact_check(red),
         "closure": cartan_closure_check(ctx, g.m, g.inv),
         "cartan_dirac": cartan_dirac(g),
         "chevalley": [chevalley(g), chevalley(b)],

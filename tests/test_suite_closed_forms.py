@@ -26,8 +26,7 @@ from qpslab.campaigns import (SUITE_NAMES, CampaignConfig, _a3_nondegenerate,
 from qpslab.conventions import ACTIVE, CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import DualMat, Space
 from qpslab.dirac import cartan_dirac, cartan_eta3, cartan_section, dorfman
-from qpslab.gspringer import (gram_ad, omega_matrix, phi_differential,
-                              sample_double)
+from qpslab.gspringer import omega_matrix, phi_differential, sample_double
 from qpslab.liegroup import (GROUPS, GroupElement, bracket, conjugation_sections,
                              context, random_algebra, random_point,
                              sigma_average)
@@ -55,7 +54,7 @@ def test_a3_rank_matches_the_kernel_route_on_real_points(name):
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             for a, b in points:
-                w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+                w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
                 dphi = phi_differential(a, b)
                 assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi)
 
@@ -84,7 +83,7 @@ def test_a3_ranks_the_stack_where_omega_is_degenerate(name):
     a = random_point(ctx, "G", rng)
     u = random_point(ctx, "U", rng).m
     b = GroupElement(ctx, u.scale_rows([(x, 1) for x in diag]))
-    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
     assert rank(w) == rank_w < w.rows
     dphi = phi_differential(a, b)
     assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi) == (True, None)
@@ -107,7 +106,7 @@ def four_block_route(ctx, b, w, rng, count):
     want = blocks(w)
     for _ in range(count):
         g2 = random_point(ctx, "G", rng)
-        w2 = omega_matrix(ctx, gram_ad(ctx, g2.m @ b.m @ g2.inv,
+        w2 = omega_matrix(ctx, ctx.gram_adjoint(g2.m @ b.m @ g2.inv,
                                        g2.m @ b.inv @ g2.inv))
         ad2 = ctx.adjoint(g2.m, g2.inv)
         adt = ad2.transpose()
@@ -125,7 +124,7 @@ def test_a4_one_block_matches_the_four_block_route(name):
         with using(conv):
             for k in range(5):
                 _, b = sample_double(ctx, rng)
-                t = gram_ad(ctx, b.m, b.inv)
+                t = ctx.gram_adjoint(b.m, b.inv)
                 w = omega_matrix(ctx, t)
                 # of the block shape, but with a (1,2) block that is not
                 # invariant: both routes fail at the first draw
@@ -155,7 +154,7 @@ def test_a4_fails_under_a_transposed_adjoint(name, monkeypatch):
     # T = G Ad_b has its own closed form; route it through the wrong adjoint
     monkeypatch.setattr(ctx, "gram_adjoint",
                         lambda m, minv: ctx.gram @ ctx.adjoint(m, minv))
-    w = omega_matrix(ctx, gram_ad(ctx, b.m, b.inv))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
     assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63), 10)
     assert not four_block_route(ctx, b, w, SplitMix64(63), 10)
 

@@ -3,10 +3,12 @@
 A helper whose last caller went stays behind unnoticed; no linter runs on
 this repository, so this test reads the sources with :mod:`ast`.  A
 top-level function, class or assigned name of ``src/qpslab/*.py``, or of the
-QQi oracle of the tests (``tests/qqi_oracle.py``), counts as read when it appears as a loaded name, as an attribute or in an import
-anywhere in ``src``, ``scripts``, ``tests`` or ``bench``, outside its own
-definition.  Docstring and string mentions do not count.  ``__version__``
-is exempt: it is read by packaging, not by code.
+QQi and Borel-chart oracles of the tests (``tests/qqi_oracle.py``,
+``tests/borel_oracle.py``), counts as read when it appears as a loaded
+name, as an attribute or in an import anywhere in ``src``, ``scripts``,
+``tests`` or ``bench``, outside its own definition.  Docstring and string
+mentions do not count.  ``__version__`` is exempt: it is read by packaging,
+not by code.
 
 The same holds one level down: a method or property of a top-level class
 counts as read when its name is read anywhere outside its own definition.
@@ -20,8 +22,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qpslab").glob("*.py"))
-# the package, and the oracle the differential tests keep beside it
-DEFINING = [*PACKAGE, ROOT / "tests" / "qqi_oracle.py"]
+# the package, and the oracles the differential tests keep beside it
+DEFINING = [*PACKAGE, ROOT / "tests" / "qqi_oracle.py",
+            ROOT / "tests" / "borel_oracle.py"]
 READERS = sorted(p for d in ("src", "scripts", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 EXEMPT = {"__version__"}
@@ -102,7 +105,8 @@ def parse(path: Path) -> ast.Module:
 
 def test_the_scan_sees_the_package_and_its_readers():
     assert {"gspringer.py", "scalars.py", "__init__.py"} <= {p.name for p in PACKAGE}
-    assert {"gspringer.py", "qqi_oracle.py"} <= {p.name for p in DEFINING}
+    assert {"gspringer.py", "qqi_oracle.py",
+            "borel_oracle.py"} <= {p.name for p in DEFINING}
     dirs = {p.relative_to(ROOT).parts[0] for p in READERS}
     assert dirs == {"src", "scripts", "tests", "bench"}
 

@@ -1,5 +1,5 @@
-"""No module of the package, the scripts or the QQi oracle of the tests
-imports a top-level name it never uses.
+"""No module of the package, the scripts or the QQi and Borel-chart oracles
+of the tests imports a top-level name it never uses.
 
 A deletion tends to leave its imports behind; no linter runs on this
 repository, so this test reads each module with :mod:`ast`.  A name counts as
@@ -14,7 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted([*(ROOT / "src" / "qpslab").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-                  ROOT / "tests" / "qqi_oracle.py"])
+                  ROOT / "tests" / "qqi_oracle.py",
+                  ROOT / "tests" / "borel_oracle.py"])
 
 
 def unused_imports(tree: ast.Module) -> dict[str, int]:
@@ -34,7 +35,7 @@ def unused_imports(tree: ast.Module) -> dict[str, int]:
 def test_the_scan_sees_every_module():
     names = {p.name for p in MODULES}
     assert {"dirac.py", "gspringer.py", "campaigns.py",
-            "calibrate_conventions.py", "qqi_oracle.py"} <= names
+            "calibrate_conventions.py", "qqi_oracle.py", "borel_oracle.py"} <= names
 
 
 def test_the_scan_flags_an_unused_import_and_not_a_used_one():
