@@ -67,7 +67,7 @@ def d_omega_matches(ctx, samples, rng) -> bool:
         dphi = phi_differential(a, b)
         t = ctx.gram_adjoint(b.m, b.inv)
         w = omega_matrix(ctx, t)
-        if not sampled_d_identity(ctx, t, w, dphi, rng, 1):
+        if not sampled_d_identity(ctx, t, w, range(ctx.dim_g), dphi, rng, 1):
             return False
     return True
 

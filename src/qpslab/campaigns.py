@@ -269,7 +269,7 @@ def _check_double(cfg, ctx, pt, rng) -> list:
                         moment_condition_holds(a, b, w, dphi)))
     # A2: d(omega) = -phi^*(eta (+) eta), the salted stream's first draws
     recs.append(_record("double/A2-exterior-derivative",
-                        sampled_d_identity(ctx, t, w, dphi, rng, 2)))
+                        sampled_d_identity(ctx, t, w, range(ctx.dim_g), dphi, rng, 2)))
     recs.append(_record("double/A3-nondegenerate", *_a3_nondegenerate(w, dphi)))
     recs.append(_record("double/A4-invariance", _a4_sample(ctx, b, w, rng, count=10)))
     return recs

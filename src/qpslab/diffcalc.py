@@ -9,6 +9,13 @@ image point.  Curves are first order on purpose: every differentiated
 quantity in scope is a first derivative of a rational function, so the
 second-order membership defect of the curve (det drift for SL) is invisible.
 
+The dual numbers, :class:`Dual` and :class:`DualMat`, are defined here, and
+:mod:`qpslab.scalars`, :mod:`qpslab.linalg` and :mod:`qpslab.liegroup` name
+neither: a :class:`DualMat` reaches the exact kernel as its value and
+derivative parts, each an exact :class:`~qpslab.linalg.Mat`, and the
+entrywise readers of :class:`~qpslab.liegroup.GroupContext` (``coords``,
+``dual_coords``) sum its :class:`Dual` entries as they sum any ring's.
+
 Vector fields and 1-/2-form families are plain functions of the point that
 must be generic over dual-valued points; all bracket/derivative formulas
 below use constant-coordinate (left-invariant) extensions, with the
@@ -28,11 +35,93 @@ entrywise :func:`qpslab.gspringer.omega_value`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .linalg import Mat, dot
 from .liegroup import GroupContext, bracket
-from .scalars import Dual, QQi
+from .scalars import QQi
+
+
+class Dual:
+    """First-order dual number ``val + dot*eps`` with ``eps**2 = 0``.
+
+    ``val`` and ``dot`` are :class:`QQi` (or duals themselves).  Arithmetic
+    implements the exact product and quotient rules, which is all that first
+    derivatives of rational matrix maps need.
+    """
+
+    __slots__ = ("val", "dot")
+
+    def __init__(self, val, dot=None):
+        self.val = val
+        self.dot = dot if dot is not None else val * 0
+
+    def _lift(self, x):
+        if isinstance(x, Dual):
+            return x
+        if isinstance(x, (QQi, int, Fraction)):
+            return Dual(x, self.val * 0)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Dual(self.val + other.val, self.dot + other.dot)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Dual(self.val - other.val, self.dot - other.dot)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Dual(other.val - self.val, other.dot - self.dot)
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Dual(
+            self.val * other.val,
+            self.val * other.dot + self.dot * other.val,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        v = self.val / other.val
+        return Dual(v, (self.dot - v * other.dot) / other.val)
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __neg__(self):
+        return Dual(-self.val, -self.dot)
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.val == other.val and self.dot == other.dot
+
+    def __hash__(self):
+        return hash((self.val, self.dot))
+
+    def __repr__(self):
+        return f"Dual({self.val!r}, {self.dot!r})"
 
 
 class DualMat:
@@ -271,11 +360,6 @@ def inversion_map(space: Space) -> PointedMap:
     if space.parts != ("g",):
         raise ValueError("inversion map is a single-factor map")
     return PointedMap("inv", space, space, lambda p: (p[0].inverse(),))
-
-
-def differential(f: PointedMap, point: Sequence[Mat], xcoords: Sequence) -> list:
-    """Left-trivialized coordinates of df_p applied to the direction."""
-    return f.differential(point, xcoords)
 
 
 # ---------------------------------------------------------------------------

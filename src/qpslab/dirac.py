@@ -37,7 +37,7 @@ from __future__ import annotations
 from .conventions import ACTIVE
 from .diffcalc import Space, dot_part
 from .liegroup import GroupElement, conjugation_sections, sigma_average
-from .linalg import Mat, Subspace, dot, intersect, kernel, mat_vec, null_vectors
+from .linalg import Mat, Subspace, dot, intersect, kernel, null_vectors
 from .scalars import QQi
 
 
@@ -432,8 +432,7 @@ def cartan_section(ctx, ximat):
     def fn(point):
         gmat = point[0]
         ad = gmat.inverse() @ ximat @ gmat
-        return (ctx.coords(ximat - ad),
-                mat_vec(ctx.gram, ctx.coords(sigma_average(ximat, ad))))
+        return ctx.coords(ximat - ad), ctx.dual_coords(sigma_average(ximat, ad))
 
     return fn
 

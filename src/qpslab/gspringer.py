@@ -285,14 +285,15 @@ def _t_derivative(t: Mat, r: Mat) -> Mat:
     return -(t @ r)
 
 
-def d_omega(ctx: GroupContext, t: Mat, w: Mat, v: Mat):
+def d_omega(ctx: GroupContext, t: Mat, w: Mat, second, v: Mat):
     """d(omega)(x, y, z) from the block form of :func:`omega_matrix`.
 
     ``t`` is T = G Ad_b at the point and ``w`` the omega matrix there, on
-    the double or one of its G x B and G x U slices, whose size gives the
-    second factor's; that factor's coordinates are taken to be the first of
-    the algebra basis, as B's and U's are.  The tangent coordinates x, y, z
-    are the three columns of ``v``.  With constant-coordinate fields,
+    the double or on a slice G x K of it, K a subgroup (P, or its
+    nilradical N); ``second`` is the increasing index list of the second
+    factor's coordinates in the algebra basis, ``range(dim G)`` on the
+    double, and may be empty.  The tangent coordinates x, y, z are the three
+    columns of ``v``.  With constant-coordinate fields,
 
         d(omega)(X, Y, Z) = sum_cyc [ Y' (d_X W) Z - [X, Y]' W Z ].
 
@@ -301,7 +302,8 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, v: Mat):
     T replaced by D = -T R(y_X) and the constant G blocks dropped.  On the
     directions u_j, that form is -s/2 (K[j, l] - K[l, j]) with K = P' D (Q - P),
     the columns of P and Q being the first- and second-factor parts of the
-    directions (the second zero-padded to dim G).  The brackets, blockwise,
+    directions (the second written out in all dim G coordinates, zero off
+    ``second``).  The brackets, blockwise,
     and the columns of R(y_i) (Q - P), R(y) a being coords([a, y]), are all
     read off one n x n product (:meth:`GroupContext.brackets`).
     :func:`~qpslab.diffcalc.d_two_form` of :func:`omega_fn` is the oracle
@@ -309,21 +311,24 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, v: Mat):
     """
     d = ctx.dim_g
     dim = w.rows
-    k = dim - d
     first = v.row_block(0, d)
-    second = v.row_block(d, dim)
-    if k < d:
-        second = second.vstack(Mat.zeros(d - k, 3))
+    # Q: v's rows after the first d at the coordinates ``second``, and the
+    # zero row appended to v at the others
+    at = dict(zip(second, range(d, dim)))
+    q = v.vstack(Mat.zeros(1, 3)).select_rows([at.get(c, dim) for c in range(d)])
     # coords([Y_p, Y_q]) in row 6 p + q, Y_p the columns of P and then Q
-    brackets = ctx.brackets(first.hstack(second))
+    brackets = ctx.brackets(first.hstack(q))
 
     def rows(pairs):
         return brackets.select_rows([6 * p + q for p, q in pairs])
 
     cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    # entry (c, l): omega of the c-th bracket, blockwise, and direction l
-    alg = rows([(i, j) for i, j, _ in cyc]).hstack(
-        rows([(3 + i, 3 + j) for i, j, _ in cyc]).col_block(0, k)) @ w @ v
+    # entry (c, l): omega of the c-th bracket, blockwise, and direction l;
+    # K is a subgroup, so the brackets of Q lie in its coordinates
+    alg = rows([(i, j) for i, j, _ in cyc])
+    if second:
+        alg = alg.hstack(rows([(3 + i, 3 + j) for i, j, _ in cyc]).select_cols(second))
+    alg = alg @ w @ v
     # K = P' D (Q - P) as (P' T) R, R's column 3 i + l being R(q_i) (q_l - p_l)
     order = [(i, l) for i in range(3) for l in range(3)]
     rmat = (rows([(3 + l, 3 + i) for i, l in order])
@@ -337,16 +342,18 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, v: Mat):
     return total
 
 
-def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, dphi: Mat,
-                       rng: SplitMix64, triples: int) -> bool:
+def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, second,
+                       dphi: Mat, rng: SplitMix64, triples: int) -> bool:
     """d(omega) = -(sum of eta) pulled back by ``dphi``, on random triples.
 
     ``t`` and ``w`` are T = G Ad_b and an :func:`omega_matrix` at a point,
+    ``second`` the second factor's algebra index list (:func:`d_omega`),
     and ``dphi`` the differential, on the same tangent coordinates, of the
     map that pulls eta back: its rows are stacked dim G blocks, one
     per factor of the target, and each block carries eta.  The double's A2
-    passes its :func:`phi_differential` (eta (+) eta); the leaf d-identity
-    of :func:`leaf_two_form` passes d(mu) on the slice G x tU.  Each triple
+    passes ``range(dim G)`` and its :func:`phi_differential` (eta (+) eta);
+    the leaf d-identity of :func:`leaf_two_form` passes N's list and d(mu)
+    on the slice G x tN.  Each triple
     is three height-3 direction vectors of ``w``'s size, drawn from ``rng``
     one after another as the columns of one matrix V, built straight into
     integer rows from the drawn pairs (:meth:`Mat.from_pairs`), so the
@@ -366,7 +373,7 @@ def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, dphi: Mat,
         rhs = QQi(0)
         for r in range(0, dphi.rows, d):
             rhs = rhs - ctx.eta(*ctx.algebra_matrices(pushed.row_block(r, r + d)))
-        if d_omega(ctx, t, w, v) != rhs:
+        if d_omega(ctx, t, w, second, v) != rhs:
             return False
     return True
 
@@ -668,7 +675,8 @@ def regact_check(reduction: Reduction) -> dict:
     gens = reduction.vertical
     inter = intersect(gens, kernel(reduction.w.transpose()))
     nil = [i for i, k in enumerate(reduction.sub) if k in reduction.nil]
-    expected = Subspace(gens.ambient_dim, gens.basis.select_cols(nil), canonical=True)
+    expected = (Subspace(gens.ambient_dim, gens.basis.select_cols(nil), canonical=True)
+                if nil else Subspace.zero(gens.ambient_dim))
     ok = inter.dim == len(nil) and inter.equals(expected)
     return {"dim": inter.dim, "expected_dim": len(nil), "passed": ok}
 
@@ -819,7 +827,7 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
 
     red = chart.reduction
     checks["d_identity"] = sampled_d_identity(
-        ctx, red.t, _restrict(red.w, red.leaf_slice),
+        ctx, red.t, _restrict(red.w, red.leaf_slice), red.nil,
         _restrict(red.dphi, range(h), red.leaf_slice), rng, 2)
     checks["passed"] = all(checks.values())
     return form, leaf, checks

@@ -28,7 +28,7 @@ from .conventions import ACTIVE
 from .linalg import Mat, mat_vec
 from .matio import mat_from_json, mat_to_json
 from .prng import SplitMix64
-from .scalars import QQI_ZERO, Dual, QQi
+from .scalars import QQI_ZERO, QQi
 
 GROUPS = {
     "sl2": ("SL", 2),
@@ -97,10 +97,8 @@ class GroupContext:
             + [f"E{i + 1}{j + 1}" for i, j in lower])
 
         self.identity = Mat.identity(n)
-        gram = [
-            [self.form(x, y) for y in self.basis] for x in self.basis
-        ]
-        self.gram = Mat(gram)
+        # the Gram matrix (tr(e_c e_k))_(c, k) is T = G Ad_I
+        self.gram = self.gram_adjoint(self.identity, self.identity)
         self.gram_inv = self.gram.inverse()
 
     # -- names ---------------------------------------------------------------
@@ -118,12 +116,17 @@ class GroupContext:
         """Coordinates of an algebra matrix in the fixed basis, by the
         coordinate readers.
 
-        Works entrywise, so it also accepts matrices of dual scalars.  On SL
-        the representation is faithful exactly on trace-free matrices.
+        Works entrywise, over any ring of scalars, as :meth:`_entry_rows`
+        does.  On SL the representation is faithful exactly on trace-free
+        matrices.
         """
+        return list(_read(self._readers, self._vec(m)))
+
+    def _vec(self, m) -> list:
+        """vec(m): entry (a, b) of the matrix ``m`` at ``a n + b``, read by
+        ``m.entry``."""
         n = self.n
-        return list(_read(self._readers,
-                          [m.entry(a, b) for a in range(n) for b in range(n)]))
+        return [m.entry(a, b) for a in range(n) for b in range(n)]
 
     def mat_from_coords(self, coords) -> Mat:
         """The algebra matrix with these coordinates; the inverse of :meth:`coords`."""
@@ -303,9 +306,11 @@ class GroupContext:
         """
         return self.eta(a, b, c)
 
-    def dual_coords(self, a: Mat) -> list:
-        """Functional coordinates of the covector with algebra coordinate a."""
-        return mat_vec(self.gram, self.coords(a))
+    def dual_coords(self, a) -> list:
+        """Functional coordinates ``(tr(e_c a))_c`` of the covector with
+        algebra coordinate a, by the functional readers; entrywise, as
+        :meth:`coords`.  On the algebra they are ``gram @ coords(a)``."""
+        return list(_read(self._functionals, self._vec(a)))
 
     # -- membership helpers ----------------------------------------------------
 
@@ -360,11 +365,7 @@ def _read(table, x, total=_sum) -> tuple:
 
 
 def _mul_frac(t, frac: Fraction):
-    if frac == 1:
-        return t
-    if isinstance(t, Dual):
-        return Dual(_mul_frac(t.val, frac), _mul_frac(t.dot, frac))
-    return t * frac
+    return t if frac == 1 else t * frac
 
 
 def bracket(x: Mat, y: Mat) -> Mat:
@@ -529,8 +530,8 @@ def sigma_average(a, ad_a):
 
     ``ad_a`` is the adjoint image of ``a`` the caller already has (Ad_{g^-1} a
     for sigma, Ad_g a for its adjoint); factor and sign are the active
-    ``sigma_factor`` and ``sigma_ad_sign``.  Works on matrices of dual
-    scalars too.
+    ``sigma_factor`` and ``sigma_ad_sign``.  Works on any matrix type with
+    ``+``, ``-`` and ``scale``.
     """
     conv = ACTIVE.get()
     both = a + ad_a if conv.sigma_ad_sign == 1 else a - ad_a

@@ -56,20 +56,21 @@ memory of a run.
   :meth:`Mat.row_block`, :meth:`Mat.col_block`, :meth:`Mat.select_rows` and
   :meth:`Mat.select_cols` return integer form directly, without building a
   ``Fraction``; :func:`mat_vec` takes integer dot products with the stored
-  rows.
+  rows, and refuses a vector entry that is not exact.
 * In ``@``, a left row that is at least half zeros (identity blocks, basis
   matrices and basis brackets) is not dotted with every column: its output
   row is the same combination of the right operand's rows at its non-zero
   entries (:func:`_row_combination`).  The other rows keep the dot products.
-* :func:`rank` and :meth:`Mat.det` run Bareiss fraction-free elimination
-  (Bareiss, Math. Comp. 22, 1968) on the integer rows; its divisions are
-  exact in any integral domain, the Gaussian integers included.
-* :func:`rref` and :meth:`Mat.inverse`, for every size, run its
-  Gauss-Jordan form (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997),
-  whose divisions are exact; pivot row ``i`` of the result is that row over
-  its pivot, reduced by the row gcd.  :func:`solve_unique`,
-  :class:`Subspace` and :func:`null_vectors` sit on :func:`rref` and read
-  its integer rows.
+* One elimination runs on the integer rows: :func:`_rref_int`, the
+  Gauss-Jordan form (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997) of
+  Bareiss fraction-free elimination (Bareiss, Math. Comp. 22, 1968), whose
+  divisions are exact in any integral domain, the Gaussian integers
+  included.  It returns the pivots and the determinant, the last pivot
+  signed by the row swaps.  :func:`rank` reads the pivot count and
+  :meth:`Mat.det` the determinant; in :func:`rref` and
+  :meth:`Mat.inverse` pivot row ``i`` of the result is that row over its
+  pivot, reduced by the row gcd.  :func:`solve_unique`, :class:`Subspace`
+  and :func:`null_vectors` sit on :func:`rref` and read its integer rows.
 * :func:`null_vectors` reads a basis of the null space off one rref,
   without canonicalizing it.  :func:`kernel` is the canonical
   :class:`Subspace` of those vectors (a second rref).  Callers whose result
@@ -92,13 +93,6 @@ That elimination over :class:`QQi`, which non-real matrices once took, is
 kept in the tests (``tests/qqi_oracle.py``) as the oracle of the
 differential tests.
 
-A vector of first-order ``Dual`` numbers over :class:`QQi` (a section
-evaluated at a dual point) reaches :func:`mat_vec`; it is split into its
-value and derivative parts, and both run on the integer kernel, since
-``M (v + eps w) = M v + eps M w``.  Nested or mixed dual vectors, which
-only the oracles of :mod:`qpslab.diffcalc` build, take dot products of the
-entries (:func:`dot`).
-
 Conventions: a :class:`Subspace` stores a basis matrix whose *columns* are
 the basis vectors, canonicalized by reduced row echelon form of the
 transpose, so equal subspaces print identically.  Containment and equality
@@ -120,7 +114,7 @@ from math import gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .scalars import QQI_ZERO, Dual, QQi, ZZi, zzi
+from .scalars import QQI_ZERO, QQi, ZZi, zzi
 
 # the values of a campaign's backend setting; only diagram-gs takes FLOAT
 EXACT = "exact"
@@ -386,8 +380,7 @@ class Mat:
         if self.rows != self.cols:
             raise LinAlgError("determinant of non-square matrix")
         ints = self._ints
-        rk, det = _bareiss([r for r, _ in ints])
-        return _entry(det if rk == self.rows else 0, prod(d for _, d in ints))
+        return _entry(_rref_int([r for r, _ in ints])[1], prod(d for _, d in ints))
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -396,7 +389,7 @@ class Mat:
         # A = D^-1 N with D the row denominators, so rref [N | D] = [I | A^-1]
         aug = [r + [d if j == i else 0 for j in range(n)]
                for i, (r, d) in enumerate(self._ints)]
-        if _rref_int(aug) != list(range(n)):
+        if _rref_int(aug)[0] != list(range(n)):
             raise LinAlgError("singular matrix")
         return Mat._from_ints(
             [_canon(r[n:], r[i]) for i, r in enumerate(aug)], n
@@ -428,20 +421,13 @@ def dot(a: Sequence, b: Sequence):
 
 
 def mat_vec(m: Mat, v: Sequence) -> list:
-    """``m v``: integer dot products with the rows of ``v``, or of the value
-    and derivative parts of a vector of first-order duals."""
+    """``m v``: integer dot products with the rows of ``m``.  An entry of
+    ``v`` that is not exact (``int``, ``Fraction`` or :class:`QQi`) raises
+    ``TypeError``, as in ``Mat(...)``."""
     if m.cols != len(v):
         raise LinAlgError("matrix/vector size mismatch")
-    if all(isinstance(x, QQi) for x in v):
-        parts = [v]
-    elif all(isinstance(x, Dual) and isinstance(x.val, QQi) and isinstance(x.dot, QQi)
-             for x in v):
-        parts = [[x.val for x in v], [x.dot for x in v]]
-    else:  # nested or mixed duals
-        return [dot(r, v) for r in m.data]
-    out = [[_entry(sum(map(mul, r, cv)), d * dv) for r, d in m._ints]
-           for cv, dv in map(_gaussian_row, parts)]
-    return out[0] if len(out) == 1 else [Dual(a, b) for a, b in zip(*out)]
+    cv, dv = _gaussian_row([_coerce_entry(x) for x in v])
+    return [_entry(sum(map(mul, r, cv)), d * dv) for r, d in m._ints]
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +583,21 @@ def _entry(num, den: int) -> QQi:
     return QQi(Fraction(num.re, den), Fraction(num.im, den))
 
 
-def _bareiss(rows: list[list]) -> tuple:
-    """Fraction-free elimination over the (Gaussian) integers, in place
-    (exact divisions).
+def _rref_int(rows: list[list]) -> tuple:
+    """Fraction-free Gauss-Jordan elimination, in place; returns the pivots
+    and the determinant.
 
-    Returns ``(rank, det)``; ``det`` is the determinant when the matrix is
-    square and of full rank.
+    Each step replaces every row but the pivot row by ``(pc * row - f *
+    pivot_row) / prev``, ``prev`` being the previous pivot; the division is
+    exact, as in Bareiss elimination.  Row ``i`` of the result, divided by its
+    entry in pivot column ``i``, is row ``i`` of the reduced row echelon
+    form; the rows after the last pivot are zero.  As in Bareiss
+    elimination, each pivot is the leading minor of its order of the row
+    swapped matrix, so when every row holds a pivot the last one, signed by
+    the swaps, is the determinant of a square matrix; it is 0 otherwise.
     """
-    nr, nc = len(rows), len(rows[0])
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    pivots = []
     prev = 1
     sign = 1
     r = 0
@@ -619,38 +612,6 @@ def _bareiss(rows: list[list]) -> tuple:
             sign = -sign
         pr = rows[r]
         pc = pr[c]
-        for i in range(r + 1, nr):
-            ri = rows[i]
-            f = ri[c]
-            if f or any(ri[c:]):
-                rows[i] = [(pc * a - f * b) // prev for a, b in zip(ri, pr)]
-        prev = pc
-        r += 1
-    return r, sign * prev
-
-
-def _rref_int(rows: list[list]) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination, in place; returns the pivots.
-
-    Each step replaces every row but the pivot row by ``(pc * row - f *
-    pivot_row) / prev``, ``prev`` being the previous pivot; the division is
-    exact, as in Bareiss elimination.  Row ``i`` of the result, divided by its
-    entry in pivot column ``i``, is row ``i`` of the reduced row echelon
-    form; the rows after the last pivot are zero.
-    """
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        piv = next((i for i in range(r, nr) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        pc = pr[c]
         for i in range(nr):
             if i == r:
                 continue
@@ -663,7 +624,7 @@ def _rref_int(rows: list[list]) -> list[int]:
         prev = pc
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, sign * prev if r == nr else 0
 
 
 # ---------------------------------------------------------------------------
@@ -671,16 +632,14 @@ def _rref_int(rows: list[list]) -> list[int]:
 
 
 def rank(m: Mat) -> int:
-    """Rank by Bareiss fraction-free elimination on the integer rows."""
-    if m.cols == 0 or m.rows == 0:
-        return 0
-    return _bareiss([r for r, _ in m._ints])[0]
+    """Rank: the pivot count of :func:`_rref_int` on the integer rows."""
+    return len(_rref_int([r for r, _ in m._ints])[0])
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form with pivot column list."""
     rows = [r for r, _ in m._ints]
-    pivots = _rref_int(rows)
+    pivots, _ = _rref_int(rows)
     zero = ([0] * m.cols, 1)
     return Mat._from_ints([
         _canon(rows[i], rows[i][pivots[i]]) if i < len(pivots) else zero

@@ -1,14 +1,12 @@
-"""Exact scalars: Gaussian rationals and first-order duals over them.
+"""Exact scalars: Gaussian rationals and Gaussian integers.
 
 Every geometric predicate in this package eventually reduces to arithmetic
 here.  :class:`QQi` stores a pair of ``Fraction``s and is error-free, so rank
 and equality decisions made over it are unconditional.  :class:`ZZi`, a
 non-real Gaussian integer, is the numerator of a non-real entry in the
-integer rows of :mod:`qpslab.linalg`.  :class:`Dual`
-numbers carry a first-order infinitesimal part and drive the forward-mode
-differentiation in :mod:`qpslab.diffcalc`; their product rule is exact.
-The one float check, the Weyl-fiber enumeration, uses numpy's complex128
-arrays instead (see :mod:`qpslab.gspringer`).
+integer rows of :mod:`qpslab.linalg`.  The one float check, the Weyl-fiber
+enumeration, uses numpy's complex128 arrays instead (see
+:mod:`qpslab.gspringer`).
 """
 
 from __future__ import annotations
@@ -221,84 +219,3 @@ def _exact(re: int, im: int, n: int):
     if r or s:
         raise ArithmeticError(f"({re} + {im}i) / {n} is not a Gaussian integer")
     return zzi(a, b)
-
-
-class Dual:
-    """First-order dual number ``val + dot*eps`` with ``eps**2 = 0``.
-
-    ``val`` and ``dot`` are :class:`QQi` (or duals themselves).  Arithmetic
-    implements the exact product and quotient
-    rules, which is all that first derivatives of rational matrix maps need.
-    """
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val, dot=None):
-        self.val = val
-        self.dot = dot if dot is not None else val * 0
-
-    def _lift(self, x):
-        if isinstance(x, Dual):
-            return x
-        if isinstance(x, (QQi, *_EXACT_COERCIBLE)):
-            return Dual(x, self.val * 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dual(self.val + other.val, self.dot + other.dot)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dual(self.val - other.val, self.dot - other.dot)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dual(other.val - self.val, other.dot - self.dot)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dual(
-            self.val * other.val,
-            self.val * other.dot + self.dot * other.val,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        v = self.val / other.val
-        return Dual(v, (self.dot - v * other.dot) / other.val)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.val == other.val and self.dot == other.dot
-
-    def __hash__(self):
-        return hash((self.val, self.dot))
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.dot!r})"

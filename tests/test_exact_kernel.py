@@ -32,7 +32,7 @@ from qpslab.liegroup import GROUPS, context, random_point
 from qpslab.linalg import (LinAlgError, Mat, Subspace, kernel, mat_vec, rank, rref,
                            solve_unique)
 from qpslab.prng import SplitMix64
-from qpslab.scalars import Dual, QQi, ZZi
+from qpslab.scalars import QQi, ZZi
 
 
 @contextmanager
@@ -309,49 +309,6 @@ def test_gaussian_entry_runs_on_the_integer_rows():
     assert_canonical(sq.inverse())
 
 
-def test_dual_vector_splits_into_value_and_derivative():
-    m = Mat([[QQi(1), QQi(2)], [QQi(Fraction(1, 3)), QQi(0)]])
-    v = [Dual(QQi(1), QQi(2)), Dual(QQi(3), QQi(0))]
-    with mock.patch.object(linalg, "dot", wraps=linalg.dot) as spy:
-        out = mat_vec(m, v)
-    assert not spy.called
-    assert out == [Dual(QQi(7), QQi(2)), Dual(QQi(Fraction(1, 3)), QQi(Fraction(2, 3)))]
-
-
-def dual_entry(rnd, kind):
-    """One entry of a vector of the given kind (see test_dual_mat_vec_matches_qqi)."""
-    def q():
-        return QQi(rational(rnd, rnd.choice((3, 64)), rnd.choice((1, 16, 2**62))))
-
-    if kind == "mixed" and rnd.random() < 0.4:
-        return q()
-    if kind == "nested" and rnd.random() < 0.4:
-        return Dual(Dual(q(), q()), Dual(q(), q()))
-    if kind == "nonreal" and rnd.random() < 0.4:
-        return Dual(q() + QQi(0, rational(rnd, 3, 4)), q())
-    return Dual(q(), q())
-
-
-@SETTINGS
-@given(matrices(max_dim=12), st.sampled_from(("dual", "mixed", "nested", "nonreal")))
-def test_dual_mat_vec_matches_qqi(case, kind):
-    # a vector of first-order duals, real or not, is split into two
-    # vectors on the integer rows; mixed and nested vectors take the dot
-    # products of the entries
-    m, seed = case
-    rnd = random.Random(seed + 3)
-    v = [dual_entry(rnd, kind) for _ in range(m.cols)]
-    with mock.patch.object(linalg, "dot", wraps=linalg.dot) as spy:
-        got = mat_vec(m, v)
-    want = qqi_oracle._mat_vec_qqi(m, v)
-    assert got == want
-    assert [repr(x) for x in got] == [repr(x) for x in want]
-    real = all(isinstance(x, QQi) for x in v)
-    split = all(isinstance(x, Dual) and isinstance(x.val, QQi) and
-                isinstance(x.dot, QQi) for x in v)
-    assert spy.called != (real or split)
-
-
 def fresh(m: Mat) -> Mat:
     """``m`` rebuilt in integer form, with no entry built yet."""
     out = Mat._from_ints([linalg._gaussian_row(r) for r in m.data], m.cols)
@@ -591,7 +548,7 @@ def test_containment_runs_no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("containment ran an elimination")
 
-    for name in ("rank", "rref", "_bareiss", "_rref_int"):
+    for name in ("rank", "rref", "_rref_int"):
         monkeypatch.setattr(linalg, name, refuse)
     verdicts = []
     for a in subs:

@@ -613,9 +613,9 @@ def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
     seen = []
     d_omega = gspringer.d_omega
 
-    def spy(ctx, t, w, v):
+    def spy(ctx, t, w, second, v):
         seen.append((v, rng.state))
-        return d_omega(ctx, t, w, v)
+        return d_omega(ctx, t, w, second, v)
 
     monkeypatch.setattr(gspringer, "d_omega", spy)
     for name in ("sl2", "gl3"):
@@ -625,7 +625,8 @@ def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
         w = omega_matrix(ctx, t)
         rng, shadow = SplitMix64(77), SplitMix64(77)
         seen.clear()
-        assert gspringer.sampled_d_identity(ctx, t, w, phi_differential(a, b), rng, 3)
+        assert gspringer.sampled_d_identity(ctx, t, w, range(ctx.dim_g),
+                                            phi_differential(a, b), rng, 3)
         assert len(seen) == 3
         for v, state in seen:
             want = Mat.from_columns(

@@ -61,7 +61,8 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
                         for _ in range(3)]
                 want = d_two_form(omega_fn(ctx, space), space, (a.m, b.m), *dirs)
                 v = Mat.from_columns(dirs, space.dim)
-                assert d_omega(ctx, t, w, v) == want, space.parts
+                second = ctx.sub_indices(space.parts[1])
+                assert d_omega(ctx, t, w, second, v) == want, space.parts
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -227,7 +228,7 @@ def test_theorem1_induced_action_witness_is_the_first_failing_index(conv):
 # the sampled d-identity and the float conversion against the QQi routes
 
 
-def qqi_d_identity(ctx, t, w, dphi, rng, triples):
+def qqi_d_identity(ctx, t, w, second, dphi, rng, triples):
     """:func:`sampled_d_identity` as it was: each direction drawn as a list
     of :class:`QQi`, pushed by its own ``mat_vec``, and eta's matrices built
     by ``mat_from_coords``."""
@@ -238,30 +239,30 @@ def qqi_d_identity(ctx, t, w, dphi, rng, triples):
         rhs = QQi(0)
         for r in range(0, dphi.rows, d):
             rhs = rhs - ctx.eta(*(ctx.mat_from_coords(p[r:r + d]) for p in pushed))
-        if d_omega(ctx, t, w, Mat.from_columns(dirs, w.rows)) != rhs:
+        if d_omega(ctx, t, w, second, Mat.from_columns(dirs, w.rows)) != rhs:
             return False
     return True
 
 
 def _d_identity_inputs(ctx, rng):
-    """(t, w, dphi) of A2 on G x G at two double points, then of the leaf
-    d-identity on G x U at two quotient points."""
+    """(t, w, second, dphi) of A2 on G x G at two double points, then of
+    the leaf d-identity on G x U at two quotient points."""
     for _ in range(2):
         a, b = sample_double(ctx, rng)
         t = ctx.gram_adjoint(b.m, b.inv)
-        yield t, omega_matrix(ctx, t), phi_differential(a, b)
+        yield t, omega_matrix(ctx, t), range(ctx.dim_g), phi_differential(a, b)
     k = ctx.dim_g + ctx.dim_u
     for pt in gspoint_stream(ctx, rng, 2):
         red = borel_reduction(pt)
-        yield red.t, leading(red.w, k), leading(red.dphi, ctx.dim_g, k)
+        yield red.t, leading(red.w, k), red.nil, leading(red.dphi, ctx.dim_g, k)
 
 
-def _same_d_identity(ctx, t, w, dphi, seed):
+def _same_d_identity(ctx, t, w, second, dphi, seed):
     """Both routes on one input: the same verdict, and the same stream
     state afterwards; returns the verdict."""
     new, old = SplitMix64(seed), SplitMix64(seed)
-    verdict = sampled_d_identity(ctx, t, w, dphi, new, 2)
-    assert verdict == qqi_d_identity(ctx, t, w, dphi, old, 2)
+    verdict = sampled_d_identity(ctx, t, w, second, dphi, new, 2)
+    assert verdict == qqi_d_identity(ctx, t, w, second, dphi, old, 2)
     assert new.state == old.state
     return verdict
 
@@ -287,14 +288,14 @@ def test_sampled_d_identity_on_non_real_points():
     assert any(x.im for r in t.data for x in r)
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
-            assert _same_d_identity(ctx, t, omega_matrix(ctx, t),
+            assert _same_d_identity(ctx, t, omega_matrix(ctx, t), range(ctx.dim_g),
                                     phi_differential(a, b), 7) == (conv is FROZEN)
     # the pinned eval leaf-form point of test_gspringer, b = [[i, 3/2], [0, -i]]
     red = borel_reduction(GSPoint.from_json({
         "group": "sl2", "g": {"rows": 2, "cols": 2, "entries": [1, 0, 2, 1]},
         "b": {"rows": 2, "cols": 2, "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}))
     k = ctx.dim_g + ctx.dim_u
-    assert _same_d_identity(ctx, red.t, leading(red.w, k),
+    assert _same_d_identity(ctx, red.t, leading(red.w, k), red.nil,
                             leading(red.dphi, ctx.dim_g, k), 0x1EAF)
 
 

@@ -15,7 +15,7 @@ from qpslab.liegroup import (Ad, AlgebraElement, Covector, GroupContext,
                              borel_decompose, chevalley, context, random_algebra,
                              random_point, rho_adjoint, sigma, sigma_adjoint,
                              conj_field)
-from qpslab.linalg import Mat, Subspace, annihilator, rank
+from qpslab.linalg import Mat, Subspace, annihilator, mat_vec, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -259,6 +259,27 @@ def test_gram_nondegenerate():
         assert rank(ctx.gram) == ctx.dim_g
 
 
+def test_gram_is_the_trace_form_on_the_basis():
+    # the Gram matrix is read off the basis tables as T = G Ad_I; the d^2
+    # trace products are its oracle
+    for name in liegroup.GROUPS:
+        ctx = context(name)
+        assert ctx.gram == Mat([[ctx.form(x, y) for y in ctx.basis] for x in ctx.basis])
+
+
+def test_dual_coords_are_the_trace_form_functionals():
+    # dual_coords reads tr(e_c a) off the functional readers; the trace
+    # products with the basis, and the Gram matrix times the coordinates,
+    # are its oracles on the algebra
+    rng = SplitMix64(30)
+    for name in liegroup.GROUPS:
+        ctx = context(name)
+        for _ in range(3):
+            a = liegroup.random_algebra(ctx, rng).m
+            want = [ctx.form(e, a) for e in ctx.basis]
+            assert ctx.dual_coords(a) == want == mat_vec(ctx.gram, ctx.coords(a))
+
+
 def test_gram_symmetric():
     # the double's A4 compares one block of the pulled-back form per draw;
     # the other three follow from it because the Gram matrix is symmetric
@@ -362,11 +383,12 @@ def test_mat_from_coords_scatters_the_basis_sum():
 
 
 def per_pair_brackets(ctx, v):
-    """coords([Y_p, Y_q]) and gram coords([Y_p, Y_q]) in row p k + q, one
-    matrix bracket at a time: the oracle for GroupContext.brackets."""
+    """coords([Y_p, Y_q]) and the trace products (tr(e_c [Y_p, Y_q]))_c in
+    row p k + q, one matrix bracket at a time: the oracle for
+    GroupContext.brackets and brackets_and_functionals."""
     ys = [ctx.mat_from_coords(v.col(p)) for p in range(v.cols)]
     rows = [ctx.coords(liegroup.bracket(x, y)) for x in ys for y in ys]
-    return Mat(rows), Mat([ctx.dual_coords(liegroup.bracket(x, y))
+    return Mat(rows), Mat([[ctx.form(e, liegroup.bracket(x, y)) for e in ctx.basis]
                            for x in ys for y in ys])
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import qpslab
+from qpslab.diffcalc import Dual
 from qpslab.linalg import (LinAlgError, Mat, Subspace, annihilator,
                            intersect, kernel, mat_vec, rank, rref,
                            solve_columns, solve_unique)
@@ -120,6 +121,16 @@ def test_float_backend_is_confined():
         Subspace.from_vectors([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 3)
     with pytest.raises(TypeError):
         solve_unique(M([[2, 1, 0], [1, 3, 1], [0, 1, 4]]), [1.0, 0.0, 0.0])
+
+
+def test_mat_vec_takes_exact_entries_only():
+    # one body of integer dot products: an entry that is neither an int, a
+    # Fraction nor a QQi is refused, a dual number as a float is
+    m = M([[1, 2], [3, 4]])
+    assert mat_vec(m, [1, QQi(Fraction(1, 2))]) == [QQi(2), QQi(5)]
+    for bad in (0.5, Dual(QQi(1), QQi(0))):
+        with pytest.raises(TypeError):
+            mat_vec(m, [QQi(1), bad])
 
 
 def test_scale_takes_exact_scalars_only():

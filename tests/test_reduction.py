@@ -10,7 +10,11 @@
   pushed forward by it is the Cartan-Dirac structure at g p g^-1; its
   leaves are the conjugacy classes, of dimension dim G - rank at a regular
   point.  Under the convention corruptions that break gs-theorem1's
-  forward-Dirac record, this one breaks too.
+  forward-Dirac record, this one breaks too.  N = 0 there: the leaf form
+  and regact run with an empty nilradical.
+* P = B^T, the lower Borel, whose coordinates are no prefix of the algebra
+  basis: the leaf form's checks, d-identity included, and regact pass, so
+  no check assumes where P's coordinates sit.
 """
 
 import pytest
@@ -19,8 +23,8 @@ from qpslab.campaigns import CLI_GROUPS
 from qpslab.conventions import CORRUPTIONS, using
 from qpslab.dirac import cartan_dirac, is_lagrangian, pushforward_linear
 from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart, Reduction,
-                              borel_reduction, gspoint_stream, phi, theorem1_check,
-                              theorem2_check)
+                              borel_reduction, gspoint_stream, leaf_two_form, phi,
+                              regact_check, theorem1_check, theorem2_check)
 from qpslab.liegroup import GROUPS, GroupElement, context, random_point
 from qpslab.linalg import rank
 from qpslab.prng import SplitMix64
@@ -112,3 +116,55 @@ def test_the_group_reduction_sees_the_corruptions_gs_theorem1_sees(group, corrup
         verdicts = [theorem1_check(QuotientChart(red))["f_dirac"]
                     for red in group_reductions(ctx, 402)]
     assert verdicts == [corrupt == "dorfman-eta"] * 3
+
+
+def leaf_checks(reductions, seed: int) -> list[dict]:
+    """The checks of :func:`leaf_two_form` at each reduction, its d-identity
+    drawing from one stream."""
+    rng = SplitMix64(seed)
+    return [leaf_two_form(QuotientChart(red), rng)[2] for red in reductions]
+
+
+@pytest.mark.parametrize("group", CLI_GROUPS)
+def test_the_group_reduction_has_a_leaf_form_and_no_nilradical(group):
+    # N = 0: the leaf slice is G x 0 and regact's expected intersection is 0
+    ctx = context(group)
+    for red in group_reductions(ctx, 402):
+        res = regact_check(red)
+        assert res["passed"] and res["dim"] == res["expected_dim"] == 0
+    assert all(c["passed"] for c in leaf_checks(group_reductions(ctx, 402), 404))
+    # the sign of omega is seen by the moment identity, as in gs-theorem2
+    with using(CORRUPTIONS["omega-sign"]):
+        checks = leaf_checks(group_reductions(ctx, 402), 404)
+    assert [c["moment_identity"] for c in checks] == [False] * 3
+    assert all(c["graphical"] and c["skew"] for c in checks)
+
+
+def lower_borel_reductions(ctx, seed: int):
+    """Reductions along G x B^T at three random (g, p), p lower triangular:
+    P's coordinates are the torus's and the lower triangle's, the last
+    dim B of the basis, and N's the last dim U."""
+    rng = SplitMix64(seed)
+    for _ in range(3):
+        g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
+        yield Reduction(g, GroupElement(ctx, b.m.transpose()),
+                        range(ctx.dim_u, ctx.dim_g), range(ctx.dim_b, ctx.dim_g))
+
+
+@pytest.mark.parametrize("group", CLI_GROUPS)
+def test_the_lower_borel_reduction_passes_the_quotient_checks(group):
+    ctx = context(group)
+    for red in lower_borel_reductions(ctx, 403):
+        assert red.leaf_slice == [*range(ctx.dim_g), *range(ctx.dim_g + ctx.dim_t,
+                                                           ctx.dim_g + ctx.dim_b)]
+        chart = QuotientChart(red)
+        assert theorem1_check(chart)["passed"] and theorem2_check(chart)["passed"]
+        res = regact_check(red)
+        assert res["passed"] and res["dim"] == ctx.dim_u
+    checks = leaf_checks(lower_borel_reductions(ctx, 403), 405)
+    assert all(c["passed"] for c in checks)
+    # the d-identity sees the sign of omega where it is not 0 = 0: at n = 2
+    # both sides vanish on the slice G x N
+    with using(CORRUPTIONS["omega-sign"]):
+        checks = leaf_checks(lower_borel_reductions(ctx, 403), 405)
+    assert [c["d_identity"] for c in checks] == [ctx.n == 2] * 3

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from qpslab.diffcalc import Dual
 from qpslab.linalg import Mat
-from qpslab.scalars import Dual, QQi, ZZi, zzi
+from qpslab.scalars import QQi, ZZi, zzi
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
