@@ -51,10 +51,10 @@ def closure_holds(ctx, samples, rng) -> bool:
         g = random_point(ctx, "G", rng)
         xi = random_algebra(ctx, rng)
         ze = random_algebra(ctx, rng)
-        s1 = cartan_section(ctx, xi.m)
-        s2 = cartan_section(ctx, ze.m)
+        s1 = cartan_section(ctx, xi)
+        s2 = cartan_section(ctx, ze)
         tangent, cov = dorfman(s1, s2, eta3, space, (g.m,))
-        br = xi.m @ ze.m - ze.m @ xi.m
+        br = xi @ ze - ze @ xi
         target = cartan_section(ctx, br)((g.m,))
         if tangent != target[0] or cov != target[1]:
             return False

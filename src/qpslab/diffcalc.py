@@ -223,26 +223,42 @@ class Space:
     """Product of subgroup factors; tangent model is the matching subalgebras.
 
     ``parts`` entries are subalgebra tags: "g" (all of G), "b" (Borel),
-    "t" (torus), "u" (unipotent radical).
+    "t" (torus), "u" (unipotent radical).  :meth:`indices` resolves a tag to
+    the context's basis indices, and every other method reads them there.
     """
 
     ctx: GroupContext
     parts: tuple[str, ...]
 
+    def indices(self, part: str) -> tuple:
+        """The basis indices of the subalgebra tagged ``part``."""
+        ctx = self.ctx
+        if part == "g":
+            return tuple(range(ctx.dim_g))
+        layout = {"b": ctx.borel, "t": ctx.torus, "u": ctx.unipotent}
+        if part not in layout:
+            raise ValueError(f"unknown subalgebra {part!r}")
+        return layout[part]
+
     @property
     def dim(self) -> int:
-        return sum(self.ctx.part_dim(p) for p in self.parts)
+        return sum(len(self.indices(p)) for p in self.parts)
 
     def slices(self) -> list[slice]:
         out, k = [], 0
         for p in self.parts:
-            d = self.ctx.part_dim(p)
+            d = len(self.indices(p))
             out.append(slice(k, k + d))
             k += d
         return out
 
     def split(self, coords: Sequence) -> list[list]:
         return [list(coords[s]) for s in self.slices()]
+
+    def factor_coords(self, part: str, m) -> list:
+        """The coordinates of the algebra matrix ``m`` on the part's indices."""
+        full = self.ctx.coords(m)
+        return [full[i] for i in self.indices(part)]
 
     def part_matrix(self, part: str, coords: Sequence):
         coords = list(coords)
@@ -253,7 +269,9 @@ class Space:
             dots = [c.dot if isinstance(c, Dual) else c * 0 for c in coords]
             return DualMat(self.part_matrix(part, vals),
                            self.part_matrix(part, dots))
-        full = self.ctx.embed_part_coords(part, coords)
+        full = [QQi(0)] * self.ctx.dim_g
+        for i, c in zip(self.indices(part), coords, strict=True):
+            full[i] = c
         return self.ctx.mat_from_coords(full)
 
     def matrices(self, coords: Sequence) -> list[Mat]:
@@ -271,10 +289,7 @@ class Space:
         out = []
         for part, comp in zip(self.parts, image):
             comp = _lift(comp)
-            coord_mat = comp.val.inverse() @ comp.dot
-            coords = self.ctx.coords(coord_mat)
-            idx = self.ctx.sub_indices(part)
-            out.extend(coords[i] for i in idx)
+            out.extend(self.factor_coords(part, comp.val.inverse() @ comp.dot))
         return out
 
     def basis_directions(self) -> list[list[QQi]]:
@@ -289,9 +304,8 @@ class Space:
         """
         out = []
         for part, m in zip(self.parts, mats):
-            coords = self.ctx.part_coords(part, m)
-            full = self.ctx.embed_part_coords(part, coords)
-            if self.ctx.mat_from_coords(full) != m:
+            coords = self.factor_coords(part, m)
+            if self.part_matrix(part, coords) != m:
                 raise ValueError(f"direction is not tangent to the {part!r} factor")
             out.extend(coords)
         return out
@@ -301,7 +315,7 @@ class Space:
         out = []
         for part, xc, yc in zip(self.parts, self.split(x), self.split(y)):
             bm = bracket(self.part_matrix(part, xc), self.part_matrix(part, yc))
-            out.extend(self.ctx.part_coords(part, bm))
+            out.extend(self.factor_coords(part, bm))
         return out
 
 

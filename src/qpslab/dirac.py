@@ -8,7 +8,7 @@ matrix, and a section is a function of the point.  Tangent vectors are
 left-trivialized coordinate columns; covectors are *functional* coordinates
 on the same basis (so the canonical symmetric pairing is a plain dot-product
 flip, and no metric is needed where the restricted trace form would be
-degenerate).  Covectors handed over as algebra elements are converted
+degenerate).  A covector handed over as an algebra matrix is converted
 through the context's Gram matrix.
 
 A fiber stores the canonical basis of its span.  The transports
@@ -73,20 +73,16 @@ class DiracFiber(Subspace):
 # the symmetric pairing and Lagrangian tests
 
 
-def pairing(e1, e2, ctx=None):
+def pairing(ctx, e1, e2):
     """The canonical symmetric pairing <(X,a),(Y,b)> = a(Y) + b(X).
 
-    Arguments are pairs (tangent, covector).  Pairs of algebra elements are
-    paired through the invariant form (the metric identification of covector
-    coordinates); pairs of coordinate sequences are paired directly, with
-    the covector slots holding functional coordinates.
+    Arguments are pairs (tangent, covector) of algebra matrices, paired
+    through the invariant form (the metric identification of covector
+    coordinates).
     """
     x, a = e1
     y, b = e2
-    if hasattr(x, "m"):
-        c = ctx or x.ctx
-        return c.form(a.m, y.m) + c.form(b.m, x.m)
-    return dot(list(a), list(y)) + dot(list(b), list(x))
+    return ctx.form(a, y) + ctx.form(b, x)
 
 
 def pairing_gram(fiber: DiracFiber) -> Mat:

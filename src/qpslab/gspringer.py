@@ -28,9 +28,9 @@ matrices are built, each in one place and on the double only: the form
 index lists of its coordinates and of its nilradical N's in the algebra
 basis, and every G x P or G x N quantity is the block of one of the three
 that those lists select.  P = B with N = U is the one constructor
-(:func:`borel_reduction`), and the only code here that reads where the
-Borel and unipotent coordinates sit in the basis; no other function takes
-a subgroup tag or does dimension arithmetic on P.
+(:func:`borel_reduction`), and the only code here that reads the context's
+``borel`` and ``unipotent`` index tuples; no other function takes a
+subgroup tag or does dimension arithmetic on P.
 
 omega depends on the point only through T = G Ad_b, so its matrix and its
 exterior derivative (:func:`d_omega`) are closed block forms on the integer
@@ -80,10 +80,9 @@ from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                     is_skew, pushforward_linear)
-from .liegroup import (AlgebraElement, GroupContext, GroupElement, chevalley,
-                       conjugation_sections, group_of_json, random_point,
-                       read_element, reciprocal_product, sigma, sigma_average,
-                       torus_part, _mul_frac)
+from .liegroup import (GroupContext, GroupElement, chevalley, conjugation_sections,
+                       group_of_json, random_point, read_element, reciprocal_product,
+                       sigma, sigma_average, torus_part, _mul_frac)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
                      rref, solve_columns)
 from .matio import _exact_part, entry_pairs, mat_to_json
@@ -425,8 +424,7 @@ def moment_condition_check(a: GroupElement, b: GroupElement, w: Mat,
     g1, g2 = phi(a, b)
     for xi1, xi2 in generators:
         lhs = mat_vec(wt, rho_double(a, b, xi1, xi2))
-        dual = (sigma(g1, AlgebraElement(ctx, xi1, check=False)).dual_coords()
-                + sigma(g2, AlgebraElement(ctx, xi2, check=False)).dual_coords())
+        dual = ctx.dual_coords(sigma(g1, xi1)) + ctx.dual_coords(sigma(g2, xi2))
         if lhs != mat_vec(dphit, dual):
             return False
     return True
@@ -495,12 +493,11 @@ class Reduction:
 def borel_reduction(point: GSPoint) -> Reduction:
     """The reduction along G x B at the representative (g, b) of a point.
 
-    The algebra basis lists the upper triangle first and the torus next, so
-    B's coordinates are the first dim B and U's the first dim U.  This is
-    the one place that says so.
+    B's and U's coordinates are the context's ``borel`` and ``unipotent``
+    index tuples; this is the one quotient function that reads them.
     """
     ctx = point.ctx
-    return Reduction(point.g, point.b, range(ctx.dim_b), range(ctx.dim_u))
+    return Reduction(point.g, point.b, ctx.borel, ctx.unipotent)
 
 
 class QuotientChart:
@@ -595,7 +592,8 @@ def quotient_fiber(chart: QuotientChart) -> DiracFiber:
 
 
 def mu(p: GSPoint) -> GroupElement:
-    return GroupElement(p.ctx, p.g.m @ p.b.m @ p.g.inv, check=False)
+    """The moment map of the quotient, g b g^-1: the first factor of :func:`phi`."""
+    return phi(p.g, p.b)[0]
 
 
 def lam(p: GSPoint) -> GroupElement:

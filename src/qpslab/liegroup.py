@@ -7,14 +7,18 @@ torus/unipotent splitting.  Everything downstream works in left-trivialized
 coordinates: a tangent vector at ``g`` is the algebra element ``g^{-1} X``,
 a covector is the algebra element pairing against it through the form.
 
-Basis order matters and is relied on throughout: first the strictly upper
-entries (the nilpotent radical), then the torus directions, then the
-strictly lower entries, so that the Borel subalgebra occupies a coordinate
-prefix of the algebra coordinates.  The basis is stated once, as the tables
-of ``GroupContext.__init__``: its terms as sums of matrix units, its
-coordinate readers and its functional readers, each a signed sum of entries
-of vec(X).  Every coordinate read and write, the closed forms of Ad,
-G Ad, the commutator and the brackets among them, goes through those tables.
+The values are plain data.  An algebra element, and a tangent vector or a
+covector in left-trivialized coordinates, is its n x n matrix, and nothing
+carries a base point; a subalgebra is a tuple of basis indices.
+
+The basis lists the strictly upper entries (the nilpotent radical) first,
+then the torus directions, then the strictly lower entries.  It is stated
+once, as the tables of ``GroupContext.__init__``: its terms as sums of
+matrix units, its coordinate readers and its functional readers, each a
+signed sum of entries of vec(X).  Every coordinate read and write, the
+closed forms of Ad, G Ad, the commutator and the brackets among them, goes
+through those tables.  The same place states the Borel layout once, as the
+index tuples ``unipotent``, ``torus`` and ``borel``.
 """
 
 from __future__ import annotations
@@ -85,11 +89,12 @@ class GroupContext:
         self._functionals = _table(functionals, n * n)
         self._entries = _table(entries, len(terms))
 
-        self.dim_u = len(upper)
-        self.dim_t = len(torus)
-        self.dim_b = self.dim_u + self.dim_t
+        # the Borel layout: U's coordinates, then the torus's, make up B's
+        self.unipotent = tuple(range(len(upper)))
+        self.torus = tuple(range(len(upper), len(upper) + len(torus)))
+        self.borel = self.unipotent + self.torus
         self.dim_g = len(terms)
-        self.rank = self.dim_t
+        self.rank = len(torus)
         self.basis = tuple(Mat(self._entry_rows([int(k == c) for k in range(self.dim_g)]))
                            for c in range(self.dim_g))
         self.basis_labels = tuple(
@@ -157,35 +162,6 @@ class GroupContext:
         n = self.n
         x = _read(self._entries, c)
         return [x[a * n:a * n + n] for a in range(n)]
-
-    def sub_indices(self, part: str) -> range:
-        if part == "g":
-            return range(self.dim_g)
-        if part == "u":
-            return range(self.dim_u)
-        if part == "t":
-            return range(self.dim_u, self.dim_b)
-        if part == "b":
-            return range(self.dim_b)
-        raise ValueError(f"unknown subalgebra {part!r}")
-
-    def part_dim(self, part: str) -> int:
-        return len(self.sub_indices(part))
-
-    def embed_part_coords(self, part: str, coords) -> list:
-        """Scatter subalgebra coordinates into full algebra coordinates."""
-        idx = self.sub_indices(part)
-        if len(coords) != len(idx):
-            raise ValueError("coordinate length mismatch")
-        zero = QQi(0)
-        out = [zero] * self.dim_g
-        for k, i in enumerate(idx):
-            out[i] = coords[k]
-        return out
-
-    def part_coords(self, part: str, m) -> list:
-        full = self.coords(m)
-        return [full[i] for i in self.sub_indices(part)]
 
     def adjoint(self, m: Mat, minv: Mat) -> Mat:
         """Ad_m in algebra coordinates: column j holds the coordinates of
@@ -297,15 +273,6 @@ class GroupContext:
         """
         return _mul_frac(self.form(x, bracket(y, z)), ACTIVE.get().eta_coeff)
 
-    def chi(self, a: Mat, b: Mat, c: Mat):
-        """The 3-tensor matching eta under the form's identification.
-
-        Arguments are the algebra coordinates of the three covectors (the
-        metric duals), so the pairing against (x^v, y^v, z^v) is exactly
-        eta(x, y, z).
-        """
-        return self.eta(a, b, c)
-
     def dual_coords(self, a) -> list:
         """Functional coordinates ``(tr(e_c a))_c`` of the covector with
         algebra coordinate a, by the functional readers; entrywise, as
@@ -313,9 +280,6 @@ class GroupContext:
         return list(_read(self._functionals, self._vec(a)))
 
     # -- membership helpers ----------------------------------------------------
-
-    def in_algebra(self, m: Mat) -> bool:
-        return self.family == "GL" or not m.trace()
 
     def in_borel(self, m: Mat) -> bool:
         return not any(m.entry(i, j) for i, j in self._lower)
@@ -385,7 +349,7 @@ def context(name: str) -> GroupContext:
 
 
 # ---------------------------------------------------------------------------
-# typed elements
+# group elements
 
 
 class GroupElement:
@@ -462,67 +426,13 @@ def read_element(ctx: GroupContext, obj: dict, check: bool = True) -> GroupEleme
     return GroupElement(ctx, m, check)
 
 
-class AlgebraElement:
-    """Element of the context's Lie algebra (trace-free for SL)."""
-
-    __slots__ = ("ctx", "m")
-
-    def __init__(self, ctx: GroupContext, m: Mat, check: bool = True):
-        if check and not ctx.in_algebra(m):
-            raise ValueError("matrix is not in the Lie algebra")
-        self.ctx = ctx
-        self.m = m
-
-    def coords(self) -> list:
-        return self.ctx.coords(self.m)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.m == other.m
-
-    def __repr__(self):
-        return f"AlgebraElement({self.ctx.name}, {self.m!r})"
-
-
-class TangentVec:
-    """Tangent vector ``base * coord`` in left trivialization."""
-
-    __slots__ = ("base", "coord")
-
-    def __init__(self, base: GroupElement, coord: AlgebraElement):
-        self.base = base
-        self.coord = coord
-
-
-class Covector:
-    """Covector at ``base`` with ``alpha(X) = (coord, theta(X))``."""
-
-    __slots__ = ("base", "coord")
-
-    def __init__(self, base: GroupElement, coord: AlgebraElement):
-        self.base = base
-        self.coord = coord
-
-    def __call__(self, v: TangentVec):
-        return self.base.ctx.form(self.coord.m, v.coord.m)
-
-    def dual_coords(self) -> list:
-        return self.base.ctx.dual_coords(self.coord.m)
-
-
 # ---------------------------------------------------------------------------
-# the basic operations
+# the basic operations, on algebra matrices
 
 
-def ad(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    if x.ctx is not y.ctx:
-        raise ValueError("mixed contexts")
-    return AlgebraElement(x.ctx, bracket(x.m, y.m), check=False)
-
-
-def Ad(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    if g.ctx is not x.ctx:
-        raise ValueError("mixed contexts")
-    return AlgebraElement(g.ctx, g.m @ x.m @ g.inv, check=False)
+def Ad(g: GroupElement, x: Mat) -> Mat:
+    """g x g^-1; per element, the oracle of :meth:`GroupContext.adjoint`."""
+    return g.m @ x @ g.inv
 
 
 def sigma_average(a, ad_a):
@@ -538,21 +448,18 @@ def sigma_average(a, ad_a):
     return both.scale(QQi(conv.sigma_factor))
 
 
-def sigma(g: GroupElement, xi: AlgebraElement) -> Covector:
-    """The averaged covector attached to xi at g.
+def sigma(g: GroupElement, xi: Mat) -> Mat:
+    """The averaged covector attached to xi at g, as its algebra matrix.
 
-    Left-trivialized coordinate: 1/2 (xi + Ad_{g^-1} xi) under the frozen
-    conventions; see :func:`sigma_average`.
+    1/2 (xi + Ad_{g^-1} xi) under the frozen conventions; see
+    :func:`sigma_average`.
     """
-    coord = sigma_average(xi.m, g.inv @ xi.m @ g.m)
-    return Covector(g, AlgebraElement(g.ctx, coord, check=False))
+    return sigma_average(xi, g.inv @ xi @ g.m)
 
 
-def sigma_adjoint(alpha: Covector) -> AlgebraElement:
-    """The adjoint of sigma applied to a covector: 1/2 (a + Ad_g a)."""
-    g = alpha.base
-    a = alpha.coord.m
-    return AlgebraElement(g.ctx, sigma_average(a, g.m @ a @ g.inv), check=False)
+def sigma_adjoint(g: GroupElement, a: Mat) -> Mat:
+    """The adjoint of sigma at g applied to the covector a: 1/2 (a + Ad_g a)."""
+    return sigma_average(a, g.m @ a @ g.inv)
 
 
 def conjugation_sections(ctx: GroupContext, gmat: Mat,
@@ -570,31 +477,25 @@ def conjugation_sections(ctx: GroupContext, gmat: Mat,
     return m, eye - m, ctx.gram @ sigma_average(eye, m)
 
 
-def conj_field(g: GroupElement, xi: AlgebraElement) -> TangentVec:
+def conj_field(g: GroupElement, xi: Mat) -> Mat:
     """Generating vector field of conjugation at g, as xi^L - xi^R.
 
     Left-trivialized coordinate xi - Ad_{g^-1} xi; the sign convention is the
     one frozen in the conventions note (the opposite sign is the derivative
     of h |-> h g h^-1).
     """
-    coord = xi.m - g.inv @ xi.m @ g.m
-    return TangentVec(g, AlgebraElement(g.ctx, coord, check=False))
+    return xi - g.inv @ xi @ g.m
 
 
-def rho_adjoint(v: TangentVec) -> AlgebraElement:
-    """Adjoint of the conjugation action: solve (zeta, xi) = (v, rho(xi)).
+def rho_adjoint(g: GroupElement, v: Mat) -> Mat:
+    """Adjoint of the conjugation action at g: solve (zeta, xi) = (v, rho(xi)).
 
     Solved as a linear system over the algebra basis; the closed form
     ``v - Ad_g v`` is the independent oracle used in the tests.
     """
-    ctx = v.base.ctx
-    g = v.base
-    rhs = []
-    for b in ctx.basis:
-        rho_b = b - g.inv @ b @ g.m
-        rhs.append(ctx.form(v.coord.m, rho_b))
-    zeta_coords = mat_vec(ctx.gram_inv, rhs)
-    return AlgebraElement(ctx, ctx.mat_from_coords(zeta_coords), check=False)
+    ctx = g.ctx
+    rhs = [ctx.form(v, b - g.inv @ b @ g.m) for b in ctx.basis]
+    return ctx.mat_from_coords(mat_vec(ctx.gram_inv, rhs))
 
 
 def torus_part(b: GroupElement) -> GroupElement:
@@ -681,17 +582,16 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
 
 
 def random_algebra(ctx: GroupContext, rng: SplitMix64, height: int = 10,
-                   part: str = "g") -> AlgebraElement:
-    """An algebra element with drawn coordinates on ``part`` and zero
-    elsewhere, built as integer rows over the coordinates' common
-    denominator."""
+                   indices=None) -> Mat:
+    """An algebra matrix with drawn coordinates at ``indices`` (all of g by
+    default) and zero elsewhere, built as integer rows over the coordinates'
+    common denominator."""
     pairs = [_ZERO] * ctx.dim_g
-    for i in ctx.sub_indices(part):
+    for i in range(ctx.dim_g) if indices is None else indices:
         pairs[i] = rng.rational_pair(height)
     den = lcm(*(q for _, q in pairs))
     nums = [p * (den // q) for p, q in pairs]
-    return AlgebraElement(ctx, Mat.from_int_rows(ctx._entry_rows(nums), den),
-                          check=False)
+    return Mat.from_int_rows(ctx._entry_rows(nums), den)
 
 
 def _unitriangular(n: int, rng: SplitMix64, height: int, lower: bool) -> Mat:

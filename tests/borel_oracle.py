@@ -25,9 +25,9 @@ def prefix_chart(point) -> dict:
     and the ``vertical`` basis on G x B, then the greedy complement
     ``indices``, ``proj``, ``inc`` and the ``fiber``."""
     ctx, g, b = point.ctx, point.g, point.b
-    amb, h = ctx.dim_g + ctx.dim_b, ctx.dim_g
+    amb, h = ctx.dim_g + len(ctx.borel), ctx.dim_g
     w = leading(omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv)), amb)
-    vertical = leading(action_generators(b), amb, ctx.dim_b)
+    vertical = leading(action_generators(b), amb, len(ctx.borel))
     # pivot p of the reversed rref is the coordinate amb - 1 - p
     red, pivots = rref(vertical.transpose().select_cols(range(amb - 1, -1, -1)))
     last = [amb - 1 - p for p in pivots]

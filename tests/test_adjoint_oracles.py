@@ -27,8 +27,7 @@ from qpslab.gspringer import (FORCED_STRATA, QuotientChart, action_generators,
                               gspoint_stream, moment_condition_check,
                               moment_condition_holds, omega_matrix,
                               phi_differential, sample_double, sample_gspoint)
-from qpslab.liegroup import (GROUPS, AlgebraElement, GroupElement, conj_field,
-                             context, random_algebra, random_point, read_element,
+from qpslab.liegroup import (GROUPS, GroupElement, conj_field, context, random_algebra, random_point, read_element,
                              sigma)
 from qpslab.linalg import Mat, Subspace, mat_vec
 from qpslab.prng import SplitMix64
@@ -115,14 +114,16 @@ def test_gram_adjoint_on_non_real_sl2_elements():
     assert non_real
 
 
-def per_basis_phi_differential(ctx, amat, bmat, part):
+def per_basis_phi_differential(ctx, amat, bmat, sub):
     d = ctx.dim_g
-    k = ctx.part_dim(part)
+    k = len(sub)
     ainv, binv = amat.inverse(), bmat.inverse()
     cols = [ctx.coords(amat @ (binv @ x @ bmat - x) @ ainv) + [QQi(0)] * k
             for x in ctx.basis]
-    cols += [ctx.coords(amat @ y @ ainv) + ctx.coords(-(bmat @ y @ binv))[:k]
-             for y in ctx.basis[:k]]
+    for i in sub:
+        y = ctx.basis[i]
+        down = ctx.coords(-(bmat @ y @ binv))
+        cols.append(ctx.coords(amat @ y @ ainv) + [down[j] for j in sub])
     return Mat.from_columns(cols, d + k)
 
 
@@ -130,11 +131,11 @@ def per_basis_phi_differential(ctx, amat, bmat, part):
 def test_phi_differential_matches_the_per_basis_columns(group):
     ctx = context(group)
     rng = SplitMix64(202)
-    for part, kind in (("g", "G"), ("b", "B")):
+    for sub, kind in ((range(ctx.dim_g), "G"), (ctx.borel, "B")):
         a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
-        want = per_basis_phi_differential(ctx, a.m, b.m, part)
-        got = leading(phi_differential(a, b), ctx.dim_g + ctx.part_dim(part))
-        assert got == want, part
+        want = per_basis_phi_differential(ctx, a.m, b.m, sub)
+        got = leading(phi_differential(a, b), ctx.dim_g + len(sub))
+        assert got == want, kind
 
 
 def _a1_both_routes(ctx, a, b, w=None):
@@ -179,10 +180,8 @@ def test_batched_a1_sees_a_defect_in_every_block_of_omega(group):
 def per_basis_cartan_dirac(g):
     ctx = g.ctx
     cols = []
-    for b in ctx.basis:
-        xi = AlgebraElement(ctx, b, check=False)
-        cols.append(ctx.coords(conj_field(g, xi).coord.m)
-                    + sigma(g, xi).dual_coords())
+    for xi in ctx.basis:
+        cols.append(ctx.coords(conj_field(g, xi)) + ctx.dual_coords(sigma(g, xi)))
     return DiracFiber(2 * ctx.dim_g, Mat.from_columns(cols, 2 * ctx.dim_g))
 
 
@@ -199,13 +198,14 @@ def test_cartan_dirac_spans_the_per_basis_fiber(group, conv):
             assert got.basis == want.basis, kind  # the same canonical basis
 
 
-def per_basis_b_action_directions(b, part):
+def per_basis_b_action_directions(b, sub):
     ctx = b.ctx
     cols = []
-    for k in ctx.sub_indices(part):
+    for k in sub:
         xi = ctx.basis[k]
-        cols.append(ctx.coords(-xi) + ctx.part_coords("b", b.inv @ xi @ b.m - xi))
-    return Subspace.from_vectors(cols, ctx.dim_g + ctx.dim_b)
+        moved = ctx.coords(b.inv @ xi @ b.m - xi)
+        cols.append(ctx.coords(-xi) + [moved[i] for i in ctx.borel])
+    return Subspace.from_vectors(cols, ctx.dim_g + len(ctx.borel))
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -218,13 +218,13 @@ def test_b_action_directions_span_the_per_basis_generators(group):
     stream = gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1)
     points = [(kind, random_point(ctx, kind, rng)) for kind in ("B", "T", "U")]
     points += [(f"stream {i}", pt.b) for i, pt in enumerate(stream)]
-    amb = ctx.dim_g + ctx.dim_b
+    amb = ctx.dim_g + len(ctx.borel)
     for kind, b in points:
-        for part in ("b", "u"):
-            block = leading(action_generators(b), amb, ctx.part_dim(part))
+        for part, sub in (("b", ctx.borel), ("u", ctx.unipotent)):
+            block = leading(action_generators(b), amb, len(sub))
             got = Subspace(amb, block, canonical=True)
-            want = per_basis_b_action_directions(b, part)
-            assert got.dim == ctx.part_dim(part)
+            want = per_basis_b_action_directions(b, sub)
+            assert got.dim == len(sub)
             assert got.equals(want), (kind, part)
             assert got.basis == want.basis, (kind, part)
 
@@ -235,9 +235,11 @@ def per_basis_chart_transport(chart1, chart2, h):
     for j in range(chart1.hdim):
         upvec = chart1.inc.col(j)
         xmat = ctx.mat_from_coords(upvec[: ctx.dim_g])
-        ymat = ctx.mat_from_coords(ctx.embed_part_coords("b", upvec[ctx.dim_g:]))
-        moved = (ctx.coords(h.m @ xmat @ h.inv)
-                 + ctx.part_coords("b", h.m @ ymat @ h.inv))
+        ycoords = [QQi(0)] * ctx.dim_g
+        for i, c in zip(ctx.borel, upvec[ctx.dim_g:], strict=True):
+            ycoords[i] = c
+        ymoved = ctx.coords(h.m @ ctx.mat_from_coords(ycoords) @ h.inv)
+        moved = ctx.coords(h.m @ xmat @ h.inv) + [ymoved[i] for i in ctx.borel]
         cols.append(mat_vec(chart2.proj, moved))
     return Mat.from_columns(cols, chart2.hdim)
 
@@ -260,13 +262,14 @@ def per_basis_lemma_kernel(cfg, payload):
     ctx = context(cfg.group)
     rng = SplitMix64(payload["salt"])
     b = read_element(ctx, payload["b"])
-    xis = [(ctx.basis_labels[k], ctx.basis[k]) for k in ctx.sub_indices("b")]
-    xis += [("mixed", random_algebra(ctx, rng, part="b").m) for _ in range(3)]
+    xis = [(ctx.basis_labels[k], ctx.basis[k]) for k in ctx.borel]
+    xis += [("mixed", random_algebra(ctx, rng, indices=ctx.borel)) for _ in range(3)]
     for label, ximat in xis:
-        sig = sigma(b, AlgebraElement(ctx, ximat, check=False))
-        annihilates = not any(ctx.form(sig.coord.m, b.inv @ ctx.basis[k] @ b.m)
-                              for k in ctx.sub_indices("b"))
-        expected = all(not c for c in ctx.part_coords("t", ximat))
+        sig = sigma(b, ximat)
+        annihilates = not any(ctx.form(sig, b.inv @ ctx.basis[k] @ b.m)
+                              for k in ctx.borel)
+        coords = ctx.coords(ximat)
+        expected = all(not coords[k] for k in ctx.torus)
         if annihilates != expected:
             return (False, {"xi": label, "annihilates": annihilates,
                             "torus_free": expected})

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qpslab import dirac, liegroup
-from qpslab.campaigns import CLI_GROUPS
+from qpslab.campaigns import CLI_GROUPS, CampaignConfig, run_suite
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import (DualMat, Space, inversion_map, lie_bracket,
                              lie_derivative_covector, one_form_d)
@@ -17,7 +17,7 @@ from qpslab.dirac import (DiracFiber, cartan_closure_check, cartan_dirac,
                           cartan_eta3, cartan_section, dorfman, graph_bivector,
                           graph_two_form, is_lagrangian, pairing,
                           pullback_linear, pushforward_linear)
-from qpslab.liegroup import (AlgebraElement, GroupElement, conjugation_sections,
+from qpslab.liegroup import (GroupContext, GroupElement, conjugation_sections,
                              context, random_algebra, random_point)
 from qpslab.linalg import Mat, Subspace, kernel, mat_vec, rank
 from qpslab.prng import SplitMix64
@@ -29,15 +29,31 @@ RNG = SplitMix64(41)
 
 
 def test_pairing_examples():
-    zero = AlgebraElement(SL2, Mat.zeros(2, 2), check=False)
-    e12 = AlgebraElement(SL2, Mat([[QQi(0), QQi(1)], [QQi(0), QQi(0)]]))
-    e21 = AlgebraElement(SL2, Mat([[QQi(0), QQi(0)], [QQi(1), QQi(0)]]))
+    zero = Mat.zeros(2, 2)
+    e12 = Mat([[QQi(0), QQi(1)], [QQi(0), QQi(0)]])
+    e21 = Mat([[QQi(0), QQi(0)], [QQi(1), QQi(0)]])
     x = random_algebra(SL2, RNG)
     y = random_algebra(SL2, RNG)
-    assert not pairing((x, zero), (y, zero))
-    assert not pairing((zero, x), (zero, y))
+    assert not pairing(SL2, (x, zero), (y, zero))
+    assert not pairing(SL2, (zero, x), (zero, y))
     # 2 * tr(E21 E12) = 2 with the unit form scale
-    assert pairing((e12, e21), (e12, e21)) == QQi(2)
+    assert pairing(SL2, (e12, e21), (e12, e21)) == QQi(2)
+
+
+@pytest.mark.parametrize("group", ["sl2", "gl2"])
+def test_metric_identification_needs_the_gram_matrix(group, monkeypatch):
+    # the record's second route pairs functional coordinates with tangent
+    # ones; with the Gram matrix forgotten (functional coordinates read as
+    # tangent ones) it must fail at every point
+    cfg = CampaignConfig(suite="pairing", group=group, samples=4, seed=11)
+
+    def verdicts():
+        return [r["passed"] for r in run_suite(cfg).checks
+                if r["check_id"] == "pairing/metric-identification"]
+
+    assert verdicts() == [True] * 4
+    monkeypatch.setattr(GroupContext, "dual_coords", GroupContext.coords)
+    assert verdicts() == [False] * 4
 
 
 def skew(ctx, rng, d=None):
@@ -191,13 +207,13 @@ def test_dorfman_zero_and_left_invariant():
     ze = random_algebra(SL2, RNG)
 
     def s1(q):
-        return SL2.coords(xi.m), [QQi(0)] * 3
+        return SL2.coords(xi), [QQi(0)] * 3
 
     def s2(q):
-        return SL2.coords(ze.m), [QQi(0)] * 3
+        return SL2.coords(ze), [QQi(0)] * 3
 
     t, c = dorfman(s1, s2, None, G, (g.m,))
-    assert t == SL2.coords(xi.m @ ze.m - ze.m @ xi.m)
+    assert t == SL2.coords(xi @ ze - ze @ xi)
     assert all(not v for v in c)
 
 
@@ -209,9 +225,9 @@ def test_dorfman_closure_and_batched_agree():
         g = random_point(SL2, "G", rng)
         xi = random_algebra(SL2, rng)
         ze = random_algebra(SL2, rng)
-        t, c = dorfman(cartan_section(SL2, xi.m), cartan_section(SL2, ze.m),
+        t, c = dorfman(cartan_section(SL2, xi), cartan_section(SL2, ze),
                        eta3, G, (g.m,))
-        target = cartan_section(SL2, xi.m @ ze.m - ze.m @ xi.m)((g.m,))
+        target = cartan_section(SL2, xi @ ze - ze @ xi)((g.m,))
         assert t == target[0] and c == target[1]
         ok, _ = cartan_closure_check(SL2, g.m, g.inv)
         assert ok
@@ -231,7 +247,7 @@ def test_dorfman_matches_the_generic_formulas(name, conv):
     eta3 = cartan_eta3(G)
     rng = SplitMix64(46)
     point = (random_point(ctx, "G", rng).m,)
-    s1, s2 = (cartan_section(ctx, random_algebra(ctx, rng).m) for _ in range(2))
+    s1, s2 = (cartan_section(ctx, random_algebra(ctx, rng)) for _ in range(2))
     x_field, alpha = (lambda q: s1(q)[0]), (lambda q: s1(q)[1])
     y_field, beta = (lambda q: s2(q)[0]), (lambda q: s2(q)[1])
     with using(conv):
@@ -308,7 +324,7 @@ def test_pair_row_matches_dorfman(name):
     rng = SplitMix64(47)
     G = Space(ctx, ("g",))
     g = random_point(ctx, "G", rng)
-    xi, ze = random_algebra(ctx, rng).m, random_algebra(ctx, rng).m
+    xi, ze = random_algebra(ctx, rng), random_algebra(ctx, rng)
     s1, s2 = cartan_section(ctx, xi), cartan_section(ctx, ze)
     coef = Mat([[a * b for a in ctx.coords(xi) for b in ctx.coords(ze)]])
     for conv in [FROZEN] + list(CORRUPTIONS.values()) + calibration_grid():

@@ -18,6 +18,7 @@ import pytest
 
 from qpslab import campaigns, linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
+from qpslab.diffcalc import Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form,
                           pullback_linear, pushforward_linear)
 from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_reduction,
@@ -84,7 +85,7 @@ def transport_cases(ctx):
     random point of ``gspoint_stream``, from the chart and the moment map."""
     push, pull = [], []
     d = ctx.dim_g
-    first = Mat.identity(d).hstack(Mat.zeros(d, ctx.dim_b))
+    first = Mat.identity(d).hstack(Mat.zeros(d, len(ctx.borel)))
     for point in gspoint_stream(ctx, SplitMix64(301), 4):
         chart = QuotientChart(borel_reduction(point))
         dmu, dphi = chart.dmu, chart.reduction.dphi
@@ -233,7 +234,7 @@ def test_intersect_at_the_chart_matches_the_kernel_route():
             red = borel_reduction(point)
             flat = kernel(red.w.transpose())
             got = intersect(red.vertical, flat)
-            assert got.dim == ctx.dim_u
+            assert got.dim == len(ctx.unipotent)
             assert got.basis == kernel_route_intersect(red.vertical, flat).basis
 
 
@@ -269,7 +270,7 @@ def test_graph_two_form_stores_the_canonical_basis(group, conv):
         for part in PARTS:
             b = random_point(ctx, "G" if part == "g" else "B", rng)
             w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
-            fib = graph_two_form(leading(w, ctx.dim_g + ctx.part_dim(part)))
+            fib = graph_two_form(leading(w, Space(ctx, ("g", part)).dim))
             assert fib.basis == Subspace(fib.basis.rows, fib.basis).basis, part
 
 

@@ -24,7 +24,7 @@ from qpslab.gspringer import (FORCED_STRATA, GSPoint,
                               sample_gspoint, steinberg_membership,
                               theorem1_check, theorem2_check,
                               weyl_fiber_enum)
-from qpslab.liegroup import (GROUPS, AlgebraElement, GroupContext, GroupElement,
+from qpslab.liegroup import (GROUPS, GroupContext, GroupElement,
                              WeylGroup, borel_decompose, chevalley,
                              conjugation_sections, context, random_algebra,
                              random_point, sigma)
@@ -71,8 +71,8 @@ def test_omega_identity_fiber_anchor():
     # the frozen conventions force omega_(e,e)((x1,y1),(x2,y2)) =
     # (x2, y1) - (x1, y2); derived from the moment condition at the identity
     e = Mat.identity(2)
-    x1, y1 = random_algebra(SL2, RNG).m, random_algebra(SL2, RNG).m
-    x2, y2 = random_algebra(SL2, RNG).m, random_algebra(SL2, RNG).m
+    x1, y1 = random_algebra(SL2, RNG), random_algebra(SL2, RNG)
+    x2, y2 = random_algebra(SL2, RNG), random_algebra(SL2, RNG)
     got = omega_value(SL2, e, e, (x1, y1), (x2, y2))
     assert got == SL2.form(x2, y1) - SL2.form(x1, y2)
 
@@ -80,7 +80,7 @@ def test_omega_identity_fiber_anchor():
 def omega_at(ctx, b, part):
     """omega's matrix at b on G x ``part``: a leading block of the double's."""
     w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
-    return leading(w, ctx.dim_g + ctx.part_dim(part))
+    return leading(w, Space(ctx, ("g", part)).dim)
 
 
 def test_omega_matrix_against_entrywise_oracle():
@@ -156,7 +156,7 @@ def test_moment_condition_samples():
         a, b = sample_double(SL2, rng)
         xi1 = random_algebra(SL2, rng)
         xi2 = random_algebra(SL2, rng)
-        assert check(a, b, [(xi1.m, xi2.m)])
+        assert check(a, b, [(xi1, xi2)])
 
 
 def test_restriction_is_lagrangian_graph():
@@ -167,7 +167,7 @@ def test_restriction_is_lagrangian_graph():
     fib = QuotientChart(borel_reduction(GSPoint(g, b))).graph
     ok, _ = is_lagrangian(fib)
     assert ok
-    assert fib.dim == SL2.dim_g + SL2.dim_b  # 5 for sl2
+    assert fib.dim == SL2.dim_g + len(SL2.borel)  # 5 for sl2
     assert fib.cotangent_intersection().dim == 0
     # a second factor outside B has no chart: the point itself is refused
     with pytest.raises(ValueError):
@@ -187,11 +187,11 @@ def test_vertical_space_is_action_tangent():
     rng = SplitMix64(69)
     pt = sample_gspoint(SL2, rng)
     v = borel_reduction(pt).vertical
-    assert v.dim == SL2.dim_b
+    assert v.dim == len(SL2.borel)
     # rho(0, xi) for xi in the Borel basis lies in the vertical space
-    for k in SL2.sub_indices("b"):
+    for k in SL2.borel:
         vec = rho_double(pt.g, pt.b, Mat.zeros(2, 2), SL2.basis[k])
-        up = vec[: SL2.dim_g] + [vec[SL2.dim_g + i] for i in SL2.sub_indices("b")]
+        up = vec[: SL2.dim_g] + [vec[SL2.dim_g + i] for i in SL2.borel]
         assert v.contains_vector(up)
 
 
@@ -270,7 +270,8 @@ def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
     fiber = gspringer.quotient_fiber
     monkeypatch.setattr(gspringer, "quotient_fiber", lambda chart: None)
     chart = QuotientChart(borel_reduction(pt))
-    amb, vertical = ctx.dim_g + ctx.dim_b, (ctx.dim_b, ctx.dim_g + ctx.dim_b)
+    amb = ctx.dim_g + len(ctx.borel)
+    vertical = (len(ctx.borel), amb)
     assert calls == [("rref", vertical)]
     calls.clear()
     fib = fiber(chart)
@@ -283,13 +284,13 @@ def per_basis_lam_differential(ctx, bmat):
     """d(lambda . q) column by column: the torus coordinates of
     diag(b y) / diag(b) for each Borel basis element y."""
     n = ctx.n
-    cols = [[QQi(0)] * ctx.dim_t for _ in range(ctx.dim_g)]
-    for y in ctx.basis[:ctx.dim_b]:
-        by = bmat @ y
-        diag = [[by.entry(i, i) / bmat.entry(i, i) if i == j else QQi(0)
-                 for j in range(n)] for i in range(n)]
-        cols.append(ctx.part_coords("t", Mat(diag)))
-    return Mat.from_columns(cols, ctx.dim_t)
+    cols = [[QQi(0)] * ctx.rank for _ in range(ctx.dim_g)]
+    for k in ctx.borel:
+        by = bmat @ ctx.basis[k]
+        diag = ctx.coords(Mat([[by.entry(i, i) / bmat.entry(i, i) if i == j else QQi(0)
+                                for j in range(n)] for i in range(n)]))
+        cols.append([diag[i] for i in ctx.torus])
+    return Mat.from_columns(cols, ctx.rank)
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -334,7 +335,7 @@ def two_step_route_iv(chart: QuotientChart) -> DiracFiber:
     """Route (iv) as two pushforwards: along d(phi) to the double's target,
     then along the projection [I | 0] onto its first factor."""
     ctx = chart.ctx
-    first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, ctx.dim_b))
+    first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, len(ctx.borel)))
     pushed = pushforward_linear(chart.graph, chart.reduction.dphi)
     return pushforward_linear(pushed, first)
 
@@ -550,7 +551,7 @@ def test_induced_action_pairs_match_the_per_basis_formula(group):
         pairs = [(fields.col(k), duals.col(k)) for k in range(ctx.dim_g)]
         for xi, (vec, alpha) in zip(ctx.basis, pairs):
             assert vec == chart_action_field(chart, xi)
-            dual = sigma(mu(pt), AlgebraElement(ctx, xi, check=False)).dual_coords()
+            dual = ctx.dual_coords(sigma(mu(pt), xi))
             assert alpha == [dot(dual, dmu.col(j)) for j in range(chart.hdim)]
             assert chart.fiber.contains_vector(vec + alpha)
 
@@ -588,7 +589,7 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     rng, shadow = SplitMix64(1234), SplitMix64(1234)
     _, _, checks = leaf_two_form(QuotientChart(borel_reduction(pt)), rng)
     assert checks["d_identity"]
-    for _ in range(2 * 3 * (SL2.dim_g + SL2.dim_u)):
+    for _ in range(2 * 3 * (SL2.dim_g + len(SL2.unipotent))):
         shadow.rational(3)
     assert rng.state == shadow.state
     # and a campaign passes each point's salted stream, still unconsumed

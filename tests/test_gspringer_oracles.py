@@ -28,9 +28,8 @@ from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
                               omega_matrix, omega_value, phi_differential,
                               reconstruct_bivector, sample_double,
                               sampled_d_identity, theorem1_check)
-from qpslab.liegroup import (GROUPS, AlgebraElement, Covector, GroupElement,
-                             borel_decompose, context, random_point, sigma,
-                             sigma_adjoint)
+from qpslab.liegroup import (GROUPS, GroupElement, borel_decompose, context,
+                             random_point, sigma, sigma_adjoint)
 from qpslab.linalg import Mat, dot, mat_vec, solve_unique
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -61,7 +60,7 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
                         for _ in range(3)]
                 want = d_two_form(omega_fn(ctx, space), space, (a.m, b.m), *dirs)
                 v = Mat.from_columns(dirs, space.dim)
-                second = ctx.sub_indices(space.parts[1])
+                second = space.indices(space.parts[1])
                 assert d_omega(ctx, t, w, second, v) == want, space.parts
 
 
@@ -70,11 +69,11 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     ctx = context(group)
     rng = SplitMix64(102)
     g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
-    k = ctx.dim_g + ctx.dim_u
+    k = ctx.dim_g + len(ctx.unipotent)
     t = ctx.gram_adjoint(b.m, b.inv)
     w = omega_matrix(ctx, t)
     gxu = leading(w, k)
-    gxb = leading(w, ctx.dim_g + ctx.dim_b)
+    gxb = leading(w, ctx.dim_g + len(ctx.borel))
     # entry by entry, omega at (g, b) on the G x U basis directions
     space = Space(ctx, ("g", "u"))
     mats = [space.matrices(e) for e in space.basis_directions()]
@@ -101,7 +100,8 @@ def test_slice_block_of_phi_differential_is_d_mu_on_the_slice(group):
 
     slice_space = Space(ctx, ("g", "u"))
     dual = PointedMap("mu-on-slice", slice_space, Space(ctx, ("g",)), conj_map)
-    block = leading(phi_differential(g, b), ctx.dim_g + ctx.dim_b).row_block(0, ctx.dim_g)
+    block = leading(phi_differential(g, b),
+                    ctx.dim_g + len(ctx.borel)).row_block(0, ctx.dim_g)
     assert block.col_block(0, slice_space.dim) == dual.differential_matrix(
         (g.m, upart.m))
 
@@ -116,7 +116,7 @@ def _action_pairs(chart):
     m = chart.mu
     dmut = chart.dmu.transpose()
     for xi in ctx.basis:
-        alpha = sigma(m, AlgebraElement(ctx, xi, check=False)).dual_coords()
+        alpha = ctx.dual_coords(sigma(m, xi))
         yield chart_action_field(chart, xi), mat_vec(dmut, alpha)
 
 
@@ -154,9 +154,8 @@ def _bivector_reference(chart):
     top = fib.basis.row_block(0, h)
     bot = fib.basis.row_block(h, fib.basis.rows)
     rmat = Mat.from_columns([vec for vec, _ in _action_pairs(chart)], h)
-    duals = [AlgebraElement(ctx, ctx.mat_from_coords(ctx.gram_inv.col(i)), check=False)
-             for i in range(d)]
-    sv = [ctx.coords(sigma_adjoint(Covector(m, a)).m) for a in duals]
+    duals = [ctx.mat_from_coords(ctx.gram_inv.col(i)) for i in range(d)]
+    sv = [ctx.coords(sigma_adjoint(m, a)) for a in duals]
     rho_adj = Mat.identity(d) - ctx.adjoint(m.m, m.inv)
     cmat = Mat.identity(h) - (rmat @ rho_adj @ dmu).scale(QQi(Fraction(1, 4)))
     rsv = [mat_vec(rmat, sv[k]) for k in range(d)]
@@ -251,7 +250,7 @@ def _d_identity_inputs(ctx, rng):
         a, b = sample_double(ctx, rng)
         t = ctx.gram_adjoint(b.m, b.inv)
         yield t, omega_matrix(ctx, t), range(ctx.dim_g), phi_differential(a, b)
-    k = ctx.dim_g + ctx.dim_u
+    k = ctx.dim_g + len(ctx.unipotent)
     for pt in gspoint_stream(ctx, rng, 2):
         red = borel_reduction(pt)
         yield red.t, leading(red.w, k), red.nil, leading(red.dphi, ctx.dim_g, k)
@@ -294,7 +293,7 @@ def test_sampled_d_identity_on_non_real_points():
     red = borel_reduction(GSPoint.from_json({
         "group": "sl2", "g": {"rows": 2, "cols": 2, "entries": [1, 0, 2, 1]},
         "b": {"rows": 2, "cols": 2, "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}))
-    k = ctx.dim_g + ctx.dim_u
+    k = ctx.dim_g + len(ctx.unipotent)
     assert _same_d_identity(ctx, red.t, leading(red.w, k), red.nil,
                             leading(red.dphi, ctx.dim_g, k), 0x1EAF)
 

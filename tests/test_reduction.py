@@ -40,11 +40,11 @@ NONREAL_POINT = {"group": "sl2",
 
 def assert_borel_chart_is_the_prefix_chart(point):
     ctx = point.ctx
-    d, amb = ctx.dim_g, ctx.dim_g + ctx.dim_b
+    d, amb = ctx.dim_g, ctx.dim_g + len(ctx.borel)
     red = borel_reduction(point)
     assert red.up == list(range(amb))
-    assert red.leaf_slice == list(range(d + ctx.dim_u))
-    assert red.levi == list(range(d + ctx.dim_u, amb))
+    assert red.leaf_slice == list(range(d + len(ctx.unipotent)))
+    assert red.levi == list(range(d + len(ctx.unipotent), amb))
     chart = QuotientChart(red)
     want = prefix_chart(point)
     assert red.w == want["w"]
@@ -143,24 +143,24 @@ def test_the_group_reduction_has_a_leaf_form_and_no_nilradical(group):
 def lower_borel_reductions(ctx, seed: int):
     """Reductions along G x B^T at three random (g, p), p lower triangular:
     P's coordinates are the torus's and the lower triangle's, the last
-    dim B of the basis, and N's the last dim U."""
+    dim B of the basis, and N's the lower triangle's, the last dim U."""
     rng = SplitMix64(seed)
+    lower = range(len(ctx.borel), ctx.dim_g)
     for _ in range(3):
         g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
-        yield Reduction(g, GroupElement(ctx, b.m.transpose()),
-                        range(ctx.dim_u, ctx.dim_g), range(ctx.dim_b, ctx.dim_g))
+        yield Reduction(g, GroupElement(ctx, b.m.transpose()), (*ctx.torus, *lower), lower)
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)
 def test_the_lower_borel_reduction_passes_the_quotient_checks(group):
     ctx = context(group)
     for red in lower_borel_reductions(ctx, 403):
-        assert red.leaf_slice == [*range(ctx.dim_g), *range(ctx.dim_g + ctx.dim_t,
-                                                           ctx.dim_g + ctx.dim_b)]
+        d = ctx.dim_g
+        assert red.leaf_slice == [*range(d), *range(d + ctx.rank, d + len(ctx.borel))]
         chart = QuotientChart(red)
         assert theorem1_check(chart)["passed"] and theorem2_check(chart)["passed"]
         res = regact_check(red)
-        assert res["passed"] and res["dim"] == ctx.dim_u
+        assert res["passed"] and res["dim"] == len(ctx.unipotent)
     checks = leaf_checks(lower_borel_reductions(ctx, 403), 405)
     assert all(c["passed"] for c in checks)
     # the d-identity sees the sign of omega where it is not 0 = 0: at n = 2

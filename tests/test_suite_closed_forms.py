@@ -265,7 +265,7 @@ def test_closure_rows_match_the_r_matrix_route(name, monkeypatch):
     ctx = context(name)
     rng = SplitMix64(64)
     g = random_point(ctx, "G", rng)
-    xi, ze = random_algebra(ctx, rng).m, random_algebra(ctx, rng).m
+    xi, ze = random_algebra(ctx, rng), random_algebra(ctx, rng)
     for conv in [FROZEN, *CORRUPTIONS.values(), *calibration_grid()]:
         with using(conv):
             sections = conjugation_sections(ctx, g.m, g.inv)

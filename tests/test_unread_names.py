@@ -4,11 +4,14 @@ A helper whose last caller went stays behind unnoticed; no linter runs on
 this repository, so this test reads the sources with :mod:`ast`.  A
 top-level function, class or assigned name of ``src/qpslab/*.py``, or of the
 QQi and Borel-chart oracles of the tests (``tests/qqi_oracle.py``,
-``tests/borel_oracle.py``), counts as read when it appears as a loaded
-name, as an attribute or in an import anywhere in ``src``, ``scripts``,
-``tests`` or ``bench``, outside its own definition.  Docstring and string
-mentions do not count.  ``__version__`` is exempt: it is read by packaging,
-not by code.
+``tests/borel_oracle.py``), counts as read when a read resolves to it, its
+module and its name, anywhere in ``src``, ``scripts``, ``tests`` or
+``bench``: a bare load in its own module outside its own definition, an
+import of it from its module, or ``module.name`` through an imported
+module.  So a method or an attribute of the same name does not count: a
+dead top-level function cannot hide behind a read method.  Docstring and
+string mentions do not count.  ``__version__`` is exempt: it is read by
+packaging, not by code.
 
 The same holds one level down: a method or property of a top-level class
 counts as read when its name is read anywhere outside its own definition.
@@ -41,30 +44,60 @@ def defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def reads(tree: ast.AST) -> set[str]:
-    """Every name loaded, every attribute and every imported name in ``tree``."""
-    out = set()
+def dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def module_paths(tree: ast.Module, modules) -> dict[str, str]:
+    """The dotted local names under which ``tree`` imports a module of
+    ``modules``, each with the module's name."""
+    out = {}
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif isinstance(n, (ast.Import, ast.ImportFrom)):
-            out.update(a.name.split(".")[-1] for a in n.names)
+        if isinstance(n, ast.Import):
+            for a in n.names:
+                if a.name.split(".")[-1] in modules:
+                    out[a.asname or a.name] = a.name.split(".")[-1]
+        elif isinstance(n, ast.ImportFrom):
+            out.update((a.asname or a.name, a.name) for a in n.names if a.name in modules)
+    return out
+
+
+def reads(mod: str, tree: ast.Module, modules) -> set[tuple[str, str]]:
+    """(module, name) for each read in ``tree``, the module ``mod``, that
+    resolves to a top-level name: a bare load, as ``mod``'s own name outside
+    the statement that defines it; an imported name, as its source
+    module's; and ``module.name`` through a module of ``modules`` that
+    ``tree`` imports."""
+    paths = module_paths(tree, modules)
+    out = set()
+    for node in tree.body:
+        own = set(defined_names(node))
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in own:
+                out.add((mod, n.id))
+            elif isinstance(n, ast.Attribute) and dotted(n.value) in paths:
+                out.add((paths[dotted(n.value)], n.attr))
+            elif isinstance(n, ast.ImportFrom) and n.module:
+                out.update((n.module.split(".")[-1], a.name) for a in n.names)
     return out
 
 
 def unread_names(defining: dict[str, ast.Module],
                  readers: dict[str, ast.Module]) -> list[str]:
     """``module.name`` for each top-level definition in ``defining`` that no
-    module in ``readers`` reads outside the definition itself."""
-    seen = set()
-    for tree in readers.values():
-        for node in tree.body:
-            seen |= reads(node) - set(defined_names(node))
+    read in ``readers`` resolves to outside the definition itself; a
+    reader's module is the stem of its key."""
+    seen = set().union(*(reads(Path(key).stem, tree, defining)
+                         for key, tree in readers.items()))
     return sorted(f"{mod}.{name}" for mod, tree in defining.items()
                   for node in tree.body for name in defined_names(node)
-                  if name not in seen and name not in EXEMPT)
+                  if (mod, name) not in seen and name not in EXEMPT)
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -78,6 +111,19 @@ def members(node: ast.stmt) -> list[str]:
             and not (n.name.startswith("__") and n.name.endswith("__"))]
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name loaded, every attribute and every imported name in ``tree``."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            out.update(a.name.split(".")[-1] for a in n.names)
+    return out
+
+
 def member_reads(tree: ast.Module) -> set[str]:
     """Every name read in ``tree``, a method's reads of its own name aside."""
     out = set()
@@ -85,7 +131,8 @@ def member_reads(tree: ast.Module) -> set[str]:
         parts = ([*node.bases, *node.decorator_list, *node.body]
                  if isinstance(node, ast.ClassDef) else [node])
         for part in parts:
-            out |= reads(part) - ({part.name} if isinstance(part, FUNCTIONS) else set())
+            out |= names_read(part) - ({part.name} if isinstance(part, FUNCTIONS)
+                                       else set())
     return out
 
 
@@ -118,6 +165,26 @@ def test_the_scan_flags_an_unread_name_and_not_a_read_one():
     user = ast.parse("from lib import g\nimport lib\nlib.C()\n")
     # f reads only itself, A nothing; B is read inside f
     assert unread_names({"lib": lib}, {"lib": lib, "user": user}) == ["lib.A", "lib.f"]
+
+
+def test_the_scan_resolves_each_read_to_its_module():
+    lib = ast.parse("def differential():\n    pass\n\n"
+                    "def curve():\n    pass\n\n"
+                    "def solve():\n    pass\n\n"
+                    "class Map:\n    def differential(self):\n        pass\n")
+    other = ast.parse("def curve():\n    pass\n\ndef solve():\n    pass\n")
+    # the method differential is read, the function of that name is not;
+    # the other module's curve and solve are read, lib's only by
+    # module.name and by an aliased module
+    user = ast.parse("from lib import Map\nfrom other import curve, solve\n"
+                     "from pkg import lib as L\nimport lib\n"
+                     "Map().differential()\ncurve()\nsolve()\nlib.curve()\nL.solve()\n")
+    assert unread_names({"lib": lib, "other": other},
+                        {"lib": lib, "other": other, "user": user}) == ["lib.differential"]
+    # a bare load in another module is that module's name, not lib's
+    user = ast.parse("from lib import Map\ndef curve():\n    pass\n\ncurve()\n")
+    assert unread_names({"lib": lib}, {"lib": lib, "user": user}) == [
+        "lib.curve", "lib.differential", "lib.solve"]
 
 
 def test_every_package_name_is_read():
