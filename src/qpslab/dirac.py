@@ -14,8 +14,9 @@ through the context's Gram matrix.
 A fiber stores the canonical basis of its span.  The transports
 :func:`pushforward_linear` and :func:`pullback_linear` each solve one
 reduced incidence system with :func:`~qpslab.linalg.null_vectors` and
-canonicalize only the result: two rrefs per call.  Their full systems in
-the unknowns (x, b, c) are the oracle in the tests.
+canonicalize only the result: at most two rrefs per call, the second
+skipped when the result already is canonical.  Their full systems in the
+unknowns (x, b, c) are the oracle in the tests.
 
 The twisted Dorfman bracket, :func:`dorfman`, is evaluated with the
 forward-mode engine of :mod:`qpslab.diffcalc`; the sign and scale
@@ -61,8 +62,7 @@ class DiracFiber(Subspace):
     def cotangent_intersection(self) -> Subspace:
         """Intersection with the cotangent coordinate subspace."""
         d = self.d
-        # canonical as it stands: its transpose [0 | I] is in rref
-        lower = Subspace(2 * d, Mat.zeros(d, d).vstack(Mat.identity(d)), canonical=True)
+        lower = Subspace(2 * d, Mat.zeros(d, d).vstack(Mat.identity(d)))
         return intersect(self, lower)
 
     def __repr__(self):
@@ -127,8 +127,7 @@ def graph_two_form(w: Mat) -> DiracFiber:
     if not is_skew(w):
         raise ValueError("2-form matrix must be square and skew")
     d = w.rows
-    # the transpose [I | w] is already in reduced row echelon form
-    return DiracFiber(2 * d, Mat.identity(d).vstack(w.transpose()), canonical=True)
+    return DiracFiber(2 * d, Mat.identity(d).vstack(w.transpose()))
 
 
 def graph_bivector(p: Mat) -> DiracFiber:
@@ -161,10 +160,9 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
         raise ValueError("tangent map has wrong domain dimension")
     k = fiber.dim
     if not k:
-        # f_* 0 = 0 (+) ker F^T, and [0; K] is canonical when K is
+        # f_* 0 = 0 (+) ker F^T
         null = kernel(fmat.transpose())
-        return DiracFiber(2 * w, Mat.zeros(w, null.dim).vstack(null.basis),
-                          canonical=True)
+        return DiracFiber(2 * w, Mat.zeros(w, null.dim).vstack(null.basis))
     top = fiber.basis.row_block(0, v)
     bot = fiber.basis.row_block(v, 2 * v)
     null = null_vectors(fmat.transpose().hstack(-bot))
@@ -186,10 +184,9 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
         raise ValueError("tangent map has wrong codomain dimension")
     k = fiber.dim
     if not k:
-        # f^* 0 = ker F (+) 0, and [K; 0] is canonical when K is
+        # f^* 0 = ker F (+) 0
         null = kernel(fmat)
-        return DiracFiber(2 * v, null.basis.vstack(Mat.zeros(v, null.dim)),
-                          canonical=True)
+        return DiracFiber(2 * v, null.basis.vstack(Mat.zeros(v, null.dim)))
     top = fiber.basis.row_block(0, w)
     bot = fiber.basis.row_block(w, 2 * w)
     null = null_vectors(fmat.hstack(-top))

@@ -49,9 +49,9 @@ greedy choice of coordinate directions, and representative independence is
 itself one of the verified claims, never an assumption: a chart's fiber,
 moved by :func:`chart_transport` to the chart of another representative,
 must be the fiber built there (:func:`representative_independent`).  The
-vertical space is the reduction's block of the action generators, already
-its canonical basis, and by matroid duality its greedy complement is the
-complement of its lexicographically last row basis (Oxley, *Matroid
+vertical space is the reduction's block of the action generators, its
+canonical basis as built, and by matroid duality its greedy complement is
+the complement of its lexicographically last row basis (Oxley, *Matroid
 Theory*, the greedy algorithm and duality), so one small elimination builds
 a chart (:class:`QuotientChart`).
 
@@ -80,11 +80,12 @@ from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                     is_skew, pushforward_linear)
-from .liegroup import (GroupContext, GroupElement, chevalley, conjugation_sections,
-                       group_of_json, random_point, read_element, reciprocal_product,
-                       sigma, sigma_average, torus_part, _mul_frac)
+from .liegroup import (GroupContext, GroupElement, chevalley, conjugate,
+                       conjugation_sections, group_of_json, random_point,
+                       read_element, reciprocal_product, sigma, sigma_average,
+                       torus_part, _mul_frac)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
-                     rref, solve_columns)
+                     rank, rref, solve_columns)
 from .matio import _exact_part, entry_pairs, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
@@ -151,7 +152,7 @@ def steinberg_membership(g: GroupElement, t: GroupElement) -> bool:
 
 def phi(a: GroupElement, b: GroupElement) -> tuple[GroupElement, GroupElement]:
     """The moment map of the double: (a, b) -> (a b a^-1, b^-1)."""
-    return (GroupElement(a.ctx, a.m @ b.m @ a.inv, check=False), b.inverse())
+    return conjugate(a, b), b.inverse()
 
 
 def phi_map(ctx: GroupContext) -> PointedMap:
@@ -192,8 +193,8 @@ def action_generators(b: GroupElement) -> Mat:
     columns, the N-action the columns of N among those.  Transposed, each
     such block is already in reduced row echelon form (row r is zero in the
     first factor but for a 1 at the r-th listed coordinate, and the lists
-    increase), so it is the canonical basis of its span, with no
-    elimination.
+    increase), so a :class:`~qpslab.linalg.Subspace` recognises it as the
+    canonical basis of its span without elimination.
     """
     ctx = b.ctx
     eye = Mat.identity(ctx.dim_g)
@@ -449,7 +450,8 @@ class Reduction:
       :func:`omega_matrix`, both under the conventions active when the
       reduction was built;
     * ``vertical``, the span of the P-action generators, whose block of
-      :func:`action_generators` is already its canonical basis;
+      :func:`action_generators` is recognised as its canonical basis
+      without elimination;
     * ``dphi``, the G x P block of :func:`phi_differential`, derived when
       first read and then kept;
     * two lists of upstairs positions: ``leaf_slice``, the coordinates of
@@ -473,8 +475,7 @@ class Reduction:
         self.t = ctx.gram_adjoint(p.m, p.inv)
         self.w = _restrict(omega_matrix(ctx, self.t), self.up)
         self.vertical = Subspace(
-            len(self.up), _restrict(action_generators(p), self.up, self.sub),
-            canonical=True)
+            len(self.up), _restrict(action_generators(p), self.up, self.sub))
 
     @cached_property
     def dphi(self) -> Mat:
@@ -485,9 +486,8 @@ class Reduction:
         """The reduction at the representative h.(g, p) = (g h^-1, h p h^-1)
         of the same class, h in P."""
         ctx = self.ctx
-        return Reduction(GroupElement(ctx, self.g.m @ h.inv, check=False),
-                         GroupElement(ctx, h.m @ self.p.m @ h.inv, check=False),
-                         self.sub, self.nil)
+        return Reduction(GroupElement(self.ctx, self.g.m @ h.inv),
+                         conjugate(h, self.p), self.sub, self.nil)
 
 
 def borel_reduction(point: GSPoint) -> Reduction:
@@ -552,7 +552,7 @@ class QuotientChart:
     @cached_property
     def mu(self) -> GroupElement:
         """mu at the chart's point, g p g^-1: the first factor of :func:`phi`."""
-        return phi(self.reduction.g, self.reduction.p)[0]
+        return conjugate(self.reduction.g, self.reduction.p)
 
     @cached_property
     def dmu(self) -> Mat:
@@ -593,7 +593,7 @@ def quotient_fiber(chart: QuotientChart) -> DiracFiber:
 
 def mu(p: GSPoint) -> GroupElement:
     """The moment map of the quotient, g b g^-1: the first factor of :func:`phi`."""
-    return phi(p.g, p.b)[0]
+    return conjugate(p.g, p.b)
 
 
 def lam(p: GSPoint) -> GroupElement:
@@ -654,7 +654,9 @@ def representative_independent(chart: QuotientChart, h: GroupElement) -> bool:
     basis, hdim = chart.fiber.basis, chart.hdim
     moved = (trans @ basis.row_block(0, hdim)).vstack(
         trans.inverse().transpose() @ basis.row_block(hdim, basis.rows))
-    return Subspace.from_spanning(moved).equals(moved_chart.fiber)
+    # the moved columns are independent, so their count is their rank
+    target = moved_chart.fiber
+    return moved.cols == target.dim and target.contains_columns(moved)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +675,7 @@ def regact_check(reduction: Reduction) -> dict:
     gens = reduction.vertical
     inter = intersect(gens, kernel(reduction.w.transpose()))
     nil = [i for i, k in enumerate(reduction.sub) if k in reduction.nil]
-    expected = (Subspace(gens.ambient_dim, gens.basis.select_cols(nil), canonical=True)
+    expected = (Subspace(gens.ambient_dim, gens.basis.select_cols(nil))
                 if nil else Subspace.zero(gens.ambient_dim))
     ok = inter.dim == len(nil) and inter.equals(expected)
     return {"dim": inter.dim, "expected_dim": len(nil), "passed": ok}
@@ -711,13 +713,14 @@ def theorem1_check(chart: QuotientChart) -> dict:
     if not out["f_dirac"]:
         out["witness_f_dirac"] = _column_outside(pushed, cd, ("pushed", "cartan"))
 
-    # ker d(mu) as tangent vectors with zero covector part
-    kerdmu = kernel(dmu)
+    # ker d(mu) as tangent vectors K with zero covector part meets the fiber
+    # F in dim K + dim F - rank [K; 0 | F] dimensions
+    kerdmu = null_vectors(dmu)
+    k = kerdmu.cols
     meet = 0
-    if kerdmu.dim:
-        h = chart.hdim
-        ker_emb = Subspace(2 * h, kerdmu.basis.vstack(Mat.zeros(h, kerdmu.dim)))
-        meet = intersect(ker_emb, fib).dim
+    if k:
+        stacked = kerdmu.vstack(Mat.zeros(chart.hdim, k)).hstack(fib.basis)
+        meet = k + fib.dim - rank(stacked)
     out["kernel_clean"] = meet == 0
     if meet:
         out["witness_kernel"] = {"dim": meet}
@@ -762,11 +765,10 @@ def theorem2_check(chart: QuotientChart) -> dict:
     ctx = chart.ctx
     red = chart.reduction
     leaf = chart.leaf
-    expected = Subspace.from_spanning(chart.proj.select_cols(red.leaf_slice))
     out = {
         "leaf_dim": leaf.dim,
         "expected_dim": ctx.dim_g - ctx.rank,
-        "projection_matches": leaf.equals(expected),
+        "projection_matches": leaf.spanned_by(chart.proj.select_cols(red.leaf_slice)),
     }
     # lambda . q takes (g, b) to diag(b), and diag(b y) = diag(b) diag(y) for
     # b, y upper triangular: d(lambda . q) selects the second factor's torus
@@ -877,9 +879,8 @@ def reconstruct_bivector(chart: QuotientChart):
     checks = {"solvable": True, "skew": is_skew(pimat)}
     # beta = e_i: d(mu)^T beta is row i of d(mu)
     checks["moment_condition"] = pimat @ dmu.transpose() == rsv
-    span = Subspace.from_spanning(
+    checks["graph_consistency"] = fib.spanned_by(
         pimat.vstack(cmat.transpose()).hstack(rmat.vstack(duals)))
-    checks["graph_consistency"] = span.equals(fib)
     checks["passed"] = all(checks.values())
     return pimat, checks
 
@@ -1032,12 +1033,11 @@ def sample_gspoint(ctx: GroupContext, rng: SplitMix64,
     """Sample a quotient point; degenerate strata are first-class citizens."""
     g = random_point(ctx, "G", rng)
     if stratum == "identity-b":
-        b = GroupElement(ctx, Mat.identity(ctx.n), check=False)
+        b = GroupElement(ctx, Mat.identity(ctx.n))
     elif stratum == "springer":
         b = random_point(ctx, "U", rng)
     elif stratum == "nonregular":
-        b = GroupElement(ctx, _nonregular_torus(ctx, rng) @ random_point(ctx, "U", rng).m,
-                         check=False)
+        b = GroupElement(ctx, _nonregular_torus(ctx, rng) @ random_point(ctx, "U", rng).m)
     else:
         b = random_point(ctx, "B", rng)
     return GSPoint(g, b)

@@ -353,20 +353,15 @@ def context(name: str) -> GroupContext:
 
 
 class GroupElement:
-    """Invertible element of the context's group."""
+    """Element of the context's group, held as its n x n matrix; membership
+    is checked where JSON enters (:func:`read_element`), not here."""
 
     __slots__ = ("ctx", "m", "_inv")
 
-    def __init__(self, ctx: GroupContext, m: Mat, check: bool = True):
+    def __init__(self, ctx: GroupContext, m: Mat):
         self.ctx = ctx
         self.m = m
         self._inv = None
-        if check:
-            d = m.det()
-            if not d:
-                raise ValueError("group element must be invertible")
-            if ctx.family == "SL" and d != QQi(1):
-                raise ValueError("SL element must have determinant 1")
 
     @property
     def inv(self) -> Mat:
@@ -375,14 +370,14 @@ class GroupElement:
         return self._inv
 
     def inverse(self) -> "GroupElement":
-        g = GroupElement(self.ctx, self.inv, check=False)
+        g = GroupElement(self.ctx, self.inv)
         g._inv = self.m
         return g
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.ctx is not other.ctx:
             raise ValueError("mixed contexts")
-        return GroupElement(self.ctx, self.m @ other.m, check=False)
+        return GroupElement(self.ctx, self.m @ other.m)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.m == other.m
@@ -415,15 +410,19 @@ def group_of_json(obj: dict) -> GroupContext:
     return context(name)
 
 
-def read_element(ctx: GroupContext, obj: dict, check: bool = True) -> GroupElement:
-    """The group element of a matrix object; the size must match the group.
-
-    Every group matrix of a JSON point or eval input is read here.
-    """
+def read_element(ctx: GroupContext, obj: dict) -> GroupElement:
+    """The group element of a matrix object, the one membership check: the
+    size must match the group and the determinant be non-zero, 1 on SL.
+    Every group matrix of a JSON point or eval input is read here."""
     m = mat_from_json(obj)
     if m.rows != ctx.n or m.cols != ctx.n:
         raise ValueError(f"matrix size does not match group {ctx.name}")
-    return GroupElement(ctx, m, check)
+    d = m.det()
+    if not d:
+        raise ValueError("group element must be invertible")
+    if ctx.family == "SL" and d != QQi(1):
+        raise ValueError("SL element must have determinant 1")
+    return GroupElement(ctx, m)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +432,11 @@ def read_element(ctx: GroupContext, obj: dict, check: bool = True) -> GroupEleme
 def Ad(g: GroupElement, x: Mat) -> Mat:
     """g x g^-1; per element, the oracle of :meth:`GroupContext.adjoint`."""
     return g.m @ x @ g.inv
+
+
+def conjugate(g: GroupElement, x: GroupElement) -> GroupElement:
+    """The group element g x g^-1; it inverts g alone."""
+    return GroupElement(g.ctx, Ad(g, x.m))
 
 
 def sigma_average(a, ad_a):
@@ -503,7 +507,7 @@ def torus_part(b: GroupElement) -> GroupElement:
     n = b.ctx.n
     t = Mat([[b.m.entry(i, i) if i == j else QQI_ZERO for j in range(n)]
              for i in range(n)])
-    return GroupElement(b.ctx, t, check=False)
+    return GroupElement(b.ctx, t)
 
 
 def borel_decompose(b: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -512,7 +516,7 @@ def borel_decompose(b: GroupElement) -> tuple[GroupElement, GroupElement]:
     if not ctx.in_borel(b.m):
         raise ValueError("element is not upper triangular")
     t = torus_part(b)
-    return t, GroupElement(ctx, t.inv @ b.m, check=False)
+    return t, GroupElement(ctx, t.inv @ b.m)
 
 
 def chevalley(g: GroupElement) -> tuple:
@@ -567,17 +571,15 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
     if kind == "G":
         low = _unitriangular(n, rng, height, lower=True)
         up = _unitriangular(n, rng, height, lower=False)
-        return GroupElement(ctx, low @ up.scale_rows(_torus_entries(ctx, rng, height)),
-                            check=False)
+        return GroupElement(ctx, low @ up.scale_rows(_torus_entries(ctx, rng, height)))
     if kind == "B":
         t = _torus_entries(ctx, rng, height)
-        return GroupElement(ctx, _unitriangular(n, rng, height, lower=False).scale_rows(t),
-                            check=False)
+        return GroupElement(ctx, _unitriangular(n, rng, height, lower=False).scale_rows(t))
     if kind in ("T", "T-regular"):
         t = _torus_entries(ctx, rng, height, regular=kind == "T-regular")
-        return GroupElement(ctx, Mat.identity(n).scale_rows(t), check=False)
+        return GroupElement(ctx, Mat.identity(n).scale_rows(t))
     if kind == "U":
-        return GroupElement(ctx, _unitriangular(n, rng, height, lower=False), check=False)
+        return GroupElement(ctx, _unitriangular(n, rng, height, lower=False))
     raise ValueError(f"unknown sample kind {kind!r}")
 
 
@@ -659,7 +661,7 @@ class WeylGroup:
             m[perm[j]][j] = 1
         if self.ctx.family == "SL" and _parity(perm) == -1:
             m[perm[0]][0] = -1
-        return GroupElement(self.ctx, Mat(m), check=False)
+        return GroupElement(self.ctx, Mat(m))
 
     def __len__(self):
         return len(self.perms)

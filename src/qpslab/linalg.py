@@ -73,9 +73,10 @@ memory of a run.
   and :func:`null_vectors` sit on :func:`rref` and read its integer rows.
 * :func:`null_vectors` reads a basis of the null space off one rref,
   without canonicalizing it.  :func:`kernel` is the canonical
-  :class:`Subspace` of those vectors (a second rref).  Callers whose result
-  is canonicalized anyway, :func:`intersect` and the Dirac transports of
-  :mod:`qpslab.dirac`, take the raw vectors and skip that rref.
+  :class:`Subspace` of those vectors (a second rref, unless they already
+  are its canonical basis).  Callers whose result is canonicalized anyway,
+  :func:`intersect` and the Dirac transports of :mod:`qpslab.dirac`, take
+  the raw vectors and skip that rref.
 
 Every row an operation makes is reduced by :func:`_canon`, whose first
 statement is ``gcd(den, *nums)``.  ``math.gcd`` takes integers only, so a
@@ -95,11 +96,12 @@ differential tests.
 
 Conventions: a :class:`Subspace` stores a basis matrix whose *columns* are
 the basis vectors, canonicalized by reduced row echelon form of the
-transpose, so equal subspaces print identically.  Containment and equality
-are decided by one product against the basis's pivot rows, with no
-elimination.  Let A be a canonical basis and p the pivot columns of its
-transpose, so that A[p, :] = I.  The span of B lies in the span of A
-exactly when ``A @ B[p, :] == B``:
+transpose, so equal subspaces print identically; no caller vouches for a
+basis, which is recognised as canonical or canonicalized by one rref.
+Containment and equality are decided by one product against the basis's
+pivot rows, with no elimination.  Let A be a canonical basis and p the
+pivot columns of its transpose, so that A[p, :] = I.  The span of B lies
+in the span of A exactly when ``A @ B[p, :] == B``:
 
 * if B = A C for some C, then B[p, :] = A[p, :] C = C, so A B[p, :] = B;
 * if A B[p, :] = B, every column of B is a combination of those of A.
@@ -648,7 +650,7 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def null_vectors(m: Mat) -> Mat:
-    """A basis of the null space of ``m``, read off its rref; not canonical.
+    """A basis of the null space of ``m``, read off its rref, not canonicalized.
 
     Column j of the ``m.cols x nullity`` result is the null vector of the
     j-th free column fc: 1 at fc and minus column fc of the pivot rows at the
@@ -715,21 +717,18 @@ class Subspace:
     The stored basis is canonical: its transpose is in reduced row echelon
     form, so at its pivot rows p (the pivot columns of the transpose) it
     reads ``basis[p, :] == I``, which every containment test relies on (see
-    the module docstring).  A spanning set is canonicalized by one rref,
-    whose pivots are kept.  ``canonical=True`` is the caller's promise that
-    ``basis`` already is that canonical basis, the one the rref would
-    return; it is then stored as given, and its pivot rows are read off it
-    (each column's first non-zero entry) the first time a test needs them.
-    A non-canonical basis passed so gives wrong containment verdicts.
+    the module docstring).  A canonical basis is recognised by one scan
+    (:func:`_echelon_pivots`) and any other by one rref; the rref is
+    unique, so both routes keep the same basis and pivot rows.
     """
 
     __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: Mat, canonical: bool = False):
+    def __init__(self, ambient_dim: int, basis: Mat):
         if ambient_dim and basis.rows != ambient_dim:
             raise LinAlgError("basis rows must match ambient dimension")
-        pivots = None
-        if not canonical:
+        pivots = _echelon_pivots(basis)
+        if pivots is None:
             basis, pivots = _canonical_basis(basis)
         self.ambient_dim = ambient_dim
         self.basis = basis
@@ -737,11 +736,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.zeros(max(ambient_dim, 1), 0), canonical=True)
+        return cls(ambient_dim, Mat.zeros(max(ambient_dim, 1), 0))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.identity(ambient_dim), canonical=True)
+        return cls(ambient_dim, Mat.identity(ambient_dim))
 
     @classmethod
     def from_spanning(cls, mat: Mat) -> "Subspace":
@@ -756,12 +755,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def _pivot_rows(self) -> list[int]:
-        """The rows p with ``basis[p, :] == I``."""
-        if self._pivots is None:
-            self._pivots = _leading_rows(self.basis)
-        return self._pivots
-
     def contains_columns(self, mat: Mat) -> bool:
         """Whether every column of ``mat`` lies in the span: one product,
         ``basis @ mat[p, :] == mat`` at the pivot rows p."""
@@ -771,7 +764,7 @@ class Subspace:
             return True
         if not self.dim:
             return mat.is_zero()
-        return self.basis @ mat.select_rows(self._pivot_rows()) == mat
+        return self.basis @ mat.select_rows(self._pivots) == mat
 
     def contains_vector(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
@@ -792,6 +785,11 @@ class Subspace:
         # are equal; decided by a product, never by comparing bases
         return self.dim == other.dim and self.contains(other)
 
+    def spanned_by(self, mat: Mat) -> bool:
+        """Whether the columns of ``mat`` span exactly this subspace: as many
+        independent columns as its dimension, every one inside it."""
+        return rank(mat) == self.dim and self.contains_columns(mat)
+
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
@@ -801,28 +799,30 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _echelon_pivots(basis: Mat) -> list[int] | None:
+    """The pivot rows of a basis whose transpose is in reduced row echelon
+    form, read in one scan of its rows; None for any other basis.  With j
+    columns started, a row non-zero in a column from j on must be e_j, the
+    pivot row of column j, and every column must start."""
+    cols = basis.cols
+    pivots = []
+    for i, (nums, den) in enumerate(basis._ints):
+        j = len(pivots)
+        if j == cols or not any(nums[j:]):
+            continue
+        if den != 1 or nums[j] != 1 or nums.count(0) != cols - 1:
+            return None
+        pivots.append(i)
+    return pivots if len(pivots) == cols else None
+
+
 def _canonical_basis(mat: Mat) -> tuple[Mat, list[int]]:
-    """The canonical basis of the column span of ``mat``, with its pivot rows."""
-    if mat.cols == 0:
-        return mat, []
-    return _row_space_basis(mat.transpose())
-
-
-def _row_space_basis(rows: Mat) -> tuple[Mat, list[int]]:
-    """The canonical column basis of the span of the rows of a matrix, and
-    the rref's pivots, which are the basis's pivot rows."""
-    red, pivots = rref(rows)
+    """The canonical basis of the column span of ``mat``, by one rref of its
+    transpose, and the rref's pivots, which are the basis's pivot rows."""
+    red, pivots = rref(mat.transpose())
     if not pivots:
-        return Mat.zeros(rows.cols, 0), pivots
+        return Mat.zeros(mat.rows, 0), pivots
     return red.row_block(0, len(pivots)).transpose(), pivots
-
-
-def _leading_rows(basis: Mat) -> list[int]:
-    """The row of each column's first non-zero entry: the pivot rows of a
-    canonical basis, read without elimination."""
-    if not basis.cols:
-        return []
-    return [next(i for i, x in enumerate(c) if x) for c, _ in basis._int_columns()]
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

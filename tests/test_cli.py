@@ -203,6 +203,31 @@ def test_cli_eval_rejects_a_matrix_of_the_wrong_size(tmp_path, capsys, kind, pay
     assert "matrix size does not match group sl2" in capsys.readouterr().err
 
 
+SINGULAR2 = {"rows": 2, "cols": 2, "entries": [1, 1, 0, 0]}
+DET2 = {"rows": 2, "cols": 2, "entries": [2, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("kappa", dict(SINGULAR2, group="sl2"), "must be invertible"),
+    ("kappa", dict(DET2, group="sl2"), "determinant 1"),
+    ("steinberg", {"group": "sl2", "g": SINGULAR2, "t": ONE2}, "must be invertible"),
+    ("steinberg", {"group": "sl2", "g": ONE2, "t": DET2}, "determinant 1"),
+    ("leaf-form", {"group": "sl2", "g": ONE2, "b": SINGULAR2}, "must be invertible"),
+    ("leaf-form", {"group": "sl2", "g": DET2, "b": ONE2}, "determinant 1"),
+], ids=["kappa-singular", "kappa-det-2", "steinberg-singular-g", "steinberg-det-2-t",
+        "leaf-form-singular-b", "leaf-form-det-2-g"])
+def test_cli_eval_refuses_a_matrix_outside_the_group(tmp_path, capsys, kind, payload,
+                                                      message):
+    # membership is checked where the JSON is read: exit 2, one line
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main(["eval", kind, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert message in out.err
+
+
 ONE2_DIV0 = {"rows": 2, "cols": 2, "entries": [["1/0", "0"], 0, 0, 1]}
 
 

@@ -6,22 +6,18 @@ systems [F^T | -bot] and [F | -top] on the raw null vectors of
 unknowns (x, b, c) through the canonical ``kernel``, as the transports did
 before.  A fiber stores its canonical basis, so the two routes must agree
 entry for entry.  ``intersect`` is checked the same way against the
-kernel route, and ``graph_two_form``'s basis, stored without an rref,
-against the canonical basis of the same span, as is every other basis
-handed to a subspace as canonical.
+kernel route, and ``graph_two_form``'s basis, recognised as canonical
+without an rref, against the canonical basis of the same span.
 """
-
-import sys
-from collections import Counter
 
 import pytest
 
-from qpslab import campaigns, linalg
+from qpslab import linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form,
                           pullback_linear, pushforward_linear)
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_reduction,
+from qpslab.gspringer import (QuotientChart, borel_reduction,
                               gspoint_stream, omega_matrix)
 from qpslab.liegroup import GROUPS, context, random_point
 from qpslab.linalg import Mat, Subspace, intersect, kernel, null_vectors, rank
@@ -72,7 +68,7 @@ def deficient(fmat: Mat) -> Mat:
 
 
 def zero_fiber(d: int) -> DiracFiber:
-    return DiracFiber(2 * d, Mat.zeros(2 * d, 0), canonical=True)
+    return DiracFiber(2 * d, Mat.zeros(2 * d, 0))
 
 
 def assert_same(got: DiracFiber, want: DiracFiber):
@@ -272,42 +268,3 @@ def test_graph_two_form_stores_the_canonical_basis(group, conv):
             w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
             fib = graph_two_form(leading(w, Space(ctx, ("g", part)).dim))
             assert fib.basis == Subspace(fib.basis.rows, fib.basis).basis, part
-
-
-
-# where a basis is handed over with canonical=True, by the code's name
-CANONICAL_SITES = {"graph_two_form", "pushforward_linear", "pullback_linear",
-                   "Reduction.__init__", "regact_check", "Subspace.zero",
-                   "Subspace.full", "DiracFiber.cotangent_intersection"}
-
-
-def test_every_basis_passed_as_canonical_is_canonical(monkeypatch):
-    # containment reads the pivot rows of a basis passed as canonical off the
-    # basis itself, with no rref, so each such basis must be the canonical
-    # basis of its span; one campaign of every exact suite on the CLI groups,
-    # then the sites no campaign reaches: the zero-fiber transports, the
-    # cotangent coordinates and the full space
-    sites = Counter()
-    real = Subspace.__init__
-
-    def checked(self, ambient_dim, basis, canonical=False):
-        if canonical:
-            site = sys._getframe(1).f_code.co_qualname
-            sites[site] += 1
-            assert basis == linalg._canonical_basis(basis)[0], site
-        real(self, ambient_dim, basis, canonical)
-
-    monkeypatch.setattr(Subspace, "__init__", checked)
-    for group in ("sl2", "gl2", "sl3", "gl3"):
-        for suite in campaigns.SUITE_NAMES:
-            cfg = campaigns.CampaignConfig(suite=suite, group=group,
-                                           samples=len(FORCED_STRATA) + 1, seed=11)
-            assert campaigns.run_suite(cfg).all_passed, (suite, group)
-        point = gspoint_stream(context(group), SplitMix64(308), 2)[1]
-        chart = QuotientChart(borel_reduction(point))
-        h, d = chart.hdim, chart.ctx.dim_g
-        pushforward_linear(DiracFiber.zero(2 * h), chart.dmu)
-        pullback_linear(DiracFiber.zero(2 * d), chart.dmu)
-        chart.graph.cotangent_intersection()
-        Subspace.full(h)
-    assert set(sites) == CANONICAL_SITES

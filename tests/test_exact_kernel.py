@@ -12,7 +12,8 @@ entries.
 
 Subspace containment is one product against the pivot rows of a canonical
 basis; the rank test on the stacked bases that it replaced is its oracle
-here, on real and non-real spans.
+here, on real and non-real spans.  A basis recognised as canonical without
+elimination must be stored exactly as the rref route stores it.
 """
 
 import copy
@@ -508,9 +509,9 @@ def test_containment_product_matches_the_rank_route(case, nonreal):
     rnd = random.Random(seed + 5)
     span = m + gaussian_mat(rnd, m.rows, m.cols).scale(QQi(0, 1)) if nonreal else m
     a = Subspace.from_spanning(span)
-    # the pivot rows read off a basis passed as canonical are the rref's
-    lazy = Subspace(a.ambient_dim, a.basis, canonical=True)
-    assert lazy._pivot_rows() == a._pivot_rows()
+    # the pivot rows recognised on a canonical basis are the rref's
+    lazy = Subspace(a.ambient_dim, a.basis)
+    assert lazy._pivots == a._pivots
     amb = a.ambient_dim
     zero = Subspace.zero(amb)
     for s in (a, zero):
@@ -543,7 +544,7 @@ def test_containment_runs_no_elimination(monkeypatch):
     nonreal = span + gaussian_mat(rnd, 8, 5).scale(QQi(0, 1))
     subs = [Subspace.from_spanning(span), Subspace.from_spanning(nonreal),
             Subspace.zero(8), Subspace.full(8)]
-    subs.append(Subspace(8, subs[0].basis, canonical=True))  # pivots read lazily
+    subs.append(Subspace(8, subs[0].basis))  # recognised as canonical
 
     def refuse(*args):
         raise AssertionError("containment ran an elimination")
@@ -556,3 +557,75 @@ def test_containment_runs_no_elimination(monkeypatch):
             verdicts += [a.contains(b), a.equals(b)]
         verdicts += [a.contains_vector(span.col(0)), a.contains_vector(nonreal.col(1))]
     assert any(verdicts) and not all(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# the canonical basis recognised without elimination, against the rref route
+
+
+def with_entry(m: Mat, i: int, j: int, x) -> Mat:
+    rows = [list(r) for r in m.data]
+    rows[i][j] = QQi(x)
+    return Mat(rows)
+
+
+def canonical_inputs(m: Mat) -> list[Mat]:
+    """Bases that already are canonical: the rref rows of the span of
+    ``m``'s columns transposed back, [I; W] and [0; I] with W a block of
+    ``m``, the zero subspace and the full space."""
+    amb = m.rows
+    red, pivots = rref(m.transpose())
+    out = [Mat.zeros(amb, 0), Mat.identity(amb)]
+    if pivots:
+        out.append(red.row_block(0, len(pivots)).transpose())
+    k = min(m.cols, amb)
+    if k < amb:
+        out += [Mat.identity(k).vstack(m.row_block(0, amb - k).col_block(0, k)),
+                Mat.zeros(amb - k, k).vstack(Mat.identity(k))]
+    return out
+
+
+def near_misses(c: Mat) -> list[Mat]:
+    """Bases one step from the canonical basis ``c``, whose transposes break
+    the reduced row echelon form: a leading entry of 2, or of 1/2 (a unit
+    numerator over a row denominator), a non-zero above a later pivot
+    (column 0 non-zero at the last pivot row), pivots out of order, a
+    non-zero elsewhere in a pivot row (the last column non-zero at the
+    first pivot row), and a zero column."""
+    if not c.cols:
+        return []
+    pivots = linalg._echelon_pivots(c)
+    last = c.cols - 1
+    out = [with_entry(c, pivots[0], 0, 2), with_entry(c, pivots[0], 0, Fraction(1, 2)),
+           c.hstack(Mat.zeros(c.rows, 1))]
+    if last:
+        out += [with_entry(c, pivots[last], 0, 1),
+                c.select_cols([1, 0, *range(2, c.cols)]),
+                with_entry(c, pivots[0], last, 1)]
+    return out
+
+
+@settings(SETTINGS, max_examples=60)
+@given(matrices(max_dim=7), st.booleans())
+def test_a_canonical_basis_is_recognised_as_the_rref_would_store_it(case, nonreal):
+    m, seed = case
+    rnd = random.Random(seed + 7)
+    if nonreal:
+        m = m + gaussian_mat(rnd, m.rows, m.cols).scale(QQi(0, 1))
+    amb = m.rows
+    canonical = canonical_inputs(m)
+    misses = [x for c in canonical for x in near_misses(c)]
+    for x in canonical:
+        assert linalg._echelon_pivots(x) == linalg._canonical_basis(x)[1]
+    for x in misses:
+        assert linalg._echelon_pivots(x) is None
+    for x in [m, *canonical, *misses]:
+        s = Subspace(amb, x)
+        basis, pivots = linalg._canonical_basis(x)
+        assert s.basis == basis and s._pivots == pivots
+    # containment against a recognised basis is the rank route's; a near
+    # miss is stored as the rref stores it, as checked above
+    for x in [m, *canonical]:
+        s = Subspace(amb, x)
+        for mat in spanning_sets(rnd, m, nonreal) + [x] * bool(x.cols):
+            assert s.contains_columns(mat) == rank_contains(s, mat)

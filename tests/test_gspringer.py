@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpslab import campaigns, gspringer, linalg
+from qpslab import campaigns, gspringer, liegroup, linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
@@ -61,8 +61,8 @@ def test_phi_equivariance():
         g1 = random_point(SL2, "G", rng)
         g2 = random_point(SL2, "G", rng)
         f1, f2 = phi(a, b)
-        m1, m2 = phi(GroupElement(SL2, g1.m @ a.m @ g2.inv, check=False),
-                     GroupElement(SL2, g2.m @ b.m @ g2.inv, check=False))
+        m1, m2 = phi(GroupElement(SL2, g1.m @ a.m @ g2.inv),
+                     GroupElement(SL2, g2.m @ b.m @ g2.inv))
         assert m1.m == g1.m @ f1.m @ g1.inv
         assert m2.m == g2.m @ f2.m @ g2.inv
 
@@ -438,6 +438,25 @@ def test_mu_lambda_well_defined():
     assert mu(GSPoint(GroupElement(SL2, Mat.identity(2)), b)).m == b.m
 
 
+@pytest.mark.parametrize("group", ["sl2", "gl3"])
+def test_exact_diagram_gs_takes_no_inverse_of_b(group, monkeypatch):
+    # mu(p) = g b g^-1 inverts g alone: at 6 points, the fresh context's
+    # one inverse and two per point, g^-1 for mu and for the conjugated
+    # unipotent; building phi's b^-1 for mu as well took 19
+    calls = []
+    real = Mat.inverse
+
+    def spy(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(liegroup, "_CONTEXTS", {})
+    monkeypatch.setattr(Mat, "inverse", spy)
+    cfg = campaigns.CampaignConfig(suite="diagram-gs", group=group, samples=6, seed=3)
+    assert campaigns.run_suite(cfg).all_passed
+    assert len(calls) == 13
+
+
 def test_kappa_commutes():
     rng = SplitMix64(74)
     for ctx in (SL2, SL3, GL2):
@@ -492,7 +511,7 @@ def test_theorem1_witness_names_a_column_outside_the_other_fiber():
         "fiber": "b", "column": 1, "dims": [1, 2]}
 
 
-DERIVED = ("omega_matrix", "phi_differential", "phi", "conjugation_sections")
+DERIVED = ("omega_matrix", "phi_differential", "conjugate", "conjugation_sections")
 
 
 def test_quotient_checks_build_each_chart_once(monkeypatch):
@@ -522,7 +541,8 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counting(name, fn))
     # gs-theorem1 needs the base point's chart and the moved one's, each on
     # its own reduction; the moved reduction derives T and W for the moved
-    # chart's graph, and nothing else is derived twice.  Only gs-theorem2
+    # chart's graph, and its p is one more conjugation (mu is the other);
+    # nothing else is derived twice.  Only gs-theorem2
     # reads the leaf, once for the leaf check and the leaf form together
     suites = (("gs-theorem1", 2, 0), ("gs-theorem2", 1, 1), ("bivector", 1, 0))
     for group in ("sl2", "sl3"):
@@ -535,7 +555,7 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
                 want = Counter({name: 1 for name in DERIVED})
                 want.update({"chart": charts, "reduction": charts,
                              "gram_adjoint": charts, "omega_matrix": charts - 1,
-                             "tangent_part": leaves})
+                             "conjugate": charts - 1, "tangent_part": leaves})
                 assert counts == want, (group, suite)
 
 

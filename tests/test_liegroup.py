@@ -12,9 +12,10 @@ from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.gspringer import _nonregular_torus
 from qpslab.liegroup import (Ad, GroupContext, GroupElement, WeylGroup,
                              borel_decompose, bracket, chevalley, context,
-                             random_algebra, random_point, rho_adjoint, sigma,
-                             sigma_adjoint, conj_field)
+                             random_algebra, random_point, read_element,
+                             rho_adjoint, sigma, sigma_adjoint, conj_field)
 from qpslab.linalg import Mat, Subspace, annihilator, mat_vec, rank
+from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -138,7 +139,7 @@ def test_chevalley_conjugation_invariant():
         for _ in range(10):
             g = random_point(ctx, "G", rng)
             h = random_point(ctx, "G", rng)
-            conj = GroupElement(ctx, h.m @ g.m @ h.inv, check=False)
+            conj = GroupElement(ctx, h.m @ g.m @ h.inv)
             assert chevalley(conj) == chevalley(g)
 
 
@@ -226,10 +227,13 @@ def test_weyl_group():
 
 
 def test_group_element_validation():
-    with pytest.raises(ValueError):
-        grp(SL2, [[1, 0], [0, 2]])  # det 2 in SL
-    with pytest.raises(ValueError):
-        grp(SL2, [[0, 0], [0, 0]])
+    # membership is checked where a matrix enters, in read_element
+    det2 = mat_to_json(Mat([[1, 0], [0, 2]]))
+    with pytest.raises(ValueError, match="determinant 1"):
+        read_element(SL2, det2)
+    with pytest.raises(ValueError, match="invertible"):
+        read_element(SL2, mat_to_json(Mat([[0, 0], [0, 0]])))
+    assert read_element(GL2, det2).m == Mat([[1, 0], [0, 2]])
 
 
 def test_group_element_json_roundtrip():
