@@ -31,10 +31,13 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a seeded verification suite")
     v.add_argument("suite", choices=SUITE_NAMES)
     v.add_argument("--group", choices=CLI_GROUPS, default="sl2")
-    v.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT)
+    v.add_argument("--backend", choices=(EXACT, FLOAT), default=EXACT,
+                   help="float: diagram-gs's Weyl-fiber record, decided "
+                        "exactly like every record")
     v.add_argument("--samples", type=int, default=20)
     v.add_argument("--seed", type=int, default=1)
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=float, default=1e-9,
+                   help="recorded in the report's config; decides no verdict")
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--report", type=str, default=None,
                    help="write the JSON report to this path")
@@ -44,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate one quantity from JSON input")
     e.add_argument("kind", choices=EVAL_KINDS)
     e.add_argument("input", type=str, help="path to the input JSON file")
-    e.add_argument("--tol", type=float, default=1e-9)
+    e.add_argument("--tol", type=float, default=1e-9,
+                   help="fiber-enum's relative eigenvalue-collision tolerance")
 
     return parser
 

@@ -1,9 +1,10 @@
 """The fusion double, its restriction to G x B, and the quotient G x_B B.
 
-Everything here is pointwise and exact, apart from the Weyl-fiber
-enumeration at the end, which runs on numpy arrays.  Only that float code
-uses numpy, and each of its functions imports it when called, so an exact
-run never loads numpy.  The double G x G carries the 2-form
+Everything here is pointwise and exact, apart from the float Weyl-fiber
+enumeration at the end, which runs on numpy arrays for ``eval fiber-enum``
+(the campaigns decide the Weyl fiber exactly, by :func:`weyl_fiber`).  Only
+that float code uses numpy, and each of its functions imports it when
+called, so no campaign loads numpy.  The double G x G carries the 2-form
 
     omega_(a,b)((x1,y1),(x2,y2)) = -1/2 [ (x1, Ad_b y2) - (x2, Ad_b y1)
                                         + (x2, Ad_b x1) - (x1, Ad_b x2)
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 from .conventions import ACTIVE
@@ -83,7 +84,7 @@ from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
 from .liegroup import (GroupContext, GroupElement, chevalley, conjugate,
                        conjugation_sections, group_of_json, random_point,
                        read_element, reciprocal_product, sigma, sigma_average,
-                       torus_part, _mul_frac)
+                       torus_part, _mul_frac, _parity)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
                      rank, rref, solve_columns)
 from .matio import _exact_part, entry_pairs, mat_to_json
@@ -601,6 +602,65 @@ def lam(p: GSPoint) -> GroupElement:
     return torus_part(p.b)
 
 
+def weyl_fiber(rs: GroupElement,
+               t: GroupElement) -> tuple[list[tuple[Mat, Mat]], dict | None]:
+    """The mu-fiber over rs = g t g^-1, for a diagonal t, as exact points (h, b).
+
+    Column i of h is the null vector of rs - t_i I; on SL column 0 is scaled
+    so that det h = 1.  Each ordering w of the eigenvalues, in
+    :class:`~qpslab.liegroup.WeylGroup` order, gives the point (h_w, b_w):
+    the columns of h in that order, column 0 negated for an odd ordering on
+    SL as the Weyl representatives are, and b_w the diagonal of t in that
+    order.  h is inverted once: h_w^-1 is the rows of h^-1 in the same order
+    and sign.
+
+    Returns ``(points, witness)``.  The witness is None when all four
+    conditions hold; otherwise it names the first that fails, with its
+    entry or ordering:
+
+    * ``regular``: each null space of rs - t_i I is one line;
+    * ``det-one``: on SL, det h_w = 1;
+    * ``mu-is-rs``: h_w^-1 rs h_w = b_w, so mu(h_w, b_w) = rs exactly;
+    * ``inequivalent``: h_v^-1 h_w is not upper triangular for v before w,
+      the test of :meth:`GSPoint.same_class`, so the points are pairwise
+      inequivalent.
+    """
+    ctx, n = rs.ctx, rs.ctx.n
+    nums, den = t.m.int_entries()
+    cols = []
+    for i in range(n):
+        v = null_vectors(rs.m - Mat.identity(n).scale_rows([(nums[i][i], den)] * n))
+        if v.cols != 1:
+            return [], {"condition": "regular", "entry": i, "nullity": v.cols}
+        cols.append(v)
+    sl = ctx.family == "SL"
+    if sl:
+        cols[0] = cols[0].scale(1 / reduce(Mat.hstack, cols).det())
+    h = reduce(Mat.hstack, cols)
+    # negating column 0 of h_w (row 0 of h_w^-1) selects it from -h (-h^-1),
+    # so each product below holds every ordering's, or pair's, as a block
+    signed, signed_inv = h.hstack(-h), (hinv := h.inverse()).vstack(-hinv)
+    conj = signed_inv @ (rs.m @ signed)
+    cross = signed_inv @ signed
+    orders = [[perm[0] + n if sl and _parity(perm) == -1 else perm[0], *perm[1:]]
+              for perm in itertools.permutations(range(n))]
+    points = []
+    for order in orders:
+        perm = [k % n for k in order]
+        hw = signed.select_cols(order)
+        bw = t.m.select_rows(perm).select_cols(perm)
+        if sl and hw.det() != 1:
+            return points, {"condition": "det-one", "ordering": perm}
+        if conj.select_rows(order).select_cols(order) != bw:
+            return points, {"condition": "mu-is-rs", "ordering": perm}
+        points.append((hw, bw))
+    for v, w in itertools.combinations(orders, 2):
+        if ctx.in_borel(cross.select_rows(v).select_cols(w)):
+            return points, {"condition": "inequivalent",
+                            "orderings": [[k % n for k in v], [k % n for k in w]]}
+    return points, None
+
+
 def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     """The induced action field of xi at the chart point: q_* rho(xi, 0).
 
@@ -888,13 +948,14 @@ def reconstruct_bivector(chart: QuotientChart):
 # ---------------------------------------------------------------------------
 # Weyl fibers over regular semisimple elements, in floating point
 #
-# The one float check of the package, and the only numpy code: it runs on
-# complex128 arrays.  A float fiber point is a pair (h, b) of n x n arrays,
-# the representative h and the diagonal b, read as the class [h : b].
+# The float enumeration behind ``eval fiber-enum``, and the only numpy code:
+# it runs on complex128 arrays.  A float fiber point is a pair (h, b) of
+# n x n arrays, the representative h and the diagonal b, read as the class
+# [h : b].  The campaigns decide the same fiber exactly (:func:`weyl_fiber`);
+# these functions are its oracle in the tests.
 #
 # Each function here that calls numpy imports it in its body, so numpy is
-# loaded on the first float call (``verify diagram-gs --backend float`` or
-# ``eval fiber-enum``) and an exact run never loads it.
+# loaded on the first call of ``eval fiber-enum`` and no campaign loads it.
 
 
 def float_array(m: Mat) -> np.ndarray:

@@ -29,7 +29,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, sub
 
 from .conventions import ACTIVE
-from .linalg import Mat, mat_vec
+from .linalg import Mat, _entry, mat_vec
 from .matio import mat_from_json, mat_to_json
 from .prng import SplitMix64
 from .scalars import QQI_ZERO, QQi
@@ -524,27 +524,34 @@ def chevalley(g: GroupElement) -> tuple:
     return invariants(g.ctx, g.m)
 
 
-def invariants(ctx: GroupContext, m) -> tuple:
+def invariants(ctx: GroupContext, m: Mat) -> tuple:
     """The elementary symmetric functions of the eigenvalues of ``m``.
 
     n-1 of them for SL_n (the determinant is pinned to 1), all n for GL_n,
-    from the power sums by Newton's identities.  Only ``@`` and ``.trace()``
-    are used, so ``m`` is an exact :class:`Mat` or a numpy array.
+    from the power sums by Newton's identities.  With m = N / den over its
+    integer rows (:meth:`~qpslab.linalg.Mat.int_entries`), e_k(m) =
+    e_k(N) / den^k, and the identities run on the power sums tr(N^i) in
+    (Gaussian) integers: k divides the right side of
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i exactly.
     """
     n = ctx.n
-    powers = []
-    acc = m
-    for _ in range(n):
-        powers.append(acc.trace())
-        acc = acc @ m
-    es = [1]  # e_0 = 1; Newton: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i
+    nums, den = m.int_entries()
+    big = Mat.from_int_rows(nums, 1)
+    powers, acc = [], big
+    for k in range(n):
+        if k:
+            acc = acc @ big
+        rows, _ = acc.int_entries()
+        powers.append(sum(rows[i][i] for i in range(n)))
+    es = [1]
     for k in range(1, n + 1):
-        s = es[k - 1] * powers[0]
-        for i in range(2, k + 1):
+        s = 0
+        for i in range(1, k + 1):
             term = es[k - i] * powers[i - 1]
             s = s + term if i % 2 == 1 else s - term
-        es.append(s / k)
-    return tuple(es[1:n] if ctx.family == "SL" else es[1:])
+        es.append(s // k)
+    values = tuple(_entry(e, den ** k) for k, e in enumerate(es) if k)
+    return values[:n - 1] if ctx.family == "SL" else values
 
 
 # the reduced pairs of zero and one

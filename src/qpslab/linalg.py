@@ -3,8 +3,8 @@
 All geometric claims verified by this package reduce to rank, kernel and
 intersection computations performed here.  A :class:`Mat` holds exact
 entries only; a float entry, or a float passed to :meth:`Mat.scale`, raises
-``TypeError``.  The one float check, the Weyl-fiber enumeration, runs on
-numpy arrays in :mod:`qpslab.gspringer`.
+``TypeError``.  The one float computation, the Weyl-fiber enumeration of
+``eval fiber-enum``, runs on numpy arrays in :mod:`qpslab.gspringer`.
 
 Every :class:`Mat` is kept in one form, integer rows: for each row, a list
 of numerators over a positive integer row denominator.  A real numerator is
@@ -118,7 +118,8 @@ from typing import Iterable, Sequence
 
 from .scalars import QQI_ZERO, QQi, ZZi, zzi
 
-# the values of a campaign's backend setting; only diagram-gs takes FLOAT
+# the values of a campaign's backend setting; only diagram-gs takes FLOAT, and
+# decides its records exactly on either
 EXACT = "exact"
 FLOAT = "float"
 

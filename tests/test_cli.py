@@ -139,6 +139,19 @@ def test_cli_group_defaults_to_sl2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("group", ["sl3", "gl3"])
+def test_cli_float_diagram_gs_passes_at_the_defaults(tmp_path, capsys, group):
+    # seed 1 and 20 samples: the float-decided records failed kappa-commutes
+    # at point 17 on sl3 and point 16 on gl3 (mu and lambda differing in the
+    # eighth digit); both records are decided exactly now
+    rpt = tmp_path / "r.json"
+    assert main(["verify", "diagram-gs", "--backend", "float", "--group", group,
+                 "--report", str(rpt)]) == 0
+    data = json.loads(rpt.read_text())
+    assert data["summary"] == {"total": 40, "passed": 40, "failed": 0}
+    capsys.readouterr()
+
+
 IDENTITY2 = {
     "group": "sl2", "rows": 2, "cols": 2,
     "entries": [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],

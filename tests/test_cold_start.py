@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: exact runs load neither numpy nor the
-process pool; the float code loads numpy on first use.
+"""What a fresh interpreter loads: campaigns, on either backend, load
+neither numpy nor the process pool; ``eval fiber-enum``, the one float
+command, loads numpy on first use.
 
 Each test runs the CLI in a new interpreter, since the test process itself
 has long since imported both.
@@ -60,17 +61,27 @@ def test_an_exact_run_loads_no_numpy_and_no_pool(capsys):
     assert strip_timestamp(out) == strip_timestamp(want_out)
 
 
-def test_the_float_runs_load_numpy_on_first_use(tmp_path, capsys):
+def test_a_float_campaign_loads_no_numpy(capsys):
+    # the float backend's diagram-gs records are decided exactly
+    argv = ["verify", "diagram-gs", "--backend", "float", "--samples", "2"]
+    got = fresh_run([argv])
+    assert got["loaded"] == []
+    (code, out), = got["runs"]
+    want_code, want_out = in_process(argv, capsys)
+    assert code == want_code == 0
+    assert strip_timestamp(out) == strip_timestamp(want_out)
+
+
+def test_fiber_enum_loads_numpy_on_first_use(tmp_path, capsys):
     diag = tmp_path / "diag.json"
     diag.write_text(json.dumps({
         "group": "sl2", "rows": 2, "cols": 2,
         "entries": [["2", "0"], ["0", "0"], ["0", "0"], ["1/2", "0"]]}))
-    argvs = [["verify", "diagram-gs", "--backend", "float", "--samples", "2"],
-             ["eval", "fiber-enum", str(diag)]]
-    got = fresh_run(argvs)
-    assert "numpy" in got["loaded"]
-    for (code, out), argv in zip(got["runs"], argvs):
-        want_code, want_out = in_process(argv, capsys)
-        assert code == want_code
-        assert strip_timestamp(out) == strip_timestamp(want_out)
-    assert '"count": 2' in got["runs"][1][1]
+    argv = ["eval", "fiber-enum", str(diag)]
+    got = fresh_run([argv])
+    assert got["loaded"] == ["numpy"]
+    (code, out), = got["runs"]
+    want_code, want_out = in_process(argv, capsys)
+    assert code == want_code == 0
+    assert out == want_out
+    assert '"count": 2' in out

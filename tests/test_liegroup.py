@@ -143,6 +143,39 @@ def test_chevalley_conjugation_invariant():
             assert chevalley(conj) == chevalley(g)
 
 
+def newton_on_entries(ctx, m: Mat) -> tuple:
+    """The invariants by Newton's identities on the QQi power sums tr(m^k)."""
+    powers, acc = [m.trace()], m
+    for _ in range(ctx.n - 1):
+        acc = acc @ m
+        powers.append(acc.trace())
+    es = [QQi(1)]
+    for k in range(1, ctx.n + 1):
+        s = QQi(0)
+        for i in range(1, k + 1):
+            s = s + (es[k - i] * powers[i - 1] if i % 2 else -(es[k - i] * powers[i - 1]))
+        es.append(s / k)
+    return tuple(es[1:ctx.n] if ctx.family == "SL" else es[1:])
+
+
+@pytest.mark.parametrize("name", sorted(liegroup.GROUPS))
+def test_integer_invariants_match_newton_on_the_entries(name):
+    # the integer route scales by den^k: rows over distinct denominators, a
+    # Gaussian matrix and a negative trace all take it
+    ctx = context(name)
+    rng = SplitMix64(15)
+    i = QQi(0, 1)
+    gauss = Mat([[i * (r + 1) + Fraction(c, r + 2) for c in range(ctx.n)]
+                 for r in range(ctx.n)])
+    mats = [random_point(ctx, kind, rng).m for kind in ("G", "G", "B", "U")]
+    for m in mats + [gauss, -gauss, Mat.zeros(ctx.n, ctx.n)]:
+        got = liegroup.invariants(ctx, m)
+        assert got == newton_on_entries(ctx, m)
+        assert got[0] == m.trace()
+        if ctx.family == "GL":
+            assert got[-1] == m.det()
+
+
 def test_random_point_membership():
     rng = SplitMix64(15)
     t = random_point(SL2, "T", rng)

@@ -1,0 +1,137 @@
+"""The exact Weyl fiber of ``diagram-gs --backend float``.
+
+:func:`~qpslab.gspringer.weyl_fiber` decides the record
+``diagram-gs/weyl-fiber``: over a regular semisimple rs = g t g^-1 the
+mu-fiber has |W| pairwise-inequivalent points, each mapping to rs exactly.
+Three routes hold it:
+
+* the points against :class:`~qpslab.gspringer.GSPoint`, whose ``mu`` and
+  ``same_class`` invert each h afresh;
+* mutants of its source, one line each, and a non-regular t in the
+  campaign's draws: each makes the record fail with a witness naming the
+  condition the mutant breaks, so the record can fail;
+* the float enumeration :func:`~qpslab.gspringer.weyl_fiber_enum`, the
+  oracle kept for ``eval fiber-enum``: the same number of points, and each
+  exact point is the float class of exactly one float point.
+"""
+
+import inspect
+import itertools
+import textwrap
+
+import pytest
+
+from qpslab import campaigns, gspringer
+from qpslab.campaigns import CLI_GROUPS, CampaignConfig, run_suite
+from qpslab.gspringer import (GSPoint, float_array, float_same_class, mu,
+                              weyl_fiber, weyl_fiber_enum)
+from qpslab.liegroup import (GROUPS, GroupElement, WeylGroup, conjugate, context,
+                             random_point)
+from qpslab.prng import SplitMix64
+
+
+def regular_semisimple(ctx, rng):
+    """(rs, t) drawn as the campaign draws them: t, then g; rs = g t g^-1."""
+    t = random_point(ctx, "T-regular", rng)
+    g = random_point(ctx, "G", rng)
+    return conjugate(g, t), t
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_the_fiber_is_w_inequivalent_points_over_rs(name):
+    ctx = context(name)
+    rs, t = regular_semisimple(ctx, SplitMix64(33))
+    points, witness = weyl_fiber(rs, t)
+    assert witness is None
+    assert len(points) == len(WeylGroup(ctx))
+    classes = [GSPoint(GroupElement(ctx, h), GroupElement(ctx, b)) for h, b in points]
+    for p in classes:
+        assert mu(p) == rs
+        if ctx.family == "SL":
+            assert p.g.m.det() == 1
+    for p, q in itertools.combinations(classes, 2):
+        assert not p.same_class(q)
+
+
+# one-line mutants of weyl_fiber: (old, new, the condition it must break,
+# whether it breaks it at every point).  Dropping the det-1 scaling changes
+# nothing at a point whose unscaled h already has det 1, as one of the sl2
+# points here does.
+SOURCE_MUTANTS = {
+    "b-unpermuted": ("bw = t.m.select_rows(perm).select_cols(perm)", "bw = t.m",
+                     "mu-is-rs", True),
+    "ordering-repeated": ("    points = []\n",
+                          "    orders[1] = orders[0]\n    points = []\n",
+                          "inequivalent", True),
+    "no-det-scaling": ("cols[0] = cols[0].scale(1 / reduce(Mat.hstack, cols).det())",
+                       "pass", "det-one", False),
+}
+
+
+def mutant(old: str, new: str):
+    """weyl_fiber with ``old`` replaced by ``new`` in its source, compiled in
+    the namespace of :mod:`qpslab.gspringer`."""
+    source = textwrap.dedent(inspect.getsource(gspringer.weyl_fiber))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(gspringer))
+    exec(compile(source.replace(old, new), gspringer.__file__, "exec"), namespace)
+    return namespace["weyl_fiber"]
+
+
+def weyl_records(group: str) -> list:
+    report = run_suite(CampaignConfig(suite="diagram-gs", group=group,
+                                      backend="float", samples=4, seed=5))
+    return [r for r in report.checks if r["check_id"] == "diagram-gs/weyl-fiber"]
+
+
+# GL takes no det-1 scaling, so that mutant runs on SL alone
+@pytest.mark.parametrize("name, group", [
+    (name, group) for name in sorted(SOURCE_MUTANTS) for group in ("sl2", "sl3", "gl3")
+    if name != "no-det-scaling" or group.startswith("sl")])
+def test_each_source_mutant_fails_the_record(monkeypatch, name, group):
+    old, new, condition, everywhere = SOURCE_MUTANTS[name]
+    assert all(r["passed"] for r in weyl_records(group))
+    monkeypatch.setattr(campaigns, "weyl_fiber", mutant(old, new))
+    records = weyl_records(group)
+    failed = [r for r in records if not r["passed"]]
+    assert failed and (len(failed) == len(records) or not everywhere)
+    assert {r["witness"]["condition"] for r in failed} == {condition}
+
+
+@pytest.mark.parametrize("group", CLI_GROUPS)
+def test_a_repeated_entry_of_t_fails_the_precondition(monkeypatch, group):
+    # the draw of t takes the non-regular torus of the degenerate stratum,
+    # whose first two entries are equal
+    real = campaigns.random_point
+
+    def repeated(ctx, kind, rng, *args):
+        if kind == "T-regular":
+            return GroupElement(ctx, gspringer._nonregular_torus(ctx, rng))
+        return real(ctx, kind, rng, *args)
+
+    monkeypatch.setattr(campaigns, "random_point", repeated)
+    records = weyl_records(group)
+    assert records and not any(r["passed"] for r in records)
+    for r in records:
+        assert r["witness"] == {"condition": "regular", "entry": 0, "nullity": 2}
+
+
+# The float eigenvectors of these draws are accurate to a few 1e-6: the
+# worst matching class reads 2.6e-6 in the relative measure of
+# float_same_class, and the nearest other class 9e-4.  1e-4 lies between.
+ORACLE_TOL = 1e-4
+
+
+@pytest.mark.parametrize("group", CLI_GROUPS)
+def test_the_exact_fiber_matches_the_float_enumeration(group):
+    ctx = context(group)
+    rng = SplitMix64(34)
+    for _ in range(20):
+        rs, t = regular_semisimple(ctx, rng)
+        points, witness = weyl_fiber(rs, t)
+        assert witness is None
+        floats = weyl_fiber_enum(ctx, float_array(rs.m))
+        assert len(points) == len(floats)
+        for h, b in points:
+            image = (float_array(h), float_array(b))
+            assert sum(float_same_class(image, f, ORACLE_TOL) for f in floats) == 1
