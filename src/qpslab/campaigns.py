@@ -24,9 +24,8 @@ from fractions import Fraction
 from .conventions import ACTIVE, CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
 from .dirac import (cartan_closure_check, cartan_dirac, closure_sample,
                     graph_bivector, graph_two_form, is_lagrangian, pairing)
-from .gspringer import (GSPoint, borel_reduction, float_element_from_json,
-                        float_point_to_json, gspoint_stream, lam, leaf_two_form,
-                        moment_condition_holds, mu, mu_residual, omega_matrix,
+from .gspringer import (GSPoint, borel_reduction, gspoint_stream, lam,
+                        leaf_two_form, moment_condition_holds, mu, omega_matrix,
                         phi_differential, QuotientChart, reconstruct_bivector,
                         regact_check, representative_independent, sample_double,
                         sampled_d_identity, steinberg_membership, theorem1_check,
@@ -44,22 +43,13 @@ CLI_GROUPS = ("sl2", "sl3", "gl2", "gl3")
 # record, which is decided exactly like every other record
 FLOAT_SUITES = ("diagram-gs",)
 
-# fiber-enum rejects eigenvalues within this relative tolerance of each other
-# as colliding; from 1e-2 on that would turn away well-separated eigenvalues.
-# verify --tol shares the bound, though it decides no record: it is kept in
-# the config, and so in every report.
+# the upper bound of verify --tol, which decides no record: the tolerance is
+# kept in the config, and so in every report
 FIBER_TOL_LIMIT = 1e-2
 
 
 class UsageError(ValueError):
     pass
-
-
-def _check_tolerance(tolerance: float) -> None:
-    """Reject a tolerance outside (0, FIBER_TOL_LIMIT); NaN and inf fail too."""
-    if not 0 < tolerance < FIBER_TOL_LIMIT:
-        raise UsageError(f"tolerance must be in (0, {FIBER_TOL_LIMIT:g}), "
-                         f"got {tolerance!r}")
 
 
 @dataclass
@@ -92,7 +82,10 @@ class CampaignConfig:
         # SplitMix64 keeps a seed's low 64 bits: outside them two seeds alias
         if not 0 <= self.seed < 2 ** 64:
             raise UsageError(f"seed must be in [0, 2^64), got {self.seed}")
-        _check_tolerance(self.tolerance)
+        # NaN and the infinities fail the comparison too
+        if not 0 < self.tolerance < FIBER_TOL_LIMIT:
+            raise UsageError(f"tolerance must be in (0, {FIBER_TOL_LIMIT:g}), "
+                             f"got {self.tolerance!r}")
         if self.corrupt is not None and self.corrupt not in CORRUPTIONS:
             raise UsageError(f"unknown corruption {self.corrupt!r}")
 
@@ -541,7 +534,7 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
 # eval commands
 
 
-def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
+def eval_command(kind: str, payload: dict) -> dict:
     """One-shot evaluations over JSON inputs; see the CLI for file handling."""
     if kind == "kappa":
         g = GroupElement.from_json(payload)
@@ -552,15 +545,8 @@ def eval_command(kind: str, payload: dict, tolerance: float = 1e-9) -> dict:
         t = read_element(ctx, payload["t"])
         return {"member": steinberg_membership(g, t)}
     if kind == "fiber-enum":
-        # the one float input: entries may be plain numbers
-        _check_tolerance(tolerance)
-        ctx, g = float_element_from_json(payload)
-        pts = weyl_fiber_enum(ctx, g, tol=tolerance)
-        return {
-            "count": len(pts),
-            "points": [float_point_to_json(ctx, p) for p in pts],
-            "residuals": [mu_residual(p, g) for p in pts],
-        }
+        pts = weyl_fiber_enum(GroupElement.from_json(payload))
+        return {"count": len(pts), "points": [p.to_json() for p in pts]}
     if kind == "leaf-form":
         chart = QuotientChart(borel_reduction(GSPoint.from_json(payload)))
         # an eval input carries no salt, so the d-identity directions come

@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate one quantity from JSON input")
     e.add_argument("kind", choices=EVAL_KINDS)
     e.add_argument("input", type=str, help="path to the input JSON file")
-    e.add_argument("--tol", type=float, default=1e-9,
-                   help="fiber-enum's relative eigenvalue-collision tolerance")
 
     return parser
 
@@ -99,7 +97,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:
-        out = eval_command(args.kind, payload, tolerance=args.tol)
+        out = eval_command(args.kind, payload)
     except (UsageError, NotRegularSemisimple, LinAlgError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

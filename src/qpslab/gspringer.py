@@ -1,10 +1,7 @@
 """The fusion double, its restriction to G x B, and the quotient G x_B B.
 
-Everything here is pointwise and exact, apart from the float Weyl-fiber
-enumeration at the end, which runs on numpy arrays for ``eval fiber-enum``
-(the campaigns decide the Weyl fiber exactly, by :func:`weyl_fiber`).  Only
-that float code uses numpy, and each of its functions imports it when
-called, so no campaign loads numpy.  The double G x G carries the 2-form
+Everything here is pointwise and exact; no computation here runs in
+floating point.  The double G x G carries the 2-form
 
     omega_(a,b)((x1,y1),(x2,y2)) = -1/2 [ (x1, Ad_b y2) - (x2, Ad_b y1)
                                         + (x2, Ad_b x1) - (x1, Ad_b x2)
@@ -75,7 +72,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING
+from math import isqrt, lcm
 
 from .conventions import ACTIVE
 from .diffcalc import PointedMap, Space
@@ -87,12 +84,9 @@ from .liegroup import (GroupContext, GroupElement, chevalley, conjugate,
                        torus_part, _mul_frac, _parity)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
                      rank, rref, solve_columns)
-from .matio import _exact_part, entry_pairs, mat_to_json
+from .matio import mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class NotRegularSemisimple(ValueError):
@@ -661,6 +655,58 @@ def weyl_fiber(rs: GroupElement,
     return points, None
 
 
+def weyl_fiber_enum(g: GroupElement) -> list[GSPoint]:
+    """The mu-fiber over g, for g regular semisimple with its spectrum in Q.
+
+    The spectrum is the roots of the characteristic polynomial x^n - e_1
+    x^(n-1) + ... + (-1)^n e_n, the e_k read off
+    :func:`~qpslab.liegroup.chevalley` (e_n = 1 on SL).  Times the lcm of
+    its denominators it is an integer polynomial a_n x^n + ... + a_0 (and a
+    primitive one, as its leading coefficient is 1), and its rational roots are
+    the p/q in lowest terms with p | a_0 and q | a_n (the rational-root
+    theorem) at which it vanishes; the divisors come by trial division, about
+    sqrt|a_0| + sqrt|a_n| steps.  With t the diagonal of the roots in
+    ascending order, the points are those of :func:`weyl_fiber` (g, t).
+
+    Raises :class:`NotRegularSemisimple` when a rational root is repeated
+    and ValueError when fewer than n roots are rational.
+    """
+    ctx, n = g.ctx, g.ctx.n
+    es = chevalley(g) + ((QQi(1),) if ctx.family == "SL" else ())
+    if any(e.im for e in es):
+        raise ValueError(f"{ctx.name} element does not split over Q: its "
+                         "characteristic polynomial is not real")
+    coeffs = [Fraction(1)] + [e.re if k % 2 == 0 else -e.re
+                              for k, e in enumerate(es, 1)]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+
+    def value(cs, x):
+        return reduce(lambda acc, c: acc * x + c, cs, 0)
+
+    slope = [(n - k) * a for k, a in enumerate(ints[:-1])]
+    roots = sorted(r for r in {Fraction(s * p, q) for p in _divisors(ints[-1])
+                               for q in _divisors(ints[0]) for s in (1, -1)}
+                   if value(ints, r) == 0)
+    if any(value(slope, r) == 0 for r in roots):
+        raise NotRegularSemisimple("not regular semisimple: repeated eigenvalue")
+    if len(roots) < n:
+        raise ValueError(f"{ctx.name} element does not split over Q: "
+                         f"{len(roots)} of its {n} eigenvalues are rational")
+    t = Mat.identity(n).scale_rows([(r.numerator, r.denominator) for r in roots])
+    points, witness = weyl_fiber(g, GroupElement(ctx, t))
+    # distinct eigenvalues make g regular semisimple, so every condition holds
+    assert witness is None, witness
+    return [GSPoint(GroupElement(ctx, h), GroupElement(ctx, b)) for h, b in points]
+
+
+def _divisors(a: int) -> set[int]:
+    """The positive divisors of a non-zero integer, by trial division."""
+    a = abs(a)
+    small = [d for d in range(1, isqrt(a) + 1) if a % d == 0]
+    return {*small, *(a // d for d in small)}
+
+
 def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     """The induced action field of xi at the chart point: q_* rho(xi, 0).
 
@@ -943,140 +989,6 @@ def reconstruct_bivector(chart: QuotientChart):
         pimat.vstack(cmat.transpose()).hstack(rmat.vstack(duals)))
     checks["passed"] = all(checks.values())
     return pimat, checks
-
-
-# ---------------------------------------------------------------------------
-# Weyl fibers over regular semisimple elements, in floating point
-#
-# The float enumeration behind ``eval fiber-enum``, and the only numpy code:
-# it runs on complex128 arrays.  A float fiber point is a pair (h, b) of
-# n x n arrays, the representative h and the diagonal b, read as the class
-# [h : b].  The campaigns decide the same fiber exactly (:func:`weyl_fiber`);
-# these functions are its oracle in the tests.
-#
-# Each function here that calls numpy imports it in its body, so numpy is
-# loaded on the first call of ``eval fiber-enum`` and no campaign loads it.
-
-
-def float_array(m: Mat) -> np.ndarray:
-    """The complex128 array of an exact matrix.
-
-    It is read from the integer rows over one denominator
-    (:meth:`~qpslab.linalg.Mat.int_entries`), with no :class:`QQi` entry:
-    ``a / den`` is the correctly rounded value of the exact rational, as
-    ``float(Fraction)`` is, so the array is bit for bit that of the
-    entries' ``to_complex``.  A Gaussian numerator takes the formula of
-    ``to_complex`` on its two parts.  (That formula adds the zero real part
-    of ``1j * 0``, which turns a real negative value that underflows to
-    -0.0 into 0.0; the ``+ 0.0`` of a real numerator does the same.)
-    """
-    import numpy as np
-
-    nums, den = m.int_entries()
-    return np.array([[a / den + 0.0 if type(a) is int else
-                      complex(a.re / den) + 1j * complex(a.im / den) for a in r]
-                     for r in nums], dtype=complex)
-
-
-def float_element_from_json(obj: dict) -> tuple[GroupContext, np.ndarray]:
-    """The group and the complex128 matrix of a group element object.
-
-    Entries are fraction strings or plain numbers.  The matrix must be n x n
-    for the group, finite and not numerically singular, and on SL its
-    determinant must be 1 within 1e-6.
-    """
-    import numpy as np
-
-    ctx = group_of_json(obj)
-    rows, cols, pairs = entry_pairs(obj)
-    if rows != ctx.n or cols != ctx.n:
-        raise ValueError(f"matrix size does not match group {ctx.name}")
-    g = np.array([complex(_float_part(re), _float_part(im)) for re, im in pairs],
-                 dtype=complex).reshape(rows, cols)
-    if not np.isfinite(g).all():
-        raise ValueError("group element entries must be finite")
-    d = np.linalg.det(g)
-    if abs(d) < 1e-12:
-        raise ValueError("group element numerically singular")
-    if ctx.family == "SL" and abs(d - 1) > 1e-6:
-        raise ValueError("SL element must have determinant ~1")
-    return ctx, g
-
-
-def _float_part(v) -> float:
-    """A part of an :func:`~qpslab.matio.entry_pairs` entry, as a float."""
-    return float(_exact_part(v)) if isinstance(v, str) else float(v)
-
-
-def weyl_fiber_enum(ctx: GroupContext, g: np.ndarray,
-                    tol: float = 1e-8) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All points (h, b) of the mu-fiber over a regular semisimple element g.
-
-    One ``np.linalg.eig`` call (LAPACK ``geev``, backward stable) gives the
-    eigenvalues and unit eigenvectors; each ordering of the eigenvectors, as
-    the columns of h (determinant 1 on SL), with the matching diagonal b is
-    one of exactly n! pairwise-inequivalent points, each reproducing g to
-    the residual tolerance.  Raises :class:`NotRegularSemisimple` when
-    eigenvalues collide within ``tol`` relative to the largest modulus (at
-    least 1).
-    """
-    import numpy as np
-
-    n = ctx.n
-    lam_, evecs = np.linalg.eig(g)
-    scale = max(1.0, np.abs(lam_).max())
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(lam_[i] - lam_[j]) <= tol * scale:
-                raise NotRegularSemisimple("not regular semisimple")
-    points = []
-    for perm in itertools.permutations(range(n)):
-        h = evecs[:, list(perm)]
-        if ctx.family == "SL":
-            h[:, 0] /= np.linalg.det(h)
-        points.append((h, np.diag(lam_[list(perm)])))
-    return points
-
-
-def float_mu(point: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """mu of a float point (h, b): h b h^-1."""
-    import numpy as np
-
-    h, b = point
-    return h @ b @ np.linalg.inv(h)
-
-
-def mu_residual(point: tuple[np.ndarray, np.ndarray], g: np.ndarray) -> float:
-    """The largest modulus of an entry of mu(point) - g."""
-    import numpy as np
-
-    return float(np.abs(float_mu(point) - g).max())
-
-
-def float_same_class(p: tuple, q: tuple, tol: float) -> bool:
-    """:meth:`GSPoint.same_class` of two float points, to the tolerance ``tol``.
-
-    h = h_q^-1 h_p is upper triangular when no entry below the diagonal
-    exceeds ``tol * max(1, max|h|)``; then h b_p h^-1 - b_q is zero when its
-    largest modulus m satisfies ``m <= tol * max(1, m)``.
-    """
-    import numpy as np
-
-    h = np.linalg.inv(q[0]) @ p[0]
-    if np.abs(np.tril(h, -1)).max() > tol * max(1.0, np.abs(h).max()):
-        return False
-    diff = float(np.abs(float_mu((h, p[1])) - q[1]).max())
-    return diff <= tol * max(1.0, diff)
-
-
-def float_point_to_json(ctx: GroupContext, point: tuple) -> dict:
-    """A float point in the layout of :meth:`GSPoint.to_json`; each entry is
-    a ``[real, imaginary]`` pair of numbers."""
-    def mat(a):
-        return {"rows": ctx.n, "cols": ctx.n,
-                "entries": [[x.real, x.imag] for x in a.ravel().tolist()]}
-
-    return {"g": mat(point[0]), "b": mat(point[1]), "group": ctx.name}
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 All geometric claims verified by this package reduce to rank, kernel and
 intersection computations performed here.  A :class:`Mat` holds exact
 entries only; a float entry, or a float passed to :meth:`Mat.scale`, raises
-``TypeError``.  The one float computation, the Weyl-fiber enumeration of
-``eval fiber-enum``, runs on numpy arrays in :mod:`qpslab.gspringer`.
+``TypeError``.  Nothing in the package computes in floating point.
 
 Every :class:`Mat` is kept in one form, integer rows: for each row, a list
 of numerators over a positive integer row denominator.  A real numerator is
@@ -39,8 +38,8 @@ memory of a run.
   coordinate columns and the sampled algebra elements), and so does every
   kernel operation below.  Rows of :class:`QQi` entries are built by
   :func:`_pair_row` of their real and imaginary parts (:func:`_gaussian_row`),
-  and keep those entries.  Going the other way, the JSON writer and the
-  float conversion read the integer rows, not the entries.
+  and keep those entries.  Going the other way, the JSON writer reads the
+  integer rows, not the entries.
 * The ``QQi`` entries, :attr:`Mat.data`, are built from the integer rows the
   first time some code reads them, and kept.  The column form, derived from
   the rows and kept, is the row form of the transpose (and so of every

@@ -7,10 +7,8 @@ Matrix format::
 Entries are row-major ``[real, imaginary]`` pairs of exact fraction strings
 or integers; a bare integer means a real entry.  Any other number, a
 boolean, a zero denominator or a bad size is an input error (ValueError):
-every matrix read here is exact.  The float reader of the Weyl-fiber
-enumeration, which also takes plain numbers, shares :func:`entry_pairs` and
-the fraction parser (see :mod:`qpslab.gspringer`).  Group elements add a
-``"group"`` tag such as ``"sl2"``.
+every matrix read here is exact, and so is every matrix the package reads.
+Group elements add a ``"group"`` tag such as ``"sl2"``.
 
 Every matrix a campaign writes is real and its parts are ``-?digits`` or
 ``-?digits/digits`` in ASCII, so the reader takes such a part by ``int``
@@ -67,11 +65,11 @@ def _rational(v) -> int | Fraction:
 
 def _pair(v) -> tuple:
     # exact types: JSON's true and false would pass isinstance(v, int)
-    pair = (v, 0) if type(v) in (int, float) else v
+    pair = (v, 0) if type(v) is int else v
     if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
-            type(x) in (str, int, float) for x in pair):
+            type(x) in (str, int) for x in pair):
         return tuple(pair)
-    raise ValueError(f"bad scalar entry {v!r}")
+    raise ValueError(f"exact backend needs fraction strings or integers, got {v!r}")
 
 
 def entry_pairs(obj: dict) -> tuple[int, int, list]:

@@ -4,9 +4,8 @@ Every geometric predicate in this package eventually reduces to arithmetic
 here.  :class:`QQi` stores a pair of ``Fraction``s and is error-free, so rank
 and equality decisions made over it are unconditional.  :class:`ZZi`, a
 non-real Gaussian integer, is the numerator of a non-real entry in the
-integer rows of :mod:`qpslab.linalg`.  The one float computation, the
-Weyl-fiber enumeration of ``eval fiber-enum``, uses numpy's complex128
-arrays instead (see :mod:`qpslab.gspringer`).
+integer rows of :mod:`qpslab.linalg`.  Nothing in the package computes in
+floating point; :meth:`QQi.to_complex` serves the float oracle of the tests.
 """
 
 from __future__ import annotations

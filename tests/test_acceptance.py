@@ -1,9 +1,8 @@
 """Acceptance criteria, one test per criterion, at the stated sample counts.
 
 Every record is decided with zero tolerance (exact equality of rationals),
-the Weyl fibers of ``diagram-gs --backend float`` included; only criterion
-9's direct run of ``eval fiber-enum``'s float enumeration is held to a 1e-8
-residual.  Campaign runs are cached per (suite, group, samples, corruption,
+the Weyl fibers of ``diagram-gs --backend float`` and of ``eval fiber-enum``
+included.  Campaign runs are cached per (suite, group, samples, corruption,
 backend) so criteria sharing a suite reuse the same seeded stream.  Run with
 ``pytest -v`` for the per-criterion lines.
 """
@@ -13,9 +12,8 @@ import pytest
 from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.conventions import ACTIVE, FROZEN
 from qpslab.dirac import cartan_dirac, is_lagrangian
-from qpslab.gspringer import (float_array, float_same_class, mu_residual,
-                              weyl_fiber_enum)
-from qpslab.liegroup import WeylGroup, context, random_point
+from qpslab.gspringer import mu, weyl_fiber_enum
+from qpslab.liegroup import WeylGroup, conjugate, context, random_point
 from qpslab.prng import SplitMix64
 
 GROUPS = ("sl2", "sl3", "gl2")
@@ -137,8 +135,7 @@ def test_criterion_09_steinberg_geometry():
     # the identity fiber; the mu-fiber over 100 regular semisimple elements
     # has exactly |W| pairwise-inequivalent points, each mapping to the
     # element exactly (the float backend's weyl-fiber record); eval
-    # fiber-enum's float enumeration finds them over 20 elements with
-    # residual < 1e-8
+    # fiber-enum's enumeration from the spectrum finds them over 20 elements
     for group in GROUPS:
         assert_all(campaign("diagram-gs", group, 100))
         assert_all(campaign("diagram-gs", group, 100, backend="float"))
@@ -149,13 +146,13 @@ def test_criterion_09_steinberg_geometry():
         for _ in range(20):
             t = random_point(ctx, "T-regular", rng)
             h = random_point(ctx, "G", rng)
-            rs = float_array(h.m @ t.m @ h.inv)
-            pts = weyl_fiber_enum(ctx, rs)
+            rs = conjugate(h, t)
+            pts = weyl_fiber_enum(rs)
             assert len(pts) == wsize
-            assert all(mu_residual(p, rs) < 1e-8 for p in pts)
+            assert all(mu(p) == rs for p in pts)
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
-                    assert not float_same_class(pts[i], pts[j], tol=1e-6)
+                    assert not pts[i].same_class(pts[j])
     announce(9, "Steinberg geometry and Weyl fibers (|W| points, residual 0)")
 
 

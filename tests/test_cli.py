@@ -257,11 +257,15 @@ ONE2_DIV0 = {"rows": 2, "cols": 2, "entries": [["1/0", "0"], 0, 0, 1]}
     ("fiber-enum", dict(ONE2, group="gl2", entries=[[True, 0], 0, 0, 2])),
     ("fiber-enum", dict(ONE2, group="gl2", entries=[float("nan"), 0, 0, 2])),
     ("fiber-enum", dict(ONE2, group="gl2", entries=[[0, float("inf")], 0, 0, 2])),
+    ("fiber-enum", dict(ONE2, group="gl2", entries=[0.5, 0, 0, 2])),
+    ("fiber-enum", dict(ONE2, group="gl2", entries=[1, 1, 1, 0])),
+    ("fiber-enum", dict(ONE2, group="sl2", entries=[0, -1, 1, 0])),
 ], ids=["kappa-zero-denominator", "kappa-boolean-part", "kappa-bare-boolean",
         "kappa-float-rows", "kappa-entries-not-a-list", "kappa-group-not-a-string",
         "steinberg-zero-denominator", "leaf-form-zero-denominator",
         "fiber-enum-zero-denominator", "fiber-enum-boolean-part",
-        "fiber-enum-nan", "fiber-enum-infinite-part"])
+        "fiber-enum-nan", "fiber-enum-infinite-part", "fiber-enum-plain-float",
+        "fiber-enum-gl2-spectrum-not-rational", "fiber-enum-sl2-spectrum-not-rational"])
 @pytest.mark.filterwarnings("error")
 def test_cli_eval_rejects_malformed_json_with_one_line(tmp_path, capsys, kind, payload):
     # exit 2 with a one-line message: no traceback, no warning printed before
@@ -274,12 +278,24 @@ def test_cli_eval_rejects_malformed_json_with_one_line(tmp_path, capsys, kind, p
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+def fiber_points_over(payload: dict) -> list:
+    """The points ``eval fiber-enum`` prints for ``payload``, read back; each
+    maps to the input exactly."""
+    from qpslab.gspringer import GSPoint, mu
+    from qpslab.liegroup import GroupElement
+
+    out = eval_command("fiber-enum", payload)
+    assert set(out) == {"count", "points"}
+    points = [GSPoint.from_json(p) for p in out["points"]]
+    assert out["count"] == len(points)
+    assert all(mu(p) == GroupElement.from_json(payload) for p in points)
+    return points
+
+
 def test_eval_fiber_enum():
     diag = {"group": "sl2", "rows": 2, "cols": 2,
             "entries": [["2", "0"], ["0", "0"], ["0", "0"], ["1/2", "0"]]}
-    out = eval_command("fiber-enum", diag)
-    assert out["count"] == 2
-    assert all(r < 1e-8 for r in out["residuals"])
+    assert len(fiber_points_over(diag)) == 2
 
 
 def test_eval_fiber_enum_sl4():
@@ -291,10 +307,8 @@ def test_eval_fiber_enum_sl4():
     rng = SplitMix64(82)
     t = random_point(ctx, "T-regular", rng)
     g = random_point(ctx, "G", rng)
-    out = eval_command("fiber-enum",
-                       dict(mat_to_json(g.m @ t.m @ g.inv), group="sl4"))
-    assert out["count"] == 24
-    assert all(r < 1e-8 for r in out["residuals"])
+    points = fiber_points_over(dict(mat_to_json(g.m @ t.m @ g.inv), group="sl4"))
+    assert len(points) == 24
 
 
 def test_eval_leaf_form():
@@ -344,20 +358,10 @@ def test_cli_eval_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_matio_accepts_plain_numbers_for_floats():
-    from qpslab.gspringer import float_element_from_json
+def test_matio_round_trip_and_plain_numbers_refused():
     from qpslab.matio import mat_from_json, mat_to_json
 
-    # only the float reader of fiber-enum takes plain numbers
-    obj = {"group": "gl2", "rows": 2, "cols": 2,
-           "entries": [0.5, [1, -2], 0, ["4", "0"]]}
-    ctx, g = float_element_from_json(obj)
-    assert ctx.name == "gl2" and g.dtype == complex
-    assert g[0, 0] == 0.5 and g[0, 1] == 1 - 2j and g[1, 1] == 4
-    with pytest.raises(ValueError, match="numerically singular"):
-        float_element_from_json(dict(obj, entries=[1.0, 2.0, 0.5, 1.0]))
-    with pytest.raises(ValueError, match="determinant ~1"):
-        float_element_from_json(dict(obj, group="sl2"))
+    obj = {"rows": 2, "cols": 2, "entries": [0.5, [1, -2], 0, ["4", "0"]]}
     with pytest.raises(ValueError, match="exact backend"):
         mat_from_json(obj)
     exact = mat_from_json({"rows": 1, "cols": 1, "entries": [["3/4", "0"]]})
@@ -371,23 +375,33 @@ DIAG2 = {"group": "sl2", "rows": 2, "cols": 2,
          "entries": [["2", "0"], ["0", "0"], ["0", "0"], ["1/2", "0"]]}
 
 
-@pytest.mark.parametrize("tol", ["1e-2", "0.5", "0", "-1e-9"])
-def test_cli_fiber_enum_rejects_tolerance_out_of_range(tmp_path, capsys, tol):
+def assert_eval_refuses_tolerance(tmp_path, capsys, tol: str) -> None:
+    """fiber-enum decides its points exactly, so eval has no --tol: any value,
+    in the old range or not, is a usage error."""
     path = tmp_path / "g.json"
     path.write_text(json.dumps(DIAG2))
-    assert main(["eval", "fiber-enum", str(path), f"--tol={tol}"]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "fiber-enum", str(path), "--tol", tol])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_cli_eval_takes_no_tolerance(tmp_path, capsys):
+    assert_eval_refuses_tolerance(tmp_path, capsys, "1e-9")
+
+
+@pytest.mark.parametrize("tol", ["1e-2", "0.5", "0", "-1e-9"])
+def test_cli_fiber_enum_rejects_tolerance_out_of_range(tmp_path, capsys, tol):
+    assert_eval_refuses_tolerance(tmp_path, capsys, tol)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 def test_cli_fiber_enum_rejects_non_finite_tolerance(tmp_path, capsys, tol):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(DIAG2))
-    assert main(["eval", "fiber-enum", str(path), f"--tol={tol}"]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    assert_eval_refuses_tolerance(tmp_path, capsys, tol)
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-2", "0.5", "0",
+                                 "-1e-9"])
 def test_cli_verify_rejects_tolerance_out_of_range(capsys, tol):
     assert main(["verify", "diagram-gs", "--backend", "float", "--samples", "1",
                  f"--tol={tol}"]) == 2
@@ -395,19 +409,9 @@ def test_cli_verify_rejects_tolerance_out_of_range(capsys, tol):
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-3, 9e-3])
-def test_cli_fiber_enum_honours_tolerance(tmp_path, capsys, monkeypatch, tol):
-    import qpslab.campaigns as campaigns
-
-    seen = []
-    real = campaigns.weyl_fiber_enum
-
-    def spy(ctx, g, tol):
-        seen.append(tol)
-        return real(ctx, g, tol=tol)
-
-    monkeypatch.setattr(campaigns, "weyl_fiber_enum", spy)
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(DIAG2))
-    assert main(["eval", "fiber-enum", str(path), "--tol", repr(tol)]) == 0
-    assert seen == [tol]
-    assert json.loads(capsys.readouterr().out)["count"] == 2
+def test_cli_verify_records_tolerance(tmp_path, capsys, tol):
+    # inside the range, --tol is taken as given and kept in the config
+    rpt = tmp_path / "r.json"
+    assert main(["verify", "diagram-gs", "--samples", "1", "--tol", repr(tol),
+                 "--report", str(rpt)]) == 0
+    assert json.loads(rpt.read_text())["config"]["tolerance"] == tol

@@ -1,6 +1,5 @@
-"""What a fresh interpreter loads: campaigns, on either backend, load
-neither numpy nor the process pool; ``eval fiber-enum``, the one float
-command, loads numpy on first use.
+"""What a fresh interpreter loads: campaigns, on either backend, and ``eval
+fiber-enum`` load neither numpy nor the process pool.
 
 Each test runs the CLI in a new interpreter, since the test process itself
 has long since imported both.
@@ -72,14 +71,14 @@ def test_a_float_campaign_loads_no_numpy(capsys):
     assert strip_timestamp(out) == strip_timestamp(want_out)
 
 
-def test_fiber_enum_loads_numpy_on_first_use(tmp_path, capsys):
+def test_fiber_enum_loads_nothing_heavy(tmp_path, capsys):
     diag = tmp_path / "diag.json"
     diag.write_text(json.dumps({
         "group": "sl2", "rows": 2, "cols": 2,
         "entries": [["2", "0"], ["0", "0"], ["0", "0"], ["1/2", "0"]]}))
     argv = ["eval", "fiber-enum", str(diag)]
     got = fresh_run([argv])
-    assert got["loaded"] == ["numpy"]
+    assert got["loaded"] == []
     (code, out), = got["runs"]
     want_code, want_out = in_process(argv, capsys)
     assert code == want_code == 0

@@ -14,10 +14,9 @@ from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
 from qpslab.gspringer import (FORCED_STRATA, GSPoint,
                               NotRegularSemisimple, QuotientChart, Reduction,
                               borel_reduction, chart_action_field,
-                              chart_transport, float_array, float_same_class,
-                              gspoint_stream, induced_action, lam,
-                              leaf_two_form, moment_condition_check,
-                              mu, mu_residual, omega_matrix,
+                              chart_transport, gspoint_stream, induced_action,
+                              lam, leaf_two_form, moment_condition_check,
+                              mu, omega_matrix,
                               omega_value, phi, phi_differential, phi_map,
                               quotient_fiber, reconstruct_bivector, regact_check,
                               rho_double, sample_double,
@@ -716,11 +715,13 @@ def test_steinberg_examples():
 
 
 def test_weyl_fiber_enum_sl2():
-    d2 = float_array(grp(SL2, [[2, 0], [0, Fraction(1, 2)]]).m)
-    pts = weyl_fiber_enum(SL2, d2)
+    d2 = grp(SL2, [[2, 0], [0, Fraction(1, 2)]])
+    pts = weyl_fiber_enum(d2)
     assert len(pts) == 2
-    assert all(mu_residual(p, d2) < 1e-8 for p in pts)
-    assert not float_same_class(pts[0], pts[1], tol=1e-6)
+    assert all(mu(p) == d2 for p in pts)
+    assert not pts[0].same_class(pts[1])
+    # t is the spectrum in ascending order, so the first point is diagonal
+    assert pts[0].b == grp(SL2, [[Fraction(1, 2), 0], [0, 2]])
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -729,19 +730,30 @@ def test_weyl_fiber_enum(name):
     rng = SplitMix64(82)
     t = random_point(ctx, "T-regular", rng)
     g = random_point(ctx, "G", rng)
-    rs = float_array(g.m @ t.m @ g.inv)
-    pts = weyl_fiber_enum(ctx, rs)
+    rs = GroupElement(ctx, g.m @ t.m @ g.inv)
+    pts = weyl_fiber_enum(rs)
     assert len(pts) == len(WeylGroup(ctx))
-    assert all(mu_residual(p, rs) < 1e-8 for p in pts)
+    assert all(mu(p) == rs for p in pts)
+    # the identity ordering comes first, with the spectrum in ascending order
+    spectrum = [pts[0].b.m.entry(i, i).re for i in range(ctx.n)]
+    assert spectrum == sorted(spectrum)
+    assert sorted(spectrum) == sorted(t.m.entry(i, i).re for i in range(ctx.n))
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            assert not float_same_class(pts[i], pts[j], tol=1e-6)
+            assert not pts[i].same_class(pts[j])
 
 
 def test_weyl_fiber_enum_rejects_non_semisimple():
-    unip = float_array(grp(SL2, [[1, 1], [0, 1]]).m)
+    unip = grp(SL2, [[1, 1], [0, 1]])
     with pytest.raises(NotRegularSemisimple):
-        weyl_fiber_enum(SL2, unip)
+        weyl_fiber_enum(unip)
+    # a spectrum outside Q: diag(i, -i), the rotation by a quarter turn, the
+    # golden ratio's companion and a characteristic polynomial that is not real
+    i = QQi(0, 1)
+    for g in (GroupElement(SL2, Mat([[i, 0], [0, -i]])), grp(SL2, [[0, -1], [1, 0]]),
+              grp(GL2, [[1, 1], [1, 0]]), GroupElement(GL2, Mat([[i, 0], [0, 1]]))):
+        with pytest.raises(ValueError, match="does not split over Q"):
+            weyl_fiber_enum(g)
 
 
 def test_forced_strata_in_stream():

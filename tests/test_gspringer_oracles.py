@@ -8,8 +8,8 @@
   written out here.
 * :func:`gspringer.sampled_d_identity` against the route it replaced,
   directions drawn as :class:`QQi` lists and pushed one by one, on the
-  double and the leaf slice G x U, real and non-real; and
-  :func:`gspringer.float_array` against the entries' ``to_complex``.
+  double and the leaf slice G x U, real and non-real; and the float
+  oracle's ``float_array`` against the entries' ``to_complex``.
 * Can-fail: with the sign of the derivative of T dropped, the suites that
   take d(omega) from the closed form report failures.
 """
@@ -24,7 +24,7 @@ from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space, d_two_form
 from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
                               borel_reduction, chart_action_field, d_omega,
-                              float_array, gspoint_stream, leaf_two_form, omega_fn,
+                              gspoint_stream, leaf_two_form, omega_fn,
                               omega_matrix, omega_value, phi_differential,
                               reconstruct_bivector, sample_double,
                               sampled_d_identity, theorem1_check)
@@ -35,6 +35,7 @@ from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
 from borel_oracle import leading
+from float_fiber_oracle import float_array
 
 STRATA = len(FORCED_STRATA) + 1  # the three forced strata, then a random point
 

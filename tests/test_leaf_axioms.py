@@ -17,18 +17,25 @@
   lambda.  Along m (I + s X), d tr(m^k) = k tr(m^k X), and the power sums
   p_1 ... p_(n-1) (SL) or p_1 ... p_n (GL) generate the invariants, so the
   rows [k tr(mu^k e_j)]_j, times d(mu), have the kernel of d(kappa . mu).
+* One leaf per fiber point: over a regular semisimple rs, the |W| points of
+  :func:`~qpslab.gspringer.weyl_fiber_enum` map to rs and d(mu) has full
+  rank dim G at each of them, so mu is a local diffeomorphism there
+  (étale).  The points are then isolated in mu^-1(rs), and each is a
+  component of it on its own.  At the stream's nonregular point d(mu) has
+  a kernel, so the rank test can fail.
 
-Neither is a suite record: a new record moves the benchmark's golden
+None is a suite record: a new record moves the benchmark's golden
 digests, which only a benchmark change may re-record.
 """
 
 import pytest
 
 from qpslab.campaigns import CLI_GROUPS
-from qpslab.gspringer import (GSPoint, QuotientChart, borel_reduction,
-                              chart_action_field, gspoint_stream, leaf_two_form)
-from qpslab.liegroup import GroupElement, context, random_point
-from qpslab.linalg import Mat, Subspace, kernel, solve_columns
+from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
+                              borel_reduction, chart_action_field, gspoint_stream,
+                              leaf_two_form, weyl_fiber_enum)
+from qpslab.liegroup import GroupElement, WeylGroup, conjugate, context, random_point
+from qpslab.linalg import Mat, Subspace, kernel, rank, solve_columns
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -119,3 +126,22 @@ def test_the_leaf_lies_in_a_steinberg_fiber_with_the_predicted_gap(group):
         assert ker.dim - chart.leaf.dim == ctx.n - len(set(lam))
         gaps.append(ker.dim - chart.leaf.dim)
     assert gaps == GAPS[ctx.n]
+
+
+@pytest.mark.parametrize("group", CLI_GROUPS)
+def test_each_weyl_fiber_point_is_its_own_leaf(group):
+    ctx = context(group)
+    rng = SplitMix64(13)
+    for _ in range(3):
+        t = random_point(ctx, "T-regular", rng)
+        rs = conjugate(random_point(ctx, "G", rng), t)
+        points = weyl_fiber_enum(rs)
+        assert len(points) == len(WeylGroup(ctx))
+        for point in points:
+            chart = QuotientChart(borel_reduction(point))
+            assert chart.mu == rs
+            assert rank(chart.dmu) == ctx.dim_g
+    # over a repeated eigenvalue mu is not étale: the rank test can fail
+    nonregular = gspoint_stream(ctx, rng, len(FORCED_STRATA))[
+        FORCED_STRATA.index("nonregular")]
+    assert rank(QuotientChart(borel_reduction(nonregular)).dmu) < ctx.dim_g

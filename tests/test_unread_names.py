@@ -3,8 +3,9 @@
 A helper whose last caller went stays behind unnoticed; no linter runs on
 this repository, so this test reads the sources with :mod:`ast`.  A
 top-level function, class or assigned name of ``src/qpslab/*.py``, or of the
-QQi and Borel-chart oracles of the tests (``tests/qqi_oracle.py``,
-``tests/borel_oracle.py``), counts as read when a read resolves to it, its
+QQi, Borel-chart and float Weyl-fiber oracles of the tests
+(``tests/qqi_oracle.py``, ``tests/borel_oracle.py``,
+``tests/float_fiber_oracle.py``), counts as read when a read resolves to it, its
 module and its name, anywhere in ``src``, ``scripts``, ``tests`` or
 ``bench``: a bare load in its own module outside its own definition, an
 import of it from its module, or ``module.name`` through an imported
@@ -27,7 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qpslab").glob("*.py"))
 # the package, and the oracles the differential tests keep beside it
 DEFINING = [*PACKAGE, ROOT / "tests" / "qqi_oracle.py",
-            ROOT / "tests" / "borel_oracle.py"]
+            ROOT / "tests" / "borel_oracle.py",
+            ROOT / "tests" / "float_fiber_oracle.py"]
 READERS = sorted(p for d in ("src", "scripts", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 EXEMPT = {"__version__"}
@@ -152,8 +154,8 @@ def parse(path: Path) -> ast.Module:
 
 def test_the_scan_sees_the_package_and_its_readers():
     assert {"gspringer.py", "scalars.py", "__init__.py"} <= {p.name for p in PACKAGE}
-    assert {"gspringer.py", "qqi_oracle.py",
-            "borel_oracle.py"} <= {p.name for p in DEFINING}
+    assert {"gspringer.py", "qqi_oracle.py", "borel_oracle.py",
+            "float_fiber_oracle.py"} <= {p.name for p in DEFINING}
     dirs = {p.relative_to(ROOT).parts[0] for p in READERS}
     assert dirs == {"src", "scripts", "tests", "bench"}
 

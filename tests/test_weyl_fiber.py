@@ -10,9 +10,9 @@ Three routes hold it:
 * mutants of its source, one line each, and a non-regular t in the
   campaign's draws: each makes the record fail with a witness naming the
   condition the mutant breaks, so the record can fail;
-* the float enumeration :func:`~qpslab.gspringer.weyl_fiber_enum`, the
-  oracle kept for ``eval fiber-enum``: the same number of points, and each
-  exact point is the float class of exactly one float point.
+* the float enumeration of ``float_fiber_oracle``, an eigendecomposition in
+  numpy: the same number of points, and each exact point is the float class
+  of exactly one float point.
 """
 
 import inspect
@@ -23,11 +23,12 @@ import pytest
 
 from qpslab import campaigns, gspringer
 from qpslab.campaigns import CLI_GROUPS, CampaignConfig, run_suite
-from qpslab.gspringer import (GSPoint, float_array, float_same_class, mu,
-                              weyl_fiber, weyl_fiber_enum)
+from qpslab.gspringer import GSPoint, mu, weyl_fiber
 from qpslab.liegroup import (GROUPS, GroupElement, WeylGroup, conjugate, context,
                              random_point)
 from qpslab.prng import SplitMix64
+
+from float_fiber_oracle import float_array, float_fiber_enum, float_same_class
 
 
 def regular_semisimple(ctx, rng):
@@ -130,7 +131,7 @@ def test_the_exact_fiber_matches_the_float_enumeration(group):
         rs, t = regular_semisimple(ctx, rng)
         points, witness = weyl_fiber(rs, t)
         assert witness is None
-        floats = weyl_fiber_enum(ctx, float_array(rs.m))
+        floats = float_fiber_enum(ctx, float_array(rs.m))
         assert len(points) == len(floats)
         for h, b in points:
             image = (float_array(h), float_array(b))
