@@ -28,9 +28,8 @@ from fractions import Fraction
 sys.path.insert(0, "src")
 
 from qpslab.conventions import FROZEN, using
-from qpslab.diffcalc import Space
-from qpslab.dirac import (DiracFiber, cartan_eta3, cartan_section, dorfman,
-                          graph_two_form, pushforward_linear)
+from qpslab.diffcalc import Space, cartan_eta3, cartan_section, dorfman
+from qpslab.dirac import DiracFiber, graph_two_form, pushforward_linear
 from qpslab.gspringer import (omega_matrix, phi, phi_differential,
                               sample_double, sampled_d_identity)
 from qpslab.linalg import Mat

@@ -10,8 +10,7 @@ quantity in scope is a first derivative of a rational function, so the
 second-order membership defect of the curve (det drift for SL) is invisible.
 
 The dual numbers, :class:`Dual` and :class:`DualMat`, are defined here, and
-:mod:`qpslab.scalars`, :mod:`qpslab.linalg` and :mod:`qpslab.liegroup` name
-neither: a :class:`DualMat` reaches the exact kernel as its value and
+no other module of the package names them: a :class:`DualMat` reaches the exact kernel as its value and
 derivative parts, each an exact :class:`~qpslab.linalg.Mat`, and the
 entrywise readers of :class:`~qpslab.liegroup.GroupContext` (``coords``,
 ``dual_coords``) sum its :class:`Dual` entries as they sum any ring's.
@@ -21,14 +20,13 @@ must be generic over dual-valued points; all bracket/derivative formulas
 below use constant-coordinate (left-invariant) extensions, with the
 correction terms that this induces built in.
 
-No suite runs this engine.  It is the second route of the tests: the
-Dorfman closure of the conjugation sections, which the suites decide in
-closed form (:func:`qpslab.dirac.cartan_closure_check` and
-:func:`qpslab.dirac.closure_sample`), is checked against
-:func:`qpslab.dirac.dorfman`, and the exterior derivative of the double's
-2-form and of the leaf form, which the suites take from the closed block
-form :func:`qpslab.gspringer.d_omega`, against :func:`d_two_form` of the
-entrywise :func:`qpslab.gspringer.omega_value`.
+No suite runs this engine, and no other module of the package imports it.
+The tests' oracles of the suites' closed forms are built on it here:
+:func:`dorfman` of :func:`cartan_section` with :func:`cartan_eta3` for the
+Dorfman closure (:func:`qpslab.dirac.cartan_closure_check` and
+:func:`qpslab.dirac.closure_sample`), :func:`d_two_form` of :func:`omega_fn`
+for :func:`qpslab.gspringer.d_omega`, and :func:`phi_map` for
+:func:`qpslab.gspringer.phi_differential`.
 ``scripts/calibrate_conventions.py`` also runs ``dorfman``.
 """
 
@@ -38,8 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .conventions import ACTIVE
 from .linalg import Mat, dot
-from .liegroup import GroupContext, bracket
+from .liegroup import GroupContext, _mul_frac, bracket, sigma_average
 from .scalars import QQi
 
 
@@ -454,3 +453,101 @@ def one_form_d(alpha: Callable, y_field: Callable, space: Space,
         comm = [c - d for c, d in zip(br, dy_along_e)]
         out.append(da_along_y[j] - ealpha_y - dot(ap, comm))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the oracles of the closed forms
+
+
+def dorfman(s1, s2, eta3, space: Space, point):
+    """Twisted Dorfman bracket of two sections at a point.
+
+    A section is a function point -> (tangent coords, covector dual coords),
+    rational in the point, so that it also evaluates on dual points.
+    Returns (tangent coords, covector dual coords) of
+    ([X, Y], L_X beta - i_Y d(alpha) + twist), where the twist is the active
+    ``Conventions.twist`` multiple of eta3(X, Y, .).  ``eta3(point, x, y,
+    z)`` evaluates the 3-form family on coordinate triples; pass ``None`` for
+    the untwisted bracket.  Composed of :func:`lie_bracket`,
+    :func:`lie_derivative_covector` and :func:`one_form_d`.
+    """
+    point = tuple(point)
+    x_field, alpha = (lambda q: s1(q)[0]), (lambda q: s1(q)[1])
+    y_field, beta = (lambda q: s2(q)[0]), (lambda q: s2(q)[1])
+    cov = [lx - iy for lx, iy in zip(lie_derivative_covector(x_field, beta, space, point),
+                                     one_form_d(alpha, y_field, space, point))]
+    twist = 0 if eta3 is None else ACTIVE.get().twist
+    if twist:
+        xp, yp = x_field(point), y_field(point)
+        cov = [c + eta3(point, xp, yp, e) * QQi(twist)
+               for c, e in zip(cov, space.basis_directions())]
+    return lie_bracket(x_field, y_field, space, point), cov
+
+
+def cartan_section(ctx: GroupContext, ximat):
+    """The section g -> (rho(xi), sigma(xi)) as a dual-point-generic function.
+
+    Shares the single Ad computation between the tangent and covector parts
+    (:func:`dorfman` evaluates it at every curve point).
+    """
+
+    def fn(point):
+        gmat = point[0]
+        ad = gmat.inverse() @ ximat @ gmat
+        return ctx.coords(ximat - ad), ctx.dual_coords(sigma_average(ximat, ad))
+
+    return fn
+
+
+def cartan_eta3(space: Space):
+    """The invariant 3-form of the group as a constant coordinate family."""
+    ctx = space.ctx
+
+    def ev(point, x, y, z):
+        mx, my, mz = (space.matrices(c) for c in (x, y, z))
+        return ctx.eta(mx[0], my[0], mz[0])
+
+    if space.parts != ("g",):
+        raise ValueError("cartan_eta3 lives on the single-group space")
+    return ev
+
+
+def phi_map(ctx: GroupContext) -> PointedMap:
+    """The moment map of the double, (a, b) -> (a b a^-1, b^-1)."""
+    sp = Space(ctx, ("g", "g"))
+
+    def fn(q):
+        a, b = q
+        return (a @ b @ a.inverse(), b.inverse())
+
+    return PointedMap("phi", sp, sp, fn)
+
+
+def omega_value(ctx: GroupContext, amat, bmat, u1, u2):
+    """omega at (a, b) on two tangent coordinates given as matrix pairs."""
+    x1, y1 = u1
+    x2, y2 = u2
+    binv = bmat.inverse()
+
+    def adb(w):
+        return bmat @ w @ binv
+
+    f = ctx.form
+    val = (
+        f(x1, adb(y2)) - f(x2, adb(y1))
+        + f(x2, adb(x1)) - f(x1, adb(x2))
+        + f(x1, y2) - f(x2, y1)
+    )
+    return _mul_frac(val, Fraction(-ACTIVE.get().omega_sign, 2))
+
+
+def omega_fn(ctx: GroupContext, space: Space):
+    """omega as a coordinate-bilinear family usable by :func:`d_two_form`."""
+
+    def ev(point, u, v):
+        a, b = point
+        um = space.matrices(u)
+        vm = space.matrices(v)
+        return omega_value(ctx, a, b, (um[0], um[1]), (vm[0], vm[1]))
+
+    return ev

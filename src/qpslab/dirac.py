@@ -18,28 +18,26 @@ canonicalize only the result: at most two rrefs per call, the second
 skipped when the result already is canonical.  Their full systems in the
 unknowns (x, b, c) are the oracle in the tests.
 
-The twisted Dorfman bracket, :func:`dorfman`, is evaluated with the
-forward-mode engine of :mod:`qpslab.diffcalc`; the sign and scale
-conventions are frozen by the calibration suite and recorded in
-:mod:`qpslab.conventions`.  The suites decide closure of the conjugation
-sections without dual numbers, for every basis pair
+The suites decide closure of the conjugation sections under the twisted
+Dorfman bracket without differentiating anything, for every basis pair
 (:func:`cartan_closure_check`) and for one pair (:func:`closure_sample`):
 along the first-order curve q = g (I + t v), q^-1 xi q = A + t [A, v] with
 A = Ad_{g^-1} xi, so every derivative of a conjugation section is a
 bracket.  Expanded with these derivatives and collected by bilinearity and
 the invariance of the trace form, the bracket of two sections is four Lie
 brackets of n x n matrices, all read off one stacked product
-(:meth:`~qpslab.liegroup.GroupContext.brackets_and_functionals`);
-:func:`dorfman` is the oracle of both in the tests.
+(:meth:`~qpslab.liegroup.GroupContext.brackets_and_functionals`).  The
+sign and scale conventions are frozen by the calibration suite and
+recorded in :mod:`qpslab.conventions`.  The bracket itself,
+:func:`qpslab.diffcalc.dorfman`, is evaluated with dual numbers and is the
+oracle of both closed forms in the tests; this module does not import it.
 """
 
 from __future__ import annotations
 
 from .conventions import ACTIVE
-from .diffcalc import Space, dot_part
-from .liegroup import GroupElement, conjugation_sections, sigma_average
-from .linalg import Mat, Subspace, dot, intersect, kernel, null_vectors
-from .scalars import QQi
+from .liegroup import GroupElement, conjugation_sections
+from .linalg import Mat, Subspace, intersect, kernel, null_vectors
 
 
 class DiracFiber(Subspace):
@@ -196,84 +194,20 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
 
 
 # ---------------------------------------------------------------------------
-# the twisted Dorfman bracket
-
-
-def dorfman(s1, s2, eta3, space: Space, point):
-    """Twisted Dorfman bracket of two sections at a point.
-
-    A section is a function point -> (tangent coords, covector dual coords),
-    rational in the point, so that it also evaluates on dual points.
-    Returns (tangent coords, covector dual coords) of
-    ([X, Y], L_X beta - i_Y d(alpha) + twist), where the twist is the active
-    ``Conventions.twist`` multiple of eta3(X, Y, .).  ``eta3(point, x, y,
-    z)`` evaluates the 3-form family on coordinate triples; pass ``None`` for
-    the untwisted bracket.
-
-    The three derivative-based terms are fused so that each of the 2 + dim
-    needed curve directions evaluates both sections exactly once; the
-    generic formulas in :mod:`qpslab.diffcalc` are the independent oracle
-    for this fusion in the tests.
-
-    No suite calls it: on the conjugation sections (:func:`cartan_section`
-    with :func:`cartan_eta3`) it is the oracle in the tests of both closed
-    forms, :func:`cartan_closure_check` and :func:`closure_sample`, and
-    ``scripts/calibrate_conventions.py`` sweeps the conventions with it.
-    """
-    point = tuple(point)
-    xp, ap = (list(v) for v in s1(point))
-    yp, bp = (list(v) for v in s2(point))
-
-    qx = space.curve(point, xp)
-    y_on_x, beta_on_x = s2(qx)
-    dx_y = [dot_part(v) for v in y_on_x]
-    dx_beta = [dot_part(v) for v in beta_on_x]
-
-    qy = space.curve(point, yp)
-    x_on_y, alpha_on_y = s1(qy)
-    dy_x = [dot_part(v) for v in x_on_y]
-    dy_alpha = [dot_part(v) for v in alpha_on_y]
-
-    corr = space.bracket_coords(xp, yp)
-    tangent = [a - b + c for a, b, c in zip(dx_y, dy_x, corr)]
-
-    twist_scale = 0 if eta3 is None else ACTIVE.get().twist
-
-    cov = []
-    for j, e in enumerate(space.basis_directions()):
-        qe = space.curve(point, e)
-        x_on_e, alpha_on_e = s1(qe)
-        y_on_e, beta_on_e = s2(qe)
-        de_x = [dot_part(v) for v in x_on_e]
-        de_y = [dot_part(v) for v in y_on_e]
-        de_alpha = [dot_part(v) for v in alpha_on_e]
-
-        brx = space.bracket_coords(xp, e)
-        commx = [c - d_ for c, d_ in zip(brx, de_x)]
-        lxb = dx_beta[j] - dot(bp, commx)
-
-        e_alpha_y = dot(de_alpha, yp) + dot(ap, de_y)
-        bry = space.bracket_coords(yp, e)
-        commy = [c - d_ for c, d_ in zip(bry, de_y)]
-        iyda = dy_alpha[j] - e_alpha_y - dot(ap, commy)
-
-        val = lxb - iyda
-        if twist_scale:
-            val = val + eta3(point, xp, yp, e) * QQi(twist_scale)
-        cov.append(val)
-    return tangent, cov
+# closure of the conjugation sections under the twisted Dorfman bracket
 
 
 def cartan_closure_check(ctx, gmat: Mat, ginv: Mat):
     """Full-basis Dorfman closure of the conjugation sections at one point.
 
-    Equivalent to running :func:`dorfman` on every pair of basis sections
-    and comparing against the section of the bracket (linear in xi, so the
-    target of the pair (i, j) is the section of c = coords([e_i, e_j])),
-    with every derivative in closed form.  ``dorfman`` is the oracle for
-    this and for the one-pair :func:`closure_sample` in the tests.
+    Equivalent to running the bracket :func:`qpslab.diffcalc.dorfman` on
+    every pair of basis sections and comparing against the section of the
+    bracket (linear in xi, so the target of the pair (i, j) is the section
+    of c = coords([e_i, e_j])), with every derivative in closed form.
+    ``dorfman`` is the oracle for this and for the one-pair
+    :func:`closure_sample` in the tests.
 
-    The lemma: along the curve q = g (I + t v) of :meth:`Space.curve`,
+    The lemma: along the first-order curve q = g (I + t v),
     q^-1 = g^-1 - t v g^-1 exactly, so q^-1 xi q = A + t [A, v] with
     A = Ad_{g^-1} xi.  Let M_j be the algebra element whose coordinates are
     column j of M = Ad_{g^-1} (the closed form of
@@ -344,8 +278,8 @@ def closure_sample(ctx, sections: tuple, ximat: Mat, zemat: Mat) -> bool:
     Ad_{g^-1} zeta) in place of (e_i, e_j, M_i, M_j), the adjoint images
     read through M, compared with the section of [xi, zeta], (X c; A c)
     with c = coords([xi, zeta]).  ``sections`` is
-    :func:`~qpslab.liegroup.conjugation_sections` at g.  :func:`dorfman` is
-    its oracle in the tests.
+    :func:`~qpslab.liegroup.conjugation_sections` at g.
+    :func:`qpslab.diffcalc.dorfman` is its oracle in the tests.
     """
     row, target = _pair_sides(ctx, sections, ximat, zemat)
     return row == target
@@ -382,19 +316,6 @@ def _bracket_sides(ctx, family: Mat, sections: tuple, pairs: list) -> tuple[Mat,
     return tangent.hstack(cov), brackets @ x.transpose().hstack(a.transpose())
 
 
-def cartan_eta3(space: Space):
-    """The invariant 3-form of the group as a constant coordinate family."""
-    ctx = space.ctx
-
-    def ev(point, x, y, z):
-        mx, my, mz = (space.matrices(c) for c in (x, y, z))
-        return ctx.eta(mx[0], my[0], mz[0])
-
-    if space.parts != ("g",):
-        raise ValueError("cartan_eta3 lives on the single-group space")
-    return ev
-
-
 # ---------------------------------------------------------------------------
 # the conjugation (Cartan-Dirac) structure
 
@@ -413,19 +334,3 @@ def cartan_dirac(g: GroupElement, sections: tuple | None = None) -> DiracFiber:
     ctx = g.ctx
     _, x, a = sections or conjugation_sections(ctx, g.m, g.inv)
     return DiracFiber(2 * ctx.dim_g, x.vstack(a))
-
-
-def cartan_section(ctx, ximat):
-    """The section g -> (rho(xi), sigma(xi)) as a dual-point-generic function.
-
-    Shares the single Ad computation between the tangent and covector parts
-    (:func:`dorfman` evaluates it at every curve point).
-    """
-
-    def fn(point):
-        gmat = point[0]
-        ad = gmat.inverse() @ ximat @ gmat
-        return ctx.coords(ximat - ad), ctx.dual_coords(sigma_average(ximat, ad))
-
-    return fn
-

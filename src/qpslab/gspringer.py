@@ -36,10 +36,10 @@ kernel; the derivative of T along a direction is a bracket, read off the
 n x n products of :meth:`~qpslab.liegroup.GroupContext.brackets`.  The
 suites take d(omega) on the double and on the leaf slice G x tU from
 :func:`d_omega`, on random triples drawn by one sampler
-(:func:`sampled_d_identity`).  The entrywise :func:`omega_value`
-(with :func:`omega_fn`) and the dual-number
-:func:`~qpslab.diffcalc.d_two_form` are kept as the independent oracles of
-both closed forms in the tests.
+(:func:`sampled_d_identity`).  The entrywise
+:func:`qpslab.diffcalc.omega_value`, differentiated with dual numbers by
+:func:`qpslab.diffcalc.d_two_form`, is the independent oracle of both
+closed forms in the tests; this module does not import the engine.
 
 Quotient computations work in per-point charts: the vertical space of the
 P-action h.(g,p) = (g h^-1, h p h^-1) is complemented by a deterministic
@@ -75,13 +75,12 @@ from functools import cached_property, reduce
 from math import isqrt, lcm
 
 from .conventions import ACTIVE
-from .diffcalc import PointedMap, Space
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                     is_skew, pushforward_linear)
 from .liegroup import (GroupContext, GroupElement, chevalley, conjugate,
                        conjugation_sections, group_of_json, random_point,
                        read_element, reciprocal_product, sigma, sigma_average,
-                       torus_part, _mul_frac, _parity)
+                       torus_part, _parity)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
                      rank, rref, solve_columns)
 from .matio import mat_to_json
@@ -150,16 +149,6 @@ def phi(a: GroupElement, b: GroupElement) -> tuple[GroupElement, GroupElement]:
     return conjugate(a, b), b.inverse()
 
 
-def phi_map(ctx: GroupContext) -> PointedMap:
-    sp = Space(ctx, ("g", "g"))
-
-    def fn(q):
-        a, b = q
-        return (a @ b @ a.inverse(), b.inverse())
-
-    return PointedMap("phi", sp, sp, fn)
-
-
 def phi_differential(a: GroupElement, b: GroupElement) -> Mat:
     """Closed-form differential of the moment map (a, b) -> (a b a^-1, b^-1).
 
@@ -170,8 +159,8 @@ def phi_differential(a: GroupElement, b: GroupElement) -> Mat:
     coordinates, whose first dim G rows are d(mu . q).  The per-basis
     columns coords(a (b^-1 x b - x) a^-1) and (coords(a y a^-1),
     -coords(b y b^-1)) are its oracle in the tests, as is the dual-number
-    route in diffcalc.  The inverses are the
-    elements' cached ones.
+    :func:`qpslab.diffcalc.phi_map`.  The inverses are the elements' cached
+    ones.
     """
     ctx = a.ctx
     ad_a = ctx.adjoint(a.m, a.inv)
@@ -218,40 +207,6 @@ def rho_double(a: GroupElement, b: GroupElement, xi1: Mat, xi2: Mat) -> list:
 # the 2-form of the double
 
 
-def omega_value(ctx: GroupContext, amat, bmat, u1, u2):
-    """omega at (a, b) on two tangent coordinates given as matrix pairs."""
-    x1, y1 = u1
-    x2, y2 = u2
-    binv = bmat.inverse()
-
-    def adb(w):
-        return bmat @ w @ binv
-
-    f = ctx.form
-    val = (
-        f(x1, adb(y2)) - f(x2, adb(y1))
-        + f(x2, adb(x1)) - f(x1, adb(x2))
-        + f(x1, y2) - f(x2, y1)
-    )
-    return _mul_frac(val, Fraction(-ACTIVE.get().omega_sign, 2))
-
-
-def omega_fn(ctx: GroupContext, space: Space):
-    """omega as a coordinate-bilinear family usable by d_two_form.
-
-    With :func:`~qpslab.diffcalc.d_two_form` it is the oracle of
-    :func:`d_omega` in the tests; no suite evaluates it.
-    """
-
-    def ev(point, u, v):
-        a, b = point
-        um = space.matrices(u)
-        vm = space.matrices(v)
-        return omega_value(ctx, a, b, (um[0], um[1]), (vm[0], vm[1]))
-
-    return ev
-
-
 def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
     """Matrix of omega on the tangent basis of the double.
 
@@ -261,8 +216,8 @@ def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
     coordinates (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`, read
     off b and b^-1 with no d x d product) and G the form's Gram matrix:
     omega depends on the point (a, b) only through T.  The entrywise
-    evaluator :func:`omega_value` is the independent oracle for this in the
-    tests.
+    evaluator :func:`qpslab.diffcalc.omega_value` is the independent oracle
+    for this in the tests.
     """
     gram = ctx.gram
     tt = t.transpose()
@@ -301,8 +256,8 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, second, v: Mat):
     ``second``).  The brackets, blockwise,
     and the columns of R(y_i) (Q - P), R(y) a being coords([a, y]), are all
     read off one n x n product (:meth:`GroupContext.brackets`).
-    :func:`~qpslab.diffcalc.d_two_form` of :func:`omega_fn` is the oracle
-    for this in the tests.
+    :func:`qpslab.diffcalc.d_two_form` of :func:`qpslab.diffcalc.omega_fn`
+    is the oracle for this in the tests.
     """
     d = ctx.dim_g
     dim = w.rows
@@ -480,7 +435,6 @@ class Reduction:
     def translate(self, h: GroupElement) -> "Reduction":
         """The reduction at the representative h.(g, p) = (g h^-1, h p h^-1)
         of the same class, h in P."""
-        ctx = self.ctx
         return Reduction(GroupElement(self.ctx, self.g.m @ h.inv),
                          conjugate(h, self.p), self.sub, self.nil)
 

@@ -1,5 +1,7 @@
 """What a fresh interpreter loads: campaigns, on either backend, and ``eval
-fiber-enum`` load neither numpy nor the process pool.
+fiber-enum`` load neither numpy, nor the process pool, nor the dual-number
+engine :mod:`qpslab.diffcalc`, which only the tests' oracles and the
+calibration script use; no suite, run once each, loads any of them.
 
 Each test runs the CLI in a new interpreter, since the test process itself
 has long since imported both.
@@ -11,10 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qpslab.campaigns import SUITE_NAMES
 from qpslab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-HEAVY = ("numpy", "concurrent.futures.process")
+HEAVY = ("numpy", "concurrent.futures.process", "qpslab.diffcalc")
 
 # run each argv through main() and print its exit code, its stdout and which
 # of the heavy modules are loaded afterwards, as one JSON line
@@ -84,3 +87,10 @@ def test_fiber_enum_loads_nothing_heavy(tmp_path, capsys):
     assert code == want_code == 0
     assert out == want_out
     assert '"count": 2' in out
+
+
+def test_no_suite_loads_the_oracle_engine():
+    got = fresh_run([["verify", suite, "--group", "sl2", "--samples", "1"]
+                     for suite in SUITE_NAMES])
+    assert got["loaded"] == []
+    assert [code for code, _ in got["runs"]] == [0] * len(SUITE_NAMES)

@@ -8,7 +8,7 @@ import pytest
 
 from qpslab import campaigns, gspringer, liegroup, linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
-from qpslab.diffcalc import PointedMap, Space
+from qpslab.diffcalc import PointedMap, Space, omega_value, phi_map
 from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
                           pushforward_linear)
 from qpslab.gspringer import (FORCED_STRATA, GSPoint,
@@ -16,8 +16,7 @@ from qpslab.gspringer import (FORCED_STRATA, GSPoint,
                               borel_reduction, chart_action_field,
                               chart_transport, gspoint_stream, induced_action,
                               lam, leaf_two_form, moment_condition_check,
-                              mu, omega_matrix,
-                              omega_value, phi, phi_differential, phi_map,
+                              mu, omega_matrix, phi, phi_differential,
                               quotient_fiber, reconstruct_bivector, regact_check,
                               rho_double, sample_double,
                               sample_gspoint, steinberg_membership,

@@ -21,13 +21,14 @@ import pytest
 
 from qpslab import campaigns, gspringer
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
-from qpslab.diffcalc import PointedMap, Space, d_two_form
+from qpslab.diffcalc import (PointedMap, Space, d_two_form, omega_fn,
+                             omega_value)
 from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart,
                               borel_reduction, chart_action_field, d_omega,
-                              gspoint_stream, leaf_two_form, omega_fn,
-                              omega_matrix, omega_value, phi_differential,
-                              reconstruct_bivector, sample_double,
-                              sampled_d_identity, theorem1_check)
+                              gspoint_stream, leaf_two_form, omega_matrix,
+                              phi_differential, reconstruct_bivector,
+                              sample_double, sampled_d_identity,
+                              theorem1_check)
 from qpslab.liegroup import (GROUPS, GroupElement, borel_decompose, context,
                              random_point, sigma, sigma_adjoint)
 from qpslab.linalg import Mat, dot, mat_vec, solve_unique

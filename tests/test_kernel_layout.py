@@ -1,8 +1,10 @@
 """The exact kernel runs one elimination over one scalar kind.
 
-* :mod:`qpslab.scalars`, :mod:`qpslab.linalg` and :mod:`qpslab.liegroup`
-  name no dual number: ``Dual``, ``DualMat`` and ``dot_part`` live in
-  :mod:`qpslab.diffcalc`, the oracle engine of the tests.
+* No module of the package but :mod:`qpslab.diffcalc` imports that module
+  or names a dual number: ``Dual``, ``DualMat`` and ``dot_part`` live
+  there, with the oracles of the tests built on them, so the product,
+  :mod:`qpslab.scalars`, :mod:`qpslab.linalg` and :mod:`qpslab.liegroup`
+  included, computes without them.
 * :mod:`qpslab.linalg` has one elimination, ``_rref_int``: no other function
   takes an elimination step, and :func:`~qpslab.linalg.rank`,
   :meth:`~qpslab.linalg.Mat.det`, :func:`~qpslab.linalg.rref` and
@@ -20,8 +22,9 @@ from pathlib import Path
 from test_borel_layout import scopes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qpslab"
-KERNEL = ("scalars", "linalg", "liegroup")
-DUAL_NAMES = {"Dual", "DualMat", "dot_part"}
+PRODUCT = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "diffcalc")
+# the dual numbers, and the module that defines them
+DUAL_NAMES = {"Dual", "DualMat", "dot_part", "diffcalc"}
 
 
 def parse(module: str) -> ast.Module:
@@ -31,7 +34,7 @@ def parse(module: str) -> ast.Module:
 
 def names(tree: ast.Module) -> set[str]:
     """Every identifier the module reads, binds, imports or reads as an
-    attribute."""
+    attribute, each part of a dotted module name it imports included."""
     out = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
@@ -39,7 +42,10 @@ def names(tree: ast.Module) -> set[str]:
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
-            out.update({n.name, n.asname} - {None})
+            out.update(n.name.split("."))
+            out.update({n.asname} - {None})
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            out.update(n.module.split("."))
         elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.add(n.name)
         elif isinstance(n, ast.arg):
@@ -92,10 +98,15 @@ def test_the_scans_name_each_step_and_each_dual_name():
     assert callers(lib, "run") == {"M.solve"}
     # the docstring mention is no name
     assert names(lib) & DUAL_NAMES == {"Dual", "dot_part"}
+    # an import from the engine names it, whatever it imports
+    for line in ("from .diffcalc import Space", "from qpslab.diffcalc import Space",
+                 "from . import diffcalc as d", "import qpslab.diffcalc as d"):
+        assert names(ast.parse(line)) & DUAL_NAMES == {"diffcalc"}, line
 
 
 def test_the_kernel_names_no_dual_number():
-    for module in KERNEL:
+    assert {"campaigns", "dirac", "gspringer", "liegroup"} <= set(PRODUCT)
+    for module in PRODUCT:
         assert not names(parse(module)) & DUAL_NAMES, module
 
 

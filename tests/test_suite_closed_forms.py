@@ -7,25 +7,19 @@ fails both; cartan-dirac's leaf dimension compares two ranks, one of
 them from the group's closed-form commutator matrix, so a wrong adjoint
 fails it; the Dorfman closure rows, read off n x n brackets, equal those
 of the d x d matrices R(v) of the structure constants that they replaced,
-and a transposed adjoint fails them on SL; and no suite runs the
-dual-number engine or the per-element sections, which stay in ``src`` as
-the oracles of the closed forms.
+and a transposed adjoint fails them on SL.  That no suite runs the
+dual-number oracles is checked where they live: no product module imports
+:mod:`qpslab.diffcalc` (``test_kernel_layout``), and a fresh ``verify`` of
+every suite leaves it unloaded (``test_cold_start``).
 """
-
-from collections import Counter
-
-import runpy
-from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from qpslab import campaigns, dirac, gspringer
-from qpslab.campaigns import (SUITE_NAMES, CampaignConfig, _a3_nondegenerate,
+from qpslab import campaigns, dirac
+from qpslab.campaigns import (CampaignConfig, _a3_nondegenerate,
                               _check_cartan_dirac, decode_point, run_suite)
 from qpslab.conventions import ACTIVE, CORRUPTIONS, FROZEN, using
-from qpslab.diffcalc import DualMat, Space
-from qpslab.dirac import cartan_dirac, cartan_eta3, cartan_section, dorfman
+from qpslab.dirac import cartan_dirac
 from qpslab.gspringer import omega_matrix, phi_differential, sample_double
 from qpslab.liegroup import (GROUPS, GroupElement, bracket, conjugation_sections,
                              context, random_algebra, random_point,
@@ -35,7 +29,8 @@ from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
-ROOT = Path(__file__).resolve().parents[1]
+from test_dirac import calibration_grid
+
 
 def kernel_route(w, dphi):
     """A3 as it was decided before: the kernels of w^T and dphi, intersected."""
@@ -253,13 +248,6 @@ def r_matrix_pair_route(ctx, sections, xi, ze):
     return blk + sw, (x @ c).transpose().hstack((a @ c).transpose())
 
 
-def calibration_grid():
-    """Every (eta_coeff, twist) candidate of the calibration sweep."""
-    sweep = runpy.run_path(str(ROOT / "scripts" / "calibrate_conventions.py"))
-    return [replace(FROZEN, eta_coeff=c, twist=t)
-            for c in sweep["ETA_COEFFS"] for t in sweep["TWISTS"]]
-
-
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_closure_rows_match_the_r_matrix_route(name, monkeypatch):
     ctx = context(name)
@@ -345,30 +333,3 @@ def test_leaf_dimension_fails_under_a_wrong_adjoint(name, monkeypatch):
     leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
     assert leaf == {"check_id": "cartan-dirac/leaf-dimension", "passed": False,
                     "witness": {"proj": 0, "centralizer": ctx.rank}}
-
-
-def test_no_suite_runs_the_dual_number_oracles(monkeypatch):
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Space, "curve", counting("curve", Space.curve))
-    monkeypatch.setattr(DualMat, "__init__", counting("DualMat", DualMat.__init__))
-    for name, fn in (("dorfman", dorfman), ("cartan_section", cartan_section)):
-        for mod in (dirac, campaigns, gspringer):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counting(name, fn))
-    for suite in SUITE_NAMES:
-        rep = run_suite(CampaignConfig(suite=suite, group="sl2", samples=3, seed=61))
-        assert rep.checks and rep.all_passed, suite
-    assert not calls
-    # the spies see the oracle route
-    ctx = context("sl2")
-    G = Space(ctx, ("g",))
-    s = dirac.cartan_section(ctx, ctx.basis[0])
-    dirac.dorfman(s, s, cartan_eta3(G), G, (random_point(ctx, "G", SplitMix64(1)).m,))
-    assert set(calls) == {"curve", "DualMat", "dorfman", "cartan_section"}
