@@ -6,11 +6,13 @@ derived salt for any in-check randomness, and the report is canonical
 (records sorted by point index, JSON with sorted keys) regardless of how
 many workers ran the points.
 
-Each point is decoded once, by :func:`decode_point`, into the group's
-context, every payload matrix as a group element by its payload key, and
-the point's salted stream.  A suite's check takes ``(cfg, ctx, pt, rng)``
-and draws whatever randomness it needs from ``rng`` alone; the geometry it
-reports on is computed in :mod:`qpslab.gspringer` and :mod:`qpslab.dirac`.
+A point is its drawn matrices by payload key and its salt.  Its check
+receives them as drawn, each matrix as a group element of the group's
+context, with the point's salted stream: a suite's check takes ``(cfg,
+ctx, pt, rng)`` and draws whatever randomness it needs from ``rng`` alone.
+The point never enters as JSON; it is written to JSON once, for its
+records.  The geometry a check reports on is computed in
+:mod:`qpslab.gspringer` and :mod:`qpslab.dirac`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .gspringer import (GSPoint, borel_reduction, gspoint_stream, lam,
                         regact_check, representative_independent, sample_double,
                         sampled_d_identity, steinberg_membership, theorem1_check,
                         theorem2_check, weyl_fiber, weyl_fiber_enum)
-from .liegroup import (GroupContext, GroupElement, chevalley, conjugate,
+from .liegroup import (GroupElement, chevalley, conjugate,
                        conjugation_sections, context, group_of_json,
                        random_algebra, random_point, read_element)
 from .linalg import EXACT, FLOAT, Mat, dot, kernel, rank
@@ -130,17 +132,13 @@ def _point_generator(sampler):
     """The generator of a suite whose points are drawn one after another.
 
     ``sampler(ctx, rng)`` gives a point's matrices by payload key; each
-    point's salt is drawn right after its matrices.
+    point is those matrices and its salt, drawn right after them.
     """
     def gen(cfg: CampaignConfig) -> list:
         ctx = context(cfg.group)
         rng = SplitMix64(cfg.seed)
-        out = []
-        for _ in range(cfg.samples):
-            point = {k: mat_to_json(m) for k, m in sampler(ctx, rng).items()}
-            point["salt"] = rng.next_u64()
-            out.append(point)
-        return out
+        # a tuple display evaluates in order: the salt is drawn after the matrices
+        return [(sampler(ctx, rng), rng.next_u64()) for _ in range(cfg.samples)]
 
     return gen
 
@@ -368,10 +366,7 @@ def _gen_gspoints(cfg: CampaignConfig) -> list:
     ctx = context(cfg.group)
     rng = SplitMix64(cfg.seed)
     pts = gspoint_stream(ctx, rng, cfg.samples)
-    return [
-        {"g": mat_to_json(p.g.m), "b": mat_to_json(p.b.m), "salt": rng.next_u64()}
-        for p in pts
-    ]
+    return [({"g": p.g.m, "b": p.b.m}, rng.next_u64()) for p in pts]
 
 
 def _check_theorem1(cfg, ctx, pt, rng) -> list:
@@ -474,25 +469,17 @@ SUITES = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def decode_point(cfg: CampaignConfig,
-                 payload: dict) -> tuple[GroupContext, dict, SplitMix64]:
-    """A point's context, its group elements by payload key (each read with
-    its determinant check) and its salted stream: the arguments after
-    ``cfg`` of every suite's check."""
+def _run_one(cfg: CampaignConfig, index: int, mats: dict, salt: int) -> list:
     ctx = context(cfg.group)
-    pt = {k: read_element(ctx, v) for k, v in payload.items() if k != "salt"}
-    return ctx, pt, SplitMix64(payload["salt"])
-
-
-def _run_one(cfg_dict: dict, index: int, payload: dict) -> tuple[int, list]:
-    cfg = CampaignConfig(**cfg_dict)
     _, check = SUITES[cfg.suite]
+    pt = {k: GroupElement(ctx, m) for k, m in mats.items()}
     with using(FROZEN if cfg.corrupt is None else CORRUPTIONS[cfg.corrupt]):
-        recs = check(cfg, *decode_point(cfg, payload))
+        recs = check(cfg, ctx, pt, SplitMix64(salt))
+    point = {k: mat_to_json(m) for k, m in mats.items()}
     for r in recs:
-        r["point"] = {k: v for k, v in payload.items() if k != "salt"}
+        r["point"] = point
         r["point_index"] = index
-    return index, recs
+    return recs
 
 
 def run_suite(config: CampaignConfig) -> VerificationReport:
@@ -500,8 +487,6 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
     config.validate()
     gen, _ = SUITES[config.suite]
     points = gen(config)
-    cfg_dict = asdict(config)
-    results = []
     # a pool forks all its workers at the first submit: no more than points,
     # and no more than the machine has cores
     workers = min(config.jobs, len(points), os.cpu_count() or 1)
@@ -510,19 +495,14 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = [
-                ex.submit(_run_one, cfg_dict, i, p) for i, p in enumerate(points)
-            ]
-            for f in futs:
-                results.append(f.result())
+            futs = [ex.submit(_run_one, config, i, *p) for i, p in enumerate(points)]
+            results = [f.result() for f in futs]
     else:
-        for i, p in enumerate(points):
-            results.append(_run_one(cfg_dict, i, p))
-    results.sort(key=lambda t: t[0])
-    checks = [r for _, recs in results for r in recs]
+        results = [_run_one(config, i, *p) for i, p in enumerate(points)]
+    checks = [r for recs in results for r in recs]
     passed = sum(1 for r in checks if r["passed"])
     return VerificationReport(
-        config=cfg_dict,
+        config=asdict(config),
         checks=checks,
         summary={"total": len(checks), "passed": passed,
                  "failed": len(checks) - passed},

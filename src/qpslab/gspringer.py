@@ -72,7 +72,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import isqrt, lcm
+from math import lcm
 
 from .conventions import ACTIVE
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
@@ -614,16 +614,17 @@ def weyl_fiber_enum(g: GroupElement) -> list[GSPoint]:
 
     The spectrum is the roots of the characteristic polynomial x^n - e_1
     x^(n-1) + ... + (-1)^n e_n, the e_k read off
-    :func:`~qpslab.liegroup.chevalley` (e_n = 1 on SL).  Times the lcm of
-    its denominators it is an integer polynomial a_n x^n + ... + a_0 (and a
-    primitive one, as its leading coefficient is 1), and its rational roots are
-    the p/q in lowest terms with p | a_0 and q | a_n (the rational-root
-    theorem) at which it vanishes; the divisors come by trial division, about
-    sqrt|a_0| + sqrt|a_n| steps.  With t the diagonal of the roots in
-    ascending order, the points are those of :func:`weyl_fiber` (g, t).
+    :func:`~qpslab.liegroup.chevalley` (e_n = 1 on SL).  With a the lcm of
+    its denominators and y = a x, a^n times it is the monic integer
+    polynomial y^n - a e_1 y^(n-1) + ... + (-1)^n a^n e_n, whose rational
+    roots are integers, found by :func:`_integer_roots` in a number of steps
+    polynomial in the bit size of its coefficients.  With t the diagonal of
+    the roots y / a in ascending order, the points are those of
+    :func:`weyl_fiber` (g, t).
 
-    Raises :class:`NotRegularSemisimple` when a rational root is repeated
-    and ValueError when fewer than n roots are rational.
+    Raises :class:`NotRegularSemisimple` when a root found is repeated and
+    ValueError when fewer than n are found, as happens exactly when the
+    spectrum is not in Q.
     """
     ctx, n = g.ctx, g.ctx.n
     es = chevalley(g) + ((QQi(1),) if ctx.family == "SL" else ())
@@ -632,21 +633,12 @@ def weyl_fiber_enum(g: GroupElement) -> list[GSPoint]:
                          "characteristic polynomial is not real")
     coeffs = [Fraction(1)] + [e.re if k % 2 == 0 else -e.re
                               for k, e in enumerate(es, 1)]
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-
-    def value(cs, x):
-        return reduce(lambda acc, c: acc * x + c, cs, 0)
-
-    slope = [(n - k) * a for k, a in enumerate(ints[:-1])]
-    roots = sorted(r for r in {Fraction(s * p, q) for p in _divisors(ints[-1])
-                               for q in _divisors(ints[0]) for s in (1, -1)}
-                   if value(ints, r) == 0)
-    if any(value(slope, r) == 0 for r in roots):
-        raise NotRegularSemisimple("not regular semisimple: repeated eigenvalue")
+    a = lcm(*(c.denominator for c in coeffs))
+    roots = sorted(Fraction(y, a) for y in _integer_roots(
+        [c.numerator * a ** k // c.denominator for k, c in enumerate(coeffs)]))
     if len(roots) < n:
         raise ValueError(f"{ctx.name} element does not split over Q: "
-                         f"{len(roots)} of its {n} eigenvalues are rational")
+                         f"fewer than {n} of its eigenvalues are rational")
     t = Mat.identity(n).scale_rows([(r.numerator, r.denominator) for r in roots])
     points, witness = weyl_fiber(g, GroupElement(ctx, t))
     # distinct eigenvalues make g regular semisimple, so every condition holds
@@ -654,11 +646,39 @@ def weyl_fiber_enum(g: GroupElement) -> list[GSPoint]:
     return [GSPoint(GroupElement(ctx, h), GroupElement(ctx, b)) for h, b in points]
 
 
-def _divisors(a: int) -> set[int]:
-    """The positive divisors of a non-zero integer, by trial division."""
-    a = abs(a)
-    small = [d for d in range(1, isqrt(a) + 1) if a % d == 0]
-    return {*small, *(a // d for d in small)}
+def _integer_roots(cs: list[int]) -> list[int]:
+    """The integer roots of the monic integer polynomial p with coefficients
+    ``cs``, leading first, from the largest down while the next is found.
+
+    Every root lies below B = 1 + max |c|, where the search starts.  Where
+    p(x) and p'(x) are positive, the integer Newton step x -> x - ceil(p(x)
+    / p'(x)) goes down by at least 1.  When every root is real and x is
+    above the largest root r, p/p' = 1 / sum 1/(x - r_i) lies between
+    (x - r) / n and x - r, so for an integer r the steps stay at or above
+    r and reach it exactly, in O(n log B) of them.  Each root found is
+    divided out, and the search goes on below it.  It ends where p(x) or
+    p'(x) is not positive, as they are of opposite signs left of every root:
+    then the largest root left is not an integer, or not every root is
+    real.
+
+    Raises :class:`NotRegularSemisimple` when a root found is repeated.
+    """
+    def value(cs, x):
+        return reduce(lambda acc, c: acc * x + c, cs, 0)
+
+    roots, x = [], 1 + max(map(abs, cs))
+    while len(cs) > 1:
+        slope = [(len(cs) - 1 - k) * c for k, c in enumerate(cs[:-1])]
+        while px := value(cs, x):
+            dp = value(slope, x)
+            if px < 0 or dp <= 0:
+                return roots
+            x += -px // dp
+        cs = list(itertools.accumulate(cs[:-1], lambda acc, c: acc * x + c))
+        if not value(cs, x):
+            raise NotRegularSemisimple("not regular semisimple: repeated eigenvalue")
+        roots.append(x)
+    return roots
 
 
 def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:

@@ -356,23 +356,19 @@ class GroupElement:
     """Element of the context's group, held as its n x n matrix; membership
     is checked where JSON enters (:func:`read_element`), not here."""
 
-    __slots__ = ("ctx", "m", "_inv")
+    __slots__ = ("ctx", "m")
 
     def __init__(self, ctx: GroupContext, m: Mat):
         self.ctx = ctx
         self.m = m
-        self._inv = None
 
     @property
     def inv(self) -> Mat:
-        if self._inv is None:
-            self._inv = self.m.inverse()
-        return self._inv
+        """The inverse matrix, which the matrix keeps once computed."""
+        return self.m.inverse()
 
     def inverse(self) -> "GroupElement":
-        g = GroupElement(self.ctx, self.inv)
-        g._inv = self.m
-        return g
+        return GroupElement(self.ctx, self.inv)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if self.ctx is not other.ctx:
@@ -413,7 +409,9 @@ def group_of_json(obj: dict) -> GroupContext:
 def read_element(ctx: GroupContext, obj: dict) -> GroupElement:
     """The group element of a matrix object, the one membership check: the
     size must match the group and the determinant be non-zero, 1 on SL.
-    Every group matrix of a JSON point or eval input is read here."""
+    Every group matrix that arrives as JSON, in an eval input or a JSON
+    point, is read here; campaign points never arrive as JSON, as their
+    checks receive them as drawn."""
     m = mat_from_json(obj)
     if m.rows != ctx.n or m.cols != ctx.n:
         raise ValueError(f"matrix size does not match group {ctx.name}")

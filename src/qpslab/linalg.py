@@ -142,11 +142,11 @@ def _coerce_entry(x):
 class Mat:
     """Immutable dense matrix over the Gaussian rationals, kept as integer
     rows (see the module docstring); its :class:`QQi` entries, row-major
-    tuples (:attr:`data`), and its integer columns are derived when first
-    used.
+    tuples (:attr:`data`), its integer columns and its inverse are derived
+    when first used.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints", "_icols", "_iright")
+    __slots__ = ("rows", "cols", "_data", "_ints", "_icols", "_iright", "_inv")
 
     def __init__(self, data: Sequence[Sequence]):
         """The matrix with these rows of entries.  Rows of ``int`` and
@@ -172,6 +172,7 @@ class Mat:
         self._icols = icols
         self._data = data
         self._iright = None  # int_entries, once derived
+        self._inv = None  # inverse, once computed
 
     @classmethod
     def _from_ints(cls, ints: list, cols: int, icols: list | None = None) -> "Mat":
@@ -385,6 +386,10 @@ class Mat:
         return _entry(_rref_int([r for r, _ in ints])[1], prod(d for _, d in ints))
 
     def inverse(self) -> "Mat":
+        """The inverse, computed once and kept, as :meth:`int_entries` is; the
+        inverse keeps no reference back, so no cycle forms."""
+        if self._inv is not None:
+            return self._inv
         if self.rows != self.cols:
             raise LinAlgError("inverse of non-square matrix")
         n = self.rows
@@ -393,9 +398,10 @@ class Mat:
                for i, (r, d) in enumerate(self._ints)]
         if _rref_int(aug)[0] != list(range(n)):
             raise LinAlgError("singular matrix")
-        return Mat._from_ints(
+        self._inv = Mat._from_ints(
             [_canon(r[n:], r[i]) for i, r in enumerate(aug)], n
         )
+        return self._inv
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:

@@ -27,7 +27,7 @@ from qpslab.gspringer import (FORCED_STRATA, QuotientChart, action_generators,
                               gspoint_stream, moment_condition_check,
                               moment_condition_holds, omega_matrix,
                               phi_differential, sample_double, sample_gspoint)
-from qpslab.liegroup import (GROUPS, GroupElement, conj_field, context, random_algebra, random_point, read_element,
+from qpslab.liegroup import (GROUPS, GroupElement, conj_field, context, random_algebra, random_point,
                              sigma)
 from qpslab.linalg import Mat, Subspace, mat_vec
 from qpslab.prng import SplitMix64
@@ -256,12 +256,9 @@ def test_chart_transport_matches_the_per_basis_columns(group):
         assert chart_transport(c1, c2, h) == per_basis_chart_transport(c1, c2, h)
 
 
-def per_basis_lemma_kernel(cfg, payload):
+def per_basis_lemma_kernel(ctx, b, rng):
     """The lemma-kernel check with sigma and x^R built one xi and one e_k at
     a time; the same rng draws as the suite."""
-    ctx = context(cfg.group)
-    rng = SplitMix64(payload["salt"])
-    b = read_element(ctx, payload["b"])
     xis = [(ctx.basis_labels[k], ctx.basis[k]) for k in ctx.borel]
     xis += [("mixed", random_algebra(ctx, rng, indices=ctx.borel)) for _ in range(3)]
     for label, ximat in xis:
@@ -282,11 +279,13 @@ def test_lemma_kernel_matches_the_per_basis_pairing(group, conv):
     cfg = campaigns.CampaignConfig(suite="lemma-kernel", group=group, samples=4,
                                    seed=208)
     gen, check = campaigns.SUITES["lemma-kernel"]
+    ctx = context(group)
     verdicts = []
     with using(BY_NAME[conv]):
-        for payload in gen(cfg):
-            (rec,) = check(cfg, *campaigns.decode_point(cfg, payload))
-            want = per_basis_lemma_kernel(cfg, payload)
+        for mats, salt in gen(cfg):
+            b = GroupElement(ctx, mats["b"])
+            (rec,) = check(cfg, ctx, {"b": b}, SplitMix64(salt))
+            want = per_basis_lemma_kernel(ctx, b, SplitMix64(salt))
             assert (rec["passed"], rec.get("witness")) == want
             verdicts.append(rec["passed"])
     # only flipping the sign of Ad in sigma moves the annihilator

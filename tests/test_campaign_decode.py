@@ -1,16 +1,25 @@
-"""Campaign points are decoded in one place.
+"""Campaign points reach their checks as drawn.
 
-:func:`qpslab.campaigns.decode_point` turns a payload into the group's
-context, its group elements and its salted stream, and every suite's check
-takes those as ``(cfg, ctx, pt, rng)``.  This test reads ``campaigns.py``
-with :mod:`ast` and fails on a ``_check_*`` function that decodes a point
-for itself.
+A point's generator draws its matrices and its salt, and the runner hands
+its check the matrices as group elements, with the salted stream, as
+``(cfg, ctx, pt, rng)``; the point is written to JSON once, for its
+records.  The AST test reads ``campaigns.py`` and fails on a ``_check_*``
+function that builds its own point.  The route test runs each point's
+check again on ``read_element`` of its records' JSON, the route by which
+points once reached their checks, and asks for the same records.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 from qpslab import campaigns
+from qpslab.campaigns import CampaignConfig, run_suite
+from qpslab.conventions import FROZEN, using
+from qpslab.liegroup import context, read_element
+from qpslab.linalg import FLOAT
+from qpslab.prng import SplitMix64
 
 DECODERS = {"context", "read_element", "SplitMix64", "mat_from_json"}
 
@@ -43,3 +52,29 @@ def test_suite_names_are_the_registry_in_order():
         "pairing", "cartan-dirac", "dorfman-closure", "double", "lemma-kernel",
         "regact", "gs-theorem1", "gs-theorem2", "bivector", "diagram-gs")
 
+
+ROUTES = [CampaignConfig(suite=s, group=g, samples=3, seed=17)
+          for s in campaigns.SUITE_NAMES for g in ("sl2", "gl2")]
+ROUTES.append(CampaignConfig(suite="diagram-gs", group="sl3", backend=FLOAT,
+                             samples=3, seed=17))
+
+
+@pytest.mark.parametrize("cfg", ROUTES,
+                         ids=[f"{c.suite}-{c.group}-{c.backend}" for c in ROUTES])
+def test_drawn_points_check_as_their_json_does(cfg):
+    # each point's check, run again on its records' JSON read back with the
+    # membership check and on the same salt, gives the same records; every
+    # matrix read back is the one drawn
+    gen, check = campaigns.SUITES[cfg.suite]
+    ctx = context(cfg.group)
+    report = run_suite(cfg)
+    for index, (mats, salt) in enumerate(gen(cfg)):
+        drawn = [r for r in report.checks if r["point_index"] == index]
+        point = drawn[0]["point"]
+        assert all(r["point"] == point for r in drawn)
+        pt = {k: read_element(ctx, v) for k, v in point.items()}
+        assert {k: g.m for k, g in pt.items()} == mats
+        with using(FROZEN):
+            decoded = check(cfg, ctx, pt, SplitMix64(salt))
+        assert [{k: v for k, v in r.items() if k not in ("point", "point_index")}
+                for r in drawn] == decoded

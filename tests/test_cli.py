@@ -26,14 +26,17 @@ def test_report_deterministic_apart_from_timestamp():
 
 
 def test_jobs_do_not_change_the_report():
-    base = run_suite(CampaignConfig(suite="lemma-kernel", group="sl2",
-                                    samples=6, seed=5))
-    par = run_suite(CampaignConfig(suite="lemma-kernel", group="sl2",
-                                   samples=6, seed=5, jobs=2))
-    a, b = json.loads(base.to_json()), json.loads(par.to_json())
-    a["generated_at"] = b["generated_at"] = ""
-    a["config"]["jobs"] = b["config"]["jobs"] = 1
-    assert a == b
+    # the workers receive each point's drawn matrices pickled, in each shape
+    # of generator: one matrix a point, salts drawn after all points (the gs
+    # suites), two matrices a point
+    for suite in ("lemma-kernel", "gs-theorem2", "double"):
+        base = run_suite(CampaignConfig(suite=suite, group="sl2", samples=6, seed=5))
+        par = run_suite(CampaignConfig(suite=suite, group="sl2", samples=6, seed=5,
+                                       jobs=2))
+        a, b = json.loads(base.to_json()), json.loads(par.to_json())
+        a["generated_at"] = b["generated_at"] = ""
+        a["config"]["jobs"] = b["config"]["jobs"] = 1
+        assert a == b, suite
 
 
 def test_report_schema_fields():

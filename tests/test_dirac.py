@@ -339,7 +339,7 @@ def test_pair_row_matches_dorfman(name):
 
 
 def test_closure_check_inverts_nothing(monkeypatch):
-    # g^-1 comes from the caller, who holds it cached on the group element
+    # g^-1 comes from the caller, whose matrix keeps it once computed
     ctx = context("sl3")
     g = random_point(ctx, "G", SplitMix64(48))
     ginv = g.inv
@@ -353,6 +353,27 @@ def test_closure_check_inverts_nothing(monkeypatch):
     monkeypatch.setattr(Mat, "inverse", spy)
     assert cartan_closure_check(ctx, g.m, ginv) == (True, None)
     assert not calls
+
+
+def test_one_dorfman_bracket_computes_g_inverse_once(monkeypatch):
+    # each section is evaluated at many curve points through g, and each
+    # holds g's own matrix, which keeps its inverse: of the bracket's 36
+    # inversions of g only the first computes one
+    ctx = context("sl3")
+    rng = SplitMix64(47)
+    G = Space(ctx, ("g",))
+    gm = Mat(random_point(ctx, "G", rng).m.data)
+    s1, s2 = (cartan_section(ctx, random_algebra(ctx, rng)) for _ in range(2))
+    calls = []
+    real = Mat.inverse
+
+    def spy(m):
+        calls.append((m is gm, m._inv is None))
+        return real(m)
+
+    monkeypatch.setattr(Mat, "inverse", spy)
+    dorfman(s1, s2, cartan_eta3(G), G, (gm,))
+    assert calls == [(True, True)] + [(True, False)] * 35
 
 
 def test_closure_product_count_does_not_grow_with_the_group(monkeypatch):

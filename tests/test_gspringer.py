@@ -1,6 +1,7 @@
 """The double, its Borel restriction, the quotient charts, and the theorems."""
 
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -37,6 +38,11 @@ SL2 = context("sl2")
 SL3 = context("sl3")
 GL2 = context("gl2")
 RNG = SplitMix64(61)
+
+
+def drawn(ctx, mats):
+    """A campaign point's drawn matrices as its check receives them."""
+    return {k: GroupElement(ctx, m) for k, m in mats.items()}
 
 
 def grp(ctx, rows):
@@ -249,7 +255,7 @@ def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
     # that canonicalizes it, and no rank, inverse or pushforward
     ctx = context(group)
     pt = gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1)[-1]
-    pt.g.inv, pt.b.inv  # the elements' cached inverses are not the chart's
+    pt.g.inv, pt.b.inv  # the elements' kept inverses are not the chart's
     calls = []
     real_rref, real_inverse = linalg.rref, Mat.inverse
 
@@ -259,9 +265,15 @@ def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
             return fn(m, *args)
         return wrapper
 
+    def computed_inverse(m):
+        # a matrix keeps its inverse: only a call that finds none computes one
+        if m._inv is None:
+            calls.append(("inverse", m.shape))
+        return real_inverse(m)
+
     for mod in (linalg, gspringer):
         monkeypatch.setattr(mod, "rref", spy("rref", real_rref))
-    monkeypatch.setattr(Mat, "inverse", spy("inverse", real_inverse))
+    monkeypatch.setattr(Mat, "inverse", computed_inverse)
     monkeypatch.setattr(linalg, "rank", spy("rank", linalg.rank))
     monkeypatch.setattr(gspringer, "pushforward_linear",
                         spy("pushforward", gspringer.pushforward_linear))
@@ -440,12 +452,14 @@ def test_mu_lambda_well_defined():
 def test_exact_diagram_gs_takes_no_inverse_of_b(group, monkeypatch):
     # mu(p) = g b g^-1 inverts g alone: at 6 points, the fresh context's
     # one inverse and two per point, g^-1 for mu and for the conjugated
-    # unipotent; building phi's b^-1 for mu as well took 19
+    # unipotent; building phi's b^-1 for mu as well took 19.  A matrix keeps
+    # its inverse, so only the calls that find none kept compute one
     calls = []
     real = Mat.inverse
 
     def spy(m):
-        calls.append(m.shape)
+        if m._inv is None:
+            calls.append(m.shape)
         return real(m)
 
     monkeypatch.setattr(liegroup, "_CONTEXTS", {})
@@ -547,9 +561,10 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
         for suite, charts, leaves in suites:
             cfg = campaigns.CampaignConfig(suite=suite, group=group, samples=4, seed=5)
             _, check = campaigns.SUITES[suite]
-            for payload in campaigns._gen_gspoints(cfg):
+            ctx = context(group)
+            for mats, salt in campaigns._gen_gspoints(cfg):
                 counts.clear()
-                check(cfg, *campaigns.decode_point(cfg, payload))
+                check(cfg, ctx, drawn(ctx, mats), SplitMix64(salt))
                 want = Counter({name: 1 for name in DERIVED})
                 want.update({"chart": charts, "reduction": charts,
                              "gram_adjoint": charts, "omega_matrix": charts - 1,
@@ -619,10 +634,10 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
 
     monkeypatch.setattr(campaigns, "leaf_two_form", spy)
     cfg = campaigns.CampaignConfig(suite="gs-theorem2", group="sl2", samples=2)
-    payloads = campaigns._gen_gspoints(cfg)
-    for p in payloads:
-        campaigns._check_theorem2(cfg, *campaigns.decode_point(cfg, p))
-    assert seen == [SplitMix64(p["salt"]).state for p in payloads]
+    points = campaigns._gen_gspoints(cfg)
+    for mats, salt in points:
+        campaigns._check_theorem2(cfg, SL2, drawn(SL2, mats), SplitMix64(salt))
+    assert seen == [SplitMix64(salt).state for _, salt in points]
 
 
 def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
@@ -670,10 +685,10 @@ def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
     monkeypatch.setattr(campaigns, "_a4_sample", spy)
     cfg = campaigns.CampaignConfig(suite="double", group="sl2", samples=2)
     want, want_after = [], []
-    for p in campaigns._gen_double_points(cfg):
-        recs = campaigns._check_double(cfg, *campaigns.decode_point(cfg, p))
+    for mats, salt in campaigns._gen_double_points(cfg):
+        recs = campaigns._check_double(cfg, SL2, drawn(SL2, mats), SplitMix64(salt))
         assert all(r["passed"] for r in recs)
-        shadow = SplitMix64(p["salt"])
+        shadow = SplitMix64(salt)
         for _ in range(2 * 3 * 2 * SL2.dim_g):
             shadow.rational(3)
         want.append(shadow.state)
@@ -740,6 +755,29 @@ def test_weyl_fiber_enum(name):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert not pts[i].same_class(pts[j])
+
+
+@pytest.mark.parametrize("name, spectrum", [
+    ("gl2", (2 ** 61 - 1, 1)),
+    ("sl3", (2 ** 40, 2 ** 40 + 1, Fraction(1, 2 ** 40 * (2 ** 40 + 1)))),
+    ("gl3", (2 ** 40, 2 ** 40 + 1, 2 ** 40 + 2)),
+    ("sl3", (Fraction(2 ** 31 - 1, 2 ** 61 - 1), Fraction(2 ** 61 - 1, 8191),
+             Fraction(8191, 2 ** 31 - 1))),
+], ids=["gl2-61-bit", "sl3-consecutive", "gl3-consecutive", "sl3-large-denominators"])
+def test_weyl_fiber_enum_is_fast_on_large_eigenvalues(name, spectrum):
+    # the roots come by integer Newton steps, polynomial in the bit size, so
+    # eigenvalues and denominators of 40 to 61 bits take well under a second
+    ctx = context(name)
+    h = random_point(ctx, "G", SplitMix64(87))
+    t = Mat([[x if i == j else 0 for j, _ in enumerate(spectrum)]
+             for i, x in enumerate(spectrum)])
+    rs = GroupElement(ctx, h.m @ t @ h.inv)
+    start = time.perf_counter()
+    pts = weyl_fiber_enum(rs)
+    assert time.perf_counter() - start < 1
+    assert len(pts) == len(WeylGroup(ctx))
+    assert all(mu(p) == rs for p in pts)
+    assert [pts[0].b.m.entry(i, i).re for i in range(ctx.n)] == sorted(spectrum)
 
 
 def test_weyl_fiber_enum_rejects_non_semisimple():

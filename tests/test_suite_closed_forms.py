@@ -17,7 +17,7 @@ import pytest
 
 from qpslab import campaigns, dirac
 from qpslab.campaigns import (CampaignConfig, _a3_nondegenerate,
-                              _check_cartan_dirac, decode_point, run_suite)
+                              _check_cartan_dirac, run_suite)
 from qpslab.conventions import ACTIVE, CORRUPTIONS, FROZEN, using
 from qpslab.dirac import cartan_dirac
 from qpslab.gspringer import omega_matrix, phi_differential, sample_double
@@ -25,7 +25,6 @@ from qpslab.liegroup import (GROUPS, GroupElement, bracket, conjugation_sections
                              context, random_algebra, random_point,
                              sigma_average)
 from qpslab.linalg import Mat, intersect, kernel, mat_vec, rank
-from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -163,8 +162,7 @@ def test_leaf_dimension_ranks_match_the_subspace_route(name):
         random_point(ctx, kind, rng) for kind in ("T", "U", "G")]
     cfg = CampaignConfig(suite="cartan-dirac", group=name)
     for g in points:
-        payload = {"g": mat_to_json(g.m), "salt": 7}
-        recs = _check_cartan_dirac(cfg, *decode_point(cfg, payload))
+        recs = _check_cartan_dirac(cfg, ctx, {"g": g}, SplitMix64(7))
         leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
         proj = cartan_dirac(g).tangent_part().dim
         cent = kernel(ctx.adjoint(g.m, g.inv) - Mat.identity(d)).dim
@@ -328,8 +326,7 @@ def test_leaf_dimension_fails_under_a_wrong_adjoint(name, monkeypatch):
     g = random_point(ctx, "G", SplitMix64(59))
     monkeypatch.setattr(ctx, "adjoint", lambda m, minv: Mat.identity(ctx.dim_g))
     cfg = CampaignConfig(suite="cartan-dirac", group=name)
-    payload = {"g": mat_to_json(g.m), "salt": 7}
-    recs = _check_cartan_dirac(cfg, *decode_point(cfg, payload))
+    recs = _check_cartan_dirac(cfg, ctx, {"g": g}, SplitMix64(7))
     leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
     assert leaf == {"check_id": "cartan-dirac/leaf-dimension", "passed": False,
                     "witness": {"proj": 0, "centralizer": ctx.rank}}
