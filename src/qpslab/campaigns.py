@@ -26,15 +26,16 @@ from fractions import Fraction
 from .conventions import ACTIVE, CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
 from .dirac import (cartan_closure_check, cartan_dirac, closure_sample,
                     graph_bivector, graph_two_form, is_lagrangian, pairing)
-from .gspringer import (GSPoint, borel_reduction, gspoint_stream, lam,
-                        leaf_two_form, moment_condition_holds, mu, omega_matrix,
-                        phi_differential, QuotientChart, reconstruct_bivector,
-                        regact_check, representative_independent, sample_double,
+from .gspringer import (borel_reduction, gspoint_stream, leaf_two_form,
+                        moment_condition_holds, omega_matrix, phi_differential,
+                        point_from_json, point_to_json, QuotientChart,
+                        reconstruct_bivector, regact_check,
+                        representative_independent, sample_double,
                         sampled_d_identity, steinberg_membership, theorem1_check,
                         theorem2_check, weyl_fiber, weyl_fiber_enum)
 from .liegroup import (GroupElement, chevalley, conjugate,
                        conjugation_sections, context, group_of_json,
-                       random_algebra, random_point, read_element)
+                       random_algebra, random_point, read_element, torus_part)
 from .linalg import EXACT, FLOAT, Mat, dot, kernel, rank
 from .matio import mat_to_json
 from .prng import SplitMix64
@@ -351,7 +352,7 @@ def _check_lemma_kernel(cfg, ctx, pt, rng) -> list:
 
 def _check_regact(cfg, ctx, pt, rng) -> list:
     # the reduction's form and directions depend on b alone; g stays in the report
-    res = regact_check(borel_reduction(GSPoint(pt["g"], pt["b"])))
+    res = regact_check(borel_reduction(pt["g"], pt["b"]))
     return [_record("regact/constant-intersection", res["passed"],
                     {"dim": res["dim"], "expected": res["expected_dim"]})]
 
@@ -366,11 +367,11 @@ def _gen_gspoints(cfg: CampaignConfig) -> list:
     ctx = context(cfg.group)
     rng = SplitMix64(cfg.seed)
     pts = gspoint_stream(ctx, rng, cfg.samples)
-    return [({"g": p.g.m, "b": p.b.m}, rng.next_u64()) for p in pts]
+    return [({"g": g.m, "b": b.m}, rng.next_u64()) for g, b in pts]
 
 
 def _check_theorem1(cfg, ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(GSPoint(pt["g"], pt["b"])))
+    chart = QuotientChart(borel_reduction(pt["g"], pt["b"]))
     res = theorem1_check(chart)
     recs = [
         _record("gs-theorem1/lagrangian", res["lagrangian"],
@@ -390,7 +391,7 @@ def _check_theorem1(cfg, ctx, pt, rng) -> list:
 
 
 def _check_theorem2(cfg, ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(GSPoint(pt["g"], pt["b"])))
+    chart = QuotientChart(borel_reduction(pt["g"], pt["b"]))
     res = theorem2_check(chart)
     recs = [
         _record("gs-theorem2/leaf-projection", res["projection_matches"],
@@ -409,7 +410,7 @@ def _check_theorem2(cfg, ctx, pt, rng) -> list:
 
 
 def _check_bivector(cfg, ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(GSPoint(pt["g"], pt["b"])))
+    chart = QuotientChart(borel_reduction(pt["g"], pt["b"]))
     pi, checks = reconstruct_bivector(chart)
     recs = [_record("bivector/solvable", checks.get("solvable", False),
                     None if checks.get("solvable") else checks)]
@@ -425,8 +426,8 @@ def _check_bivector(cfg, ctx, pt, rng) -> list:
 
 
 def _check_diagram_gs(cfg, ctx, pt, rng) -> list:
-    point = GSPoint(pt["g"], pt["b"])
-    kmu, klam = chevalley(mu(point)), chevalley(lam(point))
+    kmu = chevalley(conjugate(pt["g"], pt["b"]))
+    klam = chevalley(torus_part(pt["b"]))
     close = kmu == klam
     recs = [_record("diagram-gs/kappa-commutes", close,
                     {"mu": [repr(v) for v in kmu], "lam": [repr(v) for v in klam]})]
@@ -526,9 +527,9 @@ def eval_command(kind: str, payload: dict) -> dict:
         return {"member": steinberg_membership(g, t)}
     if kind == "fiber-enum":
         pts = weyl_fiber_enum(GroupElement.from_json(payload))
-        return {"count": len(pts), "points": [p.to_json() for p in pts]}
+        return {"count": len(pts), "points": [point_to_json(*p) for p in pts]}
     if kind == "leaf-form":
-        chart = QuotientChart(borel_reduction(GSPoint.from_json(payload)))
+        chart = QuotientChart(borel_reduction(*point_from_json(payload)))
         # an eval input carries no salt, so the d-identity directions come
         # from a fixed stream
         form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))

@@ -30,6 +30,12 @@ that those lists select.  P = B with N = U is the one constructor
 ``borel`` and ``unipotent`` index tuples; no other function takes a
 subgroup tag or does dimension arithmetic on P.
 
+A point of G x_P P is its representative pair (g, p) of group elements;
+nothing wraps it, so mu is ``conjugate(g, p)`` and lambda ``torus_part(p)``.
+The JSON form of a point of G x_B B, ``{"g", "b", "group"}``, has one writer
+(:func:`point_to_json`) and one reader (:func:`point_from_json`), and the
+reader is the one place that checks b in B.
+
 omega depends on the point only through T = G Ad_b, so its matrix and its
 exterior derivative (:func:`d_omega`) are closed block forms on the integer
 kernel; the derivative of T along a direction is a bracket, read off the
@@ -80,7 +86,7 @@ from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
 from .liegroup import (GroupContext, GroupElement, chevalley, conjugate,
                        conjugation_sections, group_of_json, random_point,
                        read_element, reciprocal_product, sigma, sigma_average,
-                       torus_part, _parity)
+                       weyl_orders)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
                      rank, rref, solve_columns)
 from .matio import mat_to_json
@@ -96,40 +102,19 @@ class NotRegularSemisimple(ValueError):
 # points
 
 
-class GSPoint:
-    """A point [g : b] of G x_B B through a representative pair."""
+def point_to_json(g: GroupElement, b: GroupElement) -> dict:
+    """The JSON object of the point [g : b] of G x_B B, through its pair."""
+    return {"g": mat_to_json(g.m), "b": mat_to_json(b.m), "group": g.ctx.name}
 
-    __slots__ = ("g", "b", "ctx")
 
-    def __init__(self, g: GroupElement, b: GroupElement):
-        if g.ctx is not b.ctx:
-            raise ValueError("GSPoint needs one shared context")
-        if not g.ctx.in_borel(b.m):
-            raise ValueError("second component must be upper triangular")
-        self.g = g
-        self.b = b
-        self.ctx = g.ctx
-
-    def same_class(self, other: "GSPoint") -> bool:
-        """Decidable equivalence: h = g2^-1 g1 in B and b2 = h b1 h^-1."""
-        if self.ctx is not other.ctx:
-            return False
-        h = other.g.inv @ self.g.m
-        if not self.ctx.in_borel(h):
-            return False
-        return h @ self.b.m @ h.inverse() == other.b.m
-
-    def to_json(self) -> dict:
-        return {"g": mat_to_json(self.g.m), "b": mat_to_json(self.b.m),
-                "group": self.ctx.name}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GSPoint":
-        ctx = group_of_json(obj)
-        return cls(read_element(ctx, obj["g"]), read_element(ctx, obj["b"]))
-
-    def __repr__(self):
-        return f"GSPoint({self.ctx.name})"
+def point_from_json(obj: dict) -> tuple[GroupElement, GroupElement]:
+    """The representative pair (g, b) of a JSON point, the one check that b
+    lies in B, after :func:`~qpslab.liegroup.read_element`'s checks of each."""
+    ctx = group_of_json(obj)
+    g, b = read_element(ctx, obj["g"]), read_element(ctx, obj["b"])
+    if not ctx.in_borel(b.m):
+        raise ValueError("second component must be upper triangular")
+    return g, b
 
 
 def steinberg_membership(g: GroupElement, t: GroupElement) -> bool:
@@ -439,14 +424,13 @@ class Reduction:
                          conjugate(h, self.p), self.sub, self.nil)
 
 
-def borel_reduction(point: GSPoint) -> Reduction:
-    """The reduction along G x B at the representative (g, b) of a point.
+def borel_reduction(g: GroupElement, b: GroupElement) -> Reduction:
+    """The reduction along G x B at the representative pair (g, b) of a point.
 
     B's and U's coordinates are the context's ``borel`` and ``unipotent``
     index tuples; this is the one quotient function that reads them.
     """
-    ctx = point.ctx
-    return Reduction(point.g, point.b, ctx.borel, ctx.unipotent)
+    return Reduction(g, b, g.ctx.borel, g.ctx.unipotent)
 
 
 class QuotientChart:
@@ -540,27 +524,27 @@ def quotient_fiber(chart: QuotientChart) -> DiracFiber:
         wt.select_rows(chart.indices) @ null))
 
 
-def mu(p: GSPoint) -> GroupElement:
-    """The moment map of the quotient, g b g^-1: the first factor of :func:`phi`."""
-    return conjugate(p.g, p.b)
+def same_class(p: tuple[GroupElement, GroupElement],
+               q: tuple[GroupElement, GroupElement]) -> bool:
+    """Whether the pairs p = (g1, b1) and q = (g2, b2) are one point of
+    G x_B B: h = g2^-1 g1 lies in B and b2 = h b1 h^-1."""
+    (g1, b1), (g2, b2) = p, q
+    if g1.ctx is not g2.ctx:
+        return False
+    h = g2.inv @ g1.m
+    return g1.ctx.in_borel(h) and h @ b1.m @ h.inverse() == b2.m
 
 
-def lam(p: GSPoint) -> GroupElement:
-    """The torus component of the fiber coordinate (constant on classes)."""
-    return torus_part(p.b)
-
-
-def weyl_fiber(rs: GroupElement,
-               t: GroupElement) -> tuple[list[tuple[Mat, Mat]], dict | None]:
-    """The mu-fiber over rs = g t g^-1, for a diagonal t, as exact points (h, b).
+def weyl_fiber(rs: GroupElement, t: GroupElement
+               ) -> tuple[list[tuple[GroupElement, GroupElement]], dict | None]:
+    """The mu-fiber over rs = g t g^-1, for a diagonal t, as exact pairs (h, b).
 
     Column i of h is the null vector of rs - t_i I; on SL column 0 is scaled
-    so that det h = 1.  Each ordering w of the eigenvalues, in
-    :class:`~qpslab.liegroup.WeylGroup` order, gives the point (h_w, b_w):
-    the columns of h in that order, column 0 negated for an odd ordering on
-    SL as the Weyl representatives are, and b_w the diagonal of t in that
-    order.  h is inverted once: h_w^-1 is the rows of h^-1 in the same order
-    and sign.
+    so that det h = 1.  Each Weyl representative W_w, in the order of
+    :func:`~qpslab.liegroup.weyl_orders`, gives the point (h_w, b_w) =
+    (h W_w, W_w^-1 t W_w): the columns of h in w's signed order, and the
+    diagonal of t in w's order.  h is inverted once: h_w^-1 is the rows of
+    h^-1 in the same signed order.
 
     Returns ``(points, witness)``.  The witness is None when all four
     conditions hold; otherwise it names the first that fails, with its
@@ -570,7 +554,7 @@ def weyl_fiber(rs: GroupElement,
     * ``det-one``: on SL, det h_w = 1;
     * ``mu-is-rs``: h_w^-1 rs h_w = b_w, so mu(h_w, b_w) = rs exactly;
     * ``inequivalent``: h_v^-1 h_w is not upper triangular for v before w,
-      the test of :meth:`GSPoint.same_class`, so the points are pairwise
+      the test of :func:`same_class`, so the points are pairwise
       inequivalent.
     """
     ctx, n = rs.ctx, rs.ctx.n
@@ -590,8 +574,7 @@ def weyl_fiber(rs: GroupElement,
     signed, signed_inv = h.hstack(-h), (hinv := h.inverse()).vstack(-hinv)
     conj = signed_inv @ (rs.m @ signed)
     cross = signed_inv @ signed
-    orders = [[perm[0] + n if sl and _parity(perm) == -1 else perm[0], *perm[1:]]
-              for perm in itertools.permutations(range(n))]
+    orders = weyl_orders(ctx)
     points = []
     for order in orders:
         perm = [k % n for k in order]
@@ -601,7 +584,7 @@ def weyl_fiber(rs: GroupElement,
             return points, {"condition": "det-one", "ordering": perm}
         if conj.select_rows(order).select_cols(order) != bw:
             return points, {"condition": "mu-is-rs", "ordering": perm}
-        points.append((hw, bw))
+        points.append((GroupElement(ctx, hw), GroupElement(ctx, bw)))
     for v, w in itertools.combinations(orders, 2):
         if ctx.in_borel(cross.select_rows(v).select_cols(w)):
             return points, {"condition": "inequivalent",
@@ -609,7 +592,7 @@ def weyl_fiber(rs: GroupElement,
     return points, None
 
 
-def weyl_fiber_enum(g: GroupElement) -> list[GSPoint]:
+def weyl_fiber_enum(g: GroupElement) -> list[tuple[GroupElement, GroupElement]]:
     """The mu-fiber over g, for g regular semisimple with its spectrum in Q.
 
     The spectrum is the roots of the characteristic polynomial x^n - e_1
@@ -643,7 +626,7 @@ def weyl_fiber_enum(g: GroupElement) -> list[GSPoint]:
     points, witness = weyl_fiber(g, GroupElement(ctx, t))
     # distinct eigenvalues make g regular semisimple, so every condition holds
     assert witness is None, witness
-    return [GSPoint(GroupElement(ctx, h), GroupElement(ctx, b)) for h, b in points]
+    return points
 
 
 def _integer_roots(cs: list[int]) -> list[int]:
@@ -976,8 +959,9 @@ def sample_double(ctx: GroupContext, rng: SplitMix64) -> tuple:
 
 
 def sample_gspoint(ctx: GroupContext, rng: SplitMix64,
-                   stratum: str = "random") -> GSPoint:
-    """Sample a quotient point; degenerate strata are first-class citizens."""
+                   stratum: str = "random") -> tuple[GroupElement, GroupElement]:
+    """Sample a quotient point as its pair (g, b); degenerate strata are
+    first-class citizens."""
     g = random_point(ctx, "G", rng)
     if stratum == "identity-b":
         b = GroupElement(ctx, Mat.identity(ctx.n))
@@ -987,13 +971,14 @@ def sample_gspoint(ctx: GroupContext, rng: SplitMix64,
         b = GroupElement(ctx, _nonregular_torus(ctx, rng) @ random_point(ctx, "U", rng).m)
     else:
         b = random_point(ctx, "B", rng)
-    return GSPoint(g, b)
+    return g, b
 
 
 FORCED_STRATA = ("springer", "nonregular", "identity-b")
 
 
-def gspoint_stream(ctx: GroupContext, rng: SplitMix64, samples: int) -> list[GSPoint]:
+def gspoint_stream(ctx: GroupContext, rng: SplitMix64,
+                   samples: int) -> list[tuple[GroupElement, GroupElement]]:
     """Deterministic stream that always exercises the degenerate strata."""
     out = []
     for i in range(samples):

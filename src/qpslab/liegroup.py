@@ -646,36 +646,19 @@ def reciprocal_product(pairs) -> tuple[int, int]:
 # the Weyl group
 
 
-class WeylGroup:
-    """Permutation-matrix representatives of N(T)/T.
+def weyl_orders(ctx: GroupContext) -> list[list[int]]:
+    """The representatives W_w of N(T)/T, stated once: one signed column
+    order per permutation w of range(n), in :func:`itertools.permutations`
+    order.
 
-    For SL the odd permutations carry a -1 in the first column so every
-    representative has determinant one.  Representatives multiply correctly
-    modulo the torus; ``compose_ok`` checks exactly that.
+    Column j of W_w is the unit vector e_w(j), with column 0 negated for an
+    odd w on SL, so that det W_w = 1 there.  So X W_w is the columns of
+    [X | -X] in w's order, entry j being w(j), or w(0) + n for the negated
+    column; and W_w^-1 X is the rows of [X; -X] in the same order.
     """
-
-    def __init__(self, ctx: GroupContext):
-        self.ctx = ctx
-        self.perms = list(itertools.permutations(range(ctx.n)))
-        self.reps = {p: self._rep(p) for p in self.perms}
-
-    def _rep(self, perm) -> GroupElement:
-        n = self.ctx.n
-        m = [[0] * n for _ in range(n)]
-        for j in range(n):
-            m[perm[j]][j] = 1
-        if self.ctx.family == "SL" and _parity(perm) == -1:
-            m[perm[0]][0] = -1
-        return GroupElement(self.ctx, Mat(m))
-
-    def __len__(self):
-        return len(self.perms)
-
-    def compose_ok(self, p1, p2) -> bool:
-        composed = tuple(p1[p2[j]] for j in range(self.ctx.n))
-        w = self.reps[composed].inv @ (self.reps[p1].m @ self.reps[p2].m)
-        n = self.ctx.n
-        return all(not w.entry(i, j) for i in range(n) for j in range(n) if i != j)
+    n, sl = ctx.n, ctx.family == "SL"
+    return [[w[0] + n if sl and _parity(w) == -1 else w[0], *w[1:]]
+            for w in itertools.permutations(range(n))]
 
 
 def _parity(perm) -> int:

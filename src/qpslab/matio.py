@@ -1,4 +1,4 @@
-"""JSON wire formats for matrices, group elements and sample points.
+"""The JSON wire format for matrices, which group elements and points wrap.
 
 Matrix format::
 
@@ -8,7 +8,9 @@ Entries are row-major ``[real, imaginary]`` pairs of exact fraction strings
 or integers; a bare integer means a real entry.  Any other number, a
 boolean, a zero denominator or a bad size is an input error (ValueError):
 every matrix read here is exact, and so is every matrix the package reads.
-Group elements add a ``"group"`` tag such as ``"sl2"``.
+Group elements add a ``"group"`` tag such as ``"sl2"``, and a point of
+G x_B B is ``{"g", "b", "group"}``
+(:func:`~qpslab.gspringer.point_to_json`).
 
 Every matrix a campaign writes is real and its parts are ``-?digits`` or
 ``-?digits/digits`` in ASCII, so the reader takes such a part by ``int``

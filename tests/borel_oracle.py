@@ -20,11 +20,11 @@ def leading(m: Mat, k: int, cols: int | None = None) -> Mat:
     return m.row_block(0, k).col_block(0, k if cols is None else cols)
 
 
-def prefix_chart(point) -> dict:
-    """The chart of a point of G x_B B from leading blocks: ``w``, ``dphi``
-    and the ``vertical`` basis on G x B, then the greedy complement
+def prefix_chart(g, b) -> dict:
+    """The chart of the point (g, b) of G x_B B from leading blocks: ``w``,
+    ``dphi`` and the ``vertical`` basis on G x B, then the greedy complement
     ``indices``, ``proj``, ``inc`` and the ``fiber``."""
-    ctx, g, b = point.ctx, point.g, point.b
+    ctx = g.ctx
     amb, h = ctx.dim_g + len(ctx.borel), ctx.dim_g
     w = leading(omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv)), amb)
     vertical = leading(action_generators(b), amb, len(ctx.borel))

@@ -12,8 +12,8 @@ import pytest
 from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.conventions import ACTIVE, FROZEN
 from qpslab.dirac import cartan_dirac, is_lagrangian
-from qpslab.gspringer import mu, weyl_fiber_enum
-from qpslab.liegroup import WeylGroup, conjugate, context, random_point
+from qpslab.gspringer import same_class, weyl_fiber_enum
+from qpslab.liegroup import conjugate, context, random_point, weyl_orders
 from qpslab.prng import SplitMix64
 
 GROUPS = ("sl2", "sl3", "gl2")
@@ -141,7 +141,7 @@ def test_criterion_09_steinberg_geometry():
         assert_all(campaign("diagram-gs", group, 100, backend="float"))
     for group in ("sl2", "sl3"):
         ctx = context(group)
-        wsize = len(WeylGroup(ctx))
+        wsize = len(weyl_orders(ctx))
         rng = SplitMix64(SEED + 9)
         for _ in range(20):
             t = random_point(ctx, "T-regular", rng)
@@ -149,10 +149,10 @@ def test_criterion_09_steinberg_geometry():
             rs = conjugate(h, t)
             pts = weyl_fiber_enum(rs)
             assert len(pts) == wsize
-            assert all(mu(p) == rs for p in pts)
+            assert all(conjugate(g, b) == rs for g, b in pts)
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
-                    assert not pts[i].same_class(pts[j])
+                    assert not same_class(pts[i], pts[j])
     announce(9, "Steinberg geometry and Weyl fibers (|W| points, residual 0)")
 
 

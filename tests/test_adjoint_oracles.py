@@ -217,7 +217,7 @@ def test_b_action_directions_span_the_per_basis_generators(group):
     rng = SplitMix64(206)
     stream = gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1)
     points = [(kind, random_point(ctx, kind, rng)) for kind in ("B", "T", "U")]
-    points += [(f"stream {i}", pt.b) for i, pt in enumerate(stream)]
+    points += [(f"stream {i}", b) for i, (_, b) in enumerate(stream)]
     amb = ctx.dim_g + len(ctx.borel)
     for kind, b in points:
         for part, sub in (("b", ctx.borel), ("u", ctx.unipotent)):
@@ -251,7 +251,7 @@ def test_chart_transport_matches_the_per_basis_columns(group):
     for stratum in ("random", "springer", "identity-b"):
         pt = sample_gspoint(ctx, rng, stratum)
         h = random_point(ctx, "B", rng)
-        red = borel_reduction(pt)
+        red = borel_reduction(*pt)
         c1, c2 = QuotientChart(red), QuotientChart(red.translate(h))
         assert chart_transport(c1, c2, h) == per_basis_chart_transport(c1, c2, h)
 

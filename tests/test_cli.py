@@ -221,6 +221,7 @@ def test_cli_eval_rejects_a_matrix_of_the_wrong_size(tmp_path, capsys, kind, pay
 
 SINGULAR2 = {"rows": 2, "cols": 2, "entries": [1, 1, 0, 0]}
 DET2 = {"rows": 2, "cols": 2, "entries": [2, 0, 0, 1]}
+LOWER2 = {"rows": 2, "cols": 2, "entries": [1, 0, 1, 1]}
 
 
 @pytest.mark.parametrize("kind, payload, message", [
@@ -230,11 +231,17 @@ DET2 = {"rows": 2, "cols": 2, "entries": [2, 0, 0, 1]}
     ("steinberg", {"group": "sl2", "g": ONE2, "t": DET2}, "determinant 1"),
     ("leaf-form", {"group": "sl2", "g": ONE2, "b": SINGULAR2}, "must be invertible"),
     ("leaf-form", {"group": "sl2", "g": DET2, "b": ONE2}, "determinant 1"),
+    ("leaf-form", {"group": "sl2", "g": ONE2, "b": LOWER2}, "upper triangular"),
+    # each factor's size and determinant are checked before b's place in B
+    ("leaf-form", {"group": "sl2", "g": ONE2, "b": dict(LOWER2, entries=[1, 0, 1, 0])},
+     "must be invertible"),
 ], ids=["kappa-singular", "kappa-det-2", "steinberg-singular-g", "steinberg-det-2-t",
-        "leaf-form-singular-b", "leaf-form-det-2-g"])
+        "leaf-form-singular-b", "leaf-form-det-2-g", "leaf-form-lower-b",
+        "leaf-form-singular-lower-b"])
 def test_cli_eval_refuses_a_matrix_outside_the_group(tmp_path, capsys, kind, payload,
                                                       message):
-    # membership is checked where the JSON is read: exit 2, one line
+    # membership, and a leaf-form point's b in B, is checked where the JSON
+    # is read: exit 2, one line
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
     assert main(["eval", kind, str(path)]) == 2
@@ -284,14 +291,14 @@ def test_cli_eval_rejects_malformed_json_with_one_line(tmp_path, capsys, kind, p
 def fiber_points_over(payload: dict) -> list:
     """The points ``eval fiber-enum`` prints for ``payload``, read back; each
     maps to the input exactly."""
-    from qpslab.gspringer import GSPoint, mu
-    from qpslab.liegroup import GroupElement
+    from qpslab.gspringer import point_from_json
+    from qpslab.liegroup import GroupElement, conjugate
 
     out = eval_command("fiber-enum", payload)
     assert set(out) == {"count", "points"}
-    points = [GSPoint.from_json(p) for p in out["points"]]
+    points = [point_from_json(p) for p in out["points"]]
     assert out["count"] == len(points)
-    assert all(mu(p) == GroupElement.from_json(payload) for p in points)
+    assert all(conjugate(g, b) == GroupElement.from_json(payload) for g, b in points)
     return points
 
 
@@ -315,12 +322,12 @@ def test_eval_fiber_enum_sl4():
 
 
 def test_eval_leaf_form():
-    from qpslab.gspringer import sample_gspoint
+    from qpslab.gspringer import point_to_json, sample_gspoint
     from qpslab.prng import SplitMix64
     from qpslab.liegroup import context
 
     pt = sample_gspoint(context("sl2"), SplitMix64(9))
-    out = eval_command("leaf-form", pt.to_json())
+    out = eval_command("leaf-form", point_to_json(*pt))
     assert out["checks"]["passed"]
     assert out["matrix"]["rows"] == 2
 

@@ -83,7 +83,7 @@ def transport_cases(ctx):
     d = ctx.dim_g
     first = Mat.identity(d).hstack(Mat.zeros(d, len(ctx.borel)))
     for point in gspoint_stream(ctx, SplitMix64(301), 4):
-        chart = QuotientChart(borel_reduction(point))
+        chart = QuotientChart(borel_reduction(*point))
         dmu, dphi = chart.dmu, chart.reduction.dphi
         cd = cartan_dirac(chart.mu)
         push += [(chart.graph, chart.proj), (chart.fiber, dmu),
@@ -107,7 +107,7 @@ def test_reduced_transports_match_the_full_incidence_systems(group):
 
 def test_the_zero_fiber_transports_to_the_kernels():
     ctx = context("sl3")
-    chart = QuotientChart(borel_reduction(gspoint_stream(ctx, SplitMix64(302), 2)[1]))
+    chart = QuotientChart(borel_reduction(*gspoint_stream(ctx, SplitMix64(302), 2)[1]))
     dmu = chart.dmu
     h, d = chart.hdim, ctx.dim_g
     pushed = pushforward_linear(zero_fiber(h), dmu)
@@ -134,7 +134,7 @@ def test_transports_with_no_null_vectors():
 def test_a_pushforward_runs_two_rrefs(monkeypatch):
     # one on the reduced system, one canonicalizing the result
     ctx = context("sl3")
-    chart = QuotientChart(borel_reduction(gspoint_stream(ctx, SplitMix64(303), 4)[3]))
+    chart = QuotientChart(borel_reduction(*gspoint_stream(ctx, SplitMix64(303), 4)[3]))
     dmu = chart.dmu
     calls = []
     real = linalg.rref
@@ -171,7 +171,7 @@ def test_a_graph_pushes_forward_without_the_top_product(group, monkeypatch):
     ctx = context(group)
     graphs, others = [], []
     for point in gspoint_stream(ctx, SplitMix64(305), 4):
-        chart = QuotientChart(borel_reduction(point))
+        chart = QuotientChart(borel_reduction(*point))
         graphs += [(chart.graph, chart.proj), (chart.graph, chart.reduction.dphi)]
         others.append((chart.fiber, chart.dmu))
     cases = [(fiber, fmat, product_route_pushforward(fiber, fmat), products)
@@ -227,7 +227,7 @@ def test_intersect_at_the_chart_matches_the_kernel_route():
     for group in sorted(GROUPS):
         ctx = context(group)
         for point in gspoint_stream(ctx, SplitMix64(305), 4):
-            red = borel_reduction(point)
+            red = borel_reduction(*point)
             flat = kernel(red.w.transpose())
             got = intersect(red.vertical, flat)
             assert got.dim == len(ctx.unipotent)

@@ -1,6 +1,7 @@
 """Group contexts, Borel data, the invariant form, and the sigma/rho maps."""
 
 import copy
+import itertools
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -10,10 +11,10 @@ import pytest
 from qpslab import liegroup
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.gspringer import _nonregular_torus
-from qpslab.liegroup import (Ad, GroupContext, GroupElement, WeylGroup,
-                             borel_decompose, bracket, chevalley, context,
-                             random_algebra, random_point, read_element,
-                             rho_adjoint, sigma, sigma_adjoint, conj_field)
+from qpslab.liegroup import (Ad, GroupContext, GroupElement, borel_decompose,
+                             bracket, chevalley, context, random_algebra,
+                             random_point, read_element, rho_adjoint, sigma,
+                             sigma_adjoint, conj_field, weyl_orders)
 from qpslab.linalg import Mat, Subspace, annihilator, mat_vec, rank
 from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
@@ -248,15 +249,28 @@ def test_eta_alternating_and_invariant():
                 == ctx.eta(x, y, z)
 
 
+def weyl_representative(n: int, order: list[int]) -> Mat:
+    """W_w from its signed column order: the columns of [I | -I] in order."""
+    return Mat.identity(n).hstack(-Mat.identity(n)).select_cols(order)
+
+
 def test_weyl_group():
-    for ctx in (SL2, SL3):
-        w = WeylGroup(ctx)
-        assert len(w) == [2, 6][ctx.n - 2]
-        for p in w.perms:
-            rep = w.reps[p]
-            assert rep.m.det() == QQi(1) if ctx.family == "SL" else rep.m.det()
-            for q in w.perms:
-                assert w.compose_ok(p, q)
+    # the one statement of the representatives, on every group: the n!
+    # permutations in itertools order, det W_w = 1 on SL, and W_v W_w =
+    # W_(v w) modulo the torus
+    for name in sorted(liegroup.GROUPS):
+        ctx = context(name)
+        n, orders = ctx.n, weyl_orders(ctx)
+        perms = [tuple(k % n for k in order) for order in orders]
+        assert perms == list(itertools.permutations(range(n)))
+        reps = {p: weyl_representative(n, order) for p, order in zip(perms, orders)}
+        if ctx.family == "SL":
+            assert all(rep.det() == QQi(1) for rep in reps.values())
+        for v, w in itertools.product(perms, repeat=2):
+            vw = tuple(v[w[j]] for j in range(n))
+            t = reps[vw].inverse() @ reps[v] @ reps[w]
+            assert all(not t.entry(i, j) for i in range(n) for j in range(n)
+                       if i != j), (name, v, w)
 
 
 def test_group_element_validation():

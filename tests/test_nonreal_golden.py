@@ -13,7 +13,7 @@ import hashlib
 import json
 
 from qpslab.dirac import cartan_closure_check, cartan_dirac
-from qpslab.gspringer import (GSPoint, QuotientChart, borel_reduction, leaf_two_form,
+from qpslab.gspringer import (QuotientChart, borel_reduction, leaf_two_form,
                               reconstruct_bivector, regact_check, theorem1_check,
                               theorem2_check)
 from qpslab.linalg import Mat, Subspace
@@ -75,7 +75,7 @@ def plain(x):
 def results(group, g_rows, b_rows) -> dict:
     ctx = context(group)
     g, b = GroupElement(ctx, mat(g_rows)), GroupElement(ctx, mat(b_rows))
-    red = borel_reduction(GSPoint(g, b))
+    red = borel_reduction(g, b)
     chart = QuotientChart(red)
     return {
         "group": group,

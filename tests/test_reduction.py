@@ -22,9 +22,10 @@ import pytest
 from qpslab.campaigns import CLI_GROUPS
 from qpslab.conventions import CORRUPTIONS, using
 from qpslab.dirac import cartan_dirac, is_lagrangian, pushforward_linear
-from qpslab.gspringer import (FORCED_STRATA, GSPoint, QuotientChart, Reduction,
+from qpslab.gspringer import (FORCED_STRATA, QuotientChart, Reduction,
                               borel_reduction, gspoint_stream, leaf_two_form, phi,
-                              regact_check, theorem1_check, theorem2_check)
+                              point_from_json, regact_check, theorem1_check,
+                              theorem2_check)
 from qpslab.liegroup import GROUPS, GroupElement, context, random_point
 from qpslab.linalg import rank
 from qpslab.prng import SplitMix64
@@ -38,15 +39,15 @@ NONREAL_POINT = {"group": "sl2",
                        "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}
 
 
-def assert_borel_chart_is_the_prefix_chart(point):
-    ctx = point.ctx
+def assert_borel_chart_is_the_prefix_chart(g, b):
+    ctx = g.ctx
     d, amb = ctx.dim_g, ctx.dim_g + len(ctx.borel)
-    red = borel_reduction(point)
+    red = borel_reduction(g, b)
     assert red.up == list(range(amb))
     assert red.leaf_slice == list(range(d + len(ctx.unipotent)))
     assert red.levi == list(range(d + len(ctx.unipotent), amb))
     chart = QuotientChart(red)
-    want = prefix_chart(point)
+    want = prefix_chart(g, b)
     assert red.w == want["w"]
     assert red.dphi == want["dphi"]
     assert red.vertical.basis == want["vertical"]
@@ -63,20 +64,20 @@ def test_borel_reduction_reproduces_the_prefix_chart(group):
     ctx = context(group)
     rng = SplitMix64(401)
     points = gspoint_stream(ctx, rng, len(FORCED_STRATA) + 1)
-    for point in points:
-        assert_borel_chart_is_the_prefix_chart(point)
-    point, h = points[-1], random_point(ctx, "B", rng)
-    moved = borel_reduction(point).translate(h)
+    for g, b in points:
+        assert_borel_chart_is_the_prefix_chart(g, b)
+    (g, b), h = points[-1], random_point(ctx, "B", rng)
+    moved = borel_reduction(g, b).translate(h)
     # h.(g, b) = (g h^-1, h b h^-1), written out
-    assert moved.g.m == point.g.m @ h.inv
-    assert moved.p.m == h.m @ point.b.m @ h.inv
-    assert_borel_chart_is_the_prefix_chart(GSPoint(moved.g, moved.p))
+    assert moved.g.m == g.m @ h.inv
+    assert moved.p.m == h.m @ b.m @ h.inv
+    assert_borel_chart_is_the_prefix_chart(moved.g, moved.p)
 
 
 def test_borel_reduction_reproduces_the_prefix_chart_at_a_nonreal_point():
-    point = GSPoint.from_json(NONREAL_POINT)
-    assert any(x.im for r in borel_reduction(point).w.data for x in r)
-    assert_borel_chart_is_the_prefix_chart(point)
+    g, b = point_from_json(NONREAL_POINT)
+    assert any(x.im for r in borel_reduction(g, b).w.data for x in r)
+    assert_borel_chart_is_the_prefix_chart(g, b)
 
 
 def group_reductions(ctx, seed: int):

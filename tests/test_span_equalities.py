@@ -58,7 +58,7 @@ def unequal_sets(s: Subspace, m: Mat) -> list[Mat]:
 def quotient_charts(group: str):
     ctx = context(group)
     points = gspoint_stream(ctx, SplitMix64(311), len(FORCED_STRATA) + 1)
-    return [QuotientChart(borel_reduction(p)) for p in (points[0], points[-1])]
+    return [QuotientChart(borel_reduction(*p)) for p in (points[0], points[-1])]
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)

@@ -44,11 +44,10 @@ PRODUCT_READERS = ("src", "scripts", "bench")
 # the package names outside diffcalc that only the tests read
 TEST_ONLY = [
     "dirac.pullback_linear", "gspringer.chart_action_field",
-    "gspringer.moment_condition_check", "liegroup.WeylGroup",
+    "gspringer.moment_condition_check", "gspringer.same_class",
     "liegroup.borel_decompose", "liegroup.conj_field", "liegroup.rho_adjoint",
     "liegroup.sigma_adjoint", "linalg.annihilator", "linalg.solve_unique",
     "matio.scalar_to_json",
-    "gspringer.GSPoint.same_class", "liegroup.WeylGroup.compose_ok",
     "linalg.Subspace.from_vectors", "prng.SplitMix64.rational",
     "scalars.QQi.to_complex",
 ]

@@ -5,8 +5,10 @@
 mu-fiber has |W| pairwise-inequivalent points, each mapping to rs exactly.
 Three routes hold it:
 
-* the points against :class:`~qpslab.gspringer.GSPoint`, whose ``mu`` and
-  ``same_class`` invert each h afresh;
+* the points against the one statement of the Weyl representatives,
+  :func:`~qpslab.liegroup.weyl_orders`: each is (h W_w, W_w^-1 t W_w), in
+  its order; and against ``conjugate`` and
+  :func:`~qpslab.gspringer.same_class`, which invert each h afresh;
 * mutants of its source, one line each, and a non-regular t in the
   campaign's draws: each makes the record fail with a witness naming the
   condition the mutant breaks, so the record can fail;
@@ -23,9 +25,10 @@ import pytest
 
 from qpslab import campaigns, gspringer
 from qpslab.campaigns import CLI_GROUPS, CampaignConfig, run_suite
-from qpslab.gspringer import GSPoint, mu, weyl_fiber
-from qpslab.liegroup import (GROUPS, GroupElement, WeylGroup, conjugate, context,
-                             random_point)
+from qpslab.gspringer import same_class, weyl_fiber
+from qpslab.liegroup import (GROUPS, GroupElement, conjugate, context, random_point,
+                             weyl_orders)
+from qpslab.linalg import Mat
 from qpslab.prng import SplitMix64
 
 from float_fiber_oracle import float_array, float_fiber_enum, float_same_class
@@ -44,14 +47,30 @@ def test_the_fiber_is_w_inequivalent_points_over_rs(name):
     rs, t = regular_semisimple(ctx, SplitMix64(33))
     points, witness = weyl_fiber(rs, t)
     assert witness is None
-    assert len(points) == len(WeylGroup(ctx))
-    classes = [GSPoint(GroupElement(ctx, h), GroupElement(ctx, b)) for h, b in points]
-    for p in classes:
-        assert mu(p) == rs
+    assert len(points) == len(weyl_orders(ctx))
+    for h, b in points:
+        assert conjugate(h, b) == rs
         if ctx.family == "SL":
-            assert p.g.m.det() == 1
-    for p, q in itertools.combinations(classes, 2):
-        assert not p.same_class(q)
+            assert h.m.det() == 1
+    for p, q in itertools.combinations(points, 2):
+        assert not same_class(p, q)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_the_fiber_points_are_h_times_the_weyl_representatives(name):
+    # h is the first point's, the identity ordering's; the point of each
+    # signed order w is (h W_w, W_w^-1 t W_w), W_w the columns of [I | -I]
+    # in that order
+    ctx = context(name)
+    n = ctx.n
+    rs, t = regular_semisimple(ctx, SplitMix64(35))
+    points, witness = weyl_fiber(rs, t)
+    assert witness is None
+    h = points[0][0]
+    for (hw, bw), order in zip(points, weyl_orders(ctx), strict=True):
+        w = Mat.identity(n).hstack(-Mat.identity(n)).select_cols(order)
+        assert hw.m == h.m @ w
+        assert bw.m == w.inverse() @ t.m @ w
 
 
 # one-line mutants of weyl_fiber: (old, new, the condition it must break,
@@ -134,5 +153,5 @@ def test_the_exact_fiber_matches_the_float_enumeration(group):
         floats = float_fiber_enum(ctx, float_array(rs.m))
         assert len(points) == len(floats)
         for h, b in points:
-            image = (float_array(h), float_array(b))
+            image = (float_array(h.m), float_array(b.m))
             assert sum(float_same_class(image, f, ORACLE_TOL) for f in floats) == 1
