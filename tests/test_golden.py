@@ -3,7 +3,8 @@
 Each digest is the SHA-256 of a campaign report's JSON with ``generated_at``
 blanked, for every suite x {sl2, sl3, gl2, gl3} on the exact backend at 3
 samples and the acceptance seed, plus corrupted runs on sl2 (``CORRUPTED``),
-each ``--corrupt`` switch at least once.  Reports are deterministic in their
+each ``--corrupt`` switch at least once, and diagram-gs on the float backend
+on each group, whose Weyl-fiber record is decided exactly too.  Reports are deterministic in their
 inputs, so a digest change is a behaviour change: argue it in CHANGES.md,
 never simply re-record.
 
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from qpslab.campaigns import CLI_GROUPS, SUITE_NAMES, CampaignConfig, run_suite
+from qpslab.linalg import FLOAT
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 20260809
@@ -58,6 +60,9 @@ def _configs() -> dict[str, CampaignConfig]:
     for corrupt, suite in CORRUPTED:
         out[f"{suite}/sl2/corrupt={corrupt}"] = CampaignConfig(
             suite=suite, group="sl2", samples=SAMPLES, seed=SEED, corrupt=corrupt)
+    for group in CLI_GROUPS:
+        out[f"diagram-gs/{group}/backend=float"] = CampaignConfig(
+            suite="diagram-gs", group=group, backend=FLOAT, samples=SAMPLES, seed=SEED)
     return out
 
 
