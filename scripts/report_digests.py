@@ -13,11 +13,15 @@ exactly when their outputs compare equal::
     diff /tmp/parent.json /tmp/change.json
 
 Run it from the root of a checkout: it imports that checkout's ``src``.
-Without an output path the JSON goes to standard output.
+Without an output path the JSON goes to standard output; ``-h`` or
+``--help`` prints the usage, and any other argument that starts with ``-``
+is refused (exit 2) before the sweep, as is an output path that cannot be
+written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -49,17 +53,27 @@ def digests(suites=SUITE_NAMES, groups=CLI_GROUPS,
     return out
 
 
+USAGE = "usage: report_digests.py [-h] [OUTPUT.json]"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) > 1:
-        print("usage: report_digests.py [OUTPUT.json]", file=sys.stderr)
+    if argv in (["-h"], ["--help"]):
+        print(USAGE)
+        return 0
+    # an option is no output path: refuse it before the sweep
+    if len(argv) > 1 or any(a.startswith("-") for a in argv):
+        print(USAGE, file=sys.stderr)
         return 2
-    text = json.dumps(digests(), indent=1, sort_keys=True) + "\n"
-    if argv:
-        with open(argv[0], "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    # open the output before the sweep, so that a path that cannot be
+    # written is refused at once
+    try:
+        sink = open(argv[0], "w") if argv else None
+    except OSError as exc:
+        print(f"error: cannot write digests: {exc}", file=sys.stderr)
+        return 2
+    with sink or contextlib.nullcontext():
+        (sink or sys.stdout).write(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -6,10 +6,11 @@ derived salt for any in-check randomness, and the report is canonical
 (records sorted by point index, JSON with sorted keys) regardless of how
 many workers ran the points.
 
-A point is its drawn matrices by payload key and its salt.  Its check
-receives them as drawn, each matrix as a group element of the group's
-context, with the point's salted stream: a suite's check takes ``(cfg,
-ctx, pt, rng)`` and draws whatever randomness it needs from ``rng`` alone.
+A point is its drawn matrices by payload key and its salt.  A group
+element is its matrix, so its check receives them as drawn, with the
+group's context and the point's salted stream: a suite's check takes
+``(cfg, ctx, pt, rng)`` and draws whatever randomness it needs from ``rng``
+alone.
 The point never enters as JSON; it is written to JSON once, for its
 records.  The geometry a check reports on is computed in
 :mod:`qpslab.gspringer` and :mod:`qpslab.dirac`.
@@ -33,9 +34,9 @@ from .gspringer import (borel_reduction, gspoint_stream, leaf_two_form,
                         representative_independent, sample_double,
                         sampled_d_identity, steinberg_membership, theorem1_check,
                         theorem2_check, weyl_fiber, weyl_fiber_enum)
-from .liegroup import (GroupElement, chevalley, conjugate,
-                       conjugation_sections, context, group_of_json,
-                       random_algebra, random_point, read_element, torus_part)
+from .liegroup import (conjugate, conjugation_sections, context, group_of_json,
+                       invariants, random_algebra, random_point, read_element,
+                       torus_part)
 from .linalg import EXACT, FLOAT, Mat, dot, kernel, rank
 from .matio import mat_to_json
 from .prng import SplitMix64
@@ -144,20 +145,16 @@ def _point_generator(sampler):
     return gen
 
 
-def _sample_double(ctx, rng) -> dict:
-    a, b = sample_double(ctx, rng)
-    return {"a": a.m, "b": b.m}
-
-
 _gen_group_points = _point_generator(
-    lambda ctx, rng: {"g": random_point(ctx, "G", rng).m})
-_gen_double_points = _point_generator(_sample_double)
+    lambda ctx, rng: {"g": random_point(ctx, "G", rng)})
+_gen_double_points = _point_generator(
+    lambda ctx, rng: dict(zip("ab", sample_double(ctx, rng))))
 _gen_borel_points = _point_generator(
-    lambda ctx, rng: {"b": random_point(ctx, "B", rng).m})
+    lambda ctx, rng: {"b": random_point(ctx, "B", rng)})
 # a dict display evaluates in order: g is drawn before b
 _gen_gxb_points = _point_generator(
-    lambda ctx, rng: {"g": random_point(ctx, "G", rng).m,
-                      "b": random_point(ctx, "B", rng).m})
+    lambda ctx, rng: {"g": random_point(ctx, "G", rng),
+                      "b": random_point(ctx, "B", rng)})
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +213,8 @@ def _check_cartan_dirac(cfg, ctx, pt, rng) -> list:
     g = pt["g"]
     recs = []
     # one set of sections serves the fiber and the closure sample
-    sections = conjugation_sections(ctx, g.m, g.inv)
-    fib = cartan_dirac(g, sections)
+    sections = conjugation_sections(ctx, g, g.inverse())
+    fib = cartan_dirac(sections)
     ok, wit = is_lagrangian(fib)
     recs.append(_record("cartan-dirac/lagrangian", ok and fib.dim == ctx.dim_g, wit))
 
@@ -226,7 +223,7 @@ def _check_cartan_dirac(cfg, ctx, pt, rng) -> list:
     # of x -> g x - x g on the algebra basis, so not through Ad
     d = ctx.dim_g
     proj = rank(fib.basis.row_block(0, d))
-    cent = d - rank(ctx.commutator_matrix(g.m))
+    cent = d - rank(ctx.commutator_matrix(g))
     recs.append(_record(
         "cartan-dirac/leaf-dimension",
         proj == d - cent,
@@ -246,7 +243,7 @@ def _check_cartan_dirac(cfg, ctx, pt, rng) -> list:
 
 def _check_dorfman(cfg, ctx, pt, rng) -> list:
     g = pt["g"]
-    ok, witness = cartan_closure_check(ctx, g.m, g.inv)
+    ok, witness = cartan_closure_check(ctx, g, g.inverse())
     return [_record("dorfman-closure/basis-pairs", ok, witness)]
 
 
@@ -258,11 +255,11 @@ def _check_double(cfg, ctx, pt, rng) -> list:
     a, b = pt["a"], pt["b"]
     recs = []
 
-    t = ctx.gram_adjoint(b.m, b.inv)
+    t = ctx.gram_adjoint(b, b.inverse())
     w = omega_matrix(ctx, t)
-    dphi = phi_differential(a, b)
+    dphi = phi_differential(ctx, a, b)
     recs.append(_record("double/A1-moment-condition",
-                        moment_condition_holds(a, b, w, dphi)))
+                        moment_condition_holds(ctx, a, b, w, dphi)))
     # A2: d(omega) = -phi^*(eta (+) eta), the salted stream's first draws
     recs.append(_record("double/A2-exterior-derivative",
                         sampled_d_identity(ctx, t, w, range(ctx.dim_g), dphi, rng, 2)))
@@ -312,10 +309,11 @@ def _a4_sample(ctx, b, w, rng, count: int) -> bool:
         return False
     for _ in range(count):
         g2 = random_point(ctx, "G", rng)
-        b2 = g2.m @ b.m @ g2.inv
+        g2inv = g2.inverse()
+        b2 = g2 @ b @ g2inv
         # b2^-1 = g2 b^-1 g2^-1, a product rather than a fresh inverse
-        t2 = ctx.gram_adjoint(b2, g2.m @ b.inv @ g2.inv)
-        ad2 = ctx.adjoint(g2.m, g2.inv)
+        t2 = ctx.gram_adjoint(b2, g2 @ b.inverse() @ g2inv)
+        ad2 = ctx.adjoint(g2, g2inv)
         if ad2.transpose() @ (t2 + ctx.gram) @ ad2 != ref:
             return False
     return True
@@ -331,7 +329,7 @@ def _check_lemma_kernel(cfg, ctx, pt, rng) -> list:
     xis += [("mixed", random_algebra(ctx, rng, indices=ctx.borel)) for _ in range(3)]
     # entry (i, k) pairs sigma(xi_i) at b with x^R = Ad_{b^-1} e_k, the
     # left-trivialized right-invariant field of e_k in b
-    m, _, a = conjugation_sections(ctx, b.m, b.inv)
+    m, _, a = conjugation_sections(ctx, b, b.inverse())
     coords = [ctx.coords(ximat) for _, ximat in xis]
     sig = a @ Mat.from_columns(coords, ctx.dim_g)
     paired = sig.transpose() @ m.select_cols(ctx.borel)
@@ -352,7 +350,7 @@ def _check_lemma_kernel(cfg, ctx, pt, rng) -> list:
 
 def _check_regact(cfg, ctx, pt, rng) -> list:
     # the reduction's form and directions depend on b alone; g stays in the report
-    res = regact_check(borel_reduction(pt["g"], pt["b"]))
+    res = regact_check(borel_reduction(ctx, pt["g"], pt["b"]))
     return [_record("regact/constant-intersection", res["passed"],
                     {"dim": res["dim"], "expected": res["expected_dim"]})]
 
@@ -367,11 +365,11 @@ def _gen_gspoints(cfg: CampaignConfig) -> list:
     ctx = context(cfg.group)
     rng = SplitMix64(cfg.seed)
     pts = gspoint_stream(ctx, rng, cfg.samples)
-    return [({"g": g.m, "b": b.m}, rng.next_u64()) for g, b in pts]
+    return [({"g": g, "b": b}, rng.next_u64()) for g, b in pts]
 
 
 def _check_theorem1(cfg, ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(pt["g"], pt["b"]))
+    chart = QuotientChart(borel_reduction(ctx, pt["g"], pt["b"]))
     res = theorem1_check(chart)
     recs = [
         _record("gs-theorem1/lagrangian", res["lagrangian"],
@@ -391,7 +389,7 @@ def _check_theorem1(cfg, ctx, pt, rng) -> list:
 
 
 def _check_theorem2(cfg, ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(pt["g"], pt["b"]))
+    chart = QuotientChart(borel_reduction(ctx, pt["g"], pt["b"]))
     res = theorem2_check(chart)
     recs = [
         _record("gs-theorem2/leaf-projection", res["projection_matches"],
@@ -410,7 +408,7 @@ def _check_theorem2(cfg, ctx, pt, rng) -> list:
 
 
 def _check_bivector(cfg, ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(pt["g"], pt["b"]))
+    chart = QuotientChart(borel_reduction(ctx, pt["g"], pt["b"]))
     pi, checks = reconstruct_bivector(chart)
     recs = [_record("bivector/solvable", checks.get("solvable", False),
                     None if checks.get("solvable") else checks)]
@@ -426,26 +424,26 @@ def _check_bivector(cfg, ctx, pt, rng) -> list:
 
 
 def _check_diagram_gs(cfg, ctx, pt, rng) -> list:
-    kmu = chevalley(conjugate(pt["g"], pt["b"]))
-    klam = chevalley(torus_part(pt["b"]))
+    kmu = invariants(ctx, conjugate(pt["g"], pt["b"]))
+    klam = invariants(ctx, torus_part(pt["b"]))
     close = kmu == klam
     recs = [_record("diagram-gs/kappa-commutes", close,
                     {"mu": [repr(v) for v in kmu], "lam": [repr(v) for v in klam]})]
     if cfg.backend == EXACT:
-        # mu in the Steinberg fiber of lam is chevalley(mu) == chevalley(lam),
+        # mu in the Steinberg fiber of lam is kappa(mu) == kappa(lam),
         # the kappa-commutes comparison itself, so this record repeats it
         recs.append(_record("diagram-gs/steinberg-membership", close))
         u = random_point(ctx, "U", rng)
         g = random_point(ctx, "G", rng)
-        ident = GroupElement(ctx, Mat.identity(ctx.n))
         recs.append(_record("diagram-gs/unipotent-in-identity-fiber",
-                            chevalley(conjugate(g, u)) == chevalley(ident)))
+                            invariants(ctx, conjugate(g, u))
+                            == invariants(ctx, Mat.identity(ctx.n))))
     else:
         # the float backend's record is the Weyl fiber over g t g^-1, decided
         # exactly like every other record
         t = random_point(ctx, "T-regular", rng)
         g = random_point(ctx, "G", rng)
-        _, witness = weyl_fiber(conjugate(g, t), t)
+        _, witness = weyl_fiber(ctx, conjugate(g, t), t)
         recs.append(_record("diagram-gs/weyl-fiber", witness is None, witness))
     return recs
 
@@ -471,11 +469,9 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def _run_one(cfg: CampaignConfig, index: int, mats: dict, salt: int) -> list:
-    ctx = context(cfg.group)
     _, check = SUITES[cfg.suite]
-    pt = {k: GroupElement(ctx, m) for k, m in mats.items()}
     with using(FROZEN if cfg.corrupt is None else CORRUPTIONS[cfg.corrupt]):
-        recs = check(cfg, ctx, pt, SplitMix64(salt))
+        recs = check(cfg, context(cfg.group), mats, SplitMix64(salt))
     point = {k: mat_to_json(m) for k, m in mats.items()}
     for r in recs:
         r["point"] = point
@@ -518,16 +514,18 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
 def eval_command(kind: str, payload: dict) -> dict:
     """One-shot evaluations over JSON inputs; see the CLI for file handling."""
     if kind == "kappa":
-        g = GroupElement.from_json(payload)
-        return {"group": g.ctx.name, "kappa": [repr(v) for v in chevalley(g)]}
+        ctx = group_of_json(payload)
+        g = read_element(ctx, payload)
+        return {"group": ctx.name, "kappa": [repr(v) for v in invariants(ctx, g)]}
     if kind == "steinberg":
         ctx = group_of_json(payload)
         g = read_element(ctx, payload["g"])
         t = read_element(ctx, payload["t"])
-        return {"member": steinberg_membership(g, t)}
+        return {"member": steinberg_membership(ctx, g, t)}
     if kind == "fiber-enum":
-        pts = weyl_fiber_enum(GroupElement.from_json(payload))
-        return {"count": len(pts), "points": [point_to_json(*p) for p in pts]}
+        ctx = group_of_json(payload)
+        pts = weyl_fiber_enum(ctx, read_element(ctx, payload))
+        return {"count": len(pts), "points": [point_to_json(ctx, *p) for p in pts]}
     if kind == "leaf-form":
         chart = QuotientChart(borel_reduction(*point_from_json(payload)))
         # an eval input carries no salt, so the d-identity directions come

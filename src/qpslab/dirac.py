@@ -36,7 +36,7 @@ oracle of both closed forms in the tests; this module does not import it.
 from __future__ import annotations
 
 from .conventions import ACTIVE
-from .liegroup import GroupElement, conjugation_sections
+from .liegroup import conjugation_sections
 from .linalg import Mat, Subspace, intersect, kernel, null_vectors
 
 
@@ -320,17 +320,15 @@ def _bracket_sides(ctx, family: Mat, sections: tuple, pairs: list) -> tuple[Mat,
 # the conjugation (Cartan-Dirac) structure
 
 
-def cartan_dirac(g: GroupElement, sections: tuple | None = None) -> DiracFiber:
-    """Fiber spanned by (conjugation field, sigma) over an algebra basis.
+def cartan_dirac(sections: tuple) -> DiracFiber:
+    """Fiber at g spanned by (conjugation field, sigma) over an algebra basis.
 
     Both are linear in xi, so the fiber is the column span of
-    [I - M; gram sigma_average(I, M)] with M = Ad_{g^-1}
-    (:func:`~qpslab.liegroup.conjugation_sections`, as in
-    :func:`cartan_closure_check`; pass them as ``sections`` when the caller
-    already has them at g).  The per-basis
+    [I - M; gram sigma_average(I, M)] with M = Ad_{g^-1}: the last two of
+    ``sections``, :func:`~qpslab.liegroup.conjugation_sections` at g, as in
+    :func:`cartan_closure_check`.  The per-basis
     (:func:`~qpslab.liegroup.conj_field`, :func:`~qpslab.liegroup.sigma`)
     columns are its oracle in the tests.
     """
-    ctx = g.ctx
-    _, x, a = sections or conjugation_sections(ctx, g.m, g.inv)
-    return DiracFiber(2 * ctx.dim_g, x.vstack(a))
+    _, x, a = sections
+    return DiracFiber(2 * x.rows, x.vstack(a))

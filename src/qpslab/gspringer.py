@@ -30,11 +30,13 @@ that those lists select.  P = B with N = U is the one constructor
 ``borel`` and ``unipotent`` index tuples; no other function takes a
 subgroup tag or does dimension arithmetic on P.
 
-A point of G x_P P is its representative pair (g, p) of group elements;
-nothing wraps it, so mu is ``conjugate(g, p)`` and lambda ``torus_part(p)``.
-The JSON form of a point of G x_B B, ``{"g", "b", "group"}``, has one writer
-(:func:`point_to_json`) and one reader (:func:`point_from_json`), and the
-reader is the one place that checks b in B.
+A point of G x_P P is its representative pair (g, p) of group elements,
+each its n x n matrix, and every function here that needs the group takes
+its context first; nothing wraps them, so mu is ``conjugate(g, p)`` and
+lambda ``torus_part(p)``.  The JSON form of a point of G x_B B,
+``{"g", "b", "group"}``, has one writer (:func:`point_to_json`) and one
+reader (:func:`point_from_json`), and the reader is the one place that
+checks b in B.
 
 omega depends on the point only through T = G Ad_b, so its matrix and its
 exterior derivative (:func:`d_omega`) are closed block forms on the integer
@@ -83,10 +85,9 @@ from math import lcm
 from .conventions import ACTIVE
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                     is_skew, pushforward_linear)
-from .liegroup import (GroupContext, GroupElement, chevalley, conjugate,
-                       conjugation_sections, group_of_json, random_point,
-                       read_element, reciprocal_product, sigma, sigma_average,
-                       weyl_orders)
+from .liegroup import (GroupContext, conjugate, conjugation_sections,
+                       group_of_json, invariants, random_point, read_element,
+                       reciprocal_product, sigma, sigma_average, weyl_orders)
 from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
                      rank, rref, solve_columns)
 from .matio import mat_to_json
@@ -102,39 +103,40 @@ class NotRegularSemisimple(ValueError):
 # points
 
 
-def point_to_json(g: GroupElement, b: GroupElement) -> dict:
+def point_to_json(ctx: GroupContext, g: Mat, b: Mat) -> dict:
     """The JSON object of the point [g : b] of G x_B B, through its pair."""
-    return {"g": mat_to_json(g.m), "b": mat_to_json(b.m), "group": g.ctx.name}
+    return {"g": mat_to_json(g), "b": mat_to_json(b), "group": ctx.name}
 
 
-def point_from_json(obj: dict) -> tuple[GroupElement, GroupElement]:
-    """The representative pair (g, b) of a JSON point, the one check that b
-    lies in B, after :func:`~qpslab.liegroup.read_element`'s checks of each."""
+def point_from_json(obj: dict) -> tuple[GroupContext, Mat, Mat]:
+    """The group and representative pair (g, b) of a JSON point, the one
+    check that b lies in B, after :func:`~qpslab.liegroup.read_element`'s
+    checks of each."""
     ctx = group_of_json(obj)
     g, b = read_element(ctx, obj["g"]), read_element(ctx, obj["b"])
-    if not ctx.in_borel(b.m):
+    if not ctx.in_borel(b):
         raise ValueError("second component must be upper triangular")
-    return g, b
+    return ctx, g, b
 
 
-def steinberg_membership(g: GroupElement, t: GroupElement) -> bool:
+def steinberg_membership(ctx: GroupContext, g: Mat, t: Mat) -> bool:
     """Whether g lies in the Steinberg fiber of the diagonal t: the same
     Chevalley invariants."""
-    if not g.ctx.in_borel(t.m) or not g.ctx.in_borel(t.m.transpose()):
+    if not ctx.in_borel(t) or not ctx.in_borel(t.transpose()):
         raise ValueError("reference point must be diagonal")
-    return chevalley(g) == chevalley(t)
+    return invariants(ctx, g) == invariants(ctx, t)
 
 
 # ---------------------------------------------------------------------------
 # the maps of the big diagram
 
 
-def phi(a: GroupElement, b: GroupElement) -> tuple[GroupElement, GroupElement]:
+def phi(a: Mat, b: Mat) -> tuple[Mat, Mat]:
     """The moment map of the double: (a, b) -> (a b a^-1, b^-1)."""
     return conjugate(a, b), b.inverse()
 
 
-def phi_differential(a: GroupElement, b: GroupElement) -> Mat:
+def phi_differential(ctx: GroupContext, a: Mat, b: Mat) -> Mat:
     """Closed-form differential of the moment map (a, b) -> (a b a^-1, b^-1).
 
     Built on the double only.  (x, y) -> (Ad_a (Ad_{b^-1} x + y - x),
@@ -144,16 +146,16 @@ def phi_differential(a: GroupElement, b: GroupElement) -> Mat:
     coordinates, whose first dim G rows are d(mu . q).  The per-basis
     columns coords(a (b^-1 x b - x) a^-1) and (coords(a y a^-1),
     -coords(b y b^-1)) are its oracle in the tests, as is the dual-number
-    :func:`qpslab.diffcalc.phi_map`.  The inverses are the elements' cached
-    ones.
+    :func:`qpslab.diffcalc.phi_map`.  The inverses are the ones the
+    matrices keep.
     """
-    ctx = a.ctx
-    ad_a = ctx.adjoint(a.m, a.inv)
-    top = (ctx.adjoint(a.m @ b.inv, b.m @ a.inv) - ad_a).hstack(ad_a)
-    return top.vstack(Mat.zeros(ctx.dim_g, ctx.dim_g).hstack(-ctx.adjoint(b.m, b.inv)))
+    ainv, binv = a.inverse(), b.inverse()
+    ad_a = ctx.adjoint(a, ainv)
+    top = (ctx.adjoint(a @ binv, b @ ainv) - ad_a).hstack(ad_a)
+    return top.vstack(Mat.zeros(ctx.dim_g, ctx.dim_g).hstack(-ctx.adjoint(b, binv)))
 
 
-def action_generators(b: GroupElement) -> Mat:
+def action_generators(ctx: GroupContext, b: Mat) -> Mat:
     """The second factor's action generators at (a, b): [I; I - Ad_{b^-1}].
 
     Column k is :func:`rho_double` of (0, e_k), the negated derivative of
@@ -165,9 +167,8 @@ def action_generators(b: GroupElement) -> Mat:
     increase), so a :class:`~qpslab.linalg.Subspace` recognises it as the
     canonical basis of its span without elimination.
     """
-    ctx = b.ctx
     eye = Mat.identity(ctx.dim_g)
-    return eye.vstack(eye - ctx.adjoint(b.inv, b.m))
+    return eye.vstack(eye - ctx.adjoint(b.inverse(), b))
 
 
 def _restrict(m: Mat, rows, cols=None) -> Mat:
@@ -176,16 +177,16 @@ def _restrict(m: Mat, rows, cols=None) -> Mat:
     return m.select_rows(rows).select_cols(rows if cols is None else cols)
 
 
-def rho_double(a: GroupElement, b: GroupElement, xi1: Mat, xi2: Mat) -> list:
+def rho_double(ctx: GroupContext, a: Mat, b: Mat, xi1: Mat, xi2: Mat) -> list:
     """Action generator of (xi1, xi2) on the double at (a, b), left-trivialized.
 
     Sign convention: the negative of the derivative of the printed action,
     matching the xi^L - xi^R convention of the conjugation structure (on the
     second factor this is literally xi2^L - xi2^R).
     """
-    u1 = xi2 - a.inv @ xi1 @ a.m
-    u2 = xi2 - b.inv @ xi2 @ b.m
-    return a.ctx.coords(u1) + a.ctx.coords(u2)
+    u1 = xi2 - a.inverse() @ xi1 @ a
+    u2 = xi2 - b.inverse() @ xi2 @ b
+    return ctx.coords(u1) + ctx.coords(u2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +314,8 @@ def sampled_d_identity(ctx: GroupContext, t: Mat, w: Mat, second,
     return True
 
 
-def moment_condition_holds(a: GroupElement, b: GroupElement, w: Mat, dphi: Mat) -> bool:
+def moment_condition_holds(ctx: GroupContext, a: Mat, b: Mat, w: Mat,
+                           dphi: Mat) -> bool:
     """omega^flat of every basis action field equals its pulled-back sigma
     covector (axiom A1), as one matrix equation.
 
@@ -334,17 +336,17 @@ def moment_condition_holds(a: GroupElement, b: GroupElement, w: Mat, dphi: Mat) 
     The per-generator :func:`moment_condition_check` is the oracle for this
     in the tests.
     """
-    ctx = a.ctx
     zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
-    r = (-ctx.adjoint(a.inv, a.m)).vstack(zero).hstack(action_generators(b))
+    ainv, binv = a.inverse(), b.inverse()
+    r = (-ctx.adjoint(ainv, a)).vstack(zero).hstack(action_generators(ctx, b))
     # g1 = a b a^-1, so g1^-1 = a b^-1 a^-1
-    s1 = conjugation_sections(ctx, a.m @ b.m @ a.inv, a.m @ b.inv @ a.inv)[2]
-    s2 = conjugation_sections(ctx, b.inv, b.m)[2]
+    s1 = conjugation_sections(ctx, a @ b @ ainv, a @ binv @ ainv)[2]
+    s2 = conjugation_sections(ctx, binv, b)[2]
     sig = s1.hstack(zero).vstack(zero.hstack(s2))
     return w.transpose() @ r == dphi.transpose() @ sig
 
 
-def moment_condition_check(a: GroupElement, b: GroupElement, w: Mat,
+def moment_condition_check(ctx: GroupContext, a: Mat, b: Mat, w: Mat,
                            dphi: Mat, generators) -> bool:
     """omega^flat of each action field equals the pulled-back sigma covector.
 
@@ -355,11 +357,10 @@ def moment_condition_check(a: GroupElement, b: GroupElement, w: Mat,
     which the double suite runs; this per-generator route is its oracle in
     the tests.
     """
-    ctx = a.ctx
     wt, dphit = w.transpose(), dphi.transpose()
     g1, g2 = phi(a, b)
     for xi1, xi2 in generators:
-        lhs = mat_vec(wt, rho_double(a, b, xi1, xi2))
+        lhs = mat_vec(wt, rho_double(ctx, a, b, xi1, xi2))
         dual = ctx.dual_coords(sigma(g1, xi1)) + ctx.dual_coords(sigma(g2, xi2))
         if lhs != mat_vec(dphit, dual):
             return False
@@ -397,8 +398,8 @@ class Reduction:
     so the functions below state nothing about where P sits in the basis.
     """
 
-    def __init__(self, g: GroupElement, p: GroupElement, sub, nil):
-        ctx = self.ctx = g.ctx
+    def __init__(self, ctx: GroupContext, g: Mat, p: Mat, sub, nil):
+        self.ctx = ctx
         d = ctx.dim_g
         self.g, self.p = g, p
         self.sub, self.nil = tuple(sub), tuple(nil)
@@ -407,30 +408,30 @@ class Reduction:
         at = {k: d + i for i, k in enumerate(self.sub)}
         self.leaf_slice = [*range(d), *(at[k] for k in self.nil)]
         self.levi = [at[k] for k in self.sub if k not in self.nil]
-        self.t = ctx.gram_adjoint(p.m, p.inv)
+        self.t = ctx.gram_adjoint(p, p.inverse())
         self.w = _restrict(omega_matrix(ctx, self.t), self.up)
         self.vertical = Subspace(
-            len(self.up), _restrict(action_generators(p), self.up, self.sub))
+            len(self.up), _restrict(action_generators(ctx, p), self.up, self.sub))
 
     @cached_property
     def dphi(self) -> Mat:
         """The G x P block of :func:`phi_differential` at (g, p)."""
-        return _restrict(phi_differential(self.g, self.p), self.up)
+        return _restrict(phi_differential(self.ctx, self.g, self.p), self.up)
 
-    def translate(self, h: GroupElement) -> "Reduction":
+    def translate(self, h: Mat) -> "Reduction":
         """The reduction at the representative h.(g, p) = (g h^-1, h p h^-1)
         of the same class, h in P."""
-        return Reduction(GroupElement(self.ctx, self.g.m @ h.inv),
-                         conjugate(h, self.p), self.sub, self.nil)
+        return Reduction(self.ctx, self.g @ h.inverse(), conjugate(h, self.p),
+                         self.sub, self.nil)
 
 
-def borel_reduction(g: GroupElement, b: GroupElement) -> Reduction:
+def borel_reduction(ctx: GroupContext, g: Mat, b: Mat) -> Reduction:
     """The reduction along G x B at the representative pair (g, b) of a point.
 
     B's and U's coordinates are the context's ``borel`` and ``unipotent``
     index tuples; this is the one quotient function that reads them.
     """
-    return Reduction(g, b, g.ctx.borel, g.ctx.unipotent)
+    return Reduction(ctx, g, b, ctx.borel, ctx.unipotent)
 
 
 class QuotientChart:
@@ -483,7 +484,7 @@ class QuotientChart:
         return self.reduction.ctx
 
     @cached_property
-    def mu(self) -> GroupElement:
+    def mu(self) -> Mat:
         """mu at the chart's point, g p g^-1: the first factor of :func:`phi`."""
         return conjugate(self.reduction.g, self.reduction.p)
 
@@ -524,19 +525,16 @@ def quotient_fiber(chart: QuotientChart) -> DiracFiber:
         wt.select_rows(chart.indices) @ null))
 
 
-def same_class(p: tuple[GroupElement, GroupElement],
-               q: tuple[GroupElement, GroupElement]) -> bool:
+def same_class(ctx: GroupContext, p: tuple[Mat, Mat], q: tuple[Mat, Mat]) -> bool:
     """Whether the pairs p = (g1, b1) and q = (g2, b2) are one point of
     G x_B B: h = g2^-1 g1 lies in B and b2 = h b1 h^-1."""
     (g1, b1), (g2, b2) = p, q
-    if g1.ctx is not g2.ctx:
-        return False
-    h = g2.inv @ g1.m
-    return g1.ctx.in_borel(h) and h @ b1.m @ h.inverse() == b2.m
+    h = g2.inverse() @ g1
+    return ctx.in_borel(h) and conjugate(h, b1) == b2
 
 
-def weyl_fiber(rs: GroupElement, t: GroupElement
-               ) -> tuple[list[tuple[GroupElement, GroupElement]], dict | None]:
+def weyl_fiber(ctx: GroupContext, rs: Mat, t: Mat
+               ) -> tuple[list[tuple[Mat, Mat]], dict | None]:
     """The mu-fiber over rs = g t g^-1, for a diagonal t, as exact pairs (h, b).
 
     Column i of h is the null vector of rs - t_i I; on SL column 0 is scaled
@@ -557,11 +555,11 @@ def weyl_fiber(rs: GroupElement, t: GroupElement
       the test of :func:`same_class`, so the points are pairwise
       inequivalent.
     """
-    ctx, n = rs.ctx, rs.ctx.n
-    nums, den = t.m.int_entries()
+    n = ctx.n
+    nums, den = t.int_entries()
     cols = []
     for i in range(n):
-        v = null_vectors(rs.m - Mat.identity(n).scale_rows([(nums[i][i], den)] * n))
+        v = null_vectors(rs - Mat.identity(n).scale_rows([(nums[i][i], den)] * n))
         if v.cols != 1:
             return [], {"condition": "regular", "entry": i, "nullity": v.cols}
         cols.append(v)
@@ -572,19 +570,19 @@ def weyl_fiber(rs: GroupElement, t: GroupElement
     # negating column 0 of h_w (row 0 of h_w^-1) selects it from -h (-h^-1),
     # so each product below holds every ordering's, or pair's, as a block
     signed, signed_inv = h.hstack(-h), (hinv := h.inverse()).vstack(-hinv)
-    conj = signed_inv @ (rs.m @ signed)
+    conj = signed_inv @ (rs @ signed)
     cross = signed_inv @ signed
     orders = weyl_orders(ctx)
     points = []
     for order in orders:
         perm = [k % n for k in order]
         hw = signed.select_cols(order)
-        bw = t.m.select_rows(perm).select_cols(perm)
+        bw = t.select_rows(perm).select_cols(perm)
         if sl and hw.det() != 1:
             return points, {"condition": "det-one", "ordering": perm}
         if conj.select_rows(order).select_cols(order) != bw:
             return points, {"condition": "mu-is-rs", "ordering": perm}
-        points.append((GroupElement(ctx, hw), GroupElement(ctx, bw)))
+        points.append((hw, bw))
     for v, w in itertools.combinations(orders, 2):
         if ctx.in_borel(cross.select_rows(v).select_cols(w)):
             return points, {"condition": "inequivalent",
@@ -592,25 +590,25 @@ def weyl_fiber(rs: GroupElement, t: GroupElement
     return points, None
 
 
-def weyl_fiber_enum(g: GroupElement) -> list[tuple[GroupElement, GroupElement]]:
+def weyl_fiber_enum(ctx: GroupContext, g: Mat) -> list[tuple[Mat, Mat]]:
     """The mu-fiber over g, for g regular semisimple with its spectrum in Q.
 
     The spectrum is the roots of the characteristic polynomial x^n - e_1
     x^(n-1) + ... + (-1)^n e_n, the e_k read off
-    :func:`~qpslab.liegroup.chevalley` (e_n = 1 on SL).  With a the lcm of
+    :func:`~qpslab.liegroup.invariants` (e_n = 1 on SL).  With a the lcm of
     its denominators and y = a x, a^n times it is the monic integer
     polynomial y^n - a e_1 y^(n-1) + ... + (-1)^n a^n e_n, whose rational
     roots are integers, found by :func:`_integer_roots` in a number of steps
     polynomial in the bit size of its coefficients.  With t the diagonal of
     the roots y / a in ascending order, the points are those of
-    :func:`weyl_fiber` (g, t).
+    :func:`weyl_fiber` (ctx, g, t).
 
     Raises :class:`NotRegularSemisimple` when a root found is repeated and
     ValueError when fewer than n are found, as happens exactly when the
     spectrum is not in Q.
     """
-    ctx, n = g.ctx, g.ctx.n
-    es = chevalley(g) + ((QQi(1),) if ctx.family == "SL" else ())
+    n = ctx.n
+    es = invariants(ctx, g) + ((QQi(1),) if ctx.family == "SL" else ())
     if any(e.im for e in es):
         raise ValueError(f"{ctx.name} element does not split over Q: its "
                          "characteristic polynomial is not real")
@@ -623,7 +621,7 @@ def weyl_fiber_enum(g: GroupElement) -> list[tuple[GroupElement, GroupElement]]:
         raise ValueError(f"{ctx.name} element does not split over Q: "
                          f"fewer than {n} of its eigenvalues are rational")
     t = Mat.identity(n).scale_rows([(r.numerator, r.denominator) for r in roots])
-    points, witness = weyl_fiber(g, GroupElement(ctx, t))
+    points, witness = weyl_fiber(ctx, g, t)
     # distinct eigenvalues make g regular semisimple, so every condition holds
     assert witness is None, witness
     return points
@@ -671,7 +669,7 @@ def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     convention.
     """
     red = chart.reduction
-    up = red.ctx.coords(-(red.g.inv @ ximat @ red.g.m)) + [QQi(0)] * len(red.sub)
+    up = red.ctx.coords(-(red.g.inverse() @ ximat @ red.g)) + [QQi(0)] * len(red.sub)
     return mat_vec(chart.proj, up)
 
 
@@ -687,12 +685,11 @@ def induced_action(chart: QuotientChart, sections: tuple) -> tuple[Mat, Mat]:
     """
     ctx = chart.ctx
     g = chart.reduction.g
-    fields = -(chart.proj.col_block(0, ctx.dim_g) @ ctx.adjoint(g.inv, g.m))
+    fields = -(chart.proj.col_block(0, ctx.dim_g) @ ctx.adjoint(g.inverse(), g))
     return fields, chart.dmu.transpose() @ sections[2]
 
 
-def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
-                    h: GroupElement) -> Mat:
+def chart_transport(chart1: QuotientChart, chart2: QuotientChart, h: Mat) -> Mat:
     """Identification of chart1 with chart2 when point2 = h . point1.
 
     The action diffeomorphism has differential Ad_h (+) Ad_h upstairs and
@@ -701,13 +698,13 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart,
     keeps P's coordinates among themselves, and M is the whole map on G x P.
     """
     ctx = chart1.ctx
-    ad = ctx.adjoint(h.m, h.inv)
+    ad = ctx.adjoint(h, h.inverse())
     zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
     move = _restrict(ad.hstack(zero).vstack(zero.hstack(ad)), chart1.reduction.up)
     return chart2.proj @ move @ chart1.inc
 
 
-def representative_independent(chart: QuotientChart, h: GroupElement) -> bool:
+def representative_independent(chart: QuotientChart, h: Mat) -> bool:
     """Whether the chart's fiber, moved to the chart of h.(g, p) for h in P,
     is the fiber built there: :func:`chart_transport` moves its tangent rows
     and the transport's inverse transpose its covector rows.
@@ -770,8 +767,8 @@ def theorem1_check(chart: QuotientChart) -> dict:
     dmu = chart.dmu
     pushed = pushforward_linear(fib, dmu)
     # one set of sections at mu serves the target and the induced action
-    sections = conjugation_sections(ctx, m.m, m.inv)
-    cd = cartan_dirac(m, sections)
+    sections = conjugation_sections(ctx, m, m.inverse())
+    cd = cartan_dirac(sections)
     out["f_dirac"] = pushed.equals(cd)
     if not out["f_dirac"]:
         out["witness_f_dirac"] = _column_outside(pushed, cd, ("pushed", "cartan"))
@@ -883,7 +880,7 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     checks = {"graphical": True, "skew": is_skew(form)}
 
     m = chart.mu
-    fields, duals = induced_action(chart, conjugation_sections(ctx, m.m, m.inv))
+    fields, duals = induced_action(chart, conjugation_sections(ctx, m, m.inverse()))
     coeffs, _, consistent = solve_columns(leaf.basis, fields)
     checks["moment_identity"] = consistent and (
         form.transpose() @ coeffs == leaf.basis.transpose() @ duals)
@@ -916,12 +913,12 @@ def reconstruct_bivector(chart: QuotientChart):
 
     # chart-level action map R: algebra coords -> chart tangent coords, from
     # the pairs that also span the action part of the graph below
-    rmat, duals = induced_action(chart, conjugation_sections(ctx, m.m, m.inv))
+    rmat, duals = induced_action(chart, conjugation_sections(ctx, m, m.inverse()))
 
     # sigma-adjoint of the dual basis covectors at m; column i of gram^-1 is
     # the algebra coordinate of the i-th one, so column i of sv is the
     # algebra coordinate of its sigma-adjoint
-    adm = ctx.adjoint(m.m, m.inv)
+    adm = ctx.adjoint(m, m.inverse())
     sv = sigma_average(ctx.gram_inv, adm @ ctx.gram_inv)
 
     rho_adj = Mat.identity(d) - adm  # v -> v - Ad_m v
@@ -953,22 +950,22 @@ def reconstruct_bivector(chart: QuotientChart):
 
 
 def sample_double(ctx: GroupContext, rng: SplitMix64) -> tuple:
-    """A point (a, b) of the double G x G, as two group elements; a is drawn
+    """A point (a, b) of the double G x G, as two group matrices; a is drawn
     first."""
     return random_point(ctx, "G", rng), random_point(ctx, "G", rng)
 
 
 def sample_gspoint(ctx: GroupContext, rng: SplitMix64,
-                   stratum: str = "random") -> tuple[GroupElement, GroupElement]:
+                   stratum: str = "random") -> tuple[Mat, Mat]:
     """Sample a quotient point as its pair (g, b); degenerate strata are
     first-class citizens."""
     g = random_point(ctx, "G", rng)
     if stratum == "identity-b":
-        b = GroupElement(ctx, Mat.identity(ctx.n))
+        b = Mat.identity(ctx.n)
     elif stratum == "springer":
         b = random_point(ctx, "U", rng)
     elif stratum == "nonregular":
-        b = GroupElement(ctx, _nonregular_torus(ctx, rng) @ random_point(ctx, "U", rng).m)
+        b = _nonregular_torus(ctx, rng) @ random_point(ctx, "U", rng)
     else:
         b = random_point(ctx, "B", rng)
     return g, b
@@ -978,7 +975,7 @@ FORCED_STRATA = ("springer", "nonregular", "identity-b")
 
 
 def gspoint_stream(ctx: GroupContext, rng: SplitMix64,
-                   samples: int) -> list[tuple[GroupElement, GroupElement]]:
+                   samples: int) -> list[tuple[Mat, Mat]]:
     """Deterministic stream that always exercises the degenerate strata."""
     out = []
     for i in range(samples):

@@ -7,9 +7,13 @@ torus/unipotent splitting.  Everything downstream works in left-trivialized
 coordinates: a tangent vector at ``g`` is the algebra element ``g^{-1} X``,
 a covector is the algebra element pairing against it through the form.
 
-The values are plain data.  An algebra element, and a tangent vector or a
-covector in left-trivialized coordinates, is its n x n matrix, and nothing
-carries a base point; a subalgebra is a tuple of basis indices.
+The values are plain data.  A group element is its n x n matrix, which
+keeps its own inverse once computed; an algebra element, and a tangent
+vector or a covector in left-trivialized coordinates, is its n x n matrix
+too, and nothing carries a base point; a subalgebra is a tuple of basis
+indices.  A function that needs the group takes its context first.  Group
+membership is checked once, where a matrix arrives as JSON
+(:func:`read_element`); the samplers draw members.
 
 The basis lists the strictly upper entries (the nilpotent radical) first,
 then the torus directions, then the strictly lower entries.  It is stated
@@ -30,7 +34,7 @@ from operator import add, itemgetter, sub
 
 from .conventions import ACTIVE
 from .linalg import Mat, _entry, mat_vec
-from .matio import mat_from_json, mat_to_json
+from .matio import mat_from_json
 from .prng import SplitMix64
 from .scalars import QQI_ZERO, QQi
 
@@ -349,50 +353,7 @@ def context(name: str) -> GroupContext:
 
 
 # ---------------------------------------------------------------------------
-# group elements
-
-
-class GroupElement:
-    """Element of the context's group, held as its n x n matrix; membership
-    is checked where JSON enters (:func:`read_element`), not here."""
-
-    __slots__ = ("ctx", "m")
-
-    def __init__(self, ctx: GroupContext, m: Mat):
-        self.ctx = ctx
-        self.m = m
-
-    @property
-    def inv(self) -> Mat:
-        """The inverse matrix, which the matrix keeps once computed."""
-        return self.m.inverse()
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.ctx, self.inv)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.ctx is not other.ctx:
-            raise ValueError("mixed contexts")
-        return GroupElement(self.ctx, self.m @ other.m)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
-
-    def to_json(self) -> dict:
-        d = mat_to_json(self.m)
-        d["group"] = self.ctx.name
-        return d
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroupElement":
-        """The element of a matrix object with a ``"group"`` tag."""
-        return read_element(group_of_json(obj), obj)
-
-    def __repr__(self):
-        return f"GroupElement({self.ctx.name}, {self.m!r})"
+# group elements from JSON
 
 
 def group_of_json(obj: dict) -> GroupContext:
@@ -406,7 +367,7 @@ def group_of_json(obj: dict) -> GroupContext:
     return context(name)
 
 
-def read_element(ctx: GroupContext, obj: dict) -> GroupElement:
+def read_element(ctx: GroupContext, obj: dict) -> Mat:
     """The group element of a matrix object, the one membership check: the
     size must match the group and the determinant be non-zero, 1 on SL.
     Every group matrix that arrives as JSON, in an eval input or a JSON
@@ -420,21 +381,17 @@ def read_element(ctx: GroupContext, obj: dict) -> GroupElement:
         raise ValueError("group element must be invertible")
     if ctx.family == "SL" and d != QQi(1):
         raise ValueError("SL element must have determinant 1")
-    return GroupElement(ctx, m)
+    return m
 
 
 # ---------------------------------------------------------------------------
 # the basic operations, on algebra matrices
 
 
-def Ad(g: GroupElement, x: Mat) -> Mat:
-    """g x g^-1; per element, the oracle of :meth:`GroupContext.adjoint`."""
-    return g.m @ x @ g.inv
-
-
-def conjugate(g: GroupElement, x: GroupElement) -> GroupElement:
-    """The group element g x g^-1; it inverts g alone."""
-    return GroupElement(g.ctx, Ad(g, x.m))
+def conjugate(g: Mat, x: Mat) -> Mat:
+    """g x g^-1, for a group or an algebra element x; it inverts g alone.
+    Per element, the oracle of :meth:`GroupContext.adjoint`."""
+    return g @ x @ g.inverse()
 
 
 def sigma_average(a, ad_a):
@@ -450,18 +407,18 @@ def sigma_average(a, ad_a):
     return both.scale(QQi(conv.sigma_factor))
 
 
-def sigma(g: GroupElement, xi: Mat) -> Mat:
+def sigma(g: Mat, xi: Mat) -> Mat:
     """The averaged covector attached to xi at g, as its algebra matrix.
 
     1/2 (xi + Ad_{g^-1} xi) under the frozen conventions; see
     :func:`sigma_average`.
     """
-    return sigma_average(xi, g.inv @ xi @ g.m)
+    return sigma_average(xi, g.inverse() @ xi @ g)
 
 
-def sigma_adjoint(g: GroupElement, a: Mat) -> Mat:
+def sigma_adjoint(g: Mat, a: Mat) -> Mat:
     """The adjoint of sigma at g applied to the covector a: 1/2 (a + Ad_g a)."""
-    return sigma_average(a, g.m @ a @ g.inv)
+    return sigma_average(a, conjugate(g, a))
 
 
 def conjugation_sections(ctx: GroupContext, gmat: Mat,
@@ -479,47 +436,40 @@ def conjugation_sections(ctx: GroupContext, gmat: Mat,
     return m, eye - m, ctx.gram @ sigma_average(eye, m)
 
 
-def conj_field(g: GroupElement, xi: Mat) -> Mat:
+def conj_field(g: Mat, xi: Mat) -> Mat:
     """Generating vector field of conjugation at g, as xi^L - xi^R.
 
     Left-trivialized coordinate xi - Ad_{g^-1} xi; the sign convention is the
     one frozen in the conventions note (the opposite sign is the derivative
     of h |-> h g h^-1).
     """
-    return xi - g.inv @ xi @ g.m
+    return xi - g.inverse() @ xi @ g
 
 
-def rho_adjoint(g: GroupElement, v: Mat) -> Mat:
+def rho_adjoint(ctx: GroupContext, g: Mat, v: Mat) -> Mat:
     """Adjoint of the conjugation action at g: solve (zeta, xi) = (v, rho(xi)).
 
     Solved as a linear system over the algebra basis; the closed form
     ``v - Ad_g v`` is the independent oracle used in the tests.
     """
-    ctx = g.ctx
-    rhs = [ctx.form(v, b - g.inv @ b @ g.m) for b in ctx.basis]
+    ginv = g.inverse()
+    rhs = [ctx.form(v, b - ginv @ b @ g) for b in ctx.basis]
     return ctx.mat_from_coords(mat_vec(ctx.gram_inv, rhs))
 
 
-def torus_part(b: GroupElement) -> GroupElement:
+def torus_part(b: Mat) -> Mat:
     """The torus factor t of an upper-triangular b = t u: the diagonal of b."""
-    n = b.ctx.n
-    t = Mat([[b.m.entry(i, i) if i == j else QQI_ZERO for j in range(n)]
-             for i in range(n)])
-    return GroupElement(b.ctx, t)
+    n = b.rows
+    return Mat([[b.entry(i, i) if i == j else QQI_ZERO for j in range(n)]
+                for i in range(n)])
 
 
-def borel_decompose(b: GroupElement) -> tuple[GroupElement, GroupElement]:
+def borel_decompose(ctx: GroupContext, b: Mat) -> tuple[Mat, Mat]:
     """Split an upper-triangular element as (torus part, unipotent part)."""
-    ctx = b.ctx
-    if not ctx.in_borel(b.m):
+    if not ctx.in_borel(b):
         raise ValueError("element is not upper triangular")
     t = torus_part(b)
-    return t, GroupElement(ctx, t.inv @ b.m)
-
-
-def chevalley(g: GroupElement) -> tuple:
-    """Characteristic-polynomial invariants (the adjoint-quotient value), exactly."""
-    return invariants(g.ctx, g.m)
+    return t, t.inverse() @ b
 
 
 def invariants(ctx: GroupContext, m: Mat) -> tuple:
@@ -557,7 +507,7 @@ _ZERO, _ONE = (0, 1), (1, 1)
 
 
 def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
-                 height: int = 10) -> GroupElement:
+                 height: int = 10) -> Mat:
     """Exact-rational sample from the requested subgroup.
 
     ``G`` samples are built as (unit lower) * (diagonal) * (unit upper) with
@@ -576,15 +526,15 @@ def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
     if kind == "G":
         low = _unitriangular(n, rng, height, lower=True)
         up = _unitriangular(n, rng, height, lower=False)
-        return GroupElement(ctx, low @ up.scale_rows(_torus_entries(ctx, rng, height)))
+        return low @ up.scale_rows(_torus_entries(ctx, rng, height))
     if kind == "B":
         t = _torus_entries(ctx, rng, height)
-        return GroupElement(ctx, _unitriangular(n, rng, height, lower=False).scale_rows(t))
+        return _unitriangular(n, rng, height, lower=False).scale_rows(t)
     if kind in ("T", "T-regular"):
         t = _torus_entries(ctx, rng, height, regular=kind == "T-regular")
-        return GroupElement(ctx, Mat.identity(n).scale_rows(t))
+        return Mat.identity(n).scale_rows(t)
     if kind == "U":
-        return GroupElement(ctx, _unitriangular(n, rng, height, lower=False))
+        return _unitriangular(n, rng, height, lower=False)
     raise ValueError(f"unknown sample kind {kind!r}")
 
 

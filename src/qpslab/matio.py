@@ -1,4 +1,4 @@
-"""The JSON wire format for matrices, which group elements and points wrap.
+"""The JSON wire format for matrices, which is also that of group elements.
 
 Matrix format::
 
@@ -8,21 +8,18 @@ Entries are row-major ``[real, imaginary]`` pairs of exact fraction strings
 or integers; a bare integer means a real entry.  Any other number, a
 boolean, a zero denominator or a bad size is an input error (ValueError):
 every matrix read here is exact, and so is every matrix the package reads.
-Group elements add a ``"group"`` tag such as ``"sl2"``, and a point of
-G x_B B is ``{"g", "b", "group"}``
-(:func:`~qpslab.gspringer.point_to_json`).
+A group element is its matrix, read with a ``"group"`` tag such as
+``"sl2"`` (:func:`~qpslab.liegroup.read_element`), and a point of G x_B B
+is ``{"g", "b", "group"}`` (:func:`~qpslab.gspringer.point_to_json`).
 
-Every matrix a campaign writes is real and its parts are ``-?digits`` or
-``-?digits/digits`` in ASCII, so the reader takes such a part by ``int``
-(:func:`_rational`) and builds a real matrix straight into integer rows,
-with no :class:`~qpslab.scalars.QQi` entry.  Any other part, and a zero
-denominator, goes through :func:`_exact_part`, which accepts and rejects
-exactly as ``Fraction`` does, so the fast path changes no value and no
-error.  A matrix with a non-real entry is built from :class:`QQi` entries,
-into the same integer rows, with Gaussian-integer numerators.  The writer
-prints every matrix from its integer rows
-(:meth:`~qpslab.linalg.Mat.int_entries`), a Gaussian numerator by its two
-parts, and gives the strings of ``str(Fraction)``.
+The reader parses every part by :func:`_exact_part`, which accepts and
+rejects exactly as ``Fraction`` does.  A real matrix is built straight
+into integer rows, with no :class:`~qpslab.scalars.QQi` entry; a matrix
+with a non-real entry is built from :class:`QQi` entries, into the same
+integer rows, with Gaussian-integer numerators.  The writer prints every
+matrix from its integer rows (:meth:`~qpslab.linalg.Mat.int_entries`), a
+Gaussian numerator by its two parts, and gives the strings of
+``str(Fraction)``.
 """
 
 from __future__ import annotations
@@ -45,24 +42,6 @@ def _exact_part(v) -> Fraction:
         return Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in entry {v!r}") from None
-
-
-def _rational(v) -> int | Fraction:
-    """A part of an exact entry as an ``int`` or a ``Fraction``: the ASCII
-    forms ``-?digits`` and ``-?digits/digits`` with a non-zero denominator
-    by ``int``, any other part by :func:`_exact_part`."""
-    if type(v) is int:
-        return v
-    if type(v) is str and v.isascii():
-        num, slash, den = v.partition("/")
-        if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            try:  # int refuses a digit string beyond its length limit
-                p, q = int(num), int(den or 1)
-            except ValueError:
-                q = 0
-            if q:
-                return p if q == 1 else Fraction(p, q)
-    return _exact_part(v)
 
 
 def _pair(v) -> tuple:
@@ -104,7 +83,7 @@ def _fraction_str(num: int, den: int) -> str:
 
 def mat_from_json(obj: dict) -> Mat:
     rows, cols, pairs = entry_pairs(obj)
-    parts = [(_rational(re), _rational(im)) for re, im in pairs]
+    parts = [(_exact_part(re), _exact_part(im)) for re, im in pairs]
     if any(im for _, im in parts):
         entries = [QQi(re, im) for re, im in parts]
     else:

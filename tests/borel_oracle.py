@@ -20,14 +20,13 @@ def leading(m: Mat, k: int, cols: int | None = None) -> Mat:
     return m.row_block(0, k).col_block(0, k if cols is None else cols)
 
 
-def prefix_chart(g, b) -> dict:
+def prefix_chart(ctx, g, b) -> dict:
     """The chart of the point (g, b) of G x_B B from leading blocks: ``w``,
     ``dphi`` and the ``vertical`` basis on G x B, then the greedy complement
     ``indices``, ``proj``, ``inc`` and the ``fiber``."""
-    ctx = g.ctx
     amb, h = ctx.dim_g + len(ctx.borel), ctx.dim_g
-    w = leading(omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv)), amb)
-    vertical = leading(action_generators(b), amb, len(ctx.borel))
+    w = leading(omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse())), amb)
+    vertical = leading(action_generators(ctx, b), amb, len(ctx.borel))
     # pivot p of the reversed rref is the coordinate amb - 1 - p
     red, pivots = rref(vertical.transpose().select_cols(range(amb - 1, -1, -1)))
     last = [amb - 1 - p for p in pivots]
@@ -39,6 +38,6 @@ def prefix_chart(g, b) -> dict:
     wt = w.transpose()
     null = null_vectors(vertical.transpose() @ wt)
     fiber = DiracFiber(2 * h, (proj @ null).vstack(wt.select_rows(indices) @ null))
-    return {"w": w, "dphi": leading(phi_differential(g, b), amb),
+    return {"w": w, "dphi": leading(phi_differential(ctx, g, b), amb),
             "vertical": vertical, "indices": tuple(indices), "proj": proj,
             "inc": Mat.identity(amb).select_cols(indices), "fiber": fiber}

@@ -147,12 +147,12 @@ def test_criterion_09_steinberg_geometry():
             t = random_point(ctx, "T-regular", rng)
             h = random_point(ctx, "G", rng)
             rs = conjugate(h, t)
-            pts = weyl_fiber_enum(rs)
+            pts = weyl_fiber_enum(ctx, rs)
             assert len(pts) == wsize
             assert all(conjugate(g, b) == rs for g, b in pts)
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
-                    assert not same_class(pts[i], pts[j])
+                    assert not same_class(ctx, pts[i], pts[j])
     announce(9, "Steinberg geometry and Weyl fibers (|W| points, residual 0)")
 
 

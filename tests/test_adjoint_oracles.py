@@ -27,8 +27,8 @@ from qpslab.gspringer import (FORCED_STRATA, QuotientChart, action_generators,
                               gspoint_stream, moment_condition_check,
                               moment_condition_holds, omega_matrix,
                               phi_differential, sample_double, sample_gspoint)
-from qpslab.liegroup import (GROUPS, GroupElement, conj_field, context, random_algebra, random_point,
-                             sigma)
+from qpslab.liegroup import (GROUPS, conj_field, conjugation_sections, context,
+                             random_algebra, random_point, sigma)
 from qpslab.linalg import Mat, Subspace, mat_vec
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -52,8 +52,8 @@ def test_adjoint_matches_the_per_basis_oracle(group):
     rng = SplitMix64(201)
     for kind in KINDS:
         g = random_point(ctx, kind, rng)
-        assert ctx.adjoint(g.m, g.inv) == per_basis_adjoint(ctx, g.m, g.inv), kind
-        assert ctx.adjoint(g.inv, g.m) == per_basis_adjoint(ctx, g.inv, g.m), kind
+        assert ctx.adjoint(g, g.inverse()) == per_basis_adjoint(ctx, g, g.inverse()), kind
+        assert ctx.adjoint(g.inverse(), g) == per_basis_adjoint(ctx, g.inverse(), g), kind
     eye = Mat.identity(ctx.n)
     assert ctx.adjoint(eye, eye) == Mat.identity(ctx.dim_g)
 
@@ -80,8 +80,8 @@ def test_adjoint_on_non_real_sl2_elements():
     non_real = False
     for group, rows in NON_REAL:
         ctx = context(group)
-        g = GroupElement(ctx, Mat(rows))
-        for m, minv in ((g.m, g.inv), (g.inv, g.m)):
+        g = Mat(rows)
+        for m, minv in ((g, g.inverse()), (g.inverse(), g)):
             got = ctx.adjoint(m, minv)
             assert got == per_basis_adjoint(ctx, m, minv), rows
             non_real |= any(x.im for r in got.data for x in r)
@@ -94,7 +94,7 @@ def test_gram_adjoint_matches_the_product_route(group):
     rng = SplitMix64(202)
     for kind in KINDS:
         g = random_point(ctx, kind, rng)
-        for m, minv in ((g.m, g.inv), (g.inv, g.m)):
+        for m, minv in ((g, g.inverse()), (g.inverse(), g)):
             assert ctx.gram_adjoint(m, minv) == ctx.gram @ ctx.adjoint(m, minv), kind
     eye = Mat.identity(ctx.n)
     assert ctx.gram_adjoint(eye, eye) == ctx.gram
@@ -106,8 +106,8 @@ def test_gram_adjoint_on_non_real_sl2_elements():
     # diag(i, -i) has a real adjoint, taken from Gaussian-integer rows all the same
     for group, rows in NON_REAL:
         ctx = context(group)
-        g = GroupElement(ctx, Mat(rows))
-        for m, minv in ((g.m, g.inv), (g.inv, g.m)):
+        g = Mat(rows)
+        for m, minv in ((g, g.inverse()), (g.inverse(), g)):
             got = ctx.gram_adjoint(m, minv)
             assert got == ctx.gram @ ctx.adjoint(m, minv), rows
             non_real |= any(x.im for r in got.data for x in r)
@@ -133,19 +133,19 @@ def test_phi_differential_matches_the_per_basis_columns(group):
     rng = SplitMix64(202)
     for sub, kind in ((range(ctx.dim_g), "G"), (ctx.borel, "B")):
         a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
-        want = per_basis_phi_differential(ctx, a.m, b.m, sub)
-        got = leading(phi_differential(a, b), ctx.dim_g + len(sub))
+        want = per_basis_phi_differential(ctx, a, b, sub)
+        got = leading(phi_differential(ctx, a, b), ctx.dim_g + len(sub))
         assert got == want, kind
 
 
 def _a1_both_routes(ctx, a, b, w=None):
     if w is None:
-        w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
-    dphi = phi_differential(a, b)
+        w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
+    dphi = phi_differential(ctx, a, b)
     zero = Mat.zeros(ctx.n, ctx.n)
     generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
-    return (moment_condition_holds(a, b, w, dphi),
-            moment_condition_check(a, b, w, dphi, generators))
+    return (moment_condition_holds(ctx, a, b, w, dphi),
+            moment_condition_check(ctx, a, b, w, dphi, generators))
 
 
 @pytest.mark.parametrize("conv", sorted(BY_NAME))
@@ -167,7 +167,7 @@ def test_batched_a1_gives_the_per_generator_verdict(group, conv):
 def test_batched_a1_sees_a_defect_in_every_block_of_omega(group):
     ctx = context(group)
     a, b = sample_double(ctx, SplitMix64(204))
-    w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
     assert _a1_both_routes(ctx, a, b, w) == (True, True)
     d = ctx.dim_g
     for r0 in (0, d):
@@ -177,8 +177,7 @@ def test_batched_a1_sees_a_defect_in_every_block_of_omega(group):
             assert _a1_both_routes(ctx, a, b, Mat(bad)) == (False, False), (r0, c0)
 
 
-def per_basis_cartan_dirac(g):
-    ctx = g.ctx
+def per_basis_cartan_dirac(ctx, g):
     cols = []
     for xi in ctx.basis:
         cols.append(ctx.coords(conj_field(g, xi)) + ctx.dual_coords(sigma(g, xi)))
@@ -193,17 +192,17 @@ def test_cartan_dirac_spans_the_per_basis_fiber(group, conv):
     with using(BY_NAME[conv]):
         for kind in KINDS:
             g = random_point(ctx, kind, rng)
-            got, want = cartan_dirac(g), per_basis_cartan_dirac(g)
+            got = cartan_dirac(conjugation_sections(ctx, g, g.inverse()))
+            want = per_basis_cartan_dirac(ctx, g)
             assert got.equals(want), kind
             assert got.basis == want.basis, kind  # the same canonical basis
 
 
-def per_basis_b_action_directions(b, sub):
-    ctx = b.ctx
+def per_basis_b_action_directions(ctx, b, sub):
     cols = []
     for k in sub:
         xi = ctx.basis[k]
-        moved = ctx.coords(b.inv @ xi @ b.m - xi)
+        moved = ctx.coords(b.inverse() @ xi @ b - xi)
         cols.append(ctx.coords(-xi) + [moved[i] for i in ctx.borel])
     return Subspace.from_vectors(cols, ctx.dim_g + len(ctx.borel))
 
@@ -221,9 +220,9 @@ def test_b_action_directions_span_the_per_basis_generators(group):
     amb = ctx.dim_g + len(ctx.borel)
     for kind, b in points:
         for part, sub in (("b", ctx.borel), ("u", ctx.unipotent)):
-            block = leading(action_generators(b), amb, len(sub))
+            block = leading(action_generators(ctx, b), amb, len(sub))
             got = Subspace(amb, block)
-            want = per_basis_b_action_directions(b, sub)
+            want = per_basis_b_action_directions(ctx, b, sub)
             assert got.dim == len(sub)
             assert got.equals(want), (kind, part)
             assert got.basis == want.basis, (kind, part)
@@ -238,8 +237,8 @@ def per_basis_chart_transport(chart1, chart2, h):
         ycoords = [QQi(0)] * ctx.dim_g
         for i, c in zip(ctx.borel, upvec[ctx.dim_g:], strict=True):
             ycoords[i] = c
-        ymoved = ctx.coords(h.m @ ctx.mat_from_coords(ycoords) @ h.inv)
-        moved = ctx.coords(h.m @ xmat @ h.inv) + [ymoved[i] for i in ctx.borel]
+        ymoved = ctx.coords(h @ ctx.mat_from_coords(ycoords) @ h.inverse())
+        moved = ctx.coords(h @ xmat @ h.inverse()) + [ymoved[i] for i in ctx.borel]
         cols.append(mat_vec(chart2.proj, moved))
     return Mat.from_columns(cols, chart2.hdim)
 
@@ -251,7 +250,7 @@ def test_chart_transport_matches_the_per_basis_columns(group):
     for stratum in ("random", "springer", "identity-b"):
         pt = sample_gspoint(ctx, rng, stratum)
         h = random_point(ctx, "B", rng)
-        red = borel_reduction(*pt)
+        red = borel_reduction(ctx, *pt)
         c1, c2 = QuotientChart(red), QuotientChart(red.translate(h))
         assert chart_transport(c1, c2, h) == per_basis_chart_transport(c1, c2, h)
 
@@ -263,7 +262,7 @@ def per_basis_lemma_kernel(ctx, b, rng):
     xis += [("mixed", random_algebra(ctx, rng, indices=ctx.borel)) for _ in range(3)]
     for label, ximat in xis:
         sig = sigma(b, ximat)
-        annihilates = not any(ctx.form(sig, b.inv @ ctx.basis[k] @ b.m)
+        annihilates = not any(ctx.form(sig, b.inverse() @ ctx.basis[k] @ b)
                               for k in ctx.borel)
         coords = ctx.coords(ximat)
         expected = all(not coords[k] for k in ctx.torus)
@@ -283,7 +282,7 @@ def test_lemma_kernel_matches_the_per_basis_pairing(group, conv):
     verdicts = []
     with using(BY_NAME[conv]):
         for mats, salt in gen(cfg):
-            b = GroupElement(ctx, mats["b"])
+            b = mats["b"]
             (rec,) = check(cfg, ctx, {"b": b}, SplitMix64(salt))
             want = per_basis_lemma_kernel(ctx, b, SplitMix64(salt))
             assert (rec["passed"], rec.get("witness")) == want

@@ -73,7 +73,7 @@ def test_drawn_points_check_as_their_json_does(cfg):
         point = drawn[0]["point"]
         assert all(r["point"] == point for r in drawn)
         pt = {k: read_element(ctx, v) for k, v in point.items()}
-        assert {k: g.m for k, g in pt.items()} == mats
+        assert pt == mats
         with using(FROZEN):
             decoded = check(cfg, ctx, pt, SplitMix64(salt))
         assert [{k: v for k, v in r.items() if k not in ("point", "point_index")}

@@ -292,13 +292,16 @@ def fiber_points_over(payload: dict) -> list:
     """The points ``eval fiber-enum`` prints for ``payload``, read back; each
     maps to the input exactly."""
     from qpslab.gspringer import point_from_json
-    from qpslab.liegroup import GroupElement, conjugate
+    from qpslab.liegroup import conjugate, group_of_json, read_element
 
     out = eval_command("fiber-enum", payload)
     assert set(out) == {"count", "points"}
+    ctx = group_of_json(payload)
     points = [point_from_json(p) for p in out["points"]]
     assert out["count"] == len(points)
-    assert all(conjugate(g, b) == GroupElement.from_json(payload) for g, b in points)
+    assert all(c is ctx for c, _, _ in points)
+    points = [(g, b) for _, g, b in points]
+    assert all(conjugate(g, b) == read_element(ctx, payload) for g, b in points)
     return points
 
 
@@ -317,7 +320,7 @@ def test_eval_fiber_enum_sl4():
     rng = SplitMix64(82)
     t = random_point(ctx, "T-regular", rng)
     g = random_point(ctx, "G", rng)
-    points = fiber_points_over(dict(mat_to_json(g.m @ t.m @ g.inv), group="sl4"))
+    points = fiber_points_over(dict(mat_to_json(g @ t @ g.inverse()), group="sl4"))
     assert len(points) == 24
 
 
@@ -327,7 +330,7 @@ def test_eval_leaf_form():
     from qpslab.liegroup import context
 
     pt = sample_gspoint(context("sl2"), SplitMix64(9))
-    out = eval_command("leaf-form", point_to_json(*pt))
+    out = eval_command("leaf-form", point_to_json(context("sl2"), *pt))
     assert out["checks"]["passed"]
     assert out["matrix"]["rows"] == 2
 

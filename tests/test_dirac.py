@@ -16,8 +16,8 @@ from qpslab.diffcalc import (Space, cartan_eta3, cartan_section, directional,
 from qpslab.dirac import (DiracFiber, cartan_closure_check, cartan_dirac,
                           graph_bivector, graph_two_form, is_lagrangian,
                           pairing, pullback_linear, pushforward_linear)
-from qpslab.liegroup import (GroupContext, GroupElement, conjugation_sections,
-                             context, random_algebra, random_point)
+from qpslab.liegroup import (GroupContext, conjugation_sections, context,
+                             random_algebra, random_point)
 from qpslab.linalg import Mat, Subspace, kernel, mat_vec, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -135,7 +135,7 @@ def test_transport_identity_and_roundtrip():
     g = random_point(SL2, "G", RNG)
     G = Space(SL2, ("g",))
     inv = inversion_map(G)
-    fmat = inv.differential_matrix((g.m,))
+    fmat = inv.differential_matrix((g,))
     there = pushforward_linear(fib, fmat)
     back = pullback_linear(there, fmat)
     assert back.equals(fib)
@@ -149,7 +149,7 @@ def test_pullback_of_graph_is_graph_of_pullback():
     inv = inversion_map(G)
     w = skew(SL2, RNG)
     target_fiber = graph_two_form(w)
-    fmat = inv.differential_matrix((g.m,))
+    fmat = inv.differential_matrix((g,))
     route1 = pullback_linear(target_fiber, fmat)
     pulled = fmat.transpose() @ w @ fmat
     route2 = graph_two_form(pulled)
@@ -159,15 +159,15 @@ def test_pullback_of_graph_is_graph_of_pullback():
 def test_pointed_map_transport_roundtrip():
     g = random_point(SL2, "G", RNG)
     G = Space(SL2, ("g",))
-    fmat = inversion_map(G).differential_matrix((g.m,))
-    fib = cartan_dirac(g)
+    fmat = inversion_map(G).differential_matrix((g,))
+    fib = cartan_dirac(conjugation_sections(SL2, g, g.inverse()))
     back = pullback_linear(pushforward_linear(fib, fmat), fmat)
     assert back.equals(fib)
 
 
 def test_cartan_dirac_identity_fiber():
-    e = GroupElement(SL2, Mat.identity(2))
-    fib = cartan_dirac(e)
+    e = Mat.identity(2)
+    fib = cartan_dirac(conjugation_sections(SL2, e, e.inverse()))
     cotangent = DiracFiber(2 * SL2.dim_g, Mat.zeros(3, 3).vstack(Mat.identity(3)))
     assert fib.equals(cotangent)
 
@@ -178,17 +178,17 @@ def test_cartan_dirac_lagrangian_and_leaf_dims():
         ctx = context(name)
         for _ in range(10):
             g = random_point(ctx, "G", rng)
-            fib = cartan_dirac(g)
+            fib = cartan_dirac(conjugation_sections(ctx, g, g.inverse()))
             ok, _ = is_lagrangian(fib)
             assert ok and fib.dim == ctx.dim_g
             admat = Mat.from_columns(
-                [ctx.coords(g.m @ bk @ g.inv) for bk in ctx.basis],
+                [ctx.coords(g @ bk @ g.inverse()) for bk in ctx.basis],
                 ctx.dim_g)
             cent = kernel(admat - Mat.identity(ctx.dim_g))
             assert fib.tangent_part().dim == ctx.dim_g - cent.dim
     # regular semisimple: centralizer is the torus, leaf has codim = rank
     t = random_point(context("sl3"), "T-regular", rng)
-    fib = cartan_dirac(t)
+    fib = cartan_dirac(conjugation_sections(context("sl3"), t, t.inverse()))
     assert fib.tangent_part().dim == context("sl3").dim_g - context("sl3").rank
 
 
@@ -199,7 +199,7 @@ def test_dorfman_zero_and_left_invariant():
     def zero(q):
         return [QQi(0)] * 3, [QQi(0)] * 3
 
-    t, c = dorfman(zero, zero, None, G, (g.m,))
+    t, c = dorfman(zero, zero, None, G, (g,))
     assert all(not v for v in t) and all(not v for v in c)
 
     xi = random_algebra(SL2, RNG)
@@ -211,7 +211,7 @@ def test_dorfman_zero_and_left_invariant():
     def s2(q):
         return SL2.coords(ze), [QQi(0)] * 3
 
-    t, c = dorfman(s1, s2, None, G, (g.m,))
+    t, c = dorfman(s1, s2, None, G, (g,))
     assert t == SL2.coords(xi @ ze - ze @ xi)
     assert all(not v for v in c)
 
@@ -225,12 +225,12 @@ def test_dorfman_closure_and_batched_agree():
         xi = random_algebra(SL2, rng)
         ze = random_algebra(SL2, rng)
         t, c = dorfman(cartan_section(SL2, xi), cartan_section(SL2, ze),
-                       eta3, G, (g.m,))
-        target = cartan_section(SL2, xi @ ze - ze @ xi)((g.m,))
+                       eta3, G, (g,))
+        target = cartan_section(SL2, xi @ ze - ze @ xi)((g,))
         assert t == target[0] and c == target[1]
-        ok, _ = cartan_closure_check(SL2, g.m, g.inv)
+        ok, _ = cartan_closure_check(SL2, g, g.inverse())
         assert ok
-        fib = cartan_dirac(g)
+        fib = cartan_dirac(conjugation_sections(SL2, g, g.inverse()))
         assert fib.contains_vector(t + c)
 
 
@@ -249,7 +249,7 @@ def test_dorfman_matches_the_generic_formulas(name, conv):
     G = Space(ctx, ("g",))
     eta3 = cartan_eta3(G)
     rng = SplitMix64(46)
-    point = (random_point(ctx, "G", rng).m,)
+    point = (random_point(ctx, "G", rng),)
     sec = [cartan_section(ctx, random_algebra(ctx, rng)) for _ in range(4)]
     # tangent and covector parts of different conjugation sections: the
     # pairing of two sections of a Lagrangian family is zero
@@ -288,15 +288,15 @@ def test_batched_closure_matches_dorfman_under_corruption():
                  for bj, lj in zip(ctx.basis, ctx.basis_labels)]
         for conv in list(CORRUPTIONS.values()) + calibration_grid():
             with using(conv):
-                got = cartan_closure_check(ctx, g.m, g.inv)
+                got = cartan_closure_check(ctx, g, g.inverse())
                 # every pair's bracket, not only the first wrong one, which
                 # (in basis order) is the witness
-                lhs, _ = dirac._closure_sides(ctx, g.m, g.inv)
+                lhs, _ = dirac._closure_sides(ctx, g, g.inverse())
                 first = None
                 for r, (labels, s1, s2, br) in enumerate(pairs):
-                    t, c = dorfman(s1, s2, eta3, G, (g.m,))
+                    t, c = dorfman(s1, s2, eta3, G, (g,))
                     assert lhs.row_block(r, r + 1) == Mat([list(t) + list(c)])
-                    want = cartan_section(ctx, br)((g.m,))
+                    want = cartan_section(ctx, br)((g,))
                     if first is None and [t, c] != list(want):
                         first = labels
             assert got == ((True, None) if first is None else (False, {"pair": first}))
@@ -309,7 +309,7 @@ def test_batched_closure_matches_dorfman_under_corruption():
     for name in ("sl3", "gl3", "sl4", "gl4"):
         ctx = context(name)
         g = random_point(ctx, "G", rng)
-        assert cartan_closure_check(ctx, g.m, g.inv) == (True, None)
+        assert cartan_closure_check(ctx, g, g.inverse()) == (True, None)
 
 
 @pytest.mark.parametrize("name", sorted(liegroup.GROUPS))
@@ -327,22 +327,22 @@ def test_pair_row_matches_dorfman(name):
     coef = Mat([[a * b for a in ctx.coords(xi) for b in ctx.coords(ze)]])
     for conv in [FROZEN] + list(CORRUPTIONS.values()) + calibration_grid():
         with using(conv):
-            sections = conjugation_sections(ctx, g.m, g.inv)
+            sections = conjugation_sections(ctx, g, g.inverse())
             row, target = dirac._pair_sides(ctx, sections, xi, ze)
-            tangent, cov = dorfman(s1, s2, cartan_eta3(G), G, (g.m,))
+            tangent, cov = dorfman(s1, s2, cartan_eta3(G), G, (g,))
             assert row == Mat([list(tangent) + list(cov)]), conv
-            want = cartan_section(ctx, xi @ ze - ze @ xi)((g.m,))
+            want = cartan_section(ctx, xi @ ze - ze @ xi)((g,))
             assert target == Mat([list(want[0]) + list(want[1])]), conv
             assert dirac.closure_sample(ctx, sections, xi, ze) == (row == target)
             if name in CLI_GROUPS:
-                assert row == coef @ dirac._closure_sides(ctx, g.m, g.inv)[0], conv
+                assert row == coef @ dirac._closure_sides(ctx, g, g.inverse())[0], conv
 
 
 def test_closure_check_inverts_nothing(monkeypatch):
     # g^-1 comes from the caller, whose matrix keeps it once computed
     ctx = context("sl3")
     g = random_point(ctx, "G", SplitMix64(48))
-    ginv = g.inv
+    ginv = g.inverse()
     calls = []
     real = Mat.inverse
 
@@ -351,7 +351,7 @@ def test_closure_check_inverts_nothing(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(Mat, "inverse", spy)
-    assert cartan_closure_check(ctx, g.m, ginv) == (True, None)
+    assert cartan_closure_check(ctx, g, ginv) == (True, None)
     assert not calls
 
 
@@ -362,7 +362,7 @@ def test_one_dorfman_bracket_computes_g_inverse_once(monkeypatch):
     ctx = context("sl3")
     rng = SplitMix64(47)
     G = Space(ctx, ("g",))
-    gm = Mat(random_point(ctx, "G", rng).m.data)
+    gm = Mat(random_point(ctx, "G", rng).data)
     s1, s2 = (cartan_section(ctx, random_algebra(ctx, rng)) for _ in range(2))
     calls = []
     real = Mat.inverse
@@ -389,8 +389,8 @@ def test_closure_product_count_does_not_grow_with_the_group(monkeypatch):
     for name in ("sl2", "sl3", "sl4"):
         ctx = context(name)
         g = random_point(ctx, "G", SplitMix64(49))
-        ginv = g.inv
+        ginv = g.inverse()
         with monkeypatch.context() as patch:
             patch.setattr(Mat, "__matmul__", spy)
-            assert cartan_closure_check(ctx, g.m, ginv) == (True, None)
+            assert cartan_closure_check(ctx, g, ginv) == (True, None)
     assert calls["sl2"] == calls["sl3"] == calls["sl4"] > 0

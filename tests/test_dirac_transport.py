@@ -19,7 +19,7 @@ from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form,
                           pullback_linear, pushforward_linear)
 from qpslab.gspringer import (QuotientChart, borel_reduction,
                               gspoint_stream, omega_matrix)
-from qpslab.liegroup import GROUPS, context, random_point
+from qpslab.liegroup import GROUPS, conjugation_sections, context, random_point
 from qpslab.linalg import Mat, Subspace, intersect, kernel, null_vectors, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi, ZZi
@@ -83,9 +83,9 @@ def transport_cases(ctx):
     d = ctx.dim_g
     first = Mat.identity(d).hstack(Mat.zeros(d, len(ctx.borel)))
     for point in gspoint_stream(ctx, SplitMix64(301), 4):
-        chart = QuotientChart(borel_reduction(*point))
+        chart = QuotientChart(borel_reduction(ctx, *point))
         dmu, dphi = chart.dmu, chart.reduction.dphi
-        cd = cartan_dirac(chart.mu)
+        cd = cartan_dirac(conjugation_sections(ctx, chart.mu, chart.mu.inverse()))
         push += [(chart.graph, chart.proj), (chart.fiber, dmu),
                  (chart.graph, dphi), (pushforward_linear(chart.graph, dphi), first),
                  (chart.fiber, deficient(dmu)), (chart.graph, deficient(chart.proj)),
@@ -107,7 +107,8 @@ def test_reduced_transports_match_the_full_incidence_systems(group):
 
 def test_the_zero_fiber_transports_to_the_kernels():
     ctx = context("sl3")
-    chart = QuotientChart(borel_reduction(*gspoint_stream(ctx, SplitMix64(302), 2)[1]))
+    chart = QuotientChart(
+        borel_reduction(ctx, *gspoint_stream(ctx, SplitMix64(302), 2)[1]))
     dmu = chart.dmu
     h, d = chart.hdim, ctx.dim_g
     pushed = pushforward_linear(zero_fiber(h), dmu)
@@ -134,7 +135,8 @@ def test_transports_with_no_null_vectors():
 def test_a_pushforward_runs_two_rrefs(monkeypatch):
     # one on the reduced system, one canonicalizing the result
     ctx = context("sl3")
-    chart = QuotientChart(borel_reduction(*gspoint_stream(ctx, SplitMix64(303), 4)[3]))
+    chart = QuotientChart(
+        borel_reduction(ctx, *gspoint_stream(ctx, SplitMix64(303), 4)[3]))
     dmu = chart.dmu
     calls = []
     real = linalg.rref
@@ -171,7 +173,7 @@ def test_a_graph_pushes_forward_without_the_top_product(group, monkeypatch):
     ctx = context(group)
     graphs, others = [], []
     for point in gspoint_stream(ctx, SplitMix64(305), 4):
-        chart = QuotientChart(borel_reduction(*point))
+        chart = QuotientChart(borel_reduction(ctx, *point))
         graphs += [(chart.graph, chart.proj), (chart.graph, chart.reduction.dphi)]
         others.append((chart.fiber, chart.dmu))
     cases = [(fiber, fmat, product_route_pushforward(fiber, fmat), products)
@@ -227,7 +229,7 @@ def test_intersect_at_the_chart_matches_the_kernel_route():
     for group in sorted(GROUPS):
         ctx = context(group)
         for point in gspoint_stream(ctx, SplitMix64(305), 4):
-            red = borel_reduction(*point)
+            red = borel_reduction(ctx, *point)
             flat = kernel(red.w.transpose())
             got = intersect(red.vertical, flat)
             assert got.dim == len(ctx.unipotent)
@@ -265,6 +267,6 @@ def test_graph_two_form_stores_the_canonical_basis(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for part in PARTS:
             b = random_point(ctx, "G" if part == "g" else "B", rng)
-            w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
+            w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
             fib = graph_two_form(leading(w, Space(ctx, ("g", part)).dim))
             assert fib.basis == Subspace(fib.basis.rows, fib.basis).basis, part

@@ -250,7 +250,7 @@ def test_int_entries_are_kept_and_never_mutated():
         ctx = context(group)
         g = random_point(ctx, "G", rng)
         v = Mat([[rng.rational(7) for _ in range(3)] for _ in range(ctx.dim_g)])
-        for m in (g.m, g.inv, v):
+        for m in (g, g.inverse(), v):
             kept = m.int_entries()
             den = lcm(*(d for _, d in m._ints))
             assert kept == ([[a * (den // d) for a in r] for r, d in m._ints], den)
@@ -261,7 +261,7 @@ def test_int_entries_are_kept_and_never_mutated():
             if m is v:
                 ctx.brackets(v)
             else:
-                ctx.adjoint(g.m, g.inv), ctx.gram_adjoint(g.inv, g.m)
+                ctx.adjoint(g, g.inverse()), ctx.gram_adjoint(g.inverse(), g)
                 ctx.commutator_matrix(m)
             assert m.int_entries() is kept and kept == snapshot
     # a non-real matrix has the same form, with a Gaussian numerator
@@ -407,7 +407,7 @@ def test_small_inverses_stay_in_integer_form(name):
     """Every exact inverse, 1x1 to 3x3 included, runs the integer kernel."""
     ctx = context(name)
     rng = SplitMix64(41)
-    g, h, b, t = (random_point(ctx, kind, rng).m
+    g, h, b, t = (random_point(ctx, kind, rng)
                   for kind in ("G", "G", "B", "T-regular"))
     for m in (g, b, t, g @ h, g @ b, b @ t, t @ g @ b):
         stored = fresh(m)

@@ -30,7 +30,7 @@ from qpslab.gspringer import (FORCED_STRATA, QuotientChart,
                               reconstruct_bivector,
                               sample_double, sampled_d_identity,
                               theorem1_check)
-from qpslab.liegroup import (GROUPS, GroupElement, borel_decompose, context,
+from qpslab.liegroup import (GROUPS, borel_decompose, context,
                              random_point, sigma, sigma_adjoint)
 from qpslab.linalg import Mat, dot, mat_vec, solve_unique
 from qpslab.prng import SplitMix64
@@ -56,12 +56,12 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for space, kind in _spaces(ctx):
             a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
-            t = ctx.gram_adjoint(b.m, b.inv)
+            t = ctx.gram_adjoint(b, b.inverse())
             w = leading(omega_matrix(ctx, t), space.dim)
             for _ in range(2):
                 dirs = [[QQi(rng.rational(3)) for _ in range(space.dim)]
                         for _ in range(3)]
-                want = d_two_form(omega_fn(ctx, space), space, (a.m, b.m), *dirs)
+                want = d_two_form(omega_fn(ctx, space), space, (a, b), *dirs)
                 v = Mat.from_columns(dirs, space.dim)
                 second = space.indices(space.parts[1])
                 assert d_omega(ctx, t, w, second, v) == want, space.parts
@@ -73,7 +73,7 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     rng = SplitMix64(102)
     g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
     k = ctx.dim_g + len(ctx.unipotent)
-    t = ctx.gram_adjoint(b.m, b.inv)
+    t = ctx.gram_adjoint(b, b.inverse())
     w = omega_matrix(ctx, t)
     gxu = leading(w, k)
     gxb = leading(w, ctx.dim_g + len(ctx.borel))
@@ -81,9 +81,9 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     space = Space(ctx, ("g", "u"))
     mats = [space.matrices(e) for e in space.basis_directions()]
     assert [list(r) for r in gxu.data] == [
-        [omega_value(ctx, g.m, b.m, u, v) for v in mats] for u in mats]
+        [omega_value(ctx, g, b, u, v) for v in mats] for u in mats]
     # and the leaf d-identity's block of a reduction's w is this G x U matrix
-    red = borel_reduction(g, b)
+    red = borel_reduction(ctx, g, b)
     assert red.w == gxb
     assert red.w.select_rows(red.leaf_slice).select_cols(red.leaf_slice) == gxu
 
@@ -94,8 +94,7 @@ def test_slice_block_of_phi_differential_is_d_mu_on_the_slice(group):
     ctx = context(group)
     rng = SplitMix64(103)
     g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
-    tpart, upart = borel_decompose(b)
-    tmat = tpart.m
+    tmat, upart = borel_decompose(ctx, b)
 
     def conj_map(q):
         gq, uq = q
@@ -103,10 +102,10 @@ def test_slice_block_of_phi_differential_is_d_mu_on_the_slice(group):
 
     slice_space = Space(ctx, ("g", "u"))
     dual = PointedMap("mu-on-slice", slice_space, Space(ctx, ("g",)), conj_map)
-    block = leading(phi_differential(g, b),
+    block = leading(phi_differential(ctx, g, b),
                     ctx.dim_g + len(ctx.borel)).row_block(0, ctx.dim_g)
     assert block.col_block(0, slice_space.dim) == dual.differential_matrix(
-        (g.m, upart.m))
+        (g, upart))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def _bivector_reference(chart):
     rmat = Mat.from_columns([vec for vec, _ in _action_pairs(chart)], h)
     duals = [ctx.mat_from_coords(ctx.gram_inv.col(i)) for i in range(d)]
     sv = [ctx.coords(sigma_adjoint(m, a)) for a in duals]
-    rho_adj = Mat.identity(d) - ctx.adjoint(m.m, m.inv)
+    rho_adj = Mat.identity(d) - ctx.adjoint(m, m.inverse())
     cmat = Mat.identity(h) - (rmat @ rho_adj @ dmu).scale(QQi(Fraction(1, 4)))
     rsv = [mat_vec(rmat, sv[k]) for k in range(d)]
     system = bot.vstack(dmu @ top)
@@ -180,7 +179,7 @@ def test_leaf_two_form_matches_the_per_column_reference(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         verdicts = []
         for pt in gspoint_stream(ctx, SplitMix64(105), STRATA):
-            chart = QuotientChart(borel_reduction(*pt))
+            chart = QuotientChart(borel_reduction(ctx, *pt))
             form, _, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
             want_form, want_moment = _leaf_reference(chart)
             assert form == want_form
@@ -196,7 +195,7 @@ def test_reconstruct_bivector_matches_the_per_column_reference(group, conv):
     ctx = context(group)
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for pt in gspoint_stream(ctx, SplitMix64(106), STRATA):
-            chart = QuotientChart(borel_reduction(*pt))
+            chart = QuotientChart(borel_reduction(ctx, *pt))
             pi, checks = reconstruct_bivector(chart)
             want = _bivector_reference(chart)
             # the corruption leaves no point solvable
@@ -214,8 +213,9 @@ def test_theorem1_induced_action_witness_is_the_first_failing_index(conv):
     # index whose pair lies outside the fiber
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for group in ("sl2", "gl2"):
-            for pt in gspoint_stream(context(group), SplitMix64(107), STRATA):
-                chart = QuotientChart(borel_reduction(*pt))
+            ctx = context(group)
+            for pt in gspoint_stream(ctx, SplitMix64(107), STRATA):
+                chart = QuotientChart(borel_reduction(ctx, *pt))
                 res = theorem1_check(chart)
                 bad = [k for k, (vec, alpha) in enumerate(_action_pairs(chart))
                        if not chart.fiber.contains_vector(vec + alpha)]
@@ -251,11 +251,11 @@ def _d_identity_inputs(ctx, rng):
     the leaf d-identity on G x U at two quotient points."""
     for _ in range(2):
         a, b = sample_double(ctx, rng)
-        t = ctx.gram_adjoint(b.m, b.inv)
-        yield t, omega_matrix(ctx, t), range(ctx.dim_g), phi_differential(a, b)
+        t = ctx.gram_adjoint(b, b.inverse())
+        yield t, omega_matrix(ctx, t), range(ctx.dim_g), phi_differential(ctx, a, b)
     k = ctx.dim_g + len(ctx.unipotent)
     for pt in gspoint_stream(ctx, rng, 2):
-        red = borel_reduction(*pt)
+        red = borel_reduction(ctx, *pt)
         yield red.t, leading(red.w, k), red.nil, leading(red.dphi, ctx.dim_g, k)
 
 
@@ -284,14 +284,14 @@ def test_sampled_d_identity_matches_the_qqi_route(group, conv):
 def test_sampled_d_identity_on_non_real_points():
     ctx = context("sl2")
     i = QQi(0, 1)
-    a = GroupElement(ctx, Mat([[i, 0], [0, -i]]))
-    b = GroupElement(ctx, Mat([[1 + i, i], [1, 1]]))
-    t = ctx.gram_adjoint(b.m, b.inv)
+    a = Mat([[i, 0], [0, -i]])
+    b = Mat([[1 + i, i], [1, 1]])
+    t = ctx.gram_adjoint(b, b.inverse())
     assert any(x.im for r in t.data for x in r)
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             assert _same_d_identity(ctx, t, omega_matrix(ctx, t), range(ctx.dim_g),
-                                    phi_differential(a, b), 7) == (conv is FROZEN)
+                                    phi_differential(ctx, a, b), 7) == (conv is FROZEN)
     # the pinned eval leaf-form point of test_gspringer, b = [[i, 3/2], [0, -i]]
     red = borel_reduction(*point_from_json({
         "group": "sl2", "g": {"rows": 2, "cols": 2, "entries": [1, 0, 2, 1]},
@@ -305,7 +305,7 @@ def test_float_array_is_bitwise_the_to_complex_route():
     rng = SplitMix64(109)
     i = QQi(0, 1)
     big = 2 ** 200 + 12345
-    mats = [random_point(context(g), "G", rng).m for g in sorted(GROUPS)]
+    mats = [random_point(context(g), "G", rng) for g in sorted(GROUPS)]
     mats += [
         # rows with distinct denominators, entries no float holds exactly,
         # and a negative entry that underflows to -0.0

@@ -34,8 +34,7 @@ from qpslab.campaigns import CLI_GROUPS
 from qpslab.gspringer import (FORCED_STRATA, QuotientChart,
                               borel_reduction, chart_action_field, gspoint_stream,
                               leaf_two_form, weyl_fiber_enum)
-from qpslab.liegroup import (GroupElement, conjugate, context, random_point,
-                             weyl_orders)
+from qpslab.liegroup import conjugate, context, random_point, weyl_orders
 from qpslab.linalg import Mat, Subspace, kernel, rank, solve_columns
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -53,7 +52,7 @@ def minus_one_chart(group: str) -> QuotientChart:
     g, u = random_point(ctx, "G", rng), random_point(ctx, "U", rng)
     diag = MINUS_ONE_TORUS[group]
     t = Mat([[diag[i] if i == j else 0 for j in range(ctx.n)] for i in range(ctx.n)])
-    return QuotientChart(borel_reduction(g, GroupElement(ctx, t @ u.m)))
+    return QuotientChart(borel_reduction(ctx, g, t @ u))
 
 
 def degeneracy_sides(chart: QuotientChart, shift: int) -> tuple[Subspace, Subspace]:
@@ -62,7 +61,7 @@ def degeneracy_sides(chart: QuotientChart, shift: int) -> tuple[Subspace, Subspa
     ctx = chart.ctx
     form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
     assert checks["passed"]
-    ad = ctx.adjoint(chart.mu.m, chart.mu.inv)
+    ad = ctx.adjoint(chart.mu, chart.mu.inverse())
     xis = kernel(ad + Mat.identity(ctx.dim_g).scale(QQi(shift)))
     if not xis.dim:
         return kernel(form), Subspace.zero(leaf.dim)
@@ -94,8 +93,9 @@ def test_minimal_degeneracy_on_the_minus_one_stratum(group):
 
 @pytest.mark.parametrize("group", CLI_GROUPS)
 def test_minimal_degeneracy_at_the_stream_points(group):
-    for point in gspoint_stream(context(group), SplitMix64(11), 6):
-        lhs, rhs = degeneracy_sides(QuotientChart(borel_reduction(*point)), 1)
+    ctx = context(group)
+    for point in gspoint_stream(ctx, SplitMix64(11), 6):
+        lhs, rhs = degeneracy_sides(QuotientChart(borel_reduction(ctx, *point)), 1)
         assert lhs.dim == rhs.dim == 0
 
 
@@ -119,10 +119,10 @@ def test_the_leaf_lies_in_a_steinberg_fiber_with_the_predicted_gap(group):
     ctx = context(group)
     gaps = []
     for g, b in gspoint_stream(ctx, SplitMix64(11), 6):
-        chart = QuotientChart(borel_reduction(g, b))
-        ker = kernel(power_sum_rows(ctx, chart.mu.m) @ chart.dmu)
+        chart = QuotientChart(borel_reduction(ctx, g, b))
+        ker = kernel(power_sum_rows(ctx, chart.mu) @ chart.dmu)
         assert ker.contains(chart.leaf)
-        lam = [b.m.entry(i, i) for i in range(ctx.n)]
+        lam = [b.entry(i, i) for i in range(ctx.n)]
         # the multiplicity defect sum (m_i - 1) of lambda
         assert ker.dim - chart.leaf.dim == ctx.n - len(set(lam))
         gaps.append(ker.dim - chart.leaf.dim)
@@ -136,13 +136,13 @@ def test_each_weyl_fiber_point_is_its_own_leaf(group):
     for _ in range(3):
         t = random_point(ctx, "T-regular", rng)
         rs = conjugate(random_point(ctx, "G", rng), t)
-        points = weyl_fiber_enum(rs)
+        points = weyl_fiber_enum(ctx, rs)
         assert len(points) == len(weyl_orders(ctx))
         for point in points:
-            chart = QuotientChart(borel_reduction(*point))
+            chart = QuotientChart(borel_reduction(ctx, *point))
             assert chart.mu == rs
             assert rank(chart.dmu) == ctx.dim_g
     # over a repeated eigenvalue mu is not étale: the rank test can fail
     nonregular = gspoint_stream(ctx, rng, len(FORCED_STRATA))[
         FORCED_STRATA.index("nonregular")]
-    assert rank(QuotientChart(borel_reduction(*nonregular)).dmu) < ctx.dim_g
+    assert rank(QuotientChart(borel_reduction(ctx, *nonregular)).dmu) < ctx.dim_g

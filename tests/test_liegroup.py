@@ -11,8 +11,8 @@ import pytest
 from qpslab import liegroup
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.gspringer import _nonregular_torus
-from qpslab.liegroup import (Ad, GroupContext, GroupElement, borel_decompose,
-                             bracket, chevalley, context, random_algebra,
+from qpslab.liegroup import (GroupContext, borel_decompose, bracket, conjugate,
+                             context, group_of_json, invariants, random_algebra,
                              random_point, read_element, rho_adjoint, sigma,
                              sigma_adjoint, conj_field, weyl_orders)
 from qpslab.linalg import Mat, Subspace, annihilator, mat_vec, rank
@@ -33,15 +33,15 @@ def alg(ctx, rows):
     return m
 
 
-def grp(ctx, rows):
-    return GroupElement(ctx, Mat([[QQi(Fraction(x)) for x in r] for r in rows]))
+def grp(rows):
+    return Mat([[QQi(Fraction(x)) for x in r] for r in rows])
 
 
 E12 = alg(SL2, [[0, 1], [0, 0]])
 E21 = alg(SL2, [[0, 0], [1, 0]])
 H = alg(SL2, [[1, 0], [0, -1]])
-DIAG2 = grp(SL2, [[2, 0], [0, Fraction(1, 2)]])
-IDENT2 = grp(SL2, [[1, 0], [0, 1]])
+DIAG2 = grp([[2, 0], [0, Fraction(1, 2)]])
+IDENT2 = grp([[1, 0], [0, 1]])
 
 
 def test_dimension_table():
@@ -57,10 +57,10 @@ def test_bracket_examples():
 
 def test_ad_examples():
     x = alg(SL2, [[1, 2], [3, -1]])
-    assert Ad(IDENT2, x) == x
-    g = grp(SL2, [[1, 1], [1, 2]])
-    assert Ad(g, Ad(g.inverse(), x)) == x
-    assert Ad(DIAG2, E12) == E12.scale(QQi(4))
+    assert conjugate(IDENT2, x) == x
+    g = grp([[1, 1], [1, 2]])
+    assert conjugate(g, conjugate(g.inverse(), x)) == x
+    assert conjugate(DIAG2, E12) == E12.scale(QQi(4))
 
 
 def test_sigma_examples():
@@ -95,7 +95,7 @@ def test_sigma_adjointness_two_routes():
 def test_conj_field_examples():
     assert conj_field(IDENT2, E12).is_zero()
     center = alg(GL2, [[1, 0], [0, 1]])
-    g = GroupElement(GL2, Mat([[QQi(2), QQi(1)], [QQi(0), QQi(3)]]))
+    g = Mat([[QQi(2), QQi(1)], [QQi(0), QQi(3)]])
     assert conj_field(g, center).is_zero()
     assert conj_field(DIAG2, E12) == E12.scale(QQi(Fraction(3, 4)))
 
@@ -103,35 +103,35 @@ def test_conj_field_examples():
 def test_rho_adjoint_against_closed_form():
     rng = SplitMix64(13)
     zero = alg(SL2, [[0, 0], [0, 0]])
-    assert rho_adjoint(DIAG2, zero).is_zero()
-    assert rho_adjoint(IDENT2, E12).is_zero()
+    assert rho_adjoint(SL2, DIAG2, zero).is_zero()
+    assert rho_adjoint(SL2, IDENT2, E12).is_zero()
     for ctx in GROUPS:
         for _ in range(20):
             g = random_point(ctx, "G", rng)
             v = random_algebra(ctx, rng)
-            assert rho_adjoint(g, v) == v - g.m @ v @ g.inv
+            assert rho_adjoint(ctx, g, v) == v - g @ v @ g.inverse()
 
 
 def test_borel_decompose():
-    t, u = borel_decompose(IDENT2)
-    assert t.m == IDENT2.m and u.m == IDENT2.m
-    t, u = borel_decompose(DIAG2)
-    assert t.m == DIAG2.m and u.m == IDENT2.m
-    b = grp(SL2, [[2, 3], [0, Fraction(1, 2)]])
-    t, u = borel_decompose(b)
-    assert t.m == DIAG2.m
-    assert u.m == Mat([[QQi(1), QQi(Fraction(3, 2))], [QQi(0), QQi(1)]])
+    t, u = borel_decompose(SL2, IDENT2)
+    assert t == IDENT2 and u == IDENT2
+    t, u = borel_decompose(SL2, DIAG2)
+    assert t == DIAG2 and u == IDENT2
+    b = grp([[2, 3], [0, Fraction(1, 2)]])
+    t, u = borel_decompose(SL2, b)
+    assert t == DIAG2
+    assert u == Mat([[QQi(1), QQi(Fraction(3, 2))], [QQi(0), QQi(1)]])
     with pytest.raises(ValueError):
-        borel_decompose(grp(SL2, [[1, 0], [1, 1]]))
+        borel_decompose(SL2, grp([[1, 0], [1, 1]]))
 
 
 def test_chevalley_examples():
-    assert chevalley(IDENT2) == (QQi(2),)
-    assert chevalley(DIAG2) == (QQi(Fraction(5, 2)),)
-    unip = grp(SL2, [[1, 1], [0, 1]])
-    assert chevalley(unip) == chevalley(IDENT2)
-    g3 = GroupElement(GL2, Mat([[QQi(1), QQi(2)], [QQi(3), QQi(4)]]))
-    assert chevalley(g3) == (QQi(5), QQi(-2))  # trace and determinant
+    assert invariants(SL2, IDENT2) == (QQi(2),)
+    assert invariants(SL2, DIAG2) == (QQi(Fraction(5, 2)),)
+    unip = grp([[1, 1], [0, 1]])
+    assert invariants(SL2, unip) == invariants(SL2, IDENT2)
+    g3 = Mat([[QQi(1), QQi(2)], [QQi(3), QQi(4)]])
+    assert invariants(GL2, g3) == (QQi(5), QQi(-2))  # trace and determinant
 
 
 def test_chevalley_conjugation_invariant():
@@ -140,8 +140,8 @@ def test_chevalley_conjugation_invariant():
         for _ in range(10):
             g = random_point(ctx, "G", rng)
             h = random_point(ctx, "G", rng)
-            conj = GroupElement(ctx, h.m @ g.m @ h.inv)
-            assert chevalley(conj) == chevalley(g)
+            conj = h @ g @ h.inverse()
+            assert invariants(ctx, conj) == invariants(ctx, g)
 
 
 def newton_on_entries(ctx, m: Mat) -> tuple:
@@ -168,7 +168,7 @@ def test_integer_invariants_match_newton_on_the_entries(name):
     i = QQi(0, 1)
     gauss = Mat([[i * (r + 1) + Fraction(c, r + 2) for c in range(ctx.n)]
                  for r in range(ctx.n)])
-    mats = [random_point(ctx, kind, rng).m for kind in ("G", "G", "B", "U")]
+    mats = [random_point(ctx, kind, rng) for kind in ("G", "G", "B", "U")]
     for m in mats + [gauss, -gauss, Mat.zeros(ctx.n, ctx.n)]:
         got = liegroup.invariants(ctx, m)
         assert got == newton_on_entries(ctx, m)
@@ -180,17 +180,17 @@ def test_integer_invariants_match_newton_on_the_entries(name):
 def test_random_point_membership():
     rng = SplitMix64(15)
     t = random_point(SL2, "T", rng)
-    assert t.m.entry(0, 1) == QQi(0) and t.m.entry(1, 0) == QQi(0)
-    assert t.m.det() == QQi(1)
+    assert t.entry(0, 1) == QQi(0) and t.entry(1, 0) == QQi(0)
+    assert t.det() == QQi(1)
     u = random_point(SL3, "U", rng)
     for i in range(3):
-        assert u.m.entry(i, i) == QQi(1)
+        assert u.entry(i, i) == QQi(1)
         for j in range(i):
-            assert u.m.entry(i, j) == QQi(0)
+            assert u.entry(i, j) == QQi(0)
     for _ in range(10):
-        assert random_point(SL3, "G", rng).m.det() == QQi(1)
+        assert random_point(SL3, "G", rng).det() == QQi(1)
     treg = random_point(SL3, "T-regular", rng)
-    d = [treg.m.entry(i, i) for i in range(3)]
+    d = [treg.entry(i, i) for i in range(3)]
     assert len({repr(x) for x in d}) == 3
 
 
@@ -201,7 +201,7 @@ def test_form_ad_invariance():
             g = random_point(ctx, "G", rng)
             x = random_algebra(ctx, rng)
             y = random_algebra(ctx, rng)
-            assert ctx.form(Ad(g, x), Ad(g, y)) == ctx.form(x, y)
+            assert ctx.form(conjugate(g, x), conjugate(g, y)) == ctx.form(x, y)
 
 
 def test_borel_perp_is_unipotent_radical():
@@ -228,7 +228,7 @@ def test_kernel_lemma_on_borel():
             for k in ctx.borel:
                 sig = sigma(b, ctx.basis[k])
                 annihilates = all(
-                    not ctx.form(sig, b.inv @ ctx.basis[m] @ b.m)
+                    not ctx.form(sig, b.inverse() @ ctx.basis[m] @ b)
                     for m in ctx.borel
                 )
                 expected = k in ctx.unipotent
@@ -245,7 +245,7 @@ def test_eta_alternating_and_invariant():
             assert ctx.eta(x, y, z) == -ctx.eta(y, x, z)
             assert ctx.eta(x, y, z) == -ctx.eta(x, z, y)
             g = random_point(ctx, "G", rng)
-            assert ctx.eta(g.m @ x @ g.inv, g.m @ y @ g.inv, g.m @ z @ g.inv) \
+            assert ctx.eta(conjugate(g, x), conjugate(g, y), conjugate(g, z)) \
                 == ctx.eta(x, y, z)
 
 
@@ -280,15 +280,16 @@ def test_group_element_validation():
         read_element(SL2, det2)
     with pytest.raises(ValueError, match="invertible"):
         read_element(SL2, mat_to_json(Mat([[0, 0], [0, 0]])))
-    assert read_element(GL2, det2).m == Mat([[1, 0], [0, 2]])
+    assert read_element(GL2, det2) == Mat([[1, 0], [0, 2]])
 
 
 def test_group_element_json_roundtrip():
     g = DIAG2
-    again = GroupElement.from_json(g.to_json())
-    assert again.m == g.m and again.ctx is SL2
+    obj = dict(mat_to_json(g), group="sl2")
+    assert group_of_json(obj) is SL2
+    assert read_element(SL2, obj) == g
     with pytest.raises(ValueError):
-        GroupElement.from_json({"rows": 2, "cols": 2, "entries": []})
+        read_element(SL2, {"rows": 2, "cols": 2, "entries": []})
 
 
 def test_gram_nondegenerate():
@@ -552,7 +553,7 @@ def samplers_match_the_oracles(ctx, seed, height):
             assert new.state == state, (seed, kind)
             continue
         probe = copy.copy(new)
-        got, want = (random_point(ctx, kind, new, height).m,
+        got, want = (random_point(ctx, kind, new, height),
                      qqi_random_point(ctx, kind, old, height))
         assert got == want and got.data == want.data, (seed, kind)
         assert new.state == old.state, (seed, kind)

@@ -1,11 +1,11 @@
 """The JSON matrix codec against the QQi routes it replaced.
 
-The reader takes ``-?digits[/digits]`` parts by ``int`` and builds a real
-matrix straight into integer rows; the writer prints every matrix from its
-integer rows.  The routes they replaced, every part through ``Fraction`` into
-a :class:`QQi` entry and every entry printed from :attr:`Mat.data`, are the
-oracles here: the same matrices, the same bytes, and the same value or the
-same ``ValueError`` for every part.
+The reader parses every part by ``_exact_part`` and builds a real matrix
+straight into integer rows; the writer prints every matrix from its integer
+rows.  The routes they replaced, every part into a :class:`QQi` entry and
+every entry printed from :attr:`Mat.data`, are the oracles here: the same
+matrices and the same bytes.  ``Fraction`` itself is the oracle of each
+part: the same value, or a ``ValueError`` where it refuses the part.
 """
 
 import json
@@ -17,8 +17,8 @@ import hypothesis.strategies as st
 
 from qpslab.liegroup import GROUPS, context, random_point, read_element
 from qpslab.linalg import Mat
-from qpslab.matio import (_exact_part, _rational, entry_pairs, mat_from_json,
-                          mat_to_json, scalar_to_json)
+from qpslab.matio import (_exact_part, entry_pairs, mat_from_json, mat_to_json,
+                          scalar_to_json)
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi, ZZi
 
@@ -54,10 +54,53 @@ CORPUS = [
 ]
 
 
+# the edge cases of a part's spelling: leading zeros, signs, whitespace,
+# zero denominators, other digits and notations, and very long digit strings
+EDGE_CASES = [
+    "00", "0007", "-0007", "007/0014", "0/0005", "-0", "-0/7", "+0", "+1",
+    "+1/2", "-+1", "+-1", " 1", "1 ", " -3/4 ", "\t2\n", "1 /2", "1/+2",
+    "1/-2", "1/0", "-1/0", "0/0", "1//2", "1/2/3", "0x10", "1.0", "1e2",
+    "½", "١٢", " ", "9" * 5000 + "/7", "7/" + "9" * 5000, "-" + "1" * 5000,
+    -0, 10 ** 60,
+]
+
+
+def fraction_outcome(v):
+    """What ``Fraction`` makes of a part: its value for a string or an
+    integer, and ValueError where it refuses one or for any other type."""
+    if not isinstance(v, (str, int)):
+        return "error", ValueError
+    try:
+        return "value", Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        return "error", ValueError
+
+
+def read_part(v) -> QQi:
+    """The entry the matrix reader makes of ``v`` as a real part."""
+    return mat_from_json({"rows": 1, "cols": 1, "entries": [[v, "0"]]}).entry(0, 0)
+
+
+def assert_part_read_as_fraction_does(part):
+    want = fraction_outcome(part)
+    assert _outcome(_exact_part, part)[:2] == want
+    got = _outcome(read_part, part)[:2]
+    if type(part) in (str, int):
+        assert got == (want if want[0] == "error" else ("value", QQi(want[1])))
+    else:  # the reader refuses any other type, a boolean too
+        assert got == ("error", ValueError)
+
+
 @pytest.mark.parametrize("part", CORPUS, ids=repr)
 def test_fast_path_parts_match_fraction(part):
-    # same value as Fraction(s), or the same ValueError as the old parser
-    assert _outcome(_rational, part) == _outcome(_exact_part, part)
+    # every part, through the part parser and through the matrix reader,
+    # reads as Fraction(s), or is refused with a ValueError
+    assert_part_read_as_fraction_does(part)
+
+
+@pytest.mark.parametrize("part", EDGE_CASES, ids=repr)
+def test_edge_case_parts_read_as_fraction_does(part):
+    assert_part_read_as_fraction_does(part)
 
 
 def test_reader_errors_are_those_of_the_qqi_route():
@@ -81,10 +124,10 @@ def test_decoding_a_real_point_builds_no_qqi():
     rng = SplitMix64(110)
     for group in sorted(GROUPS):
         ctx = context(group)
-        m = random_point(ctx, "G", rng).m
+        m = random_point(ctx, "G", rng)
         g = read_element(ctx, mat_to_json(m))
-        assert g.m._data is None and m._data is None
-        assert g.m == m and g.m._ints == m._ints
+        assert g._data is None and m._data is None
+        assert g == m and g._ints == m._ints
     # a non-real entry anywhere is built from QQi entries, which are kept,
     # into integer rows with a Gaussian numerator
     m = mat_from_json({"rows": 1, "cols": 2, "entries": [["1/2", "0"], ["0", "1"]]})

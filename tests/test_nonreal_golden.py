@@ -17,7 +17,7 @@ from qpslab.gspringer import (QuotientChart, borel_reduction, leaf_two_form,
                               reconstruct_bivector, regact_check, theorem1_check,
                               theorem2_check)
 from qpslab.linalg import Mat, Subspace
-from qpslab.liegroup import GroupElement, chevalley, context
+from qpslab.liegroup import conjugation_sections, context, invariants
 from qpslab.matio import mat_to_json, scalar_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -74,8 +74,8 @@ def plain(x):
 
 def results(group, g_rows, b_rows) -> dict:
     ctx = context(group)
-    g, b = GroupElement(ctx, mat(g_rows)), GroupElement(ctx, mat(b_rows))
-    red = borel_reduction(g, b)
+    g, b = mat(g_rows), mat(b_rows)
+    red = borel_reduction(ctx, g, b)
     chart = QuotientChart(red)
     return {
         "group": group,
@@ -84,11 +84,11 @@ def results(group, g_rows, b_rows) -> dict:
         "leaf_form": leaf_two_form(chart, SplitMix64(5)),
         "bivector": reconstruct_bivector(chart),
         "regact": regact_check(red),
-        "closure": cartan_closure_check(ctx, g.m, g.inv),
-        "cartan_dirac": cartan_dirac(g),
-        "chevalley": [chevalley(g), chevalley(b)],
-        "det": [g.m.det(), b.m.det(), chart.proj.col_block(0, ctx.dim_g).det()],
-        "inverse": [g.inv, b.inv],
+        "closure": cartan_closure_check(ctx, g, g.inverse()),
+        "cartan_dirac": cartan_dirac(conjugation_sections(ctx, g, g.inverse())),
+        "chevalley": [invariants(ctx, g), invariants(ctx, b)],
+        "det": [g.det(), b.det(), chart.proj.col_block(0, ctx.dim_g).det()],
+        "inverse": [g.inverse(), b.inverse()],
     }
 
 

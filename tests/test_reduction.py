@@ -26,7 +26,7 @@ from qpslab.gspringer import (FORCED_STRATA, QuotientChart, Reduction,
                               borel_reduction, gspoint_stream, leaf_two_form, phi,
                               point_from_json, regact_check, theorem1_check,
                               theorem2_check)
-from qpslab.liegroup import GROUPS, GroupElement, context, random_point
+from qpslab.liegroup import GROUPS, conjugation_sections, context, random_point
 from qpslab.linalg import rank
 from qpslab.prng import SplitMix64
 
@@ -39,15 +39,14 @@ NONREAL_POINT = {"group": "sl2",
                        "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}
 
 
-def assert_borel_chart_is_the_prefix_chart(g, b):
-    ctx = g.ctx
+def assert_borel_chart_is_the_prefix_chart(ctx, g, b):
     d, amb = ctx.dim_g, ctx.dim_g + len(ctx.borel)
-    red = borel_reduction(g, b)
+    red = borel_reduction(ctx, g, b)
     assert red.up == list(range(amb))
     assert red.leaf_slice == list(range(d + len(ctx.unipotent)))
     assert red.levi == list(range(d + len(ctx.unipotent), amb))
     chart = QuotientChart(red)
-    want = prefix_chart(g, b)
+    want = prefix_chart(ctx, g, b)
     assert red.w == want["w"]
     assert red.dphi == want["dphi"]
     assert red.vertical.basis == want["vertical"]
@@ -65,19 +64,19 @@ def test_borel_reduction_reproduces_the_prefix_chart(group):
     rng = SplitMix64(401)
     points = gspoint_stream(ctx, rng, len(FORCED_STRATA) + 1)
     for g, b in points:
-        assert_borel_chart_is_the_prefix_chart(g, b)
+        assert_borel_chart_is_the_prefix_chart(ctx, g, b)
     (g, b), h = points[-1], random_point(ctx, "B", rng)
-    moved = borel_reduction(g, b).translate(h)
+    moved = borel_reduction(ctx, g, b).translate(h)
     # h.(g, b) = (g h^-1, h b h^-1), written out
-    assert moved.g.m == g.m @ h.inv
-    assert moved.p.m == h.m @ b.m @ h.inv
-    assert_borel_chart_is_the_prefix_chart(moved.g, moved.p)
+    assert moved.g == g @ h.inverse()
+    assert moved.p == h @ b @ h.inverse()
+    assert_borel_chart_is_the_prefix_chart(ctx, moved.g, moved.p)
 
 
 def test_borel_reduction_reproduces_the_prefix_chart_at_a_nonreal_point():
-    g, b = point_from_json(NONREAL_POINT)
-    assert any(x.im for r in borel_reduction(g, b).w.data for x in r)
-    assert_borel_chart_is_the_prefix_chart(g, b)
+    ctx, g, b = point_from_json(NONREAL_POINT)
+    assert any(x.im for r in borel_reduction(ctx, g, b).w.data for x in r)
+    assert_borel_chart_is_the_prefix_chart(ctx, g, b)
 
 
 def group_reductions(ctx, seed: int):
@@ -86,7 +85,7 @@ def group_reductions(ctx, seed: int):
     rng = SplitMix64(seed)
     for _ in range(3):
         g, p = random_point(ctx, "G", rng), random_point(ctx, "G", rng)
-        yield Reduction(g, p, range(ctx.dim_g), [])
+        yield Reduction(ctx, g, p, range(ctx.dim_g), [])
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)
@@ -97,9 +96,10 @@ def test_the_group_reduces_to_its_cartan_dirac_structure(group):
         lagrangian, _ = is_lagrangian(chart.fiber)
         assert lagrangian and chart.fiber.dim == ctx.dim_g
         assert rank(chart.dmu) == ctx.dim_g
-        target = GroupElement(ctx, red.g.m @ red.p.m @ red.g.inv)
-        assert chart.mu.m == target.m == phi(red.g, red.p)[0].m
-        assert pushforward_linear(chart.fiber, chart.dmu).equals(cartan_dirac(target))
+        target = red.g @ red.p @ red.g.inverse()
+        assert chart.mu == target == phi(red.g, red.p)[0]
+        assert pushforward_linear(chart.fiber, chart.dmu).equals(
+            cartan_dirac(conjugation_sections(ctx, target, target.inverse())))
         assert theorem1_check(chart)["passed"]
         # the leaf through a regular point is its conjugacy class, and it is
         # q_* of G x 0, the leaf slice when N = 0
@@ -149,7 +149,7 @@ def lower_borel_reductions(ctx, seed: int):
     lower = range(len(ctx.borel), ctx.dim_g)
     for _ in range(3):
         g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
-        yield Reduction(g, GroupElement(ctx, b.m.transpose()), (*ctx.torus, *lower), lower)
+        yield Reduction(ctx, g, b.transpose(), (*ctx.torus, *lower), lower)
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)

@@ -1,11 +1,15 @@
-"""The report-digest sweep script, on one suite and group, in a fresh interpreter."""
+"""The report-digest sweep script, on one suite and group, in a fresh
+interpreter, and its arguments."""
 
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.conventions import CORRUPTIONS
@@ -32,3 +36,39 @@ def test_report_digests_on_one_suite_and_group():
     assert got["double/sl2/frozen/11"] == hashlib.sha256(text.encode()).hexdigest()
     # omega-sign fails A2 on the double, so its reports differ
     assert got["double/sl2/omega-sign/11"] != got["double/sl2/frozen/11"]
+
+
+SCRIPT = ROOT / "scripts" / "report_digests.py"
+
+# main with a sweep that fails the run, so that no case below runs one
+NO_SWEEP = f"""
+import runpy, sys
+main = runpy.run_path({str(SCRIPT)!r})["main"]
+main.__globals__["digests"] = lambda: sys.exit("the sweep ran")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_without_a_sweep(cwd, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", NO_SWEEP, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["-h"], 0), (["--help"], 0), (["-o"], 2), (["--output", "d.json"], 2),
+    (["-"], 2), (["a.json", "b.json"], 2), (["a.json", "--help"], 2),
+])
+def test_options_print_the_usage_and_write_nothing(tmp_path, args, code):
+    # an argument that starts with "-" is no output path: the help exits 0,
+    # any other option 2, and neither runs the sweep or makes a file
+    done = run_without_a_sweep(tmp_path, *args)
+    assert done.returncode == code, done.stdout + done.stderr
+    assert (done.stdout if code == 0 else done.stderr).startswith("usage: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unwritable_output_is_refused_before_the_sweep(tmp_path):
+    done = run_without_a_sweep(tmp_path, str(tmp_path / "missing" / "d.json"))
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("error: cannot write digests")

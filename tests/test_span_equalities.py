@@ -19,7 +19,7 @@ from qpslab.gspringer import (FORCED_STRATA, QuotientChart, Reduction,
                               borel_reduction, chart_transport, gspoint_stream,
                               reconstruct_bivector, representative_independent,
                               theorem1_check, theorem2_check)
-from qpslab.liegroup import GroupElement, context, random_point
+from qpslab.liegroup import context, random_point
 from qpslab.linalg import Mat, Subspace, intersect, kernel
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -58,7 +58,7 @@ def unequal_sets(s: Subspace, m: Mat) -> list[Mat]:
 def quotient_charts(group: str):
     ctx = context(group)
     points = gspoint_stream(ctx, SplitMix64(311), len(FORCED_STRATA) + 1)
-    return [QuotientChart(borel_reduction(*p)) for p in (points[0], points[-1])]
+    return [QuotientChart(borel_reduction(ctx, *p)) for p in (points[0], points[-1])]
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)
@@ -123,8 +123,7 @@ def test_kernel_clean_meet_is_the_intersection_dimension(group, meet):
     # does not; the formula and the intersection agree on both
     ctx = context(group)
     g = random_point(ctx, "G", SplitMix64(313))
-    torus = QuotientChart(Reduction(g, GroupElement(ctx, Mat.identity(ctx.n)),
-                                    ctx.torus, ()))
+    torus = QuotientChart(Reduction(ctx, g, Mat.identity(ctx.n), ctx.torus, ()))
     for chart, want in ((torus, meet), (quotient_charts(group)[1], 0)):
         out = theorem1_check(chart)
         assert out["kernel_clean"] == (want == 0)

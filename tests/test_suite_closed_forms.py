@@ -21,7 +21,7 @@ from qpslab.campaigns import (CampaignConfig, _a3_nondegenerate,
 from qpslab.conventions import ACTIVE, CORRUPTIONS, FROZEN, using
 from qpslab.dirac import cartan_dirac
 from qpslab.gspringer import omega_matrix, phi_differential, sample_double
-from qpslab.liegroup import (GROUPS, GroupElement, bracket, conjugation_sections,
+from qpslab.liegroup import (GROUPS, bracket, conjugation_sections,
                              context, random_algebra, random_point,
                              sigma_average)
 from qpslab.linalg import Mat, intersect, kernel, mat_vec, rank
@@ -43,13 +43,13 @@ def kernel_route(w, dphi):
 def test_a3_rank_matches_the_kernel_route_on_real_points(name):
     ctx = context(name)
     rng = SplitMix64(53)
-    eye = GroupElement(ctx, Mat.identity(ctx.n))
+    eye = Mat.identity(ctx.n)
     points = [(eye, eye)] + [sample_double(ctx, rng) for _ in range(2)]
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             for a, b in points:
-                w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
-                dphi = phi_differential(a, b)
+                w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
+                dphi = phi_differential(ctx, a, b)
                 assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi)
 
 
@@ -75,11 +75,11 @@ def test_a3_ranks_the_stack_where_omega_is_degenerate(name):
     diag, rank_w = DEGENERATE_T[name]
     rng = SplitMix64(54)
     a = random_point(ctx, "G", rng)
-    u = random_point(ctx, "U", rng).m
-    b = GroupElement(ctx, u.scale_rows([(x, 1) for x in diag]))
-    w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
+    u = random_point(ctx, "U", rng)
+    b = u.scale_rows([(x, 1) for x in diag])
+    w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
     assert rank(w) == rank_w < w.rows
-    dphi = phi_differential(a, b)
+    dphi = phi_differential(ctx, a, b)
     assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi) == (True, None)
     # with dphi zero the kernels meet in ker w^T, and the witness is the
     # kernel route's
@@ -100,9 +100,9 @@ def four_block_route(ctx, b, w, rng, count):
     want = blocks(w)
     for _ in range(count):
         g2 = random_point(ctx, "G", rng)
-        w2 = omega_matrix(ctx, ctx.gram_adjoint(g2.m @ b.m @ g2.inv,
-                                       g2.m @ b.inv @ g2.inv))
-        ad2 = ctx.adjoint(g2.m, g2.inv)
+        w2 = omega_matrix(ctx, ctx.gram_adjoint(g2 @ b @ g2.inverse(),
+                                                g2 @ b.inverse() @ g2.inverse()))
+        ad2 = ctx.adjoint(g2, g2.inverse())
         adt = ad2.transpose()
         if any(adt @ m2 @ ad2 != m for m2, m in zip(blocks(w2), want)):
             return False
@@ -118,7 +118,7 @@ def test_a4_one_block_matches_the_four_block_route(name):
         with using(conv):
             for k in range(5):
                 _, b = sample_double(ctx, rng)
-                t = ctx.gram_adjoint(b.m, b.inv)
+                t = ctx.gram_adjoint(b, b.inverse())
                 w = omega_matrix(ctx, t)
                 # of the block shape, but with a (1,2) block that is not
                 # invariant: both routes fail at the first draw
@@ -148,7 +148,7 @@ def test_a4_fails_under_a_transposed_adjoint(name, monkeypatch):
     # T = G Ad_b has its own closed form; route it through the wrong adjoint
     monkeypatch.setattr(ctx, "gram_adjoint",
                         lambda m, minv: ctx.gram @ ctx.adjoint(m, minv))
-    w = omega_matrix(ctx, ctx.gram_adjoint(b.m, b.inv))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
     assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63), 10)
     assert not four_block_route(ctx, b, w, SplitMix64(63), 10)
 
@@ -158,14 +158,14 @@ def test_leaf_dimension_ranks_match_the_subspace_route(name):
     ctx = context(name)
     rng = SplitMix64(59)
     d = ctx.dim_g
-    points = [GroupElement(ctx, Mat.identity(ctx.n))] + [
+    points = [Mat.identity(ctx.n)] + [
         random_point(ctx, kind, rng) for kind in ("T", "U", "G")]
     cfg = CampaignConfig(suite="cartan-dirac", group=name)
     for g in points:
         recs = _check_cartan_dirac(cfg, ctx, {"g": g}, SplitMix64(7))
         leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
-        proj = cartan_dirac(g).tangent_part().dim
-        cent = kernel(ctx.adjoint(g.m, g.inv) - Mat.identity(d)).dim
+        proj = cartan_dirac(conjugation_sections(ctx, g, g.inverse())).tangent_part().dim
+        cent = kernel(ctx.adjoint(g, g.inverse()) - Mat.identity(d)).dim
         assert leaf == {"check_id": "cartan-dirac/leaf-dimension",
                         "passed": proj == d - cent}
         assert leaf["passed"]
@@ -254,17 +254,18 @@ def test_closure_rows_match_the_r_matrix_route(name, monkeypatch):
     xi, ze = random_algebra(ctx, rng), random_algebra(ctx, rng)
     for conv in [FROZEN, *CORRUPTIONS.values(), *calibration_grid()]:
         with using(conv):
-            sections = conjugation_sections(ctx, g.m, g.inv)
-            assert dirac._closure_sides(ctx, g.m, g.inv) == \
-                r_matrix_route(ctx, g.m, g.inv), conv
+            sections = conjugation_sections(ctx, g, g.inverse())
+            assert dirac._closure_sides(ctx, g, g.inverse()) == \
+                r_matrix_route(ctx, g, g.inverse()), conv
             assert dirac._pair_sides(ctx, sections, xi, ze) == \
                 r_matrix_pair_route(ctx, sections, xi, ze), conv
     # the routes agree on a wrong adjoint too, so they fail alike
     adjoint = ctx.adjoint
     monkeypatch.setattr(ctx, "adjoint",
                         lambda m, minv: adjoint(m, minv).transpose())
-    sections = conjugation_sections(ctx, g.m, g.inv)
-    assert dirac._closure_sides(ctx, g.m, g.inv) == r_matrix_route(ctx, g.m, g.inv)
+    sections = conjugation_sections(ctx, g, g.inverse())
+    assert dirac._closure_sides(ctx, g, g.inverse()) == \
+        r_matrix_route(ctx, g, g.inverse())
     assert dirac._pair_sides(ctx, sections, xi, ze) == \
         r_matrix_pair_route(ctx, sections, xi, ze)
 
@@ -272,14 +273,15 @@ def test_closure_rows_match_the_r_matrix_route(name, monkeypatch):
 def test_closure_rows_match_the_r_matrix_route_off_the_reals():
     ctx = context("sl2")
     i = QQi(0, 1)
-    g = GroupElement(ctx, Mat([[1 + i, i], [1, 1]]))
+    g = Mat([[1 + i, i], [1, 1]])
     xi, ze = ctx.basis[0], Mat([[i, 1], [2, -i]])
-    sections = conjugation_sections(ctx, g.m, g.inv)
+    sections = conjugation_sections(ctx, g, g.inverse())
     assert any(x.im for r in sections[0].data for x in r)
-    assert dirac._closure_sides(ctx, g.m, g.inv) == r_matrix_route(ctx, g.m, g.inv)
+    assert dirac._closure_sides(ctx, g, g.inverse()) == \
+        r_matrix_route(ctx, g, g.inverse())
     assert dirac._pair_sides(ctx, sections, xi, ze) == \
         r_matrix_pair_route(ctx, sections, xi, ze)
-    assert dirac.cartan_closure_check(ctx, g.m, g.inv) == (True, None)
+    assert dirac.cartan_closure_check(ctx, g, g.inverse()) == (True, None)
     assert dirac.closure_sample(ctx, sections, xi, ze)
 
 
@@ -313,7 +315,7 @@ def test_commutator_matrix_matches_the_product_route(name):
     # a non-real matrix, with Gaussian-integer numerators
     nonreal = Mat([[QQi(i - j, i * j + 1) for j in range(n)] for i in range(n)])
     mats = [Mat.identity(n), nonreal] + [
-        random_point(ctx, kind, rng).m for kind in ("T", "U", "B", "G", "G")]
+        random_point(ctx, kind, rng) for kind in ("T", "U", "B", "G", "G")]
     for m in mats:
         assert ctx.commutator_matrix(m) == commutator_product_route(ctx, m)
 

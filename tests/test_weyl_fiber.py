@@ -26,8 +26,7 @@ import pytest
 from qpslab import campaigns, gspringer
 from qpslab.campaigns import CLI_GROUPS, CampaignConfig, run_suite
 from qpslab.gspringer import same_class, weyl_fiber
-from qpslab.liegroup import (GROUPS, GroupElement, conjugate, context, random_point,
-                             weyl_orders)
+from qpslab.liegroup import GROUPS, conjugate, context, random_point, weyl_orders
 from qpslab.linalg import Mat
 from qpslab.prng import SplitMix64
 
@@ -45,15 +44,15 @@ def regular_semisimple(ctx, rng):
 def test_the_fiber_is_w_inequivalent_points_over_rs(name):
     ctx = context(name)
     rs, t = regular_semisimple(ctx, SplitMix64(33))
-    points, witness = weyl_fiber(rs, t)
+    points, witness = weyl_fiber(ctx, rs, t)
     assert witness is None
     assert len(points) == len(weyl_orders(ctx))
     for h, b in points:
         assert conjugate(h, b) == rs
         if ctx.family == "SL":
-            assert h.m.det() == 1
+            assert h.det() == 1
     for p, q in itertools.combinations(points, 2):
-        assert not same_class(p, q)
+        assert not same_class(ctx, p, q)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -64,13 +63,13 @@ def test_the_fiber_points_are_h_times_the_weyl_representatives(name):
     ctx = context(name)
     n = ctx.n
     rs, t = regular_semisimple(ctx, SplitMix64(35))
-    points, witness = weyl_fiber(rs, t)
+    points, witness = weyl_fiber(ctx, rs, t)
     assert witness is None
     h = points[0][0]
     for (hw, bw), order in zip(points, weyl_orders(ctx), strict=True):
         w = Mat.identity(n).hstack(-Mat.identity(n)).select_cols(order)
-        assert hw.m == h.m @ w
-        assert bw.m == w.inverse() @ t.m @ w
+        assert hw == h @ w
+        assert bw == w.inverse() @ t @ w
 
 
 # one-line mutants of weyl_fiber: (old, new, the condition it must break,
@@ -78,7 +77,7 @@ def test_the_fiber_points_are_h_times_the_weyl_representatives(name):
 # nothing at a point whose unscaled h already has det 1, as one of the sl2
 # points here does.
 SOURCE_MUTANTS = {
-    "b-unpermuted": ("bw = t.m.select_rows(perm).select_cols(perm)", "bw = t.m",
+    "b-unpermuted": ("bw = t.select_rows(perm).select_cols(perm)", "bw = t",
                      "mu-is-rs", True),
     "ordering-repeated": ("    points = []\n",
                           "    orders[1] = orders[0]\n    points = []\n",
@@ -88,13 +87,18 @@ SOURCE_MUTANTS = {
 }
 
 
+# read once, as the module is imported: getsource reads the file on disk by
+# the line numbers of the imported code, so a later edit of gspringer.py
+# would hand it another function's lines
+SOURCE = textwrap.dedent(inspect.getsource(gspringer.weyl_fiber))
+
+
 def mutant(old: str, new: str):
     """weyl_fiber with ``old`` replaced by ``new`` in its source, compiled in
     the namespace of :mod:`qpslab.gspringer`."""
-    source = textwrap.dedent(inspect.getsource(gspringer.weyl_fiber))
-    assert source.count(old) == 1, old
+    assert SOURCE.count(old) == 1, old
     namespace = dict(vars(gspringer))
-    exec(compile(source.replace(old, new), gspringer.__file__, "exec"), namespace)
+    exec(compile(SOURCE.replace(old, new), gspringer.__file__, "exec"), namespace)
     return namespace["weyl_fiber"]
 
 
@@ -126,7 +130,7 @@ def test_a_repeated_entry_of_t_fails_the_precondition(monkeypatch, group):
 
     def repeated(ctx, kind, rng, *args):
         if kind == "T-regular":
-            return GroupElement(ctx, gspringer._nonregular_torus(ctx, rng))
+            return gspringer._nonregular_torus(ctx, rng)
         return real(ctx, kind, rng, *args)
 
     monkeypatch.setattr(campaigns, "random_point", repeated)
@@ -148,10 +152,10 @@ def test_the_exact_fiber_matches_the_float_enumeration(group):
     rng = SplitMix64(34)
     for _ in range(20):
         rs, t = regular_semisimple(ctx, rng)
-        points, witness = weyl_fiber(rs, t)
+        points, witness = weyl_fiber(ctx, rs, t)
         assert witness is None
-        floats = float_fiber_enum(ctx, float_array(rs.m))
+        floats = float_fiber_enum(ctx, float_array(rs))
         assert len(points) == len(floats)
         for h, b in points:
-            image = (float_array(h.m), float_array(b.m))
+            image = (float_array(h), float_array(b))
             assert sum(float_same_class(image, f, ORACLE_TOL) for f in floats) == 1
