@@ -452,8 +452,7 @@ def rho_adjoint(ctx: GroupContext, g: Mat, v: Mat) -> Mat:
     Solved as a linear system over the algebra basis; the closed form
     ``v - Ad_g v`` is the independent oracle used in the tests.
     """
-    ginv = g.inverse()
-    rhs = [ctx.form(v, b - ginv @ b @ g) for b in ctx.basis]
+    rhs = [ctx.form(v, b - g.inverse() @ b @ g) for b in ctx.basis]
     return ctx.mat_from_coords(mat_vec(ctx.gram_inv, rhs))
 
 
