@@ -309,11 +309,9 @@ def _a4_sample(ctx, b, w, rng, count: int) -> bool:
         return False
     for _ in range(count):
         g2 = random_point(ctx, "G", rng)
-        g2inv = g2.inverse()
-        b2 = g2 @ b @ g2inv
         # b2^-1 = g2 b^-1 g2^-1, a product rather than a fresh inverse
-        t2 = ctx.gram_adjoint(b2, g2 @ b.inverse() @ g2inv)
-        ad2 = ctx.adjoint(g2, g2inv)
+        t2 = ctx.gram_adjoint(conjugate(g2, b), conjugate(g2, b.inverse()))
+        ad2 = ctx.adjoint(g2, g2.inverse())
         if ad2.transpose() @ (t2 + ctx.gram) @ ad2 != ref:
             return False
     return True

@@ -4,9 +4,9 @@ Each digest is the SHA-256 of a campaign report's JSON with ``generated_at``
 blanked, for every suite x {sl2, sl3, gl2, gl3} on the exact backend at 3
 samples and the acceptance seed, plus corrupted runs on sl2 (``CORRUPTED``),
 each ``--corrupt`` switch at least once, and diagram-gs on the float backend
-on each group, whose Weyl-fiber record is decided exactly too.  Reports are deterministic in their
-inputs, so a digest change is a behaviour change: argue it in CHANGES.md,
-never simply re-record.
+on each group, whose Weyl-fiber record is decided exactly too.  Reports are
+deterministic in their inputs, so a digest change is a behaviour change:
+argue it in CHANGES.md, never simply re-record.
 
 Re-record (only after such an argument) with::
 
