@@ -98,7 +98,11 @@ def main(argv=None) -> int:
         return 2
     try:
         out = eval_command(args.kind, payload)
-    except (UsageError, NotRegularSemisimple, LinAlgError, ValueError, KeyError) as exc:
+    except KeyError as exc:
+        # a field the kind reads is absent from the input object
+        print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
+        return 2
+    except (UsageError, NotRegularSemisimple, LinAlgError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(out, sort_keys=True, indent=1, default=str))

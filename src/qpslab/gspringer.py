@@ -63,16 +63,16 @@ a chart (:class:`QuotientChart`).
 
 The reduction and its chart are the one place where a quotient point's
 closed-form data is derived.  The reduction keeps T and the G x P block W
-of the form, which the chart's graph is built from, and derives the G x P
-block of the phi differential on first use; the chart derives mu, d(mu)
-and the leaf directions (the fiber's tangent part) on first use.  Each is
-derived at most once: the moved chart of
-:func:`representative_independent` derives none of them.  The checks read
-all six from the chart and its reduction.  The conjugation
-sections at mu are not kept on the chart, because they read the active
-conventions at the moment they are built; each check builds them once and
-passes the same set to :func:`~qpslab.dirac.cartan_dirac` and to
-:func:`induced_action`.
+of the form, which the chart's fiber is pushed forward from, and derives
+the G x P block of the phi differential on first use; the chart derives
+the graph of W, mu, d(mu) and the leaf directions (the fiber's tangent
+part) on first use.  Each is derived at most once: the moved chart of
+:func:`representative_independent` derives none of them, and only
+theorem 1 reads the graph.  The checks read all seven from the chart and
+its reduction.  The conjugation sections at mu are not kept on the chart,
+because they read the active conventions at the moment they are built;
+each check builds them once and passes the same set to
+:func:`~qpslab.dirac.cartan_dirac` and to :func:`induced_action`.
 """
 
 from __future__ import annotations
@@ -453,10 +453,11 @@ class QuotientChart:
     through ``proj`` (the annihilator of the vertical space).  V, T = G Ad_p
     and the G x P block W of omega are the ``reduction``'s.
 
-    ``graph`` is the graph of W upstairs and ``fiber`` its pushforward to
-    the chart, both under the conventions active when the reduction was
-    built.  ``mu``, ``dmu`` and ``leaf`` read no convention; each is derived
-    when first read, and then kept for the chart's lifetime.
+    ``fiber`` is the pushforward to the chart of the graph of W upstairs,
+    under the conventions active when the reduction was built.  ``graph``,
+    that graph, ``mu``, ``dmu`` and ``leaf`` read no convention; each is
+    derived when first read, and then kept for the chart's lifetime.  Only
+    route (iv) of :func:`theorem1_check` reads ``graph``.
     """
 
     def __init__(self, reduction: Reduction):
@@ -476,12 +477,17 @@ class QuotientChart:
         order = indices + last
         self.proj = Mat.identity(h).hstack(-rs.transpose()).select_cols(
             sorted(range(amb), key=order.__getitem__))
-        self.graph = graph_two_form(reduction.w)
         self.fiber = quotient_fiber(self)
 
     @property
     def ctx(self) -> GroupContext:
         return self.reduction.ctx
+
+    @cached_property
+    def graph(self) -> DiracFiber:
+        """The graph of the reduction's W upstairs: a reshaping of W, which
+        reads no convention."""
+        return graph_two_form(self.reduction.w)
 
     @cached_property
     def mu(self) -> Mat:

@@ -64,9 +64,13 @@ memory of a run.
   Gauss-Jordan form (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997) of
   Bareiss fraction-free elimination (Bareiss, Math. Comp. 22, 1968), whose
   divisions are exact in any integral domain, the Gaussian integers
-  included.  It returns the pivots and the determinant, the last pivot
-  signed by the row swaps.  :func:`rank` reads the pivot count and
-  :meth:`Mat.det` the determinant; in :func:`rref` and
+  included.  A step rewrites only the rows with a non-zero entry in its
+  pivot column: eager Bareiss would also rescale every other row by the
+  ratio of this pivot to the previous one, and here each row instead keeps
+  its level, the pivot it was last written at, which divides its next
+  update exactly (see :func:`_rref_int`).  It returns the pivots and the
+  determinant, the last pivot signed by the row swaps.  :func:`rank` reads
+  the pivot count and :meth:`Mat.det` the determinant; in :func:`rref` and
   :meth:`Mat.inverse` pivot row ``i`` of the result is that row over its
   pivot, reduced by the row gcd.  :func:`solve_unique`, :class:`Subspace`
   and :func:`null_vectors` sit on :func:`rref` and read its integer rows.
@@ -595,16 +599,29 @@ def _rref_int(rows: list[list]) -> tuple:
     """Fraction-free Gauss-Jordan elimination, in place; returns the pivots
     and the determinant.
 
-    Each step replaces every row but the pivot row by ``(pc * row - f *
-    pivot_row) / prev``, ``prev`` being the previous pivot; the division is
-    exact, as in Bareiss elimination.  Row ``i`` of the result, divided by its
-    entry in pivot column ``i``, is row ``i`` of the reduced row echelon
-    form; the rows after the last pivot are zero.  As in Bareiss
-    elimination, each pivot is the leading minor of its order of the row
-    swapped matrix, so when every row holds a pivot the last one, signed by
-    the swaps, is the determinant of a square matrix; it is 0 otherwise.
+    Eager Bareiss elimination replaces, at each step, every row but the
+    pivot row by ``(pc * row - f * pivot_row) / prev``, ``f`` being the
+    row's entry in the pivot column and ``prev`` the previous pivot; the
+    division is exact.  A row with ``f == 0`` is then only rescaled by
+    ``pc / prev``, so here it is left as it is, and each row keeps its
+    level, the pivot it was last written at (1 at the start).  The stored
+    row is the eager row times ``level / prev``: the skipped factors
+    ``pc / prev`` telescope.  So a row with ``f != 0`` becomes ``(pc * row
+    - f * pivot_row) / level``, the eager row of this step, and a stale
+    pivot row is first brought to the current level, ``row * prev /
+    level``, the eager row; both divisions are exact because the eager
+    rows are integers.  The pivots are the eager ones.
+
+    Row ``i`` of the result, divided by its entry in pivot column ``i``, is
+    row ``i`` of the reduced row echelon form, as every stored row is a
+    multiple of its eager row; the rows after the last pivot are zero.  As
+    in Bareiss elimination, each pivot is the leading minor of its order of
+    the row swapped matrix, so when every row holds a pivot the last one,
+    signed by the swaps, is the determinant of a square matrix; it is 0
+    otherwise.
     """
     nr, nc = len(rows), len(rows[0]) if rows else 0
+    level = [1] * nr
     pivots = []
     prev = 1
     sign = 1
@@ -617,8 +634,12 @@ def _rref_int(rows: list[list]) -> tuple:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            level[r], level[piv] = level[piv], level[r]
             sign = -sign
         pr = rows[r]
+        lr = level[r]
+        if lr != prev:
+            rows[r] = pr = [a * prev // lr for a in pr]
         pc = pr[c]
         for i in range(nr):
             if i == r:
@@ -626,10 +647,10 @@ def _rref_int(rows: list[list]) -> tuple:
             ri = rows[i]
             f = ri[c]
             if f:
-                rows[i] = [(pc * a - f * b) // prev for a, b in zip(ri, pr)]
-            elif pc != prev and any(ri):
-                rows[i] = [pc * a // prev for a in ri]
-        prev = pc
+                li = level[i]
+                rows[i] = [(pc * a - f * b) // li for a, b in zip(ri, pr)]
+                level[i] = pc
+        level[r] = prev = pc
         pivots.append(c)
         r += 1
     return pivots, sign * prev if r == nr else 0
@@ -792,9 +813,18 @@ class Subspace:
         return self.dim == other.dim and self.contains(other)
 
     def spanned_by(self, mat: Mat) -> bool:
-        """Whether the columns of ``mat`` span exactly this subspace: as many
-        independent columns as its dimension, every one inside it."""
-        return rank(mat) == self.dim and self.contains_columns(mat)
+        """Whether the columns of ``mat`` span exactly this subspace: every
+        one inside it, and as many independent ones as its dimension.
+
+        Once ``mat`` lies inside, ``mat = basis @ mat[p, :]`` at the pivot
+        rows p, and the basis has full column rank, so ``mat`` has the rank
+        of ``mat[p, :]``: the elimination runs on ``dim`` rows, not on
+        ``ambient_dim``.  A 0-dimensional subspace has no pivot rows; a
+        ``mat`` inside it is zero, and spans it.
+        """
+        if not self.contains_columns(mat):
+            return False
+        return not self.dim or rank(mat.select_rows(self._pivots)) == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -251,7 +251,22 @@ def test_cli_eval_refuses_a_matrix_outside_the_group(tmp_path, capsys, kind, pay
     assert message in out.err
 
 
-ONE2_DIV0 = {"rows": 2, "cols": 2, "entries": [["1/0", "0"], 0, 0, 1]}
+@pytest.mark.parametrize("kind, payload, field", [
+    ("steinberg", {"group": "sl2", "g": ONE2}, "t"),
+    ("steinberg", {"group": "sl2", "t": ONE2}, "g"),
+    ("leaf-form", {"group": "sl2", "g": ONE2}, "b"),
+    ("leaf-form", {"group": "sl2", "b": ONE2}, "g"),
+], ids=["steinberg-t", "steinberg-g", "leaf-form-b", "leaf-form-g"])
+def test_cli_eval_names_a_missing_field(tmp_path, capsys, kind, payload, field):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main(["eval", kind, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: missing field {field!r}\n"
+
+
+ONE2_DIV0 ={"rows": 2, "cols": 2, "entries": [["1/0", "0"], 0, 0, 1]}
 
 
 @pytest.mark.parametrize("kind, payload", [

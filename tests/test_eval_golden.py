@@ -119,8 +119,8 @@ INPUTS = _inputs()
 DIGESTS = {
     "fiber-enum": "1780b3255c1bfd680367fb9515ff67cdae106a6cda578e479d8b3c06d7ebc26f",
     "kappa": "f0b7b1ee445c1bed11eabc4457342a9dbf42c012801edf0a9fe7886b0d855a98",
-    "leaf-form": "a9b035f9e6f6e54ea1604f3dea8e4a39ca3f74d4f818f73ea8bb9385c650de9b",
-    "steinberg": "bef8007ee1d10364a99bdf64661f4e45ed883e27fb1400110dc24dcc29c2daf7",
+    "leaf-form": "5d0e5874640ff86d9e17b0487fb48cd29e373d27f83b76d0a1c36385d62f1254",
+    "steinberg": "a04082dc7e513e68e2eef1c86f118a9c656e2cf95f439ab16fe2d6e45038798c",
 }
 
 

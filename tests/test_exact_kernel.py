@@ -10,6 +10,9 @@ matrices, zero rows and columns, and numerators above 2**60.  A matrix in
 integer form must also equal, and hash like, the same matrix built from its
 entries.
 
+The elimination also runs on every distinct input the quotient suites hand
+it on sl3 and gl3, and on hand-built cases of the levels its rows keep.
+
 Subspace containment is one product against the pivot rows of a canonical
 basis; the rank test on the stacked bases that it replaced is its oracle
 here, on real and non-real spans.  A basis recognised as canonical without
@@ -29,6 +32,7 @@ import hypothesis.strategies as st
 
 import qqi_oracle
 from qpslab import linalg
+from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.liegroup import GROUPS, context, random_point
 from qpslab.linalg import (LinAlgError, Mat, Subspace, kernel, mat_vec, rank, rref,
                            solve_unique)
@@ -180,6 +184,93 @@ def test_large_numerators_at_full_size():
     assert rref(m)[0].data == qqi_oracle._rref_qqi(m)[0].data
     full = random_mat(rnd, 14, 14, 64, 16, 14, 0.0)
     assert full.inverse().data == qqi_oracle._inverse_qqi(full).data
+
+
+# ---------------------------------------------------------------------------
+# the elimination on the inputs the quotient suites hand it
+
+
+def assert_elimination_matches_qqi(m: Mat) -> None:
+    """rank and rref of ``m`` against the oracle, and det and inverse when
+    ``m`` is square."""
+    assert rank(m) == qqi_oracle._rank_qqi(m)
+    red, pivots = rref(m)
+    red_o, pivots_o = qqi_oracle._rref_qqi(m)
+    assert pivots == pivots_o and red.data == red_o.data
+    if m.rows == m.cols:
+        det = m.det()
+        assert det == qqi_oracle._det_qqi(m)
+        if det:
+            assert fresh(m).inverse().data == qqi_oracle._inverse_qqi(m).data
+
+
+def campaign_elimination_inputs() -> list[Mat]:
+    """Every distinct row set that gs-theorem1, gs-theorem2, bivector and
+    regact hand to ``_rref_int`` on sl3 and gl3, at 2 points of seed 23, as
+    the matrix of those integer rows."""
+    seen = {}
+    real = linalg._rref_int
+
+    def recording(rows):
+        if rows and rows[0]:
+            key = tuple(map(tuple, rows))
+            if key not in seen:
+                seen[key] = Mat([[QQi(a.re, a.im) if type(a) is ZZi else a for a in r]
+                                 for r in rows])
+        return real(rows)
+
+    with mock.patch.object(linalg, "_rref_int", recording):
+        for suite in ("gs-theorem1", "gs-theorem2", "bivector", "regact"):
+            for group in ("sl3", "gl3"):
+                report = run_suite(CampaignConfig(suite=suite, group=group,
+                                                  samples=2, seed=23))
+                assert report.all_passed, (suite, group)
+    return list(seen.values())
+
+
+def test_elimination_on_campaign_inputs_matches_qqi():
+    inputs = campaign_elimination_inputs()
+    # more than a hundred distinct inputs, among them the square ones of
+    # determinants and the n x 2n ones of inverses
+    assert len(inputs) > 100
+    assert any(m.rows == m.cols for m in inputs)
+    assert any(m.cols == 2 * m.rows > 16 for m in inputs)
+    for m in inputs:
+        assert_elimination_matches_qqi(m)
+
+
+I = QQi(0, 1)
+
+
+@pytest.mark.parametrize("rows", [
+    # row 1 has no entry in the first three pivot columns, so it skips three
+    # steps and then, swapped down, becomes the last pivot row; row 4 skips
+    # two steps and is then eliminated against a pivot at a higher level
+    [[2, 1, 3, 1], [0, 0, 0, 5], [0, 3, 1, 2], [0, 0, 4, 1], [0, 0, 1, 1]],
+    [[2, 1, 3, 1], [0, 0, 0, 5], [0, 3, 1, 2], [0, 0, 4, 1]],
+    # a stale row that becomes a pivot row with an earlier row left behind
+    [[3, 0, 1, 0, 2], [0, 0, 2, 1, 0], [0, 5, 0, 0, 1], [0, 0, 0, 0, 7],
+     [1, 0, 0, 3, 0]],
+    # rows 1 and 2 skip the first step; row 2 is then eliminated at level 1
+    # against a pivot at level 2, and is the last pivot row
+    [[2, 1, 0], [0, 3, 1], [0, 1, 2]],
+    # row 3 skips the first step, which writes row 1, and the two swap at
+    # the second: their levels swap with them
+    [[3, 0, 1, 0], [2, 0, -1, -1], [1, 0, 0, 0], [0, 2, 0, 0]],
+    # negative pivots
+    [[-3, 1, 2], [0, -5, 1], [1, 0, -7]],
+    [[-2, 4, 0, 1], [0, 0, -3, 2], [0, -1, 5, 0], [6, 0, 0, -4]],
+    [[-1, 2, -3], [2, -4, 6], [0, -7, 1]],
+    # Gaussian pivots, and a Gaussian row that skips a step
+    [[1 + I, 2, 0], [0, 0, 3], [0, 2 * I, 1]],
+    [[2 * I, 1, 0, 1], [0, 0, 1 - I, 0], [0, 3 + I, 1, I], [1, 0, 0, 2]],
+    [[I, 1], [1, -I]],
+], ids=["skips-then-pivots", "skips-then-pivots-square", "stale-pivot-row",
+        "eliminated-below-level", "swapped-levels", "negative-3x3",
+        "negative-4x4", "negative-rank-2", "gaussian-3x3", "gaussian-4x4",
+        "gaussian-singular"])
+def test_elimination_hand_built_cases_match_qqi(rows):
+    assert_elimination_matches_qqi(Mat(rows))
 
 
 def dot_product_rows(a, b, den):

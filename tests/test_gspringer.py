@@ -10,8 +10,8 @@ import pytest
 from qpslab import campaigns, gspringer, liegroup, linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space, omega_value, phi_map
-from qpslab.dirac import (DiracFiber, cartan_dirac, is_lagrangian, is_skew,
-                          pushforward_linear)
+from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
+                          is_skew, pushforward_linear)
 from qpslab.gspringer import (FORCED_STRATA,
                               NotRegularSemisimple, QuotientChart, Reduction,
                               borel_reduction, chart_action_field,
@@ -545,7 +545,7 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
                 monkeypatch.setattr(mod, name, counting(name, fn))
     # gs-theorem1 needs the base point's chart and the moved one's, each on
     # its own reduction; the moved reduction derives T and W for the moved
-    # chart's graph, and its p is one more conjugation (mu is the other);
+    # chart's fiber, and its p is one more conjugation (mu is the other);
     # nothing else is derived twice.  Only gs-theorem2
     # reads the leaf, once for the leaf check and the leaf form together
     suites = (("gs-theorem1", 2, 0), ("gs-theorem2", 1, 1), ("bivector", 1, 0))
@@ -562,6 +562,45 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
                              "gram_adjoint": charts, "omega_matrix": charts - 1,
                              "conjugate": charts - 1, "tangent_part": leaves})
                 assert counts == want, (group, suite)
+
+
+def test_only_route_iv_builds_a_chart_graph(monkeypatch):
+    # gs-theorem1's own chart reads its graph for route (iv); the moved chart
+    # of representative_independent and the charts of gs-theorem2 and
+    # bivector never read it, and so never build it
+    charts = []
+    init = QuotientChart.__init__
+
+    def recording(self, reduction):
+        init(self, reduction)
+        charts.append(self)
+
+    monkeypatch.setattr(QuotientChart, "__init__", recording)
+    built = (("gs-theorem1", [True, False]), ("gs-theorem2", [False]),
+             ("bivector", [False]))
+    for group in ("sl3", "gl3"):
+        ctx = context(group)
+        for suite, want in built:
+            cfg = campaigns.CampaignConfig(suite=suite, group=group, samples=2, seed=5)
+            _, check = campaigns.SUITES[suite]
+            for mats, salt in campaigns._gen_gspoints(cfg):
+                charts.clear()
+                check(cfg, ctx, mats, SplitMix64(salt))
+                assert ["graph" in vars(c) for c in charts] == want, (group, suite)
+
+
+def test_a_graph_first_read_under_other_conventions_is_the_frozen_graph():
+    # the graph only reshapes the reduction's W, so the conventions active
+    # when it is first read do not enter it
+    ctx = context("sl3")
+    with using(FROZEN):
+        chart = QuotientChart(borel_reduction(
+            ctx, *gspoint_stream(ctx, SplitMix64(87), len(FORCED_STRATA) + 1)[-1]))
+        want = graph_two_form(chart.reduction.w)
+    assert "graph" not in vars(chart)
+    with using(CORRUPTIONS["omega-sign"]):
+        got = chart.graph
+    assert got.basis == want.basis and got.dim == want.dim
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

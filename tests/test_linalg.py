@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import qpslab
+from qpslab import linalg
 from qpslab.diffcalc import Dual
 from qpslab.linalg import (LinAlgError, Mat, Subspace, annihilator,
                            intersect, kernel, mat_vec, rank, rref,
@@ -249,6 +250,59 @@ def test_subspace_equality_is_containment_based():
     a = Subspace.from_vectors([[1, 0], [0, 1]], 2)
     b = Subspace.from_vectors([[1, 1], [1, -1]], 2)
     assert a.equals(b)
+
+
+def cols(*vectors) -> Mat:
+    return Mat.from_columns([list(v) for v in vectors], len(vectors[0]))
+
+
+def spans_canonically(s: Subspace, m: Mat) -> bool:
+    """The canonical route: the subspace of ``m``'s columns equals ``s``."""
+    return Subspace.from_spanning(m).equals(s)
+
+
+def test_spanned_by_zero_subspace():
+    zero = Subspace.zero(3)
+    assert zero.spanned_by(Mat.zeros(3, 2))
+    assert zero.spanned_by(Mat.zeros(3, 1))
+    assert not zero.spanned_by(cols([0, 1, 0]))
+    assert not zero.spanned_by(cols([0, 0, 0], [1, 0, 2]))
+
+
+@pytest.mark.parametrize("mat, spans", [
+    # a column outside the plane, at full rank
+    (cols([1, 0, 0], [0, 0, 1]), False),
+    (cols([1, 0, 0], [0, 1, 1], [0, 1, 0]), False),
+    # inside the plane, of lower rank
+    (cols([1, 1, 1], [2, 2, 2]), False),
+    (cols([1, 1, 1], [2, 2, 2], [-1, -1, -1]), False),
+    (cols([1, 1, 1]), False),
+    # inside, with more columns than the dimension
+    (cols([1, 1, 1], [1, -1, -1], [2, 0, 0]), True),
+    (cols([0, 0, 0], [2, 3, 3], [1, 0, 0], [0, 1, 1]), True),
+    (cols([1, 0, 0], [0, 1, 1]), True),
+], ids=["outside", "outside-more-columns", "lower-rank", "lower-rank-more-columns",
+        "one-column", "more-columns", "zero-column-more-columns", "basis"])
+def test_spanned_by_a_plane(mat, spans):
+    plane = Subspace.from_vectors([[1, 0, 0], [0, 1, 1]], 3)
+    assert plane.spanned_by(mat) == spans == spans_canonically(plane, mat)
+
+
+def test_spanned_by_ranks_the_pivot_rows_only(monkeypatch):
+    # a mat inside is the basis times its pivot rows, so the rank is taken
+    # on dim rows; a mat outside takes no rank at all
+    plane = Subspace.from_vectors([[1, 0, 0, 2], [0, 1, 1, 0]], 4)
+    shapes = []
+    real = linalg.rank
+
+    def spy(m):
+        shapes.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    assert plane.spanned_by(cols([1, 1, 1, 2], [2, 0, 0, 4], [0, 3, 3, 0]))
+    assert not plane.spanned_by(cols([1, 0, 0, 0], [0, 1, 1, 0]))
+    assert shapes == [(2, 3)]
 
 
 def test_rref_pivots():

@@ -2,8 +2,9 @@
 
 Four records compare a spanning set with a subspace without canonicalizing
 the set: theorem 2's leaf projection and the bivector's graph consistency
-by :meth:`~qpslab.linalg.Subspace.spanned_by` (rank plus one containment),
-representative independence by the column count plus one containment, and
+by :meth:`~qpslab.linalg.Subspace.spanned_by` (one containment, then the
+rank of the set's rows at the subspace's pivot rows), representative
+independence by the column count plus one containment, and
 theorem 1's kernel-clean by the dimension formula
 dim K + dim F - rank [K; 0 | F].  None of them fails at a sampled point, so
 each is run here on inputs where it must fail, against the route it
