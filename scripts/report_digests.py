@@ -3,10 +3,11 @@
 
 Runs every suite x {sl2, gl2, sl3, gl3} x {frozen conventions and each
 ``--corrupt`` switch} x seeds {11, 12} at 4 samples on the exact backend,
-blanks ``generated_at`` and writes the digest of each report's JSON, keyed
-``suite/group/corruption/seed`` (400 digests).  Reports are deterministic in
-their inputs, so two source trees give the same behaviour on these runs
-exactly when their outputs compare equal::
+keyed ``suite/group/corruption/seed`` (400 digests), and diagram-gs on the
+float backend, keyed ``diagram-gs-float/group/frozen/seed`` (8 more).  It
+blanks ``generated_at`` and writes the digest of each report's JSON.
+Reports are deterministic in their inputs, so two source trees give the
+same behaviour on these runs exactly when their outputs compare equal::
 
     python3 scripts/report_digests.py /tmp/parent.json    # in one checkout
     python3 scripts/report_digests.py /tmp/change.json    # in the other
@@ -39,17 +40,21 @@ FROZEN_KEY = "frozen"
 
 def digests(suites=SUITE_NAMES, groups=CLI_GROUPS,
             corruptions=(None, *CORRUPTIONS), seeds=SEEDS) -> dict[str, str]:
-    """The report digest of every run in the product of the arguments."""
+    """The report digest of every run in the product of the arguments, and
+    of diagram-gs on the float backend, if among ``suites``, in each group
+    and seed at the frozen conventions."""
+    runs = {f"{suite}/{group}/{corrupt or FROZEN_KEY}/{seed}": CampaignConfig(
+        suite=suite, group=group, samples=SAMPLES, seed=seed, corrupt=corrupt)
+        for suite in suites for group in groups for corrupt in corruptions
+        for seed in seeds}
+    if "diagram-gs" in suites:
+        runs.update({f"diagram-gs-float/{group}/{FROZEN_KEY}/{seed}": CampaignConfig(
+            suite="diagram-gs", group=group, backend="float", samples=SAMPLES,
+            seed=seed) for group in groups for seed in seeds})
     out = {}
-    for suite in suites:
-        for group in groups:
-            for corrupt in corruptions:
-                for seed in seeds:
-                    cfg = CampaignConfig(suite=suite, group=group, samples=SAMPLES,
-                                         seed=seed, corrupt=corrupt)
-                    report = dataclasses.replace(run_suite(cfg), generated_at="")
-                    key = f"{suite}/{group}/{corrupt or FROZEN_KEY}/{seed}"
-                    out[key] = hashlib.sha256(report.to_json().encode()).hexdigest()
+    for key, cfg in runs.items():
+        report = dataclasses.replace(run_suite(cfg), generated_at="")
+        out[key] = hashlib.sha256(report.to_json().encode()).hexdigest()
     return out
 
 

@@ -41,15 +41,15 @@ memory of a run.
   and keep those entries.  Going the other way, the JSON writer reads the
   integer rows, not the entries.
 * The ``QQi`` entries, :attr:`Mat.data`, are built from the integer rows the
-  first time some code reads them, and kept.  The column form, derived from
-  the rows and kept, is the row form of the transpose (and so of every
-  basis :class:`Subspace` canonicalizes) and is sliced by
-  :meth:`Mat.col_block` when present.  The right operand of ``@`` needs no
-  column form: it is read from its integer rows over the lcm of the row
-  denominators (:meth:`Mat.int_entries`), since each output row is reduced
-  anyway; those rescaled rows are kept too, so a matrix that is a right
+  first time some code reads them, and kept.  The right operand of ``@``
+  needs no column form: it is read from its integer rows over the lcm of
+  the row denominators (:meth:`Mat.int_entries`), since each output row is
+  reduced anyway; those rescaled rows are kept, so a matrix that is a right
   operand (or an input of the closed-form adjoints) several times is
-  rescaled once.
+  rescaled once.  The column form is the columns of those same rows, each
+  reduced to canonical form, and is kept too: it is the row form of the
+  transpose (and so of every basis :class:`Subspace` canonicalizes), and
+  :meth:`Mat.col_block` slices it when present.
 * ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.scale_rows`,
   :meth:`Mat.transpose`, :meth:`Mat.hstack`, :meth:`Mat.vstack`,
   :meth:`Mat.row_block`, :meth:`Mat.col_block`, :meth:`Mat.select_rows` and
@@ -195,10 +195,12 @@ class Mat:
         return data
 
     def _int_columns(self) -> list:
-        """The integer form of the columns."""
+        """The columns of :meth:`int_entries`, each in canonical form."""
         icols = self._icols
         if icols is None:
-            self._icols = icols = _transpose_ints(self._ints, self.cols)
+            nums, den = self.int_entries()
+            cols = zip(*nums) if nums else ((),) * self.cols
+            self._icols = icols = [_canon(list(c), den) for c in cols]
         return icols
 
     # -- constructors --------------------------------------------------------
@@ -510,20 +512,6 @@ def _gaussian_gcd(nums: list, den) -> tuple[list, int, int]:
         nums, den = [a * c for a in nums], den.norm()
     parts = [p for a in nums for p in ((a,) if type(a) is int else (a.re, a.im))]
     return nums, den, gcd(den, *parts)
-
-
-def _transpose_ints(rows: list, ncols: int) -> list:
-    """The integer columns of the matrix with integer rows ``rows``."""
-    dens = [d for _, d in rows]
-    cols = zip(*(r for r, _ in rows)) if rows else ((),) * ncols
-    if all(d == 1 for d in dens):
-        return [(list(c), 1) for c in cols]
-    out = []
-    for c in cols:
-        den = lcm(*(d for a, d in zip(c, dens) if a))
-        out.append((list(c), 1) if den == 1 else
-                   _canon([a * (den // d) for a, d in zip(c, dens)], den))
-    return out
 
 
 def _matmul_ints(a: list, b: list[list[int]], den: int) -> list:

@@ -13,17 +13,20 @@ A group element is its matrix, read with a ``"group"`` tag such as
 is ``{"g", "b", "group"}`` (:func:`~qpslab.gspringer.point_to_json`).
 
 The reader parses every part by :func:`_exact_part`, which accepts and
-rejects exactly as ``Fraction`` does.  A real matrix is built straight
-into integer rows, with no :class:`~qpslab.scalars.QQi` entry; a matrix
-with a non-real entry is built from :class:`QQi` entries, into the same
-integer rows, with Gaussian-integer numerators.  The writer prints every
-matrix from its integer rows (:meth:`~qpslab.linalg.Mat.int_entries`), a
-Gaussian numerator by its two parts, and gives the strings of
-``str(Fraction)``.
+rejects exactly as ``Fraction`` does, with one exception: it refuses a
+decimal exponent beyond 4,300 in magnitude, Python's default int-string
+limit, before ``Fraction`` would build ten to that power.  A real matrix is
+built straight into integer rows, with no :class:`~qpslab.scalars.QQi`
+entry; a matrix with a non-real entry is built from :class:`QQi` entries,
+into the same integer rows, with Gaussian-integer numerators.  The writer
+prints every matrix from its integer rows
+(:meth:`~qpslab.linalg.Mat.int_entries`), a Gaussian numerator by its two
+parts, and gives the strings of ``str(Fraction)``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -35,9 +38,17 @@ def scalar_to_json(x: QQi) -> list:
     return [str(x.re), str(x.im)]
 
 
+MAX_EXPONENT = 4300
+# the digits of a part's decimal exponent, where Fraction would read one
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def _exact_part(v) -> Fraction:
     if not isinstance(v, (str, int)):
         raise ValueError(f"exact backend needs fraction strings, got {v!r}")
+    exp = _EXPONENT.search(v) if isinstance(v, str) else None
+    if exp and int(exp[1]) > MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_EXPONENT} in entry {v!r}")
     try:
         return Fraction(v)
     except ZeroDivisionError:

@@ -283,7 +283,7 @@ def test_lemma_kernel_matches_the_per_basis_pairing(group, conv):
     with using(BY_NAME[conv]):
         for mats, salt in gen(cfg):
             b = mats["b"]
-            (rec,) = check(cfg, ctx, {"b": b}, SplitMix64(salt))
+            (rec,) = check(ctx, {"b": b}, SplitMix64(salt))
             want = per_basis_lemma_kernel(ctx, b, SplitMix64(salt))
             assert (rec["passed"], rec.get("witness")) == want
             verdicts.append(rec["passed"])

@@ -2,11 +2,13 @@
 
 A point's generator draws its matrices and its salt, and the runner hands
 its check the matrices as group elements, with the salted stream, as
-``(cfg, ctx, pt, rng)``; the point is written to JSON once, for its
-records.  The AST test reads ``campaigns.py`` and fails on a ``_check_*``
-function that builds its own point.  The route test runs each point's
-check again on ``read_element`` of its records' JSON, the route by which
-points once reached their checks, and asks for the same records.
+``(ctx, pt, rng)``: the config stops at the runner, which picks the check.
+The point is written to JSON once, for its records.  The AST test reads
+``campaigns.py`` and fails on a ``_check_*`` function that builds its own
+point, or on a registered check that takes anything but ``(ctx, pt,
+rng)``.  The route test runs each point's check again on ``read_element``
+of its records' JSON, the route by which points once reached their checks,
+and asks for the same records.
 """
 
 import ast
@@ -41,9 +43,10 @@ def test_no_check_decodes_its_own_point():
     for name, fn in checks.items():
         assert not called_names(fn) & DECODERS, name
     suite_checks = [check.__name__ for _, check in campaigns.SUITES.values()]
-    assert set(suite_checks) <= set(checks)
+    suite_checks += [check.__name__ for check in campaigns.FLOAT_CHECKS.values()]
+    assert len(suite_checks) == 11 and set(suite_checks) <= set(checks)
     for name in suite_checks:
-        assert [a.arg for a in checks[name].args.args] == ["cfg", "ctx", "pt", "rng"]
+        assert [a.arg for a in checks[name].args.args] == ["ctx", "pt", "rng"]
 
 
 def test_suite_names_are_the_registry_in_order():
@@ -66,6 +69,8 @@ def test_drawn_points_check_as_their_json_does(cfg):
     # membership check and on the same salt, gives the same records; every
     # matrix read back is the one drawn
     gen, check = campaigns.SUITES[cfg.suite]
+    if cfg.backend == FLOAT:
+        check = campaigns.FLOAT_CHECKS[cfg.suite]
     ctx = context(cfg.group)
     report = run_suite(cfg)
     for index, (mats, salt) in enumerate(gen(cfg)):
@@ -75,6 +80,6 @@ def test_drawn_points_check_as_their_json_does(cfg):
         pt = {k: read_element(ctx, v) for k, v in point.items()}
         assert pt == mats
         with using(FROZEN):
-            decoded = check(cfg, ctx, pt, SplitMix64(salt))
+            decoded = check(ctx, pt, SplitMix64(salt))
         assert [{k: v for k, v in r.items() if k not in ("point", "point_index")}
                 for r in drawn] == decoded

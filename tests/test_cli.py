@@ -276,6 +276,7 @@ ONE2_DIV0 ={"rows": 2, "cols": 2, "entries": [["1/0", "0"], 0, 0, 1]}
     ("kappa", dict(ONE2, group="sl2", rows=2.0)),
     ("kappa", dict(ONE2, group="sl2", entries=5)),
     ("kappa", dict(ONE2, group=["sl2"])),
+    ("kappa", dict(ONE2, group="gl2", entries=[["1e30000000", "0"], 0, 0, 1])),
     ("steinberg", {"group": "sl2", "g": ONE2_DIV0, "t": ONE2}),
     ("leaf-form", {"group": "sl2", "g": ONE2_DIV0, "b": ONE2}),
     ("fiber-enum", dict(ONE2_DIV0, group="sl2")),
@@ -287,6 +288,7 @@ ONE2_DIV0 ={"rows": 2, "cols": 2, "entries": [["1/0", "0"], 0, 0, 1]}
     ("fiber-enum", dict(ONE2, group="sl2", entries=[0, -1, 1, 0])),
 ], ids=["kappa-zero-denominator", "kappa-boolean-part", "kappa-bare-boolean",
         "kappa-float-rows", "kappa-entries-not-a-list", "kappa-group-not-a-string",
+        "kappa-huge-exponent",
         "steinberg-zero-denominator", "leaf-form-zero-denominator",
         "fiber-enum-zero-denominator", "fiber-enum-boolean-part",
         "fiber-enum-nan", "fiber-enum-infinite-part", "fiber-enum-plain-float",
@@ -386,6 +388,18 @@ def test_cli_eval_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", b'{"rows": ' + b"7" * 5000 + b"}", b"[" * 200000,
+], ids=["not-utf8", "integer-past-the-digit-limit", "nesting-past-the-recursion-limit"])
+def test_cli_eval_refuses_an_unreadable_input_with_one_line(tmp_path, capsys, content):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    assert main(["eval", "kappa", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: cannot read input: ") and out.err.count("\n") == 1
+
+
 def test_matio_round_trip_and_plain_numbers_refused():
     from qpslab.matio import mat_from_json, mat_to_json
 
@@ -429,17 +443,20 @@ def test_cli_fiber_enum_rejects_non_finite_tolerance(tmp_path, capsys, tol):
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "1e-2", "0.5", "0",
-                                 "-1e-9"])
+                                 "-1e-9", "1e-9"])
 def test_cli_verify_rejects_tolerance_out_of_range(capsys, tol):
-    assert main(["verify", "diagram-gs", "--backend", "float", "--samples", "1",
-                 f"--tol={tol}"]) == 2
-    assert "tolerance" in capsys.readouterr().err
+    # no record reads a tolerance, so verify has no --tol: any value, in the
+    # old range or not, is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "diagram-gs", "--backend", "float", "--samples", "1",
+              f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-3, 9e-3])
-def test_cli_verify_records_tolerance(tmp_path, capsys, tol):
-    # inside the range, --tol is taken as given and kept in the config
+def test_cli_verify_records_tolerance(tmp_path, capsys):
+    # the config still records the tolerance every recorded digest hashes
     rpt = tmp_path / "r.json"
-    assert main(["verify", "diagram-gs", "--samples", "1", "--tol", repr(tol),
-                 "--report", str(rpt)]) == 0
-    assert json.loads(rpt.read_text())["config"]["tolerance"] == tol
+    assert main(["verify", "diagram-gs", "--samples", "1", "--report", str(rpt)]) == 0
+    assert '"tolerance": 1e-09' in rpt.read_text()
+    capsys.readouterr()

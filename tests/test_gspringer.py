@@ -112,13 +112,13 @@ def test_a4_invariance_compares_every_block():
     # the four d x d blocks of the reference form must be seen
     _, b = sample_double(SL2, SplitMix64(65))
     w = omega_at(SL2, b, "g")
-    assert campaigns._a4_sample(SL2, b, w, SplitMix64(66), count=2)
+    assert campaigns._a4_sample(SL2, b, w, SplitMix64(66))
     d = SL2.dim_g
     for r0 in (0, d):
         for c0 in (0, d):
             bad = [list(r) for r in w.data]
             bad[r0][c0 + 1] = bad[r0][c0 + 1] + QQi(1)
-            assert not campaigns._a4_sample(SL2, b, Mat(bad), SplitMix64(66), count=1)
+            assert not campaigns._a4_sample(SL2, b, Mat(bad), SplitMix64(66))
 
 
 def test_phi_differential_dual_route():
@@ -556,7 +556,7 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
             ctx = context(group)
             for mats, salt in campaigns._gen_gspoints(cfg):
                 counts.clear()
-                check(cfg, ctx, mats, SplitMix64(salt))
+                check(ctx, mats, SplitMix64(salt))
                 want = Counter({name: 1 for name in DERIVED})
                 want.update({"chart": charts, "reduction": charts,
                              "gram_adjoint": charts, "omega_matrix": charts - 1,
@@ -585,7 +585,7 @@ def test_only_route_iv_builds_a_chart_graph(monkeypatch):
             _, check = campaigns.SUITES[suite]
             for mats, salt in campaigns._gen_gspoints(cfg):
                 charts.clear()
-                check(cfg, ctx, mats, SplitMix64(salt))
+                check(ctx, mats, SplitMix64(salt))
                 assert ["graph" in vars(c) for c in charts] == want, (group, suite)
 
 
@@ -667,7 +667,7 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     cfg = campaigns.CampaignConfig(suite="gs-theorem2", group="sl2", samples=2)
     points = campaigns._gen_gspoints(cfg)
     for mats, salt in points:
-        campaigns._check_theorem2(cfg, SL2, mats, SplitMix64(salt))
+        campaigns._check_theorem2(SL2, mats, SplitMix64(salt))
     assert seen == [SplitMix64(salt).state for _, salt in points]
 
 
@@ -707,9 +707,9 @@ def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
     seen, after = [], []
     a4 = campaigns._a4_sample
 
-    def spy(ctx, b, w, rng, count):
+    def spy(ctx, b, w, rng):
         seen.append(rng.state)
-        ok = a4(ctx, b, w, rng, count)
+        ok = a4(ctx, b, w, rng)
         after.append(rng.state)
         return ok
 
@@ -717,7 +717,7 @@ def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
     cfg = campaigns.CampaignConfig(suite="double", group="sl2", samples=2)
     want, want_after = [], []
     for mats, salt in campaigns._gen_double_points(cfg):
-        recs = campaigns._check_double(cfg, SL2, mats, SplitMix64(salt))
+        recs = campaigns._check_double(SL2, mats, SplitMix64(salt))
         assert all(r["passed"] for r in recs)
         shadow = SplitMix64(salt)
         for _ in range(2 * 3 * 2 * SL2.dim_g):

@@ -5,7 +5,9 @@ straight into integer rows; the writer prints every matrix from its integer
 rows.  The routes they replaced, every part into a :class:`QQi` entry and
 every entry printed from :attr:`Mat.data`, are the oracles here: the same
 matrices and the same bytes.  ``Fraction`` itself is the oracle of each
-part: the same value, or a ``ValueError`` where it refuses the part.
+part: the same value, or a ``ValueError`` where it refuses the part, except
+that a decimal exponent beyond 4,300 in magnitude is refused before
+``Fraction`` would build ten to that power.
 """
 
 import json
@@ -101,6 +103,19 @@ def test_fast_path_parts_match_fraction(part):
 @pytest.mark.parametrize("part", EDGE_CASES, ids=repr)
 def test_edge_case_parts_read_as_fraction_does(part):
     assert_part_read_as_fraction_does(part)
+
+
+@pytest.mark.parametrize("part", ["1e4300", "1E-4300", "1e+4300"])
+def test_an_exponent_at_the_limit_reads_as_fraction_does(part):
+    assert_part_read_as_fraction_does(part)
+
+
+@pytest.mark.parametrize("part", ["1e5000", "1e-5000"])
+def test_an_exponent_beyond_the_limit_is_refused(part):
+    # Fraction would build ten to that power first; the reader refuses the
+    # part before any large integer is built
+    assert _outcome(_exact_part, part)[:2] == ("error", ValueError)
+    assert _outcome(read_part, part)[:2] == ("error", ValueError)
 
 
 def test_reader_errors_are_those_of_the_qqi_route():

@@ -1,5 +1,5 @@
-"""The report-digest sweep script, on one suite and group, in a fresh
-interpreter, and its arguments."""
+"""The report-digest sweep script, on one suite and group and on the float
+route, in a fresh interpreter, and its arguments."""
 
 import dataclasses
 import hashlib
@@ -13,6 +13,7 @@ import pytest
 
 from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.conventions import CORRUPTIONS
+from qpslab.linalg import FLOAT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,6 +21,8 @@ DRIVER = """
 import json, runpy
 ns = runpy.run_path("scripts/report_digests.py")
 print(json.dumps(ns["digests"](suites=("double",), groups=("sl2",))))
+print(json.dumps(ns["digests"](suites=("diagram-gs",), groups=("gl3",),
+                               corruptions=(), seeds=(11,))))
 """
 
 
@@ -27,7 +30,7 @@ def test_report_digests_on_one_suite_and_group():
     done = subprocess.run([sys.executable, "-c", DRIVER], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    got = json.loads(done.stdout)
+    got, float_route = map(json.loads, done.stdout.splitlines())
     assert sorted(got) == sorted(f"double/sl2/{c}/{s}"
                                  for c in ("frozen", *CORRUPTIONS) for s in (11, 12))
     # the digest of the report with generated_at blanked, as the golden tests take it
@@ -36,6 +39,12 @@ def test_report_digests_on_one_suite_and_group():
     assert got["double/sl2/frozen/11"] == hashlib.sha256(text.encode()).hexdigest()
     # omega-sign fails A2 on the double, so its reports differ
     assert got["double/sl2/omega-sign/11"] != got["double/sl2/frozen/11"]
+    # a suite with a float route adds it, at the frozen conventions
+    report = run_suite(CampaignConfig(suite="diagram-gs", group="gl3", backend=FLOAT,
+                                      samples=4, seed=11))
+    text = dataclasses.replace(report, generated_at="").to_json()
+    assert float_route == {"diagram-gs-float/gl3/frozen/11":
+                           hashlib.sha256(text.encode()).hexdigest()}
 
 
 SCRIPT = ROOT / "scripts" / "report_digests.py"

@@ -125,14 +125,14 @@ def test_a4_one_block_matches_the_four_block_route(name):
                 moved = omega_matrix(ctx, t + Mat.identity(d))
                 for form, verdict in ((w, True), (moved, False)):
                     new, old = SplitMix64(k), SplitMix64(k)
-                    assert campaigns._a4_sample(ctx, b, form, new, 10) is verdict
+                    assert campaigns._a4_sample(ctx, b, form, new) is verdict
                     assert four_block_route(ctx, b, form, old, 10) is verdict
                     assert new.state == old.state
                 # not of the block shape: the one-block route fails before it
                 # draws, so only the verdicts agree
                 bad = [list(r) for r in w.data]
                 bad[d][d + 1] = bad[d][d + 1] + QQi(1)
-                assert not campaigns._a4_sample(ctx, b, Mat(bad), SplitMix64(k), 10)
+                assert not campaigns._a4_sample(ctx, b, Mat(bad), SplitMix64(k))
                 assert not four_block_route(ctx, b, Mat(bad), SplitMix64(k), 10)
 
 
@@ -149,7 +149,7 @@ def test_a4_fails_under_a_transposed_adjoint(name, monkeypatch):
     monkeypatch.setattr(ctx, "gram_adjoint",
                         lambda m, minv: ctx.gram @ ctx.adjoint(m, minv))
     w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
-    assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63), 10)
+    assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63))
     assert not four_block_route(ctx, b, w, SplitMix64(63), 10)
 
 
@@ -160,9 +160,8 @@ def test_leaf_dimension_ranks_match_the_subspace_route(name):
     d = ctx.dim_g
     points = [Mat.identity(ctx.n)] + [
         random_point(ctx, kind, rng) for kind in ("T", "U", "G")]
-    cfg = CampaignConfig(suite="cartan-dirac", group=name)
     for g in points:
-        recs = _check_cartan_dirac(cfg, ctx, {"g": g}, SplitMix64(7))
+        recs = _check_cartan_dirac(ctx, {"g": g}, SplitMix64(7))
         leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
         proj = cartan_dirac(conjugation_sections(ctx, g, g.inverse())).tangent_part().dim
         cent = kernel(ctx.adjoint(g, g.inverse()) - Mat.identity(d)).dim
@@ -327,8 +326,7 @@ def test_leaf_dimension_fails_under_a_wrong_adjoint(name, monkeypatch):
     ctx = context(name)
     g = random_point(ctx, "G", SplitMix64(59))
     monkeypatch.setattr(ctx, "adjoint", lambda m, minv: Mat.identity(ctx.dim_g))
-    cfg = CampaignConfig(suite="cartan-dirac", group=name)
-    recs = _check_cartan_dirac(cfg, ctx, {"g": g}, SplitMix64(7))
+    recs = _check_cartan_dirac(ctx, {"g": g}, SplitMix64(7))
     leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
     assert leaf == {"check_id": "cartan-dirac/leaf-dimension", "passed": False,
                     "witness": {"proj": 0, "centralizer": ctx.rank}}

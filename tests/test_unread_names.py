@@ -15,7 +15,9 @@ string mentions do not count.  ``__version__`` is exempt: it is read by
 packaging, not by code.
 
 The same holds one level down: a method or property of a top-level class
-counts as read when its name is read anywhere outside its own definition.
+counts as read when an attribute of its name is read anywhere outside its
+own definition.  A bare name does not count, so a method named like a
+builtin, such as ``sum``, does not hide behind calls of the builtin.
 Dunder methods are exempt: the language calls them, not code by name.
 
 With the readers limited to ``src``, ``scripts`` and ``bench``, the same
@@ -48,7 +50,8 @@ TEST_ONLY = [
     "liegroup.borel_decompose", "liegroup.conj_field", "liegroup.rho_adjoint",
     "liegroup.sigma_adjoint", "linalg.annihilator", "linalg.solve_unique",
     "matio.scalar_to_json",
-    "linalg.Subspace.from_vectors", "prng.SplitMix64.rational",
+    "linalg.Subspace.from_vectors", "linalg.Subspace.sum",
+    "prng.SplitMix64.rational",
     "scalars.QQi.to_complex",
 ]
 
@@ -131,28 +134,22 @@ def members(node: ast.stmt) -> list[str]:
             and not (n.name.startswith("__") and n.name.endswith("__"))]
 
 
-def names_read(tree: ast.AST) -> set[str]:
-    """Every name loaded, every attribute and every imported name in ``tree``."""
-    out = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif isinstance(n, (ast.Import, ast.ImportFrom)):
-            out.update(a.name.split(".")[-1] for a in n.names)
-    return out
+def attributes_read(tree: ast.AST) -> set[str]:
+    """Every attribute named in ``tree``."""
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
 
 def member_reads(tree: ast.Module) -> set[str]:
-    """Every name read in ``tree``, a method's reads of its own name aside."""
+    """Every attribute read in ``tree``, a method's reads of its own name
+    aside.  A bare name is no read of a member: it is a local, a global or a
+    builtin, so ``sum(...)`` does not read a method ``sum``."""
     out = set()
     for node in tree.body:
         parts = ([*node.bases, *node.decorator_list, *node.body]
                  if isinstance(node, ast.ClassDef) else [node])
         for part in parts:
-            out |= names_read(part) - ({part.name} if isinstance(part, FUNCTIONS)
-                                       else set())
+            out |= attributes_read(part) - ({part.name} if isinstance(part, FUNCTIONS)
+                                            else set())
     return out
 
 
@@ -222,6 +219,10 @@ def test_the_scan_flags_an_unread_method_and_not_a_read_one():
     user = ast.parse("from lib import C\nC().p\n")
     # a reads only itself; b is read in __init__, p by the user
     assert unread_members({"lib": lib}, {"lib": lib, "user": user}) == ["lib.C.a"]
+    # a bare name is a builtin or a global, not the method of that name
+    lib = ast.parse("class C:\n    def sum(self):\n        pass\n")
+    user = ast.parse("from lib import C\nsum([1])\nC()\n")
+    assert unread_members({"lib": lib}, {"lib": lib, "user": user}) == ["lib.C.sum"]
 
 
 def test_every_package_method_is_read():
