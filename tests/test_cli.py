@@ -454,9 +454,16 @@ def test_cli_verify_rejects_tolerance_out_of_range(capsys, tol):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
-def test_cli_verify_records_tolerance(tmp_path, capsys):
-    # the config still records the tolerance every recorded digest hashes
+@pytest.mark.parametrize("tol", [1e-12, 1e-3, 9e-3])
+def test_cli_verify_records_tolerance(tmp_path, capsys, tol):
+    # a value --tol used to take as given is now a usage error, and the config
+    # still records the one tolerance every recorded digest hashes
     rpt = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "diagram-gs", "--samples", "1", "--tol", repr(tol),
+              "--report", str(rpt)])
+    assert exc.value.code == 2
+    assert not rpt.exists()
     assert main(["verify", "diagram-gs", "--samples", "1", "--report", str(rpt)]) == 0
     assert '"tolerance": 1e-09' in rpt.read_text()
     capsys.readouterr()
