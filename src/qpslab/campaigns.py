@@ -263,13 +263,33 @@ def _a3_nondegenerate(w: Mat, dphi: Mat) -> tuple[bool, dict | None]:
     rank.  Only on failure are the two kernels built, for the witness.
 
     A3 is vacuous wherever w is nondegenerate: then ker w^T is 0 and the
-    stack has full column rank whatever dphi is.  So w's rank is taken
-    first, and the stack is ranked only when w is degenerate, which no
-    sampled double point is.
+    stack has full column rank whatever dphi is.  So whether w has full rank
+    is decided first, on omega's two d x d off-diagonal blocks once one scan
+    finds its lower-right block zero (:func:`_nondegenerate`), and the stack
+    is ranked only when w is degenerate, which no sampled double point is.
     """
-    if rank(w) == w.rows or rank(w.transpose().vstack(dphi)) == dphi.cols:
+    if _nondegenerate(w) or rank(w.transpose().vstack(dphi)) == dphi.cols:
         return True, None
     return False, {"ker_omega": kernel(w.transpose()).dim, "ker_dphi": kernel(dphi).dim}
+
+
+def _nondegenerate(w: Mat) -> bool:
+    """Whether the square matrix w has full rank, on two d x d blocks when
+    its lower-right d x d block is zero.
+
+    Every :func:`omega_matrix` is [[W11, W12], [W21, 0]].  One scan of the
+    lower-right block confirms that form, and then det w = ±det W12 det W21
+    (move the last d columns in front, d^2 column swaps, to get
+    [[W12, W11], [0, W21]], block triangular).  So w has rank 2d exactly
+    when both off-diagonal blocks have rank d, and two d x d ranks replace
+    the 2d x 2d one.  Any other w, of odd size or with a non-zero
+    lower-right block, is ranked whole, so no caller vouches for the form.
+    """
+    d, odd = divmod(w.rows, 2)
+    lower = w.row_block(d, w.rows)
+    if odd or not lower.col_block(d, w.rows).is_zero():
+        return rank(w) == w.rows
+    return rank(lower.col_block(0, d)) == d == rank(w.row_block(0, d).col_block(d, w.rows))
 
 
 def _a4_sample(ctx, b, w, rng) -> bool:

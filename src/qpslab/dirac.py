@@ -26,7 +26,9 @@ A = Ad_{g^-1} xi, so every derivative of a conjugation section is a
 bracket.  Expanded with these derivatives and collected by bilinearity and
 the invariance of the trace form, the bracket of two sections is four Lie
 brackets of n x n matrices, all read off one stacked product
-(:meth:`~qpslab.liegroup.GroupContext.brackets_and_functionals`).  The
+(:meth:`~qpslab.liegroup.GroupContext.brackets_and_functionals`) as raw
+integer rows over one denominator.  Each row of a result is one integer
+combination of the bracket rows it reads, canonicalized once.  The
 sign and scale conventions are frozen by the calibration suite and
 recorded in :mod:`qpslab.conventions`.  The bracket itself,
 :func:`qpslab.diffcalc.dorfman`, is evaluated with dual numbers and is the
@@ -34,6 +36,8 @@ oracle of both closed forms in the tests; this module does not import it.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .conventions import ACTIVE
 from .liegroup import conjugation_sections
@@ -240,10 +244,14 @@ def cartan_closure_check(ctx, gmat: Mat, ginv: Mat):
     M beyond how it moves.  All four brackets of every pair, and the
     targets' c, are read off one stacked product of the 2d matrices e_1,
     ..., e_d, M_1, ..., M_d
-    (:meth:`~qpslab.liegroup.GroupContext.brackets_and_functionals`).
-    The rows ``i d + j`` of all pairs are compared with the targets in one
-    integer ``==``; only on a mismatch are the rows scanned, pair (i, j) in
-    basis order, for the witness.
+    (:meth:`~qpslab.liegroup.GroupContext.brackets_and_functionals`), as
+    raw integer rows over its one denominator.  Row ``i d + j`` is built as
+    one integer combination of the four rows of the pair, the coefficients
+    f, c and c1 scaled by the lcm of their denominators, and canonicalized
+    once; the targets are the section matrices applied to the rows of
+    [e_i, e_j] alone.  The rows of all pairs are compared with the targets
+    in one integer ``==``; only on a mismatch are the rows scanned, pair
+    (i, j) in basis order, for the witness.
 
     ``ginv`` is g^-1, as for :func:`~qpslab.liegroup.conjugation_sections`.
     Returns (ok, witness).
@@ -296,24 +304,33 @@ def _pair_sides(ctx, sections: tuple, ximat: Mat, zemat: Mat) -> tuple[Mat, Mat]
 def _bracket_sides(ctx, family: Mat, sections: tuple, pairs: list) -> tuple[Mat, Mat]:
     """The rows of :func:`cartan_closure_check` with u_i, u_j in place of
     e_i, e_j, (i, j) in ``pairs``; ``family`` is [U | M U], the u_i being
-    the columns of U and M the first of ``sections``."""
+    the columns of U and M the first of ``sections``.
+
+    Each output row is one integer combination of the raw bracket rows it
+    reads, with the convention coefficients over the lcm of their
+    denominators, and is canonicalized once."""
     _, x, a = sections
-    coords, dual = ctx.brackets_and_functionals(family)
+    coords, dual, den = ctx.brackets_and_functionals(family)
     k, r = family.cols, family.cols // 2  # row p k + q; M u_i is Y_(r + i)
-    uu = [i * k + j for i, j in pairs]
-    um = [i * k + r + j for i, j in pairs]
-    mu = [j * k + r + i for i, j in pairs]  # [u_j, M u_i]
-    mm = [(r + i) * k + r + j for i, j in pairs]
     conv = ACTIVE.get()
     f, c = conv.sigma_factor, conv.eta_coeff * conv.twist
     c1 = f * conv.sigma_ad_sign
-    terms = [dual.select_rows(rows).scale(s)
-             for s, rows in ((2 * f + c, uu), (-(f + c), um),
-                             (c1 + c, mu), (2 * c1 + c, mm)) if s]
-    cov = sum(terms[1:], terms[0]) if terms else Mat.zeros(len(pairs), ctx.dim_g)
-    brackets = coords.select_rows(uu)
-    tangent = brackets - coords.select_rows(mm)
-    return tangent.hstack(cov), brackets @ x.transpose().hstack(a.transpose())
+    coefs = (2 * f + c, -(f + c), c1 + c, 2 * c1 + c)
+    scale = lcm(*(s.denominator for s in coefs))
+    coefs = [int(s * scale) for s in coefs]
+    uu, rows = [], []
+    for i, j in pairs:
+        # [u_i, u_j], [u_i, M u_j], [u_j, M u_i] and [M u_i, M u_j]
+        reads = (i * k + j, i * k + r + j, j * k + r + i, (r + i) * k + r + j)
+        cov = [0] * ctx.dim_g
+        for s, p in zip(coefs, reads):
+            if s:
+                cov = [y + s * z for y, z in zip(cov, dual[p])]
+        bracket = coords[reads[0]]
+        uu.append(bracket)
+        rows.append([scale * (y - z) for y, z in zip(bracket, coords[reads[3]])] + cov)
+    targets = Mat.from_int_rows(uu, den) @ x.transpose().hstack(a.transpose())
+    return Mat.from_int_rows(rows, den * scale), targets
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
+from operator import sub
 
 from .conventions import ACTIVE
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
@@ -241,7 +242,8 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, second, v: Mat):
     directions (the second written out in all dim G coordinates, zero off
     ``second``).  The brackets, blockwise,
     and the columns of R(y_i) (Q - P), R(y) a being coords([a, y]), are all
-    read off one n x n product (:meth:`GroupContext.brackets`).
+    read off one n x n product (:meth:`GroupContext.brackets`), whose raw
+    integer rows each row of both is combined from, and canonicalized once.
     :func:`qpslab.diffcalc.d_two_form` of :func:`qpslab.diffcalc.omega_fn`
     is the oracle for this in the tests.
     """
@@ -252,23 +254,20 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, second, v: Mat):
     # zero row appended to v at the others
     at = dict(zip(second, range(d, dim)))
     q = v.vstack(Mat.zeros(1, 3)).select_rows([at.get(c, dim) for c in range(d)])
-    # coords([Y_p, Y_q]) in row 6 p + q, Y_p the columns of P and then Q
-    brackets = ctx.brackets(first.hstack(q))
+    # coords([Y_p, Y_q]) in raw row 6 p + q, Y_p the columns of P and then Q
+    brackets, den = ctx.brackets(first.hstack(q))
 
-    def rows(pairs):
-        return brackets.select_rows([6 * p + q for p, q in pairs])
+    def row(i, j):
+        return brackets[6 * i + j]
 
     cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     # entry (c, l): omega of the c-th bracket, blockwise, and direction l;
     # K is a subgroup, so the brackets of Q lie in its coordinates
-    alg = rows([(i, j) for i, j, _ in cyc])
-    if second:
-        alg = alg.hstack(rows([(3 + i, 3 + j) for i, j, _ in cyc]).select_cols(second))
-    alg = alg @ w @ v
+    alg = Mat.from_int_rows([row(i, j) + [row(3 + i, 3 + j)[c] for c in second]
+                             for i, j, _ in cyc], den) @ w @ v
     # K = P' D (Q - P) as (P' T) R, R's column 3 i + l being R(q_i) (q_l - p_l)
-    order = [(i, l) for i in range(3) for l in range(3)]
-    rmat = (rows([(3 + l, 3 + i) for i, l in order])
-            - rows([(l, 3 + i) for i, l in order]))
+    rmat = Mat.from_int_rows([list(map(sub, row(3 + l, 3 + i), row(l, 3 + i)))
+                              for i in range(3) for l in range(3)], den)
     kmat = _t_derivative(first.transpose() @ t, rmat.transpose())
     half = Fraction(-ACTIVE.get().omega_sign, 2)
     total = QQi(0)

@@ -225,30 +225,33 @@ class GroupContext:
 
     # -- invariant form and brackets ------------------------------------------
 
-    def brackets(self, v: Mat) -> Mat:
+    def brackets(self, v: Mat) -> tuple[list, int]:
         """coords([Y_p, Y_q]) as row ``p k + q``, for the algebra elements
         Y_p with coordinates column p of ``v``.
 
         One product [Y_1; ...; Y_k] [Y_1 | ... | Y_k] holds Y_p Y_q as its
         n x n block (p, q), so [Y_p, Y_q] is block (p, q) less block (q, p)
-        (:meth:`_bracket_rows`).  The matrix is built in row form only: the
-        callers read it through ``select_rows``, ``-``, ``scale`` and
-        products, none of which needs a column form.  Per-pair
+        (:meth:`_bracket_rows`).  The rows are returned raw, as ``(rows,
+        den)``: fresh integer lists over the one common denominator of that
+        product, with no per-row gcd.  The callers read a few of the k^2 rows
+        and combine them, so each row they build is canonicalized once, by
+        :meth:`~qpslab.linalg.Mat.from_int_rows`.  Per-pair
         ``coords(bracket(...))`` is the oracle in the tests.
         """
-        return self._bracket_rows(v, self._readers)[0]
+        return self._bracket_rows(v, self._readers)
 
-    def brackets_and_functionals(self, v: Mat) -> tuple[Mat, Mat]:
-        """:meth:`brackets` and, in a second matrix, the functional
-        coordinates gram coords([Y_p, Y_q]) = (tr(e_c [Y_p, Y_q]))_c, both
-        read off the same product.  Per-pair ``dual_coords(bracket(...))`` is
-        the oracle in the tests.
+    def brackets_and_functionals(self, v: Mat) -> tuple[list, list, int]:
+        """:meth:`brackets` and the functional coordinates gram
+        coords([Y_p, Y_q]) = (tr(e_c [Y_p, Y_q]))_c, both read off the same
+        product and raw over its one denominator: ``(coords, dual, den)``.
+        Per-pair ``dual_coords(bracket(...))`` is the oracle in the tests.
         """
         return self._bracket_rows(v, self._readers, self._functionals)
 
-    def _bracket_rows(self, v: Mat, *tables) -> tuple[Mat, ...]:
-        """For each table, the matrix of its readers of every [Y_p, Y_q], in
-        row ``p k + q``, from one stacked product."""
+    def _bracket_rows(self, v: Mat, *tables) -> tuple:
+        """For each table, the integer rows of its readers of every
+        [Y_p, Y_q], in row ``p k + q``, from one stacked product, and last
+        the product's common denominator."""
         n = self.n
         ys, den = self._column_entry_rows(v)
         # [Y_1; ...; Y_k] and [Y_1 | ... | Y_k], row by row
@@ -263,8 +266,8 @@ class GroupContext:
 
         cols = [entry(a, b) for a in range(n) for b in range(n)]
         # each table's columns, transposed to rows
-        return tuple(Mat.from_int_rows(list(zip(*_read(t, cols, _column_sum))), den)
-                     for t in tables)
+        return (*([list(r) for r in zip(*_read(t, cols, _column_sum))]
+                  for t in tables), den)
 
     def form(self, x: Mat, y: Mat):
         """The invariant bilinear form ``tr(x y)``."""

@@ -442,14 +442,17 @@ def test_brackets_match_the_per_pair_oracle():
                 Mat([[QQi(rng.rational(4), rng.below(3)) for _ in range(2)]
                      for _ in range(d)]).hstack(Mat.from_columns([[i] * d], d))]
         for v in fams:
-            got, want = ctx.brackets_and_functionals(v), per_pair_brackets(ctx, v)
-            assert got == want, (name, v.cols)
-            assert ctx.brackets(v) == want[0], (name, v.cols)
-            # built in row form only; a column form derived later, as a
-            # transpose needs it, is the oracle's
-            for g, w in zip(got, want):
-                assert g._icols is None
-                assert g.transpose() == w.transpose()
+            coords, dual, den = ctx.brackets_and_functionals(v)
+            want = per_pair_brackets(ctx, v)
+            assert (Mat.from_int_rows(coords, den),
+                    Mat.from_int_rows(dual, den)) == want, (name, v.cols)
+            rows, rden = ctx.brackets(v)
+            assert (rows, rden) == (coords, den), (name, v.cols)
+            # the rows are fresh lists, so no caller that combines them can
+            # touch the integer rows that int_entries keeps
+            kept = {id(r) for m in (v, v.transpose(), *ctx.algebra_matrices(v))
+                    for r in m.int_entries()[0]}
+            assert not kept & {id(r) for r in (*rows, *coords, *dual)}
             # the algebra matrices of the columns, built as integer rows
             mats = ctx.algebra_matrices(v)
             assert mats == [ctx.mat_from_coords(v.col(p)) for p in range(v.cols)]

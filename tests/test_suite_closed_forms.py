@@ -1,12 +1,14 @@
 """The suites' closed forms against the routes they replaced.
 
-The double's A3 is the rank of w, and only where w is degenerate one rank
-of [w^T; dphi], with its kernel witness built only on failure; its A4 compares one block of the pulled-back form per draw,
-with the draws and verdicts of the four-block pullback, and a wrong adjoint
-fails both; cartan-dirac's leaf dimension compares two ranks, one of
-them from the group's closed-form commutator matrix, so a wrong adjoint
-fails it; the Dorfman closure rows, read off n x n brackets, equal those
-of the d x d matrices R(v) of the structure constants that they replaced,
+The double's A3 ranks w's two off-diagonal blocks where its lower-right
+block is zero and w whole elsewhere, and only where w is degenerate the
+stack [w^T; dphi], with its kernel witness built only on failure.  Its A4
+compares one block of the pulled-back form per draw, with the draws and
+verdicts of the four-block pullback, and a wrong adjoint fails both.
+cartan-dirac's leaf dimension compares two ranks, one of them from the
+group's closed-form commutator matrix, so a wrong adjoint fails it.  The
+Dorfman closure rows, read off n x n brackets, equal those of the d x d
+matrices R(v) of the structure constants that they replaced,
 and a transposed adjoint fails them on SL.  That no suite runs the
 dual-number oracles is checked where they live: no product module imports
 :mod:`qpslab.diffcalc` (``test_kernel_layout``), and a fresh ``verify`` of
@@ -86,6 +88,66 @@ def test_a3_ranks_the_stack_where_omega_is_degenerate(name):
     zero = Mat.zeros(dphi.rows, dphi.cols)
     assert _a3_nondegenerate(w, zero) == kernel_route(w, zero) == (
         False, {"ker_omega": w.rows - rank_w, "ker_dphi": dphi.cols})
+
+
+def block_form(rng, d, singular):
+    """[[X, Y], [Z, 0]] with integer d x d blocks drawn from ``rng``; the
+    block named by ``singular`` ("Y" or "Z") has its last row the sum of
+    the others, and with ``singular`` None every block is redrawn until
+    invertible."""
+    def block(sing):
+        while True:
+            rows = [[rng.below(7) - 3 for _ in range(d)] for _ in range(d)]
+            if sing:
+                rows[-1] = [sum(c) for c in zip(*rows[:-1])]
+            if sing or singular or rank(Mat(rows)) == d:
+                return rows
+    x, y, z = block(False), block(singular == "Y"), block(singular == "Z")
+    return Mat([p + q for p, q in zip(x, y)] + [r + [0] * d for r in z]), y, z
+
+
+@pytest.mark.parametrize("singular", ("Y", "Z", None))
+def test_a3_block_route_matches_the_whole_rank(singular):
+    # with the lower-right block zero, w has full rank exactly when both
+    # off-diagonal blocks do; a singular one makes A3 rank the stack
+    rng = SplitMix64(55)
+    for d in (2, 3, 4):
+        for _ in range(3):
+            w, y, z = block_form(rng, d, singular)
+            assert (rank(Mat(y)) == d == rank(Mat(z))) is (singular is None)
+            assert campaigns._nondegenerate(w) is (rank(w) == w.rows)
+            dphi = Mat([[rng.below(5) - 2 for _ in range(2 * d)] for _ in range(d)])
+            for phi in (dphi, Mat.zeros(d, 2 * d)):
+                assert _a3_nondegenerate(w, phi) == kernel_route(w, phi)
+
+
+def test_a3_ranks_w_whole_off_the_block_form():
+    # both off-diagonal blocks invertible, yet w is singular: its non-zero
+    # lower-right block sends it to the whole rank, and so does an odd size
+    for w in (Mat([[1, 1], [1, 1]]), Mat([[1, 2, 0, 1], [0, 1, 3, 0],
+                                          [1, 3, 3, 1], [0, 1, 1, 1]])):
+        assert not campaigns._nondegenerate(w)
+        zero = Mat.zeros(1, w.cols)
+        assert _a3_nondegenerate(w, zero) == kernel_route(w, zero) == (
+            False, {"ker_omega": 1, "ker_dphi": w.cols})
+    assert campaigns._nondegenerate(Mat.identity(3))
+
+
+@pytest.mark.parametrize("name", ("sl2", "sl3"))
+def test_a3_ranks_no_whole_omega_at_sampled_points(name, monkeypatch):
+    # every sampled omega is nondegenerate, so A3 ranks only its two d x d
+    # off-diagonal blocks and never the 2d x 2d form or the stack
+    shapes = []
+
+    def recording(m):
+        shapes.append(m.shape)
+        return rank(m)
+
+    monkeypatch.setattr(campaigns, "rank", recording)
+    rep = run_suite(CampaignConfig(suite="double", group=name, samples=4, seed=11))
+    assert all(r["passed"] for r in rep.checks)
+    d = context(name).dim_g
+    assert shapes == [(d, d)] * 8
 
 
 def four_block_route(ctx, b, w, rng, count):
