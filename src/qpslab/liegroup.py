@@ -196,7 +196,7 @@ class GroupContext:
         (rows, p), (inv, q) = m.int_entries(), minv.int_entries()
         units = [_read(readers, [x * y for x in u for y in v])
                  for u in zip(*rows) for v in inv]
-        return Mat.from_int_columns(_read(self._terms, units, _column_sum), p * q)
+        return Mat.from_int_rows(zip(*_read(self._terms, units, _column_sum)), p * q)
 
     def commutator_matrix(self, m: Mat) -> Mat:
         """The n^2 x d matrix of x -> m x - x m on the algebra basis: column k
@@ -221,7 +221,7 @@ class GroupContext:
             return col
 
         units = [unit(i, j) for i in range(n) for j in range(n)]
-        return Mat.from_int_columns(_read(self._terms, units, _column_sum), den)
+        return Mat.from_int_rows(zip(*_read(self._terms, units, _column_sum)), den)
 
     # -- invariant form and brackets ------------------------------------------
 

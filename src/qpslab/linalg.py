@@ -32,24 +32,25 @@ memory of a run.
   at once the same way (:func:`_rational_row`): the algebra basis, the Weyl
   representatives and every real JSON matrix
   (:func:`qpslab.matio.mat_from_json`) arrive that way.
-  :meth:`Mat.from_int_rows` and :meth:`Mat.from_int_columns` build them from
-  integers over a common denominator (the closed-form adjoint, T = G Ad_b,
-  the commutator matrix, the Lie brackets, the algebra matrices of
-  coordinate columns and the sampled algebra elements), and so does every
-  kernel operation below.  Rows of :class:`QQi` entries are built by
-  :func:`_pair_row` of their real and imaginary parts (:func:`_gaussian_row`),
-  and keep those entries.  Going the other way, the JSON writer reads the
+  :meth:`Mat.from_int_rows` builds them from integers over a common
+  denominator (the Lie brackets, the algebra matrices of coordinate columns,
+  the sampled algebra elements, and the closed-form adjoint, T = G Ad_b and
+  the commutator matrix, each from the rows of its computed columns), and
+  so does every kernel operation below.  Rows of :class:`QQi` entries are
+  built by :func:`_pair_row` of their real and imaginary parts
+  (:func:`_gaussian_row`).  Going the other way, the JSON writer reads the
   integer rows, not the entries.
-* The ``QQi`` entries, :attr:`Mat.data`, are built from the integer rows the
-  first time some code reads them, and kept.  The right operand of ``@``
-  needs no column form: it is read from its integer rows over the lcm of
-  the row denominators (:meth:`Mat.int_entries`), since each output row is
-  reduced anyway; those rescaled rows are kept, so a matrix that is a right
-  operand (or an input of the closed-form adjoints) several times is
-  rescaled once.  The column form is the columns of those same rows, each
-  reduced to canonical form, and is kept too: it is the row form of the
-  transpose (and so of every basis :class:`Subspace` canonicalizes), and
-  :meth:`Mat.col_block` slices it when present.
+* The integer rows are the only form a :class:`Mat` stores.  Its ``QQi``
+  entries (:attr:`Mat.data`, :meth:`Mat.entry`) are built from them on each
+  read, and its transpose canonicalizes their columns on each call.  Two
+  values derived from the rows are kept, because they are read again: the
+  right operand of ``@`` needs no column form, it is read from its integer
+  rows over the lcm of the row denominators (:meth:`Mat.int_entries`),
+  since each output row is reduced anyway, and those rescaled rows are kept,
+  so a matrix that is a right operand (or an input of the closed-form
+  adjoints, or a transpose) several times is rescaled once; and
+  :meth:`Mat.inverse` keeps the inverse, which a group element reads at
+  every use.
 * ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.scale_rows`,
   :meth:`Mat.transpose`, :meth:`Mat.hstack`, :meth:`Mat.vstack`,
   :meth:`Mat.row_block`, :meth:`Mat.col_block`, :meth:`Mat.select_rows` and
@@ -144,64 +145,49 @@ def _coerce_entry(x):
 
 
 class Mat:
-    """Immutable dense matrix over the Gaussian rationals, kept as integer
-    rows (see the module docstring); its :class:`QQi` entries, row-major
-    tuples (:attr:`data`), its integer columns and its inverse are derived
-    when first used.
+    """Immutable dense matrix over the Gaussian rationals, stored as its
+    integer rows (see the module docstring).  Its :class:`QQi` entries
+    (:attr:`data`, :meth:`entry`) and its columns (:meth:`transpose`) are
+    computed when read; only the rescaled rows of :meth:`int_entries` and
+    the inverse are kept once derived.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints", "_icols", "_iright", "_inv")
+    __slots__ = ("rows", "cols", "_ints", "_iright", "_inv")
 
     def __init__(self, data: Sequence[Sequence]):
-        """The matrix with these rows of entries.  Rows of ``int`` and
-        ``Fraction`` entries go straight to integer form
-        (:func:`_rational_row`), with no :class:`QQi` entry; any other row
-        set is coerced to :class:`QQi` entries, which are kept, and built
-        into integer rows from them (:func:`_gaussian_row`)."""
+        """The matrix with these rows of entries, kept as integer rows only.
+        A row of ``int`` and ``Fraction`` entries goes straight to integer
+        form (:func:`_rational_row`), with no :class:`QQi` entry; any other
+        row is coerced to :class:`QQi` entries and built from their parts
+        (:func:`_gaussian_row`), and the entries are not kept."""
         if not data:
             raise LinAlgError("matrix needs at least one row")
         ncols = len(data[0])
         if any(len(r) != ncols for r in data):
             raise LinAlgError("ragged rows")
-        if all(type(x) in _RATIONAL for r in data for x in r):
-            self._init(len(data), ncols, [_rational_row(r) for r in data])
-        else:
-            entries = tuple(tuple(_coerce_entry(x) for x in r) for r in data)
-            self._init(len(data), ncols, [_gaussian_row(r) for r in entries], data=entries)
+        self._init(len(data), ncols, [
+            _rational_row(r) if all(type(x) in _RATIONAL for x in r)
+            else _gaussian_row([_coerce_entry(x) for x in r]) for r in data])
 
-    def _init(self, rows, cols, ints, icols=None, data=None):
+    def _init(self, rows, cols, ints):
         self.rows = rows
         self.cols = cols
         self._ints = ints
-        self._icols = icols
-        self._data = data
         self._iright = None  # int_entries, once derived
         self._inv = None  # inverse, once computed
 
     @classmethod
-    def _from_ints(cls, ints: list, cols: int, icols: list | None = None) -> "Mat":
-        """Internal constructor from canonical integer rows (and columns)."""
+    def _from_ints(cls, ints: list, cols: int) -> "Mat":
+        """Internal constructor from canonical integer rows."""
         m = object.__new__(cls)
-        m._init(len(ints), cols, ints, icols)
+        m._init(len(ints), cols, ints)
         return m
 
     @property
     def data(self) -> tuple:
-        data = self._data
-        if data is None:
-            self._data = data = tuple(
-                tuple(_entry(a, d) for a in r) for r, d in self._ints
-            )
-        return data
-
-    def _int_columns(self) -> list:
-        """The columns of :meth:`int_entries`, each in canonical form."""
-        icols = self._icols
-        if icols is None:
-            nums, den = self.int_entries()
-            cols = zip(*nums) if nums else ((),) * self.cols
-            self._icols = icols = [_canon(list(c), den) for c in cols]
-        return icols
+        """The :class:`QQi` entries, row-major tuples, built from the integer
+        rows on each read."""
+        return tuple(tuple(_entry(a, d) for a in r) for r, d in self._ints)
 
     # -- constructors --------------------------------------------------------
 
@@ -228,13 +214,6 @@ class Mat:
         return cls([[col[i] for col in columns] for i in range(ambient)])
 
     @classmethod
-    def from_int_columns(cls, columns: Sequence[Sequence[int]], den: int) -> "Mat":
-        """The matrix with integer columns ``columns`` over the positive
-        common denominator ``den``, kept in both integer forms."""
-        return cls._from_ints([_canon(list(r), den) for r in zip(*columns)],
-                              len(columns), [_canon(list(c), den) for c in columns])
-
-    @classmethod
     def from_pairs(cls, rows: Sequence[Sequence[tuple[int, int]]]) -> "Mat":
         """The matrix whose entries are the reduced pairs ``(numerator,
         positive denominator)`` in ``rows``, built straight into integer
@@ -244,7 +223,7 @@ class Mat:
     @classmethod
     def from_int_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "Mat":
         """The matrix with integer rows ``rows`` over the positive common
-        denominator ``den``, kept in row form only."""
+        denominator ``den``."""
         ints = [_canon(list(r), den) for r in rows]
         return cls._from_ints(ints, len(ints[0][0]))
 
@@ -252,9 +231,10 @@ class Mat:
         """``(N, den)`` with the matrix equal to ``N / den``: integer rows over
         the lcm of the row denominators.
 
-        Derived once and kept, as the column form is, so a matrix that is
-        the right operand of several products is rescaled once; like the
-        integer rows, the kept lists are never mutated.
+        Derived once and kept, as the inverse is, so a matrix that is the
+        right operand of several products is rescaled once; like the integer
+        rows, the kept lists are never mutated.  Nothing else derived from
+        the rows is kept: entries and columns are computed when read.
         """
         right = self._iright
         if right is None:
@@ -311,7 +291,10 @@ class Mat:
                               self.cols)
 
     def transpose(self) -> "Mat":
-        return Mat._from_ints(self._int_columns(), self.rows, self._ints)
+        """The columns of :meth:`int_entries`, each reduced to canonical form."""
+        nums, den = self.int_entries()
+        cols = zip(*nums) if nums else ((),) * self.cols
+        return Mat._from_ints([_canon(list(c), den) for c in cols], self.rows)
 
     def trace(self):
         if self.rows != self.cols:
@@ -326,11 +309,10 @@ class Mat:
         return (self.rows, self.cols)
 
     def entry(self, i: int, j: int):
-        """One entry; read from the integer rows if no entry was built yet."""
-        if self._data is None:
-            r, d = self._ints[i]
-            return _entry(r[j], d)
-        return self._data[i][j]
+        """One :class:`QQi` entry, built from its integer row on each read;
+        no entry is kept."""
+        r, d = self._ints[i]
+        return _entry(r[j], d)
 
     def col(self, j: int) -> list:
         return [self.entry(i, j) for i in range(self.rows)]
@@ -340,20 +322,14 @@ class Mat:
         n = len(range(self.rows)[start:stop])
         if not n:
             raise LinAlgError("matrix needs at least one row")
-        data = self._data
-        m = object.__new__(Mat)
-        m._init(n, self.cols, self._ints[start:stop],
-                data=None if data is None else data[start:stop])
-        return m
+        return Mat._from_ints(self._ints[start:stop], self.cols)
 
     def col_block(self, start: int, stop: int) -> "Mat":
         """Columns ``start:stop`` (slice bounds); an empty block is an error."""
         n = len(range(self.cols)[start:stop])
         if not n:
             raise LinAlgError("matrix needs at least one column")
-        icols = self._icols
-        return Mat._from_ints([_canon(r[start:stop], d) for r, d in self._ints], n,
-                              None if icols is None else icols[start:stop])
+        return Mat._from_ints([_canon(r[start:stop], d) for r, d in self._ints], n)
 
     def select_rows(self, order: Sequence[int]) -> "Mat":
         """The rows ``order``, in that order; an empty order is an error."""
@@ -374,7 +350,8 @@ class Mat:
         return self.shape == other.shape and self._ints == other._ints
 
     def __hash__(self):
-        return hash(self.data)
+        # equal matrices have equal integer rows
+        return hash(tuple((tuple(r), d) for r, d in self._ints))
 
     def is_zero(self) -> bool:
         return not any(any(r) for r, _ in self._ints)

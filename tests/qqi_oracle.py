@@ -4,13 +4,36 @@ The :mod:`qpslab.linalg` functions non-real matrices ran on before the
 integer rows took Gaussian-integer numerators, moved here unchanged: products,
 ranks, reduced row echelon forms, determinants and inverses computed entry by
 entry in :class:`~qpslab.scalars.QQi` arithmetic on ``Mat.data``.
+
+Beside them, :func:`builds_no_qqi` checks the other side of that move: an
+operation of the integer kernel builds no :class:`QQi` at all.
 """
 
+from contextlib import contextmanager
 from math import lcm
 from typing import Sequence
+from unittest import mock
 
 from qpslab.linalg import LinAlgError, Mat, dot
 from qpslab.scalars import QQi
+
+
+@contextmanager
+def builds_no_qqi():
+    """Fail unless the block constructs no :class:`QQi`: the integer paths
+    of :mod:`qpslab.linalg` and of its callers run on integer rows alone,
+    and a :class:`Mat` keeps no entries, so an entry is built only when
+    some code reads one."""
+    built = []
+    init = QQi.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    with mock.patch.object(QQi, "__init__", counted):
+        yield
+    assert not built, f"{len(built)} QQi built, the first from {built[0]}"
 
 
 def _dot(row, col):

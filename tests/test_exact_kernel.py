@@ -31,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 import qqi_oracle
+from qqi_oracle import builds_no_qqi
 from qpslab import linalg
 from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.liegroup import GROUPS, context, random_point
@@ -402,10 +403,9 @@ def test_gaussian_entry_runs_on_the_integer_rows():
 
 
 def fresh(m: Mat) -> Mat:
-    """``m`` rebuilt in integer form, with no entry built yet."""
-    out = Mat._from_ints([linalg._gaussian_row(r) for r in m.data], m.cols)
-    assert out._data is None
-    return out
+    """``m`` rebuilt from its entries into integer rows, with no derived
+    value (rescaled rows, inverse) kept yet."""
+    return Mat._from_ints([linalg._gaussian_row(r) for r in m.data], m.cols)
 
 
 def assert_same(got: Mat, want_rows) -> None:
@@ -444,31 +444,34 @@ def test_stored_form_matches_qqi_entries(case):
     stop = rnd.randint(start + 1, m.rows)
     cstart = rnd.randrange(m.cols)
     cstop = rnd.randint(cstart + 1, m.cols)
-
-    assert_same(fresh(m) + fresh(other), entrywise(lambda x, y: x + y, m, other))
-    assert_same(fresh(m) - fresh(other), entrywise(lambda x, y: x - y, m, other))
-    assert_same(-fresh(m), entrywise(lambda x: -x, m))
-    assert_same(fresh(m).scale(s), entrywise(lambda x: x * s, m))
-    assert_same(fresh(m).transpose(), list(zip(*m.data)))
-    assert_same(fresh(m).transpose().transpose(), m.data)
-    assert_same(fresh(m).hstack(fresh(wide)),
-                [a + b for a, b in zip(m.data, wide.data)])
-    assert_same(fresh(m).vstack(fresh(tall)), m.data + tall.data)
-    assert_same(fresh(m).row_block(start, stop), m.data[start:stop])
     order = [rnd.randrange(m.rows) for _ in range(rnd.randint(1, 6))]
-    assert_same(fresh(m).select_rows(order), [m.data[i] for i in order])
     cut = [r[cstart:cstop] for r in m.data]
-    assert_same(fresh(m).col_block(cstart, cstop), cut)
-    # with the column form already derived, the block keeps its slice
-    assert_same(fresh(m).transpose().transpose().col_block(cstart, cstop)
-                .transpose(), list(zip(*cut)))
-    assert_same(fresh(m) @ fresh(right), qqi_oracle._matmul_qqi(m, right).data)
-    assert_same(fresh(m).transpose() @ fresh(other),
-                qqi_oracle._matmul_qqi(Mat(list(zip(*m.data))), other).data)
-    red, pivots = rref(fresh(m))
-    red_o, pivots_o = qqi_oracle._rref_qqi(m)
-    assert pivots == pivots_o
-    assert_same(red, red_o.data)
+    a, b, w, t, rt = (fresh(x) for x in (m, other, wide, tall, right))
+    # each integer operation against the same one over the entries
+    ops = [
+        (lambda: a + b, entrywise(lambda x, y: x + y, m, other)),
+        (lambda: a - b, entrywise(lambda x, y: x - y, m, other)),
+        (lambda: -a, entrywise(lambda x: -x, m)),
+        (lambda: a.scale(s), entrywise(lambda x: x * s, m)),
+        (lambda: a.transpose(), list(zip(*m.data))),
+        (lambda: a.transpose().transpose(), m.data),
+        (lambda: a.hstack(w), [x + y for x, y in zip(m.data, wide.data)]),
+        (lambda: a.vstack(t), m.data + tall.data),
+        (lambda: a.row_block(start, stop), m.data[start:stop]),
+        (lambda: a.select_rows(order), [m.data[i] for i in order]),
+        (lambda: a.col_block(cstart, cstop), cut),
+        (lambda: a.transpose().transpose().col_block(cstart, cstop).transpose(),
+         list(zip(*cut))),
+        (lambda: a @ rt, qqi_oracle._matmul_qqi(m, right).data),
+        (lambda: a.transpose() @ b,
+         qqi_oracle._matmul_qqi(Mat(list(zip(*m.data))), other).data),
+        (lambda: rref(a)[0], qqi_oracle._rref_qqi(m)[0].data),
+    ]
+    for op, want in ops:
+        with builds_no_qqi():
+            got = op()
+        assert_same(got, want)
+    assert rref(fresh(m))[1] == qqi_oracle._rref_qqi(m)[1]
 
     assert fresh(m).is_zero() == all(not x for r in m.data for x in r)
     assert (fresh(m) - fresh(m)).is_zero()
@@ -490,7 +493,10 @@ def test_stored_inverse_matches_qqi(case):
         with pytest.raises(LinAlgError):
             fresh(m).inverse()
         return
-    assert_same(fresh(m).inverse(), qqi_oracle._inverse_qqi(m).data)
+    stored = fresh(m)
+    with builds_no_qqi():
+        inv = stored.inverse()
+    assert_same(inv, qqi_oracle._inverse_qqi(m).data)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -502,8 +508,8 @@ def test_small_inverses_stay_in_integer_form(name):
                   for kind in ("G", "G", "B", "T-regular"))
     for m in (g, b, t, g @ h, g @ b, b @ t, t @ g @ b):
         stored = fresh(m)
-        inv = stored.inverse()
-        assert stored._data is None and inv._data is None
+        with builds_no_qqi():
+            inv = stored.inverse()
         assert all(type(a) is int for r, _ in inv._ints for a in r)
         assert_same(inv, qqi_oracle._inverse_qqi(m).data)
         assert m @ inv == Mat.identity(ctx.n)

@@ -11,6 +11,21 @@
   :meth:`~qpslab.linalg.Mat.inverse` call it.  An elimination step is a
   fraction-free row update, an exact division ``//`` of a product or of a
   difference of products, or a division ``/`` of the entries.
+* A :class:`~qpslab.linalg.Mat` stores one form of itself, its canonical
+  integer rows, and two values derived from them once, each kept because it
+  is read again.  The rows over their lcm (``_iright``), which every product
+  reads from its right operand, served from the kept value 478 of 1,694,
+  132 of 434 and 2,194 of 7,590 :meth:`~qpslab.linalg.Mat.int_entries`
+  reads in one round (campaign seed 1000) of the quotient-sl3gl3,
+  double-sl3gl3 and small-mix workloads of ``bench/``; the kept inverse
+  (``_inv``), which a group element reads at every use, served 136 of 240,
+  68 of 96 and 612 of 1,218 reads.  The ``QQi`` entries and the canonical
+  columns are not kept: in the same rounds kept entries served none of 192,
+  96 and 2,712 entry reads, and kept columns served 128 of 552, 22 of 68
+  and 342 of 1,378 transposes, yet filling them up front canonicalized
+  1,836, 527 and 2,478 columns, so the rounds make fewer row reductions
+  without them.  The slots are pinned, so a new stored form comes with its
+  own counts and an edit here.
 
 No linter runs on this repository, so this test reads the modules with
 :mod:`ast`; docstring and comment mentions do not count.
@@ -19,6 +34,7 @@ No linter runs on this repository, so this test reads the modules with
 import ast
 from pathlib import Path
 
+from qpslab.linalg import Mat
 from test_borel_layout import scopes
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qpslab"
@@ -114,3 +130,7 @@ def test_linalg_runs_one_elimination():
     tree = parse("linalg")
     assert eliminations(tree) == {"_rref_int"}
     assert callers(tree, "_rref_int") == {"rank", "rref", "Mat.det", "Mat.inverse"}
+
+
+def test_a_mat_stores_its_integer_rows_and_two_derived_values():
+    assert Mat.__slots__ == ("rows", "cols", "_ints", "_iright", "_inv")

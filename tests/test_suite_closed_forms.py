@@ -23,9 +23,9 @@ from qpslab.campaigns import (CampaignConfig, _a3_nondegenerate,
 from qpslab.conventions import ACTIVE, CORRUPTIONS, FROZEN, using
 from qpslab.dirac import cartan_dirac
 from qpslab.gspringer import omega_matrix, phi_differential, sample_double
-from qpslab.liegroup import (GROUPS, bracket, conjugation_sections,
-                             context, random_algebra, random_point,
-                             sigma_average)
+from qpslab.liegroup import (GROUPS, GroupContext, bracket,
+                             conjugation_sections, context, random_algebra,
+                             random_point, sigma_average)
 from qpslab.linalg import Mat, intersect, kernel, mat_vec, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -204,12 +204,12 @@ def test_a4_fails_under_a_transposed_adjoint(name, monkeypatch):
     # invariant under the action, and the sampled draws see that
     ctx = context(name)
     _, b = sample_double(ctx, SplitMix64(62))
-    adjoint = ctx.adjoint
-    monkeypatch.setattr(ctx, "adjoint",
-                        lambda m, minv: adjoint(m, minv).transpose())
+    adjoint = GroupContext.adjoint
+    monkeypatch.setattr(GroupContext, "adjoint",
+                        lambda self, m, minv: adjoint(self, m, minv).transpose())
     # T = G Ad_b has its own closed form; route it through the wrong adjoint
-    monkeypatch.setattr(ctx, "gram_adjoint",
-                        lambda m, minv: ctx.gram @ ctx.adjoint(m, minv))
+    monkeypatch.setattr(GroupContext, "gram_adjoint",
+                        lambda self, m, minv: self.gram @ self.adjoint(m, minv))
     w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
     assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63))
     assert not four_block_route(ctx, b, w, SplitMix64(63), 10)
@@ -321,9 +321,9 @@ def test_closure_rows_match_the_r_matrix_route(name, monkeypatch):
             assert dirac._pair_sides(ctx, sections, xi, ze) == \
                 r_matrix_pair_route(ctx, sections, xi, ze), conv
     # the routes agree on a wrong adjoint too, so they fail alike
-    adjoint = ctx.adjoint
-    monkeypatch.setattr(ctx, "adjoint",
-                        lambda m, minv: adjoint(m, minv).transpose())
+    adjoint = GroupContext.adjoint
+    monkeypatch.setattr(GroupContext, "adjoint",
+                        lambda self, m, minv: adjoint(self, m, minv).transpose())
     sections = conjugation_sections(ctx, g, g.inverse())
     assert dirac._closure_sides(ctx, g, g.inverse()) == \
         r_matrix_route(ctx, g, g.inverse())
@@ -350,9 +350,9 @@ def test_closure_rows_match_the_r_matrix_route_off_the_reals():
 def test_closure_fails_under_a_transposed_adjoint(name, monkeypatch):
     # on SL the transpose of Ad_{g^-1} in the basis (E_ij, H_k) is no
     # automorphism of the algebra, and every point sees that
-    adjoint = context(name).adjoint
-    monkeypatch.setattr(context(name), "adjoint",
-                        lambda m, minv: adjoint(m, minv).transpose())
+    adjoint = GroupContext.adjoint
+    monkeypatch.setattr(GroupContext, "adjoint",
+                        lambda self, m, minv: adjoint(self, m, minv).transpose())
     for suite, check in (("dorfman-closure", "dorfman-closure/basis-pairs"),
                          ("cartan-dirac", "cartan-dirac/closure-sample")):
         rep = run_suite(CampaignConfig(suite=suite, group=name, samples=4, seed=11))
@@ -387,7 +387,8 @@ def test_leaf_dimension_fails_under_a_wrong_adjoint(name, monkeypatch):
     # computed in the group, is that of a generic point
     ctx = context(name)
     g = random_point(ctx, "G", SplitMix64(59))
-    monkeypatch.setattr(ctx, "adjoint", lambda m, minv: Mat.identity(ctx.dim_g))
+    monkeypatch.setattr(GroupContext, "adjoint",
+                        lambda self, m, minv: Mat.identity(self.dim_g))
     recs = _check_cartan_dirac(ctx, {"g": g}, SplitMix64(7))
     leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
     assert leaf == {"check_id": "cartan-dirac/leaf-dimension", "passed": False,
