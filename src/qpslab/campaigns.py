@@ -27,13 +27,13 @@ from fractions import Fraction
 from .conventions import ACTIVE, CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
 from .dirac import (cartan_closure_check, cartan_dirac, closure_sample,
                     graph_bivector, graph_two_form, is_lagrangian, pairing)
-from .gspringer import (borel_reduction, gspoint_stream, leaf_two_form,
+from .gspringer import (borel_chart, gspoint_stream, leaf_two_form,
                         moment_condition_holds, omega_matrix, phi_differential,
-                        point_from_json, point_to_json, QuotientChart,
-                        reconstruct_bivector, regact_check,
-                        representative_independent, sample_double,
-                        sampled_d_identity, steinberg_membership, theorem1_check,
-                        theorem2_check, weyl_fiber, weyl_fiber_enum)
+                        point_from_json, point_to_json, reconstruct_bivector,
+                        regact_check, representative_independent,
+                        sample_double, sampled_d_identity, steinberg_membership,
+                        theorem1_check, theorem2_check, weyl_fiber,
+                        weyl_fiber_enum)
 from .liegroup import (conjugate, conjugation_sections, context, group_of_json,
                        invariants, random_algebra, random_point, read_element,
                        torus_part)
@@ -357,8 +357,8 @@ def _check_lemma_kernel(ctx, pt, rng) -> list:
 
 
 def _check_regact(ctx, pt, rng) -> list:
-    # the reduction's form and directions depend on b alone; g stays in the report
-    res = regact_check(borel_reduction(ctx, pt["g"], pt["b"]))
+    # the chart's form and directions depend on b alone; g stays in the report
+    res = regact_check(borel_chart(ctx, pt["g"], pt["b"]))
     return [_record("regact/constant-intersection", res["passed"],
                     {"dim": res["dim"], "expected": res["expected_dim"]})]
 
@@ -377,7 +377,7 @@ def _gen_gspoints(cfg: CampaignConfig) -> list:
 
 
 def _check_theorem1(ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(ctx, pt["g"], pt["b"]))
+    chart = borel_chart(ctx, pt["g"], pt["b"])
     res = theorem1_check(chart)
     recs = [
         _record("gs-theorem1/lagrangian", res["lagrangian"],
@@ -397,7 +397,7 @@ def _check_theorem1(ctx, pt, rng) -> list:
 
 
 def _check_theorem2(ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(ctx, pt["g"], pt["b"]))
+    chart = borel_chart(ctx, pt["g"], pt["b"])
     res = theorem2_check(chart)
     recs = [
         _record("gs-theorem2/leaf-projection", res["projection_matches"],
@@ -416,7 +416,7 @@ def _check_theorem2(ctx, pt, rng) -> list:
 
 
 def _check_bivector(ctx, pt, rng) -> list:
-    chart = QuotientChart(borel_reduction(ctx, pt["g"], pt["b"]))
+    chart = borel_chart(ctx, pt["g"], pt["b"])
     pi, checks = reconstruct_bivector(chart)
     recs = [_record("bivector/solvable", checks.get("solvable", False),
                     None if checks.get("solvable") else checks)]
@@ -541,7 +541,7 @@ def eval_command(kind: str, payload: dict) -> dict:
         pts = weyl_fiber_enum(ctx, read_element(ctx, payload))
         return {"count": len(pts), "points": [point_to_json(ctx, *p) for p in pts]}
     if kind == "leaf-form":
-        chart = QuotientChart(borel_reduction(*point_from_json(payload)))
+        chart = borel_chart(*point_from_json(payload))
         # an eval input carries no salt, so the d-identity directions come
         # from a fixed stream
         form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))

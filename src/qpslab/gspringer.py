@@ -22,11 +22,11 @@ The quotient's data is the double's data restricted to G x P.  Three
 matrices are built, each in one place and on the double only: the form
 (:func:`omega_matrix`), the differential of the moment map
 (:func:`phi_differential`) and the second factor's action generators
-(:func:`action_generators`).  A :class:`Reduction` states P once, as the
+(:func:`action_generators`).  A :class:`QuotientChart` states P once, as the
 index lists of its coordinates and of its nilradical N's in the algebra
 basis, and every G x P or G x N quantity is the block of one of the three
-that those lists select.  P = B with N = U is the one constructor
-(:func:`borel_reduction`), and the only code here that reads the context's
+that those lists select.  P = B with N = U is the one maker
+(:func:`borel_chart`), and the only code here that reads the context's
 ``borel`` and ``unipotent`` index tuples; no other function takes a
 subgroup tag or does dimension arithmetic on P.
 
@@ -55,23 +55,19 @@ greedy choice of coordinate directions, and representative independence is
 itself one of the verified claims, never an assumption: a chart's fiber,
 moved by :func:`chart_transport` to the chart of another representative,
 must be the fiber built there (:func:`representative_independent`).  The
-vertical space is the reduction's block of the action generators, its
+vertical space is the block of the action generators at P's columns, its
 canonical basis as built, and by matroid duality its greedy complement is
 the complement of its lexicographically last row basis (Oxley, *Matroid
 Theory*, the greedy algorithm and duality), so one small elimination builds
-a chart (:class:`QuotientChart`).
+the chart coordinates.
 
-The reduction and its chart are the one place where a quotient point's
-closed-form data is derived.  The reduction keeps T and the G x P block W
-of the form, which the chart's fiber is pushed forward from, and derives
-the G x P block of the phi differential on first use; the chart derives
-the graph of W, mu, d(mu) and the leaf directions (the fiber's tangent
-part) on first use.  Each is derived at most once: the moved chart of
-:func:`representative_independent` derives none of them, and only
-theorem 1 reads the graph.  The checks read all seven from the chart and
-its reduction.  The conjugation sections at mu are not kept on the chart,
-because they read the active conventions at the moment they are built;
-each check builds them once and passes the same set to
+The :class:`QuotientChart` is the one place where a quotient point's
+closed-form data is derived.  It builds T, the G x P block W of the form
+and the vertical space, and derives the rest when first read, at most once:
+regact reads W and the vertical space alone, and only theorem 1 reads the
+graph.  The conjugation sections at mu are not kept on the chart, because
+they read the active conventions at the moment they are built; each check
+builds them once and passes the same set to
 :func:`~qpslab.dirac.cartan_dirac` and to :func:`induced_action`.
 """
 
@@ -143,7 +139,7 @@ def phi_differential(ctx: GroupContext, a: Mat, b: Mat) -> Mat:
     Built on the double only.  (x, y) -> (Ad_a (Ad_{b^-1} x + y - x),
     -Ad_b y), so the matrix is [[Ad_a (Ad_{b^-1} - I), Ad_a], [0, -Ad_b]],
     where Ad_a Ad_{b^-1} = Ad_{a b^-1}.  With b in a subgroup P the same
-    map on G x P is its block on a :class:`Reduction`'s upstairs
+    map on G x P is its block on a :class:`QuotientChart`'s upstairs
     coordinates, whose first dim G rows are d(mu . q).  The per-basis
     columns coords(a (b^-1 x b - x) a^-1) and (coords(a y a^-1),
     -coords(b y b^-1)) are its oracle in the tests, as is the dual-number
@@ -161,7 +157,7 @@ def action_generators(ctx: GroupContext, b: Mat) -> Mat:
 
     Column k is :func:`rho_double` of (0, e_k), the negated derivative of
     the action of e_k; it does not depend on a.  The P-action on G x P
-    generates its block at a :class:`Reduction`'s upstairs rows and P's
+    generates its block at a :class:`QuotientChart`'s upstairs rows and P's
     columns, the N-action the columns of N among those.  Transposed, each
     such block is already in reduced row echelon form (row r is zero in the
     first factor but for a 1 at the r-th listed coordinate, and the lists
@@ -198,7 +194,7 @@ def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
     """Matrix of omega on the tangent basis of the double.
 
     Built on the double only: its G x P and G x N matrices are the blocks
-    a :class:`Reduction`'s index lists select.  Uses the closed block form
+    a :class:`QuotientChart`'s index lists select.  Uses the closed block form
     W = -s/2 [[T' - T, T + G], [-(T' + G), 0]] with T = G Ad_b on algebra
     coordinates (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`, read
     off b and b^-1 with no d x d product) and G the form's Gram matrix:
@@ -367,75 +363,34 @@ def moment_condition_check(ctx: GroupContext, a: Mat, b: Mat, w: Mat,
 
 
 # ---------------------------------------------------------------------------
-# the reduction and its chart
+# the quotient point and its chart
 
 
-class Reduction:
-    """The double at (g, p) restricted to G x P: what G x_P P is reduced from.
+class QuotientChart:
+    """A point of G x_P P at its representative (g, p): the double there
+    restricted to G x P, and a pointwise chart, a complement to the
+    vertical space.
 
     The subgroup P is given as index lists of the algebra basis, both in
     increasing order: ``sub`` holds P's coordinates and ``nil`` those of its
-    nilradical N.  They are P's data, not options; :func:`borel_reduction`
-    gives them for P = B.  ``up`` lists the upstairs coordinates, those of
-    G x P among the double's: all of the first factor, then P's of the
-    second.  On them the reduction keeps
+    nilradical N.  They are P's data, not options; :func:`borel_chart` gives
+    them for P = B.  ``up`` lists the upstairs coordinates, those of G x P
+    among the double's: all of the first factor, then P's of the second;
+    ``ambient`` is their count and ``hdim``, dim G, the chart's.  Built with
+    the chart, under the conventions active then:
 
     * ``t``, T = G Ad_p (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`),
       through which omega depends on the point, and ``w``, the G x P block of
-      :func:`omega_matrix`, both under the conventions active when the
-      reduction was built;
+      :func:`omega_matrix`;
     * ``vertical``, the span of the P-action generators, whose block of
       :func:`action_generators` is recognised as its canonical basis
       without elimination;
-    * ``dphi``, the G x P block of :func:`phi_differential`, derived when
-      first read and then kept;
     * two lists of upstairs positions: ``leaf_slice``, the coordinates of
       the leaf slice G x N, and ``levi``, the rows of P's coordinates
       outside N (for P = B, the torus rows).
 
     Every G x P or G x N quantity of the quotient is one of these blocks,
     so the functions below state nothing about where P sits in the basis.
-    """
-
-    def __init__(self, ctx: GroupContext, g: Mat, p: Mat, sub, nil):
-        self.ctx = ctx
-        d = ctx.dim_g
-        self.g, self.p = g, p
-        self.sub, self.nil = tuple(sub), tuple(nil)
-        self.up = [*range(d), *(d + k for k in self.sub)]
-        # the upstairs position of each of P's coordinates
-        at = {k: d + i for i, k in enumerate(self.sub)}
-        self.leaf_slice = [*range(d), *(at[k] for k in self.nil)]
-        self.levi = [at[k] for k in self.sub if k not in self.nil]
-        self.t = ctx.gram_adjoint(p, p.inverse())
-        self.w = _restrict(omega_matrix(ctx, self.t), self.up)
-        self.vertical = Subspace(
-            len(self.up), _restrict(action_generators(ctx, p), self.up, self.sub))
-
-    @cached_property
-    def dphi(self) -> Mat:
-        """The G x P block of :func:`phi_differential` at (g, p)."""
-        return _restrict(phi_differential(self.ctx, self.g, self.p), self.up)
-
-    def translate(self, h: Mat) -> "Reduction":
-        """The reduction at the representative h.(g, p) = (g h^-1, h p h^-1)
-        of the same class, h in P."""
-        return Reduction(self.ctx, self.g @ h.inverse(), conjugate(h, self.p),
-                         self.sub, self.nil)
-
-
-def borel_reduction(ctx: GroupContext, g: Mat, b: Mat) -> Reduction:
-    """The reduction along G x B at the representative pair (g, b) of a point.
-
-    B's and U's coordinates are the context's ``borel`` and ``unipotent``
-    index tuples; this is the one quotient function that reads them.
-    """
-    return Reduction(ctx, g, b, ctx.borel, ctx.unipotent)
-
-
-class QuotientChart:
-    """Pointwise chart on G x_P P at a :class:`Reduction`: a complement to
-    the vertical space.
 
     ``indices`` are the coordinate directions S that complement the
     vertical space V greedily: taken in order, each unit vector leaves the
@@ -444,60 +399,87 @@ class QuotientChart:
     basis T (Oxley, *Matroid Theory*, the greedy algorithm and duality), and
     T is the pivot set of one rref R of V^T with its columns in reverse
     order.  The rows of R span V as well, with R[:, T] = I, so ``proj``, the
-    first h rows of [inc | V]^-1, is read off it: proj[:, S] = I_h and
-    proj[:, t_r] = -R[r, S]^T for the pivot t_r of row r.
+    first h rows of [I_S | V]^-1, I_S the identity's columns at S, is read
+    off it: proj[:, S] = I_h and proj[:, t_r] = -R[r, S]^T for the pivot
+    t_r of row r.  ``proj`` maps upstairs tangent coordinates to chart
+    coordinates; chart coordinate i is upstairs coordinate ``indices[i]``,
+    so the chart embeds back by a selection.  Quotient covectors are the
+    functionals that factor through ``proj``.
 
-    ``proj`` maps upstairs tangent coordinates to chart coordinates, ``inc``
-    embeds the chart back; quotient covectors are the functionals that factor
-    through ``proj`` (the annihilator of the vertical space).  V, T = G Ad_p
-    and the G x P block W of omega are the ``reduction``'s.
-
-    ``fiber`` is the pushforward to the chart of the graph of W upstairs,
-    under the conventions active when the reduction was built.  ``graph``,
-    that graph, ``mu``, ``dmu`` and ``leaf`` read no convention; each is
-    derived when first read, and then kept for the chart's lifetime.  Only
-    route (iv) of :func:`theorem1_check` reads ``graph``.
+    The rest reads no convention, and is derived when first read and then
+    kept: ``dphi``, the G x P block of :func:`phi_differential`; the
+    complement, ``indices`` and ``proj``; ``fiber``, the pushforward of the
+    graph of W to the chart; ``graph``, ``mu``, ``dmu`` and ``leaf``.
     """
 
-    def __init__(self, reduction: Reduction):
-        self.reduction = reduction
-        amb = self.ambient = len(reduction.up)
-        h = self.hdim = reduction.ctx.dim_g
+    def __init__(self, ctx: GroupContext, g: Mat, p: Mat, sub, nil):
+        self.ctx = ctx
+        d = self.hdim = ctx.dim_g
+        self.g, self.p = g, p
+        self.sub, self.nil = tuple(sub), tuple(nil)
+        self.up = [*range(d), *(d + k for k in self.sub)]
+        self.ambient = len(self.up)
+        # the upstairs position of each of P's coordinates
+        at = {k: d + i for i, k in enumerate(self.sub)}
+        self.leaf_slice = [*range(d), *(at[k] for k in self.nil)]
+        self.levi = [at[k] for k in self.sub if k not in self.nil]
+        self.t = ctx.gram_adjoint(p, p.inverse())
+        self.w = _restrict(omega_matrix(ctx, self.t), self.up)
+        self.vertical = Subspace(
+            self.ambient, _restrict(action_generators(ctx, p), self.up, self.sub))
+
+    def translate(self, h: Mat) -> "QuotientChart":
+        """The chart at the representative h.(g, p) = (g h^-1, h p h^-1) of
+        the same class, h in P."""
+        return QuotientChart(self.ctx, self.g @ h.inverse(), conjugate(h, self.p),
+                             self.sub, self.nil)
+
+    @cached_property
+    def dphi(self) -> Mat:
+        """The G x P block of :func:`phi_differential` at (g, p)."""
+        return _restrict(phi_differential(self.ctx, self.g, self.p), self.up)
+
+    @cached_property
+    def _complement(self) -> tuple[tuple, Mat]:
+        """``(indices, proj)``, from one rref of the reversed V^T."""
+        amb = self.ambient
         # pivot p of the reversed rref is the coordinate amb - 1 - p
         echelon, pivots = rref(
-            reduction.vertical.basis.transpose().select_cols(range(amb - 1, -1, -1)))
+            self.vertical.basis.transpose().select_cols(range(amb - 1, -1, -1)))
         last = [amb - 1 - p for p in pivots]
         indices = [j for j in range(amb) if j not in last]
-        self.indices = tuple(indices)
-        self.inc = Mat.identity(amb).select_cols(indices)
         # [I_h | -R[:, S]^T] holds the columns of S, then those of T; put
         # each coordinate's column at its place
         rs = echelon.select_cols([amb - 1 - j for j in indices])
         order = indices + last
-        self.proj = Mat.identity(h).hstack(-rs.transpose()).select_cols(
+        proj = Mat.identity(self.hdim).hstack(-rs.transpose()).select_cols(
             sorted(range(amb), key=order.__getitem__))
-        self.fiber = quotient_fiber(self)
+        return tuple(indices), proj
 
-    @property
-    def ctx(self) -> GroupContext:
-        return self.reduction.ctx
+    indices = property(lambda self: self._complement[0])
+    proj = property(lambda self: self._complement[1])
+
+    @cached_property
+    def fiber(self) -> DiracFiber:
+        """The pushforward of the graph of W to the chart (:func:`quotient_fiber`)."""
+        return quotient_fiber(self)
 
     @cached_property
     def graph(self) -> DiracFiber:
-        """The graph of the reduction's W upstairs: a reshaping of W, which
-        reads no convention."""
-        return graph_two_form(self.reduction.w)
+        """The graph of W upstairs: a reshaping of W, which reads no
+        convention."""
+        return graph_two_form(self.w)
 
     @cached_property
     def mu(self) -> Mat:
         """mu at the chart's point, g p g^-1: the first factor of :func:`phi`."""
-        return conjugate(self.reduction.g, self.reduction.p)
+        return conjugate(self.g, self.p)
 
     @cached_property
     def dmu(self) -> Mat:
-        """d(mu) on the chart: the first dim G rows of the reduction's
-        ``dphi``, times ``inc``."""
-        return self.reduction.dphi.row_block(0, self.hdim) @ self.inc
+        """d(mu) on the chart: the first dim G rows of ``dphi`` at the chart
+        coordinates' columns."""
+        return self.dphi.row_block(0, self.hdim).select_cols(self.indices)
 
     @cached_property
     def leaf(self) -> Subspace:
@@ -505,16 +487,25 @@ class QuotientChart:
         return self.fiber.tangent_part()
 
 
+def borel_chart(ctx: GroupContext, g: Mat, b: Mat) -> QuotientChart:
+    """The chart of G x_B B at the representative pair (g, b) of a point.
+
+    B's and U's coordinates are the context's ``borel`` and ``unipotent``
+    index tuples; this is the one quotient function that reads them.
+    """
+    return QuotientChart(ctx, g, b, ctx.borel, ctx.unipotent)
+
+
 def quotient_fiber(chart: QuotientChart) -> DiracFiber:
     """Pushforward of the restricted graph to the chart; Lagrangian of dim G.
 
     It is reduced to one small null space.  With P = ``proj``, S the chart's
-    coordinates (``inc``), w the reduction's form and V its vertical basis,
+    coordinates (``indices``), w the chart's form and V its vertical basis,
     the pushforward of the graph {(X, w^T X)} is {(P X, b) : P^T b = w^T X}.
     P has full rank and kernel V, so P^T maps the chart covectors one to one
     onto the covectors that vanish on V.  Hence b exists exactly when
-    V^T w^T X = 0, and it is then unique, b = inc^T P^T b = (w^T X)_S, since
-    P inc = I.  So
+    V^T w^T X = 0, and it is then unique, b = (P^T b)_S = (w^T X)_S, since
+    the columns of P at S are the identity's.  So
 
         f_* L = {(P X, (w^T X)_S) : V^T w^T X = 0},
 
@@ -523,9 +514,8 @@ def quotient_fiber(chart: QuotientChart) -> DiracFiber:
     ambient x (dim G + ambient) system for the same subspace, and is the
     oracle of this reduction in the tests.
     """
-    red = chart.reduction
-    wt = red.w.transpose()
-    null = null_vectors(red.vertical.basis.transpose() @ wt)
+    wt = chart.w.transpose()
+    null = null_vectors(chart.vertical.basis.transpose() @ wt)
     return DiracFiber(2 * chart.hdim, (chart.proj @ null).vstack(
         wt.select_rows(chart.indices) @ null))
 
@@ -673,8 +663,8 @@ def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
     Upstairs rho(xi, 0) = (-Ad_{g^-1} xi, 0) in the frozen generator
     convention.
     """
-    red = chart.reduction
-    up = red.ctx.coords(-(red.g.inverse() @ ximat @ red.g)) + [QQi(0)] * len(red.sub)
+    g = chart.g
+    up = chart.ctx.coords(-(g.inverse() @ ximat @ g)) + [QQi(0)] * len(chart.sub)
     return mat_vec(chart.proj, up)
 
 
@@ -688,8 +678,7 @@ def induced_action(chart: QuotientChart, sections: tuple) -> tuple[Mat, Mat]:
     sigma(mu, e_k) are the columns of the A block of ``sections``, the
     :func:`~qpslab.liegroup.conjugation_sections` at mu.
     """
-    ctx = chart.ctx
-    g = chart.reduction.g
+    ctx, g = chart.ctx, chart.g
     fields = -(chart.proj.col_block(0, ctx.dim_g) @ ctx.adjoint(g.inverse(), g))
     return fields, chart.dmu.transpose() @ sections[2]
 
@@ -699,14 +688,16 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart, h: Mat) -> Mat
 
     The action diffeomorphism has differential Ad_h (+) Ad_h upstairs and
     descends to the identity on the quotient tangent space, so the matrix is
-    proj2 M inc1, M the G x P block of diag(Ad_h, Ad_h): h is in P, so Ad_h
-    keeps P's coordinates among themselves, and M is the whole map on G x P.
+    proj2 M on chart1's coordinates, M the G x P block of diag(Ad_h, Ad_h):
+    h is in P, so Ad_h keeps P's coordinates among themselves, and M is the
+    whole map on G x P.  Chart1's coordinates are upstairs coordinates, so
+    M on them is M's columns at chart1's ``indices``.
     """
     ctx = chart1.ctx
     ad = ctx.adjoint(h, h.inverse())
     zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
-    move = _restrict(ad.hstack(zero).vstack(zero.hstack(ad)), chart1.reduction.up)
-    return chart2.proj @ move @ chart1.inc
+    move = _restrict(ad.hstack(zero).vstack(zero.hstack(ad)), chart1.up)
+    return chart2.proj @ move.select_cols(chart1.indices)
 
 
 def representative_independent(chart: QuotientChart, h: Mat) -> bool:
@@ -714,7 +705,7 @@ def representative_independent(chart: QuotientChart, h: Mat) -> bool:
     is the fiber built there: :func:`chart_transport` moves its tangent rows
     and the transport's inverse transpose its covector rows.
     """
-    moved_chart = QuotientChart(chart.reduction.translate(h))
+    moved_chart = chart.translate(h)
     trans = chart_transport(chart, moved_chart, h)
     basis, hdim = chart.fiber.basis, chart.hdim
     moved = (trans @ basis.row_block(0, hdim)).vstack(
@@ -728,18 +719,18 @@ def representative_independent(chart: QuotientChart, h: Mat) -> bool:
 # the verification computations
 
 
-def regact_check(reduction: Reduction) -> dict:
+def regact_check(chart: QuotientChart) -> dict:
     """Intersection of the P-action directions with the restricted graph.
 
     Passes when the intersection is exactly the N directions, so its
     dimension is dim N at every point (the regularity making the quotient a
-    bundle).  Both sides are the reduction's, which the chart reads too, and
-    neither depends on g; the N directions are the columns of N's
+    bundle).  Both sides are built with the chart, its complement is not
+    read, and neither depends on g; the N directions are the columns of N's
     coordinates among P's in the vertical basis.
     """
-    gens = reduction.vertical
-    inter = intersect(gens, kernel(reduction.w.transpose()))
-    nil = [i for i, k in enumerate(reduction.sub) if k in reduction.nil]
+    gens = chart.vertical
+    inter = intersect(gens, kernel(chart.w.transpose()))
+    nil = [i for i, k in enumerate(chart.sub) if k in chart.nil]
     expected = (Subspace(gens.ambient_dim, gens.basis.select_cols(nil))
                 if nil else Subspace.zero(gens.ambient_dim))
     ok = inter.dim == len(nil) and inter.equals(expected)
@@ -800,8 +791,7 @@ def theorem1_check(chart: QuotientChart) -> dict:
             if not fib.contains_vector(fields.col(k) + duals.col(k)))}
 
     # route (iv): along the double's moment map, then onto its first factor
-    route_b = pushforward_linear(chart.graph,
-                                 chart.reduction.dphi.row_block(0, ctx.dim_g))
+    route_b = pushforward_linear(chart.graph, chart.dphi.row_block(0, ctx.dim_g))
     out["pushforward_commutes"] = pushed.equals(route_b)
     if not out["pushforward_commutes"]:
         out["witness_pushforward"] = _column_outside(pushed, route_b,
@@ -828,17 +818,19 @@ def theorem2_check(chart: QuotientChart) -> dict:
     """Leaf identification: the chart fiber's tangent image is q_* of the
     tangent space of the leaf slice G x tN (G x tU for P = B)."""
     ctx = chart.ctx
-    red = chart.reduction
     leaf = chart.leaf
     out = {
         "leaf_dim": leaf.dim,
         "expected_dim": ctx.dim_g - ctx.rank,
-        "projection_matches": leaf.spanned_by(chart.proj.select_cols(red.leaf_slice)),
+        "projection_matches": leaf.spanned_by(chart.proj.select_cols(chart.leaf_slice)),
     }
     # lambda . q takes (g, b) to diag(b), and diag(b y) = diag(b) diag(y) for
     # b, y upper triangular: d(lambda . q) selects the second factor's torus
-    # coordinates, so on the chart it is the Levi rows of inc
-    killed = (chart.inc.select_rows(red.levi) @ leaf.basis).is_zero()
+    # coordinates, so on the chart it reads the leaf rows at the chart
+    # positions of the Levi coordinates, and is zero when none is a chart
+    # coordinate
+    at = [i for i, j in enumerate(chart.indices) if j in chart.levi]
+    killed = not at or leaf.basis.select_rows(at).is_zero()
     out["lambda_locally_constant"] = killed
     out["passed"] = (
         out["projection_matches"]
@@ -866,10 +858,10 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
       a coordinate subspace, by :func:`sampled_d_identity` on two triples
       drawn from ``rng`` (a campaign passes the point's salted stream).
       There the leaf form is the pullback of omega, whose matrix is the
-      block of the reduction's ``w`` at its ``leaf_slice``: the slice curve
+      block of the chart's ``w`` at its ``leaf_slice``: the slice curve
       u (I + s y) is the curve b (I + s y).  d(mu) on the slice,
       (g, u) -> g t u g^-1, is the block of the first dim G rows of the
-      reduction's ``dphi`` at the ``leaf_slice`` columns.
+      chart's ``dphi`` at the ``leaf_slice`` columns.
     """
     ctx = chart.ctx
     fib = chart.fiber
@@ -890,10 +882,9 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     checks["moment_identity"] = consistent and (
         form.transpose() @ coeffs == leaf.basis.transpose() @ duals)
 
-    red = chart.reduction
     checks["d_identity"] = sampled_d_identity(
-        ctx, red.t, _restrict(red.w, red.leaf_slice), red.nil,
-        _restrict(red.dphi, range(h), red.leaf_slice), rng, 2)
+        ctx, chart.t, _restrict(chart.w, chart.leaf_slice), chart.nil,
+        _restrict(chart.dphi, range(h), chart.leaf_slice), rng, 2)
     checks["passed"] = all(checks.values())
     return form, leaf, checks
 

@@ -34,7 +34,7 @@ from operator import add, itemgetter, sub
 
 from .conventions import ACTIVE
 from .linalg import Mat, _entry, mat_vec
-from .matio import mat_from_json
+from .matio import entry_pairs, mat_from_json
 from .prng import SplitMix64
 from .scalars import QQI_ZERO, QQi
 
@@ -375,10 +375,12 @@ def read_element(ctx: GroupContext, obj: dict) -> Mat:
     size must match the group and the determinant be non-zero, 1 on SL.
     Every group matrix that arrives as JSON, in an eval input or a JSON
     point, is read here; campaign points never arrive as JSON, as their
-    checks receive them as drawn."""
-    m = mat_from_json(obj)
-    if m.rows != ctx.n or m.cols != ctx.n:
+    checks receive them as drawn.  The size is read off the header first, so
+    a mis-sized header builds no row, however many it claims."""
+    rows, cols, _ = entry_pairs(obj)
+    if rows != ctx.n or cols != ctx.n:
         raise ValueError(f"matrix size does not match group {ctx.name}")
+    m = mat_from_json(obj)
     d = m.det()
     if not d:
         raise ValueError("group element must be invertible")

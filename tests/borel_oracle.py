@@ -1,13 +1,13 @@
 """The Borel chart built from leading blocks: the oracle of
-:func:`qpslab.gspringer.borel_reduction` and the charts built on it.
+:func:`qpslab.gspringer.borel_chart`.
 
 The Borel and unipotent bases are prefixes of the algebra basis, so the
 restriction of a matrix on the double to G x B or G x U is one of its
 leading blocks.  The quotient pipeline once read every G x B and G x U
 quantity that way, with the chart building its own T, W and vertical space.
 That construction is written out here, unchanged, so the tests can compare
-the reduction's index lists and the chart built on them with it entry for
-entry, the chart's complement included.
+the chart's index lists and the blocks and complement built on them with it
+entry for entry.
 """
 
 from qpslab.dirac import DiracFiber
@@ -23,7 +23,7 @@ def leading(m: Mat, k: int, cols: int | None = None) -> Mat:
 def prefix_chart(ctx, g, b) -> dict:
     """The chart of the point (g, b) of G x_B B from leading blocks: ``w``,
     ``dphi`` and the ``vertical`` basis on G x B, then the greedy complement
-    ``indices``, ``proj``, ``inc`` and the ``fiber``."""
+    ``indices`` and ``proj``, and the ``fiber``."""
     amb, h = ctx.dim_g + len(ctx.borel), ctx.dim_g
     w = leading(omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse())), amb)
     vertical = leading(action_generators(ctx, b), amb, len(ctx.borel))
@@ -40,4 +40,4 @@ def prefix_chart(ctx, g, b) -> dict:
     fiber = DiracFiber(2 * h, (proj @ null).vstack(wt.select_rows(indices) @ null))
     return {"w": w, "dphi": leading(phi_differential(ctx, g, b), amb),
             "vertical": vertical, "indices": tuple(indices), "proj": proj,
-            "inc": Mat.identity(amb).select_cols(indices), "fiber": fiber}
+            "fiber": fiber}

@@ -7,11 +7,8 @@ backend) so criteria sharing a suite reuse the same seeded stream.  Run with
 ``pytest -v`` for the per-criterion lines.
 """
 
-import pytest
-
 from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.conventions import ACTIVE, FROZEN
-from qpslab.dirac import cartan_dirac, is_lagrangian
 from qpslab.gspringer import same_class, weyl_fiber_enum
 from qpslab.liegroup import conjugate, context, random_point, weyl_orders
 from qpslab.prng import SplitMix64

@@ -22,11 +22,11 @@ import pytest
 from qpslab import campaigns
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.dirac import DiracFiber, cartan_dirac
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart, action_generators,
-                              borel_reduction, chart_transport,
-                              gspoint_stream, moment_condition_check,
-                              moment_condition_holds, omega_matrix,
-                              phi_differential, sample_double, sample_gspoint)
+from qpslab.gspringer import (FORCED_STRATA, action_generators, borel_chart,
+                              chart_transport, gspoint_stream,
+                              moment_condition_check, moment_condition_holds,
+                              omega_matrix, phi_differential, sample_double,
+                              sample_gspoint)
 from qpslab.liegroup import (GROUPS, conj_field, conjugation_sections, context,
                              random_algebra, random_point, sigma)
 from qpslab.linalg import Mat, Subspace, mat_vec
@@ -232,7 +232,8 @@ def per_basis_chart_transport(chart1, chart2, h):
     ctx = chart1.ctx
     cols = []
     for j in range(chart1.hdim):
-        upvec = chart1.inc.col(j)
+        # the upstairs unit vector of chart coordinate j
+        upvec = [QQi(int(i == chart1.indices[j])) for i in range(chart1.ambient)]
         xmat = ctx.mat_from_coords(upvec[: ctx.dim_g])
         ycoords = [QQi(0)] * ctx.dim_g
         for i, c in zip(ctx.borel, upvec[ctx.dim_g:], strict=True):
@@ -250,8 +251,8 @@ def test_chart_transport_matches_the_per_basis_columns(group):
     for stratum in ("random", "springer", "identity-b"):
         pt = sample_gspoint(ctx, rng, stratum)
         h = random_point(ctx, "B", rng)
-        red = borel_reduction(ctx, *pt)
-        c1, c2 = QuotientChart(red), QuotientChart(red.translate(h))
+        c1 = borel_chart(ctx, *pt)
+        c2 = c1.translate(h)
         assert chart_transport(c1, c2, h) == per_basis_chart_transport(c1, c2, h)
 
 

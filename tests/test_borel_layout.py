@@ -4,8 +4,8 @@ Where U's, the torus's and B's coordinates sit in the algebra basis is
 stated once, as the index tuples ``unipotent``, ``torus`` and ``borel`` of
 :class:`~qpslab.liegroup.GroupContext`, built in its ``__init__``.  The
 only other readers in ``src/qpslab`` hand those lists on as a subgroup's
-data: :func:`~qpslab.gspringer.borel_reduction` (P = B and N = U of a
-:class:`~qpslab.gspringer.Reduction`), the lemma-kernel check (B and its
+data: :func:`~qpslab.gspringer.borel_chart` (P = B and N = U of a
+:class:`~qpslab.gspringer.QuotientChart`), the lemma-kernel check (B and its
 torus part) and :meth:`~qpslab.diffcalc.Space.indices` (the tags of the
 dual-number oracle's model spaces).  Any other reader would do Borel-layout
 arithmetic of its own beside them.  No linter runs on this repository, so
@@ -64,7 +64,7 @@ def test_only_the_makers_of_subgroup_data_read_the_borel_layout():
         for attr, where in layout_readers(tree, path.stem).items():
             found.setdefault(attr, set()).update(where)
     init, space = "liegroup.GroupContext.__init__", "diffcalc.Space.indices"
-    lemma, borel = "campaigns._check_lemma_kernel", "gspringer.borel_reduction"
+    lemma, borel = "campaigns._check_lemma_kernel", "gspringer.borel_chart"
     assert found == {"unipotent": {init, borel, space},
                      "torus": {init, lemma, space},
                      "borel": {init, borel, lemma, space}}

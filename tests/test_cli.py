@@ -10,6 +10,8 @@ import pytest
 from qpslab.campaigns import CampaignConfig, UsageError, eval_command, run_suite
 from qpslab.cli import main
 from qpslab.conventions import CONVENTIONS_HASH
+from qpslab.liegroup import context, read_element
+from qpslab.linalg import Mat
 
 
 def strip_timestamp(text: str) -> str:
@@ -219,6 +221,31 @@ def test_cli_eval_rejects_a_matrix_of_the_wrong_size(tmp_path, capsys, kind, pay
     assert "matrix size does not match group sl2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, cols", [(3, 0), (0, 0), (2, 3), (1, 4)])
+def test_a_mis_sized_header_is_refused_before_any_matrix_is_built(
+        tmp_path, capsys, monkeypatch, rows, cols):
+    # the header's size is compared with n first, so a header that claims
+    # many empty rows builds none of them
+    ctx = context("sl2")
+    built = []
+    init = Mat.__init__
+
+    def counting(self, data):
+        built.append(len(data))
+        init(self, data)
+
+    monkeypatch.setattr(Mat, "__init__", counting)
+    payload = {"group": "sl2", "rows": rows, "cols": cols,
+               "entries": [1] * (rows * cols)}
+    with pytest.raises(ValueError, match="matrix size does not match group sl2"):
+        read_element(ctx, payload)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main(["eval", "kappa", str(path)]) == 2
+    assert "matrix size does not match group sl2" in capsys.readouterr().err
+    assert built == []
+
+
 SINGULAR2 = {"rows": 2, "cols": 2, "entries": [1, 1, 0, 0]}
 DET2 = {"rows": 2, "cols": 2, "entries": [2, 0, 0, 1]}
 LOWER2 = {"rows": 2, "cols": 2, "entries": [1, 0, 1, 1]}
@@ -371,6 +398,23 @@ def test_cli_eval_leaf_form_needs_exact_entries(tmp_path, capsys):
 def test_eval_unknown_kind():
     with pytest.raises(UsageError):
         eval_command("nope", {})
+
+
+# argparse's choices keep the first four from the CLI; the bench and library
+# callers build a CampaignConfig themselves and reach each guard
+@pytest.mark.parametrize("field, value, message", [
+    ("suite", "nope", "unknown suite 'nope'"),
+    ("group", "sl9", "unknown group 'sl9'"),
+    ("backend", "gpu", "backend must be 'exact' or 'float'"),
+    ("corrupt", "nope", "unknown corruption 'nope'"),
+    ("jobs", 0, "jobs must be >= 1"),
+], ids=["suite", "group", "backend", "corruption", "jobs"])
+def test_each_config_guard_refuses_its_value(field, value, message):
+    cfg = CampaignConfig(suite="pairing", samples=1)
+    cfg.validate()
+    setattr(cfg, field, value)
+    with pytest.raises(UsageError, match=message):
+        cfg.validate()
 
 
 def test_cli_eval_file_errors(tmp_path, capsys):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qpslab.diffcalc import (DualMat, PointedMap, Space, compose, d_two_form,
-                             directional, identity_map, inversion_map,
-                             lie_bracket, lie_derivative_covector, one_form_d)
+from qpslab.diffcalc import (PointedMap, Space, compose, d_two_form, directional,
+                             identity_map, inversion_map, lie_bracket,
+                             lie_derivative_covector, one_form_d)
 from qpslab.liegroup import context, random_algebra, random_point
 from qpslab.linalg import Mat, mat_vec
 from qpslab.prng import SplitMix64

@@ -3,7 +3,6 @@
 import runpy
 from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from qpslab.dirac import (DiracFiber, cartan_closure_check, cartan_dirac,
                           pairing, pullback_linear, pushforward_linear)
 from qpslab.liegroup import (GroupContext, conjugation_sections, context,
                              random_algebra, random_point)
-from qpslab.linalg import Mat, Subspace, kernel, mat_vec, rank
+from qpslab.linalg import Mat, kernel, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -394,3 +393,14 @@ def test_closure_product_count_does_not_grow_with_the_group(monkeypatch):
             patch.setattr(Mat, "__matmul__", spy)
             assert cartan_closure_check(ctx, g, ginv) == (True, None)
     assert calls["sl2"] == calls["sl3"] == calls["sl4"] > 0
+
+
+# the dimension guards of the linear transport maps, each reached with a
+# map of the wrong size for a fiber over a 2-dimensional space
+@pytest.mark.parametrize("transport, message", [
+    pytest.param(pushforward_linear, "wrong domain dimension", id="pushforward"),
+    pytest.param(pullback_linear, "wrong codomain dimension", id="pullback"),
+])
+def test_each_transport_guard_refuses_a_mis_sized_map(transport, message):
+    with pytest.raises(ValueError, match=message):
+        transport(DiracFiber(4, Mat.identity(4)), Mat.identity(3))

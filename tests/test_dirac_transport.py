@@ -17,8 +17,7 @@ from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form,
                           pullback_linear, pushforward_linear)
-from qpslab.gspringer import (QuotientChart, borel_reduction,
-                              gspoint_stream, omega_matrix)
+from qpslab.gspringer import borel_chart, gspoint_stream, omega_matrix
 from qpslab.liegroup import GROUPS, conjugation_sections, context, random_point
 from qpslab.linalg import Mat, Subspace, intersect, kernel, null_vectors, rank
 from qpslab.prng import SplitMix64
@@ -83,8 +82,8 @@ def transport_cases(ctx):
     d = ctx.dim_g
     first = Mat.identity(d).hstack(Mat.zeros(d, len(ctx.borel)))
     for point in gspoint_stream(ctx, SplitMix64(301), 4):
-        chart = QuotientChart(borel_reduction(ctx, *point))
-        dmu, dphi = chart.dmu, chart.reduction.dphi
+        chart = borel_chart(ctx, *point)
+        dmu, dphi = chart.dmu, chart.dphi
         cd = cartan_dirac(conjugation_sections(ctx, chart.mu, chart.mu.inverse()))
         push += [(chart.graph, chart.proj), (chart.fiber, dmu),
                  (chart.graph, dphi), (pushforward_linear(chart.graph, dphi), first),
@@ -107,8 +106,7 @@ def test_reduced_transports_match_the_full_incidence_systems(group):
 
 def test_the_zero_fiber_transports_to_the_kernels():
     ctx = context("sl3")
-    chart = QuotientChart(
-        borel_reduction(ctx, *gspoint_stream(ctx, SplitMix64(302), 2)[1]))
+    chart = borel_chart(ctx, *gspoint_stream(ctx, SplitMix64(302), 2)[1])
     dmu = chart.dmu
     h, d = chart.hdim, ctx.dim_g
     pushed = pushforward_linear(zero_fiber(h), dmu)
@@ -135,8 +133,7 @@ def test_transports_with_no_null_vectors():
 def test_a_pushforward_runs_two_rrefs(monkeypatch):
     # one on the reduced system, one canonicalizing the result
     ctx = context("sl3")
-    chart = QuotientChart(
-        borel_reduction(ctx, *gspoint_stream(ctx, SplitMix64(303), 4)[3]))
+    chart = borel_chart(ctx, *gspoint_stream(ctx, SplitMix64(303), 4)[3])
     dmu = chart.dmu
     calls = []
     real = linalg.rref
@@ -173,8 +170,8 @@ def test_a_graph_pushes_forward_without_the_top_product(group, monkeypatch):
     ctx = context(group)
     graphs, others = [], []
     for point in gspoint_stream(ctx, SplitMix64(305), 4):
-        chart = QuotientChart(borel_reduction(ctx, *point))
-        graphs += [(chart.graph, chart.proj), (chart.graph, chart.reduction.dphi)]
+        chart = borel_chart(ctx, *point)
+        graphs += [(chart.graph, chart.proj), (chart.graph, chart.dphi)]
         others.append((chart.fiber, chart.dmu))
     cases = [(fiber, fmat, product_route_pushforward(fiber, fmat), products)
              for group_cases, products in ((graphs, 1), (others, 2))
@@ -229,11 +226,11 @@ def test_intersect_at_the_chart_matches_the_kernel_route():
     for group in sorted(GROUPS):
         ctx = context(group)
         for point in gspoint_stream(ctx, SplitMix64(305), 4):
-            red = borel_reduction(ctx, *point)
-            flat = kernel(red.w.transpose())
-            got = intersect(red.vertical, flat)
+            chart = borel_chart(ctx, *point)
+            flat = kernel(chart.w.transpose())
+            got = intersect(chart.vertical, flat)
             assert got.dim == len(ctx.unipotent)
-            assert got.basis == kernel_route_intersect(red.vertical, flat).basis
+            assert got.basis == kernel_route_intersect(chart.vertical, flat).basis
 
 
 @pytest.mark.parametrize("gaussian", [False, True])

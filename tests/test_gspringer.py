@@ -13,8 +13,8 @@ from qpslab.diffcalc import PointedMap, Space, omega_value, phi_map
 from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                           is_skew, pushforward_linear)
 from qpslab.gspringer import (FORCED_STRATA,
-                              NotRegularSemisimple, QuotientChart, Reduction,
-                              borel_reduction, chart_action_field,
+                              NotRegularSemisimple, QuotientChart, borel_chart,
+                              chart_action_field,
                               chart_transport, gspoint_stream, induced_action,
                               leaf_two_form, moment_condition_check,
                               omega_matrix, phi, phi_differential,
@@ -162,7 +162,7 @@ def test_restriction_is_lagrangian_graph():
     rng = SplitMix64(67)
     g = random_point(SL2, "G", rng)
     b = random_point(SL2, "B", rng)
-    fib = QuotientChart(borel_reduction(SL2, g, b)).graph
+    fib = borel_chart(SL2, g, b).graph
     ok, _ = is_lagrangian(fib)
     assert ok
     assert fib.dim == SL2.dim_g + len(SL2.borel)  # 5 for sl2
@@ -174,14 +174,14 @@ def test_regact_dimensions():
     for ctx, expected in ((SL2, 1), (SL3, 3), (GL2, 1)):
         g = random_point(ctx, "G", rng)
         b = random_point(ctx, "B", rng)
-        res = regact_check(borel_reduction(ctx, g, b))
+        res = regact_check(borel_chart(ctx, g, b))
         assert res["passed"] and res["dim"] == expected
 
 
 def test_vertical_space_is_action_tangent():
     rng = SplitMix64(69)
     g, b = sample_gspoint(SL2, rng)
-    v = borel_reduction(SL2, g, b).vertical
+    v = borel_chart(SL2, g, b).vertical
     assert v.dim == len(SL2.borel)
     # rho(0, xi) for xi in the Borel basis lies in the vertical space
     for k in SL2.borel:
@@ -193,7 +193,7 @@ def test_vertical_space_is_action_tangent():
 def test_quotient_fiber_basics():
     rng = SplitMix64(70)
     pt = sample_gspoint(SL2, rng)
-    chart = QuotientChart(borel_reduction(SL2, *pt))
+    chart = borel_chart(SL2, *pt)
     fib = chart.fiber
     assert fib.dim == SL2.dim_g == 3
     assert quotient_fiber(chart).equals(fib)
@@ -220,30 +220,36 @@ def test_chart_complement_matches_the_greedy_choice(group):
     # the degenerate strata of gspoint_stream, then a generic point
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
-        chart = QuotientChart(borel_reduction(ctx, *pt))
-        want = _greedy_complement(chart.reduction.vertical, chart.ambient, chart.hdim)
+        chart = borel_chart(ctx, *pt)
+        want = _greedy_complement(chart.vertical, chart.ambient, chart.hdim)
         assert list(chart.indices) == want
         assert len(want) == chart.hdim
 
 
+def unit_columns(chart: QuotientChart) -> Mat:
+    """The upstairs unit vectors of the chart coordinates, as columns."""
+    return Mat.from_columns(
+        [[QQi(int(i == j)) for i in range(chart.ambient)] for j in chart.indices],
+        chart.ambient)
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_chart_proj_is_the_inverse_route(group):
-    # proj is read off one rref of V^T; the route it replaced inverts [inc | V]
+    # proj is read off one rref of V^T; the route it replaced inverts
+    # [I_S | V], I_S the unit columns of the chart coordinates S
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
-        chart = QuotientChart(borel_reduction(ctx, *pt))
-        inv = chart.inc.hstack(chart.reduction.vertical.basis).inverse()
+        chart = borel_chart(ctx, *pt)
+        inv = unit_columns(chart).hstack(chart.vertical.basis).inverse()
         assert chart.proj == inv.row_block(0, chart.hdim)
-        assert chart.inc == Mat.from_columns(
-            [[QQi(int(i == j)) for i in range(chart.ambient)] for j in chart.indices],
-            chart.ambient)
 
 
 @pytest.mark.parametrize("group", ["sl3", "gl3"])
 def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
-    # the complement and proj of one chart come from one rref of V^T; the
-    # fiber adds one null space of the dim B x ambient V^T w^T and the rref
-    # that canonicalizes it, and no rank, inverse or pushforward
+    # building a chart eliminates nothing; the complement and proj come from
+    # one rref of V^T when first read; the fiber adds one null space of the
+    # dim B x ambient V^T w^T and the rref that canonicalizes it, and no
+    # rank, inverse or pushforward
     ctx = context(group)
     pt = gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1)[-1]
     pt[0].inverse(), pt[1].inverse()  # the matrices' kept inverses are not the chart's
@@ -268,14 +274,14 @@ def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
     monkeypatch.setattr(linalg, "rank", spy("rank", linalg.rank))
     monkeypatch.setattr(gspringer, "pushforward_linear",
                         spy("pushforward", gspringer.pushforward_linear))
-    fiber = gspringer.quotient_fiber
-    monkeypatch.setattr(gspringer, "quotient_fiber", lambda chart: None)
-    chart = QuotientChart(borel_reduction(ctx, *pt))
+    chart = borel_chart(ctx, *pt)
+    assert calls == []
     amb = ctx.dim_g + len(ctx.borel)
+    assert chart.proj.shape == (ctx.dim_g, amb) and len(chart.indices) == ctx.dim_g
     vertical = (len(ctx.borel), amb)
     assert calls == [("rref", vertical)]
     calls.clear()
-    fib = fiber(chart)
+    fib = chart.fiber
     (null, v), (canon, (k, cols)) = calls
     assert (null, v, canon, cols) == ("rref", vertical, "rref", 2 * ctx.dim_g)
     assert fib.dim == ctx.dim_g <= k <= amb
@@ -296,12 +302,17 @@ def per_basis_lam_differential(ctx, bmat):
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_lam_differential_matches_the_per_basis_route(group):
-    # on the chart, d(lambda . q) is the torus rows of inc
+    # upstairs, d(lambda . q) selects the Levi coordinates, so on the chart
+    # theorem 2's lambda test reads the leaf rows at the chart positions of
+    # the Levi coordinates; the per-basis route, times the chart's unit
+    # columns, gives the same verdict
     ctx = context(group)
     for g, b in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
-        chart = QuotientChart(borel_reduction(ctx, g, b))
-        got = chart.inc.select_rows(chart.reduction.levi)
-        assert got == per_basis_lam_differential(ctx, b) @ chart.inc
+        chart = borel_chart(ctx, g, b)
+        dl = per_basis_lam_differential(ctx, b)
+        assert dl == Mat.identity(chart.ambient).select_rows(chart.levi)
+        killed = (dl @ unit_columns(chart) @ chart.leaf.basis).is_zero()
+        assert theorem2_check(chart)["lambda_locally_constant"] == killed
 
 
 # a point with non-real entries, which only JSON input produces: its chart
@@ -323,12 +334,12 @@ NONREAL_LEAF_FORM = {
 
 def test_nonreal_chart_and_leaf_form_pinned():
     assert campaigns.eval_command("leaf-form", NONREAL_POINT) == NONREAL_LEAF_FORM
-    chart = QuotientChart(borel_reduction(*point_from_json(NONREAL_POINT)))
+    chart = borel_chart(*point_from_json(NONREAL_POINT))
     assert any(x.im for r in chart.proj.data for x in r)
-    assert list(chart.indices) == _greedy_complement(chart.reduction.vertical,
+    assert list(chart.indices) == _greedy_complement(chart.vertical,
                                                      chart.ambient, chart.hdim)
-    # proj is the first h rows of [inc | V]^-1
-    inv = chart.inc.hstack(chart.reduction.vertical.basis).inverse()
+    # proj is the first h rows of [I_S | V]^-1
+    inv = unit_columns(chart).hstack(chart.vertical.basis).inverse()
     assert chart.proj == inv.row_block(0, chart.hdim)
 
 
@@ -337,7 +348,7 @@ def two_step_route_iv(chart: QuotientChart) -> DiracFiber:
     then along the projection [I | 0] onto its first factor."""
     ctx = chart.ctx
     first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, len(ctx.borel)))
-    pushed = pushforward_linear(chart.graph, chart.reduction.dphi)
+    pushed = pushforward_linear(chart.graph, chart.dphi)
     return pushforward_linear(pushed, first)
 
 
@@ -349,7 +360,7 @@ def assert_reductions_match_their_routes(chart: QuotientChart) -> None:
     assert fiber.basis == chart.fiber.basis
     assert fiber.basis == pushforward_linear(chart.graph, chart.proj).basis
     one_step = pushforward_linear(chart.graph,
-                                  chart.reduction.dphi.row_block(0, ctx.dim_g))
+                                  chart.dphi.row_block(0, ctx.dim_g))
     two_step = two_step_route_iv(chart)
     assert one_step.basis == two_step.basis
 
@@ -362,11 +373,11 @@ def test_quotient_fiber_and_route_iv_match_the_pushforward_routes(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for pt in gspoint_stream(ctx, SplitMix64(87), len(FORCED_STRATA) + 1):
             assert_reductions_match_their_routes(
-                QuotientChart(borel_reduction(ctx, *pt)))
+                borel_chart(ctx, *pt))
 
 
 def test_quotient_fiber_and_route_iv_at_the_nonreal_point():
-    chart = QuotientChart(borel_reduction(*point_from_json(NONREAL_POINT)))
+    chart = borel_chart(*point_from_json(NONREAL_POINT))
     assert any(x.im for r in chart.proj.data for x in r)
     assert_reductions_match_their_routes(chart)
     # and theorem1_check's verdict on route (iv) is the two-step route's
@@ -379,10 +390,9 @@ def test_quotient_fiber_representative_independent():
     rng = SplitMix64(71)
     pt = sample_gspoint(SL2, rng)
     h = random_point(SL2, "B", rng)
-    red = borel_reduction(SL2, *pt)
-    moved = red.translate(h)
-    assert same_class(SL2, pt, (moved.g, moved.p))
-    c1, c2 = QuotientChart(red), QuotientChart(moved)
+    c1 = borel_chart(SL2, *pt)
+    c2 = c1.translate(h)
+    assert same_class(SL2, pt, (c2.g, c2.p))
     trans = chart_transport(c1, c2, h)
     f1, f2 = c1.fiber, c2.fiber
     top = trans @ Mat(f1.basis.data[: c1.hdim])
@@ -429,7 +439,7 @@ def test_mu_lambda_well_defined():
     for _ in range(5):
         g, b = sample_gspoint(SL2, rng)
         h = random_point(SL2, "B", rng)
-        moved = borel_reduction(SL2, g, b).translate(h)
+        moved = borel_chart(SL2, g, b).translate(h)
         assert conjugate(g, b) == conjugate(moved.g, moved.p)
         assert torus_part(b) == torus_part(moved.p)
         assert torus_part(b) == borel_decompose(SL2, b)[0]
@@ -472,7 +482,7 @@ def test_theorem1_all_strata():
     for ctx in (SL2, GL2):
         for stratum in ("random", "springer", "nonregular", "identity-b"):
             pt = sample_gspoint(ctx, rng, stratum)
-            res = theorem1_check(QuotientChart(borel_reduction(ctx, *pt)))
+            res = theorem1_check(borel_chart(ctx, *pt))
             assert res["passed"], (ctx.name, stratum, res)
 
 
@@ -482,7 +492,7 @@ def test_theorem1_identity_mu_target():
     pt = sample_gspoint(SL2, rng, "identity-b")
     m = conjugate(*pt)
     assert m == Mat.identity(2)
-    chart = QuotientChart(borel_reduction(SL2, *pt))
+    chart = borel_chart(SL2, *pt)
     pushed = pushforward_linear(chart.fiber, chart.dmu)
     cotangent = DiracFiber(6, Mat.zeros(3, 3).vstack(Mat.identity(3)))
     assert pushed.equals(cotangent)
@@ -492,11 +502,11 @@ def test_theorem1_identity_mu_target():
 def test_theorem1_witness_names_a_column_outside_the_other_fiber():
     # sigma-half moves the Cartan-Dirac fiber but not the quotient fiber
     pt = sample_gspoint(SL2, SplitMix64(88))
-    res = theorem1_check(QuotientChart(borel_reduction(SL2, *pt)))
+    res = theorem1_check(borel_chart(SL2, *pt))
     assert not any(k.startswith("witness") for k in res)
     m = conjugate(*pt)
     with using(CORRUPTIONS["sigma-half"]):
-        chart = QuotientChart(borel_reduction(SL2, *pt))
+        chart = borel_chart(SL2, *pt)
         res = theorem1_check(chart)
         fibers = {"pushed": pushforward_linear(chart.fiber, chart.dmu),
                   "cartan": cartan_dirac(conjugation_sections(SL2, m, m.inverse()))}
@@ -529,8 +539,10 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
 
     monkeypatch.setattr(QuotientChart, "__init__",
                         counting("chart", QuotientChart.__init__))
-    monkeypatch.setattr(Reduction, "__init__",
-                        counting("reduction", Reduction.__init__))
+    # the complement's rref is the only one gspringer runs itself
+    monkeypatch.setattr(gspringer, "rref", counting("rref", gspringer.rref))
+    monkeypatch.setattr(gspringer, "quotient_fiber",
+                        counting("quotient_fiber", gspringer.quotient_fiber))
     monkeypatch.setattr(GroupContext, "gram_adjoint",
                         counting("gram_adjoint", GroupContext.gram_adjoint))
     monkeypatch.setattr(DiracFiber, "tangent_part",
@@ -543,25 +555,32 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
             if mod is not None and mod.__name__.startswith("qpslab") and \
                     vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, counting(name, fn))
-    # gs-theorem1 needs the base point's chart and the moved one's, each on
-    # its own reduction; the moved reduction derives T and W for the moved
-    # chart's fiber, and its p is one more conjugation (mu is the other);
-    # nothing else is derived twice.  Only gs-theorem2
-    # reads the leaf, once for the leaf check and the leaf form together
-    suites = (("gs-theorem1", 2, 0), ("gs-theorem2", 1, 1), ("bivector", 1, 0))
+    # gs-theorem1 needs the base point's chart and the moved one's; the
+    # moved chart derives T and W, its complement and its fiber, and its p
+    # is one more conjugation (mu is the other); nothing else is derived
+    # twice.  Only gs-theorem2 reads the leaf, once for the leaf check and
+    # the leaf form together.  regact reads the chart's vertical space and W
+    # alone: no complement, dphi, fiber, mu or sections
+    charted = {name: 1 for name in DERIVED}
+    suites = {
+        "gs-theorem1": {**charted, "chart": 2, "gram_adjoint": 2,
+                        "omega_matrix": 2, "conjugate": 2, "rref": 2,
+                        "quotient_fiber": 2},
+        "gs-theorem2": {**charted, "chart": 1, "gram_adjoint": 1, "rref": 1,
+                        "quotient_fiber": 1, "tangent_part": 1},
+        "bivector": {**charted, "chart": 1, "gram_adjoint": 1, "rref": 1,
+                     "quotient_fiber": 1},
+        "regact": {"chart": 1, "gram_adjoint": 1, "omega_matrix": 1},
+    }
     for group in ("sl2", "sl3"):
-        for suite, charts, leaves in suites:
+        for suite, want in suites.items():
             cfg = campaigns.CampaignConfig(suite=suite, group=group, samples=4, seed=5)
-            _, check = campaigns.SUITES[suite]
+            gen, check = campaigns.SUITES[suite]
             ctx = context(group)
-            for mats, salt in campaigns._gen_gspoints(cfg):
+            for mats, salt in gen(cfg):
                 counts.clear()
                 check(ctx, mats, SplitMix64(salt))
-                want = Counter({name: 1 for name in DERIVED})
-                want.update({"chart": charts, "reduction": charts,
-                             "gram_adjoint": charts, "omega_matrix": charts - 1,
-                             "conjugate": charts - 1, "tangent_part": leaves})
-                assert counts == want, (group, suite)
+                assert counts == Counter(want), (group, suite)
 
 
 def test_only_route_iv_builds_a_chart_graph(monkeypatch):
@@ -571,8 +590,8 @@ def test_only_route_iv_builds_a_chart_graph(monkeypatch):
     charts = []
     init = QuotientChart.__init__
 
-    def recording(self, reduction):
-        init(self, reduction)
+    def recording(self, *args):
+        init(self, *args)
         charts.append(self)
 
     monkeypatch.setattr(QuotientChart, "__init__", recording)
@@ -590,13 +609,13 @@ def test_only_route_iv_builds_a_chart_graph(monkeypatch):
 
 
 def test_a_graph_first_read_under_other_conventions_is_the_frozen_graph():
-    # the graph only reshapes the reduction's W, so the conventions active
+    # the graph only reshapes the chart's W, so the conventions active
     # when it is first read do not enter it
     ctx = context("sl3")
     with using(FROZEN):
-        chart = QuotientChart(borel_reduction(
-            ctx, *gspoint_stream(ctx, SplitMix64(87), len(FORCED_STRATA) + 1)[-1]))
-        want = graph_two_form(chart.reduction.w)
+        chart = borel_chart(
+            ctx, *gspoint_stream(ctx, SplitMix64(87), len(FORCED_STRATA) + 1)[-1])
+        want = graph_two_form(chart.w)
     assert "graph" not in vars(chart)
     with using(CORRUPTIONS["omega-sign"]):
         got = chart.graph
@@ -607,7 +626,7 @@ def test_a_graph_first_read_under_other_conventions_is_the_frozen_graph():
 def test_induced_action_pairs_match_the_per_basis_formula(group):
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(90), len(FORCED_STRATA)):
-        chart = QuotientChart(borel_reduction(ctx, *pt))
+        chart = borel_chart(ctx, *pt)
         dmu = chart.dmu
         m = conjugate(*pt)
         fields, duals = induced_action(chart, conjugation_sections(ctx, m, m.inverse()))
@@ -624,7 +643,7 @@ def test_theorem2_leaf_dimensions():
     rng = SplitMix64(77)
     for ctx, dim in ((SL2, 2), (SL3, 6), (GL2, 2)):
         pt = sample_gspoint(ctx, rng)
-        res = theorem2_check(QuotientChart(borel_reduction(ctx, *pt)))
+        res = theorem2_check(borel_chart(ctx, *pt))
         assert res["passed"] and res["leaf_dim"] == dim
 
 
@@ -632,7 +651,7 @@ def test_theorem2_on_strata():
     rng = SplitMix64(78)
     for stratum in ("springer", "nonregular", "identity-b"):
         pt = sample_gspoint(SL2, rng, stratum)
-        assert theorem2_check(QuotientChart(borel_reduction(SL2, *pt)))["passed"]
+        assert theorem2_check(borel_chart(SL2, *pt))["passed"]
 
 
 def test_leaf_two_form_checks():
@@ -640,7 +659,7 @@ def test_leaf_two_form_checks():
     for ctx in (SL2, GL2):
         for stratum in ("random", "springer"):
             pt = sample_gspoint(ctx, rng, stratum)
-            chart = QuotientChart(borel_reduction(ctx, *pt))
+            chart = borel_chart(ctx, *pt)
             form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
             assert checks["passed"], (ctx.name, stratum, checks)
             assert leaf.dim == ctx.dim_g - ctx.rank
@@ -651,7 +670,7 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     # G x tU slice, drawn from the stream passed in
     pt = sample_gspoint(SL2, SplitMix64(81))
     rng, shadow = SplitMix64(1234), SplitMix64(1234)
-    _, _, checks = leaf_two_form(QuotientChart(borel_reduction(SL2, *pt)), rng)
+    _, _, checks = leaf_two_form(borel_chart(SL2, *pt), rng)
     assert checks["d_identity"]
     for _ in range(2 * 3 * (SL2.dim_g + len(SL2.unipotent))):
         shadow.rational(3)
@@ -734,7 +753,7 @@ def test_bivector_reconstruction():
     rng = SplitMix64(80)
     for ctx in (SL2, GL2):
         pt = sample_gspoint(ctx, rng)
-        pi, checks = reconstruct_bivector(QuotientChart(borel_reduction(ctx, *pt)))
+        pi, checks = reconstruct_bivector(borel_chart(ctx, *pt))
         assert checks["passed"], checks
         assert is_skew(pi)
 
@@ -839,11 +858,10 @@ def test_forced_strata_in_stream():
 def test_lambda_kills_leaf_directions():
     rng = SplitMix64(84)
     pt = sample_gspoint(SL3, rng)
-    red = borel_reduction(SL3, *pt)
-    chart = QuotientChart(red)
+    chart = borel_chart(SL3, *pt)
     # q_* of the tangent space of G x tU, and d(lambda . q) on the chart
-    leaf = Subspace.from_spanning(chart.proj.select_cols(red.leaf_slice))
-    dl = chart.inc.select_rows(red.levi)
+    leaf = Subspace.from_spanning(chart.proj.select_cols(chart.leaf_slice))
+    dl = per_basis_lam_differential(SL3, pt[1]) @ unit_columns(chart)
     for j in range(leaf.dim):
         assert all(not c for c in mat_vec(dl, leaf.basis.col(j)))
 
@@ -853,13 +871,13 @@ def test_gl3_smoke():
     ctx = context("gl3")
     rng = SplitMix64(86)
     pt = sample_gspoint(ctx, rng)
-    chart = QuotientChart(borel_reduction(ctx, *pt))
+    chart = borel_chart(ctx, *pt)
     assert theorem1_check(chart)["passed"]
     res = theorem2_check(chart)
     assert res["passed"] and res["leaf_dim"] == ctx.dim_g - ctx.rank == 6
     g = random_point(ctx, "G", rng)
     b = random_point(ctx, "B", rng)
-    assert regact_check(borel_reduction(ctx, g, b))["passed"]
+    assert regact_check(borel_chart(ctx, g, b))["passed"]
 
 
 def test_gspoint_json_roundtrip():

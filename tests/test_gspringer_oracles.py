@@ -23,13 +23,11 @@ from qpslab import campaigns, gspringer
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import (PointedMap, Space, d_two_form, omega_fn,
                              omega_value)
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart,
-                              borel_reduction, chart_action_field, d_omega,
-                              gspoint_stream, leaf_two_form, omega_matrix,
-                              phi_differential, point_from_json,
-                              reconstruct_bivector,
-                              sample_double, sampled_d_identity,
-                              theorem1_check)
+from qpslab.gspringer import (FORCED_STRATA, borel_chart, chart_action_field,
+                              d_omega, gspoint_stream, leaf_two_form,
+                              omega_matrix, phi_differential, point_from_json,
+                              reconstruct_bivector, sample_double,
+                              sampled_d_identity, theorem1_check)
 from qpslab.liegroup import (GROUPS, borel_decompose, context,
                              random_point, sigma, sigma_adjoint)
 from qpslab.linalg import Mat, dot, mat_vec, solve_unique
@@ -82,10 +80,10 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     mats = [space.matrices(e) for e in space.basis_directions()]
     assert [list(r) for r in gxu.data] == [
         [omega_value(ctx, g, b, u, v) for v in mats] for u in mats]
-    # and the leaf d-identity's block of a reduction's w is this G x U matrix
-    red = borel_reduction(ctx, g, b)
-    assert red.w == gxb
-    assert red.w.select_rows(red.leaf_slice).select_cols(red.leaf_slice) == gxu
+    # and the leaf d-identity's block of a chart's w is this G x U matrix
+    chart = borel_chart(ctx, g, b)
+    assert chart.w == gxb
+    assert chart.w.select_rows(chart.leaf_slice).select_cols(chart.leaf_slice) == gxu
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
@@ -179,7 +177,7 @@ def test_leaf_two_form_matches_the_per_column_reference(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         verdicts = []
         for pt in gspoint_stream(ctx, SplitMix64(105), STRATA):
-            chart = QuotientChart(borel_reduction(ctx, *pt))
+            chart = borel_chart(ctx, *pt)
             form, _, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
             want_form, want_moment = _leaf_reference(chart)
             assert form == want_form
@@ -195,7 +193,7 @@ def test_reconstruct_bivector_matches_the_per_column_reference(group, conv):
     ctx = context(group)
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for pt in gspoint_stream(ctx, SplitMix64(106), STRATA):
-            chart = QuotientChart(borel_reduction(ctx, *pt))
+            chart = borel_chart(ctx, *pt)
             pi, checks = reconstruct_bivector(chart)
             want = _bivector_reference(chart)
             # the corruption leaves no point solvable
@@ -215,7 +213,7 @@ def test_theorem1_induced_action_witness_is_the_first_failing_index(conv):
         for group in ("sl2", "gl2"):
             ctx = context(group)
             for pt in gspoint_stream(ctx, SplitMix64(107), STRATA):
-                chart = QuotientChart(borel_reduction(ctx, *pt))
+                chart = borel_chart(ctx, *pt)
                 res = theorem1_check(chart)
                 bad = [k for k, (vec, alpha) in enumerate(_action_pairs(chart))
                        if not chart.fiber.contains_vector(vec + alpha)]
@@ -255,8 +253,8 @@ def _d_identity_inputs(ctx, rng):
         yield t, omega_matrix(ctx, t), range(ctx.dim_g), phi_differential(ctx, a, b)
     k = ctx.dim_g + len(ctx.unipotent)
     for pt in gspoint_stream(ctx, rng, 2):
-        red = borel_reduction(ctx, *pt)
-        yield red.t, leading(red.w, k), red.nil, leading(red.dphi, ctx.dim_g, k)
+        chart = borel_chart(ctx, *pt)
+        yield chart.t, leading(chart.w, k), chart.nil, leading(chart.dphi, ctx.dim_g, k)
 
 
 def _same_d_identity(ctx, t, w, second, dphi, seed):
@@ -293,12 +291,12 @@ def test_sampled_d_identity_on_non_real_points():
             assert _same_d_identity(ctx, t, omega_matrix(ctx, t), range(ctx.dim_g),
                                     phi_differential(ctx, a, b), 7) == (conv is FROZEN)
     # the pinned eval leaf-form point of test_gspringer, b = [[i, 3/2], [0, -i]]
-    red = borel_reduction(*point_from_json({
+    chart = borel_chart(*point_from_json({
         "group": "sl2", "g": {"rows": 2, "cols": 2, "entries": [1, 0, 2, 1]},
         "b": {"rows": 2, "cols": 2, "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}))
     k = ctx.dim_g + len(ctx.unipotent)
-    assert _same_d_identity(ctx, red.t, leading(red.w, k), red.nil,
-                            leading(red.dphi, ctx.dim_g, k), 0x1EAF)
+    assert _same_d_identity(ctx, chart.t, leading(chart.w, k), chart.nil,
+                            leading(chart.dphi, ctx.dim_g, k), 0x1EAF)
 
 
 def test_float_array_is_bitwise_the_to_complex_route():

@@ -31,9 +31,9 @@ digests, which only a benchmark change may re-record.
 import pytest
 
 from qpslab.campaigns import CLI_GROUPS
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart,
-                              borel_reduction, chart_action_field, gspoint_stream,
-                              leaf_two_form, weyl_fiber_enum)
+from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_chart,
+                              chart_action_field, gspoint_stream, leaf_two_form,
+                              weyl_fiber_enum)
 from qpslab.liegroup import conjugate, context, random_point, weyl_orders
 from qpslab.linalg import Mat, Subspace, kernel, rank, solve_columns
 from qpslab.prng import SplitMix64
@@ -52,7 +52,7 @@ def minus_one_chart(group: str) -> QuotientChart:
     g, u = random_point(ctx, "G", rng), random_point(ctx, "U", rng)
     diag = MINUS_ONE_TORUS[group]
     t = Mat([[diag[i] if i == j else 0 for j in range(ctx.n)] for i in range(ctx.n)])
-    return QuotientChart(borel_reduction(ctx, g, t @ u))
+    return borel_chart(ctx, g, t @ u)
 
 
 def degeneracy_sides(chart: QuotientChart, shift: int) -> tuple[Subspace, Subspace]:
@@ -95,7 +95,7 @@ def test_minimal_degeneracy_on_the_minus_one_stratum(group):
 def test_minimal_degeneracy_at_the_stream_points(group):
     ctx = context(group)
     for point in gspoint_stream(ctx, SplitMix64(11), 6):
-        lhs, rhs = degeneracy_sides(QuotientChart(borel_reduction(ctx, *point)), 1)
+        lhs, rhs = degeneracy_sides(borel_chart(ctx, *point), 1)
         assert lhs.dim == rhs.dim == 0
 
 
@@ -119,7 +119,7 @@ def test_the_leaf_lies_in_a_steinberg_fiber_with_the_predicted_gap(group):
     ctx = context(group)
     gaps = []
     for g, b in gspoint_stream(ctx, SplitMix64(11), 6):
-        chart = QuotientChart(borel_reduction(ctx, g, b))
+        chart = borel_chart(ctx, g, b)
         ker = kernel(power_sum_rows(ctx, chart.mu) @ chart.dmu)
         assert ker.contains(chart.leaf)
         lam = [b.entry(i, i) for i in range(ctx.n)]
@@ -139,10 +139,10 @@ def test_each_weyl_fiber_point_is_its_own_leaf(group):
         points = weyl_fiber_enum(ctx, rs)
         assert len(points) == len(weyl_orders(ctx))
         for point in points:
-            chart = QuotientChart(borel_reduction(ctx, *point))
+            chart = borel_chart(ctx, *point)
             assert chart.mu == rs
             assert rank(chart.dmu) == ctx.dim_g
     # over a repeated eigenvalue mu is not étale: the rank test can fail
     nonregular = gspoint_stream(ctx, rng, len(FORCED_STRATA))[
         FORCED_STRATA.index("nonregular")]
-    assert rank(QuotientChart(borel_reduction(ctx, *nonregular)).dmu) < ctx.dim_g
+    assert rank(borel_chart(ctx, *nonregular).dmu) < ctx.dim_g

@@ -606,3 +606,17 @@ def test_the_pinned_draws_hold_a_negative_torus_and_a_redraw():
 def test_samplers_match_the_oracles_at_any_seed_and_height(seed, height):
     for name in sorted(liegroup.GROUPS):
         samplers_match_the_oracles(context(name), seed, height)
+
+
+# the guards where a group and its samples are named
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: GroupContext("XL", 2), "family must be 'SL' or 'GL'",
+                 id="bad-family"),
+    pytest.param(lambda: GroupContext("GL", 1), "need n >= 2", id="n-below-2"),
+    pytest.param(lambda: context("so3"), "unknown group 'so3'", id="unknown-group"),
+    pytest.param(lambda: random_point(context("sl2"), "Q", SplitMix64(1)),
+                 "unknown sample kind 'Q'", id="unknown-sample-kind"),
+])
+def test_each_group_guard_refuses_its_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

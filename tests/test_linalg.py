@@ -1,6 +1,7 @@
 """Rank/kernel/intersection oracles and the subspace dimension laws."""
 
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -336,3 +337,38 @@ def test_rational_and_integer_row_constructors_match_the_entry_route():
         want = Mat([[QQi(Fraction(a, den)) for a in r] for r in nums])
         assert got == want and got.data == want.data
         assert got._ints == want._ints
+
+
+M22 = Mat([[1, 2], [3, 4]])
+M23 = Mat([[1, 2, 3], [4, 5, 6]])
+
+
+# each guard of the matrix kernel, reached with the input it refuses; the @
+# guard matters most: without it a 2 x 3 @ 2 x 2 product zips each row
+# with the two rows of the right operand and returns a wrong 2 x 2 matrix
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Mat([[1, 2], [3]]), "ragged rows", id="ragged-rows"),
+    pytest.param(lambda: Mat.identity(0), "needs at least one row", id="identity-0"),
+    pytest.param(lambda: Mat.zeros(0, 2), "needs at least one row", id="zeros-0-rows"),
+    pytest.param(lambda: M23 @ M22, "shape mismatch (2, 3) @ (2, 2)", id="matmul"),
+    pytest.param(lambda: M23 + M22, "shape mismatch (2, 3) vs (2, 2)", id="add"),
+    pytest.param(lambda: M22 - M23, "shape mismatch (2, 2) vs (2, 3)", id="sub"),
+    pytest.param(lambda: M23.trace(), "trace of non-square", id="trace"),
+    pytest.param(lambda: M23.det(), "determinant of non-square", id="det"),
+    pytest.param(lambda: M23.inverse(), "inverse of non-square", id="inverse"),
+    pytest.param(lambda: M23.select_cols([]), "needs at least one column",
+                 id="select-no-cols"),
+    pytest.param(lambda: M23.hstack(Mat([[1]])), "row mismatch in hstack", id="hstack"),
+    pytest.param(lambda: M23.vstack(M22), "col mismatch in vstack", id="vstack"),
+    pytest.param(lambda: mat_vec(M23, [1, 2]), "matrix/vector size mismatch",
+                 id="mat-vec"),
+    pytest.param(lambda: Subspace(3, M22), "basis rows must match ambient",
+                 id="subspace-height"),
+    pytest.param(lambda: Subspace.full(2).sum(Subspace.full(3)),
+                 "ambient dimension mismatch", id="subspace-sum"),
+    pytest.param(lambda: annihilator(Subspace.full(2), M23),
+                 "pairing matrix has wrong shape", id="annihilator-shape"),
+])
+def test_each_kernel_guard_refuses_its_input(call, message):
+    with pytest.raises(LinAlgError, match=re.escape(message)):
+        call()

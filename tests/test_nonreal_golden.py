@@ -13,9 +13,8 @@ import hashlib
 import json
 
 from qpslab.dirac import cartan_closure_check, cartan_dirac
-from qpslab.gspringer import (QuotientChart, borel_reduction, leaf_two_form,
-                              reconstruct_bivector, regact_check, theorem1_check,
-                              theorem2_check)
+from qpslab.gspringer import (borel_chart, leaf_two_form, reconstruct_bivector,
+                              regact_check, theorem1_check, theorem2_check)
 from qpslab.linalg import Mat, Subspace
 from qpslab.liegroup import conjugation_sections, context, invariants
 from qpslab.matio import mat_to_json, scalar_to_json
@@ -75,15 +74,14 @@ def plain(x):
 def results(group, g_rows, b_rows) -> dict:
     ctx = context(group)
     g, b = mat(g_rows), mat(b_rows)
-    red = borel_reduction(ctx, g, b)
-    chart = QuotientChart(red)
+    chart = borel_chart(ctx, g, b)
     return {
         "group": group,
         "theorem1": theorem1_check(chart),
         "theorem2": theorem2_check(chart),
         "leaf_form": leaf_two_form(chart, SplitMix64(5)),
         "bivector": reconstruct_bivector(chart),
-        "regact": regact_check(red),
+        "regact": regact_check(chart),
         "closure": cartan_closure_check(ctx, g, g.inverse()),
         "cartan_dirac": cartan_dirac(conjugation_sections(ctx, g, g.inverse())),
         "chevalley": [invariants(ctx, g), invariants(ctx, b)],

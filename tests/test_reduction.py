@@ -1,9 +1,9 @@
 """The reduction along G x P against its two free oracles.
 
-* P = B: :func:`gspringer.borel_reduction` and the chart built on it
-  reproduce, entry for entry, the chart built from leading blocks of the
-  double's matrices (``borel_oracle.prefix_chart``): w, dphi, the vertical
-  basis, the greedy complement, proj, inc and the fiber basis, on all six
+* P = B: :func:`gspringer.borel_chart` reproduces, entry for entry, the
+  chart built from leading blocks of the double's matrices
+  (``borel_oracle.prefix_chart``): w, dphi, the vertical basis, the greedy
+  complement, proj and the fiber basis, on all six
   groups and at a non-real point.  This pins the chart's complement, which
   no report digest sees.
 * P = G: G x_G G is G itself, d(mu) is invertible, and the quotient fiber
@@ -22,10 +22,9 @@ import pytest
 from qpslab.campaigns import CLI_GROUPS
 from qpslab.conventions import CORRUPTIONS, using
 from qpslab.dirac import cartan_dirac, is_lagrangian, pushforward_linear
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart, Reduction,
-                              borel_reduction, gspoint_stream, leaf_two_form, phi,
-                              point_from_json, regact_check, theorem1_check,
-                              theorem2_check)
+from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_chart,
+                              gspoint_stream, leaf_two_form, phi, point_from_json,
+                              regact_check, theorem1_check, theorem2_check)
 from qpslab.liegroup import GROUPS, conjugation_sections, context, random_point
 from qpslab.linalg import rank
 from qpslab.prng import SplitMix64
@@ -41,32 +40,30 @@ NONREAL_POINT = {"group": "sl2",
 
 def assert_borel_chart_is_the_prefix_chart(ctx, g, b):
     d, amb = ctx.dim_g, ctx.dim_g + len(ctx.borel)
-    red = borel_reduction(ctx, g, b)
-    assert red.up == list(range(amb))
-    assert red.leaf_slice == list(range(d + len(ctx.unipotent)))
-    assert red.levi == list(range(d + len(ctx.unipotent), amb))
-    chart = QuotientChart(red)
+    chart = borel_chart(ctx, g, b)
+    assert chart.up == list(range(amb))
+    assert chart.leaf_slice == list(range(d + len(ctx.unipotent)))
+    assert chart.levi == list(range(d + len(ctx.unipotent), amb))
     want = prefix_chart(ctx, g, b)
-    assert red.w == want["w"]
-    assert red.dphi == want["dphi"]
-    assert red.vertical.basis == want["vertical"]
+    assert chart.w == want["w"]
+    assert chart.dphi == want["dphi"]
+    assert chart.vertical.basis == want["vertical"]
     assert chart.indices == want["indices"]
     assert chart.proj == want["proj"]
-    assert chart.inc == want["inc"]
     assert chart.fiber.basis == want["fiber"].basis
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_borel_reduction_reproduces_the_prefix_chart(group):
     # the forced strata of the stream, then a random point, and the
-    # reduction at a second representative of the last one
+    # chart at a second representative of the last one
     ctx = context(group)
     rng = SplitMix64(401)
     points = gspoint_stream(ctx, rng, len(FORCED_STRATA) + 1)
     for g, b in points:
         assert_borel_chart_is_the_prefix_chart(ctx, g, b)
     (g, b), h = points[-1], random_point(ctx, "B", rng)
-    moved = borel_reduction(ctx, g, b).translate(h)
+    moved = borel_chart(ctx, g, b).translate(h)
     # h.(g, b) = (g h^-1, h b h^-1), written out
     assert moved.g == g @ h.inverse()
     assert moved.p == h @ b @ h.inverse()
@@ -75,29 +72,28 @@ def test_borel_reduction_reproduces_the_prefix_chart(group):
 
 def test_borel_reduction_reproduces_the_prefix_chart_at_a_nonreal_point():
     ctx, g, b = point_from_json(NONREAL_POINT)
-    assert any(x.im for r in borel_reduction(ctx, g, b).w.data for x in r)
+    assert any(x.im for r in borel_chart(ctx, g, b).w.data for x in r)
     assert_borel_chart_is_the_prefix_chart(ctx, g, b)
 
 
-def group_reductions(ctx, seed: int):
-    """Reductions along all of G x G at three random (g, p): P = G, whose
-    nilradical is 0."""
+def group_charts(ctx, seed: int):
+    """Charts of the reduction along all of G x G at three random (g, p):
+    P = G, whose nilradical is 0."""
     rng = SplitMix64(seed)
     for _ in range(3):
         g, p = random_point(ctx, "G", rng), random_point(ctx, "G", rng)
-        yield Reduction(ctx, g, p, range(ctx.dim_g), [])
+        yield QuotientChart(ctx, g, p, range(ctx.dim_g), [])
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)
 def test_the_group_reduces_to_its_cartan_dirac_structure(group):
     ctx = context(group)
-    for red in group_reductions(ctx, 402):
-        chart = QuotientChart(red)
+    for chart in group_charts(ctx, 402):
         lagrangian, _ = is_lagrangian(chart.fiber)
         assert lagrangian and chart.fiber.dim == ctx.dim_g
         assert rank(chart.dmu) == ctx.dim_g
-        target = red.g @ red.p @ red.g.inverse()
-        assert chart.mu == target == phi(red.g, red.p)[0]
+        target = chart.g @ chart.p @ chart.g.inverse()
+        assert chart.mu == target == phi(chart.g, chart.p)[0]
         assert pushforward_linear(chart.fiber, chart.dmu).equals(
             cartan_dirac(conjugation_sections(ctx, target, target.inverse())))
         assert theorem1_check(chart)["passed"]
@@ -114,58 +110,58 @@ def test_the_group_reduction_sees_the_corruptions_gs_theorem1_sees(group, corrup
     # f-Dirac depends on sigma and on the sign of omega, not on the twist
     ctx = context(group)
     with using(CORRUPTIONS[corrupt]):
-        verdicts = [theorem1_check(QuotientChart(red))["f_dirac"]
-                    for red in group_reductions(ctx, 402)]
+        verdicts = [theorem1_check(chart)["f_dirac"]
+                    for chart in group_charts(ctx, 402)]
     assert verdicts == [corrupt == "dorfman-eta"] * 3
 
 
-def leaf_checks(reductions, seed: int) -> list[dict]:
-    """The checks of :func:`leaf_two_form` at each reduction, its d-identity
+def leaf_checks(charts, seed: int) -> list[dict]:
+    """The checks of :func:`leaf_two_form` at each chart, its d-identity
     drawing from one stream."""
     rng = SplitMix64(seed)
-    return [leaf_two_form(QuotientChart(red), rng)[2] for red in reductions]
+    return [leaf_two_form(chart, rng)[2] for chart in charts]
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)
 def test_the_group_reduction_has_a_leaf_form_and_no_nilradical(group):
     # N = 0: the leaf slice is G x 0 and regact's expected intersection is 0
     ctx = context(group)
-    for red in group_reductions(ctx, 402):
-        res = regact_check(red)
+    for chart in group_charts(ctx, 402):
+        res = regact_check(chart)
         assert res["passed"] and res["dim"] == res["expected_dim"] == 0
-    assert all(c["passed"] for c in leaf_checks(group_reductions(ctx, 402), 404))
+    assert all(c["passed"] for c in leaf_checks(group_charts(ctx, 402), 404))
     # the sign of omega is seen by the moment identity, as in gs-theorem2
     with using(CORRUPTIONS["omega-sign"]):
-        checks = leaf_checks(group_reductions(ctx, 402), 404)
+        checks = leaf_checks(group_charts(ctx, 402), 404)
     assert [c["moment_identity"] for c in checks] == [False] * 3
     assert all(c["graphical"] and c["skew"] for c in checks)
 
 
-def lower_borel_reductions(ctx, seed: int):
-    """Reductions along G x B^T at three random (g, p), p lower triangular:
-    P's coordinates are the torus's and the lower triangle's, the last
-    dim B of the basis, and N's the lower triangle's, the last dim U."""
+def lower_borel_charts(ctx, seed: int):
+    """Charts of the reduction along G x B^T at three random (g, p), p lower
+    triangular: P's coordinates are the torus's and the lower triangle's,
+    the last dim B of the basis, and N's the lower triangle's, the last
+    dim U."""
     rng = SplitMix64(seed)
     lower = range(len(ctx.borel), ctx.dim_g)
     for _ in range(3):
         g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
-        yield Reduction(ctx, g, b.transpose(), (*ctx.torus, *lower), lower)
+        yield QuotientChart(ctx, g, b.transpose(), (*ctx.torus, *lower), lower)
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)
 def test_the_lower_borel_reduction_passes_the_quotient_checks(group):
     ctx = context(group)
-    for red in lower_borel_reductions(ctx, 403):
+    for chart in lower_borel_charts(ctx, 403):
         d = ctx.dim_g
-        assert red.leaf_slice == [*range(d), *range(d + ctx.rank, d + len(ctx.borel))]
-        chart = QuotientChart(red)
+        assert chart.leaf_slice == [*range(d), *range(d + ctx.rank, d + len(ctx.borel))]
         assert theorem1_check(chart)["passed"] and theorem2_check(chart)["passed"]
-        res = regact_check(red)
+        res = regact_check(chart)
         assert res["passed"] and res["dim"] == len(ctx.unipotent)
-    checks = leaf_checks(lower_borel_reductions(ctx, 403), 405)
+    checks = leaf_checks(lower_borel_charts(ctx, 403), 405)
     assert all(c["passed"] for c in checks)
     # the d-identity sees the sign of omega where it is not 0 = 0: at n = 2
     # both sides vanish on the slice G x N
     with using(CORRUPTIONS["omega-sign"]):
-        checks = leaf_checks(lower_borel_reductions(ctx, 403), 405)
+        checks = leaf_checks(lower_borel_charts(ctx, 403), 405)
     assert [c["d_identity"] for c in checks] == [ctx.n == 2] * 3

@@ -4,7 +4,7 @@ integer rows, and the dual-number product rule."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 from qqi_oracle import builds_no_qqi

@@ -16,8 +16,8 @@ import pytest
 
 from qpslab.campaigns import CLI_GROUPS
 from qpslab.dirac import DiracFiber
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart, Reduction,
-                              borel_reduction, chart_transport, gspoint_stream,
+from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_chart,
+                              chart_transport, gspoint_stream,
                               reconstruct_bivector, representative_independent,
                               theorem1_check, theorem2_check)
 from qpslab.liegroup import context, random_point
@@ -59,7 +59,7 @@ def unequal_sets(s: Subspace, m: Mat) -> list[Mat]:
 def quotient_charts(group: str):
     ctx = context(group)
     points = gspoint_stream(ctx, SplitMix64(311), len(FORCED_STRATA) + 1)
-    return [QuotientChart(borel_reduction(ctx, *p)) for p in (points[0], points[-1])]
+    return [borel_chart(ctx, *p) for p in (points[0], points[-1])]
 
 
 @pytest.mark.parametrize("group", CLI_GROUPS)
@@ -92,7 +92,7 @@ def test_spanned_by_agrees_with_the_canonical_route(group, monkeypatch):
 def canonical_representative_independent(chart, h) -> bool:
     """:func:`representative_independent` by a canonical subspace of the
     moved columns and ``equals``."""
-    moved_chart = QuotientChart(chart.reduction.translate(h))
+    moved_chart = chart.translate(h)
     trans = chart_transport(chart, moved_chart, h)
     basis, hdim = chart.fiber.basis, chart.hdim
     moved = (trans @ basis.row_block(0, hdim)).vstack(
@@ -124,7 +124,7 @@ def test_kernel_clean_meet_is_the_intersection_dimension(group, meet):
     # does not; the formula and the intersection agree on both
     ctx = context(group)
     g = random_point(ctx, "G", SplitMix64(313))
-    torus = QuotientChart(Reduction(ctx, g, Mat.identity(ctx.n), ctx.torus, ()))
+    torus = QuotientChart(ctx, g, Mat.identity(ctx.n), ctx.torus, ())
     for chart, want in ((torus, meet), (quotient_charts(group)[1], 0)):
         out = theorem1_check(chart)
         assert out["kernel_clean"] == (want == 0)

@@ -31,8 +31,6 @@ strings, so a name it traces but nothing calls is on the list.
 import ast
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qpslab").glob("*.py"))
 # the package, and the oracles the differential tests keep beside it

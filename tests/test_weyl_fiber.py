@@ -20,6 +20,7 @@ Three routes hold it:
 import inspect
 import itertools
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -159,3 +160,41 @@ def test_the_exact_fiber_matches_the_float_enumeration(group):
         for h, b in points:
             image = (float_array(h), float_array(b))
             assert sum(float_same_class(image, f, ORACLE_TOL) for f in floats) == 1
+
+
+# the witnesses of the conditions after ``regular``, each reached by an input
+# or a table of orders that breaks it and no condition before it
+@pytest.mark.parametrize("group, ordering", [("sl2", [1, 0]), ("sl3", [0, 2, 1])])
+def test_plain_permutations_fail_det_one_at_the_first_odd_order(
+        monkeypatch, group, ordering):
+    # without the negated column an odd order has det h_w = -1 on SL
+    monkeypatch.setattr(gspringer, "weyl_orders", lambda ctx: [
+        list(w) for w in itertools.permutations(range(ctx.n))])
+    ctx = context(group)
+    points, witness = weyl_fiber(ctx, *regular_semisimple(ctx, SplitMix64(36)))
+    assert witness == {"condition": "det-one", "ordering": ordering}
+    assert len(points) == 1
+
+
+def test_a_repeated_order_fails_inequivalent(monkeypatch):
+    # gl2 takes no det-1 check, and each point maps to rs; the two points of
+    # the repeated order are one class
+    monkeypatch.setattr(gspringer, "weyl_orders", lambda ctx: [[0, 1], [0, 1]])
+    ctx = context("gl2")
+    points, witness = weyl_fiber(ctx, *regular_semisimple(ctx, SplitMix64(37)))
+    assert witness == {"condition": "inequivalent", "orderings": [[0, 1], [0, 1]]}
+    assert len(points) == 2
+
+
+@pytest.mark.parametrize("group, t", [
+    ("gl2", Mat([[1, 1], [0, 2]])),
+    ("sl2", Mat([[2, 1], [0, Fraction(1, 2)]])),
+])
+def test_an_upper_triangular_t_fails_mu_is_rs(group, t):
+    # t's diagonal is distinct, so each null space is one line, but b_w
+    # keeps t's off-diagonal entry, and h^-1 rs h is diagonal
+    ctx = context(group)
+    g = random_point(ctx, "G", SplitMix64(38))
+    points, witness = weyl_fiber(ctx, conjugate(g, t), t)
+    assert witness == {"condition": "mu-is-rs", "ordering": [0, 1]}
+    assert points == []
