@@ -22,16 +22,16 @@ import datetime as _dt
 import json
 import os
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
-from .conventions import ACTIVE, CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
+from .conventions import CONVENTIONS_HASH, CORRUPTIONS, FROZEN, using
 from .dirac import (cartan_closure_check, cartan_dirac, closure_sample,
                     graph_bivector, graph_two_form, is_lagrangian, pairing)
 from .gspringer import (borel_chart, gspoint_stream, leaf_two_form,
-                        moment_condition_holds, omega_matrix, phi_differential,
-                        point_from_json, point_to_json, reconstruct_bivector,
-                        regact_check, representative_independent,
-                        sample_double, sampled_d_identity, steinberg_membership,
+                        moment_condition_holds, omega_matrix, omega_scale,
+                        phi_differential, point_from_json, point_to_json,
+                        reconstruct_bivector, regact_check,
+                        representative_independent, sample_double,
+                        sampled_d_identity, steinberg_membership,
                         theorem1_check, theorem2_check, weyl_fiber,
                         weyl_fiber_enum)
 from .liegroup import (conjugate, conjugation_sections, context, group_of_json,
@@ -203,7 +203,7 @@ def _check_cartan_dirac(ctx, pt, rng) -> list:
     g = pt["g"]
     recs = []
     # one set of sections serves the fiber and the closure sample
-    sections = conjugation_sections(ctx, g, g.inverse())
+    sections = conjugation_sections(ctx, g)
     fib = cartan_dirac(sections)
     ok, wit = is_lagrangian(fib)
     recs.append(_record("cartan-dirac/lagrangian", ok and fib.dim == ctx.dim_g, wit))
@@ -233,7 +233,7 @@ def _check_cartan_dirac(ctx, pt, rng) -> list:
 
 def _check_dorfman(ctx, pt, rng) -> list:
     g = pt["g"]
-    ok, witness = cartan_closure_check(ctx, g, g.inverse())
+    ok, witness = cartan_closure_check(ctx, g)
     return [_record("dorfman-closure/basis-pairs", ok, witness)]
 
 
@@ -245,7 +245,7 @@ def _check_double(ctx, pt, rng) -> list:
     a, b = pt["a"], pt["b"]
     recs = []
 
-    t = ctx.gram_adjoint(b, b.inverse())
+    t = ctx.gram_adjoint(b)
     w = omega_matrix(ctx, t)
     dphi = phi_differential(ctx, a, b)
     recs.append(_record("double/A1-moment-condition",
@@ -309,19 +309,18 @@ def _a4_sample(ctx, b, w, rng) -> bool:
     Put P = A'(T2 + G)A.  As G' = G, P' = A'(T2' + G)A and A'(T2' - T2)A =
     P' - P, so the pullback is omega_matrix(P - G).  omega_matrix(X) has
     (1,2) block c (X + G), which fixes X.  So with ref the (1,2) block of
-    ``w`` over c, the pullback equals ``w`` exactly when
-    w = omega_matrix(ref - G), checked once, and P = ref, checked per sample.
+    ``w`` over c (:func:`~qpslab.gspringer.omega_scale`), the pullback
+    equals ``w`` exactly when w = omega_matrix(ref - G), checked once, and
+    P = ref, checked per sample.
     """
     d = ctx.dim_g
-    ref = w.row_block(0, d).col_block(d, 2 * d).scale(
-        1 / Fraction(-ACTIVE.get().omega_sign, 2))
+    ref = w.row_block(0, d).col_block(d, 2 * d).scale(1 / omega_scale())
     if omega_matrix(ctx, ref - ctx.gram) != w:
         return False
     for _ in range(10):
         g2 = random_point(ctx, "G", rng)
-        # b2^-1 = g2 b^-1 g2^-1, a product rather than a fresh inverse
-        t2 = ctx.gram_adjoint(conjugate(g2, b), conjugate(g2, b.inverse()))
-        ad2 = ctx.adjoint(g2, g2.inverse())
+        t2 = ctx.gram_adjoint(conjugate(g2, b))
+        ad2 = ctx.adjoint(g2)
         if ad2.transpose() @ (t2 + ctx.gram) @ ad2 != ref:
             return False
     return True
@@ -337,7 +336,7 @@ def _check_lemma_kernel(ctx, pt, rng) -> list:
     xis += [("mixed", random_algebra(ctx, rng, indices=ctx.borel)) for _ in range(3)]
     # entry (i, k) pairs sigma(xi_i) at b with x^R = Ad_{b^-1} e_k, the
     # left-trivialized right-invariant field of e_k in b
-    m, _, a = conjugation_sections(ctx, b, b.inverse())
+    m, _, a = conjugation_sections(ctx, b)
     coords = [ctx.coords(ximat) for _, ximat in xis]
     sig = a @ Mat.from_columns(coords, ctx.dim_g)
     paired = sig.transpose() @ m.select_cols(ctx.borel)

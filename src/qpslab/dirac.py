@@ -41,30 +41,34 @@ from math import lcm
 
 from .conventions import ACTIVE
 from .liegroup import conjugation_sections
-from .linalg import Mat, Subspace, intersect, kernel, null_vectors
+from .linalg import LinAlgError, Mat, Subspace, intersect, kernel, null_vectors
 
 
 class DiracFiber(Subspace):
     """Subspace of tangent (+) cotangent at a point of a d-dimensional space.
 
-    Built as ``DiracFiber(2 * d, basis)``: the first d rows of the basis are
-    tangent coordinates, the last d covector coordinates.
+    Built as ``DiracFiber(basis)`` from 2d basis rows, refusing an odd count:
+    the first d are tangent coordinates, the last d covector coordinates.
     """
 
     __slots__ = ()
 
+    def __init__(self, basis: Mat):
+        if basis.rows % 2:
+            raise LinAlgError("a fiber basis needs an even number of rows")
+        super().__init__(basis)
+
     @property
     def d(self) -> int:
-        return self.ambient_dim // 2
+        return self.basis.rows // 2
 
     def tangent_part(self) -> Subspace:
-        top = self.basis.row_block(0, self.d)
-        return Subspace.from_spanning(top)
+        return Subspace(self.basis.row_block(0, self.d))
 
     def cotangent_intersection(self) -> Subspace:
         """Intersection with the cotangent coordinate subspace."""
         d = self.d
-        lower = Subspace(2 * d, Mat.zeros(d, d).vstack(Mat.identity(d)))
+        lower = Subspace(Mat.zeros(d, d).vstack(Mat.identity(d)))
         return intersect(self, lower)
 
     def __repr__(self):
@@ -129,14 +133,14 @@ def graph_two_form(w: Mat) -> DiracFiber:
     if not is_skew(w):
         raise ValueError("2-form matrix must be square and skew")
     d = w.rows
-    return DiracFiber(2 * d, Mat.identity(d).vstack(w.transpose()))
+    return DiracFiber(Mat.identity(d).vstack(w.transpose()))
 
 
 def graph_bivector(p: Mat) -> DiracFiber:
     """The fiber {(p^sharp a, a)} of a bivector matrix; Lagrangian as p is skew."""
     if not is_skew(p):
         raise ValueError("bivector matrix must be square and skew")
-    return DiracFiber(2 * p.rows, p.vstack(Mat.identity(p.rows)))
+    return DiracFiber(p.vstack(Mat.identity(p.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +168,13 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
     if not k:
         # f_* 0 = 0 (+) ker F^T
         null = kernel(fmat.transpose())
-        return DiracFiber(2 * w, Mat.zeros(w, null.dim).vstack(null.basis))
+        return DiracFiber(Mat.zeros(w, null.dim).vstack(null.basis))
     top = fiber.basis.row_block(0, v)
     bot = fiber.basis.row_block(v, 2 * v)
     null = null_vectors(fmat.transpose().hstack(-bot))
     ftop = fmat if k == v and top == Mat.identity(v) else fmat @ top
     basis = (ftop @ null.row_block(w, w + k)).vstack(null.row_block(0, w))
-    return DiracFiber(2 * w, basis)
+    return DiracFiber(basis)
 
 
 def pullback_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
@@ -188,20 +192,20 @@ def pullback_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
     if not k:
         # f^* 0 = ker F (+) 0
         null = kernel(fmat)
-        return DiracFiber(2 * v, null.basis.vstack(Mat.zeros(v, null.dim)))
+        return DiracFiber(null.basis.vstack(Mat.zeros(v, null.dim)))
     top = fiber.basis.row_block(0, w)
     bot = fiber.basis.row_block(w, 2 * w)
     null = null_vectors(fmat.hstack(-top))
     ftbot = fmat.transpose() @ bot
     basis = null.row_block(0, v).vstack(ftbot @ null.row_block(v, v + k))
-    return DiracFiber(2 * v, basis)
+    return DiracFiber(basis)
 
 
 # ---------------------------------------------------------------------------
 # closure of the conjugation sections under the twisted Dorfman bracket
 
 
-def cartan_closure_check(ctx, gmat: Mat, ginv: Mat):
+def cartan_closure_check(ctx, g: Mat):
     """Full-basis Dorfman closure of the conjugation sections at one point.
 
     Equivalent to running the bracket :func:`qpslab.diffcalc.dorfman` on
@@ -253,10 +257,10 @@ def cartan_closure_check(ctx, gmat: Mat, ginv: Mat):
     in one integer ``==``; only on a mismatch are the rows scanned, pair
     (i, j) in basis order, for the witness.
 
-    ``ginv`` is g^-1, as for :func:`~qpslab.liegroup.conjugation_sections`.
-    Returns (ok, witness).
+    M is read off the inverse g keeps, as in
+    :func:`~qpslab.liegroup.conjugation_sections`.  Returns (ok, witness).
     """
-    lhs, targets = _closure_sides(ctx, gmat, ginv)
+    lhs, targets = _closure_sides(ctx, g)
     if lhs == targets:
         return True, None
     d = ctx.dim_g
@@ -266,7 +270,7 @@ def cartan_closure_check(ctx, gmat: Mat, ginv: Mat):
     return False, {"pair": [ctx.basis_labels[i], ctx.basis_labels[j]]}
 
 
-def _closure_sides(ctx, gmat: Mat, ginv: Mat) -> tuple[Mat, Mat]:
+def _closure_sides(ctx, g: Mat) -> tuple[Mat, Mat]:
     """Both sides of closure at g for every pair of basis sections.
 
     Row ``i d + j`` of the first matrix is (tangent | covector) of the
@@ -274,7 +278,7 @@ def _closure_sides(ctx, gmat: Mat, ginv: Mat) -> tuple[Mat, Mat]:
     of [e_i, e_j].  See :func:`cartan_closure_check`.
     """
     d = ctx.dim_g
-    sections = conjugation_sections(ctx, gmat, ginv)
+    sections = conjugation_sections(ctx, g)
     return _bracket_sides(ctx, Mat.identity(d).hstack(sections[0]), sections,
                           [(i, j) for i in range(d) for j in range(d)])
 
@@ -348,4 +352,4 @@ def cartan_dirac(sections: tuple) -> DiracFiber:
     columns are its oracle in the tests.
     """
     _, x, a = sections
-    return DiracFiber(2 * x.rows, x.vstack(a))
+    return DiracFiber(x.vstack(a))

@@ -143,13 +143,12 @@ def phi_differential(ctx: GroupContext, a: Mat, b: Mat) -> Mat:
     coordinates, whose first dim G rows are d(mu . q).  The per-basis
     columns coords(a (b^-1 x b - x) a^-1) and (coords(a y a^-1),
     -coords(b y b^-1)) are its oracle in the tests, as is the dual-number
-    :func:`qpslab.diffcalc.phi_map`.  The inverses are the ones the
-    matrices keep.
+    :func:`qpslab.diffcalc.phi_map`.  Each adjoint reads the inverse its
+    matrix keeps.
     """
-    ainv, binv = a.inverse(), b.inverse()
-    ad_a = ctx.adjoint(a, ainv)
-    top = (ctx.adjoint(a @ binv, b @ ainv) - ad_a).hstack(ad_a)
-    return top.vstack(Mat.zeros(ctx.dim_g, ctx.dim_g).hstack(-ctx.adjoint(b, binv)))
+    ad_a = ctx.adjoint(a)
+    top = (ctx.adjoint(a @ b.inverse()) - ad_a).hstack(ad_a)
+    return top.vstack(Mat.zeros(ctx.dim_g, ctx.dim_g).hstack(-ctx.adjoint(b)))
 
 
 def action_generators(ctx: GroupContext, b: Mat) -> Mat:
@@ -165,7 +164,7 @@ def action_generators(ctx: GroupContext, b: Mat) -> Mat:
     canonical basis of its span without elimination.
     """
     eye = Mat.identity(ctx.dim_g)
-    return eye.vstack(eye - ctx.adjoint(b.inverse(), b))
+    return eye.vstack(eye - ctx.adjoint(b.inverse()))
 
 
 def _restrict(m: Mat, rows, cols=None) -> Mat:
@@ -190,14 +189,20 @@ def rho_double(ctx: GroupContext, a: Mat, b: Mat, xi1: Mat, xi2: Mat) -> list:
 # the 2-form of the double
 
 
+def omega_scale() -> Fraction:
+    """-omega_sign/2 of the active conventions: the scale of omega's blocks."""
+    return Fraction(-ACTIVE.get().omega_sign, 2)
+
+
 def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
     """Matrix of omega on the tangent basis of the double.
 
     Built on the double only: its G x P and G x N matrices are the blocks
     a :class:`QuotientChart`'s index lists select.  Uses the closed block form
-    W = -s/2 [[T' - T, T + G], [-(T' + G), 0]] with T = G Ad_b on algebra
-    coordinates (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`, read
-    off b and b^-1 with no d x d product) and G the form's Gram matrix:
+    W = c [[T' - T, T + G], [-(T' + G), 0]] with c = :func:`omega_scale`,
+    T = G Ad_b on algebra coordinates
+    (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`, read off b and the
+    inverse it keeps, with no d x d product) and G the form's Gram matrix:
     omega depends on the point (a, b) only through T.  The entrywise
     evaluator :func:`qpslab.diffcalc.omega_value` is the independent oracle
     for this in the tests.
@@ -206,7 +211,7 @@ def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
     tt = t.transpose()
     w = (tt - t).hstack(t + gram).vstack(
         (-(tt + gram)).hstack(Mat.zeros(ctx.dim_g, ctx.dim_g)))
-    return w.scale(Fraction(-ACTIVE.get().omega_sign, 2))
+    return w.scale(omega_scale())
 
 
 def _t_derivative(t: Mat, r: Mat) -> Mat:
@@ -265,11 +270,11 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, second, v: Mat):
     rmat = Mat.from_int_rows([list(map(sub, row(3 + l, 3 + i), row(l, 3 + i)))
                               for i in range(3) for l in range(3)], den)
     kmat = _t_derivative(first.transpose() @ t, rmat.transpose())
-    half = Fraction(-ACTIVE.get().omega_sign, 2)
+    scale = omega_scale()
     total = QQi(0)
     for c, (i, j, l) in enumerate(cyc):
         kij = kmat.entry(j, 3 * i + l) - kmat.entry(l, 3 * i + j)
-        total = total + kij * half - alg.entry(c, l)
+        total = total + kij * scale - alg.entry(c, l)
     return total
 
 
@@ -332,11 +337,9 @@ def moment_condition_holds(ctx: GroupContext, a: Mat, b: Mat, w: Mat,
     in the tests.
     """
     zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
-    ainv, binv = a.inverse(), b.inverse()
-    r = (-ctx.adjoint(ainv, a)).vstack(zero).hstack(action_generators(ctx, b))
-    # g1 = a b a^-1, so g1^-1 = a b^-1 a^-1
-    s1 = conjugation_sections(ctx, a @ b @ ainv, a @ binv @ ainv)[2]
-    s2 = conjugation_sections(ctx, binv, b)[2]
+    r = (-ctx.adjoint(a.inverse())).vstack(zero).hstack(action_generators(ctx, b))
+    s1 = conjugation_sections(ctx, conjugate(a, b))[2]
+    s2 = conjugation_sections(ctx, b.inverse())[2]
     sig = s1.hstack(zero).vstack(zero.hstack(s2))
     return w.transpose() @ r == dphi.transpose() @ sig
 
@@ -423,10 +426,9 @@ class QuotientChart:
         at = {k: d + i for i, k in enumerate(self.sub)}
         self.leaf_slice = [*range(d), *(at[k] for k in self.nil)]
         self.levi = [at[k] for k in self.sub if k not in self.nil]
-        self.t = ctx.gram_adjoint(p, p.inverse())
+        self.t = ctx.gram_adjoint(p)
         self.w = _restrict(omega_matrix(ctx, self.t), self.up)
-        self.vertical = Subspace(
-            self.ambient, _restrict(action_generators(ctx, p), self.up, self.sub))
+        self.vertical = Subspace(_restrict(action_generators(ctx, p), self.up, self.sub))
 
     def translate(self, h: Mat) -> "QuotientChart":
         """The chart at the representative h.(g, p) = (g h^-1, h p h^-1) of
@@ -516,8 +518,7 @@ def quotient_fiber(chart: QuotientChart) -> DiracFiber:
     """
     wt = chart.w.transpose()
     null = null_vectors(chart.vertical.basis.transpose() @ wt)
-    return DiracFiber(2 * chart.hdim, (chart.proj @ null).vstack(
-        wt.select_rows(chart.indices) @ null))
+    return DiracFiber((chart.proj @ null).vstack(wt.select_rows(chart.indices) @ null))
 
 
 def same_class(ctx: GroupContext, p: tuple[Mat, Mat], q: tuple[Mat, Mat]) -> bool:
@@ -679,7 +680,7 @@ def induced_action(chart: QuotientChart, sections: tuple) -> tuple[Mat, Mat]:
     :func:`~qpslab.liegroup.conjugation_sections` at mu.
     """
     ctx, g = chart.ctx, chart.g
-    fields = -(chart.proj.col_block(0, ctx.dim_g) @ ctx.adjoint(g.inverse(), g))
+    fields = -(chart.proj.col_block(0, ctx.dim_g) @ ctx.adjoint(g.inverse()))
     return fields, chart.dmu.transpose() @ sections[2]
 
 
@@ -694,7 +695,7 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart, h: Mat) -> Mat
     M on them is M's columns at chart1's ``indices``.
     """
     ctx = chart1.ctx
-    ad = ctx.adjoint(h, h.inverse())
+    ad = ctx.adjoint(h)
     zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
     move = _restrict(ad.hstack(zero).vstack(zero.hstack(ad)), chart1.up)
     return chart2.proj @ move.select_cols(chart1.indices)
@@ -731,7 +732,7 @@ def regact_check(chart: QuotientChart) -> dict:
     gens = chart.vertical
     inter = intersect(gens, kernel(chart.w.transpose()))
     nil = [i for i, k in enumerate(chart.sub) if k in chart.nil]
-    expected = (Subspace(gens.ambient_dim, gens.basis.select_cols(nil))
+    expected = (Subspace(gens.basis.select_cols(nil))
                 if nil else Subspace.zero(gens.ambient_dim))
     ok = inter.dim == len(nil) and inter.equals(expected)
     return {"dim": inter.dim, "expected_dim": len(nil), "passed": ok}
@@ -763,7 +764,7 @@ def theorem1_check(chart: QuotientChart) -> dict:
     dmu = chart.dmu
     pushed = pushforward_linear(fib, dmu)
     # one set of sections at mu serves the target and the induced action
-    sections = conjugation_sections(ctx, m, m.inverse())
+    sections = conjugation_sections(ctx, m)
     cd = cartan_dirac(sections)
     out["f_dirac"] = pushed.equals(cd)
     if not out["f_dirac"]:
@@ -877,7 +878,7 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     checks = {"graphical": True, "skew": is_skew(form)}
 
     m = chart.mu
-    fields, duals = induced_action(chart, conjugation_sections(ctx, m, m.inverse()))
+    fields, duals = induced_action(chart, conjugation_sections(ctx, m))
     coeffs, _, consistent = solve_columns(leaf.basis, fields)
     checks["moment_identity"] = consistent and (
         form.transpose() @ coeffs == leaf.basis.transpose() @ duals)
@@ -909,12 +910,12 @@ def reconstruct_bivector(chart: QuotientChart):
 
     # chart-level action map R: algebra coords -> chart tangent coords, from
     # the pairs that also span the action part of the graph below
-    rmat, duals = induced_action(chart, conjugation_sections(ctx, m, m.inverse()))
+    rmat, duals = induced_action(chart, conjugation_sections(ctx, m))
 
     # sigma-adjoint of the dual basis covectors at m; column i of gram^-1 is
     # the algebra coordinate of the i-th one, so column i of sv is the
     # algebra coordinate of its sigma-adjoint
-    adm = ctx.adjoint(m, m.inverse())
+    adm = ctx.adjoint(m)
     sv = sigma_average(ctx.gram_inv, adm @ ctx.gram_inv)
 
     rho_adj = Mat.identity(d) - adm  # v -> v - Ad_m v

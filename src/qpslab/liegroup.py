@@ -8,12 +8,13 @@ coordinates: a tangent vector at ``g`` is the algebra element ``g^{-1} X``,
 a covector is the algebra element pairing against it through the form.
 
 The values are plain data.  A group element is its n x n matrix, which
-keeps its own inverse once computed; an algebra element, and a tangent
-vector or a covector in left-trivialized coordinates, is its n x n matrix
-too, and nothing carries a base point; a subalgebra is a tuple of basis
-indices.  A function that needs the group takes its context first.  Group
-membership is checked once, where a matrix arrives as JSON
-(:func:`read_element`); the samplers draw members.
+keeps its inverse once computed, as the inverse keeps it, so no function
+takes both; an algebra element, and a tangent vector or a covector in
+left-trivialized coordinates, is its n x n matrix too, and nothing carries
+a base point; a subalgebra is a tuple of basis indices.  A function that
+needs the group takes its context first.  Group membership is checked
+once, where a matrix arrives as JSON (:func:`read_element`); the samplers
+draw members.
 
 The basis lists the strictly upper entries (the nilpotent radical) first,
 then the torus directions, then the strictly lower entries.  It is stated
@@ -107,7 +108,7 @@ class GroupContext:
 
         self.identity = Mat.identity(n)
         # the Gram matrix (tr(e_c e_k))_(c, k) is T = G Ad_I
-        self.gram = self.gram_adjoint(self.identity, self.identity)
+        self.gram = self.gram_adjoint(self.identity)
         self.gram_inv = self.gram.inverse()
 
     # -- names ---------------------------------------------------------------
@@ -167,33 +168,32 @@ class GroupContext:
         x = _read(self._entries, c)
         return [x[a * n:a * n + n] for a in range(n)]
 
-    def adjoint(self, m: Mat, minv: Mat) -> Mat:
+    def adjoint(self, m: Mat) -> Mat:
         """Ad_m in algebra coordinates: column j holds the coordinates of
-        ``m e_j m^-1``.  ``minv`` is the inverse of ``m``; pass them swapped
-        for Ad_{m^-1}.  :meth:`_conjugation_columns` with the coordinate
-        readers; the per-basis ``coords(m e_j m^-1)`` is the oracle for this
+        ``m e_j m^-1``; Ad_{m^-1} is ``adjoint(m.inverse())``.
+        :meth:`_conjugation_columns` with the coordinate readers; the
+        per-basis ``coords(m e_j m^-1)`` is the oracle for this in the tests.
+        """
+        return self._conjugation_columns(m, self._readers)
+
+    def gram_adjoint(self, m: Mat) -> Mat:
+        """T = G Ad_m, G the Gram matrix: column j holds the functional
+        coordinates ``(tr(e_c m e_j m^-1))_c`` of ``m e_j m^-1``.
+        :meth:`_conjugation_columns` with the functional readers, without
+        the d x d product ``gram @ adjoint(m)``, which is the oracle for this
         in the tests.
         """
-        return self._conjugation_columns(m, minv, self._readers)
+        return self._conjugation_columns(m, self._functionals)
 
-    def gram_adjoint(self, m: Mat, minv: Mat) -> Mat:
-        """T = G Ad_m, G the Gram matrix: column j holds the functional
-        coordinates ``(tr(e_c m e_j m^-1))_c`` of ``m e_j m^-1``.  ``minv`` is
-        the inverse of ``m``.  :meth:`_conjugation_columns` with the
-        functional readers, without the d x d product ``gram @ adjoint(m,
-        minv)``, which is the oracle for this in the tests.
-        """
-        return self._conjugation_columns(m, minv, self._functionals)
-
-    def _conjugation_columns(self, m: Mat, minv: Mat, readers) -> Mat:
+    def _conjugation_columns(self, m: Mat, readers) -> Mat:
         """The matrix whose column j holds ``readers`` of ``m e_j m^-1``.
 
         Entry (a, b) of ``m E_ij m^-1`` is ``m[a][i] m^-1[j][b]``, so vec of
         it is the outer product of column i of m and row j of m^-1, and the
-        column of e_j combines those of its terms E_ij.  Both run on their
-        integer rows, each over one common denominator.
+        column of e_j combines those of its terms E_ij.  Both, m^-1 the inverse
+        m keeps, run on their integer rows, each over one common denominator.
         """
-        (rows, p), (inv, q) = m.int_entries(), minv.int_entries()
+        (rows, p), (inv, q) = m.int_entries(), m.inverse().int_entries()
         units = [_read(readers, [x * y for x in u for y in v])
                  for u in zip(*rows) for v in inv]
         return Mat.from_int_rows(zip(*_read(self._terms, units, _column_sum)), p * q)
@@ -426,18 +426,17 @@ def sigma_adjoint(g: Mat, a: Mat) -> Mat:
     return sigma_average(a, conjugate(g, a))
 
 
-def conjugation_sections(ctx: GroupContext, gmat: Mat,
-                         ginv: Mat) -> tuple[Mat, Mat, Mat]:
+def conjugation_sections(ctx: GroupContext, g: Mat) -> tuple[Mat, Mat, Mat]:
     """M = Ad_{g^-1}, X = I - M and A = gram sigma_average(I, M) at g.
 
     Both parts of the conjugation structure are linear in xi, so column j of
     X is :func:`conj_field` of the basis element e_j and column j of A the
     functional coordinates of :func:`sigma` of e_j: [X; A] holds every basis
-    section at g.  ``ginv`` is g^-1.  The per-element :func:`conj_field` and
-    :func:`sigma` are its oracles in the tests.
+    section at g.  M is read off the inverse g keeps.  The per-element
+    :func:`conj_field` and :func:`sigma` are its oracles in the tests.
     """
     eye = Mat.identity(ctx.dim_g)
-    m = ctx.adjoint(ginv, gmat)
+    m = ctx.adjoint(g.inverse())
     return m, eye - m, ctx.gram @ sigma_average(eye, m)
 
 

@@ -49,8 +49,8 @@ memory of a run.
   since each output row is reduced anyway, and those rescaled rows are kept,
   so a matrix that is a right operand (or an input of the closed-form
   adjoints, or a transpose) several times is rescaled once; and
-  :meth:`Mat.inverse` keeps the inverse, which a group element reads at
-  every use.
+  :meth:`Mat.inverse` keeps the inverse, and the inverse keeps the matrix,
+  so a function of a group element reads the inverse off it.
 * ``@``, ``+``, ``-``, :meth:`Mat.scale`, :meth:`Mat.scale_rows`,
   :meth:`Mat.transpose`, :meth:`Mat.hstack`, :meth:`Mat.vstack`,
   :meth:`Mat.row_block`, :meth:`Mat.col_block`, :meth:`Mat.select_rows` and
@@ -369,10 +369,13 @@ class Mat:
         return _entry(_rref_int([r for r, _ in ints])[1], prod(d for _, d in ints))
 
     def inverse(self) -> "Mat":
-        """The inverse, computed once and kept, as :meth:`int_entries` is; the
-        inverse keeps no reference back, so no cycle forms."""
-        if self._inv is not None:
-            return self._inv
+        """The inverse, computed once and kept both ways: ``m.inverse().inverse()
+        is m``.  The pair is a reference cycle, left to the cycle collector; on
+        2 shared cores it moved the bench's median ``peak_rss_mb`` by -0.16 to
+        +0.29 MB (up to +1.3 %)."""
+        inv = self._inv
+        if inv is not None:
+            return inv
         if self.rows != self.cols:
             raise LinAlgError("inverse of non-square matrix")
         n = self.rows
@@ -381,10 +384,11 @@ class Mat:
                for i, (r, d) in enumerate(self._ints)]
         if _rref_int(aug)[0] != list(range(n)):
             raise LinAlgError("singular matrix")
-        self._inv = Mat._from_ints(
+        inv = self._inv = Mat._from_ints(
             [_canon(r[n:], r[i]) for i, r in enumerate(aug)], n
         )
-        return self._inv
+        inv._inv = self
+        return inv
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
@@ -663,9 +667,7 @@ def null_vectors(m: Mat) -> Mat:
 
 def kernel(m: Mat) -> "Subspace":
     """Canonical basis of the null space; ``dim = cols - rank``."""
-    if m.cols == 0:
-        return Subspace.zero(0)
-    return Subspace(m.cols, null_vectors(m))
+    return Subspace(null_vectors(m))
 
 
 def solve_unique(a: Mat, b: Sequence):
@@ -704,7 +706,7 @@ def solve_columns(a: Mat, b: Mat):
 
 
 class Subspace:
-    """Span of linearly independent column vectors inside an ambient space.
+    """Span of a matrix's columns, in the space of as many dimensions as it has rows.
 
     The stored basis is canonical: its transpose is in reduced row echelon
     form, so at its pivot rows p (the pivot columns of the transpose) it
@@ -714,34 +716,27 @@ class Subspace:
     unique, so both routes keep the same basis and pivot rows.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: Mat):
-        if ambient_dim and basis.rows != ambient_dim:
-            raise LinAlgError("basis rows must match ambient dimension")
+    def __init__(self, basis: Mat):
         pivots = _echelon_pivots(basis)
         if pivots is None:
             basis, pivots = _canonical_basis(basis)
-        self.ambient_dim = ambient_dim
         self.basis = basis
         self._pivots = pivots
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.zeros(max(ambient_dim, 1), 0))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Mat.identity(ambient_dim))
-
-    @classmethod
-    def from_spanning(cls, mat: Mat) -> "Subspace":
-        return cls(mat.rows, mat)
+        return cls(Mat.zeros(ambient_dim, 0))
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         cols = [list(v) for v in vectors]
-        return cls(ambient_dim, Mat.from_columns(cols, ambient_dim))
+        return cls(Mat.from_columns(cols, ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.rows
 
     @property
     def dim(self) -> int:
@@ -794,7 +789,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, self.basis.hstack(other.basis))
+        return Subspace(self.basis.hstack(other.basis))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -837,7 +832,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     null = null_vectors(a.basis.hstack(b.basis))
     if null.cols == 0:
         return Subspace.zero(a.ambient_dim)
-    return Subspace(a.ambient_dim, a.basis @ null.row_block(0, a.dim))
+    return Subspace(a.basis @ null.row_block(0, a.dim))
 
 
 def annihilator(s: Subspace, pairing: Mat) -> Subspace:
@@ -851,6 +846,6 @@ def annihilator(s: Subspace, pairing: Mat) -> Subspace:
     if rank(pairing) != s.ambient_dim:
         raise LinAlgError("degenerate pairing")
     if s.dim == 0:
-        return Subspace.full(s.ambient_dim)
+        return Subspace(Mat.identity(s.ambient_dim))
     cond = s.basis.transpose() @ pairing.transpose()
     return kernel(cond)

@@ -25,7 +25,7 @@ def prefix_chart(ctx, g, b) -> dict:
     ``dphi`` and the ``vertical`` basis on G x B, then the greedy complement
     ``indices`` and ``proj``, and the ``fiber``."""
     amb, h = ctx.dim_g + len(ctx.borel), ctx.dim_g
-    w = leading(omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse())), amb)
+    w = leading(omega_matrix(ctx, ctx.gram_adjoint(b)), amb)
     vertical = leading(action_generators(ctx, b), amb, len(ctx.borel))
     # pivot p of the reversed rref is the coordinate amb - 1 - p
     red, pivots = rref(vertical.transpose().select_cols(range(amb - 1, -1, -1)))
@@ -37,7 +37,7 @@ def prefix_chart(ctx, g, b) -> dict:
         sorted(range(amb), key=order.__getitem__))
     wt = w.transpose()
     null = null_vectors(vertical.transpose() @ wt)
-    fiber = DiracFiber(2 * h, (proj @ null).vstack(wt.select_rows(indices) @ null))
+    fiber = DiracFiber((proj @ null).vstack(wt.select_rows(indices) @ null))
     return {"w": w, "dphi": leading(phi_differential(ctx, g, b), amb),
             "vertical": vertical, "indices": tuple(indices), "proj": proj,
             "fiber": fiber}

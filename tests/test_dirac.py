@@ -1,5 +1,6 @@
 """Fibers, the symmetric pairing, graphs, transport, and the bracket."""
 
+import inspect
 import runpy
 from collections import Counter
 from dataclasses import replace
@@ -17,7 +18,7 @@ from qpslab.dirac import (DiracFiber, cartan_closure_check, cartan_dirac,
                           pairing, pullback_linear, pushforward_linear)
 from qpslab.liegroup import (GroupContext, conjugation_sections, context,
                              random_algebra, random_point)
-from qpslab.linalg import Mat, kernel, rank
+from qpslab.linalg import LinAlgError, Mat, Subspace, kernel, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
@@ -67,7 +68,7 @@ def skew(ctx, rng, d=None):
 
 def test_is_lagrangian_graphs():
     d = 3
-    tangent = DiracFiber(2 * d, Mat.identity(d).vstack(Mat.zeros(d, d)))
+    tangent = DiracFiber(Mat.identity(d).vstack(Mat.zeros(d, d)))
     ok, _ = is_lagrangian(tangent)
     assert ok
     w = skew(SL2, RNG)
@@ -76,7 +77,7 @@ def test_is_lagrangian_graphs():
     # a symmetric nonzero form is not isotropic; the witness names the
     # first pair that pairs to a nonzero value
     sym = Mat.identity(d)
-    bad = DiracFiber(2 * d, Mat.identity(d).vstack(sym))
+    bad = DiracFiber(Mat.identity(d).vstack(sym))
     ok, wit = is_lagrangian(bad)
     assert not ok and wit == {"reason": "pairing", "pair": [0, 0],
                               "value": repr(QQi(2))}
@@ -86,7 +87,7 @@ def test_graph_two_form_examples():
     d = SL2.dim_g
     zero_w = Mat.zeros(d, d)
     fib = graph_two_form(zero_w)
-    tangent = DiracFiber(2 * d, Mat.identity(d).vstack(Mat.zeros(d, d)))
+    tangent = DiracFiber(Mat.identity(d).vstack(Mat.zeros(d, d)))
     assert fib.equals(tangent)
     w = Mat([[QQi(0), QQi(1), QQi(0)],
              [QQi(-1), QQi(0), QQi(0)],
@@ -103,7 +104,7 @@ def test_graph_two_form_examples():
 def test_graph_bivector_examples():
     d = SL2.dim_g
     fib = graph_bivector(Mat.zeros(d, d))
-    cotangent = DiracFiber(2 * d, Mat.zeros(d, d).vstack(Mat.identity(d)))
+    cotangent = DiracFiber(Mat.zeros(d, d).vstack(Mat.identity(d)))
     assert fib.equals(cotangent)
     assert fib.cotangent_intersection().dim == d
     for bad in (Mat.identity(3), Mat.zeros(3, 2)):
@@ -159,15 +160,15 @@ def test_pointed_map_transport_roundtrip():
     g = random_point(SL2, "G", RNG)
     G = Space(SL2, ("g",))
     fmat = inversion_map(G).differential_matrix((g,))
-    fib = cartan_dirac(conjugation_sections(SL2, g, g.inverse()))
+    fib = cartan_dirac(conjugation_sections(SL2, g))
     back = pullback_linear(pushforward_linear(fib, fmat), fmat)
     assert back.equals(fib)
 
 
 def test_cartan_dirac_identity_fiber():
     e = Mat.identity(2)
-    fib = cartan_dirac(conjugation_sections(SL2, e, e.inverse()))
-    cotangent = DiracFiber(2 * SL2.dim_g, Mat.zeros(3, 3).vstack(Mat.identity(3)))
+    fib = cartan_dirac(conjugation_sections(SL2, e))
+    cotangent = DiracFiber(Mat.zeros(3, 3).vstack(Mat.identity(3)))
     assert fib.equals(cotangent)
 
 
@@ -177,7 +178,7 @@ def test_cartan_dirac_lagrangian_and_leaf_dims():
         ctx = context(name)
         for _ in range(10):
             g = random_point(ctx, "G", rng)
-            fib = cartan_dirac(conjugation_sections(ctx, g, g.inverse()))
+            fib = cartan_dirac(conjugation_sections(ctx, g))
             ok, _ = is_lagrangian(fib)
             assert ok and fib.dim == ctx.dim_g
             admat = Mat.from_columns(
@@ -187,7 +188,7 @@ def test_cartan_dirac_lagrangian_and_leaf_dims():
             assert fib.tangent_part().dim == ctx.dim_g - cent.dim
     # regular semisimple: centralizer is the torus, leaf has codim = rank
     t = random_point(context("sl3"), "T-regular", rng)
-    fib = cartan_dirac(conjugation_sections(context("sl3"), t, t.inverse()))
+    fib = cartan_dirac(conjugation_sections(context("sl3"), t))
     assert fib.tangent_part().dim == context("sl3").dim_g - context("sl3").rank
 
 
@@ -227,9 +228,9 @@ def test_dorfman_closure_and_batched_agree():
                        eta3, G, (g,))
         target = cartan_section(SL2, xi @ ze - ze @ xi)((g,))
         assert t == target[0] and c == target[1]
-        ok, _ = cartan_closure_check(SL2, g, g.inverse())
+        ok, _ = cartan_closure_check(SL2, g)
         assert ok
-        fib = cartan_dirac(conjugation_sections(SL2, g, g.inverse()))
+        fib = cartan_dirac(conjugation_sections(SL2, g))
         assert fib.contains_vector(t + c)
 
 
@@ -287,10 +288,10 @@ def test_batched_closure_matches_dorfman_under_corruption():
                  for bj, lj in zip(ctx.basis, ctx.basis_labels)]
         for conv in list(CORRUPTIONS.values()) + calibration_grid():
             with using(conv):
-                got = cartan_closure_check(ctx, g, g.inverse())
+                got = cartan_closure_check(ctx, g)
                 # every pair's bracket, not only the first wrong one, which
                 # (in basis order) is the witness
-                lhs, _ = dirac._closure_sides(ctx, g, g.inverse())
+                lhs, _ = dirac._closure_sides(ctx, g)
                 first = None
                 for r, (labels, s1, s2, br) in enumerate(pairs):
                     t, c = dorfman(s1, s2, eta3, G, (g,))
@@ -308,7 +309,7 @@ def test_batched_closure_matches_dorfman_under_corruption():
     for name in ("sl3", "gl3", "sl4", "gl4"):
         ctx = context(name)
         g = random_point(ctx, "G", rng)
-        assert cartan_closure_check(ctx, g, g.inverse()) == (True, None)
+        assert cartan_closure_check(ctx, g) == (True, None)
 
 
 @pytest.mark.parametrize("name", sorted(liegroup.GROUPS))
@@ -326,7 +327,7 @@ def test_pair_row_matches_dorfman(name):
     coef = Mat([[a * b for a in ctx.coords(xi) for b in ctx.coords(ze)]])
     for conv in [FROZEN] + list(CORRUPTIONS.values()) + calibration_grid():
         with using(conv):
-            sections = conjugation_sections(ctx, g, g.inverse())
+            sections = conjugation_sections(ctx, g)
             row, target = dirac._pair_sides(ctx, sections, xi, ze)
             tangent, cov = dorfman(s1, s2, cartan_eta3(G), G, (g,))
             assert row == Mat([list(tangent) + list(cov)]), conv
@@ -334,24 +335,25 @@ def test_pair_row_matches_dorfman(name):
             assert target == Mat([list(want[0]) + list(want[1])]), conv
             assert dirac.closure_sample(ctx, sections, xi, ze) == (row == target)
             if name in CLI_GROUPS:
-                assert row == coef @ dirac._closure_sides(ctx, g, g.inverse())[0], conv
+                assert row == coef @ dirac._closure_sides(ctx, g)[0], conv
 
 
 def test_closure_check_inverts_nothing(monkeypatch):
-    # g^-1 comes from the caller, whose matrix keeps it once computed
+    # g keeps its inverse once computed, and the inverse keeps g: Ad_{g^-1}
+    # reads g^-1 off g and g back off g^-1, and neither read computes one
     ctx = context("sl3")
     g = random_point(ctx, "G", SplitMix64(48))
-    ginv = g.inverse()
+    g.inverse()
     calls = []
     real = Mat.inverse
 
     def spy(m):
-        calls.append(m.shape)
+        calls.append(m._inv is None)
         return real(m)
 
     monkeypatch.setattr(Mat, "inverse", spy)
-    assert cartan_closure_check(ctx, g, ginv) == (True, None)
-    assert not calls
+    assert cartan_closure_check(ctx, g) == (True, None)
+    assert calls == [False, False]
 
 
 def test_one_dorfman_bracket_computes_g_inverse_once(monkeypatch):
@@ -388,10 +390,9 @@ def test_closure_product_count_does_not_grow_with_the_group(monkeypatch):
     for name in ("sl2", "sl3", "sl4"):
         ctx = context(name)
         g = random_point(ctx, "G", SplitMix64(49))
-        ginv = g.inverse()
         with monkeypatch.context() as patch:
             patch.setattr(Mat, "__matmul__", spy)
-            assert cartan_closure_check(ctx, g, ginv) == (True, None)
+            assert cartan_closure_check(ctx, g) == (True, None)
     assert calls["sl2"] == calls["sl3"] == calls["sl4"] > 0
 
 
@@ -403,4 +404,28 @@ def test_closure_product_count_does_not_grow_with_the_group(monkeypatch):
 ])
 def test_each_transport_guard_refuses_a_mis_sized_map(transport, message):
     with pytest.raises(ValueError, match=message):
-        transport(DiracFiber(4, Mat.identity(4)), Mat.identity(3))
+        transport(DiracFiber(Mat.identity(4)), Mat.identity(3))
+
+
+def test_a_fiber_refuses_an_odd_number_of_rows():
+    # a fiber's d is half its basis's row count, which is refused when odd
+    # rather than rounded down
+    with pytest.raises(LinAlgError, match="even number of rows"):
+        DiracFiber(Mat.identity(3))
+
+
+# each callee reads the inverse or the ambient dimension off its matrix, so
+# no signature has a place for the caller to pass one
+@pytest.mark.parametrize("callee, params", [
+    pytest.param(GroupContext.adjoint, ["self", "m"], id="adjoint"),
+    pytest.param(GroupContext.gram_adjoint, ["self", "m"], id="gram_adjoint"),
+    pytest.param(GroupContext._conjugation_columns, ["self", "m", "readers"],
+                 id="_conjugation_columns"),
+    pytest.param(liegroup.conjugation_sections, ["ctx", "g"], id="conjugation_sections"),
+    pytest.param(cartan_closure_check, ["ctx", "g"], id="cartan_closure_check"),
+    pytest.param(dirac._closure_sides, ["ctx", "g"], id="_closure_sides"),
+    pytest.param(Subspace.__init__, ["self", "basis"], id="Subspace"),
+    pytest.param(DiracFiber, ["basis"], id="DiracFiber"),
+])
+def test_no_callee_takes_what_its_matrix_holds(callee, params):
+    assert list(inspect.signature(callee).parameters) == params

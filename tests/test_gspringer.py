@@ -77,7 +77,7 @@ def test_omega_identity_fiber_anchor():
 
 def omega_at(ctx, b, part):
     """omega's matrix at b on G x ``part``: a leading block of the double's."""
-    w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b))
     return leading(w, Space(ctx, ("g", part)).dim)
 
 
@@ -94,6 +94,15 @@ def test_omega_matrix_against_entrywise_oracle():
             mats = [space.matrices(e) for e in space.basis_directions()]
             assert [list(r) for r in w.data] == [
                 [omega_value(ctx, a, b, u, v) for v in mats] for u in mats]
+
+
+def test_omega_scale_is_read_at_each_call():
+    # omega_matrix, d_omega and A4 read omega's scale from one place, at
+    # call time, so using() switches it for all three
+    assert gspringer.omega_scale() == Fraction(-FROZEN.omega_sign, 2)
+    with using(CORRUPTIONS["omega-sign"]):
+        assert gspringer.omega_scale() == -Fraction(-FROZEN.omega_sign, 2)
+    assert gspringer.omega_scale() == Fraction(-FROZEN.omega_sign, 2)
 
 
 def test_omega_double_skew_and_nondegenerate():
@@ -397,7 +406,7 @@ def test_quotient_fiber_representative_independent():
     f1, f2 = c1.fiber, c2.fiber
     top = trans @ Mat(f1.basis.data[: c1.hdim])
     bot = trans.inverse().transpose() @ Mat(f1.basis.data[c1.hdim:])
-    assert Subspace.from_spanning(top.vstack(bot)).equals(f2)
+    assert Subspace(top.vstack(bot)).equals(f2)
 
 
 def test_representative_independence_fails_under_a_wrong_transport(monkeypatch):
@@ -451,9 +460,11 @@ def test_mu_lambda_well_defined():
 @pytest.mark.parametrize("group", ["sl2", "gl3"])
 def test_exact_diagram_gs_takes_no_inverse_of_b(group, monkeypatch):
     # mu(p) = g b g^-1 inverts g alone: at 6 points, the fresh context's
-    # one inverse and two per point, g^-1 for mu and for the conjugated
-    # unipotent; building phi's b^-1 for mu as well took 19.  A matrix keeps
-    # its inverse, so only the calls that find none kept compute one
+    # two inverses (of the identity, read by the closed form of its Gram
+    # matrix, and of the Gram matrix) and two per point, g^-1 for mu and for
+    # the conjugated unipotent; building phi's b^-1 for mu as well took 20.
+    # A matrix keeps its inverse, so only the calls that find none kept
+    # compute one
     calls = []
     real = Mat.inverse
 
@@ -466,7 +477,7 @@ def test_exact_diagram_gs_takes_no_inverse_of_b(group, monkeypatch):
     monkeypatch.setattr(Mat, "inverse", spy)
     cfg = campaigns.CampaignConfig(suite="diagram-gs", group=group, samples=6, seed=3)
     assert campaigns.run_suite(cfg).all_passed
-    assert len(calls) == 13
+    assert len(calls) == 14
 
 
 def test_kappa_commutes():
@@ -494,9 +505,9 @@ def test_theorem1_identity_mu_target():
     assert m == Mat.identity(2)
     chart = borel_chart(SL2, *pt)
     pushed = pushforward_linear(chart.fiber, chart.dmu)
-    cotangent = DiracFiber(6, Mat.zeros(3, 3).vstack(Mat.identity(3)))
+    cotangent = DiracFiber(Mat.zeros(3, 3).vstack(Mat.identity(3)))
     assert pushed.equals(cotangent)
-    assert pushed.equals(cartan_dirac(conjugation_sections(SL2, m, m.inverse())))
+    assert pushed.equals(cartan_dirac(conjugation_sections(SL2, m)))
 
 
 def test_theorem1_witness_names_a_column_outside_the_other_fiber():
@@ -509,7 +520,7 @@ def test_theorem1_witness_names_a_column_outside_the_other_fiber():
         chart = borel_chart(SL2, *pt)
         res = theorem1_check(chart)
         fibers = {"pushed": pushforward_linear(chart.fiber, chart.dmu),
-                  "cartan": cartan_dirac(conjugation_sections(SL2, m, m.inverse()))}
+                  "cartan": cartan_dirac(conjugation_sections(SL2, m))}
     assert not res["f_dirac"]
     wit = res["witness_f_dirac"]
     named = fibers.pop(wit["fiber"])
@@ -519,7 +530,7 @@ def test_theorem1_witness_names_a_column_outside_the_other_fiber():
     # the name goes with the fiber the column was read from
     def span(*units):
         cols = [[QQi(int(i == k)) for i in range(4)] for k in units]
-        return DiracFiber(4, Mat.from_columns(cols, 4))
+        return DiracFiber(Mat.from_columns(cols, 4))
 
     assert gspringer._column_outside(span(0), span(0, 1), ("a", "b")) == {
         "fiber": "b", "column": 1, "dims": [1, 2]}
@@ -629,7 +640,7 @@ def test_induced_action_pairs_match_the_per_basis_formula(group):
         chart = borel_chart(ctx, *pt)
         dmu = chart.dmu
         m = conjugate(*pt)
-        fields, duals = induced_action(chart, conjugation_sections(ctx, m, m.inverse()))
+        fields, duals = induced_action(chart, conjugation_sections(ctx, m))
         assert fields.cols == duals.cols == ctx.dim_g
         pairs = [(fields.col(k), duals.col(k)) for k in range(ctx.dim_g)]
         for xi, (vec, alpha) in zip(ctx.basis, pairs):
@@ -705,7 +716,7 @@ def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
     for name in ("sl2", "gl3"):
         ctx = context(name)
         a, b = sample_double(ctx, SplitMix64(5))
-        t = ctx.gram_adjoint(b, b.inverse())
+        t = ctx.gram_adjoint(b)
         w = omega_matrix(ctx, t)
         rng, shadow = SplitMix64(77), SplitMix64(77)
         seen.clear()
@@ -860,7 +871,7 @@ def test_lambda_kills_leaf_directions():
     pt = sample_gspoint(SL3, rng)
     chart = borel_chart(SL3, *pt)
     # q_* of the tangent space of G x tU, and d(lambda . q) on the chart
-    leaf = Subspace.from_spanning(chart.proj.select_cols(chart.leaf_slice))
+    leaf = Subspace(chart.proj.select_cols(chart.leaf_slice))
     dl = per_basis_lam_differential(SL3, pt[1]) @ unit_columns(chart)
     for j in range(leaf.dim):
         assert all(not c for c in mat_vec(dl, leaf.basis.col(j)))

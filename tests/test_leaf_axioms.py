@@ -61,7 +61,7 @@ def degeneracy_sides(chart: QuotientChart, shift: int) -> tuple[Subspace, Subspa
     ctx = chart.ctx
     form, leaf, checks = leaf_two_form(chart, SplitMix64(0x1EAF))
     assert checks["passed"]
-    ad = ctx.adjoint(chart.mu, chart.mu.inverse())
+    ad = ctx.adjoint(chart.mu)
     xis = kernel(ad + Mat.identity(ctx.dim_g).scale(QQi(shift)))
     if not xis.dim:
         return kernel(form), Subspace.zero(leaf.dim)
@@ -70,7 +70,7 @@ def degeneracy_sides(chart: QuotientChart, shift: int) -> tuple[Subspace, Subspa
          for j in range(xis.dim)], chart.hdim)
     coords, _, consistent = solve_columns(leaf.basis, fields)
     assert consistent  # the induced fields are tangent to the leaf
-    return kernel(form), Subspace.from_spanning(coords)
+    return kernel(form), Subspace(coords)
 
 
 def same(a: Subspace, b: Subspace) -> bool:

@@ -82,8 +82,8 @@ def results(group, g_rows, b_rows) -> dict:
         "leaf_form": leaf_two_form(chart, SplitMix64(5)),
         "bivector": reconstruct_bivector(chart),
         "regact": regact_check(chart),
-        "closure": cartan_closure_check(ctx, g, g.inverse()),
-        "cartan_dirac": cartan_dirac(conjugation_sections(ctx, g, g.inverse())),
+        "closure": cartan_closure_check(ctx, g),
+        "cartan_dirac": cartan_dirac(conjugation_sections(ctx, g)),
         "chevalley": [invariants(ctx, g), invariants(ctx, b)],
         "det": [g.det(), b.det(), chart.proj.col_block(0, ctx.dim_g).det()],
         "inverse": [g.inverse(), b.inverse()],

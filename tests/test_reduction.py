@@ -95,7 +95,7 @@ def test_the_group_reduces_to_its_cartan_dirac_structure(group):
         target = chart.g @ chart.p @ chart.g.inverse()
         assert chart.mu == target == phi(chart.g, chart.p)[0]
         assert pushforward_linear(chart.fiber, chart.dmu).equals(
-            cartan_dirac(conjugation_sections(ctx, target, target.inverse())))
+            cartan_dirac(conjugation_sections(ctx, target)))
         assert theorem1_check(chart)["passed"]
         # the leaf through a regular point is its conjugacy class, and it is
         # q_* of G x 0, the leaf slice when N = 0

@@ -28,7 +28,7 @@ from qpslab.scalars import QQi
 
 def canonical_route(s: Subspace, m: Mat) -> bool:
     """The route the checks took before: canonicalize the set, then compare."""
-    return Subspace.from_spanning(m).equals(s)
+    return Subspace(m).equals(s)
 
 
 def outside(s: Subspace) -> list:
@@ -113,7 +113,7 @@ def test_representative_independence_fails_on_a_changed_fiber(group):
         assert representative_independent(chart, h)
         assert canonical_representative_independent(chart, h)
         for x in unequal_sets(fib, fib.basis):
-            chart.fiber = DiracFiber(fib.ambient_dim, x)
+            chart.fiber = DiracFiber(x)
             assert not representative_independent(chart, h)
             assert not canonical_representative_independent(chart, h)
 
@@ -130,5 +130,5 @@ def test_kernel_clean_meet_is_the_intersection_dimension(group, meet):
         assert out["kernel_clean"] == (want == 0)
         assert out.get("witness_kernel", {"dim": 0}) == {"dim": want}
         ker, h = kernel(chart.dmu), chart.hdim
-        emb = Subspace(2 * h, ker.basis.vstack(Mat.zeros(h, ker.dim)))
+        emb = Subspace(ker.basis.vstack(Mat.zeros(h, ker.dim)))
         assert intersect(emb, chart.fiber).dim == want

@@ -50,7 +50,7 @@ def test_a3_rank_matches_the_kernel_route_on_real_points(name):
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             for a, b in points:
-                w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
+                w = omega_matrix(ctx, ctx.gram_adjoint(b))
                 dphi = phi_differential(ctx, a, b)
                 assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi)
 
@@ -79,7 +79,7 @@ def test_a3_ranks_the_stack_where_omega_is_degenerate(name):
     a = random_point(ctx, "G", rng)
     u = random_point(ctx, "U", rng)
     b = u.scale_rows([(x, 1) for x in diag])
-    w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b))
     assert rank(w) == rank_w < w.rows
     dphi = phi_differential(ctx, a, b)
     assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi) == (True, None)
@@ -162,9 +162,8 @@ def four_block_route(ctx, b, w, rng, count):
     want = blocks(w)
     for _ in range(count):
         g2 = random_point(ctx, "G", rng)
-        w2 = omega_matrix(ctx, ctx.gram_adjoint(g2 @ b @ g2.inverse(),
-                                                g2 @ b.inverse() @ g2.inverse()))
-        ad2 = ctx.adjoint(g2, g2.inverse())
+        w2 = omega_matrix(ctx, ctx.gram_adjoint(g2 @ b @ g2.inverse()))
+        ad2 = ctx.adjoint(g2)
         adt = ad2.transpose()
         if any(adt @ m2 @ ad2 != m for m2, m in zip(blocks(w2), want)):
             return False
@@ -180,7 +179,7 @@ def test_a4_one_block_matches_the_four_block_route(name):
         with using(conv):
             for k in range(5):
                 _, b = sample_double(ctx, rng)
-                t = ctx.gram_adjoint(b, b.inverse())
+                t = ctx.gram_adjoint(b)
                 w = omega_matrix(ctx, t)
                 # of the block shape, but with a (1,2) block that is not
                 # invariant: both routes fail at the first draw
@@ -206,11 +205,11 @@ def test_a4_fails_under_a_transposed_adjoint(name, monkeypatch):
     _, b = sample_double(ctx, SplitMix64(62))
     adjoint = GroupContext.adjoint
     monkeypatch.setattr(GroupContext, "adjoint",
-                        lambda self, m, minv: adjoint(self, m, minv).transpose())
+                        lambda self, m: adjoint(self, m).transpose())
     # T = G Ad_b has its own closed form; route it through the wrong adjoint
     monkeypatch.setattr(GroupContext, "gram_adjoint",
-                        lambda self, m, minv: self.gram @ self.adjoint(m, minv))
-    w = omega_matrix(ctx, ctx.gram_adjoint(b, b.inverse()))
+                        lambda self, m: self.gram @ self.adjoint(m))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b))
     assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63))
     assert not four_block_route(ctx, b, w, SplitMix64(63), 10)
 
@@ -225,8 +224,8 @@ def test_leaf_dimension_ranks_match_the_subspace_route(name):
     for g in points:
         recs = _check_cartan_dirac(ctx, {"g": g}, SplitMix64(7))
         leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
-        proj = cartan_dirac(conjugation_sections(ctx, g, g.inverse())).tangent_part().dim
-        cent = kernel(ctx.adjoint(g, g.inverse()) - Mat.identity(d)).dim
+        proj = cartan_dirac(conjugation_sections(ctx, g)).tangent_part().dim
+        cent = kernel(ctx.adjoint(g) - Mat.identity(d)).dim
         assert leaf == {"check_id": "cartan-dirac/leaf-dimension",
                         "passed": proj == d - cent}
         assert leaf["passed"]
@@ -275,13 +274,13 @@ def closure_terms(ctx, rx, rm, rows):
     return blk, sw
 
 
-def r_matrix_route(ctx, gmat, ginv):
+def r_matrix_route(ctx, g):
     """Both sides of the full-basis closure as the d x d matrices R(v) of
     the structure constants built them before the n x n brackets: block i
     of the rows is a product with R(x_i) or R(M_i), and the terms read at
     the pair (j, i) are moved to row i d + j."""
     d = ctx.dim_g
-    m, x, a = conjugation_sections(ctx, gmat, ginv)
+    m, x, a = conjugation_sections(ctx, g)
     rows = section_rows(ctx, m, x, a)
     own, swapped = [], []
     for rx, rm in zip(r_matrices(ctx, x), r_matrices(ctx, m)):
@@ -315,18 +314,16 @@ def test_closure_rows_match_the_r_matrix_route(name, monkeypatch):
     xi, ze = random_algebra(ctx, rng), random_algebra(ctx, rng)
     for conv in [FROZEN, *CORRUPTIONS.values(), *calibration_grid()]:
         with using(conv):
-            sections = conjugation_sections(ctx, g, g.inverse())
-            assert dirac._closure_sides(ctx, g, g.inverse()) == \
-                r_matrix_route(ctx, g, g.inverse()), conv
+            sections = conjugation_sections(ctx, g)
+            assert dirac._closure_sides(ctx, g) == r_matrix_route(ctx, g), conv
             assert dirac._pair_sides(ctx, sections, xi, ze) == \
                 r_matrix_pair_route(ctx, sections, xi, ze), conv
     # the routes agree on a wrong adjoint too, so they fail alike
     adjoint = GroupContext.adjoint
     monkeypatch.setattr(GroupContext, "adjoint",
-                        lambda self, m, minv: adjoint(self, m, minv).transpose())
-    sections = conjugation_sections(ctx, g, g.inverse())
-    assert dirac._closure_sides(ctx, g, g.inverse()) == \
-        r_matrix_route(ctx, g, g.inverse())
+                        lambda self, m: adjoint(self, m).transpose())
+    sections = conjugation_sections(ctx, g)
+    assert dirac._closure_sides(ctx, g) == r_matrix_route(ctx, g)
     assert dirac._pair_sides(ctx, sections, xi, ze) == \
         r_matrix_pair_route(ctx, sections, xi, ze)
 
@@ -336,13 +333,12 @@ def test_closure_rows_match_the_r_matrix_route_off_the_reals():
     i = QQi(0, 1)
     g = Mat([[1 + i, i], [1, 1]])
     xi, ze = ctx.basis[0], Mat([[i, 1], [2, -i]])
-    sections = conjugation_sections(ctx, g, g.inverse())
+    sections = conjugation_sections(ctx, g)
     assert any(x.im for r in sections[0].data for x in r)
-    assert dirac._closure_sides(ctx, g, g.inverse()) == \
-        r_matrix_route(ctx, g, g.inverse())
+    assert dirac._closure_sides(ctx, g) == r_matrix_route(ctx, g)
     assert dirac._pair_sides(ctx, sections, xi, ze) == \
         r_matrix_pair_route(ctx, sections, xi, ze)
-    assert dirac.cartan_closure_check(ctx, g, g.inverse()) == (True, None)
+    assert dirac.cartan_closure_check(ctx, g) == (True, None)
     assert dirac.closure_sample(ctx, sections, xi, ze)
 
 
@@ -352,7 +348,7 @@ def test_closure_fails_under_a_transposed_adjoint(name, monkeypatch):
     # automorphism of the algebra, and every point sees that
     adjoint = GroupContext.adjoint
     monkeypatch.setattr(GroupContext, "adjoint",
-                        lambda self, m, minv: adjoint(self, m, minv).transpose())
+                        lambda self, m: adjoint(self, m).transpose())
     for suite, check in (("dorfman-closure", "dorfman-closure/basis-pairs"),
                          ("cartan-dirac", "cartan-dirac/closure-sample")):
         rep = run_suite(CampaignConfig(suite=suite, group=name, samples=4, seed=11))
@@ -388,7 +384,7 @@ def test_leaf_dimension_fails_under_a_wrong_adjoint(name, monkeypatch):
     ctx = context(name)
     g = random_point(ctx, "G", SplitMix64(59))
     monkeypatch.setattr(GroupContext, "adjoint",
-                        lambda self, m, minv: Mat.identity(self.dim_g))
+                        lambda self, m: Mat.identity(self.dim_g))
     recs = _check_cartan_dirac(ctx, {"g": g}, SplitMix64(7))
     leaf = next(r for r in recs if r["check_id"] == "cartan-dirac/leaf-dimension")
     assert leaf == {"check_id": "cartan-dirac/leaf-dimension", "passed": False,

@@ -21,7 +21,10 @@ builtin, such as ``sum``, does not hide behind calls of the builtin.
 Dunder methods are exempt: the language calls them, not code by name.
 
 With the readers limited to ``src``, ``scripts`` and ``bench``, the same
-scans list the package names that only the tests read.  Outside
+scans list the package names that only the tests read.  A read inside the
+body of such a name is a test read too, so the scan is repeated with those
+bodies taken out until the list stops growing: a helper that only a
+test-only function calls is test-only as well.  Outside
 :mod:`qpslab.diffcalc`, the oracle engine of the tests, that list is
 pinned: a new test-only helper in a product module fails here, and moving
 one to the tests shrinks the list.  The bench reads its layer names as
@@ -29,6 +32,7 @@ strings, so a name it traces but nothing calls is on the list.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,12 +48,13 @@ PRODUCT_READERS = ("src", "scripts", "bench")
 # the package names outside diffcalc that only the tests read
 TEST_ONLY = [
     "dirac.pullback_linear", "gspringer.chart_action_field",
-    "gspringer.moment_condition_check", "gspringer.same_class",
-    "liegroup.borel_decompose", "liegroup.conj_field", "liegroup.rho_adjoint",
-    "liegroup.sigma_adjoint", "linalg.annihilator", "linalg.solve_unique",
+    "gspringer.moment_condition_check", "gspringer.rho_double",
+    "gspringer.same_class", "liegroup.borel_decompose", "liegroup.conj_field",
+    "liegroup.rho_adjoint", "liegroup.sigma", "liegroup.sigma_adjoint",
+    "linalg.annihilator", "linalg.mat_vec", "linalg.solve_unique",
     "matio.scalar_to_json",
     "linalg.Subspace.from_vectors", "linalg.Subspace.sum",
-    "prng.SplitMix64.rational",
+    "prng.SplitMix64.below", "prng.SplitMix64.rational",
     "scalars.QQi.to_complex",
 ]
 
@@ -161,6 +166,54 @@ def unread_members(defining: dict[str, ast.Module],
                   if name not in seen)
 
 
+def loads(nodes) -> set[str]:
+    """Every bare name loaded in ``nodes``."""
+    return {n.id for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def without(tree: ast.Module, mod: str, names) -> ast.Module:
+    """``tree``, the module ``mod``, without the top-level definitions and
+    the class members that ``names`` lists as ``mod.name`` and
+    ``mod.Class.name``, and without the imported names that only they
+    load."""
+    body, gone = [], []
+    for node in tree.body:
+        if any(f"{mod}.{name}" in names for name in defined_names(node)):
+            gone.append(node)
+            continue
+        if isinstance(node, ast.ClassDef):
+            node = copy.copy(node)
+            members = node.body
+            node.body = [n for n in members if not (
+                isinstance(n, FUNCTIONS) and f"{mod}.{node.name}.{n.name}" in names)]
+            gone += [n for n in members if n not in node.body]
+        body.append(node)
+    unused = loads(gone) - loads(body)
+    for i, node in enumerate(body):
+        if isinstance(node, ast.ImportFrom):
+            body[i] = copy.copy(node)
+            body[i].names = [a for a in node.names if (a.asname or a.name) not in unused]
+    return ast.Module(body=body, type_ignores=[])
+
+
+def unread_in_product(defining: dict[str, ast.Module],
+                      readers: dict[str, ast.Module]) -> list[str]:
+    """The names and members of ``defining`` that no read in ``readers``
+    reaches, a read inside their own bodies not counting: the scan is
+    repeated with the bodies of the names found taken out of the readers of
+    ``defining``'s modules, until it finds no more."""
+    found = None
+    while True:
+        pruned = {key: without(tree, Path(key).stem, found or ())
+                  if Path(key).stem in defining else tree
+                  for key, tree in readers.items()}
+        now = unread_names(defining, pruned) + unread_members(defining, pruned)
+        if now == found:
+            return now
+        found = now
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -229,9 +282,30 @@ def test_every_package_method_is_read():
     assert unread_members(defining, readers) == []
 
 
+def test_the_scan_follows_test_only_functions():
+    lib = ast.parse("def f():\n    return g()\n\n"
+                    "def g():\n    return h()\n\n"
+                    "def h():\n    pass\n\n"
+                    "def k():\n    pass\n\n"
+                    "def m():\n    pass\n\n"
+                    "class C:\n"
+                    "    def a(self):\n        return self.b()\n\n"
+                    "    def b(self):\n        pass\n")
+    other = ast.parse("from lib import m\n\ndef t():\n    return m()\n")
+    user = ast.parse("from lib import C, k\nk()\nC()\n")
+    defining = {"lib": lib, "other": other}
+    readers = {**defining, "user": user}
+    # one pass sees only f, t and a unread; g, h, m and b are read by them
+    # alone, m through an import that only t loads
+    assert unread_names(defining, readers) == ["lib.f", "other.t"]
+    assert unread_members(defining, readers) == ["lib.C.a"]
+    assert unread_in_product(defining, readers) == [
+        "lib.f", "lib.g", "lib.h", "lib.m", "other.t", "lib.C.a", "lib.C.b"]
+
+
 def test_the_test_only_names_are_pinned():
     readers = {str(p.relative_to(ROOT)): parse(p) for p in READERS
                if p.relative_to(ROOT).parts[0] in PRODUCT_READERS}
     defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in PACKAGE}
-    found = unread_names(defining, readers) + unread_members(defining, readers)
+    found = unread_in_product(defining, readers)
     assert [n for n in found if not n.startswith("diffcalc.")] == TEST_ONLY
