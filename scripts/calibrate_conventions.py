@@ -65,7 +65,7 @@ def d_omega_matches(ctx, samples, rng) -> bool:
         a, b = sample_double(ctx, rng)
         dphi = phi_differential(ctx, a, b)
         t = ctx.gram_adjoint(b)
-        w = omega_matrix(ctx, t)
+        w = omega_matrix(ctx, t, range(ctx.dim_g))
         if not sampled_d_identity(ctx, t, w, range(ctx.dim_g), dphi, rng, 1):
             return False
     return True
@@ -75,7 +75,7 @@ def f_dirac_holds(ctx, samples, rng) -> bool:
     d = ctx.dim_g
     for _ in range(samples):
         a, b = sample_double(ctx, rng)
-        w = omega_matrix(ctx, ctx.gram_adjoint(b))
+        w = omega_matrix(ctx, ctx.gram_adjoint(b), range(d))
         fiber = graph_two_form(w)
         dphi = phi_differential(ctx, a, b)
         pushed = pushforward_linear(fiber, dphi)

@@ -246,7 +246,7 @@ def _check_double(ctx, pt, rng) -> list:
     recs = []
 
     t = ctx.gram_adjoint(b)
-    w = omega_matrix(ctx, t)
+    w = omega_matrix(ctx, t, range(ctx.dim_g))
     dphi = phi_differential(ctx, a, b)
     recs.append(_record("double/A1-moment-condition",
                         moment_condition_holds(ctx, a, b, w, dphi)))
@@ -315,7 +315,7 @@ def _a4_sample(ctx, b, w, rng) -> bool:
     """
     d = ctx.dim_g
     ref = w.row_block(0, d).col_block(d, 2 * d).scale(1 / omega_scale())
-    if omega_matrix(ctx, ref - ctx.gram) != w:
+    if omega_matrix(ctx, ref - ctx.gram, range(d)) != w:
         return False
     for _ in range(10):
         g2 = random_point(ctx, "G", rng)

@@ -15,8 +15,10 @@ A fiber stores the canonical basis of its span.  The transports
 :func:`pushforward_linear` and :func:`pullback_linear` each solve one
 reduced incidence system with :func:`~qpslab.linalg.null_vectors` and
 canonicalize only the result: at most two rrefs per call, the second
-skipped when the result already is canonical.  Their full systems in the
-unknowns (x, b, c) are the oracle in the tests.
+skipped when the result already is canonical.  A caller that only compares
+the pushforward with a canonical fiber takes its raw spanning set
+(:func:`pushforward_spanning_set`) and skips the second.  Their full
+systems in the unknowns (x, b, c) are the oracle in the tests.
 
 The suites decide closure of the conjugation sections under the twisted
 Dorfman bracket without differentiating anything, for every basis pair
@@ -63,7 +65,28 @@ class DiracFiber(Subspace):
         return self.basis.rows // 2
 
     def tangent_part(self) -> Subspace:
-        return Subspace(self.basis.row_block(0, self.d))
+        """The projection onto the tangent coordinates, read off the
+        canonical basis with no elimination.
+
+        The basis's transpose is in reduced row echelon form.  A column
+        whose pivot row is a covector row is zero in every tangent row, as
+        its pivot leads its row of the transpose.  The columns whose pivot
+        row is a tangent row, cut to the tangent rows, keep those pivots,
+        and every other pivot column of the transpose is zero in them: their
+        transpose is in reduced row echelon form, so they are the canonical
+        basis of the tangent span, which :class:`~qpslab.linalg.Subspace`
+        recognises in one scan.
+        """
+        d = self.d
+        cols = self.tangent_columns()
+        if not cols:
+            return Subspace.zero(d)
+        return Subspace(self.basis.row_block(0, d).select_cols(cols))
+
+    def tangent_columns(self) -> list[int]:
+        """The basis columns whose pivot row is a tangent row: their tangent
+        rows are the canonical basis of :meth:`tangent_part`."""
+        return [j for j, p in enumerate(self._pivots) if p < self.d]
 
     def cotangent_intersection(self) -> Subspace:
         """Intersection with the cotangent coordinate subspace."""
@@ -92,13 +115,14 @@ def pairing(ctx, e1, e2):
 
 
 def pairing_gram(fiber: DiracFiber) -> Mat:
+    """The pairings of the basis columns: top' bot + bot' top, the second
+    term the transpose of the first."""
     b = fiber.basis
     d = fiber.d
     if b.cols == 0:
         return Mat.zeros(1, 1)
-    top = b.row_block(0, d)
-    bot = b.row_block(d, b.rows)
-    return top.transpose() @ bot + bot.transpose() @ top
+    half = b.row_block(0, d).transpose() @ b.row_block(d, b.rows)
+    return half + half.transpose()
 
 
 def is_lagrangian(fiber: DiracFiber):
@@ -148,17 +172,28 @@ def graph_bivector(p: Mat) -> DiracFiber:
 
 
 def pushforward_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
-    """Pushforward along a linear tangent map given by its matrix.
+    """Pushforward along a linear tangent map given by its matrix: the
+    fiber of the columns of :func:`pushforward_spanning_set`."""
+    return DiracFiber(pushforward_spanning_set(fiber, fmat))
+
+
+def pushforward_spanning_set(fiber: DiracFiber, fmat: Mat) -> Mat:
+    """Columns that span the pushforward along ``fmat``, not canonicalized:
+    one column per null vector of the incidence system below.
 
     f_* L = {(F X, b) | (X, F^T b) in L} (Bursztyn and Crainic, 2005).
     With L spanned by the columns of [top; bot], (X, F^T b) lies in L
     exactly when X = top c and F^T b = bot c for some c, so the result is
     spanned by (F top c, b) over the null vectors (b; c) of [F^T | -bot]:
-    one v x (w + k) system, solved by :func:`~qpslab.linalg.null_vectors`,
-    whose raw vectors suffice because the fiber canonicalizes its basis.
-    When top is the identity, as on the graph of a 2-form
+    one v x (w + k) system, solved by :func:`~qpslab.linalg.null_vectors`.
+    The columns are independent exactly when no null vector has b = 0 and
+    F top c = 0, that is when L meets ker F (+) 0 only at 0: the columns
+    of [top; bot] are independent, so those null vectors are that meet,
+    one to one, and the column count less the span's dimension is its
+    dimension.  When top is the identity, as on the graph of a 2-form
     (:func:`graph_two_form`, basis [I; w^T]; every quotient chart's graph
-    is one), F top is F and the product is not taken.
+    is one), F top is F and the product is not taken.  The zero fiber
+    pushes forward to 0 (+) ker F^T.
     """
     v = fiber.d
     w = fmat.rows
@@ -166,15 +201,13 @@ def pushforward_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
         raise ValueError("tangent map has wrong domain dimension")
     k = fiber.dim
     if not k:
-        # f_* 0 = 0 (+) ker F^T
-        null = kernel(fmat.transpose())
-        return DiracFiber(Mat.zeros(w, null.dim).vstack(null.basis))
+        null = null_vectors(fmat.transpose())
+        return Mat.zeros(w, null.cols).vstack(null)
     top = fiber.basis.row_block(0, v)
     bot = fiber.basis.row_block(v, 2 * v)
     null = null_vectors(fmat.transpose().hstack(-bot))
     ftop = fmat if k == v and top == Mat.identity(v) else fmat @ top
-    basis = (ftop @ null.row_block(w, w + k)).vstack(null.row_block(0, w))
-    return DiracFiber(basis)
+    return (ftop @ null.row_block(w, w + k)).vstack(null.row_block(0, w))
 
 
 def pullback_linear(fiber: DiracFiber, fmat: Mat) -> DiracFiber:

@@ -67,8 +67,15 @@ and the vertical space, and derives the rest when first read, at most once:
 regact reads W and the vertical space alone, and only theorem 1 reads the
 graph.  The conjugation sections at mu are not kept on the chart, because
 they read the active conventions at the moment they are built; each check
-builds them once and passes the same set to
-:func:`~qpslab.dirac.cartan_dirac` and to :func:`induced_action`.
+builds them once and reads their columns, and builds
+:func:`~qpslab.dirac.cartan_dirac`'s fiber of them only for a witness.
+
+Every check builds only what its verdict reads.  The chart keeps the rows
+of d(phi) that are d(mu . q) and the vertical basis as a matrix, and an
+equality of a Lagrangian with a spanning set is decided on the set as it
+comes (:meth:`~qpslab.linalg.Subspace.spanned_by`), with one side
+canonical: the fiber and its pushforward along d(mu) are the only fibers
+the checks canonicalize.
 """
 
 from __future__ import annotations
@@ -81,12 +88,12 @@ from operator import sub
 
 from .conventions import ACTIVE
 from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
-                    is_skew, pushforward_linear)
-from .liegroup import (GroupContext, conjugate, conjugation_sections,
+                    is_skew, pushforward_spanning_set)
+from .liegroup import (GroupContext, _parity, conjugate, conjugation_sections,
                        group_of_json, invariants, random_point, read_element,
                        reciprocal_product, sigma, sigma_average, weyl_orders)
-from .linalg import (Mat, Subspace, intersect, kernel, mat_vec, null_vectors,
-                     rank, rref, solve_columns)
+from .linalg import (Mat, Subspace, kernel, mat_vec, null_vectors, rref,
+                     solve_columns)
 from .matio import mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
@@ -138,39 +145,60 @@ def phi_differential(ctx: GroupContext, a: Mat, b: Mat) -> Mat:
 
     Built on the double only.  (x, y) -> (Ad_a (Ad_{b^-1} x + y - x),
     -Ad_b y), so the matrix is [[Ad_a (Ad_{b^-1} - I), Ad_a], [0, -Ad_b]],
-    where Ad_a Ad_{b^-1} = Ad_{a b^-1}.  With b in a subgroup P the same
-    map on G x P is its block on a :class:`QuotientChart`'s upstairs
-    coordinates, whose first dim G rows are d(mu . q).  The per-basis
-    columns coords(a (b^-1 x b - x) a^-1) and (coords(a y a^-1),
-    -coords(b y b^-1)) are its oracle in the tests, as is the dual-number
-    :func:`qpslab.diffcalc.phi_map`.  Each adjoint reads the inverse its
-    matrix keeps.
+    where Ad_a Ad_{b^-1} = Ad_{a b^-1}; its first dim G rows are
+    :func:`mu_differential`.  The per-basis columns coords(a (b^-1 x b - x)
+    a^-1) and (coords(a y a^-1), -coords(b y b^-1)) are its oracle in the
+    tests, as is the dual-number :func:`qpslab.diffcalc.phi_map`.  Each
+    adjoint reads the inverse its matrix keeps.
     """
-    ad_a = ctx.adjoint(a)
-    top = (ctx.adjoint(a @ b.inverse()) - ad_a).hstack(ad_a)
+    top = mu_differential(ctx, a, b, range(ctx.dim_g))
     return top.vstack(Mat.zeros(ctx.dim_g, ctx.dim_g).hstack(-ctx.adjoint(b)))
 
 
-def action_generators(ctx: GroupContext, b: Mat) -> Mat:
-    """The second factor's action generators at (a, b): [I; I - Ad_{b^-1}].
+def mu_differential(ctx: GroupContext, a: Mat, b: Mat, second) -> Mat:
+    """The first dim G rows of :func:`phi_differential`, d(a b a^-1) =
+    [Ad_{a b^-1} - Ad_a | Ad_a], at the columns of the first factor and of
+    the increasing index list ``second`` of the second's coordinates.
+
+    With b in a subgroup P and ``second`` P's list, this is d(mu . q) on a
+    :class:`QuotientChart`'s upstairs coordinates, the only rows of d(phi)
+    that the chart reads, so the chart builds no Ad_b.
+    """
+    ad_a = ctx.adjoint(a)
+    return (ctx.adjoint(a @ b.inverse()) - ad_a).hstack(
+        _restrict(ad_a, range(ctx.dim_g), second))
+
+
+def action_generators(ctx: GroupContext, b: Mat, second) -> Mat:
+    """The second factor's action generators at (a, b), [I; I - Ad_{b^-1}],
+    at the rows of the first factor and, for both factors' second part and
+    the columns, the increasing index list ``second`` of the second
+    factor's coordinates: ``range(dim G)`` on the double.
 
     Column k is :func:`rho_double` of (0, e_k), the negated derivative of
-    the action of e_k; it does not depend on a.  The P-action on G x P
-    generates its block at a :class:`QuotientChart`'s upstairs rows and P's
-    columns, the N-action the columns of N among those.  Transposed, each
-    such block is already in reduced row echelon form (row r is zero in the
-    first factor but for a 1 at the r-th listed coordinate, and the lists
-    increase), so a :class:`~qpslab.linalg.Subspace` recognises it as the
-    canonical basis of its span without elimination.
+    the action of e_k; it does not depend on a.  With ``second`` the index
+    list of a subgroup P, the P-action on G x P generates this block, at a
+    :class:`QuotientChart`'s upstairs rows and P's columns, and the
+    N-action the columns of N among those.  Transposed, the block is
+    already in reduced row echelon form (row r is zero in the first factor
+    but for a 1 at the r-th listed coordinate, and the list increases), so
+    a :class:`~qpslab.linalg.Subspace` recognises it as the canonical basis
+    of its span without elimination.
     """
-    eye = Mat.identity(ctx.dim_g)
-    return eye.vstack(eye - ctx.adjoint(b.inverse()))
+    d = ctx.dim_g
+    eye = Mat.identity(d)
+    return _restrict(eye, range(d), second).vstack(
+        _restrict(eye - ctx.adjoint(b.inverse()), second))
 
 
 def _restrict(m: Mat, rows, cols=None) -> Mat:
-    """The block of ``m`` at the index lists ``rows`` and ``cols`` (default
-    ``rows``)."""
-    return m.select_rows(rows).select_cols(rows if cols is None else cols)
+    """The block of ``m`` at the increasing index lists ``rows`` and
+    ``cols`` (default ``rows``); a list of every index keeps its side as it
+    is, with no copy."""
+    cols = rows if cols is None else cols
+    if len(rows) < m.rows:
+        m = m.select_rows(rows)
+    return m.select_cols(cols) if len(cols) < m.cols else m
 
 
 def rho_double(ctx: GroupContext, a: Mat, b: Mat, xi1: Mat, xi2: Mat) -> list:
@@ -194,23 +222,28 @@ def omega_scale() -> Fraction:
     return Fraction(-ACTIVE.get().omega_sign, 2)
 
 
-def omega_matrix(ctx: GroupContext, t: Mat) -> Mat:
-    """Matrix of omega on the tangent basis of the double.
+def omega_matrix(ctx: GroupContext, t: Mat, second) -> Mat:
+    """Matrix of omega on the tangent basis of the double, at the
+    coordinates of the first factor and of the increasing index list
+    ``second`` of the second's: ``range(dim G)`` on the double.
 
-    Built on the double only: its G x P and G x N matrices are the blocks
-    a :class:`QuotientChart`'s index lists select.  Uses the closed block form
-    W = c [[T' - T, T + G], [-(T' + G), 0]] with c = :func:`omega_scale`,
-    T = G Ad_b on algebra coordinates
+    The closed block form is W = c [[T' - T, T + G], [-(T' + G), 0]] with
+    c = :func:`omega_scale`, T = G Ad_b on algebra coordinates
     (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`, read off b and the
     inverse it keeps, with no d x d product) and G the form's Gram matrix:
-    omega depends on the point (a, b) only through T.  The entrywise
-    evaluator :func:`qpslab.diffcalc.omega_value` is the independent oracle
-    for this in the tests.
+    omega depends on the point (a, b) only through T.  G is symmetric, so
+    with A = T + G the form is c [[A' - A, A], [-A', 0]], one sum and one
+    transpose.  With ``second`` the index list of a subgroup P this is the
+    G x P block, built from the columns of A and the rows of A' at
+    ``second`` directly, as a :class:`QuotientChart` reads it.  The
+    entrywise evaluator :func:`qpslab.diffcalc.omega_value` is the
+    independent oracle for this in the tests.
     """
-    gram = ctx.gram
-    tt = t.transpose()
-    w = (tt - t).hstack(t + gram).vstack(
-        (-(tt + gram)).hstack(Mat.zeros(ctx.dim_g, ctx.dim_g)))
+    d, k = ctx.dim_g, len(second)
+    a = t + ctx.gram
+    at = a.transpose()
+    w = (at - a).hstack(_restrict(a, range(d), second)).vstack(
+        (-_restrict(at, second, range(d))).hstack(Mat.zeros(k, k)))
     return w.scale(omega_scale())
 
 
@@ -241,12 +274,14 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, second, v: Mat):
     directions u_j, that form is -s/2 (K[j, l] - K[l, j]) with K = P' D (Q - P),
     the columns of P and Q being the first- and second-factor parts of the
     directions (the second written out in all dim G coordinates, zero off
-    ``second``).  The brackets, blockwise,
-    and the columns of R(y_i) (Q - P), R(y) a being coords([a, y]), are all
-    read off one n x n product (:meth:`GroupContext.brackets`), whose raw
-    integer rows each row of both is combined from, and canonicalized once.
-    :func:`qpslab.diffcalc.d_two_form` of :func:`qpslab.diffcalc.omega_fn`
-    is the oracle for this in the tests.
+    ``second``).  The cyclic sum reads K at (j, (i, l)) and (l, (i, j)) for
+    (i, j, l) cyclic, so only the six columns R(y_i) (Q - P) at l != i of
+    the product, R(y) a being coords([a, y]), are built.  Those columns and
+    the brackets, blockwise, read 15 of the 36 brackets of the six
+    directions, read off one n x n product (:meth:`GroupContext.brackets`),
+    whose raw integer rows each row of both is combined from, and
+    canonicalized once.  :func:`qpslab.diffcalc.d_two_form` of
+    :func:`qpslab.diffcalc.omega_fn` is the oracle for this in the tests.
     """
     d = ctx.dim_g
     dim = w.rows
@@ -255,25 +290,28 @@ def d_omega(ctx: GroupContext, t: Mat, w: Mat, second, v: Mat):
     # zero row appended to v at the others
     at = dict(zip(second, range(d, dim)))
     q = v.vstack(Mat.zeros(1, 3)).select_rows([at.get(c, dim) for c in range(d)])
-    # coords([Y_p, Y_q]) in raw row 6 p + q, Y_p the columns of P and then Q
-    brackets, den = ctx.brackets(first.hstack(q))
-
-    def row(i, j):
-        return brackets[6 * i + j]
-
     cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    # the columns (i, l) of R at l != i, and the brackets they and the
+    # cyclic sum read, Y_p being the columns of P and then Q
+    cols = list(itertools.permutations(range(3), 2))
+    pairs = ([(i, j) for i, j, _ in cyc] + [(3 + l, 3 + i) for i, l in cols]
+             + [(l, 3 + i) for i, l in cols])
+    brackets, den = ctx.brackets(first.hstack(q), pairs)
+    row = dict(zip(pairs, brackets)).__getitem__
+
     # entry (c, l): omega of the c-th bracket, blockwise, and direction l;
     # K is a subgroup, so the brackets of Q lie in its coordinates
-    alg = Mat.from_int_rows([row(i, j) + [row(3 + i, 3 + j)[c] for c in second]
+    alg = Mat.from_int_rows([row((i, j)) + [row((3 + i, 3 + j))[c] for c in second]
                              for i, j, _ in cyc], den) @ w @ v
-    # K = P' D (Q - P) as (P' T) R, R's column 3 i + l being R(q_i) (q_l - p_l)
-    rmat = Mat.from_int_rows([list(map(sub, row(3 + l, 3 + i), row(l, 3 + i)))
-                              for i in range(3) for l in range(3)], den)
+    # K = P' D (Q - P) as (P' T) R, R's column (i, l) being R(q_i) (q_l - p_l)
+    rmat = Mat.from_int_rows([list(map(sub, row((3 + l, 3 + i)), row((l, 3 + i))))
+                              for i, l in cols], den)
     kmat = _t_derivative(first.transpose() @ t, rmat.transpose())
+    col = {c: k for k, c in enumerate(cols)}
     scale = omega_scale()
     total = QQi(0)
     for c, (i, j, l) in enumerate(cyc):
-        kij = kmat.entry(j, 3 * i + l) - kmat.entry(l, 3 * i + j)
+        kij = kmat.entry(j, col[i, l]) - kmat.entry(l, col[i, j])
         total = total + kij * scale - alg.entry(c, l)
     return total
 
@@ -337,7 +375,8 @@ def moment_condition_holds(ctx: GroupContext, a: Mat, b: Mat, w: Mat,
     in the tests.
     """
     zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
-    r = (-ctx.adjoint(a.inverse())).vstack(zero).hstack(action_generators(ctx, b))
+    r = (-ctx.adjoint(a.inverse())).vstack(zero).hstack(
+        action_generators(ctx, b, range(ctx.dim_g)))
     s1 = conjugation_sections(ctx, conjugate(a, b))[2]
     s2 = conjugation_sections(ctx, b.inverse())[2]
     sig = s1.hstack(zero).vstack(zero.hstack(s2))
@@ -383,11 +422,12 @@ class QuotientChart:
     the chart, under the conventions active then:
 
     * ``t``, T = G Ad_p (:meth:`~qpslab.liegroup.GroupContext.gram_adjoint`),
-      through which omega depends on the point, and ``w``, the G x P block of
-      :func:`omega_matrix`;
-    * ``vertical``, the span of the P-action generators, whose block of
-      :func:`action_generators` is recognised as its canonical basis
-      without elimination;
+      through which omega depends on the point, and ``w``, the G x P block
+      :func:`omega_matrix` builds at P's list;
+    * ``vertical``, the P-action generators, the block of
+      :func:`action_generators` at P's columns: a basis of the vertical
+      space, whose transpose is in reduced row echelon form, kept as a
+      matrix because only its columns are read;
     * two lists of upstairs positions: ``leaf_slice``, the coordinates of
       the leaf slice G x N, and ``levi``, the rows of P's coordinates
       outside N (for P = B, the torus rows).
@@ -410,9 +450,15 @@ class QuotientChart:
     functionals that factor through ``proj``.
 
     The rest reads no convention, and is derived when first read and then
-    kept: ``dphi``, the G x P block of :func:`phi_differential`; the
-    complement, ``indices`` and ``proj``; ``fiber``, the pushforward of the
-    graph of W to the chart; ``graph``, ``mu``, ``dmu`` and ``leaf``.
+    kept: ``dmu_up``, d(mu . q) upstairs, the first dim G rows of the G x P
+    block of :func:`phi_differential` (:func:`mu_differential`), the only
+    rows of it that anything reads; the complement, ``indices`` and
+    ``proj``; ``fiber_span``, columns that span the pushforward of the
+    graph of W to the chart (:func:`quotient_fiber`), and ``fiber``, their
+    canonical span; ``graph``, ``mu``, ``dmu`` and ``leaf``.  A check that
+    only asks whether the fiber equals a subspace known canonically reads
+    ``fiber_span`` and leaves the fiber unbuilt
+    (:func:`representative_independent`).
     """
 
     def __init__(self, ctx: GroupContext, g: Mat, p: Mat, sub, nil):
@@ -427,8 +473,8 @@ class QuotientChart:
         self.leaf_slice = [*range(d), *(at[k] for k in self.nil)]
         self.levi = [at[k] for k in self.sub if k not in self.nil]
         self.t = ctx.gram_adjoint(p)
-        self.w = _restrict(omega_matrix(ctx, self.t), self.up)
-        self.vertical = Subspace(_restrict(action_generators(ctx, p), self.up, self.sub))
+        self.w = omega_matrix(ctx, self.t, self.sub)
+        self.vertical = action_generators(ctx, p, self.sub)
 
     def translate(self, h: Mat) -> "QuotientChart":
         """The chart at the representative h.(g, p) = (g h^-1, h p h^-1) of
@@ -437,9 +483,10 @@ class QuotientChart:
                              self.sub, self.nil)
 
     @cached_property
-    def dphi(self) -> Mat:
-        """The G x P block of :func:`phi_differential` at (g, p)."""
-        return _restrict(phi_differential(self.ctx, self.g, self.p), self.up)
+    def dmu_up(self) -> Mat:
+        """d(mu . q) on the upstairs coordinates: the first dim G rows of
+        the G x P block of :func:`phi_differential` at (g, p)."""
+        return mu_differential(self.ctx, self.g, self.p, self.sub)
 
     @cached_property
     def _complement(self) -> tuple[tuple, Mat]:
@@ -447,7 +494,7 @@ class QuotientChart:
         amb = self.ambient
         # pivot p of the reversed rref is the coordinate amb - 1 - p
         echelon, pivots = rref(
-            self.vertical.basis.transpose().select_cols(range(amb - 1, -1, -1)))
+            self.vertical.transpose().select_cols(range(amb - 1, -1, -1)))
         last = [amb - 1 - p for p in pivots]
         indices = [j for j in range(amb) if j not in last]
         # [I_h | -R[:, S]^T] holds the columns of S, then those of T; put
@@ -462,9 +509,16 @@ class QuotientChart:
     proj = property(lambda self: self._complement[1])
 
     @cached_property
-    def fiber(self) -> DiracFiber:
-        """The pushforward of the graph of W to the chart (:func:`quotient_fiber`)."""
+    def fiber_span(self) -> Mat:
+        """Columns that span the pushforward of the graph of W to the
+        chart, not canonicalized (:func:`quotient_fiber`)."""
         return quotient_fiber(self)
+
+    @cached_property
+    def fiber(self) -> DiracFiber:
+        """The pushforward of the graph of W to the chart: the canonical
+        span of ``fiber_span``."""
+        return DiracFiber(self.fiber_span)
 
     @cached_property
     def graph(self) -> DiracFiber:
@@ -479,13 +533,14 @@ class QuotientChart:
 
     @cached_property
     def dmu(self) -> Mat:
-        """d(mu) on the chart: the first dim G rows of ``dphi`` at the chart
-        coordinates' columns."""
-        return self.dphi.row_block(0, self.hdim).select_cols(self.indices)
+        """d(mu) on the chart: ``dmu_up`` at the chart coordinates' columns."""
+        return self.dmu_up.select_cols(self.indices)
 
     @cached_property
     def leaf(self) -> Subspace:
-        """The leaf directions: the tangent part of ``fiber`` (one rref)."""
+        """The leaf directions: the tangent part of ``fiber``, read off its
+        canonical basis with no elimination
+        (:meth:`~qpslab.dirac.DiracFiber.tangent_part`)."""
         return self.fiber.tangent_part()
 
 
@@ -498,8 +553,9 @@ def borel_chart(ctx: GroupContext, g: Mat, b: Mat) -> QuotientChart:
     return QuotientChart(ctx, g, b, ctx.borel, ctx.unipotent)
 
 
-def quotient_fiber(chart: QuotientChart) -> DiracFiber:
-    """Pushforward of the restricted graph to the chart; Lagrangian of dim G.
+def quotient_fiber(chart: QuotientChart) -> Mat:
+    """Columns that span the pushforward of the restricted graph to the
+    chart, a Lagrangian of dim G; the chart's ``fiber`` is their span.
 
     It is reduced to one small null space.  With P = ``proj``, S the chart's
     coordinates (``indices``), w the chart's form and V its vertical basis,
@@ -517,8 +573,8 @@ def quotient_fiber(chart: QuotientChart) -> DiracFiber:
     oracle of this reduction in the tests.
     """
     wt = chart.w.transpose()
-    null = null_vectors(chart.vertical.basis.transpose() @ wt)
-    return DiracFiber((chart.proj @ null).vstack(wt.select_rows(chart.indices) @ null))
+    null = null_vectors(chart.vertical.transpose() @ wt)
+    return (chart.proj @ null).vstack(wt.select_rows(chart.indices) @ null)
 
 
 def same_class(ctx: GroupContext, p: tuple[Mat, Mat], q: tuple[Mat, Mat]) -> bool:
@@ -545,11 +601,15 @@ def weyl_fiber(ctx: GroupContext, rs: Mat, t: Mat
     entry or ordering:
 
     * ``regular``: each null space of rs - t_i I is one line;
-    * ``det-one``: on SL, det h_w = 1;
+    * ``det-one``: on SL, det h_w = 1, read as det h times det W_w, the
+      sign of w's signed order;
     * ``mu-is-rs``: h_w^-1 rs h_w = b_w, so mu(h_w, b_w) = rs exactly;
     * ``inequivalent``: h_v^-1 h_w is not upper triangular for v before w,
       the test of :func:`same_class`, so the points are pairwise
       inequivalent.
+
+    The last two are read off the integer rows of one product each,
+    entry by entry, with no sub-matrix built.
     """
     n = ctx.n
     nums, den = t.int_entries()
@@ -563,24 +623,31 @@ def weyl_fiber(ctx: GroupContext, rs: Mat, t: Mat
     if sl:
         cols[0] = cols[0].scale(1 / reduce(Mat.hstack, cols).det())
     h = reduce(Mat.hstack, cols)
+    deth = h.det() if sl else None
     # negating column 0 of h_w (row 0 of h_w^-1) selects it from -h (-h^-1),
-    # so each product below holds every ordering's, or pair's, as a block
+    # so each product below holds every ordering's, or pair's, as a block;
+    # each is read as integer rows over one denominator
     signed, signed_inv = h.hstack(-h), (hinv := h.inverse()).vstack(-hinv)
-    conj = signed_inv @ (rs @ signed)
-    cross = signed_inv @ signed
+    conj, cden = (signed_inv @ (rs @ signed)).int_entries()
+    cross, _ = (signed_inv @ signed).int_entries()
     orders = weyl_orders(ctx)
     points = []
     for order in orders:
         perm = [k % n for k in order]
         hw = signed.select_cols(order)
         bw = t.select_rows(perm).select_cols(perm)
-        if sl and hw.det() != 1:
+        # det W_w = +-1 is the sign of w, times -1 for each negated column,
+        # so det h_w = det h det W_w is 1 exactly when det h is det W_w
+        if sl and deth != _parity(perm) * (-1) ** sum(k >= n for k in order):
             return points, {"condition": "det-one", "ordering": perm}
-        if conj.select_rows(order).select_cols(order) != bw:
+        bnums, bden = bw.int_entries()
+        if any(conj[r][c] * bden != x * cden
+               for r, brow in zip(order, bnums) for c, x in zip(order, brow)):
             return points, {"condition": "mu-is-rs", "ordering": perm}
         points.append((hw, bw))
     for v, w in itertools.combinations(orders, 2):
-        if ctx.in_borel(cross.select_rows(v).select_cols(w)):
+        # the block of h_v^-1 h_w is upper triangular when its lower entries vanish
+        if not any(cross[v[i]][w[j]] for i in range(n) for j in range(i)):
             return points, {"condition": "inequivalent",
                             "orderings": [[k % n for k in v], [k % n for k in w]]}
     return points, None
@@ -689,31 +756,36 @@ def chart_transport(chart1: QuotientChart, chart2: QuotientChart, h: Mat) -> Mat
 
     The action diffeomorphism has differential Ad_h (+) Ad_h upstairs and
     descends to the identity on the quotient tangent space, so the matrix is
-    proj2 M on chart1's coordinates, M the G x P block of diag(Ad_h, Ad_h):
-    h is in P, so Ad_h keeps P's coordinates among themselves, and M is the
-    whole map on G x P.  Chart1's coordinates are upstairs coordinates, so
-    M on them is M's columns at chart1's ``indices``.
+    proj2 M on chart1's coordinates, M the G x P block of diag(Ad_h, Ad_h),
+    built as diag(Ad_h, the block of Ad_h at P's list): h is in P, so Ad_h
+    keeps P's coordinates among themselves, and M is the whole map on
+    G x P.  Chart1's coordinates are upstairs coordinates, so M on them is
+    M's columns at chart1's ``indices``.
     """
-    ctx = chart1.ctx
+    ctx, k = chart1.ctx, len(chart1.sub)
     ad = ctx.adjoint(h)
-    zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
-    move = _restrict(ad.hstack(zero).vstack(zero.hstack(ad)), chart1.up)
+    move = ad.hstack(Mat.zeros(ctx.dim_g, k)).vstack(
+        Mat.zeros(k, ctx.dim_g).hstack(_restrict(ad, chart1.sub)))
     return chart2.proj @ move.select_cols(chart1.indices)
 
 
 def representative_independent(chart: QuotientChart, h: Mat) -> bool:
-    """Whether the chart's fiber, moved to the chart of h.(g, p) for h in P,
-    is the fiber built there: :func:`chart_transport` moves its tangent rows
-    and the transport's inverse transpose its covector rows.
+    """Whether the chart's fiber F1, moved to the chart of h.(g, p) for h in
+    P, is the fiber F2 built there.
+
+    :func:`chart_transport` T moves tangent rows, and its inverse transpose
+    covector rows.  T is invertible, so T(F1) = F2 exactly when F1 =
+    T^-1(F2): the moved chart's spanning set (``fiber_span``), its tangent
+    rows by T^-1 and its covector rows by T^T, must span the chart's
+    canonical fiber (:meth:`~qpslab.linalg.Subspace.spanned_by`).  So the
+    moved fiber is never canonicalized.
     """
     moved_chart = chart.translate(h)
     trans = chart_transport(chart, moved_chart, h)
-    basis, hdim = chart.fiber.basis, chart.hdim
-    moved = (trans @ basis.row_block(0, hdim)).vstack(
-        trans.inverse().transpose() @ basis.row_block(hdim, basis.rows))
-    # the moved columns are independent, so their count is their rank
-    target = moved_chart.fiber
-    return moved.cols == target.dim and target.contains_columns(moved)
+    span, hdim = moved_chart.fiber_span, chart.hdim
+    pulled = (trans.inverse() @ span.row_block(0, hdim)).vstack(
+        trans.transpose() @ span.row_block(hdim, span.rows))
+    return chart.fiber.spanned_by(pulled)
 
 
 # ---------------------------------------------------------------------------
@@ -726,16 +798,20 @@ def regact_check(chart: QuotientChart) -> dict:
     Passes when the intersection is exactly the N directions, so its
     dimension is dim N at every point (the regularity making the quotient a
     bundle).  Both sides are built with the chart, its complement is not
-    read, and neither depends on g; the N directions are the columns of N's
-    coordinates among P's in the vertical basis.
+    read, and neither depends on g; the N directions V_N are the columns of
+    N's coordinates among P's in the vertical basis V.
+
+    V's columns are independent, so V c lies in ker w^T exactly when c lies
+    in ker(w^T V), and the intersection is V ker(w^T V), of the dimension
+    of ker(w^T V).  It contains span(V_N) exactly when w^T V_N = 0, and is
+    then equal to it exactly when that dimension is dim N.  So one product
+    and one kernel decide it.
     """
-    gens = chart.vertical
-    inter = intersect(gens, kernel(chart.w.transpose()))
+    prod = chart.w.transpose() @ chart.vertical
+    dim = kernel(prod).dim
     nil = [i for i, k in enumerate(chart.sub) if k in chart.nil]
-    expected = (Subspace(gens.basis.select_cols(nil))
-                if nil else Subspace.zero(gens.ambient_dim))
-    ok = inter.dim == len(nil) and inter.equals(expected)
-    return {"dim": inter.dim, "expected_dim": len(nil), "passed": ok}
+    ok = dim == len(nil) and (not nil or prod.select_cols(nil).is_zero())
+    return {"dim": dim, "expected_dim": len(nil), "passed": ok}
 
 
 def theorem1_check(chart: QuotientChart) -> dict:
@@ -748,8 +824,20 @@ def theorem1_check(chart: QuotientChart) -> dict:
     The second route of (iv) pushes the restricted graph along d(phi) and
     then along the projection [I | 0] onto the first factor.  Linear Dirac
     pushforward is functorial, (f g)_* = f_* g_* for every subspace, so it
-    is one pushforward along the composite, the first dim G rows of d(phi).
+    is one pushforward along the composite, the chart's ``dmu_up``.
     A failing check carries a witness.
+
+    Only the pushforward of the fiber along d(mu) is canonicalized.  Both
+    equalities compare it with a spanning set by
+    :meth:`~qpslab.linalg.Subspace.spanned_by`: (i) with the section
+    columns [X; A] that :func:`~qpslab.dirac.cartan_dirac` spans, and (iv)
+    with the raw spanning set of the upstairs graph's pushforward
+    (:func:`~qpslab.dirac.pushforward_spanning_set`); either fiber is built
+    only for a failure's witness.  (ii) reads the same pushforward: its
+    spanning set has one column per null vector of the incidence system,
+    and the null vectors that give the zero column are exactly the fiber's
+    meet with ker d(mu) (+) 0, so the meet's dimension is the column count
+    less the pushforward's dimension.
     """
     ctx = chart.ctx
     fib = chart.fiber
@@ -761,23 +849,18 @@ def theorem1_check(chart: QuotientChart) -> dict:
         out["witness_lagrangian"] = wit or {"dim": fib.dim}
 
     m = chart.mu
-    dmu = chart.dmu
-    pushed = pushforward_linear(fib, dmu)
+    spanning = pushforward_spanning_set(fib, chart.dmu)
+    pushed = DiracFiber(spanning)
     # one set of sections at mu serves the target and the induced action
     sections = conjugation_sections(ctx, m)
-    cd = cartan_dirac(sections)
-    out["f_dirac"] = pushed.equals(cd)
+    out["f_dirac"] = pushed.spanned_by(sections[1].vstack(sections[2]))
     if not out["f_dirac"]:
-        out["witness_f_dirac"] = _column_outside(pushed, cd, ("pushed", "cartan"))
+        out["witness_f_dirac"] = _column_outside(pushed, cartan_dirac(sections),
+                                                 ("pushed", "cartan"))
 
-    # ker d(mu) as tangent vectors K with zero covector part meets the fiber
-    # F in dim K + dim F - rank [K; 0 | F] dimensions
-    kerdmu = null_vectors(dmu)
-    k = kerdmu.cols
-    meet = 0
-    if k:
-        stacked = kerdmu.vstack(Mat.zeros(chart.hdim, k)).hstack(fib.basis)
-        meet = k + fib.dim - rank(stacked)
+    # the fiber meets ker d(mu) (+) 0 in as many dimensions as the
+    # pushforward's spanning set has columns beyond its rank
+    meet = spanning.cols - pushed.dim
     out["kernel_clean"] = meet == 0
     if meet:
         out["witness_kernel"] = {"dim": meet}
@@ -792,10 +875,10 @@ def theorem1_check(chart: QuotientChart) -> dict:
             if not fib.contains_vector(fields.col(k) + duals.col(k)))}
 
     # route (iv): along the double's moment map, then onto its first factor
-    route_b = pushforward_linear(chart.graph, chart.dphi.row_block(0, ctx.dim_g))
-    out["pushforward_commutes"] = pushed.equals(route_b)
+    route_b = pushforward_spanning_set(chart.graph, chart.dmu_up)
+    out["pushforward_commutes"] = pushed.spanned_by(route_b)
     if not out["pushforward_commutes"]:
-        out["witness_pushforward"] = _column_outside(pushed, route_b,
+        out["witness_pushforward"] = _column_outside(pushed, DiracFiber(route_b),
                                                      ("quotient", "double"))
 
     out["passed"] = all(
@@ -846,14 +929,21 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
 
     Returns (form matrix, leaf, checks).  The form is obtained by inverting
     the graph over the leaf directions: with the fiber's basis cut into its
-    tangent rows ``top`` and covector rows ``bot``, one rref of ``[top | L]``
-    gives the coefficients S of every leaf basis vector (the columns of L),
-    and the form is (bot S)' L; isotropy of the fiber makes the matrix
-    well-defined and skew.  Checks:
+    tangent rows ``top`` and covector rows ``bot``, the coefficients S of
+    every leaf basis vector (the columns of L) solve top S = L, and the form
+    is (bot S)' L; isotropy of the fiber makes the matrix well-defined and
+    skew.  L is read off the fiber's canonical basis as top's columns at
+    the fiber's tangent pivots (:meth:`~qpslab.dirac.DiracFiber.tangent_part`),
+    so S is the unit columns there, the solution an rref of ``[top | L]``
+    gives, and top S = L is checked as that equality of columns
+    (``graphical``), with no elimination; bot S is bot's columns there.
+    Checks:
 
     * the restricted moment identity: the action fields V lie in the span of
-      L, with coefficients C from one rref of ``[L | V]``, and F' C = L' M
-      for the form F and the pulled-back sigma covectors M;
+      L, and F' C = L' M for their coefficients C, the form F and the
+      pulled-back sigma covectors M.  L is the leaf's canonical basis, so C
+      is V's rows at L's pivot rows, read with the containment by one
+      product (:meth:`~qpslab.linalg.Subspace.coordinates`), with no rref;
     * the exterior-derivative identity d(omega_leaf) = -mu^* eta, evaluated
       upstairs on the G x tU slice through (g, u), b = t u, where the leaf is
       a coordinate subspace, by :func:`sampled_d_identity` on two triples
@@ -861,8 +951,8 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
       There the leaf form is the pullback of omega, whose matrix is the
       block of the chart's ``w`` at its ``leaf_slice``: the slice curve
       u (I + s y) is the curve b (I + s y).  d(mu) on the slice,
-      (g, u) -> g t u g^-1, is the block of the first dim G rows of the
-      chart's ``dphi`` at the ``leaf_slice`` columns.
+      (g, u) -> g t u g^-1, is the chart's ``dmu_up`` at the
+      ``leaf_slice`` columns.
     """
     ctx = chart.ctx
     fib = chart.fiber
@@ -871,21 +961,21 @@ def leaf_two_form(chart: QuotientChart, rng: SplitMix64):
     top = fib.basis.row_block(0, h)
     bot = fib.basis.row_block(h, fib.basis.rows)
     # the leaf has dimension dim G - rank > 0 (theorem2_check)
-    sols, _, consistent = solve_columns(top, leaf.basis)
-    if not consistent:
+    cols = fib.tangent_columns()
+    if top.select_cols(cols) != leaf.basis:
         return None, leaf, {"graphical": False, "passed": False}
-    form = (bot @ sols).transpose() @ leaf.basis
+    form = bot.select_cols(cols).transpose() @ leaf.basis
     checks = {"graphical": True, "skew": is_skew(form)}
 
     m = chart.mu
     fields, duals = induced_action(chart, conjugation_sections(ctx, m))
-    coeffs, _, consistent = solve_columns(leaf.basis, fields)
-    checks["moment_identity"] = consistent and (
+    coeffs = leaf.coordinates(fields)
+    checks["moment_identity"] = coeffs is not None and (
         form.transpose() @ coeffs == leaf.basis.transpose() @ duals)
 
     checks["d_identity"] = sampled_d_identity(
         ctx, chart.t, _restrict(chart.w, chart.leaf_slice), chart.nil,
-        _restrict(chart.dphi, range(h), chart.leaf_slice), rng, 2)
+        chart.dmu_up.select_cols(chart.leaf_slice), rng, 2)
     checks["passed"] = all(checks.values())
     return form, leaf, checks
 

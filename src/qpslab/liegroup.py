@@ -225,20 +225,21 @@ class GroupContext:
 
     # -- invariant form and brackets ------------------------------------------
 
-    def brackets(self, v: Mat) -> tuple[list, int]:
-        """coords([Y_p, Y_q]) as row ``p k + q``, for the algebra elements
-        Y_p with coordinates column p of ``v``.
+    def brackets(self, v: Mat, pairs) -> tuple[list, int]:
+        """coords([Y_p, Y_q]) for the algebra elements Y_p with coordinates
+        column p of ``v``, for the (p, q) in the list ``pairs`` only: row i
+        holds that of ``pairs[i]``.
 
         One product [Y_1; ...; Y_k] [Y_1 | ... | Y_k] holds Y_p Y_q as its
         n x n block (p, q), so [Y_p, Y_q] is block (p, q) less block (q, p)
         (:meth:`_bracket_rows`).  The rows are returned raw, as ``(rows,
         den)``: fresh integer lists over the one common denominator of that
-        product, with no per-row gcd.  The callers read a few of the k^2 rows
-        and combine them, so each row they build is canonicalized once, by
+        product, with no per-row gcd.  The callers combine the rows, so each
+        row they build is canonicalized once, by
         :meth:`~qpslab.linalg.Mat.from_int_rows`.  Per-pair
         ``coords(bracket(...))`` is the oracle in the tests.
         """
-        return self._bracket_rows(v, self._readers)
+        return self._bracket_rows(v, pairs, self._readers)
 
     def brackets_and_functionals(self, v: Mat) -> tuple[list, list, int]:
         """:meth:`brackets` and the functional coordinates gram
@@ -246,12 +247,13 @@ class GroupContext:
         product and raw over its one denominator: ``(coords, dual, den)``.
         Per-pair ``dual_coords(bracket(...))`` is the oracle in the tests.
         """
-        return self._bracket_rows(v, self._readers, self._functionals)
+        return self._bracket_rows(v, None, self._readers, self._functionals)
 
-    def _bracket_rows(self, v: Mat, *tables) -> tuple:
+    def _bracket_rows(self, v: Mat, pairs, *tables) -> tuple:
         """For each table, the integer rows of its readers of every
-        [Y_p, Y_q], in row ``p k + q``, from one stacked product, and last
-        the product's common denominator."""
+        [Y_p, Y_q], in row ``p k + q``, or of those of ``pairs`` in their
+        order, from one stacked product, and last the product's common
+        denominator."""
         n = self.n
         ys, den = self._column_entry_rows(v)
         # [Y_1; ...; Y_k] and [Y_1 | ... | Y_k], row by row
@@ -259,8 +261,10 @@ class GroupContext:
         side = Mat.from_int_rows([[x for y in ys for x in y[a]] for a in range(n)], den)
         prod, den = (stack @ side).int_entries()
 
-        def entry(a, b):  # entry (a, b) of [Y_p, Y_q] in row p k + q
+        def entry(a, b):  # entry (a, b) of each [Y_p, Y_q], in row order
             left = [r[b::n] for r in prod[a::n]]  # left[p][q] = (Y_p Y_q)[a][b]
+            if pairs is not None:
+                return [left[p][q] - left[q][p] for p, q in pairs]
             return [x - y for lp, rp in zip(left, zip(*left))
                     for x, y in zip(lp, rp)]
 
@@ -289,7 +293,10 @@ class GroupContext:
     # -- membership helpers ----------------------------------------------------
 
     def in_borel(self, m: Mat) -> bool:
-        return not any(m.entry(i, j) for i, j in self._lower)
+        """Whether ``m`` is upper triangular: an entry is zero exactly when
+        its numerator in :meth:`~qpslab.linalg.Mat.int_entries` is."""
+        nums, _ = m.int_entries()
+        return not any(nums[i][j] for i, j in self._lower)
 
 
 def _sum(terms, x):

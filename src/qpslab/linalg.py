@@ -753,6 +753,16 @@ class Subspace:
             return mat.is_zero()
         return self.basis @ mat.select_rows(self._pivots) == mat
 
+    def coordinates(self, mat: Mat) -> Mat | None:
+        """The coefficients C with ``basis @ C == mat``, or None when some
+        column of ``mat`` lies outside the span: ``mat``'s rows at the pivot
+        rows, which the containment product of :meth:`contains_columns`
+        reads, with no elimination.  The basis has full column rank, so C is
+        unique; the subspace must not be 0-dimensional."""
+        if not self.contains_columns(mat):
+            return None
+        return mat.select_rows(self._pivots)
+
     def contains_vector(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise LinAlgError("ambient dimension mismatch")

@@ -15,6 +15,14 @@ from qpslab.gspringer import action_generators, omega_matrix, phi_differential
 from qpslab.linalg import Mat, null_vectors, rref
 
 
+def upstairs_dphi(chart) -> Mat:
+    """The G x P block of :func:`phi_differential` at a chart's point, at its
+    upstairs coordinates; the chart itself keeps only its first dim G rows
+    (``dmu_up``)."""
+    return phi_differential(chart.ctx, chart.g, chart.p).select_rows(
+        chart.up).select_cols(chart.up)
+
+
 def leading(m: Mat, k: int, cols: int | None = None) -> Mat:
     """The leading k x k block of ``m``, or k x ``cols``."""
     return m.row_block(0, k).col_block(0, k if cols is None else cols)
@@ -25,8 +33,8 @@ def prefix_chart(ctx, g, b) -> dict:
     ``dphi`` and the ``vertical`` basis on G x B, then the greedy complement
     ``indices`` and ``proj``, and the ``fiber``."""
     amb, h = ctx.dim_g + len(ctx.borel), ctx.dim_g
-    w = leading(omega_matrix(ctx, ctx.gram_adjoint(b)), amb)
-    vertical = leading(action_generators(ctx, b), amb, len(ctx.borel))
+    w = leading(omega_matrix(ctx, ctx.gram_adjoint(b), range(ctx.dim_g)), amb)
+    vertical = leading(action_generators(ctx, b, range(ctx.dim_g)), amb, len(ctx.borel))
     # pivot p of the reversed rref is the coordinate amb - 1 - p
     red, pivots = rref(vertical.transpose().select_cols(range(amb - 1, -1, -1)))
     last = [amb - 1 - p for p in pivots]

@@ -139,7 +139,7 @@ def test_phi_differential_matches_the_per_basis_columns(group):
 
 def _a1_both_routes(ctx, a, b, w=None):
     if w is None:
-        w = omega_matrix(ctx, ctx.gram_adjoint(b))
+        w = omega_matrix(ctx, ctx.gram_adjoint(b), range(ctx.dim_g))
     dphi = phi_differential(ctx, a, b)
     zero = Mat.zeros(ctx.n, ctx.n)
     generators = [(x, zero) for x in ctx.basis] + [(zero, x) for x in ctx.basis]
@@ -166,7 +166,7 @@ def test_batched_a1_gives_the_per_generator_verdict(group, conv):
 def test_batched_a1_sees_a_defect_in_every_block_of_omega(group):
     ctx = context(group)
     a, b = sample_double(ctx, SplitMix64(204))
-    w = omega_matrix(ctx, ctx.gram_adjoint(b))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b), range(ctx.dim_g))
     assert _a1_both_routes(ctx, a, b, w) == (True, True)
     d = ctx.dim_g
     for r0 in (0, d):
@@ -219,7 +219,7 @@ def test_b_action_directions_span_the_per_basis_generators(group):
     amb = ctx.dim_g + len(ctx.borel)
     for kind, b in points:
         for part, sub in (("b", ctx.borel), ("u", ctx.unipotent)):
-            block = leading(action_generators(ctx, b), amb, len(sub))
+            block = leading(action_generators(ctx, b, range(ctx.dim_g)), amb, len(sub))
             got = Subspace(block)
             want = per_basis_b_action_directions(ctx, b, sub)
             assert got.dim == len(sub)

@@ -16,14 +16,15 @@ from qpslab import linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import Space
 from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form,
-                          pullback_linear, pushforward_linear)
+                          pullback_linear, pushforward_linear,
+                          pushforward_spanning_set)
 from qpslab.gspringer import borel_chart, gspoint_stream, omega_matrix
 from qpslab.liegroup import GROUPS, conjugation_sections, context, random_point
 from qpslab.linalg import Mat, Subspace, intersect, kernel, null_vectors, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi, ZZi
 
-from borel_oracle import leading
+from borel_oracle import leading, upstairs_dphi
 
 
 def full_pushforward(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
@@ -83,7 +84,7 @@ def transport_cases(ctx):
     first = Mat.identity(d).hstack(Mat.zeros(d, len(ctx.borel)))
     for point in gspoint_stream(ctx, SplitMix64(301), 4):
         chart = borel_chart(ctx, *point)
-        dmu, dphi = chart.dmu, chart.dphi
+        dmu, dphi = chart.dmu, upstairs_dphi(chart)
         cd = cartan_dirac(conjugation_sections(ctx, chart.mu))
         push += [(chart.graph, chart.proj), (chart.fiber, dmu),
                  (chart.graph, dphi), (pushforward_linear(chart.graph, dphi), first),
@@ -95,11 +96,30 @@ def transport_cases(ctx):
     return push, pull
 
 
+def meet_with_kernel(fiber: DiracFiber, fmat: Mat) -> int:
+    """dim (L meet ker F (+) 0), by ``intersect``."""
+    ker = kernel(fmat)
+    if not ker.dim:
+        return 0
+    return intersect(fiber, Subspace(ker.basis.vstack(Mat.zeros(fiber.d, ker.dim)))).dim
+
+
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_reduced_transports_match_the_full_incidence_systems(group):
+    # the pushforward's raw spanning set spans the full system's pushforward,
+    # and has one column beyond its rank for each dimension in which the
+    # fiber meets ker F (+) 0; theorem 1's kernel-clean reads that count
     push, pull = transport_cases(context(group))
+    meets = 0
     for fiber, fmat in push:
-        assert_same(pushforward_linear(fiber, fmat), full_pushforward(fiber, fmat))
+        want = full_pushforward(fiber, fmat)
+        assert_same(pushforward_linear(fiber, fmat), want)
+        span = pushforward_spanning_set(fiber, fmat)
+        assert want.spanned_by(span)
+        meet = span.cols - want.dim
+        assert meet == meet_with_kernel(fiber, fmat)
+        meets += meet > 0
+    assert meets
     for fiber, fmat in pull:
         assert_same(pullback_linear(fiber, fmat), full_pullback(fiber, fmat))
 
@@ -171,7 +191,7 @@ def test_a_graph_pushes_forward_without_the_top_product(group, monkeypatch):
     graphs, others = [], []
     for point in gspoint_stream(ctx, SplitMix64(305), 4):
         chart = borel_chart(ctx, *point)
-        graphs += [(chart.graph, chart.proj), (chart.graph, chart.dphi)]
+        graphs += [(chart.graph, chart.proj), (chart.graph, upstairs_dphi(chart))]
         others.append((chart.fiber, chart.dmu))
     cases = [(fiber, fmat, product_route_pushforward(fiber, fmat), products)
              for group_cases, products in ((graphs, 1), (others, 2))
@@ -228,9 +248,10 @@ def test_intersect_at_the_chart_matches_the_kernel_route():
         for point in gspoint_stream(ctx, SplitMix64(305), 4):
             chart = borel_chart(ctx, *point)
             flat = kernel(chart.w.transpose())
-            got = intersect(chart.vertical, flat)
+            got = intersect(Subspace(chart.vertical), flat)
             assert got.dim == len(ctx.unipotent)
-            assert got.basis == kernel_route_intersect(chart.vertical, flat).basis
+            assert got.basis == kernel_route_intersect(Subspace(chart.vertical),
+                                                       flat).basis
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -264,6 +285,6 @@ def test_graph_two_form_stores_the_canonical_basis(group, conv):
     with using(FROZEN if conv == "frozen" else CORRUPTIONS[conv]):
         for part in PARTS:
             b = random_point(ctx, "G" if part == "g" else "B", rng)
-            w = omega_matrix(ctx, ctx.gram_adjoint(b))
+            w = omega_matrix(ctx, ctx.gram_adjoint(b), range(ctx.dim_g))
             fib = graph_two_form(leading(w, Space(ctx, ("g", part)).dim))
             assert fib.basis == Subspace(fib.basis).basis, part

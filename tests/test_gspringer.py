@@ -11,7 +11,7 @@ from qpslab import campaigns, gspringer, liegroup, linalg
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space, omega_value, phi_map
 from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
-                          is_skew, pushforward_linear)
+                          is_skew, pushforward_linear, pushforward_spanning_set)
 from qpslab.gspringer import (FORCED_STRATA,
                               NotRegularSemisimple, QuotientChart, borel_chart,
                               chart_action_field,
@@ -32,7 +32,7 @@ from qpslab.linalg import (Mat, Subspace, dot, intersect, kernel, mat_vec,
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
-from borel_oracle import leading
+from borel_oracle import leading, upstairs_dphi
 
 SL2 = context("sl2")
 SL3 = context("sl3")
@@ -77,7 +77,7 @@ def test_omega_identity_fiber_anchor():
 
 def omega_at(ctx, b, part):
     """omega's matrix at b on G x ``part``: a leading block of the double's."""
-    w = omega_matrix(ctx, ctx.gram_adjoint(b))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b), range(ctx.dim_g))
     return leading(w, Space(ctx, ("g", part)).dim)
 
 
@@ -190,8 +190,10 @@ def test_regact_dimensions():
 def test_vertical_space_is_action_tangent():
     rng = SplitMix64(69)
     g, b = sample_gspoint(SL2, rng)
-    v = borel_chart(SL2, g, b).vertical
-    assert v.dim == len(SL2.borel)
+    # the chart keeps the generators as a matrix, a canonical basis
+    gens = borel_chart(SL2, g, b).vertical
+    v = Subspace(gens)
+    assert v.basis == gens and v.dim == len(SL2.borel)
     # rho(0, xi) for xi in the Borel basis lies in the vertical space
     for k in SL2.borel:
         vec = rho_double(SL2, g, b, Mat.zeros(2, 2), SL2.basis[k])
@@ -205,7 +207,9 @@ def test_quotient_fiber_basics():
     chart = borel_chart(SL2, *pt)
     fib = chart.fiber
     assert fib.dim == SL2.dim_g == 3
-    assert quotient_fiber(chart).equals(fib)
+    # the fiber is the canonical span of the chart's raw spanning set
+    assert fib.spanned_by(quotient_fiber(chart))
+    assert fib.basis == DiracFiber(chart.fiber_span).basis
     ok, _ = is_lagrangian(fib)
     assert ok
 
@@ -230,7 +234,7 @@ def test_chart_complement_matches_the_greedy_choice(group):
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
         chart = borel_chart(ctx, *pt)
-        want = _greedy_complement(chart.vertical, chart.ambient, chart.hdim)
+        want = _greedy_complement(Subspace(chart.vertical), chart.ambient, chart.hdim)
         assert list(chart.indices) == want
         assert len(want) == chart.hdim
 
@@ -249,7 +253,7 @@ def test_chart_proj_is_the_inverse_route(group):
     ctx = context(group)
     for pt in gspoint_stream(ctx, SplitMix64(74), len(FORCED_STRATA) + 1):
         chart = borel_chart(ctx, *pt)
-        inv = unit_columns(chart).hstack(chart.vertical.basis).inverse()
+        inv = unit_columns(chart).hstack(chart.vertical).inverse()
         assert chart.proj == inv.row_block(0, chart.hdim)
 
 
@@ -281,8 +285,8 @@ def test_a_chart_runs_one_rref_and_no_inverse(group, monkeypatch):
         monkeypatch.setattr(mod, "rref", spy("rref", real_rref))
     monkeypatch.setattr(Mat, "inverse", computed_inverse)
     monkeypatch.setattr(linalg, "rank", spy("rank", linalg.rank))
-    monkeypatch.setattr(gspringer, "pushforward_linear",
-                        spy("pushforward", gspringer.pushforward_linear))
+    monkeypatch.setattr(gspringer, "pushforward_spanning_set",
+                        spy("pushforward", gspringer.pushforward_spanning_set))
     chart = borel_chart(ctx, *pt)
     assert calls == []
     amb = ctx.dim_g + len(ctx.borel)
@@ -345,10 +349,10 @@ def test_nonreal_chart_and_leaf_form_pinned():
     assert campaigns.eval_command("leaf-form", NONREAL_POINT) == NONREAL_LEAF_FORM
     chart = borel_chart(*point_from_json(NONREAL_POINT))
     assert any(x.im for r in chart.proj.data for x in r)
-    assert list(chart.indices) == _greedy_complement(chart.vertical,
+    assert list(chart.indices) == _greedy_complement(Subspace(chart.vertical),
                                                      chart.ambient, chart.hdim)
     # proj is the first h rows of [I_S | V]^-1
-    inv = unit_columns(chart).hstack(chart.vertical.basis).inverse()
+    inv = unit_columns(chart).hstack(chart.vertical).inverse()
     assert chart.proj == inv.row_block(0, chart.hdim)
 
 
@@ -357,21 +361,21 @@ def two_step_route_iv(chart: QuotientChart) -> DiracFiber:
     then along the projection [I | 0] onto its first factor."""
     ctx = chart.ctx
     first = Mat.identity(ctx.dim_g).hstack(Mat.zeros(ctx.dim_g, len(ctx.borel)))
-    pushed = pushforward_linear(chart.graph, chart.dphi)
+    pushed = pushforward_linear(chart.graph, upstairs_dphi(chart))
     return pushforward_linear(pushed, first)
 
 
 def assert_reductions_match_their_routes(chart: QuotientChart) -> None:
     # the fiber by reduction is the pushforward of the graph along proj, and
-    # route (iv) along the composite is the two-step route, entry for entry
-    ctx = chart.ctx
-    fiber = quotient_fiber(chart)
+    # route (iv) along the composite is the two-step route, entry for entry;
+    # the raw spanning sets theorem 1 compares span them
+    fiber = DiracFiber(quotient_fiber(chart))
     assert fiber.basis == chart.fiber.basis
     assert fiber.basis == pushforward_linear(chart.graph, chart.proj).basis
-    one_step = pushforward_linear(chart.graph,
-                                  chart.dphi.row_block(0, ctx.dim_g))
+    one_step = pushforward_linear(chart.graph, chart.dmu_up)
     two_step = two_step_route_iv(chart)
     assert one_step.basis == two_step.basis
+    assert two_step.spanned_by(pushforward_spanning_set(chart.graph, chart.dmu_up))
 
 
 @pytest.mark.parametrize("conv", ["frozen"] + sorted(CORRUPTIONS))
@@ -536,7 +540,7 @@ def test_theorem1_witness_names_a_column_outside_the_other_fiber():
         "fiber": "b", "column": 1, "dims": [1, 2]}
 
 
-DERIVED = ("omega_matrix", "phi_differential", "conjugate", "conjugation_sections")
+DERIVED = ("omega_matrix", "mu_differential", "conjugate", "conjugation_sections")
 
 
 def test_quotient_checks_build_each_chart_once(monkeypatch):
@@ -571,7 +575,7 @@ def test_quotient_checks_build_each_chart_once(monkeypatch):
     # is one more conjugation (mu is the other); nothing else is derived
     # twice.  Only gs-theorem2 reads the leaf, once for the leaf check and
     # the leaf form together.  regact reads the chart's vertical space and W
-    # alone: no complement, dphi, fiber, mu or sections
+    # alone: no complement, dmu_up, fiber, mu or sections
     charted = {name: 1 for name in DERIVED}
     suites = {
         "gs-theorem1": {**charted, "chart": 2, "gram_adjoint": 2,
@@ -717,7 +721,7 @@ def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
         ctx = context(name)
         a, b = sample_double(ctx, SplitMix64(5))
         t = ctx.gram_adjoint(b)
-        w = omega_matrix(ctx, t)
+        w = omega_matrix(ctx, t, range(ctx.dim_g))
         rng, shadow = SplitMix64(77), SplitMix64(77)
         seen.clear()
         assert gspringer.sampled_d_identity(ctx, t, w, range(ctx.dim_g),
@@ -897,3 +901,4 @@ def test_gspoint_json_roundtrip():
     obj = point_to_json(SL2, *pt)
     assert set(obj) == {"g", "b", "group"} and obj["group"] == "sl2"
     assert point_from_json(obj) == (SL2, *pt)
+

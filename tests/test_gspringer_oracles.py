@@ -55,7 +55,7 @@ def test_d_omega_matches_the_dual_number_oracle(group, conv):
         for space, kind in _spaces(ctx):
             a, b = random_point(ctx, "G", rng), random_point(ctx, kind, rng)
             t = ctx.gram_adjoint(b)
-            w = leading(omega_matrix(ctx, t), space.dim)
+            w = leading(omega_matrix(ctx, t, range(ctx.dim_g)), space.dim)
             for _ in range(2):
                 dirs = [[QQi(rng.rational(3)) for _ in range(space.dim)]
                         for _ in range(3)]
@@ -72,7 +72,7 @@ def test_gxu_omega_matrix_is_the_leading_block_of_gxb(group):
     g, b = random_point(ctx, "G", rng), random_point(ctx, "B", rng)
     k = ctx.dim_g + len(ctx.unipotent)
     t = ctx.gram_adjoint(b)
-    w = omega_matrix(ctx, t)
+    w = omega_matrix(ctx, t, range(ctx.dim_g))
     gxu = leading(w, k)
     gxb = leading(w, ctx.dim_g + len(ctx.borel))
     # entry by entry, omega at (g, b) on the G x U basis directions
@@ -249,12 +249,12 @@ def _d_identity_inputs(ctx, rng):
     the leaf d-identity on G x U at two quotient points."""
     for _ in range(2):
         a, b = sample_double(ctx, rng)
-        t = ctx.gram_adjoint(b)
-        yield t, omega_matrix(ctx, t), range(ctx.dim_g), phi_differential(ctx, a, b)
+        t, every = ctx.gram_adjoint(b), range(ctx.dim_g)
+        yield t, omega_matrix(ctx, t, every), every, phi_differential(ctx, a, b)
     k = ctx.dim_g + len(ctx.unipotent)
     for pt in gspoint_stream(ctx, rng, 2):
         chart = borel_chart(ctx, *pt)
-        yield chart.t, leading(chart.w, k), chart.nil, leading(chart.dphi, ctx.dim_g, k)
+        yield chart.t, leading(chart.w, k), chart.nil, leading(chart.dmu_up, ctx.dim_g, k)
 
 
 def _same_d_identity(ctx, t, w, second, dphi, seed):
@@ -284,11 +284,11 @@ def test_sampled_d_identity_on_non_real_points():
     i = QQi(0, 1)
     a = Mat([[i, 0], [0, -i]])
     b = Mat([[1 + i, i], [1, 1]])
-    t = ctx.gram_adjoint(b)
+    t, every = ctx.gram_adjoint(b), range(ctx.dim_g)
     assert any(x.im for r in t.data for x in r)
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
-            assert _same_d_identity(ctx, t, omega_matrix(ctx, t), range(ctx.dim_g),
+            assert _same_d_identity(ctx, t, omega_matrix(ctx, t, every), every,
                                     phi_differential(ctx, a, b), 7) == (conv is FROZEN)
     # the pinned eval leaf-form point of test_gspringer, b = [[i, 3/2], [0, -i]]
     chart = borel_chart(*point_from_json({
@@ -296,7 +296,7 @@ def test_sampled_d_identity_on_non_real_points():
         "b": {"rows": 2, "cols": 2, "entries": [[0, 1], ["3/2", 0], 0, [0, -1]]}}))
     k = ctx.dim_g + len(ctx.unipotent)
     assert _same_d_identity(ctx, chart.t, leading(chart.w, k), chart.nil,
-                            leading(chart.dphi, ctx.dim_g, k), 0x1EAF)
+                            leading(chart.dmu_up, ctx.dim_g, k), 0x1EAF)
 
 
 def test_float_array_is_bitwise_the_to_complex_route():

@@ -447,8 +447,12 @@ def test_brackets_match_the_per_pair_oracle():
             want = per_pair_brackets(ctx, v)
             assert (Mat.from_int_rows(coords, den),
                     Mat.from_int_rows(dual, den)) == want, (name, v.cols)
-            rows, rden = ctx.brackets(v)
-            assert (rows, rden) == (coords, den), (name, v.cols)
+            # brackets reads the pairs it is given, in their order
+            k = v.cols
+            pairs = [(p, q) for p in range(k) for q in range(k)][::-1]
+            rows, rden = ctx.brackets(v, pairs)
+            assert rden == den and rows == [coords[p * k + q] for p, q in pairs], \
+                (name, k)
             # the rows are fresh lists, so no caller that combines them can
             # touch the integer rows that int_entries keeps
             kept = {id(r) for m in (v, v.transpose(), *ctx.algebra_matrices(v))

@@ -380,3 +380,27 @@ def test_an_inverse_keeps_its_matrix():
         ginv = g.inverse()
         assert ginv.inverse() is g and g.inverse() is ginv
         assert g @ ginv == Mat.identity(2)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_coordinates_are_the_unique_solution(gaussian):
+    # the coefficients read off the pivot rows are solve_columns' unique
+    # solution when every column lies in the span, and None, as its
+    # inconsistency, when one does not
+    rng = SplitMix64(315)
+    i = QQi(0, 1)
+
+    def entry():
+        x = QQi(rng.rational(4))
+        return x + i * QQi(rng.rational(3)) if gaussian else x
+
+    for n, k in ((3, 1), (4, 2), (6, 3)):
+        s = Subspace(Mat([[entry() for _ in range(k)] for _ in range(n)]))
+        inside = s.basis @ Mat([[entry() for _ in range(2)] for _ in range(s.dim)])
+        outside = inside.hstack(Mat([[entry()] for _ in range(n)]))
+        for m in (inside, outside):
+            want, unique, consistent = solve_columns(s.basis, m)
+            got = s.coordinates(m)
+            assert (got is not None) == consistent
+            assert got is None or (unique and got == want and s.basis @ got == m)
+        assert s.coordinates(outside) is None

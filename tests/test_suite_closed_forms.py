@@ -50,7 +50,7 @@ def test_a3_rank_matches_the_kernel_route_on_real_points(name):
     for conv in (FROZEN, CORRUPTIONS["omega-sign"]):
         with using(conv):
             for a, b in points:
-                w = omega_matrix(ctx, ctx.gram_adjoint(b))
+                w = omega_matrix(ctx, ctx.gram_adjoint(b), range(ctx.dim_g))
                 dphi = phi_differential(ctx, a, b)
                 assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi)
 
@@ -79,7 +79,7 @@ def test_a3_ranks_the_stack_where_omega_is_degenerate(name):
     a = random_point(ctx, "G", rng)
     u = random_point(ctx, "U", rng)
     b = u.scale_rows([(x, 1) for x in diag])
-    w = omega_matrix(ctx, ctx.gram_adjoint(b))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b), range(ctx.dim_g))
     assert rank(w) == rank_w < w.rows
     dphi = phi_differential(ctx, a, b)
     assert _a3_nondegenerate(w, dphi) == kernel_route(w, dphi) == (True, None)
@@ -162,7 +162,7 @@ def four_block_route(ctx, b, w, rng, count):
     want = blocks(w)
     for _ in range(count):
         g2 = random_point(ctx, "G", rng)
-        w2 = omega_matrix(ctx, ctx.gram_adjoint(g2 @ b @ g2.inverse()))
+        w2 = omega_matrix(ctx, ctx.gram_adjoint(g2 @ b @ g2.inverse()), range(ctx.dim_g))
         ad2 = ctx.adjoint(g2)
         adt = ad2.transpose()
         if any(adt @ m2 @ ad2 != m for m2, m in zip(blocks(w2), want)):
@@ -180,10 +180,10 @@ def test_a4_one_block_matches_the_four_block_route(name):
             for k in range(5):
                 _, b = sample_double(ctx, rng)
                 t = ctx.gram_adjoint(b)
-                w = omega_matrix(ctx, t)
+                w = omega_matrix(ctx, t, range(ctx.dim_g))
                 # of the block shape, but with a (1,2) block that is not
                 # invariant: both routes fail at the first draw
-                moved = omega_matrix(ctx, t + Mat.identity(d))
+                moved = omega_matrix(ctx, t + Mat.identity(d), range(ctx.dim_g))
                 for form, verdict in ((w, True), (moved, False)):
                     new, old = SplitMix64(k), SplitMix64(k)
                     assert campaigns._a4_sample(ctx, b, form, new) is verdict
@@ -209,7 +209,7 @@ def test_a4_fails_under_a_transposed_adjoint(name, monkeypatch):
     # T = G Ad_b has its own closed form; route it through the wrong adjoint
     monkeypatch.setattr(GroupContext, "gram_adjoint",
                         lambda self, m: self.gram @ self.adjoint(m))
-    w = omega_matrix(ctx, ctx.gram_adjoint(b))
+    w = omega_matrix(ctx, ctx.gram_adjoint(b), range(ctx.dim_g))
     assert not campaigns._a4_sample(ctx, b, w, SplitMix64(63))
     assert not four_block_route(ctx, b, w, SplitMix64(63), 10)
 
