@@ -4,11 +4,13 @@
 Two persistent worker processes, one per checkout, each import that
 checkout's ``src`` and ``bench/harness.py``.  Every round runs the
 workload's campaign list (``harness.WORKLOADS``) at the campaign seed the
-benchmark uses for that round (``harness.round_seed``); each campaign runs
-on both sides back to back, the side that goes first alternating from one
-campaign to the next.  A worker times ``campaigns.run_suite`` by its own
-CPU time, so the other side and other processes on the box enter only
-through the box's speed, which both sides of a pair share::
+benchmark's default run uses for that round (``harness.round_seed`` of
+``harness.DEFAULT_SEED``); each campaign runs on both sides back to back,
+the side that goes first alternating from one campaign to the next.  A
+worker times ``harness.run_campaign`` by its own CPU time, so the other
+side and other processes on the box enter only through the box's speed,
+which both sides of a pair share.  One untimed pass over the list comes
+first::
 
     python3 scripts/campaign_ab.py --workload quotient-sl3gl3 --rounds 14 \\
         --label quotient PARENT_CHECKOUT CHANGE_CHECKOUT
@@ -17,15 +19,12 @@ It writes ``BENCH_<label>.json`` (in ``--out``, default the current
 directory): for each campaign, the median CPU seconds of each side, their
 ratio (change over parent) and the number of rounds the change was faster;
 the same for each whole round; and whether the two sides' reports were
-byte-identical in every run.  ``--only`` keeps the campaigns with the given
-labels (``suite.group``, or ``suite-float.group`` on the float backend);
-``--warmup`` untimed passes over the list come first.
+byte-identical in every run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import statistics
 import subprocess
@@ -34,7 +33,7 @@ from pathlib import Path
 
 
 def worker(checkout: str) -> int:
-    """Serve campaign requests, one JSON line each, against ``checkout``."""
+    """Serve requests, one JSON line each, against ``checkout``."""
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import dataclasses
@@ -42,24 +41,21 @@ def worker(checkout: str) -> int:
 
     import harness
     import qpslab
-    from qpslab import campaigns
 
-    if Path(qpslab.__file__).resolve().parent != root / "src" / "qpslab":
+    if Path(qpslab.__file__).resolve().parent != (root / "src" / "qpslab").resolve():
         raise SystemExit(f"campaign_ab: imported qpslab from {qpslab.__file__}")
     for line in sys.stdin:
         req = json.loads(line)
-        if "workload" in req:
-            reply = [dataclasses.astuple(c) for c in harness.WORKLOADS[req["workload"]]]
+        if "round" not in req:
+            camps = harness.WORKLOADS[req["workload"]]
+            reply = {"seed": harness.DEFAULT_SEED,
+                     "campaigns": [[c.label, dataclasses.astuple(c)] for c in camps]}
         else:
-            suite, group, backend, samples = req["campaign"]
-            seed = harness.round_seed(req["seed"], req["round"])
-            cfg = campaigns.CampaignConfig(suite=suite, group=group, backend=backend,
-                                           samples=samples, seed=seed, jobs=1)
+            c = harness.WORKLOADS[req["workload"]][req["index"]]
+            seed = harness.round_seed(harness.DEFAULT_SEED, req["round"])
             t0 = process_time()
-            report = campaigns.run_suite(cfg)
-            cpu = process_time() - t0
-            text = dataclasses.replace(report, generated_at="").to_json()
-            reply = {"cpu": cpu, "digest": hashlib.sha256(text.encode()).hexdigest()}
+            result = harness.run_campaign(c, seed)
+            reply = {"cpu": process_time() - t0, "digest": result.digest}
         print(json.dumps(reply), flush=True)
     return 0
 
@@ -85,11 +81,6 @@ class Side:
         self.proc.wait()
 
 
-def label(campaign) -> str:
-    suite, group, backend, _ = campaign
-    return f"{suite if backend == 'exact' else f'{suite}-{backend}'}.{group}"
-
-
 def faster(parent: list, change: list) -> int:
     return sum(c < p for p, c in zip(parent, change))
 
@@ -100,26 +91,27 @@ def compare(args) -> dict:
         lists = {name: side.ask({"workload": args.workload}) for name, side in sides.items()}
         if lists["parent"] != lists["change"]:
             raise SystemExit("campaign_ab: the checkouts list different campaigns")
-        todo = [c for c in lists["change"] if not args.only or label(c) in args.only]
-        if not todo:
-            raise SystemExit("campaign_ab: --only matches no campaign")
-        cpu = {name: {label(c): [] for c in todo} for name in sides}
+        seed = lists["change"]["seed"]
+        labels = [lab for lab, _ in lists["change"]["campaigns"]]
+        cpu = {name: {lab: [] for lab in labels} for name in sides}
         identical = True
-        for r in range(-args.warmup, args.rounds):
-            req = {"seed": args.seed, "round": max(r, 0)}
-            for i, c in enumerate(todo):
+        # round -1 is the untimed pass, at round 0's seed
+        for r in range(-1, args.rounds):
+            for i, lab in enumerate(labels):
                 order = ("parent", "change") if (r + i) % 2 == 0 else ("change", "parent")
-                got = {name: sides[name].ask({**req, "campaign": c}) for name in order}
-                identical &= got["parent"]["digest"] == got["change"]["digest"]
+                req = {"workload": args.workload, "index": i, "round": max(r, 0)}
+                got = {name: sides[name].ask(req) for name in order}
+                digest = got["parent"]["digest"]
+                identical &= digest is not None and digest == got["change"]["digest"]
                 if r >= 0:
                     for name in sides:
-                        cpu[name][label(c)].append(got[name]["cpu"])
+                        cpu[name][lab].append(got[name]["cpu"])
     finally:
         for side in sides.values():
             side.close()
     rounds = {name: [sum(runs[k] for runs in cpu[name].values()) for k in range(args.rounds)]
               for name in sides}
-    out = {"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
+    out = {"workload": args.workload, "seed": seed, "rounds": args.rounds,
            "reports_identical": identical, "campaigns": {}}
     for key in cpu["change"]:
         p, c = cpu["parent"][key], cpu["change"][key]
@@ -144,13 +136,10 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--rounds", type=int, default=14)
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--seed", type=int, default=20260809)
-    p.add_argument("--only", nargs="*", default=[])
     p.add_argument("--out", default=".")
     args = p.parse_args(argv)
-    if args.rounds < 1 or args.warmup < 0:
-        p.error("--rounds must be positive and --warmup not negative")
+    if args.rounds < 1:
+        p.error("--rounds must be positive")
     out = compare(args)
     path = Path(args.out) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")

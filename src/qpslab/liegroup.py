@@ -242,18 +242,20 @@ class GroupContext:
         return self._bracket_rows(v, pairs, self._readers)
 
     def brackets_and_functionals(self, v: Mat) -> tuple[list, list, int]:
-        """:meth:`brackets` and the functional coordinates gram
-        coords([Y_p, Y_q]) = (tr(e_c [Y_p, Y_q]))_c, both read off the same
-        product and raw over its one denominator: ``(coords, dual, den)``.
+        """:meth:`brackets` of every pair (p, q), in row ``p k + q``, and
+        the functional coordinates gram coords([Y_p, Y_q]) =
+        (tr(e_c [Y_p, Y_q]))_c, both read off the same product and raw over
+        its one denominator: ``(coords, dual, den)``.
         Per-pair ``dual_coords(bracket(...))`` is the oracle in the tests.
         """
-        return self._bracket_rows(v, None, self._readers, self._functionals)
+        k = v.cols
+        pairs = [(p, q) for p in range(k) for q in range(k)]
+        return self._bracket_rows(v, pairs, self._readers, self._functionals)
 
     def _bracket_rows(self, v: Mat, pairs, *tables) -> tuple:
-        """For each table, the integer rows of its readers of every
-        [Y_p, Y_q], in row ``p k + q``, or of those of ``pairs`` in their
-        order, from one stacked product, and last the product's common
-        denominator."""
+        """For each table, the integer rows of its readers of the
+        [Y_p, Y_q] with (p, q) in ``pairs``, in their order, from one stacked
+        product, and last the product's common denominator."""
         n = self.n
         ys, den = self._column_entry_rows(v)
         # [Y_1; ...; Y_k] and [Y_1 | ... | Y_k], row by row
@@ -263,10 +265,7 @@ class GroupContext:
 
         def entry(a, b):  # entry (a, b) of each [Y_p, Y_q], in row order
             left = [r[b::n] for r in prod[a::n]]  # left[p][q] = (Y_p Y_q)[a][b]
-            if pairs is not None:
-                return [left[p][q] - left[q][p] for p, q in pairs]
-            return [x - y for lp, rp in zip(left, zip(*left))
-                    for x, y in zip(lp, rp)]
+            return [left[p][q] - left[q][p] for p, q in pairs]
 
         cols = [entry(a, b) for a in range(n) for b in range(n)]
         # each table's columns, transposed to rows
