@@ -208,11 +208,12 @@ def _check_cartan_dirac(ctx, pt, rng) -> list:
     ok, wit = is_lagrangian(fib)
     recs.append(_record("cartan-dirac/lagrangian", ok and fib.dim == ctx.dim_g, wit))
 
-    # the rank of the tangent part I - Ad_{g^-1} against d minus the
-    # dimension of the centralizer, computed in the group as the null space
-    # of x -> g x - x g on the algebra basis, so not through Ad
+    # the rank of the tangent part I - Ad_{g^-1}, read off the fiber's
+    # pivots (DiracFiber.tangent_part), against d minus the dimension of the
+    # centralizer, computed in the group as the null space of x -> g x - x g
+    # on the algebra basis, so not through Ad
     d = ctx.dim_g
-    proj = rank(fib.basis.row_block(0, d))
+    proj = len(fib.tangent_columns())
     cent = d - rank(ctx.commutator_matrix(g))
     recs.append(_record(
         "cartan-dirac/leaf-dimension",
@@ -522,6 +523,9 @@ def run_suite(config: CampaignConfig) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # eval commands
+
+
+EVAL_KINDS = ("steinberg", "fiber-enum", "leaf-form", "kappa")
 
 
 def eval_command(kind: str, payload: dict) -> dict:

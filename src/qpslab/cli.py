@@ -11,12 +11,10 @@ import contextlib
 import json
 import sys
 
-from .campaigns import (CLI_GROUPS, CampaignConfig, SUITE_NAMES, UsageError,
-                        eval_command, run_suite)
+from .campaigns import (CLI_GROUPS, EVAL_KINDS, CampaignConfig, SUITE_NAMES,
+                        UsageError, eval_command, run_suite)
 from .conventions import CORRUPTIONS
 from .linalg import EXACT, FLOAT
-
-EVAL_KINDS = ("steinberg", "fiber-enum", "leaf-form", "kappa")
 
 
 def build_parser() -> argparse.ArgumentParser:

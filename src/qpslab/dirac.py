@@ -115,12 +115,10 @@ def pairing(ctx, e1, e2):
 
 
 def pairing_gram(fiber: DiracFiber) -> Mat:
-    """The pairings of the basis columns: top' bot + bot' top, the second
-    term the transpose of the first."""
+    """The pairings of the basis columns, of which the fiber has at least
+    one: top' bot + bot' top, the second term the transpose of the first."""
     b = fiber.basis
     d = fiber.d
-    if b.cols == 0:
-        return Mat.zeros(1, 1)
     half = b.row_block(0, d).transpose() @ b.row_block(d, b.rows)
     return half + half.transpose()
 
@@ -130,7 +128,7 @@ def is_lagrangian(fiber: DiracFiber):
     if fiber.dim != fiber.d:
         return False, {"reason": "dimension", "dim": fiber.dim, "expected": fiber.d}
     gram = pairing_gram(fiber)
-    if fiber.dim and not gram.is_zero():
+    if not gram.is_zero():
         for i in range(gram.rows):
             for j in range(gram.cols):
                 x = gram.entry(i, j)
@@ -380,9 +378,9 @@ def cartan_dirac(sections: tuple) -> DiracFiber:
     Both are linear in xi, so the fiber is the column span of
     [I - M; gram sigma_average(I, M)] with M = Ad_{g^-1}: the last two of
     ``sections``, :func:`~qpslab.liegroup.conjugation_sections` at g, as in
-    :func:`cartan_closure_check`.  The per-basis
-    (:func:`~qpslab.liegroup.conj_field`, :func:`~qpslab.liegroup.sigma`)
-    columns are its oracle in the tests.
+    :func:`cartan_closure_check`.  The per-basis (``conj_field`` of
+    ``tests/oracles.py``, :func:`~qpslab.liegroup.sigma`) columns are its
+    oracle in the tests.
     """
     _, x, a = sections
     return DiracFiber(x.vstack(a))

@@ -91,9 +91,8 @@ from .dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                     is_skew, pushforward_spanning_set)
 from .liegroup import (GroupContext, _parity, conjugate, conjugation_sections,
                        group_of_json, invariants, random_point, read_element,
-                       reciprocal_product, sigma, sigma_average, weyl_orders)
-from .linalg import (Mat, Subspace, kernel, mat_vec, null_vectors, rref,
-                     solve_columns)
+                       reciprocal_product, sigma_average, weyl_orders)
+from .linalg import Mat, Subspace, kernel, null_vectors, rref, solve_columns
 from .matio import mat_to_json
 from .prng import SplitMix64
 from .scalars import QQi
@@ -175,9 +174,10 @@ def action_generators(ctx: GroupContext, b: Mat, second) -> Mat:
     the columns, the increasing index list ``second`` of the second
     factor's coordinates: ``range(dim G)`` on the double.
 
-    Column k is :func:`rho_double` of (0, e_k), the negated derivative of
-    the action of e_k; it does not depend on a.  With ``second`` the index
-    list of a subgroup P, the P-action on G x P generates this block, at a
+    Column k is ``rho_double`` of (0, e_k), the oracle in
+    ``tests/oracles.py``: the negated derivative of the action of e_k; it
+    does not depend on a.  With ``second`` the index list of a subgroup P,
+    the P-action on G x P generates this block, at a
     :class:`QuotientChart`'s upstairs rows and P's columns, and the
     N-action the columns of N among those.  Transposed, the block is
     already in reduced row echelon form (row r is zero in the first factor
@@ -199,18 +199,6 @@ def _restrict(m: Mat, rows, cols=None) -> Mat:
     if len(rows) < m.rows:
         m = m.select_rows(rows)
     return m.select_cols(cols) if len(cols) < m.cols else m
-
-
-def rho_double(ctx: GroupContext, a: Mat, b: Mat, xi1: Mat, xi2: Mat) -> list:
-    """Action generator of (xi1, xi2) on the double at (a, b), left-trivialized.
-
-    Sign convention: the negative of the derivative of the printed action,
-    matching the xi^L - xi^R convention of the conjugation structure (on the
-    second factor this is literally xi2^L - xi2^R).
-    """
-    u1 = xi2 - a.inverse() @ xi1 @ a
-    u2 = xi2 - b.inverse() @ xi2 @ b
-    return ctx.coords(u1) + ctx.coords(u2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +351,17 @@ def moment_condition_holds(ctx: GroupContext, a: Mat, b: Mat, w: Mat,
 
         R = [[-Ad_{a^-1}, I], [0, I - Ad_{b^-1}]]
 
-    (:func:`rho_double`; its second block column is
-    :func:`action_generators`), and its sigma covector at phi(a, b) = (g1, b^-1) has
-    functional coordinates diag(G sigma(I, Ad_{g1^-1}), G sigma(I, Ad_b)),
-    the A blocks of :func:`~qpslab.liegroup.conjugation_sections` at g1 and
-    at b^-1.  So A1 on the basis of g (+) g is
+    (the oracle ``rho_double``; its second block column is
+    :func:`action_generators`), and its sigma covector at phi(a, b) =
+    (g1, b^-1) has functional coordinates
+    diag(G sigma(I, Ad_{g1^-1}), G sigma(I, Ad_b)), the A blocks of
+    :func:`~qpslab.liegroup.conjugation_sections` at g1 and at b^-1.  So A1
+    on the basis of g (+) g is
 
         W' R == dphi' diag(G sigma(I, Ad_{g1^-1}), G sigma(I, Ad_b)).
 
-    The per-generator :func:`moment_condition_check` is the oracle for this
-    in the tests.
+    The per-generator ``moment_condition_check`` of ``tests/oracles.py`` is
+    the oracle for this in the tests.
     """
     zero = Mat.zeros(ctx.dim_g, ctx.dim_g)
     r = (-ctx.adjoint(a.inverse())).vstack(zero).hstack(
@@ -381,27 +370,6 @@ def moment_condition_holds(ctx: GroupContext, a: Mat, b: Mat, w: Mat,
     s2 = conjugation_sections(ctx, b.inverse())[2]
     sig = s1.hstack(zero).vstack(zero.hstack(s2))
     return w.transpose() @ r == dphi.transpose() @ sig
-
-
-def moment_condition_check(ctx: GroupContext, a: Mat, b: Mat, w: Mat,
-                           dphi: Mat, generators) -> bool:
-    """omega^flat of each action field equals the pulled-back sigma covector.
-
-    ``w`` and ``dphi`` are :func:`omega_matrix` and :func:`phi_differential`
-    at (a, b) on the double; ``generators`` holds (xi1, xi2) pairs of algebra
-    matrices.  True when the condition holds for every pair.  On the basis
-    of g (+) g this is the matrix equation of :func:`moment_condition_holds`,
-    which the double suite runs; this per-generator route is its oracle in
-    the tests.
-    """
-    wt, dphit = w.transpose(), dphi.transpose()
-    g1, g2 = phi(a, b)
-    for xi1, xi2 in generators:
-        lhs = mat_vec(wt, rho_double(ctx, a, b, xi1, xi2))
-        dual = ctx.dual_coords(sigma(g1, xi1)) + ctx.dual_coords(sigma(g2, xi2))
-        if lhs != mat_vec(dphit, dual):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +545,6 @@ def quotient_fiber(chart: QuotientChart) -> Mat:
     return (chart.proj @ null).vstack(wt.select_rows(chart.indices) @ null)
 
 
-def same_class(ctx: GroupContext, p: tuple[Mat, Mat], q: tuple[Mat, Mat]) -> bool:
-    """Whether the pairs p = (g1, b1) and q = (g2, b2) are one point of
-    G x_B B: h = g2^-1 g1 lies in B and b2 = h b1 h^-1."""
-    (g1, b1), (g2, b2) = p, q
-    h = g2.inverse() @ g1
-    return ctx.in_borel(h) and conjugate(h, b1) == b2
-
-
 def weyl_fiber(ctx: GroupContext, rs: Mat, t: Mat
                ) -> tuple[list[tuple[Mat, Mat]], dict | None]:
     """The mu-fiber over rs = g t g^-1, for a diagonal t, as exact pairs (h, b).
@@ -605,8 +565,8 @@ def weyl_fiber(ctx: GroupContext, rs: Mat, t: Mat
       sign of w's signed order;
     * ``mu-is-rs``: h_w^-1 rs h_w = b_w, so mu(h_w, b_w) = rs exactly;
     * ``inequivalent``: h_v^-1 h_w is not upper triangular for v before w,
-      the test of :func:`same_class`, so the points are pairwise
-      inequivalent.
+      the test of the oracle ``same_class`` (``tests/oracles.py``), so the
+      points are pairwise inequivalent.
 
     The last two are read off the integer rows of one product each,
     entry by entry, with no sub-matrix built.
@@ -725,26 +685,15 @@ def _integer_roots(cs: list[int]) -> list[int]:
     return roots
 
 
-def chart_action_field(chart: QuotientChart, ximat: Mat) -> list:
-    """The induced action field of xi at the chart point: q_* rho(xi, 0).
-
-    Upstairs rho(xi, 0) = (-Ad_{g^-1} xi, 0) in the frozen generator
-    convention.
-    """
-    g = chart.g
-    up = chart.ctx.coords(-(g.inverse() @ ximat @ g)) + [QQi(0)] * len(chart.sub)
-    return mat_vec(chart.proj, up)
-
-
 def induced_action(chart: QuotientChart, sections: tuple) -> tuple[Mat, Mat]:
     """The h x dim G matrices of q_* rho(e_k) and d(mu)^T sigma(mu, e_k).
 
-    Column k of the first is :func:`chart_action_field` of the algebra basis
-    element e_k, and of the second the pulled-back sigma covector.  Both are
-    linear in e_k, so each is one product: rho(e_k) upstairs is
-    (-Ad_{g^-1} e_k, 0), and the functional coordinates of every
-    sigma(mu, e_k) are the columns of the A block of ``sections``, the
-    :func:`~qpslab.liegroup.conjugation_sections` at mu.
+    Column k of the first is ``chart_action_field`` of the algebra basis
+    element e_k, the oracle in ``tests/oracles.py``, and of the second the
+    pulled-back sigma covector.  Both are linear in e_k, so each is one
+    product: rho(e_k) upstairs is (-Ad_{g^-1} e_k, 0), and the functional
+    coordinates of every sigma(mu, e_k) are the columns of the A block of
+    ``sections``, the :func:`~qpslab.liegroup.conjugation_sections` at mu.
     """
     ctx, g = chart.ctx, chart.g
     fields = -(chart.proj.col_block(0, ctx.dim_g) @ ctx.adjoint(g.inverse()))

@@ -34,7 +34,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, sub
 
 from .conventions import ACTIVE
-from .linalg import Mat, _entry, mat_vec
+from .linalg import Mat, _entry
 from .matio import entry_pairs, mat_from_json
 from .prng import SplitMix64
 from .scalars import QQI_ZERO, QQi
@@ -172,7 +172,8 @@ class GroupContext:
         """Ad_m in algebra coordinates: column j holds the coordinates of
         ``m e_j m^-1``; Ad_{m^-1} is ``adjoint(m.inverse())``.
         :meth:`_conjugation_columns` with the coordinate readers; the
-        per-basis ``coords(m e_j m^-1)`` is the oracle for this in the tests.
+        per-basis ``coords(m e_j m^-1)`` is the oracle for this in the tests
+        (``per_basis_adjoint`` in ``tests/test_adjoint_oracles.py``).
         """
         return self._conjugation_columns(m, self._readers)
 
@@ -427,43 +428,19 @@ def sigma(g: Mat, xi: Mat) -> Mat:
     return sigma_average(xi, g.inverse() @ xi @ g)
 
 
-def sigma_adjoint(g: Mat, a: Mat) -> Mat:
-    """The adjoint of sigma at g applied to the covector a: 1/2 (a + Ad_g a)."""
-    return sigma_average(a, conjugate(g, a))
-
-
 def conjugation_sections(ctx: GroupContext, g: Mat) -> tuple[Mat, Mat, Mat]:
     """M = Ad_{g^-1}, X = I - M and A = gram sigma_average(I, M) at g.
 
     Both parts of the conjugation structure are linear in xi, so column j of
-    X is :func:`conj_field` of the basis element e_j and column j of A the
+    X is ``conj_field`` of the basis element e_j and column j of A the
     functional coordinates of :func:`sigma` of e_j: [X; A] holds every basis
     section at g.  M is read off the inverse g keeps.  The per-element
-    :func:`conj_field` and :func:`sigma` are its oracles in the tests.
+    ``conj_field`` (``tests/oracles.py``) and :func:`sigma` are its oracles
+    in the tests.
     """
     eye = Mat.identity(ctx.dim_g)
     m = ctx.adjoint(g.inverse())
     return m, eye - m, ctx.gram @ sigma_average(eye, m)
-
-
-def conj_field(g: Mat, xi: Mat) -> Mat:
-    """Generating vector field of conjugation at g, as xi^L - xi^R.
-
-    Left-trivialized coordinate xi - Ad_{g^-1} xi; the sign convention is the
-    one frozen in the conventions note (the opposite sign is the derivative
-    of h |-> h g h^-1).
-    """
-    return xi - g.inverse() @ xi @ g
-
-
-def rho_adjoint(ctx: GroupContext, g: Mat, v: Mat) -> Mat:
-    """Adjoint of the conjugation action at g: solve (zeta, xi) = (v, rho(xi)).
-
-    Solved as a linear system over the algebra basis; the closed form
-    ``v - Ad_g v`` is the independent oracle used in the tests.
-    """
-    rhs = [ctx.form(v, b - g.inverse() @ b @ g) for b in ctx.basis]
-    return ctx.mat_from_coords(mat_vec(ctx.gram_inv, rhs))
 
 
 def torus_part(b: Mat) -> Mat:
@@ -471,14 +448,6 @@ def torus_part(b: Mat) -> Mat:
     n = b.rows
     return Mat([[b.entry(i, i) if i == j else QQI_ZERO for j in range(n)]
                 for i in range(n)])
-
-
-def borel_decompose(ctx: GroupContext, b: Mat) -> tuple[Mat, Mat]:
-    """Split an upper-triangular element as (torus part, unipotent part)."""
-    if not ctx.in_borel(b):
-        raise ValueError("element is not upper triangular")
-    t = torus_part(b)
-    return t, t.inverse() @ b
 
 
 def invariants(ctx: GroupContext, m: Mat) -> tuple:
@@ -514,75 +483,69 @@ def invariants(ctx: GroupContext, m: Mat) -> tuple:
 # the reduced pairs of zero and one
 _ZERO, _ONE = (0, 1), (1, 1)
 
+# the height h of every sampled entry: numerator in [-h, h], denominator in
+# [1, h] (the sampling note of the conventions)
+HEIGHT = 10
 
-def random_point(ctx: GroupContext, kind: str, rng: SplitMix64,
-                 height: int = 10) -> Mat:
+
+def random_point(ctx: GroupContext, kind: str, rng: SplitMix64) -> Mat:
     """Exact-rational sample from the requested subgroup.
 
     ``G`` samples are built as (unit lower) * (diagonal) * (unit upper) with
-    bounded-height rational entries and determinant fixed by the family;
-    ``T-regular`` forces pairwise distinct diagonal entries, and raises
-    ValueError at height 1 on every group but GL_2, where none exist.  Each entry is
-    drawn as its reduced integer pair (:meth:`SplitMix64.rational_pair`)
-    and the factors go straight into integer rows (:meth:`Mat.from_pairs`),
-    with no ``Fraction`` and no :class:`QQi` entry.  The diagonal factor is
-    a row scaling (:meth:`Mat.scale_rows`): B = T U takes no product, and
-    G = L (D U) one.  The draws, their order and so the matrices are those
-    of building the factors entry by entry over :class:`QQi`, the oracle in
-    the tests.
+    rational entries of height :data:`HEIGHT` and determinant fixed by the
+    family; ``T-regular`` forces pairwise distinct diagonal entries.  Each
+    entry is drawn as its reduced integer pair
+    (:meth:`SplitMix64.rational_pair`) and the factors go straight into
+    integer rows (:meth:`Mat.from_pairs`), with no ``Fraction`` and no
+    :class:`QQi` entry.  The diagonal factor is a row scaling
+    (:meth:`Mat.scale_rows`): B = T U takes no product, and G = L (D U)
+    one.  The draws, their order and so the matrices are those of building
+    the factors entry by entry over :class:`QQi`, the oracle in the tests.
     """
     n = ctx.n
     if kind == "G":
-        low = _unitriangular(n, rng, height, lower=True)
-        up = _unitriangular(n, rng, height, lower=False)
-        return low @ up.scale_rows(_torus_entries(ctx, rng, height))
+        low = _unitriangular(n, rng, lower=True)
+        up = _unitriangular(n, rng, lower=False)
+        return low @ up.scale_rows(_torus_entries(ctx, rng))
     if kind == "B":
-        t = _torus_entries(ctx, rng, height)
-        return _unitriangular(n, rng, height, lower=False).scale_rows(t)
+        t = _torus_entries(ctx, rng)
+        return _unitriangular(n, rng, lower=False).scale_rows(t)
     if kind in ("T", "T-regular"):
-        t = _torus_entries(ctx, rng, height, regular=kind == "T-regular")
+        t = _torus_entries(ctx, rng, regular=kind == "T-regular")
         return Mat.identity(n).scale_rows(t)
     if kind == "U":
-        return _unitriangular(n, rng, height, lower=False)
+        return _unitriangular(n, rng, lower=False)
     raise ValueError(f"unknown sample kind {kind!r}")
 
 
-def random_algebra(ctx: GroupContext, rng: SplitMix64, height: int = 10,
-                   indices=None) -> Mat:
+def random_algebra(ctx: GroupContext, rng: SplitMix64, indices=None) -> Mat:
     """An algebra matrix with drawn coordinates at ``indices`` (all of g by
     default) and zero elsewhere, built as integer rows over the coordinates'
     common denominator."""
     pairs = [_ZERO] * ctx.dim_g
     for i in range(ctx.dim_g) if indices is None else indices:
-        pairs[i] = rng.rational_pair(height)
+        pairs[i] = rng.rational_pair(HEIGHT)
     den = lcm(*(q for _, q in pairs))
     nums = [p * (den // q) for p, q in pairs]
     return Mat.from_int_rows(ctx._entry_rows(nums), den)
 
 
-def _unitriangular(n: int, rng: SplitMix64, height: int, lower: bool) -> Mat:
+def _unitriangular(n: int, rng: SplitMix64, lower: bool) -> Mat:
     """A unit lower or upper triangular matrix, its entries drawn row by row."""
-    return Mat.from_pairs([[_ONE if i == j else rng.rational_pair(height)
+    return Mat.from_pairs([[_ONE if i == j else rng.rational_pair(HEIGHT)
                             if (i > j if lower else i < j) else _ZERO
                             for j in range(n)] for i in range(n)])
 
 
-def _torus_entries(ctx: GroupContext, rng: SplitMix64, height: int,
+def _torus_entries(ctx: GroupContext, rng: SplitMix64,
                    regular: bool = False) -> list[tuple[int, int]]:
     """The diagonal of a torus sample as reduced pairs: nonzero draws, the
     SL one's last entry fixing the determinant at one; ``regular`` redraws
-    the whole diagonal until its entries are pairwise distinct.
-
-    At height 1 every entry, the SL last one too, is 1 or -1, so only a GL_2
-    diagonal can be regular: elsewhere ``regular`` raises ValueError there,
-    before any draw.
-    """
+    the whole diagonal until its entries are pairwise distinct."""
     n = ctx.n
     sl = ctx.family == "SL"
-    if regular and height == 1 and (sl or n > 2):
-        raise ValueError(f"no regular torus element of height 1 in {ctx.name}")
     while True:
-        entries = [rng.rational_pair(height, nonzero=True) for _ in range(n - sl)]
+        entries = [rng.rational_pair(HEIGHT, nonzero=True) for _ in range(n - sl)]
         if sl:
             entries.append(reciprocal_product(entries))
         if not regular or len(set(entries)) == n:

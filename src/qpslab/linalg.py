@@ -55,8 +55,7 @@ memory of a run.
   :meth:`Mat.transpose`, :meth:`Mat.hstack`, :meth:`Mat.vstack`,
   :meth:`Mat.row_block`, :meth:`Mat.col_block`, :meth:`Mat.select_rows` and
   :meth:`Mat.select_cols` return integer form directly, without building a
-  ``Fraction``; :func:`mat_vec` takes integer dot products with the stored
-  rows, and refuses a vector entry that is not exact.
+  ``Fraction``.
 * In ``@``, a left row that is at least half zeros (identity blocks, basis
   matrices and basis brackets) is not dotted with every column: its output
   row is the same combination of the right operand's rows at its non-zero
@@ -118,7 +117,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import QQI_ZERO, QQi, ZZi, zzi
 
@@ -413,16 +412,6 @@ def dot(a: Sequence, b: Sequence):
         t = x * y
         acc = t if acc is None else acc + t
     return acc
-
-
-def mat_vec(m: Mat, v: Sequence) -> list:
-    """``m v``: integer dot products with the rows of ``m``.  An entry of
-    ``v`` that is not exact (``int``, ``Fraction`` or :class:`QQi`) raises
-    ``TypeError``, as in ``Mat(...)``."""
-    if m.cols != len(v):
-        raise LinAlgError("matrix/vector size mismatch")
-    cv, dv = _gaussian_row([_coerce_entry(x) for x in v])
-    return [_entry(sum(map(mul, r, cv)), d * dv) for r, d in m._ints]
 
 
 # ---------------------------------------------------------------------------
@@ -729,11 +718,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(Mat.zeros(ambient_dim, 0))
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        cols = [list(v) for v in vectors]
-        return cls(Mat.from_columns(cols, ambient_dim))
-
     @property
     def ambient_dim(self) -> int:
         return self.basis.rows
@@ -796,11 +780,6 @@ class Subspace:
             return False
         return not self.dim or rank(mat.select_rows(self._pivots)) == self.dim
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise LinAlgError("ambient dimension mismatch")
-        return Subspace(self.basis.hstack(other.basis))
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -844,18 +823,3 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return Subspace.zero(a.ambient_dim)
     return Subspace(a.basis @ null.row_block(0, a.dim))
 
-
-def annihilator(s: Subspace, pairing: Mat) -> Subspace:
-    """``{v : pairing(v, w) = 0 for all w in s}`` for a nondegenerate pairing.
-
-    ``pairing(v, w)`` means ``v^T P w``; dim of the result is
-    ambient − dim s.
-    """
-    if pairing.rows != s.ambient_dim or pairing.cols != s.ambient_dim:
-        raise LinAlgError("pairing matrix has wrong shape")
-    if rank(pairing) != s.ambient_dim:
-        raise LinAlgError("degenerate pairing")
-    if s.dim == 0:
-        return Subspace(Mat.identity(s.ambient_dim))
-    cond = s.basis.transpose() @ pairing.transpose()
-    return kernel(cond)

@@ -34,10 +34,6 @@ from .linalg import Mat
 from .scalars import QQi
 
 
-def scalar_to_json(x: QQi) -> list:
-    return [str(x.re), str(x.im)]
-
-
 MAX_EXPONENT = 4300
 # the digits of a part's decimal exponent, where Fraction would read one
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)

@@ -2,25 +2,21 @@
 
 The generator is SplitMix64 with the standard constants, so a campaign seed
 reproduces the identical point stream in any implementation of the same
-recipe.  Derived quantities document their derivation precisely:
-
-* ``below(n)``: next 64-bit output modulo ``n``;
-* ``rational(h)``: numerator ``below(2h+1) - h``, denominator ``1 + below(h)``
-  (redrawing the numerator while a nonzero value is required);
-* ``rational_pair(h)``: the same derivation, from the same draws in the same
-  order, returned as the reduced integer pair ``(numerator, denominator)``
-  (denominator positive, zero as ``(0, 1)``) of the value ``rational(h)``
-  gives, with no ``Fraction`` built.  Every seeded matrix of the package
-  (the samplers of :mod:`qpslab.liegroup`, the directions of the sampled
-  d-identity and the pairing suite's random form) is built into integer
-  rows from these pairs.
-
-Sampling heights default to 10 to keep exact arithmetic fast.
+recipe.  The one derived quantity documents its derivation precisely:
+``rational_pair(h)`` draws the numerator as the next 64-bit output modulo
+2h + 1, less h (redrawn while a nonzero value is required), then the
+denominator as 1 plus the next output modulo h, and returns the value as
+its reduced integer pair ``(numerator, denominator)`` (denominator
+positive, zero as ``(0, 1)``), with no ``Fraction`` built.  Every seeded
+matrix of the package (the samplers of :mod:`qpslab.liegroup`, the
+directions of the sampled d-identity and the pairing suite's random form)
+is built into integer rows from these pairs.  The ``Fraction`` route of the
+same draws, ``rational`` in ``tests/oracles.py``, is its oracle in the
+tests.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 _MASK = (1 << 64) - 1
@@ -44,21 +40,9 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
-    def below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
-        return self.next_u64() % n
-
-    def rational(self, height: int = 10, nonzero: bool = False) -> Fraction:
-        num = self.below(2 * height + 1) - height
-        while nonzero and num == 0:
-            num = self.below(2 * height + 1) - height
-        den = 1 + self.below(height)
-        return Fraction(num, den)
-
-    def rational_pair(self, height: int = 10, nonzero: bool = False) -> tuple[int, int]:
-        """``rational(height, nonzero)`` as its reduced integer pair; the
-        draws of ``below`` are taken inline."""
+    def rational_pair(self, height: int, nonzero: bool = False) -> tuple[int, int]:
+        """A rational of height ``height``, nonzero if asked, as its reduced
+        integer pair (see the module docstring)."""
         if height < 1:
             raise ValueError("rational draws need a positive height")
         span = 2 * height + 1

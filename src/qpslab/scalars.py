@@ -5,7 +5,8 @@ here.  :class:`QQi` stores a pair of ``Fraction``s and is error-free, so rank
 and equality decisions made over it are unconditional.  :class:`ZZi`, a
 non-real Gaussian integer, is the numerator of a non-real entry in the
 integer rows of :mod:`qpslab.linalg`.  Nothing in the package computes in
-floating point; :meth:`QQi.to_complex` serves the float oracle of the tests.
+floating point; the float oracle of the tests reads a scalar through
+``to_complex`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ class QQi:
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
-
-    # -- misc ----------------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
         if not self.im:

@@ -4,7 +4,7 @@
 ``eval fiber-enum`` once enumerated the mu-fiber over a regular semisimple
 element on numpy's complex128 arrays, through one eigendecomposition.  That
 enumeration is written out here, unchanged, with its float view of an exact
-matrix and its float test of :func:`~qpslab.gspringer.same_class`,
+matrix and its float test of :func:`oracles.same_class`,
 so the tests can compare the exact fiber with an independent float route.
 A float fiber point is a pair (h, b) of n x n arrays, the representative h
 and the diagonal b, read as the class [h : b].
@@ -72,7 +72,7 @@ def float_mu(point: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 
 def float_same_class(p: tuple, q: tuple, tol: float) -> bool:
-    """:func:`~qpslab.gspringer.same_class` of two float points, to the
+    """:func:`oracles.same_class` of two float points, to the
     tolerance ``tol``.
 
     h = h_q^-1 h_p is upper triangular when no entry below the diagonal

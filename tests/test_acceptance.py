@@ -9,9 +9,11 @@ backend) so criteria sharing a suite reuse the same seeded stream.  Run with
 
 from qpslab.campaigns import CampaignConfig, run_suite
 from qpslab.conventions import ACTIVE, FROZEN
-from qpslab.gspringer import same_class, weyl_fiber_enum
+from qpslab.gspringer import weyl_fiber_enum
 from qpslab.liegroup import conjugate, context, random_point, weyl_orders
 from qpslab.prng import SplitMix64
+
+from oracles import same_class
 
 GROUPS = ("sl2", "sl3", "gl2")
 SEED = 20260809

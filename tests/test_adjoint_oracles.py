@@ -23,17 +23,17 @@ from qpslab import campaigns
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.dirac import DiracFiber, cartan_dirac
 from qpslab.gspringer import (FORCED_STRATA, action_generators, borel_chart,
-                              chart_transport, gspoint_stream,
-                              moment_condition_check, moment_condition_holds,
+                              chart_transport, gspoint_stream, moment_condition_holds,
                               omega_matrix, phi_differential, sample_double,
                               sample_gspoint)
-from qpslab.liegroup import (GROUPS, conj_field, conjugation_sections, context,
-                             random_algebra, random_point, sigma)
-from qpslab.linalg import Mat, Subspace, mat_vec
+from qpslab.liegroup import (GROUPS, conjugation_sections, context, random_algebra,
+                             random_point, sigma)
+from qpslab.linalg import Mat, Subspace
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
 from borel_oracle import leading
+from oracles import conj_field, from_vectors, mat_vec, moment_condition_check
 
 # the frozen conventions and each corruption, by their --corrupt names
 BY_NAME = {"frozen": FROZEN, **CORRUPTIONS}
@@ -203,7 +203,7 @@ def per_basis_b_action_directions(ctx, b, sub):
         xi = ctx.basis[k]
         moved = ctx.coords(b.inverse() @ xi @ b - xi)
         cols.append(ctx.coords(-xi) + [moved[i] for i in ctx.borel])
-    return Subspace.from_vectors(cols, ctx.dim_g + len(ctx.borel))
+    return from_vectors(cols, ctx.dim_g + len(ctx.borel))
 
 
 @pytest.mark.parametrize("group", sorted(GROUPS))

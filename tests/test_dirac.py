@@ -22,6 +22,8 @@ from qpslab.linalg import LinAlgError, Mat, Subspace, kernel, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
+from oracles import rational
+
 ROOT = Path(__file__).resolve().parents[1]
 SL2 = context("sl2")
 RNG = SplitMix64(41)
@@ -60,7 +62,7 @@ def skew(ctx, rng, d=None):
     m = [[QQi(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
-            v = QQi(rng.rational(5))
+            v = QQi(rational(rng, 5))
             m[i][j] = v
             m[j][i] = -v
     return Mat(m)

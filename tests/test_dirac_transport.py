@@ -25,6 +25,7 @@ from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi, ZZi
 
 from borel_oracle import leading, upstairs_dphi
+from oracles import rational, subspace_sum
 
 
 def full_pushforward(fiber: DiracFiber, fmat: Mat) -> DiracFiber:
@@ -220,8 +221,8 @@ def kernel_route_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def random_subspace(rng: SplitMix64, n: int, k: int, gaussian: bool = False) -> Subspace:
     def entry():
-        re = rng.rational(4)
-        return QQi(re, rng.rational(2)) if gaussian else QQi(re)
+        re = rational(rng, 4)
+        return QQi(re, rational(rng, 2)) if gaussian else QQi(re)
     return Subspace(Mat([[entry() for _ in range(k)] for _ in range(n)]))
 
 
@@ -234,10 +235,10 @@ def test_intersect_matches_the_kernel_route(gaussian):
                 a = random_subspace(rng, n, p, gaussian)
                 b = random_subspace(rng, n, q, gaussian)
                 # and a pair in which one space contains the other
-                c = a.sum(random_subspace(rng, n, q, gaussian))
+                c = subspace_sum(a, random_subspace(rng, n, q, gaussian))
                 for x, y in ((a, b), (a, c), (c, a)):
                     got, want = intersect(x, y), kernel_route_intersect(x, y)
-                    assert got.dim == want.dim == x.dim + y.dim - x.sum(y).dim
+                    assert got.dim == want.dim == x.dim + y.dim - subspace_sum(x, y).dim
                     assert got.basis == want.basis
 
 
@@ -259,9 +260,9 @@ def test_null_vectors_span_the_kernel(gaussian):
     rng = SplitMix64(306)
     for rows, cols, r in ((3, 5, 2), (6, 4, 4), (5, 9, 3), (4, 4, 0)):
         # the row space, and so the rref, is that of ``right``
-        left = Mat([[QQi(rng.rational(3)) for _ in range(max(r, 1))]
+        left = Mat([[QQi(rational(rng, 3)) for _ in range(max(r, 1))]
                     for _ in range(rows)])
-        right = Mat([[QQi(rng.rational(3), rng.rational(2) if gaussian else 0)
+        right = Mat([[QQi(rational(rng, 3), rational(rng, 2) if gaussian else 0)
                       for _ in range(cols)] for _ in range(max(r, 1))])
         m = left @ right if r else Mat.zeros(rows, cols)
         null = null_vectors(m)

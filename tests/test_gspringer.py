@@ -12,27 +12,23 @@ from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.diffcalc import PointedMap, Space, omega_value, phi_map
 from qpslab.dirac import (DiracFiber, cartan_dirac, graph_two_form, is_lagrangian,
                           is_skew, pushforward_linear, pushforward_spanning_set)
-from qpslab.gspringer import (FORCED_STRATA,
-                              NotRegularSemisimple, QuotientChart, borel_chart,
-                              chart_action_field,
-                              chart_transport, gspoint_stream, induced_action,
-                              leaf_two_form, moment_condition_check,
-                              omega_matrix, phi, phi_differential,
-                              point_from_json, point_to_json, quotient_fiber,
-                              reconstruct_bivector, regact_check, rho_double,
-                              same_class, sample_double, sample_gspoint,
-                              steinberg_membership, theorem1_check,
-                              theorem2_check, weyl_fiber_enum)
-from qpslab.liegroup import (GROUPS, GroupContext, borel_decompose, conjugate,
-                             conjugation_sections, context, invariants,
-                             random_algebra, random_point, sigma, torus_part,
-                             weyl_orders)
-from qpslab.linalg import (Mat, Subspace, dot, intersect, kernel, mat_vec,
-                           rank)
+from qpslab.gspringer import (FORCED_STRATA, NotRegularSemisimple, QuotientChart,
+                              borel_chart, chart_transport, gspoint_stream,
+                              induced_action, leaf_two_form, omega_matrix, phi,
+                              phi_differential, point_from_json, point_to_json,
+                              quotient_fiber, reconstruct_bivector, regact_check,
+                              sample_double, sample_gspoint, steinberg_membership,
+                              theorem1_check, theorem2_check, weyl_fiber_enum)
+from qpslab.liegroup import (GROUPS, GroupContext, conjugate, conjugation_sections,
+                             context, invariants, random_algebra, random_point, sigma,
+                             torus_part, weyl_orders)
+from qpslab.linalg import Mat, Subspace, dot, intersect, kernel, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
 from borel_oracle import leading, upstairs_dphi
+from oracles import (chart_action_field, mat_vec, moment_condition_check, rational,
+                     rho_double, same_class)
 
 SL2 = context("sl2")
 SL3 = context("sl3")
@@ -455,7 +451,6 @@ def test_mu_lambda_well_defined():
         moved = borel_chart(SL2, g, b).translate(h)
         assert conjugate(g, b) == conjugate(moved.g, moved.p)
         assert torus_part(b) == torus_part(moved.p)
-        assert torus_part(b) == borel_decompose(SL2, b)[0]
     b = grp([[2, 3], [0, Fraction(1, 2)]])
     assert torus_part(b) == grp([[2, 0], [0, Fraction(1, 2)]])
     assert conjugate(Mat.identity(2), b) == b
@@ -688,7 +683,7 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
     _, _, checks = leaf_two_form(borel_chart(SL2, *pt), rng)
     assert checks["d_identity"]
     for _ in range(2 * 3 * (SL2.dim_g + len(SL2.unipotent))):
-        shadow.rational(3)
+        rational(shadow, 3)
     assert rng.state == shadow.state
     # and a campaign passes each point's salted stream, still unconsumed
     seen = []
@@ -707,7 +702,7 @@ def test_leaf_d_identity_draws_from_the_given_rng(monkeypatch):
 
 def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
     # each triple's direction matrix is Mat.from_columns of three columns of
-    # rng.rational(3) draws, one column after another, and the stream is
+    # rational(rng, 3) draws, one column after another, and the stream is
     # where those draws leave it
     seen = []
     d_omega = gspringer.d_omega
@@ -729,7 +724,7 @@ def test_d_identity_directions_match_the_fraction_column_oracle(monkeypatch):
         assert len(seen) == 3
         for v, state in seen:
             want = Mat.from_columns(
-                [[shadow.rational(3) for _ in range(w.rows)] for _ in range(3)], w.rows)
+                [[rational(shadow, 3) for _ in range(w.rows)] for _ in range(3)], w.rows)
             assert v == want and v.data == want.data, name
             assert state == shadow.state, name
 
@@ -755,7 +750,7 @@ def test_a2_draws_from_the_salted_stream_before_a4(monkeypatch):
         assert all(r["passed"] for r in recs)
         shadow = SplitMix64(salt)
         for _ in range(2 * 3 * 2 * SL2.dim_g):
-            shadow.rational(3)
+            rational(shadow, 3)
         want.append(shadow.state)
         for _ in range(10):
             random_point(SL2, "G", shadow)
@@ -862,9 +857,8 @@ def test_weyl_fiber_enum_rejects_non_semisimple():
 def test_forced_strata_in_stream():
     rng = SplitMix64(83)
     bs = [b for _, b in gspoint_stream(SL2, rng, 6)]
-    t, _ = borel_decompose(SL2, bs[0])
-    assert t == Mat.identity(2)  # springer stratum first
-    t, _ = borel_decompose(SL2, bs[1])
+    assert torus_part(bs[0]) == Mat.identity(2)  # springer stratum first
+    t = torus_part(bs[1])
     d = [t.entry(i, i) for i in range(2)]
     assert d[0] == d[1]  # non-regular torus value
     assert bs[2] == Mat.identity(2)  # then b = identity

@@ -6,7 +6,7 @@
   Ad_mu xi = -xi.  The left side is ``kernel(form)`` from
   :func:`~qpslab.gspringer.leaf_two_form`; the right side the leaf
   coordinates, by one ``solve_columns(leaf.basis, .)``, of the
-  :func:`~qpslab.gspringer.chart_action_field` of a basis of
+  :func:`oracles.chart_action_field` of a basis of
   ker(Ad_mu + I).  Both are 0 at the stream points the suites sample.  On
   the minus-one stratum, where mu has eigenvalues r and -r, both have
   dimension 2, and there the mutants that drop the + I or take - I fail,
@@ -31,13 +31,14 @@ digests, which only a benchmark change may re-record.
 import pytest
 
 from qpslab.campaigns import CLI_GROUPS
-from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_chart,
-                              chart_action_field, gspoint_stream, leaf_two_form,
-                              weyl_fiber_enum)
+from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_chart, gspoint_stream,
+                              leaf_two_form, weyl_fiber_enum)
 from qpslab.liegroup import conjugate, context, random_point, weyl_orders
 from qpslab.linalg import Mat, Subspace, kernel, rank, solve_columns
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
+
+from oracles import chart_action_field
 
 I = QQi(0, 1)
 # t with a pair of eigenvalues r, -r; on sl2 that takes t = diag(i, -i)

@@ -9,14 +9,15 @@ import hypothesis.strategies as st
 import pytest
 
 from qqi_oracle import builds_no_qqi
+from oracles import (annihilator, below, conj_field, from_vectors, mat_vec, rational,
+                     rho_adjoint, sigma_adjoint)
 from qpslab import liegroup
 from qpslab.conventions import CORRUPTIONS, FROZEN, using
 from qpslab.gspringer import _nonregular_torus
-from qpslab.liegroup import (GroupContext, borel_decompose, bracket, conjugate,
-                             context, group_of_json, invariants, random_algebra,
-                             random_point, read_element, rho_adjoint, sigma,
-                             sigma_adjoint, conj_field, weyl_orders)
-from qpslab.linalg import Mat, Subspace, annihilator, mat_vec, rank
+from qpslab.liegroup import (GroupContext, bracket, conjugate, context, group_of_json,
+                             invariants, random_algebra, random_point, read_element,
+                             sigma, torus_part, weyl_orders)
+from qpslab.linalg import Mat, rank
 from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -113,17 +114,13 @@ def test_rho_adjoint_against_closed_form():
             assert rho_adjoint(ctx, g, v) == v - g @ v @ g.inverse()
 
 
-def test_borel_decompose():
-    t, u = borel_decompose(SL2, IDENT2)
-    assert t == IDENT2 and u == IDENT2
-    t, u = borel_decompose(SL2, DIAG2)
-    assert t == DIAG2 and u == IDENT2
+def test_torus_part_splits_a_borel_element():
+    # b = t u, t the diagonal of b and u = t^-1 b unit upper triangular
     b = grp([[2, 3], [0, Fraction(1, 2)]])
-    t, u = borel_decompose(SL2, b)
-    assert t == DIAG2
-    assert u == Mat([[QQi(1), QQi(Fraction(3, 2))], [QQi(0), QQi(1)]])
-    with pytest.raises(ValueError):
-        borel_decompose(SL2, grp([[1, 0], [1, 1]]))
+    for m, t, u in ((IDENT2, IDENT2, IDENT2), (DIAG2, DIAG2, IDENT2),
+                    (b, DIAG2, Mat([[QQi(1), QQi(Fraction(3, 2))], [QQi(0), QQi(1)]]))):
+        assert torus_part(m) == t
+        assert torus_part(m).inverse() @ m == u
 
 
 def test_chevalley_examples():
@@ -211,11 +208,11 @@ def test_borel_perp_is_unipotent_radical():
     for ctx in GROUPS:
         b_cols = [[QQi(1) if i == k else QQi(0) for i in range(ctx.dim_g)]
                   for k in ctx.borel]
-        bsub = Subspace.from_vectors(b_cols, ctx.dim_g)
+        bsub = from_vectors(b_cols, ctx.dim_g)
         ann = annihilator(bsub, ctx.gram)
         u_cols = [[QQi(1) if i == k else QQi(0) for i in range(ctx.dim_g)]
                   for k in ctx.unipotent]
-        usub = Subspace.from_vectors(u_cols, ctx.dim_g)
+        usub = from_vectors(u_cols, ctx.dim_g)
         assert ann.equals(usub)
 
 
@@ -405,9 +402,9 @@ def test_mat_from_coords_scatters_the_basis_sum():
     for name in liegroup.GROUPS:
         ctx = context(name)
         kinds = (
-            lambda: rng.below(21) - 10,
-            lambda: rng.rational(8),
-            lambda: QQi(rng.rational(8)),
+            lambda: below(rng, 21) - 10,
+            lambda: rational(rng, 8),
+            lambda: QQi(rational(rng, 8)),
         )
         for kind in kinds:
             for _ in range(5):
@@ -438,9 +435,9 @@ def test_brackets_match_the_per_pair_oracle():
         ctx = context(name)
         d = ctx.dim_g
         fams = [Mat.identity(d),
-                Mat([[QQi(rng.rational(8)) for _ in range(3)] for _ in range(d)]),
+                Mat([[QQi(rational(rng, 8)) for _ in range(3)] for _ in range(d)]),
                 # a non-real family, with Gaussian numerators
-                Mat([[QQi(rng.rational(4), rng.below(3)) for _ in range(2)]
+                Mat([[QQi(rational(rng, 4), below(rng, 3)) for _ in range(2)]
                      for _ in range(d)]).hstack(Mat.from_columns([[i] * d], d))]
         for v in fams:
             coords, dual, den = ctx.brackets_and_functionals(v)
@@ -473,7 +470,7 @@ def qqi_unitriangular(n, rng, height, lower):
     for i in range(n):
         for j in range(n):
             if (i > j) if lower else (i < j):
-                m[i][j] = QQi(rng.rational(height))
+                m[i][j] = QQi(rational(rng, height))
     return Mat(m)
 
 
@@ -487,19 +484,19 @@ def qqi_torus_mat(ctx, rng, height, regular):
     n = ctx.n
     while True:
         if ctx.family == "SL":
-            entries = [rng.rational(height, nonzero=True) for _ in range(n - 1)]
+            entries = [rational(rng, height, nonzero=True) for _ in range(n - 1)]
             prod = Fraction(1)
             for e in entries:
                 prod *= e
             entries.append(1 / prod)
         else:
-            entries = [rng.rational(height, nonzero=True) for _ in range(n)]
+            entries = [rational(rng, height, nonzero=True) for _ in range(n)]
         if not regular or len(set(entries)) == n:
             break
     return qqi_diagonal(entries)
 
 
-def qqi_random_point(ctx, kind, rng, height=10):
+def qqi_random_point(ctx, kind, rng, height):
     n = ctx.n
     if kind == "G":
         low = qqi_unitriangular(n, rng, height, lower=True)
@@ -516,16 +513,16 @@ def qqi_random_point(ctx, kind, rng, height=10):
 def qqi_random_algebra(ctx, rng, height, indices):
     coords = [QQi(0)] * ctx.dim_g
     for i in indices:
-        coords[i] = QQi(rng.rational(height))
+        coords[i] = QQi(rational(rng, height))
     return ctx.mat_from_coords(coords)
 
 
 def qqi_nonregular_torus(ctx, rng):
     n = ctx.n
-    r = rng.rational(6, nonzero=True)
+    r = rational(rng, 6, nonzero=True)
     entries = [r, r]
     while len(entries) < n:
-        entries.append(rng.rational(6, nonzero=True))
+        entries.append(rational(rng, 6, nonzero=True))
     if ctx.family == "SL":
         prod = Fraction(1)
         for e in entries[:-1]:
@@ -537,11 +534,13 @@ def qqi_nonregular_torus(ctx, rng):
 
 
 SAMPLE_KINDS = ("G", "B", "T", "T-regular", "U")
+# the h of the sampling note in the conventions, at which every sampler draws
+SAMPLE_HEIGHT = 10
 
 
-def samplers_match_the_oracles(ctx, seed, height):
-    """Draw every sampler at ``height`` from two streams of ``seed``, one
-    for the integer-form samplers and one for their QQi entry oracles, and
+def samplers_match_the_oracles(ctx, seed):
+    """Draw every sampler from two streams of ``seed``, one for the
+    integer-form samplers and one for their QQi entry oracles, and
     assert the same matrices, in entries and integer form, from the same
     draws: after each sample the two streams are in the same state.
 
@@ -552,17 +551,9 @@ def samplers_match_the_oracles(ctx, seed, height):
     events = set()
     new, old = SplitMix64(seed), SplitMix64(seed)
     for kind in SAMPLE_KINDS:
-        # at height 1 every entry is 1 or -1, so only a GL2 torus can be
-        # regular: the other groups raise before any draw
-        if kind == "T-regular" and height == 1 and ctx.name != "gl2":
-            state = new.state
-            with pytest.raises(ValueError):
-                random_point(ctx, kind, new, height)
-            assert new.state == state, (seed, kind)
-            continue
         probe = copy.copy(new)
-        got, want = (random_point(ctx, kind, new, height),
-                     qqi_random_point(ctx, kind, old, height))
+        got, want = (random_point(ctx, kind, new),
+                     qqi_random_point(ctx, kind, old, SAMPLE_HEIGHT))
         assert got == want and got.data == want.data, (seed, kind)
         assert new.state == old.state, (seed, kind)
         if kind == "T" and ctx.family == "SL" and got.data[-1][-1].re < 0:
@@ -570,12 +561,12 @@ def samplers_match_the_oracles(ctx, seed, height):
         if kind == "T-regular":
             # one diagonal draw moves the probe as far as a sample without
             # a redraw moves the stream
-            random_point(ctx, "T", probe, height)
+            random_point(ctx, "T", probe)
             if probe.state != new.state:
                 events.add("redraw")
     for indices in (range(ctx.dim_g), ctx.borel, ctx.unipotent, ctx.torus):
-        got = random_algebra(ctx, new, height, indices)
-        want = qqi_random_algebra(ctx, old, height, indices)
+        got = random_algebra(ctx, new, indices)
+        want = qqi_random_algebra(ctx, old, SAMPLE_HEIGHT, indices)
         assert got == want and got.data == want.data, (seed, indices)
         assert new.state == old.state, (seed, indices)
     got, want = _nonregular_torus(ctx, new), qqi_nonregular_torus(ctx, old)
@@ -588,28 +579,27 @@ def samplers_match_the_oracles(ctx, seed, height):
 def test_samplers_match_the_qqi_entry_oracles(name):
     ctx = context(name)
     for seed in (1, 2, 3, 20260809):
-        samplers_match_the_oracles(ctx, seed, 10)
+        samplers_match_the_oracles(ctx, seed)
 
 
-# a seed and height whose draws hold an SL torus with a negative product
-# and a T-regular redraw: an explicit example of the property below
-PINNED_DRAWS = (1, 2)
+# a seed whose draws hold an SL torus with a negative product and a
+# T-regular redraw: an explicit example of the property below
+PINNED_DRAWS = 4
 
 
 def test_the_pinned_draws_hold_a_negative_torus_and_a_redraw():
     events = set()
     for name in sorted(liegroup.GROUPS):
-        events |= samplers_match_the_oracles(context(name), *PINNED_DRAWS)
+        events |= samplers_match_the_oracles(context(name), PINNED_DRAWS)
     assert events == {"negative", "redraw"}
 
 
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), height=st.integers(1, 10))
-@example(*PINNED_DRAWS)
-@example(5, 1)  # no regular torus of height 1 but on gl2
-def test_samplers_match_the_oracles_at_any_seed_and_height(seed, height):
+@given(seed=st.integers(0, 2**64 - 1))
+@example(PINNED_DRAWS)
+def test_samplers_match_the_oracles_at_any_seed(seed):
     for name in sorted(liegroup.GROUPS):
-        samplers_match_the_oracles(context(name), seed, height)
+        samplers_match_the_oracles(context(name), seed)
 
 
 # the guards where a group and its samples are named

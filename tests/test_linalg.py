@@ -10,11 +10,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qqi_oracle import builds_no_qqi
+from oracles import annihilator, below, from_vectors, mat_vec, rational, subspace_sum
 import qpslab
 from qpslab import linalg
 from qpslab.diffcalc import Dual
-from qpslab.linalg import (LinAlgError, Mat, Subspace, annihilator,
-                           intersect, kernel, mat_vec, rank, rref,
+from qpslab.linalg import (LinAlgError, Mat, Subspace, intersect, kernel, rank, rref,
                            solve_columns, solve_unique)
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -43,8 +43,8 @@ def test_kernel_examples():
 
 
 def test_intersect_examples():
-    xy = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3)
-    yz = Subspace.from_vectors([[0, 1, 0], [0, 0, 1]], 3)
+    xy = from_vectors([[1, 0, 0], [0, 1, 0]], 3)
+    yz = from_vectors([[0, 1, 0], [0, 0, 1]], 3)
     meet = intersect(xy, yz)
     assert meet.dim == 1 and meet.contains_vector([QQi(0), QQi(1), QQi(0)])
     assert intersect(xy, xy).equals(xy)
@@ -55,10 +55,10 @@ def test_intersect_generic_dimension():
     # through the rank of the stacked bases
     rng = SplitMix64(31)
     for _ in range(5):
-        a = Subspace.from_vectors(
-            [[QQi(rng.rational(5)) for _ in range(4)] for _ in range(3)], 4)
-        b = Subspace.from_vectors(
-            [[QQi(rng.rational(5)) for _ in range(4)] for _ in range(3)], 4)
+        a = from_vectors(
+            [[QQi(rational(rng, 5)) for _ in range(4)] for _ in range(3)], 4)
+        b = from_vectors(
+            [[QQi(rational(rng, 5)) for _ in range(4)] for _ in range(3)], 4)
         if a.dim != 3 or b.dim != 3:
             continue
         expected = a.dim + b.dim - rank(a.basis.hstack(b.basis))
@@ -70,9 +70,9 @@ def test_annihilator_examples():
     zero = Subspace.zero(3)
     assert annihilator(zero, dot).equals(Subspace(Mat.identity(3)))
     assert annihilator(Subspace(Mat.identity(3)), dot).dim == 0
-    e1 = Subspace.from_vectors([[1, 0, 0]], 3)
+    e1 = from_vectors([[1, 0, 0]], 3)
     ann = annihilator(e1, dot)
-    assert ann.equals(Subspace.from_vectors([[0, 1, 0], [0, 0, 1]], 3))
+    assert ann.equals(from_vectors([[0, 1, 0], [0, 0, 1]], 3))
 
 
 def test_annihilator_rejects_degenerate_pairing():
@@ -96,14 +96,14 @@ def subspaces(ambient, max_vecs=None):
         st.lists(small_entries, min_size=ambient, max_size=ambient),
         min_size=0,
         max_size=max_vecs,
-    ).map(lambda vs: Subspace.from_vectors(
+    ).map(lambda vs: from_vectors(
         [[QQi(x) for x in v] for v in vs], ambient))
 
 
 @settings(deadline=None, max_examples=200)
 @given(subspaces(4), subspaces(4))
 def test_dimension_formula(a, b):
-    total = a.sum(b)
+    total = subspace_sum(a, b)
     meet = intersect(a, b)
     assert total.dim + meet.dim == a.dim + b.dim
 
@@ -121,7 +121,7 @@ def test_float_backend_is_confined():
     with pytest.raises(TypeError):
         Mat([[0.5]])
     with pytest.raises(TypeError):
-        Subspace.from_vectors([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 3)
+        from_vectors([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]], 3)
     with pytest.raises(TypeError):
         solve_unique(M([[2, 1, 0], [1, 3, 1], [0, 1, 4]]), [1.0, 0.0, 0.0])
 
@@ -193,12 +193,10 @@ def test_annihilator_dimension(s):
 def test_kernel_vectors_annihilate():
     rng = SplitMix64(77)
     for _ in range(20):
-        m = Mat([[QQi(rng.rational(6)) for _ in range(4)] for _ in range(3)])
+        m = Mat([[QQi(rational(rng, 6)) for _ in range(4)] for _ in range(3)])
         k = kernel(m)
         for j in range(k.dim):
             col = k.basis.col(j)
-            from qpslab.linalg import mat_vec
-
             assert all(not x for x in mat_vec(m, col))
 
 
@@ -206,8 +204,6 @@ def test_solve_unique():
     a = M([[1, 2], [3, 4]])
     sol, unique, consistent = solve_unique(a, [QQi(5), QQi(11)])
     assert consistent and unique
-    from qpslab.linalg import mat_vec
-
     assert mat_vec(a, sol) == [QQi(5), QQi(11)]
     # inconsistent system
     b = M([[1, 1], [1, 1]])
@@ -225,7 +221,7 @@ def test_solve_columns_is_solve_unique_per_column():
               M([[1, 2, 3], [2, 4, 6]]),                  # wide, rank 1
               M([[1, 0], [0, 1], [1, 1], [2, 3]]),        # tall, full column rank
               Mat([[gauss, QQi(1)], [QQi(2), gauss]])):   # Gaussian entries
-        xs = [[QQi(rng.rational(5)) for _ in range(a.cols)] for _ in range(3)]
+        xs = [[QQi(rational(rng, 5)) for _ in range(a.cols)] for _ in range(3)]
         b = Mat.from_columns([mat_vec(a, x) for x in xs], a.rows)
         sols, unique, consistent = solve_columns(a, b)
         assert consistent and unique == (rank(a) == a.cols)
@@ -234,9 +230,9 @@ def test_solve_columns_is_solve_unique_per_column():
             assert ok and uniq == unique and sols.col(j) == sol
         # one inconsistent column makes the whole system inconsistent
         if rank(a) < a.rows:
-            bad = [QQi(rng.rational(5)) for _ in range(a.rows)]
+            bad = [QQi(rational(rng, 5)) for _ in range(a.rows)]
             while solve_unique(a, bad)[2]:
-                bad = [QQi(rng.rational(5)) for _ in range(a.rows)]
+                bad = [QQi(rational(rng, 5)) for _ in range(a.rows)]
             assert solve_columns(a, b.hstack(Mat.from_columns([bad], a.rows))) == \
                 (None, False, False)
 
@@ -249,8 +245,8 @@ def test_from_columns_rejects_a_column_of_another_length():
 
 
 def test_subspace_equality_is_containment_based():
-    a = Subspace.from_vectors([[1, 0], [0, 1]], 2)
-    b = Subspace.from_vectors([[1, 1], [1, -1]], 2)
+    a = from_vectors([[1, 0], [0, 1]], 2)
+    b = from_vectors([[1, 1], [1, -1]], 2)
     assert a.equals(b)
 
 
@@ -286,14 +282,14 @@ def test_spanned_by_zero_subspace():
 ], ids=["outside", "outside-more-columns", "lower-rank", "lower-rank-more-columns",
         "one-column", "more-columns", "zero-column-more-columns", "basis"])
 def test_spanned_by_a_plane(mat, spans):
-    plane = Subspace.from_vectors([[1, 0, 0], [0, 1, 1]], 3)
+    plane = from_vectors([[1, 0, 0], [0, 1, 1]], 3)
     assert plane.spanned_by(mat) == spans == spans_canonically(plane, mat)
 
 
 def test_spanned_by_ranks_the_pivot_rows_only(monkeypatch):
     # a mat inside is the basis times its pivot rows, so the rank is taken
     # on dim rows; a mat outside takes no rank at all
-    plane = Subspace.from_vectors([[1, 0, 0, 2], [0, 1, 1, 0]], 4)
+    plane = from_vectors([[1, 0, 0, 2], [0, 1, 1, 0]], 4)
     shapes = []
     real = linalg.rank
 
@@ -323,15 +319,15 @@ def test_rational_and_integer_row_constructors_match_the_entry_route():
     # give the canonical rows the QQi entries clear to, and the same entries
     rng = SplitMix64(7)
     for rows, cols in ((3, 3), (2, 5), (1, 1)):
-        fr = [[rng.rational(12) if rng.below(3) else rng.below(5) - 2
+        fr = [[rational(rng, 12) if below(rng, 3) else below(rng, 5) - 2
                for _ in range(cols)] for _ in range(rows)]
         want = Mat([[QQi(x) for x in r] for r in fr])
         with builds_no_qqi():
             got = Mat(fr)
         assert got == want and got.data == want.data
         assert got._ints == want._ints
-        den = 1 + rng.below(12)
-        nums = [[rng.below(41) - 20 for _ in range(cols)] for _ in range(rows)]
+        den = 1 + below(rng, 12)
+        nums = [[below(rng, 41) - 20 for _ in range(cols)] for _ in range(rows)]
         with builds_no_qqi():
             got = Mat.from_int_rows(nums, den)
         want = Mat([[QQi(Fraction(a, den)) for a in r] for r in nums])
@@ -362,7 +358,8 @@ M23 = Mat([[1, 2, 3], [4, 5, 6]])
     pytest.param(lambda: M23.vstack(M22), "col mismatch in vstack", id="vstack"),
     pytest.param(lambda: mat_vec(M23, [1, 2]), "matrix/vector size mismatch",
                  id="mat-vec"),
-    pytest.param(lambda: Subspace(Mat.identity(2)).sum(Subspace(Mat.identity(3))),
+    pytest.param(lambda: subspace_sum(Subspace(Mat.identity(2)),
+                                      Subspace(Mat.identity(3))),
                  "ambient dimension mismatch", id="subspace-sum"),
     pytest.param(lambda: annihilator(Subspace(Mat.identity(2)), M23),
                  "pairing matrix has wrong shape", id="annihilator-shape"),
@@ -391,8 +388,8 @@ def test_coordinates_are_the_unique_solution(gaussian):
     i = QQi(0, 1)
 
     def entry():
-        x = QQi(rng.rational(4))
-        return x + i * QQi(rng.rational(3)) if gaussian else x
+        x = QQi(rational(rng, 4))
+        return x + i * QQi(rational(rng, 3)) if gaussian else x
 
     for n, k in ((3, 1), (4, 2), (6, 3)):
         s = Subspace(Mat([[entry() for _ in range(k)] for _ in range(n)]))

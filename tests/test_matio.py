@@ -21,10 +21,11 @@ import hypothesis.strategies as st
 from qqi_oracle import builds_no_qqi
 from qpslab.liegroup import GROUPS, context, random_point, read_element
 from qpslab.linalg import Mat
-from qpslab.matio import (_exact_part, entry_pairs, mat_from_json, mat_to_json,
-                          scalar_to_json)
+from qpslab.matio import _exact_part, entry_pairs, mat_from_json, mat_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi, ZZi
+
+from oracles import scalar_to_json
 
 
 def qqi_from_json(obj: dict) -> Mat:

@@ -17,9 +17,11 @@ from qpslab.gspringer import (borel_chart, leaf_two_form, reconstruct_bivector,
                               regact_check, theorem1_check, theorem2_check)
 from qpslab.linalg import Mat, Subspace
 from qpslab.liegroup import conjugation_sections, context, invariants
-from qpslab.matio import mat_to_json, scalar_to_json
+from qpslab.matio import mat_to_json
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
+
+from oracles import scalar_to_json
 
 I = QQi(0, 1)
 

@@ -13,8 +13,9 @@ w^T V.  None of them fails at a sampled point, so each is run here on
 inputs where it must fail, against the route it replaced: a canonical
 subspace of the set and ``equals``, or ``kernel`` and ``intersect``.  The
 leaf, read off the fiber's canonical basis, is compared with the rref of
-its tangent rows, and the leaf form's unit-column solve with the rref of
-[top | L].
+its tangent rows, on quotient fibers and on the Cartan-Dirac fibers whose
+pivot count the cartan-dirac suite reads as the rank of I - Ad_{g^-1}; and
+the leaf form's unit-column solve with the rref of [top | L].
 """
 
 import pytest
@@ -27,7 +28,7 @@ from qpslab.gspringer import (FORCED_STRATA, QuotientChart, borel_chart,
                               point_from_json, reconstruct_bivector, regact_check,
                               representative_independent, theorem1_check,
                               theorem2_check)
-from qpslab.liegroup import conjugation_sections, context, random_point
+from qpslab.liegroup import GROUPS, conjugation_sections, context, random_point
 from qpslab.linalg import Mat, Subspace, intersect, kernel, solve_columns
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
@@ -206,14 +207,28 @@ def fibers_with_leaves():
     yield DiracFiber(Mat.zeros(4, 0))
 
 
+def cartan_dirac_fibers():
+    """The Cartan-Dirac fibers at the identity and at a G, B, U and T point
+    of every group, and at the non-real diag(i, -i) of SL_2."""
+    rng = SplitMix64(318)
+    for group in sorted(GROUPS):
+        ctx = context(group)
+        for g in (Mat.identity(ctx.n), *(random_point(ctx, k, rng) for k in "GBUT")):
+            yield cartan_dirac(conjugation_sections(ctx, g))
+    i = QQi(0, 1)
+    yield cartan_dirac(conjugation_sections(context("sl2"), Mat([[i, 0], [0, -i]])))
+
+
 def test_the_leaf_read_off_the_pivots_is_the_rref_route():
     # the tangent part read off the canonical basis is the canonical basis
-    # of the tangent rows' span, which an rref of them gives
+    # of the tangent rows' span, which an rref of them gives; so the count
+    # of tangent pivots is the rank of the tangent rows
     dims = set()
-    for fib in fibers_with_leaves():
+    for fib in (*fibers_with_leaves(), *cartan_dirac_fibers()):
         got = fib.tangent_part()
         want = Subspace(fib.basis.row_block(0, fib.d)) if fib.dim else Subspace.zero(fib.d)
         assert got.basis == want.basis and got.dim == want.dim
+        assert len(fib.tangent_columns()) == want.dim
         dims.add(0 < got.dim < fib.dim)
     # some fibers have pivots in the covector rows, and some do not
     assert dims == {True, False}

@@ -26,10 +26,11 @@ from qpslab.gspringer import omega_matrix, phi_differential, sample_double
 from qpslab.liegroup import (GROUPS, GroupContext, bracket,
                              conjugation_sections, context, random_algebra,
                              random_point, sigma_average)
-from qpslab.linalg import Mat, intersect, kernel, mat_vec, rank
+from qpslab.linalg import Mat, intersect, kernel, rank
 from qpslab.prng import SplitMix64
 from qpslab.scalars import QQi
 
+from oracles import below, mat_vec
 from test_dirac import calibration_grid
 
 
@@ -97,7 +98,7 @@ def block_form(rng, d, singular):
     invertible."""
     def block(sing):
         while True:
-            rows = [[rng.below(7) - 3 for _ in range(d)] for _ in range(d)]
+            rows = [[below(rng, 7) - 3 for _ in range(d)] for _ in range(d)]
             if sing:
                 rows[-1] = [sum(c) for c in zip(*rows[:-1])]
             if sing or singular or rank(Mat(rows)) == d:
@@ -116,7 +117,7 @@ def test_a3_block_route_matches_the_whole_rank(singular):
             w, y, z = block_form(rng, d, singular)
             assert (rank(Mat(y)) == d == rank(Mat(z))) is (singular is None)
             assert campaigns._nondegenerate(w) is (rank(w) == w.rows)
-            dphi = Mat([[rng.below(5) - 2 for _ in range(2 * d)] for _ in range(d)])
+            dphi = Mat([[below(rng, 5) - 2 for _ in range(2 * d)] for _ in range(d)])
             for phi in (dphi, Mat.zeros(d, 2 * d)):
                 assert _a3_nondegenerate(w, phi) == kernel_route(w, phi)
 

@@ -3,11 +3,10 @@
 A helper whose last caller went stays behind unnoticed; no linter runs on
 this repository, so this test reads the sources with :mod:`ast`.  A
 top-level function, class or assigned name of ``src/qpslab/*.py``, or of the
-QQi, Borel-chart and float Weyl-fiber oracles of the tests
-(``tests/qqi_oracle.py``, ``tests/borel_oracle.py``,
-``tests/float_fiber_oracle.py``), counts as read when a read resolves to it, its
-module and its name, anywhere in ``src``, ``scripts``, ``tests`` or
-``bench``: a bare load in its own module outside its own definition, an
+oracles of the tests (``tests/oracles.py``, ``tests/qqi_oracle.py``,
+``tests/borel_oracle.py``, ``tests/float_fiber_oracle.py``), counts as read
+when a read resolves to it, its module and its name, anywhere in ``src``,
+``scripts``, ``tests`` or ``bench``: a bare load in its own module outside its own definition, an
 import of it from its module, or ``module.name`` through an imported
 module.  So a method or an attribute of the same name does not count: a
 dead top-level function cannot hide behind a read method.  Docstring and
@@ -29,6 +28,15 @@ test-only function calls is test-only as well.  Outside
 pinned: a new test-only helper in a product module fails here, and moving
 one to the tests shrinks the list.  The bench reads its layer names as
 strings, so a name it traces but nothing calls is on the list.
+
+A knob that only the tests turn is a test-only helper too.  Outside
+:mod:`qpslab.diffcalc`, every parameter with a default of a top-level
+function or a method of a top-level class of the package must be set by
+some call in ``src``, ``scripts`` or ``bench``: passed by keyword, or by
+position.  A call resolves by the callee's name, a class's call to its
+``__init__``, and a method's positions start after its bound first
+argument.  A call that unpacks ``*`` or ``**`` sets every parameter.  The
+test seams, parameters only the tests set on purpose, are pinned.
 """
 
 import ast
@@ -38,25 +46,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qpslab").glob("*.py"))
 # the package, and the oracles the differential tests keep beside it
-DEFINING = [*PACKAGE, ROOT / "tests" / "qqi_oracle.py",
-            ROOT / "tests" / "borel_oracle.py",
-            ROOT / "tests" / "float_fiber_oracle.py"]
+DEFINING = [*PACKAGE, *(ROOT / "tests" / name for name in (
+    "oracles.py", "qqi_oracle.py", "borel_oracle.py", "float_fiber_oracle.py"))]
 READERS = sorted(p for d in ("src", "scripts", "tests", "bench")
                  for p in (ROOT / d).rglob("*.py"))
 EXEMPT = {"__version__"}
 PRODUCT_READERS = ("src", "scripts", "bench")
-# the package names outside diffcalc that only the tests read
+# the package names outside diffcalc that only the tests read, each kept
+# for a reason outside the tests
 TEST_ONLY = [
-    "dirac.pullback_linear", "gspringer.chart_action_field",
-    "gspringer.moment_condition_check", "gspringer.rho_double",
-    "gspringer.same_class", "liegroup.borel_decompose", "liegroup.conj_field",
-    "liegroup.rho_adjoint", "liegroup.sigma", "liegroup.sigma_adjoint",
-    "linalg.annihilator", "linalg.mat_vec", "linalg.solve_unique",
-    "matio.scalar_to_json",
-    "linalg.Subspace.from_vectors", "linalg.Subspace.sum",
-    "prng.SplitMix64.below", "prng.SplitMix64.rational",
-    "scalars.QQi.to_complex",
+    # the only reader of kernel in dirac, which the bench's wrapper test
+    # needs bound there, and an unused import would fail test_unused_imports
+    "dirac.pullback_linear",
+    # traced by name in bench/layertrace.py
+    "liegroup.sigma", "linalg.solve_unique",
 ]
+# the parameters with defaults that only the tests set: the one test seam
+TEST_SEAMS = ["cli.main.argv"]
 
 
 def defined_names(node: ast.stmt) -> list[str]:
@@ -220,7 +226,7 @@ def parse(path: Path) -> ast.Module:
 
 def test_the_scan_sees_the_package_and_its_readers():
     assert {"gspringer.py", "scalars.py", "__init__.py"} <= {p.name for p in PACKAGE}
-    assert {"gspringer.py", "qqi_oracle.py", "borel_oracle.py",
+    assert {"gspringer.py", "oracles.py", "qqi_oracle.py", "borel_oracle.py",
             "float_fiber_oracle.py"} <= {p.name for p in DEFINING}
     dirs = {p.relative_to(ROOT).parts[0] for p in READERS}
     assert dirs == {"src", "scripts", "tests", "bench"}
@@ -309,3 +315,85 @@ def test_the_test_only_names_are_pinned():
     defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in PACKAGE}
     found = unread_in_product(defining, readers)
     assert [n for n in found if not n.startswith("diffcalc.")] == TEST_ONLY
+
+
+def defaulted_parameters(mod: str, tree: ast.Module) -> list[tuple]:
+    """(``module.function.parameter``, callee name, position) for each
+    parameter with a default of a top-level function or a method of a
+    top-level class in ``tree``, the module ``mod``.  A class's ``__init__``
+    is called by the class's name.  The position counts the arguments a
+    call passes, so it skips the bound first argument of a method that is
+    not static; it is None for a keyword-only parameter."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            defs.append((f"{mod}.{node.name}", node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(f"{mod}.{node.name}.{f.name}",
+                      node.name if f.name == "__init__" else f.name, f,
+                      0 if "staticmethod" in loads(f.decorator_list) else 1)
+                     for f in node.body if isinstance(f, FUNCTIONS)]
+    out = []
+    for qual, callee, f, bound in defs:
+        a = f.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out += [(f"{qual}.{p.arg}", callee, i - bound)
+                for i, p in enumerate(positional) if i >= first]
+        out += [(f"{qual}.{p.arg}", callee, None)
+                for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def calls(tree: ast.AST) -> set[tuple]:
+    """(callee name, positional count, keyword names) of each call in
+    ``tree`` of a name or an attribute; a call that unpacks ``*`` or ``**``
+    counts as passing every position and every keyword, as None."""
+    out = set()
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in n.args) or any(
+                k.arg is None for k in n.keywords):
+            out.add((name, None, None))
+        else:
+            out.add((name, len(n.args), frozenset(k.arg for k in n.keywords)))
+    return out
+
+
+def unset_parameters(defining: dict[str, ast.Module],
+                     readers: dict[str, ast.Module]) -> list[str]:
+    """The parameters with defaults of ``defining`` that no call in
+    ``readers`` sets, by position or by keyword."""
+    seen = set().union(*(calls(tree) for tree in readers.values()))
+    return sorted(qual for mod, tree in defining.items()
+                  for qual, callee, pos in defaulted_parameters(mod, tree)
+                  if not any(name == callee and (
+                      npos is None or (pos is not None and npos > pos)
+                      or qual.rsplit(".", 1)[1] in kws)
+                      for name, npos, kws in seen))
+
+
+def test_the_scan_flags_an_unset_parameter_and_not_a_set_one():
+    lib = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+                    "def g(x=0):\n    pass\n\n"
+                    "class C:\n"
+                    "    def __init__(self, p=0, q=0):\n        pass\n\n"
+                    "    def m(self, r=0, s=0):\n        pass\n\n"
+                    "    @staticmethod\n    def s(t=0, u=0):\n        pass\n")
+    # f's b by position and d by keyword; C's p by position through the
+    # class; m's r by position after self; s's t by position, with no self;
+    # g's x by a call that unpacks
+    user = ast.parse("from lib import C, f, g\nf(0, 1, d=2)\nc = C(1)\n"
+                     "c.m(1)\nC.s(1)\ng(*[1])\n")
+    assert unset_parameters({"lib": lib}, {"lib": lib, "user": user}) == [
+        "lib.C.__init__.q", "lib.C.m.s", "lib.C.s.u", "lib.f.c", "lib.f.e"]
+
+
+def test_every_parameter_default_is_set_by_the_product():
+    readers = {str(p.relative_to(ROOT)): parse(p) for p in READERS
+               if p.relative_to(ROOT).parts[0] in PRODUCT_READERS}
+    defining = {p.stem: readers[str(p.relative_to(ROOT))] for p in PACKAGE
+                if p.stem != "diffcalc"}
+    assert unset_parameters(defining, readers) == TEST_SEAMS

@@ -8,7 +8,7 @@ Three routes hold it:
 * the points against the one statement of the Weyl representatives,
   :func:`~qpslab.liegroup.weyl_orders`: each is (h W_w, W_w^-1 t W_w), in
   its order; and against ``conjugate`` and
-  :func:`~qpslab.gspringer.same_class`, which invert each h afresh;
+  :func:`oracles.same_class`, which invert each h afresh;
 * mutants of its source, one line each, and a non-regular t in the
   campaign's draws: each makes the record fail with a witness naming the
   condition the mutant breaks, so the record can fail;
@@ -26,12 +26,13 @@ import pytest
 
 from qpslab import campaigns, gspringer
 from qpslab.campaigns import CLI_GROUPS, CampaignConfig, run_suite
-from qpslab.gspringer import same_class, weyl_fiber
+from qpslab.gspringer import weyl_fiber
 from qpslab.liegroup import GROUPS, conjugate, context, random_point, weyl_orders
 from qpslab.linalg import Mat
 from qpslab.prng import SplitMix64
 
 from float_fiber_oracle import float_array, float_fiber_enum, float_same_class
+from oracles import same_class
 
 
 def regular_semisimple(ctx, rng):
